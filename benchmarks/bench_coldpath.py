@@ -17,7 +17,7 @@ Budgets scale linearly with the fleet size from the 10^6 acceptance
 bars (generate <= 3 s, publish <= 1.5 s, attach+touch <= 2 s) with a
 floor that keeps tiny CI sizes out of timer noise. The bench also runs
 one small fused campaign to surface the streamed per-phase timings
-(:class:`~repro.sim.phases.PhaseTimer` via ``_CellSummary``) in the
+(:class:`~repro.sim.phases.PhaseTimer` via ``CellSummary``) in the
 artifact, so ``BENCH_coldpath.json`` shows where a regression landed,
 not just that one happened.
 

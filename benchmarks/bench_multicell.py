@@ -7,11 +7,11 @@ across 32 cells):
   original O(n_cells x n_devices) per-cell scan with full per-cell
   fleet reconstruction (``method="reference"``). The cells must be
   identical; at 1e5 devices the vectorised path must be >=10x faster.
-* **rollout** — the coordinated campaign through the serial and the
-  process-pool backends with per-cell ``SeedSequence`` child RNGs. The
-  per-cell plans and results must be bit-identical; both wall-clocks
-  are recorded (the pool only wins when real cores exist and per-cell
-  compute dominates the fleet-pickling cost).
+* **rollout** — the coordinated campaign through the serial (in-process)
+  and the fused (process-pool) backends with per-cell ``SeedSequence``
+  child RNGs. The per-cell plans and results must be bit-identical;
+  both wall-clocks are recorded (the pool only wins when real cores
+  exist and per-cell compute dominates the fleet-pickling cost).
 
 Results are persisted as ``BENCH_multicell.json`` (see
 ``conftest.write_bench_artifact``). Tune with
@@ -76,11 +76,11 @@ def _assert_cells_identical(reference, fast) -> None:
         )
 
 
-def _assert_reports_bit_identical(serial, process) -> None:
-    assert len(serial.campaigns) == len(process.campaigns)
-    for a, b in zip(serial.campaigns, process.campaigns):
+def _assert_reports_bit_identical(serial, fused) -> None:
+    assert len(serial.campaigns) == len(fused.campaigns)
+    for a, b in zip(serial.campaigns, fused.campaigns):
         assert cells_bit_identical(a, b), (
-            f"cell {a.cell_id} differs between serial and process backends"
+            f"cell {a.cell_id} differs between serial and fused backends"
         )
 
 
@@ -119,7 +119,7 @@ def test_a10_multicell_city_campaign(capsys):
             f"vectorised {partition_fast_s:.3f}s)"
         )
 
-    # Rollout: serial and process-pool per-cell campaigns must be
+    # Rollout: serial and fused per-cell campaigns must be
     # bit-identical for the same root seed.
     image = FirmwareImage(
         name="city-fw", version="1.0.0", size_bytes=1_000_000
@@ -131,11 +131,11 @@ def test_a10_multicell_city_campaign(capsys):
     serial = entity.rollout(cells, image, context, seed=42)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    process = entity.rollout(
-        cells, image, context, seed=42, backend="process", workers=workers
+    fused = entity.rollout(
+        cells, image, context, seed=42, backend="fused", workers=workers
     )
-    process_s = time.perf_counter() - t0
-    _assert_reports_bit_identical(serial, process)
+    fused_s = time.perf_counter() - t0
+    _assert_reports_bit_identical(serial, fused)
 
     path = write_bench_artifact(
         "multicell",
@@ -149,7 +149,7 @@ def test_a10_multicell_city_campaign(capsys):
             "partition_vectorised_s": partition_fast_s,
             "partition_speedup": partition_speedup,
             "rollout_serial_s": serial_s,
-            "rollout_process_s": process_s,
+            "rollout_fused_s": fused_s,
             "total_transmissions": serial.total_transmissions,
             "campaign_duration_s": serial.campaign_duration_s,
         },
@@ -162,7 +162,7 @@ def test_a10_multicell_city_campaign(capsys):
                     f"A10 — multi-cell campaign: {n_devices} devices x "
                     f"{serial.n_cells} cells"
                 ),
-                headers=("stage", "reference/serial", "fast/process", "note"),
+                headers=("stage", "reference/serial", "fast/fused", "note"),
                 rows=(
                     (
                         "partition",
@@ -174,7 +174,7 @@ def test_a10_multicell_city_campaign(capsys):
                     (
                         "rollout",
                         f"{serial_s:.2f}s",
-                        f"{process_s:.2f}s",
+                        f"{fused_s:.2f}s",
                         f"bit-identical per cell, {workers} workers",
                     ),
                 ),

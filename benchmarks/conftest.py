@@ -5,8 +5,8 @@ down so ``pytest benchmarks/ --benchmark-only`` finishes in minutes;
 set ``REPRO_BENCH_FULL=1`` to use the paper's full parameters (100
 Monte-Carlo runs, fleets up to 1000 devices), or tune individually with
 ``REPRO_BENCH_RUNS`` / ``REPRO_BENCH_DEVICES``. The Monte-Carlo
-execution backend is selectable too: ``REPRO_BENCH_BACKEND=process``
-and ``REPRO_BENCH_WORKERS=N`` shard every figure's run loop across a
+execution backend is selectable too: ``REPRO_BENCH_BACKEND=fused``
+and ``REPRO_BENCH_WORKERS=N`` drain every figure's runs on the fused
 process pool (identical numbers, lower wall-clock).
 
 Timing benchmarks persist their measurements as ``BENCH_<name>.json``

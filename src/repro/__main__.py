@@ -4,16 +4,16 @@ Examples::
 
     python -m repro figures --figure 7 --runs 20
     python -m repro figures --figure all --runs 5 --devices 200
-    python -m repro figures --figure 6a --backend process --workers 4 --cache
+    python -m repro figures --figure 6a --backend fused --workers 4 --cache
     python -m repro figures --figure 7 --runs 3 --device-counts 1000,10000,100000
     python -m repro demo --mechanism da-sc --devices 100 --payload 100000
     python -m repro scenarios list
     python -m repro scenarios run --all --runs 2
-    python -m repro scenarios run --scenario contention-storm --backend process
+    python -m repro scenarios run --scenario contention-storm --backend fused
     python -m repro scenarios sweep --scenario dense-urban \
         --axis devices=100,400 --axis collision=0,0.2 --axis loss=0,0.05
     python -m repro multicell --devices 100000 --cells 32 \
-        --backend process --workers 8
+        --backend fused --workers 8
     python -m repro multicell --devices 5000 --cells 4 \
         --weights 0.55,0.25,0.15,0.05 --verify
     python -m repro grouping list
@@ -40,7 +40,7 @@ from repro.core import mechanism_by_name
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import KNOWN_TARGETS, render_all, run_with_charts
 from repro.multicast import FirmwareImage, OnDemandMulticastService
-from repro.sim.montecarlo import BACKENDS
+from repro.sim.dispatch import BACKENDS
 from repro.sim.rng import generator_for
 from repro.traffic import PAPER_DEFAULT_MIXTURE, generate_fleet
 
@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool size for --backend process (default: all cores)",
+        help="pool size for --backend fused (default: all cores)",
     )
     figures.add_argument(
         "--cache-dir",
@@ -152,11 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--workers", type=int, default=None,
-            help="process-pool size for --backend process",
-        )
-        p.add_argument(
-            "--row-path", action="store_true",
-            help="use the per-device reference executor instead of columnar",
+            help="pool size for --backend fused (default: all cores)",
         )
         p.add_argument(
             "--grouping", default=None, metavar="POLICY",
@@ -171,8 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--progress", action="store_true",
         help=(
-            "stream one line per completed cell/run as results land "
-            "(requires --backend fused)"
+            "stream one line per completed cell/run as results land"
         ),
     )
     run_p.add_argument(
@@ -241,10 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     record_p.add_argument("--seed", type=int, default=None, help="root seed")
     record_p.add_argument(
-        "--row-path", action="store_true",
-        help="record via the per-device reference executor instead of columnar",
-    )
-    record_p.add_argument(
         "--out", metavar="FILE", default=None,
         help="output .npz path (default: <scenario>-<fp>-run<K>.npz in cwd)",
     )
@@ -262,10 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "also re-execute the run live from the registry and demand the "
             "event stream and metrics match exactly (exit 1 on drift)"
         ),
-    )
-    replay_p.add_argument(
-        "--row-path", action="store_true",
-        help="--verify re-executes via the reference executor",
     )
 
     diff_p = runs_actions.add_parser(
@@ -295,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     multicell.add_argument(
         "--backend",
-        choices=["serial", "process", "fused"],
+        choices=list(BACKENDS),
         default="serial",
         help="per-cell campaign execution backend (bit-identical results)",
     )
@@ -303,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process-pool size for --backend process (default: all cores)",
+        help="pool size for --backend fused (default: all cores)",
     )
     multicell.add_argument(
         "--verify",
@@ -467,7 +454,7 @@ def _scenarios_list() -> int:
 
 
 def _print_partial(partial) -> None:
-    """One-line progress report per streamed fused partial result."""
+    """One-line progress report per streamed partial result."""
     where = f" ({partial.address})" if partial.address is not None else ""
     if partial.kind == "sub":
         print(
@@ -501,7 +488,6 @@ def _scenarios_run(args) -> int:
 
     specs = _selected_scenarios(args)
     backend = args.backend or "serial"
-    columnar = not args.row_path
     # Golden flows honour the --scenario selection: a partial
     # --update-golden merges into the existing pin file, and a partial
     # --check-golden compares only the selected scenarios.
@@ -511,7 +497,7 @@ def _scenarios_run(args) -> int:
         # Re-pinning needs only the golden-configuration runs; skip the
         # full-resolution table run entirely.
         metrics = compute_golden_metrics(
-            names, backend=backend, workers=args.workers, columnar=columnar
+            names, backend=backend, workers=args.workers
         )
         if names is not None and GOLDEN_PATH.exists():
             # load_golden still raises loudly on a settings mismatch, so
@@ -525,13 +511,7 @@ def _scenarios_run(args) -> int:
         print(f"re-pinned {len(runlogs)} golden event logs")
         return 0
 
-    on_partial = None
-    if args.progress:
-        if backend != "fused":
-            print("--progress requires --backend fused", file=sys.stderr)
-            return 2
-        on_partial = _print_partial
-
+    on_partial = _print_partial if args.progress else None
     results = {
         spec.name: run_scenario(
             spec,
@@ -539,7 +519,6 @@ def _scenarios_run(args) -> int:
             workers=args.workers,
             n_runs=args.runs,
             seed=args.seed,
-            columnar=columnar,
             on_partial=on_partial,
         )
         for spec in specs
@@ -555,7 +534,7 @@ def _scenarios_run(args) -> int:
 
     if args.check_golden or args.golden_diff:
         current = compute_golden_metrics(
-            names, backend=backend, workers=args.workers, columnar=columnar
+            names, backend=backend, workers=args.workers
         )
         pinned_metrics = load_golden()
         if names is not None:
@@ -637,7 +616,6 @@ def _scenarios_sweep(args) -> int:
         backend=args.backend or "serial",
         workers=args.workers,
         n_runs=n_runs,
-        columnar=not args.row_path,
         record_dir=args.record_dir,
     )
     print(render_table(sweep_table(results, axes)))
@@ -655,12 +633,7 @@ def _runs_record(args) -> int:
     from repro.scenarios import record_run, run_log_filename, scenario
 
     spec = scenario(args.scenario)
-    recorded = record_run(
-        spec,
-        args.run_index,
-        seed=args.seed,
-        columnar=not args.row_path,
-    )
+    recorded = record_run(spec, args.run_index, seed=args.seed)
     out = args.out or run_log_filename(
         spec.name, spec.fingerprint(), args.run_index
     )
@@ -696,7 +669,7 @@ def _runs_replay(args) -> int:
     for name, value in metrics.items():
         print(f"  {name}: {value!r}")
     if args.verify:
-        findings = verify_runlog(runlog, columnar=not args.row_path)
+        findings = verify_runlog(runlog)
         if findings:
             for finding in findings:
                 print(f"VERIFY FAILED: {finding}")
@@ -788,7 +761,7 @@ def _multicell(args) -> int:
         )
 
     if args.verify:
-        other_backend = "process" if args.backend == "serial" else "serial"
+        other_backend = "fused" if args.backend == "serial" else "serial"
         other = entity.rollout(
             cells,
             image,

@@ -39,11 +39,13 @@ def register_mechanism(
     one-liner. Registered mechanisms are immediately selectable by name
     in scenarios, experiments and the CLI.
 
-    Registration is **per process**: with ``backend="process"`` on
-    platforms whose pools *spawn* rather than fork, perform the
-    registration at import time of a module the workers import (the
+    Registration is **per process**. ``backend="fused"`` workers fork
+    from the process that starts the pool, so they inherit every name
+    registered before the run starts; a name registered after that (or
+    on a platform whose pools spawn rather than fork) must be
+    registered at import time of a module the workers import (the
     module defining your run function), or the workers' registry will
-    not contain the name.
+    not contain it.
     """
     if name in MECHANISMS:
         raise ConfigurationError(f"mechanism {name!r} is already registered")

@@ -26,7 +26,7 @@ from repro.setcover.exact import exact_min_window_cover
 from repro.setcover.greedy import greedy_window_cover
 from repro.sim.executor import CampaignExecutor
 from repro.sim.montecarlo import MonteCarlo, RunStatistics
-from repro.sim.parallel import ResultCache, fingerprint
+from repro.sim.cache import ResultCache, fingerprint
 from repro.timebase import seconds_to_frames
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import (
@@ -77,7 +77,7 @@ def dasc_strategy_once(
 def _a1_run(
     rng: np.random.Generator, _run_index: int, config: ExperimentConfig
 ) -> Dict[str, float]:
-    """Picklable A1 run function (process-backend compatible)."""
+    """Picklable A1 run function (fused-backend compatible)."""
     return dasc_strategy_once(rng, config)
 
 

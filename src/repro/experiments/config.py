@@ -9,8 +9,9 @@ from repro.core.base import PlanningContext
 from repro.enb.cell import CellConfig
 from repro.errors import ConfigurationError
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.montecarlo import BACKENDS, MonteCarlo
-from repro.sim.parallel import ResultCache, fingerprint
+from repro.sim.cache import ResultCache, fingerprint
+from repro.sim.dispatch import validate_backend
+from repro.sim.montecarlo import MonteCarlo
 from repro.timebase import KILOBYTE, MEGABYTE, seconds_to_frames
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE, TrafficMixture
 
@@ -25,7 +26,7 @@ class ExperimentConfig:
     aligns with the eDRX ladder).
 
     ``backend``/``workers`` select how each figure's Monte-Carlo loop
-    executes (see :mod:`repro.sim.parallel`); ``cache_dir`` enables the
+    executes (see :mod:`repro.sim.dispatch`); ``cache_dir`` enables the
     on-disk result cache so re-running a figure with unchanged
     parameters is free. None of the three affects the numbers produced.
 
@@ -72,10 +73,7 @@ class ExperimentConfig:
             )
         if self.n_runs < 1:
             raise ConfigurationError(f"n_runs must be >= 1, got {self.n_runs}")
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
+        validate_backend(self.backend)
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"

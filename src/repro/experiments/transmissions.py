@@ -47,7 +47,7 @@ def _fig7_run(
     config: ExperimentConfig,
     n_devices: int,
 ) -> Dict[str, float]:
-    """Picklable Fig. 7 run function (process-backend compatible)."""
+    """Picklable Fig. 7 run function (fused-backend compatible)."""
     return transmissions_once(rng, config, n_devices)
 
 

@@ -92,7 +92,7 @@ def _fig6_run(
     config: ExperimentConfig,
     payload_bytes: int,
 ) -> Dict[str, float]:
-    """Picklable Fig. 6 run function (process-backend compatible)."""
+    """Picklable Fig. 6 run function (fused-backend compatible)."""
     return compare_mechanisms_once(rng, config, payload_bytes)
 
 

@@ -40,11 +40,13 @@ def register_grouping_policy(
     one-liner. Registered policies are immediately selectable by name
     in scenarios, sweeps and the CLI.
 
-    Registration is **per process**: with ``backend="process"`` on
-    platforms whose pools *spawn* rather than fork, perform the
-    registration at import time of a module the workers import (the
+    Registration is **per process**. ``backend="fused"`` workers fork
+    from the process that starts the pool, so they inherit every name
+    registered before the run starts; a name registered after that (or
+    on a platform whose pools spawn rather than fork) must be
+    registered at import time of a module the workers import (the
     module defining your run function), or the workers' registry will
-    not contain the name.
+    not contain it.
     """
     if name in GROUPING_POLICIES:
         raise ConfigurationError(

@@ -18,8 +18,9 @@ Scaling contract:
 * :meth:`CoordinationEntity.rollout` with ``seed=`` derives one
   independent child generator per cell from a root
   :class:`~numpy.random.SeedSequence` — the same contract as the
-  Monte-Carlo backends — so the ``process`` backend fans cells out over
-  a pool and is bit-identical to ``serial`` for any worker count;
+  Monte-Carlo backends — so the cells are work items of the task graph
+  in :mod:`repro.sim.dispatch`, drained in-process (``serial``) or on
+  the fused pool with bit-identical results for any worker count;
 * each cell executes on the columnar fast path by default, so a
   1e5-device x 32-cell campaign plans and executes in seconds.
 """
@@ -37,18 +38,15 @@ from repro.core.plan import MulticastPlan
 from repro.devices.fleet import Fleet
 from repro.errors import ConfigurationError
 from repro.multicast.payload import FirmwareImage
+from repro.sim.dispatch import drain, map_items, validate_backend
 from repro.sim.executor import CampaignExecutor
 from repro.sim.metrics import CampaignResult
-from repro.sim.parallel import map_in_processes, map_serial
 from repro.timebase import frames_to_seconds
 
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.eventlog import EventLog
-
-#: Execution backends accepted by :meth:`CoordinationEntity.rollout`.
-ROLLOUT_BACKENDS = ("serial", "process", "fused")
 
 
 @dataclass(frozen=True)
@@ -206,10 +204,10 @@ class CellCampaign:
 def cells_bit_identical(left: CellCampaign, right: CellCampaign) -> bool:
     """True when two per-cell campaigns are bit-identical.
 
-    This is the serial == process contract in one place (the CLI's
+    This is the serial == fused contract in one place (the CLI's
     ``--verify`` and the multicell benchmark both use it): same plan,
     same horizon, exactly equal fleet summary and realised starts, and
-    exactly equal per-device timing columns (row- or columnar-backed).
+    exactly equal per-device timing columns.
     """
     if not (
         left.cell_id == right.cell_id
@@ -222,15 +220,6 @@ def cells_bit_identical(left: CellCampaign, right: CellCampaign) -> bool:
         return False
     columnar_l = left.result.columnar
     columnar_r = right.result.columnar
-    if (columnar_l is None) != (columnar_r is None):
-        return False
-    if columnar_l is None:
-        return all(
-            a.wait_s == b.wait_s
-            and a.ready_s == b.ready_s
-            and a.updated_s == b.updated_s
-            for a, b in zip(left.result.outcomes, right.result.outcomes)
-        )
     return (
         np.array_equal(columnar_l.wait_s, columnar_r.wait_s)
         and np.array_equal(columnar_l.ready_s, columnar_r.ready_s)
@@ -374,17 +363,14 @@ class CoordinationEntity:
           ascending cell-id order (the historical serial contract);
         * ``seed=`` derives one independent child generator per cell
           (``SeedSequence(seed).spawn(n)`` in ascending cell-id order),
-          which makes the per-cell campaigns order-independent and
-          therefore executable on the ``process`` and ``fused``
-          backends — per-cell results are bit-identical to ``serial``
-          for any ``workers``.
+          which makes the per-cell campaigns order-independent work
+          items (:mod:`repro.sim.dispatch`): ``serial`` drains them in
+          this process, ``fused`` on the fused work-queue pool — the
+          same pool scenario campaigns flatten (run x cell) tasks into
+          — with per-cell results bit-identical for any ``workers``.
 
-        ``backend="process"`` / ``backend="fused"`` require ``seed=``
-        (a shared generator cannot cross a process pool without
-        changing the draws). ``fused`` routes the cells through the
-        fused work-queue scheduler (:mod:`repro.sim.dispatch`) — the
-        same pool that scenario campaigns flatten (run x cell) tasks
-        into.
+        ``backend="fused"`` requires ``seed=`` (a shared generator
+        cannot cross a process pool without changing the draws).
         """
         if not cells:
             raise ConfigurationError("no cells to roll out to")
@@ -394,10 +380,7 @@ class CoordinationEntity:
                 f"({context.payload_bytes}) disagrees with the image "
                 f"({image.size_bytes})"
             )
-        if backend not in ROLLOUT_BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {ROLLOUT_BACKENDS}, got {backend!r}"
-            )
+        validate_backend(backend)
         if rng is not None and seed is not None:
             raise ConfigurationError(
                 "pass either rng= (shared generator) or seed= "
@@ -432,19 +415,15 @@ class CoordinationEntity:
             context=context,
             record_events=record_events,
         )
-        if backend == "process":
-            campaigns = map_in_processes(fn, seed, items, workers=workers)
-        elif backend == "fused":
-            from repro.sim.dispatch import map_fused
-
-            campaigns = map_fused(
+        campaigns = drain(
+            map_items(
                 fn,
                 seed,
                 items,
-                workers=workers,
                 campaign="rollout",
                 cell_ids=[cell_id for cell_id, _ in items],
-            )
-        else:
-            campaigns = map_serial(fn, seed, items)
+            ),
+            backend,
+            workers=workers,
+        )
         return MultiCellReport(campaigns=tuple(campaigns))

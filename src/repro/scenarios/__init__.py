@@ -9,9 +9,8 @@ whole deployment regimes first-class:
 * a named registry of built-in scenarios spanning dense-urban,
   deep-coverage-heavy, contention-storm, lossy-link-repair and
   mixed-traffic regimes (:mod:`~repro.scenarios.registry`);
-* a sweep runner expanding scenario x axis grids through the parallel
-  Monte-Carlo backend and columnar executor
-  (:mod:`~repro.scenarios.sweep`);
+* a sweep runner expanding scenario x axis grids into one Monte-Carlo
+  task graph (:mod:`~repro.scenarios.sweep`);
 * a golden-metrics harness pinning every registered scenario's headline
   metrics to committed JSON (:mod:`~repro.scenarios.golden`).
 
@@ -50,7 +49,6 @@ from repro.scenarios.runner import (
     headline_means,
     run_log_filename,
     run_scenario,
-    scenario_run,
     scenario_table,
 )
 from repro.scenarios.spec import ScenarioSpec
@@ -71,7 +69,6 @@ __all__ = [
     "scenario",
     "scenario_names",
     "all_scenarios",
-    "scenario_run",
     "run_scenario",
     "run_log_filename",
     "headline_means",

@@ -65,7 +65,6 @@ def compute_golden_metrics(
     *,
     backend: str = "serial",
     workers: Optional[int] = None,
-    columnar: bool = True,
 ) -> Dict[str, Dict[str, float]]:
     """Recompute the pinned headline metrics for ``names`` (default all)."""
     specs = (
@@ -79,7 +78,6 @@ def compute_golden_metrics(
             golden_spec(spec),
             backend=backend,
             workers=workers,
-            columnar=columnar,
         )
         out[spec.name] = headline_means(stats)
     return out

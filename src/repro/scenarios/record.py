@@ -1,27 +1,35 @@
 """Record, reconstruct and verify single scenario runs.
 
 The bridge between the scenario layer and the columnar event log
-(:mod:`repro.sim.eventlog`): :func:`record_run` reproduces exactly one
-Monte-Carlo run of a spec — spawning the same child generator the
-harness would hand run *k* — with event recording on, so a recorded
-``.npz`` is a faithful witness of the run the aggregate statistics
-already contain. :func:`runlog_headline_metrics` rebuilds the headline
-metrics from a recorded run *alone* (STRICT replay, no re-simulation),
-replicating the runner's float-fold order so the numbers are
-bit-identical to the live run's. :func:`verify_runlog` closes the loop:
-re-execute the run live from the registry and demand both the event
-stream and the metrics match exactly.
+(:mod:`repro.sim.eventlog`): :func:`record_run` drains exactly the work
+item the Monte-Carlo harness runs as run *k* — same task, same child
+generator — with event recording on, so a recorded ``.npz`` is a
+faithful witness of the run the aggregate statistics already contain.
+:func:`runlog_headline_metrics` rebuilds the headline metrics from a
+recorded run *alone* (STRICT replay, no re-simulation) through the
+runner's own fold, so the numbers are bit-identical to the live run's.
+:func:`verify_runlog` closes the loop: re-execute the run live from the
+registry and demand both the event stream and the metrics match
+exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios.registry import scenario
-from repro.scenarios.runner import HEADLINE_METRICS, scenario_run
+from repro.scenarios.runner import (
+    HEADLINE_METRICS,
+    CellSummary,
+    fold_run,
+    scenario_work_items,
+)
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.dispatch import drain_inline
 from repro.sim.eventlog import (
     RunLog,
     diff_runlogs,
@@ -29,7 +37,6 @@ from repro.sim.eventlog import (
     replay_strict,
 )
 from repro.sim.events import EventKind
-from repro.sim.rng import spawn_generators
 
 
 @dataclass
@@ -47,74 +54,78 @@ def record_run(
     run_index: int = 0,
     *,
     seed: Optional[int] = None,
-    columnar: bool = True,
 ) -> RecordedRun:
     """Execute run ``run_index`` of ``spec`` with event recording on.
 
-    The run's generator is spawned exactly as the Monte-Carlo harness
-    spawns it (``SeedSequence(seed).spawn(n)[run_index]``), so the
-    recorded run is the *same* run that contributes row ``run_index``
-    to ``run_scenario``'s aggregated metric arrays — child ``k`` of a
-    seed sequence does not depend on how many siblings were spawned.
+    The run is the campaign's own work item for ``run_index``, whose
+    generator is ``SeedSequence(seed).spawn(n)[run_index]`` — child
+    ``k`` of a seed sequence does not depend on how many siblings were
+    spawned — so the recorded run is the *same* run that contributes
+    row ``run_index`` to ``run_scenario``'s aggregated metric arrays.
     """
     if run_index < 0:
         raise ConfigurationError(f"run_index must be >= 0, got {run_index}")
     root_seed = spec.seed if seed is None else seed
-    n = max(spec.n_runs, run_index + 1)
-    rng = spawn_generators(root_seed, n)[run_index]
-    recording: List[RunLog] = []
-    metrics = scenario_run(
-        rng, run_index, spec, columnar=columnar, recording=recording
-    )
-    runlog = recording[0]
-    runlog.meta["seed"] = int(root_seed)
+    item = scenario_work_items(
+        replace(spec, record_events=True), root_seed, run_index + 1
+    )[run_index]
+    (output,) = drain_inline([item])
     return RecordedRun(
-        spec=spec, run_index=run_index, metrics=metrics, runlog=runlog
+        spec=spec,
+        run_index=run_index,
+        metrics=output.metrics,
+        runlog=output.runlog,
     )
+
+
+@dataclass(frozen=True)
+class _LoggedRepair:
+    """The repair tallies a log preserves (its REPAIR_ROUND rows)."""
+
+    segments_sent: int
+    rounds: int
 
 
 def runlog_headline_metrics(runlog: RunLog) -> Dict[str, float]:
     """The headline metrics of a recorded run, from the log alone.
 
     Every cell's :class:`~repro.sim.metrics.CampaignResult` is rebuilt
-    by the STRICT replayer and folded into run metrics in exactly the
-    order :func:`~repro.scenarios.runner.scenario_run` folds the live
-    results (single-cell direct reads; multi-cell Python sums over
-    campaigns in ascending cell order, device-weighted mean wait), so
-    the values are bit-identical to the live run's — not merely close.
+    by the STRICT replayer, summarised exactly as the live cell was,
+    and folded by :func:`~repro.scenarios.runner.fold_run` — the fold
+    the live run used — so the values are bit-identical to the live
+    run's, not merely close.
     """
-    cell_ids = sorted(runlog.cells)
-    logs = [runlog.cells[cell_id] for cell_id in cell_ids]
-    results = [replay_strict(log) for log in logs]
-    segments = [
-        int(log.of_kind(EventKind.REPAIR_ROUND)["a"].sum()) for log in logs
-    ]
-    multi_cell = int(runlog.meta.get("n_cells", len(logs))) > 1
-    if not multi_cell:
-        result = results[0]
+    cells = []
+    repairs = []
+    for cell_id in sorted(runlog.cells):
+        log = runlog.cells[cell_id]
+        result = replay_strict(log)
         fleet = result.fleet
-        return {
-            "transmissions": float(result.n_transmissions),
-            "mean_wait_s": result.mean_wait_s,
-            "uptime_s": fleet.light_sleep_s + fleet.connected_s,
-            "energy_mj": fleet.energy_mj,
-            "segments_sent": float(segments[0]),
-        }
-    total_devices = sum(r.n_devices for r in results)
-    light_sleep_s = sum(r.fleet.light_sleep_s for r in results)
-    connected_s = sum(r.fleet.connected_s for r in results)
-    return {
-        "transmissions": float(sum(r.n_transmissions for r in results)),
-        "mean_wait_s": (
-            sum(r.mean_wait_s * r.n_devices for r in results) / total_devices
-        ),
-        "uptime_s": light_sleep_s + connected_s,
-        "energy_mj": sum(r.fleet.energy_mj for r in results),
-        "segments_sent": float(sum(segments)),
-    }
+        groups = log.of_kind(EventKind.DEVICE_DONE)["group"]
+        cells.append(
+            CellSummary(
+                cell_id=cell_id,
+                fleet_size=result.n_devices,
+                n_transmissions=result.n_transmissions,
+                largest_group=int(np.bincount(groups).max()),
+                mean_wait_s=result.mean_wait_s,
+                light_sleep_s=fleet.light_sleep_s,
+                connected_s=fleet.connected_s,
+                energy_mj=fleet.energy_mj,
+            )
+        )
+        rounds = log.of_kind(EventKind.REPAIR_ROUND)
+        repairs.append(
+            _LoggedRepair(
+                segments_sent=int(rounds["a"].sum()), rounds=rounds.size
+            )
+        )
+    multi_cell = int(runlog.meta.get("n_cells", len(cells))) > 1
+    metrics = fold_run(cells, repairs, multi_cell=multi_cell)
+    return {name: metrics[name] for name in HEADLINE_METRICS}
 
 
-def rerecord(runlog: RunLog, *, columnar: bool = True) -> RecordedRun:
+def rerecord(runlog: RunLog) -> RecordedRun:
     """Re-execute a recorded run live, from the scenario registry.
 
     The log's run key (scenario name, spec fingerprint, seed, run
@@ -136,10 +147,10 @@ def rerecord(runlog: RunLog, *, columnar: bool = True) -> RecordedRun:
         )
     seed = int(meta.get("seed", spec.seed))
     run_index = int(meta.get("run_index", 0))
-    return record_run(spec, run_index, seed=seed, columnar=columnar)
+    return record_run(spec, run_index, seed=seed)
 
 
-def verify_runlog(runlog: RunLog, *, columnar: bool = True) -> List[str]:
+def verify_runlog(runlog: RunLog) -> List[str]:
     """Findings against a recorded run; an empty list means verified.
 
     Two independent checks: (1) re-execute the run live and demand the
@@ -148,7 +159,7 @@ def verify_runlog(runlog: RunLog, *, columnar: bool = True) -> List[str]:
     equality with the live run's metrics.
     """
     findings: List[str] = []
-    fresh = rerecord(runlog, columnar=columnar)
+    fresh = rerecord(runlog)
     diff = diff_runlogs(runlog, fresh.runlog)
     if not diff.is_empty:
         findings.append(format_runlog_diff(diff))

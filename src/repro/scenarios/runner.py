@@ -2,39 +2,44 @@
 
 One Monte-Carlo run of a scenario samples a fleet from the spec's
 mixture and coverage mix, plans the campaign with the spec's mechanism,
-executes the plan (columnar fast path by default; the per-device row
-path is kept selectable as the equivalence oracle), and simulates the
-segment-loss/repair rounds for the delivered image. The run function is
-a module-level picklable callable, so every scenario fans out through
-any Monte-Carlo backend (``serial``, ``process`` or ``fused``)
-unchanged, and all backends produce bit-identical metric arrays.
+executes the plan, and simulates the segment-loss/repair rounds for the
+delivered image. Each run is one work item of the task graph in
+:mod:`repro.sim.dispatch`, and both backends drain the same items —
+``serial`` in this process, ``fused`` on a process pool — so their
+metric arrays are bit-identical by construction.
 
-The ``fused`` backend decomposes each multi-cell run into work-queue
-tasks (:mod:`repro.sim.dispatch`): a *prologue* task generates the
-fleet, draws the cell attachments and the rollout seed — exactly the
-draws the serial run makes, in the same order — publishes the fleet's
-columns (plus the attachment map) into one shared-memory segment
+A single-cell run executes in place on the run's own generator: fleet,
+the one cell (:func:`_run_cell`), repair rounds, fold. A multi-cell run
+is a *prologue* task that generates the fleet, draws the cell
+attachments and the rollout seed, publishes the fleet's columns (plus
+the attachment map) into one shared-memory segment
 (:class:`~repro.devices.sharedmem.SharedFleet`), then fans out one task
 per cell (addressed ``(fingerprint, run, cell)``, seeded by the rollout
 seed's child for that cell) and a *reduction* that replays the run
 generator's post-prologue state through the repair rounds, folds the
 per-cell summaries into the run's metric dict and unlinks the segment.
-Cell tasks carry only the ~100-byte segment descriptor: each worker
-attaches to the one physical fleet mapping (through a small per-worker
+Cell tasks carry only the ~100-byte segment descriptor: each process
+attaches to the one physical fleet mapping (through a small per-process
 LRU of attachments) and slices its cell out by index — no fleet is ever
 pickled or regenerated per task.
+
+Every path — single-cell runs, multi-cell reductions and the log-only
+rebuild in :mod:`repro.scenarios.record` — builds a run's metric dict
+with :func:`fold_run`. A spec with ``record_events`` set also returns
+each run's :class:`~repro.sim.eventlog.RunLog` as a task output, which
+is how ``record_dir`` works on both backends.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.devices.battery import Battery
 from repro.devices.fleet import Fleet
 from repro.devices.sharedmem import (
     SharedFleet,
@@ -43,36 +48,29 @@ from repro.devices.sharedmem import (
 )
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Table
-from repro.multicast.coordination import (
-    CoordinationEntity,
-    MultiCellSpec,
-    attach_devices,
-    partition_fleet,
-)
-from repro.multicast.reliability import simulate_repair_rounds
+from repro.multicast.coordination import MultiCellSpec, attach_devices
+from repro.multicast.reliability import RepairOutcome, simulate_repair_rounds
 from repro.phy.coverage import CoverageClass
 from repro.scenarios.spec import ScenarioSpec
+from repro.sim.cache import ResultCache
 from repro.sim.dispatch import (
     FanOut,
     PartialFn,
     TaskAddress,
     WorkItem,
-    execute_items,
+    drain,
+    validate_backend,
 )
 from repro.sim.eventlog import (
+    EventLog,
     EventLogRecorder,
     RunLog,
     repair_round_rows,
     segment_loss_rows,
 )
 from repro.sim.executor import CampaignExecutor
-from repro.sim.montecarlo import (
-    MonteCarlo,
-    RunStatistics,
-    collect_metric_columns,
-)
-from repro.sim.parallel import ResultCache
-from repro.sim.phases import PhaseTimer
+from repro.sim.montecarlo import CampaignCache, RunStatistics
+from repro.sim.phases import PhaseTimer, merge_timings
 from repro.timebase import format_bytes
 from repro.traffic.generator import generate_fleet
 
@@ -86,12 +84,14 @@ HEADLINE_METRICS = (
 )
 
 
-def _run_meta(spec: ScenarioSpec, run_index: int) -> Dict[str, object]:
+def _run_meta(
+    spec: ScenarioSpec, run_index: int, seed: int
+) -> Dict[str, object]:
     """The run key a recorded :class:`RunLog` carries."""
     return {
         "scenario": spec.name,
         "fingerprint": spec.fingerprint(),
-        "seed": spec.seed,
+        "seed": int(seed),
         "run_index": int(run_index),
         "mechanism": spec.mechanism,
         "n_devices": spec.n_devices,
@@ -99,182 +99,220 @@ def _run_meta(spec: ScenarioSpec, run_index: int) -> Dict[str, object]:
     }
 
 
-def _multi_cell_run(
-    rng: np.random.Generator,
-    spec: ScenarioSpec,
-    fleet,
-    columnar: bool,
-    run_index: int = 0,
-    recording: Optional[List[RunLog]] = None,
-    timer: Optional[PhaseTimer] = None,
-) -> Dict[str, float]:
-    """One Monte-Carlo run of a multi-cell scenario.
+# ----------------------------------------------------------------------
+# Per-cell summaries and the one run fold
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class CellSummary:
+    """The scalars a cell contributes to its run's metrics.
 
-    The fleet is partitioned by attachment (uniform or the spec's cell
-    weights), every cell's campaign is planned and executed with its own
-    child generator (derived from one rollout seed drawn from ``rng``,
-    so the run stays a pure function of its generator), and the repair
-    rounds run per cell — each eNB transmits its own copy of the image.
+    Every field is computed where the cell ran, from the full per-cell
+    campaign — shipping these instead of the campaign itself keeps the
+    fused queue's IPC per task constant-size regardless of fleet size.
+    ``worker_rss_kb`` reports the executing process's peak RSS so the
+    benchmarks can assert the zero-copy memory ceiling from streamed
+    partials alone.
     """
-    timer = PhaseTimer() if timer is None else timer
-    cells = partition_fleet(
-        fleet, spec.cells.n_cells, rng, weights=spec.cells.weights
-    )
-    executor = CampaignExecutor(timings=spec.timings(), columnar=columnar)
-    entity = CoordinationEntity(spec.mechanism_obj(), executor=executor)
-    rollout_seed = int(rng.integers(0, 2**32))
-    # The rollout plans and executes each cell internally, so the
-    # multi-cell run's planning cost is folded into its execute phase.
-    with timer.phase("execute"):
-        report = entity.rollout(
-            cells,
-            spec.image(),
-            spec.planning_context(),
-            seed=rollout_seed,
-            record_events=recording is not None,
-        )
-    with timer.phase("reduce"):
-        repairs = [
-            simulate_repair_rounds(
-                spec.image(), campaign.fleet_size, spec.reliability(), rng
-            )
-            for campaign in report.campaigns
-        ]
-    if recording is not None:
-        cell_logs = {}
-        for campaign, repair in zip(report.campaigns, repairs):
-            horizon = campaign.result.horizon_frames
-            log = campaign.event_log.with_appended(
-                np.concatenate([
-                    repair_round_rows(repair.segments_per_round, horizon),
-                    segment_loss_rows(repair.missing_per_round, horizon),
-                ])
-            )
-            cell_logs[campaign.cell_id] = log
-        meta = _run_meta(spec, run_index)
-        meta["phase_timings"] = timer.timings()
-        recording.append(RunLog(meta=meta, cells=cell_logs))
 
-    histogram = fleet.coverage_histogram()
-    deep = histogram[CoverageClass.ROBUST] + histogram[CoverageClass.EXTREME]
-    battery = spec.battery()
-    light_sleep_s = report.total_light_sleep_s
-    connected_s = report.total_connected_s
-    energy_mj = report.total_energy_mj
-    return {
-        "transmissions": float(report.total_transmissions),
-        "largest_group": float(report.largest_group),
-        "mean_wait_s": report.mean_wait_s,
+    cell_id: int
+    fleet_size: int
+    n_transmissions: int
+    largest_group: int
+    mean_wait_s: float
+    light_sleep_s: float
+    connected_s: float
+    energy_mj: float
+    worker_rss_kb: int = 0
+    #: Wall-clock per phase (``attach_s``, ``plan_s``, ``execute_s``) —
+    #: streamed for observability (the cold-path bench aggregates these
+    #: from partials); never part of the metrics.
+    phase_timings: Dict[str, float] = field(default_factory=dict)
+    #: The cell's event log when the run records (repair rows are
+    #: appended once the run's repair rounds are drawn).
+    event_log: Optional[EventLog] = None
+
+
+@dataclass(frozen=True)
+class FleetFacts:
+    """What only a live run knows about its whole fleet."""
+
+    battery: Battery
+    deep_devices: int
+
+
+def fold_run(
+    cells: Sequence[CellSummary],
+    repairs: Sequence[Any],
+    *,
+    multi_cell: bool,
+    fleet: Optional[FleetFacts] = None,
+) -> Dict[str, float]:
+    """Fold per-cell summaries and repair tallies into a run's metrics.
+
+    The one metric-dict builder: single-cell runs, multi-cell
+    reductions and the log-only rebuild all call it. Sums run over
+    ``cells`` in ascending cell order, so a lone cell's values pass
+    through exactly; a single-cell run's mean wait is its cell's,
+    unchanged, while a multi-cell run weights each cell's mean by its
+    devices. ``repairs`` are per-cell tallies in the same order
+    (``segments_sent``, ``rounds`` and, with ``fleet``,
+    ``devices_complete`` — a :class:`RepairOutcome` has all three).
+    ``fleet`` adds the battery, delivery and coverage metrics; the
+    log-only path has no fleet and reads the headline subset.
+    ``n_cells`` is a key of multi-cell dicts only.
+    """
+    n_devices = sum(cell.fleet_size for cell in cells)
+    light_sleep_s = sum(cell.light_sleep_s for cell in cells)
+    connected_s = sum(cell.connected_s for cell in cells)
+    energy_mj = sum(cell.energy_mj for cell in cells)
+    if multi_cell:
+        mean_wait_s = (
+            sum(cell.mean_wait_s * cell.fleet_size for cell in cells)
+            / n_devices
+        )
+    else:
+        (cell,) = cells
+        mean_wait_s = cell.mean_wait_s
+    metrics = {
+        "transmissions": float(sum(cell.n_transmissions for cell in cells)),
+        "largest_group": float(max(cell.largest_group for cell in cells)),
+        "mean_wait_s": mean_wait_s,
         "light_sleep_s": light_sleep_s,
         "connected_s": connected_s,
         "uptime_s": light_sleep_s + connected_s,
         "energy_mj": energy_mj,
-        "battery_drain_ppm": (
-            battery.fraction_consumed(energy_mj / spec.n_devices) * 1e6
-        ),
-        "segments_sent": float(sum(r.segments_sent for r in repairs)),
-        "repair_rounds": float(max(r.rounds for r in repairs)),
-        "delivered_fraction": (
-            sum(r.devices_complete for r in repairs) / spec.n_devices
-        ),
-        "deep_coverage_share": deep / spec.n_devices,
-        "n_cells": float(report.n_cells),
     }
+    if fleet is not None:
+        metrics["battery_drain_ppm"] = (
+            fleet.battery.fraction_consumed(energy_mj / n_devices) * 1e6
+        )
+    metrics["segments_sent"] = float(sum(r.segments_sent for r in repairs))
+    metrics["repair_rounds"] = float(max(r.rounds for r in repairs))
+    if fleet is not None:
+        metrics["delivered_fraction"] = (
+            sum(r.devices_complete for r in repairs) / n_devices
+        )
+        metrics["deep_coverage_share"] = fleet.deep_devices / n_devices
+    if multi_cell:
+        metrics["n_cells"] = float(len(cells))
+    return metrics
 
 
-def scenario_run(
-    rng: np.random.Generator,
-    _run_index: int,
+@dataclass(frozen=True)
+class _RunOutput:
+    """One run's task output: its metric dict, plus its event logs when
+    the spec records."""
+
+    metrics: Dict[str, float]
+    runlog: Optional[RunLog] = None
+
+
+def _worker_rss_kb() -> int:
+    """This process's peak resident set (VmHWM, kB); 0 off-Linux."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return 0
+
+
+def _run_cell(
+    fleet: Fleet,
     spec: ScenarioSpec,
-    columnar: bool = True,
-    recording: Optional[List[RunLog]] = None,
-) -> Dict[str, float]:
-    """One Monte-Carlo run of ``spec`` (picklable; process-pool safe).
-
-    When ``recording`` is a list, a :class:`~repro.sim.eventlog.RunLog`
-    for the run (one event log per cell, repair rounds appended) is
-    appended to it. Recording works only with in-process execution —
-    a process-pool worker would append to its own copy of the list.
-    """
-    timer = PhaseTimer()
-    with timer.phase("generate"):
-        fleet = generate_fleet(
-            spec.n_devices,
-            spec.mixture_obj(),
-            rng,
-            coverage_mix=spec.coverage,
-            battery=spec.battery(),
-        )
-    if spec.cells.is_multi_cell:
-        return _multi_cell_run(
-            rng,
-            spec,
-            fleet,
-            columnar,
-            run_index=_run_index,
-            recording=recording,
-            timer=timer,
-        )
-    mechanism = spec.mechanism_obj()
+    rng: np.random.Generator,
+    cell_id: int,
+    timer: PhaseTimer,
+) -> CellSummary:
+    """Plan and execute one cell's campaign on ``rng``."""
     with timer.phase("plan"):
-        plan = mechanism.plan(fleet, spec.planning_context(), rng)
-    executor = CampaignExecutor(timings=spec.timings(), columnar=columnar)
-    recorder = EventLogRecorder() if recording is not None else None
+        plan = spec.mechanism_obj().plan(fleet, spec.planning_context(), rng)
+        if spec.cells.is_multi_cell:
+            # Only multi-cell cells validate their plans: a whole-fleet
+            # validate costs a large single-cell run ~15 %.
+            plan.validate(fleet)
+    recorder = EventLogRecorder() if spec.record_events else None
     with timer.phase("execute"):
-        result = executor.execute(fleet, plan, rng=rng, recorder=recorder)
-    with timer.phase("reduce"):
-        repair = simulate_repair_rounds(
-            spec.image(), spec.n_devices, spec.reliability(), rng
+        result = CampaignExecutor(timings=spec.timings()).execute(
+            fleet, plan, rng=rng, recorder=recorder
         )
-    if recorder is not None:
-        log = recorder.finalize(cell=0).with_appended(
+    return CellSummary(
+        cell_id=cell_id,
+        fleet_size=len(fleet),
+        n_transmissions=plan.n_transmissions,
+        largest_group=max(t.group_size for t in plan.transmissions),
+        mean_wait_s=result.mean_wait_s,
+        light_sleep_s=result.fleet.light_sleep_s,
+        connected_s=result.fleet.connected_s,
+        energy_mj=result.fleet.energy_mj,
+        worker_rss_kb=_worker_rss_kb(),
+        phase_timings=timer.timings(),
+        event_log=None if recorder is None else recorder.finalize(cell=cell_id),
+    )
+
+
+def _draw_repairs(
+    spec: ScenarioSpec,
+    cells: Sequence[CellSummary],
+    rng: np.random.Generator,
+) -> List[RepairOutcome]:
+    """Each cell's repair rounds, drawn in ascending cell order."""
+    return [
+        simulate_repair_rounds(
+            spec.image(), cell.fleet_size, spec.reliability(), rng
+        )
+        for cell in cells
+    ]
+
+
+def _deep_devices(histogram: Dict[CoverageClass, int]) -> int:
+    return histogram[CoverageClass.ROBUST] + histogram[CoverageClass.EXTREME]
+
+
+def _finish_run(
+    spec: ScenarioSpec,
+    root_seed: int,
+    run_index: int,
+    cells: Sequence[CellSummary],
+    repairs: Sequence[RepairOutcome],
+    deep_devices: int,
+    timings: Dict[str, float],
+) -> _RunOutput:
+    """Fold a run and, when recording, assemble its :class:`RunLog`."""
+    metrics = fold_run(
+        cells,
+        repairs,
+        multi_cell=spec.cells.is_multi_cell,
+        fleet=FleetFacts(spec.battery(), deep_devices),
+    )
+    if not spec.record_events:
+        return _RunOutput(metrics)
+    logs = {}
+    for cell, repair in zip(cells, repairs):
+        horizon = int(cell.event_log.meta["horizon_frames"])
+        logs[cell.cell_id] = cell.event_log.with_appended(
             np.concatenate([
-                repair_round_rows(
-                    repair.segments_per_round, result.horizon_frames
-                ),
-                segment_loss_rows(
-                    repair.missing_per_round, result.horizon_frames
-                ),
+                repair_round_rows(repair.segments_per_round, horizon),
+                segment_loss_rows(repair.missing_per_round, horizon),
             ])
         )
-        meta = _run_meta(spec, _run_index)
-        meta["phase_timings"] = timer.timings()
-        recording.append(RunLog(meta=meta, cells={0: log}))
-
-    summary = result.fleet
-    histogram = fleet.coverage_histogram()
-    deep = histogram[CoverageClass.ROBUST] + histogram[CoverageClass.EXTREME]
-    battery = spec.battery()
-    return {
-        "transmissions": float(result.n_transmissions),
-        "largest_group": float(
-            max(t.group_size for t in plan.transmissions)
-        ),
-        "mean_wait_s": result.mean_wait_s,
-        "light_sleep_s": summary.light_sleep_s,
-        "connected_s": summary.connected_s,
-        "uptime_s": summary.light_sleep_s + summary.connected_s,
-        "energy_mj": summary.energy_mj,
-        "battery_drain_ppm": (
-            battery.fraction_consumed(summary.energy_mj / spec.n_devices) * 1e6
-        ),
-        "segments_sent": float(repair.segments_sent),
-        "repair_rounds": float(repair.rounds),
-        "delivered_fraction": repair.devices_complete / spec.n_devices,
-        "deep_coverage_share": deep / spec.n_devices,
-    }
+    meta = _run_meta(spec, run_index, root_seed)
+    meta["phase_timings"] = timings
+    return _RunOutput(metrics, RunLog(meta=meta, cells=logs))
 
 
 # ----------------------------------------------------------------------
-# Fused (run x cell) decomposition — zero-copy over shared memory
+# The task graph — zero-copy over shared memory for multi-cell runs
 # ----------------------------------------------------------------------
-#: Per-worker LRU of shared-fleet attachments keyed by segment name. A
-#: worker draining several cells of the same run maps the segment once;
-#: eviction closes (unmaps) — never unlinks — the evicted mapping.
+#: Per-process LRU of shared-fleet attachments keyed by segment name. A
+#: process draining several cells of the same run maps the segment
+#: once; eviction closes (unmaps) — never unlinks — the evicted mapping.
 _ATTACH_CACHE: "OrderedDict[str, SharedFleet]" = OrderedDict()
 _ATTACH_CACHE_MAX = 4
 
-#: Per-worker counters: how often the zero-copy path attached, hit the
+#: Per-process counters: how often the zero-copy path attached, hit the
 #: cache, or evicted. The attach-count regression tests read these to
 #: prove the descriptor path never silently falls back to pickling.
 _ATTACH_STATS = {"attaches": 0, "hits": 0, "evictions": 0}
@@ -292,7 +330,7 @@ def _reset_attach_cache() -> None:
 def _attached_fleet(
     descriptor: SharedFleetDescriptor, context: str = ""
 ) -> SharedFleet:
-    """Fetch (or create) this worker's mapping of a shared fleet."""
+    """Fetch (or create) this process's mapping of a shared fleet."""
     shared = _ATTACH_CACHE.get(descriptor.name)
     if shared is not None:
         _ATTACH_CACHE.move_to_end(descriptor.name)
@@ -308,30 +346,17 @@ def _attached_fleet(
     return shared
 
 
-def _worker_rss_kb() -> int:
-    """This process's peak resident set (VmHWM, kB); 0 off-Linux."""
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    return 0
-
-
 @dataclass(frozen=True)
 class _FusedRunPayload:
-    """What a fused run-level task needs besides its generator."""
+    """What a run-level task needs besides its generator."""
 
     spec: ScenarioSpec
     root_seed: int
-    columnar: bool
 
 
 @dataclass(frozen=True)
 class _FusedCellPayload:
-    """What a fused cell task needs: a ~100-byte segment descriptor.
+    """What a cell task needs: a ~100-byte segment descriptor.
 
     The descriptor names the run's shared fleet; the cell's sub-fleet is
     ``flatnonzero(attachments == cell_id)`` over the shared columns, so
@@ -339,55 +364,36 @@ class _FusedCellPayload:
     """
 
     spec: ScenarioSpec
-    columnar: bool
     cell_id: int
     descriptor: SharedFleetDescriptor
 
 
 @dataclass(frozen=True)
 class _FusedReduceState:
-    """Prologue state carried into a fused run's reduction."""
+    """Prologue state carried into a multi-cell run's reduction."""
 
-    spec: ScenarioSpec
+    run: _FusedRunPayload
     rng_state: Dict[str, Any]
-    histogram: Dict[CoverageClass, int]
-    descriptor: Optional[SharedFleetDescriptor] = None
+    deep_devices: int
+    descriptor: SharedFleetDescriptor
     #: Prologue wall-clock (``generate_s``, ``publish_s``) — carried
     #: for observability; never folded into the run's metric dict.
     phase_timings: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class _CellSummary:
-    """The scalars a cell contributes to its run's metrics.
-
-    Every field is computed in the cell worker from the full per-cell
-    campaign — shipping these instead of the campaign itself keeps the
-    fused queue's IPC per task constant-size regardless of fleet size.
-    ``worker_rss_kb`` reports the executing worker's peak RSS so the
-    benchmarks can assert the zero-copy memory ceiling from streamed
-    partials alone.
-    """
-
-    cell_id: int
-    fleet_size: int
-    n_transmissions: int
-    largest_group: int
-    mean_wait_s: float
-    light_sleep_s: float
-    connected_s: float
-    energy_mj: float
-    worker_rss_kb: int = 0
-    #: Worker-side wall-clock per phase (``attach_s``, ``plan_s``,
-    #: ``execute_s``) — streamed for observability (the cold-path bench
-    #: aggregates these from partials); never part of the metrics.
-    phase_timings: Dict[str, float] = field(default_factory=dict)
+def _release_fleet(state: _FusedReduceState) -> None:
+    """Drop this process's mapping of a run's shared fleet and unlink
+    it (idempotent: also a fan-out's abort hook)."""
+    shared = _ATTACH_CACHE.pop(state.descriptor.name, None)
+    if shared is not None:
+        shared.close()
+    unlink_descriptor(state.descriptor)
 
 
 def _fused_cell_task(
     rng: np.random.Generator, address: TaskAddress, payload: _FusedCellPayload
-) -> _CellSummary:
-    """Plan and execute one cell of one run (fused worker entry).
+) -> CellSummary:
+    """Plan and execute one cell of one multi-cell run.
 
     ``rng`` is the dispatcher-derived child of the run's rollout seed
     at this cell's position — the same generator
@@ -405,121 +411,69 @@ def _fused_cell_task(
             shared.extra("attachments") == payload.cell_id
         )
         fleet = Fleet.from_arrays(shared.arrays.take(indices), trusted=True)
-    spec = payload.spec
-    mechanism = spec.mechanism_obj()
-    with timer.phase("plan"):
-        plan = mechanism.plan(fleet, spec.planning_context(), rng)
-        plan.validate(fleet)
-    executor = CampaignExecutor(
-        timings=spec.timings(), columnar=payload.columnar
-    )
-    with timer.phase("execute"):
-        result = executor.execute(fleet, plan, rng=rng)
-    return _CellSummary(
-        cell_id=payload.cell_id,
-        fleet_size=len(fleet),
-        n_transmissions=plan.n_transmissions,
-        largest_group=max(t.group_size for t in plan.transmissions),
-        mean_wait_s=result.mean_wait_s,
-        light_sleep_s=result.fleet.light_sleep_s,
-        connected_s=result.fleet.connected_s,
-        energy_mj=result.fleet.energy_mj,
-        worker_rss_kb=_worker_rss_kb(),
-        phase_timings=timer.timings(),
-    )
+    return _run_cell(fleet, payload.spec, rng, payload.cell_id, timer)
 
 
 def _fused_run_reduce(
     state: _FusedReduceState,
-    results: List[_CellSummary],
+    results: List[CellSummary],
     address: TaskAddress,
-) -> Dict[str, float]:
-    """Fold per-cell summaries into one run's metric dict.
+) -> _RunOutput:
+    """Fold a multi-cell run's cell summaries into its output.
 
     Restores the run generator to its post-prologue state and draws the
-    repair rounds per cell in ascending cell order — the identical
-    stream position the serial :func:`_multi_cell_run` reaches after
-    its rollout, so every metric is bit-identical to the serial run.
-
-    As the last consumer of the run's shared fleet, the reduction also
-    unlinks the segment (creator-side ownership delegated to the run's
-    terminal task); worker mappings close as their LRU entries evict.
+    repair rounds per cell in ascending cell order. As the last
+    consumer of the run's shared fleet, the reduction also unlinks the
+    segment; other processes' mappings close as their LRU entries
+    evict.
     """
     try:
-        return _fused_run_fold(state, results)
-    finally:
-        if state.descriptor is not None:
-            unlink_descriptor(state.descriptor)
-
-
-def _fused_run_fold(
-    state: _FusedReduceState, results: List[_CellSummary]
-) -> Dict[str, float]:
-    spec = state.spec
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state.rng_state
-    repairs = [
-        simulate_repair_rounds(
-            spec.image(), summary.fleet_size, spec.reliability(), rng
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state.rng_state
+        spec = state.run.spec
+        timer = PhaseTimer()
+        with timer.phase("reduce"):
+            repairs = _draw_repairs(spec, results, rng)
+        timings = merge_timings(
+            [state.phase_timings]
+            + [cell.phase_timings for cell in results]
+            + [timer.timings()]
         )
-        for summary in results
-    ]
-    total_devices = sum(s.fleet_size for s in results)
-    deep = (
-        state.histogram[CoverageClass.ROBUST]
-        + state.histogram[CoverageClass.EXTREME]
-    )
-    battery = spec.battery()
-    light_sleep_s = sum(s.light_sleep_s for s in results)
-    connected_s = sum(s.connected_s for s in results)
-    energy_mj = sum(s.energy_mj for s in results)
-    return {
-        "transmissions": float(sum(s.n_transmissions for s in results)),
-        "largest_group": float(max(s.largest_group for s in results)),
-        "mean_wait_s": sum(
-            s.mean_wait_s * s.fleet_size for s in results
-        ) / total_devices,
-        "light_sleep_s": light_sleep_s,
-        "connected_s": connected_s,
-        "uptime_s": light_sleep_s + connected_s,
-        "energy_mj": energy_mj,
-        "battery_drain_ppm": (
-            battery.fraction_consumed(energy_mj / spec.n_devices) * 1e6
-        ),
-        "segments_sent": float(sum(r.segments_sent for r in repairs)),
-        "repair_rounds": float(max(r.rounds for r in repairs)),
-        "delivered_fraction": (
-            sum(r.devices_complete for r in repairs) / spec.n_devices
-        ),
-        "deep_coverage_share": deep / spec.n_devices,
-        "n_cells": float(len(results)),
-    }
+        return _finish_run(
+            spec,
+            state.run.root_seed,
+            address.run_index,
+            results,
+            repairs,
+            state.deep_devices,
+            timings,
+        )
+    finally:
+        _release_fleet(state)
 
 
 def _fused_run_task(
     rng: np.random.Generator, address: TaskAddress, payload: _FusedRunPayload
-) -> Any:
-    """One fused run-level task.
+) -> Union[_RunOutput, FanOut]:
+    """One run-level task.
 
-    Single-cell scenarios execute the whole run in place (bit-identical
-    to the serial run by construction — same generator, same code).
-    Multi-cell scenarios run the prologue and fan out one task per
+    A single-cell run executes whole, here, on the run's generator. A
+    multi-cell run runs the prologue and fans out one task per
     non-empty cell, each addressed ``(fingerprint, run, cell)`` and
     seeded ``SeedSequence(rollout_seed).spawn(n)[position]`` — exactly
     the rollout's per-cell child contract.
     """
     spec = payload.spec
-    if not spec.cells.is_multi_cell:
-        metrics = scenario_run(
-            rng, address.run_index, spec, columnar=payload.columnar
-        )
-        return {k: float(v) for k, v in metrics.items()}
-    # Prologue: the run generator's draws, in the serial run's exact
-    # order — fleet sampling, cell attachment, rollout seed. The fleet's
-    # columns are generated straight into a staged shared-memory
-    # segment, so publishing below is a header write, not a copy.
     timer = PhaseTimer()
-    staged = SharedFleet.allocate(spec.n_devices, extras=("attachments",))
+    # A multi-cell run's fleet is generated straight into a staged
+    # shared-memory segment, so publishing below is a header write, not
+    # a copy. The run generator's draws come in a fixed order: fleet,
+    # then (multi-cell) cell attachment and rollout seed.
+    staged = None
+    if spec.cells.is_multi_cell:
+        staged = SharedFleet.allocate(
+            spec.n_devices, extras=("attachments",)
+        )
     try:
         with timer.phase("generate"):
             fleet = generate_fleet(
@@ -528,7 +482,21 @@ def _fused_run_task(
                 rng,
                 coverage_mix=spec.coverage,
                 battery=spec.battery(),
-                out=staged.column_buffers(),
+                out=None if staged is None else staged.column_buffers(),
+            )
+        deep_devices = _deep_devices(fleet.coverage_histogram())
+        if staged is None:
+            cells = [_run_cell(fleet, spec, rng, 0, timer)]
+            with timer.phase("reduce"):
+                repairs = _draw_repairs(spec, cells, rng)
+            return _finish_run(
+                spec,
+                payload.root_seed,
+                address.run_index,
+                cells,
+                repairs,
+                deep_devices,
+                timer.timings(),
             )
         attachments = attach_devices(
             len(fleet),
@@ -545,7 +513,8 @@ def _fused_run_task(
             )
             shared = staged.seal(fleet.arrays)
     except BaseException:
-        staged.unlink()
+        if staged is not None:
+            staged.unlink()
         raise
     cell_ids = np.unique(attachments).tolist()
     items = tuple(
@@ -555,10 +524,7 @@ def _fused_run_task(
             ),
             fn=_fused_cell_task,
             payload=_FusedCellPayload(
-                spec=spec,
-                columnar=payload.columnar,
-                cell_id=cell_id,
-                descriptor=shared.descriptor,
+                spec=spec, cell_id=cell_id, descriptor=shared.descriptor
             ),
             seed=rollout_seed,
             spawn_index=position,
@@ -569,28 +535,29 @@ def _fused_run_task(
         items=items,
         reduce_fn=_fused_run_reduce,
         state=_FusedReduceState(
-            spec=spec,
+            run=payload,
             rng_state=rng.bit_generator.state,
-            histogram=fleet.coverage_histogram(),
+            deep_devices=deep_devices,
             descriptor=shared.descriptor,
             phase_timings=timer.timings(),
         ),
+        abort_fn=_release_fleet,
     )
 
 
 def scenario_work_items(
-    spec: ScenarioSpec,
-    root_seed: int,
-    n_runs: int,
-    columnar: bool = True,
+    spec: ScenarioSpec, root_seed: int, n_runs: int
 ) -> List[WorkItem]:
-    """The fused work items of one scenario campaign (one per run)."""
+    """The work items of one scenario campaign (one per run).
+
+    Each item's output carries the run's metric dict, plus its
+    :class:`~repro.sim.eventlog.RunLog` when ``spec.record_events`` is
+    set.
+    """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
     fingerprint = spec.fingerprint()
-    payload = _FusedRunPayload(
-        spec=spec, root_seed=int(root_seed), columnar=columnar
-    )
+    payload = _FusedRunPayload(spec=spec, root_seed=int(root_seed))
     return [
         WorkItem(
             address=TaskAddress(fingerprint, run_index),
@@ -603,57 +570,24 @@ def scenario_work_items(
     ]
 
 
-def _fused_scenario_stats(
-    spec: ScenarioSpec,
-    root_seed: int,
-    n_runs: int,
-    workers: Optional[int],
-    columnar: bool,
-    cache: Optional[ResultCache],
-    on_partial: Optional[PartialFn] = None,
-    chunk_size: Optional[int] = None,
-) -> Dict[str, RunStatistics]:
-    """Run one scenario through the fused scheduler (cache-aware).
-
-    Mirrors :meth:`MonteCarlo.run`'s cache protocol exactly — same key,
-    same stored columns — so serial, process and fused executions of
-    the same campaign share cache entries interchangeably. A cache hit
-    streams no partials (nothing executes).
-    """
-    key = None
-    if cache is not None:
-        key = ResultCache.key(
-            f"scenario/{spec.name}", spec.fingerprint(), root_seed, n_runs
+def save_runlogs(
+    outputs: Sequence[_RunOutput], directory: Union[str, Path]
+) -> None:
+    """Write every recorded run among ``outputs`` into ``directory``."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for output in outputs:
+        if output.runlog is None:
+            continue
+        meta = output.runlog.meta
+        output.runlog.save(
+            directory
+            / run_log_filename(
+                str(meta["scenario"]),
+                str(meta["fingerprint"]),
+                int(meta["run_index"]),
+            )
         )
-        cached = cache.load(key)
-        if cached is not None:
-            return {
-                name: RunStatistics(values=values)
-                for name, values in cached.items()
-            }
-    per_run = execute_items(
-        scenario_work_items(spec, root_seed, n_runs, columnar=columnar),
-        workers=workers,
-        on_partial=on_partial,
-        chunk_size=chunk_size,
-    )
-    collected = collect_metric_columns(per_run)
-    if key is not None:
-        assert cache is not None
-        cache.store(
-            key,
-            collected,
-            meta={
-                "tag": f"scenario/{spec.name}",
-                "fingerprint": spec.fingerprint(),
-                "seed": root_seed,
-                "n_runs": n_runs,
-            },
-        )
-    return {
-        name: RunStatistics(values=np.asarray(vals, dtype=np.float64))
-        for name, vals in collected.items()
-    }
 
 
 def run_scenario(
@@ -663,7 +597,6 @@ def run_scenario(
     workers: Optional[int] = None,
     n_runs: Optional[int] = None,
     seed: Optional[int] = None,
-    columnar: bool = True,
     cache: Optional[ResultCache] = None,
     record_dir: Optional[Union[str, Path]] = None,
     on_partial: Optional[PartialFn] = None,
@@ -671,80 +604,50 @@ def run_scenario(
 ) -> Dict[str, RunStatistics]:
     """Run ``spec`` through the Monte-Carlo harness and aggregate.
 
-    ``backend``/``workers`` select serial, process-pool or fused
-    work-queue execution (bit-identical in every case; ``fused``
-    additionally flattens multi-cell runs into per-cell tasks so runs
-    and cells share one pool); ``columnar=False`` drops to the
-    per-device reference executor (the equivalence oracle the
-    integration tests pin the fast path to). ``record_dir`` turns on
-    event-log recording: every run writes one
+    ``backend`` drains the campaign's task graph in this process
+    (``serial``) or on a ``workers``-process pool (``fused``, which
+    flattens multi-cell runs into per-cell tasks so runs and cells
+    share one pool); the metric arrays are bit-identical either way.
+    ``record_dir`` turns on event-log recording: every run writes one
     :class:`~repro.sim.eventlog.RunLog` ``.npz`` into the directory.
     Recording is observability on top of an unchanged simulation —
-    metrics are bit-identical with and without it — but it requires the
-    serial backend (logs cannot cross a process pool through a shared
-    list) and an uncached harness (a cache hit skips the run function,
-    so nothing would be recorded). ``on_partial`` streams
+    metrics are bit-identical with and without it — but it requires an
+    uncached harness (a cache hit skips execution, so nothing would be
+    recorded). ``on_partial`` streams
     :class:`~repro.sim.dispatch.PartialResult` records (per-cell
-    summaries, per-run folds) back as they complete — fused backend
-    only, since only the work queue surfaces incremental completions.
-    ``chunk_size`` sets the fused dispatch grain (None = auto;
-    bit-identical results at every grain; ignored off-fused).
+    summaries, per-run outputs) back as they complete; at one worker
+    both backends stream the same sequence. ``chunk_size`` sets the
+    fused dispatch grain (None = auto; bit-identical results at every
+    grain; ignored when serial).
     """
+    validate_backend(backend)
     root_seed = spec.seed if seed is None else seed
-    if on_partial is not None and backend != "fused":
+    runs = spec.n_runs if n_runs is None else n_runs
+    if record_dir is not None and cache is not None:
         raise ConfigurationError(
-            f"streaming partial results requires backend='fused', "
-            f"got {backend!r}"
+            "recording requires an uncached run (cache hits skip "
+            "execution, so no events would be recorded)"
         )
-    recording: Optional[List[RunLog]] = None
-    if record_dir is not None:
-        if backend != "serial":
-            raise ConfigurationError(
-                f"recording requires backend='serial', got {backend!r}"
-            )
-        if cache is not None:
-            raise ConfigurationError(
-                "recording requires an uncached run (cache hits skip "
-                "execution, so no events would be recorded)"
-            )
-        recording = []
-    if backend == "fused":
-        return _fused_scenario_stats(
-            spec,
+    campaign = CampaignCache(
+        cache, f"scenario/{spec.name}", spec.fingerprint(), root_seed, runs
+    )
+    cached = campaign.load()
+    if cached is not None:
+        return cached
+    outputs = drain(
+        scenario_work_items(
+            replace(spec, record_events=record_dir is not None),
             root_seed,
-            spec.n_runs if n_runs is None else n_runs,
-            workers,
-            columnar,
-            cache,
-            on_partial=on_partial,
-            chunk_size=chunk_size,
-        )
-    harness = MonteCarlo(
-        n_runs=spec.n_runs if n_runs is None else n_runs,
-        seed=root_seed,
-        backend=backend,
-        workers=workers,
-        cache=cache,
-    )
-    stats = harness.run(
-        partial(
-            scenario_run, spec=spec, columnar=columnar, recording=recording
+            runs,
         ),
-        cache_tag=f"scenario/{spec.name}",
-        config_fingerprint=spec.fingerprint(),
+        backend,
+        workers=workers,
+        on_partial=on_partial,
+        chunk_size=chunk_size,
     )
-    if recording is not None:
-        directory = Path(record_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for runlog in recording:
-            runlog.meta["seed"] = root_seed
-            runlog.save(
-                directory
-                / run_log_filename(
-                    spec.name, spec.fingerprint(), runlog.meta["run_index"]
-                )
-            )
-    return stats
+    if record_dir is not None:
+        save_runlogs(outputs, record_dir)
+    return campaign.aggregate([output.metrics for output in outputs])
 
 
 def run_log_filename(scenario: str, fingerprint: str, run_index: int) -> str:

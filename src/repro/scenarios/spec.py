@@ -5,7 +5,7 @@ regime needs — fleet shape (size, traffic mixture, coverage-class mix),
 radio stress (random-access collision probability, segment-loss/repair
 regime) and campaign shape (mechanism, payload, inactivity timer,
 Monte-Carlo runs and seed) — as one frozen, picklable dataclass. Specs
-cross process-pool boundaries intact, fingerprint stably for the result
+cross the fused pool's process boundaries intact, fingerprint stably for the result
 cache, and derive variants with :meth:`ScenarioSpec.with_overrides`
 (the sweep runner's expansion primitive).
 
@@ -29,7 +29,7 @@ from repro.multicast.payload import DEFAULT_SEGMENT_BYTES, FirmwareImage
 from repro.multicast.reliability import ReliabilityConfig
 from repro.rrc.procedures import ProcedureTimings
 from repro.rrc.random_access import RandomAccessModel
-from repro.sim.parallel import fingerprint
+from repro.sim.cache import fingerprint
 from repro.timebase import seconds_to_frames
 from repro.traffic.generator import CoverageMix
 from repro.traffic.mixtures import TrafficMixture, mixture_by_name

@@ -3,29 +3,27 @@
 A sweep takes registered scenarios and a list of axes (named spec
 fields with value lists), expands the full cartesian grid of spec
 variants with :meth:`~repro.scenarios.spec.ScenarioSpec.with_overrides`,
-and runs every cell through the Monte-Carlo harness — each cell's runs
-fan out across the process pool when ``backend="process"``, and every
-campaign executes on the columnar fast path. This is the "as many
-scenarios as you can imagine" layer: the paper varies one axis at a
-time; a sweep composes them.
+and runs the whole grid as one task graph (:mod:`repro.sim.dispatch`) —
+drained in this process or, with ``backend="fused"``, on one process
+pool with no barrier between grid cells. This is the "as many scenarios
+as you can imagine" layer: the paper varies one axis at a time; a sweep
+composes them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Table
 from repro.multicast.coordination import MultiCellSpec
-from repro.scenarios.runner import run_scenario, scenario_work_items
+from repro.scenarios.runner import save_runlogs, scenario_work_items
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.dispatch import execute_items
-from repro.sim.montecarlo import RunStatistics, collect_metric_columns
-from repro.sim.parallel import ResultCache
+from repro.sim.cache import ResultCache
+from repro.sim.dispatch import drain, validate_backend
+from repro.sim.montecarlo import CampaignCache, RunStatistics
 from repro.timebase import format_bytes
 
 #: CLI axis aliases -> ScenarioSpec field names. Stress axes plus the
@@ -186,136 +184,59 @@ def run_sweep(
     backend: str = "serial",
     workers: Optional[int] = None,
     n_runs: Optional[int] = None,
-    columnar: bool = True,
     cache: Optional[ResultCache] = None,
     record_dir: Optional[str] = None,
     chunk_size: Optional[int] = None,
 ) -> "List[Tuple[SweepCell, Dict[str, RunStatistics]]]":
     """Execute every grid cell and return (cell, aggregated stats) pairs.
 
+    The whole grid — every (scenario, run, cell) task of every grid
+    cell not answered from the cache — drains as one task graph, in
+    this process (``serial``) or on one fused pool, so there is no
+    barrier between grid cells. Cached cells are answered with the
+    exact key :func:`~repro.scenarios.runner.run_scenario` uses.
+    Per-grid-cell results are bit-identical to running each cell alone
+    on either backend.
+
     Grid cells whose spec has ``record_events`` set (e.g. via a
-    ``record=1`` axis) write their per-run event logs into
-    ``record_dir``; recording cells run serially and uncached (see
-    :func:`run_scenario`). Without a ``record_dir`` the flag is inert.
-
-    ``backend="fused"`` flattens the whole grid — every (scenario,
-    run, cell) task of every non-recording grid cell — into one fused
-    work queue (:mod:`repro.sim.dispatch`), so there is no barrier
-    between grid cells: cells of one scenario variant execute while
-    another variant's runs are still materialising. Per-grid-cell
-    results are bit-identical to running each cell alone on any
-    backend.
+    ``record=1`` axis) run uncached and write their per-run event logs
+    into ``record_dir``; without a ``record_dir`` the flag is inert.
     """
+    validate_backend(backend)
     grid = expand_grid(scenarios, axes)
-    if backend == "fused":
-        return _run_sweep_fused(
-            grid,
-            workers=workers,
-            n_runs=n_runs,
-            columnar=columnar,
-            cache=cache,
-            record_dir=record_dir,
-            chunk_size=chunk_size,
-        )
-    results = []
-    for cell in grid:
-        recording = record_dir is not None and cell.spec.record_events
-        stats = run_scenario(
-            cell.spec,
-            backend="serial" if recording else backend,
-            workers=workers,
-            n_runs=n_runs,
-            columnar=columnar,
-            cache=None if recording else cache,
-            record_dir=record_dir if recording else None,
-        )
-        results.append((cell, stats))
-    return results
-
-
-def _run_sweep_fused(
-    grid: Sequence[SweepCell],
-    *,
-    workers: Optional[int],
-    n_runs: Optional[int],
-    columnar: bool,
-    cache: Optional[ResultCache],
-    record_dir: Optional[str],
-    chunk_size: Optional[int] = None,
-) -> "List[Tuple[SweepCell, Dict[str, RunStatistics]]]":
-    """One fused dispatch for the whole grid.
-
-    Recording cells still run serially through :func:`run_scenario`
-    (event logs cannot cross a pool); cached cells are answered from
-    the cache with the exact key any other backend would use. Every
-    remaining (scenario, run) work item — and the per-cell tasks each
-    multi-cell run fans out into — drains through a single scheduler.
-    """
     slots: List[Optional[Dict[str, RunStatistics]]] = [None] * len(grid)
-    spans: List[Tuple[int, int, int, Optional[str], int]] = []
+    spans: List[Tuple[int, int, int, CampaignCache]] = []
     items = []
     for index, cell in enumerate(grid):
-        if record_dir is not None and cell.spec.record_events:
-            slots[index] = run_scenario(
-                cell.spec,
-                backend="serial",
-                workers=workers,
-                n_runs=n_runs,
-                columnar=columnar,
-                cache=None,
-                record_dir=record_dir,
-            )
-            continue
+        record = record_dir is not None and cell.spec.record_events
         runs = cell.spec.n_runs if n_runs is None else n_runs
-        key = None
-        if cache is not None:
-            key = ResultCache.key(
-                f"scenario/{cell.spec.name}",
-                cell.spec.fingerprint(),
-                cell.spec.seed,
-                runs,
-            )
-            cached = cache.load(key)
-            if cached is not None:
-                slots[index] = {
-                    name: RunStatistics(values=values)
-                    for name, values in cached.items()
-                }
-                continue
-        cell_items = scenario_work_items(
-            cell.spec, cell.spec.seed, runs, columnar=columnar
+        campaign = CampaignCache(
+            None if record else cache,
+            f"scenario/{cell.spec.name}",
+            cell.spec.fingerprint(),
+            cell.spec.seed,
+            runs,
         )
-        spans.append((index, len(items), len(cell_items), key, runs))
+        slots[index] = campaign.load()
+        if slots[index] is not None:
+            continue
+        cell_items = scenario_work_items(
+            replace(cell.spec, record_events=record), cell.spec.seed, runs
+        )
+        spans.append((index, len(items), len(cell_items), campaign))
         items.extend(cell_items)
     if items:
-        outputs = execute_items(items, workers=workers, chunk_size=chunk_size)
-        for index, start, count, key, runs in spans:
-            collected = collect_metric_columns(
-                outputs[start : start + count]
+        outputs = drain(
+            items, backend, workers=workers, chunk_size=chunk_size
+        )
+        for index, start, count, campaign in spans:
+            cell_outputs = outputs[start : start + count]
+            if record_dir is not None:
+                save_runlogs(cell_outputs, record_dir)
+            slots[index] = campaign.aggregate(
+                [output.metrics for output in cell_outputs]
             )
-            if key is not None:
-                assert cache is not None
-                cache.store(
-                    key,
-                    collected,
-                    meta={
-                        "tag": f"scenario/{grid[index].spec.name}",
-                        "fingerprint": grid[index].spec.fingerprint(),
-                        "seed": grid[index].spec.seed,
-                        "n_runs": runs,
-                    },
-                )
-            slots[index] = {
-                name: RunStatistics(
-                    values=np.asarray(vals, dtype=np.float64)
-                )
-                for name, vals in collected.items()
-            }
-    results = []
-    for cell, stats in zip(grid, slots):
-        assert stats is not None
-        results.append((cell, stats))
-    return results
+    return list(zip(grid, slots))
 
 
 def sweep_table(
@@ -350,8 +271,8 @@ def sweep_table(
         + ("transmissions", "mean wait", "fleet energy", "segments sent"),
         rows=tuple(rows),
         notes=(
-            "every cell runs through the parallel Monte-Carlo backend "
-            "and the columnar executor; grid size = scenarios x "
+            "every cell runs through one Monte-Carlo task graph; "
+            "grid size = scenarios x "
             + " x ".join(str(len(axis.values)) for axis in axes)
             + ".",
         ),

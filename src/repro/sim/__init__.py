@@ -1,24 +1,21 @@
 """Simulation: executors, the event engine and the Monte-Carlo harness.
 
-Three executors produce equivalent campaign results from a plan:
+Two executors produce equivalent campaign results from a plan:
 
-* :class:`~repro.sim.executor.CampaignExecutor` with ``columnar=True``
-  (the default) — the vectorised fleet fast path
-  (:mod:`repro.sim.columnar`): whole-fleet array arithmetic and an
+* :class:`~repro.sim.executor.CampaignExecutor` — the vectorised fleet
+  path (:mod:`repro.sim.columnar`): whole-fleet array arithmetic and an
   array-of-ledgers, used by experiments;
-* the same executor with ``columnar=False`` — direct per-device
-  timeline arithmetic, kept as the equivalence oracle;
 * :class:`~repro.sim.replay.EventDrivenCampaign` — replays the plan on
-  the discrete-event engine (:mod:`repro.sim.engine`), used by the
-  integration tests to cross-validate the arithmetic and by examples
-  that want an inspectable event trace.
+  the discrete-event engine (:mod:`repro.sim.engine`), the independent
+  oracle the tests cross-validate the arithmetic against, and what
+  examples use when they want an inspectable event trace.
 
-:mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates:
-in-process (``backend="serial"``), sharded across a process pool
-(``backend="process"``, :mod:`repro.sim.parallel`), or flattened into
-the fused (run x cell) work queue (``backend="fused"``,
-:mod:`repro.sim.dispatch`) — all bit-identical — with an optional
-on-disk :class:`~repro.sim.parallel.ResultCache`.
+:mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates.
+Every campaign is a list of work items (:mod:`repro.sim.dispatch`)
+drained either in this process (``backend="serial"``) or on the fused
+(run x cell) process pool (``backend="fused"``) — bit-identical by
+construction — with an optional on-disk
+:class:`~repro.sim.cache.ResultCache`.
 
 Every executor can additionally record a columnar event log
 (:mod:`repro.sim.eventlog`): pass an
@@ -59,13 +56,13 @@ from repro.sim.columnar import execute_columnar
 from repro.sim.events import Event, EventKind
 from repro.sim.engine import Simulator
 from repro.sim.replay import EventDrivenCampaign
+from repro.sim.dispatch import BACKENDS
 from repro.sim.montecarlo import (
-    BACKENDS,
     MonteCarlo,
     RunStatistics,
     run_monte_carlo,
 )
-from repro.sim.parallel import ResultCache, fingerprint, shard_ranges
+from repro.sim.cache import ResultCache, fingerprint
 
 __all__ = [
     "generator_for",
@@ -86,7 +83,6 @@ __all__ = [
     "run_monte_carlo",
     "ResultCache",
     "fingerprint",
-    "shard_ranges",
     "SCHEMA_VERSION",
     "EVENT_DTYPE",
     "KIND_CODES",

@@ -1,8 +1,8 @@
-"""Columnar campaign execution: the vectorised fleet fast path.
+"""Columnar campaign execution: the vectorised fleet path.
 
-Implements exactly the accounting of
-:class:`~repro.sim.executor.CampaignExecutor`'s per-device reference
-loop, but as NumPy array arithmetic over the whole fleet at once:
+Implements the accounting of
+:class:`~repro.sim.executor.CampaignExecutor` as NumPy array arithmetic
+over the whole fleet at once:
 
 * one pass over ``plan.directives`` gathers the directive columns
   (indices, wake methods, page/connect frames, adaptation fields);
@@ -15,12 +15,12 @@ loop, but as NumPy array arithmetic over the whole fleet at once:
   :class:`~repro.sim.metrics.CampaignResult` — no per-device Python
   objects exist on the hot path.
 
-The per-device reference path stays in :mod:`repro.sim.executor` as the
-equivalence oracle; tests pin this path to it (identical structure,
-per-device totals within 1e-9). Random-access contention (non-zero
-``collision_probability``) draws from ``rng`` device-by-device in
-directive order, so even the stochastic path is stream-identical to the
-reference.
+The event-driven replay (:class:`~repro.sim.replay.EventDrivenCampaign`)
+is the independent oracle; tests pin this path to it (identical
+structure, per-device totals within 1e-9). Random-access contention
+(non-zero ``collision_probability``) draws from ``rng`` device by device
+in directive order — a DA-SC device's adaptation episode first, then its
+main random access — so the stream is fixed by the plan alone.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState, StateGroup
 from repro.errors import PagingError, SimulationError
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.executor import CampaignExecutor
 from repro.sim.metrics import CampaignResult, FleetOutcomes
 from repro.timebase import (
     FRAMES_PER_HYPERFRAME,
     MS_PER_FRAME,
+    frame_after_seconds,
     frames_to_seconds,
     v_frame_after_seconds,
 )
@@ -109,6 +109,20 @@ def _v_paging_phase(
     ph_index = hashed % cycle_hyperframes
     edrx_offset = ph_index * FRAMES_PER_HYPERFRAME + pf_offset
     return np.where(cycles <= FRAMES_PER_HYPERFRAME, pf_offset, edrx_offset)
+
+
+def _resolve_horizon(horizon_frames: Optional[int], end_s: float) -> int:
+    """The observation horizon: ``horizon_frames``, or just past the
+    campaign's end when None; a horizon ending earlier is an error."""
+    needed = frame_after_seconds(end_s) + 1
+    if horizon_frames is None:
+        return needed
+    if horizon_frames < needed:
+        raise SimulationError(
+            f"horizon {horizon_frames} frames ends before the campaign "
+            f"does ({needed} frames needed)"
+        )
+    return horizon_frames
 
 
 def execute_columnar(
@@ -176,8 +190,8 @@ def execute_columnar(
             + airtime.rrc_release_s
         )
     else:
-        # Contention: draw per device in directive order, exactly the
-        # reference RNG stream (DA episode RA first, then the main RA).
+        # Contention: draw per device in directive order (DA episode RA
+        # first, then the main RA) — the stream the plan fixes.
         main_ra = np.empty(n, dtype=np.float64)
         ra_attempts = np.empty(n, dtype=np.float64)
         episode = np.zeros(n, dtype=np.float64)
@@ -230,7 +244,7 @@ def execute_columnar(
     start = starts[tx]
     main_end = start + rx + tail
     end_s = float(main_end.max()) if n else 0.0
-    horizon = CampaignExecutor._resolve_horizon(horizon_frames, end_s)
+    horizon = _resolve_horizon(horizon_frames, end_s)
     horizon_s = frames_to_seconds(horizon)
 
     late = main_end > horizon_s + 1e-9
@@ -283,7 +297,7 @@ def execute_columnar(
         po_count[da] = da_count
 
     # ------------------------------------------------------------------
-    # The array-of-ledgers, accumulated in the reference's add order.
+    # The array-of-ledgers, accumulated in the replay's add order.
     # ------------------------------------------------------------------
     ledgers = LedgerArray(n)
     ra2 = np.where(is_da, ra_base, 0.0)
@@ -300,7 +314,7 @@ def execute_columnar(
     ledgers.add(PowerState.CONNECTED_WAIT, wait)
     ledgers.add(PowerState.CONNECTED_RX, rx)
     # group_seconds left-folds in STATE_ORDER, float-for-float the same
-    # sums the reference's UptimeLedger.totals produces.
+    # sums a scalar UptimeLedger.totals produces.
     light = ledgers.group_seconds(StateGroup.LIGHT_SLEEP)
     connected = ledgers.group_seconds(StateGroup.CONNECTED)
     ledgers.add(

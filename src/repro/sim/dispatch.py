@@ -1,11 +1,20 @@
-"""The fused (run x cell) work-queue scheduler.
+"""The (run x cell) task graph and its two drains.
 
-Parallelism used to be siloed: :mod:`repro.sim.parallel` shards across
-Monte-Carlo runs, :meth:`repro.multicast.coordination.CoordinationEntity.
-rollout` shards across cells, and the sweep runner drives grid cells one
-at a time — so a many-run x many-cell sweep leaves workers idle between
-barriers. This module flattens all of that into **one** process pool fed
-from a single work queue.
+Every Monte-Carlo campaign — a plain run function, a scenario's runs
+and the cells each multi-cell run fans out into, a multi-cell rollout,
+a whole sweep grid — is expressed as one list of :class:`WorkItem`
+objects. The list has exactly two executors, named by the ``backend``
+every public entry point takes (:data:`BACKENDS`):
+
+* ``serial`` — :func:`drain_inline` runs the items in this process, in
+  the order a one-worker pool would complete them, with no pool and no
+  pickling;
+* ``fused`` — :class:`FusedScheduler` drains the same items from one
+  process pool fed by a single work queue, so runs and cells of every
+  campaign share the workers with no barrier between them.
+
+Both feed the same :class:`ReductionLedger`, so serial == fused holds by
+construction, not by a test keeping two implementations equal.
 
 Determinism contract
 --------------------
@@ -18,10 +27,10 @@ spawn_index)``. The worker derives the task's generator as::
 which depends only on ``(seed, i)`` — a ``SeedSequence`` child's
 ``spawn_key`` is its spawn position, independent of how many siblings
 were spawned alongside it. Run ``i`` therefore sees the exact generator
-the serial harness hands it, and cell ``j`` of a run sees the exact
-child ``CoordinationEntity.rollout(seed=...)`` derives — results are
-bit-identical to the serial path for any worker count and any task
-completion order.
+``spawn_generators(seed, n)`` hands it, and cell ``j`` of a run sees
+the exact child ``CoordinationEntity.rollout(seed=...)`` derives —
+results are bit-identical across backends, worker counts and task
+completion orders.
 
 Fan-out
 -------
@@ -49,16 +58,21 @@ are bit-identical for every chunk size and worker count.
 
 from __future__ import annotations
 
+import os
 import pickle
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from multiprocessing import resource_tracker
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -67,13 +81,32 @@ from typing import (
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sim.parallel import RunFn, default_workers
+
+#: Execution backends: ``serial`` drains the task graph in this
+#: process, ``fused`` on a process pool (bit-identical results).
+BACKENDS = ("serial", "fused")
+
+#: A run function: (rng, run_index) -> {metric name: value}.
+RunFn = Callable[[np.random.Generator, int], Mapping[str, float]]
 
 #: A task function: (rng, address, payload) -> result | FanOut.
 TaskFn = Callable[[np.random.Generator, "TaskAddress", Any], Any]
 
 #: A reduction function: (state, sub_results, address) -> result.
 ReduceFn = Callable[[Any, List[Any], "TaskAddress"], Any]
+
+
+def default_workers() -> int:
+    """Pool size used when none is given (all visible cores)."""
+    return max(1, os.cpu_count() or 1)
+
+
+def validate_backend(backend: str) -> None:
+    """Reject anything but the two :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"backend must be one of {BACKENDS}, got {backend!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -130,14 +163,21 @@ class FanOut:
 
     ``items`` are scheduled like any other work item; once all their
     results are in, ``reduce_fn(state, results, address)`` runs (on the
-    pool) with ``results`` in ``items`` order — the canonical order —
-    regardless of completion order. Only top-level tasks may fan out
-    (one level keeps the ledger, and the determinism argument, simple).
+    drain's executor) with ``results`` in ``items`` order — the
+    canonical order — regardless of completion order. Only top-level
+    tasks may fan out (one level keeps the ledger, and the determinism
+    argument, simple).
+
+    ``abort_fn(state)``, when given, releases what ``state`` holds (a
+    shared-memory fleet, say) if the campaign fails before the
+    reduction runs; it must be idempotent, because a reduction that did
+    run may already have released it.
     """
 
     items: Tuple[WorkItem, ...]
     reduce_fn: ReduceFn
     state: Any
+    abort_fn: Optional[Callable[[Any], None]] = None
 
 
 def _validate_picklable(items: Sequence[WorkItem]) -> None:
@@ -189,26 +229,6 @@ def auto_chunk_size(n_items: int, workers: int) -> int:
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     return max(1, min(_MAX_CHUNK_SIZE, -(-n_items // (workers * 4))))
-
-
-def _execute_chunk(items: Tuple[WorkItem, ...]) -> List[Any]:
-    """Worker entry point for a chunk: run its items in canonical order.
-
-    Each item still derives its own ``(seed, spawn_index)`` generator,
-    so the values are element-for-element identical to ``_execute_item``
-    — the chunk only changes how many results ride one IPC round trip.
-    """
-    return [_execute_item(item) for item in items]
-
-
-def _execute_reduce(
-    reduce_fn: ReduceFn,
-    state: Any,
-    results: List[Any],
-    address: TaskAddress,
-) -> Any:
-    """Worker entry point for a fan-out's reduction."""
-    return reduce_fn(state, results, address)
 
 
 _UNSET = object()
@@ -424,6 +444,140 @@ class ReductionLedger:
         return list(self._top)
 
 
+def _run_slot(slot: Tuple) -> Any:
+    """Run one slot of the task graph (the pool workers' entry point).
+
+    A ``("top", start, chunk)`` or ``("sub", top_index, start, chunk)``
+    slot runs a chunk of consecutive canonical items in order; each item
+    derives its own ``(seed, spawn_index)`` generator, so the values are
+    element-for-element those of running the items one at a time — a
+    chunk only changes how many results ride one IPC round trip. A
+    ``("reduce", ready)`` slot runs a fan-out's reduction.
+    """
+    if slot[0] == "reduce":
+        ready = slot[1]
+        return ready.reduce_fn(ready.state, ready.results, ready.address)
+    return [_execute_item(item) for item in slot[-1]]
+
+
+class _GraphState:
+    """The ledger side of a drain, shared by both backends.
+
+    Lands finished slots in the :class:`ReductionLedger`, streams the
+    partials that produces, and names the slots each landing makes
+    runnable (a fan-out's sub-item chunks, a ready reduction) — so the
+    in-process and pool drains differ only in *where* a slot runs.
+    """
+
+    def __init__(
+        self,
+        items: Sequence[WorkItem],
+        grain: Callable[[int], int],
+        on_partial: Optional[PartialFn],
+    ) -> None:
+        self.ledger = ReductionLedger(len(items))
+        self._grain = grain
+        self._on_partial = on_partial
+        self._opened: List[FanOut] = []
+        self.initial = self._chunks(("top",), items)
+
+    def _chunks(self, head: Tuple, items: Sequence[WorkItem]) -> List[Tuple]:
+        grain = self._grain(len(items))
+        return [
+            head + (start, tuple(items[start : start + grain]))
+            for start in range(0, len(items), grain)
+        ]
+
+    def land(self, slot: Tuple, value: Any) -> List[Tuple]:
+        """Record one finished slot; returns the slots it makes runnable."""
+        runnable: List[Tuple] = []
+        if slot[0] == "reduce":
+            ready = slot[1]
+            self.ledger.complete_reduce(
+                ready.top_index, value, address=ready.address
+            )
+        elif slot[0] == "top":
+            _, start, chunk = slot
+            for offset, (item, result) in enumerate(zip(chunk, value)):
+                fanout = self.ledger.complete_top(
+                    start + offset, result, address=item.address
+                )
+                if fanout is not None:
+                    self._opened.append(fanout)
+                    runnable.extend(
+                        self._chunks(("sub", start + offset), fanout.items)
+                    )
+        else:
+            _, top_index, start, chunk = slot
+            for offset, (item, result) in enumerate(zip(chunk, value)):
+                ready = self.ledger.complete_sub(
+                    top_index, start + offset, result, address=item.address
+                )
+                if ready is not None:
+                    runnable.append(("reduce", ready))
+        for partial in self.ledger.partial_results():
+            if self._on_partial is not None:
+                self._on_partial(partial)
+        return runnable
+
+    def abort(self, unlanded: Iterable[Any] = ()) -> None:
+        """Release the state of every fan-out the campaign opened.
+
+        ``unlanded`` are top-level values that finished but were never
+        landed; fan-outs among them are released too. Best effort: the
+        campaign's own error is what propagates.
+        """
+        fanouts = self._opened + [v for v in unlanded if isinstance(v, FanOut)]
+        for fanout in fanouts:
+            if fanout.abort_fn is not None:
+                try:
+                    fanout.abort_fn(fanout.state)
+                except Exception:
+                    pass
+
+
+def drain_inline(
+    items: Sequence[WorkItem], on_partial: Optional[PartialFn] = None
+) -> List[Any]:
+    """Execute every item (and whatever it fans out into) in this process.
+
+    The ``serial`` backend: the same work items the fused scheduler
+    submits, run in the order a one-worker pool completes them — all
+    top-level items, then every fan-out's sub-items, then the
+    reductions — and landed in the same :class:`ReductionLedger`. No
+    pool starts and nothing is pickled, so task functions may be
+    closures. ``on_partial`` streams exactly the :class:`PartialResult`
+    sequence ``FusedScheduler(workers=1)`` streams.
+    """
+    items = list(items)
+    if not items:
+        raise ConfigurationError("no work items to dispatch")
+    graph = _GraphState(items, grain=lambda n_items: 1, on_partial=on_partial)
+    queue = deque(graph.initial)
+    try:
+        while queue:
+            slot = queue.popleft()
+            queue.extend(graph.land(slot, _run_slot(slot)))
+    except BaseException:
+        graph.abort()
+        raise
+    return graph.ledger.results()
+
+
+def _unlanded_values(pending: Dict[Any, Tuple]) -> List[Any]:
+    """Values of finished top-level chunks a failed drain never landed."""
+    values: List[Any] = []
+    for future, slot in pending.items():
+        if (
+            slot[0] == "top"
+            and future.done()
+            and not future.cancelled()
+            and future.exception() is None
+        ):
+            values.extend(future.result())
+    return values
+
+
 class FusedScheduler:
     """One process pool draining a flattened (run x cell) work queue.
 
@@ -482,19 +636,14 @@ class FusedScheduler:
         picklable. ``on_partial`` (if given) is called in this process
         for every streamed :class:`PartialResult` as completions land —
         per-cell results surface while the rest of the queue is still
-        draining.
+        draining. If any task raises, the pool is shut down, every
+        opened fan-out's ``abort_fn`` runs, and the error propagates.
         """
         items = list(items)
         if not items:
             raise ConfigurationError("no work items to dispatch")
         _validate_picklable(items)
-
-        ledger = ReductionLedger(len(items))
-
-        def drain() -> None:
-            for partial in ledger.partial_results():
-                if on_partial is not None:
-                    on_partial(partial)
+        graph = _GraphState(items, grain=self._grain, on_partial=on_partial)
 
         # Start the resource tracker before the pool forks: every
         # worker then inherits the same tracker, which is what makes
@@ -502,78 +651,28 @@ class FusedScheduler:
         # (see repro.devices.sharedmem's lifecycle contract).
         resource_tracker.ensure_running()
         with ProcessPoolExecutor(max_workers=self._workers) as pool:
-            #: future -> ("top", start, chunk_items)
-            #:        | ("sub", top_index, start, chunk_items)
-            #:        | ("reduce", top_index)
-            #: A chunk's items ride in the slot so completions can be
-            #: unpacked against their canonical addresses.
+            #: future -> slot (see _run_slot), in submission order.
             pending: Dict[Any, Tuple] = {}
 
-            def submit_top(batch: Sequence[WorkItem]) -> None:
-                grain = self._grain(len(batch))
-                for start in range(0, len(batch), grain):
-                    chunk = tuple(batch[start : start + grain])
-                    pending[pool.submit(_execute_chunk, chunk)] = (
-                        "top", start, chunk,
-                    )
+            def submit(slots: Sequence[Tuple]) -> None:
+                for slot in slots:
+                    pending[pool.submit(_run_slot, slot)] = slot
 
-            def submit_sub(top_index: int, fanout: FanOut) -> None:
-                grain = self._grain(len(fanout.items))
-                for start in range(0, len(fanout.items), grain):
-                    chunk = tuple(fanout.items[start : start + grain])
-                    pending[pool.submit(_execute_chunk, chunk)] = (
-                        "sub", top_index, start, chunk,
-                    )
-
-            def submit_reduce(ready: ReadyReduce) -> None:
-                pending[
-                    pool.submit(
-                        _execute_reduce,
-                        ready.reduce_fn,
-                        ready.state,
-                        ready.results,
-                        ready.address,
-                    )
-                ] = ("reduce", ready.top_index, ready.address)
-
-            submit_top(items)
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    slot = pending.pop(future)
-                    value = future.result()
-                    if slot[0] == "top":
-                        _, start, chunk = slot
-                        for offset, (item, result) in enumerate(
-                            zip(chunk, value)
-                        ):
-                            fanout = ledger.complete_top(
-                                start + offset,
-                                result,
-                                address=item.address,
-                            )
-                            if fanout is not None:
-                                submit_sub(start + offset, fanout)
-                    elif slot[0] == "sub":
-                        _, top_index, start, chunk = slot
-                        for offset, (item, result) in enumerate(
-                            zip(chunk, value)
-                        ):
-                            ready = ledger.complete_sub(
-                                top_index,
-                                start + offset,
-                                result,
-                                address=item.address,
-                            )
-                            if ready is not None:
-                                submit_reduce(ready)
-                    else:
-                        ledger.complete_reduce(
-                            slot[1], value, address=slot[2]
-                        )
-                    drain()
-        drain()
-        return ledger.results()
+            try:
+                submit(graph.initial)
+                while pending:
+                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                    # Land in submission order, not the done set's
+                    # arbitrary one, so the partial stream is as
+                    # deterministic as the completions are.
+                    for future in [f for f in pending if f in done]:
+                        slot = pending.pop(future)
+                        submit(graph.land(slot, future.result()))
+            except BaseException:
+                pool.shutdown(wait=True, cancel_futures=True)
+                graph.abort(_unlanded_values(pending))
+                raise
+        return graph.ledger.results()
 
 
 def execute_items(
@@ -588,77 +687,90 @@ def execute_items(
     )
 
 
-# ----------------------------------------------------------------------
-# Flat-map adapters (the montecarlo / rollout consumer surface)
-# ----------------------------------------------------------------------
-def _metric_task(
-    rng: np.random.Generator, address: TaskAddress, payload: Any
-) -> Dict[str, float]:
-    """One Monte-Carlo run as a fused task (floats cross back, like the
-    process backend's worker-side coercion)."""
-    fn = payload
-    return {k: float(v) for k, v in fn(rng, address.run_index).items()}
-
-
-def run_fused(
-    fn: RunFn,
-    seed: int,
-    n_runs: int,
+def drain(
+    items: Sequence[WorkItem],
+    backend: str,
+    *,
     workers: Optional[int] = None,
-    campaign: str = "montecarlo",
     on_partial: Optional[PartialFn] = None,
     chunk_size: Optional[int] = None,
-) -> List[Dict[str, float]]:
-    """Execute a Monte-Carlo run function through the fused queue.
+) -> List[Any]:
+    """Drain ``items`` on ``backend`` (one of :data:`BACKENDS`).
 
-    The flat counterpart of :func:`repro.sim.parallel.run_in_processes`:
-    run ``i`` is one work item addressed ``(campaign, i, -1)`` with the
-    standard child generator, so the per-run metric dicts are
-    bit-identical to the serial and process backends.
+    ``serial`` runs them in this process (:func:`drain_inline`; the pool
+    settings ``workers`` and ``chunk_size`` do not apply), ``fused`` on
+    a :class:`FusedScheduler`. Either way the results — and the
+    streamed partials at one worker — are the same.
     """
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    items = [
-        WorkItem(
-            address=TaskAddress(campaign, run_index),
-            fn=_metric_task,
-            payload=fn,
-            seed=seed,
-            spawn_index=run_index,
-        )
-        for run_index in range(n_runs)
-    ]
+    validate_backend(backend)
+    if backend == "serial":
+        return drain_inline(items, on_partial=on_partial)
     return execute_items(
         items, workers=workers, on_partial=on_partial, chunk_size=chunk_size
     )
 
 
+# ----------------------------------------------------------------------
+# Flat work-item builders (the montecarlo / rollout consumer surface)
+# ----------------------------------------------------------------------
+def _metric_task(
+    rng: np.random.Generator,
+    address: TaskAddress,
+    payload: Any,
+    *,
+    fn: RunFn,
+) -> Dict[str, float]:
+    """One Monte-Carlo run as a task (floats cross back)."""
+    return {k: float(v) for k, v in fn(rng, address.run_index).items()}
+
+
+def run_items(
+    fn: RunFn, seed: int, n_runs: int, campaign: str = "montecarlo"
+) -> List[WorkItem]:
+    """The work items of a Monte-Carlo run function: run ``i`` is one
+    item addressed ``(campaign, i, -1)`` with the standard child
+    generator."""
+    if n_runs < 1:
+        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
+    # One task function shared by every item, so the fused pool's
+    # up-front picklability check covers the run function once.
+    task = partial(_metric_task, fn=fn)
+    return [
+        WorkItem(
+            address=TaskAddress(campaign, run_index),
+            fn=task,
+            payload=None,
+            seed=seed,
+            spawn_index=run_index,
+        )
+        for run_index in range(n_runs)
+    ]
+
+
 def _map_task(
-    rng: np.random.Generator, address: TaskAddress, payload: Any
+    rng: np.random.Generator,
+    address: TaskAddress,
+    payload: Any,
+    *,
+    fn: Callable,
 ) -> Any:
-    """Generic per-item map adapter (mirrors parallel.MapFn calling
-    convention: fn(rng, item_index, item))."""
-    fn, index, item = payload
+    """Generic per-item map adapter: ``fn(rng, item_index, item)``."""
+    index, item = payload
     return fn(rng, index, item)
 
 
-def map_fused(
+def map_items(
     fn: Callable,
     seed: int,
     items: Sequence[Any],
-    workers: Optional[int] = None,
     campaign: str = "map",
     cell_ids: Optional[Sequence[int]] = None,
-    on_partial: Optional[PartialFn] = None,
-    chunk_size: Optional[int] = None,
-) -> List[Any]:
-    """Map ``fn`` over ``items`` through the fused queue.
+) -> List[WorkItem]:
+    """The work items mapping ``fn(rng, index, item)`` over ``items``.
 
-    The flat counterpart of :func:`repro.sim.parallel.map_in_processes`:
-    item ``i`` receives ``SeedSequence(seed).spawn(n)[i]``, so results
-    are bit-identical to ``map_serial`` for any worker count.
-    ``cell_ids`` labels each item's task address as a cell of run 0
-    (the rollout consumer); without it items address as run indices.
+    Item ``i`` receives ``SeedSequence(seed).spawn(n)[i]``. ``cell_ids``
+    labels each item's task address as a cell of run 0 (the rollout
+    consumer); without it items address as run indices.
     """
     items = list(items)
     if not items:
@@ -667,6 +779,7 @@ def map_fused(
         raise ConfigurationError(
             f"{len(cell_ids)} cell ids for {len(items)} items"
         )
+    task = partial(_map_task, fn=fn)
     work = []
     for index, item in enumerate(items):
         if cell_ids is None:
@@ -676,12 +789,10 @@ def map_fused(
         work.append(
             WorkItem(
                 address=address,
-                fn=_map_task,
-                payload=(fn, index, item),
+                fn=task,
+                payload=(index, item),
                 seed=seed,
                 spawn_index=index,
             )
         )
-    return execute_items(
-        work, workers=workers, on_partial=on_partial, chunk_size=chunk_size
-    )
+    return work

@@ -1,8 +1,8 @@
 """Columnar event log: record, STRICT replay, and structural diff.
 
-Every campaign execution path — the vectorised columnar executor, the
-per-device reference loop and the event-driven replay — can optionally
-emit a compact, columnar event log: one structured-numpy row per
+Both campaign executors — the vectorised columnar executor and the
+event-driven replay — can optionally emit a compact, columnar event
+log: one structured-numpy row per
 semantic event (paging, adaptation, readiness, transmission bounds,
 device completion, repair rounds). The log is keyed by the scenario
 fingerprint, the Monte-Carlo seed and the cell id, and a whole run
@@ -172,9 +172,8 @@ def _materialise_chunks(chunks: Sequence[_Chunk], cell: int) -> np.ndarray:
 class EventLogRecorder:
     """Accumulates event rows and metadata during one campaign.
 
-    The executors call :meth:`emit` (scalar, per-device reference loop
-    and the event-driven replay) or :meth:`emit_block` (whole-fleet
-    arrays, columnar path); the orchestrator calls :meth:`finalize`
+    The executors call :meth:`emit` (scalar, the event-driven replay)
+    or :meth:`emit_block` (whole-fleet arrays, columnar path); the orchestrator calls :meth:`finalize`
     once to obtain the sealed :class:`EventLog`.
 
     Recording is designed to be almost free next to execution: both

@@ -1,7 +1,7 @@
 """The campaign executor: plan -> per-device ledgers.
 
 Turns a validated :class:`~repro.core.plan.MulticastPlan` into a
-:class:`~repro.sim.metrics.CampaignResult` by walking each device's
+:class:`~repro.sim.metrics.CampaignResult` by accounting each device's
 timeline over a common observation horizon:
 
 * idle periods — every paging occasion costs one PO-monitor interval
@@ -19,61 +19,45 @@ member is connected, whichever is later (devices paged at the very end
 of the window still need their random access to finish). Waits are
 therefore never negative.
 
-The same accounting is reproduced event-by-event in
-:mod:`repro.sim.replay`; an integration test asserts both agree.
+The arithmetic is the vectorised whole-fleet path of
+:mod:`repro.sim.columnar`. The same accounting is reproduced
+event-by-event in :mod:`repro.sim.replay`, the executor's independent
+oracle; the integration tests assert both agree.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.eventlog import EventLogRecorder
 
-from repro.core.plan import DeviceDirective, MulticastPlan, Transmission, WakeMethod
-from repro.devices.device import NbIotDevice
+from repro.core.plan import MulticastPlan
 from repro.devices.fleet import Fleet
-from repro.drx.paging import pattern_for
-from repro.drx.schedule import PoSchedule
-from repro.energy.ledger import UptimeLedger
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.energy.states import PowerState
-from repro.errors import SimulationError
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.metrics import CampaignResult, DeviceOutcome
-from repro.timebase import frame_after_seconds, frames_to_seconds
+from repro.sim.columnar import execute_columnar
+from repro.sim.metrics import CampaignResult
 
 
 class CampaignExecutor:
-    """Executes plans with direct timeline arithmetic (the fast path).
-
-    ``columnar=True`` (the default) runs the vectorised NumPy path of
-    :mod:`repro.sim.columnar`: one array-of-ledgers instead of
-    per-device Python objects, equivalent to the per-device reference
-    path within float tolerance. ``columnar=False`` keeps the original
-    per-device loop, retained as the equivalence oracle.
-    """
+    """Executes plans with whole-fleet timeline arithmetic."""
 
     def __init__(
         self,
         timings: ProcedureTimings = ProcedureTimings(),
         energy_profile: EnergyProfile = DEFAULT_PROFILE,
-        columnar: bool = True,
     ) -> None:
         self._timings = timings
         self._profile = energy_profile
-        self._columnar = columnar
 
     @property
     def timings(self) -> ProcedureTimings:
         """The control-plane timing model in force."""
         return self._timings
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def execute(
         self,
         fleet: Fleet,
@@ -91,378 +75,15 @@ class CampaignExecutor:
 
         ``rng`` is only needed when the random access model injects
         contention. ``recorder`` (see :mod:`repro.sim.eventlog`)
-        captures the campaign's semantic events on either path; the
-        caller finalises it into an :class:`EventLog`.
+        captures the campaign's semantic events; the caller finalises
+        it into an :class:`EventLog`.
         """
-        if self._columnar:
-            from repro.sim.columnar import execute_columnar
-
-            return execute_columnar(
-                fleet,
-                plan,
-                timings=self._timings,
-                energy_profile=self._profile,
-                horizon_frames=horizon_frames,
-                rng=rng,
-                recorder=recorder,
-            )
-        per_device = self._prepare_devices(fleet, plan, rng)
-        actual_starts = self._transmission_starts(plan, per_device)
-        outcomes, horizon = self._account(
-            fleet, plan, per_device, actual_starts, horizon_frames, recorder
-        )
-        if recorder is not None:
-            self._emit_transmissions(plan, actual_starts, recorder)
-        return CampaignResult(
-            plan=plan,
-            horizon_frames=horizon,
-            outcomes=tuple(outcomes),
-            actual_start_s=tuple(actual_starts[t.index] for t in plan.transmissions),
+        return execute_columnar(
+            fleet,
+            plan,
+            timings=self._timings,
             energy_profile=self._profile,
+            horizon_frames=horizon_frames,
+            rng=rng,
+            recorder=recorder,
         )
-
-    # ------------------------------------------------------------------
-    # Phase 1: readiness and pre-transmission charges
-    # ------------------------------------------------------------------
-    def _prepare_devices(
-        self,
-        fleet: Fleet,
-        plan: MulticastPlan,
-        rng: Optional[np.random.Generator],
-    ) -> Dict[int, "_DeviceTimeline"]:
-        timelines: Dict[int, _DeviceTimeline] = {}
-        airtime = self._timings.airtime
-        for directive in plan.directives:
-            device = fleet[directive.device_index]
-            timeline = _DeviceTimeline(directive=directive)
-            if directive.method is WakeMethod.DRX_ADAPTATION:
-                adaptation_s = frames_to_seconds(directive.adaptation_page_frame)
-                episode = self._timings.adaptation_episode_s(device.coverage, rng)
-                timeline.adaptation_paging_s = airtime.paging_message_s
-                timeline.adaptation_episode_s = episode
-                timeline.adaptation_busy_end_f = frame_after_seconds(
-                    adaptation_s + airtime.paging_message_s + episode
-                )
-            if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-                # Extended page heard at a normal PO; connection happens
-                # later, at T322 expiry, with no page preceding it.
-                timeline.page_rx_s = airtime.extended_paging_s
-                wake_s = frames_to_seconds(directive.connect_frame)
-                ra = self._timings.random_access.perform(device.coverage, rng)
-                timeline.ra_s = ra.duration_s
-                timeline.ra_attempts = ra.attempts
-                timeline.ready_s = wake_s + ra.duration_s + airtime.rrc_setup_s
-            else:
-                timeline.page_rx_s = airtime.paging_message_s
-                page_s = frames_to_seconds(directive.page_frame)
-                ra = self._timings.random_access.perform(device.coverage, rng)
-                timeline.ra_s = ra.duration_s
-                timeline.ra_attempts = ra.attempts
-                timeline.ready_s = (
-                    page_s
-                    + airtime.paging_message_s
-                    + ra.duration_s
-                    + airtime.rrc_setup_s
-                )
-            timelines[directive.device_index] = timeline
-        return timelines
-
-    # ------------------------------------------------------------------
-    # Phase 2: realised transmission starts
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _transmission_starts(
-        plan: MulticastPlan, per_device: Dict[int, "_DeviceTimeline"]
-    ) -> Dict[int, float]:
-        starts: Dict[int, float] = {}
-        for transmission in plan.transmissions:
-            nominal = frames_to_seconds(transmission.frame)
-            latest_ready = max(
-                per_device[i].ready_s for i in transmission.device_indices
-            )
-            starts[transmission.index] = max(nominal, latest_ready)
-        return starts
-
-    # ------------------------------------------------------------------
-    # Phase 3: per-device accounting over the horizon
-    # ------------------------------------------------------------------
-    def _account(
-        self,
-        fleet: Fleet,
-        plan: MulticastPlan,
-        per_device: Dict[int, "_DeviceTimeline"],
-        starts: Dict[int, float],
-        horizon_frames: Optional[int],
-        recorder: Optional["EventLogRecorder"] = None,
-    ) -> Tuple[List[DeviceOutcome], int]:
-        airtime = self._timings.airtime
-        transmissions = {t.index: t for t in plan.transmissions}
-
-        # First pass: campaign end (to resolve the default horizon).
-        end_s = 0.0
-        for directive in plan.directives:
-            timeline = per_device[directive.device_index]
-            transmission = transmissions[directive.transmission_index]
-            rx_s = plan.payload_bytes * 8.0 / transmission.rate_bps
-            tail = self._tail_s(directive)
-            timeline.start_s = starts[transmission.index]
-            timeline.rx_s = rx_s
-            timeline.tail_s = tail
-            timeline.main_end_s = timeline.start_s + rx_s + tail
-            end_s = max(end_s, timeline.main_end_s)
-        horizon = self._resolve_horizon(horizon_frames, end_s)
-        horizon_s = frames_to_seconds(horizon)
-        if recorder is not None:
-            from repro.sim.eventlog import profile_meta
-
-            recorder.set_meta(
-                emitter="row",
-                energy_profile=profile_meta(self._profile),
-                mechanism=plan.mechanism,
-                n_devices=len(plan.directives),
-                n_transmissions=len(plan.transmissions),
-                payload_bytes=plan.payload_bytes,
-                announce_frame=plan.announce_frame,
-                horizon_frames=int(horizon),
-                po_monitor_s=airtime.po_monitor_s,
-                paging_message_s=airtime.paging_message_s,
-                extended_paging_s=airtime.extended_paging_s,
-                rrc_setup_s=airtime.rrc_setup_s,
-                release_s=self._timings.release_s(),
-                restore_s=self._timings.restore_s(),
-            )
-
-        outcomes: List[DeviceOutcome] = []
-        for directive in plan.directives:
-            device = fleet[directive.device_index]
-            timeline = per_device[directive.device_index]
-            if timeline.main_end_s > horizon_s + 1e-9:
-                raise SimulationError(
-                    f"horizon {horizon} frames ends before device "
-                    f"{directive.device_index} finishes at {timeline.main_end_s:.2f}s"
-                )
-            ledger = UptimeLedger()
-            po_monitor = self._idle_po_count(
-                device, directive, timeline, plan.announce_frame, horizon
-            )
-            ledger.add(PowerState.PO_MONITOR, po_monitor * airtime.po_monitor_s)
-            ledger.add(PowerState.PAGING_RX, timeline.page_rx_s)
-            ra2 = 0.0
-            if directive.method is WakeMethod.DRX_ADAPTATION:
-                ledger.add(PowerState.PAGING_RX, timeline.adaptation_paging_s)
-                ra2 = self._timings.random_access.base_duration_s(device.coverage)
-                ledger.add(PowerState.RANDOM_ACCESS, ra2)
-                ledger.add(
-                    PowerState.RRC_SIGNALLING, timeline.adaptation_episode_s - ra2
-                )
-            ledger.add(PowerState.RANDOM_ACCESS, timeline.ra_s)
-            ledger.add(PowerState.RRC_SIGNALLING, airtime.rrc_setup_s)
-            wait_s = timeline.start_s - timeline.ready_s
-            if wait_s < -1e-9:
-                raise SimulationError(
-                    f"negative wait for device {directive.device_index}"
-                )  # pragma: no cover - guarded by start computation
-            ledger.add(PowerState.CONNECTED_WAIT, max(0.0, wait_s))
-            ledger.add(PowerState.CONNECTED_RX, timeline.rx_s)
-            ledger.add(PowerState.RRC_SIGNALLING, timeline.tail_s)
-            totals = ledger.totals
-            ledger.add(
-                PowerState.DEEP_SLEEP,
-                max(0.0, horizon_s - totals.light_sleep_s - totals.connected_s),
-            )
-            outcomes.append(
-                DeviceOutcome(
-                    device_index=directive.device_index,
-                    transmission_index=directive.transmission_index,
-                    ledger=ledger,
-                    ready_s=timeline.ready_s,
-                    wait_s=max(0.0, wait_s),
-                    updated_s=timeline.start_s + timeline.rx_s,
-                )
-            )
-            if recorder is not None:
-                self._emit_device(
-                    recorder, plan, directive, timeline, po_monitor, ra2
-                )
-        outcomes.sort(key=lambda outcome: outcome.device_index)
-        return outcomes, horizon
-
-    def _emit_device(
-        self,
-        recorder: "EventLogRecorder",
-        plan: MulticastPlan,
-        directive: DeviceDirective,
-        timeline: "_DeviceTimeline",
-        po_monitor: int,
-        adaptation_ra_s: float,
-    ) -> None:
-        """Record one device's events with the exact accounted floats."""
-        from repro.sim.events import EventKind
-
-        dev = directive.device_index
-        tx = directive.transmission_index
-        recorder.emit(
-            EventKind.PO_MONITOR, plan.announce_frame, dev, tx, a=float(po_monitor)
-        )
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            recorder.emit(
-                EventKind.ADAPTATION_PAGE,
-                directive.adaptation_page_frame,
-                dev,
-                tx,
-                a=timeline.adaptation_episode_s,
-                b=adaptation_ra_s,
-            )
-        if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-            recorder.emit(
-                EventKind.EXTENDED_PAGE,
-                directive.page_frame,
-                dev,
-                tx,
-                a=timeline.page_rx_s,
-            )
-            recorder.emit(EventKind.T322_EXPIRY, directive.connect_frame, dev, tx)
-        else:
-            recorder.emit(
-                EventKind.PAGE, directive.page_frame, dev, tx, a=timeline.page_rx_s
-            )
-        recorder.emit(
-            EventKind.CONNECTION_READY,
-            frame_after_seconds(timeline.ready_s),
-            dev,
-            tx,
-            a=timeline.ra_s,
-            b=timeline.ready_s,
-        )
-        if self._timings.random_access.collision_probability > 0.0:
-            recorder.emit(
-                EventKind.RA_ATTEMPT,
-                frame_after_seconds(timeline.ready_s),
-                dev,
-                tx,
-                a=float(timeline.ra_attempts),
-                b=timeline.ra_s,
-            )
-        recorder.emit(
-            EventKind.DEVICE_DONE,
-            frame_after_seconds(timeline.main_end_s),
-            dev,
-            tx,
-            a=max(0.0, timeline.start_s - timeline.ready_s),
-            b=timeline.rx_s,
-        )
-
-    @staticmethod
-    def _emit_transmissions(
-        plan: MulticastPlan,
-        starts: Dict[int, float],
-        recorder: "EventLogRecorder",
-    ) -> None:
-        """Record realised transmission bounds (row path)."""
-        from repro.sim.events import EventKind
-
-        for transmission in plan.transmissions:
-            start_s = starts[transmission.index]
-            end_s = start_s + plan.payload_bytes * 8.0 / transmission.rate_bps
-            recorder.emit(
-                EventKind.TX_START,
-                transmission.frame,
-                group=transmission.index,
-                a=start_s,
-                b=transmission.rate_bps,
-            )
-            recorder.emit(
-                EventKind.TX_END,
-                frame_after_seconds(end_s),
-                group=transmission.index,
-                a=end_s,
-            )
-
-    def _tail_s(self, directive: DeviceDirective) -> float:
-        """Post-payload signalling: restore (DA-SC only) + release."""
-        tail = self._timings.release_s()
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            tail += self._timings.restore_s()
-        return tail
-
-    @staticmethod
-    def _resolve_horizon(horizon_frames: Optional[int], end_s: float) -> int:
-        needed = frame_after_seconds(end_s) + 1
-        if horizon_frames is None:
-            return needed
-        if horizon_frames < needed:
-            raise SimulationError(
-                f"horizon {horizon_frames} frames ends before the campaign "
-                f"does ({needed} frames needed)"
-            )
-        return horizon_frames
-
-    def _idle_po_count(
-        self,
-        device: NbIotDevice,
-        directive: DeviceDirective,
-        timeline: "_DeviceTimeline",
-        announce_frame: int,
-        horizon: int,
-    ) -> int:
-        """Paging occasions monitored while idle (excluding page events)."""
-        preferred = device.schedule
-        main_busy_start = (
-            directive.connect_frame
-            if directive.method is WakeMethod.EXTENDED_PAGE_TIMER
-            else directive.page_frame
-        )
-        main_busy_end = frame_after_seconds(timeline.main_end_s)
-
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            adapted = pattern_for(
-                device.drx.ue_id, directive.adapted_cycle, device.drx.nb
-            ).schedule
-            a = directive.adaptation_page_frame
-            count = preferred.count_in(announce_frame, a)
-            count += adapted.count_in(
-                timeline.adaptation_busy_end_f + 1, main_busy_start
-            )
-            count += preferred.count_in(main_busy_end + 1, horizon)
-            return count
-
-        count = preferred.count_in(announce_frame, horizon)
-        count -= preferred.count_in(main_busy_start, main_busy_end + 1)
-        if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-            # The PO carrying the extended page is charged as paging
-            # reception, not monitoring (it lies outside the busy span).
-            count -= 1
-        return count
-
-
-class _DeviceTimeline:
-    """Mutable scratch space for one device during execution."""
-
-    __slots__ = (
-        "directive",
-        "page_rx_s",
-        "ra_s",
-        "ra_attempts",
-        "ready_s",
-        "adaptation_paging_s",
-        "adaptation_episode_s",
-        "adaptation_busy_end_f",
-        "start_s",
-        "rx_s",
-        "tail_s",
-        "main_end_s",
-    )
-
-    def __init__(self, directive: DeviceDirective) -> None:
-        self.directive = directive
-        self.page_rx_s = 0.0
-        self.ra_s = 0.0
-        self.ra_attempts = 1
-        self.ready_s = 0.0
-        self.adaptation_paging_s = 0.0
-        self.adaptation_episode_s = 0.0
-        self.adaptation_busy_end_f = 0
-        self.start_s = 0.0
-        self.rx_s = 0.0
-        self.tail_s = 0.0
-        self.main_end_s = 0.0

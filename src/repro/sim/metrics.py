@@ -4,7 +4,7 @@ A campaign result holds the per-device uptime accounting plus the
 realised transmission times. Two backings exist:
 
 * **row form** — a tuple of :class:`DeviceOutcome` objects (produced by
-  the per-device reference executor and the event-driven replay);
+  the event-driven replay);
 * **columnar form** — a :class:`FleetOutcomes` bundle of parallel NumPy
   arrays plus a :class:`~repro.energy.ledger.LedgerArray` (produced by
   the vectorised executor).

@@ -6,20 +6,19 @@ caller-supplied run function over them, and aggregates each returned
 metric into a :class:`RunStatistics` (mean, standard deviation, 95 %
 confidence half-width).
 
-Three execution backends produce bit-identical results:
+Each run is one work item of the task graph in :mod:`repro.sim.dispatch`,
+so the two backends produce bit-identical results:
 
-* ``serial`` — runs in-process, one run after another (the default);
-* ``process`` — shards the run list across a process pool
-  (:mod:`repro.sim.parallel`); requires a picklable run function.
-* ``fused`` — one run per work item through the fused (run x cell)
-  work-queue scheduler (:mod:`repro.sim.dispatch`); requires a
-  picklable run function. For generic run functions this is a flat
-  map, but scenario campaigns route per-cell sub-tasks through the
-  same queue (see :mod:`repro.scenarios.runner`).
+* ``serial`` — the items drain in this process, one run after another
+  (the default; the run function need not be picklable);
+* ``fused`` — the items drain through the fused (run x cell) work-queue
+  scheduler's process pool; requires a picklable run function.
 
-An optional :class:`~repro.sim.parallel.ResultCache` short-circuits
+An optional :class:`~repro.sim.cache.ResultCache` short-circuits
 repeated campaigns: when a ``cache_tag`` is supplied and the cache holds
-matching metric arrays, no runs execute at all.
+matching metric arrays, no runs execute at all. :class:`CampaignCache`
+is the one load/store protocol every campaign (plain run functions,
+scenarios, sweep grid cells) goes through.
 """
 
 from __future__ import annotations
@@ -31,11 +30,14 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.parallel import ResultCache, RunFn, run_in_processes
-from repro.sim.rng import spawn_generators
-
-#: Execution backends accepted by :class:`MonteCarlo`.
-BACKENDS = ("serial", "process", "fused")
+from repro.sim.cache import ResultCache
+from repro.sim.dispatch import (
+    PartialResult,
+    RunFn,
+    drain,
+    run_items,
+    validate_backend,
+)
 
 
 @dataclass(frozen=True)
@@ -132,26 +134,68 @@ def _collect(per_run: Sequence[Mapping[str, float]]) -> Dict[str, List[float]]:
     return collected
 
 
-def collect_metric_columns(
-    per_run: Sequence[Mapping[str, float]],
-) -> Dict[str, List[float]]:
-    """Validate and pivot per-run metric dicts into metric columns.
+class CampaignCache:
+    """One campaign's entry in an optional :class:`ResultCache`.
 
-    The public face of the harness's aggregation step, for executors
-    (like the fused scenario path) that produce the per-run dicts
-    outside :meth:`MonteCarlo.run` but must aggregate — and cache —
-    identically to it.
+    The single cache protocol: the key is the campaign's deterministic
+    address ``(tag, fingerprint, seed, n_runs)``, the stored columns are
+    the validated per-run metric columns. Without a cache (or a tag) it
+    only aggregates.
     """
-    return _collect(per_run)
+
+    def __init__(
+        self,
+        cache: Optional[ResultCache],
+        tag: Optional[str],
+        fingerprint: str,
+        seed: int,
+        n_runs: int,
+    ) -> None:
+        self._cache = cache if tag is not None else None
+        self._meta = {
+            "tag": tag,
+            "fingerprint": fingerprint,
+            "seed": seed,
+            "n_runs": n_runs,
+        }
+        self._key = (
+            None
+            if self._cache is None
+            else ResultCache.key(tag, fingerprint, seed, n_runs)
+        )
+
+    def load(self) -> Optional[Dict[str, RunStatistics]]:
+        """The cached statistics, or None on a miss (or without a cache)."""
+        if self._key is None:
+            return None
+        cached = self._cache.load(self._key)
+        if cached is None:
+            return None
+        return {
+            name: RunStatistics(values=values)
+            for name, values in cached.items()
+        }
+
+    def aggregate(
+        self, per_run: Sequence[Mapping[str, float]]
+    ) -> Dict[str, RunStatistics]:
+        """Validate and pivot per-run metric dicts (storing them when
+        cached) into per-metric statistics."""
+        collected = _collect(per_run)
+        if self._key is not None:
+            self._cache.store(self._key, collected, meta=self._meta)
+        return {
+            name: RunStatistics(values=np.asarray(vals, dtype=np.float64))
+            for name, vals in collected.items()
+        }
 
 
 class MonteCarlo:
     """Runs a seeded experiment ``n_runs`` times and aggregates metrics.
 
-    ``backend`` selects how the runs execute (``"serial"``,
-    ``"process"`` or ``"fused"``); all spawn run ``i``'s generator
-    identically, so the aggregated arrays are bit-for-bit equal across
-    backends and worker counts.
+    ``backend`` selects how the runs execute (``"serial"`` or
+    ``"fused"``); both drain the same work items, so the aggregated
+    arrays are bit-for-bit equal across backends and worker counts.
     """
 
     def __init__(
@@ -169,10 +213,7 @@ class MonteCarlo:
         results are bit-identical at every grain."""
         if n_runs < 1:
             raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
+        validate_backend(backend)
         if workers is not None and workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:
@@ -203,7 +244,7 @@ class MonteCarlo:
 
     @property
     def workers(self) -> Optional[int]:
-        """Process-pool size (None = all cores; ignored when serial)."""
+        """Fused pool size (None = all cores; ignored when serial)."""
         return self._workers
 
     def run(
@@ -226,61 +267,34 @@ class MonteCarlo:
         first's stale results. Config-driven callers should pass
         ``config.fingerprint()``.
         """
-        key = None
-        if self._cache is not None and cache_tag is not None:
-            key = ResultCache.key(
-                cache_tag, config_fingerprint, self._seed, self._n_runs
-            )
-            cached = self._cache.load(key)
-            if cached is not None:
-                return {
-                    name: RunStatistics(values=values)
-                    for name, values in cached.items()
-                }
+        campaign = CampaignCache(
+            self._cache,
+            cache_tag,
+            config_fingerprint,
+            self._seed,
+            self._n_runs,
+        )
+        cached = campaign.load()
+        if cached is not None:
+            return cached
+        # Validate each run as it lands, so a bad run fn fails the
+        # campaign at the offending run, not after all of them.
+        expected_keys = None
 
-        if self._backend == "process":
-            per_run = run_in_processes(
-                fn, self._seed, self._n_runs, workers=self._workers
+        def check(partial: PartialResult) -> None:
+            nonlocal expected_keys
+            expected_keys = _validate(
+                partial.top_index, partial.value, expected_keys
             )
-        elif self._backend == "fused":
-            from repro.sim.dispatch import run_fused
 
-            per_run = run_fused(
-                fn,
-                self._seed,
-                self._n_runs,
-                workers=self._workers,
-                chunk_size=self._chunk_size,
-            )
-        else:
-            # Validate as each run completes so a bad run fn fails the
-            # campaign at run 0, not after the whole serial loop.
-            per_run = []
-            expected_keys = None
-            for run_index, rng in enumerate(
-                spawn_generators(self._seed, self._n_runs)
-            ):
-                metrics = fn(rng, run_index)
-                expected_keys = _validate(run_index, metrics, expected_keys)
-                per_run.append(metrics)
-        collected = _collect(per_run)
-
-        if key is not None:
-            assert self._cache is not None
-            self._cache.store(
-                key,
-                collected,
-                meta={
-                    "tag": cache_tag,
-                    "fingerprint": config_fingerprint,
-                    "seed": self._seed,
-                    "n_runs": self._n_runs,
-                },
-            )
-        return {
-            name: RunStatistics(values=np.asarray(vals, dtype=np.float64))
-            for name, vals in collected.items()
-        }
+        per_run = drain(
+            run_items(fn, self._seed, self._n_runs),
+            self._backend,
+            workers=self._workers,
+            on_partial=check,
+            chunk_size=self._chunk_size,
+        )
+        return campaign.aggregate(per_run)
 
 
 def run_monte_carlo(

@@ -17,8 +17,9 @@ from repro.scenarios import golden_spec, run_scenario, scenario
 from repro.sim.dispatch import (
     FusedScheduler,
     auto_chunk_size,
-    map_fused,
-    run_fused,
+    execute_items,
+    map_items,
+    run_items,
 )
 from repro.sim.montecarlo import run_monte_carlo
 
@@ -89,8 +90,10 @@ class TestChunkedFlatMaps:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_run_fused_chunked_matches_serial_montecarlo(self, chunk_size):
         serial = run_monte_carlo(draw_run, n_runs=7, seed=99)
-        per_run = run_fused(
-            draw_run, seed=99, n_runs=7, workers=2, chunk_size=chunk_size
+        per_run = execute_items(
+            run_items(draw_run, seed=99, n_runs=7),
+            workers=2,
+            chunk_size=chunk_size,
         )
         assert np.array_equal(
             serial["draw"].values,
@@ -99,23 +102,15 @@ class TestChunkedFlatMaps:
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_map_fused_chunked_is_grain_independent(self, chunk_size):
-        base = map_fused(square_item, 5, list(range(9)), workers=1,
-                         chunk_size=1)
-        out = map_fused(
-            square_item,
-            5,
-            list(range(9)),
-            workers=2,
-            chunk_size=chunk_size,
-        )
+        items = map_items(square_item, 5, list(range(9)))
+        base = execute_items(items, workers=1, chunk_size=1)
+        out = execute_items(items, workers=2, chunk_size=chunk_size)
         assert out == base
 
     def test_partials_stream_per_item_not_per_chunk(self):
         partials = []
-        map_fused(
-            square_item,
-            5,
-            list(range(9)),
+        execute_items(
+            map_items(square_item, 5, list(range(9))),
             workers=1,
             chunk_size=4,
             on_partial=partials.append,

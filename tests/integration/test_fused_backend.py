@@ -1,10 +1,10 @@
 """Fused-backend equivalence: one work queue, bit-identical results.
 
-The fused (run x cell) scheduler replaces the siloed run-sharding and
-cell-sharding pools. Its contract is exact: for any worker count and
-any task completion order, every consumer surface — ``run_scenario``,
-``run_sweep``, ``CoordinationEntity.rollout``, ``run_monte_carlo`` —
-returns arrays bit-identical to the serial path. The result cache is
+The fused (run x cell) scheduler drains the same task graph the serial
+backend drains in-process. Its contract is exact: for any worker count
+and any task completion order, every consumer surface —
+``run_scenario``, ``run_sweep``, ``CoordinationEntity.rollout``,
+``run_monte_carlo`` — returns arrays bit-identical to the serial path. The result cache is
 keyed by deterministic address only, so entries written by one backend
 must be hits for every other.
 """
@@ -14,11 +14,15 @@ import pytest
 
 from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
-from repro.multicast.coordination import CoordinationEntity, partition_fleet
+from repro.multicast.coordination import (
+    CoordinationEntity,
+    cells_bit_identical,
+    partition_fleet,
+)
 from repro.multicast.payload import FirmwareImage
 from repro.scenarios import golden_spec, run_scenario, scenario
 from repro.sim.montecarlo import MonteCarlo
-from repro.sim.parallel import ResultCache
+from repro.sim.cache import ResultCache
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
@@ -147,25 +151,14 @@ class TestRolloutFused:
         )
         assert len(serial.campaigns) == len(fused.campaigns)
         for a, b in zip(serial.campaigns, fused.campaigns):
-            assert a.cell_id == b.cell_id
-            assert a.plan.transmissions == b.plan.transmissions
-            assert a.result.fleet == b.result.fleet
-            columnar_a, columnar_b = a.result.columnar, b.result.columnar
-            assert (columnar_a is None) == (columnar_b is None)
-            if columnar_a is not None:
-                np.testing.assert_array_equal(
-                    columnar_a.wait_s, columnar_b.wait_s
-                )
-                np.testing.assert_array_equal(
-                    columnar_a.updated_s, columnar_b.updated_s
-                )
+            assert cells_bit_identical(a, b), f"cell {a.cell_id} differs"
 
 
 class TestCacheIsBackendAgnostic:
     """The PR 8 cache contract: the key is the deterministic address
     (tag, fingerprint, seed, n_runs) — whoever computed it."""
 
-    BACKENDS = [("serial", None), ("process", 2), ("fused", 1), ("fused", 2)]
+    BACKENDS = [("serial", None), ("fused", 1), ("fused", 2)]
 
     @pytest.mark.parametrize("writer,writer_workers", BACKENDS)
     def test_any_backend_hit_by_every_other(

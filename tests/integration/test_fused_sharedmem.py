@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.devices import Fleet, SharedFleet
-from repro.errors import ConfigurationError
 from repro.multicast.coordination import MultiCellSpec, attach_devices
 from repro.scenarios import run_scenario, scenario
 from repro.scenarios.runner import (
@@ -120,7 +119,6 @@ class TestConstantSizeIpc:
             try:
                 payload = _FusedCellPayload(
                     spec=spec,
-                    columnar=True,
                     cell_id=0,
                     descriptor=shared.descriptor,
                 )
@@ -203,10 +201,3 @@ class TestStreamedPartials:
             str(p.address) for p in partials if p.kind == "sub"
         ]
         assert all("/run0/cell" in label for label in labels)
-
-    def test_streaming_requires_fused_backend(self):
-        spec = scenario("city-rollout").with_overrides(n_devices=20)
-        with pytest.raises(ConfigurationError, match="fused"):
-            run_scenario(
-                spec, backend="serial", on_partial=lambda p: None
-            )

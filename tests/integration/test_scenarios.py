@@ -2,14 +2,11 @@
 
 Every registered scenario is pinned: its headline metrics at the golden
 configuration must match the committed JSON bit-for-bit (within float
-tolerance), the process-pool backend must agree with serial exactly,
-and the columnar executor must agree with the per-device reference
-path within 1e-9. A PR that shifts any of these either fixes a bug (and
-re-pins with ``python -m repro scenarios run --all --update-golden``)
-or is a regression.
+tolerance), and the fused backend must agree with serial exactly. A PR
+that shifts any of these either fixes a bug (and re-pins with
+``python -m repro scenarios run --all --update-golden``) or is a
+regression.
 """
-
-import math
 
 import pytest
 
@@ -53,36 +50,20 @@ class TestGoldenRegression:
 
 class TestExecutionPathEquivalence:
     @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_process_backend_bit_identical(self, name, golden_serial_columnar):
+    def test_fused_backend_bit_identical(self, name, golden_serial_columnar):
         from repro.scenarios import scenario
 
         spec = golden_spec(scenario(name))
-        process = run_scenario(spec, backend="process", workers=2)
+        fused = run_scenario(spec, backend="fused", workers=2)
         serial = golden_serial_columnar[name]
-        assert set(process) == set(serial)
+        assert set(fused) == set(serial)
         for metric, stats in serial.items():
             assert (
-                stats.values.tolist() == process[metric].values.tolist()
-            ), f"{name}.{metric} differs between serial and process backends"
-
-    @pytest.mark.parametrize("name", ALL_NAMES)
-    def test_row_path_agrees_within_tolerance(
-        self, name, golden_serial_columnar
-    ):
-        from repro.scenarios import scenario
-
-        spec = golden_spec(scenario(name))
-        row = run_scenario(spec, columnar=False)
-        columnar = golden_serial_columnar[name]
-        assert set(row) == set(columnar)
-        for metric, stats in columnar.items():
-            for got, want in zip(row[metric].values, stats.values):
-                assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (
-                    f"{name}.{metric}: columnar {want} vs row {got}"
-                )
+                stats.values.tolist() == fused[metric].values.tolist()
+            ), f"{name}.{metric} differs between serial and fused backends"
 
 
-class TestSweepThroughParallelColumnarPath:
+class TestSweepThroughTheTaskGraph:
     def test_three_axis_grid_over_whole_registry_expands(self):
         from repro.scenarios import DEFAULT_AXES, SweepAxis, expand_grid
 
@@ -96,7 +77,7 @@ class TestSweepThroughParallelColumnarPath:
             assert cell.spec.ra_collision_probability == coords["collision"]
             assert cell.spec.segment_loss_probability == coords["loss"]
 
-    def test_sweep_cells_run_through_process_backend(self):
+    def test_sweep_cells_run_through_fused_backend(self):
         from repro.scenarios import SweepAxis, run_sweep, scenario
 
         results = run_sweep(
@@ -106,7 +87,7 @@ class TestSweepThroughParallelColumnarPath:
                 SweepAxis("collision", (0.0, 0.3)),
                 SweepAxis("loss", (0.0,)),
             ],
-            backend="process",
+            backend="fused",
             workers=2,
             n_runs=2,
         )
@@ -122,8 +103,8 @@ class TestSweepThroughParallelColumnarPath:
             stormy["mean_wait_s"].mean >= calm["mean_wait_s"].mean - 1e-9
         )
 
-    def test_grouping_axis_sweep_serial_process_bit_identical(self):
-        """A 3-policy grouping sweep: process == serial, bit for bit."""
+    def test_grouping_axis_sweep_serial_fused_bit_identical(self):
+        """A 3-policy grouping sweep: fused == serial, bit for bit."""
         from repro.scenarios import SweepAxis, run_sweep, scenario
 
         specs = [
@@ -139,11 +120,11 @@ class TestSweepThroughParallelColumnarPath:
             ),
         ]
         serial = run_sweep(specs, axes, backend="serial", n_runs=2)
-        process = run_sweep(
-            specs, axes, backend="process", workers=2, n_runs=2
+        fused = run_sweep(
+            specs, axes, backend="fused", workers=2, n_runs=2
         )
-        assert len(serial) == len(process) == 6
-        for (cell_s, stats_s), (cell_p, stats_p) in zip(serial, process):
+        assert len(serial) == len(fused) == 6
+        for (cell_s, stats_s), (cell_p, stats_p) in zip(serial, fused):
             assert cell_s.coordinates == cell_p.coordinates
             assert cell_s.spec.grouping == dict(cell_s.coordinates)["grouping"]
             assert set(stats_s) == set(stats_p)

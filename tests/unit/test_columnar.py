@@ -1,9 +1,11 @@
 """Unit tests for the columnar executor path, LedgerArray and metrics.
 
-The vectorised executor must reproduce the per-device reference loop
-within 1e-9 per device and per power state — the reference stays the
-oracle. Also covers the columnar CampaignResult surface (lazy
-outcomes, array reductions) and the empty-result mean_wait_s guard.
+The vectorised executor must reproduce the event-driven replay
+(:class:`~repro.sim.replay.EventDrivenCampaign`, its independent
+oracle) within 1e-9 per device and per power state. Also covers the
+random-access draw order under contention, the columnar CampaignResult
+surface (lazy outcomes, array reductions) and the empty-result
+mean_wait_s guard.
 """
 
 import numpy as np
@@ -16,10 +18,14 @@ from repro.core import (
     UnicastBaseline,
 )
 from repro.core.base import PlanningContext
+from repro.core.plan import WakeMethod
 from repro.energy.ledger import STATE_ORDER, LedgerArray, UptimeLedger
 from repro.energy.states import PowerState, StateGroup
 from repro.errors import ConfigurationError, SimulationError
+from repro.sim.eventlog import EventLogRecorder
+from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
+from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
 
@@ -44,13 +50,18 @@ def _assert_results_equivalent(reference, columnar, atol=1e-9):
             ), f"device {ref.device_index} disagrees on {state}"
 
 
+def _replayed(fleet, plan, horizon_frames=None):
+    """The event-driven oracle's result for ``plan``."""
+    return EventDrivenCampaign(fleet, plan).run(horizon_frames=horizon_frames)
+
+
 class TestColumnarEquivalence:
     @pytest.mark.parametrize("mechanism_cls", MECHANISMS)
     def test_per_mechanism(self, mechanism_cls, moderate_fleet, context):
         rng = np.random.default_rng(7)
         plan = mechanism_cls().plan(moderate_fleet, context, rng)
-        reference = CampaignExecutor(columnar=False).execute(moderate_fleet, plan)
-        columnar = CampaignExecutor(columnar=True).execute(moderate_fleet, plan)
+        columnar = CampaignExecutor().execute(moderate_fleet, plan)
+        reference = _replayed(moderate_fleet, plan, columnar.horizon_frames)
         assert columnar.columnar is not None and reference.columnar is None
         _assert_results_equivalent(reference, columnar)
 
@@ -62,17 +73,15 @@ class TestColumnarEquivalence:
         ctx = PlanningContext(payload_bytes=250_000)
         for mechanism_cls in MECHANISMS:
             plan = mechanism_cls().plan(fleet, ctx, rng)
-            reference = CampaignExecutor(columnar=False).execute(fleet, plan)
-            columnar = CampaignExecutor(columnar=True).execute(
-                fleet, plan, horizon_frames=reference.horizon_frames
-            )
+            columnar = CampaignExecutor().execute(fleet, plan)
+            reference = _replayed(fleet, plan, columnar.horizon_frames)
             _assert_results_equivalent(reference, columnar)
 
     def test_fleet_summary_matches(self, moderate_fleet, context):
         rng = np.random.default_rng(3)
         plan = DaScMechanism().plan(moderate_fleet, context, rng)
-        reference = CampaignExecutor(columnar=False).execute(moderate_fleet, plan)
-        columnar = CampaignExecutor(columnar=True).execute(moderate_fleet, plan)
+        columnar = CampaignExecutor().execute(moderate_fleet, plan)
+        reference = _replayed(moderate_fleet, plan, columnar.horizon_frames)
         for attribute in ("light_sleep_s", "connected_s", "sleep_s"):
             assert getattr(columnar.fleet, attribute) == pytest.approx(
                 getattr(reference.fleet, attribute), rel=1e-12
@@ -87,33 +96,65 @@ class TestColumnarEquivalence:
     def test_too_short_horizon_rejected(self, moderate_fleet, context):
         plan = UnicastBaseline().plan(moderate_fleet, context)
         with pytest.raises(SimulationError):
-            CampaignExecutor(columnar=True).execute(
+            CampaignExecutor().execute(
                 moderate_fleet, plan, horizon_frames=10
             )
 
-    def test_contention_stream_identical(self, moderate_fleet, context):
-        """With RACH collisions the columnar path must consume the RNG
-        exactly like the reference (device by device, in order)."""
+    def test_contention_draws_in_directive_order(
+        self, moderate_fleet, context
+    ):
+        """With RACH collisions the columnar path draws device by device
+        in directive order: a DA-SC device's adaptation episode first,
+        then its main random access. The draws land in the log's
+        ADAPTATION_PAGE and RA_ATTEMPT rows, value for value."""
+        from repro.devices.fleet import COVERAGE_ORDER
         from repro.rrc.procedures import ProcedureTimings
         from repro.rrc.random_access import RandomAccessModel
 
         timings = ProcedureTimings(
             random_access=RandomAccessModel(collision_probability=0.3)
         )
-        plan = DaScMechanism().plan(moderate_fleet, context, np.random.default_rng(5))
-        reference = CampaignExecutor(timings=timings, columnar=False).execute(
-            moderate_fleet, plan, rng=np.random.default_rng(17)
+        plan = DaScMechanism().plan(
+            moderate_fleet, context, np.random.default_rng(5)
         )
-        columnar = CampaignExecutor(timings=timings, columnar=True).execute(
-            moderate_fleet, plan, rng=np.random.default_rng(17)
+        recorder = EventLogRecorder()
+        CampaignExecutor(timings=timings).execute(
+            moderate_fleet,
+            plan,
+            rng=np.random.default_rng(17),
+            recorder=recorder,
         )
-        _assert_results_equivalent(reference, columnar)
+        log = recorder.finalize(cell=0)
+
+        rng = np.random.default_rng(17)
+        codes = moderate_fleet.coverage_codes
+        episodes, attempts, durations = {}, {}, {}
+        for directive in plan.directives:
+            device = directive.device_index
+            coverage = COVERAGE_ORDER[int(codes[device])]
+            if directive.method is WakeMethod.DRX_ADAPTATION:
+                episodes[device] = timings.adaptation_episode_s(coverage, rng)
+            outcome = timings.random_access.perform(coverage, rng)
+            attempts[device] = float(outcome.attempts)
+            durations[device] = outcome.duration_s
+
+        ra_rows = log.of_kind(EventKind.RA_ATTEMPT)
+        assert sorted(ra_rows["device"].tolist()) == sorted(attempts)
+        for row in ra_rows:
+            assert row["a"] == attempts[int(row["device"])]
+            assert row["b"] == durations[int(row["device"])]
+        assert max(attempts.values()) > 1.0, "contention never collided"
+        adaptation_rows = log.of_kind(EventKind.ADAPTATION_PAGE)
+        assert episodes, "the plan adapts no device"
+        assert sorted(adaptation_rows["device"].tolist()) == sorted(episodes)
+        for row in adaptation_rows:
+            assert row["a"] == episodes[int(row["device"])]
 
 
 class TestColumnarResultSurface:
     def test_outcomes_materialise_lazily_and_sorted(self, moderate_fleet, context):
         plan = DrScMechanism().plan(moderate_fleet, context)
-        result = CampaignExecutor(columnar=True).execute(moderate_fleet, plan)
+        result = CampaignExecutor().execute(moderate_fleet, plan)
         indices = [outcome.device_index for outcome in result.outcomes]
         assert indices == sorted(indices) == list(range(len(moderate_fleet)))
         assert result.outcomes is result.outcomes  # cached after first access
@@ -132,7 +173,7 @@ class TestColumnarResultSurface:
 
     def test_exactly_one_backing_required(self, moderate_fleet, context):
         plan = UnicastBaseline().plan(moderate_fleet, context)
-        result = CampaignExecutor(columnar=True).execute(moderate_fleet, plan)
+        result = CampaignExecutor().execute(moderate_fleet, plan)
         with pytest.raises(SimulationError):
             type(result)(plan=plan, horizon_frames=1)
         with pytest.raises(SimulationError):

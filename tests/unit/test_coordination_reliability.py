@@ -175,7 +175,7 @@ class TestCoordination:
         with pytest.raises(ConfigurationError):
             entity.rollout(cells, image, context, rng, seed=1)
         with pytest.raises(ConfigurationError):
-            entity.rollout(cells, image, context, rng, backend="process")
+            entity.rollout(cells, image, context, rng, backend="fused")
         with pytest.raises(ConfigurationError):
             entity.rollout(cells, image, context, seed=1, backend="thread")
 
@@ -232,7 +232,7 @@ class TestReliability:
     def test_base_segments_survives_replace_and_pickle(self, rng):
         # base_segments used to be smuggled past the frozen dataclass
         # with object.__setattr__, so dataclasses.replace and pickling
-        # (round-tripped by the process-pool backend) silently reset it.
+        # (round-tripped by the fused pool) silently reset it.
         import dataclasses
         import pickle
 

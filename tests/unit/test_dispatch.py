@@ -1,4 +1,4 @@
-"""Unit tests for the fused (run x cell) work-queue scheduler."""
+"""Unit tests for the (run x cell) task graph and its two drains."""
 
 import pickle
 
@@ -13,11 +13,11 @@ from repro.sim.dispatch import (
     TaskAddress,
     WorkItem,
     derive_task_rng,
+    drain_inline,
     execute_items,
-    map_fused,
-    run_fused,
+    map_items,
+    run_items,
 )
-from repro.sim.parallel import map_serial
 from repro.sim.rng import spawn_generators
 
 
@@ -27,7 +27,7 @@ def draw_run(rng, run_index):
 
 
 def draw_item(rng, index, item):
-    """Module-level map fn matching the parallel.MapFn convention."""
+    """Module-level map fn: fn(rng, item_index, item)."""
     return float(rng.random()) + item
 
 
@@ -310,7 +310,9 @@ class TestFusedScheduler:
 class TestFlatMapAdapters:
     def test_run_fused_matches_serial_spawn_contract(self):
         for workers in (1, 2):
-            per_run = run_fused(draw_run, seed=3, n_runs=5, workers=workers)
+            per_run = execute_items(
+                run_items(draw_run, seed=3, n_runs=5), workers=workers
+            )
             expected = [
                 draw_run(rng, i)
                 for i, rng in enumerate(spawn_generators(3, 5))
@@ -319,26 +321,28 @@ class TestFlatMapAdapters:
 
     def test_run_fused_validates_n_runs(self):
         with pytest.raises(ConfigurationError, match="n_runs"):
-            run_fused(draw_run, seed=1, n_runs=0)
+            run_items(draw_run, seed=1, n_runs=0)
 
-    def test_map_fused_matches_map_serial(self):
+    def test_map_fused_matches_inline_drain(self):
         items = [10.0, 20.0, 30.0]
-        serial = map_serial(draw_item, 11, items)
+        serial = drain_inline(map_items(draw_item, 11, items))
         for workers in (1, 2):
-            assert map_fused(draw_item, 11, items, workers=workers) == serial
+            assert execute_items(
+                map_items(draw_item, 11, items), workers=workers
+            ) == serial
 
     def test_map_fused_cell_ids_label_addresses(self):
         items = [1.0, 2.0]
         with pytest.raises(ConfigurationError, match="cell ids"):
-            map_fused(draw_item, 1, items, cell_ids=[0])
+            map_items(draw_item, 1, items, cell_ids=[0])
         # Matching labels change only the address, never the result.
-        assert map_fused(
-            draw_item, 1, items, workers=1, cell_ids=[4, 9]
-        ) == map_serial(draw_item, 1, items)
+        assert execute_items(
+            map_items(draw_item, 1, items, cell_ids=[4, 9]), workers=1
+        ) == drain_inline(map_items(draw_item, 1, items))
 
     def test_map_fused_rejects_empty(self):
         with pytest.raises(ConfigurationError, match="no items"):
-            map_fused(draw_item, 1, [])
+            map_items(draw_item, 1, [])
 
 
 class TestStreamedPartials:
@@ -387,6 +391,27 @@ class TestStreamedPartials:
         assert [p.value for p in seen] == results
         assert all(p.kind == "top" for p in seen)
         assert sorted(p.top_index for p in seen) == [0, 1, 2]
+
+    def test_inline_drain_streams_what_one_worker_streams(self):
+        items = [
+            WorkItem(
+                address=TaskAddress("fan", run),
+                fn=_fanout_task,
+                payload=3,
+                seed=11,
+                spawn_index=run,
+            )
+            for run in range(3)
+        ]
+        inline, pooled = [], []
+        assert drain_inline(items, on_partial=inline.append) == (
+            execute_items(items, workers=1, on_partial=pooled.append)
+        )
+        assert inline == pooled
+        assert [(p.kind, p.top_index) for p in inline] == (
+            [("sub", run) for run in range(3) for _ in range(3)]
+            + [("reduce", run) for run in range(3)]
+        )
 
 
 class TestPicklabilityValidation:

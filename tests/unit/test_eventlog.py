@@ -26,6 +26,7 @@ from repro.sim.eventlog import (
 )
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
+from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
@@ -33,16 +34,17 @@ from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
 
 
-def _recorded_campaign(seed=3, n=12, columnar=True):
+def _recorded_campaign(seed=3, n=12, event_driven=False):
     """A small live campaign plus its finalized event log."""
     rng = np.random.default_rng(seed)
     fleet = generate_fleet(n, MODERATE_EDRX_MIXTURE, rng)
     context = PlanningContext(payload_bytes=60_000)
     plan = DrScMechanism().plan(fleet, context, rng)
     recorder = EventLogRecorder()
-    result = CampaignExecutor(columnar=columnar).execute(
-        fleet, plan, recorder=recorder
-    )
+    if event_driven:
+        result = EventDrivenCampaign(fleet, plan, recorder=recorder).run()
+    else:
+        result = CampaignExecutor().execute(fleet, plan, recorder=recorder)
     return result, recorder.finalize(cell=0)
 
 
@@ -126,12 +128,12 @@ class TestEventLogViews:
 
 class TestStrictReplay:
     def test_rebuild_is_bit_identical_columnar(self):
-        result, log = _recorded_campaign(columnar=True)
+        result, log = _recorded_campaign()
         rebuilt = replay_strict(log)
         assert compare_results(result, rebuilt) == []
 
-    def test_rebuild_is_bit_identical_row(self):
-        result, log = _recorded_campaign(columnar=False)
+    def test_rebuild_is_bit_identical_event_driven(self):
+        result, log = _recorded_campaign(event_driven=True)
         rebuilt = replay_strict(log)
         assert compare_results(result, rebuilt) == []
 

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel backend, sharding and the result cache."""
+"""Unit tests for the Monte-Carlo backends, fingerprints and the result cache."""
 
 from functools import partial
 
@@ -7,13 +7,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.sim.cache import ResultCache, fingerprint
+from repro.sim.dispatch import execute_items, run_items
 from repro.sim.montecarlo import MonteCarlo, run_monte_carlo
-from repro.sim.parallel import (
-    ResultCache,
-    fingerprint,
-    run_in_processes,
-    shard_ranges,
-)
 
 
 def draw_run(rng, run_index):
@@ -29,58 +25,36 @@ def failing_run(rng, run_index):
     raise AssertionError("must not execute on a cache hit")
 
 
-class TestShardRanges:
-    def test_covers_every_index_once(self):
-        for n_runs, n_shards in ((1, 1), (7, 3), (10, 4), (100, 16), (5, 9)):
-            shards = shard_ranges(n_runs, n_shards)
-            flat = [i for shard in shards for i in shard]
-            assert flat == list(range(n_runs))
-
-    def test_no_empty_shards(self):
-        assert all(len(s) > 0 for s in shard_ranges(3, 8))
-        assert len(shard_ranges(3, 8)) == 3
-
-    def test_near_equal_sizes(self):
-        sizes = [len(s) for s in shard_ranges(10, 3)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_invalid_args(self):
-        with pytest.raises(ConfigurationError):
-            shard_ranges(0, 1)
-        with pytest.raises(ConfigurationError):
-            shard_ranges(1, 0)
-
-
-class TestProcessBackendEquivalence:
+class TestFusedBackendEquivalence:
     def test_identical_to_serial_for_any_worker_count(self):
         serial = MonteCarlo(n_runs=12, seed=99).run(draw_run)
         for workers in (1, 2, 5):
-            parallel = MonteCarlo(
-                n_runs=12, seed=99, backend="process", workers=workers
+            fused = MonteCarlo(
+                n_runs=12, seed=99, backend="fused", workers=workers
             ).run(draw_run)
             np.testing.assert_array_equal(
-                serial["draw"].values, parallel["draw"].values
+                serial["draw"].values, fused["draw"].values
             )
             np.testing.assert_array_equal(
-                parallel["index"].values, np.arange(12, dtype=np.float64)
+                fused["index"].values, np.arange(12, dtype=np.float64)
             )
 
     def test_run_monte_carlo_front(self):
         a = run_monte_carlo(draw_run, n_runs=6, seed=3, backend="serial")
         b = run_monte_carlo(
-            draw_run, n_runs=6, seed=3, backend="process", workers=2
+            draw_run, n_runs=6, seed=3, backend="fused", workers=2
         )
         np.testing.assert_array_equal(a["draw"].values, b["draw"].values)
 
     def test_partial_run_fn_is_supported(self):
         fn = partial(scaled_draw_run, scale=10.0)
         a = run_monte_carlo(fn, n_runs=4, seed=1, backend="serial")
-        b = run_monte_carlo(fn, n_runs=4, seed=1, backend="process", workers=2)
+        b = run_monte_carlo(fn, n_runs=4, seed=1, backend="fused", workers=2)
         np.testing.assert_array_equal(a["draw"].values, b["draw"].values)
         assert a["draw"].min >= 0.0 and a["draw"].max <= 10.0
 
     def test_results_arrive_in_run_index_order(self):
-        out = run_in_processes(draw_run, seed=0, n_runs=9, workers=3)
+        out = execute_items(run_items(draw_run, seed=0, n_runs=9), workers=3)
         assert [m["index"] for m in out] == [float(i) for i in range(9)]
 
     def test_unpicklable_fn_rejected(self):
@@ -89,9 +63,20 @@ class TestProcessBackendEquivalence:
                 lambda rng, i: {"x": 1.0},
                 n_runs=2,
                 seed=1,
-                backend="process",
+                backend="fused",
                 workers=2,
             )
+
+    def test_serial_backend_runs_closures_in_process(self):
+        calls = []
+
+        def closure(rng, run_index):
+            calls.append(run_index)
+            return {"x": float(run_index)}
+
+        stats = MonteCarlo(n_runs=3, seed=1).run(closure)
+        assert calls == [0, 1, 2]
+        assert stats["x"].values.tolist() == [0.0, 1.0, 2.0]
 
     def test_serial_backend_fails_fast_on_bad_metrics(self):
         """An inconsistent run fn must stop the serial campaign at the
@@ -112,7 +97,7 @@ class TestProcessBackendEquivalence:
         with pytest.raises(ConfigurationError):
             MonteCarlo(n_runs=2, seed=1, workers=0)
         with pytest.raises(ConfigurationError):
-            run_in_processes(draw_run, seed=1, n_runs=2, workers=0)
+            execute_items(run_items(draw_run, seed=1, n_runs=2), workers=0)
 
 
 class TestFingerprint:
@@ -128,8 +113,8 @@ class TestFingerprint:
 
     def test_execution_knobs_excluded(self):
         serial = ExperimentConfig()
-        process = ExperimentConfig(backend="process", workers=8)
-        assert serial.fingerprint() == process.fingerprint()
+        fused = ExperimentConfig(backend="fused", workers=8)
+        assert serial.fingerprint() == fused.fingerprint()
 
     def test_sensitive_to_mixture_internals(self):
         """Recalibrating a mixture must invalidate the cache even when
@@ -215,7 +200,7 @@ class TestResultCache:
             draw_run, cache_tag="t", config_fingerprint="f"
         )
         cached = MonteCarlo(
-            n_runs=5, seed=7, backend="process", workers=2, cache=cache
+            n_runs=5, seed=7, backend="fused", workers=2, cache=cache
         ).run(failing_run, cache_tag="t", config_fingerprint="f")
         assert cached["draw"].n == 5
 
