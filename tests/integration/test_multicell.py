@@ -38,6 +38,23 @@ class TestRolloutBackendEquivalence:
         context = PlanningContext(payload_bytes=image.size_bytes)
         return cells, image, context
 
+    @pytest.fixture(scope="class")
+    def serial_report(self, campaign):
+        cells, image, context = campaign
+        return CoordinationEntity(DrScMechanism()).rollout(
+            cells, image, context, seed=7
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_fused_bit_identical_for_any_worker_count(
+        self, campaign, serial_report, workers
+    ):
+        cells, image, context = campaign
+        fused = CoordinationEntity(DrScMechanism()).rollout(
+            cells, image, context, seed=7, backend="fused", workers=workers
+        )
+        _assert_cells_bit_identical(serial_report, fused)
+
     def test_dasc_fused_matches_serial(self, campaign):
         cells, image, context = campaign
         entity = CoordinationEntity(DaScMechanism())
@@ -49,7 +66,7 @@ class TestRolloutBackendEquivalence:
 
 
 class TestMultiCellScenarios:
-    @pytest.mark.parametrize("name", ["skewed-cells"])
+    @pytest.mark.parametrize("name", ["city-rollout", "skewed-cells"])
     def test_monte_carlo_backends_agree(self, name):
         spec = golden_spec(scenario(name))
         serial = run_scenario(spec)

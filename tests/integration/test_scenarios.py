@@ -2,13 +2,17 @@
 
 Every registered scenario is pinned: its headline metrics at the golden
 configuration must match the committed JSON bit-for-bit (within float
-tolerance), and the fused backend must agree with serial exactly. A PR
-that shifts any of these either fixes a bug (and re-pins with
-``python -m repro scenarios run --all --update-golden``) or is a
-regression.
+tolerance), the fused backend must agree with serial exactly, and the
+columnar executor must agree with the event-driven replay within 1e-9
+on each scenario's campaign. A PR that shifts any of these either fixes
+a bug (and re-pins with ``python -m repro scenarios run --all
+--update-golden``) or is a regression.
 """
 
+import numpy as np
 import pytest
+
+from repro.energy.states import PowerState
 
 from repro.scenarios import (
     all_scenarios,
@@ -17,8 +21,12 @@ from repro.scenarios import (
     headline_means,
     load_golden,
     run_scenario,
+    scenario,
     scenario_names,
 )
+from repro.sim.executor import CampaignExecutor
+from repro.sim.replay import EventDrivenCampaign
+from repro.traffic.generator import generate_fleet
 
 ALL_NAMES = scenario_names()
 
@@ -51,8 +59,6 @@ class TestGoldenRegression:
 class TestExecutionPathEquivalence:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_fused_backend_bit_identical(self, name, golden_serial_columnar):
-        from repro.scenarios import scenario
-
         spec = golden_spec(scenario(name))
         fused = run_scenario(spec, backend="fused", workers=2)
         serial = golden_serial_columnar[name]
@@ -61,6 +67,50 @@ class TestExecutionPathEquivalence:
             assert (
                 stats.values.tolist() == fused[metric].values.tolist()
             ), f"{name}.{metric} differs between serial and fused backends"
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_columnar_agrees_with_event_driven_oracle(self, name):
+        """Each scenario's campaign, columnar vs the event-driven replay.
+
+        The whole golden fleet runs as one cell under the scenario's
+        mixture, coverage, mechanism, grouping policy and payload. RACH
+        collisions are switched off: the replay draws RACH outcomes in
+        event order, the columnar executor in directive order (that
+        order is checked in ``test_columnar.py``).
+        """
+        spec = golden_spec(scenario(name)).with_overrides(
+            ra_collision_probability=0.0
+        )
+        rng = np.random.default_rng(spec.seed)
+        fleet = generate_fleet(
+            spec.n_devices,
+            spec.mixture_obj(),
+            rng,
+            coverage_mix=spec.coverage,
+            battery=spec.battery(),
+        )
+        plan = spec.mechanism_obj().plan(fleet, spec.planning_context(), rng)
+        columnar = CampaignExecutor(timings=spec.timings()).execute(
+            fleet, plan, rng=np.random.default_rng(1)
+        )
+        replay = EventDrivenCampaign(fleet, plan, timings=spec.timings()).run(
+            horizon_frames=columnar.horizon_frames,
+            rng=np.random.default_rng(1),
+        )
+        assert replay.horizon_frames == columnar.horizon_frames
+        assert len(replay.outcomes) == len(columnar.outcomes) == len(fleet)
+        for a, b in zip(columnar.outcomes, replay.outcomes):
+            assert a.device_index == b.device_index
+            assert b.ready_s == pytest.approx(a.ready_s, abs=1e-9)
+            assert b.wait_s == pytest.approx(a.wait_s, abs=1e-9)
+            assert b.updated_s == pytest.approx(a.updated_s, abs=1e-9)
+            for state in PowerState:
+                assert b.ledger.seconds_in(state) == pytest.approx(
+                    a.ledger.seconds_in(state), abs=1e-6
+                ), f"{name}: device {a.device_index} disagrees on {state}"
+        assert replay.mean_wait_s == pytest.approx(
+            columnar.mean_wait_s, rel=1e-9, abs=1e-9
+        )
 
 
 class TestSweepThroughTheTaskGraph:
