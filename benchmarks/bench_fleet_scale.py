@@ -3,8 +3,14 @@
 Times, for growing fleets:
 
 * **cover** — the per-round full re-sweep reference
-  (``method="reference"``) vs the incremental build-once sweep
+  (``method="reference"``) vs the incremental sweep
   (``method="incremental"``);
+* **paper-default cover** — the incremental sweep alone on
+  paper-default fleets of 10^4, 10^5 and 10^6 devices (TI 2048, a
+  2^21-frame horizon), wall-clock and peak traced memory. The peak is
+  asserted (<= 64 MiB at 10^5, <= 512 MiB at 10^6): the short periods
+  are folded onto residue histograms, so it no longer grows with
+  ``n * horizon / period``. Time is reported, not gated;
 * **execute** — the columnar (vectorised, array-of-ledgers) executor on
   the DR-SC plan.
 
@@ -17,13 +23,15 @@ oracle).
 
 Results are persisted as ``BENCH_fleet_scale.json`` (see
 ``conftest.write_bench_artifact``). Tune with
-``REPRO_BENCH_FLEET_SIZES=1000,10000,...``.
+``REPRO_BENCH_FLEET_SIZES=1000,10000,...`` and
+``REPRO_BENCH_COVER_SIZES=10000,100000,...``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 import numpy as np
 from conftest import emit, write_bench_artifact
@@ -38,7 +46,11 @@ from repro.sim.executor import CampaignExecutor
 from repro.sim.replay import EventDrivenCampaign
 from repro.setcover.greedy import greedy_window_cover
 from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import CategoryProfile, TrafficMixture
+from repro.traffic.mixtures import (
+    PAPER_DEFAULT_MIXTURE,
+    CategoryProfile,
+    TrafficMixture,
+)
 
 #: Responsive fleet used for the scale sweep: minute-scale eDRX keeps
 #: the sweep event list large enough to be a real workload while the
@@ -60,11 +72,49 @@ FLEET_SCALE_MIXTURE = TrafficMixture(
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
 
 
+#: Paper-default cover sizes (override with REPRO_BENCH_COVER_SIZES).
+DEFAULT_COVER_SIZES = (10_000, 100_000, 1_000_000)
+
+#: Peak traced memory bars of the paper-default cover, MiB by fleet size.
+COVER_PEAK_MIB = {100_000: 64.0, 1_000_000: 512.0}
+
+
 def _sizes() -> tuple:
     spec = os.environ.get("REPRO_BENCH_FLEET_SIZES")
     if not spec:
         return DEFAULT_SIZES
     return tuple(int(part) for part in spec.split(",") if part.strip())
+
+
+def _cover_sizes() -> tuple:
+    spec = os.environ.get("REPRO_BENCH_COVER_SIZES")
+    if not spec:
+        return DEFAULT_COVER_SIZES
+    return tuple(int(part) for part in spec.split(",") if part.strip())
+
+
+def _paper_default_cover(n_devices: int) -> dict:
+    """Time and trace one paper-default cover with the incremental sweep."""
+    fleet = generate_fleet(
+        n_devices, PAPER_DEFAULT_MIXTURE, np.random.default_rng(7)
+    )
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        cover = greedy_window_cover(
+            fleet.phases, fleet.periods, 2048, 0, 2 * int(fleet.max_cycle),
+            np.random.default_rng(13),
+        )
+        cover_s = time.perf_counter() - t0
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return {
+        "n_devices": n_devices,
+        "n_transmissions": cover.n_transmissions,
+        "cover_incremental_s": cover_s,
+        "cover_peak_mib": peak_mib,
+    }
 
 
 def _uptime_totals(result) -> np.ndarray:
@@ -145,6 +195,7 @@ def test_a9_fleet_scale_fast_path(capsys):
                 f"{cover_ref_s:.2f}s",
                 f"{cover_fast_s:.2f}s",
                 f"{speedup:.1f}x",
+                "-",
                 f"{execute_s:.2f}s",
             )
         )
@@ -159,6 +210,23 @@ def test_a9_fleet_scale_fast_path(capsys):
             }
         )
 
+    paper_default = [
+        _paper_default_cover(n_devices)
+        for n_devices in _cover_sizes()
+    ]
+    for record in paper_default:
+        rows.append(
+            (
+                f"{record['n_devices']} (paper-default)",
+                str(record["n_transmissions"]),
+                "-",
+                f"{record['cover_incremental_s']:.2f}s",
+                "-",
+                f"{record['cover_peak_mib']:.0f} MiB",
+                "-",
+            )
+        )
+
     path = write_bench_artifact(
         "fleet_scale",
         {
@@ -166,6 +234,11 @@ def test_a9_fleet_scale_fast_path(capsys):
             "mixture": FLEET_SCALE_MIXTURE.name,
             "payload_bytes": 1_000_000,
             "results": records,
+            "paper_default_cover": {
+                "mixture": PAPER_DEFAULT_MIXTURE.name,
+                "window_len": 2048,
+                "results": paper_default,
+            },
         },
     )
     emit(
@@ -178,15 +251,21 @@ def test_a9_fleet_scale_fast_path(capsys):
                 ),
                 headers=(
                     "devices", "tx", "cover ref", "cover inc", "speedup",
-                    "execute",
+                    "inc peak", "execute",
                 ),
                 rows=tuple(rows),
                 notes=(
                     "Cover selections are asserted identical at every "
                     "size and per-device uptime totals match the "
                     "event-driven replay at the smallest size before "
-                    f"timing is reported; artifact written to {path}.",
+                    "timing is reported. Paper-default rows time the "
+                    "incremental cover alone and report its peak traced "
+                    f"memory; artifact written to {path}.",
                 ),
             )
         ),
     )
+    for record in paper_default:
+        bar = COVER_PEAK_MIB.get(record["n_devices"])
+        if bar is not None:
+            assert record["cover_peak_mib"] <= bar, record

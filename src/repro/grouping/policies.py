@@ -57,9 +57,6 @@ class GreedyCoverPolicy(GroupingPolicy):
     description = "greedy TI-window set cover (the paper's Fig. 4; default)"
     guarantees_window_po = True
 
-    def __init__(self, method: str = "incremental") -> None:
-        self._method = method
-
     def group(
         self,
         fleet: "Fleet",
@@ -74,7 +71,6 @@ class GreedyCoverPolicy(GroupingPolicy):
             horizon_start=start,
             horizon_end=end,
             rng=rng,
-            method=self._method,
         )
         decision = GroupingDecision(groups=tuple(
             PlannedGroup(members=members, window=window)

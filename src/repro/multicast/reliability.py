@@ -107,10 +107,29 @@ def simulate_repair_rounds(
     config: ReliabilityConfig,
     rng: np.random.Generator,
 ) -> RepairOutcome:
-    """Simulate multicast delivery with NACK-driven repair rounds."""
+    """Simulate multicast delivery with NACK-driven repair rounds.
+
+    A lossless link (``segment_loss_probability == 0``) delivers every
+    segment in the first round, so the one-round outcome is returned
+    without drawing from ``rng``: its state is left untouched. That is
+    bit-identical to drawing the (all-delivered) loss matrix only
+    because the scenario runner's repair draws are the last consumer of
+    each run's generator, on every backend; a caller that reads ``rng``
+    afterwards must not rely on it having advanced.
+    """
     if n_devices < 1:
         raise ConfigurationError(f"need at least one device, got {n_devices}")
     n_segments = image.segment_count(config.segment_bytes)
+    if config.segment_loss_probability == 0:
+        return RepairOutcome(
+            rounds=1,
+            segments_sent=n_segments,
+            devices_complete=n_devices,
+            residual_missing=0,
+            base_segments=n_segments,
+            segments_per_round=(n_segments,),
+            missing_per_round=(0,),
+        )
 
     # missing[d] = set of segment indices device d still lacks.
     missing = np.ones((n_devices, n_segments), dtype=bool)

@@ -258,7 +258,13 @@ def _draw_repairs(
     cells: Sequence[CellSummary],
     rng: np.random.Generator,
 ) -> List[RepairOutcome]:
-    """Each cell's repair rounds, drawn in ascending cell order."""
+    """Each cell's repair rounds, drawn in ascending cell order.
+
+    This is the last consumer of the run's generator on both drains, so
+    a lossless link may skip its draws (see
+    :func:`~repro.multicast.reliability.simulate_repair_rounds`) without
+    moving any other result.
+    """
     return [
         simulate_repair_rounds(
             spec.image(), cell.fleet_size, spec.reliability(), rng

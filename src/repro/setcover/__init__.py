@@ -10,9 +10,11 @@ problem, given a greedy set selection approach [10]."
   covering the most not-yet-updated devices (vectorised);
 * :mod:`repro.setcover.greedy` — the iterated greedy cover (Chvátal) and
   a generic greedy set cover for arbitrary set systems;
-* :mod:`repro.setcover.incremental` — the build-once sweep behind the
-  default ``method="incremental"`` greedy cover (covered devices'
-  intervals are subtracted instead of re-deriving the sweep per round);
+* :mod:`repro.setcover.incremental` — the sweep behind the default
+  ``method="incremental"`` greedy cover: periods with many POs in the
+  horizon become residue histograms, the rest keep explicit intervals,
+  and covered devices are removed instead of re-deriving the sweep per
+  round;
 * :mod:`repro.setcover.exact` — branch-and-bound exact minimum cover for
   small instances, used to test the greedy's approximation quality.
 """

@@ -6,9 +6,13 @@ most not-yet-updated devices, schedule a transmission at its last frame,
 mark the covered devices updated, repeat until none remain. Two
 implementations produce identical covers:
 
-* ``method="incremental"`` (default) — builds the sweep event list once
-  and subtracts covered devices' intervals after each selection
-  (:mod:`repro.setcover.incremental`), the fleet-scale fast path;
+* ``method="incremental"`` (default) — one
+  :class:`~repro.setcover.incremental.IncrementalSweep` for the whole
+  cover: periods with many POs in the horizon are folded onto residue
+  histograms, the rest keep explicit intervals built and sorted once,
+  and each selection removes the covered devices from both — the
+  fleet-scale fast path, with memory independent of the horizon for
+  the folded periods;
 * ``method="reference"`` — re-runs the full
   :func:`~repro.setcover.windows.best_window` sweep on the shrunken
   fleet each round, kept as the equivalence oracle.
@@ -82,10 +86,11 @@ def greedy_window_cover(
     this length of time" (Sec. III-A). Every device has at least one PO
     in such a horizon, so termination is guaranteed.
 
-    ``method`` selects the implementation — ``"incremental"`` (build the
-    sweep once, subtract covered intervals per round) or ``"reference"``
-    (full re-sweep per round). Both produce identical covers, including
-    tie-break behaviour for any given ``rng`` stream.
+    ``method`` selects the implementation — ``"incremental"`` (one
+    sweep state for the whole cover, dense periods folded onto residue
+    histograms; see :mod:`repro.setcover.incremental`) or
+    ``"reference"`` (full re-sweep per round). Both produce identical
+    covers, including tie-break behaviour for any given ``rng`` stream.
     """
     phases = np.asarray(phases, dtype=np.int64)
     periods = np.asarray(periods, dtype=np.int64)

@@ -3,18 +3,48 @@
 The reference greedy (:func:`repro.setcover.greedy.greedy_window_cover`
 with ``method="reference"``) re-derives
 :func:`~repro.setcover.windows.coverage_intervals` and re-sorts the
-sweep events for the shrunken fleet on every round. But the covering
-intervals of a device do not depend on which other devices remain, so
-the event list can be built and sorted **once**: after each selection
-only the covered devices' intervals are subtracted from the sweep (a
-boolean compaction), and the next round's maximum is a single running
-sum over the surviving events.
+sweep events for the shrunken fleet on every round. The incremental
+sweep keeps one state for the whole cover and consumes it selection by
+selection. A device lives in one of two representations:
 
-Per-round cost drops from ``O(n + E log E)`` to ``O(E_t)`` where ``E_t``
-counts only the surviving events — and because the surviving event
-multiset is exactly what the reference would rebuild from scratch, the
-segment positions, maxima, tie candidates and therefore every selection
-(with or without an ``rng``) are *identical*, not merely equivalent.
+* **explicit** — its covering intervals, built and sorted once; after
+  each selection the covered devices' intervals are subtracted (a
+  boolean compaction) and the next round's count is a running sum over
+  the surviving events;
+* **folded** — for a DRX period with many POs in the horizon, one
+  interval per PO is wasteful: every window start ``s`` in
+  ``[hs, he - L]`` lies inside the horizon, so a device of period
+  ``P`` and phase ``phi`` covers ``s`` iff ``(phi - s) mod P < L``
+  (always, when ``P <= L``). Such a period is a histogram of its
+  surviving devices' phase residues, and its per-start count is the
+  circular window sum ``A_P[r] = sum_{k<L} hist_P[(r + k) mod P]``.
+  Folded periods all divide ``Q``, the longest of them, so their counts
+  add into one array ``S`` on residues mod ``Q``.
+
+The count at a start is ``C(s) = S[s mod Q] + B(s)``, where ``B`` is the
+explicit sweep's count, constant between explicit events. A range
+maximum of ``S`` over each ``B``-segment (a sparse table on ``S``
+doubled) gives the round's best count without touching the horizon.
+
+Tie-break candidates follow the reference exactly: the distinct
+positions where a surviving interval starts or ends whose count equals
+the maximum, in ascending order. ``hs`` is one iff ``C(hs)`` is maximal;
+``q > hs`` is an event iff some surviving device has a PO at ``q - 1``
+(an end) or at ``q + L - 1`` (a start). Devices with ``P == L`` cover
+every start yet still add an event after every PO (their intervals
+touch); devices with ``P < L`` add none inside the range. A position
+where intervals only end has ``C(q) < C(q - 1)``, so it is never
+maximal: the candidates are the maximal positions that are ``hs``, an
+explicit event, or a folded start, ``hist_P[(q + L - 1) mod P] > 0``
+for some folded ``P >= L``. Because maxima, candidate counts and
+candidate order equal the reference's, every selection and every
+``rng.integers`` draw is *identical*, not merely equivalent.
+
+Which periods fold is decided from the fleet alone (see
+:func:`_fold_periods`); with nothing folded each round is exactly the
+build-once, compact-per-round sweep over explicit intervals. State is
+``O(n + Q)`` plus the explicit intervals, so memory does not grow with
+``n * horizon / period`` for the folded periods.
 """
 
 from __future__ import annotations
@@ -27,13 +57,125 @@ from repro.errors import SetCoverError
 from repro.setcover.windows import coverage_intervals
 from repro.timebase import FrameWindow
 
+#: A period folds once its devices hold at least this many POs in the
+#: horizon per residue of the period. Below it the explicit intervals
+#: are cheaper to sweep than the per-round fold arrays (O(Q log Q)) are
+#: to refresh: folding a few-PO eDRX period onto 2^19 residues made a
+#: 3000-device cover 200x slower.
+FOLD_MIN_POS_PER_RESIDUE = 2
+
+
+def _fold_periods(
+    periods: np.ndarray, horizon_start: int, horizon_end: int
+) -> np.ndarray:
+    """The periods worth folding, all dividing the longest of them.
+
+    A period is worth folding when its devices x POs in the horizon
+    reach :data:`FOLD_MIN_POS_PER_RESIDUE` per residue. Of those, the
+    ones that do not divide the longest stay explicit.
+    """
+    values, counts = np.unique(periods, return_counts=True)
+    valid = values > 0
+    values, counts = values[valid], counts[valid]
+    pos_per_device = (horizon_end - horizon_start) // values
+    worthy = values[counts * pos_per_device >= FOLD_MIN_POS_PER_RESIDUE * values]
+    if worthy.size == 0:
+        return worthy
+    return worthy[int(worthy.max()) % worthy == 0]
+
+
+class _FoldedPeriod:
+    """One folded period: its surviving devices as a residue histogram."""
+
+    def __init__(
+        self,
+        period: int,
+        window_len: int,
+        residues: np.ndarray,
+        owners: np.ndarray,
+    ) -> None:
+        self.period = period
+        self.window_len = window_len
+        order = np.argsort(residues)
+        self.residues = residues[order]
+        self.owners = owners[order]
+        self.alive = int(owners.size)
+        self.hist = np.bincount(residues, minlength=period)
+        self.counts = self._window_counts()
+
+    def _window_counts(self) -> np.ndarray:
+        """``A_P``: surviving devices covering each start residue."""
+        period, window_len = self.period, self.window_len
+        if period <= window_len:
+            return np.full(period, self.alive, dtype=np.int64)
+        cs = np.zeros(period + window_len + 1, dtype=np.int64)
+        np.cumsum(self.hist, out=cs[1 : period + 1])
+        cs[period + 1 :] = cs[period] + cs[1 : window_len + 1]
+        return cs[window_len : window_len + period] - cs[:period]
+
+    def starts(self) -> np.ndarray:
+        """Residues ``r`` where a surviving interval starts: a PO at ``r + L - 1``."""
+        return np.roll(self.hist > 0, 1 - self.window_len)
+
+    def take(
+        self, start: int, alive: np.ndarray, folded_counts: np.ndarray
+    ) -> np.ndarray:
+        """Remove and return the surviving devices covering ``start``.
+
+        Marks them dead in ``alive`` and subtracts their window counts
+        from ``folded_counts`` (the sum over periods, residues mod Q).
+        """
+        if self.period <= self.window_len:
+            members, residues = self.owners, self.residues
+        else:
+            lo = start % self.period
+            hi = lo + self.window_len
+            first = np.searchsorted(self.residues, lo)
+            last = np.searchsorted(self.residues, min(hi, self.period))
+            members = self.owners[first:last]
+            residues = self.residues[first:last]
+            if hi > self.period:
+                wrap = np.searchsorted(self.residues, hi - self.period)
+                members = np.concatenate([members, self.owners[:wrap]])
+                residues = np.concatenate([residues, self.residues[:wrap]])
+        live = alive[members]
+        members, residues = members[live], residues[live]
+        if members.size:
+            alive[members] = False
+            self.alive -= members.size
+            self.hist -= np.bincount(residues, minlength=self.period)
+            old = self.counts
+            self.counts = self._window_counts()
+            folded_counts.reshape(-1, self.period)[:] -= old - self.counts
+        return members
+
+
+def _range_max_table(values: np.ndarray) -> np.ndarray:
+    """Sparse table over ``values`` doubled, for circular range maxima.
+
+    Row ``j`` holds the maximum of each run of ``2**j`` entries; rows
+    cover runs shorter than ``values.size``.
+    """
+    q = values.size
+    n_rows = max(1, (q - 1).bit_length())
+    table = np.empty((n_rows, 2 * q), dtype=values.dtype)
+    table[0, :q] = table[0, q:] = values
+    span = 1
+    for row in range(1, n_rows):
+        table[row, : 2 * q - span] = np.maximum(
+            table[row - 1, : 2 * q - span], table[row - 1, span:]
+        )
+        span *= 2
+    return table
+
 
 class IncrementalSweep:
     """One fleet's sweep state, consumed selection by selection.
 
     Build once, then call :meth:`select` repeatedly; each call returns
-    the best window over the devices not yet covered and subtracts the
-    newly covered devices' intervals from the sweep.
+    the best window over the devices not yet covered and removes the
+    newly covered devices from the explicit intervals and the folded
+    residue histograms.
     """
 
     def __init__(
@@ -46,10 +188,41 @@ class IncrementalSweep:
     ) -> None:
         phases = np.asarray(phases, dtype=np.int64)
         periods = np.asarray(periods, dtype=np.int64)
-        starts, ends, owners = coverage_intervals(
-            phases, periods, window_len, horizon_start, horizon_end
-        )
         self._window_len = window_len
+        self._horizon_start = horizon_start
+        self._s_max = horizon_end - window_len
+        self._alive = np.ones(phases.size, dtype=bool)
+        self._remaining = int(phases.size)
+
+        # A device folds only if every frame of its residue class inside
+        # the horizon is a PO: a valid phase (``0 <= phase < period``)
+        # and no frame of the horizon before frame 0. Invalid devices
+        # stay explicit, where coverage_intervals rejects them.
+        fold = _fold_periods(periods, horizon_start, horizon_end)
+        folded = (
+            np.isin(periods, fold)
+            & (phases >= 0)
+            & (phases < periods + min(horizon_start, 0))
+        )
+        self._folded = [
+            _FoldedPeriod(period, window_len, phases[owners] % period, owners)
+            for period in fold.tolist()
+            for owners in [np.nonzero(folded & (periods == period))[0]]
+            if owners.size
+        ]
+        # Folded counts summed on residues mod Q, the longest folded period.
+        self._q = max([part.period for part in self._folded], default=0)
+        self._folded_counts = np.zeros(self._q, dtype=np.int64)
+        for part in self._folded:
+            self._folded_counts.reshape(-1, part.period)[:] += part.counts
+
+        explicit = np.nonzero(~folded)[0]
+        starts, ends, owners = coverage_intervals(
+            phases[explicit], periods[explicit],
+            window_len, horizon_start, horizon_end,
+        )
+        owners = explicit[owners]
+
         # Interval table, for the "who does window s cover?" stab query.
         self._int_starts = starts
         self._int_ends = ends
@@ -71,17 +244,24 @@ class IncrementalSweep:
         self._positions = positions[order]
         self._deltas = deltas[order]
         self._owners = owners2[order]
-        self._alive = np.ones(phases.size, dtype=bool)
 
     @property
     def remaining(self) -> int:
         """Devices not yet covered by any selection."""
-        return int(self._alive.sum())
+        return self._remaining
+
+    def _segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Explicit sweep: distinct event positions and the count after each."""
+        running = np.cumsum(self._deltas)
+        is_last = np.empty(self._positions.size, dtype=bool)
+        is_last[:-1] = self._positions[:-1] != self._positions[1:]
+        is_last[-1:] = True
+        return self._positions[is_last], running[is_last]
 
     def select(
         self, rng: Optional[np.random.Generator] = None
     ) -> Tuple[int, np.ndarray]:
-        """Pick the best window over the uncovered devices, subtract it.
+        """Pick the best window over the uncovered devices, remove it.
 
         Returns ``(start, covered)`` where ``covered`` holds the covered
         devices' *original* fleet indices in ascending order. Tie-breaks
@@ -89,42 +269,129 @@ class IncrementalSweep:
         uniformly at random over the maximal segments when ``rng`` is
         given, earliest segment otherwise.
         """
-        if self._positions.size == 0:
-            raise SetCoverError("no device has a PO inside the search horizon")
-        running = np.cumsum(self._deltas)
-        is_last = np.empty(self._positions.size, dtype=bool)
-        is_last[:-1] = self._positions[:-1] != self._positions[1:]
-        is_last[-1] = True
-        seg_pos = self._positions[is_last]
-        seg_count = running[is_last]
-
-        best = int(seg_count.max())
-        candidates = np.nonzero(seg_count == best)[0]
-        if rng is None:
-            pick = candidates[0]
+        if self._folded:
+            best, s = self._select_folded(rng)
         else:
-            pick = candidates[int(rng.integers(len(candidates)))]
-        s = int(seg_pos[pick])
+            if self._positions.size == 0:
+                raise SetCoverError(
+                    "no device has a PO inside the search horizon"
+                )
+            seg_pos, seg_count = self._segments()
+            best = int(seg_count.max())
+            candidates = np.nonzero(seg_count == best)[0]
+            if rng is None:
+                pick = candidates[0]
+            else:
+                pick = candidates[int(rng.integers(len(candidates)))]
+            s = int(seg_pos[pick])
 
         stabbed = (self._int_starts <= s) & (s < self._int_ends)
-        covered = np.sort(self._int_owners[stabbed])
+        covered = self._int_owners[stabbed]
+        explicit_covered = covered.size
+        if self._folded:
+            covered = np.concatenate([covered] + [
+                part.take(s, self._alive, self._folded_counts)
+                for part in self._folded
+            ])
+            self._folded = [part for part in self._folded if part.alive]
+        covered = np.sort(covered)
         if covered.size != best:
             raise SetCoverError(
                 f"sweep inconsistency: counted {best} devices but window at "
                 f"{s} covers {covered.size}"
             )
 
-        # Subtract the covered devices' intervals from both tables.
         self._alive[covered] = False
-        keep_events = self._alive[self._owners]
-        self._positions = self._positions[keep_events]
-        self._deltas = self._deltas[keep_events]
-        self._owners = self._owners[keep_events]
-        keep_intervals = self._alive[self._int_owners]
-        self._int_starts = self._int_starts[keep_intervals]
-        self._int_ends = self._int_ends[keep_intervals]
-        self._int_owners = self._int_owners[keep_intervals]
+        self._remaining -= covered.size
+        if explicit_covered:
+            # Subtract the covered devices' intervals from both tables.
+            keep_events = self._alive[self._owners]
+            self._positions = self._positions[keep_events]
+            self._deltas = self._deltas[keep_events]
+            self._owners = self._owners[keep_events]
+            keep_intervals = self._alive[self._int_owners]
+            self._int_starts = self._int_starts[keep_intervals]
+            self._int_ends = self._int_ends[keep_intervals]
+            self._int_owners = self._int_owners[keep_intervals]
         return s, covered
+
+    def _select_folded(
+        self, rng: Optional[np.random.Generator]
+    ) -> Tuple[int, int]:
+        """The round's best count and start when some period is folded."""
+        hs, q, counts = self._horizon_start, self._q, self._folded_counts
+        if self._positions.size:
+            seg_pos, seg_count = self._segments()
+            inside = seg_pos <= self._s_max
+            seg_pos, seg_count = seg_pos[inside], seg_count[inside]
+        else:
+            seg_pos = seg_count = np.empty(0, dtype=np.int64)
+        if seg_pos.size == 0 or seg_pos[0] != hs:
+            seg_pos = np.concatenate([[hs], seg_pos])
+            seg_count = np.concatenate([[0], seg_count])
+        seg_end = np.empty_like(seg_pos)
+        seg_end[:-1] = seg_pos[1:]
+        seg_end[-1] = self._s_max + 1
+        length = seg_end - seg_pos
+
+        # Best folded count over each explicit segment.
+        seg_max = np.full(seg_pos.size, counts.max(), dtype=np.int64)
+        short = np.nonzero(length < q)[0]
+        if short.size:
+            table = _range_max_table(counts)
+            span = length[short]
+            row = np.frexp(span)[1].astype(np.int64) - 1  # floor(log2(span))
+            lo = seg_pos[short] % q
+            hi = lo + span - (np.int64(1) << row)
+            seg_max[short] = np.maximum(table[row, lo], table[row, hi])
+        total = seg_max + seg_count
+        best = int(total.max())
+
+        # Candidates per maximal segment: its first position (an explicit
+        # event, or hs) and the folded interval starts strictly inside it.
+        # Other positions inside it are either no event or only ends,
+        # where the count has just dropped, so never maximal.
+        hit = np.nonzero(total == best)[0]
+        first, end = seg_pos[hit], seg_end[hit]
+        target = best - seg_count[hit]
+        at_first = (counts[first % q] == target).astype(np.int64)
+        inside = np.zeros(hit.size, dtype=np.int64)
+        wide = end - first > 1
+        starts = None
+        if wide.any():
+            starts = self._folded_starts()
+            for value in np.unique(target[wide]).tolist():
+                good = np.zeros(q + 1, dtype=np.int64)
+                np.cumsum((counts == value) & starts, out=good[1:])
+                sel = wide & (target == value)
+                lo, hi = first[sel] + 1, end[sel]
+                inside[sel] = (
+                    (hi // q - lo // q) * good[q] + good[hi % q] - good[lo % q]
+                )
+        cum = np.cumsum(at_first + inside)
+        k = 0 if rng is None else int(rng.integers(int(cum[-1])))
+        j = int(np.searchsorted(cum, k, side="right"))
+        k -= int(cum[j - 1]) if j else 0
+        if at_first[j] and k == 0:
+            return best, int(first[j])
+        k -= int(at_first[j])
+        residues = np.nonzero((counts == target[j]) & starts)[0]
+        lo = int(first[j]) + 1
+        g = int(np.searchsorted(residues, lo % q)) + k
+        base = lo - lo % q + (g // residues.size) * q
+        return best, int(base + residues[g % residues.size])
+
+    def _folded_starts(self) -> np.ndarray:
+        """Residues mod ``Q`` where a folded interval starts.
+
+        Periods shorter than the window have one interval spanning every
+        start, so they add none.
+        """
+        starts = np.zeros(self._q, dtype=bool)
+        for part in self._folded:
+            if part.period >= self._window_len:
+                starts.reshape(-1, part.period)[:] |= part.starts()
+        return starts
 
 
 def incremental_greedy_window_cover(

@@ -128,7 +128,12 @@ def best_window(
     """Find a TI-window covering the maximum number of devices.
 
     Ties between equally good windows are broken uniformly at random
-    when ``rng`` is given, deterministically (earliest) otherwise.
+    when ``rng`` is given, deterministically (earliest) otherwise. The
+    tie-break candidates are the distinct positions where some
+    covering interval starts or ends (a start clipped to the horizon
+    lands on ``horizon_start``) whose coverage count equals the
+    maximum, in ascending order; the pick is
+    ``candidates[rng.integers(len(candidates))]``, one draw per call.
     """
     starts, ends, _ = coverage_intervals(
         phases, periods, window_len, horizon_start, horizon_end

@@ -3,22 +3,45 @@
 The incremental greedy (:mod:`repro.setcover.incremental`) must pick
 *identical* windows to the reference per-round re-sweep — same starts,
 same assignments, same tie-break draws for any given RNG stream — on
-randomized fleets up to 10^4 devices. On small fleets the window greedy
+randomized fleets up to 10^4 devices. The short-horizon fleets (at
+most 16 POs per period) keep their periods explicit except at 10^4
+devices; the ladder fleets always give the kernel a period to fold onto
+residue histograms, next to explicit ones, with window lengths below,
+equal to and above the folded period, a horizon that starts before,
+at or after frame 0 and periods that are not powers of two. A SHA-256 of one
+paper-default cover, computed with the all-intervals sweep the fold
+replaced, pins the kernel's output. On small fleets the window greedy
 is additionally cross-checked against the generic
 :func:`~repro.setcover.greedy.greedy_set_cover` over the explicit set
 system of candidate window starts (both break ties earliest-first, so
 their per-round covered sets must coincide exactly).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TimebaseError
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.incremental import _fold_periods
 from repro.setcover.windows import coverage_intervals
+from repro.traffic.generator import generate_fleet
+from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
 
 PERIOD_CHOICES = (2048, 4096, 8192, 16384)
+
+#: The DRX/eDRX ladder in frames, 128 up to 1048576.
+LADDER = tuple(2**k for k in range(7, 21))
+
+#: SHA-256 over the window starts, then each assignment's int64 bytes,
+#: of the paper-default cover in TestParentCoverDigest, computed with
+#: the sweep that kept one interval per PO.
+PARENT_COVER_SHA256 = (
+    "2651f415ee73e9b36ec3f1417b3126981b57b5a36e2b251582d767b4cbca3699"
+)
 
 
 def _random_fleet(rng: np.random.Generator, n: int):
@@ -42,6 +65,131 @@ def fleets(draw, max_devices=30):
     )
     phases = [draw(st.integers(min_value=0, max_value=p - 1)) for p in periods]
     return np.array(phases, dtype=np.int64), np.array(periods, dtype=np.int64)
+
+
+def _cover_or_error(*args, **kwargs):
+    """The cover, or the message of the error that rejected a window
+    starting before frame 0 (possible when the horizon does)."""
+    try:
+        return greedy_window_cover(*args, **kwargs)
+    except TimebaseError as error:
+        return str(error)
+
+
+@st.composite
+def ladder_fleets(draw):
+    """A fleet with one period dense enough to fold, beside explicit ones.
+
+    Returns ``(phases, periods, window_len, horizon_start, horizon_end)``.
+    The longest period (2^18..2^20 frames) stretches the horizon so the
+    dense period has many POs in it; its device count is the fewest that
+    make it fold, plus a few.
+    """
+    longest = draw(st.sampled_from(LADDER[-3:]))
+    dense = draw(
+        st.one_of(
+            st.sampled_from(LADDER[:6]), st.integers(min_value=100, max_value=3000)
+        )
+    )
+    others = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([p for p in LADDER if p <= longest]),
+                st.integers(min_value=50, max_value=longest),
+            ),
+            max_size=3,
+        )
+    )
+    horizon_start = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=1, max_value=200_000),
+            st.integers(min_value=-5_000, max_value=-1),
+        )
+    )
+    horizon_len = 2 * longest + draw(st.integers(min_value=0, max_value=5000))
+    min_dense = -(-2 * dense // (horizon_len // dense))
+    n_dense = min_dense + draw(st.integers(min_value=0, max_value=8))
+    periods = [dense] * n_dense + [longest] + [
+        period for period in others for _ in range(draw(st.integers(1, 12)))
+    ]
+    phases = [draw(st.integers(min_value=0, max_value=p - 1)) for p in periods]
+    window_len = draw(
+        st.one_of(
+            st.integers(min_value=max(1, dense // 16), max_value=dense - 1),
+            st.just(dense),
+            st.integers(min_value=dense + 1, max_value=2 * dense),
+            st.sampled_from(sorted(set(others)) or [dense]),
+        )
+    )
+    return (
+        np.array(phases, dtype=np.int64),
+        np.array(periods, dtype=np.int64),
+        window_len,
+        horizon_start,
+        horizon_start + horizon_len,
+    )
+
+
+class TestFoldedMatchesReference:
+    """Fleets that reach the fold, against the per-round re-sweep."""
+
+    @given(ladder_fleets(), st.one_of(st.none(), st.integers(0, 2**31)))
+    @settings(max_examples=100, deadline=None)
+    def test_ladder_fleets(self, fleet, seed):
+        phases, periods, window_len, hs, he = fleet
+        assert _fold_periods(periods, hs, he).size > 0
+
+        def tie_rng():
+            return None if seed is None else np.random.default_rng(seed)
+
+        ref_rng, inc_rng = tie_rng(), tie_rng()
+        ref = _cover_or_error(
+            phases, periods, window_len, hs, he, ref_rng, method="reference"
+        )
+        inc = _cover_or_error(
+            phases, periods, window_len, hs, he, inc_rng, method="incremental"
+        )
+        if isinstance(ref, str):
+            assert inc == ref
+        else:
+            _assert_identical_covers(ref, inc)
+        if seed is not None:
+            assert ref_rng.bit_generator.state == inc_rng.bit_generator.state
+
+    @pytest.mark.parametrize("window_len", [1000, 2048, 3000])
+    def test_paper_default_fleet_with_offset_horizon(self, window_len):
+        """A paper-default fleet: 2048..8192 fold, 2^20 stays explicit."""
+        fleet = generate_fleet(1_500, PAPER_DEFAULT_MIXTURE, np.random.default_rng(3))
+        hs = 12_345
+        he = hs + 2 * int(fleet.max_cycle)
+        assert _fold_periods(fleet.periods, hs, he).tolist() == [2048, 4096, 8192]
+        for seed in (None, 5):
+            ref = greedy_window_cover(
+                fleet.phases, fleet.periods, window_len, hs, he,
+                None if seed is None else np.random.default_rng(seed),
+                method="reference",
+            )
+            inc = greedy_window_cover(
+                fleet.phases, fleet.periods, window_len, hs, he,
+                None if seed is None else np.random.default_rng(seed),
+            )
+            _assert_identical_covers(ref, inc)
+
+
+class TestParentCoverDigest:
+    def test_paper_default_cover_unchanged(self):
+        """20k paper-default devices, TI 2048, horizon [0, 2^21)."""
+        fleet = generate_fleet(20_000, PAPER_DEFAULT_MIXTURE, np.random.default_rng(7))
+        cover = greedy_window_cover(
+            fleet.phases, fleet.periods, 2048, 0, 2**21, np.random.default_rng(13)
+        )
+        digest = hashlib.sha256(
+            np.array([w.start for w in cover.windows], dtype=np.int64).tobytes()
+        )
+        for members in cover.assignments:
+            digest.update(np.asarray(members, dtype=np.int64).tobytes())
+        assert digest.hexdigest() == PARENT_COVER_SHA256
 
 
 class TestIncrementalMatchesReference:

@@ -16,6 +16,7 @@ from repro.multicast.coordination import (
 from repro.multicast.payload import FirmwareImage
 from repro.multicast.reliability import (
     ReliabilityConfig,
+    RepairOutcome,
     expected_rounds,
     simulate_repair_rounds,
 )
@@ -210,6 +211,27 @@ class TestReliability:
         assert outcome.devices_complete == 50
         assert outcome.residual_missing == 0
         assert outcome.airtime_overhead_fraction == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("n_devices", [1, 50, 2_000])
+    def test_lossless_outcome_without_drawing(self, n_devices):
+        """Zero loss returns the one-round outcome field for field, and
+        leaves the generator exactly where it was."""
+        image = FirmwareImage(name="fw", version="1", size_bytes=1_000_000)
+        config = ReliabilityConfig(segment_loss_probability=0.0)
+        n_segments = image.segment_count(config.segment_bytes)
+        rng = np.random.default_rng(2018)
+        before = rng.bit_generator.state
+        outcome = simulate_repair_rounds(image, n_devices, config, rng)
+        assert rng.bit_generator.state == before
+        assert outcome == RepairOutcome(
+            rounds=1,
+            segments_sent=n_segments,
+            devices_complete=n_devices,
+            residual_missing=0,
+            base_segments=n_segments,
+            segments_per_round=(n_segments,),
+            missing_per_round=(0,),
+        )
 
     def test_lossy_needs_repairs_but_converges(self, rng):
         image = FirmwareImage(name="fw", version="1", size_bytes=50_000)
