@@ -22,9 +22,9 @@ size, and — at the smallest size only, where the event engine is cheap
 oracle).
 
 Results are persisted as ``BENCH_fleet_scale.json`` (see
-``conftest.write_bench_artifact``). Tune with
-``REPRO_BENCH_FLEET_SIZES=1000,10000,...`` and
-``REPRO_BENCH_COVER_SIZES=10000,100000,...``.
+``conftest.write_bench_artifact``). Tune the reference-vs-incremental
+sweep with ``REPRO_BENCH_FLEET_SIZES=1000,10000,...``; the
+paper-default sizes are fixed, so their peak-memory bars always run.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ FLEET_SCALE_MIXTURE = TrafficMixture(
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
 
 
-#: Paper-default cover sizes (override with REPRO_BENCH_COVER_SIZES).
-DEFAULT_COVER_SIZES = (10_000, 100_000, 1_000_000)
+#: Paper-default cover sizes.
+COVER_SIZES = (10_000, 100_000, 1_000_000)
 
 #: Peak traced memory bars of the paper-default cover, MiB by fleet size.
 COVER_PEAK_MIB = {100_000: 64.0, 1_000_000: 512.0}
@@ -83,13 +83,6 @@ def _sizes() -> tuple:
     spec = os.environ.get("REPRO_BENCH_FLEET_SIZES")
     if not spec:
         return DEFAULT_SIZES
-    return tuple(int(part) for part in spec.split(",") if part.strip())
-
-
-def _cover_sizes() -> tuple:
-    spec = os.environ.get("REPRO_BENCH_COVER_SIZES")
-    if not spec:
-        return DEFAULT_COVER_SIZES
     return tuple(int(part) for part in spec.split(",") if part.strip())
 
 
@@ -210,10 +203,7 @@ def test_a9_fleet_scale_fast_path(capsys):
             }
         )
 
-    paper_default = [
-        _paper_default_cover(n_devices)
-        for n_devices in _cover_sizes()
-    ]
+    paper_default = [_paper_default_cover(n) for n in COVER_SIZES]
     for record in paper_default:
         rows.append(
             (
@@ -265,7 +255,6 @@ def test_a9_fleet_scale_fast_path(capsys):
             )
         ),
     )
-    for record in paper_default:
-        bar = COVER_PEAK_MIB.get(record["n_devices"])
-        if bar is not None:
-            assert record["cover_peak_mib"] <= bar, record
+    peaks = {r["n_devices"]: r["cover_peak_mib"] for r in paper_default}
+    for n_devices, bar in COVER_PEAK_MIB.items():
+        assert peaks[n_devices] <= bar, (n_devices, peaks[n_devices], bar)

@@ -57,12 +57,14 @@ from repro.errors import SetCoverError
 from repro.setcover.windows import coverage_intervals
 from repro.timebase import FrameWindow
 
-#: A period folds once its devices hold at least this many POs in the
-#: horizon per residue of the period. Below it the explicit intervals
-#: are cheaper to sweep than the per-round fold arrays (O(Q log Q)) are
-#: to refresh: folding a few-PO eDRX period onto 2^19 residues made a
-#: 3000-device cover 200x slower.
-FOLD_MIN_POS_PER_RESIDUE = 2
+#: A period ``P`` folds once its devices hold at least this many POs in
+#: the horizon per entry of the range-maximum table its residues need,
+#: ``P * log2(P)``, which is rebuilt every round. Below it the explicit
+#: intervals are cheaper to sweep. With explicit devices beside the
+#: folded ones, folding measured break-even at about 0.2 POs per entry
+#: for P = 2^13 and 2^16 and 0.32 for 2^19, where the table outgrows
+#: the cache; a third keeps the fold to where it wins.
+FOLD_MIN_POS_PER_TABLE_ENTRY = 1 / 3
 
 
 def _fold_periods(
@@ -71,14 +73,15 @@ def _fold_periods(
     """The periods worth folding, all dividing the longest of them.
 
     A period is worth folding when its devices x POs in the horizon
-    reach :data:`FOLD_MIN_POS_PER_RESIDUE` per residue. Of those, the
-    ones that do not divide the longest stay explicit.
+    reach :data:`FOLD_MIN_POS_PER_TABLE_ENTRY` per table entry. Of
+    those, the ones that do not divide the longest stay explicit.
     """
     values, counts = np.unique(periods, return_counts=True)
     valid = values > 0
     values, counts = values[valid], counts[valid]
-    pos_per_device = (horizon_end - horizon_start) // values
-    worthy = values[counts * pos_per_device >= FOLD_MIN_POS_PER_RESIDUE * values]
+    pos = counts * ((horizon_end - horizon_start) // values)
+    table = values * np.log2(values)
+    worthy = values[pos >= FOLD_MIN_POS_PER_TABLE_ENTRY * table]
     if worthy.size == 0:
         return worthy
     return worthy[int(worthy.max()) % worthy == 0]

@@ -26,7 +26,10 @@ from hypothesis import strategies as st
 
 from repro.errors import TimebaseError
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
-from repro.setcover.incremental import _fold_periods
+from repro.setcover.incremental import (
+    FOLD_MIN_POS_PER_TABLE_ENTRY,
+    _fold_periods,
+)
 from repro.setcover.windows import coverage_intervals
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
@@ -108,7 +111,8 @@ def ladder_fleets(draw):
         )
     )
     horizon_len = 2 * longest + draw(st.integers(min_value=0, max_value=5000))
-    min_dense = -(-2 * dense // (horizon_len // dense))
+    fold_pos = FOLD_MIN_POS_PER_TABLE_ENTRY * dense * np.log2(dense)
+    min_dense = int(np.ceil(fold_pos / (horizon_len // dense)))
     n_dense = min_dense + draw(st.integers(min_value=0, max_value=8))
     periods = [dense] * n_dense + [longest] + [
         period for period in others for _ in range(draw(st.integers(1, 12)))
@@ -160,7 +164,7 @@ class TestFoldedMatchesReference:
     @pytest.mark.parametrize("window_len", [1000, 2048, 3000])
     def test_paper_default_fleet_with_offset_horizon(self, window_len):
         """A paper-default fleet: 2048..8192 fold, 2^20 stays explicit."""
-        fleet = generate_fleet(1_500, PAPER_DEFAULT_MIXTURE, np.random.default_rng(3))
+        fleet = generate_fleet(2_000, PAPER_DEFAULT_MIXTURE, np.random.default_rng(3))
         hs = 12_345
         he = hs + 2 * int(fleet.max_cycle)
         assert _fold_periods(fleet.periods, hs, he).tolist() == [2048, 4096, 8192]
