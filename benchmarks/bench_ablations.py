@@ -58,7 +58,8 @@ def test_a4_mixture_sensitivity(benchmark, bench_config, capsys):
     )
     emit(capsys, render_table(table))
     fractions = {
-        name: stats["fraction"].mean for name, stats in per_mix.items()
+        name: stats["fraction_of_unicast"].mean
+        for name, stats in per_mix.items()
     }
     # Short-eDRX fleets group far better than long-eDRX fleets.
     assert fractions["short-edrx"] < fractions["long-edrx"]

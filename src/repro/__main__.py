@@ -68,21 +68,34 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(KNOWN_TARGETS) + ["all"],
         help="which figure/ablation to run (repeatable; default all)",
     )
-    figures.add_argument("--runs", type=int, default=None, help="Monte-Carlo runs")
     figures.add_argument(
-        "--devices", type=int, default=None, help="fleet size for Fig. 6"
+        "--runs",
+        type=int,
+        default=None,
+        help="Monte-Carlo runs of every target but A3/A6 (fixed 30/20) and A5",
+    )
+    figures.add_argument(
+        "--devices",
+        type=int,
+        default=None,
+        help="fleet size for Fig. 6, A1, A2 and A4",
     )
     figures.add_argument(
         "--device-counts",
         default=None,
         metavar="N,N,...",
         help=(
-            "comma-separated fleet sizes for the Fig. 7 sweep "
-            "(e.g. 1000,10000,100000 — the columnar fast path keeps "
+            "comma-separated fleet sizes of the Fig. 7 sweep, used by Fig. 7 "
+            "only (e.g. 1000,10000,100000 — the columnar fast path keeps "
             "10^5-device sweeps practical)"
         ),
     )
-    figures.add_argument("--seed", type=int, default=None, help="root seed")
+    figures.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="root seed of every target but A3/A6 (fixed 7/11) and A5",
+    )
     figures.add_argument(
         "--backend",
         choices=list(BACKENDS),
@@ -111,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="POLICY",
         help=(
-            "grouping policy for the windowed mechanism "
+            "grouping policy for DR-SC in Fig. 6, Fig. 7, A2 and A4 "
             "(see `grouping list`; default: the paper's greedy cover)"
         ),
     )

@@ -15,12 +15,12 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import AdaptationStrategy, DaScMechanism, DrScMechanism
+from repro.core import AdaptationStrategy, DaScMechanism
 from repro.core.plan import WakeMethod
 from repro.drx.paging import pattern_for
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.reporting import Table, percent
-from repro.experiments.uptime import compare_mechanisms_once
+from repro.experiments.reporting import Table
+from repro.experiments.transmissions import drsc_campaign
 from repro.multicast.scptm import ScPtmConfig, scptm_monitoring_overhead_s
 from repro.setcover.exact import exact_min_window_cover
 from repro.setcover.greedy import greedy_window_cover
@@ -29,13 +29,7 @@ from repro.sim.montecarlo import MonteCarlo, RunStatistics
 from repro.sim.cache import ResultCache, fingerprint
 from repro.timebase import seconds_to_frames
 from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import (
-    LONG_EDRX_MIXTURE,
-    MODERATE_EDRX_MIXTURE,
-    PAPER_DEFAULT_MIXTURE,
-    SHORT_EDRX_MIXTURE,
-    TrafficMixture,
-)
+from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE, TrafficMixture
 
 
 # ----------------------------------------------------------------------
@@ -45,9 +39,10 @@ def dasc_strategy_once(
     rng: np.random.Generator, config: ExperimentConfig
 ) -> Dict[str, float]:
     """Compare the two DA-SC cycle-selection strategies on one fleet."""
-    fleet = generate_fleet(config.n_devices, config.mixture, rng)
-    context = config.planning_context(config.default_payload)
-    executor = CampaignExecutor(timings=config.timings)
+    spec = config.scenario("a1")
+    fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
+    context = spec.planning_context()
+    executor = CampaignExecutor(timings=spec.timings())
     metrics: Dict[str, float] = {}
     for strategy in AdaptationStrategy:
         plan = DaScMechanism(strategy).plan(fleet, context, rng)
@@ -89,7 +84,7 @@ def run_dasc_strategy_ablation(
     stats = harness.run(
         partial(_a1_run, config=config),
         cache_tag="a1",
-        config_fingerprint=config.fingerprint(),
+        config_fingerprint=config.scenario("a1").fingerprint(),
     )
     rows = []
     for strategy in AdaptationStrategy:
@@ -128,43 +123,21 @@ def run_dasc_strategy_ablation(
 # ----------------------------------------------------------------------
 # A2: inactivity timer sensitivity
 # ----------------------------------------------------------------------
-def _drsc_plan_run(
-    rng: np.random.Generator, _run_index: int, config: ExperimentConfig
-) -> Dict[str, float]:
-    """Picklable A2/A4 run function: plan DR-SC, count transmissions."""
-    fleet = generate_fleet(config.n_devices, config.mixture, rng)
-    plan = DrScMechanism(policy=config.grouping_policy()).plan(
-        fleet, config.planning_context(config.default_payload), rng
-    )
-    return {
-        "transmissions": float(plan.n_transmissions),
-        "fraction": plan.n_transmissions / len(fleet),
-    }
-
-
 def run_ti_sensitivity(
     config: ExperimentConfig = ExperimentConfig(),
     ti_values_s: Sequence[float] = (10.24, 20.48, 30.72),
 ) -> Tuple[Table, Dict[float, Dict[str, RunStatistics]]]:
     """A2: DR-SC transmission count vs the inactivity timer TI."""
-    from dataclasses import replace
-
     per_ti: Dict[float, Dict[str, RunStatistics]] = {}
     rows = []
     for ti in ti_values_s:
-        cfg = replace(config, inactivity_timer_s=ti)
-        harness = cfg.monte_carlo()
-        stats = harness.run(
-            partial(_drsc_plan_run, config=cfg),
-            cache_tag="a2",
-            config_fingerprint=cfg.fingerprint(),
-        )
+        stats = drsc_campaign(config, "a2", inactivity_timer_s=ti)
         per_ti[ti] = stats
         rows.append(
             (
                 f"{ti:.2f}s",
                 f"{stats['transmissions'].mean:.1f}",
-                f"{stats['fraction'].mean * 100:.0f}%",
+                f"{stats['fraction_of_unicast'].mean * 100:.0f}%",
             )
         )
     table = Table(
@@ -188,28 +161,23 @@ def run_ti_sensitivity(
 # ----------------------------------------------------------------------
 def run_mixture_sensitivity(
     config: ExperimentConfig = ExperimentConfig(),
-    mixtures: Sequence[TrafficMixture] = (
-        SHORT_EDRX_MIXTURE,
-        MODERATE_EDRX_MIXTURE,
-        LONG_EDRX_MIXTURE,
-        PAPER_DEFAULT_MIXTURE,
+    mixtures: Sequence[str] = (
+        "short-edrx",
+        "moderate-edrx",
+        "long-edrx",
+        "paper-default",
     ),
 ) -> Tuple[Table, Dict[str, Dict[str, RunStatistics]]]:
-    """A4: how the DRX mixture drives DR-SC's transmission count."""
-    from dataclasses import replace
-
+    """A4: how the DRX mixture (by registry name) drives DR-SC's
+    transmission count."""
     per_mix: Dict[str, Dict[str, RunStatistics]] = {}
     rows = []
     for mixture in mixtures:
-        cfg = replace(config, mixture=mixture)
-        harness = cfg.monte_carlo()
-        stats = harness.run(
-            partial(_drsc_plan_run, config=cfg),
-            cache_tag="a4",
-            config_fingerprint=cfg.fingerprint(),
+        stats = drsc_campaign(config, "a4", mixture=mixture)
+        per_mix[mixture] = stats
+        rows.append(
+            (mixture, f"{stats['fraction_of_unicast'].mean * 100:.0f}%")
         )
-        per_mix[mixture.name] = stats
-        rows.append((mixture.name, f"{stats['fraction'].mean * 100:.0f}%"))
     table = Table(
         title=(
             f"A4 — DR-SC transmission ratio vs fleet mixture "

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
-from repro.core.base import PlanningContext
-from repro.enb.cell import CellConfig
 from repro.errors import ConfigurationError
-from repro.rrc.procedures import ProcedureTimings
-from repro.sim.cache import ResultCache, fingerprint
+from repro.sim.cache import ResultCache
 from repro.sim.dispatch import validate_backend
 from repro.sim.montecarlo import MonteCarlo
-from repro.timebase import KILOBYTE, MEGABYTE, seconds_to_frames
-from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE, TrafficMixture
+from repro.timebase import KILOBYTE, MEGABYTE
+
+if TYPE_CHECKING:
+    from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -24,6 +23,10 @@ class ExperimentConfig:
     100-1000 devices, 100 Monte-Carlo runs, a single cell, and an
     inactivity timer inside the 10-30 s commercial range (20.48 s, which
     aligns with the eDRX ladder).
+
+    :meth:`scenario` turns the config into the
+    :class:`~repro.scenarios.spec.ScenarioSpec` its campaigns run as;
+    ``mixture`` is a registry name, as in a spec.
 
     ``backend``/``workers`` select how each figure's Monte-Carlo loop
     executes (see :mod:`repro.sim.dispatch`); ``cache_dir`` enables the
@@ -40,7 +43,7 @@ class ExperimentConfig:
     greedy cover, so existing figure numbers are unchanged.
     """
 
-    mixture: TrafficMixture = PAPER_DEFAULT_MIXTURE
+    mixture: str = "paper-default"
     inactivity_timer_s: float = 20.48
     grouping: Optional[str] = None
     n_devices: int = 500
@@ -51,97 +54,57 @@ class ExperimentConfig:
     default_payload: int = MEGABYTE
     n_runs: int = 100
     seed: int = 2018
-    timings: ProcedureTimings = ProcedureTimings()
     backend: str = "serial"
     workers: Optional[int] = None
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.inactivity_timer_s <= 0:
-            raise ConfigurationError(
-                f"TI must be positive, got {self.inactivity_timer_s}"
-            )
-        if self.n_devices < 1:
-            raise ConfigurationError(
-                f"n_devices must be >= 1, got {self.n_devices}"
-            )
         if not self.device_counts:
             raise ConfigurationError("device_counts must not be empty")
         if any(count < 1 for count in self.device_counts):
             raise ConfigurationError(
                 f"device_counts entries must be >= 1, got {self.device_counts}"
             )
-        if self.n_runs < 1:
-            raise ConfigurationError(f"n_runs must be >= 1, got {self.n_runs}")
         validate_backend(self.backend)
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {self.workers}"
             )
-        if self.grouping is not None:
-            # Instantiate the pairing the figure experiments will build
-            # (DR-SC carries the policy), so an unknown name or an
-            # incompatible policy (e.g. single-group) fails at config
-            # creation rather than deep inside a Monte-Carlo worker.
-            from repro.core.dr_sc import DrScMechanism
+        # The spec rejects a bad TI, fleet size, run count, mixture or
+        # grouping name, and a grouping DR-SC cannot carry, here rather
+        # than deep inside a Monte-Carlo worker.
+        self.scenario("experiment")
 
-            DrScMechanism(policy=self.grouping_policy())
+    def scenario(self, name: str, **overrides: Any) -> ScenarioSpec:
+        """This config's DR-SC campaign as a scenario named ``name``.
 
-    @property
-    def cell(self) -> CellConfig:
-        """Cell configuration with this experiment's inactivity timer."""
-        return CellConfig(
-            inactivity_timer_frames=seconds_to_frames(self.inactivity_timer_s)
-        )
-
-    def planning_context(self, payload_bytes: int) -> PlanningContext:
-        """A planning context for ``payload_bytes`` under this config."""
-        return PlanningContext(
-            payload_bytes=payload_bytes,
-            cell=self.cell,
-            timings=self.timings,
-        )
-
-    def scaled_runs(self, fraction: float) -> "ExperimentConfig":
-        """A copy with the run count scaled down (CI-friendly benches)."""
-        from dataclasses import replace
-
-        runs = max(1, int(round(self.n_runs * fraction)))
-        return replace(self, n_runs=runs)
-
-    def fingerprint(self) -> str:
-        """Stable hash of every *scenario* parameter.
-
-        Execution knobs (backend, workers, cache_dir) are excluded: they
-        change how the runs execute, never what they compute, so they
-        must not invalidate cached results.
+        The spec carries the config's fleet size, mixture, grouping,
+        default payload, TI, runs and seed, with ``overrides`` applied
+        (see :meth:`~repro.scenarios.spec.ScenarioSpec.with_overrides`).
         """
-        from dataclasses import asdict
+        # Imported here: repro.scenarios imports repro.experiments.
+        from repro.scenarios.spec import ScenarioSpec
 
-        scenario = asdict(self)
-        for execution_only in ("backend", "workers", "cache_dir"):
-            scenario.pop(execution_only, None)
-        return fingerprint(scenario)
-
-    def grouping_policy(self):
-        """The resolved grouping policy (None = mechanism defaults)."""
-        if self.grouping is None:
-            return None
-        from repro.grouping.registry import grouping_policy_by_name
-
-        return grouping_policy_by_name(self.grouping)
+        return ScenarioSpec(
+            name=name,
+            n_devices=self.n_devices,
+            mixture=self.mixture,
+            grouping=self.grouping,
+            payload_bytes=self.default_payload,
+            inactivity_timer_s=self.inactivity_timer_s,
+            n_runs=self.n_runs,
+            seed=self.seed,
+        ).with_overrides(**overrides)
 
     def result_cache(self) -> Optional[ResultCache]:
         """The configured on-disk cache, or None when caching is off."""
         return ResultCache(self.cache_dir) if self.cache_dir else None
 
-    def monte_carlo(
-        self, seed: Optional[int] = None, n_runs: Optional[int] = None
-    ) -> MonteCarlo:
+    def monte_carlo(self) -> MonteCarlo:
         """A harness wired to this config's backend, workers and cache."""
         return MonteCarlo(
-            n_runs=self.n_runs if n_runs is None else n_runs,
-            seed=self.seed if seed is None else seed,
+            n_runs=self.n_runs,
+            seed=self.seed,
             backend=self.backend,
             workers=self.workers,
             cache=self.result_cache(),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.experiments.ablations import (
@@ -18,6 +17,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table, render_table
 from repro.experiments.transmissions import run_fig7
 from repro.experiments.uptime import FIG6_MECHANISMS, run_fig6a, run_fig6b
+from repro.timebase import format_bytes
 
 #: Figure/ablation ids accepted by :func:`run`.
 KNOWN_TARGETS = ("6a", "6b", "7", "a1", "a2", "a3", "a4", "a5", "a6")
@@ -53,8 +53,14 @@ def run_with_charts(
 
     tables: Dict[str, Table] = {}
     charts: Dict[str, str] = {}
+    fig6b_stats = {}
+    if "6b" in selected:
+        tables["6b"], fig6b_stats = run_fig6b(config)
     if "6a" in selected:
-        tables["6a"], stats = run_fig6a(config)
+        # 6(b)'s payload sweep usually includes 6(a)'s default payload.
+        tables["6a"], stats = run_fig6a(
+            config, fig6b_stats.get(format_bytes(config.default_payload))
+        )
         charts["6a"] = fig6_chart(
             {
                 name: stats[f"{name}/light_sleep"].mean
@@ -62,8 +68,6 @@ def run_with_charts(
             },
             panel="a",
         )
-    if "6b" in selected:
-        tables["6b"], _ = run_fig6b(config)
     if "7" in selected:
         tables["7"], per_n = run_fig7(config)
         if len(per_n) >= 2:  # a line chart needs a sweep, not a point

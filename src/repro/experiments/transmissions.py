@@ -1,54 +1,40 @@
 """Fig. 7 reproduction: DR-SC multicast transmission counts vs fleet size.
 
 "The average number of multicast transmissions required to update all
-devices over 100 runs" — the paper's bandwidth-utilisation proxy. The
-sweep plans DR-SC for 100..1000 devices and reports the mean count and
-its ratio to plain unicast (which needs one transmission per device).
+devices over 100 runs" — the paper's bandwidth-utilisation proxy. Each
+point of the 100..1000-device sweep is a single-cell DR-SC scenario
+campaign; the table reports the mean count and its ratio to plain
+unicast (which needs one transmission per device).
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-import numpy as np
-
-from repro.core import DrScMechanism
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table
 from repro.sim.montecarlo import RunStatistics
-from repro.traffic.generator import generate_fleet
 
 
-def transmissions_once(
-    rng: np.random.Generator, config: ExperimentConfig, n_devices: int
-) -> Dict[str, float]:
-    """One run: sample a fleet, plan DR-SC, count its transmissions.
+def drsc_campaign(
+    config: ExperimentConfig, name: str, **overrides: Any
+) -> Dict[str, RunStatistics]:
+    """Run ``config``'s DR-SC scenario campaign ``name`` and add each
+    run's ``fraction_of_unicast`` (transmissions per device)."""
+    # Imported here: repro.scenarios imports repro.experiments.
+    from repro.scenarios.runner import run_scenario
 
-    Only the plan is needed (the count is a planning-time quantity), so
-    the sweep stays fast even at 1000 devices x 100 runs.
-    """
-    fleet = generate_fleet(n_devices, config.mixture, rng)
-    context = config.planning_context(config.default_payload)
-    plan = DrScMechanism(policy=config.grouping_policy()).plan(
-        fleet, context, rng
+    spec = config.scenario(name, **overrides)
+    stats = run_scenario(
+        spec,
+        backend=config.backend,
+        workers=config.workers,
+        cache=config.result_cache(),
     )
-    largest = max(t.group_size for t in plan.transmissions)
-    return {
-        "transmissions": float(plan.n_transmissions),
-        "fraction_of_unicast": plan.n_transmissions / n_devices,
-        "largest_group": float(largest),
-    }
-
-
-def _fig7_run(
-    rng: np.random.Generator,
-    _run_index: int,
-    config: ExperimentConfig,
-    n_devices: int,
-) -> Dict[str, float]:
-    """Picklable Fig. 7 run function (fused-backend compatible)."""
-    return transmissions_once(rng, config, n_devices)
+    stats["fraction_of_unicast"] = RunStatistics(
+        values=stats["transmissions"].values / spec.n_devices
+    )
+    return stats
 
 
 def run_fig7(
@@ -58,11 +44,8 @@ def run_fig7(
     per_n: Dict[int, Dict[str, RunStatistics]] = {}
     rows = []
     for n_devices in config.device_counts:
-        harness = config.monte_carlo(seed=config.seed + n_devices)
-        stats = harness.run(
-            partial(_fig7_run, config=config, n_devices=n_devices),
-            cache_tag=f"fig7/{n_devices}",
-            config_fingerprint=config.fingerprint(),
+        stats = drsc_campaign(
+            config, "fig7", n_devices=n_devices, seed=config.seed + n_devices
         )
         per_n[n_devices] = stats
         tx = stats["transmissions"]

@@ -10,7 +10,7 @@ the connected-mode split, swept over the three payload sizes.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from repro.core import (
     DaScMechanism,
     DrScMechanism,
     DrSiMechanism,
-    GroupingMechanism,
     UnicastBaseline,
 )
 from repro.experiments.config import ExperimentConfig
@@ -33,21 +32,10 @@ from repro.traffic.generator import generate_fleet
 FIG6_MECHANISMS = ("dr-sc", "da-sc", "dr-si")
 
 
-def _mechanisms(
-    config: Optional[ExperimentConfig] = None,
-) -> List[GroupingMechanism]:
-    # config.grouping only retargets the windowed mechanism: DA-SC and
-    # DR-SI keep their paper semantics (one fleet-wide group) so the
-    # Fig. 6 comparison stays a mechanism comparison, not a policy one.
-    policy = config.grouping_policy() if config is not None else None
-    return [DrScMechanism(policy=policy), DaScMechanism(), DrSiMechanism()]
-
-
 def compare_mechanisms_once(
     rng: np.random.Generator,
     config: ExperimentConfig,
     payload_bytes: int,
-    n_devices: Optional[int] = None,
 ) -> Dict[str, float]:
     """One Monte-Carlo run of the Fig. 6 comparison.
 
@@ -55,11 +43,17 @@ def compare_mechanisms_once(
     the unicast baseline, plus auxiliary diagnostics (transmission
     counts, mean waits).
     """
-    fleet = generate_fleet(n_devices or config.n_devices, config.mixture, rng)
-    context = config.planning_context(payload_bytes)
-    executor = CampaignExecutor(timings=config.timings)
+    spec = config.scenario("fig6", payload_bytes=payload_bytes)
+    fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
+    context = spec.planning_context()
+    executor = CampaignExecutor(timings=spec.timings())
 
-    plans = {m.name: m.plan(fleet, context, rng) for m in _mechanisms(config)}
+    # config.grouping only retargets the windowed mechanism: DA-SC and
+    # DR-SI keep their paper semantics (one fleet-wide group) so the
+    # Fig. 6 comparison stays a mechanism comparison, not a policy one.
+    policy = spec.grouping_policy()
+    mechanisms = (DrScMechanism(policy=policy), DaScMechanism(), DrSiMechanism())
+    plans = {m.name: m.plan(fleet, context, rng) for m in mechanisms}
     plans["unicast"] = UnicastBaseline().plan(fleet, context, rng)
 
     # Execute everything over one common horizon for comparability.
@@ -104,19 +98,23 @@ def _fig6_stats(
     Fig. 6(a) and 6(b) share the same per-run computation, so they share
     one cache entry per payload size.
     """
-    harness = config.monte_carlo()
-    return harness.run(
+    spec = config.scenario("fig6", payload_bytes=payload_bytes)
+    return config.monte_carlo().run(
         partial(_fig6_run, config=config, payload_bytes=payload_bytes),
         cache_tag=f"fig6/{payload_bytes}",
-        config_fingerprint=config.fingerprint(),
+        config_fingerprint=spec.fingerprint(),
     )
 
 
 def run_fig6a(
     config: ExperimentConfig = ExperimentConfig(),
+    stats: Optional[Dict[str, RunStatistics]] = None,
 ) -> Tuple[Table, Dict[str, RunStatistics]]:
-    """Fig. 6(a): relative light-sleep uptime increase vs unicast."""
-    stats = _fig6_stats(config, config.default_payload)
+    """Fig. 6(a): relative light-sleep uptime increase vs unicast.
+
+    ``stats`` reuses an already-run default-payload campaign."""
+    if stats is None:
+        stats = _fig6_stats(config, config.default_payload)
     rows = []
     for name in FIG6_MECHANISMS:
         light = stats[f"{name}/light_sleep"]

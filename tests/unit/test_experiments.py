@@ -20,17 +20,26 @@ class TestExperimentConfig:
 
     def test_cell_uses_ti(self):
         config = replace(ExperimentConfig(), inactivity_timer_s=10.24)
-        assert config.cell.inactivity_timer_frames == 1024
+        assert config.scenario("t").cell().inactivity_timer_frames == 1024
 
     def test_planning_context(self):
-        context = ExperimentConfig().planning_context(100_000)
+        spec = ExperimentConfig().scenario("t", payload_bytes=100_000)
+        context = spec.planning_context()
         assert context.payload_bytes == 100_000
         assert context.inactivity_timer_frames == 2048
 
-    def test_scaled_runs(self):
-        config = ExperimentConfig().scaled_runs(0.05)
-        assert config.n_runs == 5
-        assert ExperimentConfig().scaled_runs(0.0001).n_runs == 1
+    def test_scenario_carries_the_campaign(self):
+        config = ExperimentConfig(
+            mixture="short-edrx", grouping="collision-aware", n_runs=7
+        )
+        spec = config.scenario("t", n_devices=42)
+        assert spec.mechanism == "dr-sc"
+        assert (spec.n_devices, spec.n_runs, spec.seed) == (42, 7, 2018)
+        assert spec.mixture == "short-edrx"
+        assert spec.grouping == "collision-aware"
+        assert spec.payload_bytes == config.default_payload
+        with pytest.raises(ConfigurationError):
+            config.scenario("t", no_such_field=1)
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -39,6 +48,43 @@ class TestExperimentConfig:
             replace(ExperimentConfig(), n_runs=0)
         with pytest.raises(ConfigurationError):
             replace(ExperimentConfig(), device_counts=())
+        # The spec's own checks run at config creation.
+        for bad in (
+            {"n_devices": 0},
+            {"mixture": "no-such-mixture"},
+            {"grouping": "no-such-policy"},
+            {"grouping": "single-group"},  # DR-SC cannot carry it
+        ):
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig(**bad)
+
+    def test_mixture_objects_are_rejected(self):
+        # A custom mixture must never run as the registered one that
+        # shares its name.
+        from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
+
+        with pytest.raises(ConfigurationError):
+            ExperimentConfig(mixture=PAPER_DEFAULT_MIXTURE)
+
+
+class TestRunner:
+    def test_fig6_default_payload_campaign_runs_once(self, monkeypatch):
+        import repro.experiments.uptime as uptime
+        from repro.experiments.runner import run_with_charts
+
+        calls = []
+        real = uptime.compare_mechanisms_once
+
+        def counting(rng, config, payload_bytes):
+            calls.append(payload_bytes)
+            return real(rng, config, payload_bytes)
+
+        monkeypatch.setattr(uptime, "compare_mechanisms_once", counting)
+        config = ExperimentConfig(n_runs=2, n_devices=30)
+        tables, charts = run_with_charts(["6a", "6b"], config)
+        assert set(tables) == {"6a", "6b"} and "6a" in charts
+        # n_runs x 3 payloads: 6(a) reads 6(b)'s default-payload campaign.
+        assert sorted(calls) == sorted(list(config.payload_sizes) * 2)
 
 
 class TestReporting:

@@ -109,12 +109,18 @@ class TestFingerprint:
     def test_sensitive_to_scenario_changes(self):
         base = ExperimentConfig()
         changed = ExperimentConfig(n_devices=base.n_devices + 1)
-        assert base.fingerprint() != changed.fingerprint()
+        assert (
+            base.scenario("fig6").fingerprint()
+            != changed.scenario("fig6").fingerprint()
+        )
 
     def test_execution_knobs_excluded(self):
         serial = ExperimentConfig()
-        fused = ExperimentConfig(backend="fused", workers=8)
-        assert serial.fingerprint() == fused.fingerprint()
+        fused = ExperimentConfig(backend="fused", workers=8, cache_dir="c")
+        assert (
+            serial.scenario("fig6").fingerprint()
+            == fused.scenario("fig6").fingerprint()
+        )
 
     def test_sensitive_to_mixture_internals(self):
         """Recalibrating a mixture must invalidate the cache even when
@@ -138,9 +144,7 @@ class TestFingerprint:
                 },
             )
 
-        a = ExperimentConfig(mixture=mixture(1.0))
-        b = ExperimentConfig(mixture=mixture(2.0))
-        assert a.fingerprint() != b.fingerprint()
+        assert fingerprint(mixture(1.0)) != fingerprint(mixture(2.0))
 
 
 class TestResultCache:
