@@ -67,18 +67,13 @@ FLEET_SCALE_COMBOS = (
     ("single-group", "da-sc"),
 )
 
-#: Directive-level plan checks stay affordable up to this fleet size;
-#: beyond it we rely on the policy partition checks + the test suite.
-VALIDATE_UP_TO = 20_000
-
-
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
     return int(value) if value else default
 
 
 def _assert_full_coverage(plan, n_devices: int) -> None:
-    directed = np.sort(np.array([d.device_index for d in plan.directives]))
+    directed = np.sort(plan.columns.device)
     assert directed.size == n_devices
     assert directed[0] == 0 and directed[-1] == n_devices - 1
     assert np.all(np.diff(directed) == 1), "duplicate or missing directives"
@@ -93,8 +88,7 @@ def _run_combo(policy_name, mechanism_name, fleet, context, seed):
     plan = mechanism.plan(fleet, context, np.random.default_rng(seed))
     plan_s = time.perf_counter() - t0
     _assert_full_coverage(plan, len(fleet))
-    if len(fleet) <= VALIDATE_UP_TO:
-        plan.validate(fleet)
+    plan.validate(fleet)
 
     t0 = time.perf_counter()
     result = executor.execute(fleet, plan)

@@ -9,14 +9,16 @@ paper's two standards-compliant extremes.
 
 This is exactly the extension point a downstream user would reach for —
 subclass :class:`repro.GroupingMechanism`, produce a
-:class:`repro.MulticastPlan`, and every executor, validator and report
-in the library works unchanged.
+:class:`repro.MulticastPlan` (its directives as
+:class:`~repro.core.plan.PlanArrays` columns), and every executor,
+validator and report in the library works unchanged.
 
 Run:
     python examples/custom_mechanism.py
 """
 
-from typing import List, Optional
+from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -33,8 +35,8 @@ from repro import (
     WakeMethod,
     generate_fleet,
 )
-from repro.core.da_sc import DaScMechanism as _DaSc
-from repro.core.plan import DeviceDirective
+from repro.core.plan import METHOD_CODE, PlanArrays
+from repro.grouping.policy import PlannedGroup
 from repro.setcover.greedy import greedy_window_cover
 
 
@@ -54,6 +56,7 @@ class BudgetedHybridMechanism(GroupingMechanism):
     def __init__(self, budget: int = 10) -> None:
         if budget < 1:
             raise ValueError("budget must be >= 1")
+        super().__init__()
         self._budget = budget
         self._dasc = DaScMechanism()
 
@@ -77,67 +80,39 @@ class BudgetedHybridMechanism(GroupingMechanism):
             - {int(i) for _w, members in kept for i in members}
         )
 
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        entries = sorted(kept, key=lambda pair: pair[0].last_frame)
-        for index, (window, members) in enumerate(entries):
-            transmission = self._build_transmission(
-                index, window.last_frame, [int(i) for i in members],
-                fleet, context.payload_bytes,
+        # The kept windows page their members at a window PO, built as
+        # plan columns straight from the fleet's arrays.
+        groups = [PlannedGroup(members, window) for window, members in kept]
+        frames, sizes, parts = [], [], []
+        if groups:
+            rows = self._window_rows(fleet, context, groups)
+            frames = [group.window.last_frame for group in rows.groups]
+            sizes = rows.sizes.tolist()
+            parts.append(
+                PlanArrays(
+                    rows.device,
+                    rows.transmission,
+                    METHOD_CODE[WakeMethod.PAGED_IN_WINDOW],
+                    rows.page,
+                    rows.page,
+                )
             )
-            transmissions.append(transmission)
-            for device_index in transmission.device_indices:
-                device = fleet[device_index]
-                page = self._page_frame_in_window(
-                    device.schedule, window.start, window.last_frame,
-                    context.connect_slack_frames(device),
-                )
-                directives.append(
-                    DeviceDirective(
-                        device_index=device_index,
-                        transmission_index=index,
-                        method=WakeMethod.PAGED_IN_WINDOW,
-                        page_frame=page,
-                        connect_frame=page,
-                    )
-                )
-
         if tail_devices:
             # Delegate the tail to DA-SC on a subfleet, then re-index.
-            tail_fleet = fleet.subset(tail_devices)
-            tail_plan = self._dasc.plan(tail_fleet, context, rng)
-            tail_tx = tail_plan.transmissions[0]
-            tail_index = len(transmissions)
-            transmissions.append(
-                self._build_transmission(
-                    tail_index, tail_tx.frame, tail_devices, fleet,
-                    context.payload_bytes,
+            tail = np.asarray(tail_devices, dtype=np.int64)
+            tail_plan = self._dasc.plan(fleet.subset(tail_devices), context, rng)
+            tail_columns = tail_plan.columns
+            parts.append(
+                replace(
+                    tail_columns,
+                    device=tail[tail_columns.device],
+                    transmission=np.full(tail.size, len(groups)),
                 )
             )
-            for directive in tail_plan.directives:
-                directives.append(
-                    DeviceDirective(
-                        device_index=tail_devices[directive.device_index],
-                        transmission_index=tail_index,
-                        method=directive.method,
-                        page_frame=directive.page_frame,
-                        connect_frame=directive.connect_frame,
-                        adaptation_page_frame=directive.adaptation_page_frame,
-                        adapted_cycle=directive.adapted_cycle,
-                        t322=directive.t322,
-                    )
-                )
-
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
-        )
+            frames.append(tail_plan.transmissions[0].frame)
+            sizes.append(tail.size)
+        columns = PlanArrays.concatenate(parts)
+        return self._assemble(fleet, context, columns, frames, np.array(sizes))
 
 
 def main() -> None:

@@ -20,6 +20,7 @@ normalises against.
 from repro.core.plan import (
     DeviceDirective,
     MulticastPlan,
+    PlanArrays,
     Transmission,
     WakeMethod,
 )
@@ -38,6 +39,7 @@ from repro.core.registry import (
 __all__ = [
     "WakeMethod",
     "DeviceDirective",
+    "PlanArrays",
     "Transmission",
     "MulticastPlan",
     "PlanningContext",

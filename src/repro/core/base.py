@@ -17,21 +17,20 @@ mechanism without a policy is bit-identical to the pre-policy code.
 from __future__ import annotations
 
 import abc
-import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.grouping.policy import GroupingPolicy
+    from repro.grouping.policy import GroupingPolicy, PlannedGroup
 
-from repro.devices.device import NbIotDevice
+from repro.devices.arrays import COVERAGE_ORDER
 from repro.devices.fleet import Fleet
-from repro.drx.schedule import PoSchedule
+from repro.drx.schedule import v_last_at_or_before
 from repro.enb.cell import CellConfig
-from repro.errors import ConfigurationError, PlanError
-from repro.core.plan import MulticastPlan, Transmission
+from repro.errors import ConfigurationError
+from repro.core.plan import MulticastPlan, PlanArrays, Transmission
 from repro.phy.airtime import payload_airtime_frames
 from repro.rrc.procedures import ProcedureTimings
 from repro.timebase import ms_to_frames
@@ -69,37 +68,51 @@ class PlanningContext:
         """The TI in frames (window length for all mechanisms)."""
         return self.cell.inactivity_timer_frames
 
-    def connect_slack_frames(self, device: NbIotDevice) -> int:
-        """Frames a device needs from page to connected-and-ready.
+    def connect_slack_table(self) -> np.ndarray:
+        """Frames a device needs from page to connected-and-ready, per
+        coverage code (:data:`~repro.devices.arrays.COVERAGE_ORDER`).
 
         Used by planners to page devices early enough inside the window
         that they are connected before the nominal transmission start:
         paging reception + random access (collision-free base duration)
         + RRC setup.
         """
-        seconds = (
-            self.timings.airtime.paging_message_s
-            + self.timings.random_access.base_duration_s(device.coverage)
-            + self.timings.airtime.rrc_setup_s
-        )
-        return ms_to_frames(seconds * 1000.0)
+        return self._after_page_frames(self.timings.airtime.rrc_setup_s)
 
-    def adaptation_busy_frames(self, device: NbIotDevice) -> int:
-        """Frames the DA-SC adaptation episode keeps a device busy.
-
-        The adapted window PO must land after this span, otherwise the
-        device would still be mid-reconfiguration when it is due to be
-        paged for the multicast.
-        """
+    def adaptation_busy_table(self) -> np.ndarray:
+        """Frames the DA-SC adaptation episode keeps a device busy, per
+        coverage code: the adapted window PO must land after this span,
+        or the device would still be mid-reconfiguration when it is due
+        to be paged for the multicast."""
         airtime = self.timings.airtime
-        seconds = (
-            airtime.paging_message_s
-            + self.timings.random_access.base_duration_s(device.coverage)
-            + airtime.rrc_setup_s
-            + airtime.rrc_reconfiguration_s
-            + airtime.rrc_release_s
+        return self._after_page_frames(
+            airtime.rrc_setup_s, airtime.rrc_reconfiguration_s, airtime.rrc_release_s
         )
-        return ms_to_frames(seconds * 1000.0)
+
+    def _after_page_frames(self, *after_access_s: float) -> np.ndarray:
+        """Paging reception + random access + ``after_access_s``, in frames."""
+        frames = []
+        for coverage in COVERAGE_ORDER:
+            seconds = self.timings.airtime.paging_message_s
+            seconds += self.timings.random_access.base_duration_s(coverage)
+            for step_s in after_access_s:
+                seconds += step_s
+            frames.append(ms_to_frames(seconds * 1000.0))
+        return np.array(frames, dtype=np.int64)
+
+
+class WindowRows(NamedTuple):
+    """Groups as plan rows: one per member, groups in time order,
+    members in member order."""
+
+    groups: Sequence["PlannedGroup"]  # in time (transmission) order
+    device: np.ndarray
+    transmission: np.ndarray  # each row's group (transmission) index
+    sizes: np.ndarray  # members per group
+    start: np.ndarray  # each row's window start
+    last: np.ndarray  # each row's last window frame
+    page: np.ndarray  # latest window PO (meaningless where not has_po)
+    has_po: np.ndarray  # the member has a PO in [start, last]
 
 
 class GroupingMechanism(abc.ABC):
@@ -148,63 +161,79 @@ class GroupingMechanism(abc.ABC):
     # Shared helpers for subclasses
     # ------------------------------------------------------------------
     @staticmethod
-    def _groups_in_time_order(decision) -> list:
-        """A decision's groups renumbered into campaign-timeline order.
+    def _window_rows(
+        fleet: Fleet, context: PlanningContext, groups: Sequence["PlannedGroup"]
+    ) -> WindowRows:
+        """Lay ``groups`` out as plan rows and page every member at its
+        latest window PO — the latest PO leaving its connect slack before
+        the window's last frame (minimising the connected wait), else the
+        latest PO at or before that frame.
 
         Policies return groups in selection order; transmission indices
-        must follow the timeline. The stable sort preserves selection
-        order among groups sharing a window (collision-aware splits).
+        must follow the timeline, so the groups are renumbered by window
+        end. The stable sort preserves selection order among groups
+        sharing a window (collision-aware splits).
         """
-        order = np.argsort(
-            [group.window.end for group in decision.groups], kind="stable"
+        order = np.argsort([group.window.end for group in groups], kind="stable")
+        groups = [groups[i] for i in order]
+        sizes = np.array([group.size for group in groups], dtype=np.int64)
+        transmission = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        device = np.concatenate([group.members for group in groups])
+        start = np.array([g.window.start for g in groups], np.int64)[transmission]
+        last = np.array([g.window.last_frame for g in groups], np.int64)[transmission]
+        arrays = fleet.arrays
+        phases, periods = arrays.phases[device], arrays.periods[device]
+        slack = context.connect_slack_table()[arrays.coverage_codes[device]]
+        latest = v_last_at_or_before(phases, periods, last)
+        with_slack = v_last_at_or_before(phases, periods, last - slack)
+        page = np.where(with_slack >= start, with_slack, latest)
+        return WindowRows(
+            groups, device, transmission, sizes, start, last, page, latest >= start
         )
-        return [decision.groups[i] for i in order]
 
-    def _build_transmission(
+    def _assemble(
         self,
-        index: int,
-        frame: int,
-        device_indices: Sequence[int],
         fleet: Fleet,
-        payload_bytes: int,
-    ) -> Transmission:
-        """Size the bearer for the group and build the transmission."""
-        rate = fleet.group_rate_bps(list(device_indices))
-        return Transmission(
-            index=index,
-            frame=frame,
-            device_indices=tuple(int(i) for i in device_indices),
-            rate_bps=rate,
-            duration_frames=payload_airtime_frames(payload_bytes, rate),
-        )
-
-    @staticmethod
-    def _page_frame_in_window(
-        schedule: PoSchedule,
-        window_start: int,
-        transmission_frame: int,
-        slack_frames: int,
-    ) -> int:
-        """Choose the PO at which to page a device with a window PO.
-
-        Prefers the latest PO that still leaves ``slack_frames`` before
-        the nominal transmission start (minimising the connected wait);
-        falls back to the latest window PO if the whole window tail is
-        inside the slack region. Raises :class:`PlanError` if the device
-        has no PO in the window at all — planners must only call this
-        for covered devices.
-        """
-        latest_with_slack = schedule.last_at_or_before(
-            transmission_frame - slack_frames
-        )
-        if latest_with_slack is not None and latest_with_slack >= window_start:
-            return latest_with_slack
-        fallback = schedule.last_at_or_before(transmission_frame)
-        if fallback is None or fallback < window_start:
-            raise PlanError(
-                f"no PO in window [{window_start}, {transmission_frame}]"
+        context: PlanningContext,
+        columns: PlanArrays,
+        frames: Sequence[int],
+        sizes: np.ndarray,
+    ) -> MulticastPlan:
+        """This mechanism's plan: one transmission per consecutive run of
+        ``sizes`` rows of ``columns``, at ``frames``, each bearer sized
+        for its slowest member (paper Sec. II-A)."""
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        device = columns.device
+        rates = np.minimum.reduceat(fleet.arrays.downlink_bps[device], starts)
+        members = device.tolist()
+        airtime: Dict[float, int] = {}
+        transmissions = []
+        for index, (frame, lo, hi, rate) in enumerate(
+            zip(frames, starts.tolist(), ends.tolist(), rates.tolist())
+        ):
+            if rate not in airtime:
+                airtime[rate] = payload_airtime_frames(context.payload_bytes, rate)
+            transmissions.append(
+                Transmission(
+                    index=index,
+                    frame=int(frame),
+                    device_indices=tuple(members[lo:hi]),
+                    rate_bps=rate,
+                    duration_frames=airtime[rate],
+                )
             )
-        return fallback
+        return MulticastPlan(
+            mechanism=self.name,
+            standards_compliant=self.standards_compliant,
+            respects_preferred_drx=self.respects_preferred_drx,
+            announce_frame=context.announce_frame,
+            inactivity_timer_frames=context.inactivity_timer_frames,
+            payload_bytes=context.payload_bytes,
+            transmissions=tuple(transmissions),
+            directives=columns,
+            grouping=self.grouping_name,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

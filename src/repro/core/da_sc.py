@@ -31,18 +31,23 @@ relies on (both property-tested):
 from __future__ import annotations
 
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
-from repro.devices.device import NbIotDevice
+from repro.core.plan import (
+    METHOD_CODE,
+    MulticastPlan,
+    PlanArrays,
+    WakeMethod,
+    check_rows,
+)
+from repro.devices.arrays import FleetArrays
 from repro.devices.fleet import Fleet
-from repro.drx.cycles import DrxCycle
-from repro.drx.paging import pattern_for
-from repro.drx.schedule import PoSchedule
-from repro.errors import PlanError
+from repro.drx.cycles import FULL_LADDER
+from repro.drx.paging import v_paging_frame_offset
+from repro.drx.schedule import v_first_at_or_after, v_last_at_or_before
 from repro.grouping.policies import SingleGroupPolicy
 from repro.grouping.policy import GroupingPolicy
 
@@ -97,146 +102,104 @@ class DaScMechanism(GroupingMechanism):
         PO inside their group's window are paged normally, the rest go
         through the DRX-adaptation episode relative to that window.
         """
-        ti = context.inactivity_timer_frames
-        decision = self._policy.group(fleet, context, rng)
-
         # The paper's window is the half-open [t - TI, t); with the
         # transmission at frame t itself, a device paged at frame p in
         # the window waits t - p < TI so its inactivity timer never
         # expires before the data starts. We therefore accept POs in
         # [t - TI, t - 1] and page as late as slack allows.
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        for group_index, group in enumerate(self._groups_in_time_order(decision)):
-            t = group.window.end
-            window_lo = group.window.start
-            window_hi = t - 1
-            for device_index in (int(i) for i in group.members):
-                device = fleet[device_index]
-                schedule = device.schedule
-                slack = context.connect_slack_frames(device)
-                last_window_po = schedule.last_at_or_before(window_hi)
-                if last_window_po is not None and last_window_po >= window_lo:
-                    page_frame = self._page_frame_in_window(
-                        schedule, window_lo, window_hi, slack
-                    )
-                    directives.append(
-                        DeviceDirective(
-                            device_index=device_index,
-                            transmission_index=group_index,
-                            method=WakeMethod.PAGED_IN_WINDOW,
-                            page_frame=page_frame,
-                            connect_frame=page_frame,
-                        )
-                    )
-                    continue
-                directives.append(
-                    self._adaptation_directive(
-                        device_index,
-                        device,
-                        group_index,
-                        window_lo,
-                        window_hi,
-                        context,
-                    )
-                )
-            transmissions.append(
-                self._build_transmission(
-                    index=group_index,
-                    frame=t,
-                    device_indices=[int(i) for i in group.members],
-                    fleet=fleet,
-                    payload_bytes=context.payload_bytes,
-                )
+        decision = self._policy.group(fleet, context, rng)
+        rows = self._window_rows(fleet, context, decision.groups)
+        page = rows.page
+        adaptation = np.full(page.size, -1, dtype=np.int64)
+        cycle = np.zeros(page.size, dtype=np.int64)
+        adapted = np.flatnonzero(~rows.has_po)
+        if adapted.size:
+            adaptation[adapted], cycle[adapted], page[adapted] = self._adapt(
+                fleet.arrays,
+                rows.device[adapted],
+                rows.start[adapted],
+                rows.last[adapted],
+                context,
             )
-
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
-            grouping=self.grouping_name,
+        method = np.where(
+            rows.has_po,
+            METHOD_CODE[WakeMethod.PAGED_IN_WINDOW],
+            METHOD_CODE[WakeMethod.DRX_ADAPTATION],
         )
+        columns = PlanArrays(
+            rows.device, rows.transmission, method, page, page, adaptation, cycle
+        )
+        frames = [group.window.end for group in rows.groups]
+        return self._assemble(fleet, context, columns, frames, rows.sizes)
 
     # ------------------------------------------------------------------
     # Adaptation machinery
     # ------------------------------------------------------------------
-    def _adaptation_directive(
+    def _adapt(
         self,
-        device_index: int,
-        device: NbIotDevice,
-        transmission_index: int,
-        window_lo: int,
-        window_hi: int,
+        arrays: FleetArrays,
+        device: np.ndarray,
+        window_lo: np.ndarray,
+        window_hi: np.ndarray,
         context: PlanningContext,
-    ) -> DeviceDirective:
-        """Build the DRX-adaptation directive for one device."""
-        schedule = device.schedule
-        adaptation_frame = schedule.last_before(window_lo)
-        if adaptation_frame is None:
-            raise PlanError(
-                f"device {device_index} has no PO before the window; "
-                "t must be at least 2 * maxDRX after the announce"
-            )
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The adaptation episode of every device without a window PO.
+
+        Returns ``(adaptation_frame, adapted_cycle, window_po)`` per
+        device: the last preferred PO before the window, the temporary
+        cycle, and the adapted PO the device is paged at in the window.
+
+        The cycle scan runs the ladder downward as whole-array passes
+        over the devices still unresolved: a device takes the first
+        (largest) ladder cycle shorter than its own whose
+        identity-derived grid has a PO in ``[earliest_po, window_hi]``.
+        Existence is guaranteed: any cycle no longer than that span puts
+        a PO in it, and the span is the TI window minus the (much
+        shorter) adaptation episode.
+        """
+        phases, periods = arrays.phases[device], arrays.periods[device]
+        adaptation = v_last_at_or_before(phases, periods, window_lo - 1)
+        check_rows(
+            adaptation < 0,
+            "device {d} has no PO before the window; t must be at least "
+            "2 * maxDRX after the announce",
+            d=device,
+        )
         # The device is busy with the reconfiguration episode right after
         # its adaptation PO; the adapted window PO must come later.
-        earliest_po = max(
-            window_lo,
-            adaptation_frame + context.adaptation_busy_frames(device) + 1,
+        busy = context.adaptation_busy_table()[arrays.coverage_codes[device]]
+        earliest = np.maximum(window_lo, adaptation + busy + 1)
+        ue_ids = arrays.ue_ids[device]
+        nb = (arrays.nb_numerators[device], arrays.nb_denominators[device])
+        cycle = np.zeros(device.size, dtype=np.int64)
+        window_po = np.zeros(device.size, dtype=np.int64)
+        unresolved = np.ones(device.size, dtype=bool)
+        for candidate in sorted(FULL_LADDER, reverse=True):
+            trial = unresolved & (candidate < periods)
+            if self._strategy is AdaptationStrategy.LARGEST_WITHIN_TI:
+                trial &= candidate <= window_hi - earliest + 1
+            rows = np.flatnonzero(trial)
+            if not rows.size:
+                continue
+            grid = np.full(rows.size, int(candidate), dtype=np.int64)
+            po = v_first_at_or_after(
+                v_paging_frame_offset(
+                    ue_ids[rows], grid, (nb[0][rows], nb[1][rows])
+                ),
+                grid,
+                earliest[rows],
+            )
+            inside = po <= window_hi[rows]
+            hit = rows[inside]
+            cycle[hit] = candidate
+            window_po[hit] = po[inside]
+            unresolved[hit] = False
+        check_rows(
+            unresolved,
+            "no ladder cycle creates a PO in [{lo}, {hi}] for device with "
+            "cycle {t} frames",
+            lo=earliest,
+            hi=window_hi,
+            t=periods,
         )
-        adapted_cycle, window_po = self._choose_cycle(
-            device, adaptation_frame, earliest_po, window_hi
-        )
-        return DeviceDirective(
-            device_index=device_index,
-            transmission_index=transmission_index,
-            method=WakeMethod.DRX_ADAPTATION,
-            page_frame=window_po,
-            connect_frame=window_po,
-            adaptation_page_frame=adaptation_frame,
-            adapted_cycle=adapted_cycle,
-        )
-
-    def _choose_cycle(
-        self,
-        device: NbIotDevice,
-        adaptation_frame: int,
-        earliest_po: int,
-        window_hi: int,
-    ) -> Tuple[DrxCycle, int]:
-        """Pick the temporary cycle and the resulting window PO.
-
-        Scans the ladder downward from the device's own cycle and
-        returns the first (largest) cycle whose identity-derived grid
-        produces a PO inside ``[earliest_po, window_hi]``. Existence is
-        guaranteed: any cycle no longer than that span puts a PO in it,
-        and the span is the TI window minus the (much shorter)
-        adaptation episode.
-        """
-        usable_span = window_hi - earliest_po + 1
-        candidates: List[DrxCycle] = []
-        cycle = device.cycle
-        while True:
-            if int(cycle) < int(device.cycle):
-                candidates.append(cycle)
-            if int(cycle) == DrxCycle.MIN_FRAMES:
-                break
-            cycle = cycle.shorter()
-        if self._strategy is AdaptationStrategy.LARGEST_WITHIN_TI:
-            candidates = [c for c in candidates if int(c) <= usable_span]
-
-        for candidate in candidates:
-            grid = pattern_for(
-                device.drx.ue_id, candidate, device.drx.nb
-            ).schedule
-            po = grid.first_at_or_after(earliest_po)
-            if po <= window_hi:
-                return candidate, po
-        raise PlanError(
-            f"no ladder cycle creates a PO in [{earliest_po}, {window_hi}] "
-            f"for device with cycle {device.cycle!r}"
-        )
+        return adaptation, cycle, window_po

@@ -22,12 +22,18 @@ is what disqualifies DR-SC for bandwidth-starved NB-IoT cells.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
+from repro.core.plan import (
+    METHOD_CODE,
+    MulticastPlan,
+    PlanArrays,
+    WakeMethod,
+    check_rows,
+)
 from repro.devices.fleet import Fleet
 from repro.errors import ConfigurationError
 from repro.grouping.policies import GreedyCoverPolicy
@@ -66,49 +72,21 @@ class DrScMechanism(GroupingMechanism):
         windows); passing None makes the default planning deterministic
         (earliest window wins ties).
         """
-        ti = context.inactivity_timer_frames
         decision = self._policy.group(fleet, context, rng)
-
-        # Policies return groups in selection order; renumber them in
-        # time order so transmission indices follow the campaign timeline.
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        for new_index, group in enumerate(self._groups_in_time_order(decision)):
-            window = group.window
-            transmission = self._build_transmission(
-                index=new_index,
-                frame=window.last_frame,
-                device_indices=[int(i) for i in group.members],
-                fleet=fleet,
-                payload_bytes=context.payload_bytes,
-            )
-            transmissions.append(transmission)
-            for device_index in transmission.device_indices:
-                device = fleet[device_index]
-                page_frame = self._page_frame_in_window(
-                    device.schedule,
-                    window.start,
-                    window.last_frame,
-                    context.connect_slack_frames(device),
-                )
-                directives.append(
-                    DeviceDirective(
-                        device_index=device_index,
-                        transmission_index=new_index,
-                        method=WakeMethod.PAGED_IN_WINDOW,
-                        page_frame=page_frame,
-                        connect_frame=page_frame,
-                    )
-                )
-
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
-            grouping=self.grouping_name,
+        rows = self._window_rows(fleet, context, decision.groups)
+        check_rows(
+            ~rows.has_po,
+            "device {d}: no PO in window [{s}, {f}]",
+            d=rows.device,
+            s=rows.start,
+            f=rows.last,
         )
+        columns = PlanArrays(
+            rows.device,
+            rows.transmission,
+            METHOD_CODE[WakeMethod.PAGED_IN_WINDOW],
+            rows.page,
+            rows.page,
+        )
+        frames = [group.window.last_frame for group in rows.groups]
+        return self._assemble(fleet, context, columns, frames, rows.sizes)

@@ -22,17 +22,23 @@ over the TI window instead of synchronising a RACH stampede at t - TI.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
+from repro.core.plan import (
+    METHOD_CODE,
+    MulticastPlan,
+    PlanArrays,
+    WakeMethod,
+    check_rows,
+)
 from repro.devices.fleet import Fleet
-from repro.errors import ConfigurationError, PlanError
+from repro.drx.schedule import v_first_at_or_after
+from repro.errors import ConfigurationError
 from repro.grouping.policies import SingleGroupPolicy
 from repro.grouping.policy import GroupingPolicy
-from repro.rrc.timers import T322Timer
 
 
 class DrSiMechanism(GroupingMechanism):
@@ -68,75 +74,42 @@ class DrSiMechanism(GroupingMechanism):
                 "DR-SI needs an RNG: devices select a random wake time "
                 "within [t - TI, t)"
             )
-        ti = context.inactivity_timer_frames
         decision = self._policy.group(fleet, context, rng)
-
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        for group_index, group in enumerate(self._groups_in_time_order(decision)):
-            t = group.window.end
-            window_lo = group.window.start
-            window_hi = t - 1
-            for device_index in (int(i) for i in group.members):
-                device = fleet[device_index]
-                schedule = device.schedule
-                slack = context.connect_slack_frames(device)
-                last_window_po = schedule.last_at_or_before(window_hi)
-                if last_window_po is not None and last_window_po >= window_lo:
-                    page_frame = self._page_frame_in_window(
-                        schedule, window_lo, window_hi, slack
-                    )
-                    directives.append(
-                        DeviceDirective(
-                            device_index=device_index,
-                            transmission_index=group_index,
-                            method=WakeMethod.PAGED_IN_WINDOW,
-                            page_frame=page_frame,
-                            connect_frame=page_frame,
-                        )
-                    )
-                    continue
-
-                # Extended page at the device's first PO after the announce:
-                # "notify the devices well in advance of the time of the
-                # multicast transmission".
-                page_frame = schedule.first_at_or_after(context.announce_frame)
-                if page_frame >= window_lo:
-                    raise PlanError(
-                        f"device {device_index}: first PO {page_frame} already "
-                        "inside the window despite having no window PO"
-                    )  # pragma: no cover - unreachable by construction
-                wake_frame = int(rng.integers(window_lo, window_hi + 1))
-                directives.append(
-                    DeviceDirective(
-                        device_index=device_index,
-                        transmission_index=group_index,
-                        method=WakeMethod.EXTENDED_PAGE_TIMER,
-                        page_frame=page_frame,
-                        connect_frame=wake_frame,
-                        t322=T322Timer(
-                            armed_at_frame=page_frame, expires_at_frame=wake_frame
-                        ),
-                    )
-                )
-            transmissions.append(
-                self._build_transmission(
-                    index=group_index,
-                    frame=t,
-                    device_indices=[int(i) for i in group.members],
-                    fleet=fleet,
-                    payload_bytes=context.payload_bytes,
-                )
+        rows = self._window_rows(fleet, context, decision.groups)
+        page, connect = rows.page, rows.page.copy()
+        notified = np.flatnonzero(~rows.has_po)
+        if notified.size:
+            # Extended page at the device's first PO after the announce:
+            # "notify the devices well in advance of the time of the
+            # multicast transmission".
+            device = rows.device[notified]
+            arrays = fleet.arrays
+            page[notified] = v_first_at_or_after(
+                arrays.phases[device], arrays.periods[device], context.announce_frame
             )
-
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=ti,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
-            grouping=self.grouping_name,
+            check_rows(
+                page[notified] >= rows.start[notified],
+                "device {d}: first PO {p} already inside the window despite "
+                "having no window PO",
+                d=device,
+                p=page[notified],
+            )  # pragma: no cover - unreachable by construction
+            # Each group draws its notified members' wake frames in one
+            # call, in member order: the same stream as one draw each.
+            bounds = np.searchsorted(
+                rows.transmission[notified], np.arange(len(rows.groups) + 1)
+            )
+            for group, a, b in zip(rows.groups, bounds[:-1], bounds[1:]):
+                if b > a:
+                    window = group.window
+                    connect[notified[a:b]] = rng.integers(
+                        window.start, window.last_frame + 1, size=b - a
+                    )
+        method = np.where(
+            rows.has_po,
+            METHOD_CODE[WakeMethod.PAGED_IN_WINDOW],
+            METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER],
         )
+        columns = PlanArrays(rows.device, rows.transmission, method, page, connect)
+        frames = [group.window.end for group in rows.groups]
+        return self._assemble(fleet, context, columns, frames, rows.sizes)

@@ -6,21 +6,32 @@ serves at what bearer rate, and — per device — how the device is woken
 (normal page in the window, DA-SC adaptation, DR-SI extended page, or
 the unicast baseline's immediate page).
 
+The canonical form of a plan's per-device directives is
+:class:`PlanArrays`, a struct-of-arrays the mechanisms build straight
+from the fleet's columns; :class:`DeviceDirective` objects are built
+from it only on access (:attr:`MulticastPlan.directives`).
+
 ``MulticastPlan.validate`` re-derives every claim against the fleet's
-actual paging schedules and raises :class:`~repro.errors.PlanError`
-on any inconsistency; every mechanism's output is validated in tests
-and property tests, so executor results can trust plan invariants.
+actual paging schedules and bearer rates, as whole-array checks, and
+raises :class:`~repro.errors.PlanError` on any inconsistency. Every
+campaign path validates its plans, so executor results can trust plan
+invariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import pattern_for
+from repro.drx.paging import v_paging_frame_offset
 from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
@@ -95,7 +106,7 @@ class Transmission:
 
 @dataclass(frozen=True)
 class DeviceDirective:
-    """Per-device wake-up instructions.
+    """Per-device wake-up instructions: one row of a plan's columns.
 
     Attributes:
         device_index: fleet index of the device.
@@ -108,7 +119,10 @@ class DeviceDirective:
             cycle) where the device is paged for the reconfiguration;
             "the adaptation happens in the last PO before t - TI".
         adapted_cycle: DA-SC only — the temporary (shorter) cycle.
-        t322: DR-SI only — the armed wake-up timer.
+        t322: DR-SI only — the armed wake-up timer (armed at the page
+            frame, expiring at the connect frame).
+
+    Construction applies the row checks of :class:`PlanArrays`.
     """
 
     device_index: int
@@ -121,35 +135,199 @@ class DeviceDirective:
     t322: Optional[T322Timer] = None
 
     def __post_init__(self) -> None:
-        if self.device_index < 0:
-            raise PlanError(f"device index must be >= 0, got {self.device_index}")
-        if self.page_frame < 0:
-            raise PlanError(f"page frame must be >= 0, got {self.page_frame}")
-        if self.connect_frame < self.page_frame and self.method is not WakeMethod.DRX_ADAPTATION:
-            raise PlanError(
-                f"device {self.device_index} connects at {self.connect_frame} "
-                f"before its page at {self.page_frame}"
-            )
-        if self.method is WakeMethod.DRX_ADAPTATION:
-            if self.adaptation_page_frame is None or self.adapted_cycle is None:
+        PlanArrays.from_directives((self,))
+
+
+#: Wake methods in the fixed order the ``method`` codes of
+#: :class:`PlanArrays` index into (code ``i`` means ``METHOD_ORDER[i]``).
+METHOD_ORDER: Tuple[WakeMethod, ...] = tuple(WakeMethod)
+
+METHOD_CODE: Dict[WakeMethod, int] = {
+    method: i for i, method in enumerate(METHOD_ORDER)
+}
+
+_ADAPTATION = METHOD_CODE[WakeMethod.DRX_ADAPTATION]
+_EXTENDED = METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]
+
+
+def check_rows(
+    mask: np.ndarray, message: str, error: type = PlanError, **columns: np.ndarray
+) -> None:
+    """Raise ``error`` for the first row where ``mask`` holds.
+
+    ``message`` is formatted with that row's value of every keyword
+    column (and ``row``, the row index itself).
+    """
+    if mask.any():
+        r = int(np.argmax(mask))
+        raise error(message.format(row=r, **{k: v[r] for k, v in columns.items()}))
+
+
+def _on_grid(frames: np.ndarray, phases: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Per-row :meth:`PoSchedule.is_po` of ``frames`` on ``(phase, period)``."""
+    return (frames >= phases) & ((frames - phases) % periods == 0)
+
+
+@dataclass(frozen=True, eq=False)
+class PlanArrays(SequenceABC):
+    """A plan's directives as a frozen struct-of-arrays.
+
+    One row per directive, every column int64, rows in the plan's
+    directive order — groups in time order, members in member order.
+    Random-access draws and event-log rows follow this order, so it is
+    part of the contract. As a sequence, the rows read as
+    :class:`DeviceDirective` objects built on access (never cached).
+
+    Columns: ``device``, ``transmission`` (plan transmission index),
+    ``method`` (an index into :data:`METHOD_ORDER`), ``page_frame``,
+    ``connect_frame``, ``adaptation_page_frame`` (-1 unless DA-SC
+    adapted the device) and ``adapted_cycle`` (in frames, 0 unless
+    adapted); scalars broadcast to every row. A DR-SI device's T322 is
+    armed at ``page_frame`` and expires at ``connect_frame``.
+    Construction checks every row the way a directive checks itself.
+    """
+
+    device: np.ndarray
+    transmission: np.ndarray
+    method: np.ndarray
+    page_frame: np.ndarray
+    connect_frame: np.ndarray
+    adaptation_page_frame: np.ndarray = -1
+    adapted_cycle: np.ndarray = 0
+
+    def __post_init__(self) -> None:
+        n = np.asarray(self.device).size
+        for name in PLAN_COLUMNS:
+            column = np.asarray(getattr(self, name), dtype=np.int64)
+            if column.ndim == 0:
+                column = np.full(n, column, dtype=np.int64)
+            elif column.shape != (n,):
+                raise PlanError(f"plan column {name!r} has shape {column.shape}")
+            column = np.ascontiguousarray(column)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        method, page, connect = self.method, self.page_frame, self.connect_frame
+        adaptation, cycle = self.adaptation_page_frame, self.adapted_cycle
+        adapted = method == _ADAPTATION
+        on_ladder = (cycle >= DrxCycle.MIN_FRAMES) & (cycle <= DrxCycle.MAX_FRAMES)
+        on_ladder &= cycle & (cycle - 1) == 0
+        for mask, message in (
+            ((method < 0) | (method >= len(METHOD_ORDER)), "unknown wake method"),
+            (self.device < 0, "negative device index"),
+            (page < 0, "negative page frame"),
+            ((connect < page) & ~adapted, "connects before its page"),
+            (adapted & ((adaptation < 0) | ~on_ladder), "adaptation fields missing"),
+            (~adapted & ((adaptation != -1) | (cycle != 0)), "adaptation fields set"),
+            ((method == _EXTENDED) & (connect <= page), "T322 expires before armed"),
+        ):
+            check_rows(mask, "device {d}: " + message, d=self.device)
+
+    @classmethod
+    def from_directives(cls, directives: Sequence[DeviceDirective]) -> "PlanArrays":
+        """Capture the columns of a sequence of directive objects."""
+        if isinstance(directives, PlanArrays):
+            return directives
+        rows = []
+        for d in directives:
+            extended = d.method is WakeMethod.EXTENDED_PAGE_TIMER
+            if (d.t322 is not None) != extended or (
+                extended
+                and (d.t322.armed_at_frame, d.t322.expires_at_frame)
+                != (d.page_frame, d.connect_frame)
+            ):
                 raise PlanError(
-                    f"device {self.device_index}: DRX adaptation requires "
-                    "adaptation_page_frame and adapted_cycle"
+                    f"device {d.device_index}: T322 belongs to extended pages, "
+                    "armed at the page frame and expiring at the connect frame"
                 )
-        else:
-            if self.adaptation_page_frame is not None or self.adapted_cycle is not None:
-                raise PlanError(
-                    f"device {self.device_index}: adaptation fields set for "
-                    f"non-adaptation method {self.method}"
+            rows.append(
+                (
+                    d.device_index,
+                    d.transmission_index,
+                    METHOD_CODE[d.method],
+                    d.page_frame,
+                    d.connect_frame,
+                    -1 if d.adaptation_page_frame is None else d.adaptation_page_frame,
+                    0 if d.adapted_cycle is None else int(d.adapted_cycle),
                 )
-        if self.method is WakeMethod.EXTENDED_PAGE_TIMER and self.t322 is None:
-            raise PlanError(
-                f"device {self.device_index}: extended-page method requires T322"
             )
-        if self.method is not WakeMethod.EXTENDED_PAGE_TIMER and self.t322 is not None:
-            raise PlanError(
-                f"device {self.device_index}: T322 set for method {self.method}"
-            )
+        table = np.array(rows, dtype=np.int64).reshape(-1, len(PLAN_COLUMNS))
+        return cls(*table.T)
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["PlanArrays"]) -> "PlanArrays":
+        """Row-wise concatenation of several plans' directives."""
+        return cls(
+            *(np.concatenate([getattr(p, n) for p in parts]) for n in PLAN_COLUMNS)
+        )
+
+    # ------------------------------------------------------------------
+    # The directive-sequence view
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return self.device.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        row = range(len(self))[index]
+        device, tx, code, page, connect, adaptation, cycle = (
+            int(getattr(self, name)[row]) for name in PLAN_COLUMNS
+        )
+        method = METHOD_ORDER[code]
+        adapted = method is WakeMethod.DRX_ADAPTATION
+        extended = method is WakeMethod.EXTENDED_PAGE_TIMER
+        return DeviceDirective(
+            device,
+            tx,
+            method,
+            page,
+            connect,
+            adaptation if adapted else None,
+            DrxCycle(cycle) if adapted else None,
+            T322Timer(page, connect) if extended else None,
+        )
+
+    def __iter__(self) -> Iterator[DeviceDirective]:
+        return (self[i] for i in range(len(self)))
+
+    @cached_property
+    def _first_rows(self) -> np.ndarray:
+        """Device index -> its first row (-1 for devices without one)."""
+        rows = np.full(int(self.device.max()) + 1 if len(self) else 0, -1, np.int64)
+        devices, first = np.unique(self.device, return_index=True)
+        rows[devices] = first
+        return rows
+
+    def row_of(self, device_index: int) -> int:
+        """The row directing ``device_index`` (-1 when there is none)."""
+        rows = self._first_rows
+        return int(rows[device_index]) if 0 <= device_index < rows.size else -1
+
+    # ------------------------------------------------------------------
+    # Value semantics
+    # ------------------------------------------------------------------
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PlanArrays):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in PLAN_COLUMNS
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name).tobytes() for name in PLAN_COLUMNS))
+
+    def __reduce__(self):
+        # Unpickling re-runs the constructor: the columns come back
+        # checked and read-only, without the lazy lookup index.
+        return (PlanArrays, tuple(getattr(self, name) for name in PLAN_COLUMNS))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"PlanArrays(n={len(self)})"
+
+
+#: The column schema of :class:`PlanArrays` (every column int64).
+PLAN_COLUMNS: Tuple[str, ...] = tuple(f.name for f in fields(PlanArrays))
 
 
 @dataclass(frozen=True)
@@ -166,7 +344,9 @@ class MulticastPlan:
         inactivity_timer_frames: the TI used for the windows.
         payload_bytes: multicast payload size.
         transmissions: scheduled transmissions, ordered by frame.
-        directives: one directive per fleet device (any order).
+        directives: one directive per fleet device, held as
+            :class:`PlanArrays` columns (a sequence of
+            :class:`DeviceDirective` objects is converted).
         grouping: registry name of the grouping policy that formed the
             groups (None for policy-free baselines such as unicast).
     """
@@ -178,8 +358,17 @@ class MulticastPlan:
     inactivity_timer_frames: int
     payload_bytes: int
     transmissions: Tuple[Transmission, ...]
-    directives: Tuple[DeviceDirective, ...]
+    directives: PlanArrays
     grouping: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        columns = PlanArrays.from_directives(self.directives)
+        object.__setattr__(self, "directives", columns)
+
+    @property
+    def columns(self) -> PlanArrays:
+        """The directive columns (the same object as :attr:`directives`)."""
+        return self.directives
 
     # ------------------------------------------------------------------
     # Summaries
@@ -201,10 +390,10 @@ class MulticastPlan:
 
     def directive_for(self, device_index: int) -> DeviceDirective:
         """The directive addressing ``device_index``."""
-        for directive in self.directives:
-            if directive.device_index == device_index:
-                return directive
-        raise PlanError(f"no directive for device {device_index}")
+        row = self.columns.row_of(device_index)
+        if row < 0:
+            raise PlanError(f"no directive for device {device_index}")
+        return self.columns[row]
 
     # ------------------------------------------------------------------
     # Validation
@@ -213,7 +402,9 @@ class MulticastPlan:
         """Check the plan against the fleet's actual paging schedules.
 
         Raises :class:`~repro.errors.PlanError` (or its subclass
-        :class:`~repro.errors.CoverageError`) on the first violation.
+        :class:`~repro.errors.CoverageError`) on the first violated
+        check. Every check is a whole-array expression over the plan
+        columns and the fleet's columns.
 
         ``partial=True`` relaxes only the completeness requirement —
         fleet devices without a directive are allowed. Revised in-flight
@@ -221,163 +412,112 @@ class MulticastPlan:
         campaign keeps the devices that left (indices are append-only),
         so full coverage is impossible by construction. Every other
         invariant (no duplicate directives, transmission/directive
-        agreement, per-directive paging feasibility) still holds.
+        agreement, bearer rates, per-directive paging feasibility)
+        still holds.
         """
-        self._validate_coverage(fleet, partial=partial)
-        by_index = {t.index: t for t in self.transmissions}
-        if sorted(by_index) != list(range(len(self.transmissions))):
+        arrays = fleet.arrays
+        dev, tx = self.columns.device, self.columns.transmission
+        n_fleet = arrays.n
+        check_rows(dev >= n_fleet, f"device {{d}} outside fleet of {n_fleet}", d=dev)
+        counts = np.bincount(dev, minlength=n_fleet)
+        check_rows(counts > 1, "device {row} has multiple directives", CoverageError)
+        missing = np.flatnonzero(counts == 0)
+        if missing.size and not partial:
+            raise CoverageError(
+                f"{missing.size} devices uncovered, e.g. {missing[:5].tolist()}"
+            )
+
+        # Transmission member lists agree with the transmission column.
+        transmissions = self.transmissions
+        k = len(transmissions)
+        sizes = np.fromiter((t.group_size for t in transmissions), np.int64, k)
+        listed = np.fromiter(
+            chain.from_iterable(t.device_indices for t in transmissions),
+            np.int64,
+            int(sizes.sum()),
+        )
+        indices = [t.index for t in transmissions]
+        listed_tx = np.repeat(np.array(indices, dtype=np.int64), sizes)
+        span = max(n_fleet, int(listed.max()) + 1) if listed.size else n_fleet
+        if (listed.size and listed.min() < 0) or not np.array_equal(
+            np.bincount(listed, minlength=span) > 0,
+            np.bincount(dev, minlength=span) > 0,
+        ):
+            raise CoverageError("transmission device lists disagree with directives")
+        row_of = np.empty(n_fleet, dtype=np.int64)
+        row_of[dev] = np.arange(dev.size)
+        check_rows(
+            tx[row_of[listed]] != listed_tx,
+            "device {d} listed in transmission {t} but directed elsewhere",
+            CoverageError,
+            d=listed,
+            t=listed_tx,
+        )
+        if sorted(indices) != list(range(k)):
             raise PlanError("transmission indices are not 0..k-1")
-        for directive in self.directives:
-            transmission = by_index.get(directive.transmission_index)
-            if transmission is None:
-                raise PlanError(
-                    f"device {directive.device_index} references missing "
-                    f"transmission {directive.transmission_index}"
-                )
-            self._validate_directive(fleet, directive, transmission)
-
-    def _validate_coverage(self, fleet: Fleet, *, partial: bool = False) -> None:
-        seen: Dict[int, int] = {}
-        for directive in self.directives:
-            if directive.device_index >= len(fleet):
-                raise PlanError(
-                    f"directive for device {directive.device_index} outside "
-                    f"fleet of {len(fleet)}"
-                )
-            if directive.device_index in seen:
-                raise CoverageError(
-                    f"device {directive.device_index} has multiple directives"
-                )
-            seen[directive.device_index] = directive.transmission_index
-        missing = set(range(len(fleet))) - set(seen)
-        if missing and not partial:
-            raise CoverageError(
-                f"{len(missing)} devices uncovered, e.g. {sorted(missing)[:5]}"
+        missing_tx = (tx < 0) | (tx >= k)
+        check_rows(missing_tx, "device {d}: no transmission {t}", d=dev, t=tx)
+        if k:
+            # The bearer serves the slowest member (paper Sec. II-A). A
+            # frozen revised window keeps the rate it was sized for when
+            # it had more members, hence <= rather than ==.
+            slowest = np.minimum.reduceat(
+                arrays.downlink_bps[listed], np.cumsum(sizes) - sizes
             )
-        listed = {
-            i for t in self.transmissions for i in t.device_indices
-        }
-        if listed != set(seen):
-            raise CoverageError(
-                "transmission device lists disagree with directives"
+            check_rows(
+                np.array([t.rate_bps for t in transmissions]) > slowest,
+                "transmission {t}: bearer rate exceeds its slowest member's {r} bps",
+                t=np.array(indices),
+                r=slowest,
             )
-        for t in self.transmissions:
-            for i in t.device_indices:
-                if seen[i] != t.index:
-                    raise CoverageError(
-                        f"device {i} listed in transmission {t.index} but "
-                        f"directed to {seen[i]}"
-                    )
 
-    def _validate_directive(
-        self, fleet: Fleet, directive: DeviceDirective, transmission: Transmission
-    ) -> None:
-        device = fleet[directive.device_index]
-        ti = self.inactivity_timer_frames
+        # Per-directive paging feasibility, one array check per rule.
+        columns = self.columns
+        method, page = columns.method, columns.page_frame
+        connect = columns.connect_frame
+        frames = np.empty(len(indices), dtype=np.int64)
+        frames[indices] = [t.frame for t in self.transmissions]
         # A device paged (or self-waking) at frame p can still be awake at
         # the transmission frame F iff F - p <= TI. Both window
         # conventions in the paper (DR-SC's [s, s+TI) with the
         # transmission at s+TI-1, and DA-SC/DR-SI's [t - TI, t) with the
         # transmission at t) satisfy this single invariant.
-        window_start = transmission.frame - ti
-        preferred = device.schedule
-
-        if directive.method is WakeMethod.IMMEDIATE_PAGE:
-            if not preferred.is_po(directive.page_frame):
-                raise PlanError(
-                    f"device {directive.device_index}: immediate page at "
-                    f"{directive.page_frame} is not a PO"
-                )
-            return
-
-        if directive.method is WakeMethod.PAGED_IN_WINDOW:
-            if not preferred.is_po(directive.page_frame):
-                raise PlanError(
-                    f"device {directive.device_index}: window page at "
-                    f"{directive.page_frame} is not a PO"
-                )
-            if not window_start <= directive.page_frame <= transmission.frame:
-                raise PlanError(
-                    f"device {directive.device_index}: page at "
-                    f"{directive.page_frame} outside window "
-                    f"[{window_start}, {transmission.frame}]"
-                )
-            return
-
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            self._validate_adaptation(fleet, directive, transmission, window_start)
-            return
-
-        if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-            if not preferred.is_po(directive.page_frame):
-                raise PlanError(
-                    f"device {directive.device_index}: extended page at "
-                    f"{directive.page_frame} is not a PO"
-                )
-            timer = directive.t322
-            assert timer is not None  # guaranteed by DeviceDirective
-            if not window_start <= timer.expires_at_frame <= transmission.frame:
-                raise PlanError(
-                    f"device {directive.device_index}: T322 expiry "
-                    f"{timer.expires_at_frame} outside window "
-                    f"[{window_start}, {transmission.frame}]"
-                )
-            if directive.connect_frame != timer.expires_at_frame:
-                raise PlanError(
-                    f"device {directive.device_index}: connect frame "
-                    f"{directive.connect_frame} differs from T322 expiry"
-                )
-            return
-
-        raise PlanError(f"unknown wake method {directive.method}")  # pragma: no cover
-
-    def _validate_adaptation(
-        self,
-        fleet: Fleet,
-        directive: DeviceDirective,
-        transmission: Transmission,
-        window_start: int,
-    ) -> None:
-        device = fleet[directive.device_index]
-        preferred = device.schedule
-        adaptation_frame = directive.adaptation_page_frame
-        adapted_cycle = directive.adapted_cycle
-        assert adaptation_frame is not None and adapted_cycle is not None
-
-        if int(adapted_cycle) > int(device.cycle):
-            raise PlanError(
-                f"device {directive.device_index}: adapted cycle "
-                f"{adapted_cycle!r} longer than preferred {device.cycle!r}"
-            )
-        if not preferred.is_po(adaptation_frame):
-            raise PlanError(
-                f"device {directive.device_index}: adaptation page at "
-                f"{adaptation_frame} is not a preferred-cycle PO"
-            )
-        if adaptation_frame >= window_start:
-            raise PlanError(
-                f"device {directive.device_index}: adaptation at "
-                f"{adaptation_frame} not before the window start {window_start}"
-            )
-        # The adapted PO grid derives from the identity, like any grid.
-        adapted = pattern_for(
-            device.drx.ue_id, adapted_cycle, device.drx.nb
-        ).schedule
-        if not adapted.is_po(directive.page_frame):
-            raise PlanError(
-                f"device {directive.device_index}: window page at "
-                f"{directive.page_frame} is not on the adapted grid"
-            )
-        if not window_start <= directive.page_frame <= transmission.frame:
-            raise PlanError(
-                f"device {directive.device_index}: adapted page at "
-                f"{directive.page_frame} outside window "
-                f"[{window_start}, {transmission.frame}]"
-            )
-        if directive.page_frame <= adaptation_frame:
-            raise PlanError(
-                f"device {directive.device_index}: adapted page not after "
-                "the adaptation episode"
+        frame = frames[tx]
+        start = frame - self.inactivity_timer_frames
+        phase, period = arrays.phases[dev], arrays.periods[dev]
+        adaptation = columns.adaptation_page_frame
+        adapted, extended = method == _ADAPTATION, method == _EXTENDED
+        # Adapted rows page on their temporary grid, derived from the
+        # identity like any grid; every other row on its preferred one.
+        cycle = np.where(adapted, columns.adapted_cycle, period)
+        grid = phase if not adapted.any() else v_paging_frame_offset(
+            arrays.ue_ids[dev],
+            cycle,
+            (arrays.nb_numerators[dev], arrays.nb_denominators[dev]),
+        )
+        in_window = (start <= page) & (page <= frame)
+        windowed = adapted | (method == METHOD_CODE[WakeMethod.PAGED_IN_WINDOW])
+        expiry_inside = (start <= connect) & (connect <= frame)
+        adaptation_po = _on_grid(adaptation, phase, period)
+        for mask, message in (
+            (~adapted & ~_on_grid(page, phase, period), "page at {p} is not a PO"),
+            (windowed & ~in_window, "page at {p} outside window [{s}, {f}]"),
+            (extended & ~expiry_inside, "T322 expiry {c} outside window [{s}, {f}]"),
+            (cycle > period, "adapted cycle longer than the preferred one"),
+            (adapted & ~adaptation_po, "adaptation page at {a} is not a PO"),
+            (adapted & (adaptation >= start), "adaptation at {a} not before {s}"),
+            (adapted & ~_on_grid(page, grid, cycle), "page {p} off the adapted grid"),
+            (adapted & (page <= adaptation), "page not after the adaptation at {a}"),
+        ):
+            check_rows(
+                mask,
+                "device {d}: " + message,
+                d=dev,
+                p=page,
+                c=connect,
+                s=start,
+                f=frame,
+                a=adaptation,
             )
 
 
@@ -514,11 +654,9 @@ def revise_plan(
     ti = base.inactivity_timer_frames
     left_set = {int(i) for i in left}
     joined_list = [int(i) for i in joined]
-    directive_of: Dict[int, DeviceDirective] = {
-        d.device_index: d for d in base.directives
-    }
+    columns = base.columns
     for device_index in joined_list:
-        if device_index in directive_of:
+        if columns.row_of(device_index) >= 0:
             raise PlanError(
                 f"device {device_index} already has a directive; it cannot "
                 "join the campaign again"
@@ -529,7 +667,7 @@ def revise_plan(
                 f"{len(fleet)}"
             )
     for device_index in left_set:
-        if device_index not in directive_of:
+        if columns.row_of(device_index) < 0:
             raise PlanError(
                 f"device {device_index} has no directive; it cannot leave"
             )
@@ -557,15 +695,20 @@ def revise_plan(
     # Re-page each joiner into the nearest feasible pending window.
     joined_pages: Dict[int, Tuple[_WindowDraft, int]] = {}
     next_order = len(base.transmissions)
+    arrays = fleet.arrays
+    slack_of = context.connect_slack_table()
     for device_index in joined_list:
-        device = fleet[device_index]
-        slack = context.connect_slack_frames(device)
+        schedule = PoSchedule(
+            phase=int(arrays.phases[device_index]),
+            period=int(arrays.periods[device_index]),
+        )
+        slack = int(slack_of[arrays.coverage_codes[device_index]])
         placed = None
         for draft in sorted(drafts, key=lambda d: (d.frame, d.order)):
             if draft.frame <= now_frame:
                 continue  # frozen: the transmission already happened
             page = _joiner_page_frame(
-                device.schedule, draft.frame - ti, draft.frame, slack, now_frame
+                schedule, draft.frame - ti, draft.frame, slack, now_frame
             )
             if page is not None:
                 placed = (draft, page)
@@ -574,7 +717,7 @@ def revise_plan(
             # No pending window can serve the joiner: open a fresh one
             # at its next PO, leaving the connect slack (capped by the
             # TI so the page stays inside the window).
-            page = device.schedule.first_at_or_after(now_frame + 1)
+            page = schedule.first_at_or_after(now_frame + 1)
             frame = page + min(max(slack, 1), ti)
             draft = _WindowDraft(
                 base_index=None,
@@ -647,17 +790,20 @@ def revise_plan(
             )
         )
 
-    remap = dict(transmission_map)
-    directives: List[DeviceDirective] = []
-    for directive in base.directives:
-        if directive.device_index in left_set:
-            continue
-        new_index = remap[directive.transmission_index]
-        if new_index == directive.transmission_index:
-            directives.append(directive)
-        else:
-            directives.append(replace(directive, transmission_index=new_index))
-    directives.extend(joined_directives)
+    # Surviving directives keep their rows; only the transmission
+    # column is renumbered. Joiners are appended after them.
+    remap = np.full(len(base.transmissions), -1, dtype=np.int64)
+    for base_index, new_index in transmission_map:
+        remap[base_index] = new_index
+    keep = ~np.isin(columns.device, sorted(left_set))
+    kept = PlanArrays(
+        *(getattr(columns, name)[keep] for name in PLAN_COLUMNS)
+    )
+    kept = replace(kept, transmission=remap[kept.transmission])
+    if joined_directives:
+        kept = PlanArrays.concatenate(
+            [kept, PlanArrays.from_directives(joined_directives)]
+        )
 
     revised = MulticastPlan(
         mechanism=base.mechanism,
@@ -667,7 +813,7 @@ def revise_plan(
         inactivity_timer_frames=ti,
         payload_bytes=base.payload_bytes,
         transmissions=tuple(transmissions),
-        directives=tuple(directives),
+        directives=kept,
         grouping=base.grouping,
     )
     revised.validate(fleet, partial=True)

@@ -13,13 +13,14 @@ transmissions, which is the reference Fig. 7 compares DR-SC against.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
+from repro.core.plan import METHOD_CODE, MulticastPlan, PlanArrays, WakeMethod
 from repro.devices.fleet import Fleet
+from repro.drx.schedule import v_first_at_or_after
 
 
 class UnicastBaseline(GroupingMechanism):
@@ -41,48 +42,30 @@ class UnicastBaseline(GroupingMechanism):
         rng: Optional[np.random.Generator] = None,
     ) -> MulticastPlan:
         """Page every device at its first PO and serve it immediately."""
-        transmissions = []
-        directives: List[DeviceDirective] = []
-        # Order by realised transmission start (page + connect slack),
-        # page frame as tie-break, so transmission indices follow the
-        # campaign timeline even in mixed-coverage fleets where a later
-        # page with less slack can start earlier.
-        def _start_key(i: int) -> tuple:
-            page = fleet[i].schedule.first_at_or_after(context.announce_frame)
-            return (page + context.connect_slack_frames(fleet[i]), page)
-
-        order = sorted(range(len(fleet)), key=_start_key)
-        for index, device_index in enumerate(order):
-            device = fleet[device_index]
-            page_frame = device.schedule.first_at_or_after(context.announce_frame)
-            # The unicast data flows as soon as the device is connected;
-            # the nominal transmission frame includes the connect slack.
-            start = page_frame + context.connect_slack_frames(device)
-            transmissions.append(
-                self._build_transmission(
-                    index=index,
-                    frame=start,
-                    device_indices=[device_index],
-                    fleet=fleet,
-                    payload_bytes=context.payload_bytes,
-                )
-            )
-            directives.append(
-                DeviceDirective(
-                    device_index=device_index,
-                    transmission_index=index,
-                    method=WakeMethod.IMMEDIATE_PAGE,
-                    page_frame=page_frame,
-                    connect_frame=page_frame,
-                )
-            )
-        return MulticastPlan(
-            mechanism=self.name,
-            standards_compliant=self.standards_compliant,
-            respects_preferred_drx=self.respects_preferred_drx,
-            announce_frame=context.announce_frame,
-            inactivity_timer_frames=context.inactivity_timer_frames,
-            payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
-            directives=tuple(directives),
+        arrays = fleet.arrays
+        page = v_first_at_or_after(
+            arrays.phases, arrays.periods, context.announce_frame
+        )
+        # The unicast data flows as soon as the device is connected; the
+        # nominal transmission frame includes the connect slack. Order by
+        # that start, page frame as tie-break (a stable sort), so
+        # transmission indices follow the campaign timeline even in
+        # mixed-coverage fleets where a later page with less slack can
+        # start earlier.
+        start = page + context.connect_slack_table()[arrays.coverage_codes]
+        order = np.lexsort((page, start))
+        page = page[order]
+        columns = PlanArrays(
+            order,
+            np.arange(order.size, dtype=np.int64),
+            METHOD_CODE[WakeMethod.IMMEDIATE_PAGE],
+            page,
+            page,
+        )
+        return self._assemble(
+            fleet,
+            context,
+            columns,
+            start[order].tolist(),
+            np.ones(order.size, dtype=np.int64),
         )

@@ -34,6 +34,7 @@ from repro.drx.schedule import (
     v_count_in,
     v_first_at_or_after,
     v_has_in,
+    v_last_at_or_before,
     v_last_before,
     v_pos_in_window,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "PoSchedule",
     "v_first_at_or_after",
     "v_last_before",
+    "v_last_at_or_before",
     "v_has_in",
     "v_count_in",
     "v_pos_in_window",

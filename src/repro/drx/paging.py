@@ -220,36 +220,59 @@ def v_default_hashed_id(ue_ids: "np.ndarray") -> "np.ndarray":
     return (mixed >> 22) & (HASHED_ID_SPACE - 1)
 
 
+def _v_nb_per_cycle(pf_cycle: "np.ndarray", nb) -> "np.ndarray":
+    """Integer ``nB`` for each intra-hyperframe cycle.
+
+    ``nb`` is one fleet-wide :class:`NB` or a ``(numerators,
+    denominators)`` pair of per-device columns (nB = num/den · T).
+    """
+    import numpy as np
+
+    if isinstance(nb, NB):
+        num, den = nb.fraction.numerator, nb.fraction.denominator
+        what = f"nB={nb.name}"
+    else:
+        num, den = (np.asarray(column, dtype=np.int64) for column in nb)
+        what = "nB"
+    nb_scaled = pf_cycle * num
+    if nb_scaled.size and np.any(nb_scaled % den):
+        raise PagingError(f"{what} of some cycle in the fleet is not an integer")
+    return nb_scaled // den
+
+
+def _v_ue_ids(ue_ids: "np.ndarray") -> "np.ndarray":
+    import numpy as np
+
+    ue = np.asarray(ue_ids, dtype=np.int64)
+    if ue.size and (ue.min() < 0 or ue.max() >= UE_ID_SPACE):
+        raise PagingError(f"UE_ID must be in [0, {UE_ID_SPACE})")
+    return ue
+
+
 def v_paging_frame_offset(
-    ue_ids: "np.ndarray", cycles: "np.ndarray", nb: NB = NB.ONE_T
+    ue_ids: "np.ndarray", cycles: "np.ndarray", nb=NB.ONE_T
 ) -> "np.ndarray":
     """Vectorised :func:`paging_frame_offset` over parallel columns.
 
-    ``cycles`` holds per-device cycle lengths in frames (ladder values).
+    ``cycles`` holds per-device cycle lengths in frames (ladder values);
+    ``nb`` is one fleet-wide :class:`NB` or a per-device ``(numerators,
+    denominators)`` pair, as stored in a fleet's ``nb_*`` columns.
     Integer-exact mirror of the scalar derivation — including the
     two-level eDRX rule — so a fleet's phase column can be built without
     instantiating a single device object.
     """
     import numpy as np
 
-    ue = np.asarray(ue_ids, dtype=np.int64)
+    ue = _v_ue_ids(ue_ids)
     t = np.asarray(cycles, dtype=np.int64)
     if ue.shape != t.shape:
         raise PagingError(
             f"ue_ids and cycles disagree: {ue.shape} vs {t.shape}"
         )
-    if ue.size and (ue.min() < 0 or ue.max() >= UE_ID_SPACE):
-        raise PagingError(f"UE_ID must be in [0, {UE_ID_SPACE})")
     pf_cycle = np.minimum(t, FRAMES_PER_HYPERFRAME)
-    nb_scaled = pf_cycle * nb.fraction.numerator
-    if nb_scaled.size and np.any(nb_scaled % nb.fraction.denominator):
-        raise PagingError(
-            f"nB={nb.name} of some cycle in the fleet is not an integer"
-        )
-    nb_int = nb_scaled // nb.fraction.denominator
-    n = np.minimum(pf_cycle, nb_int)
+    n = np.minimum(pf_cycle, _v_nb_per_cycle(pf_cycle, nb))
     if n.size and n.min() < 1:
-        raise PagingError(f"nB={nb.name} yields N < 1 for some cycle")
+        raise PagingError("nB yields N < 1 for some cycle")
     pf_offset = (pf_cycle // n) * (ue % n)
     is_edrx = t > FRAMES_PER_HYPERFRAME
     cycle_hyperframes = np.maximum(1, t // FRAMES_PER_HYPERFRAME)
@@ -257,3 +280,24 @@ def v_paging_frame_offset(
     return np.where(
         is_edrx, ph_index * FRAMES_PER_HYPERFRAME + pf_offset, pf_offset
     )
+
+
+def v_paging_subframe(
+    ue_ids: "np.ndarray", cycles: "np.ndarray", nb=NB.ONE_T
+) -> "np.ndarray":
+    """Vectorised :func:`paging_subframe` (``nb`` as in
+    :func:`v_paging_frame_offset`)."""
+    import numpy as np
+
+    ue = _v_ue_ids(ue_ids)
+    pf_cycle = np.minimum(np.asarray(cycles, dtype=np.int64), FRAMES_PER_HYPERFRAME)
+    nb_int = _v_nb_per_cycle(pf_cycle, nb)
+    n = np.minimum(pf_cycle, nb_int)
+    ns = np.maximum(1, nb_int // pf_cycle)
+    if ns.size and not np.all(np.isin(ns, tuple(_SUBFRAME_PATTERNS))):
+        raise PagingError("unsupported Ns for some device")
+    # Row Ns of the table holds the subframe pattern for that Ns.
+    patterns = np.zeros((max(_SUBFRAME_PATTERNS) + 1, 4), dtype=np.int64)
+    for k, pattern in _SUBFRAME_PATTERNS.items():
+        patterns[k, : len(pattern)] = pattern
+    return patterns[ns, (ue // n) % ns]

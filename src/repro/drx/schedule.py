@@ -125,23 +125,36 @@ def _as_int_arrays(phases: np.ndarray, periods: np.ndarray) -> tuple:
     return phases, periods
 
 
-def v_first_at_or_after(phases: np.ndarray, periods: np.ndarray, frame: int) -> np.ndarray:
-    """Per-device frame of the first PO at or after ``frame``."""
+def v_first_at_or_after(phases: np.ndarray, periods: np.ndarray, frame) -> np.ndarray:
+    """Per-device frame of the first PO at or after ``frame``.
+
+    ``frame`` is a scalar or one bound per device.
+    """
     phases, periods = _as_int_arrays(phases, periods)
     k = np.maximum(0, -((phases - frame) // periods))
     return phases + k * periods
 
 
-def v_last_before(phases: np.ndarray, periods: np.ndarray, frame: int) -> np.ndarray:
+def v_last_before(phases: np.ndarray, periods: np.ndarray, frame) -> np.ndarray:
     """Per-device frame of the last PO strictly before ``frame``.
 
-    Devices with no PO before ``frame`` get ``-1``.
+    ``frame`` is a scalar or one bound per device. Devices with no PO
+    before their bound get ``-1``.
     """
     phases, periods = _as_int_arrays(phases, periods)
     k = (frame - 1 - phases) // periods
-    result = phases + k * periods
-    result[k < 0] = -1
-    return result
+    return np.where(k < 0, -1, phases + k * periods)
+
+
+def v_last_at_or_before(
+    phases: np.ndarray, periods: np.ndarray, frames: np.ndarray
+) -> np.ndarray:
+    """Per-device frame of the last PO at or before ``frames[i]``.
+
+    ``frames`` holds one bound per device (or a scalar for all of them).
+    Devices with no PO at or before their bound get ``-1``.
+    """
+    return v_last_before(phases, periods, np.asarray(frames, np.int64) + 1)
 
 
 def v_has_in(phases: np.ndarray, periods: np.ndarray, start: int, end: int) -> np.ndarray:
@@ -149,11 +162,13 @@ def v_has_in(phases: np.ndarray, periods: np.ndarray, start: int, end: int) -> n
     return v_count_in(phases, periods, start, end) > 0
 
 
-def v_count_in(phases: np.ndarray, periods: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Per-device number of POs in ``[start, end)``."""
+def v_count_in(phases: np.ndarray, periods: np.ndarray, start, end) -> np.ndarray:
+    """Per-device number of POs in ``[start, end)``.
+
+    ``start`` and ``end`` are scalars or one bound per device; an empty
+    interval counts zero (then ``k_hi < k_lo``).
+    """
     phases, periods = _as_int_arrays(phases, periods)
-    if end <= start:
-        return np.zeros(phases.shape, dtype=np.int64)
     k_lo = np.maximum(0, -((phases - start) // periods))
     k_hi = (end - 1 - phases) // periods
     return np.maximum(0, k_hi - k_lo + 1)

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
 from repro.core.plan import (
+    METHOD_CODE,
     MulticastPlan,
     PlanRevision,
     Transmission,
@@ -260,25 +261,29 @@ class OnDemandMulticastService:
         )
 
     def _pack_paging(self, fleet: Fleet, plan: MulticastPlan) -> PagingLoadReport:
-        """Pack every page the plan issues into paging messages."""
-        pages = []
-        notifications = []
-        for directive in plan.directives:
-            if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-                transmission = plan.transmissions[directive.transmission_index]
-                notifications.append(
-                    (
-                        directive.device_index,
-                        directive.page_frame,
-                        transmission.frame - directive.page_frame,
-                    )
-                )
+        """Pack every page the plan issues into paging messages.
+
+        Directives contribute in row order: a DR-SI notification, or a
+        page followed — for DA-SC adaptations — by the adaptation page.
+        """
+        columns = plan.columns
+        frames = [t.frame for t in plan.transmissions]
+        extended = METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]
+        adapted = METHOD_CODE[WakeMethod.DRX_ADAPTATION]
+        pages, notifications = [], []
+        for device, tx, method, page, adaptation in zip(
+            columns.device.tolist(),
+            columns.transmission.tolist(),
+            columns.method.tolist(),
+            columns.page_frame.tolist(),
+            columns.adaptation_page_frame.tolist(),
+        ):
+            if method == extended:
+                notifications.append((device, page, frames[tx] - page))
                 continue
-            pages.append((directive.device_index, directive.page_frame))
-            if directive.method is WakeMethod.DRX_ADAPTATION:
-                pages.append(
-                    (directive.device_index, directive.adaptation_page_frame)
-                )
+            pages.append((device, page))
+            if method == adapted:
+                pages.append((device, adaptation))
         return self._enb.pack_pages(fleet, pages, notifications)
 
 
@@ -306,19 +311,9 @@ def _strip_left(
         )
         for t in plan.transmissions
     )
-    directives = tuple(
-        replace(d, device_index=remap[d.device_index])
-        for d in plan.directives
+    device_map = np.full(len(fleet), -1, dtype=np.int64)
+    device_map[keep] = np.arange(len(keep), dtype=np.int64)
+    columns = replace(plan.columns, device=device_map[plan.columns.device])
+    return final_fleet, replace(
+        plan, transmissions=transmissions, directives=columns
     )
-    final_plan = MulticastPlan(
-        mechanism=plan.mechanism,
-        standards_compliant=plan.standards_compliant,
-        respects_preferred_drx=plan.respects_preferred_drx,
-        announce_frame=plan.announce_frame,
-        inactivity_timer_frames=plan.inactivity_timer_frames,
-        payload_bytes=plan.payload_bytes,
-        transmissions=transmissions,
-        directives=directives,
-        grouping=plan.grouping,
-    )
-    return final_fleet, final_plan

@@ -229,10 +229,7 @@ def _run_cell(
     """Plan and execute one cell's campaign on ``rng``."""
     with timer.phase("plan"):
         plan = spec.mechanism_obj().plan(fleet, spec.planning_context(), rng)
-        if spec.cells.is_multi_cell:
-            # Only multi-cell cells validate their plans: a whole-fleet
-            # validate costs a large single-cell run ~15 %.
-            plan.validate(fleet)
+        plan.validate(fleet)
     recorder = EventLogRecorder() if spec.record_events else None
     with timer.phase("execute"):
         result = CampaignExecutor(timings=spec.timings()).execute(

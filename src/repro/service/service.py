@@ -34,9 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import GroupingMechanism
-from repro.core.plan import MulticastPlan, Transmission, WakeMethod
+from repro.core.plan import METHOD_CODE, MulticastPlan, Transmission, WakeMethod
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
+from repro.drx.paging import v_paging_subframe
 from repro.enb.arbiter import CapacityArbiter
 from repro.enb.enb import ENodeB
 from repro.errors import CapacityError, SimulationError
@@ -350,15 +351,19 @@ class CampaignService:
         order = sorted(
             tx_indices, key=lambda i: (plan.transmissions[i].frame, i)
         )
+        # Deferral shifts only move transmission frames; the directive
+        # columns, hence each window's rows, stay fixed for the loop.
+        rows, bounds = _rows_by_window(plan)
         for index in order:
             plan = campaign.pending.plan
             tx = plan.transmissions[index]
+            window_rows = rows[bounds[index] : bounds[index + 1]]
             decision = self._arbiter.admit(
                 campaign.handle.id,
                 tx.frame,
                 tx.duration_frames,
-                pages=_window_pages(campaign.pending.fleet, plan, tx),
-                max_shift_frames=_max_shift(plan, tx),
+                pages=_window_pages(campaign.pending.fleet, plan, window_rows),
+                max_shift_frames=_max_shift(plan, tx, window_rows),
             )
             if not decision.admitted:
                 raise CapacityError(
@@ -416,39 +421,62 @@ class CampaignService:
         )
 
 
+def _rows_by_window(plan: MulticastPlan) -> Tuple[np.ndarray, np.ndarray]:
+    """Directive rows grouped by transmission, in row order within each.
+
+    Window ``i``'s rows are ``rows[bounds[i]:bounds[i + 1]]`` — one
+    stable sort of the transmission column serves every window.
+    """
+    transmission = plan.columns.transmission
+    rows = np.argsort(transmission, kind="stable")
+    bounds = np.searchsorted(
+        transmission[rows], np.arange(len(plan.transmissions) + 1)
+    )
+    return rows, bounds
+
+
 def _window_pages(
-    fleet: Fleet, plan: MulticastPlan, tx: Transmission
+    fleet: Fleet, plan: MulticastPlan, rows: np.ndarray
 ) -> List[Tuple[int, int]]:
     """Paging occasions (frame, subframe) the window's directives use.
 
-    One record per page or DR-SI notification, matching what
-    ``ENodeB.pack_pages`` will emit for these directives (devices
-    sharing a UE_ID at one PO are counted individually here — the
-    arbiter is deliberately conservative).
+    ``rows`` are the window's directive rows. One record per page or
+    DR-SI notification, matching what ``ENodeB.pack_pages`` will emit
+    for these directives (devices sharing a UE_ID at one PO are counted
+    individually here — the arbiter is deliberately conservative).
     """
+    columns = plan.columns
+    arrays = fleet.arrays
+    dev = columns.device[rows]
+    subframes = v_paging_subframe(
+        arrays.ue_ids[dev],
+        arrays.periods[dev],
+        (arrays.nb_numerators[dev], arrays.nb_denominators[dev]),
+    )
+    adapted = columns.method[rows] == METHOD_CODE[WakeMethod.DRX_ADAPTATION]
     occasions: List[Tuple[int, int]] = []
-    for directive in plan.directives:
-        if directive.transmission_index != tx.index:
-            continue
-        subframe = fleet[directive.device_index].pattern.subframe
-        occasions.append((directive.page_frame, subframe))
-        if directive.method is WakeMethod.DRX_ADAPTATION:
-            occasions.append((directive.adaptation_page_frame, subframe))
+    for page, adaptation, subframe, is_adapted in zip(
+        columns.page_frame[rows].tolist(),
+        columns.adaptation_page_frame[rows].tolist(),
+        subframes.tolist(),
+        adapted.tolist(),
+    ):
+        occasions.append((page, subframe))
+        if is_adapted:
+            occasions.append((adaptation, subframe))
     return occasions
 
 
-def _max_shift(plan: MulticastPlan, tx: Transmission) -> int:
+def _max_shift(plan: MulticastPlan, tx: Transmission, rows: np.ndarray) -> int:
     """Largest deferral keeping every member's wake inside the window.
 
     A device that connects at frame ``c`` stays awake until ``c + TI``;
     shifting the transmission to ``frame + s`` keeps it reachable iff
     ``frame + s - TI <= c``. The window-wide cap is the minimum over
-    the members' connect frames.
+    the members' connect frames (``rows`` are the window's directive
+    rows).
     """
+    if not rows.size:
+        return 0
     window_start = tx.frame - plan.inactivity_timer_frames
-    caps = [
-        directive.connect_frame - window_start
-        for directive in plan.directives
-        if directive.transmission_index == tx.index
-    ]
-    return max(0, min(caps)) if caps else 0
+    return max(0, int(plan.columns.connect_frame[rows].min()) - window_start)

@@ -4,12 +4,13 @@ Implements the accounting of
 :class:`~repro.sim.executor.CampaignExecutor` as NumPy array arithmetic
 over the whole fleet at once:
 
-* one pass over ``plan.directives`` gathers the directive columns
-  (indices, wake methods, page/connect frames, adaptation fields);
+* the directive columns (indices, wake methods, page/connect frames,
+  adaptation fields) are read straight from the plan's
+  :class:`~repro.core.plan.PlanArrays`;
 * readiness, realised transmission starts, waits, data segments and
   idle-PO counts are computed as array expressions (per-device PO
-  counting uses the same integer arithmetic as
-  :meth:`repro.drx.schedule.PoSchedule.count_in`);
+  counting is :func:`repro.drx.schedule.v_count_in`, the array form
+  of :meth:`~repro.drx.schedule.PoSchedule.count_in`);
 * the result is an array-of-ledgers
   (:class:`~repro.energy.ledger.LedgerArray`) wrapped in a columnar
   :class:`~repro.sim.metrics.CampaignResult` — no per-device Python
@@ -19,7 +20,7 @@ The event-driven replay (:class:`~repro.sim.replay.EventDrivenCampaign`)
 is the independent oracle; tests pin this path to it (identical
 structure, per-device totals within 1e-9). Random-access contention
 (non-zero ``collision_probability``) draws from ``rng`` device by device
-in directive order — a DA-SC device's adaptation episode first, then its
+in row order — a DA-SC device's adaptation episode first, then its
 main random access — so the stream is fixed by the plan alone.
 """
 
@@ -32,83 +33,30 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.eventlog import EventLogRecorder
 
-from repro.core.plan import MulticastPlan, WakeMethod
+from repro.core.plan import METHOD_CODE, MulticastPlan, WakeMethod, check_rows
 from repro.devices.fleet import COVERAGE_ORDER, Fleet
-from repro.drx.paging import HASHED_ID_SPACE
+from repro.drx.paging import v_paging_frame_offset
+from repro.drx.schedule import v_count_in
 from repro.energy.ledger import LedgerArray
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState, StateGroup
-from repro.errors import PagingError, SimulationError
+from repro.errors import SimulationError
 from repro.rrc.procedures import ProcedureTimings
 from repro.sim.metrics import CampaignResult, FleetOutcomes
 from repro.timebase import (
-    FRAMES_PER_HYPERFRAME,
     MS_PER_FRAME,
     frame_after_seconds,
     frames_to_seconds,
     v_frame_after_seconds,
 )
 
-_NORMAL, _ADAPTATION, _EXTENDED = 0, 1, 2
-
-_METHOD_CODES = {
-    WakeMethod.PAGED_IN_WINDOW: _NORMAL,
-    WakeMethod.IMMEDIATE_PAGE: _NORMAL,
-    WakeMethod.DRX_ADAPTATION: _ADAPTATION,
-    WakeMethod.EXTENDED_PAGE_TIMER: _EXTENDED,
-}
+_ADAPTATION = METHOD_CODE[WakeMethod.DRX_ADAPTATION]
+_EXTENDED = METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]
 
 
 def _v_frames_to_seconds(frames: np.ndarray) -> np.ndarray:
     """Vectorised :func:`repro.timebase.frames_to_seconds` (bit-identical)."""
     return frames * MS_PER_FRAME / 1000.0
-
-
-def _v_count_in(
-    phases: np.ndarray,
-    periods: np.ndarray,
-    start: np.ndarray,
-    end: np.ndarray,
-) -> np.ndarray:
-    """Per-device PO count in half-open ``[start, end)`` with array bounds.
-
-    Integer-exact mirror of :meth:`repro.drx.schedule.PoSchedule.count_in`.
-    """
-    k_lo = np.maximum(0, -((phases - start) // periods))
-    k_hi = (end - 1 - phases) // periods
-    counts = np.maximum(0, k_hi - k_lo + 1)
-    return np.where(end <= start, 0, counts)
-
-
-def _v_paging_phase(
-    ue_ids: np.ndarray,
-    cycles: np.ndarray,
-    nb_num: np.ndarray,
-    nb_den: np.ndarray,
-) -> np.ndarray:
-    """Vectorised :func:`repro.drx.paging.paging_frame_offset`.
-
-    Computes the PO phase of each (identity, cycle, nB) triple with the
-    same integer arithmetic as the scalar helper, including the Rel-13
-    paging-hyperframe level for eDRX cycles (hashed identity spread).
-    """
-    pf_cycle = np.minimum(cycles, FRAMES_PER_HYPERFRAME)
-    nb_scaled = pf_cycle * nb_num
-    if np.any(nb_scaled % nb_den != 0):
-        raise PagingError("nB of a cycle is not an integer frame count")
-    nb_int = nb_scaled // nb_den
-    n = np.minimum(pf_cycle, nb_int)
-    if np.any(n < 1):
-        raise PagingError("nB yields N < 1 for some device")
-    pf_offset = (pf_cycle // n) * (ue_ids % n)
-
-    # Knuth multiplicative mix of repro.drx.paging.default_hashed_id.
-    mixed = (ue_ids * 2654435761) & 0xFFFFFFFF
-    hashed = (mixed >> 22) & (HASHED_ID_SPACE - 1)
-    cycle_hyperframes = np.maximum(1, cycles // FRAMES_PER_HYPERFRAME)
-    ph_index = hashed % cycle_hyperframes
-    edrx_offset = ph_index * FRAMES_PER_HYPERFRAME + pf_offset
-    return np.where(cycles <= FRAMES_PER_HYPERFRAME, pf_offset, edrx_offset)
 
 
 def _resolve_horizon(horizon_frames: Optional[int], end_s: float) -> int:
@@ -141,37 +89,19 @@ def execute_columnar(
     caller finalises the recorder into an :class:`EventLog`.
     """
     airtime = timings.airtime
-    directives = plan.directives
-    n = len(directives)
-
-    # ------------------------------------------------------------------
-    # Directive columns (the only per-directive Python pass).
-    # ------------------------------------------------------------------
-    dev = np.empty(n, dtype=np.int64)
-    tx = np.empty(n, dtype=np.int64)
-    method = np.empty(n, dtype=np.int64)
-    page_frame = np.empty(n, dtype=np.int64)
-    connect_frame = np.empty(n, dtype=np.int64)
-    adapt_frame = np.zeros(n, dtype=np.int64)
-    adapt_cycle = np.ones(n, dtype=np.int64)
-    for i, d in enumerate(directives):
-        dev[i] = d.device_index
-        tx[i] = d.transmission_index
-        method[i] = _METHOD_CODES[d.method]
-        page_frame[i] = d.page_frame
-        connect_frame[i] = d.connect_frame
-        if d.method is WakeMethod.DRX_ADAPTATION:
-            adapt_frame[i] = d.adaptation_page_frame
-            adapt_cycle[i] = int(d.adapted_cycle)
+    columns = plan.columns
+    n = len(columns)
+    dev, tx, method = columns.device, columns.transmission, columns.method
+    page_frame, connect_frame = columns.page_frame, columns.connect_frame
+    adapt_frame, adapt_cycle = columns.adaptation_page_frame, columns.adapted_cycle
 
     is_da = method == _ADAPTATION
     is_ept = method == _EXTENDED
 
-    fleet_phases = fleet.phases
-    fleet_periods = fleet.periods
-    phases = fleet_phases[dev]
-    periods = fleet_periods[dev]
-    coverage_codes = fleet.coverage_codes[dev]
+    arrays = fleet.arrays
+    phases = arrays.phases[dev]
+    periods = arrays.periods[dev]
+    coverage_codes = arrays.coverage_codes[dev]
 
     # ------------------------------------------------------------------
     # Phase 1: readiness and pre-transmission charges.
@@ -195,9 +125,11 @@ def execute_columnar(
         main_ra = np.empty(n, dtype=np.float64)
         ra_attempts = np.empty(n, dtype=np.float64)
         episode = np.zeros(n, dtype=np.float64)
-        for i, d in enumerate(directives):
-            coverage = COVERAGE_ORDER[int(coverage_codes[i])]
-            if d.method is WakeMethod.DRX_ADAPTATION:
+        for i, (code, adapted) in enumerate(
+            zip(coverage_codes.tolist(), is_da.tolist())
+        ):
+            coverage = COVERAGE_ORDER[code]
+            if adapted:
                 episode[i] = timings.adaptation_episode_s(coverage, rng)
             outcome = timings.random_access.perform(coverage, rng)
             main_ra[i] = outcome.duration_s
@@ -247,52 +179,40 @@ def execute_columnar(
     horizon = _resolve_horizon(horizon_frames, end_s)
     horizon_s = frames_to_seconds(horizon)
 
-    late = main_end > horizon_s + 1e-9
-    if np.any(late):
-        first = int(np.argmax(late))
-        raise SimulationError(
-            f"horizon {horizon} frames ends before device "
-            f"{int(dev[first])} finishes at {float(main_end[first]):.2f}s"
-        )
+    check_rows(
+        main_end > horizon_s + 1e-9,
+        f"horizon {horizon} frames ends before device {{d}} finishes at {{e:.2f}}s",
+        SimulationError,
+        d=dev,
+        e=main_end,
+    )
     wait = start - ready
-    if np.any(wait < -1e-9):  # pragma: no cover - guarded by start computation
-        first = int(np.argmax(wait < -1e-9))
-        raise SimulationError(f"negative wait for device {int(dev[first])}")
+    check_rows(
+        wait < -1e-9, "negative wait for device {d}", SimulationError, d=dev
+    )  # pragma: no cover - guarded by start computation
     wait = np.maximum(0.0, wait)
 
     # Idle-PO counts (the light-sleep grid), all integer arithmetic.
     main_busy_start = np.where(is_ept, connect_frame, page_frame)
     main_busy_end = v_frame_after_seconds(main_end)
     announce = plan.announce_frame
-    po_count = _v_count_in(
-        phases, periods, np.full(n, announce, dtype=np.int64), np.full(n, horizon, dtype=np.int64)
-    ) - _v_count_in(phases, periods, main_busy_start, main_busy_end + 1)
+    po_count = v_count_in(phases, periods, announce, horizon) - v_count_in(
+        phases, periods, main_busy_start, main_busy_end + 1
+    )
     po_count = po_count - is_ept.astype(np.int64)  # extended page charged as RX
     if np.any(is_da):
         da = np.nonzero(is_da)[0]
-        adapted_phase = _v_paging_phase(
-            fleet.ue_ids[dev[da]],
+        adapted_phase = v_paging_frame_offset(
+            arrays.ue_ids[dev[da]],
             adapt_cycle[da],
-            fleet.nb_numerators[dev[da]],
-            fleet.nb_denominators[dev[da]],
+            (arrays.nb_numerators[dev[da]], arrays.nb_denominators[dev[da]]),
         )
-        da_count = _v_count_in(
-            phases[da],
-            periods[da],
-            np.full(da.size, announce, dtype=np.int64),
-            adapt_frame[da],
+        da_count = v_count_in(phases[da], periods[da], announce, adapt_frame[da])
+        da_count += v_count_in(
+            adapted_phase, adapt_cycle[da], adapt_busy_end[da] + 1, main_busy_start[da]
         )
-        da_count += _v_count_in(
-            adapted_phase,
-            adapt_cycle[da],
-            adapt_busy_end[da] + 1,
-            main_busy_start[da],
-        )
-        da_count += _v_count_in(
-            phases[da],
-            periods[da],
-            main_busy_end[da] + 1,
-            np.full(da.size, horizon, dtype=np.int64),
+        da_count += v_count_in(
+            phases[da], periods[da], main_busy_end[da] + 1, horizon
         )
         po_count[da] = da_count
 

@@ -1,0 +1,447 @@
+"""Scalar reference planners and plan validator — the oracle.
+
+These are the per-device object loops the mechanisms ran before plans
+became columnar: every member is materialised (``fleet[i]``) and its
+paging arithmetic is redone per query on its
+:class:`~repro.drx.schedule.PoSchedule`. The array planners and the
+whole-array :meth:`~repro.core.plan.MulticastPlan.validate` are
+property-tested against them (``tests/properties/test_prop_plan_columns.py``).
+
+Each ``plan_*`` function consumes ``rng`` exactly as the mechanism
+does: the policy's grouping first, then (DR-SI only) one scalar draw
+per notified device, groups in time order, members in member order.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core import (
+    AdaptationStrategy,
+    DaScMechanism,
+    DrScMechanism,
+    DrSiMechanism,
+    UnicastBaseline,
+)
+from repro.core.base import GroupingMechanism, PlanningContext
+from repro.core.plan import (
+    METHOD_ORDER,
+    DeviceDirective,
+    MulticastPlan,
+    Transmission,
+    WakeMethod,
+)
+from repro.devices.device import NbIotDevice
+from repro.devices.fleet import Fleet
+from repro.drx.cycles import DrxCycle
+from repro.drx.paging import pattern_for
+from repro.drx.schedule import PoSchedule
+from repro.errors import CoverageError, PlanError
+from repro.phy.airtime import payload_airtime_frames
+from repro.rrc.timers import T322Timer
+from repro.timebase import ms_to_frames
+
+
+# ----------------------------------------------------------------------
+# Shared per-device helpers
+# ----------------------------------------------------------------------
+def connect_slack_frames(context: PlanningContext, device: NbIotDevice) -> int:
+    """Frames from page to connected-and-ready: paging reception +
+    collision-free random access + RRC setup."""
+    airtime = context.timings.airtime
+    seconds = (
+        airtime.paging_message_s
+        + context.timings.random_access.base_duration_s(device.coverage)
+        + airtime.rrc_setup_s
+    )
+    return ms_to_frames(seconds * 1000.0)
+
+
+def adaptation_busy_frames(context: PlanningContext, device: NbIotDevice) -> int:
+    """Frames the DA-SC adaptation episode keeps a device busy."""
+    airtime = context.timings.airtime
+    seconds = (
+        airtime.paging_message_s
+        + context.timings.random_access.base_duration_s(device.coverage)
+        + airtime.rrc_setup_s
+        + airtime.rrc_reconfiguration_s
+        + airtime.rrc_release_s
+    )
+    return ms_to_frames(seconds * 1000.0)
+
+
+def page_frame_in_window(
+    schedule: PoSchedule,
+    window_start: int,
+    transmission_frame: int,
+    slack_frames: int,
+) -> int:
+    """The latest PO leaving ``slack_frames`` before the transmission,
+    else the latest window PO; PlanError when the window has none."""
+    latest_with_slack = schedule.last_at_or_before(
+        transmission_frame - slack_frames
+    )
+    if latest_with_slack is not None and latest_with_slack >= window_start:
+        return latest_with_slack
+    fallback = schedule.last_at_or_before(transmission_frame)
+    if fallback is None or fallback < window_start:
+        raise PlanError(f"no PO in window [{window_start}, {transmission_frame}]")
+    return fallback
+
+
+def build_transmission(
+    index: int,
+    frame: int,
+    device_indices: Sequence[int],
+    fleet: Fleet,
+    payload_bytes: int,
+) -> Transmission:
+    """Size the bearer for the group and build the transmission."""
+    rate = fleet.group_rate_bps(list(device_indices))
+    return Transmission(
+        index=index,
+        frame=frame,
+        device_indices=tuple(int(i) for i in device_indices),
+        rate_bps=rate,
+        duration_frames=payload_airtime_frames(payload_bytes, rate),
+    )
+
+
+def _plan(
+    mechanism: GroupingMechanism,
+    context: PlanningContext,
+    transmissions: List[Transmission],
+    directives: List[DeviceDirective],
+) -> MulticastPlan:
+    return MulticastPlan(
+        mechanism=mechanism.name,
+        standards_compliant=mechanism.standards_compliant,
+        respects_preferred_drx=mechanism.respects_preferred_drx,
+        announce_frame=context.announce_frame,
+        inactivity_timer_frames=context.inactivity_timer_frames,
+        payload_bytes=context.payload_bytes,
+        transmissions=tuple(transmissions),
+        directives=tuple(directives),
+        grouping=mechanism.grouping_name,
+    )
+
+
+def _in_time_order(decision) -> list:
+    """The decision's groups by window end (stable: selection order
+    among groups sharing a window)."""
+    return sorted(decision.groups, key=lambda group: group.window.end)
+
+
+def _paged(device_index: int, tx_index: int, page: int) -> DeviceDirective:
+    return DeviceDirective(
+        device_index=device_index,
+        transmission_index=tx_index,
+        method=WakeMethod.PAGED_IN_WINDOW,
+        page_frame=page,
+        connect_frame=page,
+    )
+
+
+# ----------------------------------------------------------------------
+# Planners
+# ----------------------------------------------------------------------
+def plan_dr_sc(mechanism, fleet, context, rng=None) -> MulticastPlan:
+    decision = mechanism.policy.group(fleet, context, rng)
+    transmissions, directives = [], []
+    for new_index, group in enumerate(_in_time_order(decision)):
+        window = group.window
+        transmission = build_transmission(
+            new_index,
+            window.last_frame,
+            [int(i) for i in group.members],
+            fleet,
+            context.payload_bytes,
+        )
+        transmissions.append(transmission)
+        for device_index in transmission.device_indices:
+            device = fleet[device_index]
+            page = page_frame_in_window(
+                device.schedule,
+                window.start,
+                window.last_frame,
+                connect_slack_frames(context, device),
+            )
+            directives.append(_paged(device_index, new_index, page))
+    return _plan(mechanism, context, transmissions, directives)
+
+
+def _choose_cycle(
+    strategy: AdaptationStrategy,
+    device: NbIotDevice,
+    earliest_po: int,
+    window_hi: int,
+) -> Tuple[DrxCycle, int]:
+    usable_span = window_hi - earliest_po + 1
+    candidates: List[DrxCycle] = []
+    cycle = device.cycle
+    while True:
+        if int(cycle) < int(device.cycle):
+            candidates.append(cycle)
+        if int(cycle) == DrxCycle.MIN_FRAMES:
+            break
+        cycle = cycle.shorter()
+    if strategy is AdaptationStrategy.LARGEST_WITHIN_TI:
+        candidates = [c for c in candidates if int(c) <= usable_span]
+    for candidate in candidates:
+        grid = pattern_for(device.drx.ue_id, candidate, device.drx.nb).schedule
+        po = grid.first_at_or_after(earliest_po)
+        if po <= window_hi:
+            return candidate, po
+    raise PlanError(
+        f"no ladder cycle creates a PO in [{earliest_po}, {window_hi}] "
+        f"for device with cycle {device.cycle!r}"
+    )
+
+
+def plan_da_sc(mechanism, fleet, context, rng=None) -> MulticastPlan:
+    decision = mechanism.policy.group(fleet, context, rng)
+    transmissions, directives = [], []
+    for group_index, group in enumerate(_in_time_order(decision)):
+        t = group.window.end
+        window_lo, window_hi = group.window.start, t - 1
+        for device_index in (int(i) for i in group.members):
+            device = fleet[device_index]
+            schedule = device.schedule
+            last_window_po = schedule.last_at_or_before(window_hi)
+            if last_window_po is not None and last_window_po >= window_lo:
+                page = page_frame_in_window(
+                    schedule,
+                    window_lo,
+                    window_hi,
+                    connect_slack_frames(context, device),
+                )
+                directives.append(_paged(device_index, group_index, page))
+                continue
+            adaptation_frame = schedule.last_before(window_lo)
+            if adaptation_frame is None:
+                raise PlanError(f"device {device_index} has no PO before the window")
+            earliest_po = max(
+                window_lo,
+                adaptation_frame + adaptation_busy_frames(context, device) + 1,
+            )
+            adapted_cycle, window_po = _choose_cycle(
+                mechanism.strategy, device, earliest_po, window_hi
+            )
+            directives.append(
+                DeviceDirective(
+                    device_index=device_index,
+                    transmission_index=group_index,
+                    method=WakeMethod.DRX_ADAPTATION,
+                    page_frame=window_po,
+                    connect_frame=window_po,
+                    adaptation_page_frame=adaptation_frame,
+                    adapted_cycle=adapted_cycle,
+                )
+            )
+        transmissions.append(
+            build_transmission(
+                group_index,
+                t,
+                [int(i) for i in group.members],
+                fleet,
+                context.payload_bytes,
+            )
+        )
+    return _plan(mechanism, context, transmissions, directives)
+
+
+def plan_dr_si(mechanism, fleet, context, rng) -> MulticastPlan:
+    decision = mechanism.policy.group(fleet, context, rng)
+    transmissions, directives = [], []
+    for group_index, group in enumerate(_in_time_order(decision)):
+        t = group.window.end
+        window_lo, window_hi = group.window.start, t - 1
+        for device_index in (int(i) for i in group.members):
+            device = fleet[device_index]
+            schedule = device.schedule
+            last_window_po = schedule.last_at_or_before(window_hi)
+            if last_window_po is not None and last_window_po >= window_lo:
+                page = page_frame_in_window(
+                    schedule,
+                    window_lo,
+                    window_hi,
+                    connect_slack_frames(context, device),
+                )
+                directives.append(_paged(device_index, group_index, page))
+                continue
+            page = schedule.first_at_or_after(context.announce_frame)
+            assert page < window_lo
+            wake = int(rng.integers(window_lo, window_hi + 1))
+            directives.append(
+                DeviceDirective(
+                    device_index=device_index,
+                    transmission_index=group_index,
+                    method=WakeMethod.EXTENDED_PAGE_TIMER,
+                    page_frame=page,
+                    connect_frame=wake,
+                    t322=T322Timer(armed_at_frame=page, expires_at_frame=wake),
+                )
+            )
+        transmissions.append(
+            build_transmission(
+                group_index,
+                t,
+                [int(i) for i in group.members],
+                fleet,
+                context.payload_bytes,
+            )
+        )
+    return _plan(mechanism, context, transmissions, directives)
+
+
+def plan_unicast(mechanism, fleet, context, rng=None) -> MulticastPlan:
+    def start_key(i: int) -> tuple:
+        page = fleet[i].schedule.first_at_or_after(context.announce_frame)
+        return (page + connect_slack_frames(context, fleet[i]), page)
+
+    transmissions, directives = [], []
+    for index, device_index in enumerate(sorted(range(len(fleet)), key=start_key)):
+        device = fleet[device_index]
+        page = device.schedule.first_at_or_after(context.announce_frame)
+        start = page + connect_slack_frames(context, device)
+        transmissions.append(
+            build_transmission(
+                index, start, [device_index], fleet, context.payload_bytes
+            )
+        )
+        directives.append(
+            DeviceDirective(
+                device_index=device_index,
+                transmission_index=index,
+                method=WakeMethod.IMMEDIATE_PAGE,
+                page_frame=page,
+                connect_frame=page,
+            )
+        )
+    return _plan(mechanism, context, transmissions, directives)
+
+
+def scalar_plan(
+    mechanism: GroupingMechanism,
+    fleet: Fleet,
+    context: PlanningContext,
+    rng: Optional[np.random.Generator] = None,
+) -> MulticastPlan:
+    """The oracle plan of ``mechanism`` (dispatch on its type)."""
+    for kind, planner in (
+        (DrScMechanism, plan_dr_sc),
+        (DaScMechanism, plan_da_sc),
+        (DrSiMechanism, plan_dr_si),
+        (UnicastBaseline, plan_unicast),
+    ):
+        if isinstance(mechanism, kind):
+            return planner(mechanism, fleet, context, rng)
+    raise TypeError(f"no scalar oracle for {type(mechanism).__name__}")
+
+
+# ----------------------------------------------------------------------
+# Validator
+# ----------------------------------------------------------------------
+def scalar_check_row(
+    device: int, method: int, page: int, connect: int, adaptation: int, cycle: int
+) -> None:
+    """One directive row's well-formedness, field by field.
+
+    Unused adaptation fields are encoded as in the plan columns
+    (``adaptation == -1``, ``cycle == 0``).
+    """
+    if not 0 <= method < len(METHOD_ORDER):
+        raise PlanError(f"unknown wake-method code {method}")
+    method = METHOD_ORDER[method]
+    if device < 0:
+        raise PlanError(f"device index must be >= 0, got {device}")
+    if page < 0:
+        raise PlanError(f"page frame must be >= 0, got {page}")
+    if connect < page and method is not WakeMethod.DRX_ADAPTATION:
+        raise PlanError(f"device {device} connects at {connect} before its page")
+    if method is WakeMethod.DRX_ADAPTATION:
+        if adaptation < 0 or cycle == 0:
+            raise PlanError(f"device {device}: DRX adaptation requires its fields")
+        DrxCycle(cycle)  # a ladder value
+    elif adaptation != -1 or cycle != 0:
+        raise PlanError(f"device {device}: adaptation fields set for {method}")
+    if method is WakeMethod.EXTENDED_PAGE_TIMER:
+        T322Timer(armed_at_frame=page, expires_at_frame=connect)
+
+
+def scalar_validate(
+    plan: MulticastPlan, fleet: Fleet, *, partial: bool = False
+) -> None:
+    """Per-directive re-derivation of every plan claim (first violation)."""
+    directives = list(plan.directives)
+    seen = {}
+    for directive in directives:
+        if directive.device_index >= len(fleet):
+            raise PlanError(f"directive for device {directive.device_index} outside fleet")
+        if directive.device_index in seen:
+            raise CoverageError(f"device {directive.device_index} has multiple directives")
+        seen[directive.device_index] = directive.transmission_index
+    missing = set(range(len(fleet))) - set(seen)
+    if missing and not partial:
+        raise CoverageError(f"{len(missing)} devices uncovered")
+    listed = {i for t in plan.transmissions for i in t.device_indices}
+    if listed != set(seen):
+        raise CoverageError("transmission device lists disagree with directives")
+    for t in plan.transmissions:
+        for i in t.device_indices:
+            if seen[i] != t.index:
+                raise CoverageError(f"device {i} listed in {t.index}, directed to {seen[i]}")
+    by_index = {t.index: t for t in plan.transmissions}
+    if sorted(by_index) != list(range(len(plan.transmissions))):
+        raise PlanError("transmission indices are not 0..k-1")
+    for t in plan.transmissions:
+        if t.rate_bps > fleet.group_rate_bps(t.device_indices):
+            raise PlanError(f"transmission {t.index}: bearer rate above its worst member's")
+    for directive in directives:
+        transmission = by_index.get(directive.transmission_index)
+        if transmission is None:
+            raise PlanError(f"missing transmission {directive.transmission_index}")
+        _validate_directive(plan, fleet, directive, transmission)
+
+
+def _validate_directive(plan, fleet, directive, transmission) -> None:
+    device = fleet[directive.device_index]
+    window_start = transmission.frame - plan.inactivity_timer_frames
+    preferred = device.schedule
+    page = directive.page_frame
+    in_window = window_start <= page <= transmission.frame
+    method = directive.method
+    if method is WakeMethod.IMMEDIATE_PAGE:
+        if not preferred.is_po(page):
+            raise PlanError("immediate page is not a PO")
+    elif method is WakeMethod.PAGED_IN_WINDOW:
+        if not preferred.is_po(page):
+            raise PlanError("window page is not a PO")
+        if not in_window:
+            raise PlanError("page outside window")
+    elif method is WakeMethod.EXTENDED_PAGE_TIMER:
+        if not preferred.is_po(page):
+            raise PlanError("extended page is not a PO")
+        expiry = directive.t322.expires_at_frame
+        if not window_start <= expiry <= transmission.frame:
+            raise PlanError("T322 expiry outside window")
+        if directive.connect_frame != expiry:
+            raise PlanError("connect frame differs from T322 expiry")
+    else:
+        adaptation = directive.adaptation_page_frame
+        cycle = directive.adapted_cycle
+        if int(cycle) > int(device.cycle):
+            raise PlanError("adapted cycle longer than preferred")
+        if not preferred.is_po(adaptation):
+            raise PlanError("adaptation page is not a preferred-cycle PO")
+        if adaptation >= window_start:
+            raise PlanError("adaptation not before the window start")
+        adapted = pattern_for(device.drx.ue_id, cycle, device.drx.nb).schedule
+        if not adapted.is_po(page):
+            raise PlanError("window page is not on the adapted grid")
+        if not in_window:
+            raise PlanError("adapted page outside window")
+        if page <= adaptation:
+            raise PlanError("adapted page not after the adaptation episode")

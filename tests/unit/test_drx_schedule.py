@@ -8,6 +8,7 @@ from repro.drx.schedule import (
     v_count_in,
     v_first_at_or_after,
     v_has_in,
+    v_last_at_or_before,
     v_last_before,
     v_pos_in_window,
 )
@@ -102,6 +103,16 @@ class TestVectorised:
     def test_v_last_before_flags_missing(self):
         result = v_last_before(np.array([5]), np.array([10]), 3)
         assert result[0] == -1
+
+    def test_v_last_at_or_before_per_device_bounds(self):
+        frames = np.array([15, 3, 6])
+        result = v_last_at_or_before(self.phases, self.periods, frames)
+        expected = [
+            PoSchedule(int(p), int(t)).last_at_or_before(int(f))
+            for p, t, f in zip(self.phases, self.periods, frames)
+        ]
+        assert result.tolist() == [-1 if e is None else e for e in expected]
+        assert result.tolist() == [15, 0, -1]
 
     def test_v_count_in_matches_scalar(self):
         result = v_count_in(self.phases, self.periods, 3, 28)

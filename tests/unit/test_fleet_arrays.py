@@ -25,8 +25,14 @@ from repro.devices.arrays import (
 from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
 from repro.drx.config import DrxConfig
-from repro.drx.cycles import DrxCycle
-from repro.drx.paging import NB, paging_frame_offset, v_paging_frame_offset
+from repro.drx.cycles import FULL_LADDER, DrxCycle
+from repro.drx.paging import (
+    NB,
+    paging_frame_offset,
+    pattern_for,
+    v_paging_frame_offset,
+    v_paging_subframe,
+)
 from repro.errors import FleetError
 from repro.phy.coverage import CoverageClass
 from repro.traffic.generator import generate_fleet
@@ -201,6 +207,26 @@ class TestVectorisedDerivations:
                 for u, c in zip(ue_ids, cycles)
             ]
             assert vector.tolist() == scalar
+
+    def test_v_paging_frame_offset_per_device_nb_every_ladder_cycle(self):
+        # Per-device nB columns (the fleet's nb_* schema) at every
+        # ladder cycle, eDRX up to 2^20 frames included.
+        members = list(NB)
+        combos = [(c, nb) for c in FULL_LADDER for nb in members]
+        rng = np.random.default_rng(12)
+        ue_ids = rng.integers(0, 4096, size=len(combos))
+        cycles = np.array([int(c) for c, _nb in combos], np.int64)
+        nb_columns = (
+            np.array([nb.fraction.numerator for _c, nb in combos], np.int64),
+            np.array([nb.fraction.denominator for _c, nb in combos], np.int64),
+        )
+        phases = v_paging_frame_offset(ue_ids, cycles, nb_columns)
+        subframes = v_paging_subframe(ue_ids, cycles, nb_columns)
+        for ue, (cycle, nb), phase, subframe in zip(
+            ue_ids.tolist(), combos, phases.tolist(), subframes.tolist()
+        ):
+            pattern = pattern_for(ue, cycle, nb)
+            assert (phase, subframe) == (pattern.phase, pattern.subframe)
 
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     def test_sample_columns_matches_reference_stream(self, name):

@@ -4,19 +4,24 @@ paging-channel overflow behaviour."""
 import numpy as np
 import pytest
 
-from repro.core import DaScMechanism, DrScMechanism
+from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism
+from repro.core.base import PlanningContext
+from repro.core.plan import WakeMethod
 from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
 from repro.enb.paging_channel import PagingChannel
 from repro.errors import CapacityError, PlanError
+from repro.grouping.policies import CoverageStratifiedPolicy
 from repro.multicast import (
     FirmwareImage,
     OnDemandMulticastService,
     PendingCampaign,
 )
+from repro.service.service import _max_shift, _rows_by_window, _window_pages
 from repro.sim.eventlog import compare_results
 
 IMAGE = FirmwareImage(name="fw", version="1.0.0", size_bytes=60_000)
+CONTEXT = PlanningContext(payload_bytes=IMAGE.size_bytes)
 
 
 def _joiner(imsi: int, seconds: float = 20.48) -> NbIotDevice:
@@ -135,3 +140,55 @@ class TestStrictPagingChannel:
             channel.pack(
                 [(50, 1, 1)] + [(100, 9, u) for u in range(3)]
             )
+
+
+class TestColumnarPaging:
+    """Paging lists built from plan columns match a per-directive scan."""
+
+    @pytest.mark.parametrize("mechanism", [DaScMechanism(), DrSiMechanism()])
+    def test_pack_paging_matches_directive_scan(
+        self, small_fleet, rng, mechanism, monkeypatch
+    ):
+        service = OnDemandMulticastService(mechanism=mechanism)
+        plan = mechanism.plan(small_fleet, CONTEXT, rng)
+        captured = {}
+
+        def capture(fleet, pages, notifications=()):
+            captured["pages"] = list(pages)
+            captured["notifications"] = list(notifications)
+
+        monkeypatch.setattr(service._enb, "pack_pages", capture)
+        service._pack_paging(small_fleet, plan)
+        pages, notifications = [], []
+        for d in plan.directives:
+            if d.method is WakeMethod.EXTENDED_PAGE_TIMER:
+                tx = plan.transmissions[d.transmission_index]
+                notifications.append(
+                    (d.device_index, d.page_frame, tx.frame - d.page_frame)
+                )
+                continue
+            pages.append((d.device_index, d.page_frame))
+            if d.method is WakeMethod.DRX_ADAPTATION:
+                pages.append((d.device_index, d.adaptation_page_frame))
+        assert captured == {"pages": pages, "notifications": notifications}
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [DaScMechanism(), DrScMechanism(), DrScMechanism(CoverageStratifiedPolicy())],
+    )
+    def test_window_rows_match_directive_scan(self, small_fleet, rng, mechanism):
+        plan = mechanism.plan(small_fleet, CONTEXT, rng)
+        rows, bounds = _rows_by_window(plan)
+        for tx in plan.transmissions:
+            window = rows[bounds[tx.index] : bounds[tx.index + 1]]
+            members = [d for d in plan.directives if d.transmission_index == tx.index]
+            occasions = []
+            for d in members:
+                subframe = small_fleet[d.device_index].pattern.subframe
+                occasions.append((d.page_frame, subframe))
+                if d.method is WakeMethod.DRX_ADAPTATION:
+                    occasions.append((d.adaptation_page_frame, subframe))
+            assert _window_pages(small_fleet, plan, window) == occasions
+            start = tx.frame - plan.inactivity_timer_frames
+            cap = max(0, min(d.connect_frame - start for d in members))
+            assert _max_shift(plan, tx, window) == cap

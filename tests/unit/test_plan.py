@@ -1,16 +1,23 @@
 """Unit tests for plan structures and validation."""
 
+import pickle
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.core.plan import (
+    METHOD_CODE,
     DeviceDirective,
     MulticastPlan,
+    PlanArrays,
     Transmission,
     WakeMethod,
 )
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
+from repro.drx.paging import pattern_for
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
 
@@ -225,3 +232,157 @@ class TestPlanValidation:
         assert plan.directive_for(1).device_index == 1
         with pytest.raises(PlanError):
             plan.directive_for(7)
+
+
+def _window_plan(fleet: Fleet, tx_frame: int = 5000, rate_bps: float = 25000):
+    directives = tuple(
+        DeviceDirective(
+            device_index=i, transmission_index=0,
+            method=WakeMethod.PAGED_IN_WINDOW,
+            page_frame=_window_page(fleet, i, tx_frame),
+            connect_frame=_window_page(fleet, i, tx_frame),
+        )
+        for i in range(len(fleet))
+    )
+    return _plan_for(
+        fleet,
+        directives,
+        (
+            Transmission(index=0, frame=tx_frame, device_indices=(0, 1),
+                         rate_bps=rate_bps, duration_frames=3200),
+        ),
+    )
+
+
+class TestBearerRate:
+    def test_rate_above_slowest_member_detected(self, pair_fleet):
+        # Both devices are in normal coverage (25 kbit/s): a bearer
+        # faster than that cannot be decoded by the group (Sec. II-A).
+        plan = _window_plan(pair_fleet, rate_bps=30000)
+        with pytest.raises(PlanError, match="bearer rate"):
+            plan.validate(pair_fleet)
+
+    def test_rate_below_slowest_member_accepted(self, pair_fleet):
+        # A frozen revised window keeps the (lower) rate it was sized
+        # for when it had slower members.
+        _window_plan(pair_fleet, rate_bps=10000).validate(pair_fleet)
+
+
+class TestPlanArrays:
+    def test_directives_round_trip_through_columns(self, pair_fleet):
+        plan = _window_plan(pair_fleet)
+        assert plan.directives is plan.columns
+        assert len(plan.directives) == 2
+        objects = tuple(plan.directives)
+        assert PlanArrays.from_directives(objects) == plan.columns
+        assert plan.directives[-1] == objects[1]
+        assert plan.directives[:1] == objects[:1]
+        assert plan.columns.method.tolist() == [
+            METHOD_CODE[WakeMethod.PAGED_IN_WINDOW]
+        ] * 2
+
+    def test_columns_are_read_only(self, pair_fleet):
+        columns = _window_plan(pair_fleet).columns
+        with pytest.raises(ValueError):
+            columns.page_frame[0] = 0
+
+    def test_plans_compare_and_pickle_by_value(self, pair_fleet):
+        plan = _window_plan(pair_fleet)
+        twin = _window_plan(pair_fleet)
+        assert plan == twin and hash(plan) == hash(twin)
+        assert pickle.loads(pickle.dumps(plan)) == plan
+        moved = replace(
+            plan.columns, connect_frame=plan.columns.connect_frame + 1
+        )
+        assert replace(plan, directives=moved) != plan
+
+    def test_extended_page_timer_is_page_to_connect(self):
+        columns = PlanArrays(
+            device=[0], transmission=[0],
+            method=METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER],
+            page_frame=[10], connect_frame=[100],
+        )
+        directive = columns[0]
+        assert directive.t322.armed_at_frame == 10
+        assert directive.t322.expires_at_frame == 100
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"device": [-1]},
+            {"page_frame": [-5], "connect_frame": [-5]},
+            {"connect_frame": [5]},
+            {"method": [7]},
+            {"adaptation_page_frame": [3]},
+            {"adapted_cycle": [2048]},
+            {"method": [METHOD_CODE[WakeMethod.DRX_ADAPTATION]]},
+            {
+                "method": [METHOD_CODE[WakeMethod.DRX_ADAPTATION]],
+                "adaptation_page_frame": [3],
+                "adapted_cycle": [3000],
+            },
+            {
+                "method": [METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]],
+                "connect_frame": [10],
+            },
+        ],
+    )
+    def test_malformed_rows_rejected(self, overrides):
+        row = {
+            "device": [0], "transmission": [0],
+            "method": [METHOD_CODE[WakeMethod.PAGED_IN_WINDOW]],
+            "page_frame": [10], "connect_frame": [10],
+        }
+        row.update(overrides)
+        with pytest.raises(PlanError):
+            PlanArrays(**row)
+
+    def test_detached_t322_rejected(self):
+        # T322 is armed at the extended page and expires at the connect
+        # frame; a timer that disagrees is not representable.
+        with pytest.raises(PlanError, match="T322"):
+            DeviceDirective(
+                device_index=0, transmission_index=0,
+                method=WakeMethod.EXTENDED_PAGE_TIMER, page_frame=10,
+                connect_frame=100,
+                t322=T322Timer(armed_at_frame=20, expires_at_frame=100),
+            )
+
+    def test_directive_for_uses_first_row(self):
+        columns = PlanArrays(
+            device=np.array([4, 2, 4]), transmission=[0, 1, 2],
+            method=METHOD_CODE[WakeMethod.IMMEDIATE_PAGE],
+            page_frame=[1, 2, 3], connect_frame=[1, 2, 3],
+        )
+        assert columns.row_of(4) == 0
+        assert columns.row_of(2) == 1
+        assert columns.row_of(3) == -1
+        assert columns.row_of(99) == -1
+
+
+def test_adaptation_inside_window_detected(pair_fleet):
+    # The adaptation episode must happen before the window opens: an
+    # adaptation PO inside the window is rejected even when every other
+    # claim (POs on both grids, page in window and after it) holds.
+    device = pair_fleet[0]
+    adaptation = device.schedule.first_at_or_after(10_000)
+    page = adaptation + 1024  # next PO of the nested 1024-frame grid
+    grid = pattern_for(device.drx.ue_id, DrxCycle(1024), device.drx.nb).schedule
+    assert grid.is_po(page)
+    plan = _plan_for(
+        pair_fleet,
+        (
+            DeviceDirective(
+                device_index=0, transmission_index=0,
+                method=WakeMethod.DRX_ADAPTATION, page_frame=page,
+                connect_frame=page, adaptation_page_frame=adaptation,
+                adapted_cycle=DrxCycle(1024),
+            ),
+        ),
+        (
+            Transmission(index=0, frame=adaptation + 1500, device_indices=(0,),
+                         rate_bps=25000, duration_frames=3200),
+        ),
+    )
+    with pytest.raises(PlanError, match="adaptation at"):
+        plan.validate(pair_fleet, partial=True)
