@@ -95,7 +95,7 @@ def _run_combo(policy_name, mechanism_name, fleet, context, seed):
     execute_s = time.perf_counter() - t0
     assert result.columnar is not None, "executor left the columnar path"
 
-    largest = max(t.group_size for t in plan.transmissions)
+    largest = int(np.bincount(plan.columns.transmission).max())
     return policy, plan, {
         "policy": policy_name,
         "mechanism": mechanism_name,
@@ -146,7 +146,7 @@ def test_a11_grouping_policies_at_fleet_scale(capsys):
     assert collision_policy is not None and collision_plan is not None
     assert isinstance(collision_policy, CollisionAwarePolicy)
     cap = collision_policy.max_collision_probability
-    largest = max(t.group_size for t in collision_plan.transmissions)
+    largest = int(np.bincount(collision_plan.columns.transmission).max())
     assert largest <= collision_policy.max_group_size
     assert collision_policy.collision_probability(largest) <= cap, (
         f"largest collision-aware group of {largest} exceeds the "

@@ -83,11 +83,10 @@ class BudgetedHybridMechanism(GroupingMechanism):
         # The kept windows page their members at a window PO, built as
         # plan columns straight from the fleet's arrays.
         groups = [PlannedGroup(members, window) for window, members in kept]
-        frames, sizes, parts = [], [], []
+        frames, parts = [], []
         if groups:
             rows = self._window_rows(fleet, context, groups)
             frames = [group.window.last_frame for group in rows.groups]
-            sizes = rows.sizes.tolist()
             parts.append(
                 PlanArrays(
                     rows.device,
@@ -110,9 +109,8 @@ class BudgetedHybridMechanism(GroupingMechanism):
                 )
             )
             frames.append(tail_plan.transmissions[0].frame)
-            sizes.append(tail.size)
         columns = PlanArrays.concatenate(parts)
-        return self._assemble(fleet, context, columns, frames, np.array(sizes))
+        return self._assemble(fleet, context, columns, frames)
 
 
 def main() -> None:

@@ -38,6 +38,7 @@ from repro.core import (
     MulticastPlan,
     PlanningContext,
     Transmission,
+    TransmissionTable,
     UnicastBaseline,
     WakeMethod,
     mechanism_by_name,
@@ -108,6 +109,7 @@ __all__ = [
     "MulticastPlan",
     "DeviceDirective",
     "Transmission",
+    "TransmissionTable",
     "WakeMethod",
     "PlanningContext",
     # grouping policies

@@ -22,6 +22,7 @@ from repro.core.plan import (
     MulticastPlan,
     PlanArrays,
     Transmission,
+    TransmissionTable,
     WakeMethod,
 )
 from repro.core.base import GroupingMechanism, PlanningContext
@@ -41,6 +42,7 @@ __all__ = [
     "DeviceDirective",
     "PlanArrays",
     "Transmission",
+    "TransmissionTable",
     "MulticastPlan",
     "PlanningContext",
     "GroupingMechanism",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, TYPE_CHECKING
+from typing import NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.devices.fleet import Fleet
 from repro.drx.schedule import v_last_at_or_before
 from repro.enb.cell import CellConfig
 from repro.errors import ConfigurationError
-from repro.core.plan import MulticastPlan, PlanArrays, Transmission
+from repro.core.plan import MulticastPlan, PlanArrays, TransmissionTable
 from repro.phy.airtime import payload_airtime_frames
 from repro.rrc.procedures import ProcedureTimings
 from repro.timebase import ms_to_frames
@@ -108,7 +108,6 @@ class WindowRows(NamedTuple):
     groups: Sequence["PlannedGroup"]  # in time (transmission) order
     device: np.ndarray
     transmission: np.ndarray  # each row's group (transmission) index
-    sizes: np.ndarray  # members per group
     start: np.ndarray  # each row's window start
     last: np.ndarray  # each row's last window frame
     page: np.ndarray  # latest window PO (meaningless where not has_po)
@@ -188,7 +187,7 @@ class GroupingMechanism(abc.ABC):
         with_slack = v_last_at_or_before(phases, periods, last - slack)
         page = np.where(with_slack >= start, with_slack, latest)
         return WindowRows(
-            groups, device, transmission, sizes, start, last, page, latest >= start
+            groups, device, transmission, start, last, page, latest >= start
         )
 
     def _assemble(
@@ -197,32 +196,19 @@ class GroupingMechanism(abc.ABC):
         context: PlanningContext,
         columns: PlanArrays,
         frames: Sequence[int],
-        sizes: np.ndarray,
     ) -> MulticastPlan:
-        """This mechanism's plan: one transmission per consecutive run of
-        ``sizes`` rows of ``columns``, at ``frames``, each bearer sized
-        for its slowest member (paper Sec. II-A)."""
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        device = columns.device
-        rates = np.minimum.reduceat(fleet.arrays.downlink_bps[device], starts)
-        members = device.tolist()
-        airtime: Dict[float, int] = {}
-        transmissions = []
-        for index, (frame, lo, hi, rate) in enumerate(
-            zip(frames, starts.tolist(), ends.tolist(), rates.tolist())
-        ):
-            if rate not in airtime:
-                airtime[rate] = payload_airtime_frames(context.payload_bytes, rate)
-            transmissions.append(
-                Transmission(
-                    index=index,
-                    frame=int(frame),
-                    device_indices=tuple(members[lo:hi]),
-                    rate_bps=rate,
-                    duration_frames=airtime[rate],
-                )
-            )
+        """This mechanism's plan: transmission ``i`` goes out at
+        ``frames[i]`` to the rows of ``columns`` directed to it, its
+        bearer sized for its slowest member (paper Sec. II-A)."""
+        rows, bounds = columns.rows_by_transmission
+        rates = np.minimum.reduceat(
+            fleet.arrays.downlink_bps[columns.device[rows]], bounds[:-1]
+        )
+        unique, inverse = np.unique(rates, return_inverse=True)
+        airtime = [
+            payload_airtime_frames(context.payload_bytes, rate)
+            for rate in unique.tolist()
+        ]
         return MulticastPlan(
             mechanism=self.name,
             standards_compliant=self.standards_compliant,
@@ -230,7 +216,9 @@ class GroupingMechanism(abc.ABC):
             announce_frame=context.announce_frame,
             inactivity_timer_frames=context.inactivity_timer_frames,
             payload_bytes=context.payload_bytes,
-            transmissions=tuple(transmissions),
+            transmissions=TransmissionTable(
+                frames, rates, np.array(airtime, dtype=np.int64)[inverse]
+            ),
             directives=columns,
             grouping=self.grouping_name,
         )

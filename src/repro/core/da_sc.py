@@ -130,7 +130,7 @@ class DaScMechanism(GroupingMechanism):
             rows.device, rows.transmission, method, page, page, adaptation, cycle
         )
         frames = [group.window.end for group in rows.groups]
-        return self._assemble(fleet, context, columns, frames, rows.sizes)
+        return self._assemble(fleet, context, columns, frames)
 
     # ------------------------------------------------------------------
     # Adaptation machinery

@@ -89,4 +89,4 @@ class DrScMechanism(GroupingMechanism):
             rows.page,
         )
         frames = [group.window.last_frame for group in rows.groups]
-        return self._assemble(fleet, context, columns, frames, rows.sizes)
+        return self._assemble(fleet, context, columns, frames)

@@ -112,4 +112,4 @@ class DrSiMechanism(GroupingMechanism):
         )
         columns = PlanArrays(rows.device, rows.transmission, method, page, connect)
         frames = [group.window.end for group in rows.groups]
-        return self._assemble(fleet, context, columns, frames, rows.sizes)
+        return self._assemble(fleet, context, columns, frames)

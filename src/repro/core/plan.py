@@ -9,7 +9,10 @@ the unicast baseline's immediate page).
 The canonical form of a plan's per-device directives is
 :class:`PlanArrays`, a struct-of-arrays the mechanisms build straight
 from the fleet's columns; :class:`DeviceDirective` objects are built
-from it only on access (:attr:`MulticastPlan.directives`).
+from it only on access (:attr:`MulticastPlan.directives`). The plan's
+transmissions are a :class:`TransmissionTable` of frame, rate and
+airtime columns; who each one serves is recorded only in the directive
+``transmission`` column.
 
 ``MulticastPlan.validate`` re-derives every claim against the fleet's
 actual paging schedules and bearer rates, as whole-array checks, and
@@ -21,10 +24,9 @@ invariants.
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,53 +57,6 @@ class WakeMethod(Enum):
 
     IMMEDIATE_PAGE = "immediate_page"
     """Unicast baseline: paged at its first PO and served immediately."""
-
-
-@dataclass(frozen=True)
-class Transmission:
-    """One scheduled multicast (or unicast) data transmission.
-
-    Attributes:
-        index: position in the plan's transmission tuple.
-        frame: nominal start frame (the last frame of the TI-window for
-            windowed mechanisms). The executor may push the actual start
-            slightly later so every group member is connected.
-        device_indices: fleet indices served by this transmission.
-        rate_bps: bearer rate (minimum over the group's capabilities).
-        duration_frames: payload airtime at the bearer rate.
-    """
-
-    index: int
-    frame: int
-    device_indices: Tuple[int, ...]
-    rate_bps: float
-    duration_frames: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise PlanError(f"transmission index must be >= 0, got {self.index}")
-        if self.frame < 0:
-            raise PlanError(f"transmission frame must be >= 0, got {self.frame}")
-        if not self.device_indices:
-            raise PlanError(f"transmission {self.index} serves no devices")
-        if len(set(self.device_indices)) != len(self.device_indices):
-            raise PlanError(f"transmission {self.index} lists a device twice")
-        if self.rate_bps <= 0:
-            raise PlanError(f"bearer rate must be positive, got {self.rate_bps}")
-        if self.duration_frames < 1:
-            raise PlanError(
-                f"duration must be >= 1 frame, got {self.duration_frames}"
-            )
-
-    @property
-    def group_size(self) -> int:
-        """Number of devices served."""
-        return len(self.device_indices)
-
-    @property
-    def end_frame(self) -> int:
-        """Nominal end frame (start + airtime)."""
-        return self.frame + self.duration_frames
 
 
 @dataclass(frozen=True)
@@ -168,8 +123,33 @@ def _on_grid(frames: np.ndarray, phases: np.ndarray, periods: np.ndarray) -> np.
     return (frames >= phases) & ((frames - phases) % periods == 0)
 
 
+class _ColumnTable:
+    """Value semantics of a frozen column table.
+
+    Tables compare and hash by the values of their compared fields (the
+    columns), and unpickle by re-running the constructor, so columns
+    come back checked and read-only, without the lazy caches.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+            if f.compare
+        )
+
+    def __hash__(self) -> int:
+        columns = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return hash(tuple(column.tobytes() for column in columns))
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
 @dataclass(frozen=True, eq=False)
-class PlanArrays(SequenceABC):
+class PlanArrays(_ColumnTable, SequenceABC):
     """A plan's directives as a frozen struct-of-arrays.
 
     One row per directive, every column int64, rows in the plan's
@@ -303,24 +283,26 @@ class PlanArrays(SequenceABC):
         rows = self._first_rows
         return int(rows[device_index]) if 0 <= device_index < rows.size else -1
 
-    # ------------------------------------------------------------------
-    # Value semantics
-    # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PlanArrays):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in PLAN_COLUMNS
-        )
+    @cached_property
+    def rows_by_transmission(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, bounds)``: transmission ``i``'s directive rows are
+        ``rows[bounds[i]:bounds[i + 1]]``, in row order.
 
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name).tobytes() for name in PLAN_COLUMNS))
+        One stable argsort of the ``transmission`` column serves every
+        transmission; ``bounds`` covers indices up to the largest one in
+        the column (rows with a negative index belong to none).
+        """
+        tx = self.transmission
+        rows = np.argsort(tx, kind="stable")
+        bounds = np.cumsum(np.bincount(np.maximum(tx, -1) + 1, minlength=1))
+        return rows, bounds
 
-    def __reduce__(self):
-        # Unpickling re-runs the constructor: the columns come back
-        # checked and read-only, without the lazy lookup index.
-        return (PlanArrays, tuple(getattr(self, name) for name in PLAN_COLUMNS))
+    def transmission_rows(self, index: int) -> np.ndarray:
+        """Directive rows of transmission ``index``, in row order."""
+        rows, bounds = self.rows_by_transmission
+        if not 0 <= index < bounds.size - 1:
+            return rows[:0]
+        return rows[bounds[index] : bounds[index + 1]]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlanArrays(n={len(self)})"
@@ -328,6 +310,108 @@ class PlanArrays(SequenceABC):
 
 #: The column schema of :class:`PlanArrays` (every column int64).
 PLAN_COLUMNS: Tuple[str, ...] = tuple(f.name for f in fields(PlanArrays))
+
+
+@dataclass(frozen=True, eq=False)
+class TransmissionTable(_ColumnTable, SequenceABC):
+    """A plan's scheduled transmissions as a frozen column table.
+
+    One row per transmission, ordered by frame; a row's position is its
+    index. Columns: ``frame`` (int64 nominal start — the last frame of
+    the TI-window for windowed mechanisms; the executor may start later
+    so every member is connected), ``rate_bps`` (float64 bearer rate,
+    the minimum over the group's capabilities) and ``duration_frames``
+    (int64 payload airtime at that rate). Construction checks every row.
+
+    The table stores no membership: transmission ``i`` serves the rows
+    of ``directives`` whose ``transmission`` column holds ``i``. A
+    :class:`MulticastPlan` binds its table to its own directives; read
+    as a sequence, the rows are :class:`Transmission` objects built on
+    access.
+    """
+
+    frame: np.ndarray
+    rate_bps: np.ndarray
+    duration_frames: np.ndarray
+    directives: Optional[PlanArrays] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        k = np.asarray(self.frame).size
+        for name, dtype in (
+            ("frame", np.int64),
+            ("rate_bps", np.float64),
+            ("duration_frames", np.int64),
+        ):
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            if column.shape != (k,):
+                raise PlanError(f"column {name!r} has shape {column.shape}")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        for mask, message in (
+            (self.frame < 0, "frame must be >= 0, got {f}"),
+            (self.rate_bps <= 0, "bearer rate must be positive, got {r}"),
+            (self.duration_frames < 1, "duration must be >= 1 frame, got {d}"),
+        ):
+            check_rows(
+                mask,
+                "transmission {row}: " + message,
+                f=self.frame,
+                r=self.rate_bps,
+                d=self.duration_frames,
+            )
+
+    def __len__(self) -> int:
+        return self.frame.size
+
+    def __getitem__(self, index) -> "Transmission":
+        row = range(len(self))[index]
+        return Transmission(
+            row,
+            int(self.frame[row]),
+            float(self.rate_bps[row]),
+            int(self.duration_frames[row]),
+            self,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"TransmissionTable(k={len(self)})"
+
+
+@dataclass(frozen=True)
+class Transmission:
+    """One scheduled multicast (or unicast) data transmission: a row of
+    a :class:`TransmissionTable`, built on access.
+
+    Attributes:
+        index: the row — the transmission's position in its table.
+        frame: nominal start frame.
+        rate_bps: bearer rate (minimum over the group's capabilities).
+        duration_frames: payload airtime at the bearer rate.
+        table: the table the row was read from; ``device_indices`` and
+            ``group_size`` are read from the directives it is bound to.
+    """
+
+    index: int
+    frame: int
+    rate_bps: float
+    duration_frames: int
+    table: TransmissionTable = field(repr=False, compare=False)
+
+    @property
+    def end_frame(self) -> int:
+        """Nominal end frame (start + airtime)."""
+        return self.frame + self.duration_frames
+
+    @property
+    def device_indices(self) -> np.ndarray:
+        """Fleet indices served, in directive row order."""
+        directives = self.table.directives
+        return directives.device[directives.transmission_rows(self.index)]
+
+    @property
+    def group_size(self) -> int:
+        """Number of devices served."""
+        return int(self.table.directives.transmission_rows(self.index).size)
 
 
 @dataclass(frozen=True)
@@ -343,7 +427,9 @@ class MulticastPlan:
         announce_frame: frame the multicast content became available.
         inactivity_timer_frames: the TI used for the windows.
         payload_bytes: multicast payload size.
-        transmissions: scheduled transmissions, ordered by frame.
+        transmissions: scheduled transmissions, ordered by frame, as a
+            :class:`TransmissionTable` (bound to ``directives``, which
+            say who each transmission serves).
         directives: one directive per fleet device, held as
             :class:`PlanArrays` columns (a sequence of
             :class:`DeviceDirective` objects is converted).
@@ -357,13 +443,16 @@ class MulticastPlan:
     announce_frame: int
     inactivity_timer_frames: int
     payload_bytes: int
-    transmissions: Tuple[Transmission, ...]
+    transmissions: TransmissionTable
     directives: PlanArrays
     grouping: Optional[str] = None
 
     def __post_init__(self) -> None:
         columns = PlanArrays.from_directives(self.directives)
         object.__setattr__(self, "directives", columns)
+        if self.transmissions.directives is not columns:
+            table = replace(self.transmissions, directives=columns)
+            object.__setattr__(self, "transmissions", table)
 
     @property
     def columns(self) -> PlanArrays:
@@ -381,7 +470,8 @@ class MulticastPlan:
     @property
     def campaign_end_frame(self) -> int:
         """Nominal end of the campaign (last transmission's end)."""
-        return max(t.end_frame for t in self.transmissions)
+        table = self.transmissions
+        return int((table.frame + table.duration_frames).max())
 
     @property
     def campaign_duration_s(self) -> float:
@@ -411,12 +501,13 @@ class MulticastPlan:
         plans are validated this way: the working fleet of a live
         campaign keeps the devices that left (indices are append-only),
         so full coverage is impossible by construction. Every other
-        invariant (no duplicate directives, transmission/directive
-        agreement, bearer rates, per-directive paging feasibility)
-        still holds.
+        invariant (no duplicate directives, every directive naming a
+        transmission and every transmission serving someone, bearer
+        rates, per-directive paging feasibility) still holds.
         """
         arrays = fleet.arrays
-        dev, tx = self.columns.device, self.columns.transmission
+        columns = self.columns
+        dev, tx = columns.device, columns.transmission
         n_fleet = arrays.n
         check_rows(dev >= n_fleet, f"device {{d}} outside fleet of {n_fleet}", d=dev)
         counts = np.bincount(dev, minlength=n_fleet)
@@ -427,62 +518,37 @@ class MulticastPlan:
                 f"{missing.size} devices uncovered, e.g. {missing[:5].tolist()}"
             )
 
-        # Transmission member lists agree with the transmission column.
-        transmissions = self.transmissions
-        k = len(transmissions)
-        sizes = np.fromiter((t.group_size for t in transmissions), np.int64, k)
-        listed = np.fromiter(
-            chain.from_iterable(t.device_indices for t in transmissions),
-            np.int64,
-            int(sizes.sum()),
-        )
-        indices = [t.index for t in transmissions]
-        listed_tx = np.repeat(np.array(indices, dtype=np.int64), sizes)
-        span = max(n_fleet, int(listed.max()) + 1) if listed.size else n_fleet
-        if (listed.size and listed.min() < 0) or not np.array_equal(
-            np.bincount(listed, minlength=span) > 0,
-            np.bincount(dev, minlength=span) > 0,
-        ):
-            raise CoverageError("transmission device lists disagree with directives")
-        row_of = np.empty(n_fleet, dtype=np.int64)
-        row_of[dev] = np.arange(dev.size)
+        # Every directive names a transmission, and every transmission
+        # serves someone.
+        table = self.transmissions
+        k = len(table)
+        check_rows((tx < 0) | (tx >= k), "device {d}: no transmission {t}", d=dev, t=tx)
         check_rows(
-            tx[row_of[listed]] != listed_tx,
-            "device {d} listed in transmission {t} but directed elsewhere",
-            CoverageError,
-            d=listed,
-            t=listed_tx,
+            np.bincount(tx, minlength=k) == 0, "transmission {row} serves no devices"
         )
-        if sorted(indices) != list(range(k)):
-            raise PlanError("transmission indices are not 0..k-1")
-        missing_tx = (tx < 0) | (tx >= k)
-        check_rows(missing_tx, "device {d}: no transmission {t}", d=dev, t=tx)
         if k:
             # The bearer serves the slowest member (paper Sec. II-A). A
             # frozen revised window keeps the rate it was sized for when
             # it had more members, hence <= rather than ==.
+            rows, bounds = columns.rows_by_transmission
             slowest = np.minimum.reduceat(
-                arrays.downlink_bps[listed], np.cumsum(sizes) - sizes
+                arrays.downlink_bps[dev[rows]], bounds[:-1]
             )
             check_rows(
-                np.array([t.rate_bps for t in transmissions]) > slowest,
-                "transmission {t}: bearer rate exceeds its slowest member's {r} bps",
-                t=np.array(indices),
+                table.rate_bps > slowest,
+                "transmission {row}: bearer rate exceeds its slowest member's {r} bps",
                 r=slowest,
             )
 
         # Per-directive paging feasibility, one array check per rule.
-        columns = self.columns
         method, page = columns.method, columns.page_frame
         connect = columns.connect_frame
-        frames = np.empty(len(indices), dtype=np.int64)
-        frames[indices] = [t.frame for t in self.transmissions]
         # A device paged (or self-waking) at frame p can still be awake at
         # the transmission frame F iff F - p <= TI. Both window
         # conventions in the paper (DR-SC's [s, s+TI) with the
         # transmission at s+TI-1, and DA-SC/DR-SI's [t - TI, t) with the
         # transmission at t) satisfy this single invariant.
-        frame = frames[tx]
+        frame = table.frame[tx]
         start = frame - self.inactivity_timer_frames
         phase, period = arrays.phases[dev], arrays.periods[dev]
         adaptation = columns.adaptation_page_frame
@@ -580,17 +646,19 @@ class PlanRevision:
 
 
 class _WindowDraft:
-    """Mutable scratch for one transmission while a revision is built."""
+    """Mutable scratch for one transmission while a revision is built:
+    its base index (None for a new window), shape and the joiners it
+    gained, in join order."""
 
-    __slots__ = ("base_index", "frame", "members", "rate_bps", "duration", "order")
+    __slots__ = ("base_index", "frame", "rate_bps", "duration", "order", "joiners")
 
-    def __init__(self, base_index, frame, members, rate_bps, duration, order):
+    def __init__(self, base_index, frame, rate_bps, duration, order):
         self.base_index = base_index
         self.frame = frame
-        self.members = members
         self.rate_bps = rate_bps
         self.duration = duration
         self.order = order
+        self.joiners: List[int] = []
 
 
 def _joiner_page_frame(
@@ -674,27 +742,26 @@ def revise_plan(
 
     # Surviving windows: frozen windows keep their realised shape,
     # pending ones are resized once the final membership is known.
-    drafts: List[_WindowDraft] = []
-    retired: List[int] = []
-    for transmission in base.transmissions:
-        members = [i for i in transmission.device_indices if i not in left_set]
-        if not members:
-            retired.append(transmission.index)
-            continue
-        drafts.append(
-            _WindowDraft(
-                base_index=transmission.index,
-                frame=transmission.frame,
-                members=members,
-                rate_bps=transmission.rate_bps,
-                duration=transmission.duration_frames,
-                order=transmission.index,
-            )
+    table = base.transmissions
+    k = len(table)
+    leaving = np.isin(columns.device, sorted(left_set))
+    remaining = np.bincount(columns.transmission[~leaving], minlength=k)
+    lost_members = np.bincount(columns.transmission[leaving], minlength=k) > 0
+    retired = np.flatnonzero(remaining == 0).tolist()
+    drafts = [
+        _WindowDraft(
+            base_index=index,
+            frame=int(table.frame[index]),
+            rate_bps=float(table.rate_bps[index]),
+            duration=int(table.duration_frames[index]),
+            order=index,
         )
+        for index in np.flatnonzero(remaining).tolist()
+    ]
 
     # Re-page each joiner into the nearest feasible pending window.
     joined_pages: Dict[int, Tuple[_WindowDraft, int]] = {}
-    next_order = len(base.transmissions)
+    next_order = k
     arrays = fleet.arrays
     slack_of = context.connect_slack_table()
     for device_index in joined_list:
@@ -718,11 +785,9 @@ def revise_plan(
             # at its next PO, leaving the connect slack (capped by the
             # TI so the page stays inside the window).
             page = schedule.first_at_or_after(now_frame + 1)
-            frame = page + min(max(slack, 1), ti)
             draft = _WindowDraft(
                 base_index=None,
-                frame=frame,
-                members=[device_index],
+                frame=page + min(max(slack, 1), ti),
                 rate_bps=0.0,  # sized below with every other pending window
                 duration=1,
                 order=next_order,
@@ -730,21 +795,22 @@ def revise_plan(
             next_order += 1
             drafts.append(draft)
             placed = (draft, page)
-        else:
-            placed[0].members.append(device_index)
+        placed[0].joiners.append(device_index)
         joined_pages[device_index] = placed
 
     # Size pending windows whose membership changed (frozen windows and
     # untouched pending windows keep their exact rate and duration).
     resized_drafts: List[_WindowDraft] = []
     for draft in drafts:
+        members = np.array(draft.joiners, dtype=np.int64)
         if draft.base_index is not None:
-            original = base.transmissions[draft.base_index]
-            if list(original.device_indices) == draft.members:
+            if not (lost_members[draft.base_index] or draft.joiners):
                 continue
             if draft.frame <= now_frame:
                 continue
-        rate = fleet.group_rate_bps(draft.members)
+            rows = columns.transmission_rows(draft.base_index)
+            members = np.concatenate([columns.device[rows[~leaving[rows]]], members])
+        rate = fleet.group_rate_bps(members)
         duration = payload_airtime_frames(base.payload_bytes, rate)
         if (
             draft.base_index is None
@@ -757,25 +823,18 @@ def revise_plan(
 
     # Renumber in time order (stable on the pre-revision order).
     drafts.sort(key=lambda d: (d.frame, d.order))
-    transmission_map: List[Tuple[int, int]] = []
-    new_indices: List[int] = []
-    transmissions: List[Transmission] = []
-    index_of_draft: Dict[int, int] = {}
-    for new_index, draft in enumerate(drafts):
-        index_of_draft[id(draft)] = new_index
-        if draft.base_index is not None:
-            transmission_map.append((draft.base_index, new_index))
-        else:
-            new_indices.append(new_index)
-        transmissions.append(
-            Transmission(
-                index=new_index,
-                frame=draft.frame,
-                device_indices=tuple(draft.members),
-                rate_bps=draft.rate_bps,
-                duration_frames=draft.duration,
-            )
-        )
+    index_of_draft = {id(draft): i for i, draft in enumerate(drafts)}
+    transmission_map = [
+        (draft.base_index, i)
+        for i, draft in enumerate(drafts)
+        if draft.base_index is not None
+    ]
+    new_indices = [i for i, draft in enumerate(drafts) if draft.base_index is None]
+    transmissions = TransmissionTable(
+        frame=[draft.frame for draft in drafts],
+        rate_bps=[draft.rate_bps for draft in drafts],
+        duration_frames=[draft.duration for draft in drafts],
+    )
 
     joined_directives: List[DeviceDirective] = []
     for device_index in joined_list:
@@ -792,17 +851,15 @@ def revise_plan(
 
     # Surviving directives keep their rows; only the transmission
     # column is renumbered. Joiners are appended after them.
-    remap = np.full(len(base.transmissions), -1, dtype=np.int64)
+    remap = np.full(k, -1, dtype=np.int64)
     for base_index, new_index in transmission_map:
         remap[base_index] = new_index
-    keep = ~np.isin(columns.device, sorted(left_set))
-    kept = PlanArrays(
-        *(getattr(columns, name)[keep] for name in PLAN_COLUMNS)
-    )
-    kept = replace(kept, transmission=remap[kept.transmission])
+    kept = {name: getattr(columns, name)[~leaving] for name in PLAN_COLUMNS}
+    kept["transmission"] = remap[kept["transmission"]]
+    directives = PlanArrays(**kept)
     if joined_directives:
-        kept = PlanArrays.concatenate(
-            [kept, PlanArrays.from_directives(joined_directives)]
+        directives = PlanArrays.concatenate(
+            [directives, PlanArrays.from_directives(joined_directives)]
         )
 
     revised = MulticastPlan(
@@ -812,8 +869,8 @@ def revise_plan(
         announce_frame=base.announce_frame,
         inactivity_timer_frames=ti,
         payload_bytes=base.payload_bytes,
-        transmissions=tuple(transmissions),
-        directives=kept,
+        transmissions=transmissions,
+        directives=directives,
         grouping=base.grouping,
     )
     revised.validate(fleet, partial=True)

@@ -62,10 +62,4 @@ class UnicastBaseline(GroupingMechanism):
             page,
             page,
         )
-        return self._assemble(
-            fleet,
-            context,
-            columns,
-            start[order].tolist(),
-            np.ones(order.size, dtype=np.int64),
-        )
+        return self._assemble(fleet, context, columns, start[order])

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.devices.fleet import Fleet
+from repro.drx.paging import v_paging_subframe
 from repro.enb.cell import CellConfig
 from repro.enb.paging_channel import PagingChannel, PagingLoadReport
 from repro.enb.scheduler import (
@@ -58,17 +59,20 @@ class ENodeB:
             notifications: (device_index, frame, frames_until_tx) triples
                 for DR-SI extension entries.
         """
-        page_triples = [
-            (frame, fleet[i].pattern.subframe, fleet[i].identity.ue_id)
-            for i, frame in pages
-        ]
+        arrays = fleet.arrays
+        subframes = v_paging_subframe(
+            arrays.ue_ids,
+            arrays.periods,
+            (arrays.nb_numerators, arrays.nb_denominators),
+        ).tolist()
+        ue_ids = arrays.ue_ids.tolist()
+        page_triples = [(frame, subframes[i], ue_ids[i]) for i, frame in pages]
         notif_triples = [
             (
                 frame,
-                fleet[i].pattern.subframe,
+                subframes[i],
                 MulticastNotification(
-                    ue_id=fleet[i].identity.ue_id,
-                    frames_until_transmission=remaining,
+                    ue_id=ue_ids[i], frames_until_transmission=remaining
                 ),
             )
             for i, frame, remaining in notifications
@@ -82,3 +86,4 @@ class ENodeB:
     ) -> UtilizationReport:
         """Downlink occupancy of ``transmissions`` over the horizon."""
         return self._scheduler.utilization(transmissions, horizon_frames)
+

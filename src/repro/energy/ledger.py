@@ -15,7 +15,7 @@ Individual :class:`UptimeLedger` views are materialised on demand only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -166,6 +166,14 @@ class LedgerArray:
 
     def __len__(self) -> int:
         return self.seconds.shape[1]
+
+    @classmethod
+    def from_ledgers(cls, ledgers: Sequence[UptimeLedger]) -> "LedgerArray":
+        """One column per scalar ledger, in order."""
+        array = cls(len(ledgers))
+        for row, state in enumerate(STATE_ORDER):
+            array.seconds[row] = [ledger.seconds_in(state) for ledger in ledgers]
+        return array
 
     def add(self, state: PowerState, values: np.ndarray) -> None:
         """Accumulate per-device ``values`` seconds spent in ``state``."""

@@ -309,7 +309,7 @@ def _a6_run(
         summary = result.fleet
         metrics[f"{policy_name}/groups"] = float(plan.n_transmissions)
         metrics[f"{policy_name}/largest_group"] = float(
-            max(t.group_size for t in plan.transmissions)
+            np.bincount(plan.columns.transmission).max()
         )
         metrics[f"{policy_name}/mean_wait_s"] = result.mean_wait_s
         metrics[f"{policy_name}/uptime_s"] = (

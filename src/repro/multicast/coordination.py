@@ -212,7 +212,7 @@ def cells_bit_identical(left: CellCampaign, right: CellCampaign) -> bool:
     if not (
         left.cell_id == right.cell_id
         and left.fleet_size == right.fleet_size
-        and left.plan.transmissions == right.plan.transmissions
+        and left.plan == right.plan
         and left.result.horizon_frames == right.result.horizon_frames
         and left.result.fleet == right.result.fleet
         and left.result.actual_start_s == right.result.actual_start_s
@@ -279,9 +279,8 @@ class MultiCellReport:
     def largest_group(self) -> int:
         """Largest single-transmission group in any cell."""
         return max(
-            t.group_size
+            int(np.bincount(c.plan.columns.transmission).max())
             for c in self.campaigns
-            for t in c.plan.transmissions
         )
 
     @property

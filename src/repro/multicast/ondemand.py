@@ -27,7 +27,7 @@ generator: both consume the rng in the same order (plan, then execute).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.core.plan import (
     METHOD_CODE,
     MulticastPlan,
     PlanRevision,
-    Transmission,
     WakeMethod,
     revise_plan,
 )
@@ -245,14 +244,18 @@ class OnDemandMulticastService:
         plan.validate(fleet)
         paging = self._pack_paging(fleet, plan)
         result = self._executor.execute(fleet, plan, rng=rng)
+        table = plan.transmissions
+        sizes = np.bincount(plan.columns.transmission, minlength=len(table))
         utilization = self._enb.carrier_utilization(
             [
                 ScheduledTransmission(
-                    start_frame=t.frame,
-                    duration_frames=t.duration_frames,
-                    group_size=t.group_size,
+                    start_frame=frame, duration_frames=duration, group_size=size
                 )
-                for t in plan.transmissions
+                for frame, duration, size in zip(
+                    table.frame.tolist(),
+                    table.duration_frames.tolist(),
+                    sizes.tolist(),
+                )
             ],
             horizon_frames=result.horizon_frames,
         )
@@ -267,7 +270,7 @@ class OnDemandMulticastService:
         page followed — for DA-SC adaptations — by the adaptation page.
         """
         columns = plan.columns
-        frames = [t.frame for t in plan.transmissions]
+        frames = plan.transmissions.frame.tolist()
         extended = METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]
         adapted = METHOD_CODE[WakeMethod.DRX_ADAPTATION]
         pages, notifications = [], []
@@ -292,28 +295,14 @@ def _strip_left(
 ) -> Tuple[Fleet, MulticastPlan]:
     """Remove departed devices from a working fleet/plan pair.
 
-    Revisions already dropped the leavers from every transmission and
-    directive; what remains is compacting the fleet and remapping the
-    surviving device indices. No-op (identity) when nothing left.
+    Revisions already dropped the leavers' directives; what remains is
+    compacting the fleet and remapping the surviving device indices.
+    No-op (identity) when nothing left.
     """
     if not left:
         return fleet, plan
     keep = [i for i in range(len(fleet)) if i not in left]
-    remap: Dict[int, int] = {old: new for new, old in enumerate(keep)}
-    final_fleet = fleet.subset(keep)
-    transmissions = tuple(
-        Transmission(
-            index=t.index,
-            frame=t.frame,
-            device_indices=tuple(remap[i] for i in t.device_indices),
-            rate_bps=t.rate_bps,
-            duration_frames=t.duration_frames,
-        )
-        for t in plan.transmissions
-    )
     device_map = np.full(len(fleet), -1, dtype=np.int64)
     device_map[keep] = np.arange(len(keep), dtype=np.int64)
     columns = replace(plan.columns, device=device_map[plan.columns.device])
-    return final_fleet, replace(
-        plan, transmissions=transmissions, directives=columns
-    )
+    return fleet.subset(keep), replace(plan, directives=columns)

@@ -239,7 +239,7 @@ def _run_cell(
         cell_id=cell_id,
         fleet_size=len(fleet),
         n_transmissions=plan.n_transmissions,
-        largest_group=max(t.group_size for t in plan.transmissions),
+        largest_group=int(np.bincount(plan.columns.transmission).max()),
         mean_wait_s=result.mean_wait_s,
         light_sleep_s=result.fleet.light_sleep_s,
         connected_s=result.fleet.connected_s,

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import GroupingMechanism
-from repro.core.plan import METHOD_CODE, MulticastPlan, Transmission, WakeMethod
+from repro.core.plan import METHOD_CODE, MulticastPlan, WakeMethod
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.paging import v_paging_subframe
@@ -183,9 +183,7 @@ class CampaignService:
             b=float(pending.plan.n_transmissions),
         )
         try:
-            self._admit(
-                campaign, [t.index for t in pending.plan.transmissions]
-            )
+            self._admit(campaign, range(pending.plan.n_transmissions))
         except CapacityError:
             for token in campaign.tokens.values():
                 self._arbiter.release(token)
@@ -328,8 +326,7 @@ class CampaignService:
         for base_index, token in campaign.tokens.items():
             if base_index in remap:
                 new_index = remap[base_index]
-                tx = campaign.pending.plan.transmissions[new_index]
-                if tx.frame > now:
+                if campaign.pending.plan.transmissions.frame[new_index] > now:
                     self._arbiter.release(token)
                     readmit.append(new_index)
                 else:
@@ -347,23 +344,20 @@ class CampaignService:
         """Present the given windows (by index, in frame order) to the
         arbiter, logging ADMIT/DEFER rows and applying deferral shifts
         to the campaign's plan."""
-        plan = campaign.pending.plan
-        order = sorted(
-            tx_indices, key=lambda i: (plan.transmissions[i].frame, i)
-        )
-        # Deferral shifts only move transmission frames; the directive
-        # columns, hence each window's rows, stay fixed for the loop.
-        rows, bounds = _rows_by_window(plan)
+        frames = campaign.pending.plan.transmissions.frame
+        order = sorted(tx_indices, key=lambda i: (frames[i], i))
         for index in order:
+            # A deferral replaces the plan's transmission table only: the
+            # directive columns, and their cached rows per window, stay.
             plan = campaign.pending.plan
             tx = plan.transmissions[index]
-            window_rows = rows[bounds[index] : bounds[index + 1]]
+            window_rows = plan.columns.transmission_rows(index)
             decision = self._arbiter.admit(
                 campaign.handle.id,
                 tx.frame,
                 tx.duration_frames,
                 pages=_window_pages(campaign.pending.fleet, plan, window_rows),
-                max_shift_frames=_max_shift(plan, tx, window_rows),
+                max_shift_frames=_max_shift(plan, tx.frame, window_rows),
             )
             if not decision.admitted:
                 raise CapacityError(
@@ -392,11 +386,10 @@ class CampaignService:
         self, campaign: _LiveCampaign, index: int, shift: int
     ) -> None:
         plan = campaign.pending.plan
-        transmissions = list(plan.transmissions)
-        tx = transmissions[index]
-        transmissions[index] = replace(tx, frame=tx.frame + shift)
+        frame = plan.transmissions.frame.copy()
+        frame[index] += shift
         campaign.pending.plan = replace(
-            plan, transmissions=tuple(transmissions)
+            plan, transmissions=replace(plan.transmissions, frame=frame)
         )
 
     def _schedule_completion(self, campaign: _LiveCampaign) -> None:
@@ -419,20 +412,6 @@ class CampaignService:
         campaign.completion_handle = self._sim.schedule(
             milestone, _complete, priority=_PRIORITY_COMPLETE
         )
-
-
-def _rows_by_window(plan: MulticastPlan) -> Tuple[np.ndarray, np.ndarray]:
-    """Directive rows grouped by transmission, in row order within each.
-
-    Window ``i``'s rows are ``rows[bounds[i]:bounds[i + 1]]`` — one
-    stable sort of the transmission column serves every window.
-    """
-    transmission = plan.columns.transmission
-    rows = np.argsort(transmission, kind="stable")
-    bounds = np.searchsorted(
-        transmission[rows], np.arange(len(plan.transmissions) + 1)
-    )
-    return rows, bounds
 
 
 def _window_pages(
@@ -467,16 +446,16 @@ def _window_pages(
     return occasions
 
 
-def _max_shift(plan: MulticastPlan, tx: Transmission, rows: np.ndarray) -> int:
+def _max_shift(plan: MulticastPlan, frame: int, rows: np.ndarray) -> int:
     """Largest deferral keeping every member's wake inside the window.
 
     A device that connects at frame ``c`` stays awake until ``c + TI``;
-    shifting the transmission to ``frame + s`` keeps it reachable iff
-    ``frame + s - TI <= c``. The window-wide cap is the minimum over
-    the members' connect frames (``rows`` are the window's directive
-    rows).
+    shifting the transmission at ``frame`` to ``frame + s`` keeps it
+    reachable iff ``frame + s - TI <= c``. The window-wide cap is the
+    minimum over the members' connect frames (``rows`` are the window's
+    directive rows).
     """
     if not rows.size:
         return 0
-    window_start = tx.frame - plan.inactivity_timer_frames
+    window_start = frame - plan.inactivity_timer_frames
     return max(0, int(plan.columns.connect_frame[rows].min()) - window_start)

@@ -154,13 +154,9 @@ def execute_columnar(
     # ------------------------------------------------------------------
     # Phase 2: realised transmission starts.
     # ------------------------------------------------------------------
-    n_tx = len(plan.transmissions)
-    nominal = np.empty(n_tx, dtype=np.float64)
-    rate_bps = np.empty(n_tx, dtype=np.float64)
-    for t in plan.transmissions:
-        nominal[t.index] = frames_to_seconds(t.frame)
-        rate_bps[t.index] = t.rate_bps
-    latest_ready = np.full(n_tx, -np.inf)
+    rate_bps = plan.transmissions.rate_bps
+    nominal = _v_frames_to_seconds(plan.transmissions.frame)
+    latest_ready = np.full(nominal.size, -np.inf)
     np.maximum.at(latest_ready, tx, ready)
     starts = np.maximum(nominal, latest_ready)
 
@@ -282,7 +278,7 @@ def execute_columnar(
         plan=plan,
         horizon_frames=horizon,
         columnar=columnar,
-        actual_start_s=tuple(float(starts[t.index]) for t in plan.transmissions),
+        actual_start_s=tuple(starts.tolist()),
         energy_profile=energy_profile,
     )
 
@@ -383,15 +379,10 @@ def _emit_events(
         )
     recorder.emit_block(EventKind.DEVICE_DONE, main_busy_end, dev, tx, wait, rx)
 
-    n_tx = starts.size
-    tx_index = np.arange(n_tx, dtype=np.int64)
-    nominal_frame = np.empty(n_tx, dtype=np.int64)
-    for t in plan.transmissions:
-        nominal_frame[t.index] = t.frame
+    tx_index = np.arange(starts.size, dtype=np.int64)
     end_tx = starts + plan.payload_bytes * 8.0 / rate_bps
-    recorder.emit_block(
-        EventKind.TX_START, nominal_frame, -1, tx_index, starts, rate_bps
-    )
+    frame = plan.transmissions.frame
+    recorder.emit_block(EventKind.TX_START, frame, -1, tx_index, starts, rate_bps)
     recorder.emit_block(
         EventKind.TX_END, v_frame_after_seconds(end_tx), -1, tx_index, end_tx
     )

@@ -609,7 +609,7 @@ def compare_results(live: CampaignResult, rebuilt: CampaignResult) -> List[str]:
     Returns an empty list when every per-device quantity — ledger
     seconds per power state, readiness, wait, update time — and every
     realised start matches the live run exactly (float equality, not
-    tolerance). ``live`` may be row- or columnar-backed.
+    tolerance).
     """
     findings: List[str] = []
     if live.horizon_frames != rebuilt.horizon_frames:
@@ -619,39 +619,21 @@ def compare_results(live: CampaignResult, rebuilt: CampaignResult) -> List[str]:
     if live.actual_start_s != rebuilt.actual_start_s:
         findings.append("realised transmission starts differ")
     reb = rebuilt.columnar
-    if reb is None:
-        raise SimulationError("rebuilt result must be columnar")
     if live.n_devices != rebuilt.n_devices:
         findings.append(f"{live.n_devices} devices != rebuilt {rebuilt.n_devices}")
         return findings
     live_col = live.columnar
-    if live_col is not None:
-        for name in ("device_indices", "transmission_indices"):
-            if not np.array_equal(getattr(live_col, name), getattr(reb, name)):
-                findings.append(f"column {name} differs")
-        for name in ("ready_s", "wait_s", "updated_s"):
-            bad = int((getattr(live_col, name) != getattr(reb, name)).sum())
-            if bad:
-                findings.append(f"column {name} differs on {bad} devices")
-        for i, state in enumerate(STATE_ORDER):
-            bad = int((live_col.ledgers.seconds[i] != reb.ledgers.seconds[i]).sum())
-            if bad:
-                findings.append(f"ledger {state.name} differs on {bad} devices")
-        return findings
-    for column, outcome in enumerate(live.outcomes):
-        if outcome.device_index != int(reb.device_indices[column]):
-            findings.append(f"device order differs at column {column}")
-            break
-        if outcome.transmission_index != int(reb.transmission_indices[column]):
-            findings.append(f"device {outcome.device_index}: transmission differs")
-        for name in ("ready_s", "wait_s", "updated_s"):
-            if getattr(outcome, name) != float(getattr(reb, name)[column]):
-                findings.append(f"device {outcome.device_index}: {name} differs")
-        for i, state in enumerate(STATE_ORDER):
-            if outcome.ledger.seconds_in(state) != float(reb.ledgers.seconds[i, column]):
-                findings.append(
-                    f"device {outcome.device_index}: ledger {state.name} differs"
-                )
+    for name in ("device_indices", "transmission_indices"):
+        if not np.array_equal(getattr(live_col, name), getattr(reb, name)):
+            findings.append(f"column {name} differs")
+    for name in ("ready_s", "wait_s", "updated_s"):
+        bad = int((getattr(live_col, name) != getattr(reb, name)).sum())
+        if bad:
+            findings.append(f"column {name} differs on {bad} devices")
+    for i, state in enumerate(STATE_ORDER):
+        bad = int((live_col.ledgers.seconds[i] != reb.ledgers.seconds[i]).sum())
+        if bad:
+            findings.append(f"ledger {state.name} differs on {bad} devices")
     return findings
 
 

@@ -1,16 +1,13 @@
 """Campaign results and the paper's comparison metrics.
 
 A campaign result holds the per-device uptime accounting plus the
-realised transmission times. Two backings exist:
-
-* **row form** — a tuple of :class:`DeviceOutcome` objects (produced by
-  the event-driven replay);
-* **columnar form** — a :class:`FleetOutcomes` bundle of parallel NumPy
-  arrays plus a :class:`~repro.energy.ledger.LedgerArray` (produced by
-  the vectorised executor).
+realised transmission times. Its one backing is columnar: a
+:class:`FleetOutcomes` bundle of parallel NumPy arrays plus a
+:class:`~repro.energy.ledger.LedgerArray`, whichever executor (the
+vectorised one or the event-driven replay) produced it.
 
 Fleet-level summaries (:attr:`CampaignResult.fleet`,
-:attr:`CampaignResult.mean_wait_s`) reduce columnar results with array
+:attr:`CampaignResult.mean_wait_s`) reduce the columns with array
 arithmetic; per-device :class:`DeviceOutcome` views are materialised
 lazily and only when a consumer actually iterates ``outcomes``. The
 fleet-level summary exposes exactly what Fig. 6 plots — relative
@@ -125,31 +122,23 @@ class FleetSummary:
 
 
 class CampaignResult:
-    """Everything measured from executing one plan on one fleet.
-
-    Construct with either ``outcomes`` (row form) or ``columnar``
-    (array form) — exactly one. The public surface is identical either
-    way; ``outcomes`` on a columnar result materialises lazily.
-    """
+    """Everything measured from executing one plan on one fleet,
+    backed by its :class:`FleetOutcomes` columns; ``outcomes``
+    materialises the per-device row form lazily."""
 
     def __init__(
         self,
         plan: MulticastPlan,
         horizon_frames: int,
-        outcomes: Optional[Tuple[DeviceOutcome, ...]] = None,
+        columnar: FleetOutcomes,
         actual_start_s: Tuple[float, ...] = (),
         energy_profile: EnergyProfile = DEFAULT_PROFILE,
-        columnar: Optional[FleetOutcomes] = None,
     ) -> None:
-        if (outcomes is None) == (columnar is None):
-            raise SimulationError(
-                "a result needs exactly one of outcomes= or columnar="
-            )
         self.plan = plan
         self.horizon_frames = horizon_frames
         self.actual_start_s = tuple(actual_start_s)
         self.energy_profile = energy_profile
-        self._outcomes = tuple(outcomes) if outcomes is not None else None
+        self._outcomes: Optional[Tuple[DeviceOutcome, ...]] = None
         self._columnar = columnar
         self._fleet: Optional[FleetSummary] = None
 
@@ -157,27 +146,23 @@ class CampaignResult:
     # Views
     # ------------------------------------------------------------------
     @property
-    def columnar(self) -> Optional[FleetOutcomes]:
-        """The columnar backing, if this result has one."""
+    def columnar(self) -> FleetOutcomes:
+        """The columnar backing."""
         return self._columnar
 
     @property
     def n_devices(self) -> int:
         """Number of devices covered (without materialising outcomes)."""
-        if self._outcomes is not None:
-            return len(self._outcomes)
-        assert self._columnar is not None
         return len(self._columnar)
 
     @property
     def outcomes(self) -> Tuple[DeviceOutcome, ...]:
         """Per-device outcomes, sorted by device index.
 
-        Columnar results materialise (and cache) the row form on first
-        access; fleet summaries never need this.
+        Materialised (and cached) on first access; fleet summaries
+        never need this.
         """
         if self._outcomes is None:
-            assert self._columnar is not None
             self._outcomes = tuple(
                 self._columnar.outcome_at(i) for i in range(len(self._columnar))
             )
@@ -198,15 +183,11 @@ class CampaignResult:
     # ------------------------------------------------------------------
     @property
     def fleet(self) -> FleetSummary:
-        """Fleet-level sums across all devices (cached).
-
-        Columnar results reduce with array arithmetic; row results loop.
-        """
-        if self._fleet is not None:
-            return self._fleet
-        if self._columnar is not None:
+        """Fleet-level sums across all devices (cached), reduced with
+        array arithmetic."""
+        if self._fleet is None:
             ledgers = self._columnar.ledgers
-            summary = FleetSummary(
+            self._fleet = FleetSummary(
                 light_sleep_s=float(
                     ledgers.group_seconds(StateGroup.LIGHT_SLEEP).sum()
                 ),
@@ -216,22 +197,7 @@ class CampaignResult:
                 sleep_s=float(ledgers.group_seconds(StateGroup.SLEEP).sum()),
                 energy_mj=float(ledgers.energy_mj(self.energy_profile).sum()),
             )
-        else:
-            light = connected = sleep = energy = 0.0
-            for outcome in self.outcomes:
-                totals = outcome.totals
-                light += totals.light_sleep_s
-                connected += totals.connected_s
-                sleep += totals.sleep_s
-                energy += outcome.ledger.energy_mj(self.energy_profile)
-            summary = FleetSummary(
-                light_sleep_s=light,
-                connected_s=connected,
-                sleep_s=sleep,
-                energy_mj=energy,
-            )
-        self._fleet = summary
-        return summary
+        return self._fleet
 
     @property
     def mean_wait_s(self) -> float:
@@ -241,9 +207,7 @@ class CampaignResult:
             raise SimulationError(
                 "mean_wait_s is undefined for a result with no outcomes"
             )
-        if self._columnar is not None:
-            return float(self._columnar.wait_s.mean())
-        return float(np.mean([o.wait_s for o in self.outcomes]))
+        return float(self._columnar.wait_s.mean())
 
     def relative_uptime_increase(
         self, baseline: "CampaignResult"
@@ -275,8 +239,7 @@ class CampaignResult:
         return (self.fleet.energy_mj - base) / base
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        form = "columnar" if self._columnar is not None else "rows"
         return (
             f"CampaignResult(mechanism={self.mechanism!r}, "
-            f"n={self.n_devices}, horizon={self.horizon_frames}, {form})"
+            f"n={self.n_devices}, horizon={self.horizon_frames})"
         )

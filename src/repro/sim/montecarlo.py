@@ -264,8 +264,10 @@ class MonteCarlo:
         Every scenario parameter baked into ``fn`` must be covered by
         ``config_fingerprint`` (or the tag itself) — otherwise two
         different scenarios share a key and the second reads the
-        first's stale results. Config-driven callers should pass
-        ``config.fingerprint()``.
+        first's stale results. Scenario-driven callers pass their
+        spec's :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`;
+        others hash their parameters with
+        :func:`repro.sim.cache.fingerprint`.
         """
         campaign = CampaignCache(
             self._cache,

@@ -28,14 +28,14 @@ from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
 from repro.devices.fleet import Fleet
 from repro.drx.paging import pattern_for
 from repro.drx.schedule import PoSchedule
-from repro.energy.ledger import UptimeLedger
+from repro.energy.ledger import LedgerArray, UptimeLedger
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState
 from repro.errors import SimulationError
 from repro.rrc.procedures import ProcedureTimings
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
-from repro.sim.metrics import CampaignResult, DeviceOutcome
+from repro.sim.metrics import CampaignResult, FleetOutcomes
 from repro.timebase import frame_after_seconds, frames_to_seconds
 
 #: TX_START must sort after CONNECTION_READY at the same instant.
@@ -75,11 +75,8 @@ class EventDrivenCampaign:
         rng: Optional[np.random.Generator] = None,
     ) -> CampaignResult:
         """Execute the plan and return the campaign result."""
-        transmissions = {t.index: t for t in self._plan.transmissions}
-        for transmission in self._plan.transmissions:
-            self._gates[transmission.index] = _TransmissionGate(
-                self, transmission.index
-            )
+        for index in range(self._plan.n_transmissions):
+            self._gates[index] = _TransmissionGate(self, index)
         for directive in self._plan.directives:
             actor = _DeviceActor(self, directive, rng)
             self._devices[directive.device_index] = actor
@@ -112,7 +109,7 @@ class EventDrivenCampaign:
                 energy_profile=profile_meta(self._profile),
                 mechanism=self._plan.mechanism,
                 n_devices=len(self._plan.directives),
-                n_transmissions=len(self._plan.transmissions),
+                n_transmissions=self._plan.n_transmissions,
                 payload_bytes=self._plan.payload_bytes,
                 announce_frame=self._plan.announce_frame,
                 horizon_frames=int(horizon),
@@ -131,17 +128,27 @@ class EventDrivenCampaign:
         # horizon cannot overcharge.
         self._sim.run(until_s=horizon_s - 0.5 * frames_to_seconds(1))
 
-        outcomes = []
-        for device_index in sorted(self._devices):
-            actor = self._devices[device_index]
+        columns = self._plan.columns
+        order = np.argsort(columns.device)
+        actors = [self._devices[i] for i in columns.device[order].tolist()]
+        for actor in actors:
             actor.finalise(horizon, horizon_s)
-            outcomes.append(actor.outcome())
+        outcomes = FleetOutcomes(
+            device_indices=columns.device[order],
+            transmission_indices=columns.transmission[order],
+            ledgers=LedgerArray.from_ledgers([actor.ledger for actor in actors]),
+            ready_s=np.array([actor.ready_s for actor in actors], dtype=np.float64),
+            wait_s=np.array([actor.wait_s for actor in actors], dtype=np.float64),
+            updated_s=np.array(
+                [actor.updated_s for actor in actors], dtype=np.float64
+            ),
+        )
         return CampaignResult(
             plan=self._plan,
             horizon_frames=horizon,
-            outcomes=tuple(outcomes),
+            columnar=outcomes,
             actual_start_s=tuple(
-                self._gates[t.index].start_s for t in self._plan.transmissions
+                self._gates[index].start_s for index in sorted(self._gates)
             ),
             energy_profile=self._profile,
         )
@@ -460,14 +467,4 @@ class _DeviceActor:
         self.ledger.add(
             PowerState.DEEP_SLEEP,
             max(0.0, horizon_s - totals.light_sleep_s - totals.connected_s),
-        )
-
-    def outcome(self) -> DeviceOutcome:
-        return DeviceOutcome(
-            device_index=self._directive.device_index,
-            transmission_index=self._directive.transmission_index,
-            ledger=self.ledger,
-            ready_s=self.ready_s,
-            wait_s=self.wait_s,
-            updated_s=self.updated_s,
         )

@@ -9,12 +9,15 @@ property-tested against them (``tests/properties/test_prop_plan_columns.py``).
 
 Each ``plan_*`` function consumes ``rng`` exactly as the mechanism
 does: the policy's grouping first, then (DR-SI only) one scalar draw
-per notified device, groups in time order, members in member order.
+per notified device, groups in time order, members in member order. It
+returns a :class:`ScalarPlan`: the plan plus the member tuple of each
+of its transmissions, the membership the plan itself stores only in
+its directive columns.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from repro.core.plan import (
     METHOD_ORDER,
     DeviceDirective,
     MulticastPlan,
-    Transmission,
+    TransmissionTable,
     WakeMethod,
 )
 from repro.devices.device import NbIotDevice
@@ -91,19 +94,33 @@ def page_frame_in_window(
     return fallback
 
 
+class ScalarTransmission(NamedTuple):
+    """One oracle transmission: its members and its table row."""
+
+    members: Tuple[int, ...]
+    frame: int
+    rate_bps: float
+    duration_frames: int
+
+
+class ScalarPlan(NamedTuple):
+    """An oracle plan and the member tuple of each transmission."""
+
+    plan: MulticastPlan
+    members: List[Tuple[int, ...]]
+
+
 def build_transmission(
-    index: int,
     frame: int,
     device_indices: Sequence[int],
     fleet: Fleet,
     payload_bytes: int,
-) -> Transmission:
+) -> ScalarTransmission:
     """Size the bearer for the group and build the transmission."""
     rate = fleet.group_rate_bps(list(device_indices))
-    return Transmission(
-        index=index,
+    return ScalarTransmission(
+        members=tuple(int(i) for i in device_indices),
         frame=frame,
-        device_indices=tuple(int(i) for i in device_indices),
         rate_bps=rate,
         duration_frames=payload_airtime_frames(payload_bytes, rate),
     )
@@ -112,20 +129,25 @@ def build_transmission(
 def _plan(
     mechanism: GroupingMechanism,
     context: PlanningContext,
-    transmissions: List[Transmission],
+    transmissions: List[ScalarTransmission],
     directives: List[DeviceDirective],
-) -> MulticastPlan:
-    return MulticastPlan(
+) -> ScalarPlan:
+    plan = MulticastPlan(
         mechanism=mechanism.name,
         standards_compliant=mechanism.standards_compliant,
         respects_preferred_drx=mechanism.respects_preferred_drx,
         announce_frame=context.announce_frame,
         inactivity_timer_frames=context.inactivity_timer_frames,
         payload_bytes=context.payload_bytes,
-        transmissions=tuple(transmissions),
+        transmissions=TransmissionTable(
+            frame=[t.frame for t in transmissions],
+            rate_bps=[t.rate_bps for t in transmissions],
+            duration_frames=[t.duration_frames for t in transmissions],
+        ),
         directives=tuple(directives),
         grouping=mechanism.grouping_name,
     )
+    return ScalarPlan(plan, [t.members for t in transmissions])
 
 
 def _in_time_order(decision) -> list:
@@ -147,20 +169,19 @@ def _paged(device_index: int, tx_index: int, page: int) -> DeviceDirective:
 # ----------------------------------------------------------------------
 # Planners
 # ----------------------------------------------------------------------
-def plan_dr_sc(mechanism, fleet, context, rng=None) -> MulticastPlan:
+def plan_dr_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
     decision = mechanism.policy.group(fleet, context, rng)
     transmissions, directives = [], []
     for new_index, group in enumerate(_in_time_order(decision)):
         window = group.window
         transmission = build_transmission(
-            new_index,
             window.last_frame,
             [int(i) for i in group.members],
             fleet,
             context.payload_bytes,
         )
         transmissions.append(transmission)
-        for device_index in transmission.device_indices:
+        for device_index in transmission.members:
             device = fleet[device_index]
             page = page_frame_in_window(
                 device.schedule,
@@ -200,7 +221,7 @@ def _choose_cycle(
     )
 
 
-def plan_da_sc(mechanism, fleet, context, rng=None) -> MulticastPlan:
+def plan_da_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
     decision = mechanism.policy.group(fleet, context, rng)
     transmissions, directives = [], []
     for group_index, group in enumerate(_in_time_order(decision)):
@@ -242,17 +263,13 @@ def plan_da_sc(mechanism, fleet, context, rng=None) -> MulticastPlan:
             )
         transmissions.append(
             build_transmission(
-                group_index,
-                t,
-                [int(i) for i in group.members],
-                fleet,
-                context.payload_bytes,
+                t, [int(i) for i in group.members], fleet, context.payload_bytes
             )
         )
     return _plan(mechanism, context, transmissions, directives)
 
 
-def plan_dr_si(mechanism, fleet, context, rng) -> MulticastPlan:
+def plan_dr_si(mechanism, fleet, context, rng) -> ScalarPlan:
     decision = mechanism.policy.group(fleet, context, rng)
     transmissions, directives = [], []
     for group_index, group in enumerate(_in_time_order(decision)):
@@ -286,17 +303,13 @@ def plan_dr_si(mechanism, fleet, context, rng) -> MulticastPlan:
             )
         transmissions.append(
             build_transmission(
-                group_index,
-                t,
-                [int(i) for i in group.members],
-                fleet,
-                context.payload_bytes,
+                t, [int(i) for i in group.members], fleet, context.payload_bytes
             )
         )
     return _plan(mechanism, context, transmissions, directives)
 
 
-def plan_unicast(mechanism, fleet, context, rng=None) -> MulticastPlan:
+def plan_unicast(mechanism, fleet, context, rng=None) -> ScalarPlan:
     def start_key(i: int) -> tuple:
         page = fleet[i].schedule.first_at_or_after(context.announce_frame)
         return (page + connect_slack_frames(context, fleet[i]), page)
@@ -307,9 +320,7 @@ def plan_unicast(mechanism, fleet, context, rng=None) -> MulticastPlan:
         page = device.schedule.first_at_or_after(context.announce_frame)
         start = page + connect_slack_frames(context, device)
         transmissions.append(
-            build_transmission(
-                index, start, [device_index], fleet, context.payload_bytes
-            )
+            build_transmission(start, [device_index], fleet, context.payload_bytes)
         )
         directives.append(
             DeviceDirective(
@@ -328,7 +339,7 @@ def scalar_plan(
     fleet: Fleet,
     context: PlanningContext,
     rng: Optional[np.random.Generator] = None,
-) -> MulticastPlan:
+) -> ScalarPlan:
     """The oracle plan of ``mechanism`` (dispatch on its type)."""
     for kind, planner in (
         (DrScMechanism, plan_dr_sc),
@@ -386,32 +397,30 @@ def scalar_validate(
     missing = set(range(len(fleet))) - set(seen)
     if missing and not partial:
         raise CoverageError(f"{len(missing)} devices uncovered")
-    listed = {i for t in plan.transmissions for i in t.device_indices}
-    if listed != set(seen):
-        raise CoverageError("transmission device lists disagree with directives")
-    for t in plan.transmissions:
-        for i in t.device_indices:
-            if seen[i] != t.index:
-                raise CoverageError(f"device {i} listed in {t.index}, directed to {seen[i]}")
-    by_index = {t.index: t for t in plan.transmissions}
-    if sorted(by_index) != list(range(len(plan.transmissions))):
-        raise PlanError("transmission indices are not 0..k-1")
-    for t in plan.transmissions:
-        if t.rate_bps > fleet.group_rate_bps(t.device_indices):
-            raise PlanError(f"transmission {t.index}: bearer rate above its worst member's")
+    k = len(plan.transmissions)
+    members: List[List[int]] = [[] for _ in range(k)]
     for directive in directives:
-        transmission = by_index.get(directive.transmission_index)
-        if transmission is None:
+        if not 0 <= directive.transmission_index < k:
             raise PlanError(f"missing transmission {directive.transmission_index}")
-        _validate_directive(plan, fleet, directive, transmission)
+        members[directive.transmission_index].append(directive.device_index)
+    frames = plan.transmissions.frame.tolist()
+    for index, (group, rate) in enumerate(
+        zip(members, plan.transmissions.rate_bps.tolist())
+    ):
+        if not group:
+            raise PlanError(f"transmission {index} serves no devices")
+        if rate > fleet.group_rate_bps(group):
+            raise PlanError(f"transmission {index}: bearer rate above its worst member's")
+    for directive in directives:
+        _validate_directive(plan, fleet, directive, frames[directive.transmission_index])
 
 
-def _validate_directive(plan, fleet, directive, transmission) -> None:
+def _validate_directive(plan, fleet, directive, frame: int) -> None:
     device = fleet[directive.device_index]
-    window_start = transmission.frame - plan.inactivity_timer_frames
+    window_start = frame - plan.inactivity_timer_frames
     preferred = device.schedule
     page = directive.page_frame
-    in_window = window_start <= page <= transmission.frame
+    in_window = window_start <= page <= frame
     method = directive.method
     if method is WakeMethod.IMMEDIATE_PAGE:
         if not preferred.is_po(page):
@@ -425,7 +434,7 @@ def _validate_directive(plan, fleet, directive, transmission) -> None:
         if not preferred.is_po(page):
             raise PlanError("extended page is not a PO")
         expiry = directive.t322.expires_at_frame
-        if not window_start <= expiry <= transmission.frame:
+        if not window_start <= expiry <= frame:
             raise PlanError("T322 expiry outside window")
         if directive.connect_frame != expiry:
             raise PlanError("connect frame differs from T322 expiry")

@@ -5,9 +5,12 @@ the fleet's columns; ``plan_oracle`` keeps the per-device object loops
 they replaced. On random fleets spanning every ladder cycle (eDRX up to
 2^20 frames), every nB and every coverage class, each mechanism's plan
 must equal the oracle's exactly — transmissions, every column, row
-order — and consume the generator identically. The whole-array
-``validate`` must agree with the per-directive checks on valid plans
-and on single-field corruptions of every kind.
+order — and consume the generator identically. Each transmission's
+members, read from the directive columns, must be the oracle's member
+tuple, also after random join/leave revisions and after the leavers are
+stripped. The whole-array ``validate`` must agree with the
+per-directive checks on valid plans and on single-field corruptions of
+every kind.
 """
 
 import pickle
@@ -27,7 +30,8 @@ from repro.core import (
     UnicastBaseline,
 )
 from repro.core.base import PlanningContext
-from repro.core.plan import PLAN_COLUMNS, PlanArrays
+from repro.core.plan import PLAN_COLUMNS, PlanArrays, revise_plan
+from repro.devices.arrays import FleetArrays
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER
@@ -36,6 +40,7 @@ from repro.enb.cell import CellConfig
 from repro.errors import PlanError, ReproError
 from repro.grouping.policies import CoverageStratifiedPolicy
 from repro.grouping.policy import GroupingDecision, GroupingPolicy, PlannedGroup
+from repro.multicast.ondemand import _strip_left
 from repro.phy.coverage import CoverageClass
 from repro.timebase import FrameWindow
 
@@ -68,6 +73,18 @@ def fleets(draw, max_devices=14):
         for imsi, cycle in zip(imsis, cycles)
     ]
     return Fleet(devices)
+
+
+@st.composite
+def joiner_devices(draw, imsi):
+    """One device joining a live campaign (``imsi`` keeps it unique in
+    the working fleet): any ladder cycle, coverage class and nB."""
+    return NbIotDevice.build(
+        imsi=imsi,
+        cycle=draw(st.sampled_from(list(FULL_LADDER))),
+        coverage=draw(st.sampled_from(list(CoverageClass))),
+        nb=draw(st.sampled_from(list(NB))),
+    )
 
 
 contexts = st.builds(
@@ -137,12 +154,18 @@ mechanisms = st.sampled_from(
 
 
 def _both(make, fleet, context, seed):
-    """(array plan, array rng, oracle plan, oracle rng) on one seed."""
+    """(array plan, array rng, oracle plan, oracle members, oracle rng)
+    on one seed."""
     rng_array = np.random.default_rng(seed)
     rng_oracle = np.random.default_rng(seed)
     plan = make().plan(fleet, context, rng_array)
-    oracle = scalar_plan(make(), fleet, context, rng_oracle)
-    return plan, rng_array, oracle, rng_oracle
+    oracle, members = scalar_plan(make(), fleet, context, rng_oracle)
+    return plan, rng_array, oracle, members, rng_oracle
+
+
+def _members(plan):
+    """Each transmission's members as read through the views."""
+    return [tuple(t.device_indices.tolist()) for t in plan.transmissions]
 
 
 class TestPlannersMatchOracle:
@@ -150,8 +173,14 @@ class TestPlannersMatchOracle:
     @settings(max_examples=150, deadline=None)
     def test_plan_equals_oracle(self, fleet, context, seed, mechanism):
         _label, make = mechanism
-        plan, rng_array, oracle, rng_oracle = _both(make, fleet, context, seed)
+        plan, rng_array, oracle, members, rng_oracle = _both(
+            make, fleet, context, seed
+        )
         assert plan.transmissions == oracle.transmissions
+        assert _members(plan) == _members(oracle) == members
+        assert [t.group_size for t in plan.transmissions] == [
+            len(m) for m in members
+        ]
         for name in PLAN_COLUMNS:
             assert np.array_equal(
                 getattr(plan.columns, name), getattr(oracle.columns, name)
@@ -214,17 +243,14 @@ def _corrupt_column(plan, fleet, rng):
 
 def _corrupt_transmission(plan, fleet, rng):
     index = int(rng.integers(plan.n_transmissions))
-    tx = plan.transmissions[index]
-    kind = int(rng.integers(3))
-    if kind == 0:
-        tx = replace(tx, frame=max(0, tx.frame + int(rng.integers(-3000, 3000))))
-    elif kind == 1:
-        tx = replace(tx, rate_bps=tx.rate_bps * float(rng.choice([1.5, 10.0])))
-    else:
-        tx = replace(tx, index=tx.index + 1)
-    transmissions = list(plan.transmissions)
-    transmissions[index] = tx
-    return {}, tuple(transmissions)
+    table = plan.transmissions
+    if rng.random() < 0.5:
+        frame = table.frame.copy()
+        frame[index] = max(0, frame[index] + int(rng.integers(-3000, 3000)))
+        return {}, replace(table, frame=frame)
+    rate = table.rate_bps.copy()
+    rate[index] *= float(rng.choice([1.5, 10.0]))
+    return {}, replace(table, rate_bps=rate)
 
 
 def _scalar_check_rows(raw) -> None:
@@ -268,3 +294,74 @@ class TestValidateMatchesOracle:
         array_error = _outcome(lambda: bad.validate(fleet))
         scalar_error = _outcome(lambda: scalar_validate(bad, fleet))
         assert array_error == scalar_error
+
+
+# ----------------------------------------------------------------------
+# Membership through revisions: survivors in row order, then joiners
+# ----------------------------------------------------------------------
+def _revised_members(members, revision, left):
+    """The oracle's member tuples after ``revision``: each surviving
+    window keeps its members that stayed, in order, then gains its
+    joiners in join order; new windows hold only joiners."""
+    revised = {
+        new: [d for d in members[old] if d not in left]
+        for old, new in revision.transmission_map
+    }
+    for new in revision.new_transmissions:
+        revised[new] = []
+    for directive in revision.joined_directives:
+        revised[directive.transmission_index].append(directive.device_index)
+    return [tuple(revised[i]) for i in range(len(revised))]
+
+
+class TestMembershipThroughRevisions:
+    @given(fleets(max_devices=10), contexts, seeds, mechanisms, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_revisions_and_strip(self, fleet, context, seed, mechanism, data):
+        _label, make = mechanism
+        plan = make().plan(fleet, context, np.random.default_rng(seed))
+        _oracle, members = scalar_plan(
+            make(), fleet, context, np.random.default_rng(seed)
+        )
+        working, gone = fleet, set()
+        now = context.announce_frame
+        last_frame = int(plan.transmissions.frame.max())
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            now = data.draw(st.integers(min_value=now, max_value=last_frame))
+            active = [i for i in range(len(working)) if i not in gone]
+            left = data.draw(
+                st.lists(st.sampled_from(active), unique=True, max_size=3)
+                if active
+                else st.just([])
+            )
+            joiners = [
+                data.draw(joiner_devices(imsi=10**12 + len(working) + j))
+                for j in range(data.draw(st.integers(min_value=0, max_value=2)))
+            ]
+            if joiners:
+                working = Fleet.from_arrays(
+                    FleetArrays.concatenate(
+                        [working.arrays, FleetArrays.from_devices(tuple(joiners))]
+                    )
+                )
+            revision = revise_plan(
+                plan,
+                working,
+                joined=tuple(range(len(working) - len(joiners), len(working))),
+                left=tuple(left),
+                now_frame=now,
+                context=context,
+            )
+            members = _revised_members(members, revision, set(left))
+            plan = revision.revised
+            gone.update(left)
+            assert _members(plan) == members
+        kept = [i for i in range(len(working)) if i not in gone]
+        if not kept:
+            return  # everyone left: there is no fleet to strip down to
+        final_fleet, final = _strip_left(working, plan, gone)
+        renumbered = {old: new for new, old in enumerate(kept)}
+        assert _members(final) == [
+            tuple(renumbered[d] for d in m) for m in members
+        ]
+        final.validate(final_fleet)

@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.eventlog import EventLogRecorder
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
+from repro.sim.metrics import FleetOutcomes
 from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
@@ -62,7 +63,6 @@ class TestColumnarEquivalence:
         plan = mechanism_cls().plan(moderate_fleet, context, rng)
         columnar = CampaignExecutor().execute(moderate_fleet, plan)
         reference = _replayed(moderate_fleet, plan, columnar.horizon_frames)
-        assert columnar.columnar is not None and reference.columnar is None
         _assert_results_equivalent(reference, columnar)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -162,27 +162,22 @@ class TestColumnarResultSurface:
     def test_mean_wait_requires_outcomes(self, moderate_fleet, context):
         plan = UnicastBaseline().plan(moderate_fleet, context)
         result = CampaignExecutor().execute(moderate_fleet, plan)
+        nothing = np.empty(0, dtype=np.int64)
         empty = type(result)(
             plan=plan,
             horizon_frames=result.horizon_frames,
-            outcomes=(),
+            columnar=FleetOutcomes(
+                device_indices=nothing,
+                transmission_indices=nothing,
+                ledgers=LedgerArray(0),
+                ready_s=np.empty(0),
+                wait_s=np.empty(0),
+                updated_s=np.empty(0),
+            ),
             actual_start_s=result.actual_start_s,
         )
         with pytest.raises(SimulationError):
             empty.mean_wait_s
-
-    def test_exactly_one_backing_required(self, moderate_fleet, context):
-        plan = UnicastBaseline().plan(moderate_fleet, context)
-        result = CampaignExecutor().execute(moderate_fleet, plan)
-        with pytest.raises(SimulationError):
-            type(result)(plan=plan, horizon_frames=1)
-        with pytest.raises(SimulationError):
-            type(result)(
-                plan=plan,
-                horizon_frames=1,
-                outcomes=(),
-                columnar=result.columnar,
-            )
 
 
 class TestLedgerArray:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
-from repro.drx.cycles import DrxCycle
+from repro.drx.cycles import FULL_LADDER, DrxCycle
+from repro.drx.paging import NB, pattern_for
 from repro.enb.bearer import MulticastBearer
 from repro.enb.cell import CellConfig
 from repro.enb.enb import ENodeB
@@ -146,6 +147,50 @@ class TestENodeB:
         pages = [(i, int(fleet[i].pattern.phase)) for i in range(3)]
         report = enb.pack_pages(fleet, pages)
         assert report.total_pages == 3
+
+    @pytest.mark.parametrize(
+        "nb", [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T, None]
+    )
+    def test_pack_pages_matches_per_device_patterns(self, nb):
+        # Every ladder cycle (eDRX included), one nB per fleet or (None)
+        # a different nB per device; a third of the devices notified.
+        # Devices share a few frames, so their subframes decide which
+        # paging message each record lands in.
+        nbs = [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T]
+        devices = [
+            NbIotDevice.build(
+                imsi=1000 + 37 * i,
+                cycle=FULL_LADDER[i % len(FULL_LADDER)],
+                nb=nb if nb is not None else nbs[i % len(nbs)],
+            )
+            for i in range(40)
+        ]
+        fleet = Fleet(devices)
+        pages = [(i, 5000 + i % 4) for i in range(len(devices)) if i % 3]
+        notifications = [
+            (i, 6000 + i % 2, 700 + i) for i in range(len(devices)) if not i % 3
+        ]
+
+        def subframe(i):
+            device = devices[i]
+            return pattern_for(device.drx.ue_id, device.cycle, device.drx.nb).subframe
+
+        enb = ENodeB()
+        reference = PagingChannel(max_records=enb.cell.max_paging_records).pack(
+            [(frame, subframe(i), devices[i].identity.ue_id) for i, frame in pages],
+            [
+                (
+                    frame,
+                    subframe(i),
+                    MulticastNotification(
+                        ue_id=devices[i].identity.ue_id,
+                        frames_until_transmission=remaining,
+                    ),
+                )
+                for i, frame, remaining in notifications
+            ],
+        )
+        assert enb.pack_pages(fleet, pages, notifications) == reference
 
     def test_pack_notifications(self):
         fleet = Fleet([NbIotDevice.build(imsi=55, cycle=DrxCycle(2048))])

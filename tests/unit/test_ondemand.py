@@ -17,7 +17,7 @@ from repro.multicast import (
     OnDemandMulticastService,
     PendingCampaign,
 )
-from repro.service.service import _max_shift, _rows_by_window, _window_pages
+from repro.service.service import _max_shift, _window_pages
 from repro.sim.eventlog import compare_results
 
 IMAGE = FirmwareImage(name="fw", version="1.0.0", size_bytes=60_000)
@@ -178,9 +178,8 @@ class TestColumnarPaging:
     )
     def test_window_rows_match_directive_scan(self, small_fleet, rng, mechanism):
         plan = mechanism.plan(small_fleet, CONTEXT, rng)
-        rows, bounds = _rows_by_window(plan)
         for tx in plan.transmissions:
-            window = rows[bounds[tx.index] : bounds[tx.index + 1]]
+            window = plan.columns.transmission_rows(tx.index)
             members = [d for d in plan.directives if d.transmission_index == tx.index]
             occasions = []
             for d in members:
@@ -191,4 +190,4 @@ class TestColumnarPaging:
             assert _window_pages(small_fleet, plan, window) == occasions
             start = tx.frame - plan.inactivity_timer_frames
             cap = max(0, min(d.connect_frame - start for d in members))
-            assert _max_shift(plan, tx, window) == cap
+            assert _max_shift(plan, tx.frame, window) == cap

@@ -11,7 +11,7 @@ from repro.core.plan import (
     DeviceDirective,
     MulticastPlan,
     PlanArrays,
-    Transmission,
+    TransmissionTable,
     WakeMethod,
 )
 from repro.devices.device import NbIotDevice
@@ -45,6 +45,10 @@ def _plan_for(fleet: Fleet, directives, transmissions) -> MulticastPlan:
     )
 
 
+def _single_tx(frame: int, rate_bps: float = 25000) -> TransmissionTable:
+    return TransmissionTable(frame=[frame], rate_bps=[rate_bps], duration_frames=[3200])
+
+
 def _window_page(fleet: Fleet, device_index: int, tx_frame: int) -> int:
     schedule = fleet[device_index].schedule
     page = schedule.last_at_or_before(tx_frame)
@@ -52,24 +56,54 @@ def _window_page(fleet: Fleet, device_index: int, tx_frame: int) -> int:
     return page
 
 
-class TestTransmission:
-    def test_valid(self):
-        t = Transmission(
-            index=0, frame=100, device_indices=(0, 1), rate_bps=25000,
-            duration_frames=3200,
+class TestTransmissionTable:
+    def test_rows_read_as_views_over_the_directives(self, pair_fleet):
+        t = _window_plan(pair_fleet).transmissions[0]
+        assert (t.index, t.frame, t.rate_bps, t.duration_frames) == (
+            0, 5000, 25000.0, 3200,
         )
+        assert t.end_frame == 8200
         assert t.group_size == 2
-        assert t.end_frame == 3300
+        assert t.device_indices.tolist() == [0, 1]
 
-    def test_rejects_empty_group(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"frame": [-1]},
+            {"rate_bps": [0.0]},
+            {"duration_frames": [0]},
+            {"frame": [1, 2]},
+        ],
+    )
+    def test_malformed_rows_rejected(self, overrides):
+        row = {"frame": [0], "rate_bps": [1.0], "duration_frames": [1]}
+        row.update(overrides)
         with pytest.raises(PlanError):
-            Transmission(index=0, frame=0, device_indices=(), rate_bps=1,
-                         duration_frames=1)
+            TransmissionTable(**row)
 
-    def test_rejects_duplicate_devices(self):
-        with pytest.raises(PlanError):
-            Transmission(index=0, frame=0, device_indices=(1, 1), rate_bps=1,
-                         duration_frames=1)
+    def test_transmission_serving_no_devices_detected(self, pair_fleet):
+        plan = _window_plan(pair_fleet)
+        table = plan.transmissions
+        idle = TransmissionTable(
+            frame=np.repeat(table.frame, 2),
+            rate_bps=np.repeat(table.rate_bps, 2),
+            duration_frames=np.repeat(table.duration_frames, 2),
+        )
+        with pytest.raises(PlanError, match="transmission 1 serves no devices"):
+            replace(plan, transmissions=idle).validate(pair_fleet)
+
+    def test_plan_binds_its_table_to_its_directives(self, pair_fleet):
+        plan = _window_plan(pair_fleet)
+        one = replace(plan.columns, transmission=[0, 1])
+        split = replace(
+            plan,
+            transmissions=TransmissionTable([5000, 5000], [25000, 25000], [3200, 3200]),
+            directives=one,
+        )
+        assert [t.device_indices.tolist() for t in split.transmissions] == [[0], [1]]
+        # The original plan's views still read its own directives.
+        assert plan.transmissions[0].device_indices.tolist() == [0, 1]
+        assert pickle.loads(pickle.dumps(split)).transmissions[1].group_size == 1
 
 
 class TestDirective:
@@ -127,10 +161,7 @@ class TestPlanValidation:
         plan = _plan_for(
             pair_fleet,
             directives,
-            (
-                Transmission(index=0, frame=tx_frame, device_indices=(0, 1),
-                             rate_bps=25000, duration_frames=3200),
-            ),
+            _single_tx(tx_frame),
         )
         plan.validate(pair_fleet)  # must not raise
         assert plan.n_transmissions == 1
@@ -147,10 +178,7 @@ class TestPlanValidation:
                     page_frame=page, connect_frame=page,
                 ),
             ),
-            (
-                Transmission(index=0, frame=tx_frame, device_indices=(0,),
-                             rate_bps=25000, duration_frames=3200),
-            ),
+            _single_tx(tx_frame),
         )
         with pytest.raises(CoverageError):
             plan.validate(pair_fleet)
@@ -175,10 +203,7 @@ class TestPlanValidation:
         plan = _plan_for(
             pair_fleet,
             directives,
-            (
-                Transmission(index=0, frame=tx_frame, device_indices=(0, 1),
-                             rate_bps=25000, duration_frames=3200),
-            ),
+            _single_tx(tx_frame),
         )
         with pytest.raises(PlanError, match="not a PO"):
             plan.validate(pair_fleet)
@@ -202,10 +227,7 @@ class TestPlanValidation:
         plan = _plan_for(
             pair_fleet,
             directives,
-            (
-                Transmission(index=0, frame=tx_frame, device_indices=(0, 1),
-                             rate_bps=25000, duration_frames=3200),
-            ),
+            _single_tx(tx_frame),
         )
         with pytest.raises(PlanError, match="outside window"):
             plan.validate(pair_fleet)
@@ -224,10 +246,7 @@ class TestPlanValidation:
         plan = _plan_for(
             pair_fleet,
             directives,
-            (
-                Transmission(index=0, frame=tx_frame, device_indices=(0, 1),
-                             rate_bps=25000, duration_frames=3200),
-            ),
+            _single_tx(tx_frame),
         )
         assert plan.directive_for(1).device_index == 1
         with pytest.raises(PlanError):
@@ -247,10 +266,7 @@ def _window_plan(fleet: Fleet, tx_frame: int = 5000, rate_bps: float = 25000):
     return _plan_for(
         fleet,
         directives,
-        (
-            Transmission(index=0, frame=tx_frame, device_indices=(0, 1),
-                         rate_bps=rate_bps, duration_frames=3200),
-        ),
+        _single_tx(tx_frame, rate_bps),
     )
 
 
@@ -379,10 +395,7 @@ def test_adaptation_inside_window_detected(pair_fleet):
                 adapted_cycle=DrxCycle(1024),
             ),
         ),
-        (
-            Transmission(index=0, frame=adaptation + 1500, device_indices=(0,),
-                         rate_bps=25000, duration_frames=3200),
-        ),
+        _single_tx(adaptation + 1500),
     )
     with pytest.raises(PlanError, match="adaptation at"):
         plan.validate(pair_fleet, partial=True)

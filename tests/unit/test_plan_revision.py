@@ -102,7 +102,7 @@ class TestJoin:
         )
         assert len(revision.new_transmissions) == 1
         tx = revision.revised.transmissions[revision.new_transmissions[0]]
-        assert tx.device_indices == (new_index,)
+        assert tx.device_indices.tolist() == [new_index]
         assert tx.frame > last_frame
         directive = revision.joined_directives[0]
         assert directive.page_frame > last_frame
