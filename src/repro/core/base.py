@@ -217,7 +217,7 @@ class GroupingMechanism(abc.ABC):
             inactivity_timer_frames=context.inactivity_timer_frames,
             payload_bytes=context.payload_bytes,
             transmissions=TransmissionTable(
-                frames, rates, np.array(airtime, dtype=np.int64)[inverse]
+                frames, rates, np.array(airtime, dtype=np.int64)[inverse], columns
             ),
             directives=columns,
             grouping=self.grouping_name,

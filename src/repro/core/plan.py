@@ -327,7 +327,9 @@ class TransmissionTable(_ColumnTable, SequenceABC):
     of ``directives`` whose ``transmission`` column holds ``i``. A
     :class:`MulticastPlan` binds its table to its own directives; read
     as a sequence, the rows are :class:`Transmission` objects built on
-    access.
+    access. Tables are equal when their columns are and each row serves
+    the same devices in the same order (an unbound table equals only
+    unbound ones).
     """
 
     frame: np.ndarray
@@ -359,6 +361,34 @@ class TransmissionTable(_ColumnTable, SequenceABC):
                 r=self.rate_bps,
                 d=self.duration_frames,
             )
+
+    def __eq__(self, other: object) -> bool:
+        equal = super().__eq__(other)
+        if equal is not True:
+            return equal
+        mine, theirs = self._members(), other._members()
+        if mine is None or theirs is None:
+            return mine is theirs
+        return all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+
+    def __hash__(self) -> int:
+        members = self._members() or ()
+        return hash((super().__hash__(), tuple(m.tobytes() for m in members)))
+
+    def _members(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Who the rows serve, as ``(devices, group sizes)``: the bound
+        directives' ``device`` column in transmission order (row order
+        within a transmission). None when the table is unbound."""
+        directives = self.directives
+        if directives is None:
+            return None
+        rows, bounds = directives.rows_by_transmission
+        return directives.device[rows[bounds[0] :]], np.diff(bounds)
+
+    def _bound(self) -> PlanArrays:
+        if self.directives is None:
+            raise PlanError("transmission table is not bound to a plan")
+        return self.directives
 
     def __len__(self) -> int:
         return self.frame.size
@@ -405,13 +435,13 @@ class Transmission:
     @property
     def device_indices(self) -> np.ndarray:
         """Fleet indices served, in directive row order."""
-        directives = self.table.directives
+        directives = self.table._bound()
         return directives.device[directives.transmission_rows(self.index)]
 
     @property
     def group_size(self) -> int:
         """Number of devices served."""
-        return int(self.table.directives.transmission_rows(self.index).size)
+        return int(self.table._bound().transmission_rows(self.index).size)
 
 
 @dataclass(frozen=True)
@@ -830,11 +860,6 @@ def revise_plan(
         if draft.base_index is not None
     ]
     new_indices = [i for i, draft in enumerate(drafts) if draft.base_index is None]
-    transmissions = TransmissionTable(
-        frame=[draft.frame for draft in drafts],
-        rate_bps=[draft.rate_bps for draft in drafts],
-        duration_frames=[draft.duration for draft in drafts],
-    )
 
     joined_directives: List[DeviceDirective] = []
     for device_index in joined_list:
@@ -861,6 +886,12 @@ def revise_plan(
         directives = PlanArrays.concatenate(
             [directives, PlanArrays.from_directives(joined_directives)]
         )
+    transmissions = TransmissionTable(
+        frame=[draft.frame for draft in drafts],
+        rate_bps=[draft.rate_bps for draft in drafts],
+        duration_frames=[draft.duration for draft in drafts],
+        directives=directives,
+    )
 
     revised = MulticastPlan(
         mechanism=base.mechanism,

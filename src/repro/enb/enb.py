@@ -86,4 +86,3 @@ class ENodeB:
     ) -> UtilizationReport:
         """Downlink occupancy of ``transmissions`` over the horizon."""
         return self._scheduler.utilization(transmissions, horizon_frames)
-

@@ -105,6 +105,24 @@ class TestTransmissionTable:
         assert plan.transmissions[0].device_indices.tolist() == [0, 1]
         assert pickle.loads(pickle.dumps(split)).transmissions[1].group_size == 1
 
+    def test_equality_covers_who_each_row_serves(self, pair_fleet):
+        plan = _window_plan(pair_fleet)
+        table = plan.transmissions
+        same = _window_plan(pair_fleet).transmissions
+        assert table == same and hash(table) == hash(same)
+        swapped = replace(plan, directives=replace(plan.columns, device=[1, 0]))
+        assert swapped.transmissions != table
+        unbound = TransmissionTable(table.frame, table.rate_bps, table.duration_frames)
+        assert unbound != table
+        assert unbound == replace(table, directives=None)
+
+    def test_unbound_table_has_no_members(self):
+        row = TransmissionTable([0], [1.0], [1])[0]
+        with pytest.raises(PlanError, match="not bound to a plan"):
+            row.device_indices
+        with pytest.raises(PlanError, match="not bound to a plan"):
+            row.group_size
+
 
 class TestDirective:
     def test_adaptation_requires_fields(self):
