@@ -81,7 +81,6 @@ from repro.sim import (
     CampaignExecutor,
     CampaignResult,
     EventDrivenCampaign,
-    MonteCarlo,
     ResultCache,
     Simulator,
     run_monte_carlo,
@@ -156,7 +155,6 @@ __all__ = [
     "CampaignExecutor",
     "EventDrivenCampaign",
     "CampaignResult",
-    "MonteCarlo",
     "run_monte_carlo",
     "ResultCache",
     # traffic

@@ -16,8 +16,9 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import AdaptationStrategy, DaScMechanism
-from repro.core.plan import WakeMethod
-from repro.drx.paging import pattern_for
+from repro.core.plan import METHOD_CODE, WakeMethod
+from repro.drx.paging import v_paging_frame_offset
+from repro.drx.schedule import v_count_in
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table
 from repro.experiments.transmissions import drsc_campaign
@@ -25,9 +26,9 @@ from repro.multicast.scptm import ScPtmConfig, scptm_monitoring_overhead_s
 from repro.setcover.exact import exact_min_window_cover
 from repro.setcover.greedy import greedy_window_cover
 from repro.sim.executor import CampaignExecutor
-from repro.sim.montecarlo import MonteCarlo, RunStatistics
+from repro.sim.montecarlo import RunStatistics, run_monte_carlo
 from repro.sim.cache import ResultCache, fingerprint
-from repro.timebase import seconds_to_frames
+from repro.timebase import MS_PER_FRAME, seconds_to_frames
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE, TrafficMixture
 
@@ -43,29 +44,36 @@ def dasc_strategy_once(
     fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
     context = spec.planning_context()
     executor = CampaignExecutor(timings=spec.timings())
+    arrays = fleet.arrays
     metrics: Dict[str, float] = {}
     for strategy in AdaptationStrategy:
         plan = DaScMechanism(strategy).plan(fleet, context, rng)
-        adapted = [
-            d for d in plan.directives if d.method is WakeMethod.DRX_ADAPTATION
-        ]
-        extra_pos = 0
-        for directive in adapted:
-            device = fleet[directive.device_index]
-            grid = pattern_for(
-                device.drx.ue_id, directive.adapted_cycle, device.drx.nb
-            ).schedule
-            extra_pos += grid.count_in(
-                directive.adaptation_page_frame + 1, directive.page_frame
-            )
+        plan.validate(fleet)
+        columns = plan.columns
+        adapted = columns.method == METHOD_CODE[WakeMethod.DRX_ADAPTATION]
+        device = columns.device[adapted]
+        cycle = columns.adapted_cycle[adapted]
+        # The intermediate POs of each adapted device's shortened cycle,
+        # between its adaptation page and its in-window page.
+        adapted_phase = v_paging_frame_offset(
+            arrays.ue_ids[device],
+            cycle,
+            (arrays.nb_numerators[device], arrays.nb_denominators[device]),
+        )
+        extra_pos = v_count_in(
+            adapted_phase,
+            cycle,
+            columns.adaptation_page_frame[adapted] + 1,
+            columns.page_frame[adapted],
+        )
         result = executor.execute(fleet, plan)
         light = result.fleet.light_sleep_s
-        metrics[f"{strategy.value}/adapted_devices"] = float(len(adapted))
-        metrics[f"{strategy.value}/intermediate_pos"] = float(extra_pos)
+        metrics[f"{strategy.value}/adapted_devices"] = float(device.size)
+        metrics[f"{strategy.value}/intermediate_pos"] = float(extra_pos.sum())
         metrics[f"{strategy.value}/light_sleep_s"] = light
         metrics[f"{strategy.value}/mean_adapted_cycle_s"] = float(
-            np.mean([d.adapted_cycle.seconds for d in adapted])
-        ) if adapted else 0.0
+            np.mean(cycle * MS_PER_FRAME / 1000.0)
+        ) if device.size else 0.0
     return metrics
 
 
@@ -80,9 +88,13 @@ def run_dasc_strategy_ablation(
     config: ExperimentConfig = ExperimentConfig(),
 ) -> Tuple[Table, Dict[str, RunStatistics]]:
     """A1: paper's max-cycle selection vs the naive TI-sized fallback."""
-    harness = config.monte_carlo()
-    stats = harness.run(
+    stats = run_monte_carlo(
         partial(_a1_run, config=config),
+        n_runs=config.n_runs,
+        seed=config.seed,
+        backend=config.backend,
+        workers=config.workers,
+        cache=config.result_cache(),
         cache_tag="a1",
         config_fingerprint=config.scenario("a1").fingerprint(),
     )
@@ -232,11 +244,13 @@ def run_setcover_quality(
 ) -> Tuple[Table, Dict[str, RunStatistics]]:
     """A3: greedy cover size vs the exact optimum on small instances."""
     ti = seconds_to_frames(inactivity_timer_s)
-    harness = MonteCarlo(
-        n_runs=n_runs, seed=seed, backend=backend, workers=workers, cache=cache
-    )
-    stats = harness.run(
+    stats = run_monte_carlo(
         partial(_a3_run, n_devices=n_devices, mixture=mixture, ti=ti),
+        n_runs=n_runs,
+        seed=seed,
+        backend=backend,
+        workers=workers,
+        cache=cache,
         cache_tag="a3",
         config_fingerprint=fingerprint(
             {"n_devices": n_devices, "mixture": mixture, "ti": ti}
@@ -305,6 +319,7 @@ def _a6_run(
             mechanism_name, policy=grouping_policy_by_name(policy_name)
         )
         plan = mechanism.plan(fleet, context, rng)
+        plan.validate(fleet)
         result = executor.execute(fleet, plan)
         summary = result.fleet
         metrics[f"{policy_name}/groups"] = float(plan.n_transmissions)
@@ -337,10 +352,7 @@ def run_grouping_policy_ablation(
     devices — ``benchmarks/bench_grouping.py`` measures that regime.
     """
     ti = seconds_to_frames(inactivity_timer_s)
-    harness = MonteCarlo(
-        n_runs=n_runs, seed=seed, backend=backend, workers=workers, cache=cache
-    )
-    stats = harness.run(
+    stats = run_monte_carlo(
         partial(
             _a6_run,
             n_devices=n_devices,
@@ -348,6 +360,11 @@ def run_grouping_policy_ablation(
             ti=ti,
             payload_bytes=payload_bytes,
         ),
+        n_runs=n_runs,
+        seed=seed,
+        backend=backend,
+        workers=workers,
+        cache=cache,
         cache_tag="a6",
         config_fingerprint=fingerprint(
             {

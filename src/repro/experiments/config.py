@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING, Any, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.sim.cache import ResultCache
 from repro.sim.dispatch import validate_backend
-from repro.sim.montecarlo import MonteCarlo
 from repro.timebase import KILOBYTE, MEGABYTE
 
 if TYPE_CHECKING:
@@ -99,13 +98,3 @@ class ExperimentConfig:
     def result_cache(self) -> Optional[ResultCache]:
         """The configured on-disk cache, or None when caching is off."""
         return ResultCache(self.cache_dir) if self.cache_dir else None
-
-    def monte_carlo(self) -> MonteCarlo:
-        """A harness wired to this config's backend, workers and cache."""
-        return MonteCarlo(
-            n_runs=self.n_runs,
-            seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
-            cache=self.result_cache(),
-        )

@@ -24,7 +24,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table, percent
 from repro.sim.executor import CampaignExecutor
 from repro.sim.metrics import CampaignResult
-from repro.sim.montecarlo import RunStatistics
+from repro.sim.montecarlo import RunStatistics, run_monte_carlo
 from repro.timebase import format_bytes
 from repro.traffic.generator import generate_fleet
 
@@ -55,6 +55,8 @@ def compare_mechanisms_once(
     mechanisms = (DrScMechanism(policy=policy), DaScMechanism(), DrSiMechanism())
     plans = {m.name: m.plan(fleet, context, rng) for m in mechanisms}
     plans["unicast"] = UnicastBaseline().plan(fleet, context, rng)
+    for plan in plans.values():
+        plan.validate(fleet)
 
     # Execute everything over one common horizon for comparability.
     provisional = {
@@ -99,8 +101,13 @@ def _fig6_stats(
     one cache entry per payload size.
     """
     spec = config.scenario("fig6", payload_bytes=payload_bytes)
-    return config.monte_carlo().run(
+    return run_monte_carlo(
         partial(_fig6_run, config=config, payload_bytes=payload_bytes),
+        n_runs=config.n_runs,
+        seed=config.seed,
+        backend=config.backend,
+        workers=config.workers,
+        cache=config.result_cache(),
         cache_tag=f"fig6/{payload_bytes}",
         config_fingerprint=spec.fingerprint(),
     )

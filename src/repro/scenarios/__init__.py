@@ -47,7 +47,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.runner import (
     HEADLINE_METRICS,
     headline_means,
-    run_log_filename,
     run_scenario,
     scenario_table,
 )
@@ -62,6 +61,7 @@ from repro.scenarios.sweep import (
     run_sweep,
     sweep_table,
 )
+from repro.sim.montecarlo import run_log_filename
 
 __all__ = [
     "ScenarioSpec",

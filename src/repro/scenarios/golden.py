@@ -27,9 +27,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.scenarios.registry import all_scenarios, scenario
-from repro.scenarios.runner import headline_means, run_scenario
+from repro.scenarios.runner import headline_means, scenario_campaign
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.eventlog import RunLog, diff_runlogs, format_runlog_diff
+from repro.sim.montecarlo import run_campaigns
 
 #: Monte-Carlo runs per scenario when computing golden metrics. Two is
 #: enough to exercise the aggregation while keeping the whole registry
@@ -66,21 +67,25 @@ def compute_golden_metrics(
     backend: str = "serial",
     workers: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
-    """Recompute the pinned headline metrics for ``names`` (default all)."""
+    """Recompute the pinned headline metrics for ``names`` (default all).
+
+    Every golden campaign drains as one task graph, so a fused backend
+    starts one pool for the whole registry.
+    """
     specs = (
         all_scenarios()
         if names is None
         else [scenario(name) for name in names]
     )
-    out: Dict[str, Dict[str, float]] = {}
-    for spec in specs:
-        stats = run_scenario(
-            golden_spec(spec),
-            backend=backend,
-            workers=workers,
-        )
-        out[spec.name] = headline_means(stats)
-    return out
+    results = run_campaigns(
+        [scenario_campaign(golden_spec(spec)) for spec in specs],
+        backend,
+        workers=workers,
+    )
+    return {
+        spec.name: headline_means(stats)
+        for spec, stats in zip(specs, results)
+    }
 
 
 def load_golden(path: Optional[Path] = None) -> Dict[str, Dict[str, float]]:

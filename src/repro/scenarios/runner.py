@@ -53,14 +53,7 @@ from repro.multicast.reliability import RepairOutcome, simulate_repair_rounds
 from repro.phy.coverage import CoverageClass
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.cache import ResultCache
-from repro.sim.dispatch import (
-    FanOut,
-    PartialFn,
-    TaskAddress,
-    WorkItem,
-    drain,
-    validate_backend,
-)
+from repro.sim.dispatch import FanOut, PartialFn, TaskAddress, WorkItem
 from repro.sim.eventlog import (
     EventLog,
     EventLogRecorder,
@@ -69,7 +62,12 @@ from repro.sim.eventlog import (
     segment_loss_rows,
 )
 from repro.sim.executor import CampaignExecutor
-from repro.sim.montecarlo import CampaignCache, RunStatistics
+from repro.sim.montecarlo import (
+    Campaign,
+    RunOutput,
+    RunStatistics,
+    run_campaigns,
+)
 from repro.sim.phases import PhaseTimer, merge_timings
 from repro.timebase import format_bytes
 from repro.traffic.generator import generate_fleet
@@ -198,15 +196,6 @@ def fold_run(
     return metrics
 
 
-@dataclass(frozen=True)
-class _RunOutput:
-    """One run's task output: its metric dict, plus its event logs when
-    the spec records."""
-
-    metrics: Dict[str, float]
-    runlog: Optional[RunLog] = None
-
-
 def _worker_rss_kb() -> int:
     """This process's peak resident set (VmHWM, kB); 0 off-Linux."""
     try:
@@ -282,7 +271,7 @@ def _finish_run(
     repairs: Sequence[RepairOutcome],
     deep_devices: int,
     timings: Dict[str, float],
-) -> _RunOutput:
+) -> RunOutput:
     """Fold a run and, when recording, assemble its :class:`RunLog`."""
     metrics = fold_run(
         cells,
@@ -291,7 +280,7 @@ def _finish_run(
         fleet=FleetFacts(spec.battery(), deep_devices),
     )
     if not spec.record_events:
-        return _RunOutput(metrics)
+        return RunOutput(metrics)
     logs = {}
     for cell, repair in zip(cells, repairs):
         horizon = int(cell.event_log.meta["horizon_frames"])
@@ -303,7 +292,7 @@ def _finish_run(
         )
     meta = _run_meta(spec, run_index, root_seed)
     meta["phase_timings"] = timings
-    return _RunOutput(metrics, RunLog(meta=meta, cells=logs))
+    return RunOutput(metrics, RunLog(meta=meta, cells=logs))
 
 
 # ----------------------------------------------------------------------
@@ -421,7 +410,7 @@ def _fused_run_reduce(
     state: _FusedReduceState,
     results: List[CellSummary],
     address: TaskAddress,
-) -> _RunOutput:
+) -> RunOutput:
     """Fold a multi-cell run's cell summaries into its output.
 
     Restores the run generator to its post-prologue state and draws the
@@ -457,7 +446,7 @@ def _fused_run_reduce(
 
 def _fused_run_task(
     rng: np.random.Generator, address: TaskAddress, payload: _FusedRunPayload
-) -> Union[_RunOutput, FanOut]:
+) -> Union[RunOutput, FanOut]:
     """One run-level task.
 
     A single-cell run executes whole, here, on the run's generator. A
@@ -573,24 +562,27 @@ def scenario_work_items(
     ]
 
 
-def save_runlogs(
-    outputs: Sequence[_RunOutput], directory: Union[str, Path]
-) -> None:
-    """Write every recorded run among ``outputs`` into ``directory``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for output in outputs:
-        if output.runlog is None:
-            continue
-        meta = output.runlog.meta
-        output.runlog.save(
-            directory
-            / run_log_filename(
-                str(meta["scenario"]),
-                str(meta["fingerprint"]),
-                int(meta["run_index"]),
-            )
-        )
+def scenario_campaign(
+    spec: ScenarioSpec,
+    *,
+    n_runs: Optional[int] = None,
+    seed: Optional[int] = None,
+    record_dir: Optional[Union[str, Path]] = None,
+) -> Campaign:
+    """``spec``'s campaign (cache tag ``scenario/<name>``); it records
+    exactly when given a ``record_dir``."""
+    root_seed = spec.seed if seed is None else seed
+    runs = spec.n_runs if n_runs is None else n_runs
+    return Campaign(
+        scenario_work_items(
+            replace(spec, record_events=record_dir is not None),
+            root_seed,
+            runs,
+        ),
+        tag=f"scenario/{spec.name}",
+        fingerprint=spec.fingerprint(),
+        record_dir=record_dir,
+    )
 
 
 def run_scenario(
@@ -614,52 +606,27 @@ def run_scenario(
     ``record_dir`` turns on event-log recording: every run writes one
     :class:`~repro.sim.eventlog.RunLog` ``.npz`` into the directory.
     Recording is observability on top of an unchanged simulation —
-    metrics are bit-identical with and without it — but it requires an
-    uncached harness (a cache hit skips execution, so nothing would be
-    recorded). ``on_partial`` streams
-    :class:`~repro.sim.dispatch.PartialResult` records (per-cell
-    summaries, per-run outputs) back as they complete; at one worker
-    both backends stream the same sequence. ``chunk_size`` sets the
-    fused dispatch grain (None = auto; bit-identical results at every
-    grain; ignored when serial).
+    metrics are bit-identical with and without it — and bypasses
+    ``cache`` (see :class:`~repro.sim.montecarlo.Campaign`).
+    ``on_partial`` streams :class:`~repro.sim.dispatch.PartialResult`
+    records (per-cell summaries, per-run outputs) back as they
+    complete; at one worker both backends stream the same sequence.
+    ``chunk_size`` sets the fused dispatch grain (None = auto;
+    bit-identical results at every grain; ignored when serial).
     """
-    validate_backend(backend)
-    root_seed = spec.seed if seed is None else seed
-    runs = spec.n_runs if n_runs is None else n_runs
-    if record_dir is not None and cache is not None:
-        raise ConfigurationError(
-            "recording requires an uncached run (cache hits skip "
-            "execution, so no events would be recorded)"
-        )
-    campaign = CampaignCache(
-        cache, f"scenario/{spec.name}", spec.fingerprint(), root_seed, runs
-    )
-    cached = campaign.load()
-    if cached is not None:
-        return cached
-    outputs = drain(
-        scenario_work_items(
-            replace(spec, record_events=record_dir is not None),
-            root_seed,
-            runs,
-        ),
+    (stats,) = run_campaigns(
+        [
+            scenario_campaign(
+                spec, n_runs=n_runs, seed=seed, record_dir=record_dir
+            )
+        ],
         backend,
         workers=workers,
+        cache=cache,
         on_partial=on_partial,
         chunk_size=chunk_size,
     )
-    if record_dir is not None:
-        save_runlogs(outputs, record_dir)
-    return campaign.aggregate([output.metrics for output in outputs])
-
-
-def run_log_filename(scenario: str, fingerprint: str, run_index: int) -> str:
-    """Canonical ``.npz`` filename of one recorded run.
-
-    The short fingerprint keeps sweep variants of the same scenario
-    (same name, different axis values) from overwriting each other.
-    """
-    return f"{scenario}-{fingerprint[:8]}-run{int(run_index):03d}.npz"
+    return stats
 
 
 def headline_means(stats: Dict[str, RunStatistics]) -> Dict[str, float]:

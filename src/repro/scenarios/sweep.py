@@ -13,17 +13,16 @@ composes them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Table
 from repro.multicast.coordination import MultiCellSpec
-from repro.scenarios.runner import save_runlogs, scenario_work_items
+from repro.scenarios.runner import scenario_campaign
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.cache import ResultCache
-from repro.sim.dispatch import drain, validate_backend
-from repro.sim.montecarlo import CampaignCache, RunStatistics
+from repro.sim.montecarlo import RunStatistics, run_campaigns
 from repro.timebase import format_bytes
 
 #: CLI axis aliases -> ScenarioSpec field names. Stress axes plus the
@@ -199,44 +198,27 @@ def run_sweep(
     on either backend.
 
     Grid cells whose spec has ``record_events`` set (e.g. via a
-    ``record=1`` axis) run uncached and write their per-run event logs
-    into ``record_dir``; without a ``record_dir`` the flag is inert.
+    ``record=1`` axis) write their per-run event logs into
+    ``record_dir`` and bypass the cache, as a recording
+    :func:`~repro.scenarios.runner.run_scenario` does; without a
+    ``record_dir`` the flag is inert.
     """
-    validate_backend(backend)
     grid = expand_grid(scenarios, axes)
-    slots: List[Optional[Dict[str, RunStatistics]]] = [None] * len(grid)
-    spans: List[Tuple[int, int, int, CampaignCache]] = []
-    items = []
-    for index, cell in enumerate(grid):
-        record = record_dir is not None and cell.spec.record_events
-        runs = cell.spec.n_runs if n_runs is None else n_runs
-        campaign = CampaignCache(
-            None if record else cache,
-            f"scenario/{cell.spec.name}",
-            cell.spec.fingerprint(),
-            cell.spec.seed,
-            runs,
-        )
-        slots[index] = campaign.load()
-        if slots[index] is not None:
-            continue
-        cell_items = scenario_work_items(
-            replace(cell.spec, record_events=record), cell.spec.seed, runs
-        )
-        spans.append((index, len(items), len(cell_items), campaign))
-        items.extend(cell_items)
-    if items:
-        outputs = drain(
-            items, backend, workers=workers, chunk_size=chunk_size
-        )
-        for index, start, count, campaign in spans:
-            cell_outputs = outputs[start : start + count]
-            if record_dir is not None:
-                save_runlogs(cell_outputs, record_dir)
-            slots[index] = campaign.aggregate(
-                [output.metrics for output in cell_outputs]
+    results = run_campaigns(
+        [
+            scenario_campaign(
+                cell.spec,
+                n_runs=n_runs,
+                record_dir=record_dir if cell.spec.record_events else None,
             )
-    return list(zip(grid, slots))
+            for cell in grid
+        ],
+        backend,
+        workers=workers,
+        cache=cache,
+        chunk_size=chunk_size,
+    )
+    return list(zip(grid, results))
 
 
 def sweep_table(

@@ -10,12 +10,13 @@ Two executors produce equivalent campaign results from a plan:
   oracle the tests cross-validate the arithmetic against, and what
   examples use when they want an inspectable event trace.
 
-:mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates.
-Every campaign is a list of work items (:mod:`repro.sim.dispatch`)
-drained either in this process (``backend="serial"``) or on the fused
-(run x cell) process pool (``backend="fused"``) — bit-identical by
-construction — with an optional on-disk
-:class:`~repro.sim.cache.ResultCache`.
+:mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates
+(:func:`~repro.sim.montecarlo.run_campaigns` is the one campaign
+driver). Every campaign is a list of work items
+(:mod:`repro.sim.dispatch`) drained either in this process
+(``backend="serial"``) or on the fused (run x cell) process pool
+(``backend="fused"``) — bit-identical by construction — with an
+optional on-disk :class:`~repro.sim.cache.ResultCache`.
 
 Every executor can additionally record a columnar event log
 (:mod:`repro.sim.eventlog`): pass an
@@ -57,11 +58,7 @@ from repro.sim.events import Event, EventKind
 from repro.sim.engine import Simulator
 from repro.sim.replay import EventDrivenCampaign
 from repro.sim.dispatch import BACKENDS
-from repro.sim.montecarlo import (
-    MonteCarlo,
-    RunStatistics,
-    run_monte_carlo,
-)
+from repro.sim.montecarlo import RunStatistics, run_monte_carlo
 from repro.sim.cache import ResultCache, fingerprint
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "Simulator",
     "EventDrivenCampaign",
     "BACKENDS",
-    "MonteCarlo",
     "RunStatistics",
     "run_monte_carlo",
     "ResultCache",

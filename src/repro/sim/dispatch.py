@@ -72,7 +72,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -85,9 +84,6 @@ from repro.errors import ConfigurationError
 #: Execution backends: ``serial`` drains the task graph in this
 #: process, ``fused`` on a process pool (bit-identical results).
 BACKENDS = ("serial", "fused")
-
-#: A run function: (rng, run_index) -> {metric name: value}.
-RunFn = Callable[[np.random.Generator, int], Mapping[str, float]]
 
 #: A task function: (rng, address, payload) -> result | FanOut.
 TaskFn = Callable[[np.random.Generator, "TaskAddress", Any], Any]
@@ -711,42 +707,8 @@ def drain(
 
 
 # ----------------------------------------------------------------------
-# Flat work-item builders (the montecarlo / rollout consumer surface)
+# Flat work-item builder (the rollout consumer surface)
 # ----------------------------------------------------------------------
-def _metric_task(
-    rng: np.random.Generator,
-    address: TaskAddress,
-    payload: Any,
-    *,
-    fn: RunFn,
-) -> Dict[str, float]:
-    """One Monte-Carlo run as a task (floats cross back)."""
-    return {k: float(v) for k, v in fn(rng, address.run_index).items()}
-
-
-def run_items(
-    fn: RunFn, seed: int, n_runs: int, campaign: str = "montecarlo"
-) -> List[WorkItem]:
-    """The work items of a Monte-Carlo run function: run ``i`` is one
-    item addressed ``(campaign, i, -1)`` with the standard child
-    generator."""
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    # One task function shared by every item, so the fused pool's
-    # up-front picklability check covers the run function once.
-    task = partial(_metric_task, fn=fn)
-    return [
-        WorkItem(
-            address=TaskAddress(campaign, run_index),
-            fn=task,
-            payload=None,
-            seed=seed,
-            spawn_index=run_index,
-        )
-        for run_index in range(n_runs)
-    ]
-
-
 def _map_task(
     rng: np.random.Generator,
     address: TaskAddress,

@@ -1,43 +1,58 @@
 """Monte-Carlo harness.
 
-The paper averages every metric over 100 runs (Sec. IV-A). The harness
-spawns one independent child generator per run from a root seed, maps a
-caller-supplied run function over them, and aggregates each returned
-metric into a :class:`RunStatistics` (mean, standard deviation, 95 %
-confidence half-width).
+The paper averages every metric over 100 runs (Sec. IV-A). A campaign
+spawns one independent child generator per run from a root seed, runs
+one work item of the task graph in :mod:`repro.sim.dispatch` per run,
+and aggregates each returned metric into a :class:`RunStatistics`
+(mean, standard deviation, 95 % confidence half-width).
 
-Each run is one work item of the task graph in :mod:`repro.sim.dispatch`,
-so the two backends produce bit-identical results:
+:func:`run_campaigns` is the one campaign driver — run functions
+(:func:`run_monte_carlo`), scenarios, sweep grids and the golden check
+all go through it: cache lookup (:class:`CampaignCache`), one drain of
+every uncached campaign's items, run logs, aggregation. The two
+backends drain the same items, so their results are bit-identical:
 
 * ``serial`` — the items drain in this process, one run after another
-  (the default; the run function need not be picklable);
+  (the default; a run function need not be picklable);
 * ``fused`` — the items drain through the fused (run x cell) work-queue
-  scheduler's process pool; requires a picklable run function.
-
-An optional :class:`~repro.sim.cache.ResultCache` short-circuits
-repeated campaigns: when a ``cache_tag`` is supplied and the cache holds
-matching metric arrays, no runs execute at all. :class:`CampaignCache`
-is the one load/store protocol every campaign (plain run functions,
-scenarios, sweep grid cells) goes through.
+  scheduler's process pool; requires picklable task functions.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from pathlib import Path
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.cache import ResultCache
 from repro.sim.dispatch import (
+    PartialFn,
     PartialResult,
-    RunFn,
+    TaskAddress,
+    WorkItem,
     drain,
-    run_items,
     validate_backend,
 )
+from repro.sim.eventlog import RunLog
+
+#: A run function: (rng, run_index) -> {metric name: value}.
+RunFn = Callable[[np.random.Generator, int], Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -123,24 +138,13 @@ def _validate(
     return keys
 
 
-def _collect(per_run: Sequence[Mapping[str, float]]) -> Dict[str, List[float]]:
-    """Validate per-run metric dicts and pivot them into columns."""
-    collected: Dict[str, List[float]] = {}
-    expected_keys = None
-    for run_index, metrics in enumerate(per_run):
-        expected_keys = _validate(run_index, metrics, expected_keys)
-        for key, value in metrics.items():
-            collected.setdefault(key, []).append(float(value))
-    return collected
-
-
 class CampaignCache:
     """One campaign's entry in an optional :class:`ResultCache`.
 
     The single cache protocol: the key is the campaign's deterministic
     address ``(tag, fingerprint, seed, n_runs)``, the stored columns are
-    the validated per-run metric columns. Without a cache (or a tag) it
-    only aggregates.
+    the per-run metric columns. Without a cache (or a tag) it only
+    aggregates.
     """
 
     def __init__(
@@ -179,9 +183,13 @@ class CampaignCache:
     def aggregate(
         self, per_run: Sequence[Mapping[str, float]]
     ) -> Dict[str, RunStatistics]:
-        """Validate and pivot per-run metric dicts (storing them when
-        cached) into per-metric statistics."""
-        collected = _collect(per_run)
+        """Pivot per-run metric dicts, already checked by
+        :func:`_validate`, into per-metric statistics (storing the
+        columns when cached)."""
+        collected = {
+            name: [float(metrics[name]) for metrics in per_run]
+            for name in per_run[0]
+        }
         if self._key is not None:
             self._cache.store(self._key, collected, meta=self._meta)
         return {
@@ -190,113 +198,166 @@ class CampaignCache:
         }
 
 
-class MonteCarlo:
-    """Runs a seeded experiment ``n_runs`` times and aggregates metrics.
+@dataclass(frozen=True)
+class RunOutput:
+    """One run's task output, whatever the campaign kind: its metric
+    dict, plus its event log when the campaign records."""
 
-    ``backend`` selects how the runs execute (``"serial"`` or
-    ``"fused"``); both drain the same work items, so the aggregated
-    arrays are bit-for-bit equal across backends and worker counts.
+    metrics: Dict[str, float]
+    runlog: Optional[RunLog] = None
+
+
+def _metric_task(
+    rng: np.random.Generator,
+    address: TaskAddress,
+    payload: Any,
+    *,
+    fn: RunFn,
+) -> RunOutput:
+    """One Monte-Carlo run as a task (floats cross back)."""
+    return RunOutput(
+        {k: float(v) for k, v in fn(rng, address.run_index).items()}
+    )
+
+
+def run_items(
+    fn: RunFn, seed: int, n_runs: int, campaign: str = "montecarlo"
+) -> List[WorkItem]:
+    """The work items of a Monte-Carlo run function: run ``i`` is one
+    item addressed ``(campaign, i, -1)`` with the standard child
+    generator."""
+    if n_runs < 1:
+        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
+    # One task function shared by every item, so the fused pool's
+    # up-front picklability check covers the run function once.
+    task = partial(_metric_task, fn=fn)
+    return [
+        WorkItem(
+            address=TaskAddress(campaign, run_index),
+            fn=task,
+            payload=None,
+            seed=seed,
+            spawn_index=run_index,
+        )
+        for run_index in range(n_runs)
+    ]
+
+
+def run_log_filename(scenario: str, fingerprint: str, run_index: int) -> str:
+    """Canonical ``.npz`` filename of one recorded run.
+
+    The short fingerprint keeps sweep variants of the same scenario
+    (same name, different axis values) from overwriting each other.
+    """
+    return f"{scenario}-{fingerprint[:8]}-run{int(run_index):03d}.npz"
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One seeded campaign for :func:`run_campaigns`.
+
+    ``items`` hold one work item per run, run ``i`` seeded as child
+    ``i`` of one root seed, each returning a :class:`RunOutput`. The
+    cache address is (``tag``, ``fingerprint``, root seed, run count);
+    without a tag the campaign is never cached. Every parameter baked
+    into the items must be covered by the fingerprint (or the tag) —
+    otherwise two campaigns share a key and the second reads the
+    first's results. A campaign with a ``record_dir`` writes each run's
+    event log there and bypasses the cache (it neither loads nor
+    stores), since a cache hit would write no logs.
     """
 
-    def __init__(
-        self,
-        n_runs: int = 100,
-        seed: int = 2018,
-        backend: str = "serial",
-        workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        """``seed`` defaults to the paper's publication year, because a
-        default seed has to be something. ``chunk_size`` sets the fused
-        backend's dispatch grain (None = auto; ignored otherwise) —
-        results are bit-identical at every grain."""
-        if n_runs < 1:
-            raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-        validate_backend(backend)
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self._n_runs = n_runs
-        self._seed = seed
-        self._backend = backend
-        self._workers = workers
-        self._cache = cache
-        self._chunk_size = chunk_size
+    items: Sequence[WorkItem]
+    tag: Optional[str] = None
+    fingerprint: str = ""
+    record_dir: Optional[Union[str, Path]] = None
 
-    @property
-    def n_runs(self) -> int:
-        """Number of repetitions."""
-        return self._n_runs
 
-    @property
-    def seed(self) -> int:
-        """Root seed."""
-        return self._seed
+def run_campaigns(
+    campaigns: Sequence[Campaign],
+    backend: str = "serial",
+    *,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    on_partial: Optional[PartialFn] = None,
+    chunk_size: Optional[int] = None,
+) -> List[Dict[str, RunStatistics]]:
+    """Run every campaign and aggregate each one's metrics, in order.
 
-    @property
-    def backend(self) -> str:
-        """Execution backend name."""
-        return self._backend
-
-    @property
-    def workers(self) -> Optional[int]:
-        """Fused pool size (None = all cores; ignored when serial)."""
-        return self._workers
-
-    def run(
-        self,
-        fn: RunFn,
-        cache_tag: Optional[str] = None,
-        config_fingerprint: str = "",
-    ) -> Dict[str, RunStatistics]:
-        """Execute ``fn`` once per run and aggregate every metric.
-
-        When a cache is attached *and* ``cache_tag`` identifies the
-        campaign, a prior result with the same deterministic address
-        (tag, fingerprint, seed, n_runs) is returned without executing
-        anything — whichever backend wrote it — and a fresh result is
-        persisted for next time.
-
-        Every scenario parameter baked into ``fn`` must be covered by
-        ``config_fingerprint`` (or the tag itself) — otherwise two
-        different scenarios share a key and the second reads the
-        first's stale results. Scenario-driven callers pass their
-        spec's :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`;
-        others hash their parameters with
-        :func:`repro.sim.cache.fingerprint`.
-        """
-        campaign = CampaignCache(
-            self._cache,
-            cache_tag,
-            config_fingerprint,
-            self._seed,
-            self._n_runs,
+    Each campaign's cache entry is loaded first; the items of every
+    uncached campaign then drain as one task graph on ``backend`` (one
+    fused pool, no barrier between campaigns); each recording campaign
+    writes its run logs, and each campaign is aggregated (and stored,
+    when cached) on its own. Results are bit-identical to running each
+    campaign alone, on either backend, at every ``workers`` and
+    ``chunk_size``. Every run's metric dict is checked as it lands
+    against its campaign's first run, so an inconsistent run fails at
+    that run; ``on_partial`` then sees every streamed
+    :class:`~repro.sim.dispatch.PartialResult`.
+    """
+    validate_backend(backend)
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+    results: List[Optional[Dict[str, RunStatistics]]] = []
+    #: (campaign index, its cache entry), one per campaign to run.
+    pending: List[Tuple[int, CampaignCache]] = []
+    starts: List[int] = []
+    items: List[WorkItem] = []
+    for index, campaign in enumerate(campaigns):
+        store = CampaignCache(
+            cache if campaign.record_dir is None else None,
+            campaign.tag,
+            campaign.fingerprint,
+            campaign.items[0].seed,
+            len(campaign.items),
         )
-        cached = campaign.load()
-        if cached is not None:
-            return cached
-        # Validate each run as it lands, so a bad run fn fails the
-        # campaign at the offending run, not after all of them.
-        expected_keys = None
+        results.append(store.load())
+        if results[-1] is None:
+            pending.append((index, store))
+            starts.append(len(items))
+            items.extend(campaign.items)
+    if not items:
+        return results
+    expected_keys: Dict[int, "frozenset[str]"] = {}
 
-        def check(partial: PartialResult) -> None:
-            nonlocal expected_keys
-            expected_keys = _validate(
-                partial.top_index, partial.value, expected_keys
+    def check(partial: PartialResult) -> None:
+        if partial.kind != "sub":
+            slot = bisect_right(starts, partial.top_index) - 1
+            expected_keys[slot] = _validate(
+                partial.top_index - starts[slot],
+                partial.value.metrics,
+                expected_keys.get(slot),
             )
+        if on_partial is not None:
+            on_partial(partial)
 
-        per_run = drain(
-            run_items(fn, self._seed, self._n_runs),
-            self._backend,
-            workers=self._workers,
-            on_partial=check,
-            chunk_size=self._chunk_size,
+    outputs = drain(
+        items,
+        backend,
+        workers=workers,
+        on_partial=check,
+        chunk_size=chunk_size,
+    )
+    for (index, store), start, end in zip(
+        pending, starts, starts[1:] + [len(items)]
+    ):
+        if campaigns[index].record_dir is not None:
+            directory = Path(campaigns[index].record_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            for output in outputs[start:end]:
+                meta = output.runlog.meta
+                output.runlog.save(
+                    directory
+                    / run_log_filename(
+                        meta["scenario"], meta["fingerprint"], meta["run_index"]
+                    )
+                )
+        results[index] = store.aggregate(
+            [output.metrics for output in outputs[start:end]]
         )
-        return campaign.aggregate(per_run)
+    return results
 
 
 def run_monte_carlo(
@@ -310,16 +371,29 @@ def run_monte_carlo(
     config_fingerprint: str = "",
     chunk_size: Optional[int] = None,
 ) -> Dict[str, RunStatistics]:
-    """One-call front for the harness: build a :class:`MonteCarlo` with
-    the requested backend and run ``fn``."""
-    harness = MonteCarlo(
-        n_runs=n_runs,
-        seed=seed,
-        backend=backend,
+    """Execute ``fn(rng, run_index)`` once per run and aggregate every
+    metric (a one-campaign :func:`run_campaigns`).
+
+    ``seed`` defaults to the paper's publication year, because a
+    default seed has to be something. With a ``cache`` and a
+    ``cache_tag``, a prior result at the same address is returned
+    without executing anything, whichever backend wrote it; see
+    :class:`Campaign` for what ``config_fingerprint`` must cover
+    (scenario-driven callers pass their spec's
+    :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`, others hash
+    their parameters with :func:`repro.sim.cache.fingerprint`).
+    """
+    (stats,) = run_campaigns(
+        [
+            Campaign(
+                run_items(fn, seed, n_runs),
+                tag=cache_tag,
+                fingerprint=config_fingerprint,
+            )
+        ],
+        backend,
         workers=workers,
         cache=cache,
         chunk_size=chunk_size,
     )
-    return harness.run(
-        fn, cache_tag=cache_tag, config_fingerprint=config_fingerprint
-    )
+    return stats

@@ -19,9 +19,8 @@ from repro.sim.dispatch import (
     auto_chunk_size,
     execute_items,
     map_items,
-    run_items,
 )
-from repro.sim.montecarlo import run_monte_carlo
+from repro.sim.montecarlo import run_items, run_monte_carlo
 
 #: One single-cell and one multi-cell (fan-out) scenario: chunking must
 #: hold across both task shapes, including chunked fan-out sub-items.
@@ -97,7 +96,7 @@ class TestChunkedFlatMaps:
         )
         assert np.array_equal(
             serial["draw"].values,
-            np.array([run["draw"] for run in per_run]),
+            np.array([run.metrics["draw"] for run in per_run]),
         )
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)

@@ -21,7 +21,7 @@ from repro.multicast.coordination import (
 )
 from repro.multicast.payload import FirmwareImage
 from repro.scenarios import golden_spec, run_scenario, scenario
-from repro.sim.montecarlo import MonteCarlo
+from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.cache import ResultCache
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
@@ -165,21 +165,27 @@ class TestCacheIsBackendAgnostic:
         self, tmp_path, writer, writer_workers
     ):
         cache = ResultCache(tmp_path)
-        written = MonteCarlo(
+        written = run_monte_carlo(
+            draw_run,
             n_runs=4,
             seed=7,
             backend=writer,
             workers=writer_workers,
             cache=cache,
-        ).run(draw_run, cache_tag="t", config_fingerprint="f")
+            cache_tag="t",
+            config_fingerprint="f",
+        )
         for reader, reader_workers in self.BACKENDS:
-            hit = MonteCarlo(
+            hit = run_monte_carlo(
+                failing_run,
                 n_runs=4,
                 seed=7,
                 backend=reader,
                 workers=reader_workers,
                 cache=cache,
-            ).run(failing_run, cache_tag="t", config_fingerprint="f")
+                cache_tag="t",
+                config_fingerprint="f",
+            )
             assert set(hit) == set(written)
             for metric in written:
                 np.testing.assert_array_equal(

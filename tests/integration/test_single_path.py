@@ -34,9 +34,9 @@ from repro.scenarios import (
 )
 from repro.scenarios import runner
 from repro.scenarios.runner import CellSummary
-from repro.sim.dispatch import drain, run_items
+from repro.sim.dispatch import drain
 from repro.sim.eventlog import RunLog, diff_runlogs
-from repro.sim.montecarlo import MonteCarlo, run_monte_carlo
+from repro.sim.montecarlo import run_items, run_monte_carlo
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
@@ -98,8 +98,6 @@ class TestSerialStreaming:
 class TestProcessBackendIsGone:
     def test_every_entry_point_rejects_process(self):
         spec = golden_spec(scenario("paper-baseline"))
-        with pytest.raises(ConfigurationError, match="backend"):
-            MonteCarlo(n_runs=2, backend="process")
         with pytest.raises(ConfigurationError, match="backend"):
             run_monte_carlo(draw_run, n_runs=2, backend="process")
         with pytest.raises(ConfigurationError, match="backend"):

@@ -16,8 +16,8 @@ from repro.sim.dispatch import (
     drain_inline,
     execute_items,
     map_items,
-    run_items,
 )
+from repro.sim.montecarlo import RunOutput, run_items
 from repro.sim.rng import spawn_generators
 
 
@@ -314,7 +314,7 @@ class TestFlatMapAdapters:
                 run_items(draw_run, seed=3, n_runs=5), workers=workers
             )
             expected = [
-                draw_run(rng, i)
+                RunOutput(draw_run(rng, i))
                 for i, rng in enumerate(spawn_generators(3, 5))
             ]
             assert per_run == expected

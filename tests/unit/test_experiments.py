@@ -86,6 +86,86 @@ class TestRunner:
         # n_runs x 3 payloads: 6(a) reads 6(b)'s default-payload campaign.
         assert sorted(calls) == sorted(list(config.payload_sizes) * 2)
 
+    def test_figure_runs_validate_every_plan(self, monkeypatch):
+        import numpy as np
+
+        from repro.core.plan import MulticastPlan
+        from repro.experiments.ablations import (
+            GROUPING_ABLATION_COMBOS,
+            _a6_run,
+            dasc_strategy_once,
+        )
+        from repro.experiments.uptime import compare_mechanisms_once
+        from repro.timebase import seconds_to_frames
+        from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+
+        validated = []
+        real = MulticastPlan.validate
+
+        def counting(plan, fleet):
+            validated.append(plan)
+            return real(plan, fleet)
+
+        monkeypatch.setattr(MulticastPlan, "validate", counting)
+        config = ExperimentConfig(n_runs=1, n_devices=40)
+        runs = (
+            (lambda rng: compare_mechanisms_once(rng, config, 100_000), 4),
+            (lambda rng: dasc_strategy_once(rng, config), 2),
+            (
+                lambda rng: _a6_run(
+                    rng, 0, 12, MODERATE_EDRX_MIXTURE,
+                    seconds_to_frames(20.48), 100_000,
+                ),
+                len(GROUPING_ABLATION_COMBOS),
+            ),
+        )
+        for run, n_plans in runs:
+            validated.clear()
+            run(np.random.default_rng(5))
+            # One validate per planned mechanism, each on its own plan.
+            assert len(validated) == n_plans
+            assert len({id(plan) for plan in validated}) == n_plans
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a1_columns_match_the_scalar_paging_oracle(self, seed):
+        """A1's column arithmetic equals the per-directive loop over the
+        scalar TS 36.304 pattern, value for value."""
+        import numpy as np
+
+        from repro.core import AdaptationStrategy, DaScMechanism
+        from repro.core.plan import WakeMethod
+        from repro.drx.paging import pattern_for
+        from repro.experiments.ablations import dasc_strategy_once
+        from repro.traffic.generator import generate_fleet
+
+        config = ExperimentConfig(n_runs=1, n_devices=150)
+        got = dasc_strategy_once(np.random.default_rng(seed), config)
+
+        spec = config.scenario("a1")
+        rng = np.random.default_rng(seed)
+        fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
+        for strategy in AdaptationStrategy:
+            plan = DaScMechanism(strategy).plan(
+                fleet, spec.planning_context(), rng
+            )
+            adapted = [
+                d for d in plan.directives
+                if d.method is WakeMethod.DRX_ADAPTATION
+            ]
+            extra_pos = 0
+            for d in adapted:
+                drx = fleet[d.device_index].drx
+                extra_pos += pattern_for(
+                    drx.ue_id, d.adapted_cycle, drx.nb
+                ).schedule.count_in(d.adaptation_page_frame + 1, d.page_frame)
+            key = strategy.value
+            assert adapted
+            assert got[f"{key}/adapted_devices"] == float(len(adapted))
+            assert got[f"{key}/intermediate_pos"] == float(extra_pos)
+            assert got[f"{key}/mean_adapted_cycle_s"] == float(
+                np.mean([d.adapted_cycle.seconds for d in adapted])
+            )
+
 
 class TestReporting:
     def _table(self) -> Table:

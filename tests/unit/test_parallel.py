@@ -8,8 +8,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.sim.cache import ResultCache, fingerprint
-from repro.sim.dispatch import execute_items, run_items
-from repro.sim.montecarlo import MonteCarlo, run_monte_carlo
+from repro.sim.dispatch import execute_items
+from repro.sim.montecarlo import run_items, run_monte_carlo
 
 
 def draw_run(rng, run_index):
@@ -27,11 +27,11 @@ def failing_run(rng, run_index):
 
 class TestFusedBackendEquivalence:
     def test_identical_to_serial_for_any_worker_count(self):
-        serial = MonteCarlo(n_runs=12, seed=99).run(draw_run)
+        serial = run_monte_carlo(draw_run, n_runs=12, seed=99)
         for workers in (1, 2, 5):
-            fused = MonteCarlo(
-                n_runs=12, seed=99, backend="fused", workers=workers
-            ).run(draw_run)
+            fused = run_monte_carlo(
+                draw_run, n_runs=12, seed=99, backend="fused", workers=workers
+            )
             np.testing.assert_array_equal(
                 serial["draw"].values, fused["draw"].values
             )
@@ -55,7 +55,7 @@ class TestFusedBackendEquivalence:
 
     def test_results_arrive_in_run_index_order(self):
         out = execute_items(run_items(draw_run, seed=0, n_runs=9), workers=3)
-        assert [m["index"] for m in out] == [float(i) for i in range(9)]
+        assert [o.metrics["index"] for o in out] == list(map(float, range(9)))
 
     def test_unpicklable_fn_rejected(self):
         with pytest.raises(ConfigurationError, match="picklable"):
@@ -74,7 +74,7 @@ class TestFusedBackendEquivalence:
             calls.append(run_index)
             return {"x": float(run_index)}
 
-        stats = MonteCarlo(n_runs=3, seed=1).run(closure)
+        stats = run_monte_carlo(closure, n_runs=3, seed=1)
         assert calls == [0, 1, 2]
         assert stats["x"].values.tolist() == [0.0, 1.0, 2.0]
 
@@ -88,14 +88,14 @@ class TestFusedBackendEquivalence:
             return {"a": 1.0} if run_index == 0 else {"b": 1.0}
 
         with pytest.raises(ConfigurationError):
-            MonteCarlo(n_runs=50, seed=1).run(bad)
+            run_monte_carlo(bad, n_runs=50, seed=1)
         assert calls == [0, 1]
 
     def test_invalid_backend_and_workers(self):
         with pytest.raises(ConfigurationError):
-            MonteCarlo(n_runs=2, seed=1, backend="threads")
+            run_monte_carlo(draw_run, n_runs=2, seed=1, backend="threads")
         with pytest.raises(ConfigurationError):
-            MonteCarlo(n_runs=2, seed=1, workers=0)
+            run_monte_carlo(draw_run, n_runs=2, seed=1, workers=0)
         with pytest.raises(ConfigurationError):
             execute_items(run_items(draw_run, seed=1, n_runs=2), workers=0)
 
@@ -187,12 +187,14 @@ class TestResultCache:
 
     def test_hit_skips_execution(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = MonteCarlo(n_runs=5, seed=7, cache=cache).run(
-            draw_run, cache_tag="t", config_fingerprint="f"
+        first = run_monte_carlo(
+            draw_run, n_runs=5, seed=7, cache=cache,
+            cache_tag="t", config_fingerprint="f",
         )
         # Same key: the (failing) run fn must never be called.
-        second = MonteCarlo(n_runs=5, seed=7, cache=cache).run(
-            failing_run, cache_tag="t", config_fingerprint="f"
+        second = run_monte_carlo(
+            failing_run, n_runs=5, seed=7, cache=cache,
+            cache_tag="t", config_fingerprint="f",
         )
         np.testing.assert_array_equal(
             first["draw"].values, second["draw"].values
@@ -200,12 +202,14 @@ class TestResultCache:
 
     def test_hit_is_backend_independent(self, tmp_path):
         cache = ResultCache(tmp_path)
-        MonteCarlo(n_runs=5, seed=7, cache=cache).run(
-            draw_run, cache_tag="t", config_fingerprint="f"
+        run_monte_carlo(
+            draw_run, n_runs=5, seed=7, cache=cache,
+            cache_tag="t", config_fingerprint="f",
         )
-        cached = MonteCarlo(
-            n_runs=5, seed=7, backend="fused", workers=2, cache=cache
-        ).run(failing_run, cache_tag="t", config_fingerprint="f")
+        cached = run_monte_carlo(
+            failing_run, n_runs=5, seed=7, backend="fused", workers=2,
+            cache=cache, cache_tag="t", config_fingerprint="f",
+        )
         assert cached["draw"].n == 5
 
     @pytest.mark.parametrize(
@@ -217,12 +221,15 @@ class TestResultCache:
     )
     def test_seed_or_runs_change_invalidates(self, tmp_path, kwargs):
         cache = ResultCache(tmp_path)
-        MonteCarlo(n_runs=5, seed=7, cache=cache).run(
-            draw_run, cache_tag="t", config_fingerprint="f"
+        run_monte_carlo(
+            draw_run, n_runs=5, seed=7, cache=cache,
+            cache_tag="t", config_fingerprint="f",
         )
-        harness = MonteCarlo(**{"n_runs": 5, "seed": 7, **kwargs}, cache=cache)
         with pytest.raises(AssertionError, match="cache hit"):
-            harness.run(failing_run, cache_tag="t", config_fingerprint="f")
+            run_monte_carlo(
+                failing_run, **{"n_runs": 5, "seed": 7, **kwargs},
+                cache=cache, cache_tag="t", config_fingerprint="f",
+            )
 
     def test_fingerprint_change_invalidates(self, tmp_path):
         a = ResultCache.key("t", "fp1", 1, 2)
@@ -251,5 +258,5 @@ class TestResultCache:
 
     def test_no_tag_means_no_caching(self, tmp_path):
         cache = ResultCache(tmp_path)
-        MonteCarlo(n_runs=3, seed=1, cache=cache).run(draw_run)
+        run_monte_carlo(draw_run, n_runs=3, seed=1, cache=cache)
         assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,7 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
 from repro.sim.executor import CampaignExecutor
 from repro.timebase import frame_after_seconds
-from repro.sim.montecarlo import MonteCarlo, RunStatistics
+from repro.sim.montecarlo import RunStatistics, run_monte_carlo
 from repro.sim.rng import generator_for, spawn_generators
 
 
@@ -244,17 +244,19 @@ class TestEngineCancel:
 
 class TestMonteCarlo:
     def test_aggregates_metrics(self):
-        harness = MonteCarlo(n_runs=10, seed=1)
-        stats = harness.run(lambda rng, i: {"value": float(i)})
+        stats = run_monte_carlo(
+            lambda rng, i: {"value": float(i)}, n_runs=10, seed=1
+        )
         assert stats["value"].n == 10
         assert stats["value"].mean == pytest.approx(4.5)
         assert stats["value"].min == 0.0 and stats["value"].max == 9.0
 
     def test_runs_are_independent_but_reproducible(self):
-        harness = MonteCarlo(n_runs=5, seed=42)
-        a = harness.run(lambda rng, i: {"draw": float(rng.random())})
-        b = MonteCarlo(n_runs=5, seed=42).run(
-            lambda rng, i: {"draw": float(rng.random())}
+        a = run_monte_carlo(
+            lambda rng, i: {"draw": float(rng.random())}, n_runs=5, seed=42
+        )
+        b = run_monte_carlo(
+            lambda rng, i: {"draw": float(rng.random())}, n_runs=5, seed=42
         )
         np.testing.assert_array_equal(a["draw"].values, b["draw"].values)
         assert len(set(a["draw"].values)) == 5
@@ -286,14 +288,16 @@ class TestMonteCarlo:
                 stats.ci95_halfwidth
 
     def test_inconsistent_keys_rejected(self):
-        harness = MonteCarlo(n_runs=2, seed=1)
         with pytest.raises(ConfigurationError):
-            harness.run(lambda rng, i: {"a": 1.0} if i == 0 else {"b": 1.0})
+            run_monte_carlo(
+                lambda rng, i: {"a": 1.0} if i == 0 else {"b": 1.0},
+                n_runs=2,
+                seed=1,
+            )
 
     def test_empty_metrics_rejected(self):
-        harness = MonteCarlo(n_runs=1, seed=1)
         with pytest.raises(ConfigurationError):
-            harness.run(lambda rng, i: {})
+            run_monte_carlo(lambda rng, i: {}, n_runs=1, seed=1)
 
 
 class TestRng:
