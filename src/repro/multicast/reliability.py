@@ -16,17 +16,40 @@ number of *rounds* (≈ ``log(devices x segments) / -log(loss)``, a small
 constant) times the union-miss fraction — independent of fleet size.
 Unicast repair would instead grow linearly with the number of lossy
 devices, so reliability does not dent the grouping win.
+
+The rounds are simulated chunk-major, without an n x segments matrix.
+Round r's draw for (device d, segment j) is the 64-bit draw at stream
+offset ``(r-1)·n·S + d·S + j`` of the caller's generator — the order a
+dense ``rng.random((n, S))`` per round consumes it — and a pair still
+missing always has its segment re-sent, so it stays missing after
+round r exactly when all its draws in rounds 1..r are losses. Only the
+global stop rule couples the rounds. Each chunk of device rows
+therefore runs through all of its rounds on a private copy of the bit
+generator, jumped (``advance``) to the draws it needs; later rounds
+draw only the spans covering the chunk's still-missing pairs. Memory
+is O(chunk + rounds x S) at any fleet size, and the outcome and the
+generator's end state are bit-identical to the dense loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.multicast.payload import DEFAULT_SEGMENT_BYTES, FirmwareImage
+
+#: Device/segment pairs per row chunk (rounded down to whole device
+#: rows, at least one row).
+_CHUNK_PAIRS = 1 << 17
+#: Still-missing pairs further apart than this are not drawn as one
+#: span; the generator is advanced over the gap instead.
+_MAX_GAP = 4096
+#: Bit generators whose ``advance(k)`` skips exactly k 64-bit draws.
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 @dataclass(frozen=True)
@@ -112,10 +135,16 @@ def simulate_repair_rounds(
     A lossless link (``segment_loss_probability == 0``) delivers every
     segment in the first round, so the one-round outcome is returned
     without drawing from ``rng``: its state is left untouched. That is
-    bit-identical to drawing the (all-delivered) loss matrix only
+    bit-identical to drawing round 1's (all-delivered) losses only
     because the scenario runner's repair draws are the last consumer of
     each run's generator, on every backend; a caller that reads ``rng``
     afterwards must not rely on it having advanced.
+
+    A lossy link leaves ``rng`` past ``rounds`` x n x S draws (n
+    devices, S segments), where one dense ``rng.random((n, S))`` per
+    round would have left it. Jumping to the draws takes a PCG64 or
+    PCG64DXSM bit generator; any other raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if n_devices < 1:
         raise ConfigurationError(f"need at least one device, got {n_devices}")
@@ -131,36 +160,102 @@ def simulate_repair_rounds(
             missing_per_round=(0,),
         )
 
-    # missing[d] = set of segment indices device d still lacks.
-    missing = np.ones((n_devices, n_segments), dtype=bool)
-    to_send = np.ones(n_segments, dtype=bool)
-    segments_sent = 0
-    per_round: List[int] = []
-    missing_per_round: List[int] = []
-    rounds = 0
-    while to_send.any() and rounds < config.max_rounds:
-        rounds += 1
-        per_round.append(int(to_send.sum()))
-        segments_sent += int(to_send.sum())
-        # Every device listening loses each sent segment independently.
-        receive = rng.random((n_devices, n_segments)) >= (
-            config.segment_loss_probability
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, _ADVANCEABLE):
+        raise ConfigurationError(
+            "repair rounds jump the generator to the draws they need, "
+            "which takes a PCG64 or PCG64DXSM bit generator (one 64-bit "
+            f"draw per advance step); got {type(bit_generator).__name__}"
         )
-        delivered = to_send[None, :] & receive
-        missing &= ~delivered
-        missing_per_round.append(int(missing.sum()))
-        # Union of NACKs drives the next round.
-        to_send = missing.any(axis=0)
+    p = config.segment_loss_probability
+    per_round_draws = n_devices * n_segments
+    chunk_rows = max(1, _CHUNK_PAIRS // n_segments)
+    base = bit_generator.state
+    private = type(bit_generator)(0)
+    draws = np.random.Generator(private)
+    buf = np.empty(min(chunk_rows, n_devices) * n_segments)
+    # Per round reached by any chunk: the segments some device still
+    # lacks afterwards (re-sent next round) and the pairs still missing.
+    lacking: List[np.ndarray] = []
+    missing_per_round: List[int] = []
+    incomplete = 0
+    for row0 in range(0, n_devices, chunk_rows):
+        size = min(chunk_rows, n_devices - row0) * n_segments
+        origin = row0 * n_segments
+        private.state = base
+        private.advance(origin)
+        draws.random(out=buf[:size])
+        missing = np.flatnonzero(buf[:size] < p)
+        at = origin + size
+        done = 0  # rounds this chunk has run
+        while True:
+            if done == len(lacking):
+                lacking.append(np.zeros(n_segments, dtype=bool))
+                missing_per_round.append(0)
+            lacking[done][missing % n_segments] = True
+            missing_per_round[done] += missing.size
+            done += 1
+            if not missing.size or done == config.max_rounds:
+                break
+            # A still-missing pair's segment is always re-sent, so it
+            # stays missing iff this round's draw is a loss too.
+            values, at = _redraw(
+                draws, buf, missing, done * per_round_draws + origin, at
+            )
+            missing = missing[values < p]
+        if missing.size:
+            rows = missing // n_segments
+            incomplete += 1 + int(np.count_nonzero(np.diff(rows)))
 
+    rounds = len(missing_per_round)
+    per_round = [n_segments] + [
+        int(np.count_nonzero(mask)) for mask in lacking[: rounds - 1]
+    ]
+    # The caller's generator ends past ``rounds`` full n x S draws, as
+    # the model's per-round draws leave it; ``advance`` drops a buffered
+    # 32-bit half, which random doubles never touch, so restore it.
+    private.state = base
+    private.advance(rounds * per_round_draws)
+    end = private.state
+    end["has_uint32"] = base["has_uint32"]
+    end["uinteger"] = base["uinteger"]
+    bit_generator.state = end
     return RepairOutcome(
         rounds=rounds,
-        segments_sent=segments_sent,
-        devices_complete=int((~missing.any(axis=1)).sum()),
-        residual_missing=int(missing.sum()),
+        segments_sent=sum(per_round),
+        devices_complete=n_devices - incomplete,
+        residual_missing=missing_per_round[-1],
         base_segments=n_segments,
         segments_per_round=tuple(per_round),
         missing_per_round=tuple(missing_per_round),
     )
+
+
+def _redraw(
+    draws: np.random.Generator,
+    buf: np.ndarray,
+    positions: np.ndarray,
+    origin: int,
+    at: int,
+) -> Tuple[np.ndarray, int]:
+    """The draws at stream offsets ``origin + positions``.
+
+    ``positions`` is sorted and ``draws`` sits at offset ``at``
+    (<= ``origin``). Positions closer than ``_MAX_GAP`` share one span
+    drawn into ``buf``; the generator is advanced over longer gaps.
+    Returns the draws and the generator's new offset.
+    """
+    cuts = np.flatnonzero(np.diff(positions) > _MAX_GAP) + 1
+    bounds = [0, *cuts.tolist(), positions.size]
+    values = np.empty(positions.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first = int(positions[lo])
+        span = buf[: int(positions[hi - 1]) - first + 1]
+        draws.bit_generator.advance(origin + first - at)
+        draws.random(out=span)
+        values[lo:hi] = span[positions[lo:hi] - first]
+        at = origin + first + span.size
+    return values, at
 
 
 def expected_rounds(
@@ -178,7 +273,5 @@ def expected_rounds(
         return 1.0
     if not 0.0 < loss < 1.0:
         raise ConfigurationError(f"loss must be in (0, 1), got {loss}")
-    import math
-
     pairs = max(2, n_devices * n_segments)
     return 1.0 + math.log(pairs) / (-math.log(loss))

@@ -1,0 +1,76 @@
+"""Property: chunk-major repair rounds equal the dense matrix oracle.
+
+:func:`~repro.multicast.reliability.simulate_repair_rounds` runs each
+device-row chunk through all of its rounds and jumps the generator to
+the draws it needs; ``repair_oracle`` keeps the dense loop that draws
+``rng.random((n, S))`` every round. For fleets of 1 to ~600 devices,
+images with fewer and with more segments than a chunk holds (so chunks
+are many rows, a partial last chunk, or single rows), loss rates from
+1 % to 95 % and round caps that fire with a residual, every
+:class:`RepairOutcome` field and the generator's end state must match —
+over two consecutive calls on one generator, the multi-cell order.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repair_oracle import matrix_repair_rounds
+from repro.multicast.payload import FirmwareImage
+from repro.multicast.reliability import (
+    _CHUNK_PAIRS,
+    ReliabilityConfig,
+    simulate_repair_rounds,
+)
+
+SEGMENT_BYTES = 512
+
+#: Segment counts well below a chunk (many rows per chunk), just under
+#: and over the chunk size, and above it (one row per chunk).
+_SEGMENTS = st.one_of(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=_CHUNK_PAIRS // 3, max_value=_CHUNK_PAIRS // 2 + 7),
+    st.integers(min_value=_CHUNK_PAIRS - 3, max_value=_CHUNK_PAIRS + 5_000),
+)
+
+
+@st.composite
+def _cases(draw):
+    n_segments = draw(_SEGMENTS)
+    # Keep the oracle's dense n x S matrix under ~2.5M pairs.
+    max_devices = max(1, min(600, 2_500_000 // n_segments))
+    n_devices = draw(st.integers(min_value=1, max_value=max_devices))
+    return n_segments, n_devices
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_cases(),
+    loss=st.sampled_from([0.01, 0.15, 0.6, 0.95]),
+    max_rounds=st.sampled_from([1, 2, 20]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    buffered_half=st.booleans(),
+)
+def test_chunked_rounds_equal_matrix_oracle(
+    case, loss, max_rounds, seed, buffered_half
+):
+    n_segments, n_devices = case
+    image = FirmwareImage(
+        name="fw", version="1", size_bytes=n_segments * SEGMENT_BYTES
+    )
+    config = ReliabilityConfig(
+        segment_bytes=SEGMENT_BYTES,
+        segment_loss_probability=loss,
+        max_rounds=max_rounds,
+    )
+    oracle_rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    if buffered_half:
+        # A 32-bit draw leaves half a 64-bit draw buffered in the state.
+        oracle_rng.integers(1 << 16, dtype=np.uint32)
+        rng.integers(1 << 16, dtype=np.uint32)
+    for _ in range(2):
+        expected = matrix_repair_rounds(image, n_devices, config, oracle_rng)
+        assert simulate_repair_rounds(image, n_devices, config, rng) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+

@@ -308,6 +308,36 @@ class TestReliability:
         assert outcome.rounds == 2
         assert outcome.residual_missing > 0
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox]
+    )
+    def test_generator_without_single_draw_advance_rejected(
+        self, bit_generator
+    ):
+        image = FirmwareImage(name="fw", version="1", size_bytes=10_000)
+        rng = np.random.Generator(bit_generator(7))
+        with pytest.raises(ConfigurationError, match=bit_generator.__name__):
+            simulate_repair_rounds(image, 20, ReliabilityConfig(), rng)
+
+    @pytest.mark.parametrize("n_devices", [20_000, 100_000])
+    def test_traced_peak_independent_of_fleet_size(self, n_devices):
+        """No n x S matrix: one call at S = 2048 stays under 8 MiB."""
+        import tracemalloc
+
+        config = ReliabilityConfig(segment_loss_probability=0.01)
+        image = FirmwareImage(
+            name="fw", version="1", size_bytes=2048 * config.segment_bytes
+        )
+        rng = np.random.default_rng(2018)
+        tracemalloc.start()
+        try:
+            outcome = simulate_repair_rounds(image, n_devices, config, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.devices_complete == n_devices
+        assert peak <= 8 * 2**20
+
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):
             ReliabilityConfig(segment_loss_probability=1.0)
