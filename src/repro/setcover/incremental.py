@@ -7,10 +7,16 @@ sweep events for the shrunken fleet on every round. The incremental
 sweep keeps one state for the whole cover and consumes it selection by
 selection. A device lives in one of two representations:
 
-* **explicit** — its covering intervals, built and sorted once; after
-  each selection the covered devices' intervals are subtracted (a
-  boolean compaction) and the next round's count is a running sum over
-  the surviving events;
+* **explicit** — its covering intervals, built and sorted once. With at
+  least :data:`BLOCKED_MIN_DEVICES` explicit devices they become a count
+  per distinct event position in ``sqrt``-sized blocks that know their
+  maximum (:class:`_BlockedCounts`): a selection subtracts the covered
+  devices' intervals from the positions they span and refreshes only
+  the blocks it touched, so a round costs what it removes. Fewer
+  devices keep one sorted event list (:class:`_CompactedEvents`) whose
+  covered events are compacted away, the next round's count being a
+  running sum over the survivors; there a round's few numpy calls cost
+  less than the blocked round's many;
 * **folded** — for a DRX period with many POs in the horizon, one
   interval per PO is wasteful: every window start ``s`` in
   ``[hs, he - L]`` lies inside the horizon, so a device of period
@@ -22,9 +28,9 @@ selection. A device lives in one of two representations:
   add into one array ``S`` on residues mod ``Q``.
 
 The count at a start is ``C(s) = S[s mod Q] + B(s)``, where ``B`` is the
-explicit sweep's count, constant between explicit events. A range
-maximum of ``S`` over each ``B``-segment (a sparse table on ``S``
-doubled) gives the round's best count without touching the horizon.
+explicit count, constant between explicit events. A range maximum of
+``S`` over each ``B``-segment (a sparse table on ``S`` doubled) gives
+the round's best count without touching the horizon.
 
 Tie-break candidates follow the reference exactly: the distinct
 positions where a surviving interval starts or ends whose count equals
@@ -35,20 +41,20 @@ every start yet still add an event after every PO (their intervals
 touch); devices with ``P < L`` add none inside the range. A position
 where intervals only end has ``C(q) < C(q - 1)``, so it is never
 maximal: the candidates are the maximal positions that are ``hs``, an
-explicit event, or a folded start, ``hist_P[(q + L - 1) mod P] > 0``
+explicit start, or a folded start, ``hist_P[(q + L - 1) mod P] > 0``
 for some folded ``P >= L``. Because maxima, candidate counts and
 candidate order equal the reference's, every selection and every
 ``rng.integers`` draw is *identical*, not merely equivalent.
 
-Which periods fold is decided from the fleet alone (see
-:func:`_fold_periods`); with nothing folded each round is exactly the
-build-once, compact-per-round sweep over explicit intervals. State is
+Which periods fold, and which explicit representation a sweep uses,
+is decided from the fleet alone (see :func:`_fold_periods`). State is
 ``O(n + Q)`` plus the explicit intervals, so memory does not grow with
 ``n * horizon / period`` for the folded periods.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -59,12 +65,30 @@ from repro.timebase import FrameWindow
 
 #: A period ``P`` folds once its devices hold at least this many POs in
 #: the horizon per entry of the range-maximum table its residues need,
-#: ``P * log2(P)``, which is rebuilt every round. Below it the explicit
-#: intervals are cheaper to sweep. With explicit devices beside the
-#: folded ones, folding measured break-even at about 0.2 POs per entry
-#: for P = 2^13 and 2^16 and 0.32 for 2^19, where the table outgrows
-#: the cache; a third keeps the fold to where it wins.
-FOLD_MIN_POS_PER_TABLE_ENTRY = 1 / 3
+#: ``P * log2(P)``, which is rebuilt every round; past
+#: :data:`FOLD_CACHED_PERIOD` each entry counts ``P / FOLD_CACHED_PERIOD``
+#: times. Below it the explicit intervals are cheaper to sweep. Forced
+#: fold against forced explicit (L 2048, a 2^21-frame horizon, 200
+#: explicit 2^20-frame devices beside the period) broke even at 0.17
+#: POs per entry for P = 2^13 and 2^16, 0.27 for 2^17, 0.64 for 2^18
+#: and about 1.05 for 2^19, where the table outgrows the cache.
+FOLD_MIN_POS_PER_TABLE_ENTRY = 0.2
+
+#: The longest period whose range-maximum table still costs its size.
+FOLD_CACHED_PERIOD = 2**16
+
+#: The fewest explicit devices kept as a blocked count array; fewer
+#: keep the compacted event list. A blocked round costs some fifty
+#: small numpy calls plus what it removes, a compacted one a few calls
+#: over every surviving event. Measured on paper-default
+#: fleets (L 2048, 2^21-frame horizon), blocked / compacted cover time
+#: was 1.41 at 1.1k explicit devices, 1.15 at 1.7k, 0.98 at 2.2k, 0.87
+#: at 2.7k and 0.70 at 3.2k; city-rollout's 3k-device cells (1.7k
+#: explicit) 1.04-1.08 and its 1k-device cells (0.6k) 1.35-1.9.
+BLOCKED_MIN_DEVICES = 2_000
+
+#: The fewest event positions in one block of the explicit count array.
+BLOCK_FLOOR = 64
 
 
 def _fold_periods(
@@ -81,6 +105,7 @@ def _fold_periods(
     values, counts = values[valid], counts[valid]
     pos = counts * ((horizon_end - horizon_start) // values)
     table = values * np.log2(values)
+    table *= np.maximum(1, values / FOLD_CACHED_PERIOD)
     worthy = values[pos >= FOLD_MIN_POS_PER_TABLE_ENTRY * table]
     if worthy.size == 0:
         return worthy
@@ -172,6 +197,232 @@ def _range_max_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
+class _CompactedEvents:
+    """The explicit intervals as one sorted event list, compacted per round.
+
+    Built once per cover: +1 at each interval start, -1 at each end,
+    sorted by position with ends first; a round's counts are one running
+    sum over the surviving events, and removing devices drops their
+    intervals and events.
+    """
+
+    def __init__(
+        self, starts: np.ndarray, ends: np.ndarray, owners: np.ndarray
+    ) -> None:
+        self._starts, self._ends, self._owners = starts, ends, owners
+        positions = np.concatenate([starts, ends])
+        deltas = np.concatenate(
+            [np.ones(starts.size, np.int64), -np.ones(ends.size, np.int64)]
+        )
+        # Single-key sort: -1 events before +1 at equal positions, the
+        # order lexsort((deltas, positions)) yields. Events with equal
+        # (position, delta) are interchangeable for the running count,
+        # so an unstable argsort is safe and faster.
+        order = np.argsort(positions * 2 + (deltas > 0))
+        self._positions = positions[order]
+        self._deltas = deltas[order]
+        self._event_owners = np.concatenate([owners, owners])[order]
+
+    def segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions with a surviving event, and the count from each."""
+        positions = self._positions
+        running = np.cumsum(self._deltas)
+        is_last = np.empty(positions.size, dtype=bool)
+        np.not_equal(positions[:-1], positions[1:], out=is_last[:-1])
+        is_last[-1:] = True
+        return positions[is_last], running[is_last]
+
+    def best(self, rng: Optional[np.random.Generator]) -> Tuple[int, int]:
+        """The maximal count and the chosen start among its candidates."""
+        if self._positions.size == 0:
+            raise SetCoverError("no device has a PO inside the search horizon")
+        seg_pos, seg_count = self.segments()
+        best = int(seg_count.max())
+        candidates = np.nonzero(seg_count == best)[0]
+        pick = 0 if rng is None else int(rng.integers(candidates.size))
+        return best, int(seg_pos[candidates[pick]])
+
+    def stab(self, start: int, alive: np.ndarray) -> np.ndarray:
+        """The surviving devices with an interval covering ``start``."""
+        return self._owners[(self._starts <= start) & (start < self._ends)]
+
+    def remove(self, devices: np.ndarray, alive: np.ndarray) -> None:
+        """Drop the intervals and events of the devices now dead."""
+        keep = alive[self._event_owners]
+        self._positions = self._positions[keep]
+        self._deltas = self._deltas[keep]
+        self._event_owners = self._event_owners[keep]
+        keep = alive[self._owners]
+        self._starts = self._starts[keep]
+        self._ends = self._ends[keep]
+        self._owners = self._owners[keep]
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``[first[i], first[i] + counts[i])``."""
+    ends = np.cumsum(counts)
+    return np.repeat(first - ends + counts, counts) + np.arange(ends[-1])
+
+
+class _BlockedCounts:
+    """The explicit intervals as a count per distinct event position.
+
+    Built once per cover: the positions where some interval starts or
+    ends, sorted; ``counts[j]``, the surviving intervals covering every
+    start in ``[positions[j], positions[j + 1])``; ``starts[j]``, the
+    surviving intervals starting at ``positions[j]``; and, per block of
+    ``block`` positions, the maximum count and how many positions with a
+    surviving start reach it. Removing a device subtracts one from its
+    intervals' position ranges and refreshes the blocks it touched, so a
+    round costs what it removes, not what survives.
+    """
+
+    def __init__(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        owners: np.ndarray,
+        n_devices: int,
+        window_len: int,
+    ) -> None:
+        self._window_len = window_len
+        n_int = starts.size
+        # One sort of every endpoint gives the distinct positions, each
+        # endpoint's position index and the intervals in start order.
+        # Temporaries are dropped as soon as possible: at 10^6 devices
+        # this build would otherwise set the cover's memory peak.
+        values = np.concatenate([starts, ends])
+        order = np.argsort(values)
+        values = values[order]
+        first = np.empty(values.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(values[1:], values[:-1], out=first[1:])
+        self.positions = values[first]
+        del values
+        rank = np.cumsum(first)
+        rank -= 1
+        index = np.empty(rank.size, dtype=np.int64)
+        index[order] = rank
+        del rank
+        self._start_at, self._end_at = index[:n_int], index[n_int:]
+
+        # Stab query: the intervals no longer than the window, by start;
+        # longer ones (periods shorter than the window) are checked whole.
+        by_start = order[order < n_int]
+        del order
+        self._stab = [array[by_start] for array in (starts, ends, owners)]
+        long = self._stab[1] - self._stab[0] > window_len
+        self._long = [array[long] for array in self._stab]
+        if self._long[0].size:
+            self._stab = [array[~long] for array in self._stab]
+
+        # Owner-indexed CSR: coverage_intervals emits each device's
+        # intervals as one contiguous run.
+        run = np.flatnonzero(np.diff(owners, prepend=-1, append=-1))
+        self._dev_first = np.zeros(n_devices, dtype=np.int64)
+        self._dev_count = np.zeros(n_devices, dtype=np.int64)
+        self._dev_first[owners[run[:-1]]] = run[:-1]
+        self._dev_count[owners[run[:-1]]] = np.diff(run)
+
+        n_pos = self.positions.size
+        self.block = max(BLOCK_FLOOR, math.isqrt(n_pos))
+        n_blocks = -(-n_pos // self.block)
+        # Padding counts -1: never the maximum, never a candidate.
+        self.counts = np.full(n_blocks * self.block, -1, dtype=np.int64)
+        self.starts = np.zeros(n_blocks * self.block, dtype=np.int64)
+        self.starts[:n_pos] = np.bincount(self._start_at, minlength=n_pos)
+        np.cumsum(
+            self.starts[:n_pos] - np.bincount(self._end_at, minlength=n_pos),
+            out=self.counts[:n_pos],
+        )
+        self._block_max = np.empty(n_blocks, dtype=np.int64)
+        self._block_hits = np.empty(n_blocks, dtype=np.int64)
+        self._refresh(slice(None))
+
+    def _refresh(self, blocks) -> None:
+        """Recompute the maximum of ``blocks`` and their candidates there."""
+        counts = self.counts.reshape(-1, self.block)[blocks]
+        starts = self.starts.reshape(-1, self.block)[blocks]
+        top = counts.max(axis=1)
+        self._block_max[blocks] = top
+        self._block_hits[blocks] = np.count_nonzero(
+            (counts == top[:, None]) & (starts > 0), axis=1
+        )
+
+    def segments(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions with a surviving event, and the count from each."""
+        n_pos = self.positions.size
+        counts = self.counts[:n_pos]
+        # A surviving end changes the count, a start may not; nothing
+        # ends at the first position.
+        live = self.starts[:n_pos] > 0
+        live[1:] |= counts[1:] != counts[:-1]
+        return self.positions[live], counts[live]
+
+    def best(self, rng: Optional[np.random.Generator]) -> Tuple[int, int]:
+        """The maximal count and the chosen start among its candidates.
+
+        The candidates are the positions with a surviving event whose
+        count is maximal, in ascending order. A maximal position has a
+        surviving start (where intervals only end the count drops), so
+        the candidates are the maximal starts, all in the blocks whose
+        maximum is the global one, which count them.
+        """
+        best = int(self._block_max.max()) if self._block_max.size else 0
+        if best <= 0:
+            raise SetCoverError("no device has a PO inside the search horizon")
+        hot = np.flatnonzero(self._block_max == best)
+        hits = np.cumsum(self._block_hits[hot])
+        pick = 0 if rng is None else int(rng.integers(int(hits[-1])))
+        row = int(np.searchsorted(hits, pick, side="right"))
+        pick -= int(hits[row - 1]) if row else 0
+        lo = int(hot[row]) * self.block
+        hi = lo + self.block
+        at = np.flatnonzero(
+            (self.counts[lo:hi] == best) & (self.starts[lo:hi] > 0)
+        )
+        return best, int(self.positions[lo + at[pick]])
+
+    def stab(self, start: int, alive: np.ndarray) -> np.ndarray:
+        """The surviving devices with an interval covering ``start``."""
+        starts, ends, owners = self._stab
+        lo, hi = starts.searchsorted(
+            [start - self._window_len, start], side="right"
+        )
+        ends, owners = ends[lo:hi], owners[lo:hi]
+        covered = owners[(ends > start) & alive[owners]]
+        if self._long[0].size:
+            starts, ends, owners = self._long
+            hit = (starts <= start) & (start < ends) & alive[owners]
+            covered = np.concatenate([covered, owners[hit]])
+        return covered
+
+    def remove(self, devices: np.ndarray, alive: np.ndarray) -> None:
+        """Subtract the intervals of ``devices``, already marked dead."""
+        intervals = _ranges(self._dev_first[devices], self._dev_count[devices])
+        start_at = self._start_at[intervals]
+        end_at = self._end_at[intervals]
+        np.subtract.at(self.starts, start_at, 1)
+        spans = end_at - start_at
+        n_pos = self.positions.size
+        if spans.sum() > n_pos:
+            # Overlapping ranges that add up to more than the array:
+            # one difference array over all of it is cheaper.
+            delta = np.bincount(start_at, minlength=n_pos)
+            delta -= np.bincount(end_at, minlength=n_pos)
+            self.counts[:n_pos] -= np.cumsum(delta)
+            self._refresh(slice(None))
+        else:
+            touched = _ranges(start_at, spans)
+            np.subtract.at(self.counts, touched, 1)
+            blocks = np.zeros(self._block_max.size, dtype=bool)
+            blocks[touched // self.block] = True
+            self._refresh(np.flatnonzero(blocks))
+        if self._long[0].size:
+            keep = alive[self._long[2]]
+            self._long = [array[keep] for array in self._long]
+
+
 class IncrementalSweep:
     """One fleet's sweep state, consumed selection by selection.
 
@@ -225,41 +476,17 @@ class IncrementalSweep:
             window_len, horizon_start, horizon_end,
         )
         owners = explicit[owners]
-
-        # Interval table, for the "who does window s cover?" stab query.
-        self._int_starts = starts
-        self._int_ends = ends
-        self._int_owners = owners
-        # Event list: +1 at each interval start, -1 at each end, sorted
-        # once by (position, delta) — the same order the reference
-        # establishes per round, and segment counts are invariant under
-        # permutation of equal-key events.
-        positions = np.concatenate([starts, ends])
-        deltas = np.concatenate(
-            [np.ones(starts.size, np.int64), -np.ones(ends.size, np.int64)]
-        )
-        owners2 = np.concatenate([owners, owners])
-        # Single-key sort: -1 events before +1 at equal positions, same
-        # order lexsort((deltas, positions)) yields. Events with equal
-        # (position, delta) are interchangeable for the running count,
-        # so an unstable single-key argsort is safe and faster.
-        order = np.argsort(positions * 2 + (deltas > 0))
-        self._positions = positions[order]
-        self._deltas = deltas[order]
-        self._owners = owners2[order]
+        if explicit.size < BLOCKED_MIN_DEVICES:
+            self._explicit = _CompactedEvents(starts, ends, owners)
+        else:
+            self._explicit = _BlockedCounts(
+                starts, ends, owners, phases.size, window_len
+            )
 
     @property
     def remaining(self) -> int:
         """Devices not yet covered by any selection."""
         return self._remaining
-
-    def _segments(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Explicit sweep: distinct event positions and the count after each."""
-        running = np.cumsum(self._deltas)
-        is_last = np.empty(self._positions.size, dtype=bool)
-        is_last[:-1] = self._positions[:-1] != self._positions[1:]
-        is_last[-1:] = True
-        return self._positions[is_last], running[is_last]
 
     def select(
         self, rng: Optional[np.random.Generator] = None
@@ -275,22 +502,10 @@ class IncrementalSweep:
         if self._folded:
             best, s = self._select_folded(rng)
         else:
-            if self._positions.size == 0:
-                raise SetCoverError(
-                    "no device has a PO inside the search horizon"
-                )
-            seg_pos, seg_count = self._segments()
-            best = int(seg_count.max())
-            candidates = np.nonzero(seg_count == best)[0]
-            if rng is None:
-                pick = candidates[0]
-            else:
-                pick = candidates[int(rng.integers(len(candidates)))]
-            s = int(seg_pos[pick])
+            best, s = self._explicit.best(rng)
 
-        stabbed = (self._int_starts <= s) & (s < self._int_ends)
-        covered = self._int_owners[stabbed]
-        explicit_covered = covered.size
+        explicit = self._explicit.stab(s, self._alive)
+        covered = explicit
         if self._folded:
             covered = np.concatenate([covered] + [
                 part.take(s, self._alive, self._folded_counts)
@@ -306,16 +521,8 @@ class IncrementalSweep:
 
         self._alive[covered] = False
         self._remaining -= covered.size
-        if explicit_covered:
-            # Subtract the covered devices' intervals from both tables.
-            keep_events = self._alive[self._owners]
-            self._positions = self._positions[keep_events]
-            self._deltas = self._deltas[keep_events]
-            self._owners = self._owners[keep_events]
-            keep_intervals = self._alive[self._int_owners]
-            self._int_starts = self._int_starts[keep_intervals]
-            self._int_ends = self._int_ends[keep_intervals]
-            self._int_owners = self._int_owners[keep_intervals]
+        if explicit.size:
+            self._explicit.remove(explicit, self._alive)
         return s, covered
 
     def _select_folded(
@@ -323,12 +530,9 @@ class IncrementalSweep:
     ) -> Tuple[int, int]:
         """The round's best count and start when some period is folded."""
         hs, q, counts = self._horizon_start, self._q, self._folded_counts
-        if self._positions.size:
-            seg_pos, seg_count = self._segments()
-            inside = seg_pos <= self._s_max
-            seg_pos, seg_count = seg_pos[inside], seg_count[inside]
-        else:
-            seg_pos = seg_count = np.empty(0, dtype=np.int64)
+        seg_pos, seg_count = self._explicit.segments()
+        inside = int(seg_pos.searchsorted(self._s_max, side="right"))
+        seg_pos, seg_count = seg_pos[:inside], seg_count[:inside]
         if seg_pos.size == 0 or seg_pos[0] != hs:
             seg_pos = np.concatenate([[hs], seg_pos])
             seg_count = np.concatenate([[0], seg_count])

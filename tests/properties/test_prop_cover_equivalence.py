@@ -8,9 +8,11 @@ most 16 POs per period) keep their periods explicit except at 10^4
 devices; the ladder fleets always give the kernel a period to fold onto
 residue histograms, next to explicit ones, with window lengths below,
 equal to and above the folded period, a horizon that starts before,
-at or after frame 0 and periods that are not powers of two. A SHA-256 of one
-paper-default cover, computed with the all-intervals sweep the fold
-replaced, pins the kernel's output. On small fleets the window greedy
+at or after frame 0 and periods that are not powers of two. The
+crossover fleets straddle ``BLOCKED_MIN_DEVICES`` explicit devices, so
+both explicit representations meet the count array's edge cases. A
+SHA-256 of one paper-default cover, computed with the all-intervals
+sweep the fold replaced, pins the kernel's output. On small fleets the window greedy
 is additionally cross-checked against the generic
 :func:`~repro.setcover.greedy.greedy_set_cover` over the explicit set
 system of candidate window starts (both break ties earliest-first, so
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 from repro.errors import TimebaseError
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
 from repro.setcover.incremental import (
+    BLOCKED_MIN_DEVICES,
     FOLD_MIN_POS_PER_TABLE_ENTRY,
     _fold_periods,
 )
@@ -68,6 +71,41 @@ def fleets(draw, max_devices=30):
     )
     phases = [draw(st.integers(min_value=0, max_value=p - 1)) for p in periods]
     return np.array(phases, dtype=np.int64), np.array(periods, dtype=np.int64)
+
+
+@st.composite
+def crossover_fleets(draw):
+    """Fleets whose explicit device count straddles ``BLOCKED_MIN_DEVICES``.
+
+    So the cover runs on either explicit representation, with the
+    blocked count array's edge cases: devices drawn from a small pool of
+    phases, so that interval starts coincide across devices; pool
+    phases below 64 frames, whose first interval starts clipped to the
+    horizon start; a few devices of a short, non-folding period, with
+    tens of intervals each whose removal touches many blocks (one
+    interval spanning the range when the period is below the window);
+    and optionally a folded period beside them.
+    """
+    n = draw(st.integers(
+        min_value=BLOCKED_MIN_DEVICES - 50, max_value=BLOCKED_MIN_DEVICES + 200
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periods = rng.choice([16384, 32768], size=n)
+    pool = np.concatenate([
+        rng.integers(0, 64, size=draw(st.integers(1, 4))),
+        rng.integers(0, 16384, size=draw(st.integers(1, 40))),
+    ])
+    phases = rng.choice(pool, size=n)
+    short = draw(st.integers(min_value=500, max_value=3000))
+    n_short = draw(st.integers(min_value=0, max_value=5))
+    n_folded = draw(st.sampled_from([0, 300]))
+    periods = np.concatenate([periods, [short] * n_short, [2048] * n_folded])
+    phases = np.concatenate([
+        phases,
+        rng.integers(0, short, size=n_short),
+        rng.choice(pool % 2048, size=n_folded),
+    ])
+    return phases.astype(np.int64), periods.astype(np.int64)
 
 
 def _cover_or_error(*args, **kwargs):
@@ -197,7 +235,10 @@ class TestParentCoverDigest:
 
 
 class TestIncrementalMatchesReference:
-    @given(fleets(), st.integers(min_value=10, max_value=2048))
+    @given(
+        st.one_of(fleets(), crossover_fleets()),
+        st.integers(min_value=10, max_value=2048),
+    )
     @settings(max_examples=60, deadline=None)
     def test_small_fleets_no_rng(self, fleet, window_len):
         phases, periods = fleet
@@ -210,7 +251,11 @@ class TestIncrementalMatchesReference:
         )
         _assert_identical_covers(ref, inc)
 
-    @given(fleets(), st.integers(min_value=10, max_value=2048), st.integers(0, 2**31))
+    @given(
+        st.one_of(fleets(), crossover_fleets()),
+        st.integers(min_value=10, max_value=2048),
+        st.integers(0, 2**31),
+    )
     @settings(max_examples=60, deadline=None)
     def test_small_fleets_with_rng(self, fleet, window_len, seed):
         """Identical tie-break *draws*: both paths consume one RNG stream

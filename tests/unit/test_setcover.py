@@ -6,6 +6,7 @@ import pytest
 from repro.errors import SetCoverError
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.incremental import BLOCKED_MIN_DEVICES, IncrementalSweep
 from repro.setcover.windows import best_window, coverage_intervals
 
 
@@ -105,6 +106,25 @@ class TestGreedyWindowCover:
     def test_short_horizon_rejected(self, rng):
         with pytest.raises(SetCoverError):
             greedy_window_cover(np.array([0]), np.array([2048]), 10, 0, 2048, rng)
+
+
+class TestIncrementalSweep:
+    @pytest.mark.parametrize("n_devices", [10, 2 * BLOCKED_MIN_DEVICES])
+    def test_no_pos_left_in_horizon_raises(self, n_devices):
+        """Once only devices without a PO in the horizon remain, select
+        raises rather than pick a position whose count dropped to zero
+        (both explicit representations: the fleet stays explicit)."""
+        phases = np.where(np.arange(n_devices) % 2 == 0, 100, 900)
+        periods = np.full(n_devices, 1000)
+        sweep = IncrementalSweep(phases, periods, 10, 0, 500)
+        start, covered = sweep.select()
+        assert 91 <= start <= 100
+        np.testing.assert_array_equal(covered, np.arange(0, n_devices, 2))
+        assert sweep.remaining == n_devices // 2
+        with pytest.raises(
+            SetCoverError, match="no device has a PO inside the search horizon"
+        ):
+            sweep.select()
 
 
 class TestGenericGreedy:
