@@ -6,7 +6,9 @@ loss) and lossy-link-repair (15 %) scenarios, both a 1 MB image, on a
 fleet of ``REPRO_BENCH_REPAIR_DEVICES`` devices (default 10^4; 10^5
 is the ROADMAP's reference size). Each call is timed (best of
 ``REPEATS``) and then re-run under ``tracemalloc`` for its allocation
-peak.
+peak. The calls run their row chunks on as many threads as the kernel
+picks for this host (recorded); each regime is also timed with the
+thread count forced to one, and the two outcomes must be equal.
 
 The bar asserted is the chunk-major design's memory bound: a traced
 peak of at most 8 MiB per call at any fleet size, where the dense
@@ -19,12 +21,14 @@ from __future__ import annotations
 import os
 import time
 import tracemalloc
-from typing import Dict
+from typing import Any, Dict
+from unittest import mock
 
 import numpy as np
 from conftest import emit, write_bench_artifact
 
 from repro.experiments.reporting import Table, render_table
+from repro.multicast import reliability
 from repro.multicast.reliability import simulate_repair_rounds
 from repro.scenarios import scenario
 
@@ -33,6 +37,16 @@ PEAK_BAR_BYTES = 8 * 2**20
 REPEATS = 3
 SCENARIOS = ("dense-urban", "lossy-link-repair")
 SEED = 2018
+
+
+def _best_of(call) -> Any:
+    """``call``'s outcome and its best wall time over ``REPEATS``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        outcome = call()
+        best = min(best, time.perf_counter() - t0)
+    return outcome, best
 
 
 def _measure(name: str, n_devices: int) -> Dict[str, float]:
@@ -44,11 +58,13 @@ def _measure(name: str, n_devices: int) -> Dict[str, float]:
             image, n_devices, config, np.random.default_rng(SEED)
         )
 
-    best = float("inf")
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        outcome = call()
-        best = min(best, time.perf_counter() - t0)
+    threads = reliability._layout(
+        n_devices, image.segment_count(config.segment_bytes)
+    )[0]
+    outcome, wall = _best_of(call)
+    with mock.patch.object(reliability, "_thread_count", lambda n_chunks: 1):
+        single, single_wall = _best_of(call)
+    assert single == outcome, f"{name}: one thread disagrees with {threads}"
     tracemalloc.start()
     try:
         call()
@@ -60,7 +76,9 @@ def _measure(name: str, n_devices: int) -> Dict[str, float]:
         "loss": config.segment_loss_probability,
         "rounds": outcome.rounds,
         "segments_sent": outcome.segments_sent,
-        "wall_s": best,
+        "threads": threads,
+        "wall_s": wall,
+        "single_thread_wall_s": single_wall,
         "peak_mb": peak / 2**20,
     }
 
@@ -83,13 +101,23 @@ def test_repair_rounds_per_regime(capsys):
         render_table(
             Table(
                 title=f"Repair rounds at {n_devices} devices (best of {REPEATS})",
-                headers=("scenario", "loss", "rounds", "wall", "traced peak"),
+                headers=(
+                    "scenario",
+                    "loss",
+                    "rounds",
+                    "threads",
+                    "wall",
+                    "1-thread wall",
+                    "traced peak",
+                ),
                 rows=tuple(
                     (
                         name,
                         f"{record['loss']:.2f}",
                         str(record["rounds"]),
+                        str(record["threads"]),
                         f"{record['wall_s'] * 1e3:.1f} ms",
+                        f"{record['single_thread_wall_s'] * 1e3:.1f} ms",
                         f"{record['peak_mb']:.2f} MiB",
                     )
                     for name, record in records.items()

@@ -26,21 +26,33 @@ round r exactly when all its draws in rounds 1..r are losses. Only the
 global stop rule couples the rounds. Each chunk of device rows
 therefore runs through all of its rounds on a private copy of the bit
 generator, jumped (``advance``) to the draws it needs; later rounds
-draw only the spans covering the chunk's still-missing pairs. Memory
-is O(chunk + rounds x S) at any fleet size, and the outcome and the
-generator's end state are bit-identical to the dense loop.
+draw only the spans covering the chunk's still-missing pairs.
+
+Chunks are independent, so in the main process they run on a thread
+pool, one thread per available core (NumPy releases the GIL while it
+draws and compares), each thread taking every T-th chunk on its own
+generator copy. Inside a pool worker they run inline: that pool
+already owns the cores. Threads return per-round segment masks and
+missing counts, merged by OR and sum, so nothing depends on which
+thread ran what. T threads hold chunks of 1/T the pairs, so memory is
+O(chunk + T x rounds x S) at any fleet size, and the outcome and the
+generator's end state are bit-identical to the dense loop at any T.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import partial
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.multicast.payload import DEFAULT_SEGMENT_BYTES, FirmwareImage
+from repro.sim.dispatch import available_cores
 
 #: Device/segment pairs per row chunk (rounded down to whole device
 #: rows, at least one row).
@@ -167,19 +179,115 @@ def simulate_repair_rounds(
             "which takes a PCG64 or PCG64DXSM bit generator (one 64-bit "
             f"draw per advance step); got {type(bit_generator).__name__}"
         )
-    p = config.segment_loss_probability
-    per_round_draws = n_devices * n_segments
-    chunk_rows = max(1, _CHUNK_PAIRS // n_segments)
     base = bit_generator.state
-    private = type(bit_generator)(0)
-    draws = np.random.Generator(private)
-    buf = np.empty(min(chunk_rows, n_devices) * n_segments)
-    # Per round reached by any chunk: the segments some device still
-    # lacks afterwards (re-sent next round) and the pairs still missing.
+    threads, row_starts = _layout(n_devices, n_segments)
+    run = partial(
+        _run_chunks,
+        generator_type=type(bit_generator),
+        base=base,
+        n_devices=n_devices,
+        n_segments=n_segments,
+        chunk_rows=row_starts.step,
+        p=config.segment_loss_probability,
+        max_rounds=config.max_rounds,
+    )
+    shares = [row_starts[k::threads] for k in range(threads)]
+    if threads == 1:
+        parts = [run(shares[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, shares))
+    # OR and sum are order-free, so the merge cannot depend on which
+    # thread ran which chunks.
     lacking: List[np.ndarray] = []
     missing_per_round: List[int] = []
     incomplete = 0
-    for row0 in range(0, n_devices, chunk_rows):
+    for part_lacking, part_missing, part_incomplete in parts:
+        for done, (mask, count) in enumerate(zip(part_lacking, part_missing)):
+            if done == len(lacking):
+                lacking.append(mask)
+                missing_per_round.append(count)
+            else:
+                lacking[done] |= mask
+                missing_per_round[done] += count
+        incomplete += part_incomplete
+
+    rounds = len(missing_per_round)
+    per_round = [n_segments] + [
+        int(np.count_nonzero(mask)) for mask in lacking[: rounds - 1]
+    ]
+    # The caller's generator ends past ``rounds`` full n x S draws, as
+    # the model's per-round draws leave it; ``advance`` drops a buffered
+    # 32-bit half, which random doubles never touch, so restore it.
+    private = type(bit_generator)(0)
+    private.state = base
+    private.advance(rounds * n_devices * n_segments)
+    end = private.state
+    end["has_uint32"] = base["has_uint32"]
+    end["uinteger"] = base["uinteger"]
+    bit_generator.state = end
+    return RepairOutcome(
+        rounds=rounds,
+        segments_sent=sum(per_round),
+        devices_complete=n_devices - incomplete,
+        residual_missing=missing_per_round[-1],
+        base_segments=n_segments,
+        segments_per_round=tuple(per_round),
+        missing_per_round=tuple(missing_per_round),
+    )
+
+
+def _thread_count(n_chunks: int) -> int:
+    """Threads to run ``n_chunks`` full-size row chunks on.
+
+    One inside a pool worker, whose pool already owns the cores; else
+    one per available core, at most one per chunk.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return min(available_cores(), n_chunks)
+
+
+def _layout(n_devices: int, n_segments: int) -> Tuple[int, range]:
+    """The thread count and the first rows of the row chunks.
+
+    Each of T threads holds one chunk of ``_CHUNK_PAIRS // T`` pairs
+    (whole rows, at least one) at a time, so the pairs in flight stay
+    at ``_CHUNK_PAIRS`` whatever T is.
+    """
+    full_rows = max(1, _CHUNK_PAIRS // n_segments)
+    threads = _thread_count(-(-n_devices // full_rows))
+    chunk_rows = max(1, _CHUNK_PAIRS // threads // n_segments)
+    return threads, range(0, n_devices, chunk_rows)
+
+
+def _run_chunks(
+    row_starts: Sequence[int],
+    *,
+    generator_type: type,
+    base: dict,
+    n_devices: int,
+    n_segments: int,
+    chunk_rows: int,
+    p: float,
+    max_rounds: int,
+) -> Tuple[List[np.ndarray], List[int], int]:
+    """Run the row chunks starting at ``row_starts`` through their rounds.
+
+    The draws come from a private bit generator set to ``base`` and
+    jumped to each chunk's offsets, so any thread can run any chunks.
+    Returns, per round reached by any of these chunks, the segments
+    some device still lacks afterwards (re-sent next round) and the
+    pairs still missing; and the devices left incomplete.
+    """
+    per_round_draws = n_devices * n_segments
+    private = generator_type(0)
+    draws = np.random.Generator(private)
+    buf = np.empty(min(chunk_rows, n_devices) * n_segments)
+    lacking: List[np.ndarray] = []
+    missing_per_round: List[int] = []
+    incomplete = 0
+    for row0 in row_starts:
         size = min(chunk_rows, n_devices - row0) * n_segments
         origin = row0 * n_segments
         private.state = base
@@ -195,7 +303,7 @@ def simulate_repair_rounds(
             lacking[done][missing % n_segments] = True
             missing_per_round[done] += missing.size
             done += 1
-            if not missing.size or done == config.max_rounds:
+            if not missing.size or done == max_rounds:
                 break
             # A still-missing pair's segment is always re-sent, so it
             # stays missing iff this round's draw is a loss too.
@@ -206,29 +314,7 @@ def simulate_repair_rounds(
         if missing.size:
             rows = missing // n_segments
             incomplete += 1 + int(np.count_nonzero(np.diff(rows)))
-
-    rounds = len(missing_per_round)
-    per_round = [n_segments] + [
-        int(np.count_nonzero(mask)) for mask in lacking[: rounds - 1]
-    ]
-    # The caller's generator ends past ``rounds`` full n x S draws, as
-    # the model's per-round draws leave it; ``advance`` drops a buffered
-    # 32-bit half, which random doubles never touch, so restore it.
-    private.state = base
-    private.advance(rounds * per_round_draws)
-    end = private.state
-    end["has_uint32"] = base["has_uint32"]
-    end["uinteger"] = base["uinteger"]
-    bit_generator.state = end
-    return RepairOutcome(
-        rounds=rounds,
-        segments_sent=sum(per_round),
-        devices_complete=n_devices - incomplete,
-        residual_missing=missing_per_round[-1],
-        base_segments=n_segments,
-        segments_per_round=tuple(per_round),
-        missing_per_round=tuple(missing_per_round),
-    )
+    return lacking, missing_per_round, incomplete
 
 
 def _redraw(

@@ -92,8 +92,14 @@ TaskFn = Callable[[np.random.Generator, "TaskAddress", Any], Any]
 ReduceFn = Callable[[Any, List[Any], "TaskAddress"], Any]
 
 
-def default_workers() -> int:
-    """Pool size used when none is given (all visible cores)."""
+def available_cores() -> int:
+    """Cores this process may run on.
+
+    Its CPU affinity set where the platform has one (so ``taskset`` or
+    a restricted cpuset counts), else every core the host has.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
@@ -593,7 +599,7 @@ class FusedScheduler:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
     ) -> None:
-        workers = default_workers() if workers is None else workers
+        workers = available_cores() if workers is None else workers
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         if chunk_size is not None and chunk_size < 1:

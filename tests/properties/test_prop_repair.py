@@ -9,19 +9,32 @@ are many rows, a partial last chunk, or single rows), loss rates from
 1 % to 95 % and round caps that fire with a residual, every
 :class:`RepairOutcome` field and the generator's end state must match —
 over two consecutive calls on one generator, the multi-cell order.
+
+The chunks run on 1, 2 or 3 threads (forced through the kernel's
+private thread count, whatever the host's cores), and fleets of more
+than three full chunks' pairs give the threads several chunks to share.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repair_oracle import matrix_repair_rounds
+from repro.multicast import reliability
 from repro.multicast.payload import FirmwareImage
 from repro.multicast.reliability import (
     _CHUNK_PAIRS,
     ReliabilityConfig,
     simulate_repair_rounds,
 )
+
+#: Thread counts forced on the kernel.
+THREADS = (1, 2, 3)
+#: Largest n x S the oracle's dense matrix is drawn for.
+_ORACLE_PAIRS = 2_500_000
 
 SEGMENT_BYTES = 512
 
@@ -37,23 +50,71 @@ _SEGMENTS = st.one_of(
 @st.composite
 def _cases(draw):
     n_segments = draw(_SEGMENTS)
-    # Keep the oracle's dense n x S matrix under ~2.5M pairs.
-    max_devices = max(1, min(600, 2_500_000 // n_segments))
+    max_devices = max(1, min(600, _ORACLE_PAIRS // n_segments))
     n_devices = draw(st.integers(min_value=1, max_value=max_devices))
     return n_segments, n_devices
 
 
-@settings(max_examples=60, deadline=None)
+@st.composite
+def _multi_chunk_cases(draw):
+    """More than three full chunks' pairs, within the oracle's budget."""
+    n_segments = draw(_SEGMENTS)
+    min_devices = 3 * _CHUNK_PAIRS // n_segments + 1
+    n_devices = draw(
+        st.integers(
+            min_value=min_devices,
+            max_value=max(min_devices, _ORACLE_PAIRS // n_segments),
+        )
+    )
+    return n_segments, n_devices
+
+
+_LOSS = st.sampled_from([0.01, 0.15, 0.6, 0.95])
+_MAX_ROUNDS = st.sampled_from([1, 2, 20])
+_SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@settings(max_examples=40, deadline=None)
 @given(
     case=_cases(),
-    loss=st.sampled_from([0.01, 0.15, 0.6, 0.95]),
-    max_rounds=st.sampled_from([1, 2, 20]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    loss=_LOSS,
+    max_rounds=_MAX_ROUNDS,
+    seed=_SEED,
     buffered_half=st.booleans(),
 )
 def test_chunked_rounds_equal_matrix_oracle(
-    case, loss, max_rounds, seed, buffered_half
+    threads, case, loss, max_rounds, seed, buffered_half
 ):
+    _check_against_oracle(threads, case, loss, max_rounds, seed, buffered_half)
+
+
+@pytest.mark.parametrize("threads", THREADS)
+@settings(max_examples=8, deadline=None)
+@given(
+    case=_multi_chunk_cases(),
+    loss=_LOSS,
+    max_rounds=_MAX_ROUNDS,
+    seed=_SEED,
+    buffered_half=st.booleans(),
+)
+def test_many_chunks_per_thread_equal_matrix_oracle(
+    threads, case, loss, max_rounds, seed, buffered_half
+):
+    n_segments, n_devices = case
+    with _forced(threads):
+        used, row_starts = reliability._layout(n_devices, n_segments)
+    assert used == threads and len(row_starts) >= 3
+    _check_against_oracle(threads, case, loss, max_rounds, seed, buffered_half)
+
+
+def _forced(threads):
+    return mock.patch.object(
+        reliability, "_thread_count", lambda n_chunks: threads
+    )
+
+
+def _check_against_oracle(threads, case, loss, max_rounds, seed, buffered_half):
     n_segments, n_devices = case
     image = FirmwareImage(
         name="fw", version="1", size_bytes=n_segments * SEGMENT_BYTES
@@ -71,6 +132,8 @@ def test_chunked_rounds_equal_matrix_oracle(
         rng.integers(1 << 16, dtype=np.uint32)
     for _ in range(2):
         expected = matrix_repair_rounds(image, n_devices, config, oracle_rng)
-        assert simulate_repair_rounds(image, n_devices, config, rng) == expected
+        with _forced(threads):
+            outcome = simulate_repair_rounds(image, n_devices, config, rng)
+        assert outcome == expected
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 

@@ -13,6 +13,7 @@ from repro.multicast.coordination import (
     partition_fleet,
     partition_indices,
 )
+from repro.multicast import reliability
 from repro.multicast.payload import FirmwareImage
 from repro.multicast.reliability import (
     ReliabilityConfig,
@@ -22,6 +23,15 @@ from repro.multicast.reliability import (
 )
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+
+
+def _repair_in_worker(image, n_devices, config):
+    """Pool-worker side: the repair outcome and the thread count used."""
+    threads = reliability._layout(
+        n_devices, image.segment_count(config.segment_bytes)
+    )[0]
+    rng = np.random.default_rng(2018)
+    return simulate_repair_rounds(image, n_devices, config, rng), threads
 
 
 class TestPartition:
@@ -337,6 +347,62 @@ class TestReliability:
             tracemalloc.stop()
         assert outcome.devices_complete == n_devices
         assert peak <= 8 * 2**20
+
+    def test_one_thread_inside_a_pool_worker(self, monkeypatch):
+        """The fused pool already owns the cores: chunks run inline."""
+        monkeypatch.setattr(reliability, "available_cores", lambda: 8)
+        assert reliability._thread_count(8) == 8
+        monkeypatch.setattr(
+            reliability.multiprocessing, "parent_process", lambda: object()
+        )
+        assert reliability._thread_count(8) == 1
+
+    def test_threads_capped_by_cores_and_chunks(self, monkeypatch):
+        monkeypatch.setattr(
+            reliability.multiprocessing, "parent_process", lambda: None
+        )
+        monkeypatch.setattr(reliability, "available_cores", lambda: 4)
+        assert reliability._thread_count(1) == 1
+        assert reliability._thread_count(3) == 3
+        assert reliability._thread_count(50) == 4
+        # Each of the 4 threads holds a quarter of the chunk pairs.
+        threads, row_starts = reliability._layout(10_000, 2048)
+        assert threads == 4
+        assert row_starts.step * 2048 <= reliability._CHUNK_PAIRS // 4
+
+    def test_pool_worker_runs_inline_and_agrees(self, monkeypatch):
+        """A pool worker's inline call equals this process's threaded one."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        monkeypatch.setattr(reliability, "available_cores", lambda: 2)
+        image = FirmwareImage(name="fw", version="1", size_bytes=2048 * 512)
+        config = ReliabilityConfig(
+            segment_bytes=512, segment_loss_probability=0.15
+        )
+        assert reliability._layout(300, 2048)[0] == 2
+        threaded = simulate_repair_rounds(
+            image, 300, config, np.random.default_rng(2018)
+        )
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            inline, threads = pool.submit(
+                _repair_in_worker, image, 300, config
+            ).result()
+        assert threads == 1
+        assert inline == threaded
+
+    def test_lossless_link_starts_no_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(reliability, "ThreadPoolExecutor", no_threads)
+        image = FirmwareImage(name="fw", version="1", size_bytes=2048 * 512)
+        config = ReliabilityConfig(
+            segment_bytes=512, segment_loss_probability=0.0
+        )
+        outcome = simulate_repair_rounds(
+            image, 10_000, config, np.random.default_rng(1)
+        )
+        assert outcome.rounds == 1 and outcome.devices_complete == 10_000
 
     def test_validation(self, rng):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,6 @@
 """Unit tests for the (run x cell) task graph and its two drains."""
 
+import os
 import pickle
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.sim.dispatch import (
     ReductionLedger,
     TaskAddress,
     WorkItem,
+    available_cores,
     derive_task_rng,
     drain_inline,
     execute_items,
@@ -106,6 +108,23 @@ def _item(index, fn=_draw_task, seed=0):
         seed=seed,
         spawn_index=index,
     )
+
+
+class TestAvailableCores:
+    def test_affinity_set_counts_not_the_host(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
+        )
+        assert available_cores() == 2
+        assert FusedScheduler().workers == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert available_cores() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_cores() == 1
 
 
 class TestTaskAddress:
