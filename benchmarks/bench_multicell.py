@@ -7,11 +7,11 @@ across 32 cells):
   original O(n_cells x n_devices) per-cell scan with full per-cell
   fleet reconstruction (``method="reference"``). The cells must be
   identical; at 1e5 devices the vectorised path must be >=10x faster.
-* **rollout** — the coordinated campaign through the serial (in-process)
-  and the fused (process-pool) backends with per-cell ``SeedSequence``
-  child RNGs. The per-cell plans and results must be bit-identical;
-  both wall-clocks are recorded (the pool only wins when real cores
-  exist and per-cell compute dominates the fleet-pickling cost).
+* **rollout** — one recorded run of a multi-cell scenario spec (the
+  spec the ``multicell`` verb builds) drained serial (in-process) and
+  fused (process pool). The metric dicts must be equal and the cell
+  event logs identical; both wall-clocks are recorded (the pool only
+  wins when real cores exist and per-cell compute dominates).
 
 Results are persisted as ``BENCH_multicell.json`` (see
 ``conftest.write_bench_artifact``). Tune with
@@ -28,17 +28,15 @@ import time
 import numpy as np
 from conftest import emit, write_bench_artifact
 
-from repro.core import DrScMechanism
-from repro.core.base import PlanningContext
 from repro.devices.profiles import DeviceCategory
 from repro.drx.cycles import DrxCycle
 from repro.experiments.reporting import Table, render_table
-from repro.multicast.coordination import (
-    CoordinationEntity,
-    cells_bit_identical,
-    partition_fleet,
-)
-from repro.multicast.payload import FirmwareImage
+from repro.multicast.coordination import MultiCellSpec, partition_fleet
+from repro.scenarios import ScenarioSpec
+from repro.scenarios.runner import scenario_work_items
+from repro.sim.dispatch import drain
+from repro.sim.eventlog import diff_runlogs
+from repro.timebase import frames_to_seconds
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import CategoryProfile, TrafficMixture
 
@@ -76,12 +74,13 @@ def _assert_cells_identical(reference, fast) -> None:
         )
 
 
-def _assert_reports_bit_identical(serial, fused) -> None:
-    assert len(serial.campaigns) == len(fused.campaigns)
-    for a, b in zip(serial.campaigns, fused.campaigns):
-        assert cells_bit_identical(a, b), (
-            f"cell {a.cell_id} differs between serial and fused backends"
-        )
+def _recorded_run(spec: ScenarioSpec, backend: str, workers: int):
+    """Drain ``spec``'s one recorded run on ``backend``; (output, s)."""
+    t0 = time.perf_counter()
+    (output,) = drain(
+        scenario_work_items(spec, spec.seed, 1), backend, workers=workers
+    )
+    return output, time.perf_counter() - t0
 
 
 def test_a10_multicell_city_campaign(capsys):
@@ -119,23 +118,30 @@ def test_a10_multicell_city_campaign(capsys):
             f"vectorised {partition_fast_s:.3f}s)"
         )
 
-    # Rollout: serial and fused per-cell campaigns must be
-    # bit-identical for the same root seed.
-    image = FirmwareImage(
-        name="city-fw", version="1.0.0", size_bytes=1_000_000
+    # Rollout: the same recorded run drained serial and fused must give
+    # equal metrics and event-identical cell logs.
+    spec = ScenarioSpec(
+        name="multicell-bench",
+        n_devices=n_devices,
+        mixture="short-edrx",
+        payload_bytes=1_000_000,
+        cells=MultiCellSpec(n_cells=n_cells),
+        n_runs=1,
+        seed=42,
+        record_events=True,
     )
-    context = PlanningContext(payload_bytes=image.size_bytes)
-    entity = CoordinationEntity(DrScMechanism())
-
-    t0 = time.perf_counter()
-    serial = entity.rollout(cells, image, context, seed=42)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fused = entity.rollout(
-        cells, image, context, seed=42, backend="fused", workers=workers
+    serial, serial_s = _recorded_run(spec, "serial", workers)
+    fused, fused_s = _recorded_run(spec, "fused", workers)
+    assert serial.metrics == fused.metrics
+    assert diff_runlogs(serial.runlog, fused.runlog).is_empty, (
+        "cell event logs differ between serial and fused backends"
     )
-    fused_s = time.perf_counter() - t0
-    _assert_reports_bit_identical(serial, fused)
+    populated = len(serial.runlog.cells)
+    transmissions = int(serial.metrics["transmissions"])
+    duration_s = frames_to_seconds(max(
+        int(log.meta["horizon_frames"])
+        for log in serial.runlog.cells.values()
+    ))
 
     path = write_bench_artifact(
         "multicell",
@@ -144,14 +150,15 @@ def test_a10_multicell_city_campaign(capsys):
             "n_devices": n_devices,
             "n_cells": n_cells,
             "workers": workers,
-            "payload_bytes": image.size_bytes,
+            "payload_bytes": spec.payload_bytes,
             "partition_reference_s": partition_ref_s,
             "partition_vectorised_s": partition_fast_s,
             "partition_speedup": partition_speedup,
             "rollout_serial_s": serial_s,
             "rollout_fused_s": fused_s,
-            "total_transmissions": serial.total_transmissions,
-            "campaign_duration_s": serial.campaign_duration_s,
+            "total_transmissions": transmissions,
+            "segments_sent": serial.metrics["segments_sent"],
+            "campaign_duration_s": duration_s,
         },
     )
     emit(
@@ -160,7 +167,7 @@ def test_a10_multicell_city_campaign(capsys):
             Table(
                 title=(
                     f"A10 — multi-cell campaign: {n_devices} devices x "
-                    f"{serial.n_cells} cells"
+                    f"{populated} cells"
                 ),
                 headers=("stage", "reference/serial", "fast/fused", "note"),
                 rows=(
@@ -175,13 +182,13 @@ def test_a10_multicell_city_campaign(capsys):
                         "rollout",
                         f"{serial_s:.2f}s",
                         f"{fused_s:.2f}s",
-                        f"bit-identical per cell, {workers} workers",
+                        f"event-identical cell logs, {workers} workers",
                     ),
                 ),
                 notes=(
-                    f"{serial.total_transmissions} transmissions across "
-                    f"{serial.n_cells} cells; campaign duration "
-                    f"{serial.campaign_duration_s:.0f}s simulated; "
+                    f"{transmissions} transmissions across "
+                    f"{populated} cells; campaign duration "
+                    f"{duration_s:.0f}s simulated; "
                     f"artifact written to {path}.",
                 ),
             )

@@ -59,9 +59,7 @@ from repro.errors import ReproError
 from repro.experiments import ExperimentConfig, run_fig6a, run_fig6b, run_fig7
 from repro.multicast import (
     CampaignReport,
-    CoordinationEntity,
     FirmwareImage,
-    MultiCellReport,
     MultiCellSpec,
     OnDemandMulticastService,
     partition_fleet,
@@ -143,9 +141,7 @@ __all__ = [
     "OnDemandMulticastService",
     "CampaignReport",
     "FirmwareImage",
-    "CoordinationEntity",
     "MultiCellSpec",
-    "MultiCellReport",
     "partition_fleet",
     # live service
     "CampaignService",

@@ -37,6 +37,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.core import mechanism_by_name
+from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import KNOWN_TARGETS, render_all, run_with_charts
 from repro.multicast import FirmwareImage, OnDemandMulticastService
@@ -308,7 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
     multicell.add_argument(
         "--verify",
         action="store_true",
-        help="also run the other backend and assert per-cell bit-identity",
+        help=(
+            "also run the other backend and assert equal metrics and "
+            "event-identical cell logs"
+        ),
     )
     multicell.add_argument(
         "--grouping",
@@ -716,56 +720,45 @@ def _multicell(args) -> int:
     import time
 
     from repro.experiments.reporting import Table, render_table
-    from repro.multicast.coordination import (
-        CoordinationEntity,
-        cells_bit_identical,
-        partition_fleet,
+    from repro.multicast.coordination import MultiCellSpec
+    from repro.scenarios import ScenarioSpec
+    from repro.scenarios.runner import scenario_work_items
+    from repro.sim.dispatch import drain
+    from repro.sim.eventlog import (
+        diff_runlogs,
+        format_runlog_diff,
+        replay_strict,
     )
     from repro.timebase import format_bytes, format_duration, frames_to_seconds
 
-    weights = _parse_weights(args.weights)
-    policy = None
-    if args.grouping is not None:
-        from repro.grouping import grouping_policy_by_name
-
-        policy = grouping_policy_by_name(args.grouping)
-    rng = generator_for(args.seed)
-    fleet = generate_fleet(args.devices, PAPER_DEFAULT_MIXTURE, rng)
-    cells = partition_fleet(fleet, args.cells, rng, weights=weights)
-    entity = CoordinationEntity(mechanism_by_name(args.mechanism, policy=policy))
-    image = FirmwareImage(
-        name="multicell-fw", version="1.0.0", size_bytes=args.payload
+    spec = ScenarioSpec(
+        name="multicell",
+        n_devices=args.devices,
+        mechanism=args.mechanism,
+        grouping=args.grouping,
+        payload_bytes=args.payload,
+        cells=MultiCellSpec(
+            n_cells=args.cells, weights=_parse_weights(args.weights)
+        ),
+        n_runs=1,
+        seed=args.seed,
+        record_events=True,
     )
-    from repro.core.base import PlanningContext
 
-    context = PlanningContext(payload_bytes=args.payload)
+    def run(backend):
+        (output,) = drain(
+            scenario_work_items(spec, args.seed, 1),
+            backend,
+            workers=args.workers,
+        )
+        return output
 
     started = time.perf_counter()
-    report = entity.rollout(
-        cells,
-        image,
-        context,
-        seed=args.seed,
-        backend=args.backend,
-        workers=args.workers,
-        record_events=args.record is not None,
-    )
+    output = run(args.backend)
     elapsed = time.perf_counter() - started
+    runlog = output.runlog
 
     if args.record is not None:
-        from repro.sim.eventlog import RunLog
-
-        runlog = RunLog(
-            meta={
-                "scenario": "multicell-cli",
-                "seed": args.seed,
-                "run_index": 0,
-                "mechanism": args.mechanism,
-                "n_devices": args.devices,
-                "n_cells": args.cells,
-            },
-            cells={c.cell_id: c.event_log for c in report.campaigns},
-        )
         path = runlog.save(args.record)
         n_events = sum(log.n_events for log in runlog.cells.values())
         print(
@@ -775,47 +768,45 @@ def _multicell(args) -> int:
 
     if args.verify:
         other_backend = "fused" if args.backend == "serial" else "serial"
-        other = entity.rollout(
-            cells,
-            image,
-            context,
-            seed=args.seed,
-            backend=other_backend,
-            workers=args.workers,
-        )
-        for ours, theirs in zip(report.campaigns, other.campaigns):
-            if not cells_bit_identical(ours, theirs):
-                print(
-                    f"VERIFY FAILED: cell {ours.cell_id} differs between "
-                    f"{args.backend} and {other_backend} backends"
-                )
-                return 1
+        other = run(other_backend)
+        diff = diff_runlogs(runlog, other.runlog)
+        if other.metrics != output.metrics or not diff.is_empty:
+            print(
+                f"VERIFY FAILED: {args.backend} and {other_backend} "
+                "backends differ"
+            )
+            print(format_runlog_diff(diff))
+            return 1
         print(f"verified: {args.backend} == {other_backend} per cell")
 
-    rows = tuple(
-        (
-            str(c.cell_id),
-            str(c.fleet_size),
-            str(c.plan.n_transmissions),
-            f"{c.result.mean_wait_s:.2f}s",
-            format_duration(frames_to_seconds(c.result.horizon_frames)),
-            f"{c.result.fleet.energy_mj / 1000:.1f} J",
-        )
-        for c in report.campaigns
-    )
+    rows = []
+    horizon_frames = 0
+    for cell_id in sorted(runlog.cells):
+        result = replay_strict(runlog.cells[cell_id])
+        horizon_frames = max(horizon_frames, result.horizon_frames)
+        rows.append((
+            str(cell_id),
+            str(result.n_devices),
+            str(result.n_transmissions),
+            f"{result.mean_wait_s:.2f}s",
+            format_duration(frames_to_seconds(result.horizon_frames)),
+            f"{result.fleet.energy_mj / 1000:.1f} J",
+        ))
+    metrics = output.metrics
     print(render_table(Table(
         title=(
             f"Multi-cell campaign: {args.devices} devices, "
-            f"{report.n_cells} cells, {args.mechanism}, "
+            f"{len(rows)} cells, {args.mechanism}, "
             f"{format_bytes(args.payload)} via {args.backend} backend"
         ),
         headers=("cell", "devices", "tx", "mean wait", "duration", "energy"),
-        rows=rows,
+        rows=tuple(rows),
         notes=(
-            f"totals: {report.total_transmissions} transmissions, "
-            f"{report.total_energy_mj / 1000:.1f} J, campaign duration "
-            f"{format_duration(report.campaign_duration_s)}; planned and "
-            f"executed in {elapsed:.2f}s wall-clock.",
+            f"totals: {metrics['transmissions']:.0f} transmissions, "
+            f"{metrics['segments_sent']:.0f} segments sent, "
+            f"{metrics['energy_mj'] / 1000:.1f} J, campaign duration "
+            f"{format_duration(frames_to_seconds(horizon_frames))}; "
+            f"ran in {elapsed:.2f}s wall-clock.",
         ),
     )))
     return 0
@@ -989,5 +980,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1  # pragma: no cover - argparse enforces commands
 
 
+def _cli() -> int:
+    """:func:`main` for the shell: a :class:`~repro.errors.ReproError`
+    (a bad flag value, an unknown scenario) prints one line, exit 2."""
+    try:
+        return main()
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_cli())

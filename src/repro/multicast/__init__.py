@@ -20,12 +20,8 @@ from repro.multicast.ondemand import (
 )
 from repro.multicast.scptm import ScPtmConfig, scptm_monitoring_overhead_s
 from repro.multicast.coordination import (
-    CellCampaign,
-    CoordinationEntity,
-    MultiCellReport,
     MultiCellSpec,
     attach_devices,
-    cells_bit_identical,
     partition_fleet,
     partition_indices,
 )
@@ -42,12 +38,8 @@ __all__ = [
     "PendingCampaign",
     "ScPtmConfig",
     "scptm_monitoring_overhead_s",
-    "CellCampaign",
-    "CoordinationEntity",
-    "MultiCellReport",
     "MultiCellSpec",
     "attach_devices",
-    "cells_bit_identical",
     "partition_fleet",
     "partition_indices",
     "ReliabilityConfig",

@@ -1,52 +1,36 @@
-"""Multi-cell campaign coordination.
+"""Multi-cell deployment shape and device attachment.
 
 The on-demand scheme of ref. [3] is explicitly multi-cell: "the mobile
 network operator then distributes both the list and the data to all the
 eNBs that the devices are attached to", and each eNB pages and serves
 its own attached devices. The paper's evaluation fixes a single cell;
-this module provides the coordination layer above it, so city-scale
-rollouts spanning many cells reuse the per-cell planners unchanged —
-and so the single-cell results can be read as per-cell components of a
+this module describes the layer above it — how many cells, how the
+fleet's load spreads across them, and which devices each cell serves —
+so the single-cell results can be read as per-cell components of a
 larger campaign.
 
-Scaling contract:
+A multi-cell campaign itself runs on the scenario runner
+(:mod:`repro.scenarios.runner`): a ``ScenarioSpec`` with
+``cells=MultiCellSpec(...)`` draws each run's attachments with
+:func:`attach_devices` and fans out one task per populated cell, on
+either backend.
 
-* :func:`partition_fleet` maps device attachments to per-cell fleets
-  with one stable ``np.argsort`` pass (the quadratic per-cell scan is
-  retained as the ``method="reference"`` equivalence oracle), and
-  accepts non-uniform cell-load ``weights``;
-* :meth:`CoordinationEntity.rollout` with ``seed=`` derives one
-  independent child generator per cell from a root
-  :class:`~numpy.random.SeedSequence` — the same contract as the
-  Monte-Carlo backends — so the cells are work items of the task graph
-  in :mod:`repro.sim.dispatch`, drained in-process (``serial``) or on
-  the fused pool with bit-identical results for any worker count;
-* each cell executes on the columnar fast path by default, so a
-  1e5-device x 32-cell campaign plans and executes in seconds.
+Scaling contract: :func:`partition_indices` groups device attachments
+by cell with one stable ``np.argsort`` pass (the quadratic per-cell
+scan is retained as the ``method="reference"`` equivalence oracle),
+and :func:`partition_fleet` carves a fleet into per-cell sub-fleets,
+optionally under non-uniform cell-load ``weights``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import MulticastPlan
 from repro.devices.fleet import Fleet
 from repro.errors import ConfigurationError
-from repro.multicast.payload import FirmwareImage
-from repro.sim.dispatch import drain, map_items, validate_backend
-from repro.sim.executor import CampaignExecutor
-from repro.sim.metrics import CampaignResult
-from repro.timebase import frames_to_seconds
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.eventlog import EventLog
 
 
 @dataclass(frozen=True)
@@ -184,245 +168,3 @@ def partition_fleet(
         cell_id: fleet.subset(indices)
         for cell_id, indices in cells.items()
     }
-
-
-@dataclass(frozen=True)
-class CellCampaign:
-    """One cell's share of a multi-cell campaign.
-
-    ``event_log`` is populated only when the rollout ran with
-    ``record_events=True`` (see :mod:`repro.sim.eventlog`).
-    """
-
-    cell_id: int
-    fleet_size: int
-    plan: MulticastPlan
-    result: CampaignResult
-    event_log: Optional["EventLog"] = None
-
-
-def cells_bit_identical(left: CellCampaign, right: CellCampaign) -> bool:
-    """True when two per-cell campaigns are bit-identical.
-
-    This is the serial == fused contract in one place (the CLI's
-    ``--verify`` and the multicell benchmark both use it): same plan,
-    same horizon, exactly equal fleet summary and realised starts, and
-    exactly equal per-device timing columns.
-    """
-    if not (
-        left.cell_id == right.cell_id
-        and left.fleet_size == right.fleet_size
-        and left.plan == right.plan
-        and left.result.horizon_frames == right.result.horizon_frames
-        and left.result.fleet == right.result.fleet
-        and left.result.actual_start_s == right.result.actual_start_s
-    ):
-        return False
-    columnar_l = left.result.columnar
-    columnar_r = right.result.columnar
-    return (
-        np.array_equal(columnar_l.wait_s, columnar_r.wait_s)
-        and np.array_equal(columnar_l.ready_s, columnar_r.ready_s)
-        and np.array_equal(columnar_l.updated_s, columnar_r.updated_s)
-    )
-
-
-@dataclass(frozen=True)
-class MultiCellReport:
-    """Aggregate of a coordinated campaign across cells."""
-
-    campaigns: Tuple[CellCampaign, ...]
-
-    @property
-    def n_cells(self) -> int:
-        """Cells that actually served devices."""
-        return len(self.campaigns)
-
-    @property
-    def total_devices(self) -> int:
-        """Devices updated across all cells."""
-        return sum(c.fleet_size for c in self.campaigns)
-
-    @property
-    def total_transmissions(self) -> int:
-        """Total data transmissions across all cells.
-
-        For DA-SC/DR-SI this equals the number of non-empty cells — the
-        multi-cell generalisation of "a single transmission".
-        """
-        return sum(c.plan.n_transmissions for c in self.campaigns)
-
-    @property
-    def total_energy_mj(self) -> float:
-        """Fleet-wide energy across all cells."""
-        return sum(c.result.fleet.energy_mj for c in self.campaigns)
-
-    @property
-    def total_light_sleep_s(self) -> float:
-        """Fleet-wide light-sleep seconds across all cells."""
-        return sum(c.result.fleet.light_sleep_s for c in self.campaigns)
-
-    @property
-    def total_connected_s(self) -> float:
-        """Fleet-wide connected seconds across all cells."""
-        return sum(c.result.fleet.connected_s for c in self.campaigns)
-
-    @property
-    def mean_wait_s(self) -> float:
-        """Device-weighted mean connected wait across all cells."""
-        total = self.total_devices
-        return sum(
-            c.result.mean_wait_s * c.fleet_size for c in self.campaigns
-        ) / total
-
-    @property
-    def largest_group(self) -> int:
-        """Largest single-transmission group in any cell."""
-        return max(
-            int(np.bincount(c.plan.columns.transmission).max())
-            for c in self.campaigns
-        )
-
-    @property
-    def campaign_duration_s(self) -> float:
-        """Wall-clock until the *last* cell finishes (cells run in
-        parallel on their own carriers)."""
-        return frames_to_seconds(
-            max(c.result.horizon_frames for c in self.campaigns)
-        )
-
-
-def _cell_campaign(
-    rng: np.random.Generator,
-    _index: int,
-    item: Tuple[int, Fleet],
-    *,
-    mechanism: GroupingMechanism,
-    executor: CampaignExecutor,
-    context: PlanningContext,
-    record_events: bool = False,
-) -> CellCampaign:
-    """Plan and execute one cell's campaign (picklable; pool-safe)."""
-    cell_id, fleet = item
-    plan = mechanism.plan(fleet, context, rng)
-    plan.validate(fleet)
-    recorder = None
-    if record_events:
-        from repro.sim.eventlog import EventLogRecorder
-
-        recorder = EventLogRecorder()
-    result = executor.execute(fleet, plan, rng=rng, recorder=recorder)
-    return CellCampaign(
-        cell_id=cell_id,
-        fleet_size=len(fleet),
-        plan=plan,
-        result=result,
-        event_log=None if recorder is None else recorder.finalize(cell=cell_id),
-    )
-
-
-class CoordinationEntity:
-    """The network-side coordinator of ref. [3].
-
-    Receives the global device list plus the payload, splits the list by
-    attachment, and runs one single-cell campaign per eNB with the
-    configured grouping mechanism.
-    """
-
-    def __init__(
-        self,
-        mechanism: GroupingMechanism,
-        executor: Optional[CampaignExecutor] = None,
-    ) -> None:
-        self._mechanism = mechanism
-        self._executor = executor or CampaignExecutor()
-
-    def rollout(
-        self,
-        cells: Dict[int, Fleet],
-        image: FirmwareImage,
-        context: PlanningContext,
-        rng: Optional[np.random.Generator] = None,
-        *,
-        seed: Optional[int] = None,
-        backend: str = "serial",
-        workers: Optional[int] = None,
-        record_events: bool = False,
-    ) -> MultiCellReport:
-        """Run the coordinated campaign over every cell.
-
-        ``record_events=True`` attaches a finalized
-        :class:`~repro.sim.eventlog.EventLog` to every
-        :class:`CellCampaign` (works on both backends; logs are plain
-        arrays and pickle across the pool).
-
-        Two randomness modes:
-
-        * ``rng=`` threads one shared generator through the cells in
-          ascending cell-id order (the historical serial contract);
-        * ``seed=`` derives one independent child generator per cell
-          (``SeedSequence(seed).spawn(n)`` in ascending cell-id order),
-          which makes the per-cell campaigns order-independent work
-          items (:mod:`repro.sim.dispatch`): ``serial`` drains them in
-          this process, ``fused`` on the fused work-queue pool — the
-          same pool scenario campaigns flatten (run x cell) tasks into
-          — with per-cell results bit-identical for any ``workers``.
-
-        ``backend="fused"`` requires ``seed=`` (a shared generator
-        cannot cross a process pool without changing the draws).
-        """
-        if not cells:
-            raise ConfigurationError("no cells to roll out to")
-        if context.payload_bytes != image.size_bytes:
-            raise ConfigurationError(
-                "planning context payload "
-                f"({context.payload_bytes}) disagrees with the image "
-                f"({image.size_bytes})"
-            )
-        validate_backend(backend)
-        if rng is not None and seed is not None:
-            raise ConfigurationError(
-                "pass either rng= (shared generator) or seed= "
-                "(per-cell child generators), not both"
-            )
-        if seed is None:
-            if backend != "serial":
-                raise ConfigurationError(
-                    f"backend={backend!r} requires seed= so every cell "
-                    "gets its own child generator"
-                )
-            campaigns: List[CellCampaign] = []
-            for cell_id in sorted(cells):
-                campaigns.append(
-                    _cell_campaign(
-                        rng,
-                        cell_id,
-                        (cell_id, cells[cell_id]),
-                        mechanism=self._mechanism,
-                        executor=self._executor,
-                        context=context,
-                        record_events=record_events,
-                    )
-                )
-            return MultiCellReport(campaigns=tuple(campaigns))
-
-        items = [(cell_id, cells[cell_id]) for cell_id in sorted(cells)]
-        fn = partial(
-            _cell_campaign,
-            mechanism=self._mechanism,
-            executor=self._executor,
-            context=context,
-            record_events=record_events,
-        )
-        campaigns = drain(
-            map_items(
-                fn,
-                seed,
-                items,
-                campaign="rollout",
-                cell_ids=[cell_id for cell_id, _ in items],
-            ),
-            backend,
-            workers=workers,
-        )
-        return MultiCellReport(campaigns=tuple(campaigns))

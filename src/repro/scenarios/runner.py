@@ -387,9 +387,9 @@ def _fused_cell_task(
 ) -> CellSummary:
     """Plan and execute one cell of one multi-cell run.
 
-    ``rng`` is the dispatcher-derived child of the run's rollout seed
-    at this cell's position — the same generator
-    ``CoordinationEntity.rollout(seed=...)`` hands the cell. The cell's
+    ``rng`` is child ``position`` of the rollout seed the run's prologue
+    drew after the attachments, ``position`` being the cell's rank among
+    the run's populated cells in ascending cell-id order. The cell's
     sub-fleet is sliced out of the run's shared-memory fleet: the
     attachment column's stable argsort groups each cell's indices in
     ascending device order, which is exactly ``flatnonzero`` of the
@@ -452,8 +452,8 @@ def _fused_run_task(
     A single-cell run executes whole, here, on the run's generator. A
     multi-cell run runs the prologue and fans out one task per
     non-empty cell, each addressed ``(fingerprint, run, cell)`` and
-    seeded ``SeedSequence(rollout_seed).spawn(n)[position]`` — exactly
-    the rollout's per-cell child contract.
+    seeded ``SeedSequence(rollout_seed).spawn(n)[position]``, where the
+    run generator draws ``rollout_seed`` right after the attachments.
     """
     spec = payload.spec
     timer = PhaseTimer()

@@ -1,8 +1,8 @@
 """The (run x cell) task graph and its two drains.
 
 Every Monte-Carlo campaign — a plain run function, a scenario's runs
-and the cells each multi-cell run fans out into, a multi-cell rollout,
-a whole sweep grid — is expressed as one list of :class:`WorkItem`
+and the cells each multi-cell run fans out into, a whole sweep grid —
+is expressed as one list of :class:`WorkItem`
 objects. The list has exactly two executors, named by the ``backend``
 every public entry point takes (:data:`BACKENDS`):
 
@@ -27,10 +27,11 @@ spawn_index)``. The worker derives the task's generator as::
 which depends only on ``(seed, i)`` — a ``SeedSequence`` child's
 ``spawn_key`` is its spawn position, independent of how many siblings
 were spawned alongside it. Run ``i`` therefore sees the exact generator
-``spawn_generators(seed, n)`` hands it, and cell ``j`` of a run sees
-the exact child ``CoordinationEntity.rollout(seed=...)`` derives —
-results are bit-identical across backends, worker counts and task
-completion orders.
+``spawn_generators(seed, n)`` hands it, and the ``j``-th populated cell
+of a multi-cell run sees child ``j`` of the rollout seed that run's
+prologue draws (:mod:`repro.scenarios.runner`) — results are
+bit-identical across backends, worker counts and task completion
+orders.
 
 Fan-out
 -------
@@ -64,7 +65,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from multiprocessing import resource_tracker
 from dataclasses import dataclass
-from functools import partial
 from typing import (
     Any,
     Callable,
@@ -136,9 +136,9 @@ def derive_task_rng(seed: int, spawn_index: int) -> np.random.Generator:
     """The fixed ``SeedSequence`` child generator of one task.
 
     Child ``i`` of ``SeedSequence(seed)`` is identical no matter how
-    many siblings are spawned, so this is bit-compatible with both
-    ``spawn_generators(seed, n)[i]`` (the Monte-Carlo contract) and the
-    per-cell children ``rollout(seed=...)`` derives.
+    many siblings are spawned, so this is bit-compatible with
+    ``spawn_generators(seed, n)[i]`` (the Monte-Carlo contract), for
+    run tasks and a multi-cell run's cell tasks alike.
     """
     if spawn_index < 0:
         raise ConfigurationError(
@@ -710,57 +710,3 @@ def drain(
     return execute_items(
         items, workers=workers, on_partial=on_partial, chunk_size=chunk_size
     )
-
-
-# ----------------------------------------------------------------------
-# Flat work-item builder (the rollout consumer surface)
-# ----------------------------------------------------------------------
-def _map_task(
-    rng: np.random.Generator,
-    address: TaskAddress,
-    payload: Any,
-    *,
-    fn: Callable,
-) -> Any:
-    """Generic per-item map adapter: ``fn(rng, item_index, item)``."""
-    index, item = payload
-    return fn(rng, index, item)
-
-
-def map_items(
-    fn: Callable,
-    seed: int,
-    items: Sequence[Any],
-    campaign: str = "map",
-    cell_ids: Optional[Sequence[int]] = None,
-) -> List[WorkItem]:
-    """The work items mapping ``fn(rng, index, item)`` over ``items``.
-
-    Item ``i`` receives ``SeedSequence(seed).spawn(n)[i]``. ``cell_ids``
-    labels each item's task address as a cell of run 0 (the rollout
-    consumer); without it items address as run indices.
-    """
-    items = list(items)
-    if not items:
-        raise ConfigurationError("no items to map")
-    if cell_ids is not None and len(cell_ids) != len(items):
-        raise ConfigurationError(
-            f"{len(cell_ids)} cell ids for {len(items)} items"
-        )
-    task = partial(_map_task, fn=fn)
-    work = []
-    for index, item in enumerate(items):
-        if cell_ids is None:
-            address = TaskAddress(campaign, index)
-        else:
-            address = TaskAddress(campaign, 0, int(cell_ids[index]))
-        work.append(
-            WorkItem(
-                address=address,
-                fn=task,
-                payload=(index, item),
-                seed=seed,
-                spawn_index=index,
-            )
-        )
-    return work

@@ -18,7 +18,6 @@ from repro.sim.dispatch import (
     FusedScheduler,
     auto_chunk_size,
     execute_items,
-    map_items,
 )
 from repro.sim.montecarlo import run_items, run_monte_carlo
 
@@ -33,10 +32,6 @@ CHUNK_SIZES = [1, 2, 5, None]
 def draw_run(rng, run_index):
     """Module-level (picklable) run fn for the flat-map grids."""
     return {"draw": float(rng.random()), "index": float(run_index)}
-
-
-def square_item(rng, index, item):
-    return {"value": item * item, "noise": float(rng.random())}
 
 
 class TestChunkedScenarioGrid:
@@ -100,8 +95,8 @@ class TestChunkedFlatMaps:
         )
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_map_fused_chunked_is_grain_independent(self, chunk_size):
-        items = map_items(square_item, 5, list(range(9)))
+    def test_run_fused_chunked_is_grain_independent(self, chunk_size):
+        items = run_items(draw_run, 5, 9)
         base = execute_items(items, workers=1, chunk_size=1)
         out = execute_items(items, workers=2, chunk_size=chunk_size)
         assert out == base
@@ -109,7 +104,7 @@ class TestChunkedFlatMaps:
     def test_partials_stream_per_item_not_per_chunk(self):
         partials = []
         execute_items(
-            map_items(square_item, 5, list(range(9))),
+            run_items(draw_run, 5, 9),
             workers=1,
             chunk_size=4,
             on_partial=partials.append,

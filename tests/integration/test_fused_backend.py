@@ -3,28 +3,18 @@
 The fused (run x cell) scheduler drains the same task graph the serial
 backend drains in-process. Its contract is exact: for any worker count
 and any task completion order, every consumer surface —
-``run_scenario``, ``run_sweep``, ``CoordinationEntity.rollout``,
-``run_monte_carlo`` — returns arrays bit-identical to the serial path. The result cache is
-keyed by deterministic address only, so entries written by one backend
-must be hits for every other.
+``run_scenario``, ``run_sweep``, ``run_monte_carlo`` — returns arrays
+bit-identical to the serial path. The result cache is keyed by
+deterministic address only, so entries written by one backend must be
+hits for every other.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import DrScMechanism
-from repro.core.base import PlanningContext
-from repro.multicast.coordination import (
-    CoordinationEntity,
-    cells_bit_identical,
-    partition_fleet,
-)
-from repro.multicast.payload import FirmwareImage
 from repro.scenarios import golden_spec, run_scenario, scenario
 from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.cache import ResultCache
-from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
 #: One single-cell and one multi-cell (fan-out) scenario: the two
 #: structurally different task shapes the fused queue schedules.
@@ -129,29 +119,6 @@ class TestSweepFused:
             _assert_stats_bit_identical(
                 stats_a, stats_b, f"cached cell {cell_a.coordinates}"
             )
-
-
-class TestRolloutFused:
-    @pytest.fixture(scope="class")
-    def campaign(self):
-        rng = np.random.default_rng(20180702)
-        fleet = generate_fleet(60, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 4, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=120_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        return cells, image, context
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_fused_rollout_bit_identical_to_serial(self, campaign, workers):
-        cells, image, context = campaign
-        entity = CoordinationEntity(DrScMechanism())
-        serial = entity.rollout(cells, image, context, seed=7)
-        fused = entity.rollout(
-            cells, image, context, seed=7, backend="fused", workers=workers
-        )
-        assert len(serial.campaigns) == len(fused.campaigns)
-        for a, b in zip(serial.campaigns, fused.campaigns):
-            assert cells_bit_identical(a, b), f"cell {a.cell_id} differs"
 
 
 class TestCacheIsBackendAgnostic:

@@ -1,68 +1,149 @@
 """Multi-cell execution-path equivalence.
 
-The coordination layer's fused backend must be bit-identical to the
-serial path per cell for any worker count — the same contract the
-Monte-Carlo backends honour — and the multi-cell scenarios must run
-through both Monte-Carlo backends with identical metric arrays.
+A multi-cell campaign runs on the scenario runner: one prologue task
+per run draws the attachments and fans out one task per populated
+cell. Drained in-process or on the fused pool, a recorded run must give
+equal metric dicts and event-identical cell logs for any worker count,
+and the multi-cell scenarios must run through both backends with
+identical metric arrays.
 """
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
-from repro.core import DaScMechanism, DrScMechanism
-from repro.core.base import PlanningContext
-from repro.multicast.coordination import (
-    CoordinationEntity,
-    cells_bit_identical,
-    partition_fleet,
-)
-from repro.multicast.payload import FirmwareImage
-from repro.scenarios import golden_spec, run_scenario, scenario
-from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+from repro.__main__ import main
+from repro.errors import ConfigurationError
+from repro.multicast.coordination import MultiCellSpec
+from repro.scenarios import ScenarioSpec, golden_spec, run_scenario, scenario
+from repro.scenarios.runner import scenario_work_items
+from repro.sim.dispatch import drain
+from repro.sim.eventlog import diff_runlogs, replay_strict
 
 
-def _assert_cells_bit_identical(left, right):
-    assert len(left.campaigns) == len(right.campaigns)
-    for a, b in zip(left.campaigns, right.campaigns):
-        assert cells_bit_identical(a, b), f"cell {a.cell_id} differs"
+def _recorded_run(spec, backend, workers=None):
+    (output,) = drain(
+        scenario_work_items(spec, spec.seed, 1), backend, workers=workers
+    )
+    return output
 
 
-class TestRolloutBackendEquivalence:
+def _spec(mechanism):
+    return ScenarioSpec(
+        name="multicell-equivalence",
+        n_devices=160,
+        mixture="moderate-edrx",
+        mechanism=mechanism,
+        payload_bytes=200_000,
+        segment_loss_probability=0.05,
+        cells=MultiCellSpec(n_cells=8),
+        n_runs=1,
+        seed=7,
+        record_events=True,
+    )
+
+
+def _assert_runs_identical(left, right):
+    assert left.metrics == right.metrics
+    diff = diff_runlogs(left.runlog, right.runlog)
+    assert diff.is_empty, "cell logs differ between backends"
+
+
+class TestRecordedRunBackendEquivalence:
     @pytest.fixture(scope="class")
-    def campaign(self):
-        rng = np.random.default_rng(20180702)
-        fleet = generate_fleet(160, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 8, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=200_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        return cells, image, context
-
-    @pytest.fixture(scope="class")
-    def serial_report(self, campaign):
-        cells, image, context = campaign
-        return CoordinationEntity(DrScMechanism()).rollout(
-            cells, image, context, seed=7
-        )
+    def serial_run(self):
+        return _recorded_run(_spec("dr-sc"), "serial")
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    def test_fused_bit_identical_for_any_worker_count(
-        self, campaign, serial_report, workers
-    ):
-        cells, image, context = campaign
-        fused = CoordinationEntity(DrScMechanism()).rollout(
-            cells, image, context, seed=7, backend="fused", workers=workers
-        )
-        _assert_cells_bit_identical(serial_report, fused)
+    def test_fused_identical_for_any_worker_count(self, serial_run, workers):
+        fused = _recorded_run(_spec("dr-sc"), "fused", workers=workers)
+        _assert_runs_identical(serial_run, fused)
 
-    def test_dasc_fused_matches_serial(self, campaign):
-        cells, image, context = campaign
-        entity = CoordinationEntity(DaScMechanism())
-        serial = entity.rollout(cells, image, context, seed=11)
-        fused = entity.rollout(
-            cells, image, context, seed=11, backend="fused", workers=3
+    def test_dasc_fused_matches_serial(self):
+        spec = _spec("da-sc")
+        _assert_runs_identical(
+            _recorded_run(spec, "serial"),
+            _recorded_run(spec, "fused", workers=3),
         )
-        _assert_cells_bit_identical(serial, fused)
+
+
+class TestRecordedRunTotals:
+    """A recorded run's metrics are the fold of its per-cell campaigns."""
+
+    @pytest.fixture(scope="class")
+    def drsc_run(self):
+        return _recorded_run(_spec("dr-sc"), "serial")
+
+    @staticmethod
+    def _cell_results(run):
+        return [
+            replay_strict(run.runlog.cells[cell_id])
+            for cell_id in sorted(run.runlog.cells)
+        ]
+
+    def test_drsc_transmissions_sum_over_cells(self, drsc_run):
+        results = self._cell_results(drsc_run)
+        assert drsc_run.metrics["transmissions"] == sum(
+            result.n_transmissions for result in results
+        )
+        assert drsc_run.metrics["transmissions"] >= len(results)
+        assert drsc_run.metrics["n_cells"] == len(results)
+        assert sum(result.n_devices for result in results) == 160
+
+    def test_totals_aggregate_cells(self, drsc_run):
+        results = self._cell_results(drsc_run)
+        metrics = drsc_run.metrics
+        expected_wait = sum(
+            result.mean_wait_s * result.n_devices for result in results
+        ) / 160
+        assert metrics["mean_wait_s"] == pytest.approx(expected_wait)
+        # No group outgrows the largest cell it was planned in.
+        assert 1 <= metrics["largest_group"] <= max(
+            result.n_devices for result in results
+        )
+        for name in ("energy_mj", "light_sleep_s", "connected_s"):
+            total = sum(getattr(result.fleet, name) for result in results)
+            assert metrics[name] == pytest.approx(total, rel=1e-12)
+            assert metrics[name] > 0
+
+    def test_seeded_run_reproducible(self, drsc_run):
+        again = _recorded_run(_spec("dr-sc"), "serial")
+        _assert_runs_identical(drsc_run, again)
+
+    def test_seed_changes_the_run(self, drsc_run):
+        other = _recorded_run(replace(_spec("dr-sc"), seed=8), "serial")
+        assert not diff_runlogs(drsc_run.runlog, other.runlog).is_empty
+
+
+class TestMulticellVerb:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_fused_verify_passes(self, workers, capsys):
+        code = main([
+            "multicell", "--devices", "60", "--cells", "4",
+            "--payload", "120000", "--backend", "fused",
+            "--workers", workers, "--verify",
+        ])
+        assert code == 0
+        assert "verified: fused == serial per cell" in capsys.readouterr().out
+
+    def test_serial_verify_passes(self, capsys):
+        code = main([
+            "multicell", "--devices", "60", "--cells", "4",
+            "--payload", "120000", "--verify",
+        ])
+        assert code == 0
+        assert "verified: serial == fused per cell" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--cells", "0"), "at least one cell"),
+            (("--payload", "0"), "payload must be"),
+        ],
+    )
+    def test_empty_campaign_rejected(self, flags, message):
+        with pytest.raises(ConfigurationError, match=message):
+            main(["multicell", "--devices", "10", *flags])
 
 
 class TestMultiCellScenarios:
@@ -85,3 +166,12 @@ class TestMultiCellScenarios:
         # A 16-cell campaign needs at least one transmission per
         # populated cell.
         assert stats["transmissions"].min >= stats["n_cells"].min
+
+    def test_dasc_one_transmission_per_populated_cell(self):
+        spec = golden_spec(scenario("skewed-cells"))
+        assert spec.mechanism == "da-sc"
+        stats = run_scenario(spec)
+        assert (
+            stats["transmissions"].values.tolist()
+            == stats["n_cells"].values.tolist()
+        )

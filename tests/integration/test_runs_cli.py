@@ -1,9 +1,21 @@
 """CLI coverage for ``runs record|replay|diff`` and the record flags."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.__main__ import main
-from repro.sim.eventlog import RunLog
+from repro.multicast.coordination import MultiCellSpec
+from repro.scenarios import ScenarioSpec, record_run, runlog_headline_metrics
+from repro.sim.eventlog import RunLog, diff_runlogs
+
+#: The source root the package was imported from, for the subprocess
+#: runs of ``python -m repro``.
+SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +162,61 @@ class TestRecordFlags:
         runlog = RunLog.load(path)
         assert len(runlog.cells) == 3
         assert int(runlog.meta["n_cells"]) == 3
+
+    def test_multicell_record_replays_to_live_metrics(self, tmp_path, capsys):
+        path = tmp_path / "f.npz"
+        code = main(
+            ["multicell", "--devices", "60", "--cells", "3", "--record", str(path)]
+        )
+        assert code == 0
+        # The verb's defaults: dr-sc, a 1 MB image, seed 2018, one run.
+        spec = ScenarioSpec(
+            name="multicell",
+            n_devices=60,
+            cells=MultiCellSpec(n_cells=3),
+            n_runs=1,
+            seed=2018,
+        )
+        live = record_run(spec)
+        logged = RunLog.load(path)
+        assert logged.meta["fingerprint"] == spec.fingerprint()
+        assert diff_runlogs(logged, live.runlog).is_empty
+        metrics = runlog_headline_metrics(logged)
+        assert metrics == {name: live.metrics[name] for name in metrics}
+        assert metrics["segments_sent"] > 0
+
+
+def _run_cli(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("multicell", "--cells", "3", "--weights", "0.5,0.5"),
+                "error: 2 cell weights for 3 cells",
+            ),
+            (
+                ("scenarios", "run", "--scenario", "nope"),
+                "error: unknown scenario 'nope'",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_line_exit_2(self, argv, message):
+        done = _run_cli(*argv)
+        assert done.returncode == 2
+        assert done.stderr.startswith(message)
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""

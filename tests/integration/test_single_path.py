@@ -15,15 +15,10 @@ import dataclasses
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.core import DrScMechanism
-from repro.core.base import PlanningContext
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import ExperimentConfig
-from repro.multicast.coordination import CoordinationEntity, partition_fleet
-from repro.multicast.payload import FirmwareImage
 from repro.scenarios import (
     SweepAxis,
     compute_golden_metrics,
@@ -37,8 +32,6 @@ from repro.scenarios.runner import CellSummary
 from repro.sim.dispatch import drain
 from repro.sim.eventlog import RunLog, diff_runlogs
 from repro.sim.montecarlo import run_items, run_monte_carlo
-from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
 SHM = Path("/dev/shm")
 
@@ -112,17 +105,6 @@ class TestProcessBackendIsGone:
             compute_golden_metrics(["paper-baseline"], backend="process")
         with pytest.raises(ConfigurationError, match="backend"):
             ExperimentConfig(backend="process")
-        rng = np.random.default_rng(1)
-        fleet = generate_fleet(10, MODERATE_EDRX_MIXTURE, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        with pytest.raises(ConfigurationError, match="backend"):
-            CoordinationEntity(DrScMechanism()).rollout(
-                partition_fleet(fleet, 2, rng),
-                image,
-                PlanningContext(payload_bytes=image.size_bytes),
-                seed=1,
-                backend="process",
-            )
 
 
 def _failing_cell_task(rng, address, payload):

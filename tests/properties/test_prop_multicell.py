@@ -2,30 +2,26 @@
 
 Partitioning a fleet across cells and running one campaign per cell
 must conserve the fleet: every device lands in exactly one cell
-(uniform or weighted attachment, vectorised or reference grouping), and
-the union of the per-cell :class:`~repro.sim.metrics.CampaignResult`s
-reproduces the whole-fleet totals — device count exactly, transmission
-count as the sum of per-cell plans, and energy/uptime as the sum of
-per-cell fleet summaries within 1e-9 of a float re-reduction.
+(uniform or weighted attachment, vectorised or reference grouping), a
+recorded multi-cell run's cell logs hold the whole fleet between them,
+and the log alone rebuilds the run's live headline metrics exactly.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DrScMechanism
-from repro.core.base import PlanningContext
 from repro.multicast.coordination import (
-    CoordinationEntity,
     MultiCellSpec,
     attach_devices,
-    partition_fleet,
     partition_indices,
 )
-from repro.multicast.payload import FirmwareImage
-from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+from repro.scenarios import (
+    HEADLINE_METRICS,
+    ScenarioSpec,
+    record_run,
+    runlog_headline_metrics,
+)
 
 
 @st.composite
@@ -84,67 +80,42 @@ class TestPartitionConservation:
             np.testing.assert_array_equal(fast[cell_id], reference[cell_id])
 
 
-class TestRolloutConservation:
+class TestRecordedRunConservation:
     @given(
         n_devices=st.integers(min_value=4, max_value=60),
         n_cells=st.integers(min_value=1, max_value=6),
+        mechanism=st.sampled_from(["dr-sc", "da-sc"]),
+        loss=st.sampled_from([0.0, 0.05]),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     @settings(max_examples=15, deadline=None)
-    def test_union_of_cells_reproduces_fleet_totals(
-        self, n_devices, n_cells, seed
+    def test_log_only_metrics_equal_live_and_cells_hold_the_fleet(
+        self, n_devices, n_cells, mechanism, loss, seed
     ):
-        rng = np.random.default_rng(seed)
-        fleet = generate_fleet(n_devices, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, n_cells, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=50_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        report = CoordinationEntity(DrScMechanism()).rollout(
-            cells, image, context, seed=seed
+        spec = ScenarioSpec(
+            name="prop-multicell",
+            n_devices=n_devices,
+            mixture="moderate-edrx",
+            mechanism=mechanism,
+            payload_bytes=50_000,
+            segment_loss_probability=loss,
+            cells=MultiCellSpec(n_cells=n_cells),
+            n_runs=1,
+            seed=seed,
         )
+        recorded = record_run(spec)
 
-        # Device conservation: the union of per-cell fleets is exactly
-        # the whole fleet (no device lost, none duplicated).
-        union_imsis = [
-            device.identity.imsi
-            for cell_fleet in cells.values()
-            for device in cell_fleet
-        ]
-        assert sorted(union_imsis) == sorted(
-            device.identity.imsi for device in fleet
+        # The log alone rebuilds the live headline metrics exactly.
+        assert runlog_headline_metrics(recorded.runlog) == {
+            name: recorded.metrics[name] for name in HEADLINE_METRICS
+        }
+        # Device conservation: the populated cells serve the whole fleet
+        # between them.
+        logs = recorded.runlog.cells
+        assert all(int(log.meta["n_devices"]) >= 1 for log in logs.values())
+        assert sum(int(log.meta["n_devices"]) for log in logs.values()) == (
+            n_devices
         )
-        assert report.total_devices == n_devices
-        assert report.total_transmissions == sum(
-            c.plan.n_transmissions for c in report.campaigns
-        )
-        # Energy/uptime: the columnar per-cell reductions must agree
-        # with a re-reduction over the union of materialised per-device
-        # outcomes, within 1e-9.
-        device_energy = sum(
-            outcome.ledger.energy_mj(campaign.result.energy_profile)
-            for campaign in report.campaigns
-            for outcome in campaign.result.outcomes
-        )
-        assert report.total_energy_mj == pytest.approx(
-            device_energy, rel=1e-9, abs=1e-9
-        )
-        device_light = sum(
-            outcome.totals.light_sleep_s
-            for campaign in report.campaigns
-            for outcome in campaign.result.outcomes
-        )
-        assert report.total_light_sleep_s == pytest.approx(
-            device_light, rel=1e-9, abs=1e-9
-        )
-        device_connected = sum(
-            outcome.totals.connected_s
-            for campaign in report.campaigns
-            for outcome in campaign.result.outcomes
-        )
-        assert report.total_connected_s == pytest.approx(
-            device_connected, rel=1e-9, abs=1e-9
-        )
-        # Every transmission serves someone; no cell is empty.
-        for campaign in report.campaigns:
-            assert campaign.fleet_size >= 1
-            assert campaign.result.n_devices == campaign.fleet_size
+        assert set(logs) <= set(range(n_cells))
+        if mechanism == "da-sc":
+            assert recorded.metrics["transmissions"] == len(logs)

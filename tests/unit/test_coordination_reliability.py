@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import DaScMechanism, DrScMechanism
-from repro.core.base import PlanningContext
 from repro.errors import ConfigurationError, FleetError
 from repro.multicast.coordination import (
-    CoordinationEntity,
     MultiCellSpec,
     attach_devices,
     partition_fleet,
@@ -120,96 +117,6 @@ class TestPartition:
             fleet.subset([])
         with pytest.raises(FleetError):
             fleet.subset([1, 1])
-
-
-class TestCoordination:
-    def test_dasc_one_transmission_per_cell(self, rng):
-        fleet = generate_fleet(40, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 3, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        report = CoordinationEntity(DaScMechanism()).rollout(
-            cells, image, context, rng
-        )
-        assert report.total_devices == 40
-        assert report.total_transmissions == report.n_cells
-        assert report.total_energy_mj > 0
-        assert report.campaign_duration_s > 0
-
-    def test_drsc_transmissions_sum_over_cells(self, rng):
-        fleet = generate_fleet(30, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 2, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        report = CoordinationEntity(DrScMechanism()).rollout(
-            cells, image, context, rng
-        )
-        assert report.total_transmissions == sum(
-            c.plan.n_transmissions for c in report.campaigns
-        )
-        assert report.total_transmissions >= report.n_cells
-
-    def test_payload_mismatch_rejected(self, rng):
-        fleet = generate_fleet(10, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 2, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=999)
-        with pytest.raises(ConfigurationError):
-            CoordinationEntity(DaScMechanism()).rollout(
-                cells, image, context, rng
-            )
-
-    def test_empty_cells_rejected(self, rng):
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        with pytest.raises(ConfigurationError):
-            CoordinationEntity(DaScMechanism()).rollout({}, image, context, rng)
-
-    def test_seeded_serial_rollout_reproducible(self, rng):
-        fleet = generate_fleet(40, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 3, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        entity = CoordinationEntity(DrScMechanism())
-        first = entity.rollout(cells, image, context, seed=99)
-        second = entity.rollout(cells, image, context, seed=99)
-        for a, b in zip(first.campaigns, second.campaigns):
-            assert a.plan.transmissions == b.plan.transmissions
-            assert a.result.fleet == b.result.fleet
-
-    def test_rollout_rejects_bad_randomness_combinations(self, rng):
-        fleet = generate_fleet(10, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 2, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        entity = CoordinationEntity(DrScMechanism())
-        with pytest.raises(ConfigurationError):
-            entity.rollout(cells, image, context, rng, seed=1)
-        with pytest.raises(ConfigurationError):
-            entity.rollout(cells, image, context, rng, backend="fused")
-        with pytest.raises(ConfigurationError):
-            entity.rollout(cells, image, context, seed=1, backend="thread")
-
-    def test_report_aggregates(self, rng):
-        fleet = generate_fleet(30, MODERATE_EDRX_MIXTURE, rng)
-        cells = partition_fleet(fleet, 3, rng)
-        image = FirmwareImage(name="fw", version="1", size_bytes=100_000)
-        context = PlanningContext(payload_bytes=image.size_bytes)
-        report = CoordinationEntity(DrScMechanism()).rollout(
-            cells, image, context, seed=5
-        )
-        assert report.total_devices == 30
-        per_cell_means = [
-            (c.result.mean_wait_s, c.fleet_size) for c in report.campaigns
-        ]
-        expected = sum(m * n for m, n in per_cell_means) / 30
-        assert report.mean_wait_s == pytest.approx(expected)
-        assert report.largest_group == max(
-            t.group_size for c in report.campaigns for t in c.plan.transmissions
-        )
-        assert report.total_light_sleep_s > 0
-        assert report.total_connected_s > 0
-        assert report.campaign_duration_s > 0
 
 
 class TestReliability:

@@ -17,7 +17,6 @@ from repro.sim.dispatch import (
     derive_task_rng,
     drain_inline,
     execute_items,
-    map_items,
 )
 from repro.sim.montecarlo import RunOutput, run_items
 from repro.sim.rng import spawn_generators
@@ -26,11 +25,6 @@ from repro.sim.rng import spawn_generators
 def draw_run(rng, run_index):
     """Module-level (hence picklable) Monte-Carlo run fn."""
     return {"draw": float(rng.random()), "index": float(run_index)}
-
-
-def draw_item(rng, index, item):
-    """Module-level map fn: fn(rng, item_index, item)."""
-    return float(rng.random()) + item
 
 
 def _noop_task(rng, address, payload):  # pragma: no cover - never runs
@@ -342,26 +336,12 @@ class TestFlatMapAdapters:
         with pytest.raises(ConfigurationError, match="n_runs"):
             run_items(draw_run, seed=1, n_runs=0)
 
-    def test_map_fused_matches_inline_drain(self):
-        items = [10.0, 20.0, 30.0]
-        serial = drain_inline(map_items(draw_item, 11, items))
+    def test_run_fused_matches_inline_drain(self):
+        serial = drain_inline(run_items(draw_run, seed=11, n_runs=3))
         for workers in (1, 2):
             assert execute_items(
-                map_items(draw_item, 11, items), workers=workers
+                run_items(draw_run, seed=11, n_runs=3), workers=workers
             ) == serial
-
-    def test_map_fused_cell_ids_label_addresses(self):
-        items = [1.0, 2.0]
-        with pytest.raises(ConfigurationError, match="cell ids"):
-            map_items(draw_item, 1, items, cell_ids=[0])
-        # Matching labels change only the address, never the result.
-        assert execute_items(
-            map_items(draw_item, 1, items, cell_ids=[4, 9]), workers=1
-        ) == drain_inline(map_items(draw_item, 1, items))
-
-    def test_map_fused_rejects_empty(self):
-        with pytest.raises(ConfigurationError, match="no items"):
-            map_items(draw_item, 1, [])
 
 
 class TestStreamedPartials:
