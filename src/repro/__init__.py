@@ -81,7 +81,6 @@ from repro.sim import (
     EventDrivenCampaign,
     ResultCache,
     Simulator,
-    run_monte_carlo,
 )
 from repro.traffic import (
     LONG_EDRX_MIXTURE,
@@ -151,7 +150,6 @@ __all__ = [
     "CampaignExecutor",
     "EventDrivenCampaign",
     "CampaignResult",
-    "run_monte_carlo",
     "ResultCache",
     # traffic
     "TrafficMixture",

@@ -37,7 +37,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.core import mechanism_by_name
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import KNOWN_TARGETS, render_all, run_with_charts
 from repro.multicast import FirmwareImage, OnDemandMulticastService
@@ -389,14 +389,16 @@ def _parse_counts(spec: str) -> tuple:
     try:
         counts = tuple(int(part) for part in spec.split(",") if part.strip())
     except ValueError:
-        raise SystemExit(f"--device-counts must be a comma list of ints, got {spec!r}")
+        raise ConfigurationError(
+            f"--device-counts must be a comma list of ints, got {spec!r}"
+        ) from None
     if not counts:
-        raise SystemExit("--device-counts must name at least one fleet size")
+        raise ConfigurationError("--device-counts must name at least one fleet size")
     return counts
 
 
 def _selected_scenarios(args) -> list:
-    """Resolve --scenario/--all into scenario specs (SystemExit if none)."""
+    """Resolve --scenario/--all into scenario specs (an error if none)."""
     from repro.scenarios import all_scenarios, scenario
 
     if args.all:
@@ -404,7 +406,7 @@ def _selected_scenarios(args) -> list:
     elif args.scenarios:
         specs = [scenario(name) for name in args.scenarios]
     else:
-        raise SystemExit(
+        raise ConfigurationError(
             "select scenarios with --scenario NAME (repeatable) or --all"
         )
     return _apply_grouping(specs, getattr(args, "grouping", None))
@@ -623,7 +625,7 @@ def _scenarios_sweep(args) -> int:
     )
     sweeps_runs = any(axis.name == "runs" for axis in axes)
     if args.runs is not None and sweeps_runs:
-        raise SystemExit("--runs conflicts with a runs=... sweep axis")
+        raise ConfigurationError("--runs conflicts with a runs=... sweep axis")
     n_runs = args.runs
     if n_runs is None and not sweeps_runs:
         n_runs = 3  # keep the default whole-registry sweep seconds-scale
@@ -710,9 +712,11 @@ def _parse_weights(spec: Optional[str]) -> Optional[tuple]:
     try:
         weights = tuple(float(part) for part in spec.split(",") if part.strip())
     except ValueError:
-        raise SystemExit(f"--weights must be a comma list of floats, got {spec!r}")
+        raise ConfigurationError(
+            f"--weights must be a comma list of floats, got {spec!r}"
+        ) from None
     if not weights:
-        raise SystemExit("--weights must name at least one cell weight")
+        raise ConfigurationError("--weights must name at least one cell weight")
     return weights
 
 
@@ -822,7 +826,7 @@ def _serve(args) -> int:
     from repro.timebase import format_duration, frames_to_seconds
 
     if args.campaigns < 1:
-        raise SystemExit("--campaigns must be >= 1")
+        raise ConfigurationError("--campaigns must be >= 1")
     leaves = min(args.leaves, max(0, args.devices - 1))
     rng = generator_for(args.seed)
     fleets = [

@@ -44,7 +44,7 @@ def register_mechanism(
     registered before the run starts; a name registered after that (or
     on a platform whose pools spawn rather than fork) must be
     registered at import time of a module the workers import (the
-    module defining your run function), or the workers' registry will
+    module defining your mechanism), or the workers' registry will
     not contain it.
     """
     if name in MECHANISMS:

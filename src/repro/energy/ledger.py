@@ -50,36 +50,6 @@ class UptimeTotals:
         """Total uptime (light sleep + connected)."""
         return self.light_sleep_s + self.connected_s
 
-    def relative_increase_over(self, baseline: "UptimeTotals") -> "RelativeIncrease":
-        """Relative uptime increase of ``self`` over ``baseline``.
-
-        This is the quantity Fig. 6 plots: ``(x - x_unicast) / x_unicast``
-        per mode. A zero baseline component with a zero numerator yields
-        0.0 (no increase); a zero baseline with a positive numerator is
-        reported as ``float('inf')``.
-        """
-        return RelativeIncrease(
-            light_sleep=_relative(self.light_sleep_s, baseline.light_sleep_s),
-            connected=_relative(self.connected_s, baseline.connected_s),
-        )
-
-
-@dataclass(frozen=True)
-class RelativeIncrease:
-    """Fractional increase vs a baseline (0.05 == +5 %)."""
-
-    light_sleep: float
-    connected: float
-
-
-def _relative(value: float, base: float) -> float:
-    delta = value - base
-    if base > 0:
-        return delta / base
-    if abs(delta) < 1e-12:
-        return 0.0
-    return float("inf")
-
 
 class UptimeLedger:
     """Mutable per-device accumulator of time spent in each power state."""

@@ -10,94 +10,72 @@ transmissions, connected wait and fleet uptime.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import AdaptationStrategy, DaScMechanism
-from repro.core.plan import METHOD_CODE, WakeMethod
-from repro.drx.paging import v_paging_frame_offset
-from repro.drx.schedule import v_count_in
+from repro.core import AdaptationStrategy, DaScMechanism, mechanism_by_name
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table
 from repro.experiments.transmissions import drsc_campaign
+from repro.grouping.registry import grouping_policy_by_name
 from repro.multicast.scptm import ScPtmConfig, scptm_monitoring_overhead_s
-from repro.setcover.exact import exact_min_window_cover
-from repro.setcover.greedy import greedy_window_cover
-from repro.sim.executor import CampaignExecutor
-from repro.sim.montecarlo import RunStatistics, run_monte_carlo
-from repro.sim.cache import ResultCache, fingerprint
-from repro.timebase import MS_PER_FRAME, seconds_to_frames
-from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE, TrafficMixture
+from repro.sim.cache import ResultCache
+from repro.sim.montecarlo import RunStatistics, run_campaigns
+
+
+def _policy_comparison(
+    name: str,
+    combos: Sequence[Tuple[str, str]],
+    backend: str,
+    workers: Optional[int],
+    cache: Optional[ResultCache],
+    **fields: Any,
+) -> Dict[str, RunStatistics]:
+    """Compare (mechanism, policy) combos, each labelled by its policy,
+    on the single-cell spec ``name`` with ``fields``."""
+    # Imported here: repro.scenarios imports repro.experiments.
+    from repro.scenarios.runner import comparison_campaign
+    from repro.scenarios.spec import ScenarioSpec
+
+    plans = tuple(
+        (
+            policy,
+            mechanism_by_name(mechanism, policy=grouping_policy_by_name(policy)),
+        )
+        for mechanism, policy in combos
+    )
+    campaign = comparison_campaign(ScenarioSpec(name=name, **fields), plans, name)
+    (stats,) = run_campaigns([campaign], backend, workers=workers, cache=cache)
+    return stats
 
 
 # ----------------------------------------------------------------------
 # A1: DA-SC adaptation strategy
 # ----------------------------------------------------------------------
-def dasc_strategy_once(
-    rng: np.random.Generator, config: ExperimentConfig
-) -> Dict[str, float]:
-    """Compare the two DA-SC cycle-selection strategies on one fleet."""
-    spec = config.scenario("a1")
-    fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
-    context = spec.planning_context()
-    executor = CampaignExecutor(timings=spec.timings())
-    arrays = fleet.arrays
-    metrics: Dict[str, float] = {}
-    for strategy in AdaptationStrategy:
-        plan = DaScMechanism(strategy).plan(fleet, context, rng)
-        plan.validate(fleet)
-        columns = plan.columns
-        adapted = columns.method == METHOD_CODE[WakeMethod.DRX_ADAPTATION]
-        device = columns.device[adapted]
-        cycle = columns.adapted_cycle[adapted]
-        # The intermediate POs of each adapted device's shortened cycle,
-        # between its adaptation page and its in-window page.
-        adapted_phase = v_paging_frame_offset(
-            arrays.ue_ids[device],
-            cycle,
-            (arrays.nb_numerators[device], arrays.nb_denominators[device]),
-        )
-        extra_pos = v_count_in(
-            adapted_phase,
-            cycle,
-            columns.adaptation_page_frame[adapted] + 1,
-            columns.page_frame[adapted],
-        )
-        result = executor.execute(fleet, plan)
-        light = result.fleet.light_sleep_s
-        metrics[f"{strategy.value}/adapted_devices"] = float(device.size)
-        metrics[f"{strategy.value}/intermediate_pos"] = float(extra_pos.sum())
-        metrics[f"{strategy.value}/light_sleep_s"] = light
-        metrics[f"{strategy.value}/mean_adapted_cycle_s"] = float(
-            np.mean(cycle * MS_PER_FRAME / 1000.0)
-        ) if device.size else 0.0
-    return metrics
-
-
-def _a1_run(
-    rng: np.random.Generator, _run_index: int, config: ExperimentConfig
-) -> Dict[str, float]:
-    """Picklable A1 run function (fused-backend compatible)."""
-    return dasc_strategy_once(rng, config)
-
-
 def run_dasc_strategy_ablation(
     config: ExperimentConfig = ExperimentConfig(),
 ) -> Tuple[Table, Dict[str, RunStatistics]]:
-    """A1: paper's max-cycle selection vs the naive TI-sized fallback."""
-    stats = run_monte_carlo(
-        partial(_a1_run, config=config),
-        n_runs=config.n_runs,
-        seed=config.seed,
-        backend=config.backend,
-        workers=config.workers,
-        cache=config.result_cache(),
-        cache_tag="a1",
-        config_fingerprint=config.scenario("a1").fingerprint(),
+    """A1: paper's max-cycle selection vs the naive TI-sized fallback,
+    both planned on each run's one fleet."""
+    from repro.scenarios.runner import comparison_campaign
+
+    plans = tuple(
+        (strategy.value, DaScMechanism(strategy))
+        for strategy in AdaptationStrategy
     )
+    (stats,) = config.run(
+        comparison_campaign(config.scenario("a1"), plans, "a1")
+    )
+    for strategy in AdaptationStrategy:
+        key = strategy.value
+        devices = stats[f"{key}/adapted_devices"].values
+        cycle_s = stats[f"{key}/adapted_cycle_s"].values
+        stats[f"{key}/mean_adapted_cycle_s"] = RunStatistics(
+            values=np.divide(
+                cycle_s, devices, out=np.zeros_like(cycle_s), where=devices > 0
+            )
+        )
     rows = []
     for strategy in AdaptationStrategy:
         key = strategy.value
@@ -209,52 +187,34 @@ def run_mixture_sensitivity(
 # ----------------------------------------------------------------------
 # A3: greedy vs exact set cover
 # ----------------------------------------------------------------------
-def _a3_run(
-    rng: np.random.Generator,
-    _run_index: int,
-    n_devices: int,
-    mixture: TrafficMixture,
-    ti: int,
-) -> Dict[str, float]:
-    """Picklable A3 run function: greedy vs exact cover on one fleet."""
-    fleet = generate_fleet(n_devices, mixture, rng)
-    horizon = 2 * int(fleet.periods.max())
-    greedy = greedy_window_cover(
-        fleet.phases, fleet.periods, ti, 0, horizon, rng
-    )
-    optimal, _frames = exact_min_window_cover(
-        fleet.phases, fleet.periods, ti, 0, horizon
-    )
-    return {
-        "greedy": float(greedy.n_transmissions),
-        "optimal": float(optimal),
-        "ratio": greedy.n_transmissions / optimal,
-    }
-
-
 def run_setcover_quality(
     n_devices: int = 12,
     n_runs: int = 30,
     seed: int = 7,
-    mixture: TrafficMixture = MODERATE_EDRX_MIXTURE,
+    mixture: str = "moderate-edrx",
     inactivity_timer_s: float = 20.48,
     backend: str = "serial",
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
 ) -> Tuple[Table, Dict[str, RunStatistics]]:
-    """A3: greedy cover size vs the exact optimum on small instances."""
-    ti = seconds_to_frames(inactivity_timer_s)
-    stats = run_monte_carlo(
-        partial(_a3_run, n_devices=n_devices, mixture=mixture, ti=ti),
+    """A3: greedy cover size vs the exact optimum on small instances:
+    DR-SC under the ``greedy-cover`` and ``exact-cover`` policies."""
+    stats = _policy_comparison(
+        "a3",
+        (("dr-sc", "greedy-cover"), ("dr-sc", "exact-cover")),
+        backend,
+        workers,
+        cache,
+        n_devices=n_devices,
         n_runs=n_runs,
         seed=seed,
-        backend=backend,
-        workers=workers,
-        cache=cache,
-        cache_tag="a3",
-        config_fingerprint=fingerprint(
-            {"n_devices": n_devices, "mixture": mixture, "ti": ti}
-        ),
+        mixture=mixture,
+        inactivity_timer_s=inactivity_timer_s,
+    )
+    stats["greedy"] = stats["greedy-cover/transmissions"]
+    stats["optimal"] = stats["exact-cover/transmissions"]
+    stats["ratio"] = RunStatistics(
+        values=stats["greedy"].values / stats["optimal"].values
     )
     table = Table(
         title=f"A3 — greedy vs exact set cover (n={n_devices}, {n_runs} runs)",
@@ -288,57 +248,11 @@ GROUPING_ABLATION_COMBOS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _a6_run(
-    rng: np.random.Generator,
-    _run_index: int,
-    n_devices: int,
-    mixture: TrafficMixture,
-    ti: int,
-    payload_bytes: int,
-) -> Dict[str, float]:
-    """Picklable A6 run: plan+execute every mechanism x policy combo.
-
-    One fleet per run, every combo planned and executed against it, so
-    the per-policy numbers are paired (differences are policy effects,
-    not sampling noise).
-    """
-    from repro.core.base import PlanningContext
-    from repro.core.registry import mechanism_by_name
-    from repro.enb.cell import CellConfig
-    from repro.grouping.registry import grouping_policy_by_name
-
-    fleet = generate_fleet(n_devices, mixture, rng)
-    context = PlanningContext(
-        payload_bytes=payload_bytes,
-        cell=CellConfig(inactivity_timer_frames=ti),
-    )
-    executor = CampaignExecutor()
-    metrics: Dict[str, float] = {}
-    for mechanism_name, policy_name in GROUPING_ABLATION_COMBOS:
-        mechanism = mechanism_by_name(
-            mechanism_name, policy=grouping_policy_by_name(policy_name)
-        )
-        plan = mechanism.plan(fleet, context, rng)
-        plan.validate(fleet)
-        result = executor.execute(fleet, plan)
-        summary = result.fleet
-        metrics[f"{policy_name}/groups"] = float(plan.n_transmissions)
-        metrics[f"{policy_name}/largest_group"] = float(
-            np.bincount(plan.columns.transmission).max()
-        )
-        metrics[f"{policy_name}/mean_wait_s"] = result.mean_wait_s
-        metrics[f"{policy_name}/uptime_s"] = (
-            summary.light_sleep_s + summary.connected_s
-        )
-        metrics[f"{policy_name}/energy_mj"] = summary.energy_mj
-    return metrics
-
-
 def run_grouping_policy_ablation(
     n_devices: int = 12,
     n_runs: int = 20,
     seed: int = 11,
-    mixture: TrafficMixture = MODERATE_EDRX_MIXTURE,
+    mixture: str = "moderate-edrx",
     inactivity_timer_s: float = 20.48,
     payload_bytes: int = 100_000,
     backend: str = "serial",
@@ -347,35 +261,28 @@ def run_grouping_policy_ablation(
 ) -> Tuple[Table, Dict[str, RunStatistics]]:
     """A6: what each grouping policy costs, on identical fleets.
 
-    The fleet is kept small because the exact-cover policy (branch and
+    One fleet per run, every combo planned on it and executed over one
+    common horizon, so the per-policy numbers are paired (differences
+    are policy effects, not sampling noise or horizon length). The
+    fleet is kept small because the exact-cover policy (branch and
     bound) is part of the panel; every other policy scales to 1e5
     devices — ``benchmarks/bench_grouping.py`` measures that regime.
     """
-    ti = seconds_to_frames(inactivity_timer_s)
-    stats = run_monte_carlo(
-        partial(
-            _a6_run,
-            n_devices=n_devices,
-            mixture=mixture,
-            ti=ti,
-            payload_bytes=payload_bytes,
-        ),
+    stats = _policy_comparison(
+        "a6",
+        GROUPING_ABLATION_COMBOS,
+        backend,
+        workers,
+        cache,
+        n_devices=n_devices,
         n_runs=n_runs,
         seed=seed,
-        backend=backend,
-        workers=workers,
-        cache=cache,
-        cache_tag="a6",
-        config_fingerprint=fingerprint(
-            {
-                "n_devices": n_devices,
-                "mixture": mixture,
-                "ti": ti,
-                "payload": payload_bytes,
-                "combos": GROUPING_ABLATION_COMBOS,
-            }
-        ),
+        mixture=mixture,
+        inactivity_timer_s=inactivity_timer_s,
+        payload_bytes=payload_bytes,
     )
+    for _, policy_name in GROUPING_ABLATION_COMBOS:
+        stats[f"{policy_name}/groups"] = stats[f"{policy_name}/transmissions"]
     rows = []
     for mechanism_name, policy_name in GROUPING_ABLATION_COMBOS:
         rows.append(

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.cache import ResultCache
 from repro.sim.dispatch import validate_backend
+from repro.sim.montecarlo import Campaign, RunStatistics, run_campaigns
 from repro.timebase import KILOBYTE, MEGABYTE
 
 if TYPE_CHECKING:
@@ -98,3 +99,12 @@ class ExperimentConfig:
     def result_cache(self) -> Optional[ResultCache]:
         """The configured on-disk cache, or None when caching is off."""
         return ResultCache(self.cache_dir) if self.cache_dir else None
+
+    def run(self, *campaigns: Campaign) -> List[Dict[str, RunStatistics]]:
+        """Run ``campaigns`` on this config's backend, workers and cache."""
+        return run_campaigns(
+            campaigns,
+            self.backend,
+            workers=self.workers,
+            cache=self.result_cache(),
+        )

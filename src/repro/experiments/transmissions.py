@@ -22,15 +22,10 @@ def drsc_campaign(
     """Run ``config``'s DR-SC scenario campaign ``name`` and add each
     run's ``fraction_of_unicast`` (transmissions per device)."""
     # Imported here: repro.scenarios imports repro.experiments.
-    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.runner import scenario_campaign
 
     spec = config.scenario(name, **overrides)
-    stats = run_scenario(
-        spec,
-        backend=config.backend,
-        workers=config.workers,
-        cache=config.result_cache(),
-    )
+    (stats,) = config.run(scenario_campaign(spec))
     stats["fraction_of_unicast"] = RunStatistics(
         values=stats["transmissions"].values / spec.n_devices
     )

@@ -1,16 +1,17 @@
 """Fig. 6 reproduction: relative uptime increase vs unicast.
 
-One Monte-Carlo run samples a fleet, plans all three mechanisms plus
-the unicast baseline, executes every plan over a *common* horizon (so
-the light-sleep PO counts are comparable), and reports the fleet-level
-relative increases. Fig. 6(a) is the light-sleep split; Fig. 6(b) is
+Each Monte-Carlo run is one comparison run of the scenario runner's
+cell (:func:`repro.scenarios.runner.comparison_campaign`): one fleet,
+all three mechanisms plus the unicast baseline planned on it, every
+plan executed over a *common* horizon (so the light-sleep PO counts are
+comparable). The fleet-level relative increases are derived from each
+run's per-plan values. Fig. 6(a) is the light-sleep split; Fig. 6(b) is
 the connected-mode split, swept over the three payload sizes.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -22,14 +23,42 @@ from repro.core import (
 )
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table, percent
-from repro.sim.executor import CampaignExecutor
-from repro.sim.metrics import CampaignResult
-from repro.sim.montecarlo import RunStatistics, run_monte_carlo
+from repro.sim.montecarlo import RunStatistics
 from repro.timebase import format_bytes
-from repro.traffic.generator import generate_fleet
 
 #: Mechanisms compared in Fig. 6, in plot order.
 FIG6_MECHANISMS = ("dr-sc", "da-sc", "dr-si")
+
+
+def _fig6(config: ExperimentConfig, payload_bytes: int):
+    """The Fig. 6 spec for one payload and its labelled plans."""
+    spec = config.scenario("fig6", payload_bytes=payload_bytes)
+    # config.grouping only retargets the windowed mechanism: DA-SC and
+    # DR-SI keep their paper semantics (one fleet-wide group) so the
+    # Fig. 6 comparison stays a mechanism comparison, not a policy one.
+    plans = (
+        ("dr-sc", DrScMechanism(policy=spec.grouping_policy())),
+        ("da-sc", DaScMechanism()),
+        ("dr-si", DrSiMechanism()),
+        ("unicast", UnicastBaseline()),
+    )
+    return spec, plans
+
+
+def _relative_columns(values: Mapping[str, Any]) -> Dict[str, Any]:
+    """Each mechanism's light-sleep, connected and energy increase over
+    unicast, from one run's values or from every run's value arrays."""
+    return {
+        f"{name}/{column}": (
+            values[f"{name}/{metric}"] - values[f"unicast/{metric}"]
+        ) / values[f"unicast/{metric}"]
+        for name in FIG6_MECHANISMS
+        for column, metric in (
+            ("light_sleep", "light_sleep_s"),
+            ("connected", "connected_s"),
+            ("energy_increase", "energy_mj"),
+        )
+    }
 
 
 def compare_mechanisms_once(
@@ -37,59 +66,18 @@ def compare_mechanisms_once(
     config: ExperimentConfig,
     payload_bytes: int,
 ) -> Dict[str, float]:
-    """One Monte-Carlo run of the Fig. 6 comparison.
+    """One Monte-Carlo run of the Fig. 6 comparison on ``rng``.
 
-    Returns per-mechanism relative light-sleep/connected increases over
-    the unicast baseline, plus auxiliary diagnostics (transmission
-    counts, mean waits).
+    Returns per-mechanism relative light-sleep/connected/energy
+    increases over the unicast baseline, plus every plan's run metrics
+    (``dr-sc/transmissions``, ``dr-si/mean_wait_s``, ...).
     """
-    spec = config.scenario("fig6", payload_bytes=payload_bytes)
-    fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
-    context = spec.planning_context()
-    executor = CampaignExecutor(timings=spec.timings())
+    # Imported here: repro.scenarios imports repro.experiments.
+    from repro.scenarios.runner import comparison_run
 
-    # config.grouping only retargets the windowed mechanism: DA-SC and
-    # DR-SI keep their paper semantics (one fleet-wide group) so the
-    # Fig. 6 comparison stays a mechanism comparison, not a policy one.
-    policy = spec.grouping_policy()
-    mechanisms = (DrScMechanism(policy=policy), DaScMechanism(), DrSiMechanism())
-    plans = {m.name: m.plan(fleet, context, rng) for m in mechanisms}
-    plans["unicast"] = UnicastBaseline().plan(fleet, context, rng)
-    for plan in plans.values():
-        plan.validate(fleet)
-
-    # Execute everything over one common horizon for comparability.
-    provisional = {
-        name: executor.execute(fleet, plan) for name, plan in plans.items()
-    }
-    horizon = max(result.horizon_frames for result in provisional.values())
-    results: Dict[str, CampaignResult] = {
-        name: executor.execute(fleet, plan, horizon_frames=horizon)
-        for name, plan in plans.items()
-    }
-
-    baseline = results["unicast"]
-    metrics: Dict[str, float] = {}
-    for name in FIG6_MECHANISMS:
-        increase = results[name].relative_uptime_increase(baseline)
-        metrics[f"{name}/light_sleep"] = increase.light_sleep
-        metrics[f"{name}/connected"] = increase.connected
-        metrics[f"{name}/transmissions"] = results[name].n_transmissions
-        metrics[f"{name}/mean_wait_s"] = results[name].mean_wait_s
-        metrics[f"{name}/energy_increase"] = results[name].energy_increase_over(
-            baseline
-        )
+    metrics = comparison_run(*_fig6(config, payload_bytes), rng)
+    metrics.update(_relative_columns(metrics))
     return metrics
-
-
-def _fig6_run(
-    rng: np.random.Generator,
-    _run_index: int,
-    config: ExperimentConfig,
-    payload_bytes: int,
-) -> Dict[str, float]:
-    """Picklable Fig. 6 run function (fused-backend compatible)."""
-    return compare_mechanisms_once(rng, config, payload_bytes)
 
 
 def _fig6_stats(
@@ -100,17 +88,16 @@ def _fig6_stats(
     Fig. 6(a) and 6(b) share the same per-run computation, so they share
     one cache entry per payload size.
     """
-    spec = config.scenario("fig6", payload_bytes=payload_bytes)
-    return run_monte_carlo(
-        partial(_fig6_run, config=config, payload_bytes=payload_bytes),
-        n_runs=config.n_runs,
-        seed=config.seed,
-        backend=config.backend,
-        workers=config.workers,
-        cache=config.result_cache(),
-        cache_tag=f"fig6/{payload_bytes}",
-        config_fingerprint=spec.fingerprint(),
+    from repro.scenarios.runner import comparison_campaign
+
+    spec, plans = _fig6(config, payload_bytes)
+    (stats,) = config.run(
+        comparison_campaign(spec, plans, f"fig6/{payload_bytes}")
     )
+    values = {name: stat.values for name, stat in stats.items()}
+    for name, column in _relative_columns(values).items():
+        stats[name] = RunStatistics(values=column)
+    return stats
 
 
 def run_fig6a(

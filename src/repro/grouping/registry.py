@@ -45,7 +45,7 @@ def register_grouping_policy(
     registered before the run starts; a name registered after that (or
     on a platform whose pools spawn rather than fork) must be
     registered at import time of a module the workers import (the
-    module defining your run function), or the workers' registry will
+    module defining your policy), or the workers' registry will
     not contain it.
     """
     if name in GROUPING_POLICIES:

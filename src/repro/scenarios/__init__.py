@@ -9,6 +9,9 @@ whole deployment regimes first-class:
 * a named registry of built-in scenarios spanning dense-urban,
   deep-coverage-heavy, contention-storm, lossy-link-repair and
   mixed-traffic regimes (:mod:`~repro.scenarios.registry`);
+* comparison campaigns planning several labelled mechanisms on each
+  run's one fleet, which the figures run on
+  (:func:`~repro.scenarios.runner.comparison_campaign`);
 * a sweep runner expanding scenario x axis grids into one Monte-Carlo
   task graph (:mod:`~repro.scenarios.sweep`);
 * a golden-metrics harness pinning every registered scenario's headline
@@ -46,6 +49,7 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.runner import (
     HEADLINE_METRICS,
+    comparison_campaign,
     headline_means,
     run_scenario,
     scenario_table,
@@ -70,6 +74,7 @@ __all__ = [
     "scenario_names",
     "all_scenarios",
     "run_scenario",
+    "comparison_campaign",
     "run_log_filename",
     "headline_means",
     "scenario_table",

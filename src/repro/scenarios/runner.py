@@ -21,7 +21,10 @@ per-cell summaries into the run's metric dict and unlinks the segment.
 Cell tasks carry only the ~100-byte segment descriptor: each process
 attaches to the one physical fleet mapping (through a small per-process
 LRU of attachments) and slices its cell out by index — no fleet is ever
-pickled or regenerated per task.
+pickled or regenerated per task. A comparison run
+(:func:`comparison_campaign`) is a single-cell run whose cell plans
+several labelled mechanisms; its dict holds each plan's fold, its keys
+prefixed ``label/``.
 
 Every path — single-cell runs, multi-cell reductions and the log-only
 rebuild in :mod:`repro.scenarios.record` — builds a run's metric dict
@@ -39,6 +42,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.base import GroupingMechanism
+from repro.core.plan import METHOD_CODE, MulticastPlan, WakeMethod
 from repro.devices.battery import Battery
 from repro.devices.fleet import Fleet
 from repro.devices.sharedmem import (
@@ -46,13 +51,15 @@ from repro.devices.sharedmem import (
     SharedFleetDescriptor,
     unlink_descriptor,
 )
+from repro.drx.paging import v_paging_frame_offset
+from repro.drx.schedule import v_count_in
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Table
 from repro.multicast.coordination import MultiCellSpec, attach_devices
 from repro.multicast.reliability import RepairOutcome, simulate_repair_rounds
 from repro.phy.coverage import CoverageClass
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.cache import ResultCache
+from repro.sim.cache import ResultCache, fingerprint
 from repro.sim.dispatch import FanOut, PartialFn, TaskAddress, WorkItem
 from repro.sim.eventlog import (
     EventLog,
@@ -69,7 +76,7 @@ from repro.sim.montecarlo import (
     run_campaigns,
 )
 from repro.sim.phases import PhaseTimer, merge_timings
-from repro.timebase import format_bytes
+from repro.timebase import MS_PER_FRAME, format_bytes
 from repro.traffic.generator import generate_fleet
 
 #: The metrics the golden harness pins, in report order.
@@ -120,6 +127,13 @@ class CellSummary:
     light_sleep_s: float
     connected_s: float
     energy_mj: float
+    #: DA-SC's adaptation counts: devices whose cycle the plan
+    #: shortened, the POs they monitor on the shortened grid between
+    #: the adaptation page and the in-window page, and the sum of
+    #: their adapted cycles in seconds (all 0 for other mechanisms).
+    adapted_devices: int = 0
+    intermediate_pos: int = 0
+    adapted_cycle_s: float = 0.0
     worker_rss_kb: int = 0
     #: Wall-clock per phase (``attach_s``, ``plan_s``, ``execute_s``) —
     #: streamed for observability (the cold-path bench aggregates these
@@ -155,8 +169,9 @@ def fold_run(
     devices. ``repairs`` are per-cell tallies in the same order
     (``segments_sent``, ``rounds`` and, with ``fleet``,
     ``devices_complete`` — a :class:`RepairOutcome` has all three).
-    ``fleet`` adds the battery, delivery and coverage metrics; the
-    log-only path has no fleet and reads the headline subset.
+    ``fleet`` adds the battery, delivery, coverage and adaptation
+    metrics; the log-only path has no fleet and reads the headline
+    subset.
     ``n_cells`` is a key of multi-cell dicts only.
     """
     n_devices = sum(cell.fleet_size for cell in cells)
@@ -191,6 +206,8 @@ def fold_run(
             sum(r.devices_complete for r in repairs) / n_devices
         )
         metrics["deep_coverage_share"] = fleet.deep_devices / n_devices
+        for name in ("adapted_devices", "intermediate_pos", "adapted_cycle_s"):
+            metrics[name] = float(sum(getattr(cell, name) for cell in cells))
     if multi_cell:
         metrics["n_cells"] = float(len(cells))
     return metrics
@@ -208,35 +225,90 @@ def _worker_rss_kb() -> int:
     return 0
 
 
+def _adaptation(fleet: Fleet, plan: MulticastPlan) -> Dict[str, Any]:
+    """``plan``'s DA-SC adaptation counts (see :class:`CellSummary`)."""
+    columns = plan.columns
+    adapted = columns.method == METHOD_CODE[WakeMethod.DRX_ADAPTATION]
+    if not adapted.any():
+        return {}
+    device = columns.device[adapted]
+    cycle = columns.adapted_cycle[adapted]
+    arrays = fleet.arrays
+    phase = v_paging_frame_offset(
+        arrays.ue_ids[device],
+        cycle,
+        (arrays.nb_numerators[device], arrays.nb_denominators[device]),
+    )
+    extra_pos = v_count_in(
+        phase,
+        cycle,
+        columns.adaptation_page_frame[adapted] + 1,
+        columns.page_frame[adapted],
+    )
+    return {
+        "adapted_devices": int(device.size),
+        "intermediate_pos": int(extra_pos.sum()),
+        "adapted_cycle_s": float(np.sum(cycle * MS_PER_FRAME / 1000.0)),
+    }
+
+
 def _run_cell(
     fleet: Fleet,
     spec: ScenarioSpec,
     rng: np.random.Generator,
     cell_id: int,
     timer: PhaseTimer,
-) -> CellSummary:
-    """Plan and execute one cell's campaign on ``rng``."""
+    mechanisms: Optional[Sequence[GroupingMechanism]] = None,
+) -> List[CellSummary]:
+    """Plan, validate and execute one cell's campaigns on ``rng``: one
+    summary per mechanism (default: the spec's own), in order.
+
+    The mechanisms plan in turn on ``rng``, and the plans execute in
+    the same order over one common horizon, so their PO counts compare:
+    a plan whose campaign ends early is executed again over the longest
+    one, from the generator state its first execution started at, so its
+    random-access draws repeat. A lone plan executes once.
+    """
+    context = spec.planning_context()
+    plans = []
     with timer.phase("plan"):
-        plan = spec.mechanism_obj().plan(fleet, spec.planning_context(), rng)
-        plan.validate(fleet)
+        for mechanism in mechanisms or (spec.mechanism_obj(),):
+            plans.append(mechanism.plan(fleet, context, rng))
+            plans[-1].validate(fleet)
+    executor = CampaignExecutor(timings=spec.timings())
     recorder = EventLogRecorder() if spec.record_events else None
     with timer.phase("execute"):
-        result = CampaignExecutor(timings=spec.timings()).execute(
-            fleet, plan, rng=rng, recorder=recorder
+        states, results = [], []
+        for plan in plans:
+            states.append(rng.bit_generator.state)
+            results.append(
+                executor.execute(fleet, plan, rng=rng, recorder=recorder)
+            )
+        horizon = max(result.horizon_frames for result in results)
+        for index, plan in enumerate(plans):
+            if results[index].horizon_frames < horizon:
+                replay = np.random.default_rng()
+                replay.bit_generator.state = states[index]
+                results[index] = executor.execute(
+                    fleet, plan, horizon_frames=horizon, rng=replay
+                )
+    return [
+        CellSummary(
+            cell_id=cell_id,
+            fleet_size=len(fleet),
+            n_transmissions=plan.n_transmissions,
+            largest_group=int(np.bincount(plan.columns.transmission).max()),
+            mean_wait_s=result.mean_wait_s,
+            light_sleep_s=result.fleet.light_sleep_s,
+            connected_s=result.fleet.connected_s,
+            energy_mj=result.fleet.energy_mj,
+            worker_rss_kb=_worker_rss_kb(),
+            phase_timings=timer.timings(),
+            event_log=None if recorder is None else recorder.finalize(cell=cell_id),
+            **_adaptation(fleet, plan),
         )
-    return CellSummary(
-        cell_id=cell_id,
-        fleet_size=len(fleet),
-        n_transmissions=plan.n_transmissions,
-        largest_group=int(np.bincount(plan.columns.transmission).max()),
-        mean_wait_s=result.mean_wait_s,
-        light_sleep_s=result.fleet.light_sleep_s,
-        connected_s=result.fleet.connected_s,
-        energy_mj=result.fleet.energy_mj,
-        worker_rss_kb=_worker_rss_kb(),
-        phase_timings=timer.timings(),
-        event_log=None if recorder is None else recorder.finalize(cell=cell_id),
-    )
+        for plan, result in zip(plans, results)
+    ]
 
 
 def _draw_repairs(
@@ -264,20 +336,29 @@ def _deep_devices(histogram: Dict[CoverageClass, int]) -> int:
 
 
 def _finish_run(
-    spec: ScenarioSpec,
-    root_seed: int,
+    run: "_FusedRunPayload",
     run_index: int,
     cells: Sequence[CellSummary],
     repairs: Sequence[RepairOutcome],
     deep_devices: int,
     timings: Dict[str, float],
 ) -> RunOutput:
-    """Fold a run and, when recording, assemble its :class:`RunLog`."""
+    """Fold a run and, when recording, assemble its :class:`RunLog`.
+
+    A comparison run folds each plan's summary on its own, its keys
+    prefixed ``label/``."""
+    spec = run.spec
+    facts = FleetFacts(spec.battery(), deep_devices)
+    if run.plans is not None:
+        return RunOutput({
+            f"{label}/{name}": value
+            for (label, _), cell, repair in zip(run.plans, cells, repairs)
+            for name, value in fold_run(
+                [cell], [repair], multi_cell=False, fleet=facts
+            ).items()
+        })
     metrics = fold_run(
-        cells,
-        repairs,
-        multi_cell=spec.cells.is_multi_cell,
-        fleet=FleetFacts(spec.battery(), deep_devices),
+        cells, repairs, multi_cell=spec.cells.is_multi_cell, fleet=facts
     )
     if not spec.record_events:
         return RunOutput(metrics)
@@ -290,7 +371,7 @@ def _finish_run(
                 segment_loss_rows(repair.missing_per_round, horizon),
             ])
         )
-    meta = _run_meta(spec, run_index, root_seed)
+    meta = _run_meta(spec, run_index, run.root_seed)
     meta["phase_timings"] = timings
     return RunOutput(metrics, RunLog(meta=meta, cells=logs))
 
@@ -338,12 +419,28 @@ def _attached_fleet(
     return shared
 
 
+#: A comparison's plans: labelled mechanisms, in planning order.
+LabelledMechanisms = Tuple[Tuple[str, GroupingMechanism], ...]
+
+
 @dataclass(frozen=True)
 class _FusedRunPayload:
-    """What a run-level task needs besides its generator."""
+    """What a run-level task needs besides its generator.
+
+    ``plans`` makes the run a comparison: its one cell plans every
+    labelled mechanism instead of the spec's own.
+    """
 
     spec: ScenarioSpec
     root_seed: int
+    plans: Optional[LabelledMechanisms] = None
+
+    def fingerprint(self) -> str:
+        """The campaign's address: the spec's fingerprint, covering
+        every plan's label, mechanism, policy and strategy too."""
+        if self.plans is None:
+            return self.spec.fingerprint()
+        return fingerprint({"spec": self.spec.fingerprint(), "plans": self.plans})
 
 
 @dataclass(frozen=True)
@@ -403,7 +500,8 @@ def _fused_cell_task(
             shared.extra("attachments") == payload.cell_id
         )
         fleet = Fleet.from_arrays(shared.arrays.take(indices), trusted=True)
-    return _run_cell(fleet, payload.spec, rng, payload.cell_id, timer)
+    (summary,) = _run_cell(fleet, payload.spec, rng, payload.cell_id, timer)
+    return summary
 
 
 def _fused_run_reduce(
@@ -432,8 +530,7 @@ def _fused_run_reduce(
             + [timer.timings()]
         )
         return _finish_run(
-            spec,
-            state.run.root_seed,
+            state.run,
             address.run_index,
             results,
             repairs,
@@ -449,11 +546,12 @@ def _fused_run_task(
 ) -> Union[RunOutput, FanOut]:
     """One run-level task.
 
-    A single-cell run executes whole, here, on the run's generator. A
-    multi-cell run runs the prologue and fans out one task per
-    non-empty cell, each addressed ``(fingerprint, run, cell)`` and
-    seeded ``SeedSequence(rollout_seed).spawn(n)[position]``, where the
-    run generator draws ``rollout_seed`` right after the attachments.
+    A single-cell run (a comparison run included) executes whole, here,
+    on the run's generator. A multi-cell run runs the prologue and fans
+    out one task per non-empty cell, each addressed ``(fingerprint, run,
+    cell)`` and seeded ``SeedSequence(rollout_seed).spawn(n)[position]``,
+    where the run generator draws ``rollout_seed`` right after the
+    attachments.
     """
     spec = payload.spec
     timer = PhaseTimer()
@@ -478,12 +576,14 @@ def _fused_run_task(
             )
         deep_devices = _deep_devices(fleet.coverage_histogram())
         if staged is None:
-            cells = [_run_cell(fleet, spec, rng, 0, timer)]
+            cells = _run_cell(
+                fleet, spec, rng, 0, timer,
+                payload.plans and [mechanism for _, mechanism in payload.plans],
+            )
             with timer.phase("reduce"):
                 repairs = _draw_repairs(spec, cells, rng)
             return _finish_run(
-                spec,
-                payload.root_seed,
+                payload,
                 address.run_index,
                 cells,
                 repairs,
@@ -538,9 +638,13 @@ def _fused_run_task(
 
 
 def scenario_work_items(
-    spec: ScenarioSpec, root_seed: int, n_runs: int
+    spec: ScenarioSpec,
+    root_seed: int,
+    n_runs: int,
+    plans: Optional[LabelledMechanisms] = None,
 ) -> List[WorkItem]:
-    """The work items of one scenario campaign (one per run).
+    """The work items of one scenario campaign (one per run), or with
+    ``plans`` of one comparison (see :func:`comparison_campaign`).
 
     Each item's output carries the run's metric dict, plus its
     :class:`~repro.sim.eventlog.RunLog` when ``spec.record_events`` is
@@ -548,11 +652,11 @@ def scenario_work_items(
     """
     if n_runs < 1:
         raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    fingerprint = spec.fingerprint()
-    payload = _FusedRunPayload(spec=spec, root_seed=int(root_seed))
+    payload = _FusedRunPayload(spec=spec, root_seed=int(root_seed), plans=plans)
+    campaign = payload.fingerprint()
     return [
         WorkItem(
-            address=TaskAddress(fingerprint, run_index),
+            address=TaskAddress(campaign, run_index),
             fn=_fused_run_task,
             payload=payload,
             seed=int(root_seed),
@@ -627,6 +731,56 @@ def run_scenario(
         chunk_size=chunk_size,
     )
     return stats
+
+
+# ----------------------------------------------------------------------
+# Comparisons: several plans in one cell
+# ----------------------------------------------------------------------
+def comparison_campaign(
+    spec: ScenarioSpec,
+    plans: Sequence[Tuple[str, GroupingMechanism]],
+    tag: str,
+) -> Campaign:
+    """``plans`` compared on ``spec``'s fleets (cache tag
+    ``comparison/<tag>``).
+
+    Each run samples one single-cell fleet from ``spec`` and hands every
+    labelled mechanism to the one cell (:func:`_run_cell`): planned in
+    turn on the run's generator, validated, executed over one common
+    horizon; each plan's repair rounds are then drawn in plan order.
+    A run's metric dict is every plan's :func:`fold_run` dict, its keys
+    prefixed ``label/``; the spec's own mechanism is not planned. A
+    one-plan comparison is the spec's scenario run under that prefix.
+    Multi-cell specs are rejected, and comparisons never record (a
+    :class:`~repro.sim.eventlog.RunLog` holds one log per cell).
+    """
+    if spec.cells.is_multi_cell:
+        raise ConfigurationError(
+            f"a comparison runs one cell; scenario {spec.name!r} has "
+            f"{spec.cells.n_cells}"
+        )
+    plans = tuple((str(label), mechanism) for label, mechanism in plans)
+    labels = [label for label, _ in plans]
+    if not labels or len(set(labels)) != len(labels):
+        raise ConfigurationError(
+            f"a comparison needs distinct plan labels, got {labels}"
+        )
+    items = scenario_work_items(
+        replace(spec, record_events=False), spec.seed, spec.n_runs, plans
+    )
+    return Campaign(
+        items, tag=f"comparison/{tag}", fingerprint=items[0].address.campaign
+    )
+
+
+def comparison_run(
+    spec: ScenarioSpec,
+    plans: Sequence[Tuple[str, GroupingMechanism]],
+    rng: np.random.Generator,
+) -> Dict[str, float]:
+    """The metric dict of one comparison run on ``rng``."""
+    (item,) = comparison_campaign(replace(spec, n_runs=1), plans, "").items
+    return item.fn(rng, item.address, item.payload).metrics
 
 
 def headline_means(stats: Dict[str, RunStatistics]) -> Dict[str, float]:

@@ -58,7 +58,7 @@ from repro.sim.events import Event, EventKind
 from repro.sim.engine import Simulator
 from repro.sim.replay import EventDrivenCampaign
 from repro.sim.dispatch import BACKENDS
-from repro.sim.montecarlo import RunStatistics, run_monte_carlo
+from repro.sim.montecarlo import RunStatistics
 from repro.sim.cache import ResultCache, fingerprint
 
 __all__ = [
@@ -76,7 +76,6 @@ __all__ = [
     "EventDrivenCampaign",
     "BACKENDS",
     "RunStatistics",
-    "run_monte_carlo",
     "ResultCache",
     "fingerprint",
     "SCHEMA_VERSION",

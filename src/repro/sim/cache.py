@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -32,8 +33,10 @@ def _canonical(obj: Any) -> Any:
     attribute participates (a lossy ``repr`` would let two differently
     calibrated scenarios collide on one cache key). Mapping keys are
     canonicalised to strings and sorted, so enum-keyed mappings hash
-    stably too.
+    stably too. An enum member stands for its value.
     """
+    if isinstance(obj, Enum):
+        return _canonical(obj.value)
     if is_dataclass(obj) and not isinstance(obj, type):
         return _canonical(asdict(obj))
     if isinstance(obj, Mapping):

@@ -1,7 +1,8 @@
 """The (run x cell) task graph and its two drains.
 
-Every Monte-Carlo campaign — a plain run function, a scenario's runs
-and the cells each multi-cell run fans out into, a whole sweep grid —
+Every Monte-Carlo campaign — a scenario's runs and the cells each
+multi-cell run fans out into, a figure's comparison runs, a whole sweep
+grid —
 is expressed as one list of :class:`WorkItem`
 objects. The list has exactly two executors, named by the ``backend``
 every public entry point takes (:data:`BACKENDS`):

@@ -10,10 +10,9 @@ Fleet-level summaries (:attr:`CampaignResult.fleet`,
 :attr:`CampaignResult.mean_wait_s`) reduce the columns with array
 arithmetic; per-device :class:`DeviceOutcome` views are materialised
 lazily and only when a consumer actually iterates ``outcomes``. The
-fleet-level summary exposes exactly what Fig. 6 plots — relative
-light-sleep and connected-mode uptime increases over a unicast baseline
-evaluated on the *same* fleet over the *same* horizon — and what Fig. 7
-plots (the transmission count).
+fleet-level summary holds the sums Fig. 6's relative increases are
+built from (the runner's cell executes every compared plan over the
+*same* horizon) and what Fig. 7 plots (the transmission count).
 """
 
 from __future__ import annotations
@@ -24,12 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.plan import MulticastPlan
-from repro.energy.ledger import (
-    LedgerArray,
-    RelativeIncrease,
-    UptimeLedger,
-    UptimeTotals,
-)
+from repro.energy.ledger import LedgerArray, UptimeLedger, UptimeTotals
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import StateGroup
 from repro.errors import SimulationError
@@ -110,15 +104,6 @@ class FleetSummary:
     connected_s: float
     sleep_s: float
     energy_mj: float
-
-    @property
-    def totals(self) -> UptimeTotals:
-        """The aggregate as an :class:`UptimeTotals`."""
-        return UptimeTotals(
-            light_sleep_s=self.light_sleep_s,
-            connected_s=self.connected_s,
-            sleep_s=self.sleep_s,
-        )
 
 
 class CampaignResult:
@@ -208,35 +193,6 @@ class CampaignResult:
                 "mean_wait_s is undefined for a result with no outcomes"
             )
         return float(self._columnar.wait_s.mean())
-
-    def relative_uptime_increase(
-        self, baseline: "CampaignResult"
-    ) -> RelativeIncrease:
-        """Fig. 6's metric: fleet uptime increase over ``baseline``.
-
-        The baseline must cover the same fleet over the same horizon,
-        otherwise light-sleep PO counts are not comparable.
-        """
-        if baseline.n_devices != self.n_devices:
-            raise SimulationError(
-                "baseline covers a different fleet "
-                f"({baseline.n_devices} vs {self.n_devices} devices)"
-            )
-        if baseline.horizon_frames != self.horizon_frames:
-            raise SimulationError(
-                "baseline horizon differs "
-                f"({baseline.horizon_frames} vs {self.horizon_frames} frames); "
-                "evaluate the baseline with horizon_frames="
-                f"{self.horizon_frames}"
-            )
-        return self.fleet.totals.relative_increase_over(baseline.fleet.totals)
-
-    def energy_increase_over(self, baseline: "CampaignResult") -> float:
-        """Fractional fleet energy increase over ``baseline``."""
-        base = baseline.fleet.energy_mj
-        if base <= 0:
-            raise SimulationError("baseline energy is zero")
-        return (self.fleet.energy_mj - base) / base
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

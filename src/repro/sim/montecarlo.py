@@ -6,14 +6,14 @@ one work item of the task graph in :mod:`repro.sim.dispatch` per run,
 and aggregates each returned metric into a :class:`RunStatistics`
 (mean, standard deviation, 95 % confidence half-width).
 
-:func:`run_campaigns` is the one campaign driver — run functions
-(:func:`run_monte_carlo`), scenarios, sweep grids and the golden check
-all go through it: cache lookup (:class:`CampaignCache`), one drain of
-every uncached campaign's items, run logs, aggregation. The two
-backends drain the same items, so their results are bit-identical:
+:func:`run_campaigns` is the one campaign driver — scenarios, figure
+comparisons, sweep grids and the golden check all go through it: cache
+lookup (:class:`CampaignCache`), one drain of every uncached campaign's
+items, run logs, aggregation. The two backends drain the same items, so
+their results are bit-identical:
 
 * ``serial`` — the items drain in this process, one run after another
-  (the default; a run function need not be picklable);
+  (the default; a task function need not be picklable);
 * ``fused`` — the items drain through the fused (run x cell) work-queue
   scheduler's process pool; requires picklable task functions.
 """
@@ -23,19 +23,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,15 +33,11 @@ from repro.sim.cache import ResultCache
 from repro.sim.dispatch import (
     PartialFn,
     PartialResult,
-    TaskAddress,
     WorkItem,
     drain,
     validate_backend,
 )
 from repro.sim.eventlog import RunLog
-
-#: A run function: (rng, run_index) -> {metric name: value}.
-RunFn = Callable[[np.random.Generator, int], Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -207,42 +192,6 @@ class RunOutput:
     runlog: Optional[RunLog] = None
 
 
-def _metric_task(
-    rng: np.random.Generator,
-    address: TaskAddress,
-    payload: Any,
-    *,
-    fn: RunFn,
-) -> RunOutput:
-    """One Monte-Carlo run as a task (floats cross back)."""
-    return RunOutput(
-        {k: float(v) for k, v in fn(rng, address.run_index).items()}
-    )
-
-
-def run_items(
-    fn: RunFn, seed: int, n_runs: int, campaign: str = "montecarlo"
-) -> List[WorkItem]:
-    """The work items of a Monte-Carlo run function: run ``i`` is one
-    item addressed ``(campaign, i, -1)`` with the standard child
-    generator."""
-    if n_runs < 1:
-        raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-    # One task function shared by every item, so the fused pool's
-    # up-front picklability check covers the run function once.
-    task = partial(_metric_task, fn=fn)
-    return [
-        WorkItem(
-            address=TaskAddress(campaign, run_index),
-            fn=task,
-            payload=None,
-            seed=seed,
-            spawn_index=run_index,
-        )
-        for run_index in range(n_runs)
-    ]
-
-
 def run_log_filename(scenario: str, fingerprint: str, run_index: int) -> str:
     """Canonical ``.npz`` filename of one recorded run.
 
@@ -358,42 +307,3 @@ def run_campaigns(
             [output.metrics for output in outputs[start:end]]
         )
     return results
-
-
-def run_monte_carlo(
-    fn: RunFn,
-    n_runs: int = 100,
-    seed: int = 2018,
-    backend: str = "serial",
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    cache_tag: Optional[str] = None,
-    config_fingerprint: str = "",
-    chunk_size: Optional[int] = None,
-) -> Dict[str, RunStatistics]:
-    """Execute ``fn(rng, run_index)`` once per run and aggregate every
-    metric (a one-campaign :func:`run_campaigns`).
-
-    ``seed`` defaults to the paper's publication year, because a
-    default seed has to be something. With a ``cache`` and a
-    ``cache_tag``, a prior result at the same address is returned
-    without executing anything, whichever backend wrote it; see
-    :class:`Campaign` for what ``config_fingerprint`` must cover
-    (scenario-driven callers pass their spec's
-    :meth:`~repro.scenarios.spec.ScenarioSpec.fingerprint`, others hash
-    their parameters with :func:`repro.sim.cache.fingerprint`).
-    """
-    (stats,) = run_campaigns(
-        [
-            Campaign(
-                run_items(fn, seed, n_runs),
-                tag=cache_tag,
-                fingerprint=config_fingerprint,
-            )
-        ],
-        backend,
-        workers=workers,
-        cache=cache,
-        chunk_size=chunk_size,
-    )
-    return stats

@@ -25,12 +25,9 @@ from repro.scenarios import (
 from repro.scenarios.runner import scenario_campaign
 from repro.sim import montecarlo
 from repro.sim.cache import ResultCache
-from repro.sim.montecarlo import (
-    Campaign,
-    run_campaigns,
-    run_items,
-    run_monte_carlo,
-)
+from repro.sim.montecarlo import Campaign, run_campaigns
+
+from metric_items import metric_items, run_fn
 
 
 def draw_run(rng, run_index):
@@ -54,21 +51,21 @@ class TestOneGraph:
         multi = golden_spec(scenario("city-rollout"))
         results = run_campaigns(
             [
-                Campaign(run_items(draw_run, 3, 4)),
+                Campaign(metric_items(draw_run, 3, 4)),
                 scenario_campaign(single),
                 scenario_campaign(multi),
-                Campaign(run_items(pair_run, 9, 2)),
+                Campaign(metric_items(pair_run, 9, 2)),
             ],
             backend,
             workers=workers,
         )
         assert _values(results[0]) == _values(
-            run_monte_carlo(draw_run, n_runs=4, seed=3)
+            run_fn(draw_run, n_runs=4, seed=3)
         )
         assert _values(results[1]) == _values(run_scenario(single))
         assert _values(results[2]) == _values(run_scenario(multi))
         assert _values(results[3]) == _values(
-            run_monte_carlo(pair_run, n_runs=2, seed=9)
+            run_fn(pair_run, n_runs=2, seed=9)
         )
         # Multi-cell runs carry n_cells, single-cell runs do not: the
         # key check is per campaign.
@@ -84,8 +81,8 @@ class TestOneGraph:
         with pytest.raises(ConfigurationError, match="run 1 returned keys"):
             run_campaigns(
                 [
-                    Campaign(run_items(draw_run, 1, 2)),
-                    Campaign(run_items(bad, 1, 50)),
+                    Campaign(metric_items(draw_run, 1, 2)),
+                    Campaign(metric_items(bad, 1, 50)),
                 ]
             )
         assert calls == [0, 1]
@@ -95,7 +92,7 @@ class TestOneGraph:
     ):
         cache = ResultCache(tmp_path)
         campaign = Campaign(
-            run_items(draw_run, 5, 3), tag="t", fingerprint="f"
+            metric_items(draw_run, 5, 3), tag="t", fingerprint="f"
         )
         (written,) = run_campaigns([campaign], cache=cache)
         drained = []
@@ -107,7 +104,7 @@ class TestOneGraph:
 
         monkeypatch.setattr(montecarlo, "drain", counting)
         hit, _ = run_campaigns(
-            [campaign, Campaign(run_items(draw_run, 6, 2))], cache=cache
+            [campaign, Campaign(metric_items(draw_run, 6, 2))], cache=cache
         )
         assert _values(hit) == _values(written)
         assert drained == [2]

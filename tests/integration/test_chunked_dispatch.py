@@ -19,7 +19,8 @@ from repro.sim.dispatch import (
     auto_chunk_size,
     execute_items,
 )
-from repro.sim.montecarlo import run_items, run_monte_carlo
+
+from metric_items import metric_items, run_fn
 
 #: One single-cell and one multi-cell (fan-out) scenario: chunking must
 #: hold across both task shapes, including chunked fan-out sub-items.
@@ -83,9 +84,9 @@ class TestChunkedScenarioGrid:
 class TestChunkedFlatMaps:
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_run_fused_chunked_matches_serial_montecarlo(self, chunk_size):
-        serial = run_monte_carlo(draw_run, n_runs=7, seed=99)
+        serial = run_fn(draw_run, n_runs=7, seed=99)
         per_run = execute_items(
-            run_items(draw_run, seed=99, n_runs=7),
+            metric_items(draw_run, seed=99, n_runs=7),
             workers=2,
             chunk_size=chunk_size,
         )
@@ -96,7 +97,7 @@ class TestChunkedFlatMaps:
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
     def test_run_fused_chunked_is_grain_independent(self, chunk_size):
-        items = run_items(draw_run, 5, 9)
+        items = metric_items(draw_run, 5, 9)
         base = execute_items(items, workers=1, chunk_size=1)
         out = execute_items(items, workers=2, chunk_size=chunk_size)
         assert out == base
@@ -104,7 +105,7 @@ class TestChunkedFlatMaps:
     def test_partials_stream_per_item_not_per_chunk(self):
         partials = []
         execute_items(
-            run_items(draw_run, 5, 9),
+            metric_items(draw_run, 5, 9),
             workers=1,
             chunk_size=4,
             on_partial=partials.append,

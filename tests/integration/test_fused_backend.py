@@ -3,7 +3,7 @@
 The fused (run x cell) scheduler drains the same task graph the serial
 backend drains in-process. Its contract is exact: for any worker count
 and any task completion order, every consumer surface —
-``run_scenario``, ``run_sweep``, ``run_monte_carlo`` — returns arrays
+``run_scenario``, ``run_sweep``, ``run_campaigns`` — returns arrays
 bit-identical to the serial path. The result cache is keyed by
 deterministic address only, so entries written by one backend must be
 hits for every other.
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.scenarios import golden_spec, run_scenario, scenario
-from repro.sim.montecarlo import run_monte_carlo
 from repro.sim.cache import ResultCache
+
+from metric_items import run_fn
 
 #: One single-cell and one multi-cell (fan-out) scenario: the two
 #: structurally different task shapes the fused queue schedules.
@@ -132,26 +133,26 @@ class TestCacheIsBackendAgnostic:
         self, tmp_path, writer, writer_workers
     ):
         cache = ResultCache(tmp_path)
-        written = run_monte_carlo(
+        written = run_fn(
             draw_run,
             n_runs=4,
             seed=7,
             backend=writer,
             workers=writer_workers,
             cache=cache,
-            cache_tag="t",
-            config_fingerprint="f",
+            tag="t",
+            fingerprint="f",
         )
         for reader, reader_workers in self.BACKENDS:
-            hit = run_monte_carlo(
+            hit = run_fn(
                 failing_run,
                 n_runs=4,
                 seed=7,
                 backend=reader,
                 workers=reader_workers,
                 cache=cache,
-                cache_tag="t",
-                config_fingerprint="f",
+                tag="t",
+                fingerprint="f",
             )
             assert set(hit) == set(written)
             for metric in written:

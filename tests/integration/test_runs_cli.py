@@ -212,6 +212,18 @@ class TestCliErrors:
                 ("scenarios", "run", "--scenario", "nope"),
                 "error: unknown scenario 'nope'",
             ),
+            (
+                ("figures", "--device-counts", "x"),
+                "error: --device-counts must be a comma list of ints",
+            ),
+            (
+                ("multicell", "--weights", "abc"),
+                "error: --weights must be a comma list of floats",
+            ),
+            (
+                ("scenarios", "run"),
+                "error: select scenarios with --scenario NAME",
+            ),
         ],
     )
     def test_bad_input_is_one_line_exit_2(self, argv, message):

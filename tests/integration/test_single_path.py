@@ -31,7 +31,8 @@ from repro.scenarios import runner
 from repro.scenarios.runner import CellSummary
 from repro.sim.dispatch import drain
 from repro.sim.eventlog import RunLog, diff_runlogs
-from repro.sim.montecarlo import run_items, run_monte_carlo
+
+from metric_items import metric_items, run_fn
 
 SHM = Path("/dev/shm")
 
@@ -92,9 +93,9 @@ class TestProcessBackendIsGone:
     def test_every_entry_point_rejects_process(self):
         spec = golden_spec(scenario("paper-baseline"))
         with pytest.raises(ConfigurationError, match="backend"):
-            run_monte_carlo(draw_run, n_runs=2, backend="process")
+            run_fn(draw_run, n_runs=2, seed=1, backend="process")
         with pytest.raises(ConfigurationError, match="backend"):
-            drain(run_items(draw_run, 1, 2), "process")
+            drain(metric_items(draw_run, 1, 2), "process")
         with pytest.raises(ConfigurationError, match="backend"):
             run_scenario(spec, backend="process")
         with pytest.raises(ConfigurationError, match="backend"):

@@ -18,8 +18,10 @@ from repro.sim.dispatch import (
     drain_inline,
     execute_items,
 )
-from repro.sim.montecarlo import RunOutput, run_items
+from repro.sim.montecarlo import RunOutput
 from repro.sim.rng import spawn_generators
+
+from metric_items import metric_items
 
 
 def draw_run(rng, run_index):
@@ -324,7 +326,7 @@ class TestFlatMapAdapters:
     def test_run_fused_matches_serial_spawn_contract(self):
         for workers in (1, 2):
             per_run = execute_items(
-                run_items(draw_run, seed=3, n_runs=5), workers=workers
+                metric_items(draw_run, seed=3, n_runs=5), workers=workers
             )
             expected = [
                 RunOutput(draw_run(rng, i))
@@ -332,15 +334,18 @@ class TestFlatMapAdapters:
             ]
             assert per_run == expected
 
-    def test_run_fused_validates_n_runs(self):
+    def test_scenario_items_validate_n_runs(self):
+        from repro.scenarios import scenario
+        from repro.scenarios.runner import scenario_work_items
+
         with pytest.raises(ConfigurationError, match="n_runs"):
-            run_items(draw_run, seed=1, n_runs=0)
+            scenario_work_items(scenario("paper-baseline"), 1, 0)
 
     def test_run_fused_matches_inline_drain(self):
-        serial = drain_inline(run_items(draw_run, seed=11, n_runs=3))
+        serial = drain_inline(metric_items(draw_run, seed=11, n_runs=3))
         for workers in (1, 2):
             assert execute_items(
-                run_items(draw_run, seed=11, n_runs=3), workers=workers
+                metric_items(draw_run, seed=11, n_runs=3), workers=workers
             ) == serial
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy.ledger import UptimeLedger, UptimeTotals
+from repro.energy.ledger import UptimeLedger
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import STATE_GROUPS, PowerState, StateGroup
 from repro.errors import ConfigurationError
@@ -99,21 +99,3 @@ class TestLedger:
         d = ledger.as_dict()
         d[PowerState.PO_MONITOR] = 99.0
         assert ledger.seconds_in(PowerState.PO_MONITOR) == 0.0
-
-
-class TestRelativeIncrease:
-    def test_basic_ratio(self):
-        a = UptimeTotals(light_sleep_s=1.1, connected_s=2.0)
-        base = UptimeTotals(light_sleep_s=1.0, connected_s=1.0)
-        increase = a.relative_increase_over(base)
-        assert increase.light_sleep == pytest.approx(0.1)
-        assert increase.connected == pytest.approx(1.0)
-
-    def test_zero_baseline_zero_delta(self):
-        a = UptimeTotals(light_sleep_s=0.0, connected_s=0.0)
-        assert a.relative_increase_over(a).light_sleep == 0.0
-
-    def test_zero_baseline_positive_delta_is_inf(self):
-        a = UptimeTotals(light_sleep_s=1.0, connected_s=0.0)
-        base = UptimeTotals(light_sleep_s=0.0, connected_s=0.0)
-        assert a.relative_increase_over(base).light_sleep == float("inf")

@@ -69,79 +69,96 @@ class TestExperimentConfig:
 
 class TestRunner:
     def test_fig6_default_payload_campaign_runs_once(self, monkeypatch):
-        import repro.experiments.uptime as uptime
         from repro.experiments.runner import run_with_charts
+        from repro.sim import montecarlo
 
-        calls = []
-        real = uptime.compare_mechanisms_once
+        payloads = []
+        real = montecarlo.drain
 
-        def counting(rng, config, payload_bytes):
-            calls.append(payload_bytes)
-            return real(rng, config, payload_bytes)
+        def counting(items, *args, **kwargs):
+            payloads.extend(
+                item.payload.spec.payload_bytes
+                for item in items
+                if item.payload.plans is not None
+            )
+            return real(items, *args, **kwargs)
 
-        monkeypatch.setattr(uptime, "compare_mechanisms_once", counting)
+        monkeypatch.setattr(montecarlo, "drain", counting)
         config = ExperimentConfig(n_runs=2, n_devices=30)
         tables, charts = run_with_charts(["6a", "6b"], config)
         assert set(tables) == {"6a", "6b"} and "6a" in charts
         # n_runs x 3 payloads: 6(a) reads 6(b)'s default-payload campaign.
-        assert sorted(calls) == sorted(list(config.payload_sizes) * 2)
+        assert sorted(payloads) == sorted(list(config.payload_sizes) * 2)
 
     def test_figure_runs_validate_every_plan(self, monkeypatch):
-        import numpy as np
-
         from repro.core.plan import MulticastPlan
         from repro.experiments.ablations import (
             GROUPING_ABLATION_COMBOS,
-            _a6_run,
-            dasc_strategy_once,
+            run_dasc_strategy_ablation,
+            run_grouping_policy_ablation,
+            run_setcover_quality,
         )
-        from repro.experiments.uptime import compare_mechanisms_once
-        from repro.timebase import seconds_to_frames
-        from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+        from repro.experiments.uptime import run_fig6a
+        from repro.sim.executor import CampaignExecutor
 
         validated = []
-        real = MulticastPlan.validate
+        real_validate = MulticastPlan.validate
 
         def counting(plan, fleet):
             validated.append(plan)
-            return real(plan, fleet)
+            return real_validate(plan, fleet)
+
+        horizons = {}
+        real_execute = CampaignExecutor.execute
+
+        def recording(executor, fleet, plan, *args, **kwargs):
+            result = real_execute(executor, fleet, plan, *args, **kwargs)
+            horizons[id(plan)] = result.horizon_frames
+            return result
 
         monkeypatch.setattr(MulticastPlan, "validate", counting)
+        monkeypatch.setattr(CampaignExecutor, "execute", recording)
         config = ExperimentConfig(n_runs=1, n_devices=40)
         runs = (
-            (lambda rng: compare_mechanisms_once(rng, config, 100_000), 4),
-            (lambda rng: dasc_strategy_once(rng, config), 2),
+            (lambda: run_fig6a(config), 4),
+            (lambda: run_dasc_strategy_ablation(config), 2),
+            (lambda: run_setcover_quality(n_runs=1), 2),
             (
-                lambda rng: _a6_run(
-                    rng, 0, 12, MODERATE_EDRX_MIXTURE,
-                    seconds_to_frames(20.48), 100_000,
-                ),
+                lambda: run_grouping_policy_ablation(n_runs=1),
                 len(GROUPING_ABLATION_COMBOS),
             ),
         )
         for run, n_plans in runs:
             validated.clear()
-            run(np.random.default_rng(5))
+            horizons.clear()
+            run()
             # One validate per planned mechanism, each on its own plan.
             assert len(validated) == n_plans
             assert len({id(plan) for plan in validated}) == n_plans
+            # Every plan's last execution spans one common horizon.
+            assert set(horizons) == {id(plan) for plan in validated}
+            assert len(set(horizons.values())) == 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_a1_columns_match_the_scalar_paging_oracle(self, seed):
-        """A1's column arithmetic equals the per-directive loop over the
-        scalar TS 36.304 pattern, value for value."""
+        """The cell's adaptation counts equal the per-directive loop over
+        the scalar TS 36.304 pattern, value for value."""
         import numpy as np
 
         from repro.core import AdaptationStrategy, DaScMechanism
         from repro.core.plan import WakeMethod
         from repro.drx.paging import pattern_for
-        from repro.experiments.ablations import dasc_strategy_once
+        from repro.scenarios.runner import comparison_run
         from repro.traffic.generator import generate_fleet
 
         config = ExperimentConfig(n_runs=1, n_devices=150)
-        got = dasc_strategy_once(np.random.default_rng(seed), config)
-
         spec = config.scenario("a1")
+        plans = tuple(
+            (strategy.value, DaScMechanism(strategy))
+            for strategy in AdaptationStrategy
+        )
+        got = comparison_run(spec, plans, np.random.default_rng(seed))
+
         rng = np.random.default_rng(seed)
         fleet = generate_fleet(spec.n_devices, spec.mixture_obj(), rng)
         for strategy in AdaptationStrategy:
@@ -162,7 +179,7 @@ class TestRunner:
             assert adapted
             assert got[f"{key}/adapted_devices"] == float(len(adapted))
             assert got[f"{key}/intermediate_pos"] == float(extra_pos)
-            assert got[f"{key}/mean_adapted_cycle_s"] == float(
+            assert got[f"{key}/adapted_cycle_s"] / len(adapted) == float(
                 np.mean([d.adapted_cycle.seconds for d in adapted])
             )
 

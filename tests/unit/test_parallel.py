@@ -9,7 +9,8 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.sim.cache import ResultCache, fingerprint
 from repro.sim.dispatch import execute_items
-from repro.sim.montecarlo import run_items, run_monte_carlo
+
+from metric_items import metric_items, run_fn
 
 
 def draw_run(rng, run_index):
@@ -27,9 +28,9 @@ def failing_run(rng, run_index):
 
 class TestFusedBackendEquivalence:
     def test_identical_to_serial_for_any_worker_count(self):
-        serial = run_monte_carlo(draw_run, n_runs=12, seed=99)
+        serial = run_fn(draw_run, n_runs=12, seed=99)
         for workers in (1, 2, 5):
-            fused = run_monte_carlo(
+            fused = run_fn(
                 draw_run, n_runs=12, seed=99, backend="fused", workers=workers
             )
             np.testing.assert_array_equal(
@@ -39,27 +40,27 @@ class TestFusedBackendEquivalence:
                 fused["index"].values, np.arange(12, dtype=np.float64)
             )
 
-    def test_run_monte_carlo_front(self):
-        a = run_monte_carlo(draw_run, n_runs=6, seed=3, backend="serial")
-        b = run_monte_carlo(
+    def test_serial_equals_fused_at_two_workers(self):
+        a = run_fn(draw_run, n_runs=6, seed=3, backend="serial")
+        b = run_fn(
             draw_run, n_runs=6, seed=3, backend="fused", workers=2
         )
         np.testing.assert_array_equal(a["draw"].values, b["draw"].values)
 
     def test_partial_run_fn_is_supported(self):
         fn = partial(scaled_draw_run, scale=10.0)
-        a = run_monte_carlo(fn, n_runs=4, seed=1, backend="serial")
-        b = run_monte_carlo(fn, n_runs=4, seed=1, backend="fused", workers=2)
+        a = run_fn(fn, n_runs=4, seed=1, backend="serial")
+        b = run_fn(fn, n_runs=4, seed=1, backend="fused", workers=2)
         np.testing.assert_array_equal(a["draw"].values, b["draw"].values)
         assert a["draw"].min >= 0.0 and a["draw"].max <= 10.0
 
     def test_results_arrive_in_run_index_order(self):
-        out = execute_items(run_items(draw_run, seed=0, n_runs=9), workers=3)
+        out = execute_items(metric_items(draw_run, seed=0, n_runs=9), workers=3)
         assert [o.metrics["index"] for o in out] == list(map(float, range(9)))
 
     def test_unpicklable_fn_rejected(self):
         with pytest.raises(ConfigurationError, match="picklable"):
-            run_monte_carlo(
+            run_fn(
                 lambda rng, i: {"x": 1.0},
                 n_runs=2,
                 seed=1,
@@ -74,7 +75,7 @@ class TestFusedBackendEquivalence:
             calls.append(run_index)
             return {"x": float(run_index)}
 
-        stats = run_monte_carlo(closure, n_runs=3, seed=1)
+        stats = run_fn(closure, n_runs=3, seed=1)
         assert calls == [0, 1, 2]
         assert stats["x"].values.tolist() == [0.0, 1.0, 2.0]
 
@@ -88,16 +89,16 @@ class TestFusedBackendEquivalence:
             return {"a": 1.0} if run_index == 0 else {"b": 1.0}
 
         with pytest.raises(ConfigurationError):
-            run_monte_carlo(bad, n_runs=50, seed=1)
+            run_fn(bad, n_runs=50, seed=1)
         assert calls == [0, 1]
 
     def test_invalid_backend_and_workers(self):
         with pytest.raises(ConfigurationError):
-            run_monte_carlo(draw_run, n_runs=2, seed=1, backend="threads")
+            run_fn(draw_run, n_runs=2, seed=1, backend="threads")
         with pytest.raises(ConfigurationError):
-            run_monte_carlo(draw_run, n_runs=2, seed=1, workers=0)
+            run_fn(draw_run, n_runs=2, seed=1, workers=0)
         with pytest.raises(ConfigurationError):
-            execute_items(run_items(draw_run, seed=1, n_runs=2), workers=0)
+            execute_items(metric_items(draw_run, seed=1, n_runs=2), workers=0)
 
 
 class TestFingerprint:
@@ -187,14 +188,14 @@ class TestResultCache:
 
     def test_hit_skips_execution(self, tmp_path):
         cache = ResultCache(tmp_path)
-        first = run_monte_carlo(
+        first = run_fn(
             draw_run, n_runs=5, seed=7, cache=cache,
-            cache_tag="t", config_fingerprint="f",
+            tag="t", fingerprint="f",
         )
         # Same key: the (failing) run fn must never be called.
-        second = run_monte_carlo(
+        second = run_fn(
             failing_run, n_runs=5, seed=7, cache=cache,
-            cache_tag="t", config_fingerprint="f",
+            tag="t", fingerprint="f",
         )
         np.testing.assert_array_equal(
             first["draw"].values, second["draw"].values
@@ -202,13 +203,13 @@ class TestResultCache:
 
     def test_hit_is_backend_independent(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_monte_carlo(
+        run_fn(
             draw_run, n_runs=5, seed=7, cache=cache,
-            cache_tag="t", config_fingerprint="f",
+            tag="t", fingerprint="f",
         )
-        cached = run_monte_carlo(
+        cached = run_fn(
             failing_run, n_runs=5, seed=7, backend="fused", workers=2,
-            cache=cache, cache_tag="t", config_fingerprint="f",
+            cache=cache, tag="t", fingerprint="f",
         )
         assert cached["draw"].n == 5
 
@@ -221,14 +222,14 @@ class TestResultCache:
     )
     def test_seed_or_runs_change_invalidates(self, tmp_path, kwargs):
         cache = ResultCache(tmp_path)
-        run_monte_carlo(
+        run_fn(
             draw_run, n_runs=5, seed=7, cache=cache,
-            cache_tag="t", config_fingerprint="f",
+            tag="t", fingerprint="f",
         )
         with pytest.raises(AssertionError, match="cache hit"):
-            run_monte_carlo(
+            run_fn(
                 failing_run, **{"n_runs": 5, "seed": 7, **kwargs},
-                cache=cache, cache_tag="t", config_fingerprint="f",
+                cache=cache, tag="t", fingerprint="f",
             )
 
     def test_fingerprint_change_invalidates(self, tmp_path):
@@ -258,5 +259,5 @@ class TestResultCache:
 
     def test_no_tag_means_no_caching(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_monte_carlo(draw_run, n_runs=3, seed=1, cache=cache)
+        run_fn(draw_run, n_runs=3, seed=1, cache=cache)
         assert list(tmp_path.iterdir()) == []

@@ -11,8 +11,10 @@ from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
 from repro.sim.executor import CampaignExecutor
 from repro.timebase import frame_after_seconds
-from repro.sim.montecarlo import RunStatistics, run_monte_carlo
+from repro.sim.montecarlo import RunStatistics
 from repro.sim.rng import generator_for, spawn_generators
+
+from metric_items import run_fn
 
 
 class TestFrameAfter:
@@ -84,18 +86,6 @@ class TestExecutor:
                 assert ra == pytest.approx(2 * 0.35)  # two RA procedures
             else:
                 assert ra == pytest.approx(0.35)
-
-    def test_relative_increase_requires_same_horizon(
-        self, moderate_fleet, context, rng
-    ):
-        executor = CampaignExecutor()
-        plan = UnicastBaseline().plan(moderate_fleet, context, rng)
-        a = executor.execute(moderate_fleet, plan)
-        b = executor.execute(
-            moderate_fleet, plan, horizon_frames=a.horizon_frames + 100
-        )
-        with pytest.raises(SimulationError):
-            a.relative_uptime_increase(b)
 
     def test_deep_sleep_completes_timeline(self, moderate_fleet, context, rng):
         plan = UnicastBaseline().plan(moderate_fleet, context, rng)
@@ -244,7 +234,7 @@ class TestEngineCancel:
 
 class TestMonteCarlo:
     def test_aggregates_metrics(self):
-        stats = run_monte_carlo(
+        stats = run_fn(
             lambda rng, i: {"value": float(i)}, n_runs=10, seed=1
         )
         assert stats["value"].n == 10
@@ -252,10 +242,10 @@ class TestMonteCarlo:
         assert stats["value"].min == 0.0 and stats["value"].max == 9.0
 
     def test_runs_are_independent_but_reproducible(self):
-        a = run_monte_carlo(
+        a = run_fn(
             lambda rng, i: {"draw": float(rng.random())}, n_runs=5, seed=42
         )
-        b = run_monte_carlo(
+        b = run_fn(
             lambda rng, i: {"draw": float(rng.random())}, n_runs=5, seed=42
         )
         np.testing.assert_array_equal(a["draw"].values, b["draw"].values)
@@ -289,7 +279,7 @@ class TestMonteCarlo:
 
     def test_inconsistent_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_monte_carlo(
+            run_fn(
                 lambda rng, i: {"a": 1.0} if i == 0 else {"b": 1.0},
                 n_runs=2,
                 seed=1,
@@ -297,7 +287,7 @@ class TestMonteCarlo:
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_monte_carlo(lambda rng, i: {}, n_runs=1, seed=1)
+            run_fn(lambda rng, i: {}, n_runs=1, seed=1)
 
 
 class TestRng:
