@@ -11,7 +11,7 @@
   (nothing folds) and dense-urban, plus ``FLEET_SCALE_MIXTURE`` at
   10^4. Every row times ``method="incremental"`` (median of three)
   against one ``method="reference"`` run and asserts the two are
-  digest-identical: same windows, assignments and generator end state.
+  digest-identical: same windows, members and generator end state.
   Time is reported, not gated. ``REPRO_BENCH_SETCOVER_MAX_DEVICES``
   caps every row's fleet size; the rows land in ``BENCH_setcover.json``.
 """
@@ -149,13 +149,11 @@ def _capture_covers(
 
 
 def _digest(results) -> str:
-    """SHA-256 over every cover's window starts, assignments and end state."""
+    """SHA-256 over every cover's window starts, members and end state."""
     digest = hashlib.sha256()
     for cover, state in results:
-        starts = np.array([w.start for w in cover.windows], dtype=np.int64)
-        digest.update(starts.tobytes())
-        for members in cover.assignments:
-            digest.update(np.asarray(members, dtype=np.int64).tobytes())
+        digest.update(cover.start.tobytes())
+        digest.update(cover.members.tobytes())
         digest.update(repr(state).encode())
     return digest.hexdigest()
 
@@ -183,7 +181,7 @@ def test_cover_shapes_match_reference(monkeypatch, capsys):
         digest = _digest(reference)
         for _, results in runs:
             assert _digest(results) == digest, (label, n_devices)
-        n_transmissions = sum(cover.n_transmissions for cover, _ in reference)
+        n_transmissions = sum(cover.n_groups for cover, _ in reference)
         rows.append((
             label, str(n_devices), str(len(inputs)), str(n_transmissions),
             f"{reference_s:.3f}s", f"{incremental_s:.3f}s",

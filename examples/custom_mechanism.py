@@ -27,6 +27,7 @@ from repro import (
     DaScMechanism,
     DrScMechanism,
     FirmwareImage,
+    GroupingDecision,
     GroupingMechanism,
     MulticastPlan,
     OnDemandMulticastService,
@@ -36,7 +37,6 @@ from repro import (
     generate_fleet,
 )
 from repro.core.plan import METHOD_CODE, PlanArrays
-from repro.grouping.policy import PlannedGroup
 from repro.setcover.greedy import greedy_window_cover
 
 
@@ -74,19 +74,22 @@ class BudgetedHybridMechanism(GroupingMechanism):
         )
         # Keep the biggest (first-selected) windows within budget, but
         # reserve the final slot for the DA-SC-style tail window.
-        kept = list(zip(cover.windows, cover.assignments))[: self._budget - 1]
-        tail_devices = sorted(
-            set(range(len(fleet)))
-            - {int(i) for _w, members in kept for i in members}
-        )
+        n_kept = min(self._budget - 1, cover.n_groups)
+        cut = cover.bounds[n_kept]
+        tail = np.setdiff1d(np.arange(len(fleet)), cover.members[:cut])
 
         # The kept windows page their members at a window PO, built as
         # plan columns straight from the fleet's arrays.
-        groups = [PlannedGroup(members, window) for window, members in kept]
         frames, parts = [], []
-        if groups:
-            rows = self._window_rows(fleet, context, groups)
-            frames = [group.window.last_frame for group in rows.groups]
+        if n_kept:
+            kept = GroupingDecision(
+                cover.start[:n_kept],
+                cover.end[:n_kept],
+                cover.members[:cut],
+                cover.bounds[: n_kept + 1],
+            )
+            rows = self._window_rows(fleet, context, kept)
+            frames = (rows.group_end - 1).tolist()
             parts.append(
                 PlanArrays(
                     rows.device,
@@ -96,16 +99,15 @@ class BudgetedHybridMechanism(GroupingMechanism):
                     rows.page,
                 )
             )
-        if tail_devices:
+        if tail.size:
             # Delegate the tail to DA-SC on a subfleet, then re-index.
-            tail = np.asarray(tail_devices, dtype=np.int64)
-            tail_plan = self._dasc.plan(fleet.subset(tail_devices), context, rng)
+            tail_plan = self._dasc.plan(fleet.subset(tail.tolist()), context, rng)
             tail_columns = tail_plan.columns
             parts.append(
                 replace(
                     tail_columns,
                     device=tail[tail_columns.device],
-                    transmission=np.full(tail.size, len(groups)),
+                    transmission=np.full(tail.size, n_kept),
                 )
             )
             frames.append(tail_plan.transmissions[0].frame)

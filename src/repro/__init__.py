@@ -49,7 +49,6 @@ from repro.grouping import (
     GROUPING_POLICIES,
     GroupingDecision,
     GroupingPolicy,
-    PlannedGroup,
     grouping_policy_by_name,
     register_grouping_policy,
 )
@@ -111,7 +110,6 @@ __all__ = [
     # grouping policies
     "GroupingPolicy",
     "GroupingDecision",
-    "PlannedGroup",
     "GROUPING_POLICIES",
     "grouping_policy_by_name",
     "register_grouping_policy",

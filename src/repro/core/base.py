@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, TYPE_CHECKING
+from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.grouping.policy import GroupingPolicy, PlannedGroup
+    from repro.grouping.policy import GroupingPolicy
+    from repro.setcover.decision import GroupingDecision
 
 from repro.devices.arrays import COVERAGE_ORDER
 from repro.devices.fleet import Fleet
@@ -105,7 +106,8 @@ class WindowRows(NamedTuple):
     """Groups as plan rows: one per member, groups in time order,
     members in member order."""
 
-    groups: Sequence["PlannedGroup"]  # in time (transmission) order
+    group_start: np.ndarray  # per group (transmission), its window start
+    group_end: np.ndarray  # per group (transmission), its window end
     device: np.ndarray
     transmission: np.ndarray  # each row's group (transmission) index
     start: np.ndarray  # each row's window start
@@ -161,9 +163,9 @@ class GroupingMechanism(abc.ABC):
     # ------------------------------------------------------------------
     @staticmethod
     def _window_rows(
-        fleet: Fleet, context: PlanningContext, groups: Sequence["PlannedGroup"]
+        fleet: Fleet, context: PlanningContext, decision: "GroupingDecision"
     ) -> WindowRows:
-        """Lay ``groups`` out as plan rows and page every member at its
+        """Lay ``decision`` out as plan rows and page every member at its
         latest window PO — the latest PO leaving its connect slack before
         the window's last frame (minimising the connected wait), else the
         latest PO at or before that frame.
@@ -173,13 +175,11 @@ class GroupingMechanism(abc.ABC):
         end. The stable sort preserves selection order among groups
         sharing a window (collision-aware splits).
         """
-        order = np.argsort([group.window.end for group in groups], kind="stable")
-        groups = [groups[i] for i in order]
-        sizes = np.array([group.size for group in groups], dtype=np.int64)
+        decision = decision.take(np.argsort(decision.end, kind="stable"))
+        sizes = np.diff(decision.bounds)
         transmission = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-        device = np.concatenate([group.members for group in groups])
-        start = np.array([g.window.start for g in groups], np.int64)[transmission]
-        last = np.array([g.window.last_frame for g in groups], np.int64)[transmission]
+        device, start = decision.members, decision.start[transmission]
+        last = decision.end[transmission] - 1
         arrays = fleet.arrays
         phases, periods = arrays.phases[device], arrays.periods[device]
         slack = context.connect_slack_table()[arrays.coverage_codes[device]]
@@ -187,7 +187,8 @@ class GroupingMechanism(abc.ABC):
         with_slack = v_last_at_or_before(phases, periods, last - slack)
         page = np.where(with_slack >= start, with_slack, latest)
         return WindowRows(
-            groups, device, transmission, start, last, page, latest >= start
+            decision.start, decision.end, device, transmission, start, last, page,
+            latest >= start,
         )
 
     def _assemble(
@@ -195,7 +196,7 @@ class GroupingMechanism(abc.ABC):
         fleet: Fleet,
         context: PlanningContext,
         columns: PlanArrays,
-        frames: Sequence[int],
+        frames: np.ndarray,
     ) -> MulticastPlan:
         """This mechanism's plan: transmission ``i`` goes out at
         ``frames[i]`` to the rows of ``columns`` directed to it, its

@@ -108,7 +108,7 @@ class DaScMechanism(GroupingMechanism):
         # expires before the data starts. We therefore accept POs in
         # [t - TI, t - 1] and page as late as slack allows.
         decision = self._policy.group(fleet, context, rng)
-        rows = self._window_rows(fleet, context, decision.groups)
+        rows = self._window_rows(fleet, context, decision)
         page = rows.page
         adaptation = np.full(page.size, -1, dtype=np.int64)
         cycle = np.zeros(page.size, dtype=np.int64)
@@ -129,8 +129,7 @@ class DaScMechanism(GroupingMechanism):
         columns = PlanArrays(
             rows.device, rows.transmission, method, page, page, adaptation, cycle
         )
-        frames = [group.window.end for group in rows.groups]
-        return self._assemble(fleet, context, columns, frames)
+        return self._assemble(fleet, context, columns, rows.group_end)
 
     # ------------------------------------------------------------------
     # Adaptation machinery

@@ -73,7 +73,7 @@ class DrScMechanism(GroupingMechanism):
         (earliest window wins ties).
         """
         decision = self._policy.group(fleet, context, rng)
-        rows = self._window_rows(fleet, context, decision.groups)
+        rows = self._window_rows(fleet, context, decision)
         check_rows(
             ~rows.has_po,
             "device {d}: no PO in window [{s}, {f}]",
@@ -88,5 +88,4 @@ class DrScMechanism(GroupingMechanism):
             rows.page,
             rows.page,
         )
-        frames = [group.window.last_frame for group in rows.groups]
-        return self._assemble(fleet, context, columns, frames)
+        return self._assemble(fleet, context, columns, rows.group_end - 1)

@@ -75,7 +75,7 @@ class DrSiMechanism(GroupingMechanism):
                 "within [t - TI, t)"
             )
         decision = self._policy.group(fleet, context, rng)
-        rows = self._window_rows(fleet, context, decision.groups)
+        rows = self._window_rows(fleet, context, decision)
         page, connect = rows.page, rows.page.copy()
         notified = np.flatnonzero(~rows.has_po)
         if notified.size:
@@ -97,19 +97,17 @@ class DrSiMechanism(GroupingMechanism):
             # Each group draws its notified members' wake frames in one
             # call, in member order: the same stream as one draw each.
             bounds = np.searchsorted(
-                rows.transmission[notified], np.arange(len(rows.groups) + 1)
-            )
-            for group, a, b in zip(rows.groups, bounds[:-1], bounds[1:]):
+                rows.transmission[notified],
+                np.arange(rows.group_end.size + 1),
+            ).tolist()
+            windows = zip(rows.group_start.tolist(), rows.group_end.tolist())
+            for (lo, hi), a, b in zip(windows, bounds[:-1], bounds[1:]):
                 if b > a:
-                    window = group.window
-                    connect[notified[a:b]] = rng.integers(
-                        window.start, window.last_frame + 1, size=b - a
-                    )
+                    connect[notified[a:b]] = rng.integers(lo, hi, size=b - a)
         method = np.where(
             rows.has_po,
             METHOD_CODE[WakeMethod.PAGED_IN_WINDOW],
             METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER],
         )
         columns = PlanArrays(rows.device, rows.transmission, method, page, connect)
-        frames = [group.window.end for group in rows.groups]
-        return self._assemble(fleet, context, columns, frames)
+        return self._assemble(fleet, context, columns, rows.group_end)

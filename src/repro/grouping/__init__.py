@@ -9,7 +9,6 @@ for semantics, the registry and how to add a policy.
 from repro.grouping.policy import (
     GroupingDecision,
     GroupingPolicy,
-    PlannedGroup,
 )
 from repro.grouping.policies import (
     CollisionAwarePolicy,
@@ -29,7 +28,6 @@ from repro.grouping.registry import (
 __all__ = [
     "GroupingPolicy",
     "GroupingDecision",
-    "PlannedGroup",
     "GreedyCoverPolicy",
     "ExactCoverPolicy",
     "CollisionAwarePolicy",

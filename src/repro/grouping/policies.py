@@ -32,11 +32,10 @@ import numpy as np
 from repro.devices.fleet import COVERAGE_ORDER
 from repro.drx.schedule import v_has_in
 from repro.errors import ConfigurationError, SetCoverError
-from repro.grouping.policy import GroupingDecision, GroupingPolicy, PlannedGroup
+from repro.grouping.policy import GroupingDecision, GroupingPolicy
 from repro.rrc.nprach import NprachConfig
 from repro.setcover.exact import exact_min_window_cover
 from repro.setcover.greedy import greedy_window_cover
-from repro.timebase import FrameWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.base import PlanningContext
@@ -46,11 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 class GreedyCoverPolicy(GroupingPolicy):
     """Chvátal's greedy TI-window set cover (paper Sec. III-A, Fig. 4).
 
-    The default policy. Produces exactly the windows, assignments and
-    tie-breaks of the historical inline
-    :func:`~repro.setcover.greedy.greedy_window_cover` call, so plans
-    (and therefore every golden metric) are bit-identical to the
-    pre-policy code.
+    The default policy. Its decision is the one
+    :func:`~repro.setcover.greedy.greedy_window_cover` returns, tie-breaks
+    included, so plans (and therefore every golden metric) are
+    bit-identical to the pre-policy code.
     """
 
     name = "greedy-cover"
@@ -64,7 +62,7 @@ class GreedyCoverPolicy(GroupingPolicy):
         rng: Optional[np.random.Generator] = None,
     ) -> GroupingDecision:
         start, end = self._horizon(fleet, context)
-        cover = greedy_window_cover(
+        decision = greedy_window_cover(
             fleet.phases,
             fleet.periods,
             window_len=context.inactivity_timer_frames,
@@ -72,10 +70,6 @@ class GreedyCoverPolicy(GroupingPolicy):
             horizon_end=end,
             rng=rng,
         )
-        decision = GroupingDecision(groups=tuple(
-            PlannedGroup(members=members, window=window)
-            for window, members in zip(cover.windows, cover.assignments)
-        ))
         decision.validate_partition(len(fleet))
         return decision
 
@@ -86,9 +80,8 @@ class ExactCoverPolicy(GroupingPolicy):
     Wraps :func:`~repro.setcover.exact.exact_min_window_cover` — branch
     and bound seeded with the greedy bound, exponential in the worst
     case — so it refuses fleets larger than ``max_devices``. Each
-    device is assigned to the earliest chosen window containing one of
-    its POs (every window of a *minimum* cover covers at least one
-    device uniquely, so no group comes out empty).
+    device is served in the earliest chosen window containing one of
+    its POs.
     """
 
     name = "exact-cover"
@@ -119,20 +112,10 @@ class ExactCoverPolicy(GroupingPolicy):
                 f"exact-cover is exponential; fleet of {len(fleet)} exceeds "
                 f"the {self._max_devices}-device bound (use greedy-cover)"
             )
-        ti = context.inactivity_timer_frames
         start, end = self._horizon(fleet, context)
-        phases, periods = fleet.phases, fleet.periods
-        _, frames = exact_min_window_cover(phases, periods, ti, start, end)
-
-        remaining = np.ones(len(fleet), dtype=bool)
-        groups: List[PlannedGroup] = []
-        for frame in frames:  # already in time order
-            window = FrameWindow(frame - ti + 1, frame + 1)
-            covered = v_has_in(phases, periods, window.start, window.end)
-            members = np.nonzero(covered & remaining)[0]
-            remaining[members] = False
-            groups.append(PlannedGroup(members=members, window=window))
-        decision = GroupingDecision(groups=tuple(groups))
+        decision = exact_min_window_cover(
+            fleet.phases, fleet.periods, context.inactivity_timer_frames, start, end
+        )
         decision.validate_partition(len(fleet))
         return decision
 
@@ -216,16 +199,16 @@ class CollisionAwarePolicy(GroupingPolicy):
     ) -> GroupingDecision:
         base = GreedyCoverPolicy().group(fleet, context, rng)
         cap = self.max_group_size
-        groups: List[PlannedGroup] = []
-        for group in base.groups:
-            for lo in range(0, group.size, cap):
-                groups.append(
-                    PlannedGroup(
-                        members=group.members[lo : lo + cap],
-                        window=group.window,
-                    )
-                )
-        decision = GroupingDecision(groups=tuple(groups))
+        # Group g splits into chunks at bounds[g] + k * cap.
+        chunks = -(-np.diff(base.bounds) // cap)
+        source = np.repeat(np.arange(base.n_groups), chunks)
+        k = np.arange(source.size) - np.repeat(np.cumsum(chunks) - chunks, chunks)
+        decision = GroupingDecision(
+            base.start[source],
+            base.end[source],
+            base.members,
+            np.append(base.bounds[source] + k * cap, base.members.size),
+        )
         decision.validate_partition(len(fleet))
         return decision
 
@@ -257,7 +240,7 @@ class CoverageStratifiedPolicy(GroupingPolicy):
         start, end = self._horizon(fleet, context)
         phases, periods = fleet.phases, fleet.periods
         codes = fleet.coverage_codes
-        groups: List[PlannedGroup] = []
+        parts = []
         for code in range(len(COVERAGE_ORDER)):
             stratum = np.nonzero(codes == code)[0]
             if stratum.size == 0:
@@ -270,11 +253,12 @@ class CoverageStratifiedPolicy(GroupingPolicy):
                 horizon_end=end,
                 rng=rng,
             )
-            for window, members in zip(cover.windows, cover.assignments):
-                groups.append(
-                    PlannedGroup(members=stratum[members], window=window)
-                )
-        decision = GroupingDecision(groups=tuple(groups))
+            sizes = np.diff(cover.bounds)
+            parts.append((cover.start, cover.end, stratum[cover.members], sizes))
+        starts, ends, members, sizes = map(np.concatenate, zip(*parts))
+        decision = GroupingDecision(
+            starts, ends, members, np.append(0, np.cumsum(sizes))
+        )
         decision.validate_partition(len(fleet))
         return decision
 
@@ -310,7 +294,9 @@ class RandomWindowPolicy(GroupingPolicy):
         phases, periods = fleet.phases, fleet.periods
         remaining = np.ones(len(fleet), dtype=bool)
         order = rng.permutation(len(fleet))
-        groups: List[PlannedGroup] = []
+        starts: List[int] = []
+        ends: List[int] = []
+        groups: List[np.ndarray] = []
         for anchor in order:
             if not remaining[anchor]:
                 continue
@@ -320,12 +306,12 @@ class RandomWindowPolicy(GroupingPolicy):
             k_hi = (end - 1 - phase) // period
             k = int(rng.integers(k_lo, k_hi + 1))
             po = phase + k * period
-            window = FrameWindow(max(start, po - ti + 1), po + 1)
-            covered = v_has_in(phases, periods, window.start, window.end)
-            members = np.nonzero(covered & remaining)[0]
-            remaining[members] = False
-            groups.append(PlannedGroup(members=members, window=window))
-        decision = GroupingDecision(groups=tuple(groups))
+            starts.append(max(start, po - ti + 1))
+            ends.append(po + 1)
+            covered = v_has_in(phases, periods, starts[-1], ends[-1])
+            groups.append(np.nonzero(covered & remaining)[0])
+            remaining[groups[-1]] = False
+        decision = GroupingDecision.from_groups(starts, ends, groups)
         decision.validate_partition(len(fleet))
         return decision
 
@@ -354,11 +340,11 @@ class SingleGroupPolicy(GroupingPolicy):
     ) -> GroupingDecision:
         ti = context.inactivity_timer_frames
         t = context.announce_frame + 2 * int(fleet.max_cycle)
-        window = FrameWindow(max(context.announce_frame, t - ti), t)
-        decision = GroupingDecision(groups=(
-            PlannedGroup(
-                members=np.arange(len(fleet), dtype=np.int64), window=window
-            ),
-        ))
+        decision = GroupingDecision(
+            [max(context.announce_frame, t - ti)],
+            [t],
+            np.arange(len(fleet), dtype=np.int64),
+            [0, len(fleet)],
+        )
         decision.validate_partition(len(fleet))
         return decision

@@ -5,13 +5,14 @@ implementation hardwired the grouping decision into the mechanisms
 (DR-SC called :func:`~repro.setcover.greedy.greedy_window_cover`
 inline; DA-SC/DR-SI always formed one fleet-wide group). This module
 makes the decision a first-class axis: a :class:`GroupingPolicy` maps
-``(fleet, context, rng)`` to a :class:`GroupingDecision` — a set of
-:class:`PlannedGroup` rows, each naming its member devices and the
-TI-bounded :class:`~repro.timebase.FrameWindow` the group's paging and
-transmission happen in — and the mechanisms turn that decision into a
-validated :class:`~repro.core.plan.MulticastPlan` using their own wake
-methods (window paging for DR-SC, DRX adaptation for DA-SC, extended
-paging for DR-SI).
+``(fleet, context, rng)`` to a
+:class:`~repro.setcover.decision.GroupingDecision` — per group, its
+member devices and the TI-bounded window ``[start, end)`` the group's
+paging and transmission happen in, held as columns — and the
+mechanisms turn that decision into a validated
+:class:`~repro.core.plan.MulticastPlan` using their own wake methods
+(window paging for DR-SC, DRX adaptation for DA-SC, extended paging
+for DR-SI).
 
 The split mirrors the related work: collision-aware group sizing (Han &
 Schotten) and coverage-based user clustering (Shahini & Ansari) are
@@ -19,9 +20,9 @@ grouping *policies*, not new mechanisms — they change who shares a
 transmission, not how devices are woken for it.
 
 Window conventions: a group's window is half-open ``[start, end)``.
-Windowed mechanisms (DR-SC) transmit at ``window.last_frame`` (the
-paper's "last frame of the selected window"); single-shot mechanisms
-(DA-SC/DR-SI) transmit at ``window.end`` with POs accepted in
+Windowed mechanisms (DR-SC) transmit at ``end - 1`` (the paper's
+"last frame of the selected window"); single-shot mechanisms
+(DA-SC/DR-SI) transmit at ``end`` with POs accepted in
 ``[start, end)`` — both satisfy the plan invariant that a device paged
 at frame ``p`` stays connected through a transmission at frame ``F``
 iff ``F - p <= TI``.
@@ -30,95 +31,15 @@ iff ``F - p <= TI``.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.timebase import FrameWindow
+from repro.setcover.decision import GroupingDecision
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.base import PlanningContext
     from repro.devices.fleet import Fleet
-
-
-@dataclass(frozen=True)
-class PlannedGroup:
-    """One group of a grouping decision.
-
-    Attributes:
-        members: fleet indices of the group's devices (int64 array,
-            ascending within the group).
-        window: the TI-bounded frame window the group is served in.
-    """
-
-    members: np.ndarray
-    window: FrameWindow
-
-    def __post_init__(self) -> None:
-        members = np.asarray(self.members, dtype=np.int64)
-        if members.size == 0:
-            raise ConfigurationError("a planned group must have members")
-        if self.window.length < 1:
-            raise ConfigurationError(
-                f"group window {self.window} is empty"
-            )
-        object.__setattr__(self, "members", members)
-
-    @property
-    def size(self) -> int:
-        """Number of devices in the group."""
-        return int(self.members.size)
-
-
-@dataclass(frozen=True)
-class GroupingDecision:
-    """A complete grouping of one fleet: every device in exactly one group."""
-
-    groups: Tuple[PlannedGroup, ...]
-
-    def __post_init__(self) -> None:
-        if not self.groups:
-            raise ConfigurationError("a grouping decision needs groups")
-
-    @property
-    def n_groups(self) -> int:
-        """Number of groups (the plan's transmission count for DR-SC)."""
-        return len(self.groups)
-
-    @property
-    def group_sizes(self) -> Tuple[int, ...]:
-        """Per-group member counts, in decision order."""
-        return tuple(g.size for g in self.groups)
-
-    @property
-    def largest_group(self) -> int:
-        """Size of the biggest group."""
-        return max(self.group_sizes)
-
-    def validate_partition(self, n_devices: int) -> None:
-        """Check the groups partition ``range(n_devices)`` exactly.
-
-        Raises :class:`~repro.errors.ConfigurationError` when a device
-        is missing, duplicated or out of range. Policies call this
-        before returning so mechanisms can trust the decision.
-        """
-        all_members = np.concatenate([g.members for g in self.groups])
-        if all_members.size != n_devices:
-            raise ConfigurationError(
-                f"grouping assigns {all_members.size} slots for "
-                f"{n_devices} devices"
-            )
-        if all_members.min() < 0 or all_members.max() >= n_devices:
-            raise ConfigurationError("grouping references an unknown device")
-        counts = np.bincount(all_members, minlength=n_devices)
-        if np.any(counts != 1):
-            bad = np.nonzero(counts != 1)[0][:5]
-            raise ConfigurationError(
-                f"grouping is not a partition (devices {bad.tolist()} "
-                "missing or duplicated)"
-            )
 
 
 class GroupingPolicy(abc.ABC):

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios.registry import scenario
 from repro.scenarios.runner import (
@@ -99,21 +97,7 @@ def runlog_headline_metrics(runlog: RunLog) -> Dict[str, float]:
     repairs = []
     for cell_id in sorted(runlog.cells):
         log = runlog.cells[cell_id]
-        result = replay_strict(log)
-        fleet = result.fleet
-        groups = log.of_kind(EventKind.DEVICE_DONE)["group"]
-        cells.append(
-            CellSummary(
-                cell_id=cell_id,
-                fleet_size=result.n_devices,
-                n_transmissions=result.n_transmissions,
-                largest_group=int(np.bincount(groups).max()),
-                mean_wait_s=result.mean_wait_s,
-                light_sleep_s=fleet.light_sleep_s,
-                connected_s=fleet.connected_s,
-                energy_mj=fleet.energy_mj,
-            )
-        )
+        cells.append(CellSummary.of(cell_id, replay_strict(log)))
         rounds = log.of_kind(EventKind.REPAIR_ROUND)
         repairs.append(
             _LoggedRepair(

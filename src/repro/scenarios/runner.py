@@ -69,6 +69,7 @@ from repro.sim.eventlog import (
     segment_loss_rows,
 )
 from repro.sim.executor import CampaignExecutor
+from repro.sim.metrics import CampaignResult
 from repro.sim.montecarlo import (
     Campaign,
     RunOutput,
@@ -142,6 +143,24 @@ class CellSummary:
     #: The cell's event log when the run records (repair rows are
     #: appended once the run's repair rounds are drawn).
     event_log: Optional[EventLog] = None
+
+    @classmethod
+    def of(cls, cell_id: int, result: CampaignResult, **extra: Any) -> "CellSummary":
+        """The summary of one executed campaign, live or rebuilt from
+        its log; ``extra`` sets the fields a result does not hold."""
+        fleet = result.fleet
+        groups = np.bincount(result.columnar.transmission_indices)
+        return cls(
+            cell_id=cell_id,
+            fleet_size=result.n_devices,
+            n_transmissions=result.n_transmissions,
+            largest_group=int(groups.max()),
+            mean_wait_s=result.mean_wait_s,
+            light_sleep_s=fleet.light_sleep_s,
+            connected_s=fleet.connected_s,
+            energy_mj=fleet.energy_mj,
+            **extra,
+        )
 
 
 @dataclass(frozen=True)
@@ -293,15 +312,9 @@ def _run_cell(
                     fleet, plan, horizon_frames=horizon, rng=replay
                 )
     return [
-        CellSummary(
-            cell_id=cell_id,
-            fleet_size=len(fleet),
-            n_transmissions=plan.n_transmissions,
-            largest_group=int(np.bincount(plan.columns.transmission).max()),
-            mean_wait_s=result.mean_wait_s,
-            light_sleep_s=result.fleet.light_sleep_s,
-            connected_s=result.fleet.connected_s,
-            energy_mj=result.fleet.energy_mj,
+        CellSummary.of(
+            cell_id,
+            result,
             worker_rss_kb=_worker_rss_kb(),
             phase_timings=timer.timings(),
             event_log=None if recorder is None else recorder.finalize(cell=cell_id),

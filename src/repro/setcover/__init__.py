@@ -15,21 +15,21 @@ problem, given a greedy set selection approach [10]."
   horizon become residue histograms, the rest keep explicit intervals,
   and covered devices are removed instead of re-deriving the sweep per
   round;
+* :mod:`repro.setcover.decision` — the columnar
+  :class:`~repro.setcover.decision.GroupingDecision` the cover returns
+  (and every grouping policy builds);
 * :mod:`repro.setcover.exact` — branch-and-bound exact minimum cover for
   small instances, used to test the greedy's approximation quality.
 """
 
+from repro.setcover.decision import GroupingDecision
 from repro.setcover.windows import BestWindow, best_window, coverage_intervals
 from repro.setcover.greedy import (
     COVER_METHODS,
-    GreedyWindowCover,
     greedy_set_cover,
     greedy_window_cover,
 )
-from repro.setcover.incremental import (
-    IncrementalSweep,
-    incremental_greedy_window_cover,
-)
+from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
 
 __all__ = [
@@ -37,11 +37,10 @@ __all__ = [
     "BestWindow",
     "best_window",
     "COVER_METHODS",
-    "GreedyWindowCover",
+    "GroupingDecision",
     "greedy_window_cover",
     "greedy_set_cover",
     "IncrementalSweep",
-    "incremental_greedy_window_cover",
     "exact_min_set_cover",
     "exact_min_window_cover",
 ]

@@ -8,11 +8,12 @@ case — intended for the test suite and the greedy-quality ablation
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Set
 
 import numpy as np
 
 from repro.errors import SetCoverError
+from repro.setcover.decision import GroupingDecision
 from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.windows import coverage_intervals
 from repro.drx.schedule import v_has_in
@@ -98,13 +99,15 @@ def exact_min_window_cover(
     window_len: int,
     horizon_start: int,
     horizon_end: int,
-) -> Tuple[int, List[int]]:
-    """Exact minimum number of TI-windows covering all devices.
+) -> GroupingDecision:
+    """A minimum number of TI-windows covering all devices.
 
-    Returns ``(minimum_transmissions, transmission_frames)``. Candidate
-    windows are those ending exactly at a PO (an optimal cover can
-    always be normalised to this form, since sliding a window right
-    until its end touches a PO never loses coverage).
+    Returns the windows in time order, each device assigned to the
+    earliest one holding one of its POs (every window of a *minimum*
+    cover covers some device uniquely, so no group comes out empty).
+    Candidate windows are those ending exactly at a PO (an optimal
+    cover can always be normalised to this form, since sliding a window
+    right until its end touches a PO never loses coverage).
     """
     phases = np.asarray(phases, dtype=np.int64)
     periods = np.asarray(periods, dtype=np.int64)
@@ -116,10 +119,14 @@ def exact_min_window_cover(
         raise SetCoverError("no device has a PO inside the search horizon")
     candidate_starts = np.unique(starts)
     sets: List[FrozenSet[int]] = []
-    frames: List[int] = []
     for s in candidate_starts:
         covered = np.nonzero(v_has_in(phases, periods, int(s), int(s) + window_len))[0]
         sets.append(frozenset(int(i) for i in covered))
-        frames.append(int(s) + window_len - 1)
-    chosen = exact_min_set_cover(set(range(n)), sets)
-    return len(chosen), sorted(frames[i] for i in chosen)
+    chosen = sorted(exact_min_set_cover(set(range(n)), sets))  # time order
+    remaining = set(range(n))
+    groups = []
+    for i in chosen:
+        groups.append(np.array(sorted(sets[i] & remaining), dtype=np.int64))
+        remaining -= sets[i]
+    start = candidate_starts[chosen]
+    return GroupingDecision.from_groups(start, start + window_len, groups)

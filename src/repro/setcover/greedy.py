@@ -26,47 +26,17 @@ max-heap, so it also scales past toy instances.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.errors import SetCoverError
-from repro.setcover.incremental import incremental_greedy_window_cover
+from repro.setcover.decision import GroupingDecision
+from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.windows import best_window
-from repro.timebase import FrameWindow
 
 #: Valid ``method=`` values of :func:`greedy_window_cover`.
 COVER_METHODS = ("incremental", "reference")
-
-
-@dataclass(frozen=True)
-class GreedyWindowCover:
-    """Result of the iterated greedy window cover.
-
-    Attributes:
-        windows: the chosen TI-windows, in selection order.
-        assignments: per window, the indices of devices it covers (each
-            device appears in exactly one window).
-    """
-
-    windows: Tuple[FrameWindow, ...]
-    assignments: Tuple[np.ndarray, ...]
-
-    @property
-    def n_transmissions(self) -> int:
-        """Number of multicast transmissions the cover needs."""
-        return len(self.windows)
-
-    @property
-    def transmission_frames(self) -> Tuple[int, ...]:
-        """Transmission frames (last frame of each window)."""
-        return tuple(w.last_frame for w in self.windows)
-
-    @property
-    def group_sizes(self) -> Tuple[int, ...]:
-        """Devices covered by each transmission, in selection order."""
-        return tuple(len(a) for a in self.assignments)
 
 
 def greedy_window_cover(
@@ -77,7 +47,7 @@ def greedy_window_cover(
     horizon_end: int,
     rng: Optional[np.random.Generator] = None,
     method: str = "incremental",
-) -> GreedyWindowCover:
+) -> GroupingDecision:
     """Cover every device with TI-windows, greedily largest-first.
 
     The search horizon should be ``2 * max(period)`` past the announce
@@ -91,6 +61,8 @@ def greedy_window_cover(
     histograms; see :mod:`repro.setcover.incremental`) or
     ``"reference"`` (full re-sweep per round). Both produce identical
     covers, including tie-break behaviour for any given ``rng`` stream.
+
+    Returns one group per selected window, in selection order.
     """
     phases = np.asarray(phases, dtype=np.int64)
     periods = np.asarray(periods, dtype=np.int64)
@@ -107,31 +79,36 @@ def greedy_window_cover(
             f"method must be one of {COVER_METHODS}, got {method!r}"
         )
 
+    starts: List[int] = []
+    groups: List[np.ndarray] = []
     if method == "incremental":
-        windows_inc, assignments_inc = incremental_greedy_window_cover(
-            phases, periods, window_len, horizon_start, horizon_end, rng
+        sweep = IncrementalSweep(
+            phases, periods, window_len, horizon_start, horizon_end
         )
-        return GreedyWindowCover(windows=windows_inc, assignments=assignments_inc)
-
-    remaining = np.arange(n, dtype=np.int64)
-    windows: List[FrameWindow] = []
-    assignments: List[np.ndarray] = []
-    while remaining.size:
-        found = best_window(
-            phases[remaining],
-            periods[remaining],
-            window_len,
-            horizon_start,
-            horizon_end,
-            rng,
-        )
-        covered_global = remaining[found.covered]
-        windows.append(FrameWindow(found.start, found.start + window_len))
-        assignments.append(covered_global)
-        mask = np.ones(remaining.size, dtype=bool)
-        mask[found.covered] = False
-        remaining = remaining[mask]
-    return GreedyWindowCover(windows=tuple(windows), assignments=tuple(assignments))
+        while sweep.remaining:
+            start, covered = sweep.select(rng)
+            starts.append(start)
+            groups.append(covered)
+    else:
+        remaining = np.arange(n, dtype=np.int64)
+        while remaining.size:
+            found = best_window(
+                phases[remaining],
+                periods[remaining],
+                window_len,
+                horizon_start,
+                horizon_end,
+                rng,
+            )
+            starts.append(found.start)
+            groups.append(remaining[found.covered])
+            mask = np.ones(remaining.size, dtype=bool)
+            mask[found.covered] = False
+            remaining = remaining[mask]
+    start_frames = np.array(starts, dtype=np.int64)
+    return GroupingDecision.from_groups(
+        start_frames, start_frames + window_len, groups
+    )
 
 
 def greedy_set_cover(

@@ -55,13 +55,12 @@ is decided from the fleet alone (see :func:`_fold_periods`). State is
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SetCoverError
 from repro.setcover.windows import coverage_intervals
-from repro.timebase import FrameWindow
 
 #: A period ``P`` folds once its devices hold at least this many POs in
 #: the horizon per entry of the range-maximum table its residues need,
@@ -600,29 +599,3 @@ class IncrementalSweep:
                 starts.reshape(-1, part.period)[:] |= part.starts()
         return starts
 
-
-def incremental_greedy_window_cover(
-    phases: np.ndarray,
-    periods: np.ndarray,
-    window_len: int,
-    horizon_start: int,
-    horizon_end: int,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[Tuple[FrameWindow, ...], Tuple[np.ndarray, ...]]:
-    """The greedy window cover driven by one :class:`IncrementalSweep`.
-
-    Returns ``(windows, assignments)`` — the raw material of
-    :class:`repro.setcover.greedy.GreedyWindowCover`; validation of the
-    inputs is done by the caller, which also owns the result type (kept
-    there to avoid an import cycle).
-    """
-    sweep = IncrementalSweep(
-        phases, periods, window_len, horizon_start, horizon_end
-    )
-    windows: List[FrameWindow] = []
-    assignments: List[np.ndarray] = []
-    while sweep.remaining:
-        start, covered = sweep.select(rng)
-        windows.append(FrameWindow(start, start + window_len))
-        assignments.append(covered)
-    return tuple(windows), tuple(assignments)

@@ -37,12 +37,10 @@ from repro.core.plan import METHOD_CODE, MulticastPlan, WakeMethod, check_rows
 from repro.devices.fleet import COVERAGE_ORDER, Fleet
 from repro.drx.paging import v_paging_frame_offset
 from repro.drx.schedule import v_count_in
-from repro.energy.ledger import LedgerArray
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.energy.states import PowerState, StateGroup
 from repro.errors import SimulationError
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.metrics import CampaignResult, FleetOutcomes
+from repro.sim.metrics import CampaignResult, FleetOutcomes, fold_ledgers
 from repro.timebase import (
     MS_PER_FRAME,
     frame_after_seconds,
@@ -212,29 +210,20 @@ def execute_columnar(
         )
         po_count[da] = da_count
 
-    # ------------------------------------------------------------------
-    # The array-of-ledgers, accumulated in the replay's add order.
-    # ------------------------------------------------------------------
-    ledgers = LedgerArray(n)
-    ra2 = np.where(is_da, ra_base, 0.0)
-    ledgers.add(PowerState.PO_MONITOR, po_count * airtime.po_monitor_s)
-    ledgers.add(
-        PowerState.PAGING_RX,
-        page_rx + np.where(is_da, airtime.paging_message_s, 0.0),
-    )
-    ledgers.add(PowerState.RANDOM_ACCESS, ra2 + main_ra)
-    ledgers.add(
-        PowerState.RRC_SIGNALLING,
-        (np.where(is_da, episode - ra_base, 0.0) + airtime.rrc_setup_s) + tail,
-    )
-    ledgers.add(PowerState.CONNECTED_WAIT, wait)
-    ledgers.add(PowerState.CONNECTED_RX, rx)
-    # group_seconds left-folds in STATE_ORDER, float-for-float the same
-    # sums a scalar UptimeLedger.totals produces.
-    light = ledgers.group_seconds(StateGroup.LIGHT_SLEEP)
-    connected = ledgers.group_seconds(StateGroup.CONNECTED)
-    ledgers.add(
-        PowerState.DEEP_SLEEP, np.maximum(0.0, (horizon_s - light) - connected)
+    ledgers = fold_ledgers(
+        horizon_s,
+        po_count=po_count,
+        po_monitor_s=airtime.po_monitor_s,
+        page_rx=page_rx,
+        paging_message_s=airtime.paging_message_s,
+        is_da=is_da,
+        ra_base=ra_base,
+        main_ra=main_ra,
+        episode=episode,
+        rrc_setup_s=airtime.rrc_setup_s,
+        tail=tail,
+        wait=wait,
+        rx=rx,
     )
 
     if recorder is not None:

@@ -40,12 +40,12 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.energy.ledger import STATE_ORDER, LedgerArray
+from repro.energy.ledger import STATE_ORDER
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.energy.states import PowerState, StateGroup
+from repro.energy.states import PowerState
 from repro.errors import SimulationError
 from repro.sim.events import EventKind
-from repro.sim.metrics import CampaignResult, FleetOutcomes
+from repro.sim.metrics import CampaignResult, FleetOutcomes, fold_ledgers
 from repro.timebase import frames_to_seconds
 
 #: Bumped whenever the row dtype or the meta contract changes.
@@ -552,27 +552,23 @@ def replay_strict(log: EventLog) -> CampaignResult:
     episode[da_pos] = adapt["a"]
     ra_base[da_pos] = adapt["b"]
 
-    # The add order below mirrors the columnar executor's accumulation
-    # (itself float-identical to the reference loop and the replay), so
-    # per-state sums reproduce the live ledgers bit for bit.
-    pm = float(meta["paging_message_s"])
-    ledgers = LedgerArray(n)
-    ledgers.add(PowerState.PO_MONITOR, po_count * float(meta["po_monitor_s"]))
-    ledgers.add(PowerState.PAGING_RX, page_rx + np.where(is_da, pm, 0.0))
-    ledgers.add(PowerState.RANDOM_ACCESS, np.where(is_da, ra_base, 0.0) + main_ra)
+    # The columnar executor's own fold, so per-state sums reproduce the
+    # live ledgers bit for bit.
     release = float(meta["release_s"])
-    tail = np.where(is_da, release + float(meta["restore_s"]), release)
-    ledgers.add(
-        PowerState.RRC_SIGNALLING,
-        (np.where(is_da, episode - ra_base, 0.0) + float(meta["rrc_setup_s"]))
-        + tail,
-    )
-    ledgers.add(PowerState.CONNECTED_WAIT, wait)
-    ledgers.add(PowerState.CONNECTED_RX, rx)
-    light = ledgers.group_seconds(StateGroup.LIGHT_SLEEP)
-    connected = ledgers.group_seconds(StateGroup.CONNECTED)
-    ledgers.add(
-        PowerState.DEEP_SLEEP, np.maximum(0.0, (horizon_s - light) - connected)
+    ledgers = fold_ledgers(
+        horizon_s,
+        po_count=po_count,
+        po_monitor_s=float(meta["po_monitor_s"]),
+        page_rx=page_rx,
+        paging_message_s=float(meta["paging_message_s"]),
+        is_da=is_da,
+        ra_base=ra_base,
+        main_ra=main_ra,
+        episode=episode,
+        rrc_setup_s=float(meta["rrc_setup_s"]),
+        tail=np.where(is_da, release + float(meta["restore_s"]), release),
+        wait=wait,
+        rx=rx,
     )
     # The columnar executor's ledgers pass through a fancy-index take()
     # whose output strides steer BLAS's reduction order in energy_mj.

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.plan import MulticastPlan
 from repro.energy.ledger import LedgerArray, UptimeLedger, UptimeTotals
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.energy.states import StateGroup
+from repro.energy.states import PowerState, StateGroup
 from repro.errors import SimulationError
 
 
@@ -94,6 +94,45 @@ class FleetOutcomes:
             wait_s=float(self.wait_s[column]),
             updated_s=float(self.updated_s[column]),
         )
+
+
+def fold_ledgers(
+    horizon_s: float,
+    *,
+    po_count: np.ndarray, po_monitor_s: float,
+    page_rx: np.ndarray, paging_message_s: float,
+    is_da: np.ndarray, ra_base: np.ndarray, episode: np.ndarray,
+    main_ra: np.ndarray, rrc_setup_s: float, tail: np.ndarray,
+    wait: np.ndarray, rx: np.ndarray,
+) -> LedgerArray:
+    """Every device's per-state seconds over a ``horizon_s`` campaign.
+
+    The columnar executor folds its durations here and the STRICT log
+    replay its logged ones, so equal inputs give bit-identical ledgers.
+    DA-SC-adapted devices (``is_da``) add their adaptation episode:
+    ``episode`` seconds, ``ra_base`` of them random access, after one
+    paging message. Deep sleep fills the rest of the horizon.
+    """
+    ledgers = LedgerArray(wait.size)
+    ledgers.add(PowerState.PO_MONITOR, po_count * po_monitor_s)
+    ledgers.add(
+        PowerState.PAGING_RX, page_rx + np.where(is_da, paging_message_s, 0.0)
+    )
+    ledgers.add(PowerState.RANDOM_ACCESS, np.where(is_da, ra_base, 0.0) + main_ra)
+    ledgers.add(
+        PowerState.RRC_SIGNALLING,
+        (np.where(is_da, episode - ra_base, 0.0) + rrc_setup_s) + tail,
+    )
+    ledgers.add(PowerState.CONNECTED_WAIT, wait)
+    ledgers.add(PowerState.CONNECTED_RX, rx)
+    # group_seconds left-folds in STATE_ORDER, float-for-float the same
+    # sums a scalar UptimeLedger.totals produces.
+    light = ledgers.group_seconds(StateGroup.LIGHT_SLEEP)
+    connected = ledgers.group_seconds(StateGroup.CONNECTED)
+    ledgers.add(
+        PowerState.DEEP_SLEEP, np.maximum(0.0, (horizon_s - light) - connected)
+    )
+    return ledgers
 
 
 @dataclass(frozen=True)

@@ -151,9 +151,18 @@ def _plan(
 
 
 def _in_time_order(decision) -> list:
-    """The decision's groups by window end (stable: selection order
-    among groups sharing a window)."""
-    return sorted(decision.groups, key=lambda group: group.window.end)
+    """The decision's groups as ``(start, end, members)`` tuples, by
+    window end (stable: selection order among groups sharing a
+    window)."""
+    groups = [
+        (
+            int(decision.start[g]),
+            int(decision.end[g]),
+            decision.members[decision.bounds[g] : decision.bounds[g + 1]].tolist(),
+        )
+        for g in range(decision.n_groups)
+    ]
+    return sorted(groups, key=lambda group: group[1])
 
 
 def _paged(device_index: int, tx_index: int, page: int) -> DeviceDirective:
@@ -172,21 +181,17 @@ def _paged(device_index: int, tx_index: int, page: int) -> DeviceDirective:
 def plan_dr_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
     decision = mechanism.policy.group(fleet, context, rng)
     transmissions, directives = [], []
-    for new_index, group in enumerate(_in_time_order(decision)):
-        window = group.window
+    for new_index, (start, end, members) in enumerate(_in_time_order(decision)):
         transmission = build_transmission(
-            window.last_frame,
-            [int(i) for i in group.members],
-            fleet,
-            context.payload_bytes,
+            end - 1, members, fleet, context.payload_bytes
         )
         transmissions.append(transmission)
         for device_index in transmission.members:
             device = fleet[device_index]
             page = page_frame_in_window(
                 device.schedule,
-                window.start,
-                window.last_frame,
+                start,
+                end - 1,
                 connect_slack_frames(context, device),
             )
             directives.append(_paged(device_index, new_index, page))
@@ -224,10 +229,9 @@ def _choose_cycle(
 def plan_da_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
     decision = mechanism.policy.group(fleet, context, rng)
     transmissions, directives = [], []
-    for group_index, group in enumerate(_in_time_order(decision)):
-        t = group.window.end
-        window_lo, window_hi = group.window.start, t - 1
-        for device_index in (int(i) for i in group.members):
+    for group_index, (window_lo, t, members) in enumerate(_in_time_order(decision)):
+        window_hi = t - 1
+        for device_index in members:
             device = fleet[device_index]
             schedule = device.schedule
             last_window_po = schedule.last_at_or_before(window_hi)
@@ -262,9 +266,7 @@ def plan_da_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
                 )
             )
         transmissions.append(
-            build_transmission(
-                t, [int(i) for i in group.members], fleet, context.payload_bytes
-            )
+            build_transmission(t, members, fleet, context.payload_bytes)
         )
     return _plan(mechanism, context, transmissions, directives)
 
@@ -272,10 +274,9 @@ def plan_da_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
 def plan_dr_si(mechanism, fleet, context, rng) -> ScalarPlan:
     decision = mechanism.policy.group(fleet, context, rng)
     transmissions, directives = [], []
-    for group_index, group in enumerate(_in_time_order(decision)):
-        t = group.window.end
-        window_lo, window_hi = group.window.start, t - 1
-        for device_index in (int(i) for i in group.members):
+    for group_index, (window_lo, t, members) in enumerate(_in_time_order(decision)):
+        window_hi = t - 1
+        for device_index in members:
             device = fleet[device_index]
             schedule = device.schedule
             last_window_po = schedule.last_at_or_before(window_hi)
@@ -302,9 +303,7 @@ def plan_dr_si(mechanism, fleet, context, rng) -> ScalarPlan:
                 )
             )
         transmissions.append(
-            build_transmission(
-                t, [int(i) for i in group.members], fleet, context.payload_bytes
-            )
+            build_transmission(t, members, fleet, context.payload_bytes)
         )
     return _plan(mechanism, context, transmissions, directives)
 

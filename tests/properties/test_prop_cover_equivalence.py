@@ -42,9 +42,9 @@ PERIOD_CHOICES = (2048, 4096, 8192, 16384)
 #: The DRX/eDRX ladder in frames, 128 up to 1048576.
 LADDER = tuple(2**k for k in range(7, 21))
 
-#: SHA-256 over the window starts, then each assignment's int64 bytes,
-#: of the paper-default cover in TestParentCoverDigest, computed with
-#: the sweep that kept one interval per PO.
+#: SHA-256 over the window starts, then every group's int64 members in
+#: selection order, of the paper-default cover in TestParentCoverDigest,
+#: computed with the sweep that kept one interval per PO.
 PARENT_COVER_SHA256 = (
     "2651f415ee73e9b36ec3f1417b3126981b57b5a36e2b251582d767b4cbca3699"
 )
@@ -57,10 +57,8 @@ def _random_fleet(rng: np.random.Generator, n: int):
 
 
 def _assert_identical_covers(a, b):
-    assert a.windows == b.windows
-    assert len(a.assignments) == len(b.assignments)
-    for members_a, members_b in zip(a.assignments, b.assignments):
-        np.testing.assert_array_equal(members_a, members_b)
+    for column in ("start", "end", "members", "bounds"):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
 
 @st.composite
@@ -226,11 +224,8 @@ class TestParentCoverDigest:
         cover = greedy_window_cover(
             fleet.phases, fleet.periods, 2048, 0, 2**21, np.random.default_rng(13)
         )
-        digest = hashlib.sha256(
-            np.array([w.start for w in cover.windows], dtype=np.int64).tobytes()
-        )
-        for members in cover.assignments:
-            digest.update(np.asarray(members, dtype=np.int64).tobytes())
+        digest = hashlib.sha256(cover.start.tobytes())
+        digest.update(cover.members.tobytes())
         assert digest.hexdigest() == PARENT_COVER_SHA256
 
 
@@ -325,9 +320,10 @@ class TestWindowCoverMatchesSetCover:
         cover = greedy_window_cover(
             phases, periods, window_len, 0, horizon, method="incremental"
         )
-        assert len(chosen) == cover.n_transmissions
+        assert len(chosen) == cover.n_groups
         uncovered = set(universe)
-        for set_index, members in zip(chosen, cover.assignments):
+        groups = np.split(cover.members, cover.bounds[1:-1])
+        for set_index, members in zip(chosen, groups):
             newly = sets[set_index] & uncovered
             assert newly == set(members.tolist())
             uncovered -= newly

@@ -39,10 +39,9 @@ from repro.drx.paging import NB
 from repro.enb.cell import CellConfig
 from repro.errors import PlanError, ReproError
 from repro.grouping.policies import CoverageStratifiedPolicy
-from repro.grouping.policy import GroupingDecision, GroupingPolicy, PlannedGroup
+from repro.grouping.policy import GroupingDecision, GroupingPolicy
 from repro.multicast.ondemand import _strip_left
 from repro.phy.coverage import CoverageClass
-from repro.timebase import FrameWindow
 
 
 @st.composite
@@ -121,14 +120,10 @@ class StaggeredGroups(GroupingPolicy):
         ti = context.inactivity_timer_frames
         t = context.announce_frame + 2 * int(fleet.max_cycle)
         members = np.arange(len(fleet), dtype=np.int64)
-        groups = [
-            PlannedGroup(
-                members=members[j :: self.k],
-                window=FrameWindow(t + j * ti - ti, t + j * ti),
-            )
-            for j in range(min(self.k, len(fleet)))
-        ]
-        return GroupingDecision(groups=tuple(reversed(groups)))
+        j = np.arange(min(self.k, len(fleet)))[::-1]
+        return GroupingDecision.from_groups(
+            t + j * ti - ti, t + j * ti, [members[i :: self.k] for i in j]
+        )
 
 
 mechanisms = st.sampled_from(

@@ -73,20 +73,19 @@ class TestBestWindowProperties:
         phases, periods = fleet
         horizon = 2 * int(periods.max())
         cover = greedy_window_cover(phases, periods, window_len, 0, horizon)
-        covered = np.concatenate(cover.assignments)
-        assert sorted(covered.tolist()) == list(range(len(phases)))
+        assert sorted(cover.members.tolist()) == list(range(len(phases)))
         # Greedy picks are non-increasing in size.
         sizes = list(cover.group_sizes)
         assert sizes == sorted(sizes, reverse=True)
         # Every window really covers its assigned devices.
-        for window, members in zip(cover.windows, cover.assignments):
-            for device in members:
+        for g in range(cover.n_groups):
+            for device in cover.members[cover.bounds[g] : cover.bounds[g + 1]]:
                 sched_phase = int(phases[device])
                 period = int(periods[device])
                 from repro.drx.schedule import PoSchedule
 
                 assert PoSchedule(sched_phase, period).has_in(
-                    window.start, window.end
+                    int(cover.start[g]), int(cover.end[g])
                 )
 
 

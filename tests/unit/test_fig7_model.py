@@ -58,7 +58,7 @@ class TestModelTracksSimulation:
                 fleet.phases, fleet.periods, 2048, 0,
                 2 * int(fleet.periods.max()), rng,
             )
-            measured.append(cover.n_transmissions)
+            measured.append(cover.n_groups)
         mean_measured = float(np.mean(measured))
         assert 0.5 <= predicted / mean_measured <= 2.0, (
             f"model {predicted:.1f} vs sim {mean_measured:.1f}"

@@ -7,7 +7,7 @@ from repro.core import DaScMechanism, DrScMechanism, mechanism_by_name
 from repro.core.base import GroupingMechanism, PlanningContext
 from repro.core.registry import MECHANISMS, mechanism_factory, register_mechanism
 from repro.devices.fleet import COVERAGE_ORDER
-from repro.errors import ConfigurationError, SetCoverError
+from repro.errors import ConfigurationError, SetCoverError, TimebaseError
 from repro.grouping import (
     GROUPING_POLICIES,
     CollisionAwarePolicy,
@@ -15,7 +15,6 @@ from repro.grouping import (
     ExactCoverPolicy,
     GreedyCoverPolicy,
     GroupingDecision,
-    PlannedGroup,
     RandomWindowPolicy,
     SingleGroupPolicy,
     grouping_policy_by_name,
@@ -26,7 +25,6 @@ from repro.rrc.nprach import NprachConfig
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.sweep import SweepAxis, expand_grid, parse_axis
 from repro.setcover.greedy import greedy_window_cover
-from repro.timebase import FrameWindow
 from repro.traffic import generate_fleet
 from repro.traffic.generator import CoverageMix
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
@@ -47,28 +45,77 @@ def context():
     return PlanningContext(payload_bytes=100_000)
 
 
+def groups_of(decision):
+    """The decision's groups as ``(start, end, members)`` tuples."""
+    return [
+        (
+            int(decision.start[g]),
+            int(decision.end[g]),
+            decision.members[decision.bounds[g] : decision.bounds[g + 1]].tolist(),
+        )
+        for g in range(decision.n_groups)
+    ]
+
+
 class TestDecisionValidation:
     def test_rejects_empty_group(self):
         with pytest.raises(ConfigurationError):
-            PlannedGroup(members=np.empty(0, np.int64), window=FrameWindow(0, 10))
+            GroupingDecision([0, 5], [10, 15], [0, 1], [0, 2, 2])
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(ConfigurationError):
+            GroupingDecision([10], [10], [0], [0, 1])
+
+    def test_rejects_window_before_frame_zero(self):
+        with pytest.raises(TimebaseError):
+            GroupingDecision([-1], [10], [0], [0, 1])
+
+    def test_rejects_no_groups(self):
+        with pytest.raises(ConfigurationError):
+            GroupingDecision.from_groups([], [], [])
+
+    @pytest.mark.parametrize(
+        "start, end, bounds",
+        [
+            ([0, 5], [10], [0, 2, 3]),  # one end short
+            ([0, 5], [10, 15], [0, 3]),  # one bound short
+            ([0, 5], [10, 15], [1, 2, 3]),  # bounds not from 0
+            ([0, 5], [10, 15], [0, 1, 2]),  # bounds not up to the members
+        ],
+    )
+    def test_rejects_mismatched_columns(self, start, end, bounds):
+        with pytest.raises(ConfigurationError):
+            GroupingDecision(start, end, [0, 2, 1], bounds)
 
     def test_rejects_non_partition(self):
-        decision = GroupingDecision(groups=(
-            PlannedGroup(members=np.array([0, 1]), window=FrameWindow(0, 10)),
-            PlannedGroup(members=np.array([1]), window=FrameWindow(5, 15)),
-        ))
+        decision = GroupingDecision.from_groups(
+            [0, 5], [10, 15], [np.array([0, 1]), np.array([1])]
+        )
         with pytest.raises(ConfigurationError):
             decision.validate_partition(3)
 
     def test_accepts_partition(self):
-        decision = GroupingDecision(groups=(
-            PlannedGroup(members=np.array([0, 2]), window=FrameWindow(0, 10)),
-            PlannedGroup(members=np.array([1]), window=FrameWindow(5, 15)),
-        ))
+        decision = GroupingDecision.from_groups(
+            [0, 5], [10, 15], [np.array([0, 2]), np.array([1])]
+        )
         decision.validate_partition(3)
         assert decision.n_groups == 2
         assert decision.group_sizes == (2, 1)
         assert decision.largest_group == 2
+        assert decision.bounds.tolist() == [0, 2, 3]
+
+    def test_take_reorders_whole_groups(self):
+        decision = GroupingDecision.from_groups(
+            [20, 0, 5],
+            [30, 10, 15],
+            [np.array([3]), np.array([0, 2]), np.array([1, 4, 5])],
+        )
+        taken = decision.take(np.array([1, 2, 0]))
+        assert groups_of(taken) == [
+            (0, 10, [0, 2]),
+            (5, 15, [1, 4, 5]),
+            (20, 30, [3]),
+        ]
 
 
 class TestGreedyCoverPolicy:
@@ -85,12 +132,7 @@ class TestGreedyCoverPolicy:
             horizon_end=2 * int(fleet.max_cycle),
             rng=np.random.default_rng(3),
         )
-        assert decision.n_groups == cover.n_transmissions
-        for group, window, members in zip(
-            decision.groups, cover.windows, cover.assignments
-        ):
-            assert group.window == window
-            assert group.members.tolist() == members.tolist()
+        assert groups_of(decision) == groups_of(cover)
 
 
 class TestExactCoverPolicy:
@@ -140,8 +182,17 @@ class TestCollisionAwarePolicy:
             fleet, context, np.random.default_rng(3)
         )
         assert sum(decision.group_sizes) == len(fleet)
-        windows = {g.window for g in decision.groups}
-        assert windows == {g.window for g in greedy.groups}
+        # Every greedy group is cut, in member order, into consecutive
+        # chunks that keep its window.
+        chunks = iter(groups_of(decision))
+        for start, end, members in groups_of(greedy):
+            joined = []
+            while len(joined) < len(members):
+                chunk_start, chunk_end, chunk = next(chunks)
+                assert (chunk_start, chunk_end) == (start, end)
+                joined += chunk
+            assert joined == members
+        assert next(chunks, None) is None
 
 
 class TestCoverageStratifiedPolicy:
@@ -150,8 +201,8 @@ class TestCoverageStratifiedPolicy:
             fleet, context, np.random.default_rng(3)
         )
         codes = fleet.coverage_codes
-        for group in decision.groups:
-            assert len(set(codes[group.members].tolist())) == 1
+        for _, _, members in groups_of(decision):
+            assert len(set(codes[members].tolist())) == 1
 
     def test_stratified_bearers_never_slower(self, fleet, context):
         """Each stratified group's bearer runs at its class rate."""
@@ -159,8 +210,7 @@ class TestCoverageStratifiedPolicy:
             fleet, context, np.random.default_rng(3)
         )
         rates = fleet.downlink_rates_bps
-        for group in decision.groups:
-            members = group.members.tolist()
+        for _, _, members in groups_of(decision):
             assert fleet.group_rate_bps(members) == rates[members].min()
 
 
@@ -178,19 +228,17 @@ class TestRandomWindowPolicy:
     def test_deterministic_per_seed(self, fleet, context):
         a = RandomWindowPolicy().group(fleet, context, np.random.default_rng(3))
         b = RandomWindowPolicy().group(fleet, context, np.random.default_rng(3))
-        assert a.group_sizes == b.group_sizes
-        assert [g.window for g in a.groups] == [g.window for g in b.groups]
+        assert groups_of(a) == groups_of(b)
 
 
 class TestSingleGroupPolicy:
     def test_one_group_at_paper_frame(self, fleet, context):
         decision = SingleGroupPolicy().group(fleet, context)
         assert decision.n_groups == 1
-        group = decision.groups[0]
         t = context.announce_frame + 2 * int(fleet.max_cycle)
-        assert group.window.end == t
-        assert group.window.length == context.inactivity_timer_frames
-        assert group.size == len(fleet)
+        assert decision.end.tolist() == [t]
+        assert (t - decision.start).tolist() == [context.inactivity_timer_frames]
+        assert decision.group_sizes == (len(fleet),)
 
 
 class TestGroupingRegistry:

@@ -80,28 +80,26 @@ class TestGreedyWindowCover:
         phases = rng.integers(0, 2048, size=40)
         periods = np.full(40, 2048)
         cover = greedy_window_cover(phases, periods, 100, 0, 4096, rng)
-        covered = np.concatenate(cover.assignments)
-        assert sorted(covered) == list(range(40))
+        assert sorted(cover.members.tolist()) == list(range(40))
 
     def test_synchronised_devices_need_one_window(self, rng):
         phases = np.full(10, 77)
         periods = np.full(10, 2048)
         cover = greedy_window_cover(phases, periods, 100, 0, 4096, rng)
-        assert cover.n_transmissions == 1
+        assert cover.n_groups == 1
         assert cover.group_sizes == (10,)
 
     def test_disjoint_devices_need_n_windows(self, rng):
         phases = np.array([0, 500, 1000, 1500])
         periods = np.full(4, 2048)
         cover = greedy_window_cover(phases, periods, 10, 0, 4096, rng)
-        assert cover.n_transmissions == 4
+        assert cover.n_groups == 4
 
-    def test_transmission_frames_are_window_last_frames(self, rng):
+    def test_windows_are_window_len_long(self, rng):
         phases = np.array([0, 500])
         periods = np.full(2, 2048)
         cover = greedy_window_cover(phases, periods, 10, 0, 4096, rng)
-        for window, frame in zip(cover.windows, cover.transmission_frames):
-            assert frame == window.last_frame
+        assert (cover.end - cover.start).tolist() == [10, 10]
 
     def test_short_horizon_rejected(self, rng):
         with pytest.raises(SetCoverError):
@@ -208,9 +206,10 @@ class TestExact:
     def test_exact_window_cover_optimal(self, rng):
         phases = np.array([0, 5, 900, 905])
         periods = np.full(4, 2048)
-        optimal, frames = exact_min_window_cover(phases, periods, 50, 0, 4096)
-        assert optimal == 2
-        assert len(frames) == 2
+        cover = exact_min_window_cover(phases, periods, 50, 0, 4096)
+        assert cover.n_groups == 2
+        assert cover.members.tolist() == [0, 1, 2, 3]
+        assert (cover.end - cover.start).tolist() == [50, 50]
 
     def test_exact_no_cover_raises(self):
         with pytest.raises(SetCoverError):
