@@ -52,7 +52,7 @@ from repro.grouping import (
     grouping_policy_by_name,
     register_grouping_policy,
 )
-from repro.enb import CellConfig, ENodeB
+from repro.enb import CellConfig
 from repro.energy import EnergyProfile, PowerState, UptimeLedger
 from repro.errors import ReproError
 from repro.experiments import ExperimentConfig, run_fig6a, run_fig6b, run_fig7
@@ -126,7 +126,6 @@ __all__ = [
     "pattern_for",
     # enb / phy / rrc / energy
     "CellConfig",
-    "ENodeB",
     "CoverageClass",
     "AirtimeModel",
     "ProcedureTimings",

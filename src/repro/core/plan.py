@@ -14,6 +14,11 @@ transmissions are a :class:`TransmissionTable` of frame, rate and
 airtime columns; who each one serves is recorded only in the directive
 ``transmission`` column.
 
+The paging records a plan issues — final pages, DA-SC adaptation pages
+and DR-SI notifications — are one :class:`PageTable`
+(:func:`plan_pages`), which the campaign report and the live arbiter
+both read.
+
 ``MulticastPlan.validate`` re-derives every claim against the fleet's
 actual paging schedules and bearer rates, as whole-array checks, and
 raises :class:`~repro.errors.PlanError` on any inconsistency. Every
@@ -33,7 +38,7 @@ import numpy as np
 
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import v_paging_frame_offset
+from repro.drx.paging import v_paging_frame_offset, v_paging_subframe
 from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
@@ -598,6 +603,7 @@ class MulticastPlan:
         for mask, message in (
             (~adapted & ~_on_grid(page, phase, period), "page at {p} is not a PO"),
             (windowed & ~in_window, "page at {p} outside window [{s}, {f}]"),
+            (extended & (page >= frame), "notified at {p}, not before its tx at {f}"),
             (extended & ~expiry_inside, "T322 expiry {c} outside window [{s}, {f}]"),
             (cycle > period, "adapted cycle longer than the preferred one"),
             (adapted & ~adaptation_po, "adaptation page at {a} is not a PO"),
@@ -615,6 +621,50 @@ class MulticastPlan:
                 f=frame,
                 a=adaptation,
             )
+
+
+# ----------------------------------------------------------------------
+# Paging: the records a plan issues
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class PageTable:
+    """Every paging record a plan issues, one row per record, in
+    directive order: each directive's page at ``page_frame``, then a
+    DA-SC adaptation's adaptation page. Columns: ``row`` (the directive
+    row), ``device``, ``frame``, ``subframe`` (of the device's PO),
+    ``ue_id`` and ``notified`` (bool: a DR-SI ``mltc-transmission``
+    entry rather than a paging record)."""
+
+    row: np.ndarray
+    device: np.ndarray
+    frame: np.ndarray
+    subframe: np.ndarray
+    ue_id: np.ndarray
+    notified: np.ndarray
+
+
+def plan_pages(fleet: Fleet, plan: MulticastPlan) -> PageTable:
+    """The paging records ``plan`` issues to ``fleet``, as one table.
+
+    The one place that knows how directives become paging records: the
+    campaign report's paging fold and the live arbiter's per-window
+    admission both read it.
+    """
+    columns = plan.columns
+    row = np.repeat(np.arange(len(columns)), 1 + (columns.method == _ADAPTATION))
+    frame = columns.page_frame[row]
+    adaptation = np.flatnonzero(row[1:] == row[:-1]) + 1
+    frame[adaptation] = columns.adaptation_page_frame[row[adaptation]]
+    device = columns.device[row]
+    arrays = fleet.arrays
+    ue_id = arrays.ue_ids[device]
+    subframe = v_paging_subframe(
+        ue_id,
+        arrays.periods[device],
+        (arrays.nb_numerators[device], arrays.nb_denominators[device]),
+    )
+    notified = columns.method[row] == _EXTENDED
+    return PageTable(row, device, frame, subframe, ue_id, notified)
 
 
 # ----------------------------------------------------------------------

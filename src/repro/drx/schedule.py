@@ -14,8 +14,7 @@ Scalar queries live on :class:`PoSchedule`; the ``v_*`` functions are the
 NumPy-vectorised fleet-wide equivalents used by the planners, operating
 on parallel ``phases``/``periods`` arrays.
 
-All interval arguments are half-open ``[start, end)`` like
-:class:`repro.timebase.FrameWindow`.
+All interval arguments are half-open ``[start, end)`` pairs of frames.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import PagingError
-from repro.timebase import FrameWindow
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -86,10 +84,6 @@ class PoSchedule:
     def has_in(self, start: int, end: int) -> bool:
         """True if at least one PO lies in ``[start, end)``."""
         return self.count_in(start, end) > 0
-
-    def covers(self, window: FrameWindow) -> bool:
-        """True if at least one PO lies inside ``window``."""
-        return self.has_in(window.start, window.end)
 
     def pos_in(self, start: int, end: int) -> np.ndarray:
         """All PO frames in ``[start, end)`` as an int64 array."""

@@ -4,7 +4,9 @@ The evolved NodeB (eNB) is the single coordinator in the paper's setting
 ("a single eNB scenario serving a large number of NB-IoT devices",
 Sec. IV-A): it pages devices, adapts their DRX cycles, sets up the
 multicast bearer and transmits. This package models the cell-level
-resources those actions consume.
+resources those actions consume: a :class:`CellConfig` describes the
+cell, and the paging and carrier reports of a campaign are folds of its
+plan's columns (see :func:`repro.core.plan.plan_pages`).
 """
 
 from repro.enb.cell import CellConfig
@@ -12,12 +14,10 @@ from repro.enb.paging_channel import PagingChannel, PagingLoadReport, PagingOccu
 from repro.enb.scheduler import (
     CarrierOccupancy,
     DownlinkScheduler,
-    ScheduledTransmission,
     UtilizationReport,
 )
 from repro.enb.arbiter import Admission, CapacityArbiter
 from repro.enb.bearer import MulticastBearer
-from repro.enb.enb import ENodeB
 
 __all__ = [
     "CellConfig",
@@ -25,11 +25,9 @@ __all__ = [
     "PagingLoadReport",
     "PagingOccupancy",
     "DownlinkScheduler",
-    "ScheduledTransmission",
     "UtilizationReport",
     "CarrierOccupancy",
     "Admission",
     "CapacityArbiter",
     "MulticastBearer",
-    "ENodeB",
 ]

@@ -1,19 +1,28 @@
 """Paging channel load accounting.
 
 A paging message is broadcast per paging occasion and carries at most
-``max_paging_records`` identities. When a grouping plan pages many
-devices, devices sharing a PO (same frame and subframe) compete for
-records. NB-IoT fleets rarely collide (4096 UE_ID values x 10
-subframes), but the channel still *accounts* for it: overflows are
-surfaced as an explicit report so a plan cannot silently assume
-infinite paging capacity.
+``max_paging_records`` identities; devices sharing a PO (same frame and
+subframe) compete for records. Under the record rule here, devices
+sharing a UE_ID at a PO share one record. UE_ID is IMSI mod 4096, and
+the devices at one PO share UE_ID mod N, so a PO holds only a handful
+of distinct UE_IDs and the merge hides how crowded POs are: a
+paper-default DR-SC plan at 10^5 devices pages around 60 devices at its
+busiest PO, yet packs at most 3 records per message. Overflows are
+reported explicitly, so a plan cannot silently assume infinite paging
+capacity.
+
+:meth:`PagingChannel.pack` builds the messages one record at a time and
+is the scalar specification; :meth:`PagingChannel.fold` computes the
+same report from record columns, and is what a campaign's report uses.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import CapacityError
 from repro.rrc.messages import MulticastNotification, PagingMessage, PagingRecord
@@ -24,22 +33,23 @@ class PagingLoadReport:
     """Result of packing planned pages into paging messages.
 
     Attributes:
-        messages: the built paging messages, ordered by frame.
+        total_pages: paging records across all messages.
+        notifications: DR-SI ``mltc-transmission`` entries across all
+            messages.
         occupied_occasions: number of distinct (frame, subframe) POs used.
         max_records_in_message: worst-case records in a single message.
         overflowed: (frame, subframe, ue_ids) tuples that exceeded
-            capacity; empty in healthy plans.
+            capacity, by PO; empty in healthy plans.
+        messages: the built paging messages, ordered by PO (only
+            :meth:`PagingChannel.pack` builds them; not compared).
     """
 
-    messages: Tuple[PagingMessage, ...]
+    total_pages: int
+    notifications: int
     occupied_occasions: int
     max_records_in_message: int
     overflowed: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
-
-    @property
-    def total_pages(self) -> int:
-        """Total paging records across all messages."""
-        return sum(len(m.records) for m in self.messages)
+    messages: Tuple[PagingMessage, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def has_overflow(self) -> bool:
@@ -123,10 +133,65 @@ class PagingChannel:
                 )
             )
         return PagingLoadReport(
-            messages=tuple(messages),
+            total_pages=sum(len(m.records) for m in messages),
+            notifications=sum(len(m.mltc_transmission) for m in messages),
             occupied_occasions=len(all_pos),
             max_records_in_message=max_in_message,
             overflowed=tuple(overflowed),
+            messages=tuple(messages),
+        )
+
+    def fold(
+        self,
+        frame: np.ndarray,
+        subframe: np.ndarray,
+        ue_id: np.ndarray,
+        notified: np.ndarray,
+    ) -> PagingLoadReport:
+        """:meth:`pack`'s report from record columns, building no message.
+
+        One row per page or, where ``notified`` holds, per DR-SI
+        notification. The rule is :meth:`pack`'s: records merge by
+        UE_ID per PO, a PO keeps its ``max_records`` smallest UE_IDs and
+        spills the rest, and a notification is dropped where its UE_ID
+        is already notified or holds a kept record at that PO.
+        """
+        notified = np.asarray(notified, dtype=bool)
+        frame, subframe, ue_id = (
+            np.asarray(column, dtype=np.int64) for column in (frame, subframe, ue_id)
+        )
+        cap = self._max_records
+        # One int64 key per (PO, UE_ID) that sorts like the triple.
+        sf_radix = int(subframe.max(initial=0)) + 1
+        ue_radix = int(ue_id.max(initial=0)) + 1
+        po = frame * sf_radix + subframe
+        key = po * ue_radix + ue_id
+        records = np.unique(key[~notified])
+        _, first, sizes = np.unique(
+            records // ue_radix, return_index=True, return_counts=True
+        )
+        # Each record's rank within its PO; the first ``cap`` are kept.
+        kept = np.arange(records.size) - np.repeat(first, sizes) < cap
+        full = sizes > cap
+        overflowed = tuple(
+            (at // sf_radix, at % sf_radix, tuple(spilled.tolist()))
+            for at, spilled in zip(
+                (records[first[full]] // ue_radix).tolist(),
+                np.split(records[~kept] % ue_radix, np.cumsum(sizes[full] - cap)[:-1]),
+            )
+        )
+        if overflowed and self._strict:
+            at_frame, at_subframe, spilled = overflowed[0]
+            raise CapacityError(
+                f"PO (frame={at_frame}, sf={at_subframe}) needs "
+                f"{cap + len(spilled)} records > capacity {cap}"
+            )
+        return PagingLoadReport(
+            total_pages=int(kept.sum()),
+            notifications=np.setdiff1d(key[notified], records[kept]).size,
+            occupied_occasions=np.unique(po).size,
+            max_records_in_message=int(min(sizes.max(initial=0), cap)),
+            overflowed=overflowed,
         )
 
 
@@ -146,7 +211,7 @@ class PagingOccupancy:
         if max_records < 1:
             raise CapacityError(f"max_records must be >= 1, got {max_records}")
         self._max_records = max_records
-        self._records: Dict[Tuple[int, int], int] = defaultdict(int)
+        self._records: Counter = Counter()
 
     @property
     def max_records(self) -> int:
@@ -155,16 +220,13 @@ class PagingOccupancy:
 
     def records_at(self, frame: int, subframe: int) -> int:
         """Records currently reserved at the PO ``(frame, subframe)``."""
-        return self._records.get((frame, subframe), 0)
+        return self._records[(frame, subframe)]
 
     def can_accept(self, occasions: Sequence[Tuple[int, int]]) -> bool:
         """True when every occasion (with multiplicity) still has room."""
-        needed: Dict[Tuple[int, int], int] = defaultdict(int)
-        for po in occasions:
-            needed[po] += 1
         return all(
-            self._records.get(po, 0) + count <= self._max_records
-            for po, count in needed.items()
+            self._records[po] + count <= self._max_records
+            for po, count in Counter(occasions).items()
         )
 
     def reserve(self, occasions: Sequence[Tuple[int, int]]) -> bool:
@@ -175,24 +237,21 @@ class PagingOccupancy:
         """
         if not self.can_accept(occasions):
             return False
-        for po in occasions:
-            self._records[po] += 1
+        self._records.update(occasions)
         return True
 
     def release(self, occasions: Sequence[Tuple[int, int]]) -> None:
         """Return previously reserved records (e.g. a retired window).
 
-        Raises :class:`CapacityError` on releasing more records at a PO
-        than are held — that is always an accounting bug upstream.
+        Raises :class:`CapacityError`, returning nothing, on releasing
+        more records at a PO than are held — that is always an
+        accounting bug upstream.
         """
-        for frame, subframe in occasions:
-            held = self._records.get((frame, subframe), 0)
-            if held <= 0:
+        returned = Counter(occasions)
+        for (frame, subframe), count in returned.items():
+            if self._records[(frame, subframe)] < count:
                 raise CapacityError(
                     f"release at PO (frame={frame}, sf={subframe}) "
                     "without a matching reservation"
                 )
-            if held == 1:
-                del self._records[(frame, subframe)]
-            else:
-                self._records[(frame, subframe)] = held - 1
+        self._records.subtract(returned)

@@ -12,44 +12,12 @@ payloads).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.timebase import frames_to_seconds
-
-
-@dataclass(frozen=True)
-class ScheduledTransmission:
-    """One downlink transmission occupying the carrier.
-
-    Attributes:
-        start_frame: first frame of the transmission.
-        duration_frames: airtime in frames.
-        group_size: devices served by this transmission.
-    """
-
-    start_frame: int
-    duration_frames: int
-    group_size: int
-
-    def __post_init__(self) -> None:
-        if self.start_frame < 0:
-            raise ConfigurationError(
-                f"start_frame must be non-negative, got {self.start_frame}"
-            )
-        if self.duration_frames < 1:
-            raise ConfigurationError(
-                f"duration must be >= 1 frame, got {self.duration_frames}"
-            )
-        if self.group_size < 1:
-            raise ConfigurationError(
-                f"group_size must be >= 1, got {self.group_size}"
-            )
-
-    @property
-    def end_frame(self) -> int:
-        """One past the last occupied frame."""
-        return self.start_frame + self.duration_frames
 
 
 @dataclass(frozen=True)
@@ -79,57 +47,56 @@ class DownlinkScheduler:
     """Accounts for downlink carrier occupancy of planned transmissions."""
 
     def utilization(
-        self, transmissions: Sequence[ScheduledTransmission], horizon_frames: int
+        self, frame: np.ndarray, duration_frames: np.ndarray, horizon_frames: int
     ) -> UtilizationReport:
-        """Compute the occupancy report over ``[0, horizon_frames)``."""
+        """Occupancy of the transmissions ``[frame, frame + duration)``
+        (a plan's transmission-table columns) over ``[0, horizon_frames)``."""
         if horizon_frames <= 0:
             raise ConfigurationError(
                 f"horizon must be positive, got {horizon_frames}"
             )
-        total_airtime = sum(t.duration_frames for t in transmissions)
-        overlaps = self._count_overlaps(transmissions)
+        duration = np.asarray(duration_frames, dtype=np.int64)
+        if (duration < 1).any():
+            raise ConfigurationError("every duration must be >= 1 frame")
+        total_airtime = int(duration.sum())
         return UtilizationReport(
             total_airtime_s=frames_to_seconds(total_airtime),
             horizon_s=frames_to_seconds(horizon_frames),
             utilization=total_airtime / horizon_frames,
-            overlapping_pairs=overlaps,
+            overlapping_pairs=self._count_overlaps(frame, duration),
         )
 
     @staticmethod
-    def _count_overlaps(transmissions: Sequence[ScheduledTransmission]) -> int:
-        """Number of overlapping pairs via a sweep with an end-time heap.
+    def _count_overlaps(frame: np.ndarray, duration_frames: np.ndarray) -> int:
+        """Number of overlapping pairs of ``[frame, frame + duration)``.
 
-        O(n log n); :meth:`_count_overlaps_reference` is the O(n^2)
-        specification it must agree with (property-tested).
+        With every duration >= 1 frame, a disjoint pair has exactly one
+        member ending at or before the other's start, so the disjoint
+        pairs are, summed over intervals, the intervals ending at or
+        before its start: one ``searchsorted`` over the sorted ends.
+        :meth:`_count_overlaps_reference` is the O(n^2) specification it
+        must agree with (property-tested).
         """
-        import heapq
-
-        intervals: List[Tuple[int, int]] = sorted(
-            (t.start_frame, t.end_frame) for t in transmissions
-        )
-        overlaps = 0
-        active_ends: List[int] = []
-        for start, end in intervals:
-            while active_ends and active_ends[0] <= start:
-                heapq.heappop(active_ends)
-            overlaps += len(active_ends)
-            heapq.heappush(active_ends, end)
-        return overlaps
+        start = np.asarray(frame, dtype=np.int64)
+        ends = np.sort(start + np.asarray(duration_frames, dtype=np.int64))
+        disjoint = int(np.searchsorted(ends, start, side="right").sum())
+        return start.size * (start.size - 1) // 2 - disjoint
 
     @staticmethod
     def _count_overlaps_reference(
-        transmissions: Sequence[ScheduledTransmission],
+        frame: np.ndarray, duration_frames: np.ndarray
     ) -> int:
         """Direct pairwise definition of overlap counting.
 
-        Quadratic and only used as the equivalence oracle for the sweep
-        in property tests — two half-open intervals overlap iff each
-        starts before the other ends.
+        Quadratic and only used as the equivalence oracle for the
+        array count in property tests — two half-open intervals overlap
+        iff each starts before the other ends.
         """
+        transmissions = list(zip(frame, np.add(frame, duration_frames)))
         overlaps = 0
-        for i, a in enumerate(transmissions):
-            for b in transmissions[i + 1 :]:
-                if a.start_frame < b.end_frame and b.start_frame < a.end_frame:
+        for i, (a_start, a_end) in enumerate(transmissions):
+            for b_start, b_end in transmissions[i + 1 :]:
+                if a_start < b_end and b_start < a_end:
                     overlaps += 1
         return overlaps
 

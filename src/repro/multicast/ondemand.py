@@ -4,9 +4,10 @@ Wires the full pipeline of the paper's reference [3] together:
 
 1. the coordination entity supplies the device list and the payload;
 2. the eNB plans the campaign with a chosen grouping mechanism;
-3. the plan is validated, its paging load is packed into messages, and
-   the carrier occupancy is computed;
-4. the campaign executes, producing per-device uptime/energy ledgers.
+3. the plan is validated and executed (the scenario runner's cell calls
+   the same entry points), producing per-device uptime/energy ledgers;
+4. the paging load and carrier occupancy are folded from the plan's
+   columns.
 
 This is the high-level public API the examples use::
 
@@ -32,19 +33,13 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import (
-    METHOD_CODE,
-    MulticastPlan,
-    PlanRevision,
-    WakeMethod,
-    revise_plan,
-)
+from repro.core.plan import MulticastPlan, PlanRevision, plan_pages, revise_plan
 from repro.devices.arrays import FleetArrays
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
-from repro.enb.enb import ENodeB
-from repro.enb.paging_channel import PagingLoadReport
-from repro.enb.scheduler import ScheduledTransmission, UtilizationReport
+from repro.enb.cell import CellConfig
+from repro.enb.paging_channel import PagingChannel, PagingLoadReport
+from repro.enb.scheduler import DownlinkScheduler, UtilizationReport
 from repro.errors import PlanError
 from repro.multicast.payload import FirmwareImage
 from repro.rrc.procedures import ProcedureTimings
@@ -124,11 +119,11 @@ class OnDemandMulticastService:
     def __init__(
         self,
         mechanism: GroupingMechanism,
-        enb: Optional[ENodeB] = None,
+        cell: CellConfig = CellConfig(),
         timings: ProcedureTimings = ProcedureTimings(),
     ) -> None:
         self._mechanism = mechanism
-        self._enb = enb or ENodeB()
+        self._cell = cell
         self._timings = timings
         self._executor = CampaignExecutor(timings=timings)
 
@@ -136,11 +131,6 @@ class OnDemandMulticastService:
     def mechanism(self) -> GroupingMechanism:
         """The grouping mechanism in use."""
         return self._mechanism
-
-    @property
-    def enb(self) -> ENodeB:
-        """The serving eNB."""
-        return self._enb
 
     def deliver(
         self,
@@ -170,7 +160,7 @@ class OnDemandMulticastService:
         """Plan and validate a campaign without executing it."""
         context = PlanningContext(
             payload_bytes=image.size_bytes,
-            cell=self._enb.cell,
+            cell=self._cell,
             timings=self._timings,
             announce_frame=announce_frame,
         )
@@ -233,61 +223,27 @@ class OnDemandMulticastService:
         pending: PendingCampaign,
         rng: Optional[np.random.Generator] = None,
     ) -> CampaignReport:
-        """Account and execute a pending campaign's current plan.
+        """Execute and account a pending campaign's current plan.
 
         Devices that left are stripped out first (the working fleet
         keeps them only so indices stay stable mid-flight); the final
-        plan is fully validated, then packed and executed exactly as
+        plan is fully validated, then executed and accounted exactly as
         :meth:`deliver` would.
         """
         fleet, plan = _strip_left(pending.fleet, pending.plan, pending.left)
         plan.validate(fleet)
-        paging = self._pack_paging(fleet, plan)
         result = self._executor.execute(fleet, plan, rng=rng)
+        pages = plan_pages(fleet, plan)
+        paging = PagingChannel(self._cell.max_paging_records).fold(
+            pages.frame, pages.subframe, pages.ue_id, pages.notified
+        )
         table = plan.transmissions
-        sizes = np.bincount(plan.columns.transmission, minlength=len(table))
-        utilization = self._enb.carrier_utilization(
-            [
-                ScheduledTransmission(
-                    start_frame=frame, duration_frames=duration, group_size=size
-                )
-                for frame, duration, size in zip(
-                    table.frame.tolist(),
-                    table.duration_frames.tolist(),
-                    sizes.tolist(),
-                )
-            ],
-            horizon_frames=result.horizon_frames,
+        utilization = DownlinkScheduler().utilization(
+            table.frame, table.duration_frames, result.horizon_frames
         )
         return CampaignReport(
             plan=plan, result=result, paging=paging, utilization=utilization
         )
-
-    def _pack_paging(self, fleet: Fleet, plan: MulticastPlan) -> PagingLoadReport:
-        """Pack every page the plan issues into paging messages.
-
-        Directives contribute in row order: a DR-SI notification, or a
-        page followed — for DA-SC adaptations — by the adaptation page.
-        """
-        columns = plan.columns
-        frames = plan.transmissions.frame.tolist()
-        extended = METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]
-        adapted = METHOD_CODE[WakeMethod.DRX_ADAPTATION]
-        pages, notifications = [], []
-        for device, tx, method, page, adaptation in zip(
-            columns.device.tolist(),
-            columns.transmission.tolist(),
-            columns.method.tolist(),
-            columns.page_frame.tolist(),
-            columns.adaptation_page_frame.tolist(),
-        ):
-            if method == extended:
-                notifications.append((device, page, frames[tx] - page))
-                continue
-            pages.append((device, page))
-            if method == adapted:
-                pages.append((device, adaptation))
-        return self._enb.pack_pages(fleet, pages, notifications)
 
 
 def _strip_left(
@@ -301,7 +257,7 @@ def _strip_left(
     """
     if not left:
         return fleet, plan
-    keep = [i for i in range(len(fleet)) if i not in left]
+    keep = np.delete(np.arange(len(fleet)), sorted(left))
     device_map = np.full(len(fleet), -1, dtype=np.int64)
     device_map[keep] = np.arange(len(keep), dtype=np.int64)
     columns = replace(plan.columns, device=device_map[plan.columns.device])

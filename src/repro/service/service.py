@@ -15,8 +15,8 @@ Lifecycle of one campaign under the service:
    shape. DEVICE_JOIN/DEVICE_LEAVE/CAMPAIGN_REVISE rows are logged.
 3. **result** — awaiting a campaign pumps the simulator one event at a
    time until the campaign's completion milestone fires, then runs the
-   batch completion path (pack paging, execute, carrier utilization)
-   with the campaign's own generator.
+   batch completion path (validate, execute, then the paging and
+   carrier reports) with the campaign's own generator.
 
 Determinism: the simulator's heap order is the *only* execution order —
 whichever coroutine happens to pump the engine, the same event runs
@@ -34,12 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import GroupingMechanism
-from repro.core.plan import METHOD_CODE, MulticastPlan, WakeMethod
+from repro.core.plan import MulticastPlan, plan_pages
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
-from repro.drx.paging import v_paging_subframe
 from repro.enb.arbiter import CapacityArbiter
-from repro.enb.enb import ENodeB
+from repro.enb.cell import CellConfig
 from repro.errors import CapacityError, SimulationError
 from repro.multicast.ondemand import (
     CampaignReport,
@@ -91,7 +90,7 @@ class CampaignService:
     def __init__(
         self,
         *,
-        enb: Optional[ENodeB] = None,
+        cell: CellConfig = CellConfig(),
         timings: ProcedureTimings = ProcedureTimings(),
         seed: int = 0,
         max_defer_frames: int = 2048,
@@ -99,12 +98,10 @@ class CampaignService:
         """``seed`` roots the per-campaign ``SeedSequence`` children (in
         submission order); ``max_defer_frames`` caps how far the arbiter
         may push a window past its planned start."""
-        self._enb = enb if enb is not None else ENodeB()
+        self._cell = cell
         self._timings = timings
         self._sim = Simulator()
-        self._arbiter = CapacityArbiter(
-            self._enb.cell, max_defer_frames=max_defer_frames
-        )
+        self._arbiter = CapacityArbiter(cell, max_defer_frames=max_defer_frames)
         self._seed = int(seed)
         self._seed_seq = np.random.SeedSequence(self._seed)
         self._recorder = EventLogRecorder()
@@ -167,7 +164,7 @@ class CampaignService:
         handle = CampaignHandle(id=cid, name=name or f"campaign-{cid}")
         rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
         inner = OnDemandMulticastService(
-            mechanism, enb=self._enb, timings=self._timings
+            mechanism, cell=self._cell, timings=self._timings
         )
         pending = inner.submit(
             fleet, image, rng=rng, announce_frame=self.now_frame
@@ -346,9 +343,13 @@ class CampaignService:
         to the campaign's plan."""
         frames = campaign.pending.plan.transmissions.frame
         order = sorted(tx_indices, key=lambda i: (frames[i], i))
+        # A deferral replaces the plan's transmission table only: the
+        # directive columns, their cached rows per window and the pages
+        # read from them stay.
+        occasions, bounds = _pages_by_window(
+            campaign.pending.fleet, campaign.pending.plan
+        )
         for index in order:
-            # A deferral replaces the plan's transmission table only: the
-            # directive columns, and their cached rows per window, stay.
             plan = campaign.pending.plan
             tx = plan.transmissions[index]
             window_rows = plan.columns.transmission_rows(index)
@@ -356,7 +357,7 @@ class CampaignService:
                 campaign.handle.id,
                 tx.frame,
                 tx.duration_frames,
-                pages=_window_pages(campaign.pending.fleet, plan, window_rows),
+                pages=occasions[bounds[index] : bounds[index + 1]],
                 max_shift_frames=_max_shift(plan, tx.frame, window_rows),
             )
             if not decision.admitted:
@@ -414,36 +415,23 @@ class CampaignService:
         )
 
 
-def _window_pages(
-    fleet: Fleet, plan: MulticastPlan, rows: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Paging occasions (frame, subframe) the window's directives use.
+def _pages_by_window(
+    fleet: Fleet, plan: MulticastPlan
+) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+    """Each window's paging occasions, as ``(occasions, bounds)``.
 
-    ``rows`` are the window's directive rows. One record per page or
-    DR-SI notification, matching what ``ENodeB.pack_pages`` will emit
-    for these directives (devices sharing a UE_ID at one PO are counted
-    individually here — the arbiter is deliberately conservative).
+    Window ``i`` pages at ``occasions[bounds[i]:bounds[i + 1]]``: the
+    (frame, subframe) of every record :func:`~repro.core.plan.plan_pages`
+    gives its directives — a page, a DA-SC adaptation page or a DR-SI
+    notification. Devices sharing a UE_ID at one PO are counted
+    individually here (the arbiter is deliberately conservative).
     """
-    columns = plan.columns
-    arrays = fleet.arrays
-    dev = columns.device[rows]
-    subframes = v_paging_subframe(
-        arrays.ue_ids[dev],
-        arrays.periods[dev],
-        (arrays.nb_numerators[dev], arrays.nb_denominators[dev]),
-    )
-    adapted = columns.method[rows] == METHOD_CODE[WakeMethod.DRX_ADAPTATION]
-    occasions: List[Tuple[int, int]] = []
-    for page, adaptation, subframe, is_adapted in zip(
-        columns.page_frame[rows].tolist(),
-        columns.adaptation_page_frame[rows].tolist(),
-        subframes.tolist(),
-        adapted.tolist(),
-    ):
-        occasions.append((page, subframe))
-        if is_adapted:
-            occasions.append((adaptation, subframe))
-    return occasions
+    pages = plan_pages(fleet, plan)
+    window = plan.columns.transmission[pages.row]
+    order = np.argsort(window, kind="stable")
+    bounds = np.searchsorted(window[order], np.arange(len(plan.transmissions) + 1))
+    occasions = list(zip(pages.frame[order].tolist(), pages.subframe[order].tolist()))
+    return occasions, bounds
 
 
 def _max_shift(plan: MulticastPlan, frame: int, rows: np.ndarray) -> int:

@@ -22,7 +22,6 @@ from repro.timebase.frames import (
     MS_PER_SUBFRAME,
     SFN_PERIOD,
     SUBFRAMES_PER_FRAME,
-    FrameWindow,
     frame_after_seconds,
     frame_at_or_after_ms,
     frame_containing_ms,
@@ -53,7 +52,6 @@ __all__ = [
     "MS_PER_FRAME",
     "FRAMES_PER_HYPERFRAME",
     "SFN_PERIOD",
-    "FrameWindow",
     "frame_after_seconds",
     "frame_at_or_after_ms",
     "frame_containing_ms",

@@ -1,15 +1,13 @@
 """Integer radio-frame arithmetic.
 
 The whole library keeps simulated time as an integer number of 10 ms
-radio frames. This module provides the constants, conversions and the
-:class:`FrameWindow` half-open interval type used by every scheduler.
+radio frames. This module provides the constants and conversions; a
+frame interval is a pair of frames, half-open ``[start, end)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -170,78 +168,3 @@ def hyperframe_of(frame: int) -> int:
 def subframe_count(frames: int) -> int:
     """Number of 1 ms subframes in ``frames`` radio frames."""
     return int(frames) * SUBFRAMES_PER_FRAME
-
-
-@dataclass(frozen=True)
-class FrameWindow:
-    """A half-open interval of radio frames ``[start, end)``.
-
-    Windows are the unit of grouping throughout the paper: a multicast
-    transmission at frame ``end`` covers every device with a paging
-    occasion inside the window of length equal to the inactivity timer.
-    """
-
-    start: int
-    end: int
-
-    def __post_init__(self) -> None:
-        start = validate_frame(self.start, name="start")
-        end = validate_frame(self.end, name="end")
-        if end < start:
-            raise TimebaseError(f"window end {end} precedes start {start}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-
-    @property
-    def length(self) -> int:
-        """Window length in frames."""
-        return self.end - self.start
-
-    @property
-    def last_frame(self) -> int:
-        """The last frame inside the window (``end - 1``).
-
-        The paper schedules the multicast transmission "at the last frame"
-        of the selected window (Sec. III-A).
-        """
-        if self.length == 0:
-            raise TimebaseError("empty window has no last frame")
-        return self.end - 1
-
-    def contains(self, frame: int) -> bool:
-        """True if ``frame`` lies inside the half-open interval."""
-        return self.start <= frame < self.end
-
-    def overlaps(self, other: "FrameWindow") -> bool:
-        """True if the two half-open windows share at least one frame.
-
-        An empty window contains no frame, so it overlaps nothing (not
-        even a window that spans its start position).
-        """
-        if self.length == 0 or other.length == 0:
-            return False
-        return self.start < other.end and other.start < self.end
-
-    def shifted(self, offset: int) -> "FrameWindow":
-        """A copy of the window translated by ``offset`` frames."""
-        return FrameWindow(self.start + offset, self.end + offset)
-
-    def intersection(self, other: "FrameWindow") -> "FrameWindow":
-        """The overlapping sub-window (empty window at ``start`` if disjoint)."""
-        lo = max(self.start, other.start)
-        hi = min(self.end, other.end)
-        if hi <= lo:
-            return FrameWindow(lo, lo)
-        return FrameWindow(lo, hi)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.start, self.end))
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __str__(self) -> str:
-        return (
-            f"[{self.start}, {self.end}) frames "
-            f"({frames_to_seconds(self.start):.2f}s..{frames_to_seconds(self.end):.2f}s)"
-        )

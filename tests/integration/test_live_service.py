@@ -19,7 +19,6 @@ import pytest
 from repro.core import DrScMechanism
 from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
-from repro.enb.enb import ENodeB
 from repro.errors import CapacityError, SimulationError
 from repro.multicast import FirmwareImage, OnDemandMulticastService
 from repro.service import CampaignService

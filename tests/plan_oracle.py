@@ -5,7 +5,8 @@ became columnar: every member is materialised (``fleet[i]``) and its
 paging arithmetic is redone per query on its
 :class:`~repro.drx.schedule.PoSchedule`. The array planners and the
 whole-array :meth:`~repro.core.plan.MulticastPlan.validate` are
-property-tested against them (``tests/properties/test_prop_plan_columns.py``).
+property-tested against them (``tests/properties/test_prop_plan_columns.py``),
+and :func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`.
 
 Each ``plan_*`` function consumes ``rng`` exactly as the mechanism
 does: the policy's grouping first, then (DR-SI only) one scalar draw
@@ -42,7 +43,9 @@ from repro.drx.cycles import DrxCycle
 from repro.drx.paging import pattern_for
 from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
+from repro.enb.paging_channel import PagingChannel, PagingLoadReport
 from repro.phy.airtime import payload_airtime_frames
+from repro.rrc.messages import MulticastNotification
 from repro.rrc.timers import T322Timer
 from repro.timebase import ms_to_frames
 
@@ -349,6 +352,44 @@ def scalar_plan(
         if isinstance(mechanism, kind):
             return planner(mechanism, fleet, context, rng)
     raise TypeError(f"no scalar oracle for {type(mechanism).__name__}")
+
+
+# ----------------------------------------------------------------------
+# Paging records
+# ----------------------------------------------------------------------
+def scalar_pages(fleet: Fleet, plan: MulticastPlan) -> List[tuple]:
+    """The paging records of ``plan``, one directive object at a time.
+
+    Rows of ``(row, device, frame, subframe, ue_id, notified)`` in
+    directive order: a DR-SI notification, or a page followed — for a
+    DA-SC adaptation — by the adaptation page, each at the device's own
+    PO subframe.
+    """
+    records = []
+    for row, d in enumerate(plan.directives):
+        device = fleet[d.device_index]
+        po = (d.device_index, device.pattern.subframe, device.drx.ue_id)
+        notified = d.method is WakeMethod.EXTENDED_PAGE_TIMER
+        records.append((row, po[0], d.page_frame, po[1], po[2], notified))
+        if d.method is WakeMethod.DRX_ADAPTATION:
+            records.append((row, po[0], d.adaptation_page_frame, po[1], po[2], False))
+    return records
+
+
+def scalar_pack(
+    channel: PagingChannel, fleet: Fleet, plan: MulticastPlan
+) -> PagingLoadReport:
+    """``channel.pack`` of the plan's :func:`scalar_pages`, every
+    notification built as its message entry."""
+    pages, notifications = [], []
+    for row, _, frame, subframe, ue_id, notified in scalar_pages(fleet, plan):
+        if not notified:
+            pages.append((frame, subframe, ue_id))
+            continue
+        tx = plan.transmissions[plan.directives[row].transmission_index]
+        notification = MulticastNotification(ue_id, tx.frame - frame)
+        notifications.append((frame, subframe, notification))
+    return channel.pack(pages, notifications)
 
 
 # ----------------------------------------------------------------------

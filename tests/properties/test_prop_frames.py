@@ -1,11 +1,10 @@
-"""Property-based tests for frame arithmetic and windows."""
+"""Property-based tests for frame arithmetic."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.timebase import (
     MS_PER_FRAME,
-    FrameWindow,
     frame_at_or_after_ms,
     frames_to_ms,
     frames_to_seconds,
@@ -66,40 +65,3 @@ class TestConversionProperties:
     @given(frames, frames)
     def test_conversion_additive(self, a, b):
         assert frames_to_ms(a + b) == frames_to_ms(a) + frames_to_ms(b)
-
-
-@st.composite
-def windows(draw):
-    start = draw(st.integers(min_value=0, max_value=100_000))
-    length = draw(st.integers(min_value=0, max_value=10_000))
-    return FrameWindow(start, start + length)
-
-
-class TestWindowProperties:
-    @given(windows())
-    def test_length_consistency(self, window):
-        assert window.length == len(list(window))
-        assert window.length == window.end - window.start
-
-    @given(windows(), windows())
-    def test_overlap_symmetric(self, a, b):
-        assert a.overlaps(b) == b.overlaps(a)
-
-    @given(windows(), windows())
-    def test_intersection_consistent_with_overlap(self, a, b):
-        inter = a.intersection(b)
-        assert (inter.length > 0) == a.overlaps(b)
-        if inter.length:
-            for frame in (inter.start, inter.end - 1):
-                assert a.contains(frame) and b.contains(frame)
-
-    @given(windows(), st.integers(min_value=0, max_value=1_000_000))
-    def test_shift_preserves_length(self, window, offset):
-        assert window.shifted(offset).length == window.length
-
-    @given(windows())
-    def test_contains_iff_in_iteration(self, window):
-        if window.length and window.length <= 200:
-            members = set(window)
-            for frame in range(window.start - 2, window.end + 2):
-                assert window.contains(frame) == (frame in members)

@@ -1,16 +1,20 @@
 """Unit tests for the eNB substrate: cell, paging channel, scheduler, bearer."""
 
+import numpy as np
 import pytest
 
+from plan_oracle import scalar_pack, scalar_pages
+from repro.core import DaScMechanism, DrSiMechanism
+from repro.core.base import PlanningContext
+from repro.core.plan import plan_pages
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
-from repro.drx.cycles import FULL_LADDER, DrxCycle
-from repro.drx.paging import NB, pattern_for
+from repro.drx.cycles import FULL_LADDER
+from repro.drx.paging import NB
 from repro.enb.bearer import MulticastBearer
 from repro.enb.cell import CellConfig
-from repro.enb.enb import ENodeB
 from repro.enb.paging_channel import PagingChannel
-from repro.enb.scheduler import DownlinkScheduler, ScheduledTransmission
+from repro.enb.scheduler import DownlinkScheduler
 from repro.errors import CapacityError, ConfigurationError
 from repro.phy.coverage import CoverageClass
 from repro.rrc.messages import MulticastNotification
@@ -76,45 +80,33 @@ class TestPagingChannel:
 
 class TestScheduler:
     def test_utilization(self):
-        scheduler = DownlinkScheduler()
-        report = scheduler.utilization(
-            [
-                ScheduledTransmission(start_frame=0, duration_frames=100, group_size=2),
-                ScheduledTransmission(start_frame=200, duration_frames=100, group_size=1),
-            ],
-            horizon_frames=1000,
+        report = DownlinkScheduler().utilization(
+            [0, 200], [100, 100], horizon_frames=1000
         )
         assert report.utilization == pytest.approx(0.2)
         assert report.overlapping_pairs == 0
         assert report.feasible_on_single_carrier
 
     def test_overlap_detection(self):
-        scheduler = DownlinkScheduler()
-        report = scheduler.utilization(
-            [
-                ScheduledTransmission(start_frame=0, duration_frames=100, group_size=1),
-                ScheduledTransmission(start_frame=50, duration_frames=100, group_size=1),
-                ScheduledTransmission(start_frame=90, duration_frames=100, group_size=1),
-            ],
-            horizon_frames=1000,
+        report = DownlinkScheduler().utilization(
+            [0, 50, 90], [100, 100, 100], horizon_frames=1000
         )
         assert report.overlapping_pairs == 3
         assert not report.feasible_on_single_carrier
 
     def test_touching_intervals_do_not_overlap(self):
-        scheduler = DownlinkScheduler()
-        report = scheduler.utilization(
-            [
-                ScheduledTransmission(start_frame=0, duration_frames=100, group_size=1),
-                ScheduledTransmission(start_frame=100, duration_frames=50, group_size=1),
-            ],
-            horizon_frames=200,
+        report = DownlinkScheduler().utilization(
+            [0, 100], [100, 50], horizon_frames=200
         )
         assert report.overlapping_pairs == 0
 
     def test_invalid_horizon(self):
         with pytest.raises(ConfigurationError):
-            DownlinkScheduler().utilization([], horizon_frames=0)
+            DownlinkScheduler().utilization([], [], horizon_frames=0)
+
+    def test_zero_duration_rejected(self):
+        with pytest.raises(ConfigurationError):
+            DownlinkScheduler().utilization([0, 10], [5, 0], horizon_frames=100)
 
 
 class TestBearer:
@@ -137,27 +129,12 @@ class TestBearer:
             MulticastBearer(rate_bps=1000, group_size=0)
 
 
-class TestENodeB:
-    def test_pack_pages_uses_device_subframes(self):
-        devices = [
-            NbIotDevice.build(imsi=100 + i, cycle=DrxCycle(2048)) for i in range(3)
-        ]
-        fleet = Fleet(devices)
-        enb = ENodeB()
-        pages = [(i, int(fleet[i].pattern.phase)) for i in range(3)]
-        report = enb.pack_pages(fleet, pages)
-        assert report.total_pages == 3
-
-    @pytest.mark.parametrize(
-        "nb", [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T, None]
-    )
-    def test_pack_pages_matches_per_device_patterns(self, nb):
-        # Every ladder cycle (eDRX included), one nB per fleet or (None)
-        # a different nB per device; a third of the devices notified.
-        # Devices share a few frames, so their subframes decide which
-        # paging message each record lands in.
-        nbs = [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T]
-        devices = [
+def _ladder_fleet(nb):
+    # Every ladder cycle (eDRX included), one nB per fleet or (None) a
+    # different nB per device.
+    nbs = [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T]
+    return Fleet(
+        [
             NbIotDevice.build(
                 imsi=1000 + 37 * i,
                 cycle=FULL_LADDER[i % len(FULL_LADDER)],
@@ -165,37 +142,54 @@ class TestENodeB:
             )
             for i in range(40)
         ]
-        fleet = Fleet(devices)
-        pages = [(i, 5000 + i % 4) for i in range(len(devices)) if i % 3]
-        notifications = [
-            (i, 6000 + i % 2, 700 + i) for i in range(len(devices)) if not i % 3
-        ]
+    )
 
-        def subframe(i):
-            device = devices[i]
-            return pattern_for(device.drx.ue_id, device.cycle, device.drx.nb).subframe
 
-        enb = ENodeB()
-        reference = PagingChannel(max_records=enb.cell.max_paging_records).pack(
-            [(frame, subframe(i), devices[i].identity.ue_id) for i, frame in pages],
-            [
-                (
-                    frame,
-                    subframe(i),
-                    MulticastNotification(
-                        ue_id=devices[i].identity.ue_id,
-                        frames_until_transmission=remaining,
-                    ),
-                )
-                for i, frame, remaining in notifications
-            ],
+class TestPageTable:
+    """``plan_pages`` and the paging fold against a per-directive scan."""
+
+    @pytest.mark.parametrize(
+        "nb", [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T, None]
+    )
+    @pytest.mark.parametrize("mechanism", [DaScMechanism(), DrSiMechanism()])
+    def test_rows_match_per_device_patterns(self, nb, mechanism):
+        fleet = _ladder_fleet(nb)
+        plan = mechanism.plan(
+            fleet, PlanningContext(payload_bytes=60_000), np.random.default_rng(4)
         )
-        assert enb.pack_pages(fleet, pages, notifications) == reference
+        table = plan_pages(fleet, plan)
+        rows = list(
+            zip(
+                *(
+                    column.tolist()
+                    for column in (
+                        table.row,
+                        table.device,
+                        table.frame,
+                        table.subframe,
+                        table.ue_id,
+                        table.notified,
+                    )
+                )
+            )
+        )
+        assert rows == scalar_pages(fleet, plan)
+        channel = PagingChannel(max_records=CellConfig().max_paging_records)
+        folded = channel.fold(table.frame, table.subframe, table.ue_id, table.notified)
+        assert folded == scalar_pack(channel, fleet, plan)
 
-    def test_pack_notifications(self):
-        fleet = Fleet([NbIotDevice.build(imsi=55, cycle=DrxCycle(2048))])
-        enb = ENodeB()
-        report = enb.pack_pages(fleet, [], [(0, 100, 500)])
-        message = report.messages[0]
-        assert message.notified_ue_ids == {55 % 4096}
-        assert message.mltc_transmission[0].frames_until_transmission == 500
+    def test_dr_si_notifications_are_counted_apart_from_records(self):
+        fleet = _ladder_fleet(NB.ONE_T)
+        plan = DrSiMechanism().plan(
+            fleet, PlanningContext(payload_bytes=60_000), np.random.default_rng(4)
+        )
+        table = plan_pages(fleet, plan)
+        report = PagingChannel().fold(
+            table.frame, table.subframe, table.ue_id, table.notified
+        )
+        reference = scalar_pack(PagingChannel(), fleet, plan)
+        assert report.notifications == sum(
+            len(m.mltc_transmission) for m in reference.messages
+        )
+        assert report.total_pages == sum(len(m.records) for m in reference.messages)
+        assert report.notifications > 0

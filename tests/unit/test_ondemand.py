@@ -4,9 +4,10 @@ paging-channel overflow behaviour."""
 import numpy as np
 import pytest
 
+from plan_oracle import scalar_pages
 from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism
 from repro.core.base import PlanningContext
-from repro.core.plan import WakeMethod
+from repro.core.plan import WakeMethod, plan_pages
 from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
 from repro.enb.paging_channel import PagingChannel
@@ -17,7 +18,7 @@ from repro.multicast import (
     OnDemandMulticastService,
     PendingCampaign,
 )
-from repro.service.service import _max_shift, _window_pages
+from repro.service.service import _max_shift, _pages_by_window
 from repro.sim.eventlog import compare_results
 
 IMAGE = FirmwareImage(name="fw", version="1.0.0", size_bytes=60_000)
@@ -143,34 +144,22 @@ class TestStrictPagingChannel:
 
 
 class TestColumnarPaging:
-    """Paging lists built from plan columns match a per-directive scan."""
+    """Paging records read from plan columns match a per-directive scan."""
 
     @pytest.mark.parametrize("mechanism", [DaScMechanism(), DrSiMechanism()])
-    def test_pack_paging_matches_directive_scan(
-        self, small_fleet, rng, mechanism, monkeypatch
-    ):
-        service = OnDemandMulticastService(mechanism=mechanism)
+    def test_page_table_matches_directive_scan(self, small_fleet, rng, mechanism):
         plan = mechanism.plan(small_fleet, CONTEXT, rng)
-        captured = {}
-
-        def capture(fleet, pages, notifications=()):
-            captured["pages"] = list(pages)
-            captured["notifications"] = list(notifications)
-
-        monkeypatch.setattr(service._enb, "pack_pages", capture)
-        service._pack_paging(small_fleet, plan)
-        pages, notifications = [], []
-        for d in plan.directives:
-            if d.method is WakeMethod.EXTENDED_PAGE_TIMER:
-                tx = plan.transmissions[d.transmission_index]
-                notifications.append(
-                    (d.device_index, d.page_frame, tx.frame - d.page_frame)
-                )
-                continue
-            pages.append((d.device_index, d.page_frame))
-            if d.method is WakeMethod.DRX_ADAPTATION:
-                pages.append((d.device_index, d.adaptation_page_frame))
-        assert captured == {"pages": pages, "notifications": notifications}
+        table = plan_pages(small_fleet, plan)
+        columns = (
+            table.row,
+            table.device,
+            table.frame,
+            table.subframe,
+            table.ue_id,
+            table.notified,
+        )
+        rows = list(zip(*(column.tolist() for column in columns)))
+        assert rows == scalar_pages(small_fleet, plan)
 
     @pytest.mark.parametrize(
         "mechanism",
@@ -178,6 +167,8 @@ class TestColumnarPaging:
     )
     def test_window_rows_match_directive_scan(self, small_fleet, rng, mechanism):
         plan = mechanism.plan(small_fleet, CONTEXT, rng)
+        pages, bounds = _pages_by_window(small_fleet, plan)
+        assert bounds[-1] == len(pages)
         for tx in plan.transmissions:
             window = plan.columns.transmission_rows(tx.index)
             members = [d for d in plan.directives if d.transmission_index == tx.index]
@@ -187,7 +178,7 @@ class TestColumnarPaging:
                 occasions.append((d.page_frame, subframe))
                 if d.method is WakeMethod.DRX_ADAPTATION:
                     occasions.append((d.adaptation_page_frame, subframe))
-            assert _window_pages(small_fleet, plan, window) == occasions
+            assert pages[bounds[tx.index] : bounds[tx.index + 1]] == occasions
             start = tx.frame - plan.inactivity_timer_frames
             cap = max(0, min(d.connect_frame - start for d in members))
             assert _max_shift(plan, tx.frame, window) == cap

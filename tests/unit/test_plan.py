@@ -417,3 +417,40 @@ def test_adaptation_inside_window_detected(pair_fleet):
     )
     with pytest.raises(PlanError, match="adaptation at"):
         plan.validate(pair_fleet, partial=True)
+
+
+class TestReportInvariants:
+    """Checks the paging and carrier reports once made per object, kept
+    as whole-array checks on every plan."""
+
+    def test_notification_at_its_transmission_detected(self, pair_fleet):
+        # A DR-SI notification must arrive strictly before the multicast
+        # it announces (a positive frames-until-transmission).
+        page = pair_fleet[0].schedule.first_at_or_after(5000)
+        plan = _plan_for(
+            pair_fleet,
+            PlanArrays(
+                device=[0], transmission=[0],
+                method=METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER],
+                page_frame=[page], connect_frame=[page + 10],
+            ),
+            _single_tx(page),
+        )
+        with pytest.raises(PlanError, match="not before its tx"):
+            plan.validate(pair_fleet, partial=True)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("frame", -1, "frame must be >= 0"),
+            ("duration_frames", 0, "duration must be >= 1 frame"),
+        ],
+    )
+    def test_transmission_row_checks_hold_on_every_plan(
+        self, pair_fleet, column, value, message
+    ):
+        # Every plan's table is built through the checked constructor,
+        # including the arbiter's deferral shifts (a ``replace``).
+        plan = _window_plan(pair_fleet)
+        with pytest.raises(PlanError, match=message):
+            replace(plan.transmissions, **{column: [value]})

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError, TimebaseError
 from repro.timebase import (
     FRAMES_PER_HYPERFRAME,
     MS_PER_FRAME,
-    FrameWindow,
     format_bytes,
     format_duration,
     frame_at_or_after_ms,
@@ -128,47 +127,6 @@ class TestMillisecondHelpers:
             frame_at_or_after_ms(-1)
         with pytest.raises(TimebaseError):
             frame_containing_ms(-1)
-
-
-class TestFrameWindow:
-    def test_length_and_contains(self):
-        window = FrameWindow(10, 20)
-        assert window.length == 10
-        assert len(window) == 10
-        assert window.contains(10)
-        assert window.contains(19)
-        assert not window.contains(20)
-        assert not window.contains(9)
-
-    def test_last_frame(self):
-        assert FrameWindow(10, 20).last_frame == 19
-
-    def test_empty_window_has_no_last_frame(self):
-        with pytest.raises(TimebaseError):
-            _ = FrameWindow(5, 5).last_frame
-
-    def test_end_before_start_rejected(self):
-        with pytest.raises(TimebaseError):
-            FrameWindow(20, 10)
-
-    def test_overlaps(self):
-        assert FrameWindow(0, 10).overlaps(FrameWindow(9, 20))
-        assert not FrameWindow(0, 10).overlaps(FrameWindow(10, 20))
-
-    def test_intersection(self):
-        inter = FrameWindow(0, 10).intersection(FrameWindow(5, 15))
-        assert (inter.start, inter.end) == (5, 10)
-
-    def test_disjoint_intersection_is_empty(self):
-        inter = FrameWindow(0, 5).intersection(FrameWindow(10, 15))
-        assert inter.length == 0
-
-    def test_shifted(self):
-        shifted = FrameWindow(5, 8).shifted(100)
-        assert (shifted.start, shifted.end) == (105, 108)
-
-    def test_iteration(self):
-        assert list(FrameWindow(3, 6)) == [3, 4, 5]
 
 
 class TestFormatting:
