@@ -154,7 +154,8 @@ class PagingChannel:
         notification. The rule is :meth:`pack`'s: records merge by
         UE_ID per PO, a PO keeps its ``max_records`` smallest UE_IDs and
         spills the rest, and a notification is dropped where its UE_ID
-        is already notified or holds a kept record at that PO.
+        is already notified or holds a kept record at that PO. Every
+        column is non-negative, as frames, subframes and UE_IDs are.
         """
         notified = np.asarray(notified, dtype=bool)
         frame, subframe, ue_id = (
