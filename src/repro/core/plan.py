@@ -631,15 +631,14 @@ class PageTable:
     """Every paging record a plan issues, one row per record, in
     directive order: each directive's page at ``page_frame``, then a
     DA-SC adaptation's adaptation page. Columns: ``row`` (the directive
-    row), ``device``, ``frame``, ``subframe`` (of the device's PO),
-    ``ue_id`` and ``notified`` (bool: a DR-SI ``mltc-transmission``
-    entry rather than a paging record)."""
+    row), ``device``, ``frame``, ``subframe`` (of the device's PO) and
+    ``notified`` (bool: a DR-SI ``mltc-transmission`` entry rather than
+    a paging record)."""
 
     row: np.ndarray
     device: np.ndarray
     frame: np.ndarray
     subframe: np.ndarray
-    ue_id: np.ndarray
     notified: np.ndarray
 
 
@@ -657,14 +656,13 @@ def plan_pages(fleet: Fleet, plan: MulticastPlan) -> PageTable:
     frame[adaptation] = columns.adaptation_page_frame[row[adaptation]]
     device = columns.device[row]
     arrays = fleet.arrays
-    ue_id = arrays.ue_ids[device]
     subframe = v_paging_subframe(
-        ue_id,
+        arrays.ue_ids[device],
         arrays.periods[device],
         (arrays.nb_numerators[device], arrays.nb_denominators[device]),
     )
     notified = columns.method[row] == _EXTENDED
-    return PageTable(row, device, frame, subframe, ue_id, notified)
+    return PageTable(row, device, frame, subframe, notified)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ plan's columns (see :func:`repro.core.plan.plan_pages`).
 """
 
 from repro.enb.cell import CellConfig
-from repro.enb.paging_channel import PagingChannel, PagingLoadReport, PagingOccupancy
+from repro.enb.paging_channel import PagingLoadReport, PagingOccupancy, paging_load
 from repro.enb.scheduler import (
     CarrierOccupancy,
     DownlinkScheduler,
@@ -21,9 +21,9 @@ from repro.enb.bearer import MulticastBearer
 
 __all__ = [
     "CellConfig",
-    "PagingChannel",
     "PagingLoadReport",
     "PagingOccupancy",
+    "paging_load",
     "DownlinkScheduler",
     "UtilizationReport",
     "CarrierOccupancy",

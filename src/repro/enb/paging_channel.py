@@ -1,31 +1,33 @@
 """Paging channel load accounting.
 
 A paging message is broadcast per paging occasion and carries at most
-``max_paging_records`` identities; devices sharing a PO (same frame and
-subframe) compete for records. Under the record rule here, devices
-sharing a UE_ID at a PO share one record. UE_ID is IMSI mod 4096, and
-the devices at one PO share UE_ID mod N, so a PO holds only a handful
-of distinct UE_IDs and the merge hides how crowded POs are: a
-paper-default DR-SC plan at 10^5 devices pages around 60 devices at its
-busiest PO, yet packs at most 3 records per message. Overflows are
-reported explicitly, so a plan cannot silently assume infinite paging
-capacity.
+``max_paging_records`` entries. Every row of a plan's page table
+(:func:`repro.core.plan.plan_pages`) — a page, a DA-SC adaptation page
+or a DR-SI ``mltc-transmission`` notification — is one entry at its PO
+(frame and subframe): a record names one device (TS 36.331
+``ue-Identity``), and UE_ID only selects the PO. Overflows are reported
+explicitly, so a plan cannot silently assume infinite paging capacity.
 
-:meth:`PagingChannel.pack` builds the messages one record at a time and
-is the scalar specification; :meth:`PagingChannel.fold` computes the
-same report from record columns, and is what a campaign's report uses.
+:func:`paging_load` folds one finished plan's table into a
+:class:`PagingLoadReport`; :class:`PagingOccupancy` is the live ledger
+the capacity arbiter reserves the same entries in.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.rrc.messages import MulticastNotification, PagingMessage, PagingRecord
+
+if TYPE_CHECKING:
+    from repro.core.plan import PageTable
+
+#: A PO's int64 key is ``frame * _SUBFRAMES + subframe``.
+_SUBFRAMES = 10
 
 
 @dataclass(frozen=True)
@@ -33,15 +35,13 @@ class PagingLoadReport:
     """Result of packing planned pages into paging messages.
 
     Attributes:
-        total_pages: paging records across all messages.
-        notifications: DR-SI ``mltc-transmission`` entries across all
-            messages.
+        total_pages: kept paging records across all messages.
+        notifications: kept DR-SI ``mltc-transmission`` entries across
+            all messages.
         occupied_occasions: number of distinct (frame, subframe) POs used.
-        max_records_in_message: worst-case records in a single message.
-        overflowed: (frame, subframe, ue_ids) tuples that exceeded
-            capacity, by PO; empty in healthy plans.
-        messages: the built paging messages, ordered by PO (only
-            :meth:`PagingChannel.pack` builds them; not compared).
+        max_records_in_message: worst-case entries in a single message.
+        overflowed: (frame, subframe, devices) tuples, by PO, of the
+            device indices spilled past capacity; empty in healthy plans.
     """
 
     total_pages: int
@@ -49,7 +49,6 @@ class PagingLoadReport:
     occupied_occasions: int
     max_records_in_message: int
     overflowed: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
-    messages: Tuple[PagingMessage, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def has_overflow(self) -> bool:
@@ -57,149 +56,46 @@ class PagingLoadReport:
         return bool(self.overflowed)
 
 
-class PagingChannel:
-    """Packs planned pages into per-PO paging messages under a capacity."""
+def paging_load(pages: PageTable, max_records: int) -> PagingLoadReport:
+    """The paging report of one plan's page table.
 
-    def __init__(self, max_records: int = 16, *, strict: bool = False) -> None:
-        """``strict=True`` raises :class:`CapacityError` on overflow
-        instead of reporting it."""
-        if max_records < 1:
-            raise CapacityError(f"max_records must be >= 1, got {max_records}")
-        self._max_records = max_records
-        self._strict = strict
-
-    @property
-    def max_records(self) -> int:
-        """Record capacity of one paging message."""
-        return self._max_records
-
-    def pack(
-        self,
-        pages: Sequence[Tuple[int, int, int]],
-        notifications: Sequence[Tuple[int, int, MulticastNotification]] = (),
-    ) -> PagingLoadReport:
-        """Pack pages and DR-SI notifications into paging messages.
-
-        Args:
-            pages: (frame, subframe, ue_id) triples — standard paging
-                records addressed at that PO.
-            notifications: (frame, subframe, notification) triples — DR-SI
-                ``mltc-transmission`` extension entries.
-
-        Returns:
-            A :class:`PagingLoadReport`; in ``strict`` mode overflow
-            raises :class:`~repro.errors.CapacityError` instead.
-        """
-        by_po: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for frame, subframe, ue_id in pages:
-            by_po[(frame, subframe)].append(ue_id)
-        notif_by_po: Dict[Tuple[int, int], List[MulticastNotification]] = defaultdict(list)
-        for frame, subframe, notification in notifications:
-            notif_by_po[(frame, subframe)].append(notification)
-
-        messages: List[PagingMessage] = []
-        overflowed: List[Tuple[int, int, Tuple[int, ...]]] = []
-        max_in_message = 0
-        all_pos = sorted(set(by_po) | set(notif_by_po))
-        for po in all_pos:
-            frame, subframe = po
-            ue_ids = sorted(set(by_po.get(po, [])))
-            kept, spilled = ue_ids[: self._max_records], ue_ids[self._max_records :]
-            if spilled:
-                if self._strict:
-                    raise CapacityError(
-                        f"PO (frame={frame}, sf={subframe}) needs "
-                        f"{len(ue_ids)} records > capacity {self._max_records}"
-                    )
-                overflowed.append((frame, subframe, tuple(spilled)))
-            max_in_message = max(max_in_message, len(kept))
-            # Paging is identity-addressed: devices sharing a UE_ID are
-            # served by a single record/notification (they all react to
-            # it). A UE_ID that is both paged and notified at the same PO
-            # keeps only the paging record — the record already wakes the
-            # device, and the ASN.1 forbids the id appearing in both.
-            notifications_here = []
-            seen_notified = set(kept)
-            for notification in notif_by_po.get(po, []):
-                if notification.ue_id in seen_notified:
-                    continue
-                seen_notified.add(notification.ue_id)
-                notifications_here.append(notification)
-            messages.append(
-                PagingMessage(
-                    frame=frame,
-                    records=tuple(PagingRecord(u) for u in kept),
-                    mltc_transmission=tuple(notifications_here),
-                )
-            )
-        return PagingLoadReport(
-            total_pages=sum(len(m.records) for m in messages),
-            notifications=sum(len(m.mltc_transmission) for m in messages),
-            occupied_occasions=len(all_pos),
-            max_records_in_message=max_in_message,
-            overflowed=tuple(overflowed),
-            messages=tuple(messages),
-        )
-
-    def fold(
-        self,
-        frame: np.ndarray,
-        subframe: np.ndarray,
-        ue_id: np.ndarray,
-        notified: np.ndarray,
-    ) -> PagingLoadReport:
-        """:meth:`pack`'s report from record columns, building no message.
-
-        One row per page or, where ``notified`` holds, per DR-SI
-        notification. The rule is :meth:`pack`'s: records merge by
-        UE_ID per PO, a PO keeps its ``max_records`` smallest UE_IDs and
-        spills the rest, and a notification is dropped where its UE_ID
-        is already notified or holds a kept record at that PO. Every
-        column is non-negative, as frames, subframes and UE_IDs are.
-        """
-        notified = np.asarray(notified, dtype=bool)
-        frame, subframe, ue_id = (
-            np.asarray(column, dtype=np.int64) for column in (frame, subframe, ue_id)
-        )
-        cap = self._max_records
-        # One int64 key per (PO, UE_ID) that sorts like the triple.
-        sf_radix = int(subframe.max(initial=0)) + 1
-        ue_radix = int(ue_id.max(initial=0)) + 1
-        po = frame * sf_radix + subframe
-        key = po * ue_radix + ue_id
-        records = np.unique(key[~notified])
-        _, first, sizes = np.unique(
-            records // ue_radix, return_index=True, return_counts=True
-        )
-        # Each record's rank within its PO; the first ``cap`` are kept.
-        kept = np.arange(records.size) - np.repeat(first, sizes) < cap
-        full = sizes > cap
-        overflowed = tuple(
-            (at // sf_radix, at % sf_radix, tuple(spilled.tolist()))
-            for at, spilled in zip(
-                (records[first[full]] // ue_radix).tolist(),
-                np.split(records[~kept] % ue_radix, np.cumsum(sizes[full] - cap)[:-1]),
-            )
-        )
-        if overflowed and self._strict:
-            at_frame, at_subframe, spilled = overflowed[0]
-            raise CapacityError(
-                f"PO (frame={at_frame}, sf={at_subframe}) needs "
-                f"{cap + len(spilled)} records > capacity {cap}"
-            )
-        return PagingLoadReport(
-            total_pages=int(kept.sum()),
-            notifications=np.setdiff1d(key[notified], records[kept]).size,
-            occupied_occasions=np.unique(po).size,
-            max_records_in_message=int(min(sizes.max(initial=0), cap)),
-            overflowed=overflowed,
-        )
+    Each row is one entry at its PO. A PO keeps its first
+    ``max_records`` entries in ascending device index and spills the
+    rest; kept entries count as pages or, where ``notified`` holds, as
+    notifications (a device's entries are all of one kind, so the order
+    among them does not matter). Entries sort by one int64 key of PO
+    and device, so ``frame * 10 * devices`` must stay below 2**63
+    (10^11 frames, over 30 years, at 10^6 devices).
+    """
+    po = pages.frame * _SUBFRAMES + pages.subframe
+    radix = int(pages.device.max(initial=0)) + 1
+    order = np.argsort(po * radix + pages.device)
+    po = po[order]
+    first = np.flatnonzero(np.diff(po, prepend=-1))
+    sizes = np.diff(first, append=po.size)
+    # Each entry's rank within its PO; the first ``max_records`` are kept.
+    kept = np.arange(po.size) - np.repeat(first, sizes) < max_records
+    full = sizes > max_records
+    spilled = pages.device[order[~kept]].tolist()
+    ends = np.cumsum(sizes[full] - max_records).tolist()
+    overflowed = tuple(
+        (at // _SUBFRAMES, at % _SUBFRAMES, tuple(spilled[start:end]))
+        for at, start, end in zip(po[first[full]].tolist(), [0] + ends, ends)
+    )
+    notified = int(pages.notified[order[kept]].sum())
+    return PagingLoadReport(
+        total_pages=int(kept.sum()) - notified,
+        notifications=notified,
+        occupied_occasions=first.size,
+        max_records_in_message=int(min(sizes.max(initial=0), max_records)),
+        overflowed=overflowed,
+    )
 
 
 class PagingOccupancy:
     """Live paging-record ledger shared by every campaign in a cell.
 
-    :class:`PagingChannel` packs one finished plan; this ledger instead
+    :func:`paging_load` accounts one finished plan; this ledger instead
     tracks how many records each paging occasion already carries across
     *all* in-flight campaigns, so the capacity arbiter can refuse a new
     window whose pages would push some PO past ``max_records``.

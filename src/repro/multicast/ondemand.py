@@ -38,7 +38,7 @@ from repro.devices.arrays import FleetArrays
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.enb.cell import CellConfig
-from repro.enb.paging_channel import PagingChannel, PagingLoadReport
+from repro.enb.paging_channel import PagingLoadReport, paging_load
 from repro.enb.scheduler import DownlinkScheduler, UtilizationReport
 from repro.errors import PlanError
 from repro.multicast.payload import FirmwareImage
@@ -60,6 +60,7 @@ class CampaignReport:
     def summary(self) -> str:
         """A multi-line human-readable campaign summary."""
         fleet = self.result.fleet
+        spilled = sum(len(devices) for _, _, devices in self.paging.overflowed)
         lines = [
             f"mechanism           : {self.plan.mechanism}",
             f"standards compliant : {self.plan.standards_compliant}",
@@ -69,6 +70,8 @@ class CampaignReport:
             f"{format_duration(frames_to_seconds(self.result.horizon_frames))}",
             f"paging messages     : {self.paging.total_pages} pages in "
             f"{self.paging.occupied_occasions} occasions",
+            f"paging overflow     : {spilled} records over capacity at "
+            f"{len(self.paging.overflowed)} occasions",
             f"carrier airtime     : {self.utilization.total_airtime_s:.1f}s "
             f"({self.utilization.utilization * 100:.2f}% of horizon)",
             f"fleet light sleep   : {fleet.light_sleep_s:.1f}s",
@@ -96,6 +99,9 @@ class PendingCampaign:
         plan: the current plan (revised on churn).
         left: working-fleet indices of devices that left.
         revisions: every :class:`~repro.core.plan.PlanRevision` applied.
+        validated: the plan :meth:`OnDemandMulticastService.submit`
+            validated; ``complete`` validates again only a plan that
+            has been replaced since.
     """
 
     image: FirmwareImage
@@ -104,6 +110,7 @@ class PendingCampaign:
     plan: MulticastPlan
     left: Set[int] = field(default_factory=set)
     revisions: List[PlanRevision] = field(default_factory=list)
+    validated: Optional[MulticastPlan] = field(default=None, repr=False)
 
     @property
     def active_members(self) -> Tuple[int, ...]:
@@ -167,7 +174,7 @@ class OnDemandMulticastService:
         plan = self._mechanism.plan(fleet, context, rng)
         plan.validate(fleet)
         return PendingCampaign(
-            image=image, context=context, fleet=fleet, plan=plan
+            image=image, context=context, fleet=fleet, plan=plan, validated=plan
         )
 
     def revise(
@@ -227,16 +234,14 @@ class OnDemandMulticastService:
 
         Devices that left are stripped out first (the working fleet
         keeps them only so indices stay stable mid-flight); the final
-        plan is fully validated, then executed and accounted exactly as
-        :meth:`deliver` would.
+        plan is validated unless it is the one :meth:`submit` validated,
+        then executed and accounted exactly as :meth:`deliver` would.
         """
         fleet, plan = _strip_left(pending.fleet, pending.plan, pending.left)
-        plan.validate(fleet)
+        if plan is not pending.validated:
+            plan.validate(fleet)
         result = self._executor.execute(fleet, plan, rng=rng)
-        pages = plan_pages(fleet, plan)
-        paging = PagingChannel(self._cell.max_paging_records).fold(
-            pages.frame, pages.subframe, pages.ue_id, pages.notified
-        )
+        paging = paging_load(plan_pages(fleet, plan), self._cell.max_paging_records)
         table = plan.transmissions
         utilization = DownlinkScheduler().utilization(
             table.frame, table.duration_frames, result.horizon_frames

@@ -423,8 +423,8 @@ def _pages_by_window(
     Window ``i`` pages at ``occasions[bounds[i]:bounds[i + 1]]``: the
     (frame, subframe) of every record :func:`~repro.core.plan.plan_pages`
     gives its directives — a page, a DA-SC adaptation page or a DR-SI
-    notification. Devices sharing a UE_ID at one PO are counted
-    individually here (the arbiter is deliberately conservative).
+    notification — one entry per row, the rule the campaign report's
+    :func:`~repro.enb.paging_channel.paging_load` counts by.
     """
     pages = plan_pages(fleet, plan)
     window = plan.columns.transmission[pages.row]

@@ -32,7 +32,8 @@ standards compliant : True
 payload             : 100KB
 transmissions       : 373
 campaign duration   : 5h49m
-paging messages     : 1788 pages in 1714 occasions
+paging messages     : 2000 pages in 1714 occasions
+paging overflow     : 0 records over capacity at 0 occasions
 carrier airtime     : 11936.0s (56.94% of horizon)
 fleet light sleep   : 6626.4s
 fleet connected     : 81694.2s
@@ -44,7 +45,8 @@ standards compliant : True
 payload             : 100KB
 transmissions       : 1
 campaign duration   : 5h50m
-paging messages     : 2788 pages in 2420 occasions
+paging messages     : 3358 pages in 2420 occasions
+paging overflow     : 0 records over capacity at 0 occasions
 carrier airtime     : 32.0s (0.15% of horizon)
 fleet light sleep   : 8440.1s
 fleet connected     : 86232.5s
@@ -56,7 +58,8 @@ standards compliant : False
 payload             : 100KB
 transmissions       : 1
 campaign duration   : 5h50m
-paging messages     : 582 pages in 1732 occasions
+paging messages     : 642 pages in 1732 occasions
+paging overflow     : 0 records over capacity at 0 occasions
 carrier airtime     : 32.0s (0.15% of horizon)
 fleet light sleep   : 6651.4s
 fleet connected     : 85351.1s
@@ -68,7 +71,8 @@ standards compliant : True
 payload             : 100KB
 transmissions       : 2000
 campaign duration   : 2h55m
-paging messages     : 1796 pages in 1728 occasions
+paging messages     : 2000 pages in 1728 occasions
+paging overflow     : 0 records over capacity at 0 occasions
 carrier airtime     : 64000.0s (608.77% of horizon)
 fleet light sleep   : 3343.1s
 fleet connected     : 65020.0s
@@ -76,24 +80,24 @@ fleet energy        : 11382.6 J
 """,
 }
 
-#: (total_pages, occupied_occasions, max_records_in_message, overflow
-#: rows) and (total_airtime_s, horizon_s, utilization,
-#: overlapping_pairs) of the demo campaign.
+#: (total_pages, notifications, occupied_occasions,
+#: max_records_in_message, overflow rows) and (total_airtime_s,
+#: horizon_s, utilization, overlapping_pairs) of the demo campaign.
 REPORTS = {
     "dr-sc": (
-        (1788, 1714, 3, 0),
+        (2000, 0, 1714, 5, 0),
         (11936.0, 20964.18, 0.5693521043990273, 149),
     ),
     "da-sc": (
-        (2788, 2420, 3, 0),
+        (3358, 0, 2420, 7, 0),
         (32.0, 21004.14, 0.001523509174857909, 0),
     ),
     "dr-si": (
-        (582, 1732, 3, 0),
+        (642, 1358, 1732, 5, 0),
         (32.0, 21004.05, 0.00152351570292396, 0),
     ),
     "unicast": (
-        (1796, 1728, 3, 0),
+        (2000, 0, 1728, 4, 0),
         (64000.0, 10513.06, 6.087666198043196, 394857),
     ),
 }
@@ -147,6 +151,7 @@ def test_paging_and_carrier_reports(mechanism):
     assert (
         (
             paging.total_pages,
+            paging.notifications,
             paging.occupied_occasions,
             paging.max_records_in_message,
             len(paging.overflowed),

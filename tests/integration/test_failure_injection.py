@@ -8,13 +8,13 @@ overflow.
 import numpy as np
 import pytest
 
-from repro.core import DrSiMechanism, UnicastBaseline
+from repro.core import DrScMechanism, DrSiMechanism, UnicastBaseline
 from repro.core.base import PlanningContext
+from repro.core.plan import plan_pages
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.enb.paging_channel import PagingChannel
-from repro.errors import CapacityError
+from repro.enb.paging_channel import paging_load
 from repro.rrc.procedures import ProcedureTimings
 from repro.rrc.random_access import RandomAccessModel
 from repro.sim.executor import CampaignExecutor
@@ -67,36 +67,22 @@ class TestRachContention:
 
 
 class TestPagingOverflow:
-    def test_colliding_ue_ids_overflow_tiny_capacity(self):
+    def test_colliding_ue_ids_overflow_tiny_capacity(self, rng):
         """Devices sharing IMSI mod 4096 share POs; with capacity 1 the
-        packer must surface the conflict rather than drop pages."""
+        report must surface every device past the first rather than drop
+        pages — a record names one device, not one UE_ID."""
         devices = [
             NbIotDevice.build(imsi=4096 * k + 99, cycle=DrxCycle(2048))
             for k in range(1, 5)
         ]
         fleet = Fleet(devices)
-        channel = PagingChannel(max_records=1)
-        page_frame = int(fleet[0].pattern.phase)
-        report = channel.pack(
-            [
-                (page_frame, fleet[i].pattern.subframe, fleet[i].identity.ue_id)
-                for i in range(4)
-            ]
+        plan = DrScMechanism().plan(
+            fleet, PlanningContext(payload_bytes=100_000), rng
         )
-        # All four share one identity -> one record; no overflow...
+        table = plan_pages(fleet, plan)
+        assert np.unique(table.frame).size == 1
+        report = paging_load(table, 1)
         assert report.total_pages == 1
-
-        distinct = [
-            NbIotDevice.build(imsi=4096 * k + 99 + k, cycle=DrxCycle(2048))
-            for k in range(1, 5)
-        ]
-        frames_subframes = [
-            (100, 9, d.identity.ue_id) for d in distinct
-        ]
-        report = channel.pack(frames_subframes)
-        assert report.has_overflow
-
-    def test_strict_channel_raises(self):
-        channel = PagingChannel(max_records=1, strict=True)
-        with pytest.raises(CapacityError):
-            channel.pack([(1, 9, 10), (1, 9, 11)])
+        assert report.overflowed == (
+            (int(table.frame[0]), fleet[0].pattern.subframe, (1, 2, 3)),
+        )

@@ -6,7 +6,8 @@ paging arithmetic is redone per query on its
 :class:`~repro.drx.schedule.PoSchedule`. The array planners and the
 whole-array :meth:`~repro.core.plan.MulticastPlan.validate` are
 property-tested against them (``tests/properties/test_prop_plan_columns.py``),
-and :func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`.
+:func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`, and
+:func:`~repro.enb.paging_channel.paging_load` against :func:`scalar_pack`.
 
 Each ``plan_*`` function consumes ``rng`` exactly as the mechanism
 does: the policy's grouping first, then (DR-SI only) one scalar draw
@@ -18,6 +19,7 @@ its directive columns.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,9 +45,8 @@ from repro.drx.cycles import DrxCycle
 from repro.drx.paging import pattern_for
 from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
-from repro.enb.paging_channel import PagingChannel, PagingLoadReport
+from repro.enb.paging_channel import PagingLoadReport
 from repro.phy.airtime import payload_airtime_frames
-from repro.rrc.messages import MulticastNotification
 from repro.rrc.timers import T322Timer
 from repro.timebase import ms_to_frames
 
@@ -360,36 +361,57 @@ def scalar_plan(
 def scalar_pages(fleet: Fleet, plan: MulticastPlan) -> List[tuple]:
     """The paging records of ``plan``, one directive object at a time.
 
-    Rows of ``(row, device, frame, subframe, ue_id, notified)`` in
-    directive order: a DR-SI notification, or a page followed — for a
-    DA-SC adaptation — by the adaptation page, each at the device's own
-    PO subframe.
+    Rows of ``(row, device, frame, subframe, notified)`` in directive
+    order: a DR-SI notification, or a page followed — for a DA-SC
+    adaptation — by the adaptation page, each at the device's own PO
+    subframe.
     """
     records = []
     for row, d in enumerate(plan.directives):
-        device = fleet[d.device_index]
-        po = (d.device_index, device.pattern.subframe, device.drx.ue_id)
+        subframe = fleet[d.device_index].pattern.subframe
         notified = d.method is WakeMethod.EXTENDED_PAGE_TIMER
-        records.append((row, po[0], d.page_frame, po[1], po[2], notified))
+        records.append((row, d.device_index, d.page_frame, subframe, notified))
         if d.method is WakeMethod.DRX_ADAPTATION:
-            records.append((row, po[0], d.adaptation_page_frame, po[1], po[2], False))
+            records.append(
+                (row, d.device_index, d.adaptation_page_frame, subframe, False)
+            )
     return records
 
 
 def scalar_pack(
-    channel: PagingChannel, fleet: Fleet, plan: MulticastPlan
+    fleet: Fleet, plan: MulticastPlan, max_records: int
 ) -> PagingLoadReport:
-    """``channel.pack`` of the plan's :func:`scalar_pages`, every
-    notification built as its message entry."""
-    pages, notifications = [], []
-    for row, _, frame, subframe, ue_id, notified in scalar_pages(fleet, plan):
-        if not notified:
-            pages.append((frame, subframe, ue_id))
-            continue
-        tx = plan.transmissions[plan.directives[row].transmission_index]
-        notification = MulticastNotification(ue_id, tx.frame - frame)
-        notifications.append((frame, subframe, notification))
-    return channel.pack(pages, notifications)
+    """The paging report of the plan's :func:`scalar_pages`, one
+    record at a time.
+
+    Every row is one entry at its (frame, subframe) PO. POs in
+    ascending order each keep their first ``max_records`` entries by
+    device index; a kept entry counts as a page or a notification, and
+    the rest of the PO's devices are its overflow.
+    """
+    by_po = defaultdict(list)
+    for _, device, frame, subframe, notified in scalar_pages(fleet, plan):
+        by_po[(frame, subframe)].append((device, notified))
+    pages = notifications = largest = 0
+    overflowed = []
+    for (frame, subframe), entries in sorted(by_po.items()):
+        entries.sort()
+        for _, notified in entries[:max_records]:
+            if notified:
+                notifications += 1
+            else:
+                pages += 1
+        largest = max(largest, min(len(entries), max_records))
+        if len(entries) > max_records:
+            spilled = tuple(device for device, _ in entries[max_records:])
+            overflowed.append((frame, subframe, spilled))
+    return PagingLoadReport(
+        total_pages=pages,
+        notifications=notifications,
+        occupied_occasions=len(by_po),
+        max_records_in_message=largest,
+        overflowed=tuple(overflowed),
+    )
 
 
 # ----------------------------------------------------------------------

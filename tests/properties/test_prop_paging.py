@@ -1,14 +1,17 @@
-"""Property: the whole-array paging fold equals the scalar packer.
+"""Property: the whole-array paging report equals the scalar packer
+and the live arbiter.
 
-A campaign's paging report is :meth:`PagingChannel.fold` over the
-:func:`~repro.core.plan.plan_pages` table; :meth:`PagingChannel.pack`,
-fed one directive object at a time (``plan_oracle.scalar_pack``), is
-its specification. On random fleets over the whole DRX ladder with
-mixed nB, for every mechanism and record caps of 1, 2 and 16, the two
-reports must be equal: records, notifications, occupied POs, the
-largest message and every overflowed (frame, subframe, UE_IDs) tuple.
-Part of each fleet is crowded onto a few UE_IDs that share their PO, so
-the small caps overflow.
+A campaign's paging report is :func:`paging_load` over the
+:func:`~repro.core.plan.plan_pages` table; ``plan_oracle.scalar_pack``,
+a per-record scan over the plan's directive objects, is its
+specification. On random fleets over the whole DRX ladder with mixed
+nB, for every mechanism and record caps of 1, 2 and 16, the two reports
+must be equal: pages, notifications, occupied POs, the largest message
+and every overflowed (frame, subframe, devices) tuple. Part of each
+fleet is crowded onto a few UE_IDs that share their PO, so the small
+caps overflow. The report overflows exactly when a fresh
+:class:`~repro.enb.arbiter.CapacityArbiter`, fed the plan's windows as
+the live service feeds them, refuses one of them for paging.
 """
 
 import numpy as np
@@ -24,7 +27,16 @@ from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER, DrxCycle
 from repro.drx.paging import NB
-from repro.enb.paging_channel import PagingChannel
+from repro.enb.arbiter import CapacityArbiter
+from repro.enb.cell import CellConfig
+from repro.enb.paging_channel import paging_load
+from repro.errors import CapacityError
+from repro.multicast import FirmwareImage, OnDemandMulticastService
+from repro.service import CampaignService
+from repro.service.service import _pages_by_window
+from repro.sim.rng import generator_for
+from repro.traffic.generator import generate_fleet
+from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
 
 MECHANISMS = (DrScMechanism(), DaScMechanism(), DrSiMechanism(), UnicastBaseline())
 CAPS = (1, 2, 16)
@@ -59,12 +71,26 @@ def crowded_fleets(draw, max_devices=16):
     return Fleet(devices)
 
 
-def _both(fleet, mechanism, cap, seed):
-    plan = mechanism.plan(fleet, CONTEXT, np.random.default_rng(seed))
-    channel = PagingChannel(max_records=cap)
-    table = plan_pages(fleet, plan)
-    folded = channel.fold(table.frame, table.subframe, table.ue_id, table.notified)
-    return folded, scalar_pack(channel, fleet, plan)
+def _plan(fleet, mechanism, seed):
+    return mechanism.plan(fleet, CONTEXT, np.random.default_rng(seed))
+
+
+def _arbiter_refuses(fleet, plan, cap):
+    """True when a fresh arbiter refuses some window of ``plan`` for
+    paging, its windows presented in order as the live service does."""
+    arbiter = CapacityArbiter(CellConfig(max_paging_records=cap))
+    occasions, bounds = _pages_by_window(fleet, plan)
+    for tx in plan.transmissions:
+        decision = arbiter.admit(
+            "campaign",
+            tx.frame,
+            tx.duration_frames,
+            pages=occasions[bounds[tx.index] : bounds[tx.index + 1]],
+        )
+        if not decision.admitted:
+            assert decision.reason == "paging"
+            return True
+    return False
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,9 +101,24 @@ def _both(fleet, mechanism, cap, seed):
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_fold_equals_scalar_pack(fleet, mechanism, cap, seed):
-    folded, packed = _both(fleet, mechanism, cap, seed)
+    plan = _plan(fleet, mechanism, seed)
+    folded = paging_load(plan_pages(fleet, plan), cap)
+    packed = scalar_pack(fleet, plan, cap)
     assert folded == packed
     assert folded.overflowed == packed.overflowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    crowded_fleets(),
+    st.sampled_from(MECHANISMS),
+    st.sampled_from(CAPS),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_report_overflows_iff_arbiter_refuses(fleet, mechanism, cap, seed):
+    plan = _plan(fleet, mechanism, seed)
+    report = paging_load(plan_pages(fleet, plan), cap)
+    assert report.has_overflow == _arbiter_refuses(fleet, plan, cap)
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS, ids=lambda m: m.name)
@@ -89,6 +130,28 @@ def test_crowded_po_overflows_a_small_cap(mechanism):
         NbIotDevice.build(imsi=4096 * (k + 1) + 7 + 1024 * (k % 4), cycle=DrxCycle(1024))
         for k in range(8)
     ]
-    folded, packed = _both(Fleet(devices), mechanism, 2, seed=0)
+    fleet = Fleet(devices)
+    plan = _plan(fleet, mechanism, seed=0)
+    folded = paging_load(plan_pages(fleet, plan), 2)
     assert folded.has_overflow
-    assert folded == packed
+    assert folded == scalar_pack(fleet, plan, 2)
+    assert _arbiter_refuses(fleet, plan, 2)
+
+
+def test_deliver_overflows_iff_serve_refuses():
+    """A lone paper-default DR-SC campaign of 2x10^4 devices: ``deliver``
+    reports overflow exactly when the live service refuses it for
+    paging. Both plan it on the service's first campaign generator."""
+    fleet = generate_fleet(20000, PAPER_DEFAULT_MIXTURE, generator_for(1))
+    image = FirmwareImage(name="fw", version="1.0.0", size_bytes=100_000)
+    first_campaign = np.random.SeedSequence(0).spawn(1)[0]
+    report = OnDemandMulticastService(DrScMechanism()).deliver(
+        fleet, image, rng=np.random.default_rng(first_campaign)
+    )
+    try:
+        CampaignService(seed=0).submit(fleet, image, mechanism=DrScMechanism())
+    except CapacityError as error:
+        refused = "(paging)" in str(error)
+    else:
+        refused = False
+    assert report.paging.has_overflow == refused

@@ -6,18 +6,17 @@ import pytest
 from plan_oracle import scalar_pack, scalar_pages
 from repro.core import DaScMechanism, DrSiMechanism
 from repro.core.base import PlanningContext
-from repro.core.plan import plan_pages
+from repro.core.plan import PageTable, plan_pages
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER
 from repro.drx.paging import NB
 from repro.enb.bearer import MulticastBearer
 from repro.enb.cell import CellConfig
-from repro.enb.paging_channel import PagingChannel
+from repro.enb.paging_channel import PagingLoadReport, paging_load
 from repro.enb.scheduler import DownlinkScheduler
-from repro.errors import CapacityError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.phy.coverage import CoverageClass
-from repro.rrc.messages import MulticastNotification
 
 
 class TestCellConfig:
@@ -36,11 +35,17 @@ class TestCellConfig:
             CellConfig(max_paging_records=0)
 
 
-class TestPagingChannel:
-    def test_pack_groups_by_occasion(self):
-        channel = PagingChannel(max_records=4)
-        report = channel.pack(
-            [(100, 9, 1), (100, 9, 2), (200, 9, 3)],
+def _table(entries):
+    """A page table of (frame, subframe, device, notified) entries."""
+    frame, subframe, device, notified = (np.array(c) for c in zip(*entries))
+    row = np.arange(len(entries))
+    return PageTable(row, device, frame, subframe, notified.astype(bool))
+
+
+class TestPagingLoad:
+    def test_groups_by_occasion(self):
+        report = paging_load(
+            _table([(100, 9, 0, False), (100, 9, 1, False), (200, 9, 2, False)]), 4
         )
         assert report.occupied_occasions == 2
         assert report.total_pages == 3
@@ -48,34 +53,33 @@ class TestPagingChannel:
         assert not report.has_overflow
 
     def test_same_frame_different_subframe_is_different_po(self):
-        channel = PagingChannel(max_records=1)
-        report = channel.pack([(100, 4, 1), (100, 9, 2)])
+        report = paging_load(_table([(100, 4, 0, False), (100, 9, 1, False)]), 1)
         assert report.occupied_occasions == 2
         assert not report.has_overflow
 
-    def test_overflow_reported(self):
-        channel = PagingChannel(max_records=2)
-        report = channel.pack([(100, 9, u) for u in range(5)])
-        assert report.has_overflow
-        frame, subframe, spilled = report.overflowed[0]
-        assert (frame, subframe) == (100, 9)
-        assert len(spilled) == 3
-
-    def test_strict_mode_raises(self):
-        channel = PagingChannel(max_records=2, strict=True)
-        with pytest.raises(CapacityError):
-            channel.pack([(100, 9, u) for u in range(5)])
+    def test_overflow_spills_the_highest_device_indices(self):
+        entries = [(100, 9, device, False) for device in (4, 0, 3, 1, 2)]
+        report = paging_load(_table(entries), 2)
+        assert report.overflowed == ((100, 9, (2, 3, 4)),)
+        assert report.total_pages == 2
+        assert report.max_records_in_message == 2
 
     def test_notifications_ride_along(self):
-        channel = PagingChannel(max_records=4)
-        notification = MulticastNotification(ue_id=9, frames_until_transmission=50)
-        report = channel.pack([(100, 9, 1)], [(100, 9, notification)])
-        assert report.messages[0].notified_ue_ids == {9}
-        assert not report.messages[0].is_standards_compliant
+        report = paging_load(_table([(100, 9, 0, False), (100, 9, 1, True)]), 4)
+        assert (report.total_pages, report.notifications) == (1, 1)
+        assert report.occupied_occasions == 1
+        assert report.max_records_in_message == 2
 
-    def test_invalid_capacity(self):
-        with pytest.raises(CapacityError):
-            PagingChannel(max_records=0)
+    def test_notifications_take_records_too(self):
+        # A notification is an entry like a page: the lower device index
+        # keeps the PO's only record, whichever kind it is.
+        report = paging_load(_table([(100, 9, 5, False), (100, 9, 2, True)]), 1)
+        assert (report.total_pages, report.notifications) == (0, 1)
+        assert report.overflowed == ((100, 9, (5,)),)
+
+    def test_empty_table(self):
+        empty = PageTable(*(np.zeros(0, np.int64) for _ in range(4)), np.zeros(0, bool))
+        assert paging_load(empty, 16) == PagingLoadReport(0, 0, 0, 0)
 
 
 class TestScheduler:
@@ -167,29 +171,22 @@ class TestPageTable:
                         table.device,
                         table.frame,
                         table.subframe,
-                        table.ue_id,
                         table.notified,
                     )
                 )
             )
         )
         assert rows == scalar_pages(fleet, plan)
-        channel = PagingChannel(max_records=CellConfig().max_paging_records)
-        folded = channel.fold(table.frame, table.subframe, table.ue_id, table.notified)
-        assert folded == scalar_pack(channel, fleet, plan)
+        cap = CellConfig().max_paging_records
+        assert paging_load(table, cap) == scalar_pack(fleet, plan, cap)
 
     def test_dr_si_notifications_are_counted_apart_from_records(self):
         fleet = _ladder_fleet(NB.ONE_T)
         plan = DrSiMechanism().plan(
             fleet, PlanningContext(payload_bytes=60_000), np.random.default_rng(4)
         )
-        table = plan_pages(fleet, plan)
-        report = PagingChannel().fold(
-            table.frame, table.subframe, table.ue_id, table.notified
-        )
-        reference = scalar_pack(PagingChannel(), fleet, plan)
-        assert report.notifications == sum(
-            len(m.mltc_transmission) for m in reference.messages
-        )
-        assert report.total_pages == sum(len(m.records) for m in reference.messages)
-        assert report.notifications > 0
+        report = paging_load(plan_pages(fleet, plan), 16)
+        reference = scalar_pack(fleet, plan, 16)
+        assert report.notifications == reference.notifications > 0
+        assert report.total_pages == reference.total_pages
+        assert report.total_pages + report.notifications == len(fleet)

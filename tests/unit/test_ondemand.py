@@ -1,5 +1,5 @@
-"""Unit tests for the on-demand facade's staged pipeline and strict
-paging-channel overflow behaviour."""
+"""Unit tests for the on-demand facade's staged pipeline and its
+paging records."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ import pytest
 from plan_oracle import scalar_pages
 from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism
 from repro.core.base import PlanningContext
-from repro.core.plan import WakeMethod, plan_pages
+from repro.core.plan import MulticastPlan, WakeMethod, plan_pages
 from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
-from repro.enb.paging_channel import PagingChannel
-from repro.errors import CapacityError, PlanError
+from repro.errors import PlanError
 from repro.grouping.policies import CoverageStratifiedPolicy
 from repro.multicast import (
     FirmwareImage,
@@ -113,34 +112,50 @@ class TestStagedPipeline:
         assert len(report.plan.directives) == len(small_fleet)
 
 
-class TestStrictPagingChannel:
-    def test_strict_at_capacity_passes(self):
-        channel = PagingChannel(max_records=3, strict=True)
-        report = channel.pack([(100, 9, u) for u in range(3)])
-        assert not report.has_overflow
-        assert report.max_records_in_message == 3
+class TestValidateCalls:
+    """``complete`` validates again only a plan replaced after ``submit``.
 
-    def test_strict_overflow_raises_with_po_details(self):
-        channel = PagingChannel(max_records=2, strict=True)
-        with pytest.raises(CapacityError) as exc:
-            channel.pack([(100, 9, u) for u in range(3)])
-        assert "frame=100" in str(exc.value)
-        assert "sf=9" in str(exc.value)
+    ``validated`` lists the plans fully validated, in call order; a
+    revision's own partial validation of its working plan is not listed.
+    """
 
-    def test_strict_duplicate_ue_ids_do_not_overflow(self):
-        # Identity-addressed paging: one record serves every device
-        # behind the UE_ID, so duplicates must not trip strict mode.
-        channel = PagingChannel(max_records=1, strict=True)
-        report = channel.pack([(100, 9, 7), (100, 9, 7), (100, 9, 7)])
-        assert report.total_pages == 1
+    @pytest.fixture
+    def validated(self, monkeypatch):
+        plans = []
+        validate = MulticastPlan.validate
 
-    def test_strict_overflow_across_independent_pos(self):
-        channel = PagingChannel(max_records=2, strict=True)
-        # A healthy PO elsewhere does not mask the overflowing one.
-        with pytest.raises(CapacityError):
-            channel.pack(
-                [(50, 1, 1)] + [(100, 9, u) for u in range(3)]
-            )
+        def counting(plan, fleet, *, partial=False):
+            if not partial:
+                plans.append(plan)
+            return validate(plan, fleet, partial=partial)
+
+        monkeypatch.setattr(MulticastPlan, "validate", counting)
+        return plans
+
+    @pytest.mark.parametrize("mechanism", [DrScMechanism(), DaScMechanism()])
+    def test_deliver_validates_once(self, small_fleet, rng, validated, mechanism):
+        service = OnDemandMulticastService(mechanism)
+        report = service.deliver(small_fleet, IMAGE, rng=rng)
+        assert validated == [report.plan]
+
+    def test_revised_plan_is_validated_at_complete(self, small_fleet, rng, validated):
+        service = OnDemandMulticastService(mechanism=DrScMechanism())
+        pending = service.submit(small_fleet, IMAGE, rng=rng)
+        service.revise(pending, joined_devices=[_joiner(999_111_222)], now_frame=0)
+        report = service.complete(pending, rng=rng)
+        assert len(validated) == 2
+        assert validated[-1] is report.plan
+
+    def test_plan_without_leavers_is_validated_at_complete(
+        self, small_fleet, rng, validated
+    ):
+        service = OnDemandMulticastService(mechanism=DrScMechanism())
+        pending = service.submit(small_fleet, IMAGE, rng=rng)
+        service.revise(pending, left=[3], now_frame=0)
+        report = service.complete(pending, rng=rng)
+        assert len(validated) == 2
+        assert validated[-1] is report.plan
+        assert len(report.plan.directives) == len(small_fleet) - 1
 
 
 class TestColumnarPaging:
@@ -155,7 +170,6 @@ class TestColumnarPaging:
             table.device,
             table.frame,
             table.subframe,
-            table.ue_id,
             table.notified,
         )
         rows = list(zip(*(column.tolist() for column in columns)))
