@@ -23,20 +23,45 @@ offset ``(r-1)·n·S + d·S + j`` of the caller's generator — the order a
 dense ``rng.random((n, S))`` per round consumes it — and a pair still
 missing always has its segment re-sent, so it stays missing after
 round r exactly when all its draws in rounds 1..r are losses. Only the
-global stop rule couples the rounds. Each chunk of device rows
-therefore runs through all of its rounds on a private copy of the bit
-generator, jumped (``advance``) to the draws it needs; later rounds
-draw only the spans covering the chunk's still-missing pairs.
+global stop rule couples the rounds, so each chunk of device rows runs
+through its rounds on a private copy of the bit generator. Round r
+redraws an expected fraction p^(r-1) of the pairs (p the loss
+probability), and is drawn one of two ways:
+
+* **dense rounds** — round 1, and each later round while p^(r-1) is at
+  least ``_SPARSE_DENSITY`` — jump (``advance``) the copy to the
+  chunk's first still-missing pair and draw one contiguous span up to
+  its last, reading the pairs' doubles out of it;
+* **kernel rounds** — every round after those. A chunk's still-missing
+  pairs join a per-round pool, drained in batches of at most ``_BATCH``
+  pairs spanning fewer than ``_SPAN`` draws. A batch computes only its
+  own doubles, with a jump-ahead kernel: k steps of the PCG LCG take
+  state s to ``A^k·s + (1 + A + … + A^(k-1))·inc``. The high
+  ``_HIGH_BITS`` of k pick the state at the start of k's block of
+  2^_LOW_BITS draws (one multiply-add per block the batch touches),
+  the low ``_LOW_BITS`` the jump within it (one per pair), each from a
+  seed-free lookup table, in 128-bit arithmetic on uint64 limbs. The
+  state then goes through the generator's own output function and
+  ``(x >> 11)·2^-53``. The tables are built once per process, on the
+  first call that reaches a kernel round. PCG64 (128-bit multiplier,
+  XSL-RR output of the stepped state) and PCG64DXSM (64-bit
+  multiplier, DXSM output of the state before the step) are both
+  covered; any other bit generator is refused.
 
 Chunks are independent, so in the main process they run on a thread
 pool, one thread per available core (NumPy releases the GIL while it
 draws and compares), each thread taking every T-th chunk on its own
-generator copy. Inside a pool worker they run inline: that pool
-already owns the cores. Threads return per-round segment masks and
-missing counts, merged by OR and sum, so nothing depends on which
-thread ran what. T threads hold chunks of 1/T the pairs, so memory is
-O(chunk + T x rounds x S) at any fleet size, and the outcome and the
-generator's end state are bit-identical to the dense loop at any T.
+generator copy and pools. Inside a pool worker they run inline: that
+pool already owns the cores. Threads return per-round segment masks
+and missing counts, merged by OR and sum, so nothing depends on which
+thread ran what. A thread holds one chunk buffer of 1/T the pairs,
+which doubles as the kernel's scratch between chunks (at least
+``_SCRATCH_ROWS`` x ``_BATCH`` words, 512 KiB), and pools of under a
+batch plus one chunk's survivors per round. Memory is therefore
+O(chunk + T x (batch + rounds x S)) at any fleet size, plus 256 KiB of
+seed-free tables per generator type and 128 KiB per call; the outcome
+and the generator's end state are bit-identical to the dense loop at
+any T.
 """
 
 from __future__ import annotations
@@ -46,7 +71,7 @@ import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +82,40 @@ from repro.sim.dispatch import available_cores
 #: Device/segment pairs per row chunk (rounded down to whole device
 #: rows, at least one row).
 _CHUNK_PAIRS = 1 << 17
-#: Still-missing pairs further apart than this are not drawn as one
-#: span; the generator is advanced over the gap instead.
-_MAX_GAP = 4096
-#: Bit generators whose ``advance(k)`` skips exactly k 64-bit draws.
-_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+#: A round after the first is drawn through the jump-ahead kernel once
+#: the expected density of the pairs it redraws is below this. Measured
+#: on 2 vCPUs at 2x10^4 devices and 1954 segments: the kernel costs
+#: about 50 ns per pair it draws and its numpy calls serialise on the
+#: GIL, while a span costs about 4 ns per pair and runs on every core.
+#: Whole calls (2 threads) with the next round at density 0.05 took
+#: 0.32 s through the kernel and 0.23 s as spans; at 0.01, 0.14 s and
+#: 0.20 s; at 0.0225 (15 % loss, round 3) both took 0.33 s.
+_SPARSE_DENSITY = 1 / 32
+#: Still-missing pairs per kernel batch. Its scratch is the thread's
+#: chunk buffer, which at two threads holds exactly 2^12 x
+#: ``_SCRATCH_ROWS`` words; 2^11-pair batches cost about 70 ns per pair
+#: against 46 ns, and 2^13 would save under 10 % more but double it.
+_BATCH = 1 << 12
+#: Bits of a kernel offset resolved by the low and by the high lookup
+#: table; a batch spans fewer than ``_SPAN`` draws.
+_LOW_BITS = 12
+_HIGH_BITS = 12
+_SPAN = 1 << (_LOW_BITS + _HIGH_BITS)
+#: uint64 words of kernel scratch per batch pair.
+_SCRATCH_ROWS = 16
+#: The LCG step multiplier of each bit generator the rounds can jump,
+#: and whether its output function reads the state after the step
+#: (PCG64) or before it (PCG64DXSM, whose multiplier is 64-bit).
+_LCG = {
+    np.random.PCG64: ((2549297995355413924 << 64) + 4865540595714422341, True),
+    np.random.PCG64DXSM: (0xDA942042E4DD58B5, False),
+}
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+#: Seed-free jump tables per bit generator type, built on first use by
+#: :func:`_jump_tables`.
+_TABLES: Dict[type, Tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -173,22 +227,29 @@ def simulate_repair_rounds(
         )
 
     bit_generator = rng.bit_generator
-    if not isinstance(bit_generator, _ADVANCEABLE):
+    if not isinstance(bit_generator, tuple(_LCG)):
         raise ConfigurationError(
             "repair rounds jump the generator to the draws they need, "
             "which takes a PCG64 or PCG64DXSM bit generator (one 64-bit "
             f"draw per advance step); got {type(bit_generator).__name__}"
         )
     base = bit_generator.state
+    p = config.segment_loss_probability
+    dense_rounds = min(_dense_rounds(p), config.max_rounds)
+    jumps = None
+    if dense_rounds < config.max_rounds:
+        jumps = _Jumps(type(bit_generator), base["state"]["inc"])
     threads, row_starts = _layout(n_devices, n_segments)
     run = partial(
         _run_chunks,
         generator_type=type(bit_generator),
         base=base,
+        jumps=jumps,
         n_devices=n_devices,
         n_segments=n_segments,
         chunk_rows=row_starts.step,
-        p=config.segment_loss_probability,
+        p=p,
+        dense_rounds=dense_rounds,
         max_rounds=config.max_rounds,
     )
     shares = [row_starts[k::threads] for k in range(threads)]
@@ -202,15 +263,15 @@ def simulate_repair_rounds(
     lacking: List[np.ndarray] = []
     missing_per_round: List[int] = []
     incomplete = 0
-    for part_lacking, part_missing, part_incomplete in parts:
-        for done, (mask, count) in enumerate(zip(part_lacking, part_missing)):
+    for part in parts:
+        for done, (mask, count) in enumerate(zip(part.lacking, part.missing)):
             if done == len(lacking):
                 lacking.append(mask)
                 missing_per_round.append(count)
             else:
                 lacking[done] |= mask
                 missing_per_round[done] += count
-        incomplete += part_incomplete
+        incomplete += part.incomplete
 
     rounds = len(missing_per_round)
     per_round = [n_segments] + [
@@ -261,87 +322,385 @@ def _layout(n_devices: int, n_segments: int) -> Tuple[int, range]:
     return threads, range(0, n_devices, chunk_rows)
 
 
+def _dense_rounds(p: float) -> int:
+    """Rounds drawn as spans at loss probability ``p``.
+
+    Round 1 draws every pair; round r > 1 redraws the pairs missing
+    after round r-1, an expected fraction p^(r-1), and is dense while
+    that is at least ``_SPARSE_DENSITY``.
+    """
+    rounds, density = 1, p
+    while density >= _SPARSE_DENSITY:
+        rounds += 1
+        density *= p
+    return rounds
+
+
+class _Tally:
+    """One thread's per-round results.
+
+    ``lacking[r-1]`` marks the segments some device still lacks after
+    round r (re-sent in round r+1), ``missing[r-1]`` counts the pairs
+    still missing then, and ``incomplete`` the devices left incomplete.
+    """
+
+    def __init__(self, n_segments: int) -> None:
+        self.n_segments = n_segments
+        self.lacking: List[np.ndarray] = []
+        self.missing: List[int] = []
+        self.incomplete = 0
+        self._last_row = -1
+
+    def record(self, round_: int, pairs: np.ndarray) -> None:
+        """Pairs (``device·S + segment``) still missing after a round."""
+        if round_ > len(self.lacking):
+            self.lacking.append(np.zeros(self.n_segments, dtype=bool))
+            self.missing.append(0)
+        mask = self.lacking[round_ - 1]
+        if not mask.all():  # a full mask cannot change
+            mask[pairs % self.n_segments] = True
+        self.missing[round_ - 1] += pairs.size
+
+    def count_incomplete(self, pairs: np.ndarray) -> None:
+        """Count the devices of ``pairs``, still missing at the cap.
+
+        Calls come in pair order, and one device's pairs may be split
+        over two calls (two kernel batches), so the last device
+        counted is carried from call to call.
+        """
+        rows = pairs // self.n_segments
+        self.incomplete += int(np.count_nonzero(np.diff(rows)))
+        self.incomplete += int(rows[0] != self._last_row)
+        self._last_row = int(rows[-1])
+
+
+class _Pools:
+    """One thread's still-missing pairs awaiting their kernel rounds.
+
+    ``push(r, pairs)`` queues pairs missing after round r - 1 for round
+    r's draws; ``drain`` draws them through the kernel a batch at a
+    time, lowest round first, so each pool stays in pair order and a
+    batch's survivors join the next round's pool.
+    """
+
+    def __init__(
+        self,
+        jumps: "_Jumps",
+        base: dict,
+        tally: _Tally,
+        scratch: np.ndarray,
+        *,
+        per_round_draws: int,
+        p: float,
+        first_round: int,
+        max_rounds: int,
+    ) -> None:
+        self.jumps = jumps
+        self.base = base
+        self.tally = tally
+        self.per_round_draws = per_round_draws
+        self.p = p
+        self.max_rounds = max_rounds
+        self.pending: Dict[int, List[np.ndarray]] = {
+            r: [] for r in range(first_round, max_rounds + 1)
+        }
+        self.scratch = scratch
+        self.generator = jumps.kind(0)
+
+    def push(self, round_: int, pairs: np.ndarray) -> None:
+        self.pending[round_].append(pairs)
+
+    def drain(self, flush: bool) -> None:
+        """Draw every full batch, or with ``flush`` every queued pair."""
+        least = 1 if flush else _BATCH
+        for round_, parts in self.pending.items():
+            if sum(part.size for part in parts) < least:
+                continue
+            pairs = np.concatenate(parts)
+            start = 0
+            while pairs.size - start >= least:
+                batch = pairs[start : start + _BATCH]
+                batch = batch[: np.searchsorted(batch, batch[0] + _SPAN)]
+                self._draw(round_, batch)
+                start += batch.size
+            self.pending[round_] = [pairs[start:]]
+
+    def _draw(self, round_: int, batch: np.ndarray) -> None:
+        """Run round ``round_`` for one batch of pairs."""
+        first = int(batch[0])
+        self.generator.state = self.base
+        self.generator.advance((round_ - 1) * self.per_round_draws + first)
+        state = self.generator.state["state"]["state"]
+        values = _doubles(self.jumps, state, batch - first, self.scratch)
+        survivors = batch[values < self.p]
+        self.tally.record(round_, survivors)
+        if not survivors.size:
+            return
+        if round_ == self.max_rounds:
+            self.tally.count_incomplete(survivors)
+        else:
+            self.push(round_ + 1, survivors)
+
+
 def _run_chunks(
     row_starts: Sequence[int],
     *,
     generator_type: type,
     base: dict,
+    jumps: Optional["_Jumps"],
     n_devices: int,
     n_segments: int,
     chunk_rows: int,
     p: float,
+    dense_rounds: int,
     max_rounds: int,
-) -> Tuple[List[np.ndarray], List[int], int]:
+) -> _Tally:
     """Run the row chunks starting at ``row_starts`` through their rounds.
 
     The draws come from a private bit generator set to ``base`` and
-    jumped to each chunk's offsets, so any thread can run any chunks.
-    Returns, per round reached by any of these chunks, the segments
-    some device still lacks afterwards (re-sent next round) and the
-    pairs still missing; and the devices left incomplete.
+    jumped to each chunk's offsets, and from the kernel, so any thread
+    can run any chunks. Rounds up to ``dense_rounds`` are drawn as
+    spans; a chunk still missing pairs after them queues those for
+    the kernel rounds (``jumps`` is set when there are any).
     """
     per_round_draws = n_devices * n_segments
     private = generator_type(0)
     draws = np.random.Generator(private)
-    buf = np.empty(min(chunk_rows, n_devices) * n_segments)
-    lacking: List[np.ndarray] = []
-    missing_per_round: List[int] = []
-    incomplete = 0
+    chunk_pairs = min(chunk_rows, n_devices) * n_segments
+    tally = _Tally(n_segments)
+    pools = None
+    if jumps is None:
+        buf = np.empty(chunk_pairs)
+    else:
+        # Kernel batches draw in this buffer too, between chunks.
+        buf = np.empty(max(chunk_pairs, _SCRATCH_ROWS * _BATCH))
+        pools = _Pools(
+            jumps,
+            base,
+            tally,
+            _scratch(buf),
+            per_round_draws=per_round_draws,
+            p=p,
+            first_round=dense_rounds + 1,
+            max_rounds=max_rounds,
+        )
     for row0 in row_starts:
         size = min(chunk_rows, n_devices - row0) * n_segments
         origin = row0 * n_segments
         private.state = base
         private.advance(origin)
         draws.random(out=buf[:size])
-        missing = np.flatnonzero(buf[:size] < p)
-        at = origin + size
-        done = 0  # rounds this chunk has run
-        while True:
-            if done == len(lacking):
-                lacking.append(np.zeros(n_segments, dtype=bool))
-                missing_per_round.append(0)
-            lacking[done][missing % n_segments] = True
-            missing_per_round[done] += missing.size
-            done += 1
-            if not missing.size or done == max_rounds:
-                break
-            # A still-missing pair's segment is always re-sent, so it
+        missing = np.flatnonzero(buf[:size] < p) + origin
+        at = origin + size  # the private generator's offset
+        done = 1  # rounds this chunk has run
+        tally.record(done, missing)
+        while missing.size and done < dense_rounds:
+            # One span from the first still-missing pair to the last. A
+            # still-missing pair's segment is always re-sent, so it
             # stays missing iff this round's draw is a loss too.
-            values, at = _redraw(
-                draws, buf, missing, done * per_round_draws + origin, at
-            )
-            missing = missing[values < p]
-        if missing.size:
-            rows = missing // n_segments
-            incomplete += 1 + int(np.count_nonzero(np.diff(rows)))
-    return lacking, missing_per_round, incomplete
+            first = int(missing[0])
+            span = buf[: int(missing[-1]) - first + 1]
+            private.advance(done * per_round_draws + first - at)
+            draws.random(out=span)
+            at = done * per_round_draws + first + span.size
+            missing = missing[span[missing - first] < p]
+            done += 1
+            tally.record(done, missing)
+        if not missing.size:
+            continue
+        if pools is None:
+            tally.count_incomplete(missing)
+        else:
+            pools.push(done + 1, missing)
+            pools.drain(flush=False)
+    if pools is not None:
+        pools.drain(flush=True)
+    return tally
 
 
-def _redraw(
-    draws: np.random.Generator,
-    buf: np.ndarray,
-    positions: np.ndarray,
-    origin: int,
-    at: int,
-) -> Tuple[np.ndarray, int]:
-    """The draws at stream offsets ``origin + positions``.
+class _Jumps:
+    """One stream's jump tables: the seed-free ones with its ``inc``.
 
-    ``positions`` is sorted and ``draws`` sits at offset ``at``
-    (<= ``origin``). Positions closer than ``_MAX_GAP`` share one span
-    drawn into ``buf``; the generator is advanced over longer gaps.
-    Returns the draws and the generator's new offset.
+    ``low`` and ``high`` are the (hi, lo) limbs of A^k and of G_k·inc,
+    with G_k = 1 + A + … + A^(k-1), over k < 2^_LOW_BITS and over
+    k = h·2^_LOW_BITS (h < 2^_HIGH_BITS); the A^k rows are the
+    seed-free tables' own.
     """
-    cuts = np.flatnonzero(np.diff(positions) > _MAX_GAP) + 1
-    bounds = [0, *cuts.tolist(), positions.size]
-    values = np.empty(positions.size)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        first = int(positions[lo])
-        span = buf[: int(positions[hi - 1]) - first + 1]
-        draws.bit_generator.advance(origin + first - at)
-        draws.random(out=span)
-        values[lo:hi] = span[positions[lo:hi] - first]
-        at = origin + first + span.size
-    return values, at
+
+    def __init__(self, kind: type, inc: int) -> None:
+        self.kind = kind
+        self.mult, self.post_step = _LCG[kind]
+        self.inc = inc
+        inc_hi, inc_lo = _limbs(inc)
+        self.low, self.high = [], []
+        for rows, table in zip((self.low, self.high), _jump_tables(kind)):
+            times_inc = np.empty((2, table.shape[1]), dtype=np.uint64)
+            tmp = np.empty((4, table.shape[1]), dtype=np.uint64)
+            _mul_add(
+                table[2], table[3], inc_hi, inc_lo, 0, 0, *times_inc, tmp
+            )
+            rows.extend((table[0], table[1], *times_inc))
+
+
+def _scratch(buf: np.ndarray) -> np.ndarray:
+    """The kernel's ``_SCRATCH_ROWS`` x ``_BATCH`` uint64 view of ``buf``.
+
+    ``buf`` is a thread's float64 chunk buffer, idle while pools drain,
+    of at least ``_SCRATCH_ROWS·_BATCH`` doubles.
+    """
+    return buf[: _SCRATCH_ROWS * _BATCH].view(np.uint64).reshape(
+        _SCRATCH_ROWS, _BATCH
+    )
+
+
+def _doubles(
+    jumps: _Jumps, state: int, offsets: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """The doubles ``random()`` returns ``offsets`` draws after ``state``.
+
+    ``state`` is the 128-bit LCG state of ``jumps``' stream; ``offsets``
+    are sorted, in [0, ``_SPAN``), at most ``_BATCH`` of them. Equal to
+    ``advance(k)`` then ``random()`` for each offset k, bit for bit.
+    ``scratch`` is ``_SCRATCH_ROWS`` x ``_BATCH`` uint64; the result is
+    a view into it.
+    """
+    m = offsets.size
+    if jumps.post_step:  # PCG64 outputs the state after the step
+        state = (state * jumps.mult + jumps.inc) & _M128
+    tmp, gathered = scratch[:4, :m], scratch[4:8, :m]
+    high, low, blocks = scratch[12:15].view(np.intp)[:, :m]
+    new_block = scratch[15].view(bool)[:m]
+    np.right_shift(offsets, _LOW_BITS, out=high)
+    np.bitwise_and(offsets, (1 << _LOW_BITS) - 1, out=low)
+    # The state at each distinct multiple of 2^_LOW_BITS, from the high
+    # table; offsets are sorted, so those are where ``high`` changes.
+    new_block[0] = True
+    np.not_equal(high[1:], high[:-1], out=new_block[1:])
+    k = int(np.count_nonzero(new_block))
+    np.compress(new_block, high, out=blocks[:k])
+    block = high  # each offset's index into ``blocks``, from here on
+    np.cumsum(new_block, out=block)
+    np.subtract(block, 1, out=block)
+    for row, column in zip(gathered[:, :k], jumps.high):
+        np.take(column, blocks[:k], out=row, mode="clip")
+    u_hi, u_lo = scratch[8:10, :k]
+    _mul_add(
+        gathered[0, :k], gathered[1, :k], *_limbs(state),
+        gathered[2, :k], gathered[3, :k], u_hi, u_lo, tmp[:, :k],
+    )
+    # Then each offset's state, from its block's and the low table.
+    s_hi, s_lo = scratch[10:12, :m]
+    np.take(u_hi, block, out=s_hi, mode="clip")
+    np.take(u_lo, block, out=s_lo, mode="clip")
+    for row, column in zip(gathered, jumps.low):
+        np.take(column, low, out=row, mode="clip")
+    x_hi, x_lo = scratch[8:10, :m]
+    _mul_add(*gathered[:2], s_hi, s_lo, *gathered[2:], x_hi, x_lo, tmp)
+    shift = tmp[0]
+    if jumps.post_step:
+        # XSL-RR: hi ^ lo, rotated right by hi's top six bits.
+        np.right_shift(x_hi, 58, out=shift)
+        np.bitwise_xor(x_hi, x_lo, out=x_hi)
+        np.right_shift(x_hi, shift, out=x_lo)
+        np.subtract(64, shift, out=shift)
+        np.bitwise_and(shift, 63, out=shift)
+        np.left_shift(x_hi, shift, out=x_hi)
+        np.bitwise_or(x_hi, x_lo, out=x_hi)
+    else:
+        # DXSM: hi xorshifted, multiplied, xorshifted, times (lo | 1).
+        np.bitwise_or(x_lo, 1, out=x_lo)
+        np.right_shift(x_hi, 32, out=shift)
+        np.bitwise_xor(x_hi, shift, out=x_hi)
+        np.multiply(x_hi, jumps.mult, out=x_hi)
+        np.right_shift(x_hi, 48, out=shift)
+        np.bitwise_xor(x_hi, shift, out=x_hi)
+        np.multiply(x_hi, x_lo, out=x_hi)
+    np.right_shift(x_hi, 11, out=x_hi)
+    return np.multiply(x_hi, 2.0**-53, out=x_lo.view(np.float64))
+
+
+def _limbs(value: int) -> Tuple[np.uint64, np.uint64]:
+    """The high and low 64-bit limbs of a 128-bit integer."""
+    return np.uint64(value >> 64), np.uint64(value & _M64)
+
+
+def _mul_add(a_hi, a_lo, b_hi, b_lo, c_hi, c_lo, out_hi, out_lo, tmp):
+    """``out = a·b + c`` mod 2^128, on uint64 (hi, lo) limbs.
+
+    The operands are arrays or ``np.uint64`` scalars; ``out`` must not
+    alias them, and ``tmp`` is four scratch arrays shaped like it. The
+    high limb of ``a_lo·b_lo`` is summed from the four products of
+    their 32-bit halves.
+    """
+    a0, b0, mid, t = tmp
+    np.bitwise_and(a_lo, _LOW32, out=a0)
+    np.bitwise_and(b_lo, _LOW32, out=b0)
+    np.multiply(a0, b0, out=mid)
+    np.right_shift(mid, 32, out=mid)  # carry-in of the low halves
+    np.right_shift(b_lo, 32, out=t)
+    np.multiply(a0, t, out=a0)  # a0·b1
+    np.right_shift(a_lo, 32, out=out_lo)
+    np.multiply(out_lo, t, out=out_hi)  # a1·b1
+    np.multiply(out_lo, b0, out=b0)  # a1·b0
+    for cross in (a0, b0):
+        np.bitwise_and(cross, _LOW32, out=t)
+        np.add(mid, t, out=mid)
+        np.right_shift(cross, 32, out=t)
+        np.add(out_hi, t, out=out_hi)
+    np.right_shift(mid, 32, out=mid)
+    np.add(out_hi, mid, out=out_hi)
+    np.multiply(a_lo, b_hi, out=t)
+    np.add(out_hi, t, out=out_hi)
+    np.multiply(a_hi, b_lo, out=t)
+    np.add(out_hi, t, out=out_hi)
+    np.add(out_hi, c_hi, out=out_hi)
+    np.multiply(a_lo, b_lo, out=out_lo)
+    np.add(out_lo, c_lo, out=out_lo)
+    np.less(out_lo, c_lo, out=t)  # carry out of the low limb
+    np.add(out_hi, t, out=out_hi)
+
+
+def _jump_tables(kind: type) -> Tuple[np.ndarray, np.ndarray]:
+    """``kind``'s seed-free low and high jump tables, built once.
+
+    Column k of a table holds the (hi, lo) limbs of A^k and of
+    G_k = 1 + A + … + A^(k-1), A the LCG multiplier, so that k steps
+    take state s to ``A^k·s + G_k·inc``: k < 2^_LOW_BITS in the low
+    table, k = h·2^_LOW_BITS (h < 2^_HIGH_BITS) in the high one.
+    """
+    tables = _TABLES.get(kind)
+    if tables is None:
+        low, block_step = _doubled(_LCG[kind][0], 1, _LOW_BITS)
+        high, _ = _doubled(*block_step, _HIGH_BITS)
+        tables = _TABLES[kind] = (low, high)
+    return tables
+
+
+def _doubled(
+    mult: int, add: int, bits: int
+) -> Tuple[np.ndarray, Tuple[int, int]]:
+    """The k-fold maps of ``s -> mult·s + add·inc``, k < 2^bits.
+
+    Column k holds the limbs of mult^k and of add·(1 + … + mult^(k-1));
+    also returned is the 2^bits-fold map's (multiplier, addend). Each
+    doubling is one vectorised multiply-add per column pair: k + m
+    steps are m steps then k more, so column k + m is
+    (mult^k·mult^m, mult^k·add_m + add_k).
+    """
+    table = np.array([[0], [1], [0], [0]], dtype=np.uint64)
+    for _ in range(bits):
+        upper = np.empty_like(table)
+        tmp = np.empty((4, table.shape[1]), dtype=np.uint64)
+        _mul_add(
+            table[0], table[1], *_limbs(mult), 0, 0, upper[0], upper[1], tmp
+        )
+        _mul_add(
+            table[0], table[1], *_limbs(add), table[2], table[3],
+            upper[2], upper[3], tmp,
+        )
+        table = np.concatenate([table, upper], axis=1)
+        mult, add = mult * mult & _M128, (mult * add + add) & _M128
+    return table, (mult, add)
 
 
 def expected_rounds(

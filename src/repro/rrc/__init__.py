@@ -3,11 +3,9 @@
 This package provides the control-plane vocabulary the grouping
 mechanisms speak:
 
-* message dataclasses (:mod:`repro.rrc.messages`) — paging messages with
-  the standard ``PagingRecordList`` *and* the paper's non-critical
-  ``mltc-transmission`` extension; RRC connection messages including the
-  new ``multicastReception`` establishment cause (both DR-SI novelties,
-  Sec. III-C);
+* message dataclasses (:mod:`repro.rrc.messages`) — RRC connection
+  messages including the new ``multicastReception`` establishment cause
+  (a DR-SI novelty, Sec. III-C);
 * the random access timing model with optional contention failures
   (:mod:`repro.rrc.random_access`);
 * composite procedure durations — connection setup, the DA-SC
@@ -17,9 +15,6 @@ mechanisms speak:
 
 from repro.rrc.messages import (
     EstablishmentCause,
-    MulticastNotification,
-    PagingMessage,
-    PagingRecord,
     RrcConnectionReconfiguration,
     RrcConnectionRelease,
     RrcConnectionRequest,
@@ -36,9 +31,6 @@ from repro.rrc.procedures import ProcedureTimings
 from repro.rrc.timers import T322Timer
 
 __all__ = [
-    "PagingRecord",
-    "MulticastNotification",
-    "PagingMessage",
     "EstablishmentCause",
     "RrcConnectionRequest",
     "RrcConnectionSetup",

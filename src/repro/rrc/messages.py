@@ -2,27 +2,23 @@
 
 These are deliberately faithful to the structures the paper manipulates:
 
-* a **paging message** carries a ``PagingRecordList`` of identities being
-  paged for downlink data, and — under DR-SI — a *non-critical
-  extension* named ``mltc-transmission`` carrying ``(device identity,
-  time remaining until the multicast)`` pairs. Crucially, a device
-  listed **only** in the extension is *not* being paged for downlink
-  data, "so devices can distinguish between a paging to receive downlink
-  data and multicast transmissions" (Sec. III-C);
 * an **RRCConnectionRequest** carries an establishment cause; DR-SI adds
   the new ``multicastReception`` value;
 * **RRCConnectionReconfiguration** carries the (temporary) DRX cycle that
   DA-SC imposes, and later the original cycle when restoring.
+
+Paging is not modelled message by message: every page, DA-SC
+adaptation page and DR-SI ``mltc-transmission`` notification is one row
+of the plan's page table (:func:`repro.core.plan.plan_pages`), counted
+as one record at its paging occasion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Optional, Tuple
 
 from repro.drx.cycles import DrxCycle
-from repro.errors import ConfigurationError
 
 
 class EstablishmentCause(Enum):
@@ -41,88 +37,6 @@ class EstablishmentCause(Enum):
     def is_standard(self) -> bool:
         """False only for the paper's non-standard ``multicastReception``."""
         return self is not EstablishmentCause.MULTICAST_RECEPTION
-
-
-@dataclass(frozen=True)
-class PagingRecord:
-    """One entry of the standard ``PagingRecordList``."""
-
-    ue_id: int
-
-    def __post_init__(self) -> None:
-        if self.ue_id < 0:
-            raise ConfigurationError(f"ue_id must be non-negative, got {self.ue_id}")
-
-
-@dataclass(frozen=True)
-class MulticastNotification:
-    """One ``mltc-transmission`` extension entry (DR-SI, Sec. III-C).
-
-    Attributes:
-        ue_id: the device being notified (present *only* here, not in the
-            PagingRecordList).
-        frames_until_transmission: time remaining until the multicast,
-            from the frame carrying this page.
-    """
-
-    ue_id: int
-    frames_until_transmission: int
-
-    def __post_init__(self) -> None:
-        if self.ue_id < 0:
-            raise ConfigurationError(f"ue_id must be non-negative, got {self.ue_id}")
-        if self.frames_until_transmission <= 0:
-            raise ConfigurationError(
-                "frames_until_transmission must be positive, got "
-                f"{self.frames_until_transmission}"
-            )
-
-
-@dataclass(frozen=True)
-class PagingMessage:
-    """A paging message as broadcast in one paging occasion.
-
-    Attributes:
-        frame: absolute frame of the paging occasion carrying it.
-        records: the standard PagingRecordList (paging for downlink data).
-        mltc_transmission: the DR-SI non-critical extension entries.
-    """
-
-    frame: int
-    records: Tuple[PagingRecord, ...] = ()
-    mltc_transmission: Tuple[MulticastNotification, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ConfigurationError(f"frame must be non-negative, got {self.frame}")
-        paged = [r.ue_id for r in self.records]
-        if len(set(paged)) != len(paged):
-            raise ConfigurationError("duplicate ue_id in PagingRecordList")
-        notified = [n.ue_id for n in self.mltc_transmission]
-        if len(set(notified)) != len(notified):
-            raise ConfigurationError("duplicate ue_id in mltc-transmission")
-        overlap = set(paged) & set(notified)
-        if overlap:
-            # The DR-SI design relies on the device id appearing in only
-            # one of the two lists to disambiguate page semantics.
-            raise ConfigurationError(
-                f"ue_ids present in both record list and extension: {overlap}"
-            )
-
-    @property
-    def is_standards_compliant(self) -> bool:
-        """True when the message carries no non-standard extension."""
-        return not self.mltc_transmission
-
-    @property
-    def paged_ue_ids(self) -> FrozenSet[int]:
-        """Identities paged for downlink data."""
-        return frozenset(r.ue_id for r in self.records)
-
-    @property
-    def notified_ue_ids(self) -> FrozenSet[int]:
-        """Identities notified of the multicast via the extension."""
-        return frozenset(n.ue_id for n in self.mltc_transmission)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
 """Unit tests for multi-cell coordination and the reliability model."""
 
+import gc
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repair_oracle import matrix_repair_rounds
 from repro.errors import ConfigurationError, FleetError
 from repro.multicast.coordination import (
     MultiCellSpec,
@@ -321,3 +327,94 @@ class TestReliability:
             simulate_repair_rounds(image, 0, ReliabilityConfig(), rng)
         with pytest.raises(ConfigurationError):
             expected_rounds(10, 10, 1.5)
+
+
+class TestRepairKernel:
+    """Kernel rounds: pooled pairs drawn in batches by jump-ahead."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "kind",
+        [np.random.PCG64, np.random.PCG64DXSM],
+        ids=["PCG64", "PCG64DXSM"],
+    )
+    def test_device_split_over_batches_counts_once(
+        self, monkeypatch, threads, kind
+    ):
+        """``max_rounds`` stops inside the kernel rounds with 4-pair
+        batches, so a device's pairs left at the cap often fall in two
+        batches; it is still one incomplete device, as in the oracle."""
+        monkeypatch.setattr(reliability, "_BATCH", 4)
+        monkeypatch.setattr(reliability, "_CHUNK_PAIRS", 1024)
+        monkeypatch.setattr(
+            reliability, "_thread_count", lambda n_chunks: threads
+        )
+        loss = 0.5
+        config = ReliabilityConfig(
+            segment_bytes=512,
+            segment_loss_probability=loss,
+            max_rounds=reliability._dense_rounds(loss) + 2,
+        )
+        image = FirmwareImage(name="fw", version="1", size_bytes=16 * 512)
+        oracle_rng = np.random.Generator(kind(2018))
+        rng = np.random.Generator(kind(2018))
+        expected = matrix_repair_rounds(image, 4000, config, oracle_rng)
+        outcome = simulate_repair_rounds(image, 4000, config, rng)
+        # Capped, with some incomplete device lacking two or more pairs.
+        assert expected.rounds == config.max_rounds
+        assert expected.residual_missing > 4000 - expected.devices_complete
+        assert outcome == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_kernel_leaves_no_cyclic_garbage(self, monkeypatch):
+        """Garbage cycles would hold kernel memory until a GC pass."""
+        monkeypatch.setattr(reliability, "_thread_count", lambda n_chunks: 1)
+        config = ReliabilityConfig(segment_loss_probability=0.01)
+        image = FirmwareImage(name="fw", version="1", size_bytes=200 * 512)
+        offsets = np.arange(0, reliability._SPAN, 4099, dtype=np.int64)
+        gc.collect()
+        gc.disable()
+        try:
+            for kind in (np.random.PCG64, np.random.PCG64DXSM):
+                jumps = reliability._Jumps(kind, 12345)
+                scratch = reliability._scratch(
+                    np.empty(reliability._SCRATCH_ROWS * reliability._BATCH)
+                )
+                for state in (1, 2**127 + 3):
+                    reliability._doubles(jumps, state, offsets, scratch)
+                rng = np.random.Generator(kind(7))
+                simulate_repair_rounds(image, 300, config, rng)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_tables_built_on_first_lossy_call_not_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(reliability.__file__)
+        )))
+        code = (
+            "import numpy as np\n"
+            "import repro.scenarios\n"
+            "from repro.multicast import reliability as r\n"
+            "from repro.multicast.payload import FirmwareImage\n"
+            "image = FirmwareImage(name='fw', version='1', size_bytes=10**4)\n"
+            "assert not r._TABLES, 'built at import'\n"
+            "for loss in (0.0, 0.01):\n"
+            "    r.simulate_repair_rounds(image, 50,\n"
+            "        r.ReliabilityConfig(segment_loss_probability=loss),\n"
+            "        np.random.default_rng(1))\n"
+            "    print(sorted(k.__name__ for k in r._TABLES))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["[]", "['PCG64']"]

@@ -8,9 +8,6 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.phy.coverage import CoverageClass
 from repro.rrc.messages import (
     EstablishmentCause,
-    MulticastNotification,
-    PagingMessage,
-    PagingRecord,
     RrcConnectionReconfiguration,
     RrcConnectionRequest,
 )
@@ -25,41 +22,6 @@ class TestMessages:
         assert not EstablishmentCause.MULTICAST_RECEPTION.is_standard
         others = [c for c in EstablishmentCause if c.is_standard]
         assert len(others) == len(EstablishmentCause) - 1
-
-    def test_plain_page_is_compliant(self):
-        msg = PagingMessage(frame=10, records=(PagingRecord(1), PagingRecord(2)))
-        assert msg.is_standards_compliant
-        assert msg.paged_ue_ids == {1, 2}
-
-    def test_extension_breaks_compliance(self):
-        msg = PagingMessage(
-            frame=10,
-            mltc_transmission=(
-                MulticastNotification(ue_id=5, frames_until_transmission=100),
-            ),
-        )
-        assert not msg.is_standards_compliant
-        assert msg.notified_ue_ids == {5}
-
-    def test_identity_cannot_appear_in_both_lists(self):
-        """Sec. III-C: the device id is only in the extension, so devices
-        can distinguish multicast notifications from downlink pages."""
-        with pytest.raises(ConfigurationError):
-            PagingMessage(
-                frame=1,
-                records=(PagingRecord(5),),
-                mltc_transmission=(
-                    MulticastNotification(ue_id=5, frames_until_transmission=10),
-                ),
-            )
-
-    def test_duplicate_records_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PagingMessage(frame=1, records=(PagingRecord(5), PagingRecord(5)))
-
-    def test_notification_requires_future_transmission(self):
-        with pytest.raises(ConfigurationError):
-            MulticastNotification(ue_id=1, frames_until_transmission=0)
 
     def test_request_default_cause(self):
         request = RrcConnectionRequest(ue_id=1)
