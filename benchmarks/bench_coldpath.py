@@ -35,7 +35,7 @@ import numpy as np
 from conftest import _env_int, emit, write_bench_artifact
 
 from repro.devices import SharedFleet
-from repro.devices.arrays import fleet_nbytes
+from repro.devices.fleet import fleet_nbytes
 from repro.multicast.coordination import MultiCellSpec
 from repro.scenarios import run_scenario, scenario
 from repro.sim.phases import merge_timings
@@ -84,13 +84,13 @@ def test_a11_coldpath_budgets(capsys):
 
     t0 = time.perf_counter()
     staged.extra_buffer("attachments")[:] = 0
-    shared = staged.seal(fleet.arrays)
+    shared = staged.seal(fleet)
     publish_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     attached = SharedFleet.attach(shared.descriptor, context="bench-coldpath")
     touched = 0.0
-    for _, column in attached.arrays.columns():
+    for _, column in attached.fleet.columns():
         touched += float(np.nansum(column))
     attach_s = time.perf_counter() - t0
     assert touched != 0.0

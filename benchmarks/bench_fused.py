@@ -46,8 +46,8 @@ import numpy as np
 import pytest
 from conftest import _env_int, emit, write_bench_artifact
 
-from repro.devices import Fleet, SharedFleet
-from repro.devices.arrays import fleet_nbytes
+from repro.devices import SharedFleet
+from repro.devices.fleet import fleet_nbytes
 from repro.experiments.reporting import Table, render_table
 from repro.multicast.coordination import MultiCellSpec, attach_devices
 from repro.scenarios import run_scenario, scenario
@@ -237,12 +237,12 @@ def _touch_shared_fleet(descriptor, cell_id, queue):
     """
     rss_before = _vm_rss_kb()
     shared = SharedFleet.attach(descriptor, context="bench-megafleet")
-    checksum = int(shared.arrays.imsis.sum())
+    checksum = int(shared.fleet.imsis.sum())
     touched = 0.0
-    for _, column in shared.arrays.columns():
+    for _, column in shared.fleet.columns():
         touched += float(np.nansum(column))
     indices = np.flatnonzero(shared.extra("attachments") == cell_id)
-    cell_fleet = Fleet.from_arrays(shared.arrays.take(indices), trusted=True)
+    cell_fleet = shared.fleet.subset(indices)
     queue.put(
         {
             "rss_delta_kb": _vm_rss_kb() - rss_before,
@@ -283,7 +283,7 @@ def test_a10_megafleet_zero_copy_rss(capsys):
     generate_s = time.perf_counter() - t0
     # The fleet's columns are the segment's own buffers now, so take
     # the reference checksum before the segment is unlinked below.
-    expected_checksum = int(fleet.arrays.imsis.sum())
+    expected_checksum = int(fleet.imsis.sum())
     attachments = attach_devices(
         len(fleet), MultiCellSpec(n_cells=n_cells), rng
     )
@@ -293,7 +293,7 @@ def test_a10_megafleet_zero_copy_rss(capsys):
         staged.extra_buffer("attachments"),
         np.asarray(attachments, dtype=np.int64),
     )
-    shared = staged.seal(fleet.arrays)
+    shared = staged.seal(fleet)
     publish_s = time.perf_counter() - t0
     single_copy = shared.descriptor.nbytes
     rss_ceiling_kb = int(1.5 * single_copy) // 1024

@@ -27,7 +27,7 @@ from repro import (
 
 def build_fleet() -> Fleet:
     cycles_s = [20.48, 40.96, 327.68, 1310.72, 2621.44]
-    return Fleet(
+    return Fleet.from_devices(
         [
             NbIotDevice.build(
                 imsi=100_000_000_000_000 + 911 * i,

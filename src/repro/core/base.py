@@ -26,8 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.grouping.policy import GroupingPolicy
     from repro.setcover.decision import GroupingDecision
 
-from repro.devices.arrays import COVERAGE_ORDER
-from repro.devices.fleet import Fleet
+from repro.devices.fleet import COVERAGE_ORDER, Fleet
 from repro.drx.schedule import v_last_at_or_before
 from repro.enb.cell import CellConfig
 from repro.errors import ConfigurationError
@@ -71,7 +70,7 @@ class PlanningContext:
 
     def connect_slack_table(self) -> np.ndarray:
         """Frames a device needs from page to connected-and-ready, per
-        coverage code (:data:`~repro.devices.arrays.COVERAGE_ORDER`).
+        coverage code (:data:`~repro.devices.fleet.COVERAGE_ORDER`).
 
         Used by planners to page devices early enough inside the window
         that they are connected before the nominal transmission start:
@@ -180,9 +179,8 @@ class GroupingMechanism(abc.ABC):
         transmission = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
         device, start = decision.members, decision.start[transmission]
         last = decision.end[transmission] - 1
-        arrays = fleet.arrays
-        phases, periods = arrays.phases[device], arrays.periods[device]
-        slack = context.connect_slack_table()[arrays.coverage_codes[device]]
+        phases, periods = fleet.phases[device], fleet.periods[device]
+        slack = context.connect_slack_table()[fleet.coverage_codes[device]]
         latest = v_last_at_or_before(phases, periods, last)
         with_slack = v_last_at_or_before(phases, periods, last - slack)
         page = np.where(with_slack >= start, with_slack, latest)
@@ -203,7 +201,7 @@ class GroupingMechanism(abc.ABC):
         bearer sized for its slowest member (paper Sec. II-A)."""
         rows, bounds = columns.rows_by_transmission
         rates = np.minimum.reduceat(
-            fleet.arrays.downlink_bps[columns.device[rows]], bounds[:-1]
+            fleet.downlink_bps[columns.device[rows]], bounds[:-1]
         )
         unique, inverse = np.unique(rates, return_inverse=True)
         airtime = [

@@ -43,7 +43,6 @@ from repro.core.plan import (
     WakeMethod,
     check_rows,
 )
-from repro.devices.arrays import FleetArrays
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER
 from repro.drx.paging import v_paging_frame_offset
@@ -115,7 +114,7 @@ class DaScMechanism(GroupingMechanism):
         adapted = np.flatnonzero(~rows.has_po)
         if adapted.size:
             adaptation[adapted], cycle[adapted], page[adapted] = self._adapt(
-                fleet.arrays,
+                fleet,
                 rows.device[adapted],
                 rows.start[adapted],
                 rows.last[adapted],
@@ -136,7 +135,7 @@ class DaScMechanism(GroupingMechanism):
     # ------------------------------------------------------------------
     def _adapt(
         self,
-        arrays: FleetArrays,
+        fleet: Fleet,
         device: np.ndarray,
         window_lo: np.ndarray,
         window_hi: np.ndarray,
@@ -156,7 +155,7 @@ class DaScMechanism(GroupingMechanism):
         a PO in it, and the span is the TI window minus the (much
         shorter) adaptation episode.
         """
-        phases, periods = arrays.phases[device], arrays.periods[device]
+        phases, periods = fleet.phases[device], fleet.periods[device]
         adaptation = v_last_at_or_before(phases, periods, window_lo - 1)
         check_rows(
             adaptation < 0,
@@ -166,10 +165,10 @@ class DaScMechanism(GroupingMechanism):
         )
         # The device is busy with the reconfiguration episode right after
         # its adaptation PO; the adapted window PO must come later.
-        busy = context.adaptation_busy_table()[arrays.coverage_codes[device]]
+        busy = context.adaptation_busy_table()[fleet.coverage_codes[device]]
         earliest = np.maximum(window_lo, adaptation + busy + 1)
-        ue_ids = arrays.ue_ids[device]
-        nb = (arrays.nb_numerators[device], arrays.nb_denominators[device])
+        ue_ids = fleet.ue_ids[device]
+        nb = (fleet.nb_numerators[device], fleet.nb_denominators[device])
         cycle = np.zeros(device.size, dtype=np.int64)
         window_po = np.zeros(device.size, dtype=np.int64)
         unresolved = np.ones(device.size, dtype=bool)

@@ -83,9 +83,8 @@ class DrSiMechanism(GroupingMechanism):
             # "notify the devices well in advance of the time of the
             # multicast transmission".
             device = rows.device[notified]
-            arrays = fleet.arrays
             page[notified] = v_first_at_or_after(
-                arrays.phases[device], arrays.periods[device], context.announce_frame
+                fleet.phases[device], fleet.periods[device], context.announce_frame
             )
             check_rows(
                 page[notified] >= rows.start[notified],

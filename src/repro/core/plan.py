@@ -42,6 +42,7 @@ from repro.drx.paging import v_paging_frame_offset, v_paging_subframe
 from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
+from repro.table import ColumnTable
 from repro.timebase import frames_to_seconds
 
 
@@ -128,33 +129,8 @@ def _on_grid(frames: np.ndarray, phases: np.ndarray, periods: np.ndarray) -> np.
     return (frames >= phases) & ((frames - phases) % periods == 0)
 
 
-class _ColumnTable:
-    """Value semantics of a frozen column table.
-
-    Tables compare and hash by the values of their compared fields (the
-    columns), and unpickle by re-running the constructor, so columns
-    come back checked and read-only, without the lazy caches.
-    """
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-            if f.compare
-        )
-
-    def __hash__(self) -> int:
-        columns = (getattr(self, f.name) for f in fields(self) if f.compare)
-        return hash(tuple(column.tobytes() for column in columns))
-
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
-
-
 @dataclass(frozen=True, eq=False)
-class PlanArrays(_ColumnTable, SequenceABC):
+class PlanArrays(ColumnTable, SequenceABC):
     """A plan's directives as a frozen struct-of-arrays.
 
     One row per directive, every column int64, rows in the plan's
@@ -318,7 +294,7 @@ PLAN_COLUMNS: Tuple[str, ...] = tuple(f.name for f in fields(PlanArrays))
 
 
 @dataclass(frozen=True, eq=False)
-class TransmissionTable(_ColumnTable, SequenceABC):
+class TransmissionTable(ColumnTable, SequenceABC):
     """A plan's scheduled transmissions as a frozen column table.
 
     One row per transmission, ordered by frame; a row's position is its
@@ -540,10 +516,9 @@ class MulticastPlan:
         transmission and every transmission serving someone, bearer
         rates, per-directive paging feasibility) still holds.
         """
-        arrays = fleet.arrays
         columns = self.columns
         dev, tx = columns.device, columns.transmission
-        n_fleet = arrays.n
+        n_fleet = len(fleet)
         check_rows(dev >= n_fleet, f"device {{d}} outside fleet of {n_fleet}", d=dev)
         counts = np.bincount(dev, minlength=n_fleet)
         check_rows(counts > 1, "device {row} has multiple directives", CoverageError)
@@ -567,7 +542,7 @@ class MulticastPlan:
             # it had more members, hence <= rather than ==.
             rows, bounds = columns.rows_by_transmission
             slowest = np.minimum.reduceat(
-                arrays.downlink_bps[dev[rows]], bounds[:-1]
+                fleet.downlink_bps[dev[rows]], bounds[:-1]
             )
             check_rows(
                 table.rate_bps > slowest,
@@ -585,16 +560,16 @@ class MulticastPlan:
         # transmission at t) satisfy this single invariant.
         frame = table.frame[tx]
         start = frame - self.inactivity_timer_frames
-        phase, period = arrays.phases[dev], arrays.periods[dev]
+        phase, period = fleet.phases[dev], fleet.periods[dev]
         adaptation = columns.adaptation_page_frame
         adapted, extended = method == _ADAPTATION, method == _EXTENDED
         # Adapted rows page on their temporary grid, derived from the
         # identity like any grid; every other row on its preferred one.
         cycle = np.where(adapted, columns.adapted_cycle, period)
         grid = phase if not adapted.any() else v_paging_frame_offset(
-            arrays.ue_ids[dev],
+            fleet.ue_ids[dev],
             cycle,
-            (arrays.nb_numerators[dev], arrays.nb_denominators[dev]),
+            (fleet.nb_numerators[dev], fleet.nb_denominators[dev]),
         )
         in_window = (start <= page) & (page <= frame)
         windowed = adapted | (method == METHOD_CODE[WakeMethod.PAGED_IN_WINDOW])
@@ -655,11 +630,10 @@ def plan_pages(fleet: Fleet, plan: MulticastPlan) -> PageTable:
     adaptation = np.flatnonzero(row[1:] == row[:-1]) + 1
     frame[adaptation] = columns.adaptation_page_frame[row[adaptation]]
     device = columns.device[row]
-    arrays = fleet.arrays
     subframe = v_paging_subframe(
-        arrays.ue_ids[device],
-        arrays.periods[device],
-        (arrays.nb_numerators[device], arrays.nb_denominators[device]),
+        fleet.ue_ids[device],
+        fleet.periods[device],
+        (fleet.nb_numerators[device], fleet.nb_denominators[device]),
     )
     notified = columns.method[row] == _EXTENDED
     return PageTable(row, device, frame, subframe, notified)
@@ -840,14 +814,13 @@ def revise_plan(
     # Re-page each joiner into the nearest feasible pending window.
     joined_pages: Dict[int, Tuple[_WindowDraft, int]] = {}
     next_order = k
-    arrays = fleet.arrays
     slack_of = context.connect_slack_table()
     for device_index in joined_list:
         schedule = PoSchedule(
-            phase=int(arrays.phases[device_index]),
-            period=int(arrays.periods[device_index]),
+            phase=int(fleet.phases[device_index]),
+            period=int(fleet.periods[device_index]),
         )
-        slack = int(slack_of[arrays.coverage_codes[device_index]])
+        slack = int(slack_of[fleet.coverage_codes[device_index]])
         placed = None
         for draft in sorted(drafts, key=lambda d: (d.frame, d.order)):
             if draft.frame <= now_frame:

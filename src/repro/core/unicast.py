@@ -42,17 +42,14 @@ class UnicastBaseline(GroupingMechanism):
         rng: Optional[np.random.Generator] = None,
     ) -> MulticastPlan:
         """Page every device at its first PO and serve it immediately."""
-        arrays = fleet.arrays
-        page = v_first_at_or_after(
-            arrays.phases, arrays.periods, context.announce_frame
-        )
+        page = v_first_at_or_after(fleet.phases, fleet.periods, context.announce_frame)
         # The unicast data flows as soon as the device is connected; the
         # nominal transmission frame includes the connect slack. Order by
         # that start, page frame as tie-break (a stable sort), so
         # transmission indices follow the campaign timeline even in
         # mixed-coverage fleets where a later page with less slack can
         # start earlier.
-        start = page + context.connect_slack_table()[arrays.coverage_codes]
+        start = page + context.connect_slack_table()[fleet.coverage_codes]
         order = np.lexsort((page, start))
         page = page[order]
         columns = PlanArrays(

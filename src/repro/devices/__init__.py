@@ -1,11 +1,10 @@
 """NB-IoT device and fleet modelling.
 
 A device couples an identity (from which its paging occasions derive),
-a DRX configuration, a coverage class and a category. The canonical
-form of a fleet is :class:`~repro.devices.arrays.FleetArrays` — a
-frozen struct-of-arrays, one row per device — which
-:class:`~repro.devices.fleet.Fleet` wraps with the indexable,
-device-view collection API the planners and tests use.
+a DRX configuration, a coverage class and a category. A fleet,
+:class:`~repro.devices.fleet.Fleet`, is one frozen struct-of-arrays
+with a row per device: the planners read its columns, and indexing it
+builds :class:`~repro.devices.device.NbIotDevice` views of its rows.
 :class:`~repro.devices.sharedmem.SharedFleet` maps the same columns
 into POSIX shared memory so every worker of a campaign shares one
 physical fleet.
@@ -15,8 +14,7 @@ from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
 from repro.devices.battery import Battery
 from repro.devices.device import NbIotDevice
-from repro.devices.arrays import CATEGORY_ORDER, FleetArrays
-from repro.devices.fleet import COVERAGE_ORDER, Fleet
+from repro.devices.fleet import CATEGORY_ORDER, COVERAGE_ORDER, Fleet
 from repro.devices.sharedmem import (
     SharedFleet,
     SharedFleetDescriptor,
@@ -29,7 +27,6 @@ __all__ = [
     "Battery",
     "NbIotDevice",
     "Fleet",
-    "FleetArrays",
     "SharedFleet",
     "SharedFleetDescriptor",
     "unlink_descriptor",

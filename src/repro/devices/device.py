@@ -52,10 +52,9 @@ class NbIotDevice:
     ) -> "NbIotDevice":
         """Convenience constructor wiring identity -> DRX configuration."""
         identity = DeviceIdentity(imsi)
-        drx = DrxConfig.negotiated(identity.ue_id, cycle, nb)
         return cls(
             identity=identity,
-            drx=drx,
+            drx=DrxConfig(identity.ue_id, cycle, nb),
             coverage=coverage,
             category=category,
             battery=battery,
@@ -67,12 +66,12 @@ class NbIotDevice:
     @property
     def cycle(self) -> DrxCycle:
         """The device's preferred (negotiated) DRX cycle."""
-        return self.drx.preferred_cycle
+        return self.drx.cycle
 
     @property
     def pattern(self) -> PagingOccasionPattern:
         """Paging pattern under the preferred cycle."""
-        return self.drx.preferred_pattern
+        return self.drx.pattern
 
     @property
     def schedule(self) -> PoSchedule:

@@ -1,154 +1,352 @@
-"""The fleet: an immutable, indexable device collection with NumPy views.
+"""The fleet: one frozen struct-of-arrays, one row per device.
 
-Grouping mechanisms address devices by fleet index (0..n-1). Since the
-columnar inversion the canonical state of a fleet is a
-:class:`~repro.devices.arrays.FleetArrays` struct-of-arrays; the
-vectorised planners consume those columns directly, and
-:class:`NbIotDevice` objects are *views* built lazily from the rows.
-A fleet constructed from a million-row ``FleetArrays`` therefore costs
-~90 MB of flat arrays and zero Python device objects until someone
-actually indexes into it.
+Grouping mechanisms address devices by fleet index (0..n-1). Every
+column of a :class:`Fleet` is a contiguous, read-only NumPy array in a
+**fixed schema**, so a 10^6-device fleet is ~90 MB of flat arrays
+instead of a tuple of a million Python objects — and the whole table
+can be mapped into :mod:`multiprocessing.shared_memory` byte-for-byte
+(see :mod:`repro.devices.sharedmem`).
 
-Fleets built from device objects (tests, hand-rolled examples) keep the
-original objects cached so iteration returns the identical instances;
-fleets built from arrays (the generator, shared-memory attach,
-``subset``) materialise views on demand. Either way the two forms agree:
-a reconstructed view is value-equal to the device that produced the row.
+The planners and executors read the columns directly. Indexing a fleet
+builds :class:`~repro.devices.device.NbIotDevice` *views* of its rows
+on access and never caches them. A row stores exactly what a device
+holds — its DRX configuration is the negotiated one (DA-SC's temporary
+cycle lives in plans, not fleets) — so a view equals the device the row
+was captured from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass, fields
+from fractions import Fraction
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.devices.arrays import COVERAGE_ORDER, FleetArrays
+from repro.devices.battery import Battery
 from repro.devices.device import NbIotDevice
+from repro.devices.identity import MAX_IMSI, DeviceIdentity
+from repro.devices.profiles import DeviceCategory
+from repro.drx.config import DrxConfig
 from repro.drx.cycles import DrxCycle
+from repro.drx.paging import NB, v_paging_frame_offset
 from repro.errors import FleetError
-from repro.phy.coverage import CoverageClass
+from repro.phy.coverage import PROFILES, CoverageClass
+from repro.table import ColumnTable
 
-__all__ = ["COVERAGE_ORDER", "Fleet"]
+#: Coverage classes in the fixed order :attr:`Fleet.coverage_codes`
+#: indexes into (code ``i`` means ``COVERAGE_ORDER[i]``).
+COVERAGE_ORDER: Tuple[CoverageClass, ...] = tuple(CoverageClass)
+
+COVERAGE_CODE: Dict[CoverageClass, int] = {
+    coverage: i for i, coverage in enumerate(COVERAGE_ORDER)
+}
+
+#: Device categories in the fixed order ``category_codes`` indexes into.
+CATEGORY_ORDER: Tuple[DeviceCategory, ...] = tuple(DeviceCategory)
+
+CATEGORY_CODE: Dict[DeviceCategory, int] = {
+    category: i for i, category in enumerate(CATEGORY_ORDER)
+}
+
+_NB_BY_FRACTION: Dict[Fraction, NB] = {member.fraction: member for member in NB}
+
+#: Sustained downlink rate per coverage code (``COVERAGE_ORDER`` order).
+_RATE_BY_CODE = np.array(
+    [PROFILES[coverage].downlink_bps for coverage in COVERAGE_ORDER],
+    dtype=np.float64,
+)
+
+#: The fixed column schema: (field name, dtype). Every column is 8 bytes
+#: per device, which is what makes the shared-memory layout a pure
+#: function of the device count.
+COLUMN_SCHEMA: Tuple[Tuple[str, np.dtype], ...] = (
+    ("imsis", np.dtype(np.int64)),
+    ("periods", np.dtype(np.int64)),
+    ("phases", np.dtype(np.int64)),
+    ("ue_ids", np.dtype(np.int64)),
+    ("coverage_codes", np.dtype(np.int64)),
+    ("category_codes", np.dtype(np.int64)),
+    ("nb_numerators", np.dtype(np.int64)),
+    ("nb_denominators", np.dtype(np.int64)),
+    ("downlink_bps", np.dtype(np.float64)),
+    ("battery_capacity_mah", np.dtype(np.float64)),
+    ("battery_voltage_v", np.dtype(np.float64)),
+)
+
+#: Bytes per device across all columns (8 bytes per column).
+BYTES_PER_DEVICE = 8 * len(COLUMN_SCHEMA)
 
 
-class Fleet:
-    """An ordered, immutable collection of NB-IoT devices."""
+def fleet_nbytes(n_devices: int) -> int:
+    """Canonical single-copy footprint of an ``n_devices`` fleet."""
+    return int(n_devices) * BYTES_PER_DEVICE
 
-    _arrays: FleetArrays
-    _devices_cache: Optional[Tuple[NbIotDevice, ...]]
 
-    def __init__(self, devices: Sequence[NbIotDevice]) -> None:
+def _repeats(values: np.ndarray) -> bool:
+    """Whether any value occurs twice in ``values``.
+
+    A sort and a neighbour compare: on 10^6 distinct int64 values
+    ``np.unique`` (NumPy 2.4) measured ~60x slower than ``np.sort``.
+    """
+    ordered = np.sort(values)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _frozen(column: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Coerce ``column`` to a read-only contiguous array of ``dtype``.
+
+    Arrays that already match (e.g. views over a shared-memory buffer)
+    are passed through without copying — that pass-through is what keeps
+    attached fleets zero-copy.
+    """
+    out = np.ascontiguousarray(column, dtype=dtype)
+    if out.ndim != 1:
+        raise FleetError(f"fleet columns must be 1-D, got shape {out.shape}")
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class Fleet(ColumnTable, SequenceABC):
+    """An ordered, immutable fleet as a frozen struct-of-arrays.
+
+    One row per device; battery columns hold NaN for devices without a
+    battery. As a sequence, the rows read as
+    :class:`~repro.devices.device.NbIotDevice` views built on access.
+    Use :meth:`from_devices` / :meth:`from_columns` to construct; the
+    raw constructor expects every column of the schema, equal-length
+    and non-empty, and trusts the caller that the IMSIs are unique.
+    """
+
+    imsis: np.ndarray
+    periods: np.ndarray
+    phases: np.ndarray
+    ue_ids: np.ndarray
+    coverage_codes: np.ndarray
+    category_codes: np.ndarray
+    nb_numerators: np.ndarray
+    nb_denominators: np.ndarray
+    downlink_bps: np.ndarray
+    battery_capacity_mah: np.ndarray
+    battery_voltage_v: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = None
+        for name, dtype in COLUMN_SCHEMA:
+            column = _frozen(getattr(self, name), dtype)
+            object.__setattr__(self, name, column)
+            if n is None:
+                n = column.size
+            elif column.size != n:
+                raise FleetError(
+                    f"fleet column {name!r} has {column.size} rows, "
+                    f"expected {n}"
+                )
+        if not n:
+            raise FleetError("a fleet must contain at least one device")
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    @classmethod
+    def from_devices(cls, devices: Sequence[NbIotDevice]) -> "Fleet":
+        """Capture the columns of a sequence of device objects.
+
+        Raises :class:`FleetError` when two devices share an IMSI.
+        """
+        devices = tuple(devices)
         if not devices:
             raise FleetError("a fleet must contain at least one device")
-        arrays = FleetArrays.from_devices(devices)
-        arrays.validate_unique_imsis()
-        self._arrays = arrays
-        self._devices_cache = tuple(devices)
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: FleetArrays, *, trusted: bool = False
-    ) -> "Fleet":
-        """Wrap a columnar fleet without materialising any devices.
-
-        ``trusted=True`` skips the duplicate-IMSI rescan — the
-        validate-once contract for columns whose uniqueness is already
-        guaranteed: the generator's without-replacement sampler, an
-        attach to a published shared-memory fleet, or an index slice of
-        either. Untrusted columns (hand-rolled tests, external data)
-        keep the O(n log n) scan. Attach-side workers used to re-pay
-        this scan per task; they now trust the creator's validation.
-        """
-        if not trusted:
-            arrays.validate_unique_imsis()
-        fleet = object.__new__(cls)
-        fleet._arrays = arrays
-        fleet._devices_cache = None
+        nb_fractions = [d.drx.nb.fraction for d in devices]
+        batteries = [d.battery for d in devices]
+        fleet = cls(
+            imsis=np.array([d.identity.imsi for d in devices], np.int64),
+            periods=np.array([int(d.cycle) for d in devices], np.int64),
+            phases=np.array([d.pattern.phase for d in devices], np.int64),
+            ue_ids=np.array([d.drx.ue_id for d in devices], np.int64),
+            coverage_codes=np.array(
+                [COVERAGE_CODE[d.coverage] for d in devices], np.int64
+            ),
+            category_codes=np.array(
+                [CATEGORY_CODE[d.category] for d in devices], np.int64
+            ),
+            nb_numerators=np.array([f.numerator for f in nb_fractions], np.int64),
+            nb_denominators=np.array(
+                [f.denominator for f in nb_fractions], np.int64
+            ),
+            downlink_bps=np.array(
+                [PROFILES[d.coverage].downlink_bps for d in devices], np.float64
+            ),
+            battery_capacity_mah=np.array(
+                [np.nan if b is None else b.capacity_mah for b in batteries],
+                np.float64,
+            ),
+            battery_voltage_v=np.array(
+                [np.nan if b is None else b.voltage_v for b in batteries],
+                np.float64,
+            ),
+        )
+        fleet._check_unique_imsis()
         return fleet
 
-    @property
-    def arrays(self) -> FleetArrays:
-        """The canonical struct-of-arrays behind this fleet (read-only)."""
-        return self._arrays
+    @classmethod
+    def from_columns(
+        cls,
+        *,
+        imsis: np.ndarray,
+        periods: np.ndarray,
+        coverage_codes: np.ndarray,
+        category_codes: np.ndarray,
+        nb: NB = NB.ONE_T,
+        battery: Optional[Battery] = None,
+        out: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> "Fleet":
+        """Build a fleet from its independent columns.
+
+        The derived columns (paging identity, PO phase, ``nB``, downlink
+        rate, battery) are computed vectorised — bit-identical to what
+        per-device construction would produce — so no device object ever
+        exists. ``nb`` and ``battery`` are fleet-wide (the generator's
+        model). The IMSIs must be unique; the caller guarantees it (the
+        generator samples them without replacement), so no scan runs.
+
+        ``out`` supplies writable destination buffers for every schema
+        column (e.g. the column views of a staged
+        :class:`~repro.devices.sharedmem.SharedFleet` segment): the
+        independent draws are copied in once and the derived columns
+        are computed *directly into* the buffers, so the returned fleet
+        is backed by ``out``'s memory and publishing it needs no second
+        88 MB column-by-column copy.
+        """
+        drawn = {
+            name: np.ascontiguousarray(column, np.int64)
+            for name, column in (
+                ("imsis", imsis),
+                ("periods", periods),
+                ("coverage_codes", coverage_codes),
+                ("category_codes", category_codes),
+            )
+        }
+        n = drawn["imsis"].size
+        if not n:
+            raise FleetError("a fleet must contain at least one device")
+        if drawn["imsis"].min() <= 0 or drawn["imsis"].max() > MAX_IMSI:
+            raise FleetError("IMSIs must be positive 15-digit integers")
+        for name, order, what in (
+            ("coverage_codes", COVERAGE_ORDER, "coverage"),
+            ("category_codes", CATEGORY_ORDER, "category"),
+        ):
+            codes = drawn[name]
+            if codes.min() < 0 or codes.max() >= len(order):
+                raise FleetError(f"{what} code out of range")
+        for frames in np.unique(drawn["periods"]).tolist():
+            DrxCycle(frames)  # validates ladder membership
+        if out is None:
+            # Drawn columns pass through; derived ones get fresh buffers.
+            out = {
+                name: drawn[name] if name in drawn else np.empty(n, dtype)
+                for name, dtype in COLUMN_SCHEMA
+            }
+        else:
+            for name, dtype in COLUMN_SCHEMA:
+                dest = out.get(name)
+                if (
+                    dest is None
+                    or dest.shape != (n,)
+                    or dest.dtype != dtype
+                    or not dest.flags.writeable
+                ):
+                    raise FleetError(
+                        f"destination buffer {name!r} must be a writable "
+                        f"({n},) array of {dtype}"
+                    )
+            # Drawn columns pay one copy each (the generator owns their
+            # memory); every derived column lands in its buffer directly.
+            for name, column in drawn.items():
+                np.copyto(out[name], column)
+        np.remainder(out["imsis"], 4096, out=out["ue_ids"])
+        out["phases"][...] = v_paging_frame_offset(out["ue_ids"], out["periods"], nb)
+        out["nb_numerators"][...] = nb.fraction.numerator
+        out["nb_denominators"][...] = nb.fraction.denominator
+        np.take(_RATE_BY_CODE, out["coverage_codes"], out=out["downlink_bps"])
+        out["battery_capacity_mah"][...] = (
+            np.nan if battery is None else battery.capacity_mah
+        )
+        out["battery_voltage_v"][...] = (
+            np.nan if battery is None else battery.voltage_v
+        )
+        return cls(**{name: out[name] for name, _ in COLUMN_SCHEMA})
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["Fleet"]) -> "Fleet":
+        """Row-wise concatenation of several fleets.
+
+        Raises :class:`FleetError` when two rows share an IMSI.
+        """
+        if not parts:
+            raise FleetError("a fleet must contain at least one device")
+        if len(parts) == 1:
+            return parts[0]
+        fleet = cls(
+            **{
+                name: np.concatenate([getattr(p, name) for p in parts])
+                for name, _ in COLUMN_SCHEMA
+            }
+        )
+        fleet._check_unique_imsis()
+        return fleet
+
+    def _check_unique_imsis(self) -> None:
+        if _repeats(self.imsis):
+            raise FleetError("fleet contains duplicate IMSIs")
 
     # ------------------------------------------------------------------
-    # Collection protocol
+    # Shape
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._arrays.n
+        return self.imsis.size
+
+    @property
+    def nbytes(self) -> int:
+        """Total bytes across all columns (the single-copy footprint)."""
+        return fleet_nbytes(len(self))
+
+    def columns(self) -> Iterator[Tuple[str, np.ndarray]]:
+        """``(name, column)`` pairs in schema order."""
+        for name, _ in COLUMN_SCHEMA:
+            yield name, getattr(self, name)
+
+    # ------------------------------------------------------------------
+    # The device-sequence view
+    # ------------------------------------------------------------------
+    def __getitem__(self, index):
+        """The device view of row ``index`` (a tuple of views for a slice).
+
+        Building a view is O(1) and independent of the fleet size, which
+        is what lets a million-device fleet serve ``fleet[i]`` without
+        ever holding a million objects.
+        """
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        row = range(len(self))[index]
+        capacity = float(self.battery_capacity_mah[row])
+        nb = _NB_BY_FRACTION[
+            Fraction(int(self.nb_numerators[row]), int(self.nb_denominators[row]))
+        ]
+        return NbIotDevice(
+            identity=DeviceIdentity(int(self.imsis[row])),
+            drx=DrxConfig(int(self.ue_ids[row]), DrxCycle(int(self.periods[row])), nb),
+            coverage=COVERAGE_ORDER[int(self.coverage_codes[row])],
+            category=CATEGORY_ORDER[int(self.category_codes[row])],
+            battery=None
+            if np.isnan(capacity)
+            else Battery(capacity, float(self.battery_voltage_v[row])),
+        )
 
     def __iter__(self) -> Iterator[NbIotDevice]:
-        if self._devices_cache is not None:
-            return iter(self._devices_cache)
-        return (self._arrays.device_at(i) for i in range(len(self)))
-
-    def __getitem__(self, index: int) -> NbIotDevice:
-        if self._devices_cache is not None:
-            return self._devices_cache[index]
-        n = len(self)
-        i = int(index)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("fleet index out of range")
-        return self._arrays.device_at(i)
-
-    @property
-    def devices(self) -> Tuple[NbIotDevice, ...]:
-        """The devices in fleet order (materialised and cached on demand)."""
-        if self._devices_cache is None:
-            self._devices_cache = tuple(
-                self._arrays.device_at(i) for i in range(len(self))
-            )
-        return self._devices_cache
-
-    # ------------------------------------------------------------------
-    # Pickling: arrays only — device views rebuild lazily on the far side
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> FleetArrays:
-        return self._arrays
-
-    def __setstate__(self, state: FleetArrays) -> None:
-        self._arrays = state
-        self._devices_cache = None
-
-    # ------------------------------------------------------------------
-    # Columnar views (preferred-cycle paging schedules)
-    # ------------------------------------------------------------------
-    @property
-    def phases(self) -> np.ndarray:
-        """Per-device PO phase (frames), under the preferred cycle."""
-        return self._arrays.phases.copy()
-
-    @property
-    def periods(self) -> np.ndarray:
-        """Per-device PO period (frames), under the preferred cycle."""
-        return self._arrays.periods.copy()
-
-    @property
-    def downlink_rates_bps(self) -> np.ndarray:
-        """Per-device sustained downlink rate."""
-        return self._arrays.downlink_bps.copy()
-
-    @property
-    def coverage_codes(self) -> np.ndarray:
-        """Per-device coverage class as an index into :data:`COVERAGE_ORDER`."""
-        return self._arrays.coverage_codes.copy()
-
-    @property
-    def ue_ids(self) -> np.ndarray:
-        """Per-device paging identity (IMSI mod 4096)."""
-        return self._arrays.ue_ids.copy()
-
-    @property
-    def nb_numerators(self) -> np.ndarray:
-        """Numerator of each device's cell ``nB`` fraction (nB = num/den · T)."""
-        return self._arrays.nb_numerators.copy()
-
-    @property
-    def nb_denominators(self) -> np.ndarray:
-        """Denominator of each device's cell ``nB`` fraction."""
-        return self._arrays.nb_denominators.copy()
+        return (self[i] for i in range(len(self)))
 
     # ------------------------------------------------------------------
     # Aggregates
@@ -156,26 +354,16 @@ class Fleet:
     @property
     def max_cycle(self) -> DrxCycle:
         """The longest preferred cycle in the fleet (the paper's maxDRX)."""
-        return DrxCycle(int(self._arrays.periods.max()))
+        return DrxCycle(int(self.periods.max()))
 
     @property
     def min_cycle(self) -> DrxCycle:
         """The shortest preferred cycle in the fleet."""
-        return DrxCycle(int(self._arrays.periods.min()))
-
-    @property
-    def coverages(self) -> List[CoverageClass]:
-        """Coverage class of every device, in fleet order."""
-        return [
-            COVERAGE_ORDER[code]
-            for code in self._arrays.coverage_codes.tolist()
-        ]
+        return DrxCycle(int(self.periods.min()))
 
     def coverage_histogram(self) -> Dict[CoverageClass, int]:
         """Device count per coverage class (every class present as a key)."""
-        counts = np.bincount(
-            self._arrays.coverage_codes, minlength=len(COVERAGE_ORDER)
-        )
+        counts = np.bincount(self.coverage_codes, minlength=len(COVERAGE_ORDER))
         return {
             coverage: int(counts[code])
             for code, coverage in enumerate(COVERAGE_ORDER)
@@ -190,37 +378,23 @@ class Fleet:
         if len(indices) == 0:
             raise FleetError("cannot size a bearer for an empty group")
         idx = self._validated_indices(indices)
-        return float(self._arrays.downlink_bps[idx].min())
+        return float(self.downlink_bps[idx].min())
 
     def subset(self, indices: Sequence[int]) -> "Fleet":
-        """A new fleet containing only the devices at ``indices``.
+        """A new fleet of the rows at ``indices``, in that order.
 
-        The subset is an index-slice over the parent's columns — a
-        handful of fancy-indexing operations per cell in the multi-cell
-        partitioner's inner loop, never a per-device rebuild. When the
-        parent has materialised device objects the subset inherits the
-        identical instances; otherwise it stays fully columnar.
+        One fancy-indexing operation per column — the multi-cell
+        partitioner and the shared-memory cell slice call it per cell,
+        never a per-device rebuild. Raises :class:`FleetError` for an
+        empty selection, an index outside ``[0, len(self))`` or a
+        repeated index (a repeated row would repeat its IMSI).
         """
         idx = self._validated_indices(indices)
         if idx.size == 0:
             raise FleetError("a fleet must contain at least one device")
-        if np.unique(idx).size != idx.size:
-            # Duplicate indices would duplicate IMSIs; same failure mode
-            # the full constructor enforces.
+        if _repeats(idx):
             raise FleetError("fleet contains duplicate IMSIs")
-        fleet = object.__new__(Fleet)
-        fleet._arrays = self._arrays.take(idx)
-        if self._devices_cache is None:
-            fleet._devices_cache = None
-        elif idx.size == 1:
-            fleet._devices_cache = (self._devices_cache[idx[0]],)
-        else:
-            from operator import itemgetter
-
-            fleet._devices_cache = itemgetter(*idx.tolist())(
-                self._devices_cache
-            )
-        return fleet
+        return Fleet(**{name: column[idx] for name, column in self.columns()})
 
     def _validated_indices(self, indices: Sequence[int]) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
@@ -231,8 +405,13 @@ class Fleet:
         return idx
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        cycles = sorted(
-            DrxCycle(int(p)).seconds
-            for p in np.unique(self._arrays.periods).tolist()
-        )
+        cycles = [DrxCycle(p).seconds for p in np.unique(self.periods).tolist()]
         return f"Fleet(n={len(self)}, cycles={cycles})"
+
+
+#: All schema field names (kept in sync with the dataclass by tests).
+COLUMN_NAMES: Tuple[str, ...] = tuple(name for name, _ in COLUMN_SCHEMA)
+
+assert COLUMN_NAMES == tuple(
+    f.name for f in fields(Fleet)
+), "COLUMN_SCHEMA and Fleet fields diverged"

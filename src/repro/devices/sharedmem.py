@@ -1,11 +1,12 @@
 """Zero-copy fleets over POSIX shared memory.
 
-A :class:`SharedFleet` publishes a :class:`FleetArrays` (plus optional
-same-length int64 *extra* columns, e.g. the device→cell attachment map)
-into one ``multiprocessing.shared_memory`` segment. Workers receive a
-:class:`SharedFleetDescriptor` — a ~100-byte picklable handle — and
-attach to the same physical pages instead of unpickling a fleet copy,
-so every worker of a 10^6-device run maps the *same* ~100 MB once.
+A :class:`SharedFleet` publishes a :class:`~repro.devices.fleet.Fleet`
+(plus optional same-length int64 *extra* columns, e.g. the device→cell
+attachment map) into one ``multiprocessing.shared_memory`` segment.
+Workers receive a :class:`SharedFleetDescriptor` — a ~100-byte
+picklable handle — and attach to the same physical pages instead of
+unpickling a fleet copy, so every worker of a 10^6-device run maps the
+*same* ~100 MB once.
 
 Ownership / lifecycle contract (see docs/architecture.md "Memory
 model"):
@@ -40,7 +41,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.devices.arrays import COLUMN_SCHEMA, FleetArrays
+from repro.devices.fleet import COLUMN_SCHEMA, Fleet
 from repro.errors import SimulationError
 
 #: Shared fleet segments are named ``repro_fleet_<hex>`` so the CI shm
@@ -107,14 +108,14 @@ class SharedFleet:
         self._staged = staged
         if staged:
             # A staging segment exposes writable column buffers and no
-            # FleetArrays until seal() publishes the built fleet.
-            self._arrays: Optional[FleetArrays] = None
+            # fleet until seal() publishes the built one.
+            self._fleet: Optional[Fleet] = None
             self._columns, self._extras = _column_views(
                 shm.buf, descriptor, writable_extras=True
             )
         else:
             self._columns, self._extras = _column_views(shm.buf, descriptor)
-            self._arrays = FleetArrays(**self._columns)
+            self._fleet = Fleet(**self._columns)
         # Close-only finalizer: dropping the last reference unmaps the
         # pages in this process but never touches the segment name —
         # only an explicit unlink() (or the creator's resource-tracker
@@ -134,7 +135,7 @@ class SharedFleet:
         :meth:`extra_buffer` expose writable views over the segment so
         a generator can compute the columns directly into shared
         memory, and :meth:`seal` then publishes the result — a header
-        write, not a copy. Until ``seal`` runs, :attr:`arrays` raises.
+        write, not a copy. Until ``seal`` runs, :attr:`fleet` raises.
         """
         if n_devices < 1:
             raise SimulationError(
@@ -161,25 +162,25 @@ class SharedFleet:
         self._require_staged("extra_buffer")
         return self._extras[name]
 
-    def seal(self, arrays: FleetArrays) -> "SharedFleet":
+    def seal(self, fleet: Fleet) -> "SharedFleet":
         """Publish a fleet built inside this staging segment.
 
-        ``arrays`` must be backed by the segment's own column buffers
-        (what :meth:`~repro.devices.arrays.FleetArrays.from_columns`
-        returns when handed :meth:`column_buffers` as ``out``) — seal
-        is a header write: it freezes the extra columns, records the
-        arrays, and flips the segment from staging to published. No
-        column data moves.
+        ``fleet`` must be backed by the segment's own column buffers
+        (what :meth:`~repro.devices.fleet.Fleet.from_columns` returns
+        when handed :meth:`column_buffers` as ``out``) — seal is a
+        header write: it freezes the extra columns, records the fleet,
+        and flips the segment from staging to published. No column data
+        moves.
         """
         self._require_staged("seal")
-        if arrays.n != self._descriptor.n_devices:
+        if len(fleet) != self._descriptor.n_devices:
             raise SimulationError(
-                f"sealed fleet has {arrays.n} devices, segment was "
+                f"sealed fleet has {len(fleet)} devices, segment was "
                 f"allocated for {self._descriptor.n_devices}"
             )
         segment_base = np.frombuffer(self._shm.buf, dtype=np.uint8)
         base_address = segment_base.__array_interface__["data"][0]
-        imsis_address = arrays.imsis.__array_interface__["data"][0]
+        imsis_address = fleet.imsis.__array_interface__["data"][0]
         if imsis_address != base_address:
             raise SimulationError(
                 "seal() requires columns built inside this segment "
@@ -188,7 +189,7 @@ class SharedFleet:
             )
         for view in self._extras.values():
             view.flags.writeable = False
-        self._arrays = arrays
+        self._fleet = fleet
         self._staged = False
         return self
 
@@ -202,10 +203,10 @@ class SharedFleet:
     @classmethod
     def create(
         cls,
-        arrays: FleetArrays,
+        fleet: Fleet,
         extras: Optional[Mapping[str, np.ndarray]] = None,
     ) -> "SharedFleet":
-        """Publish ``arrays`` (and int64 ``extras`` columns) to a new segment.
+        """Publish ``fleet`` (and int64 ``extras`` columns) to a new segment.
 
         The copying path, for fleets that already exist on the heap;
         fleets generated for publication should be built straight into
@@ -214,19 +215,19 @@ class SharedFleet:
         extras = dict(extras or {})
         for name, column in extras.items():
             column = np.ascontiguousarray(column, dtype=np.int64)
-            if column.shape != (arrays.n,):
+            if column.shape != (len(fleet),):
                 raise SimulationError(
                     f"shared-fleet extra {name!r} has shape {column.shape}, "
-                    f"expected ({arrays.n},)"
+                    f"expected ({len(fleet)},)"
                 )
             extras[name] = column
-        staged = cls.allocate(arrays.n, extras=tuple(extras))
+        staged = cls.allocate(len(fleet), extras=tuple(extras))
         buffers = staged.column_buffers()
-        for name, _ in COLUMN_SCHEMA:
-            np.copyto(buffers[name], getattr(arrays, name))
+        for name, column in fleet.columns():
+            np.copyto(buffers[name], column)
         for name, column in extras.items():
             np.copyto(staged.extra_buffer(name), column)
-        return staged.seal(FleetArrays(**buffers))
+        return staged.seal(Fleet(**buffers))
 
     @classmethod
     def attach(
@@ -264,14 +265,14 @@ class SharedFleet:
         return self._descriptor
 
     @property
-    def arrays(self) -> FleetArrays:
-        """The fleet columns as zero-copy views over the segment."""
+    def fleet(self) -> Fleet:
+        """The fleet whose columns are zero-copy views over the segment."""
         if self._staged:
             raise SimulationError(
                 f"shared fleet {self._descriptor.name!r} is still "
-                f"staging: seal() it before reading arrays"
+                f"staging: seal() it before reading the fleet"
             )
-        return self._arrays
+        return self._fleet
 
     def extra(self, name: str) -> np.ndarray:
         """A read-only view of the named extra column."""
@@ -296,7 +297,7 @@ class SharedFleet:
         self._closed = True
         self._staged = False
         self._finalizer.detach()
-        self._arrays = None  # type: ignore[assignment]
+        self._fleet = None  # type: ignore[assignment]
         self._columns = {}
         self._extras = {}
         _close_segment(self._shm)

@@ -1,74 +1,38 @@
 """Per-device DRX configuration.
 
-The configuration couples a cycle (possibly temporarily overridden by the
-eNB, as DA-SC does) with the identity-derived paging pattern. The cycle
-is negotiated at connection time but, as the paper notes (Sec. II-B),
-"the eNB can unilaterally decide on the DRX cycle, which is something
-that can be used to forcibly synchronize the devices".
+The configuration couples the cycle a device negotiated at connection
+time with the identity-derived paging pattern: exactly what one fleet
+row stores. The paper notes (Sec. II-B) that "the eNB can unilaterally
+decide on the DRX cycle, which is something that can be used to
+forcibly synchronize the devices"; DA-SC's temporary cycle is such a
+decision and lives in the plan (its ``adapted_cycle`` column), never in
+the device.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.drx.cycles import DrxCycle
 from repro.drx.paging import NB, PagingOccasionPattern, pattern_for
-from repro.errors import DrxError
 
 
 @dataclass(frozen=True)
 class DrxConfig:
-    """A device's DRX state as the eNB tracks it.
+    """A device's negotiated DRX configuration.
 
     Attributes:
-        ue_id: paging identity (IMSI mod 4096) the patterns derive from.
-        preferred_cycle: the cycle the device negotiated (its long-term,
+        ue_id: paging identity (IMSI mod 4096) the pattern derives from.
+        cycle: the cycle the device negotiated (its long-term,
             battery-budgeted choice).
-        active_cycle: the cycle currently in force; differs from
-            ``preferred_cycle`` only while a DA-SC adaptation is active.
         nb: the cell's ``nB`` paging-density parameter.
     """
 
     ue_id: int
-    preferred_cycle: DrxCycle
-    active_cycle: DrxCycle
+    cycle: DrxCycle
     nb: NB = NB.ONE_T
-
-    @classmethod
-    def negotiated(cls, ue_id: int, cycle: DrxCycle, nb: NB = NB.ONE_T) -> "DrxConfig":
-        """Initial configuration right after attach (active == preferred)."""
-        return cls(ue_id=ue_id, preferred_cycle=cycle, active_cycle=cycle, nb=nb)
-
-    @property
-    def is_adapted(self) -> bool:
-        """True while the eNB has overridden the preferred cycle."""
-        return self.active_cycle != self.preferred_cycle
 
     @property
     def pattern(self) -> PagingOccasionPattern:
-        """Paging pattern under the *active* cycle."""
-        return pattern_for(self.ue_id, self.active_cycle, self.nb)
-
-    @property
-    def preferred_pattern(self) -> PagingOccasionPattern:
-        """Paging pattern under the *preferred* cycle."""
-        return pattern_for(self.ue_id, self.preferred_cycle, self.nb)
-
-    def adapted_to(self, cycle: DrxCycle) -> "DrxConfig":
-        """Configuration after the eNB reconfigures the cycle to ``cycle``.
-
-        DA-SC only ever *shortens* cycles (a shorter ladder value divides
-        the preferred one, so existing POs are preserved); lengthening
-        beyond the preferred cycle is rejected.
-        """
-        if int(cycle) > int(self.preferred_cycle):
-            raise DrxError(
-                f"cannot adapt to {cycle!r}: longer than preferred "
-                f"{self.preferred_cycle!r}"
-            )
-        return replace(self, active_cycle=cycle)
-
-    def restored(self) -> "DrxConfig":
-        """Configuration after the post-multicast restore reconfiguration."""
-        return replace(self, active_cycle=self.preferred_cycle)
+        """Paging pattern under the negotiated cycle."""
+        return pattern_for(self.ue_id, self.cycle, self.nb)

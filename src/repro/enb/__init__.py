@@ -1,4 +1,4 @@
-"""eNB-side substrate: cell configuration, paging channel, scheduler, bearers.
+"""eNB-side substrate: cell configuration, paging channel, scheduler, arbiter.
 
 The evolved NodeB (eNB) is the single coordinator in the paper's setting
 ("a single eNB scenario serving a large number of NB-IoT devices",
@@ -17,7 +17,6 @@ from repro.enb.scheduler import (
     UtilizationReport,
 )
 from repro.enb.arbiter import Admission, CapacityArbiter
-from repro.enb.bearer import MulticastBearer
 
 __all__ = [
     "CellConfig",
@@ -29,5 +28,4 @@ __all__ = [
     "CarrierOccupancy",
     "Admission",
     "CapacityArbiter",
-    "MulticastBearer",
 ]

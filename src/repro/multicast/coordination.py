@@ -161,7 +161,7 @@ def partition_fleet(
         # Full per-cell reconstruction, as the original implementation
         # did (the benchmark baseline the vectorised subset replaces).
         return {
-            cell_id: Fleet([fleet[i] for i in indices])
+            cell_id: Fleet.from_devices([fleet[i] for i in indices])
             for cell_id, indices in cells.items()
         }
     return {

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
 from repro.core.plan import MulticastPlan, PlanRevision, plan_pages, revise_plan
-from repro.devices.arrays import FleetArrays
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.enb.cell import CellConfig
@@ -200,13 +199,8 @@ class OnDemandMulticastService:
             # Columnar append: concatenate the joiners' rows onto the
             # working fleet's arrays instead of rebuilding the whole
             # device list (the working fleet may be large and lazy).
-            working = Fleet.from_arrays(
-                FleetArrays.concatenate(
-                    [
-                        pending.fleet.arrays,
-                        FleetArrays.from_devices(tuple(joined_devices)),
-                    ]
-                )
+            working = Fleet.concatenate(
+                [pending.fleet, Fleet.from_devices(joined_devices)]
             )
         else:
             working = pending.fleet

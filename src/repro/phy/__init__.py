@@ -12,11 +12,9 @@ from repro.phy.coverage import CoverageClass, CoverageProfile, PROFILES
 from repro.phy.airtime import (
     AirtimeModel,
     DEFAULT_AIRTIME_MODEL,
-    group_data_rate_bps,
     payload_airtime_frames,
     payload_airtime_seconds,
 )
-from repro.phy.npdsch import COVERAGE_NPDSCH, NpdschConfig, sustained_rate_for
 
 __all__ = [
     "CoverageClass",
@@ -26,8 +24,4 @@ __all__ = [
     "DEFAULT_AIRTIME_MODEL",
     "payload_airtime_frames",
     "payload_airtime_seconds",
-    "group_data_rate_bps",
-    "NpdschConfig",
-    "COVERAGE_NPDSCH",
-    "sustained_rate_for",
 ]

@@ -10,10 +10,8 @@ every mechanism and baseline uses identical timing assumptions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import ConfigurationError
-from repro.phy.coverage import PROFILES, CoverageClass
 from repro.timebase import bits_of, ms_to_frames
 
 
@@ -105,16 +103,3 @@ def payload_airtime_seconds(payload_bytes: int, rate_bps: float) -> float:
         raise ConfigurationError(f"rate must be positive, got {rate_bps}")
     return bits_of(payload_bytes) / rate_bps
 
-
-def group_data_rate_bps(coverages: Iterable[CoverageClass]) -> float:
-    """Multicast bearer rate for a device group.
-
-    The on-demand scheme sets up "a generic multicast bearer based on the
-    capabilities of the devices that will use it" (paper Sec. II-A): the
-    bearer must be decodable by the worst device, so the group rate is
-    the minimum over the members' coverage classes.
-    """
-    rates = [PROFILES[c].downlink_bps for c in coverages]
-    if not rates:
-        raise ConfigurationError("cannot size a bearer for an empty group")
-    return min(rates)

@@ -3,9 +3,6 @@
 This package provides the control-plane vocabulary the grouping
 mechanisms speak:
 
-* message dataclasses (:mod:`repro.rrc.messages`) — RRC connection
-  messages including the new ``multicastReception`` establishment cause
-  (a DR-SI novelty, Sec. III-C);
 * the random access timing model with optional contention failures
   (:mod:`repro.rrc.random_access`);
 * composite procedure durations — connection setup, the DA-SC
@@ -13,13 +10,6 @@ mechanisms speak:
 * the DR-SI ``T322`` wake-up timer (:mod:`repro.rrc.timers`).
 """
 
-from repro.rrc.messages import (
-    EstablishmentCause,
-    RrcConnectionReconfiguration,
-    RrcConnectionRelease,
-    RrcConnectionRequest,
-    RrcConnectionSetup,
-)
 from repro.rrc.random_access import RandomAccessModel, RandomAccessOutcome
 from repro.rrc.nprach import (
     NprachConfig,
@@ -31,11 +21,6 @@ from repro.rrc.procedures import ProcedureTimings
 from repro.rrc.timers import T322Timer
 
 __all__ = [
-    "EstablishmentCause",
-    "RrcConnectionRequest",
-    "RrcConnectionSetup",
-    "RrcConnectionReconfiguration",
-    "RrcConnectionRelease",
     "RandomAccessModel",
     "RandomAccessOutcome",
     "NprachConfig",

@@ -252,11 +252,10 @@ def _adaptation(fleet: Fleet, plan: MulticastPlan) -> Dict[str, Any]:
         return {}
     device = columns.device[adapted]
     cycle = columns.adapted_cycle[adapted]
-    arrays = fleet.arrays
     phase = v_paging_frame_offset(
-        arrays.ue_ids[device],
+        fleet.ue_ids[device],
         cycle,
-        (arrays.nb_numerators[device], arrays.nb_denominators[device]),
+        (fleet.nb_numerators[device], fleet.nb_denominators[device]),
     )
     extra_pos = v_count_in(
         phase,
@@ -512,7 +511,7 @@ def _fused_cell_task(
         indices = np.flatnonzero(
             shared.extra("attachments") == payload.cell_id
         )
-        fleet = Fleet.from_arrays(shared.arrays.take(indices), trusted=True)
+        fleet = shared.fleet.subset(indices)
     (summary,) = _run_cell(fleet, payload.spec, rng, payload.cell_id, timer)
     return summary
 
@@ -616,7 +615,7 @@ def _fused_run_task(
                 staged.extra_buffer("attachments"),
                 np.asarray(attachments, dtype=np.int64),
             )
-            shared = staged.seal(fleet.arrays)
+            shared = staged.seal(fleet)
     except BaseException:
         if staged is not None:
             staged.unlink()

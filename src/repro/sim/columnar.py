@@ -96,10 +96,9 @@ def execute_columnar(
     is_da = method == _ADAPTATION
     is_ept = method == _EXTENDED
 
-    arrays = fleet.arrays
-    phases = arrays.phases[dev]
-    periods = arrays.periods[dev]
-    coverage_codes = arrays.coverage_codes[dev]
+    phases = fleet.phases[dev]
+    periods = fleet.periods[dev]
+    coverage_codes = fleet.coverage_codes[dev]
 
     # ------------------------------------------------------------------
     # Phase 1: readiness and pre-transmission charges.
@@ -197,9 +196,9 @@ def execute_columnar(
     if np.any(is_da):
         da = np.nonzero(is_da)[0]
         adapted_phase = v_paging_frame_offset(
-            arrays.ue_ids[dev[da]],
+            fleet.ue_ids[dev[da]],
             adapt_cycle[da],
-            (arrays.nb_numerators[dev[da]], arrays.nb_denominators[dev[da]]),
+            (fleet.nb_numerators[dev[da]], fleet.nb_denominators[dev[da]]),
         )
         da_count = v_count_in(phases[da], periods[da], announce, adapt_frame[da])
         da_count += v_count_in(

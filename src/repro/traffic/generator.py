@@ -12,9 +12,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.devices.arrays import CATEGORY_CODE, FleetArrays
 from repro.devices.battery import Battery
-from repro.devices.fleet import Fleet
+from repro.devices.fleet import CATEGORY_CODE, Fleet
 from repro.drx.paging import NB
 from repro.errors import ConfigurationError
 from repro.phy.coverage import CoverageClass
@@ -132,7 +131,7 @@ class CoverageMix:
         Identical RNG stream to :meth:`sample` — drawing indices instead
         of enum members skips the object array entirely. The index order
         matches the ``CoverageClass`` declaration order, which is the
-        canonical code order of :data:`repro.devices.arrays.COVERAGE_ORDER`.
+        canonical code order of :data:`repro.devices.fleet.COVERAGE_ORDER`.
         """
         probs = np.array([self.normal, self.robust, self.extreme])
         return np.asarray(
@@ -167,7 +166,7 @@ def generate_fleet(
     the golden-pinned sizes, O(n) rejection sampling beyond them.
 
     The fleet is built columnar-first: the sampled draws land directly
-    in a :class:`FleetArrays` (paging phases derived vectorised) and no
+    in the :class:`Fleet` columns (paging phases derived vectorised) and no
     device object is ever instantiated, so generating 10^6 devices costs
     flat arrays rather than a million frozen dataclasses. When ``out``
     supplies writable destination buffers (one per schema column — e.g.
@@ -186,7 +185,7 @@ def generate_fleet(
         [CATEGORY_CODE[category] for category in mixture.categories],
         dtype=np.int64,
     )
-    arrays = FleetArrays.from_columns(
+    return Fleet.from_columns(
         imsis=imsis,
         periods=periods,
         coverage_codes=coverage_codes,
@@ -195,4 +194,3 @@ def generate_fleet(
         battery=battery,
         out=out,
     )
-    return Fleet.from_arrays(arrays, trusted=True)

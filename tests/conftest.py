@@ -24,7 +24,7 @@ def rng() -> np.random.Generator:
 def tiny_fleet() -> Fleet:
     """Five hand-built devices with mixed cycles (fully deterministic)."""
     cycles = [20.48, 40.96, 163.84, 1310.72, 10485.76]
-    return Fleet(
+    return Fleet.from_devices(
         [
             NbIotDevice.build(
                 imsi=234_150_000_000_100 + 37 * i,

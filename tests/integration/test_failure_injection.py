@@ -75,7 +75,7 @@ class TestPagingOverflow:
             NbIotDevice.build(imsi=4096 * k + 99, cycle=DrxCycle(2048))
             for k in range(1, 5)
         ]
-        fleet = Fleet(devices)
+        fleet = Fleet.from_devices(devices)
         plan = DrScMechanism().plan(
             fleet, PlanningContext(payload_bytes=100_000), rng
         )

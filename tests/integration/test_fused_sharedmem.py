@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.devices import Fleet, SharedFleet
+from repro.devices import SharedFleet
 from repro.multicast.coordination import MultiCellSpec, attach_devices
 from repro.scenarios import run_scenario, scenario
 from repro.scenarios.runner import (
@@ -38,7 +38,7 @@ def _shared_fleet(n=24, seed=9, n_cells=4):
         len(fleet), MultiCellSpec(n_cells=n_cells), rng
     )
     return SharedFleet.create(
-        fleet.arrays,
+        fleet,
         extras={"attachments": np.asarray(attachments, dtype=np.int64)},
     )
 
@@ -78,9 +78,9 @@ class TestAttachCache:
             # The oldest mapping was closed (its views are gone) but
             # the segment itself survives for other workers.
             assert fleets[0].descriptor.name not in _ATTACH_CACHE
-            assert mapped[0].arrays is None
+            assert mapped[0].fleet is None
             reattached = _attached_fleet(fleets[0].descriptor)
-            assert reattached.arrays.equals(fleets[0].arrays)
+            assert reattached.fleet == fleets[0].fleet
         finally:
             _reset_attach_cache()
             for f in fleets:
@@ -140,7 +140,7 @@ class TestConstantSizeIpc:
             for cell_id in np.unique(attachments).tolist():
                 mapped = _attached_fleet(shared.descriptor)
                 indices = np.flatnonzero(attachments == cell_id)
-                sub = Fleet.from_arrays(mapped.arrays.take(indices))
+                sub = mapped.fleet.subset(indices)
                 assert len(sub) == int((attachments == cell_id).sum())
             assert _ATTACH_STATS["attaches"] == 1
         finally:

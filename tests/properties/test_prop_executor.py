@@ -29,7 +29,7 @@ def fleets(draw):
             unique=True,
         )
     )
-    return Fleet(
+    return Fleet.from_devices(
         [
             NbIotDevice.build(
                 imsi=imsi, cycle=DrxCycle(draw(st.sampled_from(cycle_choices)))

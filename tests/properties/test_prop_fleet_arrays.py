@@ -1,18 +1,17 @@
 """Round-trip properties of the columnar fleet representation.
 
-For arbitrary well-formed fleets, the three representations — device
-objects, ``FleetArrays`` columns, and ``Fleet`` views — must convert
-into each other losslessly, and index-slicing must commute with the
+For arbitrary well-formed fleets, device objects and ``Fleet`` columns
+must convert into each other losslessly (a row view equals the device
+it was captured from), and index-slicing must commute with the
 conversions. These are the invariants that make the columnar form
-*canonical*: anything provable about the arrays holds for the views.
+*canonical*: anything provable about the columns holds for the views.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices import Battery, Fleet, FleetArrays, NbIotDevice
-from repro.devices.arrays import CATEGORY_ORDER, COVERAGE_ORDER
+from repro.devices import Battery, Fleet, NbIotDevice
+from repro.devices.fleet import CATEGORY_ORDER, COVERAGE_ORDER
 from repro.devices.identity import DeviceIdentity
 from repro.drx.config import DrxConfig
 from repro.drx.cycles import FULL_LADDER
@@ -36,12 +35,7 @@ def device_rows(draw):
         )
     return NbIotDevice(
         identity=DeviceIdentity(imsi),
-        drx=DrxConfig(
-            ue_id=imsi % 4096,
-            preferred_cycle=cycle,
-            active_cycle=cycle,
-            nb=nb,
-        ),
+        drx=DrxConfig(ue_id=imsi % 4096, cycle=cycle, nb=nb),
         coverage=draw(st.sampled_from(COVERAGE_ORDER)),
         category=draw(st.sampled_from(CATEGORY_ORDER)),
         battery=battery,
@@ -61,27 +55,24 @@ def fleets(draw, max_size=60):
     return tuple(devices)
 
 
-class TestFleetArraysRoundTrip:
+class TestFleetRoundTrip:
     @given(fleets())
     @settings(max_examples=60, deadline=None)
     def test_arrays_fleet_arrays_is_identity(self, devices):
-        arrays = FleetArrays.from_devices(devices)
-        fleet = Fleet.from_arrays(arrays)
-        assert FleetArrays.from_devices(tuple(fleet.devices)).equals(
-            arrays
-        )
+        fleet = Fleet.from_devices(devices)
+        assert Fleet.from_devices(tuple(fleet)) == fleet
 
     @given(fleets())
     @settings(max_examples=60, deadline=None)
     def test_device_views_match_source_objects(self, devices):
-        fleet = Fleet.from_arrays(FleetArrays.from_devices(devices))
+        fleet = Fleet.from_devices(devices)
         assert len(fleet) == len(devices)
         assert tuple(fleet) == devices
 
     @given(fleets(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_take_commutes_with_subset(self, devices, data):
-        fleet = Fleet.from_arrays(FleetArrays.from_devices(devices))
+        fleet = Fleet.from_devices(devices)
         indices = data.draw(
             st.lists(
                 st.integers(min_value=0, max_value=len(devices) - 1),
@@ -91,7 +82,5 @@ class TestFleetArraysRoundTrip:
             )
         )
         sub = fleet.subset(indices)
-        assert sub.arrays.equals(
-            fleet.arrays.take(np.asarray(indices, dtype=np.int64))
-        )
+        assert sub == Fleet.from_devices([devices[i] for i in indices])
         assert tuple(sub) == tuple(devices[i] for i in indices)

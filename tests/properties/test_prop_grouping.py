@@ -46,7 +46,7 @@ def fleets(draw, max_devices=16, cycle_choices=(2048, 4096, 16384, 131072)):
         )
         for imsi in imsis
     ]
-    return Fleet(devices)
+    return Fleet.from_devices(devices)
 
 
 contexts = st.builds(

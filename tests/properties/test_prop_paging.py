@@ -68,7 +68,7 @@ def crowded_fleets(draw, max_devices=16):
             cycle = draw(st.sampled_from(edrx if i == 0 else list(FULL_LADDER)))
         nb = fleet_nb if fleet_nb is not None else draw(st.sampled_from(list(NB)))
         devices.append(NbIotDevice.build(imsi=imsi, cycle=cycle, nb=nb))
-    return Fleet(devices)
+    return Fleet.from_devices(devices)
 
 
 def _plan(fleet, mechanism, seed):
@@ -130,7 +130,7 @@ def test_crowded_po_overflows_a_small_cap(mechanism):
         NbIotDevice.build(imsi=4096 * (k + 1) + 7 + 1024 * (k % 4), cycle=DrxCycle(1024))
         for k in range(8)
     ]
-    fleet = Fleet(devices)
+    fleet = Fleet.from_devices(devices)
     plan = _plan(fleet, mechanism, seed=0)
     folded = paging_load(plan_pages(fleet, plan), 2)
     assert folded.has_overflow

@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.core.base import PlanningContext
 from repro.core.plan import PLAN_COLUMNS, PlanArrays, revise_plan
-from repro.devices.arrays import FleetArrays
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER
@@ -71,7 +70,7 @@ def fleets(draw, max_devices=14):
         )
         for imsi, cycle in zip(imsis, cycles)
     ]
-    return Fleet(devices)
+    return Fleet.from_devices(devices)
 
 
 @st.composite
@@ -230,7 +229,7 @@ COLUMN_CORRUPTIONS = (
 def _corrupt_column(plan, fleet, rng):
     name, change = COLUMN_CORRUPTIONS[int(rng.integers(len(COLUMN_CORRUPTIONS)))]
     row = int(rng.integers(len(plan.columns)))
-    period = int(fleet.arrays.periods[plan.columns.device[row]])
+    period = int(fleet.periods[plan.columns.device[row]])
     column = getattr(plan.columns, name).copy()
     column[row] = change(int(column[row]), period, rng)
     return {name: column}, plan.transmissions
@@ -334,11 +333,7 @@ class TestMembershipThroughRevisions:
                 for j in range(data.draw(st.integers(min_value=0, max_value=2)))
             ]
             if joiners:
-                working = Fleet.from_arrays(
-                    FleetArrays.concatenate(
-                        [working.arrays, FleetArrays.from_devices(tuple(joiners))]
-                    )
-                )
+                working = Fleet.concatenate([working, Fleet.from_devices(joiners)])
             revision = revise_plan(
                 plan,
                 working,

@@ -36,7 +36,7 @@ def fleets(draw):
         )
         for imsi in imsis
     ]
-    return Fleet(devices)
+    return Fleet.from_devices(devices)
 
 
 contexts = st.builds(

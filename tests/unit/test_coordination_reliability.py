@@ -76,7 +76,7 @@ class TestPartition:
         )
         assert set(reference) == set(fast)
         for cell_id in reference:
-            assert reference[cell_id].devices == fast[cell_id].devices
+            assert reference[cell_id] == fast[cell_id]
 
     def test_unknown_method_rejected(self, rng):
         with pytest.raises(ConfigurationError):
@@ -104,18 +104,9 @@ class TestPartition:
         fleet = generate_fleet(50, MODERATE_EDRX_MIXTURE, rng)
         indices = [4, 7, 23, 41]
         sub = fleet.subset(indices)
-        rebuilt = type(fleet)([fleet[i] for i in indices])
-        np.testing.assert_array_equal(sub.phases, rebuilt.phases)
-        np.testing.assert_array_equal(sub.periods, rebuilt.periods)
-        np.testing.assert_array_equal(sub.ue_ids, rebuilt.ue_ids)
-        np.testing.assert_array_equal(sub.coverage_codes, rebuilt.coverage_codes)
-        np.testing.assert_array_equal(
-            sub.downlink_rates_bps, rebuilt.downlink_rates_bps
-        )
-        np.testing.assert_array_equal(sub.nb_numerators, rebuilt.nb_numerators)
-        np.testing.assert_array_equal(
-            sub.nb_denominators, rebuilt.nb_denominators
-        )
+        rebuilt = type(fleet).from_devices([fleet[i] for i in indices])
+        for name, column in sub.columns():
+            np.testing.assert_array_equal(column, getattr(rebuilt, name))
 
     def test_subset_rejects_empty_and_duplicates(self, rng):
         fleet = generate_fleet(10, MODERATE_EDRX_MIXTURE, rng)

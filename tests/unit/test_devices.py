@@ -8,9 +8,8 @@ from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
-from repro.drx.config import DrxConfig
 from repro.drx.cycles import DrxCycle
-from repro.errors import ConfigurationError, DrxError, FleetError
+from repro.errors import ConfigurationError, FleetError
 from repro.phy.coverage import CoverageClass
 
 
@@ -27,32 +26,6 @@ class TestIdentity:
 
     def test_str_is_padded(self):
         assert str(DeviceIdentity(imsi=42)) == "imsi-000000000000042"
-
-
-class TestDrxConfig:
-    def test_negotiated_starts_unadapted(self):
-        config = DrxConfig.negotiated(7, DrxCycle.from_seconds(40.96))
-        assert not config.is_adapted
-        assert config.active_cycle == config.preferred_cycle
-
-    def test_adaptation_and_restore(self):
-        config = DrxConfig.negotiated(7, DrxCycle.from_seconds(40.96))
-        adapted = config.adapted_to(DrxCycle.from_seconds(20.48))
-        assert adapted.is_adapted
-        restored = adapted.restored()
-        assert not restored.is_adapted
-        assert restored == config
-
-    def test_cannot_adapt_longer(self):
-        config = DrxConfig.negotiated(7, DrxCycle.from_seconds(20.48))
-        with pytest.raises(DrxError):
-            config.adapted_to(DrxCycle.from_seconds(40.96))
-
-    def test_pattern_follows_active_cycle(self):
-        config = DrxConfig.negotiated(7, DrxCycle.from_seconds(40.96))
-        adapted = config.adapted_to(DrxCycle.from_seconds(20.48))
-        assert int(adapted.pattern.cycle) == 2048
-        assert int(adapted.preferred_pattern.cycle) == 4096
 
 
 class TestDevice:
@@ -103,22 +76,22 @@ class TestFleet:
         ]
 
     def test_len_iter_getitem(self):
-        fleet = Fleet(self._devices())
+        fleet = Fleet.from_devices(self._devices())
         assert len(fleet) == 4
         assert fleet[0].identity.imsi == 1000
         assert [d.identity.imsi for d in fleet] == [1000, 1001, 1002, 1003]
 
     def test_rejects_empty(self):
         with pytest.raises(FleetError):
-            Fleet([])
+            Fleet.from_devices([])
 
     def test_rejects_duplicate_imsi(self):
         device = NbIotDevice.build(imsi=5, cycle=DrxCycle(2048))
         with pytest.raises(FleetError):
-            Fleet([device, device])
+            Fleet.from_devices([device, device])
 
     def test_columnar_views_match_devices(self):
-        fleet = Fleet(self._devices())
+        fleet = Fleet.from_devices(self._devices())
         np.testing.assert_array_equal(
             fleet.phases, [d.pattern.phase for d in fleet]
         )
@@ -126,14 +99,13 @@ class TestFleet:
             fleet.periods, [int(d.cycle) for d in fleet]
         )
 
-    def test_views_are_copies(self):
-        fleet = Fleet(self._devices())
-        phases = fleet.phases
-        phases[0] = -99
-        assert fleet.phases[0] != -99
+    def test_columns_are_read_only(self):
+        fleet = Fleet.from_devices(self._devices())
+        with pytest.raises(ValueError):
+            fleet.phases[0] = -99
 
     def test_max_min_cycle(self):
-        fleet = Fleet(self._devices())
+        fleet = Fleet.from_devices(self._devices())
         assert int(fleet.max_cycle) == max(int(d.cycle) for d in fleet)
         assert int(fleet.min_cycle) == min(int(d.cycle) for d in fleet)
 
@@ -144,23 +116,23 @@ class TestFleet:
                 imsi=2, cycle=DrxCycle(2048), coverage=CoverageClass.ROBUST
             ),
         ]
-        fleet = Fleet(devices)
+        fleet = Fleet.from_devices(devices)
         assert fleet.group_rate_bps([0]) == 25000.0
         assert fleet.group_rate_bps([0, 1]) == 10000.0
 
     def test_group_rate_rejects_empty(self):
-        fleet = Fleet(self._devices())
+        fleet = Fleet.from_devices(self._devices())
         with pytest.raises(FleetError):
             fleet.group_rate_bps([])
 
     def test_subset(self):
-        fleet = Fleet(self._devices())
+        fleet = Fleet.from_devices(self._devices())
         sub = fleet.subset([1, 3])
         assert len(sub) == 2
         assert sub[0].identity.imsi == 1001
 
     def test_bad_index_rejected(self):
-        fleet = Fleet(self._devices())
+        fleet = Fleet.from_devices(self._devices())
         with pytest.raises(FleetError):
             fleet.subset([99])
 

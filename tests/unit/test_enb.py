@@ -1,4 +1,4 @@
-"""Unit tests for the eNB substrate: cell, paging channel, scheduler, bearer."""
+"""Unit tests for the eNB substrate: cell, paging channel, scheduler."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,10 @@ from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER
 from repro.drx.paging import NB
-from repro.enb.bearer import MulticastBearer
 from repro.enb.cell import CellConfig
 from repro.enb.paging_channel import PagingLoadReport, paging_load
 from repro.enb.scheduler import DownlinkScheduler
 from repro.errors import ConfigurationError
-from repro.phy.coverage import CoverageClass
 
 
 class TestCellConfig:
@@ -113,31 +111,11 @@ class TestScheduler:
             DownlinkScheduler().utilization([0, 10], [5, 0], horizon_frames=100)
 
 
-class TestBearer:
-    def test_for_group_uses_worst_device(self):
-        bearer = MulticastBearer.for_group(
-            [CoverageClass.NORMAL, CoverageClass.ROBUST]
-        )
-        assert bearer.rate_bps == 10_000.0
-        assert bearer.group_size == 2
-
-    def test_airtime(self):
-        bearer = MulticastBearer(rate_bps=25_000.0, group_size=3)
-        assert bearer.airtime_seconds(100_000) == pytest.approx(32.0)
-        assert bearer.airtime_frames(100_000) == 3200
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            MulticastBearer(rate_bps=0, group_size=1)
-        with pytest.raises(ConfigurationError):
-            MulticastBearer(rate_bps=1000, group_size=0)
-
-
 def _ladder_fleet(nb):
     # Every ladder cycle (eDRX included), one nB per fleet or (None) a
     # different nB per device.
     nbs = [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T]
-    return Fleet(
+    return Fleet.from_devices(
         [
             NbIotDevice.build(
                 imsi=1000 + 37 * i,

@@ -1,10 +1,10 @@
-"""The columnar fleet representation and its device-view contract.
+"""The columnar fleet and its device-view contract.
 
-``FleetArrays`` is the canonical fleet; ``Fleet`` is a lazy view layer
-over it. These tests pin the invariants the inversion rests on: exact
-round-trips between objects and columns, vectorised derivations
-bit-identical to their scalar references, and the cheap-pickle /
-index-slice behaviours the shared-memory path builds on.
+A ``Fleet`` is one frozen struct-of-arrays whose rows read as device
+views built on access. These tests pin the invariants the columnar form
+rests on: exact round-trips between objects and columns, vectorised
+derivations bit-identical to their scalar references, and the
+cheap-pickle / index-slice behaviours the shared-memory path builds on.
 """
 
 import pickle
@@ -12,8 +12,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.devices import Battery, Fleet, FleetArrays, NbIotDevice
-from repro.devices.arrays import (
+from repro.devices import Battery, Fleet, NbIotDevice
+from repro.devices.fleet import (
     BYTES_PER_DEVICE,
     CATEGORY_CODE,
     CATEGORY_ORDER,
@@ -48,12 +48,7 @@ def _device(imsi, frames=256, coverage=CoverageClass.NORMAL, battery=None):
     cycle = DrxCycle(frames)
     return NbIotDevice(
         identity=DeviceIdentity(imsi),
-        drx=DrxConfig(
-            ue_id=imsi % 4096,
-            preferred_cycle=cycle,
-            active_cycle=cycle,
-            nb=NB.ONE_T,
-        ),
+        drx=DrxConfig(ue_id=imsi % 4096, cycle=cycle, nb=NB.ONE_T),
         coverage=coverage,
         category=DeviceCategory.SMART_METER,
         battery=battery,
@@ -62,18 +57,15 @@ def _device(imsi, frames=256, coverage=CoverageClass.NORMAL, battery=None):
 
 class TestRoundTrips:
     def test_devices_to_arrays_to_devices_is_identity(self):
-        devices = tuple(_fleet(25).devices)
-        arrays = FleetArrays.from_devices(devices)
-        rebuilt = tuple(arrays.device_at(i) for i in range(arrays.n))
+        devices = tuple(_fleet(25))
+        rebuilt = tuple(Fleet.from_devices(devices))
         assert rebuilt == devices
 
     def test_arrays_to_fleet_to_arrays_is_identity(self):
-        arrays = _fleet(30).arrays
-        fleet = Fleet.from_arrays(arrays)
+        fleet = _fleet(30)
         # Materialising the device views and re-capturing their columns
-        # lands back on the exact same arrays.
-        recaptured = FleetArrays.from_devices(tuple(fleet.devices))
-        assert recaptured.equals(arrays)
+        # lands back on the exact same columns.
+        assert Fleet.from_devices(tuple(fleet)) == fleet
 
     def test_battery_sentinel_round_trips(self):
         battery = Battery(capacity_mah=1200.0, voltage_v=3.6)
@@ -81,16 +73,25 @@ class TestRoundTrips:
             _device(1111, battery=battery),
             _device(2222, battery=None),
         )
-        arrays = FleetArrays.from_devices(devices)
-        assert arrays.battery_at(0) == battery
-        assert arrays.battery_at(1) is None
-        assert np.isnan(arrays.battery_capacity_mah[1])
+        fleet = Fleet.from_devices(devices)
+        assert fleet[0].battery == battery
+        assert fleet[1].battery is None
+        assert np.isnan(fleet.battery_capacity_mah[1])
+        # NaN battery slots compare equal: a fleet equals its clone.
+        assert fleet == Fleet.from_devices(devices)
 
     def test_fleet_pickle_round_trips_via_arrays(self):
         fleet = _fleet(50)
         clone = pickle.loads(pickle.dumps(fleet))
-        assert clone.arrays.equals(fleet.arrays)
-        assert tuple(clone.devices) == tuple(fleet.devices)
+        assert clone == fleet
+        assert tuple(clone) == tuple(fleet)
+
+    def test_unpickled_columns_are_read_only(self):
+        clone = pickle.loads(pickle.dumps(_fleet(20)))
+        for name in COLUMN_NAMES:
+            assert not getattr(clone, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            clone.phases[0] = 1
 
     def test_fleet_pickle_is_columnar_sized(self):
         # The pickle carries the arrays, never the device objects: it
@@ -106,7 +107,7 @@ class TestFromColumns:
         periods = np.array([256, 512, 256, 1024], dtype=np.int64)
         coverage_codes = np.array([0, 1, 2, 0], dtype=np.int64)
         category_codes = np.full(4, CATEGORY_CODE[DeviceCategory.SMART_METER])
-        arrays = FleetArrays.from_columns(
+        fleet = Fleet.from_columns(
             imsis=imsis,
             periods=periods,
             coverage_codes=coverage_codes,
@@ -118,11 +119,11 @@ class TestFromColumns:
                 frames=int(periods[i]),
                 coverage=COVERAGE_ORDER[int(coverage_codes[i])],
             )
-            assert arrays.device_at(i) == expected
+            assert fleet[i] == expected
 
     def test_rejects_bad_imsi(self):
         with pytest.raises(FleetError, match="IMSI"):
-            FleetArrays.from_columns(
+            Fleet.from_columns(
                 imsis=np.array([0], dtype=np.int64),
                 periods=np.array([256], dtype=np.int64),
                 coverage_codes=np.zeros(1, dtype=np.int64),
@@ -131,7 +132,7 @@ class TestFromColumns:
 
     def test_rejects_bad_coverage_code(self):
         with pytest.raises(FleetError, match="coverage code"):
-            FleetArrays.from_columns(
+            Fleet.from_columns(
                 imsis=np.array([1001], dtype=np.int64),
                 periods=np.array([256], dtype=np.int64),
                 coverage_codes=np.array([len(COVERAGE_ORDER)], np.int64),
@@ -140,7 +141,7 @@ class TestFromColumns:
 
     def test_rejects_off_ladder_period(self):
         with pytest.raises(Exception):
-            FleetArrays.from_columns(
+            Fleet.from_columns(
                 imsis=np.array([1001], dtype=np.int64),
                 periods=np.array([257], dtype=np.int64),
                 coverage_codes=np.zeros(1, dtype=np.int64),
@@ -149,7 +150,7 @@ class TestFromColumns:
 
     def test_rejects_empty(self):
         with pytest.raises(FleetError, match="at least one device"):
-            FleetArrays.from_columns(
+            Fleet.from_columns(
                 imsis=np.array([], dtype=np.int64),
                 periods=np.array([], dtype=np.int64),
                 coverage_codes=np.array([], dtype=np.int64),
@@ -159,39 +160,56 @@ class TestFromColumns:
 
 class TestShapeAndSlicing:
     def test_take_then_concatenate_restores_rows(self):
-        arrays = _fleet(20).arrays
-        left = arrays.take(np.arange(0, 8))
-        right = arrays.take(np.arange(8, 20))
-        assert FleetArrays.concatenate([left, right]).equals(arrays)
+        fleet = _fleet(20)
+        left = fleet.subset(np.arange(0, 8))
+        right = fleet.subset(np.arange(8, 20))
+        assert Fleet.concatenate([left, right]) == fleet
 
     def test_take_empty_raises(self):
         with pytest.raises(FleetError, match="at least one device"):
-            _fleet(5).arrays.take(np.array([], dtype=np.int64))
+            _fleet(5).subset(np.array([], dtype=np.int64))
 
     def test_mismatched_column_lengths_raise(self):
-        arrays = _fleet(4).arrays
-        columns = {name: getattr(arrays, name) for name in COLUMN_NAMES}
+        columns = dict(_fleet(4).columns())
         columns["periods"] = columns["periods"][:2]
         with pytest.raises(FleetError, match="rows"):
-            FleetArrays(**columns)
+            Fleet(**columns)
 
     def test_nbytes_is_schema_sized(self):
-        arrays = _fleet(12).arrays
-        assert arrays.nbytes == 12 * BYTES_PER_DEVICE == fleet_nbytes(12)
+        fleet = _fleet(12)
+        assert fleet.nbytes == 12 * BYTES_PER_DEVICE == fleet_nbytes(12)
 
     def test_duplicate_imsis_detected_columnar(self):
-        arrays = FleetArrays.from_devices((_device(5005), _device(5005)))
+        fleet = Fleet.from_devices((_device(5005),))
         with pytest.raises(FleetError, match="duplicate IMSIs"):
-            arrays.validate_unique_imsis()
+            Fleet.concatenate([fleet, Fleet.from_devices((_device(5005),))])
 
     def test_fleet_init_rejects_duplicate_imsis(self):
         with pytest.raises(FleetError, match="duplicate IMSIs"):
-            Fleet((_device(5005), _device(5005)))
+            Fleet.from_devices((_device(5005), _device(5005)))
 
     def test_columns_are_read_only(self):
-        arrays = _fleet(3).arrays
+        fleet = _fleet(3)
         with pytest.raises(ValueError):
-            arrays.imsis[0] = 1
+            fleet.imsis[0] = 1
+
+
+class TestRowViews:
+    def test_slice_is_a_tuple_of_views(self):
+        fleet = _fleet(10)
+        assert fleet[1:3] == (fleet[1], fleet[2])
+        assert fleet[::-4] == (fleet[9], fleet[5], fleet[1])
+
+    def test_negative_index_and_out_of_range(self):
+        fleet = _fleet(4)
+        assert fleet[-1] == fleet[3]
+        with pytest.raises(IndexError):
+            fleet[4]
+
+    def test_views_are_built_on_access(self):
+        fleet = _fleet(4)
+        assert fleet[0] == fleet[0]
+        assert fleet[0] is not fleet[0]
 
 
 class TestVectorisedDerivations:
@@ -240,11 +258,15 @@ class TestVectorisedDerivations:
             for i, p in zip(cat_idx, periods)
         ] == ref
 
-    def test_generate_fleet_never_builds_devices(self):
+    def test_generate_fleet_never_builds_devices(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a device object was built")
+
+        monkeypatch.setattr("repro.devices.fleet.NbIotDevice", forbidden)
         fleet = generate_fleet(
             64, MODERATE_EDRX_MIXTURE, np.random.default_rng(5)
         )
-        assert fleet._devices_cache is None
+        assert len(fleet) == 64
 
     def test_coverage_and_category_orders_cover_enums(self):
         assert set(COVERAGE_ORDER) == set(CoverageClass)

@@ -44,7 +44,7 @@ class TestDrSc:
         from repro.drx.cycles import DrxCycle
 
         # Same UE_ID modulo everything -> identical PO grids.
-        fleet = Fleet(
+        fleet = Fleet.from_devices(
             [
                 NbIotDevice.build(imsi=4096 * k + 7, cycle=DrxCycle(2048))
                 for k in range(1, 6)

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.phy.airtime import (
     DEFAULT_AIRTIME_MODEL,
     AirtimeModel,
-    group_data_rate_bps,
     payload_airtime_frames,
     payload_airtime_seconds,
 )
@@ -64,16 +63,6 @@ class TestAirtime:
     def test_zero_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             payload_airtime_frames(100, 0)
-
-    def test_group_rate_is_minimum(self):
-        rate = group_data_rate_bps(
-            [CoverageClass.NORMAL, CoverageClass.EXTREME, CoverageClass.ROBUST]
-        )
-        assert rate == PROFILES[CoverageClass.EXTREME].downlink_bps
-
-    def test_group_rate_rejects_empty(self):
-        with pytest.raises(ConfigurationError):
-            group_data_rate_bps([])
 
 
 class TestAirtimeModel:

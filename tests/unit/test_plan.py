@@ -24,7 +24,7 @@ from repro.rrc.timers import T322Timer
 
 @pytest.fixture
 def pair_fleet() -> Fleet:
-    return Fleet(
+    return Fleet.from_devices(
         [
             NbIotDevice.build(imsi=101, cycle=DrxCycle.from_seconds(20.48)),
             NbIotDevice.build(imsi=202, cycle=DrxCycle.from_seconds(40.96)),

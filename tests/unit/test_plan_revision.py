@@ -14,7 +14,7 @@ from repro.errors import PlanError
 
 
 def _working_fleet(fleet: Fleet, *extra: NbIotDevice) -> Fleet:
-    return Fleet(list(fleet.devices) + list(extra))
+    return Fleet.from_devices(list(fleet) + list(extra))
 
 
 def _joiner(imsi: int, seconds: float = 20.48) -> NbIotDevice:

@@ -1,38 +1,13 @@
-"""Unit tests for RRC messages, random access and procedures."""
+"""Unit tests for RRC random access, procedures and timers."""
 
 import numpy as np
 import pytest
 
-from repro.drx.cycles import DrxCycle
 from repro.errors import ConfigurationError, SimulationError
 from repro.phy.coverage import CoverageClass
-from repro.rrc.messages import (
-    EstablishmentCause,
-    RrcConnectionReconfiguration,
-    RrcConnectionRequest,
-)
 from repro.rrc.procedures import ProcedureTimings
 from repro.rrc.random_access import RandomAccessModel
 from repro.rrc.timers import T322Timer
-
-
-class TestMessages:
-    def test_multicast_reception_is_nonstandard(self):
-        """The paper's new establishment cause is the only non-standard one."""
-        assert not EstablishmentCause.MULTICAST_RECEPTION.is_standard
-        others = [c for c in EstablishmentCause if c.is_standard]
-        assert len(others) == len(EstablishmentCause) - 1
-
-    def test_request_default_cause(self):
-        request = RrcConnectionRequest(ue_id=1)
-        assert request.cause is EstablishmentCause.MT_ACCESS
-
-    def test_reconfiguration_carries_cycle(self):
-        reconf = RrcConnectionReconfiguration(
-            ue_id=1, drx_cycle=DrxCycle.from_seconds(20.48)
-        )
-        assert reconf.drx_cycle.seconds == pytest.approx(20.48)
-        assert not reconf.is_restore
 
 
 class TestT322:

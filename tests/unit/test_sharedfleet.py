@@ -14,20 +14,19 @@ import numpy as np
 import pytest
 
 from repro.devices import (
-    FleetArrays,
     SharedFleet,
     SharedFleetDescriptor,
     unlink_descriptor,
 )
 from repro.devices.sharedmem import SEGMENT_PREFIX
-from repro.errors import SimulationError
+from repro.errors import FleetError, SimulationError
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
 
-def _arrays(n=32, seed=3):
+def _fleet(n=32, seed=3):
     rng = np.random.default_rng(seed)
-    return generate_fleet(n, MODERATE_EDRX_MIXTURE, rng).arrays
+    return generate_fleet(n, MODERATE_EDRX_MIXTURE, rng)
 
 
 def _segment_path(descriptor) -> str:
@@ -36,7 +35,7 @@ def _segment_path(descriptor) -> str:
 
 @pytest.fixture
 def shared():
-    fleet = SharedFleet.create(_arrays())
+    fleet = SharedFleet.create(_fleet())
     yield fleet
     fleet.unlink()
     fleet.close()
@@ -46,16 +45,16 @@ class TestCreateAttach:
     def test_round_trip_equality(self, shared):
         attached = SharedFleet.attach(shared.descriptor)
         try:
-            assert attached.arrays.equals(shared.arrays)
+            assert attached.fleet == shared.fleet
             assert not attached.owner and shared.owner
         finally:
             attached.close()
 
     def test_extras_round_trip(self):
-        arrays = _arrays(16)
+        fleet = _fleet(16)
         attachments = np.arange(16, dtype=np.int64) % 4
         shared = SharedFleet.create(
-            arrays, extras={"attachments": attachments}
+            fleet, extras={"attachments": attachments}
         )
         try:
             attached = SharedFleet.attach(shared.descriptor)
@@ -72,7 +71,7 @@ class TestCreateAttach:
     def test_extras_must_match_fleet_length(self):
         with pytest.raises(SimulationError, match="shape"):
             SharedFleet.create(
-                _arrays(8), extras={"attachments": np.zeros(4, np.int64)}
+                _fleet(8), extras={"attachments": np.zeros(4, np.int64)}
             )
 
     def test_descriptor_is_tiny_and_picklable(self, shared):
@@ -90,15 +89,25 @@ class TestCreateAttach:
         attached = SharedFleet.attach(shared.descriptor)
         try:
             # A view over the segment buffer owns no data of its own.
-            assert not attached.arrays.imsis.flags.owndata
-            assert attached.arrays.imsis.base is not None
+            assert not attached.fleet.imsis.flags.owndata
+            assert attached.fleet.imsis.base is not None
+        finally:
+            attached.close()
+
+    def test_cell_slice_rejects_bad_indices(self, shared):
+        attached = SharedFleet.attach(shared.descriptor)
+        try:
+            n = len(attached.fleet)
+            for indices in ([-1], [n], [2, 0, 2], []):
+                with pytest.raises(FleetError):
+                    attached.fleet.subset(indices)
         finally:
             attached.close()
 
 
 class TestLifecycle:
     def test_unlink_removes_segment_file(self):
-        shared = SharedFleet.create(_arrays())
+        shared = SharedFleet.create(_fleet())
         path = _segment_path(shared.descriptor)
         assert os.path.exists(path)
         shared.unlink()
@@ -115,7 +124,7 @@ class TestLifecycle:
         assert os.path.exists(_segment_path(shared.descriptor))
 
     def test_unlink_is_idempotent(self):
-        shared = SharedFleet.create(_arrays())
+        shared = SharedFleet.create(_fleet())
         shared.unlink()
         shared.unlink()
         shared.close()
@@ -126,7 +135,7 @@ class TestLifecycle:
         attached.close()
 
     def test_unlink_descriptor_removes_segment(self):
-        shared = SharedFleet.create(_arrays())
+        shared = SharedFleet.create(_fleet())
         descriptor = shared.descriptor
         shared.close()
         unlink_descriptor(descriptor)
@@ -142,7 +151,7 @@ class TestLifecycle:
 
 class TestDeadSegmentErrors:
     def test_attach_after_unlink_raises_simulation_error(self):
-        shared = SharedFleet.create(_arrays())
+        shared = SharedFleet.create(_fleet())
         descriptor = shared.descriptor
         shared.unlink()
         shared.close()
@@ -150,7 +159,7 @@ class TestDeadSegmentErrors:
             SharedFleet.attach(descriptor)
 
     def test_dead_attach_error_carries_task_context(self):
-        shared = SharedFleet.create(_arrays())
+        shared = SharedFleet.create(_fleet())
         descriptor = shared.descriptor
         shared.unlink()
         shared.close()

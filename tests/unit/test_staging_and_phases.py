@@ -3,15 +3,14 @@
 Covers the cold-path plumbing: :meth:`SharedFleet.allocate` staging
 segments (writable buffers, seal-as-header-write, misuse errors),
 :func:`generate_fleet`'s ``out=`` destination buffers,
-:meth:`Fleet.from_arrays`'s validate-once ``trusted`` flag, and the
+where the duplicate-IMSI scan runs, and the
 :class:`~repro.sim.phases.PhaseTimer` observability side-channel.
 """
 
 import numpy as np
 import pytest
 
-from repro.devices.arrays import COLUMN_SCHEMA, FleetArrays
-from repro.devices.fleet import Fleet
+from repro.devices.fleet import COLUMN_SCHEMA, Fleet
 from repro.devices.sharedmem import SharedFleet
 from repro.errors import FleetError, SimulationError
 from repro.sim.phases import PHASE_NAMES, PhaseTimer, merge_timings
@@ -38,11 +37,11 @@ class TestStagingSegment:
             staged.unlink()
             staged.close()
 
-    def test_arrays_raises_until_sealed(self):
+    def test_fleet_raises_until_sealed(self):
         staged = _staged()
         try:
             with pytest.raises(SimulationError, match="staging"):
-                staged.arrays
+                staged.fleet
         finally:
             staged.unlink()
             staged.close()
@@ -59,20 +58,20 @@ class TestStagingSegment:
                 out=staged.column_buffers(),
             )
             staged.extra_buffer("attachments")[:] = 3
-            shared = staged.seal(fleet.arrays)
+            shared = staged.seal(fleet)
             # Sealed: the staging surface is gone, the fleet is live.
             with pytest.raises(SimulationError, match="staging"):
                 shared.column_buffers()
             with pytest.raises(SimulationError, match="staging"):
-                shared.seal(fleet.arrays)
-            assert shared.arrays.equals(fleet.arrays)
+                shared.seal(fleet)
+            assert shared.fleet == fleet
             assert not shared.extra("attachments").flags.writeable
             reference = generate_fleet(
                 128, MODERATE_EDRX_MIXTURE, np.random.default_rng(5)
             )
-            assert shared.arrays.equals(reference.arrays)
+            assert shared.fleet == reference
             attached = SharedFleet.attach(shared.descriptor)
-            assert attached.arrays.equals(reference.arrays)
+            assert attached.fleet == reference
         finally:
             if attached is not None:
                 attached.close()
@@ -89,7 +88,7 @@ class TestStagingSegment:
                 16, MODERATE_EDRX_MIXTURE, np.random.default_rng(1)
             )
             with pytest.raises(SimulationError, match="inside this segment"):
-                staged.seal(heap.arrays)
+                staged.seal(heap)
         finally:
             staged.unlink()
             staged.close()
@@ -101,7 +100,7 @@ class TestStagingSegment:
                 8, MODERATE_EDRX_MIXTURE, np.random.default_rng(1)
             )
             with pytest.raises(SimulationError, match="allocated for"):
-                staged.seal(other.arrays)
+                staged.seal(other)
         finally:
             staged.unlink()
             staged.close()
@@ -114,9 +113,9 @@ class TestStagingSegment:
         fleet = generate_fleet(
             32, MODERATE_EDRX_MIXTURE, np.random.default_rng(2)
         )
-        shared = SharedFleet.create(fleet.arrays)
+        shared = SharedFleet.create(fleet)
         try:
-            assert shared.arrays.equals(fleet.arrays)
+            assert shared.fleet == fleet
         finally:
             shared.unlink()
             shared.close()
@@ -134,10 +133,10 @@ class TestGenerateOut:
         heap = generate_fleet(
             n, MODERATE_EDRX_MIXTURE, np.random.default_rng(9)
         )
-        assert into.arrays.equals(heap.arrays)
+        assert into == heap
         # The returned columns occupy the supplied buffers — no copy.
-        assert np.shares_memory(into.arrays.imsis, buffers["imsis"])
-        assert np.shares_memory(into.arrays.phases, buffers["phases"])
+        assert np.shares_memory(into.imsis, buffers["imsis"])
+        assert np.shares_memory(into.phases, buffers["phases"])
 
     def test_out_rejects_wrong_shape_dtype_and_readonly(self):
         n = 10
@@ -165,21 +164,18 @@ class TestGenerateOut:
                 )
 
 
-class TestTrustedFromArrays:
-    def test_untrusted_still_rejects_duplicates(self):
+class TestDuplicateImsiScan:
+    def test_concatenate_rejects_duplicates(self):
         fleet = generate_fleet(
             8, MODERATE_EDRX_MIXTURE, np.random.default_rng(3)
         )
-        columns = {
-            name: getattr(fleet.arrays, name).copy()
-            for name, _ in COLUMN_SCHEMA
-        }
-        columns["imsis"][1] = columns["imsis"][0]
-        duped = FleetArrays(**columns)
         with pytest.raises(FleetError, match="duplicate"):
-            Fleet.from_arrays(duped)
-        # trusted=True is the caller's assertion; it must not rescan.
-        assert len(Fleet.from_arrays(duped, trusted=True)) == 8
+            Fleet.concatenate([fleet, fleet.subset([2])])
+        # The raw constructor trusts its caller, as the generator and
+        # the shared-memory attach do; it must not rescan.
+        columns = dict(fleet.columns())
+        columns["imsis"] = np.full(8, fleet.imsis[0])
+        assert len(Fleet(**columns)) == 8
 
 
 class TestPhaseTimer:
