@@ -13,6 +13,17 @@ from dataclasses import fields
 import numpy as np
 
 
+def _canonical(column: np.ndarray) -> np.ndarray:
+    """``column`` with one byte pattern per value equality sees as one.
+
+    Float columns map -0.0 to 0.0 and every NaN to the same NaN, so
+    tables that compare equal also hash equal.
+    """
+    if column.dtype.kind != "f":
+        return column
+    return np.where(np.isnan(column), np.nan, column + 0.0)
+
+
 class ColumnTable:
     """Value semantics of a frozen column table.
 
@@ -37,7 +48,7 @@ class ColumnTable:
 
     def __hash__(self) -> int:
         columns = (getattr(self, f.name) for f in fields(self) if f.compare)
-        return hash(tuple(column.tobytes() for column in columns))
+        return hash(tuple(_canonical(column).tobytes() for column in columns))
 
     def __reduce__(self):
         return (type(self), tuple(getattr(self, f.name) for f in fields(self)))

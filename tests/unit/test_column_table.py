@@ -1,0 +1,139 @@
+"""Value semantics of the frozen column tables (:mod:`repro.table`).
+
+The fleet and the plan's directive table share one rule: they compare
+and hash by their column values (NaN equal to NaN in float columns) and
+unpickle by re-running their constructor, so a pickle is checked and
+its columns come back read-only.
+"""
+
+import pickle
+from dataclasses import FrozenInstanceError
+
+import numpy as np
+import pytest
+
+from repro.core.plan import PLAN_COLUMNS, PlanArrays
+from repro.devices import Fleet
+from repro.devices.fleet import COLUMN_NAMES
+from repro.errors import FleetError, PlanError
+from repro.traffic.generator import generate_fleet
+from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+
+
+def _fleet(n=12, seed=4):
+    return generate_fleet(n, MODERATE_EDRX_MIXTURE, np.random.default_rng(seed))
+
+
+def _plan(page_frame=(1, 2, 3)):
+    return PlanArrays(
+        device=[0, 1, 2],
+        transmission=[0, 0, 1],
+        method=[0, 0, 0],
+        page_frame=list(page_frame),
+        connect_frame=[4, 5, 6],
+    )
+
+
+def _with(fleet, **columns):
+    """A fleet equal to ``fleet`` except for the given columns."""
+    return Fleet(**{**dict(fleet.columns()), **columns})
+
+
+class _Forged:
+    """Pickles as a call of ``cls`` on ``args``: a hand-edited pickle."""
+
+    def __init__(self, cls, args):
+        self.cls, self.args = cls, args
+
+    def __reduce__(self):
+        return self.cls, self.args
+
+
+class TestEquality:
+    def test_tables_with_equal_columns_are_equal(self):
+        fleet = _fleet()
+        copies = {name: column.copy() for name, column in fleet.columns()}
+        assert Fleet(**copies) == fleet
+        assert _plan() == _plan()
+
+    def test_one_changed_value_breaks_equality(self):
+        fleet = _fleet()
+        periods = fleet.periods.copy()
+        periods[-1] *= 2
+        assert _with(fleet, periods=periods) != fleet
+        assert _plan(page_frame=(1, 2, 4)) != _plan()
+
+    def test_nan_equals_nan_in_float_columns(self):
+        fleet = _fleet()
+        assert np.isnan(fleet.battery_capacity_mah).all()
+        assert fleet == _with(fleet, battery_capacity_mah=np.full(len(fleet), np.nan))
+        charged = _with(fleet, battery_capacity_mah=np.full(len(fleet), 1200.0))
+        assert charged != fleet
+
+    def test_other_types_never_compare_equal(self):
+        fleet = _fleet(3)
+        assert fleet.__eq__(tuple(fleet)) is NotImplemented
+        assert fleet != tuple(fleet)
+        assert fleet != _plan()
+        assert _plan() != fleet
+
+
+class TestHash:
+    def test_equal_tables_hash_equal(self):
+        fleet = _fleet()
+        clone = pickle.loads(pickle.dumps(fleet))
+        assert hash(clone) == hash(fleet)
+        assert len({fleet, clone}) == 1
+        assert hash(_plan()) == hash(_plan())
+
+    def test_signed_zero_and_nan_payloads_hash_as_they_compare(self):
+        fleet = _fleet(4)
+        other_nan = (np.full(4, np.nan).view(np.int64) | 1).view(np.float64)
+        assert np.isnan(other_nan).all()
+        renamed = _with(fleet, battery_voltage_v=other_nan)
+        assert renamed == fleet
+        assert hash(renamed) == hash(fleet)
+        zeros, negative_zeros = np.zeros(4), -np.zeros(4)
+        assert _with(fleet, downlink_bps=zeros) == _with(fleet, downlink_bps=negative_zeros)
+        assert hash(_with(fleet, downlink_bps=zeros)) == hash(
+            _with(fleet, downlink_bps=negative_zeros)
+        )
+
+
+class TestPickle:
+    def test_reduce_reruns_the_constructor_on_every_column(self):
+        fleet = _fleet(5)
+        cls, args = fleet.__reduce__()
+        assert cls is Fleet
+        assert len(args) == len(COLUMN_NAMES)
+        assert cls(*args) == fleet
+
+    def test_forged_fleet_pickle_is_rejected(self):
+        columns = [column for _, column in _fleet(5).columns()]
+        columns[1] = columns[1][:3]
+        payload = pickle.dumps(_Forged(Fleet, tuple(columns)))
+        with pytest.raises(FleetError, match="rows"):
+            pickle.loads(payload)
+
+    def test_plan_pickle_round_trips_read_only(self):
+        clone = pickle.loads(pickle.dumps(_plan()))
+        assert clone == _plan()
+        for name in PLAN_COLUMNS:
+            assert not getattr(clone, name).flags.writeable, name
+
+    def test_forged_plan_pickle_is_rejected(self):
+        plan = _plan()
+        args = [getattr(plan, name) for name in PLAN_COLUMNS]
+        args[PLAN_COLUMNS.index("page_frame")] = np.array([1, -2, 3])
+        payload = pickle.dumps(_Forged(PlanArrays, tuple(args)))
+        with pytest.raises(PlanError, match="negative page frame"):
+            pickle.loads(payload)
+
+
+class TestFrozen:
+    def test_columns_cannot_be_rebound(self):
+        fleet = _fleet(3)
+        with pytest.raises(FrozenInstanceError):
+            fleet.phases = np.zeros(3, np.int64)
+        with pytest.raises(FrozenInstanceError):
+            _plan().device = np.zeros(3, np.int64)

@@ -1,5 +1,7 @@
 """Unit tests for identities, devices, batteries and fleets."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
+from repro.drx.config import DrxConfig
 from repro.drx.cycles import DrxCycle
+from repro.drx.paging import NB, pattern_for
 from repro.errors import ConfigurationError, FleetError
 from repro.phy.coverage import CoverageClass
 
@@ -26,6 +30,17 @@ class TestIdentity:
 
     def test_str_is_padded(self):
         assert str(DeviceIdentity(imsi=42)) == "imsi-000000000000042"
+
+
+class TestDrxConfig:
+    def test_holds_what_a_fleet_row_stores(self):
+        assert [f.name for f in fields(DrxConfig)] == ["ue_id", "cycle", "nb"]
+
+    def test_pattern_follows_negotiated_cycle(self):
+        cycle = DrxCycle.from_seconds(40.96)
+        config = DrxConfig(7, cycle, NB.HALF_T)
+        assert config.pattern == pattern_for(7, cycle, NB.HALF_T)
+        assert int(config.pattern.cycle) == 4096
 
 
 class TestDevice:

@@ -18,6 +18,7 @@ from repro.devices.fleet import (
     CATEGORY_CODE,
     CATEGORY_ORDER,
     COLUMN_NAMES,
+    COLUMN_SCHEMA,
     COVERAGE_CODE,
     COVERAGE_ORDER,
     fleet_nbytes,
@@ -148,6 +149,44 @@ class TestFromColumns:
                 category_codes=np.zeros(1, dtype=np.int64),
             )
 
+    def test_fleet_wide_nb_and_battery_reach_every_row(self):
+        battery = Battery(capacity_mah=2400.0, voltage_v=3.6)
+        imsis = np.array([1001, 2002, 3003], dtype=np.int64)
+        periods = np.array([256, 512, 1024], dtype=np.int64)
+        fleet = Fleet.from_columns(
+            imsis=imsis,
+            periods=periods,
+            coverage_codes=np.zeros(3, dtype=np.int64),
+            category_codes=np.full(3, CATEGORY_CODE[DeviceCategory.SMART_METER]),
+            nb=NB.QUARTER_T,
+            battery=battery,
+        )
+        expected = tuple(
+            NbIotDevice(
+                identity=DeviceIdentity(int(imsi)),
+                drx=DrxConfig(int(imsi) % 4096, DrxCycle(int(frames)), NB.QUARTER_T),
+                coverage=CoverageClass.NORMAL,
+                category=DeviceCategory.SMART_METER,
+                battery=battery,
+            )
+            for imsi, frames in zip(imsis, periods)
+        )
+        assert tuple(fleet) == expected
+        assert fleet == Fleet.from_devices(expected)
+
+    def test_out_buffers_back_the_returned_fleet(self):
+        columns = dict(
+            imsis=np.array([1001, 2002, 3003], dtype=np.int64),
+            periods=np.array([256, 512, 1024], dtype=np.int64),
+            coverage_codes=np.array([0, 1, 2], dtype=np.int64),
+            category_codes=np.zeros(3, dtype=np.int64),
+        )
+        out = {name: np.empty(3, dtype) for name, dtype in COLUMN_SCHEMA}
+        staged = Fleet.from_columns(**columns, out=out)
+        assert staged == Fleet.from_columns(**columns)
+        for name, column in staged.columns():
+            assert np.shares_memory(column, out[name]), name
+
     def test_rejects_empty(self):
         with pytest.raises(FleetError, match="at least one device"):
             Fleet.from_columns(
@@ -193,6 +232,52 @@ class TestShapeAndSlicing:
         with pytest.raises(ValueError):
             fleet.imsis[0] = 1
 
+    def test_subset_keeps_the_requested_order(self):
+        fleet = _fleet(6)
+        sub = fleet.subset([4, 0, 2])
+        assert tuple(sub) == (fleet[4], fleet[0], fleet[2])
+
+    def test_subset_rejects_negative_indices(self):
+        # A negative index would silently pick a row from the end.
+        with pytest.raises(FleetError, match="out of range"):
+            _fleet(5).subset([-1])
+
+    def test_subset_rejects_repeated_indices(self):
+        with pytest.raises(FleetError, match="duplicate"):
+            _fleet(5).subset([1, 3, 1])
+
+    def test_concatenate_of_one_part_is_that_part(self):
+        fleet = _fleet(4)
+        assert Fleet.concatenate([fleet]) is fleet
+        with pytest.raises(FleetError, match="at least one device"):
+            Fleet.concatenate([])
+
+    def test_two_dimensional_column_rejected(self):
+        columns = dict(_fleet(4).columns())
+        columns["phases"] = columns["phases"].reshape(2, 2)
+        with pytest.raises(FleetError, match="1-D"):
+            Fleet(**columns)
+
+    def test_matching_read_only_columns_are_not_copied(self):
+        # What keeps a shared-memory attach zero-copy.
+        columns = dict(_fleet(4).columns())
+        fleet = Fleet(**columns)
+        for name, column in fleet.columns():
+            assert column is columns[name], name
+
+    def test_group_rate_rejects_out_of_range_members(self):
+        fleet = _fleet(4)
+        with pytest.raises(FleetError, match="out of range"):
+            fleet.group_rate_bps([0, 4])
+
+    def test_coverage_histogram_counts_every_class(self):
+        fleet = _fleet(30)
+        histogram = fleet.coverage_histogram()
+        assert set(histogram) == set(CoverageClass)
+        assert sum(histogram.values()) == len(fleet)
+        for coverage, count in histogram.items():
+            assert count == sum(d.coverage is coverage for d in fleet)
+
 
 class TestRowViews:
     def test_slice_is_a_tuple_of_views(self):
@@ -205,6 +290,14 @@ class TestRowViews:
         assert fleet[-1] == fleet[3]
         with pytest.raises(IndexError):
             fleet[4]
+
+    def test_numpy_integer_index(self):
+        fleet = _fleet(4)
+        assert fleet[np.int64(2)] == fleet[2]
+
+    def test_iteration_matches_indexing(self):
+        fleet = _fleet(6)
+        assert tuple(fleet) == tuple(fleet[i] for i in range(len(fleet)))
 
     def test_views_are_built_on_access(self):
         fleet = _fleet(4)
