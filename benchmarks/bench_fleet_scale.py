@@ -112,21 +112,11 @@ def _paper_default_cover(n_devices: int) -> dict:
 
 def _uptime_totals(result) -> np.ndarray:
     """Per-device (light, connected, sleep) totals, sorted by device."""
-    if result.columnar is not None:
-        ledgers = result.columnar.ledgers
-        return np.stack(
-            [
-                ledgers.group_seconds(StateGroup.LIGHT_SLEEP),
-                ledgers.group_seconds(StateGroup.CONNECTED),
-                ledgers.group_seconds(StateGroup.SLEEP),
-            ]
-        )
-    totals = [o.totals for o in result.outcomes]
-    return np.array(
+    return np.stack(
         [
-            [t.light_sleep_s for t in totals],
-            [t.connected_s for t in totals],
-            [t.sleep_s for t in totals],
+            result.group_seconds(StateGroup.LIGHT_SLEEP),
+            result.group_seconds(StateGroup.CONNECTED),
+            result.group_seconds(StateGroup.SLEEP),
         ]
     )
 

@@ -86,7 +86,7 @@ def test_a6_campaign_execution_throughput(benchmark):
     executor = CampaignExecutor()
 
     result = benchmark(lambda: executor.execute(fleet, plan))
-    assert len(result.outcomes) == 500
+    assert len(result) == 500
 
 
 @dataclass(frozen=True)

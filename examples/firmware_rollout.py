@@ -28,7 +28,7 @@ from repro.timebase import format_duration
 
 def describe(report, battery: Battery) -> None:
     fleet_totals = report.result.fleet
-    n = len(report.result.outcomes)
+    n = len(report.result)
     per_device_mj = fleet_totals.energy_mj / n
     print(report.summary())
     print(
@@ -36,7 +36,7 @@ def describe(report, battery: Battery) -> None:
         f"({battery.fraction_consumed(per_device_mj) * 100:.5f}% of a "
         f"{battery.capacity_mah:.0f} mAh battery)"
     )
-    waits = [o.wait_s for o in report.result.outcomes]
+    waits = report.result.wait_s
     print(f"mean connected wait : {np.mean(waits):.1f}s (max {np.max(waits):.1f}s)")
 
 

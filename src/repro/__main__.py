@@ -790,7 +790,7 @@ def _multicell(args) -> int:
         horizon_frames = max(horizon_frames, result.horizon_frames)
         rows.append((
             str(cell_id),
-            str(result.n_devices),
+            str(len(result)),
             str(result.n_transmissions),
             f"{result.mean_wait_s:.2f}s",
             format_duration(frames_to_seconds(result.horizon_frames)),

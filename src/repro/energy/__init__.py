@@ -22,7 +22,6 @@ from repro.energy.profiles import (
 from repro.energy.ledger import (
     STATE_INDEX,
     STATE_ORDER,
-    LedgerArray,
     UptimeLedger,
     UptimeTotals,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DEFAULT_PROFILE",
     "UptimeLedger",
     "UptimeTotals",
-    "LedgerArray",
     "STATE_ORDER",
     "STATE_INDEX",
     "DutyCycle",

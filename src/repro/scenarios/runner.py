@@ -149,10 +149,10 @@ class CellSummary:
         """The summary of one executed campaign, live or rebuilt from
         its log; ``extra`` sets the fields a result does not hold."""
         fleet = result.fleet
-        groups = np.bincount(result.columnar.transmission_indices)
+        groups = np.bincount(result.transmission)
         return cls(
             cell_id=cell_id,
-            fleet_size=result.n_devices,
+            fleet_size=len(result),
             n_transmissions=result.n_transmissions,
             largest_group=int(groups.max()),
             mean_wait_s=result.mean_wait_s,

@@ -3,12 +3,16 @@
 Two executors produce equivalent campaign results from a plan:
 
 * :class:`~repro.sim.executor.CampaignExecutor` — the vectorised fleet
-  path (:mod:`repro.sim.columnar`): whole-fleet array arithmetic and an
-  array-of-ledgers, used by experiments;
+  path (:mod:`repro.sim.columnar`): whole-fleet array arithmetic, used
+  by experiments;
 * :class:`~repro.sim.replay.EventDrivenCampaign` — replays the plan on
   the discrete-event engine (:mod:`repro.sim.engine`), the independent
   oracle the tests cross-validate the arithmetic against, and what
   examples use when they want an inspectable event trace.
+
+Both return a :class:`~repro.sim.metrics.CampaignResult`: one frozen
+column table of per-device outcomes, whose rows read as
+:class:`~repro.sim.metrics.DeviceOutcome` views.
 
 :mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates
 (:func:`~repro.sim.montecarlo.run_campaigns` is the one campaign
@@ -49,7 +53,6 @@ from repro.sim.eventlog import (
 from repro.sim.metrics import (
     CampaignResult,
     DeviceOutcome,
-    FleetOutcomes,
     FleetSummary,
 )
 from repro.sim.executor import CampaignExecutor
@@ -66,7 +69,6 @@ __all__ = [
     "spawn_generators",
     "DeviceOutcome",
     "CampaignResult",
-    "FleetOutcomes",
     "FleetSummary",
     "CampaignExecutor",
     "execute_columnar",

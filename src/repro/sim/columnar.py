@@ -11,9 +11,9 @@ over the whole fleet at once:
   idle-PO counts are computed as array expressions (per-device PO
   counting is :func:`repro.drx.schedule.v_count_in`, the array form
   of :meth:`~repro.drx.schedule.PoSchedule.count_in`);
-* the result is an array-of-ledgers
-  (:class:`~repro.energy.ledger.LedgerArray`) wrapped in a columnar
-  :class:`~repro.sim.metrics.CampaignResult` — no per-device Python
+* the result is a :class:`~repro.sim.metrics.CampaignResult`, one column
+  table whose ``(n_states, n)`` seconds matrix is folded by
+  :func:`~repro.sim.metrics.fold_ledgers` — no per-device Python
   objects exist on the hot path.
 
 The event-driven replay (:class:`~repro.sim.replay.EventDrivenCampaign`)
@@ -40,7 +40,7 @@ from repro.drx.schedule import v_count_in
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.errors import SimulationError
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.metrics import CampaignResult, FleetOutcomes, fold_ledgers
+from repro.sim.metrics import CampaignResult, fold_ledgers
 from repro.timebase import (
     MS_PER_FRAME,
     frame_after_seconds,
@@ -209,7 +209,7 @@ def execute_columnar(
         )
         po_count[da] = da_count
 
-    ledgers = fold_ledgers(
+    seconds = fold_ledgers(
         horizon_s,
         po_count=po_count,
         po_monitor_s=airtime.po_monitor_s,
@@ -253,20 +253,19 @@ def execute_columnar(
             rate_bps=rate_bps,
         )
 
+    # Sorting the matrix's columns by device yields the F-contiguous
+    # layout the result stores, so the table keeps this copy as is.
     order = np.argsort(dev)
-    columnar = FleetOutcomes(
-        device_indices=dev[order],
-        transmission_indices=tx[order],
-        ledgers=ledgers.take(order),
+    return CampaignResult(
+        device=dev[order],
+        transmission=tx[order],
         ready_s=ready[order],
         wait_s=wait[order],
         updated_s=(start + rx)[order],
-    )
-    return CampaignResult(
-        plan=plan,
+        seconds=seconds[:, order],
+        actual_start_s=starts,
         horizon_frames=horizon,
-        columnar=columnar,
-        actual_start_s=tuple(starts.tolist()),
+        mechanism=plan.mechanism,
         energy_profile=energy_profile,
     )
 

@@ -11,12 +11,12 @@ fingerprint, the Monte-Carlo seed and the cell id, and a whole run
 Three consumers sit on top of the raw array:
 
 * :func:`replay_strict` — the **STRICT** replayer: reconstructs a full
-  :class:`~repro.sim.metrics.CampaignResult` (per-device ledgers,
+  :class:`~repro.sim.metrics.CampaignResult` (per-state seconds,
   readiness/wait/update times, realised starts) from the log alone,
   with **no re-simulation**. The reconstruction applies the recorded
   durations in exactly the float-fold order of the live executors, so
-  the rebuilt result is *bit-identical* to the live one — asserted by
-  :func:`compare_results` returning no findings.
+  the rebuilt result is *bit-identical* to the live one: it compares
+  equal, and :func:`compare_results` returns no findings.
 * :func:`diff_logs` / :func:`diff_runlogs` — the structural diff
   engine behind the ``runs diff`` CLI verb: first diverging event,
   per-kind count deltas and per-device event-count deltas, plus run
@@ -34,18 +34,17 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.energy.ledger import STATE_ORDER
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState
 from repro.errors import SimulationError
 from repro.sim.events import EventKind
-from repro.sim.metrics import CampaignResult, FleetOutcomes, fold_ledgers
+from repro.sim.metrics import CampaignResult, fold_ledgers
 from repro.timebase import frames_to_seconds
 
 #: Bumped whenever the row dtype or the meta contract changes.
@@ -439,17 +438,6 @@ def live_metrics(log: Union["EventLog", np.ndarray]) -> LiveMetrics:
 # ----------------------------------------------------------------------
 # STRICT replay: log -> CampaignResult, no re-simulation
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LogPlanSummary:
-    """The slice of a plan a log preserves (duck-types ``MulticastPlan``
-    where :class:`~repro.sim.metrics.CampaignResult` needs it)."""
-
-    mechanism: str
-    n_transmissions: int
-    payload_bytes: int
-    announce_frame: int
-
-
 def _require_meta(meta: Mapping[str, Any]) -> None:
     missing = [key for key in REQUIRED_META if key not in meta]
     if missing:
@@ -491,8 +479,7 @@ def replay_strict(log: EventLog) -> CampaignResult:
     drawn; every duration comes from the log (events for per-device
     draws, metadata for deterministic constants). The per-state adds
     replicate the live executors' float-fold order, so the rebuilt
-    ledgers, timings and realised starts are bit-identical to the live
-    run — not merely close.
+    result equals the live one bit for bit — not merely close.
     """
     meta = log.meta
     _require_meta(meta)
@@ -553,9 +540,9 @@ def replay_strict(log: EventLog) -> CampaignResult:
     ra_base[da_pos] = adapt["b"]
 
     # The columnar executor's own fold, so per-state sums reproduce the
-    # live ledgers bit for bit.
+    # live matrix bit for bit.
     release = float(meta["release_s"])
-    ledgers = fold_ledgers(
+    seconds = fold_ledgers(
         horizon_s,
         po_count=po_count,
         po_monitor_s=float(meta["po_monitor_s"]),
@@ -570,31 +557,16 @@ def replay_strict(log: EventLog) -> CampaignResult:
         wait=wait,
         rx=rx,
     )
-    # The columnar executor's ledgers pass through a fancy-index take()
-    # whose output strides steer BLAS's reduction order in energy_mj.
-    # An identity take reproduces that layout, so the rebuilt energy sum
-    # is bit-identical too — not just the per-state seconds.
-    ledgers = ledgers.take(np.arange(n))
-
-    outcomes = FleetOutcomes(
-        device_indices=devices,
-        transmission_indices=tx_of,
-        ledgers=ledgers,
+    return CampaignResult(
+        device=devices,
+        transmission=tx_of,
         ready_s=ready,
         wait_s=wait,
-        updated_s=end_a[tx_of].copy(),
-    )
-    plan = LogPlanSummary(
-        mechanism=str(meta["mechanism"]),
-        n_transmissions=n_tx,
-        payload_bytes=int(meta["payload_bytes"]),
-        announce_frame=int(meta["announce_frame"]),
-    )
-    return CampaignResult(
-        plan=plan,  # type: ignore[arg-type]  # duck-typed plan summary
+        updated_s=end_a[tx_of],
+        seconds=seconds,
+        actual_start_s=start_a,
         horizon_frames=horizon,
-        columnar=outcomes,
-        actual_start_s=tuple(float(s) for s in start_a),
+        mechanism=str(meta["mechanism"]),
         energy_profile=_profile_from_meta(meta),
     )
 
@@ -602,34 +574,22 @@ def replay_strict(log: EventLog) -> CampaignResult:
 def compare_results(live: CampaignResult, rebuilt: CampaignResult) -> List[str]:
     """Bit-identity findings between a live result and a STRICT rebuild.
 
-    Returns an empty list when every per-device quantity — ledger
-    seconds per power state, readiness, wait, update time — and every
-    realised start matches the live run exactly (float equality, not
-    tolerance).
+    One finding per field of the result that differs: a column with
+    the number of entries that differ (float equality, not tolerance),
+    or a scalar. An empty list means the rebuild equals the live run.
     """
     findings: List[str] = []
-    if live.horizon_frames != rebuilt.horizon_frames:
-        findings.append(
-            f"horizon {live.horizon_frames} != rebuilt {rebuilt.horizon_frames}"
-        )
-    if live.actual_start_s != rebuilt.actual_start_s:
-        findings.append("realised transmission starts differ")
-    reb = rebuilt.columnar
-    if live.n_devices != rebuilt.n_devices:
-        findings.append(f"{live.n_devices} devices != rebuilt {rebuilt.n_devices}")
-        return findings
-    live_col = live.columnar
-    for name in ("device_indices", "transmission_indices"):
-        if not np.array_equal(getattr(live_col, name), getattr(reb, name)):
-            findings.append(f"column {name} differs")
-    for name in ("ready_s", "wait_s", "updated_s"):
-        bad = int((getattr(live_col, name) != getattr(reb, name)).sum())
-        if bad:
-            findings.append(f"column {name} differs on {bad} devices")
-    for i, state in enumerate(STATE_ORDER):
-        bad = int((live_col.ledgers.seconds[i] != reb.ledgers.seconds[i]).sum())
-        if bad:
-            findings.append(f"ledger {state.name} differs on {bad} devices")
+    for f in fields(CampaignResult):
+        mine, theirs = getattr(live, f.name), getattr(rebuilt, f.name)
+        if not isinstance(mine, np.ndarray):
+            if mine != theirs:
+                findings.append(f"{f.name} {mine!r} != rebuilt {theirs!r}")
+        elif mine.shape != theirs.shape:
+            findings.append(
+                f"{f.name} has shape {mine.shape} != rebuilt {theirs.shape}"
+            )
+        elif bad := int((mine != theirs).sum()):
+            findings.append(f"{f.name} differs on {bad} entries")
     return findings
 
 

@@ -1,32 +1,32 @@
 """Campaign results and the paper's comparison metrics.
 
-A campaign result holds the per-device uptime accounting plus the
-realised transmission times. Its one backing is columnar: a
-:class:`FleetOutcomes` bundle of parallel NumPy arrays plus a
-:class:`~repro.energy.ledger.LedgerArray`, whichever executor (the
-vectorised one or the event-driven replay) produced it.
+A :class:`CampaignResult` is one frozen column table of per-device
+outcomes, whichever executor produced it (the vectorised one, the
+event-driven replay or the STRICT log replay): per-device columns
+sorted by device, the per-state seconds matrix, and the realised start
+of every transmission.
 
 Fleet-level summaries (:attr:`CampaignResult.fleet`,
 :attr:`CampaignResult.mean_wait_s`) reduce the columns with array
-arithmetic; per-device :class:`DeviceOutcome` views are materialised
-lazily and only when a consumer actually iterates ``outcomes``. The
-fleet-level summary holds the sums Fig. 6's relative increases are
-built from (the runner's cell executes every compared plan over the
-*same* horizon) and what Fig. 7 plots (the transmission count).
+arithmetic; indexing a result builds a per-device
+:class:`DeviceOutcome` view on access. The fleet-level summary holds
+the sums Fig. 6's relative increases are built from (the runner's cell
+executes every compared plan over the *same* horizon) and what Fig. 7
+plots (the transmission count).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.plan import MulticastPlan
-from repro.energy.ledger import LedgerArray, UptimeLedger, UptimeTotals
+from repro.energy.ledger import STATE_INDEX, STATE_ORDER, UptimeLedger, UptimeTotals
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
-from repro.energy.states import PowerState, StateGroup
-from repro.errors import SimulationError
+from repro.energy.states import STATE_GROUPS, PowerState, StateGroup
+from repro.errors import ConfigurationError, SimulationError
+from repro.table import ColumnTable
 
 
 @dataclass(frozen=True)
@@ -55,45 +55,17 @@ class DeviceOutcome:
         return self.ledger.totals
 
 
-@dataclass(frozen=True, eq=False)
-class FleetOutcomes:
-    """Columnar campaign outcomes: one array column per device.
+def _group_seconds(seconds: np.ndarray, group: StateGroup) -> np.ndarray:
+    """Per-device seconds across the states of ``group``.
 
-    All arrays are parallel and sorted by ``device_indices``. This is the
-    vectorised executor's native output — no per-device Python objects
-    exist until :meth:`outcome_at` materialises one. ``eq=False``: a
-    generated ``__eq__`` over ndarray fields would raise on comparison;
-    identity semantics are the honest contract here.
+    Rows are added in :data:`STATE_ORDER`, matching the summation order
+    of :meth:`UptimeLedger.group_seconds` float for float.
     """
-
-    device_indices: np.ndarray
-    transmission_indices: np.ndarray
-    ledgers: LedgerArray
-    ready_s: np.ndarray
-    wait_s: np.ndarray
-    updated_s: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.device_indices.size
-        for name in ("transmission_indices", "ready_s", "wait_s", "updated_s"):
-            if getattr(self, name).size != n:
-                raise SimulationError(f"column {name} length differs from devices")
-        if len(self.ledgers) != n:
-            raise SimulationError("ledger array width differs from devices")
-
-    def __len__(self) -> int:
-        return self.device_indices.size
-
-    def outcome_at(self, column: int) -> DeviceOutcome:
-        """Materialise one device's row-form :class:`DeviceOutcome`."""
-        return DeviceOutcome(
-            device_index=int(self.device_indices[column]),
-            transmission_index=int(self.transmission_indices[column]),
-            ledger=self.ledgers.ledger_at(column),
-            ready_s=float(self.ready_s[column]),
-            wait_s=float(self.wait_s[column]),
-            updated_s=float(self.updated_s[column]),
-        )
+    total = np.zeros(seconds.shape[1], dtype=np.float64)
+    for row, state in enumerate(STATE_ORDER):
+        if STATE_GROUPS[state] is group:
+            total += seconds[row]
+    return total
 
 
 def fold_ledgers(
@@ -104,35 +76,38 @@ def fold_ledgers(
     is_da: np.ndarray, ra_base: np.ndarray, episode: np.ndarray,
     main_ra: np.ndarray, rrc_setup_s: float, tail: np.ndarray,
     wait: np.ndarray, rx: np.ndarray,
-) -> LedgerArray:
+) -> np.ndarray:
     """Every device's per-state seconds over a ``horizon_s`` campaign.
 
-    The columnar executor folds its durations here and the STRICT log
-    replay its logged ones, so equal inputs give bit-identical ledgers.
-    DA-SC-adapted devices (``is_da``) add their adaptation episode:
-    ``episode`` seconds, ``ra_base`` of them random access, after one
-    paging message. Deep sleep fills the rest of the horizon.
+    Returns an ``(n_states, n)`` matrix, one row per state in
+    :data:`STATE_ORDER`. The columnar executor folds its durations here
+    and the STRICT log replay its logged ones, so equal inputs give
+    bit-identical matrices. DA-SC-adapted devices (``is_da``) add their
+    adaptation episode: ``episode`` seconds, ``ra_base`` of them random
+    access, after one paging message. Deep sleep fills the rest of the
+    horizon. A negative duration raises :class:`ConfigurationError`.
     """
-    ledgers = LedgerArray(wait.size)
-    ledgers.add(PowerState.PO_MONITOR, po_count * po_monitor_s)
-    ledgers.add(
-        PowerState.PAGING_RX, page_rx + np.where(is_da, paging_message_s, 0.0)
-    )
-    ledgers.add(PowerState.RANDOM_ACCESS, np.where(is_da, ra_base, 0.0) + main_ra)
-    ledgers.add(
+    seconds = np.zeros((len(STATE_ORDER), wait.size), dtype=np.float64)
+
+    def add(state: PowerState, values: np.ndarray) -> None:
+        values = np.asarray(values, dtype=np.float64)
+        if np.any(values < 0):
+            raise ConfigurationError(f"cannot add negative durations for {state}")
+        seconds[STATE_INDEX[state]] += values
+
+    add(PowerState.PO_MONITOR, po_count * po_monitor_s)
+    add(PowerState.PAGING_RX, page_rx + np.where(is_da, paging_message_s, 0.0))
+    add(PowerState.RANDOM_ACCESS, np.where(is_da, ra_base, 0.0) + main_ra)
+    add(
         PowerState.RRC_SIGNALLING,
         (np.where(is_da, episode - ra_base, 0.0) + rrc_setup_s) + tail,
     )
-    ledgers.add(PowerState.CONNECTED_WAIT, wait)
-    ledgers.add(PowerState.CONNECTED_RX, rx)
-    # group_seconds left-folds in STATE_ORDER, float-for-float the same
-    # sums a scalar UptimeLedger.totals produces.
-    light = ledgers.group_seconds(StateGroup.LIGHT_SLEEP)
-    connected = ledgers.group_seconds(StateGroup.CONNECTED)
-    ledgers.add(
-        PowerState.DEEP_SLEEP, np.maximum(0.0, (horizon_s - light) - connected)
-    )
-    return ledgers
+    add(PowerState.CONNECTED_WAIT, wait)
+    add(PowerState.CONNECTED_RX, rx)
+    light = _group_seconds(seconds, StateGroup.LIGHT_SLEEP)
+    connected = _group_seconds(seconds, StateGroup.CONNECTED)
+    add(PowerState.DEEP_SLEEP, np.maximum(0.0, (horizon_s - light) - connected))
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -145,96 +120,131 @@ class FleetSummary:
     energy_mj: float
 
 
-class CampaignResult:
-    """Everything measured from executing one plan on one fleet,
-    backed by its :class:`FleetOutcomes` columns; ``outcomes``
-    materialises the per-device row form lazily."""
+#: The columns of :class:`CampaignResult` and their dtypes.
+_COLUMNS = (
+    ("device", np.int64),
+    ("transmission", np.int64),
+    ("ready_s", np.float64),
+    ("wait_s", np.float64),
+    ("updated_s", np.float64),
+    ("seconds", np.float64),
+    ("actual_start_s", np.float64),
+)
 
-    def __init__(
-        self,
-        plan: MulticastPlan,
-        horizon_frames: int,
-        columnar: FleetOutcomes,
-        actual_start_s: Tuple[float, ...] = (),
-        energy_profile: EnergyProfile = DEFAULT_PROFILE,
-    ) -> None:
-        self.plan = plan
-        self.horizon_frames = horizon_frames
-        self.actual_start_s = tuple(actual_start_s)
-        self.energy_profile = energy_profile
-        self._outcomes: Optional[Tuple[DeviceOutcome, ...]] = None
-        self._columnar = columnar
-        self._fleet: Optional[FleetSummary] = None
+
+@dataclass(frozen=True, eq=False)
+class CampaignResult(ColumnTable, SequenceABC):
+    """Everything measured from executing one plan on one fleet, as a
+    frozen column table.
+
+    One row per device, sorted by ``device`` (the fleet index):
+    ``transmission`` is the plan transmission that served it,
+    ``ready_s`` when it was connected and ready for the data, ``wait_s``
+    its connected idle time until that transmission began and
+    ``updated_s`` when it finished receiving the payload. ``seconds``
+    is the ``(n_states, n)`` time per power state, one row per state in
+    :data:`STATE_ORDER`. ``actual_start_s`` holds one realised start per
+    plan transmission. Every column is read-only.
+
+    ``seconds`` is stored F-contiguous, the layout the columnar
+    executor's sort by device produces; the layout fixes the float
+    order of :meth:`energy_mj`'s matrix product, so every executor's
+    result sums energy bit for bit alike. A matrix already in that
+    layout is not copied. As a sequence, the rows read as
+    :class:`DeviceOutcome` views built on access (never cached).
+    """
+
+    device: np.ndarray
+    transmission: np.ndarray
+    ready_s: np.ndarray
+    wait_s: np.ndarray
+    updated_s: np.ndarray
+    seconds: np.ndarray
+    actual_start_s: np.ndarray
+    horizon_frames: int
+    mechanism: str
+    energy_profile: EnergyProfile = DEFAULT_PROFILE
+
+    def __post_init__(self) -> None:
+        n = np.asarray(self.device).size
+        for name, dtype in _COLUMNS:
+            # order="F" leaves a 1-D column contiguous and lays out the
+            # matrix F-contiguous, copying only what is not already so.
+            column = np.asarray(getattr(self, name), dtype=dtype, order="F")
+            expected = {
+                "seconds": (len(STATE_ORDER), n),
+                "actual_start_s": (column.size,),
+            }.get(name, (n,))
+            if column.shape != expected:
+                raise SimulationError(
+                    f"column {name!r} has shape {column.shape}, expected {expected}"
+                )
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "horizon_frames", int(self.horizon_frames))
 
     # ------------------------------------------------------------------
-    # Views
+    # The outcome-sequence view
     # ------------------------------------------------------------------
-    @property
-    def columnar(self) -> FleetOutcomes:
-        """The columnar backing."""
-        return self._columnar
+    def __len__(self) -> int:
+        return self.device.size
 
-    @property
-    def n_devices(self) -> int:
-        """Number of devices covered (without materialising outcomes)."""
-        return len(self._columnar)
-
-    @property
-    def outcomes(self) -> Tuple[DeviceOutcome, ...]:
-        """Per-device outcomes, sorted by device index.
-
-        Materialised (and cached) on first access; fleet summaries
-        never need this.
-        """
-        if self._outcomes is None:
-            self._outcomes = tuple(
-                self._columnar.outcome_at(i) for i in range(len(self._columnar))
-            )
-        return self._outcomes
-
-    @property
-    def mechanism(self) -> str:
-        """Name of the mechanism that produced the plan."""
-        return self.plan.mechanism
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        row = range(len(self))[index]
+        column = self.seconds[:, row].tolist()
+        return DeviceOutcome(
+            device_index=int(self.device[row]),
+            transmission_index=int(self.transmission[row]),
+            ledger=UptimeLedger(dict(zip(STATE_ORDER, column))),
+            ready_s=float(self.ready_s[row]),
+            wait_s=float(self.wait_s[row]),
+            updated_s=float(self.updated_s[row]),
+        )
 
     @property
     def n_transmissions(self) -> int:
         """The paper's bandwidth-utilisation proxy."""
-        return self.plan.n_transmissions
+        return self.actual_start_s.size
 
     # ------------------------------------------------------------------
-    # Fleet aggregates
+    # Reductions
     # ------------------------------------------------------------------
+    def group_seconds(self, group: StateGroup) -> np.ndarray:
+        """Per-device seconds across all states in ``group``."""
+        return _group_seconds(self.seconds, group)
+
+    def energy_mj(self) -> np.ndarray:
+        """Per-device energy in millijoules under the result's profile."""
+        powers = np.array(
+            [self.energy_profile.power_mw(state) for state in STATE_ORDER],
+            dtype=np.float64,
+        )
+        return powers @ self.seconds
+
     @property
     def fleet(self) -> FleetSummary:
-        """Fleet-level sums across all devices (cached), reduced with
-        array arithmetic."""
-        if self._fleet is None:
-            ledgers = self._columnar.ledgers
-            self._fleet = FleetSummary(
-                light_sleep_s=float(
-                    ledgers.group_seconds(StateGroup.LIGHT_SLEEP).sum()
-                ),
-                connected_s=float(
-                    ledgers.group_seconds(StateGroup.CONNECTED).sum()
-                ),
-                sleep_s=float(ledgers.group_seconds(StateGroup.SLEEP).sum()),
-                energy_mj=float(ledgers.energy_mj(self.energy_profile).sum()),
-            )
-        return self._fleet
+        """Fleet-level sums across all devices."""
+        return FleetSummary(
+            light_sleep_s=float(self.group_seconds(StateGroup.LIGHT_SLEEP).sum()),
+            connected_s=float(self.group_seconds(StateGroup.CONNECTED).sum()),
+            sleep_s=float(self.group_seconds(StateGroup.SLEEP).sum()),
+            energy_mj=float(self.energy_mj().sum()),
+        )
 
     @property
     def mean_wait_s(self) -> float:
         """Mean connected wait before the data started (~TI/2 for the
         windowed mechanisms, 0 for unicast)."""
-        if self.n_devices == 0:
+        if not len(self):
             raise SimulationError(
                 "mean_wait_s is undefined for a result with no outcomes"
             )
-        return float(self._columnar.wait_s.mean())
+        return float(self.wait_s.mean())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CampaignResult(mechanism={self.mechanism!r}, "
-            f"n={self.n_devices}, horizon={self.horizon_frames})"
+            f"n={len(self)}, horizon={self.horizon_frames})"
         )

@@ -28,14 +28,14 @@ from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
 from repro.devices.fleet import Fleet
 from repro.drx.paging import pattern_for
 from repro.drx.schedule import PoSchedule
-from repro.energy.ledger import LedgerArray, UptimeLedger
+from repro.energy.ledger import STATE_ORDER, UptimeLedger
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState
 from repro.errors import SimulationError
 from repro.rrc.procedures import ProcedureTimings
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
-from repro.sim.metrics import CampaignResult, FleetOutcomes
+from repro.sim.metrics import CampaignResult
 from repro.timebase import frame_after_seconds, frames_to_seconds
 
 #: TX_START must sort after CONNECTION_READY at the same instant.
@@ -133,23 +133,28 @@ class EventDrivenCampaign:
         actors = [self._devices[i] for i in columns.device[order].tolist()]
         for actor in actors:
             actor.finalise(horizon, horizon_s)
-        outcomes = FleetOutcomes(
-            device_indices=columns.device[order],
-            transmission_indices=columns.transmission[order],
-            ledgers=LedgerArray.from_ledgers([actor.ledger for actor in actors]),
+        seconds = np.array(
+            [
+                [actor.ledger.seconds_in(state) for state in STATE_ORDER]
+                for actor in actors
+            ],
+            dtype=np.float64,
+        ).reshape(len(actors), len(STATE_ORDER))
+        return CampaignResult(
+            device=columns.device[order],
+            transmission=columns.transmission[order],
             ready_s=np.array([actor.ready_s for actor in actors], dtype=np.float64),
             wait_s=np.array([actor.wait_s for actor in actors], dtype=np.float64),
             updated_s=np.array(
                 [actor.updated_s for actor in actors], dtype=np.float64
             ),
-        )
-        return CampaignResult(
-            plan=self._plan,
-            horizon_frames=horizon,
-            columnar=outcomes,
-            actual_start_s=tuple(
-                self._gates[index].start_s for index in sorted(self._gates)
+            seconds=seconds.T,
+            actual_start_s=np.array(
+                [self._gates[index].start_s for index in sorted(self._gates)],
+                dtype=np.float64,
             ),
+            horizon_frames=horizon,
+            mechanism=self._plan.mechanism,
             energy_profile=self._profile,
         )
 

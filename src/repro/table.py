@@ -1,9 +1,10 @@
 """Value semantics shared by the frozen column tables.
 
-A column table is a frozen dataclass whose compared fields are
-equal-length NumPy columns: the fleet (:class:`~repro.devices.fleet.Fleet`)
-and a plan's directives and transmissions
-(:mod:`repro.core.plan`).
+A column table is a frozen dataclass whose compared fields are NumPy
+columns, plus any scalars that describe the whole table: the fleet
+(:class:`~repro.devices.fleet.Fleet`), a plan's directives and
+transmissions (:mod:`repro.core.plan`) and a campaign's outcomes
+(:class:`~repro.sim.metrics.CampaignResult`).
 """
 
 from __future__ import annotations
@@ -24,30 +25,34 @@ def _canonical(column: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(column), np.nan, column + 0.0)
 
 
+def _same(mine: object, theirs: object) -> bool:
+    if not isinstance(mine, np.ndarray):
+        return bool(mine == theirs)
+    return np.array_equal(mine, theirs, equal_nan=mine.dtype.kind == "f")
+
+
 class ColumnTable:
     """Value semantics of a frozen column table.
 
-    Tables compare and hash by the values of their compared fields (the
-    columns; NaN equals NaN in float columns), and unpickle by re-running
-    the constructor, so columns come back checked and read-only, without
-    the lazy caches.
+    Tables compare by the values of their compared fields (columns by
+    value, NaN equal to NaN in float columns; scalar fields with
+    ``==``) and hash by their columns, so equal tables hash equal. They
+    unpickle by re-running the constructor, so columns come back
+    checked and read-only, without the lazy caches.
     """
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
         return all(
-            np.array_equal(
-                mine := getattr(self, f.name),
-                getattr(other, f.name),
-                equal_nan=mine.dtype.kind == "f",
-            )
+            _same(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self)
             if f.compare
         )
 
     def __hash__(self) -> int:
-        columns = (getattr(self, f.name) for f in fields(self) if f.compare)
+        values = (getattr(self, f.name) for f in fields(self) if f.compare)
+        columns = (value for value in values if isinstance(value, np.ndarray))
         return hash(tuple(_canonical(column).tobytes() for column in columns))
 
     def __reduce__(self):

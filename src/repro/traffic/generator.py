@@ -33,10 +33,6 @@ _IMSI_RANGE = 10_000_000
 #: 10^6 devices).
 _DIRECT_DRAW_MAX = 100_000
 
-#: ``sample_imsis`` draw strategies (``auto`` picks by fleet size).
-IMSI_SAMPLER_METHODS = ("auto", "direct", "rejection")
-
-
 def _rejection_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     """O(n) without-replacement draw of ``n`` values from the IMSI pool.
 
@@ -67,35 +63,23 @@ def _rejection_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def sample_imsis(
-    n: int, rng: np.random.Generator, *, method: str = "auto"
-) -> np.ndarray:
+def sample_imsis(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` distinct IMSIs without replacement from the pool.
 
-    ``method="direct"`` is the historical ``Generator.choice`` draw
-    (the stream the golden pins were recorded under);
-    ``method="rejection"`` is the O(n) batched rejection sampler used
-    for fleets beyond any pinned size; ``method="auto"`` (the default)
-    selects by fleet size at the :data:`_DIRECT_DRAW_MAX` threshold, so
-    every golden-covered size keeps its exact stream while 10^6-device
-    fleets sample in O(n). Both methods guarantee the returned IMSIs
-    are unique, in range, and exactly ``n`` strong — the fleet
-    constructors trust this instead of rescanning the column.
+    Fleets up to :data:`_DIRECT_DRAW_MAX` devices take the historical
+    ``Generator.choice`` draw (the stream the golden pins were recorded
+    under), so every golden-covered size keeps its exact stream; larger
+    fleets take the O(n) batched rejection sampler. Either way the
+    returned IMSIs are unique, in range, and exactly ``n`` strong — the
+    fleet constructors trust this instead of rescanning the column.
     """
-    if method not in IMSI_SAMPLER_METHODS:
-        raise ConfigurationError(
-            f"IMSI sampler method must be one of {IMSI_SAMPLER_METHODS}, "
-            f"got {method!r}"
-        )
     if n < 1:
         raise ConfigurationError(f"fleet size must be >= 1, got {n}")
     if n > _IMSI_RANGE:
         raise ConfigurationError(
             f"fleet size {n} exceeds the IMSI pool ({_IMSI_RANGE})"
         )
-    if method == "auto":
-        method = "direct" if n <= _DIRECT_DRAW_MAX else "rejection"
-    if method == "direct":
+    if n <= _DIRECT_DRAW_MAX:
         drawn = np.asarray(
             rng.choice(_IMSI_RANGE, size=n, replace=False), dtype=np.int64
         )

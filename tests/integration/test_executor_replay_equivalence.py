@@ -45,8 +45,8 @@ def _compare(fleet, plan, horizon=None):
         horizon_frames=analytic.horizon_frames
     )
     assert replay.horizon_frames == analytic.horizon_frames
-    assert len(replay.outcomes) == len(analytic.outcomes)
-    for a, b in zip(analytic.outcomes, replay.outcomes):
+    assert len(replay) == len(analytic)
+    for a, b in zip(analytic, replay):
         assert a.device_index == b.device_index
         assert b.ready_s == pytest.approx(a.ready_s, abs=1e-9)
         assert b.wait_s == pytest.approx(a.wait_s, abs=1e-9)

@@ -53,10 +53,10 @@ class TestRachContention:
         result = CampaignExecutor(timings=lossy_timings).execute(
             fleet, plan, rng=np.random.default_rng(2)
         )
-        assert len(result.outcomes) == len(fleet)
+        assert len(result) == len(fleet)
         nominal_start = plan.transmissions[0].frame * 0.010
         assert result.actual_start_s[0] >= nominal_start
-        for outcome in result.outcomes:
+        for outcome in result:
             assert outcome.updated_s >= nominal_start
 
     def test_collision_probability_one_not_allowed(self):

@@ -88,18 +88,18 @@ class TestRecordedRunTotals:
         )
         assert drsc_run.metrics["transmissions"] >= len(results)
         assert drsc_run.metrics["n_cells"] == len(results)
-        assert sum(result.n_devices for result in results) == 160
+        assert sum(len(result) for result in results) == 160
 
     def test_totals_aggregate_cells(self, drsc_run):
         results = self._cell_results(drsc_run)
         metrics = drsc_run.metrics
         expected_wait = sum(
-            result.mean_wait_s * result.n_devices for result in results
+            result.mean_wait_s * len(result) for result in results
         ) / 160
         assert metrics["mean_wait_s"] == pytest.approx(expected_wait)
         # No group outgrows the largest cell it was planned in.
         assert 1 <= metrics["largest_group"] <= max(
-            result.n_devices for result in results
+            len(result) for result in results
         )
         for name in ("energy_mj", "light_sleep_s", "connected_s"):
             total = sum(getattr(result.fleet, name) for result in results)

@@ -98,8 +98,8 @@ class TestExecutionPathEquivalence:
             rng=np.random.default_rng(1),
         )
         assert replay.horizon_frames == columnar.horizon_frames
-        assert len(replay.outcomes) == len(columnar.outcomes) == len(fleet)
-        for a, b in zip(columnar.outcomes, replay.outcomes):
+        assert len(replay) == len(columnar) == len(fleet)
+        for a, b in zip(columnar, replay):
             assert a.device_index == b.device_index
             assert b.ready_s == pytest.approx(a.ready_s, abs=1e-9)
             assert b.wait_s == pytest.approx(a.wait_s, abs=1e-9)

@@ -54,7 +54,7 @@ class TestExecutionInvariants:
             plan = mechanism_cls().plan(fleet, context, rng)
             result = executor.execute(fleet, plan)
             horizon_s = result.horizon_frames * 0.010
-            for outcome in result.outcomes:
+            for outcome in result:
                 totals = outcome.totals
                 full = totals.light_sleep_s + totals.connected_s + totals.sleep_s
                 assert abs(full - horizon_s) < 1e-6
@@ -106,7 +106,7 @@ class TestExecutionInvariants:
         for mechanism_cls in (DaScMechanism, DrSiMechanism):
             plan = mechanism_cls().plan(fleet, context, rng)
             result = executor.execute(fleet, plan)
-            finish_times = {o.updated_s for o in result.outcomes}
+            finish_times = {o.updated_s for o in result}
             assert len(finish_times) == 1
 
     @given(fleets(), st.integers(min_value=0, max_value=2**31 - 1))

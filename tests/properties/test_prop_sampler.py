@@ -5,9 +5,10 @@ sample_imsis` instead of rescanning the column for duplicates (the
 validate-once half of the trust-the-creator contract), so the sampler's
 guarantees — exactly ``n`` IMSIs, all distinct, all inside the operator
 range — are load-bearing for every downstream fleet. Hypothesis drives
-both strategies (the historical direct draw and the O(n) batched
-rejection sampler) across sizes up to 10^5 and asserts the guarantees
-plus the threshold and determinism contracts.
+both draws (the historical direct draw ``sample_imsis`` takes up to
+``_DIRECT_DRAW_MAX`` devices, and the O(n) batched rejection sampler
+``_rejection_sample`` it takes beyond) across sizes up to 10^5 and
+asserts the guarantees plus the threshold and determinism contracts.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from repro.traffic.generator import (
     _DIRECT_DRAW_MAX,
     _IMSI_BASE,
     _IMSI_RANGE,
-    IMSI_SAMPLER_METHODS,
+    _rejection_sample,
     sample_imsis,
 )
 
@@ -36,7 +37,7 @@ _SIZES = st.one_of(
 @settings(max_examples=30, deadline=None)
 @given(n=_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_direct_draw_unique_in_range_exact(n, seed):
-    imsis = sample_imsis(n, np.random.default_rng(seed), method="direct")
+    imsis = sample_imsis(n, np.random.default_rng(seed))
     assert imsis.shape == (n,) and imsis.dtype == np.int64
     assert np.unique(imsis).size == n
     assert imsis.min() >= _IMSI_BASE
@@ -46,7 +47,7 @@ def test_direct_draw_unique_in_range_exact(n, seed):
 @settings(max_examples=30, deadline=None)
 @given(n=_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_rejection_draw_unique_in_range_exact(n, seed):
-    imsis = sample_imsis(n, np.random.default_rng(seed), method="rejection")
+    imsis = _rejection_sample(n, np.random.default_rng(seed)) + _IMSI_BASE
     assert imsis.shape == (n,) and imsis.dtype == np.int64
     assert np.unique(imsis).size == n
     assert imsis.min() >= _IMSI_BASE
@@ -56,8 +57,8 @@ def test_rejection_draw_unique_in_range_exact(n, seed):
 @settings(max_examples=20, deadline=None)
 @given(n=_SIZES, seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_rejection_is_deterministic_per_stream(n, seed):
-    first = sample_imsis(n, np.random.default_rng(seed), method="rejection")
-    second = sample_imsis(n, np.random.default_rng(seed), method="rejection")
+    first = _rejection_sample(n, np.random.default_rng(seed))
+    second = _rejection_sample(n, np.random.default_rng(seed))
     assert np.array_equal(first, second)
 
 
@@ -69,16 +70,15 @@ def test_rejection_is_deterministic_per_stream(n, seed):
 def test_auto_is_direct_below_threshold(n, seed):
     """Every golden-pinned fleet size keeps the historical stream."""
     auto = sample_imsis(n, np.random.default_rng(seed))
-    direct = sample_imsis(n, np.random.default_rng(seed), method="direct")
+    rng = np.random.default_rng(seed)
+    direct = rng.choice(_IMSI_RANGE, size=n, replace=False) + _IMSI_BASE
     assert np.array_equal(auto, direct)
 
 
 def test_auto_is_rejection_above_threshold():
     n = _DIRECT_DRAW_MAX + 1
     auto = sample_imsis(n, np.random.default_rng(11))
-    rejection = sample_imsis(
-        n, np.random.default_rng(11), method="rejection"
-    )
+    rejection = _rejection_sample(n, np.random.default_rng(11)) + _IMSI_BASE
     assert np.array_equal(auto, rejection)
     assert np.unique(auto).size == n
 
@@ -89,6 +89,3 @@ def test_sampler_rejects_bad_inputs():
         sample_imsis(0, rng)
     with pytest.raises(ConfigurationError):
         sample_imsis(_IMSI_RANGE + 1, rng)
-    with pytest.raises(ConfigurationError):
-        sample_imsis(10, rng, method="bogus")
-    assert set(IMSI_SAMPLER_METHODS) == {"auto", "direct", "rejection"}

@@ -1,13 +1,14 @@
 """Value semantics of the frozen column tables (:mod:`repro.table`).
 
-The fleet and the plan's directive table share one rule: they compare
-and hash by their column values (NaN equal to NaN in float columns) and
+The fleet, the plan's directive table and the campaign outcome table
+share one rule: they compare by their column values (NaN equal to NaN
+in float columns) and scalar fields, hash by their columns, and
 unpickle by re-running their constructor, so a pickle is checked and
 its columns come back read-only.
 """
 
 import pickle
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ import pytest
 from repro.core.plan import PLAN_COLUMNS, PlanArrays
 from repro.devices import Fleet
 from repro.devices.fleet import COLUMN_NAMES
-from repro.errors import FleetError, PlanError
+from repro.energy.ledger import STATE_ORDER
+from repro.energy.profiles import EnergyProfile
+from repro.errors import FleetError, PlanError, SimulationError
+from repro.sim.metrics import CampaignResult
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 
@@ -31,6 +35,20 @@ def _plan(page_frame=(1, 2, 3)):
         method=[0, 0, 0],
         page_frame=list(page_frame),
         connect_frame=[4, 5, 6],
+    )
+
+
+def _result(n=3):
+    return CampaignResult(
+        device=np.arange(n),
+        transmission=np.zeros(n, dtype=np.int64),
+        ready_s=np.full(n, 1.0),
+        wait_s=np.full(n, 2.0),
+        updated_s=np.full(n, 3.0),
+        seconds=np.ones((len(STATE_ORDER), n)),
+        actual_start_s=np.array([2.5]),
+        horizon_frames=400,
+        mechanism="DR-SC",
     )
 
 
@@ -69,6 +87,18 @@ class TestEquality:
         assert fleet == _with(fleet, battery_capacity_mah=np.full(len(fleet), np.nan))
         charged = _with(fleet, battery_capacity_mah=np.full(len(fleet), 1200.0))
         assert charged != fleet
+
+    def test_scalar_fields_compare(self):
+        result = _result()
+        assert replace(result) == result
+        assert replace(result, horizon_frames=401) != result
+        assert replace(result, mechanism="DA-SC") != result
+        profile = result.energy_profile
+        louder = EnergyProfile(
+            profile.name, profile.voltage_v * 2, dict(profile.current_ma)
+        )
+        assert replace(result, energy_profile=louder) != result
+        assert hash(replace(result, horizon_frames=401)) == hash(result)
 
     def test_other_types_never_compare_equal(self):
         fleet = _fleet(3)
@@ -120,6 +150,20 @@ class TestPickle:
         assert clone == _plan()
         for name in PLAN_COLUMNS:
             assert not getattr(clone, name).flags.writeable, name
+
+    def test_result_pickle_round_trips_read_only(self):
+        clone = pickle.loads(pickle.dumps(_result()))
+        assert clone == _result()
+        assert not clone.seconds.flags.writeable
+        assert clone.seconds.flags.f_contiguous
+
+    def test_forged_result_pickle_is_rejected(self):
+        _, args = _result().__reduce__()
+        args = list(args)
+        args[3] = args[3][:2]  # wait_s one row short
+        payload = pickle.dumps(_Forged(CampaignResult, tuple(args)))
+        with pytest.raises(SimulationError, match="wait_s"):
+            pickle.loads(payload)
 
     def test_forged_plan_pickle_is_rejected(self):
         plan = _plan()

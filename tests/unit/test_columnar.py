@@ -1,12 +1,16 @@
-"""Unit tests for the columnar executor path, LedgerArray and metrics.
+"""Unit tests for the columnar executor path and the outcome table.
 
 The vectorised executor must reproduce the event-driven replay
 (:class:`~repro.sim.replay.EventDrivenCampaign`, its independent
 oracle) within 1e-9 per device and per power state. Also covers the
-random-access draw order under contention, the columnar CampaignResult
-surface (lazy outcomes, array reductions) and the empty-result
-mean_wait_s guard.
+random-access draw order under contention, the CampaignResult table
+(row views built on access, read-only columns, value semantics, the
+seconds layout, array reductions) and the empty-result mean_wait_s
+guard.
 """
+
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,13 +23,13 @@ from repro.core import (
 )
 from repro.core.base import PlanningContext
 from repro.core.plan import WakeMethod
-from repro.energy.ledger import STATE_ORDER, LedgerArray, UptimeLedger
+from repro.energy.ledger import STATE_INDEX, STATE_ORDER
 from repro.energy.states import PowerState, StateGroup
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.eventlog import EventLogRecorder
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
-from repro.sim.metrics import FleetOutcomes
+from repro.sim.metrics import CampaignResult, fold_ledgers
 from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
@@ -35,11 +39,11 @@ MECHANISMS = [DrScMechanism, DaScMechanism, DrSiMechanism, UnicastBaseline]
 
 def _assert_results_equivalent(reference, columnar, atol=1e-9):
     assert columnar.horizon_frames == reference.horizon_frames
-    assert columnar.n_devices == reference.n_devices
+    assert len(columnar) == len(reference)
     np.testing.assert_allclose(
         columnar.actual_start_s, reference.actual_start_s, atol=atol
     )
-    for ref, col in zip(reference.outcomes, columnar.outcomes):
+    for ref, col in zip(reference, columnar):
         assert col.device_index == ref.device_index
         assert col.transmission_index == ref.transmission_index
         assert col.ready_s == pytest.approx(ref.ready_s, abs=atol)
@@ -151,70 +155,142 @@ class TestColumnarEquivalence:
             assert row["a"] == episodes[int(row["device"])]
 
 
+def _table(seconds):
+    """A result of ``seconds.shape[1]`` devices holding ``seconds``."""
+    n = seconds.shape[1]
+    return CampaignResult(
+        device=np.arange(n),
+        transmission=np.zeros(n, dtype=np.int64),
+        ready_s=np.zeros(n),
+        wait_s=np.zeros(n),
+        updated_s=np.ones(n),
+        seconds=seconds,
+        actual_start_s=np.zeros(1),
+        horizon_frames=100,
+        mechanism="test",
+    )
+
+
 class TestColumnarResultSurface:
     def test_outcomes_materialise_lazily_and_sorted(self, moderate_fleet, context):
         plan = DrScMechanism().plan(moderate_fleet, context)
         result = CampaignExecutor().execute(moderate_fleet, plan)
-        indices = [outcome.device_index for outcome in result.outcomes]
+        indices = [outcome.device_index for outcome in result]
         assert indices == sorted(indices) == list(range(len(moderate_fleet)))
-        assert result.outcomes is result.outcomes  # cached after first access
+        assert result[0] is not result[0]  # built on access, never cached
+        assert [o.device_index for o in result[1:3]] == [1, 2]
 
     def test_mean_wait_requires_outcomes(self, moderate_fleet, context):
         plan = UnicastBaseline().plan(moderate_fleet, context)
         result = CampaignExecutor().execute(moderate_fleet, plan)
         nothing = np.empty(0, dtype=np.int64)
-        empty = type(result)(
-            plan=plan,
-            horizon_frames=result.horizon_frames,
-            columnar=FleetOutcomes(
-                device_indices=nothing,
-                transmission_indices=nothing,
-                ledgers=LedgerArray(0),
-                ready_s=np.empty(0),
-                wait_s=np.empty(0),
-                updated_s=np.empty(0),
-            ),
-            actual_start_s=result.actual_start_s,
+        empty = replace(
+            result,
+            device=nothing,
+            transmission=nothing,
+            ready_s=np.empty(0),
+            wait_s=np.empty(0),
+            updated_s=np.empty(0),
+            seconds=np.zeros((len(STATE_ORDER), 0)),
         )
+        assert len(empty) == 0
         with pytest.raises(SimulationError):
             empty.mean_wait_s
 
+    def test_columns_are_read_only(self, moderate_fleet, context):
+        plan = DaScMechanism().plan(moderate_fleet, context)
+        result = CampaignExecutor().execute(moderate_fleet, plan)
+        for name in (
+            "device", "transmission", "ready_s", "wait_s", "updated_s",
+            "seconds", "actual_start_s",
+        ):
+            column = getattr(result, name)
+            assert not column.flags.writeable, name
+        with pytest.raises(ValueError):
+            result.seconds[0, 0] += 1.0
+        with pytest.raises(ValueError):
+            result.actual_start_s[0] = 0.0
 
-class TestLedgerArray:
-    def test_add_and_group_reductions(self):
-        ledgers = LedgerArray(3)
-        ledgers.add(PowerState.PO_MONITOR, np.array([1.0, 2.0, 3.0]))
-        ledgers.add(PowerState.CONNECTED_RX, np.array([0.5, 0.0, 1.5]))
+    def test_two_executions_compare_and_hash_equal(self, moderate_fleet, context):
+        plan = DaScMechanism().plan(moderate_fleet, context)
+        first = CampaignExecutor().execute(moderate_fleet, plan)
+        second = CampaignExecutor().execute(moderate_fleet, plan)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        longer = CampaignExecutor().execute(
+            moderate_fleet, plan, horizon_frames=first.horizon_frames + 1
+        )
+        assert longer != first
+
+    def test_pickle_round_trip_is_equal_and_read_only(self, moderate_fleet, context):
+        plan = DrScMechanism().plan(moderate_fleet, context)
+        result = CampaignExecutor().execute(moderate_fleet, plan)
+        restored = pickle.loads(pickle.dumps(result))
+        assert restored == result
+        assert not restored.seconds.flags.writeable
+        assert not restored.wait_s.flags.writeable
+        assert restored.seconds.flags.f_contiguous
+        assert restored.fleet == result.fleet
+
+    def test_seconds_stored_f_contiguous_without_copy(self):
+        matrix = np.asfortranarray(np.ones((len(STATE_ORDER), 3)))
+        assert _table(matrix).seconds is matrix
+        c_layout = np.ones((len(STATE_ORDER), 3))
+        stored = _table(c_layout).seconds
+        assert stored.flags.f_contiguous
+        assert np.array_equal(stored, c_layout)
+
+    def test_constructor_checks_column_lengths(self):
+        with pytest.raises(SimulationError, match="seconds"):
+            _table(np.ones((len(STATE_ORDER) - 1, 3)))
+        with pytest.raises(SimulationError, match="wait_s"):
+            replace(_table(np.ones((len(STATE_ORDER), 3))), wait_s=np.zeros(2))
+
+
+class TestOutcomeReductions:
+    def test_group_reductions(self):
+        seconds = np.zeros((len(STATE_ORDER), 3))
+        seconds[STATE_INDEX[PowerState.PO_MONITOR]] = [1.0, 2.0, 3.0]
+        seconds[STATE_INDEX[PowerState.CONNECTED_RX]] = [0.5, 0.0, 1.5]
+        result = _table(seconds)
         np.testing.assert_allclose(
-            ledgers.group_seconds(StateGroup.LIGHT_SLEEP), [1.0, 2.0, 3.0]
+            result.group_seconds(StateGroup.LIGHT_SLEEP), [1.0, 2.0, 3.0]
         )
         np.testing.assert_allclose(
-            ledgers.group_seconds(StateGroup.CONNECTED), [0.5, 0.0, 1.5]
+            result.group_seconds(StateGroup.CONNECTED), [0.5, 0.0, 1.5]
         )
+        assert result.fleet.light_sleep_s == pytest.approx(6.0)
+        assert result.fleet.connected_s == pytest.approx(2.0)
 
-    def test_negative_add_rejected(self):
-        ledgers = LedgerArray(2)
+    def test_negative_fold_rejected(self):
+        zeros = np.zeros(2)
         with pytest.raises(ConfigurationError):
-            ledgers.add(PowerState.PO_MONITOR, np.array([1.0, -0.1]))
-
-    def test_energy_matches_scalar_ledger(self):
-        rng = np.random.default_rng(0)
-        ledgers = LedgerArray(4)
-        for state in STATE_ORDER:
-            ledgers.add(state, rng.random(4))
-        for column in range(4):
-            scalar: UptimeLedger = ledgers.ledger_at(column)
-            assert ledgers.energy_mj()[column] == pytest.approx(
-                scalar.energy_mj(), rel=1e-12
+            fold_ledgers(
+                10.0,
+                po_count=zeros, po_monitor_s=0.01,
+                page_rx=zeros, paging_message_s=0.01,
+                is_da=np.zeros(2, dtype=bool), ra_base=zeros, episode=zeros,
+                main_ra=zeros, rrc_setup_s=0.1, tail=zeros,
+                wait=np.array([1.0, -0.1]), rx=zeros,
             )
 
-    def test_take_permutes_columns(self):
-        ledgers = LedgerArray(3)
-        ledgers.add(PowerState.PAGING_RX, np.array([1.0, 2.0, 3.0]))
-        picked = ledgers.take(np.array([2, 0]))
-        np.testing.assert_allclose(
-            picked.seconds_in(PowerState.PAGING_RX), [3.0, 1.0]
-        )
+    def test_energy_matches_scalar_ledger(self):
+        result = _table(np.random.default_rng(0).random((len(STATE_ORDER), 4)))
+        energy = result.energy_mj()
+        for column in range(4):
+            assert energy[column] == pytest.approx(
+                result[column].ledger.energy_mj(), rel=1e-12
+            )
+        assert result.fleet.energy_mj == float(energy.sum())
+
+    def test_rows_read_their_own_columns(self):
+        seconds = np.zeros((len(STATE_ORDER), 3))
+        seconds[STATE_INDEX[PowerState.PAGING_RX]] = [1.0, 2.0, 3.0]
+        result = _table(seconds)
+        assert [
+            o.ledger.seconds_in(PowerState.PAGING_RX) for o in result[::-1]
+        ] == [3.0, 2.0, 1.0]
 
 
 class TestFleetColumnarViews:

@@ -80,22 +80,7 @@ class TestLedger:
         with pytest.raises(ConfigurationError):
             UptimeLedger().add(PowerState.PO_MONITOR, -0.1)
 
-    def test_merge(self):
-        a = UptimeLedger({PowerState.PO_MONITOR: 1.0})
-        b = UptimeLedger({PowerState.PO_MONITOR: 2.0, PowerState.CONNECTED_RX: 1.0})
-        merged = a.merged_with(b)
-        assert merged.seconds_in(PowerState.PO_MONITOR) == pytest.approx(3.0)
-        assert merged.seconds_in(PowerState.CONNECTED_RX) == pytest.approx(1.0)
-        # Originals untouched.
-        assert a.seconds_in(PowerState.PO_MONITOR) == pytest.approx(1.0)
-
     def test_energy_uses_profile(self):
         ledger = UptimeLedger({PowerState.CONNECTED_RX: 2.0})
         expected = DEFAULT_PROFILE.energy_mj(PowerState.CONNECTED_RX, 2.0)
         assert ledger.energy_mj() == pytest.approx(expected)
-
-    def test_as_dict_is_copy(self):
-        ledger = UptimeLedger()
-        d = ledger.as_dict()
-        d[PowerState.PO_MONITOR] = 99.0
-        assert ledger.seconds_in(PowerState.PO_MONITOR) == 0.0

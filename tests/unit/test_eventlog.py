@@ -1,6 +1,7 @@
 """Unit tests for the columnar event log (record / STRICT replay / diff)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -137,12 +138,28 @@ class TestStrictReplay:
         rebuilt = replay_strict(log)
         assert compare_results(result, rebuilt) == []
 
-    def test_rebuilt_plan_summary_duck_types(self):
+    @pytest.mark.parametrize("event_driven", [False, True])
+    def test_rebuild_equals_live_result(self, event_driven):
+        result, log = _recorded_campaign(event_driven=event_driven)
+        rebuilt = replay_strict(log)
+        assert rebuilt == result
+        assert hash(rebuilt) == hash(result)
+        assert rebuilt.fleet == result.fleet
+
+    def test_rebuilt_scalars_match(self):
         result, log = _recorded_campaign()
         rebuilt = replay_strict(log)
-        assert rebuilt.plan.mechanism == result.plan.mechanism
+        assert rebuilt.mechanism == result.mechanism
         assert rebuilt.n_transmissions == result.n_transmissions
-        assert rebuilt.plan.payload_bytes == result.plan.payload_bytes
+        assert rebuilt.energy_profile == result.energy_profile
+
+    def test_rebuilt_columns_are_read_only(self):
+        _, log = _recorded_campaign()
+        rebuilt = replay_strict(log)
+        with pytest.raises(ValueError):
+            rebuilt.seconds[0, 0] += 1.0
+        with pytest.raises(ValueError):
+            rebuilt.wait_s[2] += 0.5
 
     def test_missing_meta_raises(self):
         _, log = _recorded_campaign()
@@ -211,15 +228,34 @@ class TestCompareResults:
     def test_detects_tampered_ledger(self):
         result, log = _recorded_campaign()
         rebuilt = replay_strict(log)
-        rebuilt.columnar.ledgers.seconds[0, 0] += 1.0
-        findings = compare_results(result, rebuilt)
-        assert findings and "ledger" in findings[0]
+        seconds = rebuilt.seconds.copy()
+        seconds[0, 0] += 1.0
+        tampered = replace(rebuilt, seconds=seconds)
+        assert compare_results(result, tampered) == [
+            "seconds differs on 1 entries"
+        ]
+        assert tampered != result
 
     def test_detects_tampered_wait(self):
         result, log = _recorded_campaign()
         rebuilt = replay_strict(log)
-        rebuilt.columnar.wait_s[2] += 0.5
-        assert any("wait_s" in f for f in compare_results(result, rebuilt))
+        wait = rebuilt.wait_s.copy()
+        wait[2] += 0.5
+        findings = compare_results(result, replace(rebuilt, wait_s=wait))
+        assert findings == ["wait_s differs on 1 entries"]
+
+    def test_detects_scalar_and_shape_drift(self):
+        result, log = _recorded_campaign()
+        rebuilt = replay_strict(log)
+        drifted = replace(
+            rebuilt,
+            horizon_frames=rebuilt.horizon_frames + 1,
+            actual_start_s=rebuilt.actual_start_s[:-1],
+        )
+        findings = compare_results(result, drifted)
+        assert len(findings) == 2
+        assert findings[0].startswith("actual_start_s has shape")
+        assert findings[1].startswith("horizon_frames")
 
 
 class TestDiff:

@@ -90,7 +90,7 @@ class TestStagedPipeline:
         report = service.complete(pending, rng=rng)
         # The final fleet is compacted: one device fewer, full coverage.
         assert len(report.plan.directives) == len(small_fleet) - 1
-        assert len(report.result.outcomes) == len(small_fleet) - 1
+        assert len(report.result) == len(small_fleet) - 1
         assert not report.paging.has_overflow
 
     def test_double_leave_rejected(self, small_fleet, rng):

@@ -32,15 +32,15 @@ class TestExecutor:
     def test_unicast_no_wait(self, moderate_fleet, context, rng):
         plan = UnicastBaseline().plan(moderate_fleet, context, rng)
         result = CampaignExecutor().execute(moderate_fleet, plan)
-        for outcome in result.outcomes:
+        for outcome in result:
             assert outcome.wait_s == pytest.approx(0.0, abs=1e-9)
 
     def test_all_devices_updated(self, moderate_fleet, context, rng):
         for mechanism in (DrScMechanism(), DaScMechanism(), DrSiMechanism()):
             plan = mechanism.plan(moderate_fleet, context, rng)
             result = CampaignExecutor().execute(moderate_fleet, plan)
-            assert len(result.outcomes) == len(moderate_fleet)
-            for outcome in result.outcomes:
+            assert len(result) == len(moderate_fleet)
+            for outcome in result:
                 assert outcome.updated_s > 0
 
     def test_waits_bounded_by_ti(self, moderate_fleet, context, rng):
@@ -48,7 +48,7 @@ class TestExecutor:
         plan = DrSiMechanism().plan(moderate_fleet, context, rng)
         result = CampaignExecutor().execute(moderate_fleet, plan)
         ti_s = context.inactivity_timer_frames * 0.010
-        for outcome in result.outcomes:
+        for outcome in result:
             assert outcome.wait_s <= ti_s + 5.0
 
     def test_horizon_override_extends_po_monitoring(
@@ -80,7 +80,7 @@ class TestExecutor:
             if d.method is WakeMethod.DRX_ADAPTATION
         }
         assert adapted, "fixture fleet should need adaptations"
-        for outcome in result.outcomes:
+        for outcome in result:
             ra = outcome.ledger.seconds_in(PowerState.RANDOM_ACCESS)
             if outcome.device_index in adapted:
                 assert ra == pytest.approx(2 * 0.35)  # two RA procedures
@@ -91,7 +91,7 @@ class TestExecutor:
         plan = UnicastBaseline().plan(moderate_fleet, context, rng)
         result = CampaignExecutor().execute(moderate_fleet, plan)
         horizon_s = result.horizon_frames * 0.010
-        for outcome in result.outcomes:
+        for outcome in result:
             totals = outcome.ledger.totals
             total = totals.light_sleep_s + totals.connected_s + totals.sleep_s
             assert total == pytest.approx(horizon_s, rel=1e-6)
