@@ -48,9 +48,16 @@ class UptimeTotals:
 
 
 class UptimeLedger:
-    """Mutable per-device accumulator of time spent in each power state."""
+    """Mutable per-device accumulator of time spent in each power state.
+
+    Two ledgers are equal when they hold the same seconds in every
+    state, so result rows (which hold one) compare by value. Being
+    mutable, a ledger is not hashable.
+    """
 
     __slots__ = ("_seconds",)
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, seconds: Optional[Mapping[PowerState, float]] = None) -> None:
         self._seconds: Dict[PowerState, float] = {state: 0.0 for state in PowerState}
@@ -93,6 +100,11 @@ class UptimeLedger:
             profile.energy_mj(state, seconds)
             for state, seconds in self._seconds.items()
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, UptimeLedger):
+            return NotImplemented
+        return self._seconds == other._seconds
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         totals = self.totals

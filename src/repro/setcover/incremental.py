@@ -7,16 +7,18 @@ sweep events for the shrunken fleet on every round. The incremental
 sweep keeps one state for the whole cover and consumes it selection by
 selection. A device lives in one of two representations:
 
-* **explicit** — its covering intervals, built and sorted once. With at
-  least :data:`BLOCKED_MIN_DEVICES` explicit devices they become a count
-  per distinct event position in ``sqrt``-sized blocks that know their
-  maximum (:class:`_BlockedCounts`): a selection subtracts the covered
-  devices' intervals from the positions they span and refreshes only
-  the blocks it touched, so a round costs what it removes. Fewer
-  devices keep one sorted event list (:class:`_CompactedEvents`) whose
-  covered events are compacted away, the next round's count being a
-  running sum over the survivors; there a round's few numpy calls cost
-  less than the blocked round's many;
+* **explicit** — its covering intervals, built and sorted once into one
+  table (:class:`_Intervals`: an owner-indexed CSR and a start-ordered
+  stab table) that the explicit count reads. With at least
+  :data:`BLOCKED_MIN_DEVICES` explicit devices the count is kept per
+  distinct event position in ``sqrt``-sized blocks that know their
+  maximum (:class:`_BlockedCounts`): removing devices subtracts their
+  intervals from the positions they span and refreshes only the blocks
+  it touched, so it costs what it removes. Fewer devices keep one
+  sorted event list (:class:`_CompactedEvents`) whose dead events are
+  compacted away, the count being a running sum over the survivors;
+  there a removal's few numpy calls cost less than the blocked one's
+  many;
 * **folded** — for a DRX period with many POs in the horizon, one
   interval per PO is wasteful: every window start ``s`` in
   ``[hs, he - L]`` lies inside the horizon, so a device of period
@@ -46,6 +48,20 @@ for some folded ``P >= L``. Because maxima, candidate counts and
 candidate order equal the reference's, every selection and every
 ``rng.integers`` draw is *identical*, not merely equivalent.
 
+Once no folded period is left (most rounds: 6,794 of city-rollout's
+6,873 at 5*10^4 devices), rounds that tie share one candidate list, as
+:func:`~repro.setcover.greedy.greedy_set_cover`'s lazy heap shares its
+gains. A refill lists the maximal positions once; each round draws from
+the list exactly as the reference does, stabs the pick, and deletes the
+candidates that lie inside an interval of a device it covered. Counts
+only fall, and a candidate keeps the maximum unless a covered device has
+an interval over it, so what is left is exactly the positions still at
+the maximum, in ascending order: the next round's candidates. The
+explicit count drops the covered devices in one batch when the list runs
+out, before the next refill. A round that reads at most
+:data:`FEW_INTERVALS` intervals does so in plain Python, with binary
+searches over the stab table and the list; larger ones use numpy.
+
 Which periods fold, and which explicit representation a sweep uses,
 is decided from the fleet alone (see :func:`_fold_periods`). State is
 ``O(n + Q)`` plus the explicit intervals, so memory does not grow with
@@ -55,7 +71,8 @@ is decided from the fleet alone (see :func:`_fold_periods`). State is
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -77,17 +94,29 @@ FOLD_MIN_POS_PER_TABLE_ENTRY = 0.2
 FOLD_CACHED_PERIOD = 2**16
 
 #: The fewest explicit devices kept as a blocked count array; fewer
-#: keep the compacted event list. A blocked round costs some fifty
-#: small numpy calls plus what it removes, a compacted one a few calls
-#: over every surviving event. Measured on paper-default
-#: fleets (L 2048, 2^21-frame horizon), blocked / compacted cover time
-#: was 1.41 at 1.1k explicit devices, 1.15 at 1.7k, 0.98 at 2.2k, 0.87
-#: at 2.7k and 0.70 at 3.2k; city-rollout's 3k-device cells (1.7k
-#: explicit) 1.04-1.08 and its 1k-device cells (0.6k) 1.35-1.9.
+#: keep the compacted event list. A blocked removal or refill costs some
+#: twenty small numpy calls plus what it touches, a compacted one a few
+#: calls over every surviving event. Measured on paper-default fleets
+#: (L 2048, 2^21-frame horizon) with tied rounds batched, blocked /
+#: compacted cover time was 1.18 at 0.6k explicit devices, 1.06 at
+#: 0.85k, 0.98-1.01 at 1.1k, 1.02 at 1.7k, 1.01 at 2.2k, 0.99 at 2.7k,
+#: 0.97 at 3.3k and 0.93 at 4.4k; city-rollout's 64-device cells 1.12
+#: and its 3k-device cells (1.7k explicit) 0.93-1.09 across runs. The
+#: crossover is flat between about 1k and 3k, so it stays at 2000.
 BLOCKED_MIN_DEVICES = 2_000
 
 #: The fewest event positions in one block of the explicit count array.
 BLOCK_FLOOR = 64
+
+#: The most intervals a round of the explicit-only phase reads in plain
+#: Python: a stab range of at most this many intervals, and the
+#: intervals of the covered devices that it deletes from the candidate
+#: list by binary search; more use numpy. Measured on captured cover
+#: inputs, 9 alternating runs, total cover time at 16 / 32 / 48:
+#: city-rollout at 5*10^4 devices 366 / 391 / 378 ms, paper-baseline at
+#: 5*10^4 79 / 81 / 81 ms and at 10^5 124 / 124 / 127 ms, dense-urban at
+#: 10^5 122 / 126 / 128 ms; with numpy only (0) city-rollout took 579 ms.
+FEW_INTERVALS = 16
 
 
 def _fold_periods(
@@ -196,30 +225,127 @@ def _range_max_table(values: np.ndarray) -> np.ndarray:
     return table
 
 
-class _CompactedEvents:
-    """The explicit intervals as one sorted event list, compacted per round.
+class _Intervals:
+    """The explicit devices' covering intervals, one table per cover.
 
-    Built once per cover: +1 at each interval start, -1 at each end,
-    sorted by position with ends first; a round's counts are one running
-    sum over the surviving events, and removing devices drops their
-    intervals and events.
+    Built once from :func:`coverage_intervals`, which emits each
+    device's intervals as one contiguous run, and read by both count
+    representations: an owner-indexed CSR gives a device's intervals,
+    and the intervals no longer than the window, in start order, answer
+    a stab with two binary searches; longer ones (periods shorter than
+    the window) are checked whole. Dead devices' intervals stay in the
+    stab table and are filtered out by ``alive``.
+
+    A round that reads at most :data:`FEW_INTERVALS` intervals reads
+    them in plain Python and larger ones in numpy.
     """
 
     def __init__(
-        self, starts: np.ndarray, ends: np.ndarray, owners: np.ndarray
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        owners: np.ndarray,
+        by_start: np.ndarray,
+        window_len: int,
     ) -> None:
-        self._starts, self._ends, self._owners = starts, ends, owners
-        positions = np.concatenate([starts, ends])
-        deltas = np.concatenate(
-            [np.ones(starts.size, np.int64), -np.ones(ends.size, np.int64)]
+        self.starts, self.ends = starts, ends
+        self._window_len = window_len
+        # Indexed by fleet index up to the last explicit device: a
+        # fleet that folds every period needs none.
+        n_devices = int(owners.max()) + 1 if owners.size else 0
+        run = np.flatnonzero(np.diff(owners, prepend=-1, append=-1))
+        self._dev_first = np.zeros(n_devices, dtype=np.int64)
+        self._dev_count = np.zeros(n_devices, dtype=np.int64)
+        self._dev_first[owners[run[:-1]]] = run[:-1]
+        self._dev_count[owners[run[:-1]]] = np.diff(run)
+
+        self._stab = [array[by_start] for array in (starts, ends, owners)]
+        long = self._stab[1] - self._stab[0] > window_len
+        self._long = [array[long] for array in self._stab]
+        if self._long[0].size:
+            self._stab = [array[~long] for array in self._stab]
+        # Memoryviews read single entries as Python ints, for the rounds
+        # that run in plain Python.
+        self._py_bounds = memoryview(starts), memoryview(ends)
+        self._py_csr = memoryview(self._dev_first), memoryview(self._dev_count)
+        self._py_stab = memoryview(self._stab[1]), memoryview(self._stab[2])
+
+    def of(self, devices: np.ndarray) -> np.ndarray:
+        """The indices of the intervals of ``devices``."""
+        return _ranges(self._dev_first[devices], self._dev_count[devices])
+
+    def stab(self, start: int, alive: np.ndarray) -> np.ndarray:
+        """The surviving devices with an interval covering ``start``,
+        ascending."""
+        starts, ends, owners = self._stab
+        lo, hi = starts.searchsorted(
+            (start - self._window_len, start), side="right"
         )
-        # Single-key sort: -1 events before +1 at equal positions, the
-        # order lexsort((deltas, positions)) yields. Events with equal
-        # (position, delta) are interchangeable for the running count,
-        # so an unstable argsort is safe and faster.
-        order = np.argsort(positions * 2 + (deltas > 0))
-        self._positions = positions[order]
-        self._deltas = deltas[order]
+        if hi - lo <= FEW_INTERVALS:
+            ends, owners = self._py_stab
+            covered = np.array(sorted([
+                owners[k] for k in range(lo, hi)
+                if ends[k] > start and alive[owners[k]]
+            ]), dtype=np.int64)
+        else:
+            ends, owners = ends[lo:hi], owners[lo:hi]
+            covered = np.sort(owners[(ends > start) & alive[owners]])
+        if self._long[0].size:
+            starts, ends, owners = self._long
+            hit = (starts <= start) & (start < ends) & alive[owners]
+            covered = np.sort(np.concatenate([covered, owners[hit]]))
+        return covered
+
+    def drop(self, candidates: List[int], devices: np.ndarray) -> List[int]:
+        """The ascending ``candidates`` outside every interval of
+        ``devices``."""
+        if len(candidates) == 1:
+            # The drawn candidate lies in the interval that covered it.
+            return []
+        if devices.size <= FEW_INTERVALS:
+            (starts, ends), (first, count) = self._py_bounds, self._py_csr
+            runs = [(first[d], count[d]) for d in devices.tolist()]
+            if sum(n for _, n in runs) <= FEW_INTERVALS:
+                for lo, n in runs:
+                    for k in range(lo, lo + n):
+                        i = bisect_left(candidates, starts[k])
+                        del candidates[i : bisect_left(candidates, ends[k], i)]
+                return candidates
+        if len(candidates) == 2:
+            # At most one survives: a refill costs less than this pass.
+            return []
+        index = self.of(devices)
+        array = np.array(candidates)
+        inside = np.bincount(
+            array.searchsorted(self.starts[index]), minlength=array.size + 1
+        )
+        inside -= np.bincount(
+            array.searchsorted(self.ends[index]), minlength=array.size + 1
+        )
+        return array[np.cumsum(inside[:-1]) == 0].tolist()
+
+    def forget_dead(self, alive: np.ndarray) -> None:
+        """Drop the dead devices' long intervals."""
+        if self._long[0].size:
+            keep = alive[self._long[2]]
+            self._long = [array[keep] for array in self._long]
+
+
+class _CompactedEvents:
+    """The explicit intervals as one sorted event list, compacted per refill.
+
+    Built once per cover: +1 at each interval start, -1 at each end, in
+    position order; the counts are one running sum over the surviving
+    events, read after each position's last event (so events at one
+    position may come in any order), and removing devices drops their
+    events.
+    """
+
+    def __init__(
+        self, endpoints: np.ndarray, order: np.ndarray, owners: np.ndarray
+    ) -> None:
+        self._positions = endpoints
+        self._deltas = np.where(order < owners.size, 1, -1)
         self._event_owners = np.concatenate([owners, owners])[order]
 
     def segments(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -231,30 +357,21 @@ class _CompactedEvents:
         is_last[-1:] = True
         return positions[is_last], running[is_last]
 
-    def best(self, rng: Optional[np.random.Generator]) -> Tuple[int, int]:
-        """The maximal count and the chosen start among its candidates."""
+    def candidates(self) -> Tuple[int, np.ndarray]:
+        """The maximal count and the positions with a surviving event
+        that reach it, ascending."""
         if self._positions.size == 0:
             raise SetCoverError("no device has a PO inside the search horizon")
         seg_pos, seg_count = self.segments()
         best = int(seg_count.max())
-        candidates = np.nonzero(seg_count == best)[0]
-        pick = 0 if rng is None else int(rng.integers(candidates.size))
-        return best, int(seg_pos[candidates[pick]])
+        return best, seg_pos[seg_count == best]
 
-    def stab(self, start: int, alive: np.ndarray) -> np.ndarray:
-        """The surviving devices with an interval covering ``start``."""
-        return self._owners[(self._starts <= start) & (start < self._ends)]
-
-    def remove(self, devices: np.ndarray, alive: np.ndarray) -> None:
-        """Drop the intervals and events of the devices now dead."""
+    def remove(self, intervals: np.ndarray, alive: np.ndarray) -> None:
+        """Drop the events of the devices now dead."""
         keep = alive[self._event_owners]
         self._positions = self._positions[keep]
         self._deltas = self._deltas[keep]
         self._event_owners = self._event_owners[keep]
-        keep = alive[self._owners]
-        self._starts = self._starts[keep]
-        self._ends = self._ends[keep]
-        self._owners = self._owners[keep]
 
 
 def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -269,59 +386,24 @@ class _BlockedCounts:
     Built once per cover: the positions where some interval starts or
     ends, sorted; ``counts[j]``, the surviving intervals covering every
     start in ``[positions[j], positions[j + 1])``; ``starts[j]``, the
-    surviving intervals starting at ``positions[j]``; and, per block of
-    ``block`` positions, the maximum count and how many positions with a
-    surviving start reach it. Removing a device subtracts one from its
-    intervals' position ranges and refreshes the blocks it touched, so a
-    round costs what it removes, not what survives.
+    surviving intervals starting at ``positions[j]``; and the maximum
+    count per block of ``block`` positions. Removing devices subtracts
+    one from their intervals' position ranges and refreshes the blocks
+    they touched, so a removal costs what it removes, not what survives.
     """
 
-    def __init__(
-        self,
-        starts: np.ndarray,
-        ends: np.ndarray,
-        owners: np.ndarray,
-        n_devices: int,
-        window_len: int,
-    ) -> None:
-        self._window_len = window_len
-        n_int = starts.size
-        # One sort of every endpoint gives the distinct positions, each
-        # endpoint's position index and the intervals in start order.
-        # Temporaries are dropped as soon as possible: at 10^6 devices
-        # this build would otherwise set the cover's memory peak.
-        values = np.concatenate([starts, ends])
-        order = np.argsort(values)
-        values = values[order]
-        first = np.empty(values.size, dtype=bool)
+    def __init__(self, endpoints: np.ndarray, order: np.ndarray) -> None:
+        first = np.empty(endpoints.size, dtype=bool)
         first[:1] = True
-        np.not_equal(values[1:], values[:-1], out=first[1:])
-        self.positions = values[first]
-        del values
+        np.not_equal(endpoints[1:], endpoints[:-1], out=first[1:])
+        self.positions = endpoints[first]
         rank = np.cumsum(first)
         rank -= 1
         index = np.empty(rank.size, dtype=np.int64)
         index[order] = rank
         del rank
+        n_int = index.size // 2
         self._start_at, self._end_at = index[:n_int], index[n_int:]
-
-        # Stab query: the intervals no longer than the window, by start;
-        # longer ones (periods shorter than the window) are checked whole.
-        by_start = order[order < n_int]
-        del order
-        self._stab = [array[by_start] for array in (starts, ends, owners)]
-        long = self._stab[1] - self._stab[0] > window_len
-        self._long = [array[long] for array in self._stab]
-        if self._long[0].size:
-            self._stab = [array[~long] for array in self._stab]
-
-        # Owner-indexed CSR: coverage_intervals emits each device's
-        # intervals as one contiguous run.
-        run = np.flatnonzero(np.diff(owners, prepend=-1, append=-1))
-        self._dev_first = np.zeros(n_devices, dtype=np.int64)
-        self._dev_count = np.zeros(n_devices, dtype=np.int64)
-        self._dev_first[owners[run[:-1]]] = run[:-1]
-        self._dev_count[owners[run[:-1]]] = np.diff(run)
 
         n_pos = self.positions.size
         self.block = max(BLOCK_FLOOR, math.isqrt(n_pos))
@@ -334,19 +416,7 @@ class _BlockedCounts:
             self.starts[:n_pos] - np.bincount(self._end_at, minlength=n_pos),
             out=self.counts[:n_pos],
         )
-        self._block_max = np.empty(n_blocks, dtype=np.int64)
-        self._block_hits = np.empty(n_blocks, dtype=np.int64)
-        self._refresh(slice(None))
-
-    def _refresh(self, blocks) -> None:
-        """Recompute the maximum of ``blocks`` and their candidates there."""
-        counts = self.counts.reshape(-1, self.block)[blocks]
-        starts = self.starts.reshape(-1, self.block)[blocks]
-        top = counts.max(axis=1)
-        self._block_max[blocks] = top
-        self._block_hits[blocks] = np.count_nonzero(
-            (counts == top[:, None]) & (starts > 0), axis=1
-        )
+        self._block_max = self.counts.reshape(-1, self.block).max(axis=1)
 
     def segments(self) -> Tuple[np.ndarray, np.ndarray]:
         """Positions with a surviving event, and the count from each."""
@@ -358,77 +428,58 @@ class _BlockedCounts:
         live[1:] |= counts[1:] != counts[:-1]
         return self.positions[live], counts[live]
 
-    def best(self, rng: Optional[np.random.Generator]) -> Tuple[int, int]:
-        """The maximal count and the chosen start among its candidates.
+    def candidates(self) -> Tuple[int, np.ndarray]:
+        """The maximal count and the positions with a surviving event
+        that reach it, ascending.
 
-        The candidates are the positions with a surviving event whose
-        count is maximal, in ascending order. A maximal position has a
-        surviving start (where intervals only end the count drops), so
-        the candidates are the maximal starts, all in the blocks whose
-        maximum is the global one, which count them.
+        A maximal position has a surviving start (where intervals only
+        end the count drops), so the candidates are the maximal starts,
+        all in the blocks whose maximum is the global one.
         """
         best = int(self._block_max.max()) if self._block_max.size else 0
         if best <= 0:
             raise SetCoverError("no device has a PO inside the search horizon")
         hot = np.flatnonzero(self._block_max == best)
-        hits = np.cumsum(self._block_hits[hot])
-        pick = 0 if rng is None else int(rng.integers(int(hits[-1])))
-        row = int(np.searchsorted(hits, pick, side="right"))
-        pick -= int(hits[row - 1]) if row else 0
-        lo = int(hot[row]) * self.block
-        hi = lo + self.block
-        at = np.flatnonzero(
-            (self.counts[lo:hi] == best) & (self.starts[lo:hi] > 0)
+        row, col = np.nonzero(
+            (self.counts.reshape(-1, self.block)[hot] == best)
+            & (self.starts.reshape(-1, self.block)[hot] > 0)
         )
-        return best, int(self.positions[lo + at[pick]])
+        return best, self.positions[hot[row] * self.block + col]
 
-    def stab(self, start: int, alive: np.ndarray) -> np.ndarray:
-        """The surviving devices with an interval covering ``start``."""
-        starts, ends, owners = self._stab
-        lo, hi = starts.searchsorted(
-            [start - self._window_len, start], side="right"
-        )
-        ends, owners = ends[lo:hi], owners[lo:hi]
-        covered = owners[(ends > start) & alive[owners]]
-        if self._long[0].size:
-            starts, ends, owners = self._long
-            hit = (starts <= start) & (start < ends) & alive[owners]
-            covered = np.concatenate([covered, owners[hit]])
-        return covered
-
-    def remove(self, devices: np.ndarray, alive: np.ndarray) -> None:
-        """Subtract the intervals of ``devices``, already marked dead."""
-        intervals = _ranges(self._dev_first[devices], self._dev_count[devices])
+    def remove(self, intervals: np.ndarray, alive: np.ndarray) -> None:
+        """Subtract ``intervals``, whose devices are already marked dead."""
         start_at = self._start_at[intervals]
         end_at = self._end_at[intervals]
         np.subtract.at(self.starts, start_at, 1)
         spans = end_at - start_at
         n_pos = self.positions.size
+        counts = self.counts.reshape(-1, self.block)
         if spans.sum() > n_pos:
             # Overlapping ranges that add up to more than the array:
             # one difference array over all of it is cheaper.
             delta = np.bincount(start_at, minlength=n_pos)
             delta -= np.bincount(end_at, minlength=n_pos)
             self.counts[:n_pos] -= np.cumsum(delta)
-            self._refresh(slice(None))
+            self._block_max = counts.max(axis=1)
         else:
             touched = _ranges(start_at, spans)
             np.subtract.at(self.counts, touched, 1)
             blocks = np.zeros(self._block_max.size, dtype=bool)
             blocks[touched // self.block] = True
-            self._refresh(np.flatnonzero(blocks))
-        if self._long[0].size:
-            keep = alive[self._long[2]]
-            self._long = [array[keep] for array in self._long]
+            blocks = np.flatnonzero(blocks)
+            self._block_max[blocks] = counts[blocks].max(axis=1)
 
 
 class IncrementalSweep:
     """One fleet's sweep state, consumed selection by selection.
 
     Build once, then call :meth:`select` repeatedly; each call returns
-    the best window over the devices not yet covered and removes the
-    newly covered devices from the explicit intervals and the folded
-    residue histograms.
+    the best window over the devices not yet covered. While a period is
+    folded, a round takes the covered devices out of the explicit count
+    and the folded residue histograms at once. After that, rounds draw
+    from one shared candidate list and the explicit count drops the
+    devices they covered in one batch per refill (see the module
+    docstring).
     """
 
     def __init__(
@@ -474,13 +525,29 @@ class IncrementalSweep:
             phases[explicit], periods[explicit],
             window_len, horizon_start, horizon_end,
         )
+        # One sort of every endpoint serves either explicit count and the
+        # stab table (the intervals in start order). The endpoints go
+        # before the table is built: at 10^6 devices they would otherwise
+        # set the cover's memory peak.
+        endpoints = np.concatenate([starts, ends])
+        order = np.argsort(endpoints)
+        endpoints = endpoints[order]
         owners = explicit[owners]
         if explicit.size < BLOCKED_MIN_DEVICES:
-            self._explicit = _CompactedEvents(starts, ends, owners)
+            self._explicit = _CompactedEvents(endpoints, order, owners)
         else:
-            self._explicit = _BlockedCounts(
-                starts, ends, owners, phases.size, window_len
-            )
+            self._explicit = _BlockedCounts(endpoints, order)
+        del endpoints
+        self._intervals = _Intervals(
+            starts, ends, owners, order[order < starts.size], window_len
+        )
+
+        # The explicit-only phase: the shared candidates, ascending, their
+        # count, and the devices covered since the explicit count was
+        # last brought up to date.
+        self._candidates: List[int] = []
+        self._best = 0
+        self._pending: List[np.ndarray] = []
 
     @property
     def remaining(self) -> int:
@@ -497,32 +564,71 @@ class IncrementalSweep:
         match :func:`repro.setcover.windows.best_window` exactly:
         uniformly at random over the maximal segments when ``rng`` is
         given, earliest segment otherwise.
+
+        With no folded period left, the round draws from the list of
+        maximal positions the last refill built, minus those inside an
+        interval of a device covered since (counts only fall, so the
+        rest still have the maximum, and nothing else reaches it). It
+        deletes the positions inside the intervals of the devices it
+        covers; the devices themselves leave the explicit count when
+        the list is empty, before it is refilled.
         """
-        if self._folded:
-            best, s = self._select_folded(rng)
-        else:
-            best, s = self._explicit.best(rng)
-
-        explicit = self._explicit.stab(s, self._alive)
-        covered = explicit
-        if self._folded:
-            covered = np.concatenate([covered] + [
-                part.take(s, self._alive, self._folded_counts)
-                for part in self._folded
-            ])
-            self._folded = [part for part in self._folded if part.alive]
+        if not self._folded:
+            return self._select_tied(rng)
+        best, s = self._select_folded(rng)
+        explicit = self._intervals.stab(s, self._alive)
+        covered = np.concatenate([explicit] + [
+            part.take(s, self._alive, self._folded_counts)
+            for part in self._folded
+        ])
+        self._folded = [part for part in self._folded if part.alive]
         covered = np.sort(covered)
-        if covered.size != best:
-            raise SetCoverError(
-                f"sweep inconsistency: counted {best} devices but window at "
-                f"{s} covers {covered.size}"
-            )
-
+        self._check(best, s, covered.size)
         self._alive[covered] = False
         self._remaining -= covered.size
         if explicit.size:
-            self._explicit.remove(explicit, self._alive)
+            self._remove(explicit)
         return s, covered
+
+    def _select_tied(
+        self, rng: Optional[np.random.Generator]
+    ) -> Tuple[int, np.ndarray]:
+        """A round of the explicit-only phase, from the shared candidates."""
+        if not self._candidates:
+            self._refill()
+        candidates, best = self._candidates, self._best
+        pick = 0 if rng is None else int(rng.integers(len(candidates)))
+        s = candidates[pick]
+        covered = self._intervals.stab(s, self._alive)
+        self._check(best, s, covered.size)
+        self._alive[covered] = False
+        self._candidates = self._intervals.drop(candidates, covered)
+        self._remaining -= covered.size
+        self._pending.append(covered)
+        return s, covered
+
+    def _refill(self) -> None:
+        """Bring the explicit count up to date and list its maximal
+        positions."""
+        if self._pending:
+            self._remove(np.concatenate(self._pending))
+            self._pending = []
+        best, positions = self._explicit.candidates()
+        self._best, self._candidates = best, positions.tolist()
+
+    def _remove(self, devices: np.ndarray) -> None:
+        """Take the intervals of ``devices``, already dead, out of the
+        count."""
+        self._explicit.remove(self._intervals.of(devices), self._alive)
+        self._intervals.forget_dead(self._alive)
+
+    @staticmethod
+    def _check(best: int, start: int, covered: int) -> None:
+        if covered != best:
+            raise SetCoverError(
+                f"sweep inconsistency: counted {best} devices but window at "
+                f"{start} covers {covered}"
+            )
 
     def _select_folded(
         self, rng: Optional[np.random.Generator]

@@ -10,7 +10,10 @@ residue histograms, next to explicit ones, with window lengths below,
 equal to and above the folded period, a horizon that starts before,
 at or after frame 0 and periods that are not powers of two. The
 crossover fleets straddle ``BLOCKED_MIN_DEVICES`` explicit devices, so
-both explicit representations meet the count array's edge cases. A
+both explicit representations meet the count array's edge cases. The
+tied fleets (long periods, phases from a small pool) make many rounds in
+a row tie, so they draw from one shared candidate list; with a generator,
+both methods must also leave it in the same state. A
 SHA-256 of one paper-default cover, computed with the all-intervals
 sweep the fold replaced, pins the kernel's output. On small fleets the window greedy
 is additionally cross-checked against the generic
@@ -61,6 +64,18 @@ def _assert_identical_covers(a, b):
         np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
 
 
+def _tie_rngs(seed):
+    """Two generators seeded alike (or no generator) for the two methods."""
+    if seed is None:
+        return None, None
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _assert_same_end_state(ref_rng, inc_rng):
+    if ref_rng is not None:
+        assert ref_rng.bit_generator.state == inc_rng.bit_generator.state
+
+
 @st.composite
 def fleets(draw, max_devices=30):
     n = draw(st.integers(min_value=1, max_value=max_devices))
@@ -101,6 +116,47 @@ def crossover_fleets(draw):
     phases = np.concatenate([
         phases,
         rng.integers(0, short, size=n_short),
+        rng.choice(pool % 2048, size=n_folded),
+    ])
+    return phases.astype(np.int64), periods.astype(np.int64)
+
+
+@st.composite
+def tied_fleets(draw):
+    """Sparse long-period fleets whose windows tie, round after round.
+
+    Most devices share one long period (2^17..2^20 frames, two POs each
+    in the horizon) and draw their phases from a small pool, so many
+    windows cover the same number of devices and rounds that tie share
+    one candidate list. A few devices of a quarter or an eighth of that
+    period have several intervals each; pool phases below 64 frames start
+    their first interval clipped to the horizon start; optionally a
+    folded 2048-frame period sits beside them. The device count reaches
+    past ``BLOCKED_MIN_DEVICES`` so either explicit count is used.
+    """
+    longest = draw(st.sampled_from([2**17, 2**18, 2**20]))
+    n = draw(st.one_of(
+        st.integers(min_value=20, max_value=600),
+        st.integers(
+            min_value=BLOCKED_MIN_DEVICES, max_value=BLOCKED_MIN_DEVICES + 300
+        ),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate([
+        rng.integers(0, 64, size=draw(st.integers(0, 3))),
+        rng.integers(0, longest, size=draw(st.integers(2, 60))),
+    ])
+    several = longest // draw(st.sampled_from([4, 8]))
+    n_several = draw(st.integers(min_value=0, max_value=20))
+    n_folded = draw(st.sampled_from([0, 300]))
+    periods = np.concatenate([
+        np.full(n, longest),
+        np.full(n_several, several),
+        np.full(n_folded, 2048),
+    ])
+    phases = np.concatenate([
+        rng.choice(pool, size=n),
+        rng.choice(pool % several, size=n_several),
         rng.choice(pool % 2048, size=n_folded),
     ])
     return phases.astype(np.int64), periods.astype(np.int64)
@@ -179,11 +235,7 @@ class TestFoldedMatchesReference:
     def test_ladder_fleets(self, fleet, seed):
         phases, periods, window_len, hs, he = fleet
         assert _fold_periods(periods, hs, he).size > 0
-
-        def tie_rng():
-            return None if seed is None else np.random.default_rng(seed)
-
-        ref_rng, inc_rng = tie_rng(), tie_rng()
+        ref_rng, inc_rng = _tie_rngs(seed)
         ref = _cover_or_error(
             phases, periods, window_len, hs, he, ref_rng, method="reference"
         )
@@ -194,8 +246,7 @@ class TestFoldedMatchesReference:
             assert inc == ref
         else:
             _assert_identical_covers(ref, inc)
-        if seed is not None:
-            assert ref_rng.bit_generator.state == inc_rng.bit_generator.state
+        _assert_same_end_state(ref_rng, inc_rng)
 
     @pytest.mark.parametrize("window_len", [1000, 2048, 3000])
     def test_paper_default_fleet_with_offset_horizon(self, window_len):
@@ -205,16 +256,16 @@ class TestFoldedMatchesReference:
         he = hs + 2 * int(fleet.max_cycle)
         assert _fold_periods(fleet.periods, hs, he).tolist() == [2048, 4096, 8192]
         for seed in (None, 5):
+            ref_rng, inc_rng = _tie_rngs(seed)
             ref = greedy_window_cover(
-                fleet.phases, fleet.periods, window_len, hs, he,
-                None if seed is None else np.random.default_rng(seed),
+                fleet.phases, fleet.periods, window_len, hs, he, ref_rng,
                 method="reference",
             )
             inc = greedy_window_cover(
-                fleet.phases, fleet.periods, window_len, hs, he,
-                None if seed is None else np.random.default_rng(seed),
+                fleet.phases, fleet.periods, window_len, hs, he, inc_rng,
             )
             _assert_identical_covers(ref, inc)
+            _assert_same_end_state(ref_rng, inc_rng)
 
 
 class TestParentCoverDigest:
@@ -247,26 +298,29 @@ class TestIncrementalMatchesReference:
         _assert_identical_covers(ref, inc)
 
     @given(
-        st.one_of(fleets(), crossover_fleets()),
+        st.one_of(fleets(), crossover_fleets(), tied_fleets()),
         st.integers(min_value=10, max_value=2048),
         st.integers(0, 2**31),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_small_fleets_with_rng(self, fleet, window_len, seed):
         """Identical tie-break *draws*: both paths consume one RNG stream
         the same way, so seeding two generators alike must yield the
-        same (possibly random) selections."""
+        same (possibly random) selections and leave both generators in
+        the same state."""
         phases, periods = fleet
         horizon = 2 * int(periods.max())
+        ref_rng, inc_rng = _tie_rngs(seed)
         ref = greedy_window_cover(
-            phases, periods, window_len, 0, horizon,
-            np.random.default_rng(seed), method="reference",
+            phases, periods, window_len, 0, horizon, ref_rng,
+            method="reference",
         )
         inc = greedy_window_cover(
-            phases, periods, window_len, 0, horizon,
-            np.random.default_rng(seed), method="incremental",
+            phases, periods, window_len, 0, horizon, inc_rng,
+            method="incremental",
         )
         _assert_identical_covers(ref, inc)
+        _assert_same_end_state(ref_rng, inc_rng)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_devices", [1_000, 10_000])
@@ -277,17 +331,17 @@ class TestIncrementalMatchesReference:
         window_len = int(rng.integers(16, 2048))
         horizon = 2 * int(periods.max())
         for tie_rng in (None, seed + 100):
+            ref_rng, inc_rng = _tie_rngs(tie_rng)
             ref = greedy_window_cover(
-                phases, periods, window_len, 0, horizon,
-                None if tie_rng is None else np.random.default_rng(tie_rng),
+                phases, periods, window_len, 0, horizon, ref_rng,
                 method="reference",
             )
             inc = greedy_window_cover(
-                phases, periods, window_len, 0, horizon,
-                None if tie_rng is None else np.random.default_rng(tie_rng),
+                phases, periods, window_len, 0, horizon, inc_rng,
                 method="incremental",
             )
             _assert_identical_covers(ref, inc)
+            _assert_same_end_state(ref_rng, inc_rng)
 
 
 class TestWindowCoverMatchesSetCover:

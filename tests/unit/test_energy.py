@@ -80,6 +80,14 @@ class TestLedger:
         with pytest.raises(ConfigurationError):
             UptimeLedger().add(PowerState.PO_MONITOR, -0.1)
 
+    def test_value_equality_and_unhashable(self):
+        ledger = UptimeLedger({PowerState.CONNECTED_RX: 2.0})
+        assert ledger == UptimeLedger({PowerState.CONNECTED_RX: 2.0})
+        assert ledger != UptimeLedger({PowerState.CONNECTED_RX: 2.5})
+        assert ledger != UptimeLedger({PowerState.PAGING_RX: 2.0})
+        with pytest.raises(TypeError):
+            hash(ledger)
+
     def test_energy_uses_profile(self):
         ledger = UptimeLedger({PowerState.CONNECTED_RX: 2.0})
         expected = DEFAULT_PROFILE.energy_mj(PowerState.CONNECTED_RX, 2.0)

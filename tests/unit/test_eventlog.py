@@ -146,6 +146,13 @@ class TestStrictReplay:
         assert hash(rebuilt) == hash(result)
         assert rebuilt.fleet == result.fleet
 
+    @pytest.mark.parametrize("event_driven", [False, True])
+    def test_rebuilt_rows_equal_live_rows(self, event_driven):
+        result, log = _recorded_campaign(event_driven=event_driven)
+        rebuilt = replay_strict(log)
+        assert result[0] == result[0]
+        assert list(rebuilt) == list(result)
+
     def test_rebuilt_scalars_match(self):
         result, log = _recorded_campaign()
         rebuilt = replay_strict(log)
