@@ -8,7 +8,10 @@ is the ROADMAP's reference size). Each call is timed (best of
 ``REPEATS``) and then re-run under ``tracemalloc`` for its allocation
 peak. The calls run their row chunks on as many threads as the kernel
 picks for this host (recorded); each regime is also timed with the
-thread count forced to one, and the two outcomes must be equal.
+thread count forced to one, and the two outcomes must be equal. The
+dense-rounds wall is the same call capped at the regime's dense
+(span-drawn) rounds, so the rest of ``wall_s`` is the kernel rounds';
+the kernel's batch size ``_BATCH`` is recorded with it.
 
 The bar asserted is the chunk-major design's memory bound: a traced
 peak of at most 8 MiB per call at any fleet size, where the dense
@@ -18,6 +21,7 @@ persisted as ``BENCH_repair.json``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import tracemalloc
@@ -65,6 +69,16 @@ def _measure(name: str, n_devices: int) -> Dict[str, float]:
     with mock.patch.object(reliability, "_thread_count", lambda n_chunks: 1):
         single, single_wall = _best_of(call)
     assert single == outcome, f"{name}: one thread disagrees with {threads}"
+    dense_rounds = min(
+        reliability._dense_rounds(config.segment_loss_probability),
+        config.max_rounds,
+    )
+    dense_config = dataclasses.replace(config, max_rounds=dense_rounds)
+    _, dense_wall = _best_of(
+        lambda: simulate_repair_rounds(
+            image, n_devices, dense_config, np.random.default_rng(SEED)
+        )
+    )
     tracemalloc.start()
     try:
         call()
@@ -79,6 +93,9 @@ def _measure(name: str, n_devices: int) -> Dict[str, float]:
         "threads": threads,
         "wall_s": wall,
         "single_thread_wall_s": single_wall,
+        "kernel_batch": reliability._BATCH,
+        "dense_rounds": dense_rounds,
+        "dense_rounds_wall_s": dense_wall,
         "peak_mb": peak / 2**20,
     }
 
@@ -108,6 +125,7 @@ def test_repair_rounds_per_regime(capsys):
                     "threads",
                     "wall",
                     "1-thread wall",
+                    "dense rounds",
                     "traced peak",
                 ),
                 rows=tuple(
@@ -118,11 +136,16 @@ def test_repair_rounds_per_regime(capsys):
                         str(record["threads"]),
                         f"{record['wall_s'] * 1e3:.1f} ms",
                         f"{record['single_thread_wall_s'] * 1e3:.1f} ms",
+                        f"{record['dense_rounds']}: "
+                        f"{record['dense_rounds_wall_s'] * 1e3:.1f} ms",
                         f"{record['peak_mb']:.2f} MiB",
                     )
                     for name, record in records.items()
                 ),
                 notes=(
+                    "dense rounds: the span-drawn rounds and the wall of "
+                    "the call capped there; the kernel rounds after them "
+                    f"draw in batches of {reliability._BATCH} pairs.",
                     f"traced peak against {PEAK_BAR_BYTES / 2**20:.0f} MiB per "
                     f"call; artifact written to {path}.",
                 ),

@@ -56,12 +56,12 @@ pool already owns the cores. Threads return per-round segment masks
 and missing counts, merged by OR and sum, so nothing depends on which
 thread ran what. A thread holds one chunk buffer of 1/T the pairs,
 which doubles as the kernel's scratch between chunks (at least
-``_SCRATCH_ROWS`` x ``_BATCH`` words, 512 KiB), and pools of under a
-batch plus one chunk's survivors per round. Memory is therefore
-O(chunk + T x (batch + rounds x S)) at any fleet size, plus 256 KiB of
-seed-free tables per generator type and 128 KiB per call; the outcome
-and the generator's end state are bit-identical to the dense loop at
-any T.
+``_SCRATCH_ROWS`` x ``_BATCH`` words, 1 MiB, beside a 32 KiB row of
+block indices), and pools of under a batch plus one chunk's survivors
+per round. Memory is therefore O(chunk + T x rounds x (batch + S)) at
+any fleet size, plus 256 KiB of seed-free tables per generator type
+and 128 KiB per call; the outcome and the generator's end state are
+bit-identical to the dense loop at any T.
 """
 
 from __future__ import annotations
@@ -83,26 +83,35 @@ from repro.sim.dispatch import available_cores
 #: rows, at least one row).
 _CHUNK_PAIRS = 1 << 17
 #: A round after the first is drawn through the jump-ahead kernel once
-#: the expected density of the pairs it redraws is below this. Measured
-#: on 2 vCPUs at 2x10^4 devices and 1954 segments: the kernel costs
-#: about 50 ns per pair it draws and its numpy calls serialise on the
-#: GIL, while a span costs about 4 ns per pair and runs on every core.
-#: Whole calls (2 threads) with the next round at density 0.05 took
-#: 0.32 s through the kernel and 0.23 s as spans; at 0.01, 0.14 s and
-#: 0.20 s; at 0.0225 (15 % loss, round 3) both took 0.33 s.
+#: the expected density of the pairs it redraws is below this. Both
+#: ways are exact, so it moves only time: the kernel costs about 35 ns
+#: per pair it draws, and its numpy calls serialise on the GIL, while a
+#: span costs about 4 ns per pair and runs on every core. Whole calls
+#: on 2 vCPUs (2 threads, 1954 segments, 2^14-pair batches, medians of
+#: 7; 2x10^4 / 10^5 devices): at 15 % loss, round 3 (density 0.0225)
+#: took 0.41 / 2.04 s through the kernel and 0.51 / 2.48 s as a span;
+#: at 1 %, round 2 (0.01) 0.17 / 1.08 s against 0.29 / 1.55 s; at 5 %,
+#: round 2 (0.05) 0.35 / 1.60 s as a span against 0.35 / 1.54 s
+#: through the kernel (medians of 15), too close to move the line.
 _SPARSE_DENSITY = 1 / 32
-#: Still-missing pairs per kernel batch. Its scratch is the thread's
-#: chunk buffer, which at two threads holds exactly 2^12 x
-#: ``_SCRATCH_ROWS`` words; 2^11-pair batches cost about 70 ns per pair
-#: against 46 ns, and 2^13 would save under 10 % more but double it.
-_BATCH = 1 << 12
+#: Still-missing pairs per kernel batch; a small batch pays more per
+#: pair for its numpy calls. Best-of-300 batches at round 3's density
+#: took 0.19-0.28 ms at 2^12 pairs (47-67 ns per pair) and 0.56-0.58 ms
+#: at 2^14 (about 35 ns per pair). Whole dense-urban and
+#: lossy-link-repair calls at 2x10^4 and 10^5 devices took 18-24 % less
+#: at 2^14 than at 2^12, and between 1 % more and 14 % less again at
+#: 2^15 (medians of 3-5), which would double the scratch
+#: (``_SCRATCH_ROWS`` words per batch pair) to 2 MiB per thread.
+_BATCH = 1 << 14
 #: Bits of a kernel offset resolved by the low and by the high lookup
 #: table; a batch spans fewer than ``_SPAN`` draws.
 _LOW_BITS = 12
 _HIGH_BITS = 12
 _SPAN = 1 << (_LOW_BITS + _HIGH_BITS)
-#: uint64 words of kernel scratch per batch pair.
-_SCRATCH_ROWS = 16
+#: uint64 words of kernel scratch per batch pair: the per-pair rows of
+#: :func:`_doubles`, reused as their values are spent (the per-block
+#: values fit in the first 2^_HIGH_BITS columns).
+_SCRATCH_ROWS = 8
 #: The LCG step multiplier of each bit generator the rounds can jump,
 #: and whether its output function reads the state after the step
 #: (PCG64) or before it (PCG64DXSM, whose multiplier is 64-bit).
@@ -388,7 +397,7 @@ class _Pools:
         jumps: "_Jumps",
         base: dict,
         tally: _Tally,
-        scratch: np.ndarray,
+        scratch: Tuple[np.ndarray, np.ndarray],
         *,
         per_round_draws: int,
         p: float,
@@ -404,26 +413,32 @@ class _Pools:
         self.pending: Dict[int, List[np.ndarray]] = {
             r: [] for r in range(first_round, max_rounds + 1)
         }
+        #: Pairs queued per round, kept as they are pushed and drawn.
+        self.sizes = dict.fromkeys(self.pending, 0)
         self.scratch = scratch
         self.generator = jumps.kind(0)
 
     def push(self, round_: int, pairs: np.ndarray) -> None:
         self.pending[round_].append(pairs)
+        self.sizes[round_] += pairs.size
 
     def drain(self, flush: bool) -> None:
         """Draw every full batch, or with ``flush`` every queued pair."""
         least = 1 if flush else _BATCH
         for round_, parts in self.pending.items():
-            if sum(part.size for part in parts) < least:
+            if self.sizes[round_] < least:
                 continue
-            pairs = np.concatenate(parts)
+            pairs = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            parts.clear()  # the parts are in ``pairs`` now; free them
             start = 0
             while pairs.size - start >= least:
                 batch = pairs[start : start + _BATCH]
                 batch = batch[: np.searchsorted(batch, batch[0] + _SPAN)]
                 self._draw(round_, batch)
                 start += batch.size
-            self.pending[round_] = [pairs[start:]]
+            # A copy, so the rest does not hold the whole pool.
+            parts.append(pairs[start:].copy())
+            self.sizes[round_] = pairs.size - start
 
     def _draw(self, round_: int, batch: np.ndarray) -> None:
         """Run round ``round_`` for one batch of pairs."""
@@ -431,7 +446,7 @@ class _Pools:
         self.generator.state = self.base
         self.generator.advance((round_ - 1) * self.per_round_draws + first)
         state = self.generator.state["state"]["state"]
-        values = _doubles(self.jumps, state, batch - first, self.scratch)
+        values = _doubles(self.jumps, state, batch, self.scratch, first)
         survivors = batch[values < self.p]
         self.tally.record(round_, survivors)
         if not survivors.size:
@@ -542,38 +557,55 @@ class _Jumps:
             rows.extend((table[0], table[1], *times_inc))
 
 
-def _scratch(buf: np.ndarray) -> np.ndarray:
-    """The kernel's ``_SCRATCH_ROWS`` x ``_BATCH`` uint64 view of ``buf``.
+def _scratch(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel's scratch: a view of ``buf`` and a per-block row.
 
     ``buf`` is a thread's float64 chunk buffer, idle while pools drain,
-    of at least ``_SCRATCH_ROWS·_BATCH`` doubles.
+    of at least ``_SCRATCH_ROWS·_BATCH`` doubles; its view holds the
+    ``_SCRATCH_ROWS`` x ``_BATCH`` uint64 per-pair rows. The blocks a
+    batch touches are listed in a side row of ``2^_HIGH_BITS`` words,
+    the most there can be whatever the batch size.
     """
-    return buf[: _SCRATCH_ROWS * _BATCH].view(np.uint64).reshape(
-        _SCRATCH_ROWS, _BATCH
-    )
+    rows = buf[: _SCRATCH_ROWS * _BATCH].view(np.uint64)
+    blocks = np.empty(min(_BATCH, 1 << _HIGH_BITS), dtype=np.intp)
+    return rows.reshape(_SCRATCH_ROWS, _BATCH), blocks
 
 
 def _doubles(
-    jumps: _Jumps, state: int, offsets: np.ndarray, scratch: np.ndarray
+    jumps: _Jumps,
+    state: int,
+    offsets: np.ndarray,
+    scratch: Tuple[np.ndarray, np.ndarray],
+    origin: int = 0,
 ) -> np.ndarray:
-    """The doubles ``random()`` returns ``offsets`` draws after ``state``.
+    """The doubles ``random()`` gives ``offsets - origin`` draws past
+    ``state``.
 
     ``state`` is the 128-bit LCG state of ``jumps``' stream; ``offsets``
-    are sorted, in [0, ``_SPAN``), at most ``_BATCH`` of them. Equal to
-    ``advance(k)`` then ``random()`` for each offset k, bit for bit.
-    ``scratch`` is ``_SCRATCH_ROWS`` x ``_BATCH`` uint64; the result is
-    a view into it.
+    are sorted, at most ``_BATCH`` of them, and ``offsets - origin`` is
+    in [0, ``_SPAN``). Equal to ``advance(k)`` then ``random()`` for
+    each such k, bit for bit. ``scratch`` comes from :func:`_scratch`;
+    the result is a view into it.
     """
     m = offsets.size
     if jumps.post_step:  # PCG64 outputs the state after the step
         state = (state * jumps.mult + jumps.inc) & _M128
-    tmp, gathered = scratch[:4, :m], scratch[4:8, :m]
-    high, low, blocks = scratch[12:15].view(np.intp)[:, :m]
-    new_block = scratch[15].view(bool)[:m]
-    np.right_shift(offsets, _LOW_BITS, out=high)
-    np.bitwise_and(offsets, (1 << _LOW_BITS) - 1, out=low)
+    rows, blocks = scratch
+    # Rows, reused once their values are spent: 0-1 each offset's high
+    # and low bits; 2 the new-block flags; the first k columns of 4-7
+    # the high table's columns, then (6-7) the blocks' states; 2-3 each
+    # offset's state; 4-7 the low table's columns, then (6-7) the
+    # result. Each multiply-add's tmp is rows idle by then, and the
+    # rows of its factors' high limbs.
+    high, low = rows[:2].view(np.intp)[:, :m]
+    s_hi, s_lo = rows[2:4, :m]
+    gathered = rows[4:8, :m]
+    np.subtract(offsets, origin, out=high)
+    np.bitwise_and(high, (1 << _LOW_BITS) - 1, out=low)
+    np.right_shift(high, _LOW_BITS, out=high)
     # The state at each distinct multiple of 2^_LOW_BITS, from the high
     # table; offsets are sorted, so those are where ``high`` changes.
+    new_block = s_hi.view(bool)[:m]
     new_block[0] = True
     np.not_equal(high[1:], high[:-1], out=new_block[1:])
     k = int(np.count_nonzero(new_block))
@@ -583,20 +615,22 @@ def _doubles(
     np.subtract(block, 1, out=block)
     for row, column in zip(gathered[:, :k], jumps.high):
         np.take(column, blocks[:k], out=row, mode="clip")
-    u_hi, u_lo = scratch[8:10, :k]
+    g_hi, g_lo, u_hi, u_lo = gathered[:, :k]
     _mul_add(
-        gathered[0, :k], gathered[1, :k], *_limbs(state),
-        gathered[2, :k], gathered[3, :k], u_hi, u_lo, tmp[:, :k],
+        g_hi, g_lo, *_limbs(state), u_hi, u_lo, u_hi, u_lo,
+        (g_hi, blocks[:k].view(np.uint64), s_hi[:k], s_lo[:k]),
     )
     # Then each offset's state, from its block's and the low table.
-    s_hi, s_lo = scratch[10:12, :m]
     np.take(u_hi, block, out=s_hi, mode="clip")
     np.take(u_lo, block, out=s_lo, mode="clip")
     for row, column in zip(gathered, jumps.low):
         np.take(column, low, out=row, mode="clip")
-    x_hi, x_lo = scratch[8:10, :m]
-    _mul_add(*gathered[:2], s_hi, s_lo, *gathered[2:], x_hi, x_lo, tmp)
-    shift = tmp[0]
+    a_hi, a_lo, x_hi, x_lo = gathered
+    mid, shift = rows[:2, :m]
+    _mul_add(
+        a_hi, a_lo, s_hi, s_lo, x_hi, x_lo, x_hi, x_lo,
+        (a_hi, s_hi, mid, shift),
+    )
     if jumps.post_step:
         # XSL-RR: hi ^ lo, rotated right by hi's top six bits.
         np.right_shift(x_hi, 58, out=shift)
@@ -627,37 +661,41 @@ def _limbs(value: int) -> Tuple[np.uint64, np.uint64]:
 def _mul_add(a_hi, a_lo, b_hi, b_lo, c_hi, c_lo, out_hi, out_lo, tmp):
     """``out = a·b + c`` mod 2^128, on uint64 (hi, lo) limbs.
 
-    The operands are arrays or ``np.uint64`` scalars; ``out`` must not
-    alias them, and ``tmp`` is four scratch arrays shaped like it. The
-    high limb of ``a_lo·b_lo`` is summed from the four products of
-    their 32-bit halves.
+    The operands are arrays or ``np.uint64`` scalars; ``out`` may be
+    ``c`` itself but must not alias ``a`` or ``b``, and ``tmp`` is four
+    scratch arrays shaped like it. ``a_hi`` and ``b_hi`` are read only
+    by the first products, so the first two of ``tmp`` may be their
+    arrays. The high limb of ``a_lo·b_lo`` is summed from the four
+    products of their 32-bit halves.
     """
     a0, b0, mid, t = tmp
+    # The cross products reach only the high limb; c is read first.
+    np.multiply(a_lo, b_hi, out=t)
+    np.add(c_hi, t, out=out_hi)
+    np.multiply(a_hi, b_lo, out=t)
+    np.add(out_hi, t, out=out_hi)
+    np.multiply(a_lo, b_lo, out=t)
+    np.add(c_lo, t, out=out_lo)
+    np.less(out_lo, t, out=t)  # carry out of the low limb
+    np.add(out_hi, t, out=out_hi)
+    # Each partial sum below fits in 64 bits.
     np.bitwise_and(a_lo, _LOW32, out=a0)
     np.bitwise_and(b_lo, _LOW32, out=b0)
     np.multiply(a0, b0, out=mid)
     np.right_shift(mid, 32, out=mid)  # carry-in of the low halves
-    np.right_shift(b_lo, 32, out=t)
-    np.multiply(a0, t, out=a0)  # a0·b1
-    np.right_shift(a_lo, 32, out=out_lo)
-    np.multiply(out_lo, t, out=out_hi)  # a1·b1
-    np.multiply(out_lo, b0, out=b0)  # a1·b0
-    for cross in (a0, b0):
-        np.bitwise_and(cross, _LOW32, out=t)
-        np.add(mid, t, out=mid)
-        np.right_shift(cross, 32, out=t)
-        np.add(out_hi, t, out=out_hi)
+    np.right_shift(a_lo, 32, out=t)
+    np.multiply(t, b0, out=b0)  # a1·b0
+    np.add(mid, b0, out=mid)
+    np.right_shift(b_lo, 32, out=b0)
+    np.multiply(t, b0, out=t)  # a1·b1
+    np.add(out_hi, t, out=out_hi)
+    np.multiply(a0, b0, out=a0)  # a0·b1
+    np.right_shift(mid, 32, out=t)
+    np.add(out_hi, t, out=out_hi)
+    np.bitwise_and(mid, _LOW32, out=mid)
+    np.add(mid, a0, out=mid)
     np.right_shift(mid, 32, out=mid)
     np.add(out_hi, mid, out=out_hi)
-    np.multiply(a_lo, b_hi, out=t)
-    np.add(out_hi, t, out=out_hi)
-    np.multiply(a_hi, b_lo, out=t)
-    np.add(out_hi, t, out=out_hi)
-    np.add(out_hi, c_hi, out=out_hi)
-    np.multiply(a_lo, b_lo, out=out_lo)
-    np.add(out_lo, c_lo, out=out_lo)
-    np.less(out_lo, c_lo, out=t)  # carry out of the low limb
-    np.add(out_hi, t, out=out_hi)
 
 
 def _jump_tables(kind: type) -> Tuple[np.ndarray, np.ndarray]:

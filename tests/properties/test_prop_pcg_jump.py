@@ -7,7 +7,10 @@ double at offset k must be the one ``advance(k)`` then ``random()``
 gives, bit for bit. The offsets always include 0, both sides of every
 low-table block boundary the high table resolves (k·2^_LOW_BITS - 1
 and k·2^_LOW_BITS, for each power-of-two k and the last block), and
-the batch span limit ``_SPAN - 1``, plus random offsets below it.
+the batch span limit ``_SPAN - 1``, plus random offsets below it. A
+full batch of ``_BATCH`` offsets touching every one of the
+2^_HIGH_BITS high blocks, the most per-block entries the kernel's
+scratch holds, is checked too, given relative to a non-zero origin.
 """
 
 import numpy as np
@@ -59,5 +62,42 @@ def test_kernel_doubles_equal_advance_then_random(kind, state, inc, extra):
     bit_state["state"] = {"state": state, "inc": inc | 1}
     scratch = _scratch(np.empty(_SCRATCH_ROWS * _BATCH))
     doubles = _doubles(_Jumps(kind, inc | 1), state, offsets, scratch)
+    expected = [_reference(kind, bit_state, int(k)) for k in offsets]
+    np.testing.assert_array_equal(doubles, expected)
+
+
+def _full_batch():
+    """``_BATCH`` sorted offsets, an equal share in every high block.
+
+    Each block holds its first and last offset and one random offset in
+    each of ``share - 2`` equal strata between them.
+    """
+    blocks = 1 << _HIGH_BITS
+    share = _BATCH // blocks
+    width, strata = (1 << _LOW_BITS) - 2, share - 2
+    rng = np.random.default_rng(2018)
+    inner = 1 + np.arange(strata) * width // strata + rng.integers(
+        0, width // strata, size=(blocks, strata)
+    )
+    lows = np.column_stack(
+        [np.zeros(blocks, int), inner, np.full(blocks, width + 1)]
+    )
+    return ((np.arange(blocks)[:, None] << _LOW_BITS) + lows).ravel()
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.__name__)
+def test_full_batch_over_every_high_block(kind):
+    offsets = _full_batch()
+    assert offsets.size == _BATCH
+    assert np.unique(offsets >> _LOW_BITS).size == 1 << _HIGH_BITS
+    assert np.all(np.diff(offsets) > 0) and offsets[-1] == _SPAN - 1
+    state, inc = (1 << 127) + 12345, (0x5851F42D4C957F2D << 64) | 1
+    origin = 987_654_321
+    scratch = _scratch(np.empty(_SCRATCH_ROWS * _BATCH))
+    doubles = _doubles(
+        _Jumps(kind, inc), state, offsets + origin, scratch, origin
+    )
+    bit_state = kind(0).state
+    bit_state["state"] = {"state": state, "inc": inc}
     expected = [_reference(kind, bit_state, int(k)) for k in offsets]
     np.testing.assert_array_equal(doubles, expected)

@@ -357,6 +357,42 @@ class TestRepairKernel:
         assert outcome == expected
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "kind",
+        [np.random.PCG64, np.random.PCG64DXSM],
+        ids=["PCG64", "PCG64DXSM"],
+    )
+    def test_default_batches_match_oracle(self, monkeypatch, threads, kind):
+        """At the default ``_BATCH``, round 3 (the first kernel round at
+        15 % loss) draws several whole batches; the outcome and the
+        generator's end state still equal the oracle's."""
+        monkeypatch.setattr(
+            reliability, "_thread_count", lambda n_chunks: threads
+        )
+        sizes = []
+        draw = reliability._Pools._draw
+
+        def spy(pools, round_, batch):
+            sizes.append((round_, batch.size))
+            draw(pools, round_, batch)
+
+        monkeypatch.setattr(reliability._Pools, "_draw", spy)
+        config = ReliabilityConfig(
+            segment_bytes=512, segment_loss_probability=0.15
+        )
+        image = FirmwareImage(name="fw", version="1", size_bytes=1024 * 512)
+        assert reliability._dense_rounds(0.15) == 2
+        oracle_rng = np.random.Generator(kind(2018))
+        rng = np.random.Generator(kind(2018))
+        expected = matrix_repair_rounds(image, 2500, config, oracle_rng)
+        outcome = simulate_repair_rounds(image, 2500, config, rng)
+        assert outcome == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        # Round 3 drew whole batches, as many as there are threads.
+        full = [r for r, size in sizes if size == reliability._BATCH]
+        assert full.count(3) >= threads
+
     def test_kernel_leaves_no_cyclic_garbage(self, monkeypatch):
         """Garbage cycles would hold kernel memory until a GC pass."""
         monkeypatch.setattr(reliability, "_thread_count", lambda n_chunks: 1)
