@@ -11,7 +11,7 @@ picks for this host (recorded); each regime is also timed with the
 thread count forced to one, and the two outcomes must be equal. The
 dense-rounds wall is the same call capped at the regime's dense
 (span-drawn) rounds, so the rest of ``wall_s`` is the kernel rounds';
-the kernel's batch size ``_BATCH`` is recorded with it.
+the kernel's per-thread batch size is recorded with it.
 
 The bar asserted is the chunk-major design's memory bound: a traced
 peak of at most 8 MiB per call at any fleet size, where the dense
@@ -69,10 +69,7 @@ def _measure(name: str, n_devices: int) -> Dict[str, float]:
     with mock.patch.object(reliability, "_thread_count", lambda n_chunks: 1):
         single, single_wall = _best_of(call)
     assert single == outcome, f"{name}: one thread disagrees with {threads}"
-    dense_rounds = min(
-        reliability._dense_rounds(config.segment_loss_probability),
-        config.max_rounds,
-    )
+    dense_rounds = reliability._dense_rounds(config)
     dense_config = dataclasses.replace(config, max_rounds=dense_rounds)
     _, dense_wall = _best_of(
         lambda: simulate_repair_rounds(
@@ -93,7 +90,7 @@ def _measure(name: str, n_devices: int) -> Dict[str, float]:
         "threads": threads,
         "wall_s": wall,
         "single_thread_wall_s": single_wall,
-        "kernel_batch": reliability._BATCH,
+        "kernel_batch": reliability._batch_size(threads),
         "dense_rounds": dense_rounds,
         "dense_rounds_wall_s": dense_wall,
         "peak_mb": peak / 2**20,
@@ -122,7 +119,7 @@ def test_repair_rounds_per_regime(capsys):
                     "scenario",
                     "loss",
                     "rounds",
-                    "threads",
+                    "threads x batch",
                     "wall",
                     "1-thread wall",
                     "dense rounds",
@@ -133,7 +130,7 @@ def test_repair_rounds_per_regime(capsys):
                         name,
                         f"{record['loss']:.2f}",
                         str(record["rounds"]),
-                        str(record["threads"]),
+                        f"{record['threads']} x {record['kernel_batch']}",
                         f"{record['wall_s'] * 1e3:.1f} ms",
                         f"{record['single_thread_wall_s'] * 1e3:.1f} ms",
                         f"{record['dense_rounds']}: "
@@ -143,9 +140,10 @@ def test_repair_rounds_per_regime(capsys):
                     for name, record in records.items()
                 ),
                 notes=(
+                    "threads x batch: the row-chunk threads and the most "
+                    "pairs each draws per kernel batch.",
                     "dense rounds: the span-drawn rounds and the wall of "
-                    "the call capped there; the kernel rounds after them "
-                    f"draw in batches of {reliability._BATCH} pairs.",
+                    "the call capped there; the kernel rounds follow.",
                     f"traced peak against {PEAK_BAR_BYTES / 2**20:.0f} MiB per "
                     f"call; artifact written to {path}.",
                 ),

@@ -33,8 +33,9 @@ probability), and is drawn one of two ways:
   chunk's first still-missing pair and draw one contiguous span up to
   its last, reading the pairs' doubles out of it;
 * **kernel rounds** — every round after those. A chunk's still-missing
-  pairs join a per-round pool, drained in batches of at most ``_BATCH``
-  pairs spanning fewer than ``_SPAN`` draws. A batch computes only its
+  pairs join a per-round pool, drained in batches of at most B pairs
+  (``_BATCH`` = 2^14, or ``_CALL_BATCH_PAIRS / T`` on T threads if
+  less) spanning fewer than ``_SPAN`` draws. A batch computes only its
   own doubles, with a jump-ahead kernel: k steps of the PCG LCG take
   state s to ``A^k·s + (1 + A + … + A^(k-1))·inc``. The high
   ``_HIGH_BITS`` of k pick the state at the start of k's block of
@@ -56,12 +57,14 @@ pool already owns the cores. Threads return per-round segment masks
 and missing counts, merged by OR and sum, so nothing depends on which
 thread ran what. A thread holds one chunk buffer of 1/T the pairs,
 which doubles as the kernel's scratch between chunks (at least
-``_SCRATCH_ROWS`` x ``_BATCH`` words, 1 MiB, beside a 32 KiB row of
-block indices), and pools of under a batch plus one chunk's survivors
-per round. Memory is therefore O(chunk + T x rounds x (batch + S)) at
-any fleet size, plus 256 KiB of seed-free tables per generator type
-and 128 KiB per call; the outcome and the generator's end state are
-bit-identical to the dense loop at any T.
+``_SCRATCH_ROWS`` x B words, so 2 MiB over all threads at T >= 2,
+beside a row of block indices of at most 32 KiB), and pools of under a
+batch plus one chunk's survivors per round. With T x B at most
+``_CALL_BATCH_PAIRS``, memory is therefore O(rounds x
+(``_CHUNK_PAIRS`` + ``_CALL_BATCH_PAIRS``) + T x rounds x S) at any
+fleet size and core count, plus 256 KiB of seed-free tables per
+generator type and 128 KiB per call; the outcome and the generator's
+end state are bit-identical to the dense loop at any T and B.
 """
 
 from __future__ import annotations
@@ -103,6 +106,11 @@ _SPARSE_DENSITY = 1 / 32
 #: 2^15 (medians of 3-5), which would double the scratch
 #: (``_SCRATCH_ROWS`` words per batch pair) to 2 MiB per thread.
 _BATCH = 1 << 14
+#: Batch pairs a call's T threads share: each draws batches of
+#: ``_CALL_BATCH_PAIRS // T`` pairs, at most ``_BATCH``, so the kernel's
+#: scratch stays at 2 MiB however many cores the host has (2^14 pairs
+#: on 2 threads, 2^12 on 8).
+_CALL_BATCH_PAIRS = 1 << 15
 #: Bits of a kernel offset resolved by the low and by the high lookup
 #: table; a batch spans fewer than ``_SPAN`` draws.
 _LOW_BITS = 12
@@ -244,7 +252,7 @@ def simulate_repair_rounds(
         )
     base = bit_generator.state
     p = config.segment_loss_probability
-    dense_rounds = min(_dense_rounds(p), config.max_rounds)
+    dense_rounds = _dense_rounds(config)
     jumps = None
     if dense_rounds < config.max_rounds:
         jumps = _Jumps(type(bit_generator), base["state"]["inc"])
@@ -260,6 +268,7 @@ def simulate_repair_rounds(
         p=p,
         dense_rounds=dense_rounds,
         max_rounds=config.max_rounds,
+        batch=_batch_size(threads),
     )
     shares = [row_starts[k::threads] for k in range(threads)]
     if threads == 1:
@@ -331,15 +340,22 @@ def _layout(n_devices: int, n_segments: int) -> Tuple[int, range]:
     return threads, range(0, n_devices, chunk_rows)
 
 
-def _dense_rounds(p: float) -> int:
-    """Rounds drawn as spans at loss probability ``p``.
+def _batch_size(threads: int) -> int:
+    """Pairs per kernel batch on each of ``threads`` threads."""
+    return max(1, min(_BATCH, _CALL_BATCH_PAIRS // threads))
+
+
+def _dense_rounds(config: ReliabilityConfig) -> int:
+    """Rounds drawn as spans under ``config``, at most its cap.
 
     Round 1 draws every pair; round r > 1 redraws the pairs missing
-    after round r-1, an expected fraction p^(r-1), and is dense while
-    that is at least ``_SPARSE_DENSITY``.
+    after round r-1, an expected fraction p^(r-1) (p the loss
+    probability), and is dense while that is at least
+    ``_SPARSE_DENSITY``.
     """
+    p = config.segment_loss_probability
     rounds, density = 1, p
-    while density >= _SPARSE_DENSITY:
+    while density >= _SPARSE_DENSITY and rounds < config.max_rounds:
         rounds += 1
         density *= p
     return rounds
@@ -389,7 +405,8 @@ class _Pools:
     ``push(r, pairs)`` queues pairs missing after round r - 1 for round
     r's draws; ``drain`` draws them through the kernel a batch at a
     time, lowest round first, so each pool stays in pair order and a
-    batch's survivors join the next round's pool.
+    batch's survivors join the next round's pool. A batch is at most
+    the scratch's width.
     """
 
     def __init__(
@@ -416,6 +433,7 @@ class _Pools:
         #: Pairs queued per round, kept as they are pushed and drawn.
         self.sizes = dict.fromkeys(self.pending, 0)
         self.scratch = scratch
+        self.batch = scratch[0].shape[1]
         self.generator = jumps.kind(0)
 
     def push(self, round_: int, pairs: np.ndarray) -> None:
@@ -424,7 +442,7 @@ class _Pools:
 
     def drain(self, flush: bool) -> None:
         """Draw every full batch, or with ``flush`` every queued pair."""
-        least = 1 if flush else _BATCH
+        least = 1 if flush else self.batch
         for round_, parts in self.pending.items():
             if self.sizes[round_] < least:
                 continue
@@ -432,7 +450,7 @@ class _Pools:
             parts.clear()  # the parts are in ``pairs`` now; free them
             start = 0
             while pairs.size - start >= least:
-                batch = pairs[start : start + _BATCH]
+                batch = pairs[start : start + self.batch]
                 batch = batch[: np.searchsorted(batch, batch[0] + _SPAN)]
                 self._draw(round_, batch)
                 start += batch.size
@@ -469,6 +487,7 @@ def _run_chunks(
     p: float,
     dense_rounds: int,
     max_rounds: int,
+    batch: int,
 ) -> _Tally:
     """Run the row chunks starting at ``row_starts`` through their rounds.
 
@@ -476,7 +495,8 @@ def _run_chunks(
     jumped to each chunk's offsets, and from the kernel, so any thread
     can run any chunks. Rounds up to ``dense_rounds`` are drawn as
     spans; a chunk still missing pairs after them queues those for
-    the kernel rounds (``jumps`` is set when there are any).
+    the kernel rounds (``jumps`` is set when there are any), drawn in
+    batches of at most ``batch`` pairs.
     """
     per_round_draws = n_devices * n_segments
     private = generator_type(0)
@@ -488,12 +508,12 @@ def _run_chunks(
         buf = np.empty(chunk_pairs)
     else:
         # Kernel batches draw in this buffer too, between chunks.
-        buf = np.empty(max(chunk_pairs, _SCRATCH_ROWS * _BATCH))
+        buf = np.empty(max(chunk_pairs, _SCRATCH_ROWS * batch))
         pools = _Pools(
             jumps,
             base,
             tally,
-            _scratch(buf),
+            _scratch(buf, batch),
             per_round_draws=per_round_draws,
             p=p,
             first_round=dense_rounds + 1,
@@ -557,18 +577,20 @@ class _Jumps:
             rows.extend((table[0], table[1], *times_inc))
 
 
-def _scratch(buf: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The kernel's scratch: a view of ``buf`` and a per-block row.
+def _scratch(
+    buf: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel's scratch for batches of up to ``width`` pairs.
 
     ``buf`` is a thread's float64 chunk buffer, idle while pools drain,
-    of at least ``_SCRATCH_ROWS·_BATCH`` doubles; its view holds the
-    ``_SCRATCH_ROWS`` x ``_BATCH`` uint64 per-pair rows. The blocks a
-    batch touches are listed in a side row of ``2^_HIGH_BITS`` words,
-    the most there can be whatever the batch size.
+    of at least ``_SCRATCH_ROWS·width`` doubles; its view holds the
+    ``_SCRATCH_ROWS`` x ``width`` uint64 per-pair rows. The blocks a
+    batch touches are listed in a side row of at most
+    ``2^_HIGH_BITS`` words, the most there can be whatever the width.
     """
-    rows = buf[: _SCRATCH_ROWS * _BATCH].view(np.uint64)
-    blocks = np.empty(min(_BATCH, 1 << _HIGH_BITS), dtype=np.intp)
-    return rows.reshape(_SCRATCH_ROWS, _BATCH), blocks
+    rows = buf[: _SCRATCH_ROWS * width].view(np.uint64)
+    blocks = np.empty(min(width, 1 << _HIGH_BITS), dtype=np.intp)
+    return rows.reshape(_SCRATCH_ROWS, width), blocks
 
 
 def _doubles(
@@ -582,7 +604,7 @@ def _doubles(
     ``state``.
 
     ``state`` is the 128-bit LCG state of ``jumps``' stream; ``offsets``
-    are sorted, at most ``_BATCH`` of them, and ``offsets - origin`` is
+    are sorted, at most the scratch's width, and ``offsets - origin`` is
     in [0, ``_SPAN``). Equal to ``advance(k)`` then ``random()`` for
     each such k, bit for bit. ``scratch`` comes from :func:`_scratch`;
     the result is a view into it.

@@ -60,7 +60,7 @@ def test_kernel_doubles_equal_advance_then_random(kind, state, inc, extra):
     assert offsets.size <= _BATCH
     bit_state = kind(0).state
     bit_state["state"] = {"state": state, "inc": inc | 1}
-    scratch = _scratch(np.empty(_SCRATCH_ROWS * _BATCH))
+    scratch = _scratch(np.empty(_SCRATCH_ROWS * _BATCH), _BATCH)
     doubles = _doubles(_Jumps(kind, inc | 1), state, offsets, scratch)
     expected = [_reference(kind, bit_state, int(k)) for k in offsets]
     np.testing.assert_array_equal(doubles, expected)
@@ -93,7 +93,7 @@ def test_full_batch_over_every_high_block(kind):
     assert np.all(np.diff(offsets) > 0) and offsets[-1] == _SPAN - 1
     state, inc = (1 << 127) + 12345, (0x5851F42D4C957F2D << 64) | 1
     origin = 987_654_321
-    scratch = _scratch(np.empty(_SCRATCH_ROWS * _BATCH))
+    scratch = _scratch(np.empty(_SCRATCH_ROWS * _BATCH), _BATCH)
     doubles = _doubles(
         _Jumps(kind, inc), state, offsets + origin, scratch, origin
     )

@@ -13,13 +13,16 @@ over two consecutive calls on one generator, the multi-cell order.
 The chunks run on 1, 2 or 3 threads (forced through the kernel's
 private thread count, whatever the host's cores), and fleets of more
 than three full chunks' pairs give the threads several chunks to share.
+One such fleet, 2,400 devices x 1,024 segments at 15 % loss, is always
+run: its round 3 fills whole kernel batches of the default size on
+every thread.
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repair_oracle import matrix_repair_rounds
@@ -97,6 +100,10 @@ def test_chunked_rounds_equal_matrix_oracle(
     max_rounds=_MAX_ROUNDS,
     seed=_SEED,
     buffered_half=st.booleans(),
+)
+@example(
+    case=(1024, 2400), loss=0.15, max_rounds=20, seed=2018,
+    buffered_half=False,
 )
 def test_many_chunks_per_thread_equal_matrix_oracle(
     threads, case, loss, max_rounds, seed, buffered_half
