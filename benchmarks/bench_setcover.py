@@ -11,20 +11,23 @@
   metering-longsleep (nothing folds), plus ``FLEET_SCALE_MIXTURE`` at
   10^4. dense-urban has no row: its captured cover input is
   byte-identical to paper-baseline's at every size. Every row times
-  ``method="incremental"`` (median of three) against one
+  the incremental sweep (median of three) against one
   ``method="reference"`` run and asserts the two are digest-identical:
-  same windows, members and generator end state. Time is reported, not
-  gated. ``REPRO_BENCH_SETCOVER_MAX_DEVICES`` caps every row's fleet
-  size, and a row whose scenario already ran at its capped size is
-  skipped; the rows land in ``BENCH_setcover.json``.
+  same windows, members and generator end state. The bench drives
+  ``IncrementalSweep.select`` itself, so each row also splits the
+  incremental time into the sweep's build, its folded rounds and its
+  tied rounds (count and seconds), and counts the tied rounds' refills.
+  Time is reported, not gated. ``REPRO_BENCH_SETCOVER_MAX_DEVICES``
+  caps every row's fleet size, and a row whose scenario already ran at
+  its capped size is skipped; the rows land in ``BENCH_setcover.json``.
 """
 
 import hashlib
 import os
 import statistics
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from bench_fleet_scale import FLEET_SCALE_MIXTURE
@@ -36,7 +39,9 @@ from repro.core.base import PlanningContext
 from repro.experiments.ablations import run_setcover_quality
 from repro.experiments.reporting import Table, render_table
 from repro.scenarios import run_scenario, scenario
+from repro.setcover.decision import GroupingDecision
 from repro.setcover.greedy import greedy_window_cover
+from repro.setcover.incremental import IncrementalSweep
 from repro.sim.executor import CampaignExecutor
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
@@ -91,6 +96,19 @@ def test_a6_campaign_execution_throughput(benchmark):
     assert len(result) == 500
 
 
+@dataclass
+class CoverSplit:
+    """Where the incremental sweep's time went, summed over covers."""
+
+    build_s: float = 0.0
+    folded_rounds: int = 0
+    folded_s: float = 0.0
+    tied_rounds: int = 0
+    tied_s: float = 0.0
+    #: Tied rounds that found the candidate list empty and refilled it.
+    refills: int = 0
+
+
 @dataclass(frozen=True)
 class CoverInput:
     """One ``greedy_window_cover`` call as a campaign made it."""
@@ -102,15 +120,56 @@ class CoverInput:
     horizon_end: int
     rng_state: Optional[Dict[str, Any]]
 
-    def cover(self, method: str):
-        """The cover and the tie-break generator's end state."""
-        rng = None
-        if self.rng_state is not None:
-            rng = np.random.default_rng()
-            rng.bit_generator.state = self.rng_state
+    def _rng(self) -> Optional[np.random.Generator]:
+        if self.rng_state is None:
+            return None
+        rng = np.random.default_rng()
+        rng.bit_generator.state = self.rng_state
+        return rng
+
+    def reference(self):
+        """The reference cover and the generator's end state."""
+        rng = self._rng()
         cover = greedy_window_cover(
             self.phases, self.periods, self.window_len,
-            self.horizon_start, self.horizon_end, rng, method=method,
+            self.horizon_start, self.horizon_end, rng, method="reference",
+        )
+        return cover, None if rng is None else rng.bit_generator.state
+
+    def incremental(self, split: CoverSplit):
+        """The incremental cover and the generator's end state, driving
+        the sweep round by round and adding its phases to ``split``.
+
+        A round is folded while the sweep holds a folded period, tied
+        after; a tied round refills when it finds no candidate left.
+        """
+        rng = self._rng()
+        clock = time.perf_counter
+        t0 = clock()
+        sweep = IncrementalSweep(
+            self.phases, self.periods, self.window_len,
+            self.horizon_start, self.horizon_end,
+        )
+        split.build_s += clock() - t0
+        starts: List[int] = []
+        groups: List[np.ndarray] = []
+        while sweep.remaining:
+            folded = bool(sweep._folded)
+            split.refills += not folded and not sweep._candidates
+            t0 = clock()
+            start, covered = sweep.select(rng)
+            seconds = clock() - t0
+            if folded:
+                split.folded_rounds += 1
+                split.folded_s += seconds
+            else:
+                split.tied_rounds += 1
+                split.tied_s += seconds
+            starts.append(start)
+            groups.append(covered)
+        start = np.array(starts, dtype=np.int64)
+        cover = GroupingDecision.from_groups(
+            start, start + self.window_len, groups
         )
         return cover, None if rng is None else rng.bit_generator.state
 
@@ -160,11 +219,33 @@ def _digest(results) -> str:
     return digest.hexdigest()
 
 
-def _timed(inputs: List[CoverInput], method: str):
-    """Seconds to run every cover of ``inputs``, and their results."""
+def _timed_reference(inputs: List[CoverInput]):
+    """Seconds to run every reference cover of ``inputs``, and their
+    results."""
     t0 = time.perf_counter()
-    results = [item.cover(method) for item in inputs]
+    results = [item.reference() for item in inputs]
     return time.perf_counter() - t0, results
+
+
+def _timed_incremental(
+    inputs: List[CoverInput],
+) -> Tuple[float, CoverSplit, list]:
+    """Seconds to run every incremental cover of ``inputs``, their phase
+    split, and their results."""
+    split = CoverSplit()
+    t0 = time.perf_counter()
+    results = [item.incremental(split) for item in inputs]
+    return time.perf_counter() - t0, split, results
+
+
+def _median_split(splits: List[CoverSplit]) -> CoverSplit:
+    """Each field's median over repeated runs."""
+    return CoverSplit(**{
+        field.name: statistics.median(
+            getattr(split, field.name) for split in splits
+        )
+        for field in fields(CoverSplit)
+    })
 
 
 def test_cover_shapes_match_reference(monkeypatch, capsys):
@@ -181,17 +262,22 @@ def test_cover_shapes_match_reference(monkeypatch, capsys):
         ran.add((source, n_devices))
         inputs = _capture_covers(monkeypatch, source, n_devices)
         assert inputs, f"{source} made no greedy cover"
-        runs = [_timed(inputs, "incremental") for _ in range(3)]
-        incremental_s = statistics.median(seconds for seconds, _ in runs)
-        reference_s, reference = _timed(inputs, "reference")
+        runs = [_timed_incremental(inputs) for _ in range(3)]
+        incremental_s = statistics.median(seconds for seconds, _, _ in runs)
+        split = _median_split([split for _, split, _ in runs])
+        reference_s, reference = _timed_reference(inputs)
         digest = _digest(reference)
-        for _, results in runs:
+        for _, _, results in runs:
             assert _digest(results) == digest, (label, n_devices)
         n_transmissions = sum(cover.n_groups for cover, _ in reference)
         rows.append((
             label, str(n_devices), str(len(inputs)), str(n_transmissions),
             f"{reference_s:.3f}s", f"{incremental_s:.3f}s",
             f"{reference_s / incremental_s:.1f}x",
+            f"{split.build_s * 1e3:.1f}ms",
+            f"{split.folded_s * 1e3:.1f}ms / {split.folded_rounds}",
+            f"{split.tied_s * 1e3:.1f}ms / {split.tied_rounds}",
+            str(split.refills),
         ))
         records.append({
             "shape": label,
@@ -201,12 +287,19 @@ def test_cover_shapes_match_reference(monkeypatch, capsys):
             "n_transmissions": n_transmissions,
             "cover_reference_s": reference_s,
             "cover_incremental_s": incremental_s,
+            "build_s": split.build_s,
+            "folded_rounds": split.folded_rounds,
+            "folded_s": split.folded_s,
+            "tied_rounds": split.tied_rounds,
+            "tied_s": split.tied_s,
+            "refills": split.refills,
             "sha256": digest,
         })
     emit(capsys, render_table(Table(
         title="Greedy window cover on captured inputs",
         headers=("shape", "devices", "covers", "windows", "reference",
-                 "incremental", "speedup"),
+                 "incremental", "speedup", "build", "folded / rounds",
+                 "tied / rounds", "refills"),
         rows=tuple(rows),
     )))
     write_bench_artifact("setcover", {"rows": records})

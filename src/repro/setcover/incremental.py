@@ -31,8 +31,13 @@ selection. A device lives in one of two representations:
 
 The count at a start is ``C(s) = S[s mod Q] + B(s)``, where ``B`` is the
 explicit count, constant between explicit events. A range maximum of
-``S`` over each ``B``-segment (a sparse table on ``S`` doubled) gives
-the round's best count without touching the horizon.
+``S`` over each ``B``-segment gives the round's best count without
+touching the horizon. Only segments that can reach the best need one:
+each segment's first start is a floor under the best, and a segment
+whose ``B + max(S)`` falls below it is skipped. The rest take their
+maxima from one ``np.maximum.reduceat`` over ``S`` doubled, or from a
+sparse table on it when their spans add up to more than its entries
+(see :func:`_segment_maxima`).
 
 Tie-break candidates follow the reference exactly: the distinct
 positions where a surviving interval starts or ends whose count equals
@@ -58,9 +63,12 @@ only fall, and a candidate keeps the maximum unless a covered device has
 an interval over it, so what is left is exactly the positions still at
 the maximum, in ascending order: the next round's candidates. The
 explicit count drops the covered devices in one batch when the list runs
-out, before the next refill. A round that reads at most
-:data:`FEW_INTERVALS` intervals does so in plain Python, with binary
-searches over the stab table and the list; larger ones use numpy.
+out, before the next refill. A round whose stab range holds at most
+:data:`FEW_INTERVALS` intervals runs on Python ints read through
+memoryviews: binary searches over the stab table's starts, the covered
+devices as one sorted list, and their intervals sorted and merged before
+binary searches delete the candidates inside them. Larger rounds use
+numpy.
 
 Which periods fold, and which explicit representation a sweep uses,
 is decided from the fleet alone (see :func:`_fold_periods`). State is
@@ -71,7 +79,7 @@ is decided from the fleet alone (see :func:`_fold_periods`). State is
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -80,15 +88,20 @@ from repro.errors import SetCoverError
 from repro.setcover.windows import coverage_intervals
 
 #: A period ``P`` folds once its devices hold at least this many POs in
-#: the horizon per entry of the range-maximum table its residues need,
-#: ``P * log2(P)``, which is rebuilt every round; past
-#: :data:`FOLD_CACHED_PERIOD` each entry counts ``P / FOLD_CACHED_PERIOD``
-#: times. Below it the explicit intervals are cheaper to sweep. Forced
-#: fold against forced explicit (L 2048, a 2^21-frame horizon, 200
-#: explicit 2^20-frame devices beside the period) broke even at 0.17
-#: POs per entry for P = 2^13 and 2^16, 0.27 for 2^17, 0.64 for 2^18
-#: and about 1.05 for 2^19, where the table outgrows the cache.
-FOLD_MIN_POS_PER_TABLE_ENTRY = 0.2
+#: the horizon per entry of a range-maximum table over its residues,
+#: ``P * log2(P)``; past :data:`FOLD_CACHED_PERIOD` each entry counts
+#: ``P / FOLD_CACHED_PERIOD`` times. Below it the explicit intervals are
+#: cheaper to sweep. Forced fold against forced explicit (L 2048, a
+#: 2^21-frame horizon, 200 explicit 2^20-frame devices beside the
+#: period) broke even at about 0.06 POs per entry for P = 2^13, 0.1 for
+#: 2^16, 0.11 for 2^17 and 0.13 for 2^18 once folded rounds skip the
+#: segments that cannot reach the best count and rarely build the table;
+#: the same bench put the earlier, table-every-round sweep at 0.12, 0.27,
+#: over 0.4 and over 0.64. 2^19 was not re-measured (2.6M devices): on
+#: metering-longsleep's mixture at 10^6 devices (L 4096), folding 2^18
+#: took the cover from 2.7 to 2.1 s, but folding 2^19 beside it (0.14
+#: POs per entry) to 3.6 s, so the factor past 2^16 stays.
+FOLD_MIN_POS_PER_TABLE_ENTRY = 0.1
 
 #: The longest period whose range-maximum table still costs its size.
 FOLD_CACHED_PERIOD = 2**16
@@ -108,14 +121,14 @@ BLOCKED_MIN_DEVICES = 2_000
 #: The fewest event positions in one block of the explicit count array.
 BLOCK_FLOOR = 64
 
-#: The most intervals a round of the explicit-only phase reads in plain
-#: Python: a stab range of at most this many intervals, and the
-#: intervals of the covered devices that it deletes from the candidate
-#: list by binary search; more use numpy. Measured on captured cover
-#: inputs, 9 alternating runs, total cover time at 16 / 32 / 48:
-#: city-rollout at 5*10^4 devices 366 / 391 / 378 ms, paper-baseline at
-#: 5*10^4 79 / 81 / 81 ms and at 10^5 124 / 124 / 127 ms, dense-urban at
-#: 10^5 122 / 126 / 128 ms; with numpy only (0) city-rollout took 579 ms.
+#: The most intervals a stab range may hold for a round of the
+#: explicit-only phase to run in plain Python (see the module
+#: docstring); a covered device with more intervals than this sends the
+#: candidate deletion to numpy. Measured on captured cover inputs, CPU
+#: time, median of 15 alternating runs (11 at 10^5), total cover time
+#: at 8 / 16 / 32 / 48: city-rollout at 5*10^4 devices 212 / 206 / 209 /
+#: 211 ms, paper-baseline at 5*10^4 69 / 69 / 69 / 72 ms and at 10^5
+#: 77 / 76 / 77 / 77 ms; with numpy only (0) city-rollout took 368 ms.
 FEW_INTERVALS = 16
 
 
@@ -206,6 +219,51 @@ class _FoldedPeriod:
         return members
 
 
+def _segment_maxima(
+    counts: np.ndarray,
+    seg_pos: np.ndarray,
+    seg_count: np.ndarray,
+    length: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The segments that may hold the best count, and their folded maxima.
+
+    Segment ``i`` spans the ``length[i]`` starts from ``seg_pos[i]``
+    where the explicit count is ``seg_count[i]``; ``counts`` is ``S`` on
+    residues mod ``Q``. Each segment reaches ``seg_count + S`` at its
+    first start, so the largest of those is a floor under the best
+    count, and a segment whose ``seg_count + max(S)`` falls below it
+    cannot tie the best. Returns the indices of the other segments,
+    ascending, and the maximum of ``S`` over each of them.
+    """
+    q = counts.size
+    top = counts.max()
+    floor = (seg_count + counts[seg_pos % q]).max()
+    keep = np.flatnonzero(seg_count >= floor - top)
+    seg_max = np.full(keep.size, top, dtype=np.int64)
+    short = np.flatnonzero(length[keep] < q)
+    if short.size == 0:
+        return keep, seg_max
+    span = length[keep[short]]
+    lo = seg_pos[keep[short]] % q
+    n_rows = max(1, (q - 1).bit_length())
+    if span.sum() > n_rows * 2 * q:
+        table = _range_max_table(counts)
+        row = np.frexp(span)[1].astype(np.int64) - 1  # floor(log2(span))
+        hi = lo + span - (np.int64(1) << row)
+        seg_max[short] = np.maximum(table[row, lo], table[row, hi])
+    else:
+        # One reduceat over S doubled on (lo, lo + span) pairs, by
+        # descending lo: the slot between two pairs, [hi_i, lo_i+1),
+        # then holds one entry, so the pass costs about the spans.
+        order = np.argsort(-lo, kind="stable")
+        bounds = np.empty(2 * order.size, dtype=np.int64)
+        bounds[0::2] = lo[order]
+        bounds[1::2] = bounds[0::2] + span[order]
+        doubled = np.concatenate([counts, counts])
+        seg_max[short[order]] = np.maximum.reduceat(doubled, bounds)[0::2]
+    return keep, seg_max
+
+
 def _range_max_table(values: np.ndarray) -> np.ndarray:
     """Sparse table over ``values`` doubled, for circular range maxima.
 
@@ -234,10 +292,12 @@ class _Intervals:
     and the intervals no longer than the window, in start order, answer
     a stab with two binary searches; longer ones (periods shorter than
     the window) are checked whole. Dead devices' intervals stay in the
-    stab table and are filtered out by ``alive``.
+    stab table and are filtered out by ``alive``, the sweep's array.
 
-    A round that reads at most :data:`FEW_INTERVALS` intervals reads
-    them in plain Python and larger ones in numpy.
+    A round whose stab range holds at most :data:`FEW_INTERVALS`
+    intervals, with no long interval left, reads the table through
+    memoryviews as Python ints (:meth:`stab_few`, :meth:`drop_few`);
+    larger ones read it in numpy (:meth:`stab`, :meth:`drop`).
     """
 
     def __init__(
@@ -247,9 +307,11 @@ class _Intervals:
         owners: np.ndarray,
         by_start: np.ndarray,
         window_len: int,
+        alive: np.ndarray,
     ) -> None:
         self.starts, self.ends = starts, ends
         self._window_len = window_len
+        self._alive = alive
         # Indexed by fleet index up to the last explicit device: a
         # fleet that folds every period needs none.
         n_devices = int(owners.max()) + 1 if owners.size else 0
@@ -258,61 +320,93 @@ class _Intervals:
         self._dev_count = np.zeros(n_devices, dtype=np.int64)
         self._dev_first[owners[run[:-1]]] = run[:-1]
         self._dev_count[owners[run[:-1]]] = np.diff(run)
+        self._many = bool(n_devices) and self._dev_count.max() > FEW_INTERVALS
 
         self._stab = [array[by_start] for array in (starts, ends, owners)]
         long = self._stab[1] - self._stab[0] > window_len
         self._long = [array[long] for array in self._stab]
         if self._long[0].size:
             self._stab = [array[~long] for array in self._stab]
-        # Memoryviews read single entries as Python ints, for the rounds
-        # that run in plain Python.
+        # Memoryviews read single entries as Python ints.
         self._py_bounds = memoryview(starts), memoryview(ends)
         self._py_csr = memoryview(self._dev_first), memoryview(self._dev_count)
-        self._py_stab = memoryview(self._stab[1]), memoryview(self._stab[2])
+        self._py_stab = [memoryview(array) for array in self._stab]
+        self._py_alive = memoryview(alive)
 
     def of(self, devices: np.ndarray) -> np.ndarray:
         """The indices of the intervals of ``devices``."""
         return _ranges(self._dev_first[devices], self._dev_count[devices])
 
-    def stab(self, start: int, alive: np.ndarray) -> np.ndarray:
+    def stab_range(self, start: int) -> Tuple[int, int]:
+        """The stab table's slice that may cover ``start``: the
+        intervals starting in ``(start - L, start]``."""
+        starts = self._py_stab[0]
+        lo = bisect_right(starts, start - self._window_len)
+        return lo, bisect_right(starts, start, lo)
+
+    def few(self, lo: int, hi: int) -> bool:
+        """Whether a stab of the slice ``lo:hi`` runs in plain Python."""
+        return hi - lo <= FEW_INTERVALS and not self._long[0].size
+
+    def stab_few(self, start: int, lo: int, hi: int) -> List[int]:
+        """:meth:`stab` of a slice that :meth:`few` accepts, as a list."""
+        _, ends, owners = self._py_stab
+        alive = self._py_alive
+        covered = [
+            device for k in range(lo, hi)
+            if ends[k] > start and alive[device := owners[k]]
+        ]
+        covered.sort()
+        return covered
+
+    def stab(self, start: int, lo: int, hi: int) -> np.ndarray:
         """The surviving devices with an interval covering ``start``,
-        ascending."""
-        starts, ends, owners = self._stab
-        lo, hi = starts.searchsorted(
-            (start - self._window_len, start), side="right"
-        )
-        if hi - lo <= FEW_INTERVALS:
-            ends, owners = self._py_stab
-            covered = np.array(sorted([
-                owners[k] for k in range(lo, hi)
-                if ends[k] > start and alive[owners[k]]
-            ]), dtype=np.int64)
-        else:
-            ends, owners = ends[lo:hi], owners[lo:hi]
-            covered = np.sort(owners[(ends > start) & alive[owners]])
+        ascending, from the slice :meth:`stab_range` gave."""
+        ends, owners = self._stab[1][lo:hi], self._stab[2][lo:hi]
+        covered = np.sort(owners[(ends > start) & self._alive[owners]])
         if self._long[0].size:
             starts, ends, owners = self._long
-            hit = (starts <= start) & (start < ends) & alive[owners]
+            hit = (starts <= start) & (start < ends) & self._alive[owners]
             covered = np.sort(np.concatenate([covered, owners[hit]]))
         return covered
+
+    def drop_few(self, candidates: List[int], devices: List[int]) -> List[int]:
+        """:meth:`drop` for the devices :meth:`stab_few` gave.
+
+        Their intervals are sorted and merged first: the devices a
+        window covers mostly have overlapping intervals there, and
+        another run of them a period later.
+        """
+        if len(candidates) == 1:
+            # The drawn candidate lies in the interval that covered it.
+            return []
+        (starts, ends), (first, count) = self._py_bounds, self._py_csr
+        if self._many and any(count[d] > FEW_INTERVALS for d in devices):
+            return self.drop(candidates, np.array(devices, dtype=np.int64))
+        spans = [
+            (starts[k], ends[k])
+            for device in devices
+            for k in range(first[device], first[device] + count[device])
+        ]
+        spans.sort()
+        lo, hi = spans[0]
+        for start, end in spans:
+            if start > hi:
+                i = bisect_left(candidates, lo)
+                del candidates[i : bisect_left(candidates, hi, i)]
+                lo = start
+            if end > hi:
+                hi = end
+        i = bisect_left(candidates, lo)
+        del candidates[i : bisect_left(candidates, hi, i)]
+        return candidates
 
     def drop(self, candidates: List[int], devices: np.ndarray) -> List[int]:
         """The ascending ``candidates`` outside every interval of
         ``devices``."""
-        if len(candidates) == 1:
-            # The drawn candidate lies in the interval that covered it.
-            return []
-        if devices.size <= FEW_INTERVALS:
-            (starts, ends), (first, count) = self._py_bounds, self._py_csr
-            runs = [(first[d], count[d]) for d in devices.tolist()]
-            if sum(n for _, n in runs) <= FEW_INTERVALS:
-                for lo, n in runs:
-                    for k in range(lo, lo + n):
-                        i = bisect_left(candidates, starts[k])
-                        del candidates[i : bisect_left(candidates, ends[k], i)]
-                return candidates
-        if len(candidates) == 2:
-            # At most one survives: a refill costs less than this pass.
+        if len(candidates) <= 2:
+            # The drawn candidate lies in the interval that covered it,
+            # so at most one survives: a refill costs less than this pass.
             return []
         index = self.of(devices)
         array = np.array(candidates)
@@ -324,10 +418,10 @@ class _Intervals:
         )
         return array[np.cumsum(inside[:-1]) == 0].tolist()
 
-    def forget_dead(self, alive: np.ndarray) -> None:
+    def forget_dead(self) -> None:
         """Drop the dead devices' long intervals."""
         if self._long[0].size:
-            keep = alive[self._long[2]]
+            keep = self._alive[self._long[2]]
             self._long = [array[keep] for array in self._long]
 
 
@@ -539,8 +633,10 @@ class IncrementalSweep:
             self._explicit = _BlockedCounts(endpoints, order)
         del endpoints
         self._intervals = _Intervals(
-            starts, ends, owners, order[order < starts.size], window_len
+            starts, ends, owners, order[order < starts.size], window_len,
+            self._alive,
         )
+        self._py_alive = memoryview(self._alive)
 
         # The explicit-only phase: the shared candidates, ascending, their
         # count, and the devices covered since the explicit count was
@@ -576,7 +672,7 @@ class IncrementalSweep:
         if not self._folded:
             return self._select_tied(rng)
         best, s = self._select_folded(rng)
-        explicit = self._intervals.stab(s, self._alive)
+        explicit = self._intervals.stab(s, *self._intervals.stab_range(s))
         covered = np.concatenate([explicit] + [
             part.take(s, self._alive, self._folded_counts)
             for part in self._folded
@@ -596,13 +692,23 @@ class IncrementalSweep:
         """A round of the explicit-only phase, from the shared candidates."""
         if not self._candidates:
             self._refill()
-        candidates, best = self._candidates, self._best
+        candidates, intervals = self._candidates, self._intervals
         pick = 0 if rng is None else int(rng.integers(len(candidates)))
         s = candidates[pick]
-        covered = self._intervals.stab(s, self._alive)
-        self._check(best, s, covered.size)
-        self._alive[covered] = False
-        self._candidates = self._intervals.drop(candidates, covered)
+        lo, hi = intervals.stab_range(s)
+        if intervals.few(lo, hi):
+            few = intervals.stab_few(s, lo, hi)
+            self._check(self._best, s, len(few))
+            alive = self._py_alive
+            for device in few:
+                alive[device] = False
+            self._candidates = intervals.drop_few(candidates, few)
+            covered = np.array(few, dtype=np.int64)
+        else:
+            covered = intervals.stab(s, lo, hi)
+            self._check(self._best, s, covered.size)
+            self._alive[covered] = False
+            self._candidates = intervals.drop(candidates, covered)
         self._remaining -= covered.size
         self._pending.append(covered)
         return s, covered
@@ -620,7 +726,7 @@ class IncrementalSweep:
         """Take the intervals of ``devices``, already dead, out of the
         count."""
         self._explicit.remove(self._intervals.of(devices), self._alive)
-        self._intervals.forget_dead(self._alive)
+        self._intervals.forget_dead()
 
     @staticmethod
     def _check(best: int, start: int, covered: int) -> None:
@@ -646,24 +752,17 @@ class IncrementalSweep:
         seg_end[-1] = self._s_max + 1
         length = seg_end - seg_pos
 
-        # Best folded count over each explicit segment.
-        seg_max = np.full(seg_pos.size, counts.max(), dtype=np.int64)
-        short = np.nonzero(length < q)[0]
-        if short.size:
-            table = _range_max_table(counts)
-            span = length[short]
-            row = np.frexp(span)[1].astype(np.int64) - 1  # floor(log2(span))
-            lo = seg_pos[short] % q
-            hi = lo + span - (np.int64(1) << row)
-            seg_max[short] = np.maximum(table[row, lo], table[row, hi])
-        total = seg_max + seg_count
+        # Best folded count over each explicit segment that may hold the
+        # best count.
+        keep, seg_max = _segment_maxima(counts, seg_pos, seg_count, length)
+        total = seg_max + seg_count[keep]
         best = int(total.max())
 
         # Candidates per maximal segment: its first position (an explicit
         # event, or hs) and the folded interval starts strictly inside it.
         # Other positions inside it are either no event or only ends,
         # where the count has just dropped, so never maximal.
-        hit = np.nonzero(total == best)[0]
+        hit = keep[total == best]
         first, end = seg_pos[hit], seg_end[hit]
         target = best - seg_count[hit]
         at_first = (counts[first % q] == target).astype(np.int64)

@@ -13,7 +13,13 @@ crossover fleets straddle ``BLOCKED_MIN_DEVICES`` explicit devices, so
 both explicit representations meet the count array's edge cases. The
 tied fleets (long periods, phases from a small pool) make many rounds in
 a row tie, so they draw from one shared candidate list; with a generator,
-both methods must also leave it in the same state. A
+both methods must also leave it in the same state. A city-rollout-shaped
+cell (a compacted count, a few folded rounds, then hundreds of tied
+rounds of a few devices) and clusters whose tied rounds read exactly
+``FEW_INTERVALS`` or ``FEW_INTERVALS + 1`` overlapping intervals meet
+the edge between the plain-Python and the numpy rounds. The pruned
+range maxima of the folded rounds are checked against a brute-force
+maximum over ``S`` doubled, on both of their branches. A
 SHA-256 of one paper-default cover, computed with the all-intervals
 sweep the fold replaced, pins the kernel's output. On small fleets the window greedy
 is additionally cross-checked against the generic
@@ -23,18 +29,25 @@ their per-round covered sets must coincide exactly).
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.setcover.incremental as incremental
 from repro.errors import TimebaseError
+from repro.setcover.decision import GroupingDecision
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
 from repro.setcover.incremental import (
     BLOCKED_MIN_DEVICES,
+    FEW_INTERVALS,
     FOLD_MIN_POS_PER_TABLE_ENTRY,
+    IncrementalSweep,
+    _CompactedEvents,
     _fold_periods,
+    _segment_maxima,
 )
 from repro.setcover.windows import coverage_intervals
 from repro.traffic.generator import generate_fleet
@@ -266,6 +279,191 @@ class TestFoldedMatchesReference:
             )
             _assert_identical_covers(ref, inc)
             _assert_same_end_state(ref_rng, inc_rng)
+
+
+@st.composite
+def folded_segments(draw, branch=None):
+    """``(counts, seg_pos, seg_count, length)`` for :func:`_segment_maxima`.
+
+    ``S`` on ``Q`` residues with small values, so maxima tie, and
+    consecutive segments from a start that may be negative, with
+    lengths of 1, below ``Q`` (wrapping past it or not) and at least
+    ``Q``. For ``branch="table"`` the bulk of the segments share one
+    explicit count and reach nearly ``Q`` each, so the survivors' spans
+    outgrow the sparse table; for ``"reduceat"`` there are at most two
+    segments per table row, so they cannot.
+    """
+    q = draw(st.integers(2 if branch == "table" else 1, 48))
+    counts = np.array(
+        draw(st.lists(st.integers(0, 5), min_size=q, max_size=q)),
+        dtype=np.int64,
+    )
+    n_rows = max(1, (q - 1).bit_length())
+    if branch == "table":
+        n = 4 * n_rows + 1 + draw(st.integers(0, 8))
+        lengths = draw(st.lists(
+            st.integers(-(-q // 2), q - 1), min_size=n, max_size=n
+        ))
+        counts_per_segment = [3] * n
+        extra = draw(st.integers(0, 6))
+        lengths += draw(st.lists(
+            st.integers(1, 2 * q), min_size=extra, max_size=extra
+        ))
+        counts_per_segment += draw(st.lists(
+            st.integers(0, 2), min_size=extra, max_size=extra
+        ))
+    else:
+        n = draw(st.integers(1, 2 * n_rows if branch == "reduceat" else 40))
+        lengths = draw(st.lists(
+            st.one_of(st.just(1), st.integers(1, 2 * q + 1)),
+            min_size=n, max_size=n,
+        ))
+        counts_per_segment = draw(st.lists(
+            st.integers(0, 6), min_size=n, max_size=n
+        ))
+    length = np.array(lengths, dtype=np.int64)
+    start = draw(st.integers(-3 * q, 5 * q))
+    seg_pos = start + np.concatenate([[0], np.cumsum(length[:-1])])
+    return counts, seg_pos, np.array(counts_per_segment, np.int64), length
+
+
+def _brute_segment_maxima(counts, seg_pos, length):
+    """The maximum of ``counts`` doubled over each segment's residues."""
+    q = counts.size
+    doubled = np.concatenate([counts, counts])
+    return np.array([
+        doubled[pos % q : pos % q + min(span, q)].max()
+        for pos, span in zip(seg_pos.tolist(), length.tolist())
+    ])
+
+
+def _check_segment_maxima(counts, seg_pos, seg_count, length):
+    """Run :func:`_segment_maxima` against the brute force; return
+    whether it built the sparse table."""
+    real = incremental._range_max_table
+    with mock.patch.object(
+        incremental, "_range_max_table", side_effect=real
+    ) as spy:
+        keep, seg_max = _segment_maxima(counts, seg_pos, seg_count, length)
+    brute = _brute_segment_maxima(counts, seg_pos, length)
+    best = (seg_count + brute).max()
+    assert keep.tolist() == sorted(set(keep.tolist()))
+    np.testing.assert_array_equal(seg_max, brute[keep])
+    # Every segment that ties the best is kept; every other one could not.
+    reach = seg_count + brute == best
+    assert set(np.flatnonzero(reach).tolist()) <= set(keep.tolist())
+    dropped = np.setdiff1d(np.arange(seg_pos.size), keep)
+    assert (seg_count[dropped] + counts.max() < best).all()
+    return spy.called
+
+
+class TestFoldedSegmentMaxima:
+    """The folded rounds' pruned range maxima against a brute force."""
+
+    @given(folded_segments())
+    @settings(max_examples=150, deadline=None)
+    def test_any_segments(self, case):
+        _check_segment_maxima(*case)
+
+    @given(folded_segments("reduceat"))
+    @settings(max_examples=60, deadline=None)
+    def test_reduceat_branch(self, case):
+        assert not _check_segment_maxima(*case)
+
+    @given(folded_segments("table"))
+    @settings(max_examples=60, deadline=None)
+    def test_table_branch(self, case):
+        assert _check_segment_maxima(*case)
+
+    def test_segment_at_the_floor_is_kept(self):
+        """S = [5, 0, ..., 0] on 8 residues. Segment 0 reaches the floor,
+        10, at its first start; segment 1 wraps past Q onto the 5 and
+        its bound, 5 + 5, equals the floor exactly, so it is kept and
+        ties; segment 2, one start long, has bound 9 and is pruned."""
+        counts = np.array([5, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+        seg_pos = np.array([1, 6, 10], dtype=np.int64)
+        seg_count = np.array([10, 5, 4], dtype=np.int64)
+        length = np.array([5, 4, 1], dtype=np.int64)
+        assert not _check_segment_maxima(counts, seg_pos, seg_count, length)
+        keep, seg_max = _segment_maxima(counts, seg_pos, seg_count, length)
+        assert keep.tolist() == [0, 1]
+        assert seg_max.tolist() == [0, 5]
+
+
+def _city_cell_shape(fleet, seed):
+    """Drive the sweep over a 3k-device paper-default cell and compare it
+    with the reference; return (folded rounds, tied group sizes)."""
+    args = (fleet.phases, fleet.periods, 2048, 0, 2**21)
+    ref_rng, inc_rng = _tie_rngs(seed)
+    ref = greedy_window_cover(*args, ref_rng, method="reference")
+    sweep = IncrementalSweep(*args)
+    assert isinstance(sweep._explicit, _CompactedEvents)
+    starts, groups, n_folded = [], [], 0
+    while sweep.remaining:
+        n_folded += bool(sweep._folded)
+        start, covered = sweep.select(inc_rng)
+        starts.append(start)
+        groups.append(covered)
+    starts = np.array(starts, dtype=np.int64)
+    _assert_identical_covers(
+        ref, GroupingDecision.from_groups(starts, starts + 2048, groups)
+    )
+    _assert_same_end_state(ref_rng, inc_rng)
+    return n_folded, [group.size for group in groups[n_folded:]]
+
+
+def _clustered_fleet(size, seed):
+    """Five clusters of ``size`` 2^20-frame devices, phases 3 frames
+    apart, so their intervals overlap; plus 30 scattered devices."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(5_000, 2**20 - 5_000, 5_000)
+    bases = rng.choice(grid, 5, replace=False)
+    phases = np.concatenate([
+        (bases[:, None] + 3 * np.arange(size)).ravel(),
+        rng.integers(0, 2**20, size=30),
+    ])
+    return phases, np.full(phases.size, 2**20, dtype=np.int64)
+
+
+class TestTiedRoundShapes:
+    """The shapes where tied rounds switch between plain Python and numpy."""
+
+    @pytest.mark.parametrize("seed", [None, 4, 5])
+    def test_city_rollout_cell(self, seed):
+        """About 3k paper-default devices, as in one city-rollout cell:
+        the explicit count is compacted, about five rounds fold, then
+        hundreds of tied rounds cover 1-12 devices each."""
+        fleet = generate_fleet(
+            3_000, PAPER_DEFAULT_MIXTURE, np.random.default_rng(2018)
+        )
+        n_folded, tied = _city_cell_shape(fleet, seed)
+        assert 3 <= n_folded <= 8
+        assert len(tied) >= 300
+        assert 1 <= min(tied) and max(tied) <= 12
+
+    @pytest.mark.parametrize("size", [FEW_INTERVALS, FEW_INTERVALS + 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stab_range_at_few_intervals(self, monkeypatch, size, seed):
+        """Tied rounds whose stab range holds exactly ``FEW_INTERVALS``
+        (plain Python) or one more (numpy) overlapping intervals."""
+        phases, periods = _clustered_fleet(size, seed)
+        ranges = []
+        real = incremental._Intervals.stab_range
+
+        def stab_range(intervals, start):
+            lo, hi = real(intervals, start)
+            ranges.append(hi - lo)
+            return lo, hi
+
+        monkeypatch.setattr(incremental._Intervals, "stab_range", stab_range)
+        for tie_seed in (None, seed + 10):
+            ref_rng, inc_rng = _tie_rngs(tie_seed)
+            args = (phases, periods, 2048, 0, 2**21)
+            ref = greedy_window_cover(*args, ref_rng, method="reference")
+            inc = greedy_window_cover(*args, inc_rng, method="incremental")
+            _assert_identical_covers(ref, inc)
+            _assert_same_end_state(ref_rng, inc_rng)
+        assert size in ranges
 
 
 class TestParentCoverDigest:
