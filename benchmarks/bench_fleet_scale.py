@@ -12,7 +12,13 @@ Times, for growing fleets:
   are folded onto residue histograms, so it no longer grows with
   ``n * horizon / period``. Time is reported, not gated;
 * **execute** — the columnar (vectorised, array-of-ledgers) executor on
-  the DR-SC plan.
+  the DR-SC plan;
+* **paper-default execute** — the executor alone on the paper-default
+  DR-SC plans of 10^5 and 10^6 devices: wall-clock, peak traced memory
+  and the transient bytes per directive (the peak less the live memory
+  before the call and the result's own bytes). The transient is
+  asserted (<= 96 B per directive at both sizes); CI runs this test on
+  its own with ``-k execute``.
 
 Before timing means anything the paths must agree: the bench asserts
 identical cover selections (same windows, same assignments) at every
@@ -22,7 +28,7 @@ size, and — at the smallest size only, where the event engine is cheap
 oracle).
 
 Results are persisted as ``BENCH_fleet_scale.json`` (see
-``conftest.write_bench_artifact``). Tune the reference-vs-incremental
+``conftest.write_bench_artifact``), one section per test that ran. Tune the reference-vs-incremental
 sweep with ``REPRO_BENCH_FLEET_SIZES=1000,10000,...``; the
 paper-default sizes are fixed, so their peak-memory bars always run.
 """
@@ -34,6 +40,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 from conftest import emit, write_bench_artifact
 
 from repro.core import DrScMechanism
@@ -42,6 +49,7 @@ from repro.devices.profiles import DeviceCategory
 from repro.drx.cycles import DrxCycle
 from repro.energy.states import StateGroup
 from repro.experiments.reporting import Table, render_table
+from repro.sim.columnar import execute_columnar
 from repro.sim.executor import CampaignExecutor
 from repro.sim.replay import EventDrivenCampaign
 from repro.setcover.greedy import greedy_window_cover
@@ -78,6 +86,20 @@ COVER_SIZES = (10_000, 100_000, 1_000_000)
 #: Peak traced memory bars of the paper-default cover, MiB by fleet size.
 COVER_PEAK_MIB = {100_000: 64.0, 1_000_000: 512.0}
 
+#: Paper-default execute sizes.
+EXECUTE_SIZES = (100_000, 1_000_000)
+
+#: Bar on the executor's transient bytes per directive: beyond its
+#: inputs and its 104 B-per-device result.
+EXECUTE_TRANSIENT_BYTES = 96
+
+
+@pytest.fixture(scope="module")
+def artifact() -> dict:
+    """``BENCH_fleet_scale.json``'s payload: each test adds its section
+    and rewrites the file, so a ``-k`` selection writes what it ran."""
+    return {"benchmark": "a9_fleet_scale"}
+
 
 def _sizes() -> tuple:
     spec = os.environ.get("REPRO_BENCH_FLEET_SIZES")
@@ -110,6 +132,41 @@ def _paper_default_cover(n_devices: int) -> dict:
     }
 
 
+def _paper_default_execute(n_devices: int) -> dict:
+    """Time and trace one execute of a paper-default DR-SC plan."""
+    fleet = generate_fleet(
+        n_devices, PAPER_DEFAULT_MIXTURE, np.random.default_rng(7)
+    )
+    plan = DrScMechanism().plan(
+        fleet, PlanningContext(payload_bytes=1_000_000), np.random.default_rng(11)
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t0 = time.perf_counter()
+        result = execute_columnar(fleet, plan)
+        execute_s = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    output = sum(
+        getattr(result, name).nbytes
+        for name in (
+            "device", "transmission", "ready_s", "wait_s", "updated_s",
+            "seconds", "actual_start_s",
+        )
+    )
+    return {
+        "n_devices": n_devices,
+        "n_directives": len(plan.columns),
+        "execute_s": execute_s,
+        "execute_peak_mib": peak / 2**20,
+        "result_mib": output / 2**20,
+        "execute_transient_bytes_per_directive": (peak - output)
+        / len(plan.columns),
+    }
+
+
 def _uptime_totals(result) -> np.ndarray:
     """Per-device (light, connected, sleep) totals, sorted by device."""
     return np.stack(
@@ -121,7 +178,7 @@ def _uptime_totals(result) -> np.ndarray:
     )
 
 
-def test_a9_fleet_scale_fast_path(capsys):
+def test_a9_fleet_scale_fast_path(capsys, artifact):
     context = PlanningContext(payload_bytes=1_000_000)
     ti = context.inactivity_timer_frames
     rows = []
@@ -206,10 +263,8 @@ def test_a9_fleet_scale_fast_path(capsys):
             )
         )
 
-    path = write_bench_artifact(
-        "fleet_scale",
+    artifact.update(
         {
-            "benchmark": "a9_fleet_scale",
             "mixture": FLEET_SCALE_MIXTURE.name,
             "payload_bytes": 1_000_000,
             "results": records,
@@ -218,8 +273,9 @@ def test_a9_fleet_scale_fast_path(capsys):
                 "window_len": 2048,
                 "results": paper_default,
             },
-        },
+        }
     )
+    path = write_bench_artifact("fleet_scale", artifact)
     emit(
         capsys,
         render_table(
@@ -247,3 +303,47 @@ def test_a9_fleet_scale_fast_path(capsys):
     peaks = {r["n_devices"]: r["cover_peak_mib"] for r in paper_default}
     for n_devices, bar in COVER_PEAK_MIB.items():
         assert peaks[n_devices] <= bar, (n_devices, peaks[n_devices], bar)
+
+
+def test_a9_paper_default_execute_peak(capsys, artifact):
+    """The executor's transient memory stays under its per-directive bar."""
+    results = [_paper_default_execute(n) for n in EXECUTE_SIZES]
+    artifact["paper_default_execute"] = {
+        "mixture": PAPER_DEFAULT_MIXTURE.name,
+        "mechanism": "dr-sc",
+        "payload_bytes": 1_000_000,
+        "transient_bytes_bar": EXECUTE_TRANSIENT_BYTES,
+        "results": results,
+    }
+    path = write_bench_artifact("fleet_scale", artifact)
+    emit(
+        capsys,
+        render_table(
+            Table(
+                title="A9 — columnar execute, paper-default DR-SC plans",
+                headers=("devices", "execute", "peak", "result", "transient"),
+                rows=tuple(
+                    (
+                        str(r["n_devices"]),
+                        f"{r['execute_s']:.2f}s",
+                        f"{r['execute_peak_mib']:.1f} MiB",
+                        f"{r['result_mib']:.1f} MiB",
+                        f"{r['execute_transient_bytes_per_directive']:.1f} B/dir",
+                    )
+                    for r in results
+                ),
+                notes=(
+                    "Peak is the traced allocation peak of one unrecorded "
+                    "execute_columnar call above the memory live before "
+                    "it; transient is that peak less the result's bytes, "
+                    f"per directive (bar {EXECUTE_TRANSIENT_BYTES} B); "
+                    f"artifact written to {path}.",
+                ),
+            )
+        ),
+    )
+    for record in results:
+        assert (
+            record["execute_transient_bytes_per_directive"]
+            <= EXECUTE_TRANSIENT_BYTES
+        ), record

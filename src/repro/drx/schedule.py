@@ -163,9 +163,18 @@ def v_count_in(phases: np.ndarray, periods: np.ndarray, start, end) -> np.ndarra
     interval counts zero (then ``k_hi < k_lo``).
     """
     phases, periods = _as_int_arrays(phases, periods)
-    k_lo = np.maximum(0, -((phases - start) // periods))
-    k_hi = (end - 1 - phases) // periods
-    return np.maximum(0, k_hi - k_lo + 1)
+    # In place, so a call holds two index arrays at a time (the
+    # executor counts whole fleets).
+    k_lo = np.subtract(phases, start)
+    k_lo //= periods
+    np.negative(k_lo, out=k_lo)
+    np.maximum(k_lo, 0, out=k_lo)
+    count = np.subtract(end, phases)
+    count -= 1
+    count //= periods  # k_hi, the index of the last PO before ``end``
+    count -= k_lo
+    count += 1
+    return np.maximum(count, 0, out=count)
 
 
 def v_pos_in_window(

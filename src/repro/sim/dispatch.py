@@ -653,6 +653,12 @@ class FusedScheduler:
         # shared-memory fleet registrations idempotent across processes
         # (see repro.devices.sharedmem's lifecycle contract).
         resource_tracker.ensure_running()
+        # NumPy 2.x imports numpy.ma lazily on the first plain np.unique
+        # call (through np.ma.is_masked), which Fleet.from_columns makes.
+        # Importing it before the pool forks lets every worker inherit
+        # the module instead of paying the import in its first cell,
+        # even when this process has run no work of its own.
+        import numpy.ma  # noqa: F401
         with ProcessPoolExecutor(max_workers=self._workers) as pool:
             #: future -> slot (see _run_slot), in submission order.
             pending: Dict[Any, Tuple] = {}

@@ -158,7 +158,7 @@ def _materialise_chunks(chunks: Sequence[_Chunk], cell: int) -> np.ndarray:
         block = np.zeros(size, dtype=EVENT_DTYPE)
         block["kind"] = code
         for name, column in zip(_COLUMN_NAMES, (frame, device, group, a, b)):
-            block[name] = column
+            block[name] = column() if callable(column) else column
         blocks.append(block)
     if blocks:
         events = np.concatenate(blocks)
@@ -218,7 +218,11 @@ class EventLogRecorder:
         """Record a block of same-kind events (vectorised path).
 
         Array arguments broadcast against each other; scalars fill.
-        The arrays are buffered by reference, not copied.
+        The arrays are buffered by reference, not copied. A column may
+        also be a picklable callable returning its array, called when
+        the log materialises: a column derived from buffered arrays
+        then costs nothing until the log is read. The block's size
+        comes from its array columns.
         """
         size = max(
             column.size if isinstance(column, np.ndarray) else 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,13 +56,16 @@ class DeviceOutcome:
         return self.ledger.totals
 
 
-def _group_seconds(seconds: np.ndarray, group: StateGroup) -> np.ndarray:
+def _group_seconds(
+    seconds: np.ndarray, group: StateGroup, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per-device seconds across the states of ``group``.
 
     Rows are added in :data:`STATE_ORDER`, matching the summation order
-    of :meth:`UptimeLedger.group_seconds` float for float.
+    of :meth:`UptimeLedger.group_seconds` float for float. ``out``, when
+    given, is a zeroed buffer to sum into.
     """
-    total = np.zeros(seconds.shape[1], dtype=np.float64)
+    total = np.zeros(seconds.shape[1], dtype=np.float64) if out is None else out
     for row, state in enumerate(STATE_ORDER):
         if STATE_GROUPS[state] is group:
             total += seconds[row]
@@ -80,14 +84,22 @@ def fold_ledgers(
     """Every device's per-state seconds over a ``horizon_s`` campaign.
 
     Returns an ``(n_states, n)`` matrix, one row per state in
-    :data:`STATE_ORDER`. The columnar executor folds its durations here
-    and the STRICT log replay its logged ones, so equal inputs give
-    bit-identical matrices. DA-SC-adapted devices (``is_da``) add their
-    adaptation episode: ``episode`` seconds, ``ra_base`` of them random
-    access, after one paging message. Deep sleep fills the rest of the
-    horizon. A negative duration raises :class:`ConfigurationError`.
+    :data:`STATE_ORDER`, laid out F-contiguous: the layout
+    :class:`CampaignResult` stores, so a result keeps the matrix without
+    a copy. Its columns follow the rows of the array arguments, which
+    share one order; a scalar argument holds for every row. The
+    columnar executor folds its durations here (in device order) and
+    the STRICT log replay its logged ones, so equal inputs give
+    bit-identical matrices.
+
+    DA-SC-adapted devices (``is_da``) add their adaptation episode:
+    ``episode`` seconds, ``ra_base`` of them random access, after one
+    paging message. With no adapted row those terms are all 0.0 and
+    are skipped, and ``episode`` is not read. Deep sleep fills the rest
+    of the horizon. A negative duration raises
+    :class:`ConfigurationError`.
     """
-    seconds = np.zeros((len(STATE_ORDER), wait.size), dtype=np.float64)
+    seconds = np.zeros((wait.size, len(STATE_ORDER)), dtype=np.float64).T
 
     def add(state: PowerState, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -96,17 +108,39 @@ def fold_ledgers(
         seconds[STATE_INDEX[state]] += values
 
     add(PowerState.PO_MONITOR, po_count * po_monitor_s)
-    add(PowerState.PAGING_RX, page_rx + np.where(is_da, paging_message_s, 0.0))
-    add(PowerState.RANDOM_ACCESS, np.where(is_da, ra_base, 0.0) + main_ra)
-    add(
-        PowerState.RRC_SIGNALLING,
-        (np.where(is_da, episode - ra_base, 0.0) + rrc_setup_s) + tail,
-    )
+    if np.any(is_da):
+        # One buffer holds each row's charge in turn (IEEE addition
+        # commutes, so ``charge += x`` is the sum ``x + charge`` too).
+        charge = np.where(is_da, paging_message_s, 0.0)
+        charge += page_rx
+        add(PowerState.PAGING_RX, charge)
+        np.copyto(charge, ra_base)
+        charge[~is_da] = 0.0
+        charge += main_ra
+        add(PowerState.RANDOM_ACCESS, charge)
+        np.subtract(episode, ra_base, out=charge)
+        charge[~is_da] = 0.0
+        charge += rrc_setup_s
+        charge += tail
+        add(PowerState.RRC_SIGNALLING, charge)
+        del charge
+    else:
+        # The adaptation terms are 0.0 and ``ra_base`` and ``episode``
+        # are not read; adding 0.0 to a row that starts at 0.0 changes
+        # no bit.
+        add(PowerState.PAGING_RX, page_rx)
+        add(PowerState.RANDOM_ACCESS, main_ra)
+        add(PowerState.RRC_SIGNALLING, rrc_setup_s + tail)
     add(PowerState.CONNECTED_WAIT, wait)
     add(PowerState.CONNECTED_RX, rx)
-    light = _group_seconds(seconds, StateGroup.LIGHT_SLEEP)
-    connected = _group_seconds(seconds, StateGroup.CONNECTED)
-    add(PowerState.DEEP_SLEEP, np.maximum(0.0, (horizon_s - light) - connected))
+    # max(0, (horizon - light) - connected) in one buffer; the deep-sleep
+    # row, zero until the end, holds the connected sum meanwhile.
+    deep = _group_seconds(seconds, StateGroup.LIGHT_SLEEP)
+    np.subtract(horizon_s, deep, out=deep)
+    deep_row = seconds[STATE_INDEX[PowerState.DEEP_SLEEP]]
+    deep -= _group_seconds(seconds, StateGroup.CONNECTED, out=deep_row)
+    deep_row[...] = 0.0
+    add(PowerState.DEEP_SLEEP, np.maximum(0.0, deep, out=deep))
     return seconds
 
 

@@ -144,8 +144,14 @@ def v_frame_after_seconds(times_s: np.ndarray) -> np.ndarray:
     :func:`seconds_to_nearest_ms`, and the ceiling is the same exact
     integer division.
     """
-    ms = np.rint(np.asarray(times_s) * 1000.0).astype(np.int64)
-    return -((-ms) // MS_PER_FRAME)
+    ms = np.array(times_s, dtype=np.float64)
+    ms *= 1000.0
+    np.rint(ms, out=ms)
+    frames = ms.astype(np.int64)
+    del ms  # in place from here: the input and one frame array are live
+    np.negative(frames, out=frames)
+    frames //= MS_PER_FRAME
+    return np.negative(frames, out=frames)
 
 
 def frame_containing_ms(ms: int) -> int:

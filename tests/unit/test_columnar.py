@@ -3,13 +3,16 @@
 The vectorised executor must reproduce the event-driven replay
 (:class:`~repro.sim.replay.EventDrivenCampaign`, its independent
 oracle) within 1e-9 per device and per power state. Also covers the
-random-access draw order under contention, the CampaignResult table
-(row views built on access, read-only columns, value semantics, the
-seconds layout, array reductions) and the empty-result mean_wait_s
-guard.
+random-access draw order under contention, the executor's transient
+memory (under 96 bytes per directive beyond its inputs and result, on
+every path) and bit-identical replay at ~2x10^4 directives, the
+CampaignResult table (row views built on access, read-only columns,
+value semantics, the seconds layout, array reductions) and the
+empty-result mean_wait_s guard.
 """
 
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,11 +25,14 @@ from repro.core import (
     UnicastBaseline,
 )
 from repro.core.base import PlanningContext
-from repro.core.plan import WakeMethod
+from repro.core.plan import METHOD_CODE, WakeMethod, revise_plan
 from repro.energy.ledger import STATE_INDEX, STATE_ORDER
 from repro.energy.states import PowerState, StateGroup
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.eventlog import EventLogRecorder
+from repro.rrc.procedures import ProcedureTimings
+from repro.rrc.random_access import RandomAccessModel
+from repro.sim import columnar
+from repro.sim.eventlog import EventLogRecorder, compare_results, replay_strict
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
 from repro.sim.metrics import CampaignResult, fold_ledgers
@@ -153,6 +159,117 @@ class TestColumnarEquivalence:
         assert sorted(adaptation_rows["device"].tolist()) == sorted(episodes)
         for row in adaptation_rows:
             assert row["a"] == episodes[int(row["device"])]
+
+
+#: Bytes per directive an unrecorded execute may hold beyond its
+#: inputs and its result.
+TRANSIENT_BYTES_PER_DIRECTIVE = 96
+
+#: One plan per executor path, ~2x10^4 directives each.
+LEAN_CASES = ("dr-sc", "da-sc", "dr-si", "contention", "partial")
+
+_RESULT_COLUMNS = (
+    "device", "transmission", "ready_s", "wait_s", "updated_s", "seconds",
+    "actual_start_s",
+)
+
+
+@pytest.fixture(scope="module")
+def lean_cases():
+    """(fleet, plan, timings) per path: DR-SC; DA-SC with adapted rows;
+    DR-SI (extended pages); DA-SC under RACH contention (the per-device
+    draw loop); and a revised DR-SC plan whose directives cover a
+    scrambled four-fifths of the fleet."""
+    n = 20_000
+    fleet = generate_fleet(n, PAPER_DEFAULT_MIXTURE, np.random.default_rng(2018))
+    context = PlanningContext(payload_bytes=100_000)
+    dr_sc = DrScMechanism().plan(fleet, context, np.random.default_rng(1))
+    da_sc = DaScMechanism().plan(fleet, context, np.random.default_rng(1))
+    dr_si = DrSiMechanism().plan(fleet, context, np.random.default_rng(1))
+    left = np.random.default_rng(4).choice(n, n // 5, replace=False)
+    partial = revise_plan(
+        dr_sc, fleet, left=tuple(left.tolist()), now_frame=0, context=context
+    ).revised
+    contention = ProcedureTimings(
+        random_access=RandomAccessModel(collision_probability=0.1)
+    )
+    return {
+        "dr-sc": (fleet, dr_sc, ProcedureTimings()),
+        "da-sc": (fleet, da_sc, ProcedureTimings()),
+        "dr-si": (fleet, dr_si, ProcedureTimings()),
+        "contention": (fleet, da_sc, contention),
+        "partial": (fleet, partial, ProcedureTimings()),
+    }
+
+
+class TestLeanExecutor:
+    def test_cases_cover_every_path(self, lean_cases):
+        methods = {
+            case: lean_cases[case][1].columns.method for case in LEAN_CASES
+        }
+        assert np.any(methods["da-sc"] == METHOD_CODE[WakeMethod.DRX_ADAPTATION])
+        assert np.any(
+            methods["dr-si"] == METHOD_CODE[WakeMethod.EXTENDED_PAGE_TIMER]
+        )
+        devices = lean_cases["partial"][1].columns.device
+        assert devices.size == 16_000
+        assert np.any(np.diff(devices) < 0), "directives are in device order"
+
+    @pytest.mark.parametrize("case", LEAN_CASES)
+    def test_transient_memory_per_directive(self, lean_cases, case):
+        """The traced peak of an unrecorded call, less the memory live
+        before it and the result's own bytes, stays under the bar."""
+        fleet, plan, timings = lean_cases[case]
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = columnar.execute_columnar(fleet, plan, timings, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(getattr(result, name).nbytes for name in _RESULT_COLUMNS)
+        transient = (peak - before - output) / len(plan.columns)
+        assert transient <= TRANSIENT_BYTES_PER_DIRECTIVE, transient
+
+    @pytest.mark.parametrize("case", LEAN_CASES)
+    def test_seconds_folded_in_the_stored_layout(
+        self, lean_cases, case, monkeypatch
+    ):
+        """The fold returns the F-contiguous matrix the result keeps:
+        the constructor stores that very array, no copy."""
+        fleet, plan, timings = lean_cases[case]
+        folded = []
+
+        def spy(*args, **kwargs):
+            folded.append(columnar_fold(*args, **kwargs))
+            return folded[-1]
+
+        columnar_fold = columnar.fold_ledgers
+        monkeypatch.setattr(columnar, "fold_ledgers", spy)
+        result = columnar.execute_columnar(
+            fleet, plan, timings, rng=np.random.default_rng(7)
+        )
+        assert result.seconds.flags.f_contiguous
+        assert result.seconds is folded[0]
+
+    @pytest.mark.parametrize("case", LEAN_CASES)
+    def test_recorded_run_replays_bit_for_bit(self, lean_cases, case):
+        """Recording changes neither the result nor the draws, and the
+        STRICT replay of the log rebuilds the result bit for bit."""
+        fleet, plan, timings = lean_cases[case]
+        plain_rng, recorded_rng = np.random.default_rng(7), np.random.default_rng(7)
+        plain = columnar.execute_columnar(fleet, plan, timings, rng=plain_rng)
+        recorder = EventLogRecorder()
+        live = columnar.execute_columnar(
+            fleet, plan, timings, rng=recorded_rng, recorder=recorder
+        )
+        assert compare_results(plain, live) == []
+        assert plain_rng.bit_generator.state == recorded_rng.bit_generator.state
+        rebuilt = replay_strict(recorder.finalize(cell=0))
+        assert compare_results(live, rebuilt) == []
+        assert np.array_equal(live.energy_mj(), rebuilt.energy_mj())
 
 
 def _table(seconds):

@@ -2,6 +2,8 @@
 
 import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -320,6 +322,35 @@ class TestFusedScheduler:
         )
         with pytest.raises(ConfigurationError, match="nested fan-out"):
             execute_items([item], workers=1)
+
+    def test_workers_fork_with_numpy_ma_imported(self):
+        """np.unique's first call imports numpy.ma lazily; the scheduler
+        imports it before forking, so a fresh interpreter that ran no
+        serial work still hands it to every worker."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys\n"
+            "from repro.scenarios import run_scenario, scenario\n"
+            "spec = scenario('city-rollout').with_overrides(\n"
+            "    n_devices=2000, n_runs=1)\n"
+            "run_scenario(spec, backend='fused', workers=2)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True"]
 
 
 class TestFlatMapAdapters:

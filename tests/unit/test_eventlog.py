@@ -1,7 +1,9 @@
 """Unit tests for the columnar event log (record / STRICT replay / diff)."""
 
 import json
+import pickle
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,6 +79,24 @@ class TestRecorder:
         assert np.all(log.events["frame"] == 7)
         assert np.all(log.events["group"] == -1)
         assert list(log.events["a"]) == [1.0, 2.0, 3.0, 4.0]
+
+    def test_callable_column_materialises_on_first_read(self):
+        """A derived column may be buffered as a picklable lookup; the
+        log calls it when it materialises, in a pickled copy too."""
+        recorder = EventLogRecorder()
+        recorder.emit_block(
+            EventKind.DEVICE_DONE,
+            frame=9,
+            device=np.arange(3),
+            a=partial(np.take, np.array([0.5, 1.5]), np.array([1, 0, 1])),
+            b=2.0,
+        )
+        log = recorder.finalize()
+        copy = pickle.loads(pickle.dumps(log))
+        assert log.n_events == copy.n_events == 3
+        for sealed in (log, copy):
+            assert list(sealed.events["a"]) == [1.5, 0.5, 1.5]
+            assert np.all(sealed.events["b"] == 2.0)
 
     def test_empty_recorder_finalizes_to_empty_log(self):
         log = EventLogRecorder().finalize()
