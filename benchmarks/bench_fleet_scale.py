@@ -3,8 +3,8 @@
 Times, for growing fleets:
 
 * **cover** — the per-round full re-sweep reference
-  (``method="reference"``) vs the incremental sweep
-  (``method="incremental"``);
+  (``tests/cover_oracle.py``) vs the incremental sweep
+  (``greedy_window_cover``);
 * **paper-default cover** — the incremental sweep alone on
   paper-default fleets of 10^4, 10^5 and 10^6 devices (TI 2048, a
   2^21-frame horizon), wall-clock and peak traced memory. The peak is
@@ -24,8 +24,8 @@ Before timing means anything the paths must agree: the bench asserts
 identical cover selections (same windows, same assignments) at every
 size, and — at the smallest size only, where the event engine is cheap
 — per-device uptime totals within 1e-9 of the event-driven replay
-(:class:`~repro.sim.replay.EventDrivenCampaign`, the executor's
-oracle).
+(``EventDrivenCampaign`` in ``tests/executor_oracle.py``, the
+executor's oracle).
 
 Results are persisted as ``BENCH_fleet_scale.json`` (see
 ``conftest.write_bench_artifact``), one section per test that ran. Tune the reference-vs-incremental
@@ -42,6 +42,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import emit, write_bench_artifact
+from cover_oracle import reference_window_cover
+from executor_oracle import EventDrivenCampaign
 
 from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
@@ -51,7 +53,6 @@ from repro.energy.states import StateGroup
 from repro.experiments.reporting import Table, render_table
 from repro.sim.columnar import execute_columnar
 from repro.sim.executor import CampaignExecutor
-from repro.sim.replay import EventDrivenCampaign
 from repro.setcover.greedy import greedy_window_cover
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import (
@@ -192,16 +193,16 @@ def test_a9_fleet_scale_fast_path(capsys, artifact):
         plan = DrScMechanism().plan(fleet, context, np.random.default_rng(11))
 
         t0 = time.perf_counter()
-        cover_ref = greedy_window_cover(
+        cover_ref = reference_window_cover(
             fleet.phases, fleet.periods, ti, 0, horizon_end,
-            np.random.default_rng(13), method="reference",
+            np.random.default_rng(13),
         )
         cover_ref_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         cover_fast = greedy_window_cover(
             fleet.phases, fleet.periods, ti, 0, horizon_end,
-            np.random.default_rng(13), method="incremental",
+            np.random.default_rng(13),
         )
         cover_fast_s = time.perf_counter() - t0
 

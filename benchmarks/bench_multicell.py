@@ -5,7 +5,7 @@ across 32 cells):
 
 * **partition** — the vectorised one-argsort ``partition_fleet`` vs the
   original O(n_cells x n_devices) per-cell scan with full per-cell
-  fleet reconstruction (``method="reference"``). The cells must be
+  fleet reconstruction (``tests/fleet_oracle.py``). The cells must be
   identical; at 1e5 devices the vectorised path must be >=10x faster.
 * **rollout** — one recorded run of a multi-cell scenario spec (the
   spec the ``multicell`` verb builds) drained serial (in-process) and
@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 from conftest import emit, write_bench_artifact
+from fleet_oracle import partition_fleet_reference
 
 from repro.devices.profiles import DeviceCategory
 from repro.drx.cycles import DrxCycle
@@ -93,14 +94,12 @@ def test_a10_multicell_city_campaign(capsys):
     # Partition: the vectorised path must reproduce the reference cells
     # exactly before its timing means anything.
     t0 = time.perf_counter()
-    cells_ref = partition_fleet(
-        fleet, n_cells, np.random.default_rng(3), method="reference"
+    cells_ref = partition_fleet_reference(
+        fleet, n_cells, np.random.default_rng(3)
     )
     partition_ref_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cells = partition_fleet(
-        fleet, n_cells, np.random.default_rng(3), method="vectorised"
-    )
+    cells = partition_fleet(fleet, n_cells, np.random.default_rng(3))
     partition_fast_s = time.perf_counter() - t0
     _assert_cells_identical(cells_ref, cells)
     partition_speedup = (

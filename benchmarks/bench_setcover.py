@@ -11,12 +11,13 @@
   metering-longsleep (nothing folds), plus ``FLEET_SCALE_MIXTURE`` at
   10^4. dense-urban has no row: its captured cover input is
   byte-identical to paper-baseline's at every size. Every row times
-  the incremental sweep (median of three) against one
-  ``method="reference"`` run and asserts the two are digest-identical:
-  same windows, members and generator end state. The bench drives
-  ``IncrementalSweep.select`` itself, so each row also splits the
-  incremental time into the sweep's build, its folded rounds and its
-  tied rounds (count and seconds), and counts the tied rounds' refills.
+  the incremental sweep (median of three) against one run of the
+  per-round re-sweep in ``tests/cover_oracle.py`` and asserts the two
+  are digest-identical: same windows, members and generator end state.
+  The bench drives ``IncrementalSweep.select`` itself, so each row also
+  splits the incremental time into the sweep's build, its folded rounds
+  and its tied rounds (count and seconds), and counts the tied rounds'
+  refills.
   Time is reported, not gated. ``REPRO_BENCH_SETCOVER_MAX_DEVICES``
   caps every row's fleet size, and a row whose scenario already ran at
   its capped size is skipped; the rows land in ``BENCH_setcover.json``.
@@ -32,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 from bench_fleet_scale import FLEET_SCALE_MIXTURE
 from conftest import emit, write_bench_artifact
+from cover_oracle import reference_window_cover
 
 import repro.grouping.policies as policies
 from repro.core import DaScMechanism, DrScMechanism
@@ -40,7 +42,6 @@ from repro.experiments.ablations import run_setcover_quality
 from repro.experiments.reporting import Table, render_table
 from repro.scenarios import run_scenario, scenario
 from repro.setcover.decision import GroupingDecision
-from repro.setcover.greedy import greedy_window_cover
 from repro.setcover.incremental import IncrementalSweep
 from repro.sim.executor import CampaignExecutor
 from repro.traffic.generator import generate_fleet
@@ -130,9 +131,9 @@ class CoverInput:
     def reference(self):
         """The reference cover and the generator's end state."""
         rng = self._rng()
-        cover = greedy_window_cover(
+        cover = reference_window_cover(
             self.phases, self.periods, self.window_len,
-            self.horizon_start, self.horizon_end, rng, method="reference",
+            self.horizon_start, self.horizon_end, rng,
         )
         return cover, None if rng is None else rng.bit_generator.state
 

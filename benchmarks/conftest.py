@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict
@@ -26,6 +27,9 @@ from typing import Any, Dict
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+
+# The oracles live in tests/; appended, so ``conftest`` stays this file.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 
 def _env_int(name: str, default: int) -> int:

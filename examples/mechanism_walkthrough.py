@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Protocol walkthrough: the paper's Figs. 2-5 as an executable trace.
 
-Builds a five-device micro-fleet, plans DA-SC and DR-SI on it, and
-replays the campaign on the discrete-event engine with tracing enabled,
-printing every paging occasion, page, adaptation episode, T322 expiry
-and transmission — the textual equivalent of the paper's protocol
-figures.
+Builds a five-device micro-fleet, plans DA-SC and DR-SI on it,
+executes each campaign with its event log recorded, and prints every
+logged page, adaptation episode, T322 expiry, connection and
+transmission — the textual equivalent of the paper's protocol figures.
 
 Run:
     python examples/mechanism_walkthrough.py
@@ -14,15 +13,17 @@ Run:
 import numpy as np
 
 from repro import (
+    CampaignExecutor,
     DaScMechanism,
     DrSiMechanism,
-    EventDrivenCampaign,
     NbIotDevice,
     Fleet,
     PlanningContext,
     DrxCycle,
     WakeMethod,
 )
+from repro.sim import KIND_CODES, EventKind, EventLogRecorder
+from repro.sim.eventlog import CODE_TO_KIND
 
 
 def build_fleet() -> Fleet:
@@ -65,19 +66,20 @@ def explain_plan(plan, fleet) -> None:
         print(line)
 
 
-def trace_campaign(plan, fleet, max_lines: int = 25) -> None:
-    campaign = EventDrivenCampaign(fleet, plan, trace=True)
-    campaign.run()
-    trace = campaign.simulator.trace
-    interesting = [
-        e for e in trace if e.kind.value != "po_monitor"
-    ]
-    print(f"  {len(trace)} events total; the {len(interesting)} "
-          f"non-monitoring ones:")
-    for event in interesting[:max_lines]:
-        print(f"    {event}")
-    if len(interesting) > max_lines:
-        print(f"    ... {len(interesting) - max_lines} more")
+def trace_campaign(plan, fleet) -> None:
+    recorder = EventLogRecorder()
+    CampaignExecutor().execute(fleet, plan, recorder=recorder)
+    events = recorder.finalize().events
+    rows = events[events["kind"] != KIND_CODES[EventKind.PO_MONITOR]]
+    print(f"  {events.size} events logged; the {rows.size} non-monitoring "
+          f"ones (a/b: the kind's payload, see repro.sim.eventlog):")
+    for row in rows:
+        kind = CODE_TO_KIND[int(row["kind"])].value
+        # Transmission rows name their transmission (group), not a device.
+        who = (f"dev{row['device']}" if row["device"] >= 0
+               else f"tx{row['group']}")
+        print(f"    frame {row['frame']:>7}  {who:<5} {kind:<16} "
+              f"a={row['a']:<10.6g} b={row['b']:.6g}")
 
 
 def main() -> None:

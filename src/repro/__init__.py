@@ -77,7 +77,6 @@ from repro.scenarios import (
 from repro.sim import (
     CampaignExecutor,
     CampaignResult,
-    EventDrivenCampaign,
     ResultCache,
     Simulator,
 )
@@ -145,7 +144,6 @@ __all__ = [
     # sim
     "Simulator",
     "CampaignExecutor",
-    "EventDrivenCampaign",
     "CampaignResult",
     "ResultCache",
     # traffic

@@ -74,31 +74,13 @@ class DownlinkScheduler:
         member ending at or before the other's start, so the disjoint
         pairs are, summed over intervals, the intervals ending at or
         before its start: one ``searchsorted`` over the sorted ends.
-        :meth:`_count_overlaps_reference` is the O(n^2) specification it
-        must agree with (property-tested).
+        It is property-tested against the O(n^2) pairwise definition in
+        ``tests/plan_oracle.py``.
         """
         start = np.asarray(frame, dtype=np.int64)
         ends = np.sort(start + np.asarray(duration_frames, dtype=np.int64))
         disjoint = int(np.searchsorted(ends, start, side="right").sum())
         return start.size * (start.size - 1) // 2 - disjoint
-
-    @staticmethod
-    def _count_overlaps_reference(
-        frame: np.ndarray, duration_frames: np.ndarray
-    ) -> int:
-        """Direct pairwise definition of overlap counting.
-
-        Quadratic and only used as the equivalence oracle for the
-        array count in property tests — two half-open intervals overlap
-        iff each starts before the other ends.
-        """
-        transmissions = list(zip(frame, np.add(frame, duration_frames)))
-        overlaps = 0
-        for i, (a_start, a_end) in enumerate(transmissions):
-            for b_start, b_end in transmissions[i + 1 :]:
-                if a_start < b_end and b_start < a_end:
-                    overlaps += 1
-        return overlaps
 
 
 class CarrierOccupancy:

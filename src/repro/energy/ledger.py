@@ -2,9 +2,9 @@
 
 A :class:`UptimeLedger` accumulates (state, duration) contributions for a
 single device over a campaign and produces the split the paper's Fig. 6
-plots: light-sleep uptime vs connected-mode uptime. The event-driven
-replay keeps one per device; a campaign result's row view holds one
-read from its column of the result's per-state seconds matrix
+plots: light-sleep uptime vs connected-mode uptime. The tests'
+event-driven replay keeps one per device; a campaign result's row view
+holds one read from its column of the result's per-state seconds matrix
 (:class:`~repro.sim.metrics.CampaignResult`), whose rows follow
 :data:`STATE_ORDER`.
 """

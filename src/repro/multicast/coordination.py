@@ -16,10 +16,11 @@ A multi-cell campaign itself runs on the scenario runner
 either backend.
 
 Scaling contract: :func:`partition_indices` groups device attachments
-by cell with one stable ``np.argsort`` pass (the quadratic per-cell
-scan is retained as the ``method="reference"`` equivalence oracle),
-and :func:`partition_fleet` carves a fleet into per-cell sub-fleets,
-optionally under non-uniform cell-load ``weights``.
+by cell with one stable ``np.argsort`` pass, and :func:`partition_fleet`
+carves a fleet into per-cell sub-fleets by slicing its columns,
+optionally under non-uniform cell-load ``weights``. Both are tested
+against the per-cell scan and per-cell fleet rebuild kept in
+``tests/fleet_oracle.py``.
 """
 
 from __future__ import annotations
@@ -92,31 +93,15 @@ def attach_devices(
 
 
 def partition_indices(
-    attachments: np.ndarray, n_cells: int, *, method: str = "vectorised"
+    attachments: np.ndarray, n_cells: int
 ) -> Dict[int, np.ndarray]:
     """Group device indices by attachment, ascending within each cell.
 
-    ``method="vectorised"`` is one stable argsort plus a searchsorted
-    over the cell boundaries — O(n log n) total instead of the
-    O(n_cells x n_devices) per-cell scan kept as ``"reference"``. Both
-    return identical index arrays; empty cells are omitted.
+    One stable argsort plus a searchsorted over the cell boundaries —
+    O(n log n) total, not O(n_cells x n_devices). Empty cells are
+    omitted.
     """
     attachments = np.asarray(attachments)
-    if method == "reference":
-        cells: Dict[int, np.ndarray] = {}
-        for cell_id in range(n_cells):
-            indices = [
-                i for i in range(attachments.size)
-                if attachments[i] == cell_id
-            ]
-            if indices:
-                cells[cell_id] = np.asarray(indices, dtype=np.int64)
-        return cells
-    if method != "vectorised":
-        raise ConfigurationError(
-            f"unknown partition method {method!r}; "
-            "expected 'vectorised' or 'reference'"
-        )
     order = np.argsort(attachments, kind="stable")
     sorted_attachments = attachments[order]
     boundaries = np.searchsorted(
@@ -135,35 +120,21 @@ def partition_fleet(
     rng: np.random.Generator,
     *,
     weights: Optional[Sequence[float]] = None,
-    method: str = "vectorised",
 ) -> Dict[int, Fleet]:
     """Randomly attach each device to one of ``n_cells`` cells.
 
     Returns only non-empty cells (a cell with no target devices plays no
     part in the campaign). ``weights`` skews the attachment distribution
-    (non-uniform cell load).
-
-    ``method="vectorised"`` (the default) groups indices with one
-    stable argsort and carves sub-fleets by slicing the parent's
-    columnar arrays; ``method="reference"`` is the original
-    implementation — an O(n_cells x n_devices) per-cell scan followed
-    by a full per-cell :class:`~repro.devices.fleet.Fleet`
-    reconstruction — retained as the equivalence oracle and benchmark
-    baseline. Both produce identical cells for the same generator.
+    (non-uniform cell load). Indices are grouped with
+    :func:`partition_indices` and each sub-fleet is a slice of the
+    parent's columns (:meth:`~repro.devices.fleet.Fleet.subset`).
     """
     spec = MultiCellSpec(
         n_cells=n_cells,
         weights=None if weights is None else tuple(weights),
     )
     attachments = attach_devices(len(fleet), spec, rng)
-    cells = partition_indices(attachments, n_cells, method=method)
-    if method == "reference":
-        # Full per-cell reconstruction, as the original implementation
-        # did (the benchmark baseline the vectorised subset replaces).
-        return {
-            cell_id: Fleet.from_devices([fleet[i] for i in indices])
-            for cell_id, indices in cells.items()
-        }
+    cells = partition_indices(attachments, n_cells)
     return {
         cell_id: fleet.subset(indices)
         for cell_id, indices in cells.items()

@@ -6,15 +6,14 @@ cover all devices corresponds to the set cover problem which is a known
 NP-hard [9]. Therefore, we follow an approximate solution to this
 problem, given a greedy set selection approach [10]."
 
-* :mod:`repro.setcover.windows` — sweep-line search for the TI-window
-  covering the most not-yet-updated devices (vectorised);
+* :mod:`repro.setcover.windows` — each device's intervals of covering
+  window starts (vectorised);
 * :mod:`repro.setcover.greedy` — the iterated greedy cover (Chvátal) and
   a generic greedy set cover for arbitrary set systems;
-* :mod:`repro.setcover.incremental` — the sweep behind the default
-  ``method="incremental"`` greedy cover: periods with many POs in the
-  horizon become residue histograms, the rest keep explicit intervals,
-  and covered devices are removed instead of re-deriving the sweep per
-  round;
+* :mod:`repro.setcover.incremental` — the sweep behind the greedy
+  cover: periods with many POs in the horizon become residue
+  histograms, the rest keep explicit intervals, and covered devices are
+  removed instead of re-deriving the sweep per round;
 * :mod:`repro.setcover.decision` — the columnar
   :class:`~repro.setcover.decision.GroupingDecision` the cover returns
   (and every grouping policy builds);
@@ -23,20 +22,13 @@ problem, given a greedy set selection approach [10]."
 """
 
 from repro.setcover.decision import GroupingDecision
-from repro.setcover.windows import BestWindow, best_window, coverage_intervals
-from repro.setcover.greedy import (
-    COVER_METHODS,
-    greedy_set_cover,
-    greedy_window_cover,
-)
+from repro.setcover.windows import coverage_intervals
+from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
 from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
 
 __all__ = [
     "coverage_intervals",
-    "BestWindow",
-    "best_window",
-    "COVER_METHODS",
     "GroupingDecision",
     "greedy_window_cover",
     "greedy_set_cover",

@@ -3,19 +3,14 @@
 The window-specialised :func:`greedy_window_cover` is the algorithm of
 paper Sec. III-A / Fig. 4: repeatedly find the TI-window holding the
 most not-yet-updated devices, schedule a transmission at its last frame,
-mark the covered devices updated, repeat until none remain. Two
-implementations produce identical covers:
-
-* ``method="incremental"`` (default) — one
-  :class:`~repro.setcover.incremental.IncrementalSweep` for the whole
-  cover: periods with many POs in the horizon are folded onto residue
-  histograms, the rest keep explicit intervals built and sorted once,
-  and each selection removes the covered devices from both — the
-  fleet-scale fast path, with memory independent of the horizon for
-  the folded periods;
-* ``method="reference"`` — re-runs the full
-  :func:`~repro.setcover.windows.best_window` sweep on the shrunken
-  fleet each round, kept as the equivalence oracle.
+mark the covered devices updated, repeat until none remain. It runs one
+:class:`~repro.setcover.incremental.IncrementalSweep` for the whole
+cover: periods with many POs in the horizon are folded onto residue
+histograms, the rest keep explicit intervals built and sorted once, and
+each selection removes the covered devices from both — memory
+independent of the horizon for the folded periods. It is
+property-tested against the per-round re-sweep kept in
+``tests/cover_oracle.py``.
 
 The generic :func:`greedy_set_cover` is used to cross-check the window
 cover on explicit set systems and in the approximation-quality tests
@@ -33,10 +28,6 @@ import numpy as np
 from repro.errors import SetCoverError
 from repro.setcover.decision import GroupingDecision
 from repro.setcover.incremental import IncrementalSweep
-from repro.setcover.windows import best_window
-
-#: Valid ``method=`` values of :func:`greedy_window_cover`.
-COVER_METHODS = ("incremental", "reference")
 
 
 def greedy_window_cover(
@@ -46,7 +37,6 @@ def greedy_window_cover(
     horizon_start: int,
     horizon_end: int,
     rng: Optional[np.random.Generator] = None,
-    method: str = "incremental",
 ) -> GroupingDecision:
     """Cover every device with TI-windows, greedily largest-first.
 
@@ -56,55 +46,31 @@ def greedy_window_cover(
     this length of time" (Sec. III-A). Every device has at least one PO
     in such a horizon, so termination is guaranteed.
 
-    ``method`` selects the implementation — ``"incremental"`` (one
-    sweep state for the whole cover, dense periods folded onto residue
-    histograms; see :mod:`repro.setcover.incremental`) or
-    ``"reference"`` (full re-sweep per round). Both produce identical
-    covers, including tie-break behaviour for any given ``rng`` stream.
+    Ties between equally good windows are broken uniformly at random
+    when ``rng`` is given, earliest first otherwise (see
+    :mod:`repro.setcover.incremental`).
 
     Returns one group per selected window, in selection order.
     """
     phases = np.asarray(phases, dtype=np.int64)
     periods = np.asarray(periods, dtype=np.int64)
-    n = phases.size
-    if n == 0:
+    if phases.size == 0:
         raise SetCoverError("cannot cover an empty fleet")
     if horizon_end - horizon_start < int(periods.max()) * 2:
         raise SetCoverError(
             "horizon shorter than twice the longest cycle: some devices "
             "may have no PO inside it"
         )
-    if method not in COVER_METHODS:
-        raise SetCoverError(
-            f"method must be one of {COVER_METHODS}, got {method!r}"
-        )
 
     starts: List[int] = []
     groups: List[np.ndarray] = []
-    if method == "incremental":
-        sweep = IncrementalSweep(
-            phases, periods, window_len, horizon_start, horizon_end
-        )
-        while sweep.remaining:
-            start, covered = sweep.select(rng)
-            starts.append(start)
-            groups.append(covered)
-    else:
-        remaining = np.arange(n, dtype=np.int64)
-        while remaining.size:
-            found = best_window(
-                phases[remaining],
-                periods[remaining],
-                window_len,
-                horizon_start,
-                horizon_end,
-                rng,
-            )
-            starts.append(found.start)
-            groups.append(remaining[found.covered])
-            mask = np.ones(remaining.size, dtype=bool)
-            mask[found.covered] = False
-            remaining = remaining[mask]
+    sweep = IncrementalSweep(
+        phases, periods, window_len, horizon_start, horizon_end
+    )
+    while sweep.remaining:
+        start, covered = sweep.select(rng)
+        starts.append(start)
+        groups.append(covered)
     start_frames = np.array(starts, dtype=np.int64)
     return GroupingDecision.from_groups(
         start_frames, start_frames + window_len, groups

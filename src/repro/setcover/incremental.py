@@ -1,7 +1,8 @@
 """Incremental sweep for the iterated greedy window cover.
 
-The reference greedy (:func:`repro.setcover.greedy.greedy_window_cover`
-with ``method="reference"``) re-derives
+The reference greedy (``tests/cover_oracle.py::reference_window_cover``,
+the oracle :func:`repro.setcover.greedy.greedy_window_cover` is tested
+against) re-derives
 :func:`~repro.setcover.windows.coverage_intervals` and re-sorts the
 sweep events for the shrunken fleet on every round. The incremental
 sweep keeps one state for the whole cover and consumes it selection by
@@ -657,7 +658,7 @@ class IncrementalSweep:
 
         Returns ``(start, covered)`` where ``covered`` holds the covered
         devices' *original* fleet indices in ascending order. Tie-breaks
-        match :func:`repro.setcover.windows.best_window` exactly:
+        match the reference's per-round sweep exactly:
         uniformly at random over the maximal segments when ``rng`` is
         given, earliest segment otherwise.
 

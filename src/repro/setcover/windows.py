@@ -1,26 +1,21 @@
-"""Sweep-line search for the best TI-window.
+"""Covering intervals of window starts, the input of the window cover.
 
 A window ``[s, s + L)`` *covers* a device iff at least one of the
 device's POs lies inside it. For a PO at frame ``p`` the covering window
 starts are ``s in [p - L + 1, p]``; a device's covering-start set is the
 union of such intervals over its POs. Finding the window that covers
-the most devices is therefore a 1-D stabbing-count problem, solved by a
-single sorted sweep over interval endpoints — O(P log P) in the total
-number of POs P, fully vectorised.
-
-Ties are broken uniformly at random among the maximal segments, exactly
-as the paper's Fig. 4 does ("we have 2 possible times so we pick one of
-them randomly").
+the most devices is therefore a 1-D stabbing-count problem over these
+intervals, which :class:`~repro.setcover.incremental.IncrementalSweep`
+solves round by round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.drx.schedule import v_first_at_or_after, v_has_in, v_last_before
+from repro.drx.schedule import v_first_at_or_after, v_last_before
 from repro.errors import SetCoverError
 
 
@@ -98,80 +93,4 @@ def coverage_intervals(
         np.concatenate(starts_list),
         np.concatenate(ends_list),
         np.concatenate(owners_list),
-    )
-
-
-@dataclass(frozen=True)
-class BestWindow:
-    """The winning window of one sweep.
-
-    Attributes:
-        start: window start frame (the window is ``[start, start + L)``).
-        transmission_frame: the window's last frame — where the paper
-            schedules the multicast transmission (Sec. III-A).
-        covered: indices of the devices with a PO inside the window.
-    """
-
-    start: int
-    transmission_frame: int
-    covered: np.ndarray
-
-
-def best_window(
-    phases: np.ndarray,
-    periods: np.ndarray,
-    window_len: int,
-    horizon_start: int,
-    horizon_end: int,
-    rng: Optional[np.random.Generator] = None,
-) -> BestWindow:
-    """Find a TI-window covering the maximum number of devices.
-
-    Ties between equally good windows are broken uniformly at random
-    when ``rng`` is given, deterministically (earliest) otherwise. The
-    tie-break candidates are the distinct positions where some
-    covering interval starts or ends (a start clipped to the horizon
-    lands on ``horizon_start``) whose coverage count equals the
-    maximum, in ascending order; the pick is
-    ``candidates[rng.integers(len(candidates))]``, one draw per call.
-    """
-    starts, ends, _ = coverage_intervals(
-        phases, periods, window_len, horizon_start, horizon_end
-    )
-    if starts.size == 0:
-        raise SetCoverError("no device has a PO inside the search horizon")
-
-    positions = np.concatenate([starts, ends])
-    deltas = np.concatenate(
-        [np.ones(starts.size, np.int64), -np.ones(ends.size, np.int64)]
-    )
-    # Sort by position; at equal positions apply -1 before +1 so the
-    # running value after each group is the exact count on [pos, next).
-    order = np.lexsort((deltas, positions))
-    positions = positions[order]
-    running = np.cumsum(deltas[order])
-
-    # Last event index of each position group -> coverage on [pos, next).
-    is_last = np.empty(positions.size, dtype=bool)
-    is_last[:-1] = positions[:-1] != positions[1:]
-    is_last[-1] = True
-    seg_pos = positions[is_last]
-    seg_count = running[is_last]
-
-    best = int(seg_count.max())
-    candidates = np.nonzero(seg_count == best)[0]
-    if rng is None:
-        pick = candidates[0]
-    else:
-        pick = candidates[int(rng.integers(len(candidates)))]
-    s = int(seg_pos[pick])
-
-    covered = np.nonzero(v_has_in(phases, periods, s, s + window_len))[0]
-    if covered.size != best:
-        raise SetCoverError(
-            f"sweep inconsistency: counted {best} devices but window at "
-            f"{s} covers {covered.size}"
-        )
-    return BestWindow(
-        start=s, transmission_frame=s + window_len - 1, covered=covered
     )

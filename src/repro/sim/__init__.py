@@ -1,18 +1,13 @@
-"""Simulation: executors, the event engine and the Monte-Carlo harness.
+"""Simulation: the executor, the event engine and the Monte-Carlo harness.
 
-Two executors produce equivalent campaign results from a plan:
-
-* :class:`~repro.sim.executor.CampaignExecutor` — the vectorised fleet
-  path (:mod:`repro.sim.columnar`): whole-fleet array arithmetic, used
-  by experiments;
-* :class:`~repro.sim.replay.EventDrivenCampaign` — replays the plan on
-  the discrete-event engine (:mod:`repro.sim.engine`), the independent
-  oracle the tests cross-validate the arithmetic against, and what
-  examples use when they want an inspectable event trace.
-
-Both return a :class:`~repro.sim.metrics.CampaignResult`: one frozen
-column table of per-device outcomes, whose rows read as
-:class:`~repro.sim.metrics.DeviceOutcome` views.
+:class:`~repro.sim.executor.CampaignExecutor` executes a plan on the
+vectorised fleet path (:mod:`repro.sim.columnar`): whole-fleet array
+arithmetic. It returns a :class:`~repro.sim.metrics.CampaignResult`:
+one frozen column table of per-device outcomes, whose rows read as
+:class:`~repro.sim.metrics.DeviceOutcome` views. The tests
+cross-validate it against an event-by-event replay of the plan on the
+discrete-event engine (:mod:`repro.sim.engine`), kept in
+``tests/executor_oracle.py``.
 
 :mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates
 (:func:`~repro.sim.montecarlo.run_campaigns` is the one campaign
@@ -22,7 +17,7 @@ driver). Every campaign is a list of work items
 (``backend="fused"``) — bit-identical by construction — with an
 optional on-disk :class:`~repro.sim.cache.ResultCache`.
 
-Every executor can additionally record a columnar event log
+The executor can additionally record a columnar event log
 (:mod:`repro.sim.eventlog`): pass an
 :class:`~repro.sim.eventlog.EventLogRecorder` and the run's semantic
 events serialise to one ``.npz`` per run, STRICT-replayable back into a
@@ -59,7 +54,6 @@ from repro.sim.executor import CampaignExecutor
 from repro.sim.columnar import execute_columnar
 from repro.sim.events import Event, EventKind
 from repro.sim.engine import Simulator
-from repro.sim.replay import EventDrivenCampaign
 from repro.sim.dispatch import BACKENDS
 from repro.sim.montecarlo import RunStatistics
 from repro.sim.cache import ResultCache, fingerprint
@@ -75,7 +69,6 @@ __all__ = [
     "Event",
     "EventKind",
     "Simulator",
-    "EventDrivenCampaign",
     "BACKENDS",
     "RunStatistics",
     "ResultCache",

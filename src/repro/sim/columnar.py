@@ -25,8 +25,8 @@ random-access base, the data airtime) are gathered again where needed
 rather than kept alive. An unrecorded call holds under 96 bytes per
 directive beyond its inputs and its 104-byte-per-device result.
 
-The event-driven replay (:class:`~repro.sim.replay.EventDrivenCampaign`)
-is the independent oracle; tests pin this path to it (identical
+The event-driven replay (``tests/executor_oracle.py``) is the
+independent oracle; tests pin this path to it (identical
 structure, per-device totals within 1e-9). Random-access contention
 (non-zero ``collision_probability``) draws from ``rng`` device by device
 in directive order — a DA-SC device's adaptation episode first, then

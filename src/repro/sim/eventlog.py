@@ -1,8 +1,7 @@
 """Columnar event log: record, STRICT replay, and structural diff.
 
-Both campaign executors — the vectorised columnar executor and the
-event-driven replay — can optionally emit a compact, columnar event
-log: one structured-numpy row per
+The campaign executor (and the live campaign service) can optionally
+emit a compact, columnar event log: one structured-numpy row per
 semantic event (paging, adaptation, readiness, transmission bounds,
 device completion, repair rounds). The log is keyed by the scenario
 fingerprint, the Monte-Carlo seed and the cell id, and a whole run
@@ -26,8 +25,8 @@ Three consumers sit on top of the raw array:
 
 The STRICT/REEXECUTE split follows the replay-engine pattern of
 append-only agent logs: STRICT trusts only the evidence in the log;
-re-execution (``repro.sim.replay``) remains available when fresh
-stochastic draws are wanted.
+re-execution (``runs replay --verify`` runs the scenario again)
+remains available when fresh stochastic draws are wanted.
 """
 
 from __future__ import annotations
@@ -171,9 +170,10 @@ def _materialise_chunks(chunks: Sequence[_Chunk], cell: int) -> np.ndarray:
 class EventLogRecorder:
     """Accumulates event rows and metadata during one campaign.
 
-    The executors call :meth:`emit` (scalar, the event-driven replay)
-    or :meth:`emit_block` (whole-fleet arrays, columnar path); the orchestrator calls :meth:`finalize`
-    once to obtain the sealed :class:`EventLog`.
+    The live service calls :meth:`emit` (scalar) and the executor
+    :meth:`emit_block` (whole-fleet arrays, columnar path); the
+    orchestrator calls :meth:`finalize` once to obtain the sealed
+    :class:`EventLog`.
 
     Recording is designed to be almost free next to execution: both
     emit paths only buffer references to the columns the executor

@@ -8,7 +8,7 @@ from typing import Any, Callable, Dict, Optional
 
 
 class EventKind(Enum):
-    """Kinds of events the campaign replay schedules."""
+    """Kinds of events the engine schedules and the event log records."""
 
     PO_MONITOR = "po_monitor"
     """A device wakes to check its paging occasion."""

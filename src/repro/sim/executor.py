@@ -21,8 +21,9 @@ therefore never negative.
 
 The arithmetic is the vectorised whole-fleet path of
 :mod:`repro.sim.columnar`. The same accounting is reproduced
-event-by-event in :mod:`repro.sim.replay`, the executor's independent
-oracle; the integration tests assert both agree.
+event-by-event on the discrete-event engine in
+``tests/executor_oracle.py``, the executor's independent oracle; the
+tests assert both agree.
 """
 
 from __future__ import annotations

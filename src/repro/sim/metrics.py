@@ -1,8 +1,8 @@
 """Campaign results and the paper's comparison metrics.
 
 A :class:`CampaignResult` is one frozen column table of per-device
-outcomes, whichever executor produced it (the vectorised one, the
-event-driven replay or the STRICT log replay): per-device columns
+outcomes, whichever path produced it (the vectorised executor, the
+STRICT log replay, or the tests' event-driven oracle): per-device columns
 sorted by device, the per-state seconds matrix, and the realised start
 of every transmission.
 

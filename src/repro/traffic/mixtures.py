@@ -11,7 +11,7 @@ cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -78,26 +78,13 @@ class TrafficMixture:
         """DRX-cycle distribution of ``category``."""
         return dict(self._profiles[category].cycle_distribution)
 
-    def sample(
-        self, n: int, rng: np.random.Generator
-    ) -> List[Tuple[DeviceCategory, DrxCycle]]:
-        """Draw ``n`` (category, cycle) pairs from the mixture."""
-        cat_idx, periods = self.sample_columns(n, rng)
-        categories = list(self._normalised)
-        by_frames = {int(c): c for p in self._profiles.values()
-                     for c in p.cycle_distribution}
-        return [
-            (categories[int(i)], by_frames[int(frames)])
-            for i, frames in zip(cat_idx, periods)
-        ]
-
     def sample_columns(
         self, n: int, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``n`` devices as columns: (category index, cycle frames).
 
         Consumes the *identical* RNG stream as the per-device reference
-        loop (:meth:`sample_reference`) — the cycle draw mirrors
+        loop (``tests/fleet_oracle.py``) — the cycle draw mirrors
         ``Generator.choice(k, p=...)``'s internals (one uniform double
         per device, searchsorted on the normalised CDF) — but runs
         vectorised, which is what makes 10^6-device fleet generation
@@ -123,29 +110,6 @@ class TrafficMixture:
                 np.searchsorted(cdf, uniforms[mask], side="right")
             ]
         return cat_idx, periods
-
-    def sample_reference(
-        self, n: int, rng: np.random.Generator
-    ) -> List[Tuple[DeviceCategory, DrxCycle]]:
-        """The per-device reference loop (equivalence oracle).
-
-        Kept verbatim from the pre-columnar implementation; the test
-        suite pins ``sample_columns`` to this stream draw for draw.
-        """
-        if n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {n}")
-        categories = list(self._normalised)
-        weights = np.array([self._normalised[c] for c in categories])
-        cat_idx = rng.choice(len(categories), size=n, p=weights)
-        out: List[Tuple[DeviceCategory, DrxCycle]] = []
-        for i in cat_idx:
-            category = categories[int(i)]
-            dist = self._profiles[category].cycle_distribution
-            cycles = list(dist)
-            probs = np.array([dist[c] for c in cycles])
-            cycle = cycles[int(rng.choice(len(cycles), p=probs))]
-            out.append((category, cycle))
-        return out
 
     @property
     def mean_inverse_cycle_s(self) -> float:

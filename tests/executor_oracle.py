@@ -1,14 +1,10 @@
-"""Event-driven plan replay.
+"""Event-driven plan replay — the executor's oracle.
 
 Re-executes a :class:`~repro.core.plan.MulticastPlan` on the
 discrete-event engine, charging exactly the same durations as the
-arithmetic :class:`~repro.sim.executor.CampaignExecutor`. The
-integration tests assert the two produce identical ledgers across all
-three mechanisms and multiple grouping policies
-(``tests/integration/test_executor_replay_equivalence.py``); examples
-use this executor when an inspectable event trace is worth the slower
-run time. Like the executor, the replay can emit a columnar event log
-(pass ``recorder=``, see :mod:`repro.sim.eventlog`).
+arithmetic :class:`~repro.sim.executor.CampaignExecutor`; the tests pin
+the two together per device and per power state. Like the executor,
+the replay can emit a columnar event log (pass ``recorder=``).
 
 Devices are lazy: each keeps at most one pending PO_MONITOR event, so
 the queue stays small even over multi-hour horizons.
@@ -16,10 +12,10 @@ the queue stays small even over multi-hour horizons.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
+import pytest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.eventlog import EventLogRecorder
@@ -473,3 +469,23 @@ class _DeviceActor:
             PowerState.DEEP_SLEEP,
             max(0.0, horizon_s - totals.light_sleep_s - totals.connected_s),
         )
+
+
+def assert_matches_replay(result, replay, seconds_atol=1e-9):
+    """Assert a live result agrees with the replay's, device by device:
+    same horizon, rows and realised starts, times within 1e-9 s and every
+    state's seconds within ``seconds_atol``."""
+    assert replay.horizon_frames == result.horizon_frames
+    assert len(replay) == len(result)
+    np.testing.assert_allclose(
+        replay.actual_start_s, result.actual_start_s, atol=1e-9
+    )
+    for a, b in zip(result, replay):
+        assert a.device_index == b.device_index
+        assert a.transmission_index == b.transmission_index
+        for name in ("ready_s", "wait_s", "updated_s"):
+            assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
+        for state in PowerState:
+            assert b.ledger.seconds_in(state) == pytest.approx(
+                a.ledger.seconds_in(state), abs=seconds_atol
+            ), f"device {a.device_index} disagrees on {state}"

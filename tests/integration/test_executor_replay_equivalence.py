@@ -9,6 +9,7 @@ off-by-one-PO bugs during development.
 
 import numpy as np
 import pytest
+from executor_oracle import EventDrivenCampaign, assert_matches_replay
 
 from repro.core import (
     DaScMechanism,
@@ -17,9 +18,7 @@ from repro.core import (
     UnicastBaseline,
 )
 from repro.core.base import PlanningContext
-from repro.energy.states import PowerState
 from repro.sim.executor import CampaignExecutor
-from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE, PAPER_DEFAULT_MIXTURE
 
@@ -44,20 +43,7 @@ def _compare(fleet, plan, horizon=None):
     replay = EventDrivenCampaign(fleet, plan).run(
         horizon_frames=analytic.horizon_frames
     )
-    assert replay.horizon_frames == analytic.horizon_frames
-    assert len(replay) == len(analytic)
-    for a, b in zip(analytic, replay):
-        assert a.device_index == b.device_index
-        assert b.ready_s == pytest.approx(a.ready_s, abs=1e-9)
-        assert b.wait_s == pytest.approx(a.wait_s, abs=1e-9)
-        assert b.updated_s == pytest.approx(a.updated_s, abs=1e-9)
-        for state in PowerState:
-            assert b.ledger.seconds_in(state) == pytest.approx(
-                a.ledger.seconds_in(state), abs=1e-6
-            ), f"device {a.device_index} disagrees on {state}"
-    np.testing.assert_allclose(
-        replay.actual_start_s, analytic.actual_start_s, atol=1e-9
-    )
+    assert_matches_replay(analytic, replay, seconds_atol=1e-6)
     return analytic, replay
 
 

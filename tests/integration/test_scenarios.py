@@ -11,8 +11,8 @@ a bug (and re-pins with ``python -m repro scenarios run --all
 
 import numpy as np
 import pytest
+from executor_oracle import EventDrivenCampaign, assert_matches_replay
 
-from repro.energy.states import PowerState
 
 from repro.scenarios import (
     all_scenarios,
@@ -25,7 +25,6 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.sim.executor import CampaignExecutor
-from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 
 ALL_NAMES = scenario_names()
@@ -97,17 +96,8 @@ class TestExecutionPathEquivalence:
             horizon_frames=columnar.horizon_frames,
             rng=np.random.default_rng(1),
         )
-        assert replay.horizon_frames == columnar.horizon_frames
-        assert len(replay) == len(columnar) == len(fleet)
-        for a, b in zip(columnar, replay):
-            assert a.device_index == b.device_index
-            assert b.ready_s == pytest.approx(a.ready_s, abs=1e-9)
-            assert b.wait_s == pytest.approx(a.wait_s, abs=1e-9)
-            assert b.updated_s == pytest.approx(a.updated_s, abs=1e-9)
-            for state in PowerState:
-                assert b.ledger.seconds_in(state) == pytest.approx(
-                    a.ledger.seconds_in(state), abs=1e-6
-                ), f"{name}: device {a.device_index} disagrees on {state}"
+        assert len(columnar) == len(fleet)
+        assert_matches_replay(columnar, replay, seconds_atol=1e-6)
         assert replay.mean_wait_s == pytest.approx(
             columnar.mean_wait_s, rel=1e-9, abs=1e-9
         )

@@ -6,8 +6,10 @@ paging arithmetic is redone per query on its
 :class:`~repro.drx.schedule.PoSchedule`. The array planners and the
 whole-array :meth:`~repro.core.plan.MulticastPlan.validate` are
 property-tested against them (``tests/properties/test_prop_plan_columns.py``),
-:func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`, and
-:func:`~repro.enb.paging_channel.paging_load` against :func:`scalar_pack`.
+:func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`,
+:func:`~repro.enb.paging_channel.paging_load` against :func:`scalar_pack`,
+and the downlink scheduler's overlap count against
+:func:`count_overlaps_reference` (``tests/properties/test_prop_scheduler.py``).
 
 Each ``plan_*`` function consumes ``rng`` exactly as the mechanism
 does: the policy's grouping first, then (DR-SI only) one scalar draw
@@ -516,3 +518,17 @@ def _validate_directive(plan, fleet, directive, frame: int) -> None:
             raise PlanError("adapted page outside window")
         if page <= adaptation:
             raise PlanError("adapted page not after the adaptation episode")
+
+
+def count_overlaps_reference(
+    frame: np.ndarray, duration_frames: np.ndarray
+) -> int:
+    """Overlapping pairs by definition: two half-open intervals overlap
+    iff each starts before the other ends (quadratic)."""
+    transmissions = list(zip(frame, np.add(frame, duration_frames)))
+    overlaps = 0
+    for i, (a_start, a_end) in enumerate(transmissions):
+        for b_start, b_end in transmissions[i + 1 :]:
+            if a_start < b_end and b_start < a_end:
+                overlaps += 1
+    return overlaps

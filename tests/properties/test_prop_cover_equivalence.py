@@ -1,9 +1,9 @@
 """Cover-equivalence properties: incremental sweep == reference == set cover.
 
 The incremental greedy (:mod:`repro.setcover.incremental`) must pick
-*identical* windows to the reference per-round re-sweep — same starts,
-same assignments, same tie-break draws for any given RNG stream — on
-randomized fleets up to 10^4 devices. The short-horizon fleets (at
+*identical* windows to the per-round re-sweep of ``tests/cover_oracle.py``
+— same starts, same assignments, same tie-break draws for any given RNG
+stream — on randomized fleets up to 10^4 devices. The short-horizon fleets (at
 most 16 POs per period) keep their periods explicit except at 10^4
 devices; the ladder fleets always give the kernel a period to fold onto
 residue histograms, next to explicit ones, with window lengths below,
@@ -13,7 +13,7 @@ crossover fleets straddle ``BLOCKED_MIN_DEVICES`` explicit devices, so
 both explicit representations meet the count array's edge cases. The
 tied fleets (long periods, phases from a small pool) make many rounds in
 a row tie, so they draw from one shared candidate list; with a generator,
-both methods must also leave it in the same state. A city-rollout-shaped
+both paths must also leave it in the same state. A city-rollout-shaped
 cell (a compacted count, a few folded rounds, then hundreds of tied
 rounds of a few devices) and clusters whose tied rounds read exactly
 ``FEW_INTERVALS`` or ``FEW_INTERVALS + 1`` overlapping intervals meet
@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cover_oracle import reference_window_cover
 
 import repro.setcover.incremental as incremental
 from repro.errors import TimebaseError
@@ -78,7 +79,7 @@ def _assert_identical_covers(a, b):
 
 
 def _tie_rngs(seed):
-    """Two generators seeded alike (or no generator) for the two methods."""
+    """Two generators seeded alike (or no generator) for the two paths."""
     if seed is None:
         return None, None
     return np.random.default_rng(seed), np.random.default_rng(seed)
@@ -175,11 +176,11 @@ def tied_fleets(draw):
     return phases.astype(np.int64), periods.astype(np.int64)
 
 
-def _cover_or_error(*args, **kwargs):
+def _cover_or_error(cover, *args):
     """The cover, or the message of the error that rejected a window
     starting before frame 0 (possible when the horizon does)."""
     try:
-        return greedy_window_cover(*args, **kwargs)
+        return cover(*args)
     except TimebaseError as error:
         return str(error)
 
@@ -249,12 +250,9 @@ class TestFoldedMatchesReference:
         phases, periods, window_len, hs, he = fleet
         assert _fold_periods(periods, hs, he).size > 0
         ref_rng, inc_rng = _tie_rngs(seed)
-        ref = _cover_or_error(
-            phases, periods, window_len, hs, he, ref_rng, method="reference"
-        )
-        inc = _cover_or_error(
-            phases, periods, window_len, hs, he, inc_rng, method="incremental"
-        )
+        args = (phases, periods, window_len, hs, he)
+        ref = _cover_or_error(reference_window_cover, *args, ref_rng)
+        inc = _cover_or_error(greedy_window_cover, *args, inc_rng)
         if isinstance(ref, str):
             assert inc == ref
         else:
@@ -270,13 +268,9 @@ class TestFoldedMatchesReference:
         assert _fold_periods(fleet.periods, hs, he).tolist() == [2048, 4096, 8192]
         for seed in (None, 5):
             ref_rng, inc_rng = _tie_rngs(seed)
-            ref = greedy_window_cover(
-                fleet.phases, fleet.periods, window_len, hs, he, ref_rng,
-                method="reference",
-            )
-            inc = greedy_window_cover(
-                fleet.phases, fleet.periods, window_len, hs, he, inc_rng,
-            )
+            args = (fleet.phases, fleet.periods, window_len, hs, he)
+            ref = reference_window_cover(*args, ref_rng)
+            inc = greedy_window_cover(*args, inc_rng)
             _assert_identical_covers(ref, inc)
             _assert_same_end_state(ref_rng, inc_rng)
 
@@ -395,7 +389,7 @@ def _city_cell_shape(fleet, seed):
     with the reference; return (folded rounds, tied group sizes)."""
     args = (fleet.phases, fleet.periods, 2048, 0, 2**21)
     ref_rng, inc_rng = _tie_rngs(seed)
-    ref = greedy_window_cover(*args, ref_rng, method="reference")
+    ref = reference_window_cover(*args, ref_rng)
     sweep = IncrementalSweep(*args)
     assert isinstance(sweep._explicit, _CompactedEvents)
     starts, groups, n_folded = [], [], 0
@@ -459,8 +453,8 @@ class TestTiedRoundShapes:
         for tie_seed in (None, seed + 10):
             ref_rng, inc_rng = _tie_rngs(tie_seed)
             args = (phases, periods, 2048, 0, 2**21)
-            ref = greedy_window_cover(*args, ref_rng, method="reference")
-            inc = greedy_window_cover(*args, inc_rng, method="incremental")
+            ref = reference_window_cover(*args, ref_rng)
+            inc = greedy_window_cover(*args, inc_rng)
             _assert_identical_covers(ref, inc)
             _assert_same_end_state(ref_rng, inc_rng)
         assert size in ranges
@@ -487,12 +481,8 @@ class TestIncrementalMatchesReference:
     def test_small_fleets_no_rng(self, fleet, window_len):
         phases, periods = fleet
         horizon = 2 * int(periods.max())
-        ref = greedy_window_cover(
-            phases, periods, window_len, 0, horizon, method="reference"
-        )
-        inc = greedy_window_cover(
-            phases, periods, window_len, 0, horizon, method="incremental"
-        )
+        ref = reference_window_cover(phases, periods, window_len, 0, horizon)
+        inc = greedy_window_cover(phases, periods, window_len, 0, horizon)
         _assert_identical_covers(ref, inc)
 
     @given(
@@ -509,14 +499,9 @@ class TestIncrementalMatchesReference:
         phases, periods = fleet
         horizon = 2 * int(periods.max())
         ref_rng, inc_rng = _tie_rngs(seed)
-        ref = greedy_window_cover(
-            phases, periods, window_len, 0, horizon, ref_rng,
-            method="reference",
-        )
-        inc = greedy_window_cover(
-            phases, periods, window_len, 0, horizon, inc_rng,
-            method="incremental",
-        )
+        args = (phases, periods, window_len, 0, horizon)
+        ref = reference_window_cover(*args, ref_rng)
+        inc = greedy_window_cover(*args, inc_rng)
         _assert_identical_covers(ref, inc)
         _assert_same_end_state(ref_rng, inc_rng)
 
@@ -530,14 +515,9 @@ class TestIncrementalMatchesReference:
         horizon = 2 * int(periods.max())
         for tie_rng in (None, seed + 100):
             ref_rng, inc_rng = _tie_rngs(tie_rng)
-            ref = greedy_window_cover(
-                phases, periods, window_len, 0, horizon, ref_rng,
-                method="reference",
-            )
-            inc = greedy_window_cover(
-                phases, periods, window_len, 0, horizon, inc_rng,
-                method="incremental",
-            )
+            args = (phases, periods, window_len, 0, horizon)
+            ref = reference_window_cover(*args, ref_rng)
+            inc = greedy_window_cover(*args, inc_rng)
             _assert_identical_covers(ref, inc)
             _assert_same_end_state(ref_rng, inc_rng)
 
@@ -569,9 +549,7 @@ class TestWindowCoverMatchesSetCover:
         universe = set(range(n))
         chosen = greedy_set_cover(universe, sets)
 
-        cover = greedy_window_cover(
-            phases, periods, window_len, 0, horizon, method="incremental"
-        )
+        cover = greedy_window_cover(phases, periods, window_len, 0, horizon)
         assert len(chosen) == cover.n_groups
         uncovered = set(universe)
         groups = np.split(cover.members, cover.bounds[1:-1])

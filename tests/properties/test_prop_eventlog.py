@@ -10,6 +10,7 @@ the event-driven replay narrate the same campaign).
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from executor_oracle import EventDrivenCampaign
 
 from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism
 from repro.core.base import PlanningContext
@@ -22,7 +23,6 @@ from repro.sim.eventlog import (
 )
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
-from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 

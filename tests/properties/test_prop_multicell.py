@@ -2,14 +2,16 @@
 
 Partitioning a fleet across cells and running one campaign per cell
 must conserve the fleet: every device lands in exactly one cell
-(uniform or weighted attachment, vectorised or reference grouping), a
-recorded multi-cell run's cell logs hold the whole fleet between them,
-and the log alone rebuilds the run's live headline metrics exactly.
+(uniform or weighted attachment, vectorised grouping or the
+``tests/fleet_oracle.py`` per-cell scan), a recorded multi-cell run's
+cell logs hold the whole fleet between them, and the log alone
+rebuilds the run's live headline metrics exactly.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fleet_oracle import partition_indices_reference
 
 from repro.multicast.coordination import (
     MultiCellSpec,
@@ -73,8 +75,8 @@ class TestPartitionConservation:
         attachments = attach_devices(
             n_devices, spec, np.random.default_rng(seed)
         )
-        fast = partition_indices(attachments, n_cells, method="vectorised")
-        reference = partition_indices(attachments, n_cells, method="reference")
+        fast = partition_indices(attachments, n_cells)
+        reference = partition_indices_reference(attachments, n_cells)
         assert set(fast) == set(reference)
         for cell_id in fast:
             np.testing.assert_array_equal(fast[cell_id], reference[cell_id])

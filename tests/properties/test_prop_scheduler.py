@@ -1,15 +1,16 @@
 """Property: the array overlap count matches its pairwise oracle.
 
 ``DownlinkScheduler._count_overlaps`` counts overlapping pairs with one
-``searchsorted`` over the sorted ends; ``_count_overlaps_reference`` is
-the O(n^2) definition (count pairs of half-open intervals that
-intersect). They must agree on every interval multiset, including heavy
-ties and nested intervals.
+``searchsorted`` over the sorted ends;
+``plan_oracle.count_overlaps_reference`` is the O(n^2) definition
+(count pairs of half-open intervals that intersect). They must agree on
+every interval multiset, including heavy ties and nested intervals.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from plan_oracle import count_overlaps_reference
 
 from repro.enb.scheduler import DownlinkScheduler
 
@@ -33,7 +34,7 @@ def _columns(txs):
 def test_array_count_matches_pairwise_reference(txs):
     assert DownlinkScheduler._count_overlaps(
         *_columns(txs)
-    ) == DownlinkScheduler._count_overlaps_reference(*_columns(txs))
+    ) == count_overlaps_reference(*_columns(txs))
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,11 +3,11 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from cover_oracle import best_window
 
 from repro.analysis.theory import greedy_approximation_bound
 from repro.setcover.exact import exact_min_set_cover
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
-from repro.setcover.windows import best_window
 
 
 @st.composite

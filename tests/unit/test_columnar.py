@@ -1,7 +1,7 @@
 """Unit tests for the columnar executor path and the outcome table.
 
 The vectorised executor must reproduce the event-driven replay
-(:class:`~repro.sim.replay.EventDrivenCampaign`, its independent
+(``executor_oracle.EventDrivenCampaign``, its independent
 oracle) within 1e-9 per device and per power state. Also covers the
 random-access draw order under contention, the executor's transient
 memory (under 96 bytes per directive beyond its inputs and result, on
@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from executor_oracle import EventDrivenCampaign, assert_matches_replay
 
 from repro.core import (
     DaScMechanism,
@@ -36,29 +37,10 @@ from repro.sim.eventlog import EventLogRecorder, compare_results, replay_strict
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
 from repro.sim.metrics import CampaignResult, fold_ledgers
-from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
 
 MECHANISMS = [DrScMechanism, DaScMechanism, DrSiMechanism, UnicastBaseline]
-
-
-def _assert_results_equivalent(reference, columnar, atol=1e-9):
-    assert columnar.horizon_frames == reference.horizon_frames
-    assert len(columnar) == len(reference)
-    np.testing.assert_allclose(
-        columnar.actual_start_s, reference.actual_start_s, atol=atol
-    )
-    for ref, col in zip(reference, columnar):
-        assert col.device_index == ref.device_index
-        assert col.transmission_index == ref.transmission_index
-        assert col.ready_s == pytest.approx(ref.ready_s, abs=atol)
-        assert col.wait_s == pytest.approx(ref.wait_s, abs=atol)
-        assert col.updated_s == pytest.approx(ref.updated_s, abs=atol)
-        for state in PowerState:
-            assert col.ledger.seconds_in(state) == pytest.approx(
-                ref.ledger.seconds_in(state), abs=atol
-            ), f"device {ref.device_index} disagrees on {state}"
 
 
 def _replayed(fleet, plan, horizon_frames=None):
@@ -73,7 +55,7 @@ class TestColumnarEquivalence:
         plan = mechanism_cls().plan(moderate_fleet, context, rng)
         columnar = CampaignExecutor().execute(moderate_fleet, plan)
         reference = _replayed(moderate_fleet, plan, columnar.horizon_frames)
-        _assert_results_equivalent(reference, columnar)
+        assert_matches_replay(columnar, reference)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_paper_mixture_fleets(self, seed):
@@ -85,7 +67,7 @@ class TestColumnarEquivalence:
             plan = mechanism_cls().plan(fleet, ctx, rng)
             columnar = CampaignExecutor().execute(fleet, plan)
             reference = _replayed(fleet, plan, columnar.horizon_frames)
-            _assert_results_equivalent(reference, columnar)
+            assert_matches_replay(columnar, reference)
 
     def test_fleet_summary_matches(self, moderate_fleet, context):
         rng = np.random.default_rng(3)

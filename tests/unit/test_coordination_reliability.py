@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from fleet_oracle import partition_fleet_reference, partition_indices_reference
 from repair_oracle import matrix_repair_rounds
 from repro.errors import ConfigurationError, FleetError
 from repro.multicast.coordination import (
@@ -60,27 +61,21 @@ class TestPartition:
 
     def test_vectorised_matches_reference_indices(self, rng):
         attachments = attach_devices(500, MultiCellSpec(n_cells=9), rng)
-        reference = partition_indices(attachments, 9, method="reference")
-        fast = partition_indices(attachments, 9, method="vectorised")
+        reference = partition_indices_reference(attachments, 9)
+        fast = partition_indices(attachments, 9)
         assert set(reference) == set(fast)
         for cell_id in reference:
             np.testing.assert_array_equal(reference[cell_id], fast[cell_id])
 
     def test_vectorised_matches_reference_fleets(self, rng):
         fleet = generate_fleet(60, MODERATE_EDRX_MIXTURE, rng)
-        reference = partition_fleet(
-            fleet, 5, np.random.default_rng(3), method="reference"
+        reference = partition_fleet_reference(
+            fleet, 5, np.random.default_rng(3)
         )
-        fast = partition_fleet(
-            fleet, 5, np.random.default_rng(3), method="vectorised"
-        )
+        fast = partition_fleet(fleet, 5, np.random.default_rng(3))
         assert set(reference) == set(fast)
         for cell_id in reference:
             assert reference[cell_id] == fast[cell_id]
-
-    def test_unknown_method_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            partition_indices(np.zeros(4, dtype=np.int64), 2, method="magic")
 
     def test_weighted_attachment_skews_load(self, rng):
         fleet = generate_fleet(400, MODERATE_EDRX_MIXTURE, rng)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from executor_oracle import EventDrivenCampaign
 
 from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
@@ -9,7 +10,6 @@ from repro.errors import SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.eventlog import EventLogRecorder
 from repro.sim.events import Event, EventKind
-from repro.sim.replay import EventDrivenCampaign
 from repro.timebase import frame_after_seconds
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE

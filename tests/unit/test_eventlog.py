@@ -7,6 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from executor_oracle import EventDrivenCampaign
 
 from repro.energy.profiles import DEFAULT_PROFILE
 from repro.errors import SimulationError
@@ -29,7 +30,6 @@ from repro.sim.eventlog import (
 )
 from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
-from repro.sim.replay import EventDrivenCampaign
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
 

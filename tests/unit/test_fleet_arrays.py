@@ -11,6 +11,7 @@ import pickle
 
 import numpy as np
 import pytest
+from fleet_oracle import sample_reference
 
 from repro.devices import Battery, Fleet, NbIotDevice
 from repro.devices.fleet import (
@@ -345,7 +346,7 @@ class TestVectorisedDerivations:
         cat_idx, periods = mixture.sample_columns(
             64, np.random.default_rng(3)
         )
-        ref = mixture.sample_reference(64, np.random.default_rng(3))
+        ref = sample_reference(mixture, 64, np.random.default_rng(3))
         assert [
             (mixture.categories[i], int(p))
             for i, p in zip(cat_idx, periods)

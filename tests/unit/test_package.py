@@ -1,6 +1,9 @@
 """Package-level tests: public API surface and metadata."""
 
 import importlib
+import importlib.util
+import inspect
+import pathlib
 
 import pytest
 
@@ -9,7 +12,6 @@ import repro
 
 class TestPublicApi:
     def test_version_matches_pyproject(self):
-        import pathlib
         import re
 
         pyproject = (
@@ -68,3 +70,23 @@ class TestPublicApi:
             mechanism = repro.mechanism_by_name(name)
             assert mechanism.standards_compliant == compliant
             assert mechanism.respects_preferred_drx == respects
+
+
+def test_package_ships_no_reference_paths():
+    """Each stage has one production path; its oracle lives in tests/."""
+    from repro.enb.scheduler import DownlinkScheduler
+    from repro.multicast.coordination import partition_fleet, partition_indices
+    from repro.setcover.greedy import greedy_window_cover
+    from repro.traffic.mixtures import TrafficMixture
+
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        text = path.read_text()
+        assert 'method="reference"' not in text and "COVER_METHODS" not in text
+    assert importlib.util.find_spec("repro.sim.replay") is None
+    for function in (greedy_window_cover, partition_indices, partition_fleet):
+        assert "method" not in inspect.signature(function).parameters
+    moved = {"EventDrivenCampaign", "best_window", "BestWindow"}
+    for module in ("repro", "repro.sim", "repro.setcover", "repro.multicast"):
+        assert not moved & set(importlib.import_module(module).__all__)
+    assert not hasattr(TrafficMixture, "sample_reference")
+    assert not hasattr(DownlinkScheduler, "_count_overlaps_reference")

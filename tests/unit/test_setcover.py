@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from cover_oracle import best_window
 
 from repro.errors import SetCoverError
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
 from repro.setcover.incremental import BLOCKED_MIN_DEVICES, IncrementalSweep
-from repro.setcover.windows import best_window, coverage_intervals
+from repro.setcover.windows import coverage_intervals
 
 
 class TestCoverageIntervals:

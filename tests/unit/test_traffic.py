@@ -58,11 +58,12 @@ class TestMixture:
         assert all(cycle.seconds <= 82.0 for cycle in trackers)
 
     def test_sampling_respects_categories(self, rng):
-        draws = PAPER_DEFAULT_MIXTURE.sample(500, rng)
-        categories = {category for category, _cycle in draws}
+        cat_idx, periods = PAPER_DEFAULT_MIXTURE.sample_columns(500, rng)
+        categories = [PAPER_DEFAULT_MIXTURE.categories[i] for i in cat_idx]
         assert DeviceCategory.SMART_METER in categories
-        for category, cycle in draws:
-            assert cycle in PAPER_DEFAULT_MIXTURE.cycle_distribution(category)
+        for category, frames in zip(categories, periods):
+            allowed = PAPER_DEFAULT_MIXTURE.cycle_distribution(category)
+            assert int(frames) in {int(cycle) for cycle in allowed}
 
     def test_mean_inverse_cycle(self):
         value = SHORT_EDRX_MIXTURE.mean_inverse_cycle_s
@@ -80,7 +81,7 @@ class TestMixture:
 
     def test_sample_rejects_bad_n(self, rng):
         with pytest.raises(ConfigurationError):
-            PAPER_DEFAULT_MIXTURE.sample(0, rng)
+            PAPER_DEFAULT_MIXTURE.sample_columns(0, rng)
 
 
 class TestCoverageMix:
