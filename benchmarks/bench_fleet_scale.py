@@ -1,4 +1,5 @@
-"""A9 benchmark: the greedy window cover and the columnar executor at scale.
+"""A9 benchmark: fleet generation, the greedy window cover and the
+columnar executor at scale.
 
 Times, for growing fleets:
 
@@ -17,8 +18,14 @@ Times, for growing fleets:
   DR-SC plans of 10^5 and 10^6 devices: wall-clock, peak traced memory
   and the transient bytes per directive (the peak less the live memory
   before the call and the result's own bytes). The transient is
-  asserted (<= 96 B per directive at both sizes); CI runs this test on
-  its own with ``-k execute``.
+  asserted (<= 96 B per directive at both sizes);
+* **generate** — ``generate_fleet`` alone on a paper-default fleet of
+  10^6 devices: its traced peak (asserted <= 90 MiB; ``sample_imsis``
+  alone peaks near 68 MiB) and the transient of the phase kernel
+  ``v_paging_frame_offset`` on that fleet's columns (the peak less the
+  live memory before the call, result included; asserted <= 24 MiB,
+  three full-width int64 arrays). CI runs this test and the execute
+  bar on their own with ``-k "execute or generate"``.
 
 Before timing means anything the paths must agree: the bench asserts
 identical cover selections (same windows, same assignments) at every
@@ -49,6 +56,7 @@ from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
 from repro.devices.profiles import DeviceCategory
 from repro.drx.cycles import DrxCycle
+from repro.drx.paging import UE_ID_SPACE, v_paging_frame_offset
 from repro.energy.states import StateGroup
 from repro.experiments.reporting import Table, render_table
 from repro.sim.columnar import execute_columnar
@@ -93,6 +101,16 @@ EXECUTE_SIZES = (100_000, 1_000_000)
 #: Bar on the executor's transient bytes per directive: beyond its
 #: inputs and its 104 B-per-device result.
 EXECUTE_TRANSIENT_BYTES = 96
+
+#: Fleet size of the generate bars.
+GENERATE_SIZE = 1_000_000
+
+#: Bar on ``generate_fleet``'s traced peak at ``GENERATE_SIZE``, MiB.
+GENERATE_PEAK_MIB = 90.0
+
+#: Bar on ``v_paging_frame_offset``'s transient at ``GENERATE_SIZE``, MiB:
+#: three full-width int64 arrays, its result included.
+PHASE_TRANSIENT_MIB = 24.0
 
 
 @pytest.fixture(scope="module")
@@ -348,3 +366,71 @@ def test_a9_paper_default_execute_peak(capsys, artifact):
             record["execute_transient_bytes_per_directive"]
             <= EXECUTE_TRANSIENT_BYTES
         ), record
+
+
+def _generate_peaks(n_devices: int) -> dict:
+    """Trace one paper-default ``generate_fleet`` and one phase kernel
+    call on its columns."""
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        fleet = generate_fleet(
+            n_devices, PAPER_DEFAULT_MIXTURE, np.random.default_rng(7)
+        )
+        generate_s = time.perf_counter() - t0
+        generate_peak = tracemalloc.get_traced_memory()[1]
+        ue_ids = fleet.imsis % UE_ID_SPACE
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        phases = v_paging_frame_offset(ue_ids, fleet.periods, fleet.nb)
+        phase_transient = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(phases, fleet.phases)
+    return {
+        "n_devices": n_devices,
+        "fleet_mib": fleet.nbytes / 2**20,
+        "generate_s": generate_s,
+        "generate_peak_mib": generate_peak / 2**20,
+        "phase_transient_mib": phase_transient / 2**20,
+    }
+
+
+def test_a9_generate_peak(capsys, artifact):
+    """``generate_fleet`` and its phase kernel stay under their memory
+    bars at 10^6 devices."""
+    record = _generate_peaks(GENERATE_SIZE)
+    artifact["paper_default_generate"] = {
+        "mixture": PAPER_DEFAULT_MIXTURE.name,
+        "generate_peak_bar_mib": GENERATE_PEAK_MIB,
+        "phase_transient_bar_mib": PHASE_TRANSIENT_MIB,
+        "result": record,
+    }
+    path = write_bench_artifact("fleet_scale", artifact)
+    emit(
+        capsys,
+        render_table(
+            Table(
+                title="A9 — generate_fleet, paper-default mixture",
+                headers=("devices", "fleet", "generate", "peak", "phase kernel"),
+                rows=(
+                    (
+                        str(record["n_devices"]),
+                        f"{record['fleet_mib']:.1f} MiB",
+                        f"{record['generate_s']:.2f}s",
+                        f"{record['generate_peak_mib']:.1f} MiB",
+                        f"{record['phase_transient_mib']:.1f} MiB",
+                    ),
+                ),
+                notes=(
+                    "Peak is generate_fleet's traced allocation peak (bar "
+                    f"{GENERATE_PEAK_MIB:.0f} MiB); the phase kernel is "
+                    "v_paging_frame_offset's traced peak above the memory "
+                    f"live before it (bar {PHASE_TRANSIENT_MIB:.0f} MiB); "
+                    f"artifact written to {path}.",
+                ),
+            )
+        ),
+    )
+    assert record["generate_peak_mib"] <= GENERATE_PEAK_MIB, record
+    assert record["phase_transient_mib"] <= PHASE_TRANSIENT_MIB, record

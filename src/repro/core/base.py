@@ -201,7 +201,7 @@ class GroupingMechanism(abc.ABC):
         bearer sized for its slowest member (paper Sec. II-A)."""
         rows, bounds = columns.rows_by_transmission
         rates = np.minimum.reduceat(
-            fleet.downlink_bps[columns.device[rows]], bounds[:-1]
+            fleet.downlink_bps(columns.device[rows]), bounds[:-1]
         )
         unique, inverse = np.unique(rates, return_inverse=True)
         airtime = [

@@ -45,7 +45,7 @@ from repro.core.plan import (
 )
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import FULL_LADDER
-from repro.drx.paging import v_paging_frame_offset
+from repro.drx.paging import UE_ID_SPACE, v_paging_frame_offset
 from repro.drx.schedule import v_first_at_or_after, v_last_at_or_before
 from repro.grouping.policies import SingleGroupPolicy
 from repro.grouping.policy import GroupingPolicy
@@ -167,8 +167,7 @@ class DaScMechanism(GroupingMechanism):
         # its adaptation PO; the adapted window PO must come later.
         busy = context.adaptation_busy_table()[fleet.coverage_codes[device]]
         earliest = np.maximum(window_lo, adaptation + busy + 1)
-        ue_ids = fleet.ue_ids[device]
-        nb = (fleet.nb_numerators[device], fleet.nb_denominators[device])
+        ue_ids = fleet.imsis[device] % UE_ID_SPACE
         cycle = np.zeros(device.size, dtype=np.int64)
         window_po = np.zeros(device.size, dtype=np.int64)
         unresolved = np.ones(device.size, dtype=bool)
@@ -181,9 +180,7 @@ class DaScMechanism(GroupingMechanism):
                 continue
             grid = np.full(rows.size, int(candidate), dtype=np.int64)
             po = v_first_at_or_after(
-                v_paging_frame_offset(
-                    ue_ids[rows], grid, (nb[0][rows], nb[1][rows])
-                ),
+                v_paging_frame_offset(ue_ids[rows], grid, fleet.nb),
                 grid,
                 earliest[rows],
             )

@@ -38,7 +38,11 @@ import numpy as np
 
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import v_paging_frame_offset, v_paging_subframe
+from repro.drx.paging import (
+    UE_ID_SPACE,
+    v_paging_frame_offset,
+    v_paging_subframe,
+)
 from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
@@ -542,7 +546,7 @@ class MulticastPlan:
             # it had more members, hence <= rather than ==.
             rows, bounds = columns.rows_by_transmission
             slowest = np.minimum.reduceat(
-                fleet.downlink_bps[dev[rows]], bounds[:-1]
+                fleet.downlink_bps(dev[rows]), bounds[:-1]
             )
             check_rows(
                 table.rate_bps > slowest,
@@ -567,9 +571,7 @@ class MulticastPlan:
         # identity like any grid; every other row on its preferred one.
         cycle = np.where(adapted, columns.adapted_cycle, period)
         grid = phase if not adapted.any() else v_paging_frame_offset(
-            fleet.ue_ids[dev],
-            cycle,
-            (fleet.nb_numerators[dev], fleet.nb_denominators[dev]),
+            fleet.imsis[dev] % UE_ID_SPACE, cycle, fleet.nb
         )
         in_window = (start <= page) & (page <= frame)
         windowed = adapted | (method == METHOD_CODE[WakeMethod.PAGED_IN_WINDOW])
@@ -631,9 +633,7 @@ def plan_pages(fleet: Fleet, plan: MulticastPlan) -> PageTable:
     frame[adaptation] = columns.adaptation_page_frame[row[adaptation]]
     device = columns.device[row]
     subframe = v_paging_subframe(
-        fleet.ue_ids[device],
-        fleet.periods[device],
-        (fleet.nb_numerators[device], fleet.nb_denominators[device]),
+        fleet.imsis[device] % UE_ID_SPACE, fleet.periods[device], fleet.nb
     )
     notified = columns.method[row] == _EXTENDED
     return PageTable(row, device, frame, subframe, notified)

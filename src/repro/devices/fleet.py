@@ -1,36 +1,37 @@
 """The fleet: one frozen struct-of-arrays, one row per device.
 
-Grouping mechanisms address devices by fleet index (0..n-1). Every
-column of a :class:`Fleet` is a contiguous, read-only NumPy array in a
-**fixed schema**, so a 10^6-device fleet is ~90 MB of flat arrays
-instead of a tuple of a million Python objects — and the whole table
-can be mapped into :mod:`multiprocessing.shared_memory` byte-for-byte
-(see :mod:`repro.devices.sharedmem`).
+Grouping mechanisms address devices by fleet index (0..n-1). A
+:class:`Fleet` stores what was drawn: five contiguous, read-only int64
+columns in a **fixed schema** (40 bytes per device, ~38 MiB at 10^6)
+and the cell's ``nB``, one scalar per fleet (TS 36.304 broadcasts it in
+system information). The whole table maps into
+:mod:`multiprocessing.shared_memory` byte-for-byte (see
+:mod:`repro.devices.sharedmem`). What the table can work out is not
+stored: readers compute UE_IDs as ``imsis[rows] % 4096`` for their own
+rows, and :meth:`Fleet.downlink_bps` looks bearer rates up by coverage
+class. ``phases`` is stored because the cover reads it on every run.
 
 The planners and executors read the columns directly. Indexing a fleet
 builds :class:`~repro.devices.device.NbIotDevice` *views* of its rows
-on access and never caches them. A row stores exactly what a device
-holds — its DRX configuration is the negotiated one (DA-SC's temporary
-cycle lives in plans, not fleets) — so a view equals the device the row
-was captured from.
+on access and never caches them; a view's DRX configuration is the
+negotiated one (DA-SC's temporary cycle lives in plans, not fleets) and
+its battery is ``None``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.devices.battery import Battery
 from repro.devices.device import NbIotDevice
 from repro.devices.identity import MAX_IMSI, DeviceIdentity
 from repro.devices.profiles import DeviceCategory
 from repro.drx.config import DrxConfig
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import NB, v_paging_frame_offset
+from repro.drx.paging import NB, UE_ID_SPACE, v_paging_frame_offset
 from repro.errors import FleetError
 from repro.phy.coverage import PROFILES, CoverageClass
 from repro.table import ColumnTable
@@ -50,29 +51,21 @@ CATEGORY_CODE: Dict[DeviceCategory, int] = {
     category: i for i, category in enumerate(CATEGORY_ORDER)
 }
 
-_NB_BY_FRACTION: Dict[Fraction, NB] = {member.fraction: member for member in NB}
-
 #: Sustained downlink rate per coverage code (``COVERAGE_ORDER`` order).
 _RATE_BY_CODE = np.array(
     [PROFILES[coverage].downlink_bps for coverage in COVERAGE_ORDER],
     dtype=np.float64,
 )
 
-#: The fixed column schema: (field name, dtype). Every column is 8 bytes
-#: per device, which is what makes the shared-memory layout a pure
-#: function of the device count.
+#: The fixed column schema: (field name, dtype), the stored columns only.
+#: Every column is 8 bytes per device, which is what makes the
+#: shared-memory layout a pure function of the device count.
 COLUMN_SCHEMA: Tuple[Tuple[str, np.dtype], ...] = (
     ("imsis", np.dtype(np.int64)),
     ("periods", np.dtype(np.int64)),
     ("phases", np.dtype(np.int64)),
-    ("ue_ids", np.dtype(np.int64)),
     ("coverage_codes", np.dtype(np.int64)),
     ("category_codes", np.dtype(np.int64)),
-    ("nb_numerators", np.dtype(np.int64)),
-    ("nb_denominators", np.dtype(np.int64)),
-    ("downlink_bps", np.dtype(np.float64)),
-    ("battery_capacity_mah", np.dtype(np.float64)),
-    ("battery_voltage_v", np.dtype(np.float64)),
 )
 
 #: Bytes per device across all columns (8 bytes per column).
@@ -112,27 +105,25 @@ def _frozen(column: np.ndarray, dtype: np.dtype) -> np.ndarray:
 class Fleet(ColumnTable, SequenceABC):
     """An ordered, immutable fleet as a frozen struct-of-arrays.
 
-    One row per device; battery columns hold NaN for devices without a
-    battery. As a sequence, the rows read as
+    One row per device, plus the cell's ``nb`` for the whole fleet. As
+    a sequence, the rows read as
     :class:`~repro.devices.device.NbIotDevice` views built on access.
     Use :meth:`from_devices` / :meth:`from_columns` to construct; the
     raw constructor expects every column of the schema, equal-length
-    and non-empty, and trusts the caller that the IMSIs are unique.
+    and non-empty, and ``nb``, and trusts the caller that the IMSIs are
+    unique and the phases derived.
     """
 
     imsis: np.ndarray
     periods: np.ndarray
     phases: np.ndarray
-    ue_ids: np.ndarray
     coverage_codes: np.ndarray
     category_codes: np.ndarray
-    nb_numerators: np.ndarray
-    nb_denominators: np.ndarray
-    downlink_bps: np.ndarray
-    battery_capacity_mah: np.ndarray
-    battery_voltage_v: np.ndarray
+    nb: NB
 
     def __post_init__(self) -> None:
+        if not isinstance(self.nb, NB):
+            raise FleetError(f"a fleet's nb must be an NB, got {self.nb!r}")
         n = None
         for name, dtype in COLUMN_SCHEMA:
             column = _frozen(getattr(self, name), dtype)
@@ -154,39 +145,41 @@ class Fleet(ColumnTable, SequenceABC):
     def from_devices(cls, devices: Sequence[NbIotDevice]) -> "Fleet":
         """Capture the columns of a sequence of device objects.
 
-        Raises :class:`FleetError` when two devices share an IMSI.
+        The devices come from outside the program (the live service's
+        joins), so the capture checks what the table cannot store.
+        Raises :class:`FleetError` when two devices share an IMSI, when
+        the devices carry more than one ``nB`` (a cell parameter, one
+        per fleet) or when a device's UE_ID is not its IMSI mod 4096
+        (the table derives it). Batteries are not captured: the row
+        views have ``battery=None``.
         """
         devices = tuple(devices)
         if not devices:
             raise FleetError("a fleet must contain at least one device")
-        nb_fractions = [d.drx.nb.fraction for d in devices]
-        batteries = [d.battery for d in devices]
+        nbs = {d.drx.nb for d in devices}
+        if len(nbs) > 1:
+            raise FleetError(
+                "a fleet's devices share one nB, got "
+                + ", ".join(sorted(nb.name for nb in nbs))
+            )
+        imsis = np.array([d.identity.imsi for d in devices], np.int64)
+        ue_ids = np.array([d.drx.ue_id for d in devices], np.int64)
+        bad = np.flatnonzero(ue_ids != imsis % UE_ID_SPACE)
+        if bad.size:
+            raise FleetError(
+                f"device {bad[0]}: UE_ID is not its IMSI mod {UE_ID_SPACE}"
+            )
         fleet = cls(
-            imsis=np.array([d.identity.imsi for d in devices], np.int64),
+            imsis=imsis,
             periods=np.array([int(d.cycle) for d in devices], np.int64),
             phases=np.array([d.pattern.phase for d in devices], np.int64),
-            ue_ids=np.array([d.drx.ue_id for d in devices], np.int64),
             coverage_codes=np.array(
                 [COVERAGE_CODE[d.coverage] for d in devices], np.int64
             ),
             category_codes=np.array(
                 [CATEGORY_CODE[d.category] for d in devices], np.int64
             ),
-            nb_numerators=np.array([f.numerator for f in nb_fractions], np.int64),
-            nb_denominators=np.array(
-                [f.denominator for f in nb_fractions], np.int64
-            ),
-            downlink_bps=np.array(
-                [PROFILES[d.coverage].downlink_bps for d in devices], np.float64
-            ),
-            battery_capacity_mah=np.array(
-                [np.nan if b is None else b.capacity_mah for b in batteries],
-                np.float64,
-            ),
-            battery_voltage_v=np.array(
-                [np.nan if b is None else b.voltage_v for b in batteries],
-                np.float64,
-            ),
+            nb=nbs.pop(),
         )
         fleet._check_unique_imsis()
         return fleet
@@ -200,25 +193,21 @@ class Fleet(ColumnTable, SequenceABC):
         coverage_codes: np.ndarray,
         category_codes: np.ndarray,
         nb: NB = NB.ONE_T,
-        battery: Optional[Battery] = None,
         out: Optional[Mapping[str, np.ndarray]] = None,
     ) -> "Fleet":
-        """Build a fleet from its independent columns.
+        """Build a fleet from its drawn columns and the cell's ``nb``.
 
-        The derived columns (paging identity, PO phase, ``nB``, downlink
-        rate, battery) are computed vectorised — bit-identical to what
+        The PO phase is computed vectorised — bit-identical to what
         per-device construction would produce — so no device object ever
-        exists. ``nb`` and ``battery`` are fleet-wide (the generator's
-        model). The IMSIs must be unique; the caller guarantees it (the
+        exists. The IMSIs must be unique; the caller guarantees it (the
         generator samples them without replacement), so no scan runs.
 
         ``out`` supplies writable destination buffers for every schema
         column (e.g. the column views of a staged
         :class:`~repro.devices.sharedmem.SharedFleet` segment): the
-        independent draws are copied in once and the derived columns
-        are computed *directly into* the buffers, so the returned fleet
-        is backed by ``out``'s memory and publishing it needs no second
-        88 MB column-by-column copy.
+        draws are copied in once and the phases are computed *directly
+        into* their buffer, so the returned fleet is backed by ``out``'s
+        memory and publishing it needs no second column-by-column copy.
         """
         drawn = {
             name: np.ascontiguousarray(column, np.int64)
@@ -263,37 +252,38 @@ class Fleet(ColumnTable, SequenceABC):
                         f"({n},) array of {dtype}"
                     )
             # Drawn columns pay one copy each (the generator owns their
-            # memory); every derived column lands in its buffer directly.
+            # memory); the phases land in their buffer directly.
             for name, column in drawn.items():
                 np.copyto(out[name], column)
-        np.remainder(out["imsis"], 4096, out=out["ue_ids"])
-        out["phases"][...] = v_paging_frame_offset(out["ue_ids"], out["periods"], nb)
-        out["nb_numerators"][...] = nb.fraction.numerator
-        out["nb_denominators"][...] = nb.fraction.denominator
-        np.take(_RATE_BY_CODE, out["coverage_codes"], out=out["downlink_bps"])
-        out["battery_capacity_mah"][...] = (
-            np.nan if battery is None else battery.capacity_mah
-        )
-        out["battery_voltage_v"][...] = (
-            np.nan if battery is None else battery.voltage_v
-        )
-        return cls(**{name: out[name] for name, _ in COLUMN_SCHEMA})
+        # The UE_IDs are worked out in the phase buffer and overwritten
+        # there by the phases, so they never take memory of their own.
+        phases = np.remainder(out["imsis"], UE_ID_SPACE, out=out["phases"])
+        v_paging_frame_offset(phases, out["periods"], nb, out=phases)
+        return cls(**{name: out[name] for name, _ in COLUMN_SCHEMA}, nb=nb)
 
     @classmethod
     def concatenate(cls, parts: Sequence["Fleet"]) -> "Fleet":
         """Row-wise concatenation of several fleets.
 
-        Raises :class:`FleetError` when two rows share an IMSI.
+        Raises :class:`FleetError` when two rows share an IMSI or the
+        parts disagree on ``nB``.
         """
         if not parts:
             raise FleetError("a fleet must contain at least one device")
         if len(parts) == 1:
             return parts[0]
+        nbs = {part.nb for part in parts}
+        if len(nbs) > 1:
+            raise FleetError(
+                "cannot concatenate fleets of different nB: "
+                + ", ".join(sorted(nb.name for nb in nbs))
+            )
         fleet = cls(
             **{
                 name: np.concatenate([getattr(p, name) for p in parts])
                 for name, _ in COLUMN_SCHEMA
-            }
+            },
+            nb=nbs.pop(),
         )
         fleet._check_unique_imsis()
         return fleet
@@ -331,18 +321,14 @@ class Fleet(ColumnTable, SequenceABC):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         row = range(len(self))[index]
-        capacity = float(self.battery_capacity_mah[row])
-        nb = _NB_BY_FRACTION[
-            Fraction(int(self.nb_numerators[row]), int(self.nb_denominators[row]))
-        ]
+        identity = DeviceIdentity(int(self.imsis[row]))
         return NbIotDevice(
-            identity=DeviceIdentity(int(self.imsis[row])),
-            drx=DrxConfig(int(self.ue_ids[row]), DrxCycle(int(self.periods[row])), nb),
+            identity=identity,
+            drx=DrxConfig(
+                identity.ue_id, DrxCycle(int(self.periods[row])), self.nb
+            ),
             coverage=COVERAGE_ORDER[int(self.coverage_codes[row])],
             category=CATEGORY_ORDER[int(self.category_codes[row])],
-            battery=None
-            if np.isnan(capacity)
-            else Battery(capacity, float(self.battery_voltage_v[row])),
         )
 
     def __iter__(self) -> Iterator[NbIotDevice]:
@@ -369,6 +355,11 @@ class Fleet(ColumnTable, SequenceABC):
             for code, coverage in enumerate(COVERAGE_ORDER)
         }
 
+    def downlink_bps(self, rows: np.ndarray) -> np.ndarray:
+        """The sustained downlink rate of the devices at ``rows``, set by
+        their coverage class (float64, one value per row)."""
+        return _RATE_BY_CODE[self.coverage_codes[rows]]
+
     def group_rate_bps(self, indices: Sequence[int]) -> float:
         """Multicast bearer rate for the device group ``indices``.
 
@@ -378,7 +369,7 @@ class Fleet(ColumnTable, SequenceABC):
         if len(indices) == 0:
             raise FleetError("cannot size a bearer for an empty group")
         idx = self._validated_indices(indices)
-        return float(self.downlink_bps[idx].min())
+        return float(self.downlink_bps(idx).min())
 
     def subset(self, indices: Sequence[int]) -> "Fleet":
         """A new fleet of the rows at ``indices``, in that order.
@@ -394,7 +385,9 @@ class Fleet(ColumnTable, SequenceABC):
             raise FleetError("a fleet must contain at least one device")
         if _repeats(idx):
             raise FleetError("fleet contains duplicate IMSIs")
-        return Fleet(**{name: column[idx] for name, column in self.columns()})
+        return Fleet(
+            **{name: column[idx] for name, column in self.columns()}, nb=self.nb
+        )
 
     def _validated_indices(self, indices: Sequence[int]) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
@@ -412,6 +405,6 @@ class Fleet(ColumnTable, SequenceABC):
 #: All schema field names (kept in sync with the dataclass by tests).
 COLUMN_NAMES: Tuple[str, ...] = tuple(name for name, _ in COLUMN_SCHEMA)
 
-assert COLUMN_NAMES == tuple(
+assert COLUMN_NAMES + ("nb",) == tuple(
     f.name for f in fields(Fleet)
 ), "COLUMN_SCHEMA and Fleet fields diverged"

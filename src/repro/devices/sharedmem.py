@@ -2,11 +2,13 @@
 
 A :class:`SharedFleet` publishes a :class:`~repro.devices.fleet.Fleet`
 (plus optional same-length int64 *extra* columns, e.g. the device→cell
-attachment map) into one ``multiprocessing.shared_memory`` segment.
-Workers receive a :class:`SharedFleetDescriptor` — a ~100-byte
-picklable handle — and attach to the same physical pages instead of
-unpickling a fleet copy, so every worker of a 10^6-device run maps the
-*same* ~100 MB once.
+attachment map) into one ``multiprocessing.shared_memory`` segment. The
+segment holds the fleet's stored columns only; the fleet's scalar
+``nb`` rides in the descriptor. Workers receive a
+:class:`SharedFleetDescriptor` — a ~100-byte picklable handle — and
+attach to the same physical pages instead of unpickling a fleet copy,
+so every worker of a 10^6-device run maps the *same* ~48 MB once (40
+bytes per device, 8 more per extra column).
 
 Ownership / lifecycle contract (see docs/architecture.md "Memory
 model"):
@@ -34,7 +36,7 @@ model"):
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
 from secrets import token_hex
 from typing import Dict, Mapping, Optional, Tuple
@@ -42,6 +44,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.devices.fleet import COLUMN_SCHEMA, Fleet
+from repro.drx.paging import NB
 from repro.errors import SimulationError
 
 #: Shared fleet segments are named ``repro_fleet_<hex>`` so the CI shm
@@ -55,11 +58,24 @@ class SharedFleetDescriptor:
 
     Pickles to ~100 bytes regardless of fleet size — this is what rides
     in every fused work item's payload instead of the fleet itself.
+    ``nb_name`` names the fleet's scalar ``nB`` (the member name keeps
+    the pickle small); a staging segment has none until
+    :meth:`SharedFleet.seal` records the built fleet's.
     """
 
     name: str
     n_devices: int
     extras: Tuple[str, ...] = ()
+    nb_name: Optional[str] = None
+
+    @property
+    def nb(self) -> NB:
+        """The fleet's ``nB``."""
+        if self.nb_name is None:
+            raise SimulationError(
+                f"shared fleet {self.name!r} is still staging: it has no nB"
+            )
+        return NB[self.nb_name]
 
     @property
     def nbytes(self) -> int:
@@ -115,7 +131,7 @@ class SharedFleet:
             )
         else:
             self._columns, self._extras = _column_views(shm.buf, descriptor)
-            self._fleet = Fleet(**self._columns)
+            self._fleet = Fleet(**self._columns, nb=descriptor.nb)
         # Close-only finalizer: dropping the last reference unmaps the
         # pages in this process but never touches the segment name —
         # only an explicit unlink() (or the creator's resource-tracker
@@ -168,9 +184,9 @@ class SharedFleet:
         ``fleet`` must be backed by the segment's own column buffers
         (what :meth:`~repro.devices.fleet.Fleet.from_columns` returns
         when handed :meth:`column_buffers` as ``out``) — seal is a
-        header write: it freezes the extra columns, records the fleet,
-        and flips the segment from staging to published. No column data
-        moves.
+        header write: it freezes the extra columns, records the fleet
+        and its ``nb`` in the descriptor, and flips the segment from
+        staging to published. No column data moves.
         """
         self._require_staged("seal")
         if len(fleet) != self._descriptor.n_devices:
@@ -189,6 +205,7 @@ class SharedFleet:
             )
         for view in self._extras.values():
             view.flags.writeable = False
+        self._descriptor = replace(self._descriptor, nb_name=fleet.nb.name)
         self._fleet = fleet
         self._staged = False
         return self
@@ -227,7 +244,7 @@ class SharedFleet:
             np.copyto(buffers[name], column)
         for name, column in extras.items():
             np.copyto(staged.extra_buffer(name), column)
-        return staged.seal(Fleet(**buffers))
+        return staged.seal(Fleet(**buffers, nb=fleet.nb))
 
     @classmethod
     def attach(

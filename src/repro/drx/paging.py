@@ -209,35 +209,30 @@ def pattern_for(
 # ----------------------------------------------------------------------
 # Vectorised fleet-wide derivations (columnar fleet construction)
 # ----------------------------------------------------------------------
-def v_default_hashed_id(ue_ids: "np.ndarray") -> "np.ndarray":
-    """Vectorised :func:`default_hashed_id` (bit-identical per element)."""
+def v_default_hashed_id(
+    ue_ids: "np.ndarray", out: "Optional[np.ndarray]" = None
+) -> "np.ndarray":
+    """Vectorised :func:`default_hashed_id` (bit-identical per element),
+    mixed in place in ``out`` (a fresh array when not given)."""
     import numpy as np
 
-    ue = np.asarray(ue_ids, dtype=np.int64)
-    if ue.size and (ue.min() < 0 or ue.max() >= UE_ID_SPACE):
-        raise PagingError(f"UE_ID must be in [0, {UE_ID_SPACE})")
-    mixed = (ue * 2654435761) & 0xFFFFFFFF
-    return (mixed >> 22) & (HASHED_ID_SPACE - 1)
+    mixed = np.multiply(_v_ue_ids(ue_ids), 2654435761, out=out)
+    mixed &= 0xFFFFFFFF
+    mixed >>= 22
+    mixed &= HASHED_ID_SPACE - 1
+    return mixed
 
 
-def _v_nb_per_cycle(pf_cycle: "np.ndarray", nb) -> "np.ndarray":
-    """Integer ``nB`` for each intra-hyperframe cycle.
-
-    ``nb`` is one fleet-wide :class:`NB` or a ``(numerators,
-    denominators)`` pair of per-device columns (nB = num/den · T).
-    """
+def _v_nb_per_cycle(pf_cycle: "np.ndarray", nb: NB) -> "np.ndarray":
+    """Integer ``nB`` for each intra-hyperframe cycle (a fresh array)."""
     import numpy as np
 
-    if isinstance(nb, NB):
-        num, den = nb.fraction.numerator, nb.fraction.denominator
-        what = f"nB={nb.name}"
-    else:
-        num, den = (np.asarray(column, dtype=np.int64) for column in nb)
-        what = "nB"
-    nb_scaled = pf_cycle * num
-    if nb_scaled.size and np.any(nb_scaled % den):
-        raise PagingError(f"{what} of some cycle in the fleet is not an integer")
-    return nb_scaled // den
+    num, den = nb.fraction.numerator, nb.fraction.denominator
+    nb_int = pf_cycle * num
+    if den > 1 and nb_int.size and np.any(nb_int % den):
+        raise PagingError(f"nB={nb.name} of some cycle in the fleet is not an integer")
+    nb_int //= den
+    return nb_int
 
 
 def _v_ue_ids(ue_ids: "np.ndarray") -> "np.ndarray":
@@ -250,40 +245,48 @@ def _v_ue_ids(ue_ids: "np.ndarray") -> "np.ndarray":
 
 
 def v_paging_frame_offset(
-    ue_ids: "np.ndarray", cycles: "np.ndarray", nb=NB.ONE_T
+    ue_ids: "np.ndarray", cycles: "np.ndarray", nb: NB = NB.ONE_T, out=None
 ) -> "np.ndarray":
     """Vectorised :func:`paging_frame_offset` over parallel columns.
 
     ``cycles`` holds per-device cycle lengths in frames (ladder values);
-    ``nb`` is one fleet-wide :class:`NB` or a per-device ``(numerators,
-    denominators)`` pair, as stored in a fleet's ``nb_*`` columns.
-    Integer-exact mirror of the scalar derivation — including the
-    two-level eDRX rule — so a fleet's phase column can be built without
-    instantiating a single device object.
+    ``nb`` is the cell's :class:`NB`. Integer-exact mirror of the scalar
+    derivation — including the two-level eDRX rule — so a fleet's phase
+    column can be built without instantiating a single device object.
+
+    The offsets are written into ``out`` when given: an int64 array of
+    the same shape, which may be ``ue_ids`` itself (the UE_IDs are read
+    for the last time as ``out`` is first written). The call holds at
+    most three full-width arrays at once, ``out`` included.
     """
     import numpy as np
 
     ue = _v_ue_ids(ue_ids)
     t = np.asarray(cycles, dtype=np.int64)
     if ue.shape != t.shape:
-        raise PagingError(
-            f"ue_ids and cycles disagree: {ue.shape} vs {t.shape}"
-        )
+        raise PagingError(f"ue_ids and cycles disagree: {ue.shape} vs {t.shape}")
     pf_cycle = np.minimum(t, FRAMES_PER_HYPERFRAME)
-    n = np.minimum(pf_cycle, _v_nb_per_cycle(pf_cycle, nb))
+    n = _v_nb_per_cycle(pf_cycle, nb)
+    np.minimum(n, pf_cycle, out=n)
     if n.size and n.min() < 1:
         raise PagingError("nB yields N < 1 for some cycle")
-    pf_offset = (pf_cycle // n) * (ue % n)
-    is_edrx = t > FRAMES_PER_HYPERFRAME
-    cycle_hyperframes = np.maximum(1, t // FRAMES_PER_HYPERFRAME)
-    ph_index = v_default_hashed_id(ue) % cycle_hyperframes
-    return np.where(
-        is_edrx, ph_index * FRAMES_PER_HYPERFRAME + pf_offset, pf_offset
-    )
+    # The PF offset (T' div N) * (UE_ID mod N), built in ``n``.
+    pf_cycle //= n
+    np.remainder(ue, n, out=n)
+    n *= pf_cycle
+    # The paging hyperframe, Hashed_ID mod T_eDRX,H: a regular cycle's
+    # T div 1024 is at most 1, so its term is 0.
+    hyperframes = np.floor_divide(t, FRAMES_PER_HYPERFRAME, out=pf_cycle)
+    np.maximum(hyperframes, 1, out=hyperframes)
+    offset = v_default_hashed_id(ue, out=out)
+    offset %= hyperframes
+    offset *= FRAMES_PER_HYPERFRAME
+    offset += n
+    return offset
 
 
 def v_paging_subframe(
-    ue_ids: "np.ndarray", cycles: "np.ndarray", nb=NB.ONE_T
+    ue_ids: "np.ndarray", cycles: "np.ndarray", nb: NB = NB.ONE_T
 ) -> "np.ndarray":
     """Vectorised :func:`paging_subframe` (``nb`` as in
     :func:`v_paging_frame_offset`)."""

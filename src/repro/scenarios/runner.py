@@ -51,7 +51,7 @@ from repro.devices.sharedmem import (
     SharedFleetDescriptor,
     unlink_descriptor,
 )
-from repro.drx.paging import v_paging_frame_offset
+from repro.drx.paging import UE_ID_SPACE, v_paging_frame_offset
 from repro.drx.schedule import v_count_in
 from repro.errors import ConfigurationError
 from repro.experiments.reporting import Table
@@ -253,9 +253,7 @@ def _adaptation(fleet: Fleet, plan: MulticastPlan) -> Dict[str, Any]:
     device = columns.device[adapted]
     cycle = columns.adapted_cycle[adapted]
     phase = v_paging_frame_offset(
-        fleet.ue_ids[device],
-        cycle,
-        (fleet.nb_numerators[device], fleet.nb_denominators[device]),
+        fleet.imsis[device] % UE_ID_SPACE, cycle, fleet.nb
     )
     extra_pos = v_count_in(
         phase,
@@ -583,7 +581,6 @@ def _fused_run_task(
                 spec.mixture_obj(),
                 rng,
                 coverage_mix=spec.coverage,
-                battery=spec.battery(),
                 out=None if staged is None else staged.column_buffers(),
             )
         deep_devices = _deep_devices(fleet.coverage_histogram())

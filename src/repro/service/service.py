@@ -194,7 +194,8 @@ class CampaignService:
 
         The device is appended to the campaign's working fleet and paged
         into the nearest feasible window (or a fresh one). Returns its
-        working-fleet index.
+        working-fleet index. A device on another nB than the fleet's
+        raises :class:`~repro.errors.FleetError`.
         """
         campaign = self._campaign(handle)
         index = len(campaign.pending.fleet)

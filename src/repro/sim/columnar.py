@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.plan import METHOD_CODE, MulticastPlan, WakeMethod, check_rows
 from repro.devices.fleet import COVERAGE_ORDER, Fleet
-from repro.drx.paging import v_paging_frame_offset
+from repro.drx.paging import UE_ID_SPACE, v_paging_frame_offset
 from repro.drx.schedule import v_count_in
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.errors import SimulationError
@@ -204,9 +204,7 @@ def execute_columnar(
         adapt_after += 1
         da_count = v_count_in(
             v_paging_frame_offset(
-                fleet.ue_ids[dev_da],
-                adapt_cycle,
-                (fleet.nb_numerators[dev_da], fleet.nb_denominators[dev_da]),
+                fleet.imsis[dev_da] % UE_ID_SPACE, adapt_cycle, fleet.nb
             ),
             adapt_cycle,
             adapt_after,

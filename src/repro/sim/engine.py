@@ -27,14 +27,11 @@ _Entry = Tuple[float, int, int, Event, Callable[[Event], None]]
 class Simulator:
     """The event loop."""
 
-    def __init__(self, trace: bool = False) -> None:
-        """``trace=True`` records every executed event in ``self.trace``."""
+    def __init__(self) -> None:
         self._queue: List[_Entry] = []
         self._seq = 0
         self._now = 0.0
-        self._tracing = trace
         self._live: Set[int] = set()
-        self.trace: List[Event] = []
 
     @property
     def now(self) -> float:
@@ -104,8 +101,6 @@ class Simulator:
             heapq.heappop(self._queue)
             self._live.discard(seq)
             self._now = time_s
-            if self._tracing:
-                self.trace.append(event)
             callback(event)
             executed += 1
         return executed
@@ -124,8 +119,6 @@ class Simulator:
                 continue
             self._live.discard(seq)
             self._now = time_s
-            if self._tracing:
-                self.trace.append(event)
             callback(event)
             return 1
         return 0

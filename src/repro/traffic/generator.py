@@ -12,7 +12,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.devices.battery import Battery
 from repro.devices.fleet import CATEGORY_CODE, Fleet
 from repro.drx.paging import NB
 from repro.errors import ConfigurationError
@@ -138,7 +137,6 @@ def generate_fleet(
     *,
     coverage_mix: CoverageMix = UNIFORM_NORMAL_COVERAGE,
     nb: NB = NB.ONE_T,
-    battery: Optional[Battery] = None,
     out: Optional[Mapping[str, np.ndarray]] = None,
 ) -> Fleet:
     """Sample a fleet of ``n`` devices from ``mixture``.
@@ -175,6 +173,5 @@ def generate_fleet(
         coverage_codes=coverage_codes,
         category_codes=mixture_code[cat_idx],
         nb=nb,
-        battery=battery,
         out=out,
     )

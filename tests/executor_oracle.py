@@ -12,7 +12,7 @@ the queue stays small even over multi-hour horizons.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -55,15 +55,27 @@ class EventDrivenCampaign:
         self._plan = plan
         self._timings = timings
         self._profile = energy_profile
-        self._sim = Simulator(trace=trace)
+        self._sim = Simulator()
+        #: With ``trace=True``, every event the replay executed, in order.
+        self.trace: List[Event] = []
+        self._tracing = trace
         self._devices: Dict[int, _DeviceActor] = {}
         self._gates: Dict[int, _TransmissionGate] = {}
         self._recorder = recorder
 
-    @property
-    def simulator(self) -> Simulator:
-        """The underlying engine (exposes the trace when enabled)."""
-        return self._sim
+    def schedule(
+        self, event: Event, callback: Callable[[Event], None], priority: int = 0
+    ) -> int:
+        """Queue ``event`` on the engine, recording it in :attr:`trace`
+        when it runs if tracing is on."""
+        if self._tracing:
+            inner = callback
+
+            def callback(event: Event) -> None:
+                self.trace.append(event)
+                inner(event)
+
+        return self._sim.schedule(event, callback, priority)
 
     def run(
         self,
@@ -206,7 +218,7 @@ class _TransmissionGate:
         nominal_s = frames_to_seconds(transmission.frame)
         start_s = max(nominal_s, self._campaign.sim.now)
         self.start_s = start_s
-        self._campaign.sim.schedule(
+        self._campaign.schedule(
             Event(start_s, EventKind.TX_START, payload={"tx": self._index}),
             self._on_start,
             priority=_PRIORITY_TX,
@@ -226,7 +238,7 @@ class _TransmissionGate:
             )
         for member in self.members:
             member.transmission_started(self.start_s)
-        self._campaign.sim.schedule(
+        self._campaign.schedule(
             Event(self.start_s + rx_s, EventKind.TX_END, payload={"tx": self._index}),
             self._on_end,
             priority=_PRIORITY_TX,
@@ -279,7 +291,7 @@ class _DeviceActor:
 
     def _schedule_monitor(self, frame: int) -> None:
         self._monitor_scheduled = True
-        self._campaign.sim.schedule(
+        self._campaign.schedule(
             Event(
                 frames_to_seconds(frame),
                 EventKind.PO_MONITOR,
@@ -319,7 +331,7 @@ class _DeviceActor:
                 # Priority -1: if the wake time collides with one of the
                 # device's own POs, the timer wins and the PO is skipped
                 # (the device is connecting, not monitoring).
-                self._campaign.sim.schedule(
+                self._campaign.schedule(
                     Event(
                         frames_to_seconds(directive.connect_frame),
                         EventKind.T322_EXPIRY,
@@ -410,7 +422,7 @@ class _DeviceActor:
                 a=float(ra.attempts),
                 b=ra.duration_s,
             )
-        self._campaign.sim.schedule(
+        self._campaign.schedule(
             Event(
                 self.ready_s,
                 EventKind.CONNECTION_READY,

@@ -31,7 +31,6 @@ def _fleet_and_rng(spec):
         spec.mixture_obj(),
         rng,
         coverage_mix=spec.coverage,
-        battery=spec.battery(),
     )
     return fleet, rng
 

@@ -114,7 +114,7 @@ def test_replay_trace_is_coherent(moderate_fleet, context):
     plan = DaScMechanism().plan(moderate_fleet, context, rng)
     campaign = EventDrivenCampaign(moderate_fleet, plan, trace=True)
     campaign.run()
-    trace = campaign.simulator.trace
+    trace = campaign.trace
     assert trace, "trace should not be empty"
     times = [event.time_s for event in trace]
     assert times == sorted(times)

@@ -19,7 +19,8 @@ import pytest
 from repro.core import DrScMechanism
 from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
-from repro.errors import CapacityError, SimulationError
+from repro.drx.paging import NB
+from repro.errors import CapacityError, FleetError, SimulationError
 from repro.multicast import FirmwareImage, OnDemandMulticastService
 from repro.service import CampaignService
 from repro.sim.eventlog import compare_results
@@ -172,6 +173,28 @@ class TestAdmissionControl:
                     service.join(handle, _joiner())
 
         asyncio.run(run())
+
+    def test_join_on_another_nb_rejected(self):
+        # nB is one cell parameter: a joiner configured for another
+        # cell's nB cannot be paged on this one, so the join fails
+        # loudly and leaves the campaign as it was.
+        fleet_a, _ = _fleets()
+        stranger = NbIotDevice.build(
+            imsi=999_000_111, cycle=DrxCycle.from_seconds(20.48), nb=NB.HALF_T
+        )
+
+        async def run():
+            async with CampaignService(seed=7) as service:
+                handle = service.submit(
+                    fleet_a, IMAGE, mechanism=DrScMechanism()
+                )
+                with pytest.raises(FleetError, match="different nB"):
+                    service.join(handle, stranger)
+                return service.metrics(), await service.result(handle)
+
+        metrics, report = asyncio.run(run())
+        assert metrics.devices_joined == 0
+        assert len(report.plan.directives) == len(fleet_a)
 
     def test_unknown_campaign_rejected(self):
         async def run():

@@ -86,7 +86,6 @@ class TestExecutionPathEquivalence:
             spec.mixture_obj(),
             rng,
             coverage_mix=spec.coverage,
-            battery=spec.battery(),
         )
         plan = spec.mechanism_obj().plan(fleet, spec.planning_context(), rng)
         columnar = CampaignExecutor(timings=spec.timings()).execute(

@@ -45,7 +45,7 @@ CONTEXT = PlanningContext(payload_bytes=100_000)
 
 @st.composite
 def crowded_fleets(draw, max_devices=16):
-    """Fleets over the full ladder and every nB (fleet-wide or mixed).
+    """Fleets over the full ladder and every nB (one per fleet).
 
     The first device sits on an eDRX cycle, which keeps the search
     horizon longer than the inactivity timer. Each other device is
@@ -55,7 +55,7 @@ def crowded_fleets(draw, max_devices=16):
     """
     n = draw(st.integers(min_value=2, max_value=max_devices))
     base = draw(st.integers(min_value=0, max_value=1023))
-    fleet_nb = draw(st.one_of(st.none(), st.sampled_from(list(NB))))
+    nb = draw(st.sampled_from(list(NB)))
     short = [c for c in FULL_LADDER if int(c) <= 1024]
     devices = []
     for i in range(n):
@@ -66,7 +66,6 @@ def crowded_fleets(draw, max_devices=16):
             imsi = 4096 * (i + 1) * 10**6 + draw(st.integers(0, 4095))
             edrx = [c for c in FULL_LADDER if int(c) >= 4096]
             cycle = draw(st.sampled_from(edrx if i == 0 else list(FULL_LADDER)))
-        nb = fleet_nb if fleet_nb is not None else draw(st.sampled_from(list(NB)))
         devices.append(NbIotDevice.build(imsi=imsi, cycle=cycle, nb=nb))
     return Fleet.from_devices(devices)
 

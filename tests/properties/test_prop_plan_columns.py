@@ -45,7 +45,7 @@ from repro.phy.coverage import CoverageClass
 
 @st.composite
 def fleets(draw, max_devices=14):
-    """Fleets over the full ladder, every nB (fleet-wide or mixed) and
+    """Fleets over the full ladder, every nB (one per fleet) and
     every coverage class."""
     n = draw(st.integers(min_value=1, max_value=max_devices))
     imsis = draw(
@@ -56,7 +56,7 @@ def fleets(draw, max_devices=14):
             unique=True,
         )
     )
-    fleet_nb = draw(st.one_of(st.none(), st.sampled_from(list(NB))))
+    fleet_nb = draw(st.sampled_from(list(NB)))
     # The first device's cycle keeps the search horizon (2 * maxDRX)
     # longer than any TI below; the others range over the full ladder.
     cycles = [draw(st.sampled_from([c for c in FULL_LADDER if c >= 4096]))]
@@ -66,7 +66,7 @@ def fleets(draw, max_devices=14):
             imsi=imsi,
             cycle=cycle,
             coverage=draw(st.sampled_from(list(CoverageClass))),
-            nb=fleet_nb if fleet_nb is not None else draw(st.sampled_from(list(NB))),
+            nb=fleet_nb,
         )
         for imsi, cycle in zip(imsis, cycles)
     ]
@@ -74,14 +74,15 @@ def fleets(draw, max_devices=14):
 
 
 @st.composite
-def joiner_devices(draw, imsi):
+def joiner_devices(draw, imsi, nb):
     """One device joining a live campaign (``imsi`` keeps it unique in
-    the working fleet): any ladder cycle, coverage class and nB."""
+    the working fleet): any ladder cycle and coverage class, on the
+    cell's ``nb``."""
     return NbIotDevice.build(
         imsi=imsi,
         cycle=draw(st.sampled_from(list(FULL_LADDER))),
         coverage=draw(st.sampled_from(list(CoverageClass))),
-        nb=draw(st.sampled_from(list(NB))),
+        nb=nb,
     )
 
 
@@ -329,7 +330,9 @@ class TestMembershipThroughRevisions:
                 else st.just([])
             )
             joiners = [
-                data.draw(joiner_devices(imsi=10**12 + len(working) + j))
+                data.draw(
+                    joiner_devices(imsi=10**12 + len(working) + j, nb=working.nb)
+                )
                 for j in range(data.draw(st.integers(min_value=0, max_value=2)))
             ]
             if joiners:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.plan import PLAN_COLUMNS, PlanArrays
 from repro.devices import Fleet
 from repro.devices.fleet import COLUMN_NAMES
+from repro.drx.paging import NB
 from repro.energy.ledger import STATE_ORDER
 from repro.energy.profiles import EnergyProfile
 from repro.errors import FleetError, PlanError, SimulationError
@@ -52,9 +53,9 @@ def _result(n=3):
     )
 
 
-def _with(fleet, **columns):
-    """A fleet equal to ``fleet`` except for the given columns."""
-    return Fleet(**{**dict(fleet.columns()), **columns})
+def _with(table, **fields):
+    """A table equal to ``table`` except for the given fields."""
+    return replace(table, **fields)
 
 
 class _Forged:
@@ -71,7 +72,7 @@ class TestEquality:
     def test_tables_with_equal_columns_are_equal(self):
         fleet = _fleet()
         copies = {name: column.copy() for name, column in fleet.columns()}
-        assert Fleet(**copies) == fleet
+        assert Fleet(**copies, nb=fleet.nb) == fleet
         assert _plan() == _plan()
 
     def test_one_changed_value_breaks_equality(self):
@@ -82,11 +83,9 @@ class TestEquality:
         assert _plan(page_frame=(1, 2, 4)) != _plan()
 
     def test_nan_equals_nan_in_float_columns(self):
-        fleet = _fleet()
-        assert np.isnan(fleet.battery_capacity_mah).all()
-        assert fleet == _with(fleet, battery_capacity_mah=np.full(len(fleet), np.nan))
-        charged = _with(fleet, battery_capacity_mah=np.full(len(fleet), 1200.0))
-        assert charged != fleet
+        unknown = _with(_result(), ready_s=np.full(3, np.nan))
+        assert unknown == _with(_result(), ready_s=np.full(3, np.nan))
+        assert unknown != _result()
 
     def test_scalar_fields_compare(self):
         result = _result()
@@ -99,6 +98,9 @@ class TestEquality:
         )
         assert replace(result, energy_profile=louder) != result
         assert hash(replace(result, horizon_frames=401)) == hash(result)
+        fleet = _fleet()
+        assert replace(fleet, nb=NB.HALF_T) != fleet
+        assert hash(replace(fleet, nb=NB.HALF_T)) == hash(fleet)
 
     def test_other_types_never_compare_equal(self):
         fleet = _fleet(3)
@@ -117,16 +119,16 @@ class TestHash:
         assert hash(_plan()) == hash(_plan())
 
     def test_signed_zero_and_nan_payloads_hash_as_they_compare(self):
-        fleet = _fleet(4)
-        other_nan = (np.full(4, np.nan).view(np.int64) | 1).view(np.float64)
+        unknown = _with(_result(), ready_s=np.full(3, np.nan))
+        other_nan = (np.full(3, np.nan).view(np.int64) | 1).view(np.float64)
         assert np.isnan(other_nan).all()
-        renamed = _with(fleet, battery_voltage_v=other_nan)
-        assert renamed == fleet
-        assert hash(renamed) == hash(fleet)
-        zeros, negative_zeros = np.zeros(4), -np.zeros(4)
-        assert _with(fleet, downlink_bps=zeros) == _with(fleet, downlink_bps=negative_zeros)
-        assert hash(_with(fleet, downlink_bps=zeros)) == hash(
-            _with(fleet, downlink_bps=negative_zeros)
+        renamed = _with(_result(), ready_s=other_nan)
+        assert renamed == unknown
+        assert hash(renamed) == hash(unknown)
+        zeros, negative_zeros = np.zeros(3), -np.zeros(3)
+        assert _with(_result(), wait_s=zeros) == _with(_result(), wait_s=negative_zeros)
+        assert hash(_with(_result(), wait_s=zeros)) == hash(
+            _with(_result(), wait_s=negative_zeros)
         )
 
 
@@ -135,13 +137,14 @@ class TestPickle:
         fleet = _fleet(5)
         cls, args = fleet.__reduce__()
         assert cls is Fleet
-        assert len(args) == len(COLUMN_NAMES)
+        assert len(args) == len(COLUMN_NAMES) + 1  # the columns, then nb
         assert cls(*args) == fleet
 
     def test_forged_fleet_pickle_is_rejected(self):
-        columns = [column for _, column in _fleet(5).columns()]
+        fleet = _fleet(5)
+        columns = [column for _, column in fleet.columns()]
         columns[1] = columns[1][:3]
-        payload = pickle.dumps(_Forged(Fleet, tuple(columns)))
+        payload = pickle.dumps(_Forged(Fleet, (*columns, fleet.nb)))
         with pytest.raises(FleetError, match="rows"):
             pickle.loads(payload)
 

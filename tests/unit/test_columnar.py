@@ -397,11 +397,8 @@ class TestFleetColumnarViews:
         from repro.devices.fleet import COVERAGE_ORDER
 
         codes = moderate_fleet.coverage_codes
-        ue_ids = moderate_fleet.ue_ids
-        numerators = moderate_fleet.nb_numerators
-        denominators = moderate_fleet.nb_denominators
+        ue_ids = moderate_fleet.imsis % 4096
         for i, device in enumerate(moderate_fleet):
             assert COVERAGE_ORDER[codes[i]] is device.coverage
             assert ue_ids[i] == device.drx.ue_id
-            assert numerators[i] == device.drx.nb.fraction.numerator
-            assert denominators[i] == device.drx.nb.fraction.denominator
+            assert device.drx.nb is moderate_fleet.nb

@@ -112,15 +112,13 @@ class TestScheduler:
 
 
 def _ladder_fleet(nb):
-    # Every ladder cycle (eDRX included), one nB per fleet or (None) a
-    # different nB per device.
-    nbs = [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T]
+    # Every ladder cycle (eDRX included), on one nB per fleet.
     return Fleet.from_devices(
         [
             NbIotDevice.build(
                 imsi=1000 + 37 * i,
                 cycle=FULL_LADDER[i % len(FULL_LADDER)],
-                nb=nb if nb is not None else nbs[i % len(nbs)],
+                nb=nb,
             )
             for i in range(40)
         ]
@@ -131,7 +129,7 @@ class TestPageTable:
     """``plan_pages`` and the paging fold against a per-directive scan."""
 
     @pytest.mark.parametrize(
-        "nb", [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T, None]
+        "nb", [NB.QUARTER_T, NB.HALF_T, NB.ONE_T, NB.TWO_T, NB.FOUR_T]
     )
     @pytest.mark.parametrize("mechanism", [DaScMechanism(), DrSiMechanism()])
     def test_rows_match_per_device_patterns(self, nb, mechanism):

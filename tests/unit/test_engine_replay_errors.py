@@ -59,17 +59,6 @@ class TestSimulatorScheduling:
         sim.run()
         assert order == ["a", "b", "c"]
 
-    def test_trace_records_executed_events_only(self):
-        sim = Simulator(trace=True)
-        sim.schedule(_page(1.0), lambda e: None)
-        sim.schedule(_page(9.0), lambda e: None)
-        sim.run(until_s=1.0)
-        assert [e.time_s for e in sim.trace] == [1.0]
-        untraced = Simulator(trace=False)
-        untraced.schedule(_page(1.0), lambda e: None)
-        untraced.run()
-        assert untraced.trace == []
-
     def test_callbacks_may_reschedule(self):
         hops = []
 
@@ -129,11 +118,11 @@ class TestReplayErrorPaths:
         assert log.meta["emitter"] == "replay"
         assert log.n_events > 0
 
-    def test_trace_exposed_via_simulator(self, planned):
+    def test_trace_recorded_by_the_replay(self, planned):
         fleet, plan = planned
         campaign = EventDrivenCampaign(fleet, plan, trace=True)
         campaign.run()
-        trace = campaign.simulator.trace
+        trace = campaign.trace
         assert trace
         kinds = {event.kind for event in trace}
         assert EventKind.TX_START in kinds

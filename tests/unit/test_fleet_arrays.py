@@ -69,17 +69,15 @@ class TestRoundTrips:
         # lands back on the exact same columns.
         assert Fleet.from_devices(tuple(fleet)) == fleet
 
-    def test_battery_sentinel_round_trips(self):
+    def test_batteries_are_not_stored(self):
         battery = Battery(capacity_mah=1200.0, voltage_v=3.6)
         devices = (
             _device(1111, battery=battery),
             _device(2222, battery=None),
         )
         fleet = Fleet.from_devices(devices)
-        assert fleet[0].battery == battery
+        assert fleet[0].battery is None
         assert fleet[1].battery is None
-        assert np.isnan(fleet.battery_capacity_mah[1])
-        # NaN battery slots compare equal: a fleet equals its clone.
         assert fleet == Fleet.from_devices(devices)
 
     def test_fleet_pickle_round_trips_via_arrays(self):
@@ -150,8 +148,7 @@ class TestFromColumns:
                 category_codes=np.zeros(1, dtype=np.int64),
             )
 
-    def test_fleet_wide_nb_and_battery_reach_every_row(self):
-        battery = Battery(capacity_mah=2400.0, voltage_v=3.6)
+    def test_fleet_wide_nb_reaches_every_row(self):
         imsis = np.array([1001, 2002, 3003], dtype=np.int64)
         periods = np.array([256, 512, 1024], dtype=np.int64)
         fleet = Fleet.from_columns(
@@ -160,7 +157,6 @@ class TestFromColumns:
             coverage_codes=np.zeros(3, dtype=np.int64),
             category_codes=np.full(3, CATEGORY_CODE[DeviceCategory.SMART_METER]),
             nb=NB.QUARTER_T,
-            battery=battery,
         )
         expected = tuple(
             NbIotDevice(
@@ -168,12 +164,12 @@ class TestFromColumns:
                 drx=DrxConfig(int(imsi) % 4096, DrxCycle(int(frames)), NB.QUARTER_T),
                 coverage=CoverageClass.NORMAL,
                 category=DeviceCategory.SMART_METER,
-                battery=battery,
             )
             for imsi, frames in zip(imsis, periods)
         )
         assert tuple(fleet) == expected
         assert fleet == Fleet.from_devices(expected)
+        assert fleet.nb is NB.QUARTER_T
 
     def test_out_buffers_back_the_returned_fleet(self):
         columns = dict(
@@ -213,11 +209,59 @@ class TestShapeAndSlicing:
         columns = dict(_fleet(4).columns())
         columns["periods"] = columns["periods"][:2]
         with pytest.raises(FleetError, match="rows"):
-            Fleet(**columns)
+            Fleet(**columns, nb=NB.ONE_T)
 
     def test_nbytes_is_schema_sized(self):
         fleet = _fleet(12)
         assert fleet.nbytes == 12 * BYTES_PER_DEVICE == fleet_nbytes(12)
+
+    def test_the_five_drawn_columns_are_stored(self):
+        assert COLUMN_NAMES == (
+            "imsis", "periods", "phases", "coverage_codes", "category_codes"
+        )
+        assert _fleet(12).nbytes == 40 * 12
+        assert sum(column.nbytes for _, column in _fleet(12).columns()) == 40 * 12
+
+    def test_nb_must_be_an_nb_member(self):
+        columns = dict(_fleet(4).columns())
+        with pytest.raises(FleetError, match="nb"):
+            Fleet(**columns, nb=0.25)
+
+    def test_from_devices_rejects_mixed_nb(self):
+        with pytest.raises(FleetError, match="one nB"):
+            Fleet.from_devices(
+                (
+                    NbIotDevice.build(1111, DrxCycle(256), nb=NB.ONE_T),
+                    NbIotDevice.build(2222, DrxCycle(256), nb=NB.HALF_T),
+                )
+            )
+
+    def test_from_devices_rejects_a_ue_id_off_the_imsi(self):
+        forged = NbIotDevice(
+            identity=DeviceIdentity(5005),
+            drx=DrxConfig(ue_id=(5005 + 1) % 4096, cycle=DrxCycle(256)),
+        )
+        with pytest.raises(FleetError, match="not its IMSI"):
+            Fleet.from_devices((_device(1111), forged))
+
+    def test_concatenate_rejects_parts_of_different_nb(self):
+        half = Fleet.from_devices(
+            (NbIotDevice.build(1111, DrxCycle(256), nb=NB.HALF_T),)
+        )
+        with pytest.raises(FleetError, match="different nB"):
+            Fleet.concatenate([_fleet(4), half])
+
+    def test_bearer_rate_is_the_coverage_class_rate(self):
+        fleet = Fleet.from_devices(
+            [
+                _device(1000 + code, coverage=coverage)
+                for code, coverage in enumerate(COVERAGE_ORDER)
+            ]
+        )
+        rates = fleet.downlink_bps(np.arange(len(fleet)))
+        assert rates.dtype == np.float64
+        assert rates.tolist() == [device.link.downlink_bps for device in fleet]
+        assert fleet.group_rate_bps([0, 1]) == min(rates[:2])
 
     def test_duplicate_imsis_detected_columnar(self):
         fleet = Fleet.from_devices((_device(5005),))
@@ -257,12 +301,12 @@ class TestShapeAndSlicing:
         columns = dict(_fleet(4).columns())
         columns["phases"] = columns["phases"].reshape(2, 2)
         with pytest.raises(FleetError, match="1-D"):
-            Fleet(**columns)
+            Fleet(**columns, nb=NB.ONE_T)
 
     def test_matching_read_only_columns_are_not_copied(self):
         # What keeps a shared-memory attach zero-copy.
         columns = dict(_fleet(4).columns())
-        fleet = Fleet(**columns)
+        fleet = Fleet(**columns, nb=NB.ONE_T)
         for name, column in fleet.columns():
             assert column is columns[name], name
 
@@ -320,25 +364,35 @@ class TestVectorisedDerivations:
             ]
             assert vector.tolist() == scalar
 
-    def test_v_paging_frame_offset_per_device_nb_every_ladder_cycle(self):
-        # Per-device nB columns (the fleet's nb_* schema) at every
-        # ladder cycle, eDRX up to 2^20 frames included.
-        members = list(NB)
-        combos = [(c, nb) for c in FULL_LADDER for nb in members]
+    @pytest.mark.parametrize("nb", list(NB), ids=lambda nb: nb.name)
+    def test_v_paging_kernels_match_scalar_every_ladder_cycle(self, nb):
+        # Every ladder cycle, eDRX up to 2^20 frames included, several
+        # devices per cycle.
         rng = np.random.default_rng(12)
-        ue_ids = rng.integers(0, 4096, size=len(combos))
-        cycles = np.array([int(c) for c, _nb in combos], np.int64)
-        nb_columns = (
-            np.array([nb.fraction.numerator for _c, nb in combos], np.int64),
-            np.array([nb.fraction.denominator for _c, nb in combos], np.int64),
-        )
-        phases = v_paging_frame_offset(ue_ids, cycles, nb_columns)
-        subframes = v_paging_subframe(ue_ids, cycles, nb_columns)
-        for ue, (cycle, nb), phase, subframe in zip(
-            ue_ids.tolist(), combos, phases.tolist(), subframes.tolist()
+        cycles = np.repeat(np.array([int(c) for c in FULL_LADDER]), 5)
+        ue_ids = rng.integers(0, 4096, size=cycles.size)
+        phases = v_paging_frame_offset(ue_ids, cycles, nb)
+        subframes = v_paging_subframe(ue_ids, cycles, nb)
+        for ue, cycle, phase, subframe in zip(
+            ue_ids.tolist(), cycles.tolist(), phases.tolist(), subframes.tolist()
         ):
-            pattern = pattern_for(ue, cycle, nb)
+            pattern = pattern_for(ue, DrxCycle(cycle), nb)
             assert (phase, subframe) == (pattern.phase, pattern.subframe)
+
+    def test_v_paging_frame_offset_into_its_own_input(self):
+        # ``out`` may be the UE_ID array itself (how ``from_columns``
+        # builds the phase column without a UE_ID array of its own).
+        rng = np.random.default_rng(13)
+        ladder = np.array([256, 1024, 4096, 2**20], np.int64)
+        cycles = ladder[rng.integers(0, ladder.size, size=300)]
+        ue_ids = rng.integers(0, 4096, size=300)
+        buffer = ue_ids.copy()
+        out = v_paging_frame_offset(buffer, cycles, NB.HALF_T, out=buffer)
+        assert out is buffer
+        assert out.tolist() == [
+            paging_frame_offset(int(u), DrxCycle(int(c)), NB.HALF_T)
+            for u, c in zip(ue_ids, cycles)
+        ]
 
     @pytest.mark.parametrize("name", sorted(MIXTURES))
     def test_sample_columns_matches_reference_stream(self, name):

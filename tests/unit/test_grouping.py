@@ -209,9 +209,8 @@ class TestCoverageStratifiedPolicy:
         decision = CoverageStratifiedPolicy().group(
             fleet, context, np.random.default_rng(3)
         )
-        rates = fleet.downlink_bps
         for _, _, members in groups_of(decision):
-            assert fleet.group_rate_bps(members) == rates[members].min()
+            assert fleet.group_rate_bps(members) == fleet.downlink_bps(members).min()
 
 
 class TestRandomWindowPolicy:

@@ -19,6 +19,7 @@ from repro.devices import (
     unlink_descriptor,
 )
 from repro.devices.sharedmem import SEGMENT_PREFIX
+from repro.drx.paging import NB
 from repro.errors import FleetError, SimulationError
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
@@ -49,6 +50,39 @@ class TestCreateAttach:
             assert not attached.owner and shared.owner
         finally:
             attached.close()
+
+    @pytest.mark.parametrize("nb", [NB.ONE_T, NB.QUARTER_T, NB.FOUR_T])
+    def test_round_trip_keeps_the_fleet_nb(self, nb):
+        fleet = generate_fleet(
+            16, MODERATE_EDRX_MIXTURE, np.random.default_rng(5), nb=nb
+        )
+        shared = SharedFleet.create(fleet)
+        try:
+            assert shared.descriptor.nb is nb
+            attached = SharedFleet.attach(
+                pickle.loads(pickle.dumps(shared.descriptor))
+            )
+            try:
+                assert attached.fleet.nb is nb
+                assert attached.fleet == fleet
+                assert tuple(attached.fleet) == tuple(fleet)
+            finally:
+                attached.close()
+        finally:
+            shared.unlink()
+            shared.close()
+
+    def test_segment_holds_the_stored_columns_only(self, shared):
+        assert shared.descriptor.nbytes == shared.fleet.nbytes == 40 * 32
+
+    def test_staging_descriptor_has_no_nb_until_sealed(self):
+        staged = SharedFleet.allocate(4)
+        try:
+            with pytest.raises(SimulationError, match="no nB"):
+                staged.descriptor.nb
+        finally:
+            staged.unlink()
+            staged.close()
 
     def test_extras_round_trip(self):
         fleet = _fleet(16)

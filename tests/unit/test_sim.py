@@ -146,13 +146,6 @@ class TestEngine:
         with pytest.raises(SimulationError):
             sim.schedule(Event(0.5, EventKind.PO_MONITOR), lambda e: None)
 
-    def test_trace_records_events(self):
-        sim = Simulator(trace=True)
-        sim.schedule(Event(1.0, EventKind.PAGE, device_index=3), lambda e: None)
-        sim.run()
-        assert len(sim.trace) == 1
-        assert sim.trace[0].device_index == 3
-
 
 class TestEngineCancel:
     def test_cancelled_event_never_fires(self):

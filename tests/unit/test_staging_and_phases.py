@@ -154,7 +154,7 @@ class TestGenerateOut:
                 frozen.flags.writeable = False
                 buffers["periods"] = frozen
             else:
-                del buffers["ue_ids"]
+                del buffers["phases"]
             with pytest.raises(FleetError, match="destination buffer"):
                 generate_fleet(
                     n,
@@ -175,7 +175,7 @@ class TestDuplicateImsiScan:
         # the shared-memory attach do; it must not rescan.
         columns = dict(fleet.columns())
         columns["imsis"] = np.full(8, fleet.imsis[0])
-        assert len(Fleet(**columns)) == 8
+        assert len(Fleet(**columns, nb=fleet.nb)) == 8
 
 
 class TestPhaseTimer:
