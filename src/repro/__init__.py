@@ -44,7 +44,7 @@ from repro.core import (
     mechanism_by_name,
 )
 from repro.devices import Battery, DeviceCategory, DeviceIdentity, Fleet, NbIotDevice
-from repro.drx import DrxConfig, DrxCycle, FULL_LADDER, NB, pattern_for
+from repro.drx import DrxCycle, FULL_LADDER, NB
 from repro.grouping import (
     GROUPING_POLICIES,
     GroupingDecision,
@@ -119,10 +119,8 @@ __all__ = [
     "Battery",
     "Fleet",
     "DrxCycle",
-    "DrxConfig",
     "FULL_LADDER",
     "NB",
-    "pattern_for",
     # enb / phy / rrc / energy
     "CellConfig",
     "CoverageClass",

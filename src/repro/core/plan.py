@@ -37,13 +37,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.devices.fleet import Fleet
-from repro.drx.cycles import DrxCycle
+from repro.drx.cycles import DrxCycle, v_on_ladder
 from repro.drx.paging import (
     UE_ID_SPACE,
     v_paging_frame_offset,
     v_paging_subframe,
 )
-from repro.drx.schedule import PoSchedule
+from repro.drx.schedule import v_first_at_or_after, v_last_at_or_before
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
 from repro.table import ColumnTable
@@ -129,7 +129,7 @@ def check_rows(
 
 
 def _on_grid(frames: np.ndarray, phases: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Per-row :meth:`PoSchedule.is_po` of ``frames`` on ``(phase, period)``."""
+    """Per row: is ``frames`` a PO of the progression ``phase + k * period``?"""
     return (frames >= phases) & ((frames - phases) % periods == 0)
 
 
@@ -174,8 +174,7 @@ class PlanArrays(ColumnTable, SequenceABC):
         method, page, connect = self.method, self.page_frame, self.connect_frame
         adaptation, cycle = self.adaptation_page_frame, self.adapted_cycle
         adapted = method == _ADAPTATION
-        on_ladder = (cycle >= DrxCycle.MIN_FRAMES) & (cycle <= DrxCycle.MAX_FRAMES)
-        on_ladder &= cycle & (cycle - 1) == 0
+        on_ladder = v_on_ladder(cycle)
         for mask, message in (
             ((method < 0) | (method >= len(METHOD_ORDER)), "unknown wake method"),
             (self.device < 0, "negative device index"),
@@ -713,25 +712,6 @@ class _WindowDraft:
         self.joiners: List[int] = []
 
 
-def _joiner_page_frame(
-    schedule: PoSchedule, window_start: int, frame: int, slack: int, now_frame: int
-) -> Optional[int]:
-    """The PO to page a joiner at inside ``[window_start, frame]``.
-
-    Mirrors the planners' latest-PO-with-slack preference but bounds the
-    page strictly after ``now_frame`` — a revision cannot page in the
-    past. Returns None when the device has no usable PO in the window.
-    """
-    lo = max(window_start, now_frame + 1)
-    preferred = schedule.last_at_or_before(frame - slack)
-    if preferred is not None and preferred >= lo:
-        return preferred
-    fallback = schedule.last_at_or_before(frame)
-    if fallback is not None and fallback >= lo:
-        return fallback
-    return None
-
-
 def revise_plan(
     base: MulticastPlan,
     fleet: Fleet,
@@ -816,26 +796,33 @@ def revise_plan(
     next_order = k
     slack_of = context.connect_slack_table()
     for device_index in joined_list:
-        schedule = PoSchedule(
-            phase=int(fleet.phases[device_index]),
-            period=int(fleet.periods[device_index]),
-        )
+        phase = fleet.phases[device_index]
+        period = fleet.periods[device_index]
         slack = int(slack_of[fleet.coverage_codes[device_index]])
-        placed = None
-        for draft in sorted(drafts, key=lambda d: (d.frame, d.order)):
-            if draft.frame <= now_frame:
-                continue  # frozen: the transmission already happened
-            page = _joiner_page_frame(
-                schedule, draft.frame - ti, draft.frame, slack, now_frame
-            )
-            if page is not None:
-                placed = (draft, page)
-                break
-        if placed is None:
+        # The pending windows in (frame, order) order; each joiner takes
+        # the first one holding a PO it can be paged at: strictly after
+        # ``now_frame`` (a revision cannot page in the past) and inside
+        # ``[frame - TI, frame]``, the latest such PO that leaves the
+        # connect slack preferred, else the latest one at all.
+        pending = sorted(
+            (d for d in drafts if d.frame > now_frame),
+            key=lambda d: (d.frame, d.order),
+        )
+        frames = np.array([d.frame for d in pending], dtype=np.int64)
+        # POs are never negative, so a floor of 0 also rejects the -1
+        # the queries return for "no PO at or before the bound".
+        lo = np.maximum(frames - ti, max(now_frame + 1, 0))
+        page = v_last_at_or_before(phase, period, frames - slack)
+        fallback = v_last_at_or_before(phase, period, frames)
+        page = np.where(page >= lo, page, fallback)
+        fits = np.flatnonzero(page >= lo)
+        if fits.size:
+            placed = (pending[fits[0]], int(page[fits[0]]))
+        else:
             # No pending window can serve the joiner: open a fresh one
             # at its next PO, leaving the connect slack (capped by the
             # TI so the page stays inside the window).
-            page = schedule.first_at_or_after(now_frame + 1)
+            page = int(v_first_at_or_after(phase, period, now_frame + 1))
             draft = _WindowDraft(
                 base_index=None,
                 frame=page + min(max(slack, 1), ti),

@@ -8,16 +8,14 @@ Monte-Carlo runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.devices.battery import Battery
 from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
-from repro.drx.config import DrxConfig
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import NB, PagingOccasionPattern
-from repro.drx.schedule import PoSchedule
+from repro.drx.paging import NB
 from repro.phy.coverage import PROFILES, CoverageClass, CoverageProfile
 
 
@@ -26,15 +24,24 @@ class NbIotDevice:
     """A single NB-IoT device as seen by the eNB.
 
     Attributes:
-        identity: the subscriber identity (drives paging occasions).
-        drx: the negotiated DRX configuration.
+        identity: the subscriber identity; its UE_ID
+            (``identity.ue_id``) drives the paging occasions.
+        cycle: the device's preferred (negotiated) DRX cycle, its
+            long-term, battery-budgeted choice. DA-SC's temporary cycle
+            lives in the plan, never in the device.
+        nb: the cell's ``nB`` paging-density parameter.
         coverage: the device's coverage-enhancement class.
         category: application category (metering, tracking, ...).
         battery: optional battery for lifetime estimates.
+
+    The device's paging occasions are not stored: fleets derive every
+    device's phase at once with
+    :func:`repro.drx.paging.v_paging_frame_offset`.
     """
 
     identity: DeviceIdentity
-    drx: DrxConfig
+    cycle: DrxCycle
+    nb: NB = NB.ONE_T
     coverage: CoverageClass = CoverageClass.NORMAL
     category: DeviceCategory = DeviceCategory.GENERIC
     battery: Optional[Battery] = None
@@ -50,33 +57,15 @@ class NbIotDevice:
         nb: NB = NB.ONE_T,
         battery: Optional[Battery] = None,
     ) -> "NbIotDevice":
-        """Convenience constructor wiring identity -> DRX configuration."""
-        identity = DeviceIdentity(imsi)
+        """Convenience constructor from a raw IMSI."""
         return cls(
-            identity=identity,
-            drx=DrxConfig(identity.ue_id, cycle, nb),
+            identity=DeviceIdentity(imsi),
+            cycle=cycle,
+            nb=nb,
             coverage=coverage,
             category=category,
             battery=battery,
         )
-
-    # ------------------------------------------------------------------
-    # Paging / DRX views
-    # ------------------------------------------------------------------
-    @property
-    def cycle(self) -> DrxCycle:
-        """The device's preferred (negotiated) DRX cycle."""
-        return self.drx.cycle
-
-    @property
-    def pattern(self) -> PagingOccasionPattern:
-        """Paging pattern under the preferred cycle."""
-        return self.drx.pattern
-
-    @property
-    def schedule(self) -> PoSchedule:
-        """Integer PO schedule under the preferred cycle."""
-        return self.pattern.schedule
 
     @property
     def link(self) -> CoverageProfile:

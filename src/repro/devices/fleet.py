@@ -13,9 +13,12 @@ class. ``phases`` is stored because the cover reads it on every run.
 
 The planners and executors read the columns directly. Indexing a fleet
 builds :class:`~repro.devices.device.NbIotDevice` *views* of its rows
-on access and never caches them; a view's DRX configuration is the
-negotiated one (DA-SC's temporary cycle lives in plans, not fleets) and
-its battery is ``None``.
+on access and never caches them; a view's cycle is the negotiated one
+(DA-SC's temporary cycle lives in plans, not fleets), its ``nb`` the
+fleet's and its battery ``None``. Every construction path derives the
+phases with the one paging kernel,
+:func:`~repro.drx.paging.v_paging_frame_offset`, inside
+:meth:`Fleet.from_columns`.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import numpy as np
 from repro.devices.device import NbIotDevice
 from repro.devices.identity import MAX_IMSI, DeviceIdentity
 from repro.devices.profiles import DeviceCategory
-from repro.drx.config import DrxConfig
-from repro.drx.cycles import DrxCycle
+from repro.drx.cycles import DrxCycle, v_on_ladder
 from repro.drx.paging import NB, UE_ID_SPACE, v_paging_frame_offset
 from repro.errors import FleetError
 from repro.phy.coverage import PROFILES, CoverageClass
@@ -146,33 +148,24 @@ class Fleet(ColumnTable, SequenceABC):
         """Capture the columns of a sequence of device objects.
 
         The devices come from outside the program (the live service's
-        joins), so the capture checks what the table cannot store.
-        Raises :class:`FleetError` when two devices share an IMSI, when
-        the devices carry more than one ``nB`` (a cell parameter, one
-        per fleet) or when a device's UE_ID is not its IMSI mod 4096
-        (the table derives it). Batteries are not captured: the row
+        joins), so the capture checks what :meth:`from_columns` leaves
+        to its caller. Raises :class:`FleetError` when two devices share
+        an IMSI or when the devices carry more than one ``nB`` (a cell
+        parameter, one per fleet). Batteries are not captured: the row
         views have ``battery=None``.
         """
         devices = tuple(devices)
         if not devices:
             raise FleetError("a fleet must contain at least one device")
-        nbs = {d.drx.nb for d in devices}
+        nbs = {d.nb for d in devices}
         if len(nbs) > 1:
             raise FleetError(
                 "a fleet's devices share one nB, got "
                 + ", ".join(sorted(nb.name for nb in nbs))
             )
-        imsis = np.array([d.identity.imsi for d in devices], np.int64)
-        ue_ids = np.array([d.drx.ue_id for d in devices], np.int64)
-        bad = np.flatnonzero(ue_ids != imsis % UE_ID_SPACE)
-        if bad.size:
-            raise FleetError(
-                f"device {bad[0]}: UE_ID is not its IMSI mod {UE_ID_SPACE}"
-            )
-        fleet = cls(
-            imsis=imsis,
+        fleet = cls.from_columns(
+            imsis=np.array([d.identity.imsi for d in devices], np.int64),
             periods=np.array([int(d.cycle) for d in devices], np.int64),
-            phases=np.array([d.pattern.phase for d in devices], np.int64),
             coverage_codes=np.array(
                 [COVERAGE_CODE[d.coverage] for d in devices], np.int64
             ),
@@ -197,10 +190,12 @@ class Fleet(ColumnTable, SequenceABC):
     ) -> "Fleet":
         """Build a fleet from its drawn columns and the cell's ``nb``.
 
-        The PO phase is computed vectorised — bit-identical to what
-        per-device construction would produce — so no device object ever
-        exists. The IMSIs must be unique; the caller guarantees it (the
-        generator samples them without replacement), so no scan runs.
+        The PO phases are computed by the paging kernel over the whole
+        column, so no device object ever exists. Raises
+        :class:`~repro.errors.LadderError` for a period off the cycle
+        ladder (one pass, no sort). The IMSIs must be unique; the caller
+        guarantees it (the generator samples them without replacement),
+        so no scan runs.
 
         ``out`` supplies writable destination buffers for every schema
         column (e.g. the column views of a staged
@@ -230,8 +225,9 @@ class Fleet(ColumnTable, SequenceABC):
             codes = drawn[name]
             if codes.min() < 0 or codes.max() >= len(order):
                 raise FleetError(f"{what} code out of range")
-        for frames in np.unique(drawn["periods"]).tolist():
-            DrxCycle(frames)  # validates ladder membership
+        off_ladder = ~v_on_ladder(drawn["periods"])
+        if off_ladder.any():
+            DrxCycle(drawn["periods"][off_ladder.argmax()])  # raises LadderError
         if out is None:
             # Drawn columns pass through; derived ones get fresh buffers.
             out = {
@@ -321,12 +317,10 @@ class Fleet(ColumnTable, SequenceABC):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         row = range(len(self))[index]
-        identity = DeviceIdentity(int(self.imsis[row]))
         return NbIotDevice(
-            identity=identity,
-            drx=DrxConfig(
-                identity.ue_id, DrxCycle(int(self.periods[row])), self.nb
-            ),
+            identity=DeviceIdentity(int(self.imsis[row])),
+            cycle=DrxCycle(int(self.periods[row])),
+            nb=self.nb,
             coverage=COVERAGE_ORDER[int(self.coverage_codes[row])],
             category=CATEGORY_ORDER[int(self.category_codes[row])],
         )

@@ -7,11 +7,14 @@ channel. This package models:
 * the power-of-two **cycle ladder** (0.32 s LTE DRX up to the 10485.76 s
   ≈ 175 min eDRX maximum; every value is exactly twice the previous one,
   Sec. II-B of the paper) — :mod:`repro.drx.cycles`;
-* the 3GPP TS 36.304-style mapping from a UE identity and a cycle to the
-  device's paging frame/subframe — :mod:`repro.drx.paging`;
-* exact integer PO schedules and vectorised window queries used by every
-  grouping mechanism — :mod:`repro.drx.schedule`;
-* per-device DRX configuration — :mod:`repro.drx.config`.
+* the 3GPP TS 36.304-style mapping from UE identities and cycles to
+  the devices' paging frames/subframes — :mod:`repro.drx.paging`;
+* exact integer PO window queries used by every grouping mechanism —
+  :mod:`repro.drx.schedule`.
+
+The paging and window functions work on whole columns (one entry per
+device): they are the package's one paging-occasion rule. A device's negotiated cycle and
+the cell's ``nB`` are fields of the device and fleet themselves.
 """
 
 from repro.drx.cycles import (
@@ -21,16 +24,8 @@ from repro.drx.cycles import (
     NBIOT_IDLE_LADDER,
     DrxCycle,
 )
-from repro.drx.config import DrxConfig
-from repro.drx.paging import (
-    NB,
-    PagingOccasionPattern,
-    paging_frame_offset,
-    paging_subframe,
-    pattern_for,
-)
+from repro.drx.paging import NB, v_paging_frame_offset, v_paging_subframe
 from repro.drx.schedule import (
-    PoSchedule,
     v_count_in,
     v_first_at_or_after,
     v_has_in,
@@ -45,13 +40,9 @@ __all__ = [
     "NBIOT_IDLE_LADDER",
     "EDRX_LADDER",
     "FULL_LADDER",
-    "DrxConfig",
     "NB",
-    "paging_frame_offset",
-    "paging_subframe",
-    "pattern_for",
-    "PagingOccasionPattern",
-    "PoSchedule",
+    "v_paging_frame_offset",
+    "v_paging_subframe",
     "v_first_at_or_after",
     "v_last_before",
     "v_last_at_or_before",

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.errors import LadderError
 from repro.timebase import frames_to_seconds, seconds_to_frames
 
@@ -139,6 +141,22 @@ class DrxCycle(int):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DrxCycle({self.seconds:g}s)"
+
+
+def v_on_ladder(frames: np.ndarray) -> np.ndarray:
+    """Per-value ladder membership of the cycle lengths ``frames``.
+
+    The vector form of :class:`DrxCycle`'s construction check (a power
+    of two in ``[MIN_FRAMES, MAX_FRAMES]``): one pass over the values,
+    no sort, a boolean array of their shape. Callers that reject a
+    column raise through ``DrxCycle(first_bad_value)``, so the
+    :class:`~repro.errors.LadderError` reads as for one cycle.
+    """
+    frames = np.asarray(frames, dtype=np.int64)
+    on_ladder = np.bitwise_and(frames, frames - 1) == 0
+    on_ladder &= frames >= DrxCycle.MIN_FRAMES
+    on_ladder &= frames <= DrxCycle.MAX_FRAMES
+    return on_ladder
 
 
 def _ladder(lo: int, hi: int) -> Tuple[DrxCycle, ...]:

@@ -35,17 +35,22 @@ enforced by property tests): for a fixed ``nB``, the PO grid for cycle
 Shortening a device's cycle only *adds* wake-ups and never moves
 existing ones, so the eNB can restore the original cycle after the
 multicast with no phase bookkeeping.
+
+The rule is computed over whole columns, one entry per device
+(:func:`v_paging_frame_offset`, :func:`v_paging_subframe`): fleets,
+planners, plan validation and the executor all derive paging occasions
+here. The per-device formula the kernels were vectorised from is their
+test oracle, ``tests/paging_oracle.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.drx.cycles import DrxCycle
-from repro.drx.schedule import PoSchedule
+import numpy as np
+
 from repro.errors import PagingError
 from repro.timebase import FRAMES_PER_HYPERFRAME
 
@@ -82,140 +87,16 @@ _SUBFRAME_PATTERNS = {
 }
 
 
-def default_hashed_id(ue_id: int) -> int:
-    """Deterministic 10-bit hash standing in for the S-TMSI Hashed_ID.
+def v_default_hashed_id(
+    ue_ids: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Deterministic 10-bit hash standing in for the S-TMSI Hashed_ID,
+    mixed in place in ``out`` (a fresh array when not given).
 
     TS 36.304 hashes the S-TMSI with a CRC; we use a Knuth
     multiplicative mix of the UE identity, which spreads the 4096 UE_ID
     values uniformly over the 1024 hashed values.
     """
-    _validate_ue_id(ue_id)
-    mixed = (ue_id * 2654435761) & 0xFFFFFFFF
-    return (mixed >> 22) & (HASHED_ID_SPACE - 1)
-
-
-def _n_and_ns(cycle_frames: int, nb: NB) -> Tuple[int, int]:
-    """The (N, Ns) pair of TS 36.304 for cycle ``T`` and parameter ``nB``."""
-    nb_value = nb.fraction * cycle_frames
-    if nb_value.denominator != 1:
-        raise PagingError(
-            f"nB={nb.name} of cycle {cycle_frames} frames is not an integer"
-        )
-    nb_int = int(nb_value)
-    n = min(cycle_frames, nb_int)
-    ns = max(1, nb_int // cycle_frames)
-    if n < 1:
-        raise PagingError(f"nB={nb.name} yields N={n} < 1 for T={cycle_frames}")
-    return n, ns
-
-
-def _intra_hyperframe_cycle(cycle: DrxCycle) -> int:
-    """The cycle applied at the PF level: min(T, one hyperframe)."""
-    return min(int(cycle), FRAMES_PER_HYPERFRAME)
-
-
-def paging_frame_offset(
-    ue_id: int,
-    cycle: DrxCycle,
-    nb: NB = NB.ONE_T,
-    hashed_id: Optional[int] = None,
-) -> int:
-    """Frame offset of the device's paging frames within each cycle.
-
-    The device's paging frames are exactly the absolute frames ``f`` with
-    ``f mod T == offset``. For eDRX cycles the offset combines the
-    paging-hyperframe position (from the hashed identity) with the
-    intra-hyperframe PF offset (from the UE identity).
-    """
-    _validate_ue_id(ue_id)
-    pf_cycle = _intra_hyperframe_cycle(cycle)
-    n, _ = _n_and_ns(pf_cycle, nb)
-    pf_offset = (pf_cycle // n) * (ue_id % n)
-    if int(cycle) <= FRAMES_PER_HYPERFRAME:
-        return pf_offset
-    if hashed_id is None:
-        hashed_id = default_hashed_id(ue_id)
-    _validate_hashed_id(hashed_id)
-    cycle_hyperframes = int(cycle) // FRAMES_PER_HYPERFRAME
-    ph_index = hashed_id % cycle_hyperframes
-    return ph_index * FRAMES_PER_HYPERFRAME + pf_offset
-
-
-def paging_subframe(ue_id: int, cycle: DrxCycle, nb: NB = NB.ONE_T) -> int:
-    """Subframe (0-9) of the device's paging occasion within its PF."""
-    _validate_ue_id(ue_id)
-    pf_cycle = _intra_hyperframe_cycle(cycle)
-    n, ns = _n_and_ns(pf_cycle, nb)
-    if ns not in _SUBFRAME_PATTERNS:
-        raise PagingError(f"unsupported Ns={ns} (nB={nb.name})")
-    i_s = (ue_id // n) % ns
-    return _SUBFRAME_PATTERNS[ns][i_s]
-
-
-def _validate_ue_id(ue_id: int) -> None:
-    if not 0 <= int(ue_id) < UE_ID_SPACE:
-        raise PagingError(f"UE_ID must be in [0, {UE_ID_SPACE}), got {ue_id}")
-
-
-def _validate_hashed_id(hashed_id: int) -> None:
-    if not 0 <= int(hashed_id) < HASHED_ID_SPACE:
-        raise PagingError(
-            f"Hashed_ID must be in [0, {HASHED_ID_SPACE}), got {hashed_id}"
-        )
-
-
-@dataclass(frozen=True)
-class PagingOccasionPattern:
-    """A device's periodic paging-occasion pattern.
-
-    Attributes:
-        phase: frame offset of the first PO (``0 <= phase < cycle``).
-        cycle: the DRX/eDRX cycle.
-        subframe: PO subframe within the paging frame (0-9).
-    """
-
-    phase: int
-    cycle: DrxCycle
-    subframe: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.phase < int(self.cycle):
-            raise PagingError(
-                f"phase {self.phase} outside [0, {int(self.cycle)}) for {self.cycle!r}"
-            )
-        if not 0 <= self.subframe <= 9:
-            raise PagingError(f"subframe must be 0-9, got {self.subframe}")
-
-    @property
-    def schedule(self) -> PoSchedule:
-        """The integer PO schedule (frame-granularity view of the pattern)."""
-        return PoSchedule(phase=self.phase, period=int(self.cycle))
-
-
-def pattern_for(
-    ue_id: int,
-    cycle: DrxCycle,
-    nb: NB = NB.ONE_T,
-    hashed_id: Optional[int] = None,
-) -> PagingOccasionPattern:
-    """Build the full paging pattern of a device from its identity."""
-    return PagingOccasionPattern(
-        phase=paging_frame_offset(ue_id, cycle, nb, hashed_id),
-        cycle=cycle,
-        subframe=paging_subframe(ue_id, cycle, nb),
-    )
-
-
-# ----------------------------------------------------------------------
-# Vectorised fleet-wide derivations (columnar fleet construction)
-# ----------------------------------------------------------------------
-def v_default_hashed_id(
-    ue_ids: "np.ndarray", out: "Optional[np.ndarray]" = None
-) -> "np.ndarray":
-    """Vectorised :func:`default_hashed_id` (bit-identical per element),
-    mixed in place in ``out`` (a fresh array when not given)."""
-    import numpy as np
-
     mixed = np.multiply(_v_ue_ids(ue_ids), 2654435761, out=out)
     mixed &= 0xFFFFFFFF
     mixed >>= 22
@@ -223,10 +104,8 @@ def v_default_hashed_id(
     return mixed
 
 
-def _v_nb_per_cycle(pf_cycle: "np.ndarray", nb: NB) -> "np.ndarray":
+def _v_nb_per_cycle(pf_cycle: np.ndarray, nb: NB) -> np.ndarray:
     """Integer ``nB`` for each intra-hyperframe cycle (a fresh array)."""
-    import numpy as np
-
     num, den = nb.fraction.numerator, nb.fraction.denominator
     nb_int = pf_cycle * num
     if den > 1 and nb_int.size and np.any(nb_int % den):
@@ -235,9 +114,7 @@ def _v_nb_per_cycle(pf_cycle: "np.ndarray", nb: NB) -> "np.ndarray":
     return nb_int
 
 
-def _v_ue_ids(ue_ids: "np.ndarray") -> "np.ndarray":
-    import numpy as np
-
+def _v_ue_ids(ue_ids: np.ndarray) -> np.ndarray:
     ue = np.asarray(ue_ids, dtype=np.int64)
     if ue.size and (ue.min() < 0 or ue.max() >= UE_ID_SPACE):
         raise PagingError(f"UE_ID must be in [0, {UE_ID_SPACE})")
@@ -245,22 +122,22 @@ def _v_ue_ids(ue_ids: "np.ndarray") -> "np.ndarray":
 
 
 def v_paging_frame_offset(
-    ue_ids: "np.ndarray", cycles: "np.ndarray", nb: NB = NB.ONE_T, out=None
-) -> "np.ndarray":
-    """Vectorised :func:`paging_frame_offset` over parallel columns.
+    ue_ids: np.ndarray, cycles: np.ndarray, nb: NB = NB.ONE_T, out=None
+) -> np.ndarray:
+    """Frame offset of each device's paging frames within its cycle.
 
-    ``cycles`` holds per-device cycle lengths in frames (ladder values);
-    ``nb`` is the cell's :class:`NB`. Integer-exact mirror of the scalar
-    derivation — including the two-level eDRX rule — so a fleet's phase
-    column can be built without instantiating a single device object.
+    A device's paging frames are exactly the absolute frames ``f`` with
+    ``f mod T == offset``. ``ue_ids`` and ``cycles`` are parallel
+    columns (UE_IDs and cycle lengths in frames, ladder values); ``nb``
+    is the cell's :class:`NB`. For eDRX cycles the offset combines the
+    paging hyperframe (from the hashed identity) with the
+    intra-hyperframe PF offset (from the UE identity).
 
     The offsets are written into ``out`` when given: an int64 array of
     the same shape, which may be ``ue_ids`` itself (the UE_IDs are read
     for the last time as ``out`` is first written). The call holds at
     most three full-width arrays at once, ``out`` included.
     """
-    import numpy as np
-
     ue = _v_ue_ids(ue_ids)
     t = np.asarray(cycles, dtype=np.int64)
     if ue.shape != t.shape:
@@ -286,12 +163,10 @@ def v_paging_frame_offset(
 
 
 def v_paging_subframe(
-    ue_ids: "np.ndarray", cycles: "np.ndarray", nb: NB = NB.ONE_T
-) -> "np.ndarray":
-    """Vectorised :func:`paging_subframe` (``nb`` as in
-    :func:`v_paging_frame_offset`)."""
-    import numpy as np
-
+    ue_ids: np.ndarray, cycles: np.ndarray, nb: NB = NB.ONE_T
+) -> np.ndarray:
+    """Subframe (0-9) of each device's paging occasion within its PF
+    (columns and ``nb`` as in :func:`v_paging_frame_offset`)."""
     ue = _v_ue_ids(ue_ids)
     pf_cycle = np.minimum(np.asarray(cycles, dtype=np.int64), FRAMES_PER_HYPERFRAME)
     nb_int = _v_nb_per_cycle(pf_cycle, nb)

@@ -10,101 +10,21 @@ query against such progressions:
 * *"what is the device's last PO before t - TI?"* (DA-SC's adaptation
   point).
 
-Scalar queries live on :class:`PoSchedule`; the ``v_*`` functions are the
-NumPy-vectorised fleet-wide equivalents used by the planners, operating
-on parallel ``phases``/``periods`` arrays.
+The ``v_*`` functions answer them for many devices at once, over
+parallel ``phases``/``periods`` integer arrays (one entry per device);
+the planners, plan validation, the executor and plan revision all
+query through them.
 
 All interval arguments are half-open ``[start, end)`` pairs of frames.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import PagingError
 
 
-def _ceil_div(a: int, b: int) -> int:
-    """Ceiling division for possibly-negative numerators."""
-    return -((-a) // b)
-
-
-@dataclass(frozen=True)
-class PoSchedule:
-    """The arithmetic progression of a single device's paging occasions."""
-
-    phase: int
-    period: int
-
-    def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise PagingError(f"period must be positive, got {self.period}")
-        if not 0 <= self.phase < self.period:
-            raise PagingError(
-                f"phase {self.phase} outside [0, {self.period})"
-            )
-
-    # ------------------------------------------------------------------
-    # Scalar queries
-    # ------------------------------------------------------------------
-    def po_index_at_or_after(self, frame: int) -> int:
-        """Index ``k`` of the first PO at or after ``frame`` (k >= 0)."""
-        return max(0, _ceil_div(frame - self.phase, self.period))
-
-    def first_at_or_after(self, frame: int) -> int:
-        """Frame of the first PO at or after ``frame``."""
-        return self.phase + self.po_index_at_or_after(frame) * self.period
-
-    def last_before(self, frame: int) -> Optional[int]:
-        """Frame of the last PO strictly before ``frame`` (None if none)."""
-        k = (frame - 1 - self.phase) // self.period
-        if k < 0:
-            return None
-        return self.phase + k * self.period
-
-    def last_at_or_before(self, frame: int) -> Optional[int]:
-        """Frame of the last PO at or before ``frame`` (None if none)."""
-        return self.last_before(frame + 1)
-
-    def is_po(self, frame: int) -> bool:
-        """True if ``frame`` is one of this schedule's paging occasions."""
-        return frame >= self.phase and (frame - self.phase) % self.period == 0
-
-    def count_in(self, start: int, end: int) -> int:
-        """Number of POs in the half-open interval ``[start, end)``."""
-        if end <= start:
-            return 0
-        k_lo = self.po_index_at_or_after(start)
-        k_hi = (end - 1 - self.phase) // self.period
-        return max(0, k_hi - k_lo + 1)
-
-    def has_in(self, start: int, end: int) -> bool:
-        """True if at least one PO lies in ``[start, end)``."""
-        return self.count_in(start, end) > 0
-
-    def pos_in(self, start: int, end: int) -> np.ndarray:
-        """All PO frames in ``[start, end)`` as an int64 array."""
-        if end <= start:
-            return np.empty(0, dtype=np.int64)
-        first = self.first_at_or_after(start)
-        if first >= end:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(first, end, self.period, dtype=np.int64)
-
-    def nth_after(self, frame: int, n: int) -> int:
-        """Frame of the ``n``-th PO at or after ``frame`` (n=0 is the first)."""
-        if n < 0:
-            raise PagingError(f"n must be non-negative, got {n}")
-        return self.first_at_or_after(frame) + n * self.period
-
-
-# ----------------------------------------------------------------------
-# Vectorised fleet-wide queries. ``phases`` and ``periods`` are parallel
-# integer arrays (one entry per device).
-# ----------------------------------------------------------------------
 def _as_int_arrays(phases: np.ndarray, periods: np.ndarray) -> tuple:
     phases = np.asarray(phases, dtype=np.int64)
     periods = np.asarray(periods, dtype=np.int64)

@@ -10,8 +10,8 @@ over the whole fleet at once:
   order, the row order of the result;
 * readiness, realised transmission starts, waits, data segments and
   idle-PO counts are computed as array expressions in that order (per-
-  device PO counting is :func:`repro.drx.schedule.v_count_in`, the
-  array form of :meth:`~repro.drx.schedule.PoSchedule.count_in`);
+  device PO counting is :func:`repro.drx.schedule.v_count_in`, checked
+  against the per-device ``count_in`` of ``tests/paging_oracle.py``);
 * the result is a :class:`~repro.sim.metrics.CampaignResult`, one column
   table whose ``(n_states, n)`` seconds matrix is folded by
   :func:`~repro.sim.metrics.fold_ledgers` straight into the layout the

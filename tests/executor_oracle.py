@@ -16,14 +16,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
+from paging_oracle import PoSchedule, schedule_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.eventlog import EventLogRecorder
 
 from repro.core.plan import DeviceDirective, MulticastPlan, WakeMethod
 from repro.devices.fleet import Fleet
-from repro.drx.paging import pattern_for
-from repro.drx.schedule import PoSchedule
 from repro.energy.ledger import STATE_ORDER, UptimeLedger
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState
@@ -270,7 +269,7 @@ class _DeviceActor:
         self._directive = directive
         self._rng = rng
         self._device = campaign.fleet[directive.device_index]
-        self._preferred = self._device.schedule
+        self._preferred = schedule_of(self._device)
         self._grid: PoSchedule = self._preferred
         self.ledger = UptimeLedger()
         self.ready_s = 0.0
@@ -392,11 +391,7 @@ class _DeviceActor:
         self._record(EventKind.ADAPTATION_PAGE, frame, a=episode, b=ra)
         # Switch to the adapted grid; resume monitoring after the episode.
         assert self._directive.adapted_cycle is not None
-        self._grid = pattern_for(
-            self._device.drx.ue_id,
-            self._directive.adapted_cycle,
-            self._device.drx.nb,
-        ).schedule
+        self._grid = schedule_of(self._device, self._directive.adapted_cycle)
         busy_end = frame_after_seconds(
             frames_to_seconds(frame) + airtime.paging_message_s + episode
         )

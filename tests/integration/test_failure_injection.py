@@ -7,6 +7,7 @@ overflow.
 
 import numpy as np
 import pytest
+from paging_oracle import pattern_of
 
 from repro.core import DrScMechanism, DrSiMechanism, UnicastBaseline
 from repro.core.base import PlanningContext
@@ -84,5 +85,5 @@ class TestPagingOverflow:
         report = paging_load(table, 1)
         assert report.total_pages == 1
         assert report.overflowed == (
-            (int(table.frame[0]), fleet[0].pattern.subframe, (1, 2, 3)),
+            (int(table.frame[0]), pattern_of(fleet[0]).subframe, (1, 2, 3)),
         )

@@ -2,8 +2,8 @@
 
 These are the per-device object loops the mechanisms ran before plans
 became columnar: every member is materialised (``fleet[i]``) and its
-paging arithmetic is redone per query on its
-:class:`~repro.drx.schedule.PoSchedule`. The array planners and the
+paging arithmetic is redone per query on its scalar
+:class:`PoSchedule` (``tests/paging_oracle.py``). The array planners and the
 whole-array :meth:`~repro.core.plan.MulticastPlan.validate` are
 property-tested against them (``tests/properties/test_prop_plan_columns.py``),
 :func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`,
@@ -25,6 +25,7 @@ from collections import defaultdict
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from paging_oracle import PoSchedule, pattern_of, schedule_of
 
 from repro.core import (
     AdaptationStrategy,
@@ -44,8 +45,6 @@ from repro.core.plan import (
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import pattern_for
-from repro.drx.schedule import PoSchedule
 from repro.errors import CoverageError, PlanError
 from repro.enb.paging_channel import PagingLoadReport
 from repro.phy.airtime import payload_airtime_frames
@@ -195,7 +194,7 @@ def plan_dr_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
         for device_index in transmission.members:
             device = fleet[device_index]
             page = page_frame_in_window(
-                device.schedule,
+                schedule_of(device),
                 start,
                 end - 1,
                 connect_slack_frames(context, device),
@@ -222,7 +221,7 @@ def _choose_cycle(
     if strategy is AdaptationStrategy.LARGEST_WITHIN_TI:
         candidates = [c for c in candidates if int(c) <= usable_span]
     for candidate in candidates:
-        grid = pattern_for(device.drx.ue_id, candidate, device.drx.nb).schedule
+        grid = schedule_of(device, candidate)
         po = grid.first_at_or_after(earliest_po)
         if po <= window_hi:
             return candidate, po
@@ -239,7 +238,7 @@ def plan_da_sc(mechanism, fleet, context, rng=None) -> ScalarPlan:
         window_hi = t - 1
         for device_index in members:
             device = fleet[device_index]
-            schedule = device.schedule
+            schedule = schedule_of(device)
             last_window_po = schedule.last_at_or_before(window_hi)
             if last_window_po is not None and last_window_po >= window_lo:
                 page = page_frame_in_window(
@@ -284,7 +283,7 @@ def plan_dr_si(mechanism, fleet, context, rng) -> ScalarPlan:
         window_hi = t - 1
         for device_index in members:
             device = fleet[device_index]
-            schedule = device.schedule
+            schedule = schedule_of(device)
             last_window_po = schedule.last_at_or_before(window_hi)
             if last_window_po is not None and last_window_po >= window_lo:
                 page = page_frame_in_window(
@@ -316,13 +315,13 @@ def plan_dr_si(mechanism, fleet, context, rng) -> ScalarPlan:
 
 def plan_unicast(mechanism, fleet, context, rng=None) -> ScalarPlan:
     def start_key(i: int) -> tuple:
-        page = fleet[i].schedule.first_at_or_after(context.announce_frame)
+        page = schedule_of(fleet[i]).first_at_or_after(context.announce_frame)
         return (page + connect_slack_frames(context, fleet[i]), page)
 
     transmissions, directives = [], []
     for index, device_index in enumerate(sorted(range(len(fleet)), key=start_key)):
         device = fleet[device_index]
-        page = device.schedule.first_at_or_after(context.announce_frame)
+        page = schedule_of(device).first_at_or_after(context.announce_frame)
         start = page + connect_slack_frames(context, device)
         transmissions.append(
             build_transmission(start, [device_index], fleet, context.payload_bytes)
@@ -370,7 +369,7 @@ def scalar_pages(fleet: Fleet, plan: MulticastPlan) -> List[tuple]:
     """
     records = []
     for row, d in enumerate(plan.directives):
-        subframe = fleet[d.device_index].pattern.subframe
+        subframe = pattern_of(fleet[d.device_index]).subframe
         notified = d.method is WakeMethod.EXTENDED_PAGE_TIMER
         records.append((row, d.device_index, d.page_frame, subframe, notified))
         if d.method is WakeMethod.DRX_ADAPTATION:
@@ -482,7 +481,7 @@ def scalar_validate(
 def _validate_directive(plan, fleet, directive, frame: int) -> None:
     device = fleet[directive.device_index]
     window_start = frame - plan.inactivity_timer_frames
-    preferred = device.schedule
+    preferred = schedule_of(device)
     page = directive.page_frame
     in_window = window_start <= page <= frame
     method = directive.method
@@ -511,7 +510,7 @@ def _validate_directive(plan, fleet, directive, frame: int) -> None:
             raise PlanError("adaptation page is not a preferred-cycle PO")
         if adaptation >= window_start:
             raise PlanError("adaptation not before the window start")
-        adapted = pattern_for(device.drx.ue_id, cycle, device.drx.nb).schedule
+        adapted = schedule_of(device, cycle)
         if not adapted.is_po(page):
             raise PlanError("window page is not on the adapted grid")
         if not in_window:

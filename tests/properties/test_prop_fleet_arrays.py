@@ -12,11 +12,11 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paging_oracle import pattern_of
 
 from repro.devices import Battery, Fleet, NbIotDevice
 from repro.devices.fleet import CATEGORY_ORDER, COVERAGE_ORDER
 from repro.devices.identity import DeviceIdentity
-from repro.drx.config import DrxConfig
 from repro.drx.cycles import FULL_LADDER
 from repro.drx.paging import NB
 
@@ -37,7 +37,8 @@ def device_rows(draw, nb):
         )
     return NbIotDevice(
         identity=DeviceIdentity(imsi),
-        drx=DrxConfig(ue_id=imsi % 4096, cycle=cycle, nb=nb),
+        cycle=cycle,
+        nb=nb,
         coverage=draw(st.sampled_from(COVERAGE_ORDER)),
         category=draw(st.sampled_from(CATEGORY_ORDER)),
         battery=battery,
@@ -75,6 +76,12 @@ class TestFleetRoundTrip:
         fleet = Fleet.from_devices(devices)
         assert len(fleet) == len(devices)
         assert tuple(fleet) == _stored(devices)
+
+    @given(fleets())
+    @settings(max_examples=60, deadline=None)
+    def test_phases_match_the_scalar_oracle(self, devices):
+        fleet = Fleet.from_devices(devices)
+        assert fleet.phases.tolist() == [pattern_of(d).phase for d in devices]
 
     @given(fleets(), st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,11 +1,13 @@
-"""Property-based tests for PO schedules (hypothesis)."""
+"""Property-based tests for PO schedules (hypothesis): the per-device
+oracle ``PoSchedule`` of ``tests/paging_oracle.py`` and the package's
+``v_*`` queries against it."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paging_oracle import PoSchedule
 
 from repro.drx.schedule import (
-    PoSchedule,
     v_count_in,
     v_first_at_or_after,
     v_has_in,

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from cover_oracle import best_window
+from paging_oracle import PoSchedule
 
 from repro.analysis.theory import greedy_approximation_bound
 from repro.setcover.exact import exact_min_set_cover
@@ -82,8 +83,6 @@ class TestBestWindowProperties:
             for device in cover.members[cover.bounds[g] : cover.bounds[g + 1]]:
                 sched_phase = int(phases[device])
                 period = int(periods[device])
-                from repro.drx.schedule import PoSchedule
-
                 assert PoSchedule(sched_phase, period).has_in(
                     int(cover.start[g]), int(cover.end[g])
                 )

@@ -400,5 +400,5 @@ class TestFleetColumnarViews:
         ue_ids = moderate_fleet.imsis % 4096
         for i, device in enumerate(moderate_fleet):
             assert COVERAGE_ORDER[codes[i]] is device.coverage
-            assert ue_ids[i] == device.drx.ue_id
-            assert device.drx.nb is moderate_fleet.nb
+            assert ue_ids[i] == device.identity.ue_id
+            assert device.nb is moderate_fleet.nb

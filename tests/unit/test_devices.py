@@ -4,15 +4,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from paging_oracle import pattern_for, pattern_of
 
 from repro.devices.battery import Battery
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
-from repro.drx.config import DrxConfig
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import NB, pattern_for
+from repro.drx.paging import NB
 from repro.errors import ConfigurationError, FleetError
 from repro.phy.coverage import CoverageClass
 
@@ -32,22 +32,24 @@ class TestIdentity:
         assert str(DeviceIdentity(imsi=42)) == "imsi-000000000000042"
 
 
-class TestDrxConfig:
-    def test_holds_what_a_fleet_row_stores(self):
-        assert [f.name for f in fields(DrxConfig)] == ["ue_id", "cycle", "nb"]
-
-    def test_pattern_follows_negotiated_cycle(self):
-        cycle = DrxCycle.from_seconds(40.96)
-        config = DrxConfig(7, cycle, NB.HALF_T)
-        assert config.pattern == pattern_for(7, cycle, NB.HALF_T)
-        assert int(config.pattern.cycle) == 4096
-
-
 class TestDevice:
-    def test_build_wires_identity_into_drx(self):
-        device = NbIotDevice.build(imsi=12345, cycle=DrxCycle.from_seconds(20.48))
-        assert device.drx.ue_id == 12345 % 4096
-        assert device.schedule.is_po(device.pattern.phase)
+    def test_holds_what_a_fleet_row_stores(self):
+        assert [f.name for f in fields(NbIotDevice)] == [
+            "identity", "cycle", "nb", "coverage", "category", "battery"
+        ]
+
+    def test_phase_follows_negotiated_cycle(self):
+        cycle = DrxCycle.from_seconds(40.96)
+        device = NbIotDevice.build(imsi=7, cycle=cycle, nb=NB.HALF_T)
+        fleet = Fleet.from_devices([device])
+        assert fleet.phases[0] == pattern_for(7, cycle, NB.HALF_T).phase
+        assert fleet[0] == device
+
+    def test_build_wires_identity_cycle_and_nb(self):
+        cycle = DrxCycle.from_seconds(20.48)
+        device = NbIotDevice.build(imsi=12345, cycle=cycle, nb=NB.QUARTER_T)
+        assert device.identity.ue_id == 12345 % 4096
+        assert (device.cycle, device.nb) == (cycle, NB.QUARTER_T)
 
     def test_link_profile(self):
         device = NbIotDevice.build(
@@ -108,7 +110,7 @@ class TestFleet:
     def test_columnar_views_match_devices(self):
         fleet = Fleet.from_devices(self._devices())
         np.testing.assert_array_equal(
-            fleet.phases, [d.pattern.phase for d in fleet]
+            fleet.phases, [pattern_of(d).phase for d in fleet]
         )
         np.testing.assert_array_equal(
             fleet.periods, [int(d.cycle) for d in fleet]

@@ -1,10 +1,15 @@
-"""Unit tests for PO schedules and vectorised window queries."""
+"""Unit tests for the vectorised PO window queries and their oracle.
+
+``PoSchedule`` is the per-device oracle in ``tests/paging_oracle.py``;
+``TestPoSchedule`` checks it, ``TestVectorised`` checks the package's
+``v_*`` queries against it.
+"""
 
 import numpy as np
 import pytest
+from paging_oracle import PoSchedule
 
 from repro.drx.schedule import (
-    PoSchedule,
     v_count_in,
     v_first_at_or_after,
     v_has_in,

@@ -146,8 +146,9 @@ class TestRunner:
         import numpy as np
 
         from repro.core import AdaptationStrategy, DaScMechanism
+        from paging_oracle import schedule_of
+
         from repro.core.plan import WakeMethod
-        from repro.drx.paging import pattern_for
         from repro.scenarios.runner import comparison_run
         from repro.traffic.generator import generate_fleet
 
@@ -171,10 +172,8 @@ class TestRunner:
             ]
             extra_pos = 0
             for d in adapted:
-                drx = fleet[d.device_index].drx
-                extra_pos += pattern_for(
-                    drx.ue_id, d.adapted_cycle, drx.nb
-                ).schedule.count_in(d.adaptation_page_frame + 1, d.page_frame)
+                grid = schedule_of(fleet[d.device_index], d.adapted_cycle)
+                extra_pos += grid.count_in(d.adaptation_page_frame + 1, d.page_frame)
             key = strategy.value
             assert adapted
             assert got[f"{key}/adapted_devices"] == float(len(adapted))

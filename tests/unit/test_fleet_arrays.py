@@ -12,6 +12,7 @@ import pickle
 import numpy as np
 import pytest
 from fleet_oracle import sample_reference
+from paging_oracle import paging_frame_offset, pattern_for
 
 from repro.devices import Battery, Fleet, NbIotDevice
 from repro.devices.fleet import (
@@ -26,16 +27,9 @@ from repro.devices.fleet import (
 )
 from repro.devices.identity import DeviceIdentity
 from repro.devices.profiles import DeviceCategory
-from repro.drx.config import DrxConfig
 from repro.drx.cycles import FULL_LADDER, DrxCycle
-from repro.drx.paging import (
-    NB,
-    paging_frame_offset,
-    pattern_for,
-    v_paging_frame_offset,
-    v_paging_subframe,
-)
-from repro.errors import FleetError
+from repro.drx.paging import NB, v_paging_frame_offset, v_paging_subframe
+from repro.errors import FleetError, LadderError
 from repro.phy.coverage import CoverageClass
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MIXTURES, MODERATE_EDRX_MIXTURE
@@ -50,7 +44,8 @@ def _device(imsi, frames=256, coverage=CoverageClass.NORMAL, battery=None):
     cycle = DrxCycle(frames)
     return NbIotDevice(
         identity=DeviceIdentity(imsi),
-        drx=DrxConfig(ue_id=imsi % 4096, cycle=cycle, nb=NB.ONE_T),
+        cycle=cycle,
+        nb=NB.ONE_T,
         coverage=coverage,
         category=DeviceCategory.SMART_METER,
         battery=battery,
@@ -147,6 +142,16 @@ class TestFromColumns:
                 coverage_codes=np.zeros(1, dtype=np.int64),
                 category_codes=np.zeros(1, dtype=np.int64),
             )
+        # The first off-ladder row names the error, wherever it sits and
+        # whichever way it is off (not a power of two, beyond the ladder).
+        for periods, bad in (([256, 512, 257, 96], "257"), ([32, 2**21], "2097152")):
+            with pytest.raises(LadderError, match=f"cycle of {bad} frames"):
+                Fleet.from_columns(
+                    imsis=np.arange(1001, 1001 + len(periods), dtype=np.int64),
+                    periods=np.array(periods, dtype=np.int64),
+                    coverage_codes=np.zeros(len(periods), dtype=np.int64),
+                    category_codes=np.zeros(len(periods), dtype=np.int64),
+                )
 
     def test_fleet_wide_nb_reaches_every_row(self):
         imsis = np.array([1001, 2002, 3003], dtype=np.int64)
@@ -161,7 +166,8 @@ class TestFromColumns:
         expected = tuple(
             NbIotDevice(
                 identity=DeviceIdentity(int(imsi)),
-                drx=DrxConfig(int(imsi) % 4096, DrxCycle(int(frames)), NB.QUARTER_T),
+                cycle=DrxCycle(int(frames)),
+                nb=NB.QUARTER_T,
                 coverage=CoverageClass.NORMAL,
                 category=DeviceCategory.SMART_METER,
             )
@@ -235,14 +241,6 @@ class TestShapeAndSlicing:
                     NbIotDevice.build(2222, DrxCycle(256), nb=NB.HALF_T),
                 )
             )
-
-    def test_from_devices_rejects_a_ue_id_off_the_imsi(self):
-        forged = NbIotDevice(
-            identity=DeviceIdentity(5005),
-            drx=DrxConfig(ue_id=(5005 + 1) % 4096, cycle=DrxCycle(256)),
-        )
-        with pytest.raises(FleetError, match="not its IMSI"):
-            Fleet.from_devices((_device(1111), forged))
 
     def test_concatenate_rejects_parts_of_different_nb(self):
         half = Fleet.from_devices(

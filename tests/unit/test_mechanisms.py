@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from paging_oracle import schedule_of
 
 from repro.core import (
     AdaptationStrategy,
@@ -13,7 +14,6 @@ from repro.core import (
 )
 from repro.core.base import PlanningContext
 from repro.core.plan import WakeMethod
-from repro.drx.paging import pattern_for
 from repro.errors import ConfigurationError
 
 
@@ -88,7 +88,7 @@ class TestDaSc:
         for directive in plan.directives:
             if directive.method is not WakeMethod.DRX_ADAPTATION:
                 continue
-            schedule = small_fleet[directive.device_index].schedule
+            schedule = schedule_of(small_fleet[directive.device_index])
             assert directive.adaptation_page_frame == schedule.last_before(
                 window_lo
             )
@@ -116,7 +116,7 @@ class TestDaSc:
         t = plan.transmissions[0].frame
         ti = context.inactivity_timer_frames
         for directive in plan.directives:
-            schedule = small_fleet[directive.device_index].schedule
+            schedule = schedule_of(small_fleet[directive.device_index])
             has_window_po = schedule.has_in(t - ti, t)
             if has_window_po:
                 assert directive.method is WakeMethod.PAGED_IN_WINDOW
@@ -141,7 +141,7 @@ class TestDrSi:
         t = plan.transmissions[0].frame
         ti = context.inactivity_timer_frames
         for directive in plan.directives:
-            schedule = small_fleet[directive.device_index].schedule
+            schedule = schedule_of(small_fleet[directive.device_index])
             if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
                 assert not schedule.has_in(t - ti, t)
             else:
@@ -169,7 +169,7 @@ class TestDrSi:
         plan = DrSiMechanism().plan(small_fleet, context, rng)
         for directive in plan.directives:
             if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-                schedule = small_fleet[directive.device_index].schedule
+                schedule = schedule_of(small_fleet[directive.device_index])
                 assert directive.page_frame == schedule.first_at_or_after(0)
 
 
@@ -183,7 +183,7 @@ class TestUnicast:
     def test_paged_at_first_po(self, small_fleet, context, rng):
         plan = UnicastBaseline().plan(small_fleet, context, rng)
         for directive in plan.directives:
-            schedule = small_fleet[directive.device_index].schedule
+            schedule = schedule_of(small_fleet[directive.device_index])
             assert directive.page_frame == schedule.first_at_or_after(0)
 
     def test_works_without_rng(self, small_fleet, context):

@@ -4,6 +4,7 @@ paging records."""
 import numpy as np
 import pytest
 
+from paging_oracle import pattern_of
 from plan_oracle import scalar_pages
 from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism
 from repro.core.base import PlanningContext
@@ -188,7 +189,7 @@ class TestColumnarPaging:
             members = [d for d in plan.directives if d.transmission_index == tx.index]
             occasions = []
             for d in members:
-                subframe = small_fleet[d.device_index].pattern.subframe
+                subframe = pattern_of(small_fleet[d.device_index]).subframe
                 occasions.append((d.page_frame, subframe))
                 if d.method is WakeMethod.DRX_ADAPTATION:
                     occasions.append((d.adaptation_page_frame, subframe))

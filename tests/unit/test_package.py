@@ -90,3 +90,17 @@ def test_package_ships_no_reference_paths():
         assert not moved & set(importlib.import_module(module).__all__)
     assert not hasattr(TrafficMixture, "sample_reference")
     assert not hasattr(DownlinkScheduler, "_count_overlaps_reference")
+    # One paging-occasion rule: the column kernels. The per-device
+    # TS 36.304 formula and schedule are their oracle in tests/.
+    scalar_paging = {
+        "paging_frame_offset",
+        "paging_subframe",
+        "pattern_for",
+        "PagingOccasionPattern",
+        "PoSchedule",
+        "DrxConfig",
+    }
+    for module in ("repro", "repro.drx", "repro.drx.paging", "repro.drx.schedule"):
+        namespace = vars(importlib.import_module(module))
+        assert not scalar_paging & set(namespace), module
+    assert importlib.util.find_spec("repro.drx.config") is None

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from paging_oracle import schedule_of
 
 from repro.core.plan import (
     METHOD_CODE,
@@ -17,7 +18,6 @@ from repro.core.plan import (
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.drx.cycles import DrxCycle
-from repro.drx.paging import pattern_for
 from repro.errors import CoverageError, PlanError
 from repro.rrc.timers import T322Timer
 
@@ -50,7 +50,7 @@ def _single_tx(frame: int, rate_bps: float = 25000) -> TransmissionTable:
 
 
 def _window_page(fleet: Fleet, device_index: int, tx_frame: int) -> int:
-    schedule = fleet[device_index].schedule
+    schedule = schedule_of(fleet[device_index])
     page = schedule.last_at_or_before(tx_frame)
     assert page is not None and page >= tx_frame - 2048
     return page
@@ -228,7 +228,7 @@ class TestPlanValidation:
 
     def test_page_outside_window_detected(self, pair_fleet):
         tx_frame = 50000
-        early_page = pair_fleet[0].schedule.first_at_or_after(0)
+        early_page = schedule_of(pair_fleet[0]).first_at_or_after(0)
         directives = (
             DeviceDirective(
                 device_index=0, transmission_index=0,
@@ -399,9 +399,9 @@ def test_adaptation_inside_window_detected(pair_fleet):
     # adaptation PO inside the window is rejected even when every other
     # claim (POs on both grids, page in window and after it) holds.
     device = pair_fleet[0]
-    adaptation = device.schedule.first_at_or_after(10_000)
+    adaptation = schedule_of(device).first_at_or_after(10_000)
     page = adaptation + 1024  # next PO of the nested 1024-frame grid
-    grid = pattern_for(device.drx.ue_id, DrxCycle(1024), device.drx.nb).schedule
+    grid = schedule_of(device, DrxCycle(1024))
     assert grid.is_po(page)
     plan = _plan_for(
         pair_fleet,
@@ -426,7 +426,7 @@ class TestReportInvariants:
     def test_notification_at_its_transmission_detected(self, pair_fleet):
         # A DR-SI notification must arrive strictly before the multicast
         # it announces (a positive frames-until-transmission).
-        page = pair_fleet[0].schedule.first_at_or_after(5000)
+        page = schedule_of(pair_fleet[0]).first_at_or_after(5000)
         plan = _plan_for(
             pair_fleet,
             PlanArrays(

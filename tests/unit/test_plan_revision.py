@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+from paging_oracle import schedule_of
 
 from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
 from repro.core.plan import WakeMethod, revise_plan
 from repro.devices.device import NbIotDevice
-from repro.devices.fleet import Fleet
+from repro.devices.fleet import COVERAGE_CODE, Fleet
 from repro.drx.cycles import DrxCycle
 from repro.enb.cell import CellConfig
 from repro.errors import PlanError
+from repro.phy.coverage import CoverageClass
 
 
 def _working_fleet(fleet: Fleet, *extra: NbIotDevice) -> Fleet:
@@ -58,7 +60,7 @@ class TestJoin:
         assert new_index in tx.device_indices
         # The page is a real PO of the joiner, inside the TI-window,
         # and strictly in the future.
-        assert joiner.schedule.is_po(directive.page_frame)
+        assert schedule_of(joiner).is_po(directive.page_frame)
         assert directive.page_frame > 0
         ti = base_plan.inactivity_timer_frames
         assert tx.frame - ti <= directive.page_frame <= tx.frame
@@ -106,6 +108,64 @@ class TestJoin:
         assert tx.frame > last_frame
         directive = revision.joined_directives[0]
         assert directive.page_frame > last_frame
+        revision.revised.validate(fleet, partial=True)
+
+    def test_joiner_falls_back_to_its_latest_window_po(
+        self, tiny_fleet, context, rng
+    ):
+        # The joiner's PO that leaves the connect slack is already past
+        # at ``now_frame``, so its latest PO in the window pages it.
+        base = DrScMechanism().plan(tiny_fleet, context, rng)
+        tx_frame = int(base.transmissions[0].frame)  # the earliest window
+        slack = int(
+            context.connect_slack_table()[COVERAGE_CODE[CoverageClass.NORMAL]]
+        )
+        cycle = DrxCycle(256)
+        joiner = next(
+            device
+            for device in (
+                NbIotDevice.build(imsi=999_000_000 + i, cycle=cycle)
+                for i in range(256)
+            )
+            if schedule_of(device).last_at_or_before(tx_frame) == tx_frame - 1
+        )
+        preferred = schedule_of(joiner).last_at_or_before(tx_frame - slack)
+        assert 1 < slack < 256 and preferred == tx_frame - 1 - 256
+        fleet = _working_fleet(tiny_fleet, joiner)
+        new_index = len(fleet) - 1
+        revision = revise_plan(
+            base, fleet, joined=(new_index,), now_frame=preferred, context=context
+        )
+        (directive,) = revision.joined_directives
+        assert directive.page_frame == tx_frame - 1
+        assert revision.new_transmissions == ()
+        tx = revision.revised.transmissions[directive.transmission_index]
+        assert tx.frame == tx_frame
+        assert new_index in tx.device_indices
+        revision.revised.validate(fleet, partial=True)
+
+    def test_second_joiner_lands_in_the_first_joiners_fresh_window(
+        self, tiny_fleet, context, rng
+    ):
+        base = DrScMechanism().plan(tiny_fleet, context, rng)
+        last_frame = max(t.frame for t in base.transmissions)
+        # One UE_ID (IMSIs 4096 apart) and one cycle: the joiners share
+        # their POs, so the window the first one opens serves the second.
+        first = _joiner(imsi=999_000_333)
+        second = _joiner(imsi=999_000_333 + 4096)
+        fleet = _working_fleet(tiny_fleet, first, second)
+        joined = (len(fleet) - 2, len(fleet) - 1)
+        revision = revise_plan(
+            base, fleet, joined=joined, now_frame=last_frame, context=context
+        )
+        assert len(revision.new_transmissions) == 1
+        tx = revision.revised.transmissions[revision.new_transmissions[0]]
+        assert tx.device_indices.tolist() == list(joined)
+        page = schedule_of(first).first_at_or_after(last_frame + 1)
+        assert [d.page_frame for d in revision.joined_directives] == [page, page]
+        assert [d.transmission_index for d in revision.joined_directives] == [
+            tx.index, tx.index
+        ]
         revision.revised.validate(fleet, partial=True)
 
     def test_join_existing_member_rejected(
