@@ -5,8 +5,9 @@
 * A6 — scalability: wall-clock of the DR-SC sweep-line planner and of a
   full campaign execution at paper scale (1000 devices).
 * Cover shapes — the greedy window cover on inputs captured from real
-  campaigns, one row per shape where a cover kernel can be slow: large
-  paper-default fleets, the 64-device and 3k-device cells of
+  campaigns, one row per shape where a cover kernel can be slow:
+  paper-default fleets from one sweep of about 1.6k explicit devices
+  (3k devices) up to 10^5, the 64-device and 3k-device cells of
   city-rollout, contention-storm's 12-round cover and
   metering-longsleep (nothing folds), plus ``FLEET_SCALE_MIXTURE`` at
   10^4. dense-urban has no row: its captured cover input is
@@ -49,6 +50,7 @@ from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
 
 #: Cover shapes: (label, registered scenario or "fleet-scale", devices).
 COVER_SHAPES = (
+    ("paper-baseline (one 1.6k-explicit sweep)", "paper-baseline", 3_000),
     ("paper-baseline", "paper-baseline", 10_000),
     ("paper-baseline", "paper-baseline", 100_000),
     ("city-rollout (64-device cells)", "city-rollout", 1_024),

@@ -257,9 +257,10 @@ class PlanArrays(ColumnTable, SequenceABC):
     @cached_property
     def _first_rows(self) -> np.ndarray:
         """Device index -> its first row (-1 for devices without one)."""
-        rows = np.full(int(self.device.max()) + 1 if len(self) else 0, -1, np.int64)
-        devices, first = np.unique(self.device, return_index=True)
-        rows[devices] = first
+        n = len(self)
+        rows = np.full(int(self.device.max()) + 1 if n else 0, n, np.int64)
+        np.minimum.at(rows, self.device, np.arange(n))
+        rows[rows == n] = -1
         return rows
 
     def row_of(self, device_index: int) -> int:

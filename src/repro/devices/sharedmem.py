@@ -20,7 +20,7 @@ model"):
 * **workers** attach and close — close unmaps this process's view and
   never touches the name;
 * the processes of one campaign share **one** resource tracker: both
-  :meth:`create` and :meth:`attach` call ``ensure_running()`` so the
+  :meth:`allocate` and :meth:`attach` call ``ensure_running()`` so the
   tracker exists before any pool forks (fork children inherit it), and
   the fused scheduler does the same before spawning its pool. Python
   < 3.13 registers segments on attach as well as create (bpo-39959),
@@ -39,7 +39,7 @@ import weakref
 from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
 from secrets import token_hex
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -200,8 +200,7 @@ class SharedFleet:
         if imsis_address != base_address:
             raise SimulationError(
                 "seal() requires columns built inside this segment "
-                "(pass column_buffers() as the generator's `out`); "
-                "use SharedFleet.create() to publish a heap fleet"
+                "(pass column_buffers() as the generator's `out`)"
             )
         for view in self._extras.values():
             view.flags.writeable = False
@@ -216,35 +215,6 @@ class SharedFleet:
                 f"{what}() is only available on a staging segment "
                 f"(SharedFleet.allocate) before seal()"
             )
-
-    @classmethod
-    def create(
-        cls,
-        fleet: Fleet,
-        extras: Optional[Mapping[str, np.ndarray]] = None,
-    ) -> "SharedFleet":
-        """Publish ``fleet`` (and int64 ``extras`` columns) to a new segment.
-
-        The copying path, for fleets that already exist on the heap;
-        fleets generated for publication should be built straight into
-        an :meth:`allocate`'d segment instead.
-        """
-        extras = dict(extras or {})
-        for name, column in extras.items():
-            column = np.ascontiguousarray(column, dtype=np.int64)
-            if column.shape != (len(fleet),):
-                raise SimulationError(
-                    f"shared-fleet extra {name!r} has shape {column.shape}, "
-                    f"expected ({len(fleet)},)"
-                )
-            extras[name] = column
-        staged = cls.allocate(len(fleet), extras=tuple(extras))
-        buffers = staged.column_buffers()
-        for name, column in fleet.columns():
-            np.copyto(buffers[name], column)
-        for name, column in extras.items():
-            np.copyto(staged.extra_buffer(name), column)
-        return staged.seal(Fleet(**buffers, nb=fleet.nb))
 
     @classmethod
     def attach(

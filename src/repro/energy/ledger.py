@@ -1,11 +1,11 @@
 """Uptime and energy ledgers.
 
-A :class:`UptimeLedger` accumulates (state, duration) contributions for a
-single device over a campaign and produces the split the paper's Fig. 6
-plots: light-sleep uptime vs connected-mode uptime. The tests'
-event-driven replay keeps one per device; a campaign result's row view
-holds one read from its column of the result's per-state seconds matrix
-(:class:`~repro.sim.metrics.CampaignResult`), whose rows follow
+A :class:`UptimeLedger` holds one device's seconds per power state over
+a campaign and produces the split the paper's Fig. 6 plots: light-sleep
+uptime vs connected-mode uptime. The tests' event-driven replay builds
+one per device from the seconds it accumulated; a campaign result's row
+view holds one read from its column of the result's per-state seconds
+matrix (:class:`~repro.sim.metrics.CampaignResult`), whose rows follow
 :data:`STATE_ORDER`.
 """
 
@@ -48,40 +48,41 @@ class UptimeTotals:
 
 
 class UptimeLedger:
-    """Mutable per-device accumulator of time spent in each power state.
+    """Frozen record of one device's seconds in each power state.
 
-    Two ledgers are equal when they hold the same seconds in every
-    state, so result rows (which hold one) compare by value. Being
-    mutable, a ledger is not hashable.
+    Built from ``{state: seconds}`` (states left out hold 0); negative
+    seconds are rejected. Two ledgers are equal, and hash alike, when
+    they hold the same seconds in every state, so result rows (which
+    hold one) compare and hash by value.
     """
 
     __slots__ = ("_seconds",)
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __init__(self, seconds: Optional[Mapping[PowerState, float]] = None) -> None:
-        self._seconds: Dict[PowerState, float] = {state: 0.0 for state in PowerState}
-        if seconds:
-            for state, value in seconds.items():
-                self.add(state, value)
+        values = [0.0] * len(STATE_ORDER)
+        for state, value in (seconds or {}).items():
+            if value < 0:
+                raise ConfigurationError(
+                    f"negative duration {value} for {state}"
+                )
+            values[STATE_INDEX[state]] = float(value)
+        object.__setattr__(self, "_seconds", tuple(values))
 
-    def add(self, state: PowerState, seconds: float) -> None:
-        """Accumulate ``seconds`` of time spent in ``state``."""
-        if seconds < 0:
-            raise ConfigurationError(
-                f"cannot add negative duration {seconds} for {state}"
-            )
-        self._seconds[state] += seconds
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("an UptimeLedger is immutable")
+
+    def __reduce__(self):
+        return UptimeLedger, (dict(zip(STATE_ORDER, self._seconds)),)
 
     def seconds_in(self, state: PowerState) -> float:
         """Total seconds recorded in ``state``."""
-        return self._seconds[state]
+        return self._seconds[STATE_INDEX[state]]
 
     def group_seconds(self, group: StateGroup) -> float:
         """Total seconds across all states in ``group``."""
         return sum(
             value
-            for state, value in self._seconds.items()
+            for state, value in zip(STATE_ORDER, self._seconds)
             if STATE_GROUPS[state] is group
         )
 
@@ -98,13 +99,16 @@ class UptimeLedger:
         """Total energy in millijoules under ``profile``."""
         return sum(
             profile.energy_mj(state, seconds)
-            for state, seconds in self._seconds.items()
+            for state, seconds in zip(STATE_ORDER, self._seconds)
         )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UptimeLedger):
             return NotImplemented
         return self._seconds == other._seconds
+
+    def __hash__(self) -> int:
+        return hash(self._seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         totals = self.totals

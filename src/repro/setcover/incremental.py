@@ -10,16 +10,11 @@ selection. A device lives in one of two representations:
 
 * **explicit** — its covering intervals, built and sorted once into one
   table (:class:`_Intervals`: an owner-indexed CSR and a start-ordered
-  stab table) that the explicit count reads. With at least
-  :data:`BLOCKED_MIN_DEVICES` explicit devices the count is kept per
-  distinct event position in ``sqrt``-sized blocks that know their
-  maximum (:class:`_BlockedCounts`): removing devices subtracts their
-  intervals from the positions they span and refreshes only the blocks
-  it touched, so it costs what it removes. Fewer devices keep one
-  sorted event list (:class:`_CompactedEvents`) whose dead events are
-  compacted away, the count being a running sum over the survivors;
-  there a removal's few numpy calls cost less than the blocked one's
-  many;
+  stab table) and one count kept per distinct event position in
+  ``sqrt``-sized blocks that know their maximum
+  (:class:`_BlockedCounts`): removing devices subtracts their intervals
+  from the positions they span and refreshes only the blocks it
+  touched, so it costs what it removes, not what survives;
 * **folded** — for a DRX period with many POs in the horizon, one
   interval per PO is wasteful: every window start ``s`` in
   ``[hs, he - L]`` lies inside the horizon, so a device of period
@@ -71,10 +66,10 @@ devices as one sorted list, and their intervals sorted and merged before
 binary searches delete the candidates inside them. Larger rounds use
 numpy.
 
-Which periods fold, and which explicit representation a sweep uses,
-is decided from the fleet alone (see :func:`_fold_periods`). State is
-``O(n + Q)`` plus the explicit intervals, so memory does not grow with
-``n * horizon / period`` for the folded periods.
+Which periods fold is decided from the fleet alone (see
+:func:`_fold_periods`). State is ``O(n + Q)`` plus the explicit
+intervals, so memory does not grow with ``n * horizon / period`` for the
+folded periods.
 """
 
 from __future__ import annotations
@@ -106,18 +101,6 @@ FOLD_MIN_POS_PER_TABLE_ENTRY = 0.1
 
 #: The longest period whose range-maximum table still costs its size.
 FOLD_CACHED_PERIOD = 2**16
-
-#: The fewest explicit devices kept as a blocked count array; fewer
-#: keep the compacted event list. A blocked removal or refill costs some
-#: twenty small numpy calls plus what it touches, a compacted one a few
-#: calls over every surviving event. Measured on paper-default fleets
-#: (L 2048, 2^21-frame horizon) with tied rounds batched, blocked /
-#: compacted cover time was 1.18 at 0.6k explicit devices, 1.06 at
-#: 0.85k, 0.98-1.01 at 1.1k, 1.02 at 1.7k, 1.01 at 2.2k, 0.99 at 2.7k,
-#: 0.97 at 3.3k and 0.93 at 4.4k; city-rollout's 64-device cells 1.12
-#: and its 3k-device cells (1.7k explicit) 0.93-1.09 across runs. The
-#: crossover is flat between about 1k and 3k, so it stays at 2000.
-BLOCKED_MIN_DEVICES = 2_000
 
 #: The fewest event positions in one block of the explicit count array.
 BLOCK_FLOOR = 64
@@ -288,8 +271,8 @@ class _Intervals:
     """The explicit devices' covering intervals, one table per cover.
 
     Built once from :func:`coverage_intervals`, which emits each
-    device's intervals as one contiguous run, and read by both count
-    representations: an owner-indexed CSR gives a device's intervals,
+    device's intervals as one contiguous run: an owner-indexed CSR gives
+    a device's intervals (what a removal subtracts from the count),
     and the intervals no longer than the window, in start order, answer
     a stab with two binary searches; longer ones (periods shorter than
     the window) are checked whole. Dead devices' intervals stay in the
@@ -426,49 +409,6 @@ class _Intervals:
             self._long = [array[keep] for array in self._long]
 
 
-class _CompactedEvents:
-    """The explicit intervals as one sorted event list, compacted per refill.
-
-    Built once per cover: +1 at each interval start, -1 at each end, in
-    position order; the counts are one running sum over the surviving
-    events, read after each position's last event (so events at one
-    position may come in any order), and removing devices drops their
-    events.
-    """
-
-    def __init__(
-        self, endpoints: np.ndarray, order: np.ndarray, owners: np.ndarray
-    ) -> None:
-        self._positions = endpoints
-        self._deltas = np.where(order < owners.size, 1, -1)
-        self._event_owners = np.concatenate([owners, owners])[order]
-
-    def segments(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Positions with a surviving event, and the count from each."""
-        positions = self._positions
-        running = np.cumsum(self._deltas)
-        is_last = np.empty(positions.size, dtype=bool)
-        np.not_equal(positions[:-1], positions[1:], out=is_last[:-1])
-        is_last[-1:] = True
-        return positions[is_last], running[is_last]
-
-    def candidates(self) -> Tuple[int, np.ndarray]:
-        """The maximal count and the positions with a surviving event
-        that reach it, ascending."""
-        if self._positions.size == 0:
-            raise SetCoverError("no device has a PO inside the search horizon")
-        seg_pos, seg_count = self.segments()
-        best = int(seg_count.max())
-        return best, seg_pos[seg_count == best]
-
-    def remove(self, intervals: np.ndarray, alive: np.ndarray) -> None:
-        """Drop the events of the devices now dead."""
-        keep = alive[self._event_owners]
-        self._positions = self._positions[keep]
-        self._deltas = self._deltas[keep]
-        self._event_owners = self._event_owners[keep]
-
-
 def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The concatenated index ranges ``[first[i], first[i] + counts[i])``."""
     ends = np.cumsum(counts)
@@ -541,7 +481,7 @@ class _BlockedCounts:
         )
         return best, self.positions[hot[row] * self.block + col]
 
-    def remove(self, intervals: np.ndarray, alive: np.ndarray) -> None:
+    def remove(self, intervals: np.ndarray) -> None:
         """Subtract ``intervals``, whose devices are already marked dead."""
         start_at = self._start_at[intervals]
         end_at = self._end_at[intervals]
@@ -620,7 +560,7 @@ class IncrementalSweep:
             phases[explicit], periods[explicit],
             window_len, horizon_start, horizon_end,
         )
-        # One sort of every endpoint serves either explicit count and the
+        # One sort of every endpoint serves the explicit count and the
         # stab table (the intervals in start order). The endpoints go
         # before the table is built: at 10^6 devices they would otherwise
         # set the cover's memory peak.
@@ -628,10 +568,7 @@ class IncrementalSweep:
         order = np.argsort(endpoints)
         endpoints = endpoints[order]
         owners = explicit[owners]
-        if explicit.size < BLOCKED_MIN_DEVICES:
-            self._explicit = _CompactedEvents(endpoints, order, owners)
-        else:
-            self._explicit = _BlockedCounts(endpoints, order)
+        self._explicit = _BlockedCounts(endpoints, order)
         del endpoints
         self._intervals = _Intervals(
             starts, ends, owners, order[order < starts.size], window_len,
@@ -726,7 +663,7 @@ class IncrementalSweep:
     def _remove(self, devices: np.ndarray) -> None:
         """Take the intervals of ``devices``, already dead, out of the
         count."""
-        self._explicit.remove(self._intervals.of(devices), self._alive)
+        self._explicit.remove(self._intervals.of(devices))
         self._intervals.forget_dead()
 
     @staticmethod

@@ -397,8 +397,8 @@ def live_metrics(log: Union["EventLog", np.ndarray]) -> LiveMetrics:
     batch pipeline contain no service kinds and roll up to all-zeros.
     """
     events = log.events if isinstance(log, EventLog) else np.asarray(log)
-    service_codes = {
-        KIND_CODES[kind]: kind
+    service_codes = [
+        KIND_CODES[kind]
         for kind in (
             EventKind.CAMPAIGN_SUBMIT,
             EventKind.CAMPAIGN_REVISE,
@@ -407,18 +407,25 @@ def live_metrics(log: Union["EventLog", np.ndarray]) -> LiveMetrics:
             EventKind.DEVICE_JOIN,
             EventKind.DEVICE_LEAVE,
         )
-    }
+    ]
+    # One count per (campaign, kind), keyed group * 256 + kind code and
+    # read back in order of first appearance, so campaigns and their
+    # kinds keep the log's order.
+    rows = events[np.isin(events["kind"], service_codes)]
+    keys, first, counts = np.unique(
+        rows["group"].astype(np.int64) * 256 + rows["kind"],
+        return_index=True,
+        return_counts=True,
+    )
+    order = np.argsort(first)
     per_campaign: Dict[int, Dict[str, int]] = {}
+    for key, count in zip(keys[order].tolist(), counts[order].tolist()):
+        group, code = divmod(key, 256)
+        per_campaign.setdefault(group, {})[CODE_TO_KIND[code].value] = count
     revise_rows = events[
         events["kind"] == KIND_CODES[EventKind.CAMPAIGN_REVISE]
     ]
     defer_rows = events[events["kind"] == KIND_CODES[EventKind.CAMPAIGN_DEFER]]
-    for row in events:
-        kind = service_codes.get(int(row["kind"]))
-        if kind is None:
-            continue
-        counters = per_campaign.setdefault(int(row["group"]), {})
-        counters[kind.value] = counters.get(kind.value, 0) + 1
     return LiveMetrics(
         campaigns=int(
             np.count_nonzero(

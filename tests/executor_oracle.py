@@ -26,7 +26,7 @@ from repro.devices.fleet import Fleet
 from repro.energy.ledger import STATE_ORDER, UptimeLedger
 from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.rrc.procedures import ProcedureTimings
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventKind
@@ -271,7 +271,8 @@ class _DeviceActor:
         self._device = campaign.fleet[directive.device_index]
         self._preferred = schedule_of(self._device)
         self._grid: PoSchedule = self._preferred
-        self.ledger = UptimeLedger()
+        self.seconds: Dict[PowerState, float] = dict.fromkeys(STATE_ORDER, 0.0)
+        self.ledger: Optional[UptimeLedger] = None
         self.ready_s = 0.0
         self.wait_s = 0.0
         self.updated_s = 0.0
@@ -323,7 +324,7 @@ class _DeviceActor:
             return
         if frame == directive.page_frame:
             if directive.method is WakeMethod.EXTENDED_PAGE_TIMER:
-                self.ledger.add(PowerState.PAGING_RX, airtime.extended_paging_s)
+                self._spend(PowerState.PAGING_RX, airtime.extended_paging_s)
                 self._record(
                     EventKind.EXTENDED_PAGE, frame, a=airtime.extended_paging_s
                 )
@@ -345,7 +346,7 @@ class _DeviceActor:
                 )
                 return
             # Final page: receive it and connect.
-            self.ledger.add(PowerState.PAGING_RX, airtime.paging_message_s)
+            self._spend(PowerState.PAGING_RX, airtime.paging_message_s)
             self._record(EventKind.PAGE, frame, a=airtime.paging_message_s)
             self._suspended = True
             self._connect(frames_to_seconds(frame) + airtime.paging_message_s)
@@ -383,11 +384,11 @@ class _DeviceActor:
         """DA-SC: page + RA + setup + reconfiguration + release."""
         timings = self._campaign.timings
         airtime = timings.airtime
-        self.ledger.add(PowerState.PAGING_RX, airtime.paging_message_s)
+        self._spend(PowerState.PAGING_RX, airtime.paging_message_s)
         episode = timings.adaptation_episode_s(self._device.coverage, self._rng)
         ra = timings.random_access.base_duration_s(self._device.coverage)
-        self.ledger.add(PowerState.RANDOM_ACCESS, ra)
-        self.ledger.add(PowerState.RRC_SIGNALLING, episode - ra)
+        self._spend(PowerState.RANDOM_ACCESS, ra)
+        self._spend(PowerState.RRC_SIGNALLING, episode - ra)
         self._record(EventKind.ADAPTATION_PAGE, frame, a=episode, b=ra)
         # Switch to the adapted grid; resume monitoring after the episode.
         assert self._directive.adapted_cycle is not None
@@ -401,8 +402,8 @@ class _DeviceActor:
         """Random access + RRC setup, then notify the gate."""
         timings = self._campaign.timings
         ra = timings.random_access.perform(self._device.coverage, self._rng)
-        self.ledger.add(PowerState.RANDOM_ACCESS, ra.duration_s)
-        self.ledger.add(PowerState.RRC_SIGNALLING, timings.airtime.rrc_setup_s)
+        self._spend(PowerState.RANDOM_ACCESS, ra.duration_s)
+        self._spend(PowerState.RRC_SIGNALLING, timings.airtime.rrc_setup_s)
         self.ready_s = at_s + ra.duration_s + timings.airtime.rrc_setup_s
         self._record(
             EventKind.CONNECTION_READY,
@@ -435,18 +436,18 @@ class _DeviceActor:
     # ------------------------------------------------------------------
     def transmission_started(self, start_s: float) -> None:
         self.wait_s = max(0.0, start_s - self.ready_s)
-        self.ledger.add(PowerState.CONNECTED_WAIT, self.wait_s)
+        self._spend(PowerState.CONNECTED_WAIT, self.wait_s)
 
     def transmission_ended(self, end_s: float) -> None:
         timings = self._campaign.timings
         rx_s = end_s - (self.ready_s + self.wait_s)
-        self.ledger.add(PowerState.CONNECTED_RX, rx_s)
+        self._spend(PowerState.CONNECTED_RX, rx_s)
         self.updated_s = end_s
         tail = timings.release_s()
         if self._directive.method is WakeMethod.DRX_ADAPTATION:
             tail += timings.restore_s()
             self._grid = self._preferred  # cycle restored
-        self.ledger.add(PowerState.RRC_SIGNALLING, tail)
+        self._spend(PowerState.RRC_SIGNALLING, tail)
         self.main_end_s = end_s + tail
         self._record(
             EventKind.DEVICE_DONE,
@@ -465,17 +466,26 @@ class _DeviceActor:
     def finalise(self, horizon: int, horizon_s: float) -> None:
         airtime = self._campaign.timings.airtime
         monitored = sum(1 for f in self._monitored_po_frames if f < horizon)
-        self.ledger.add(PowerState.PO_MONITOR, monitored * airtime.po_monitor_s)
+        self._spend(PowerState.PO_MONITOR, monitored * airtime.po_monitor_s)
         self._record(
             EventKind.PO_MONITOR,
             self._campaign.plan.announce_frame,
             a=float(monitored),
         )
-        totals = self.ledger.totals
-        self.ledger.add(
+        totals = UptimeLedger(self.seconds).totals
+        self._spend(
             PowerState.DEEP_SLEEP,
             max(0.0, horizon_s - totals.light_sleep_s - totals.connected_s),
         )
+        self.ledger = UptimeLedger(self.seconds)
+
+    def _spend(self, state: PowerState, seconds: float) -> None:
+        """Accumulate ``seconds`` of time spent in ``state``."""
+        if seconds < 0:
+            raise ConfigurationError(
+                f"cannot add negative duration {seconds} for {state}"
+            )
+        self.seconds[state] += seconds
 
 
 def assert_matches_replay(result, replay, seconds_atol=1e-9):

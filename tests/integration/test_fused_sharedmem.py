@@ -15,8 +15,8 @@ import pickle
 
 import numpy as np
 import pytest
+from shared_fleets import publish
 
-from repro.devices import SharedFleet
 from repro.multicast.coordination import MultiCellSpec, attach_devices
 from repro.scenarios import run_scenario, scenario
 from repro.scenarios.runner import (
@@ -37,7 +37,7 @@ def _shared_fleet(n=24, seed=9, n_cells=4):
     attachments = attach_devices(
         len(fleet), MultiCellSpec(n_cells=n_cells), rng
     )
-    return SharedFleet.create(
+    return publish(
         fleet,
         extras={"attachments": np.asarray(attachments, dtype=np.int64)},
     )

@@ -6,8 +6,33 @@ import pytest
 from repro.__main__ import main
 from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism
 from repro.multicast import FirmwareImage, OnDemandMulticastService
+from repro.sim.eventlog import KIND_CODES, RunLog, live_metrics
+from repro.sim.events import EventKind
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE
+
+_SERVICE_KINDS = (
+    EventKind.CAMPAIGN_SUBMIT,
+    EventKind.CAMPAIGN_REVISE,
+    EventKind.CAMPAIGN_ADMIT,
+    EventKind.CAMPAIGN_DEFER,
+    EventKind.DEVICE_JOIN,
+    EventKind.DEVICE_LEAVE,
+)
+
+
+def _per_campaign_walk(events):
+    """``LiveMetrics.per_campaign`` counted one row at a time."""
+    codes = {KIND_CODES[kind]: kind for kind in _SERVICE_KINDS}
+    per_campaign = {}
+    for row in events:
+        kind = codes.get(int(row["kind"]))
+        if kind is None:
+            continue
+        counters = per_campaign.setdefault(int(row["group"]), {})
+        counters[kind.value] = counters.get(kind.value, 0) + 1
+    return per_campaign
+
 
 
 class TestOnDemandService:
@@ -82,6 +107,25 @@ class TestCli:
         capsys.readouterr()
         assert main(["runs", "diff", str(a), str(b)]) == 0
         assert "event-identical" in capsys.readouterr().out
+
+    def test_live_metrics_equal_the_per_row_walk(self, capsys, tmp_path):
+        record = tmp_path / "serve.npz"
+        argv = ["serve", "--campaigns", "2", "--devices", "40", "--seed", "6",
+                "--joins", "4", "--leaves", "3", "--record", str(record)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        run = RunLog.load(record)
+        events = np.concatenate([log.events for log in run.cells.values()])
+        metrics = live_metrics(events)
+        assert metrics.campaigns == 2 and metrics.churn > 0
+        expected = _per_campaign_walk(events)
+        assert metrics.per_campaign == expected
+        # Same insertion order too: campaigns, then kinds, by first row.
+        assert [list(c.items()) for c in metrics.per_campaign.values()] == [
+            list(c.items()) for c in expected.values()
+        ]
+        assert list(metrics.per_campaign) == list(expected)
+        assert live_metrics(events[:0]).per_campaign == {}
 
     def test_figures_command_small(self, capsys):
         exit_code = main(

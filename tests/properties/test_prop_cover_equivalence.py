@@ -9,12 +9,13 @@ devices; the ladder fleets always give the kernel a period to fold onto
 residue histograms, next to explicit ones, with window lengths below,
 equal to and above the folded period, a horizon that starts before,
 at or after frame 0 and periods that are not powers of two. The
-crossover fleets straddle ``BLOCKED_MIN_DEVICES`` explicit devices, so
-both explicit representations meet the count array's edge cases. The
+crossover fleets run the explicit count from no device (every period
+folded) through small fleets to past 2,000 devices, where the count
+array's blocks meet its edge cases. The
 tied fleets (long periods, phases from a small pool) make many rounds in
 a row tie, so they draw from one shared candidate list; with a generator,
 both paths must also leave it in the same state. A city-rollout-shaped
-cell (a compacted count, a few folded rounds, then hundreds of tied
+cell (a few folded rounds, then hundreds of tied
 rounds of a few devices) and clusters whose tied rounds read exactly
 ``FEW_INTERVALS`` or ``FEW_INTERVALS + 1`` overlapping intervals meet
 the edge between the plain-Python and the numpy rounds. The pruned
@@ -42,11 +43,10 @@ from repro.errors import TimebaseError
 from repro.setcover.decision import GroupingDecision
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
 from repro.setcover.incremental import (
-    BLOCKED_MIN_DEVICES,
     FEW_INTERVALS,
     FOLD_MIN_POS_PER_TABLE_ENTRY,
     IncrementalSweep,
-    _CompactedEvents,
+    _BlockedCounts,
     _fold_periods,
     _segment_maxima,
 )
@@ -102,10 +102,12 @@ def fleets(draw, max_devices=30):
 
 @st.composite
 def crossover_fleets(draw):
-    """Fleets whose explicit device count straddles ``BLOCKED_MIN_DEVICES``.
+    """Fleets of none, a few or past 2,000 long-period devices.
 
-    So the cover runs on either explicit representation, with the
-    blocked count array's edge cases: devices drawn from a small pool of
+    So the explicit count runs from empty (when 1,200 devices of a
+    2048-frame period fold and nothing else is drawn) through small
+    fleets to thousands of devices, with its edge cases: devices drawn
+    from a small pool of
     phases, so that interval starts coincide across devices; pool
     phases below 64 frames, whose first interval starts clipped to the
     horizon start; a few devices of a short, non-folding period, with
@@ -113,8 +115,9 @@ def crossover_fleets(draw):
     interval spanning the range when the period is below the window);
     and optionally a folded period beside them.
     """
-    n = draw(st.integers(
-        min_value=BLOCKED_MIN_DEVICES - 50, max_value=BLOCKED_MIN_DEVICES + 200
+    n = draw(st.one_of(
+        st.integers(min_value=0, max_value=50),
+        st.integers(min_value=1_950, max_value=2_200),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     periods = rng.choice([16384, 32768], size=n)
@@ -125,7 +128,7 @@ def crossover_fleets(draw):
     phases = rng.choice(pool, size=n)
     short = draw(st.integers(min_value=500, max_value=3000))
     n_short = draw(st.integers(min_value=0, max_value=5))
-    n_folded = draw(st.sampled_from([0, 300]))
+    n_folded = draw(st.sampled_from([0, 300] if n else [300, 1_200]))
     periods = np.concatenate([periods, [short] * n_short, [2048] * n_folded])
     phases = np.concatenate([
         phases,
@@ -145,15 +148,13 @@ def tied_fleets(draw):
     one candidate list. A few devices of a quarter or an eighth of that
     period have several intervals each; pool phases below 64 frames start
     their first interval clipped to the horizon start; optionally a
-    folded 2048-frame period sits beside them. The device count reaches
-    past ``BLOCKED_MIN_DEVICES`` so either explicit count is used.
+    folded 2048-frame period sits beside them. The device count runs
+    from small fleets to past 2,000.
     """
     longest = draw(st.sampled_from([2**17, 2**18, 2**20]))
     n = draw(st.one_of(
         st.integers(min_value=20, max_value=600),
-        st.integers(
-            min_value=BLOCKED_MIN_DEVICES, max_value=BLOCKED_MIN_DEVICES + 300
-        ),
+        st.integers(min_value=2_000, max_value=2_300),
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.concatenate([
@@ -269,6 +270,23 @@ class TestFoldedMatchesReference:
         for seed in (None, 5):
             ref_rng, inc_rng = _tie_rngs(seed)
             args = (fleet.phases, fleet.periods, window_len, hs, he)
+            ref = reference_window_cover(*args, ref_rng)
+            inc = greedy_window_cover(*args, inc_rng)
+            _assert_identical_covers(ref, inc)
+            _assert_same_end_state(ref_rng, inc_rng)
+
+    def test_every_period_folded(self):
+        """1,200 devices of one 2048-frame period fold whole: the explicit
+        count holds no position and every round is a folded one."""
+        rng = np.random.default_rng(11)
+        phases = rng.integers(0, 2048, size=1_200)
+        periods = np.full(1_200, 2048, dtype=np.int64)
+        args = (phases, periods, 500, 0, 4096)
+        sweep = IncrementalSweep(*args)
+        assert isinstance(sweep._explicit, _BlockedCounts)
+        assert sweep._explicit.positions.size == 0
+        for seed in (None, 5):
+            ref_rng, inc_rng = _tie_rngs(seed)
             ref = reference_window_cover(*args, ref_rng)
             inc = greedy_window_cover(*args, inc_rng)
             _assert_identical_covers(ref, inc)
@@ -391,7 +409,7 @@ def _city_cell_shape(fleet, seed):
     ref_rng, inc_rng = _tie_rngs(seed)
     ref = reference_window_cover(*args, ref_rng)
     sweep = IncrementalSweep(*args)
-    assert isinstance(sweep._explicit, _CompactedEvents)
+    assert isinstance(sweep._explicit, _BlockedCounts)
     starts, groups, n_folded = [], [], 0
     while sweep.remaining:
         n_folded += bool(sweep._folded)
@@ -424,8 +442,8 @@ class TestTiedRoundShapes:
 
     @pytest.mark.parametrize("seed", [None, 4, 5])
     def test_city_rollout_cell(self, seed):
-        """About 3k paper-default devices, as in one city-rollout cell:
-        the explicit count is compacted, about five rounds fold, then
+        """About 3k paper-default devices, as in one city-rollout cell
+        (about 1.7k of them explicit): about five rounds fold, then
         hundreds of tied rounds cover 1-12 devices each."""
         fleet = generate_fleet(
             3_000, PAPER_DEFAULT_MIXTURE, np.random.default_rng(2018)

@@ -279,6 +279,13 @@ class TestColumnarResultSurface:
         assert result[0] is not result[0]  # built on access, never cached
         assert [o.device_index for o in result[1:3]] == [1, 2]
 
+    def test_outcome_rows_hash_by_value(self, moderate_fleet, context):
+        plan = DrScMechanism().plan(moderate_fleet, context)
+        result = CampaignExecutor().execute(moderate_fleet, plan)
+        again = CampaignExecutor().execute(moderate_fleet, plan)
+        assert hash(result[0]) == hash(again[0])
+        assert len(set(result) | set(again)) == len(result)
+
     def test_mean_wait_requires_outcomes(self, moderate_fleet, context):
         plan = UnicastBaseline().plan(moderate_fleet, context)
         result = CampaignExecutor().execute(moderate_fleet, plan)

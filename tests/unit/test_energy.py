@@ -1,5 +1,7 @@
 """Unit tests for power states, profiles and ledgers."""
 
+import pickle
+
 import pytest
 
 from repro.energy.ledger import UptimeLedger
@@ -58,18 +60,21 @@ class TestProfile:
 
 
 class TestLedger:
-    def test_accumulates(self):
-        ledger = UptimeLedger()
-        ledger.add(PowerState.PO_MONITOR, 0.5)
-        ledger.add(PowerState.PO_MONITOR, 0.25)
-        assert ledger.seconds_in(PowerState.PO_MONITOR) == pytest.approx(0.75)
+    def test_seconds_per_state(self):
+        ledger = UptimeLedger({PowerState.PO_MONITOR: 0.75})
+        assert ledger.seconds_in(PowerState.PO_MONITOR) == 0.75
+        assert ledger.seconds_in(PowerState.CONNECTED_RX) == 0.0
+        assert UptimeLedger() == UptimeLedger(
+            {state: 0.0 for state in PowerState}
+        )
 
     def test_totals_split(self):
-        ledger = UptimeLedger()
-        ledger.add(PowerState.PO_MONITOR, 1.0)
-        ledger.add(PowerState.PAGING_RX, 0.5)
-        ledger.add(PowerState.CONNECTED_RX, 3.0)
-        ledger.add(PowerState.DEEP_SLEEP, 100.0)
+        ledger = UptimeLedger({
+            PowerState.PO_MONITOR: 1.0,
+            PowerState.PAGING_RX: 0.5,
+            PowerState.CONNECTED_RX: 3.0,
+            PowerState.DEEP_SLEEP: 100.0,
+        })
         totals = ledger.totals
         assert totals.light_sleep_s == pytest.approx(1.5)
         assert totals.connected_s == pytest.approx(3.0)
@@ -78,15 +83,22 @@ class TestLedger:
 
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
-            UptimeLedger().add(PowerState.PO_MONITOR, -0.1)
+            UptimeLedger({PowerState.PO_MONITOR: -0.1})
 
-    def test_value_equality_and_unhashable(self):
+    def test_value_equality_and_hash(self):
         ledger = UptimeLedger({PowerState.CONNECTED_RX: 2.0})
         assert ledger == UptimeLedger({PowerState.CONNECTED_RX: 2.0})
+        assert hash(ledger) == hash(UptimeLedger({PowerState.CONNECTED_RX: 2.0}))
         assert ledger != UptimeLedger({PowerState.CONNECTED_RX: 2.5})
         assert ledger != UptimeLedger({PowerState.PAGING_RX: 2.0})
-        with pytest.raises(TypeError):
-            hash(ledger)
+        assert len({ledger, UptimeLedger({PowerState.CONNECTED_RX: 2.0})}) == 1
+
+    def test_immutable_and_picklable(self):
+        ledger = UptimeLedger({PowerState.CONNECTED_RX: 2.0})
+        with pytest.raises(AttributeError):
+            ledger._seconds = ()
+        assert not hasattr(ledger, "add")
+        assert pickle.loads(pickle.dumps(ledger)) == ledger
 
     def test_energy_uses_profile(self):
         ledger = UptimeLedger({PowerState.CONNECTED_RX: 2.0})

