@@ -10,10 +10,11 @@ through both drains of the same task graph:
   inter-run barrier.
 
 Equivalence gates the timing: the fused metric arrays must be
-bit-identical to serial at every worker count and dispatch grain. The
-single-worker chunk sweep asserts the dispatch grain keeps fused at one
-worker within 5 % of serial whenever the serial run is long enough to
-measure; the multi-worker ratio is recorded to ``BENCH_fused.json``.
+bit-identical to serial at every worker count. The single-worker run
+asserts the pool's one dispatch grain (``dispatch_grain``) keeps fused
+at one worker within 5 % of serial whenever the serial run is long
+enough to measure; the multi-worker ratio is recorded to
+``BENCH_fused.json``.
 
 The 10^6-device regime is asserted **un-gated** in two pieces:
 
@@ -63,9 +64,6 @@ MIN_ASSERTED_SERIAL_S = 1.0
 #: is long enough to measure, regardless of core count.
 MIN_SINGLE_WORKER_RATIO = 0.95
 
-#: The dispatch grains the single-worker sweep times (None = auto).
-CHUNK_SWEEP = (1, 8, None)
-
 
 def _bench_spec():
     return scenario("city-rollout").with_overrides(
@@ -102,42 +100,32 @@ def test_a10_fused_vs_serial(capsys):
             serial[metric].values, fused[metric].values, err_msg=metric
         )
 
-    # Chunk-size sweep at 1 worker: the dispatch-grain regime where the
-    # per-item submission used to lose to serial outright. Every grain
-    # must stay bit-identical; the best grain carries the assertion.
-    sweep = []
-    for chunk_size in CHUNK_SWEEP:
-        t0 = time.perf_counter()
-        chunked = run_scenario(
-            spec, backend="fused", workers=1, chunk_size=chunk_size
+    # Fused at 1 worker on the pool's one grain: the dispatch-grain
+    # regime where the per-item submission used to lose to serial
+    # outright. It must stay bit-identical and carries the assertion.
+    t0 = time.perf_counter()
+    one_worker = run_scenario(spec, backend="fused", workers=1)
+    fused_1w_s = time.perf_counter() - t0
+    for metric in serial:
+        np.testing.assert_array_equal(
+            serial[metric].values,
+            one_worker[metric].values,
+            err_msg=f"1 worker: {metric}",
         )
-        chunk_s = time.perf_counter() - t0
-        for metric in serial:
-            np.testing.assert_array_equal(
-                serial[metric].values,
-                chunked[metric].values,
-                err_msg=f"chunk_size={chunk_size}: {metric}",
-            )
-        sweep.append(
-            {
-                "chunk_size": chunk_size,
-                "fused_1w_s": chunk_s,
-                "over_serial": serial_s / chunk_s if chunk_s > 0 else float("inf"),
-            }
-        )
-    best = max(sweep, key=lambda row: row["over_serial"])
+    fused_1w_over_serial = (
+        serial_s / fused_1w_s if fused_1w_s > 0 else float("inf")
+    )
 
     cores = os.cpu_count() or 1
     over_serial = serial_s / fused_s if fused_s > 0 else float("inf")
     single_worker_asserted = serial_s >= MIN_ASSERTED_SERIAL_S
     if single_worker_asserted:
-        assert best["over_serial"] >= MIN_SINGLE_WORKER_RATIO, (
+        assert fused_1w_over_serial >= MIN_SINGLE_WORKER_RATIO, (
             f"fused at 1 worker reaches only "
-            f"{best['over_serial']:.2f}x serial at its best grain "
-            f"(chunk_size={best['chunk_size']}, "
-            f"{best['fused_1w_s']:.2f}s vs serial {serial_s:.2f}s) — "
-            f"below the {MIN_SINGLE_WORKER_RATIO} bar; the dispatch "
-            f"grain no longer amortises the per-task IPC round trip"
+            f"{fused_1w_over_serial:.2f}x serial "
+            f"({fused_1w_s:.2f}s vs serial {serial_s:.2f}s) — below the "
+            f"{MIN_SINGLE_WORKER_RATIO} bar; the dispatch grain no "
+            f"longer amortises the per-task IPC round trip"
         )
 
     path = write_bench_artifact(
@@ -153,9 +141,8 @@ def test_a10_fused_vs_serial(capsys):
             "serial_s": serial_s,
             "fused_s": fused_s,
             "fused_over_serial": over_serial,
-            "chunk_sweep_1_worker": sweep,
-            "best_chunk_size": best["chunk_size"],
-            "fused_1w_over_serial": best["over_serial"],
+            "fused_1w_s": fused_1w_s,
+            "fused_1w_over_serial": fused_1w_over_serial,
             "single_worker_asserted": single_worker_asserted,
             "min_single_worker_ratio": MIN_SINGLE_WORKER_RATIO,
         },
@@ -178,9 +165,8 @@ def test_a10_fused_vs_serial(capsys):
                     f"{spec.n_devices} devices, {workers} workers on "
                     f"{cores} cores; metric arrays asserted bit-identical "
                     f"before timing; artifact written to {path}.",
-                    f"1-worker chunk sweep: best grain "
-                    f"{best['chunk_size']} reaches "
-                    f"{best['over_serial']:.2f}x serial (bar >= "
+                    f"1 worker reaches {fused_1w_over_serial:.2f}x "
+                    f"serial (bar >= "
                     f"{MIN_SINGLE_WORKER_RATIO}"
                     + (
                         ", asserted"

@@ -22,7 +22,7 @@ model"):
 * the processes of one campaign share **one** resource tracker: both
   :meth:`allocate` and :meth:`attach` call ``ensure_running()`` so the
   tracker exists before any pool forks (fork children inherit it), and
-  the fused scheduler does the same before spawning its pool. Python
+  the pool drain does the same before spawning its pool. Python
   < 3.13 registers segments on attach as well as create (bpo-39959),
   but against a single shared tracker those registrations are
   idempotent set entries — exactly one per name — so the one

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core import AdaptationStrategy, DaScMechanism, mechanism_by_name
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table
-from repro.experiments.transmissions import drsc_campaign
+from repro.experiments.transmissions import drsc_campaigns
 from repro.grouping.registry import grouping_policy_by_name
 from repro.multicast.scptm import ScPtmConfig, scptm_monitoring_overhead_s
 from repro.sim.cache import ResultCache
@@ -118,11 +118,12 @@ def run_ti_sensitivity(
     ti_values_s: Sequence[float] = (10.24, 20.48, 30.72),
 ) -> Tuple[Table, Dict[float, Dict[str, RunStatistics]]]:
     """A2: DR-SC transmission count vs the inactivity timer TI."""
-    per_ti: Dict[float, Dict[str, RunStatistics]] = {}
+    results = drsc_campaigns(
+        config, "a2", [{"inactivity_timer_s": ti} for ti in ti_values_s]
+    )
+    per_ti = dict(zip(ti_values_s, results))
     rows = []
-    for ti in ti_values_s:
-        stats = drsc_campaign(config, "a2", inactivity_timer_s=ti)
-        per_ti[ti] = stats
+    for ti, stats in zip(ti_values_s, results):
         rows.append(
             (
                 f"{ti:.2f}s",
@@ -160,11 +161,12 @@ def run_mixture_sensitivity(
 ) -> Tuple[Table, Dict[str, Dict[str, RunStatistics]]]:
     """A4: how the DRX mixture (by registry name) drives DR-SC's
     transmission count."""
-    per_mix: Dict[str, Dict[str, RunStatistics]] = {}
+    results = drsc_campaigns(
+        config, "a4", [{"mixture": mixture} for mixture in mixtures]
+    )
+    per_mix = dict(zip(mixtures, results))
     rows = []
-    for mixture in mixtures:
-        stats = drsc_campaign(config, "a4", mixture=mixture)
-        per_mix[mixture] = stats
+    for mixture, stats in zip(mixtures, results):
         rows.append(
             (mixture, f"{stats['fraction_of_unicast'].mean * 100:.0f}%")
         )

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.cache import ResultCache
-from repro.sim.dispatch import validate_backend
+from repro.sim.dispatch import validate_backend, validate_workers
 from repro.sim.montecarlo import Campaign, RunStatistics, run_campaigns
 from repro.timebase import KILOBYTE, MEGABYTE
 
@@ -66,10 +66,7 @@ class ExperimentConfig:
                 f"device_counts entries must be >= 1, got {self.device_counts}"
             )
         validate_backend(self.backend)
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
+        validate_workers(self.workers)
         # The spec rejects a bad TI, fleet size, run count, mixture or
         # grouping name, and a grouping DR-SC cannot carry, here rather
         # than deep inside a Monte-Carlo worker.

@@ -9,40 +9,43 @@ unicast (which needs one transmission per device).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.reporting import Table
 from repro.sim.montecarlo import RunStatistics
 
 
-def drsc_campaign(
-    config: ExperimentConfig, name: str, **overrides: Any
-) -> Dict[str, RunStatistics]:
-    """Run ``config``'s DR-SC scenario campaign ``name`` and add each
-    run's ``fraction_of_unicast`` (transmissions per device)."""
+def drsc_campaigns(
+    config: ExperimentConfig, name: str, points: Sequence[Mapping[str, Any]]
+) -> List[Dict[str, RunStatistics]]:
+    """Run ``config``'s DR-SC scenario campaign ``name`` once per
+    override dict in ``points``, as one task graph, and add each run's
+    ``fraction_of_unicast`` (transmissions per device)."""
     # Imported here: repro.scenarios imports repro.experiments.
     from repro.scenarios.runner import scenario_campaign
 
-    spec = config.scenario(name, **overrides)
-    (stats,) = config.run(scenario_campaign(spec))
-    stats["fraction_of_unicast"] = RunStatistics(
-        values=stats["transmissions"].values / spec.n_devices
-    )
-    return stats
+    specs = [config.scenario(name, **overrides) for overrides in points]
+    results = config.run(*(scenario_campaign(spec) for spec in specs))
+    for spec, stats in zip(specs, results):
+        stats["fraction_of_unicast"] = RunStatistics(
+            values=stats["transmissions"].values / spec.n_devices
+        )
+    return results
 
 
 def run_fig7(
     config: ExperimentConfig = ExperimentConfig(),
 ) -> Tuple[Table, Dict[int, Dict[str, RunStatistics]]]:
     """Fig. 7: mean DR-SC transmissions for each fleet size."""
-    per_n: Dict[int, Dict[str, RunStatistics]] = {}
+    results = drsc_campaigns(
+        config,
+        "fig7",
+        [{"n_devices": n, "seed": config.seed + n} for n in config.device_counts],
+    )
+    per_n = dict(zip(config.device_counts, results))
     rows = []
-    for n_devices in config.device_counts:
-        stats = drsc_campaign(
-            config, "fig7", n_devices=n_devices, seed=config.seed + n_devices
-        )
-        per_n[n_devices] = stats
+    for n_devices, stats in zip(config.device_counts, results):
         tx = stats["transmissions"]
         frac = stats["fraction_of_unicast"]
         rows.append(

@@ -11,7 +11,7 @@ the connected-mode split, swept over the three payload sizes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,23 +81,27 @@ def compare_mechanisms_once(
 
 
 def _fig6_stats(
-    config: ExperimentConfig, payload_bytes: int
-) -> Dict[str, RunStatistics]:
-    """The Fig. 6 Monte-Carlo campaign for one payload size.
+    config: ExperimentConfig, payloads: Sequence[int]
+) -> List[Dict[str, RunStatistics]]:
+    """The Fig. 6 Monte-Carlo campaign of each payload size, drained as
+    one task graph.
 
     Fig. 6(a) and 6(b) share the same per-run computation, so they share
     one cache entry per payload size.
     """
     from repro.scenarios.runner import comparison_campaign
 
-    spec, plans = _fig6(config, payload_bytes)
-    (stats,) = config.run(
-        comparison_campaign(spec, plans, f"fig6/{payload_bytes}")
+    results = config.run(
+        *(
+            comparison_campaign(*_fig6(config, payload), f"fig6/{payload}")
+            for payload in payloads
+        )
     )
-    values = {name: stat.values for name, stat in stats.items()}
-    for name, column in _relative_columns(values).items():
-        stats[name] = RunStatistics(values=column)
-    return stats
+    for stats in results:
+        values = {name: stat.values for name, stat in stats.items()}
+        for name, column in _relative_columns(values).items():
+            stats[name] = RunStatistics(values=column)
+    return results
 
 
 def run_fig6a(
@@ -108,7 +112,7 @@ def run_fig6a(
 
     ``stats`` reuses an already-run default-payload campaign."""
     if stats is None:
-        stats = _fig6_stats(config, config.default_payload)
+        (stats,) = _fig6_stats(config, [config.default_payload])
     rows = []
     for name in FIG6_MECHANISMS:
         light = stats[f"{name}/light_sleep"]
@@ -144,8 +148,9 @@ def run_fig6b(
     for each payload size (100 KB / 1 MB / 10 MB)."""
     all_stats: Dict[str, Dict[str, RunStatistics]] = {}
     rows = []
-    for payload in config.payload_sizes:
-        stats = _fig6_stats(config, payload)
+    for payload, stats in zip(
+        config.payload_sizes, _fig6_stats(config, config.payload_sizes)
+    ):
         all_stats[format_bytes(payload)] = stats
         for name in FIG6_MECHANISMS:
             connected = stats[f"{name}/connected"]

@@ -708,7 +708,6 @@ def run_scenario(
     cache: Optional[ResultCache] = None,
     record_dir: Optional[Union[str, Path]] = None,
     on_partial: Optional[PartialFn] = None,
-    chunk_size: Optional[int] = None,
 ) -> Dict[str, RunStatistics]:
     """Run ``spec`` through the Monte-Carlo harness and aggregate.
 
@@ -724,8 +723,6 @@ def run_scenario(
     ``on_partial`` streams :class:`~repro.sim.dispatch.PartialResult`
     records (per-cell summaries, per-run outputs) back as they
     complete; at one worker both backends stream the same sequence.
-    ``chunk_size`` sets the fused dispatch grain (None = auto;
-    bit-identical results at every grain; ignored when serial).
     """
     (stats,) = run_campaigns(
         [
@@ -737,7 +734,6 @@ def run_scenario(
         workers=workers,
         cache=cache,
         on_partial=on_partial,
-        chunk_size=chunk_size,
     )
     return stats
 

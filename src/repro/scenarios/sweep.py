@@ -185,7 +185,6 @@ def run_sweep(
     n_runs: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     record_dir: Optional[str] = None,
-    chunk_size: Optional[int] = None,
 ) -> "List[Tuple[SweepCell, Dict[str, RunStatistics]]]":
     """Execute every grid cell and return (cell, aggregated stats) pairs.
 
@@ -216,7 +215,6 @@ def run_sweep(
         backend,
         workers=workers,
         cache=cache,
-        chunk_size=chunk_size,
     )
     return list(zip(grid, results))
 

@@ -8,8 +8,7 @@ problem, given a greedy set selection approach [10]."
 
 * :mod:`repro.setcover.windows` — each device's intervals of covering
   window starts (vectorised);
-* :mod:`repro.setcover.greedy` — the iterated greedy cover (Chvátal) and
-  a generic greedy set cover for arbitrary set systems;
+* :mod:`repro.setcover.greedy` — the iterated greedy cover (Chvátal);
 * :mod:`repro.setcover.incremental` — the sweep behind the greedy
   cover: periods with many POs in the horizon become residue
   histograms, the rest keep explicit intervals, and covered devices are
@@ -23,7 +22,7 @@ problem, given a greedy set selection approach [10]."
 
 from repro.setcover.decision import GroupingDecision
 from repro.setcover.windows import coverage_intervals
-from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.greedy import greedy_window_cover
 from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
 
@@ -31,7 +30,6 @@ __all__ = [
     "coverage_intervals",
     "GroupingDecision",
     "greedy_window_cover",
-    "greedy_set_cover",
     "IncrementalSweep",
     "exact_min_set_cover",
     "exact_min_window_cover",

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.errors import SetCoverError
 from repro.setcover.decision import GroupingDecision
-from repro.setcover.greedy import greedy_set_cover
 from repro.setcover.windows import coverage_intervals
 from repro.drx.schedule import v_has_in
 
@@ -45,8 +44,14 @@ def exact_min_set_cover(
     if union != full:
         raise SetCoverError("sets cannot cover the universe")
 
-    # Greedy upper bound (guaranteed feasible now).
-    best_solution: List[int] = greedy_set_cover(universe, sets)
+    # Greedy upper bound (guaranteed feasible now): Chvatal's greedy,
+    # the most newly covered elements first, ties to the lowest index.
+    best_solution: List[int] = []
+    covered = 0
+    while covered != full:
+        gains = [bin(mask & ~covered).count("1") for mask in masks]
+        best_solution.append(gains.index(max(gains)))
+        covered |= masks[best_solution[-1]]
     best_size = len(best_solution)
 
     # Precompute, for every element, the sets containing it (for branching

@@ -1,4 +1,4 @@
-"""Greedy set cover (Chvátal) — generic and window-specialised.
+"""Greedy set cover (Chvátal), specialised to TI-windows.
 
 The window-specialised :func:`greedy_window_cover` is the algorithm of
 paper Sec. III-A / Fig. 4: repeatedly find the TI-window holding the
@@ -11,17 +11,11 @@ each selection removes the covered devices from both — memory
 independent of the horizon for the folded periods. It is
 property-tested against the per-round re-sweep kept in
 ``tests/cover_oracle.py``.
-
-The generic :func:`greedy_set_cover` is used to cross-check the window
-cover on explicit set systems and in the approximation-quality tests
-against the exact solver; it maintains per-set residual gains in a lazy
-max-heap, so it also scales past toy instances.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import List, Optional
 
 import numpy as np
 
@@ -75,45 +69,3 @@ def greedy_window_cover(
     return GroupingDecision.from_groups(
         start_frames, start_frames + window_len, groups
     )
-
-
-def greedy_set_cover(
-    universe: Set[int], sets: Sequence[FrozenSet[int]]
-) -> List[int]:
-    """Classic greedy set cover over an explicit set system.
-
-    Returns the indices of the chosen sets, in selection order. Raises
-    :class:`~repro.errors.SetCoverError` if the union of ``sets`` does
-    not cover ``universe``. Ties are broken by lowest set index, which
-    keeps the function deterministic for tests.
-
-    Residual gains are kept in a lazy max-heap: gains are submodular
-    (they only shrink as elements get covered), so a popped entry whose
-    recomputed gain still matches is globally maximal and stale entries
-    are simply re-pushed. Each round costs ``O(log |sets|)`` amortised
-    plus the intersections actually recomputed, instead of rescanning
-    every candidate set.
-    """
-    uncovered = set(universe)
-    chosen: List[int] = []
-    # Heap of (-gain, index): equal gains pop the lowest index first,
-    # exactly the reference scan's tie-break.
-    heap = [(-len(s & uncovered), i) for i, s in enumerate(sets)]
-    heapq.heapify(heap)
-    while uncovered:
-        best_idx = -1
-        while heap:
-            neg_gain, i = heapq.heappop(heap)
-            gain = len(sets[i] & uncovered)
-            if gain == -neg_gain:
-                if gain > 0:
-                    best_idx = i
-                break  # a zero top gain means nothing useful remains
-            heapq.heappush(heap, (-gain, i))
-        if best_idx < 0:
-            raise SetCoverError(
-                f"sets cannot cover universe: {sorted(uncovered)} uncoverable"
-            )
-        chosen.append(best_idx)
-        uncovered -= sets[best_idx]
-    return chosen

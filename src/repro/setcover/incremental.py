@@ -51,10 +51,10 @@ candidate order equal the reference's, every selection and every
 
 Once no folded period is left (most rounds: 6,794 of city-rollout's
 6,873 at 5*10^4 devices), rounds that tie share one candidate list, as
-:func:`~repro.setcover.greedy.greedy_set_cover`'s lazy heap shares its
-gains. A refill lists the maximal positions once; each round draws from
-the list exactly as the reference does, stabs the pick, and deletes the
-candidates that lie inside an interval of a device it covered. Counts
+a lazy max-heap greedy shares its gains. A refill lists the maximal
+positions once; each round draws from the list exactly as the
+reference does, stabs the pick, and deletes the candidates that lie
+inside an interval of a device it covered. Counts
 only fall, and a candidate keeps the maximum unless a covered device has
 an interval over it, so what is left is exactly the positions still at
 the maximum, in ascending order: the next round's candidates. The

@@ -2,19 +2,21 @@
 
 Every Monte-Carlo campaign — a scenario's runs and the cells each
 multi-cell run fans out into, a figure's comparison runs, a whole sweep
-grid —
-is expressed as one list of :class:`WorkItem`
-objects. The list has exactly two executors, named by the ``backend``
-every public entry point takes (:data:`BACKENDS`):
+grid — is expressed as one list of :class:`WorkItem` objects, drained
+by :func:`drain` on the ``backend`` every public entry point takes
+(:data:`BACKENDS`):
 
 * ``serial`` — :func:`drain_inline` runs the items in this process, in
   the order a one-worker pool would complete them, with no pool and no
   pickling;
-* ``fused`` — :class:`FusedScheduler` drains the same items from one
-  process pool fed by a single work queue, so runs and cells of every
-  campaign share the workers with no barrier between them.
+* ``fused`` — the same items drain from one process pool fed by a
+  single work queue, so runs and cells of every campaign share the
+  workers with no barrier between them.
 
-Both feed the same :class:`ReductionLedger`, so serial == fused holds by
+Both drains land every finished task in one private state machine,
+which fills the result slots, opens fan-outs, streams each completion
+to ``on_partial`` and names the tasks that become runnable. The drains
+differ only in where a task runs, so serial == fused holds by
 construction, not by a test keeping two implementations equal.
 
 Determinism contract
@@ -36,26 +38,25 @@ orders.
 
 Fan-out
 -------
-A task may return a :class:`FanOut` instead of a result: the scheduler
-then enqueues the fan-out's sub-items (e.g. one task per cell of a
-multi-cell run) and, once every sub-result has arrived, enqueues a
-reduction task that folds them — in canonical sub-item order — into the
-parent task's result. The bookkeeping lives in :class:`ReductionLedger`,
-which is a pure completion-order-independent state machine: the property
-tests drive it with shuffled completion orders and assert the canonical
-output never changes.
+A task may return a :class:`FanOut` instead of a result: the drain
+then runs the fan-out's sub-items (e.g. one task per cell of a
+multi-cell run) and, once every sub-result has arrived, a reduction
+task that folds them — in canonical sub-item order — into the parent
+task's result. The state machine keys every result by its slot, not by
+its arrival: the property tests land slots in shuffled causal orders
+and assert the canonical output never changes.
 
 Dispatch grain
 --------------
 Submitting one pool task per (run x cell) item prices every item at a
 full pickle/IPC round trip — a loss against the serial path when items
-are tiny (many cells, few devices each). The scheduler therefore groups
-consecutive canonical items into *chunks* (:func:`auto_chunk_size`, or
-an explicit ``chunk_size``) and submits each chunk as one task; the
+are tiny (many cells, few devices each). The pool drain therefore
+groups consecutive canonical items into *chunks* of
+:func:`dispatch_grain` items and submits each chunk as one task; the
 worker runs the chunk's items in order, each with its own derived
-generator, and the scheduler unpacks the returned value list into the
-exact per-item ledger completions the unchunked path performs. Results
-are bit-identical for every chunk size and worker count.
+generator, and the drain lands the returned value list item by item,
+exactly as it lands unchunked items. Results are bit-identical at every
+worker count.
 """
 
 from __future__ import annotations
@@ -64,19 +65,10 @@ import os
 import pickle
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from multiprocessing import resource_tracker
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from itertools import count
+from multiprocessing import resource_tracker
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +102,12 @@ def validate_backend(backend: str) -> None:
         raise ConfigurationError(
             f"backend must be one of {BACKENDS}, got {backend!r}"
         )
+
+
+def validate_workers(workers: Optional[int]) -> None:
+    """Reject a pool of fewer than one worker (None = every core)."""
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ class FanOut:
     results are in, ``reduce_fn(state, results, address)`` runs (on the
     drain's executor) with ``results`` in ``items`` order — the
     canonical order — regardless of completion order. Only top-level
-    tasks may fan out (one level keeps the ledger, and the determinism
+    tasks may fan out (one level keeps the graph, and the determinism
     argument, simple).
 
     ``abort_fn(state)``, when given, releases what ``state`` holds (a
@@ -206,19 +204,14 @@ def _validate_picklable(items: Sequence[WorkItem]) -> None:
             ) from exc
 
 
-def _execute_item(item: WorkItem) -> Any:
-    """Worker entry point: derive the task generator and run the task."""
-    rng = derive_task_rng(item.seed, item.spawn_index)
-    return item.fn(rng, item.address, item.payload)
-
-
 #: Chunks never grow past this: larger grains stop helping amortise the
 #: per-task pickle/IPC round trip and start costing scheduling slack.
-_MAX_CHUNK_SIZE = 64
+_MAX_GRAIN = 64
 
 
-def auto_chunk_size(n_items: int, workers: int) -> int:
-    """The default dispatch grain for ``n_items`` over ``workers``.
+def dispatch_grain(n_items: int, workers: int) -> int:
+    """The pool's dispatch grain for ``n_items`` sibling tasks over
+    ``workers``.
 
     Aims at ~4 chunks per worker — enough batching to amortise the
     per-task pickle/IPC round trip when items are tiny (the regime
@@ -231,26 +224,23 @@ def auto_chunk_size(n_items: int, workers: int) -> int:
         raise ConfigurationError(f"n_items must be >= 1, got {n_items}")
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return max(1, min(_MAX_CHUNK_SIZE, -(-n_items // (workers * 4))))
-
-
-_UNSET = object()
+    return max(1, min(_MAX_GRAIN, -(-n_items // (workers * 4))))
 
 
 @dataclass(frozen=True)
 class PartialResult:
-    """One completion streamed out of the ledger as it lands.
+    """One completion streamed out of the task graph as it lands.
 
     ``kind`` is ``"top"`` (a top-level task that returned a plain
     value), ``"sub"`` (one fan-out sub-item, e.g. a single cell of a
     multi-cell run) or ``"reduce"`` (a fan-out's folded result filling
     its top-level slot). ``position`` is the sub-item's canonical
     position within its fan-out (None otherwise); ``address`` is the
-    completing task's deterministic address when the scheduler knows it.
+    completing task's deterministic address.
 
-    Streaming is observational only: the canonical outputs still come
-    from :meth:`ReductionLedger.results` in submission order, so
-    consuming partials can never perturb determinism.
+    Streaming is observational only: the drains still return the
+    canonical outputs in submission order, so consuming partials can
+    never perturb determinism.
     """
 
     kind: str
@@ -265,188 +255,6 @@ class PartialResult:
 PartialFn = Callable[[PartialResult], None]
 
 
-@dataclass
-class _Group:
-    """One pending fan-out: sub-results accumulate until reduction."""
-
-    top_index: int
-    address: TaskAddress
-    reduce_fn: ReduceFn
-    state: Any
-    results: List[Any]
-    remaining: int
-
-
-@dataclass(frozen=True)
-class ReadyReduce:
-    """A fan-out whose sub-results are all in: reduction can run."""
-
-    top_index: int
-    address: TaskAddress
-    reduce_fn: ReduceFn
-    state: Any
-    results: List[Any]
-
-
-class ReductionLedger:
-    """Completion-order-independent reassembly of fused results.
-
-    The scheduler feeds completions in whatever order the pool yields
-    them; the ledger slots each one by address and reports what to do
-    next (schedule a fan-out's sub-items, run a ready reduction, or
-    nothing). ``results()`` returns the top-level results in submission
-    order and refuses to answer before every slot is filled — so the
-    output is a pure function of the per-task results, not of timing.
-    """
-
-    def __init__(self, n_top: int) -> None:
-        if n_top < 1:
-            raise ConfigurationError(f"need >= 1 top-level task, got {n_top}")
-        self._top: List[Any] = [_UNSET] * n_top
-        self._groups: Dict[int, _Group] = {}
-        self._stream: List[PartialResult] = []
-
-    def partial_results(self) -> Iterator[PartialResult]:
-        """Drain the completions streamed since the last drain.
-
-        Yields :class:`PartialResult` records in completion order —
-        per-cell results flow out here while sibling cells (and whole
-        other runs) are still in flight, instead of waiting for the
-        one-reduce-per-run barrier.
-        """
-        while self._stream:
-            yield self._stream.pop(0)
-
-    def complete_top(
-        self, index: int, value: Any, address: Optional[TaskAddress] = None
-    ) -> Optional[FanOut]:
-        """Record a top-level completion; returns a fan-out to schedule.
-
-        A plain value fills the slot; a :class:`FanOut` opens a group
-        whose reduction will fill the slot later.
-        """
-        if not 0 <= index < len(self._top):
-            raise ConfigurationError(f"top-level index {index} out of range")
-        if self._top[index] is not _UNSET or index in self._groups:
-            raise ConfigurationError(
-                f"top-level task {index} completed twice"
-            )
-        if isinstance(value, FanOut):
-            if not value.items:
-                raise ConfigurationError(
-                    "a FanOut needs at least one sub-item"
-                )
-            self._groups[index] = _Group(
-                top_index=index,
-                address=value.items[0].address,
-                reduce_fn=value.reduce_fn,
-                state=value.state,
-                results=[_UNSET] * len(value.items),
-                remaining=len(value.items),
-            )
-            return value
-        self._top[index] = value
-        self._stream.append(
-            PartialResult(
-                kind="top", top_index=index, value=value, address=address
-            )
-        )
-        return None
-
-    def complete_sub(
-        self,
-        top_index: int,
-        position: int,
-        value: Any,
-        address: Optional[TaskAddress] = None,
-    ) -> Optional[ReadyReduce]:
-        """Record one sub-item completion; returns the reduction when
-        the group is complete."""
-        group = self._groups.get(top_index)
-        if group is None:
-            raise ConfigurationError(
-                f"no open fan-out for top-level task {top_index}"
-            )
-        if isinstance(value, FanOut):
-            raise ConfigurationError(
-                "nested fan-out: only top-level tasks may expand"
-            )
-        if not 0 <= position < len(group.results):
-            raise ConfigurationError(
-                f"sub-item position {position} out of range"
-            )
-        if group.results[position] is not _UNSET:
-            raise ConfigurationError(
-                f"sub-item {top_index}/{position} completed twice"
-            )
-        group.results[position] = value
-        self._stream.append(
-            PartialResult(
-                kind="sub",
-                top_index=top_index,
-                value=value,
-                position=position,
-                address=address,
-            )
-        )
-        group.remaining -= 1
-        if group.remaining:
-            return None
-        del self._groups[top_index]
-        return ReadyReduce(
-            top_index=top_index,
-            address=group.address,
-            reduce_fn=group.reduce_fn,
-            state=group.state,
-            results=list(group.results),
-        )
-
-    def complete_reduce(
-        self,
-        top_index: int,
-        value: Any,
-        address: Optional[TaskAddress] = None,
-    ) -> None:
-        """Record a reduction's result into its top-level slot."""
-        if not 0 <= top_index < len(self._top):
-            raise ConfigurationError(
-                f"top-level index {top_index} out of range"
-            )
-        if self._top[top_index] is not _UNSET:
-            raise ConfigurationError(
-                f"top-level task {top_index} completed twice"
-            )
-        if isinstance(value, FanOut):
-            raise ConfigurationError(
-                "nested fan-out: a reduction may not expand"
-            )
-        self._top[top_index] = value
-        self._stream.append(
-            PartialResult(
-                kind="reduce",
-                top_index=top_index,
-                value=value,
-                address=address,
-            )
-        )
-
-    @property
-    def done(self) -> bool:
-        """True once every top-level slot holds a result."""
-        return not self._groups and all(
-            slot is not _UNSET for slot in self._top
-        )
-
-    def results(self) -> List[Any]:
-        """Top-level results in canonical (submission) order."""
-        if not self.done:
-            raise ConfigurationError(
-                "fused campaign incomplete: results are only available "
-                "once every task has completed"
-            )
-        return list(self._top)
-
-
 def _run_slot(slot: Tuple) -> Any:
     """Run one slot of the task graph (the pool workers' entry point).
 
@@ -455,21 +263,35 @@ def _run_slot(slot: Tuple) -> Any:
     derives its own ``(seed, spawn_index)`` generator, so the values are
     element-for-element those of running the items one at a time — a
     chunk only changes how many results ride one IPC round trip. A
-    ``("reduce", ready)`` slot runs a fan-out's reduction.
+    ``("reduce", top_index, fanout, results)`` slot runs the fan-out's
+    reduction on its sub-results.
     """
     if slot[0] == "reduce":
-        ready = slot[1]
-        return ready.reduce_fn(ready.state, ready.results, ready.address)
-    return [_execute_item(item) for item in slot[-1]]
+        _, _, fanout, results = slot
+        return fanout.reduce_fn(
+            fanout.state, results, fanout.items[0].address
+        )
+    return [
+        item.fn(
+            derive_task_rng(item.seed, item.spawn_index),
+            item.address,
+            item.payload,
+        )
+        for item in slot[-1]
+    ]
 
 
-class _GraphState:
-    """The ledger side of a drain, shared by both backends.
+class _Graph:
+    """The task graph's state machine, shared by both drains.
 
-    Lands finished slots in the :class:`ReductionLedger`, streams the
-    partials that produces, and names the slots each landing makes
-    runnable (a fan-out's sub-item chunks, a ready reduction) — so the
-    in-process and pool drains differ only in *where* a slot runs.
+    :meth:`land` records one finished slot — filling top-level result
+    slots, opening fan-outs, collecting sub-results — streams each
+    completion to ``on_partial`` as it is recorded, and returns the
+    slots the landing makes runnable (a fan-out's sub-item chunks, a
+    ready reduction). The drains differ only in *where* a slot runs.
+    Each slot is created exactly once, so ``results`` is the canonical
+    list once no slot is left to run, whatever order the slots landed
+    in.
     """
 
     def __init__(
@@ -478,10 +300,16 @@ class _GraphState:
         grain: Callable[[int], int],
         on_partial: Optional[PartialFn],
     ) -> None:
-        self.ledger = ReductionLedger(len(items))
+        if not items:
+            raise ConfigurationError("no work items to dispatch")
+        #: Top-level results in submission order.
+        self.results: List[Any] = [None] * len(items)
+        #: top index -> [fan-out, its sub-results, sub-results still out].
+        self._fanouts: Dict[int, List[Any]] = {}
+        #: Every fan-out ever opened, for :meth:`abort`.
+        self._opened: List[FanOut] = []
         self._grain = grain
         self._on_partial = on_partial
-        self._opened: List[FanOut] = []
         self.initial = self._chunks(("top",), items)
 
     def _chunks(self, head: Tuple, items: Sequence[WorkItem]) -> List[Tuple]:
@@ -491,47 +319,74 @@ class _GraphState:
             for start in range(0, len(items), grain)
         ]
 
+    def _emit(self, kind: str, top_index: int, value: Any, **where: Any) -> None:
+        if self._on_partial is not None:
+            self._on_partial(PartialResult(kind, top_index, value, **where))
+
     def land(self, slot: Tuple, value: Any) -> List[Tuple]:
         """Record one finished slot; returns the slots it makes runnable."""
         runnable: List[Tuple] = []
         if slot[0] == "reduce":
-            ready = slot[1]
-            self.ledger.complete_reduce(
-                ready.top_index, value, address=ready.address
+            _, top_index, fanout, _ = slot
+            if isinstance(value, FanOut):
+                raise ConfigurationError(
+                    "nested fan-out: a reduction may not expand"
+                )
+            self.results[top_index] = value
+            self._emit(
+                "reduce", top_index, value, address=fanout.items[0].address
             )
         elif slot[0] == "top":
             _, start, chunk = slot
-            for offset, (item, result) in enumerate(zip(chunk, value)):
-                fanout = self.ledger.complete_top(
-                    start + offset, result, address=item.address
-                )
-                if fanout is not None:
-                    self._opened.append(fanout)
-                    runnable.extend(
-                        self._chunks(("sub", start + offset), fanout.items)
+            for index, item, result in zip(count(start), chunk, value):
+                if not isinstance(result, FanOut):
+                    self.results[index] = result
+                    self._emit("top", index, result, address=item.address)
+                    continue
+                if not result.items:
+                    raise ConfigurationError(
+                        "a FanOut needs at least one sub-item"
                     )
+                self._opened.append(result)
+                n_subs = len(result.items)
+                self._fanouts[index] = [result, [None] * n_subs, n_subs]
+                runnable.extend(self._chunks(("sub", index), result.items))
         else:
             _, top_index, start, chunk = slot
-            for offset, (item, result) in enumerate(zip(chunk, value)):
-                ready = self.ledger.complete_sub(
-                    top_index, start + offset, result, address=item.address
+            group = self._fanouts[top_index]
+            fanout, results, _ = group
+            for position, item, result in zip(count(start), chunk, value):
+                if isinstance(result, FanOut):
+                    raise ConfigurationError(
+                        "nested fan-out: only top-level tasks may expand"
+                    )
+                results[position] = result
+                group[2] -= 1
+                self._emit(
+                    "sub",
+                    top_index,
+                    result,
+                    position=position,
+                    address=item.address,
                 )
-                if ready is not None:
-                    runnable.append(("reduce", ready))
-        for partial in self.ledger.partial_results():
-            if self._on_partial is not None:
-                self._on_partial(partial)
+            if not group[2]:
+                del self._fanouts[top_index]
+                runnable.append(("reduce", top_index, fanout, results))
         return runnable
 
     def abort(self, unlanded: Iterable[Any] = ()) -> None:
         """Release the state of every fan-out the campaign opened.
 
         ``unlanded`` are top-level values that finished but were never
-        landed; fan-outs among them are released too. Best effort: the
-        campaign's own error is what propagates.
+        (or only partly) landed; fan-outs among them are released too,
+        each fan-out once. Best effort: the campaign's own error is
+        what propagates.
         """
-        fanouts = self._opened + [v for v in unlanded if isinstance(v, FanOut)]
-        for fanout in fanouts:
+        fanouts = {id(fanout): fanout for fanout in self._opened}
+        fanouts.update(
+            (id(value), value) for value in unlanded if isinstance(value, FanOut)
+        )
+        for fanout in fanouts.values():
             if fanout.abort_fn is not None:
                 try:
                     fanout.abort_fn(fanout.state)
@@ -544,18 +399,15 @@ def drain_inline(
 ) -> List[Any]:
     """Execute every item (and whatever it fans out into) in this process.
 
-    The ``serial`` backend: the same work items the fused scheduler
-    submits, run in the order a one-worker pool completes them — all
-    top-level items, then every fan-out's sub-items, then the
-    reductions — and landed in the same :class:`ReductionLedger`. No
-    pool starts and nothing is pickled, so task functions may be
-    closures. ``on_partial`` streams exactly the :class:`PartialResult`
-    sequence ``FusedScheduler(workers=1)`` streams.
+    The ``serial`` backend: the same work items the pool runs, in the
+    order a one-worker pool completes them — all top-level items, then
+    every fan-out's sub-items, then the reductions — landed in the same
+    state machine. No pool starts and nothing is pickled, so task
+    functions may be closures. ``on_partial`` streams exactly the
+    :class:`PartialResult` sequence a one-worker ``fused`` drain
+    streams.
     """
-    items = list(items)
-    if not items:
-        raise ConfigurationError("no work items to dispatch")
-    graph = _GraphState(items, grain=lambda n_items: 1, on_partial=on_partial)
+    graph = _Graph(list(items), grain=lambda n_items: 1, on_partial=on_partial)
     queue = deque(graph.initial)
     try:
         while queue:
@@ -564,7 +416,7 @@ def drain_inline(
     except BaseException:
         graph.abort()
         raise
-    return graph.ledger.results()
+    return graph.results
 
 
 def _unlanded_values(pending: Dict[Any, Tuple]) -> List[Any]:
@@ -581,119 +433,64 @@ def _unlanded_values(pending: Dict[Any, Tuple]) -> List[Any]:
     return values
 
 
-class FusedScheduler:
-    """One process pool draining a flattened (run x cell) work queue.
-
-    ``chunk_size`` sets the dispatch grain: the scheduler groups
-    consecutive canonical items into chunks of that size and submits
-    each chunk as one pool task (one pickle/IPC round trip for the
-    whole chunk), then unpacks the returned values into exactly the
-    per-item ledger completions the unchunked path performs. ``None``
-    (the default) picks :func:`auto_chunk_size` per batch; ``1`` is
-    bit-for-bit the per-item submission path. Results are identical for
-    every chunk size because each item keeps its own derived generator
-    and the ledger is completion-order-independent.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        workers = available_cores() if workers is None else workers
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
-        self._workers = workers
-        self._chunk_size = chunk_size
-
-    @property
-    def workers(self) -> int:
-        """Pool size."""
-        return self._workers
-
-    @property
-    def chunk_size(self) -> Optional[int]:
-        """The configured dispatch grain (None = auto per batch)."""
-        return self._chunk_size
-
-    def _grain(self, n_items: int) -> int:
-        """The chunk size for one batch of ``n_items`` sibling tasks."""
-        if self._chunk_size is not None:
-            return self._chunk_size
-        return auto_chunk_size(n_items, self._workers)
-
-    def run(
-        self,
-        items: Sequence[WorkItem],
-        on_partial: Optional[PartialFn] = None,
-    ) -> List[Any]:
-        """Execute every item (and whatever it fans out into).
-
-        Returns the per-item results in submission order; fan-out items
-        resolve to their reduction's result. Everything — task
-        functions, payloads, fan-out states, results — must be
-        picklable. ``on_partial`` (if given) is called in this process
-        for every streamed :class:`PartialResult` as completions land —
-        per-cell results surface while the rest of the queue is still
-        draining. If any task raises, the pool is shut down, every
-        opened fan-out's ``abort_fn`` runs, and the error propagates.
-        """
-        items = list(items)
-        if not items:
-            raise ConfigurationError("no work items to dispatch")
-        _validate_picklable(items)
-        graph = _GraphState(items, grain=self._grain, on_partial=on_partial)
-
-        # Start the resource tracker before the pool forks: every
-        # worker then inherits the same tracker, which is what makes
-        # shared-memory fleet registrations idempotent across processes
-        # (see repro.devices.sharedmem's lifecycle contract).
-        resource_tracker.ensure_running()
-        # NumPy 2.x imports numpy.ma lazily on the first plain np.unique
-        # call (through np.ma.is_masked), which Fleet.from_columns makes.
-        # Importing it before the pool forks lets every worker inherit
-        # the module instead of paying the import in its first cell,
-        # even when this process has run no work of its own.
-        import numpy.ma  # noqa: F401
-        with ProcessPoolExecutor(max_workers=self._workers) as pool:
-            #: future -> slot (see _run_slot), in submission order.
-            pending: Dict[Any, Tuple] = {}
-
-            def submit(slots: Sequence[Tuple]) -> None:
-                for slot in slots:
-                    pending[pool.submit(_run_slot, slot)] = slot
-
-            try:
-                submit(graph.initial)
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    # Land in submission order, not the done set's
-                    # arbitrary one, so the partial stream is as
-                    # deterministic as the completions are.
-                    for future in [f for f in pending if f in done]:
-                        slot = pending.pop(future)
-                        submit(graph.land(slot, future.result()))
-            except BaseException:
-                pool.shutdown(wait=True, cancel_futures=True)
-                graph.abort(_unlanded_values(pending))
-                raise
-        return graph.ledger.results()
-
-
-def execute_items(
-    items: Sequence[WorkItem],
-    workers: Optional[int] = None,
-    on_partial: Optional[PartialFn] = None,
-    chunk_size: Optional[int] = None,
+def _drain_pool(
+    items: Sequence[WorkItem], workers: int, on_partial: Optional[PartialFn]
 ) -> List[Any]:
-    """One-call front: dispatch ``items`` through a fused scheduler."""
-    return FusedScheduler(workers=workers, chunk_size=chunk_size).run(
-        items, on_partial=on_partial
+    """The ``fused`` backend: one process pool fed by one work queue.
+
+    Consecutive canonical items go to the pool in chunks of
+    :func:`dispatch_grain` (one pickle/IPC round trip per chunk), and
+    each returned value list lands item by item, so results and the
+    partial stream are those of per-item submission. Finished slots
+    land in submission order. Everything — task functions, payloads,
+    fan-out states, results — must be picklable. If any task raises,
+    the pool is shut down, every opened fan-out's ``abort_fn`` runs,
+    and the error propagates.
+    """
+    items = list(items)
+    graph = _Graph(
+        items,
+        grain=lambda n_items: dispatch_grain(n_items, workers),
+        on_partial=on_partial,
     )
+    _validate_picklable(items)
+
+    # Start the resource tracker before the pool forks: every
+    # worker then inherits the same tracker, which is what makes
+    # shared-memory fleet registrations idempotent across processes
+    # (see repro.devices.sharedmem's lifecycle contract).
+    resource_tracker.ensure_running()
+    # NumPy 2.x imports numpy.ma lazily on the first plain np.unique
+    # call (through np.ma.is_masked), which Fleet.from_columns makes.
+    # Importing it before the pool forks lets every worker inherit
+    # the module instead of paying the import in its first cell,
+    # even when this process has run no work of its own.
+    import numpy.ma  # noqa: F401
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        #: future -> slot (see _run_slot), in submission order.
+        pending: Dict[Any, Tuple] = {}
+
+        def submit(slots: Sequence[Tuple]) -> None:
+            for slot in slots:
+                pending[pool.submit(_run_slot, slot)] = slot
+
+        try:
+            submit(graph.initial)
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                # Land in submission order, not the done set's
+                # arbitrary one, so the partial stream is as
+                # deterministic as the completions are. A future
+                # leaves ``pending`` only once landed, so a landing
+                # that fails still counts its values as unlanded.
+                for future in [f for f in pending if f in done]:
+                    submit(graph.land(pending[future], future.result()))
+                    del pending[future]
+        except BaseException:
+            pool.shutdown(wait=True, cancel_futures=True)
+            graph.abort(_unlanded_values(pending))
+            raise
+    return graph.results
 
 
 def drain(
@@ -702,18 +499,20 @@ def drain(
     *,
     workers: Optional[int] = None,
     on_partial: Optional[PartialFn] = None,
-    chunk_size: Optional[int] = None,
 ) -> List[Any]:
     """Drain ``items`` on ``backend`` (one of :data:`BACKENDS`).
 
-    ``serial`` runs them in this process (:func:`drain_inline`; the pool
-    settings ``workers`` and ``chunk_size`` do not apply), ``fused`` on
-    a :class:`FusedScheduler`. Either way the results — and the
-    streamed partials at one worker — are the same.
+    ``serial`` runs them in this process (:func:`drain_inline`),
+    ``fused`` on a pool of ``workers`` processes (default
+    :func:`available_cores`; checked on either backend). Either
+    way the results — and the streamed partials at one worker — are
+    the same: the per-item results in submission order, each fan-out
+    item resolved to its reduction's result.
     """
     validate_backend(backend)
+    validate_workers(workers)
     if backend == "serial":
         return drain_inline(items, on_partial=on_partial)
-    return execute_items(
-        items, workers=workers, on_partial=on_partial, chunk_size=chunk_size
+    return _drain_pool(
+        items, available_cores() if workers is None else workers, on_partial
     )

@@ -14,8 +14,8 @@ their results are bit-identical:
 
 * ``serial`` — the items drain in this process, one run after another
   (the default; a task function need not be picklable);
-* ``fused`` — the items drain through the fused (run x cell) work-queue
-  scheduler's process pool; requires picklable task functions.
+* ``fused`` — the items drain through one (run x cell) work-queue
+  process pool; requires picklable task functions.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from repro.sim.dispatch import (
     WorkItem,
     drain,
     validate_backend,
+    validate_workers,
 )
 from repro.sim.eventlog import RunLog
 
@@ -229,7 +230,6 @@ def run_campaigns(
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     on_partial: Optional[PartialFn] = None,
-    chunk_size: Optional[int] = None,
 ) -> List[Dict[str, RunStatistics]]:
     """Run every campaign and aggregate each one's metrics, in order.
 
@@ -238,17 +238,14 @@ def run_campaigns(
     fused pool, no barrier between campaigns); each recording campaign
     writes its run logs, and each campaign is aggregated (and stored,
     when cached) on its own. Results are bit-identical to running each
-    campaign alone, on either backend, at every ``workers`` and
-    ``chunk_size``. Every run's metric dict is checked as it lands
-    against its campaign's first run, so an inconsistent run fails at
-    that run; ``on_partial`` then sees every streamed
-    :class:`~repro.sim.dispatch.PartialResult`.
+    campaign alone, on either backend, at every ``workers``. Every
+    run's metric dict is checked as it lands against its campaign's
+    first run, so an inconsistent run fails at that run; ``on_partial``
+    then sees every streamed :class:`~repro.sim.dispatch.PartialResult`.
+    :func:`~repro.sim.dispatch.drain` checks ``backend`` and
+    ``workers``; a call answered wholly from the cache checks them
+    here.
     """
-    validate_backend(backend)
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
     results: List[Optional[Dict[str, RunStatistics]]] = []
     #: (campaign index, its cache entry), one per campaign to run.
     pending: List[Tuple[int, CampaignCache]] = []
@@ -268,6 +265,8 @@ def run_campaigns(
             starts.append(len(items))
             items.extend(campaign.items)
     if not items:
+        validate_backend(backend)
+        validate_workers(workers)
         return results
     expected_keys: Dict[int, "frozenset[str]"] = {}
 
@@ -282,13 +281,7 @@ def run_campaigns(
         if on_partial is not None:
             on_partial(partial)
 
-    outputs = drain(
-        items,
-        backend,
-        workers=workers,
-        on_partial=check,
-        chunk_size=chunk_size,
-    )
+    outputs = drain(items, backend, workers=workers, on_partial=check)
     for (index, store), start, end in zip(
         pending, starts, starts[1:] + [len(items)]
     ):

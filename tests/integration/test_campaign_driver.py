@@ -10,6 +10,8 @@ check share one cache -> task graph -> aggregate path.
 * the golden check drains every golden spec in one graph.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -164,3 +166,35 @@ class TestGoldenCheckIsOneGraph:
         monkeypatch.setattr(montecarlo, "drain", real)
         for name, spec in zip(names, specs):
             assert batched[name] == headline_means(run_scenario(spec))
+
+
+class TestEachFigureIsOneGraph:
+    """A figure's points drain as one graph: one pool per figure on
+    ``--backend fused``, not one per point."""
+
+    @pytest.mark.parametrize(
+        "target, n_points",
+        [("7", 3), ("a2", 3), ("a4", 4), ("6b", 3)],
+    )
+    def test_every_point_drains_once(self, monkeypatch, target, n_points):
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run
+
+        config = ExperimentConfig(
+            n_runs=2, n_devices=30, device_counts=(20, 30, 40)
+        )
+        drained = []
+        real = montecarlo.drain
+
+        def counting(items, *args, **kwargs):
+            drained.append(len(items))
+            return real(items, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "drain", counting)
+        batched = run([target], config)
+        assert drained == [n_points * config.n_runs]
+        monkeypatch.setattr(montecarlo, "drain", real)
+        fused = run(
+            [target], dataclasses.replace(config, backend="fused", workers=2)
+        )
+        assert batched[target] == fused[target]

@@ -24,7 +24,7 @@ maximum over ``S`` doubled, on both of their branches. A
 SHA-256 of one paper-default cover, computed with the all-intervals
 sweep the fold replaced, pins the kernel's output. On small fleets the window greedy
 is additionally cross-checked against the generic
-:func:`~repro.setcover.greedy.greedy_set_cover` over the explicit set
+:func:`cover_oracle.greedy_set_cover` over the explicit set
 system of candidate window starts (both break ties earliest-first, so
 their per-round covered sets must coincide exactly).
 """
@@ -36,12 +36,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cover_oracle import reference_window_cover
+from cover_oracle import greedy_set_cover, reference_window_cover
 
 import repro.setcover.incremental as incremental
 from repro.errors import TimebaseError
 from repro.setcover.decision import GroupingDecision
-from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.greedy import greedy_window_cover
 from repro.setcover.incremental import (
     FEW_INTERVALS,
     FOLD_MIN_POS_PER_TABLE_ENTRY,

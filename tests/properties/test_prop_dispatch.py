@@ -1,44 +1,54 @@
-"""Property: the reduction ledger is completion-order independent.
+"""Property: the task graph is completion-order independent.
 
-The fused scheduler feeds :class:`~repro.sim.dispatch.ReductionLedger`
-completions in whatever order the process pool yields them. The
-determinism argument of the fused backend rests on the ledger being a
-pure function of the per-task results: for ANY interleaving of
-top-level, sub-item and reduction completions that respects causality
-(a fan-out's subs complete after the fan-out, its reduction after the
-subs), ``results()`` must return the same canonical list.
+Both drains land finished slots in one state machine
+(:class:`repro.sim.dispatch._Graph`) in whatever order their executor
+yields them. The determinism argument of the fused backend rests on
+that machine being a pure function of the per-task results: for ANY
+landing order that respects causality (a fan-out's subs land after the
+fan-out, its reduction after the subs), the results must be the same
+canonical list.
 
-Hypothesis drives the ledger with randomly shaped campaigns (a mix of
-plain tasks and fan-outs of varying width) under randomly drawn
-interleavings and asserts the output never moves.
+Hypothesis drives the machine with randomly shaped campaigns (a mix of
+plain tasks and fan-outs of varying width) at a random dispatch grain,
+landing the runnable slots in randomly drawn orders, and asserts the
+output never moves.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.dispatch import (
-    FanOut,
-    ReductionLedger,
-    TaskAddress,
-    WorkItem,
-)
+from repro.sim.dispatch import FanOut, TaskAddress, WorkItem, _Graph, _run_slot
 
 
-def _noop(rng, address, payload):  # pragma: no cover - never executed
-    return None
+def _sub(rng, address, payload):
+    return f"s{address.run_index}.{address.cell_index}"
 
 
-def _reduce(state, results, address):  # pragma: no cover - never executed
-    return None
+def _reduce(state, results, address):
+    # The graph hands sub-results over in sub-item order, no matter the
+    # landing order the property just exercised.
+    assert results == [f"s{state}.{p}" for p in range(len(results))]
+    return f"r{state}:" + ",".join(results)
 
 
-def _sub_item(top, position):
-    return WorkItem(
-        address=TaskAddress("prop", top, position),
-        fn=_noop,
-        payload=None,
-        seed=0,
-        spawn_index=position,
+def _top(rng, address, payload):
+    """A plain task (``payload`` None) or a fan-out of width ``payload``."""
+    i = address.run_index
+    if payload is None:
+        return f"v{i}"
+    return FanOut(
+        items=tuple(
+            WorkItem(
+                address=TaskAddress("prop", i, position),
+                fn=_sub,
+                payload=None,
+                seed=0,
+                spawn_index=position,
+            )
+            for position in range(payload)
+        ),
+        reduce_fn=_reduce,
+        state=i,
     )
 
 
@@ -49,6 +59,23 @@ shapes = st.lists(
     min_size=1,
     max_size=8,
 )
+
+#: The chunk size every batch of sibling slots is cut at.
+grains = st.integers(min_value=1, max_value=4)
+
+
+def _graph(shape_list, grain):
+    items = [
+        WorkItem(
+            address=TaskAddress("prop", i),
+            fn=_top,
+            payload=shape,
+            seed=0,
+            spawn_index=i,
+        )
+        for i, shape in enumerate(shape_list)
+    ]
+    return _Graph(items, lambda n_items: grain, None)
 
 
 def _expected(shape_list):
@@ -63,85 +90,37 @@ def _expected(shape_list):
 
 
 @settings(max_examples=200, deadline=None)
-@given(shape_list=shapes, data=st.data())
-def test_any_completion_order_yields_canonical_results(shape_list, data):
-    ledger = ReductionLedger(len(shape_list))
-    # The frontier of causally-available events, consumed in an order
+@given(shape_list=shapes, grain=grains, data=st.data())
+def test_any_completion_order_yields_canonical_results(
+    shape_list, grain, data
+):
+    graph = _graph(shape_list, grain)
+    # The frontier of causally-available slots, landed in an order
     # hypothesis chooses (and will shrink towards adversarial ones).
-    available = [("top", i) for i in range(len(shape_list))]
+    available = list(graph.initial)
     while available:
         pick = data.draw(
             st.integers(min_value=0, max_value=len(available) - 1)
         )
-        event = available.pop(pick)
-        if event[0] == "top":
-            i = event[1]
-            shape = shape_list[i]
-            if shape is None:
-                assert ledger.complete_top(i, f"v{i}") is None
-            else:
-                fanout = FanOut(
-                    items=tuple(_sub_item(i, p) for p in range(shape)),
-                    reduce_fn=_reduce,
-                    state=f"state{i}",
-                )
-                assert ledger.complete_top(i, fanout) is fanout
-                available.extend(("sub", i, p) for p in range(shape))
-        elif event[0] == "sub":
-            _, i, p = event
-            ready = ledger.complete_sub(i, p, f"s{i}.{p}")
-            if ready is not None:
-                # The group hands back sub-results in sub-item order,
-                # no matter the arrival order just exercised.
-                assert ready.top_index == i
-                assert ready.results == [
-                    f"s{i}.{p}" for p in range(shape_list[i])
-                ]
-                available.append(("reduce", i, ready))
-        else:
-            _, i, ready = event
-            ledger.complete_reduce(i, "r%d:%s" % (i, ",".join(ready.results)))
-    assert ledger.done
-    assert ledger.results() == _expected(shape_list)
+        slot = available.pop(pick)
+        available.extend(graph.land(slot, _run_slot(slot)))
+    assert graph.results == _expected(shape_list)
 
 
 @settings(max_examples=100, deadline=None)
-@given(shape_list=shapes, data=st.data())
-def test_done_is_monotone_and_only_true_at_the_end(shape_list, data):
-    ledger = ReductionLedger(len(shape_list))
-    available = [("top", i) for i in range(len(shape_list))]
-    events_left = sum(
-        1 if s is None else s + 2 for s in shape_list
-    )
+@given(shape_list=shapes, grain=grains, data=st.data())
+def test_done_is_monotone_and_only_true_at_the_end(shape_list, grain, data):
+    graph = _graph(shape_list, grain)
+    available = list(graph.initial)
+    was_done = False
     while available:
         pick = data.draw(
             st.integers(min_value=0, max_value=len(available) - 1)
         )
-        event = available.pop(pick)
-        events_left -= 1
-        if event[0] == "top":
-            i = event[1]
-            shape = shape_list[i]
-            if shape is None:
-                ledger.complete_top(i, i)
-            else:
-                ledger.complete_top(
-                    i,
-                    FanOut(
-                        items=tuple(
-                            _sub_item(i, p) for p in range(shape)
-                        ),
-                        reduce_fn=_reduce,
-                        state=None,
-                    ),
-                )
-                available.extend(("sub", i, p) for p in range(shape))
-        elif event[0] == "sub":
-            _, i, p = event
-            ready = ledger.complete_sub(i, p, p)
-            if ready is not None:
-                available.append(("reduce", i, ready))
-        else:
-            _, i, ready = event
-            ledger.complete_reduce(i, sum(ready.results))
-        assert ledger.done == (events_left == 0)
+        slot = available.pop(pick)
+        available.extend(graph.land(slot, _run_slot(slot)))
+        done = None not in graph.results
+        assert done >= was_done
+        # Every slot is filled exactly when nothing is left to run.
+        assert done == (not available)
+        was_done = done

@@ -3,12 +3,12 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from cover_oracle import best_window
+from cover_oracle import best_window, greedy_set_cover
 from paging_oracle import PoSchedule
 
 from repro.analysis.theory import greedy_approximation_bound
 from repro.setcover.exact import exact_min_set_cover
-from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.greedy import greedy_window_cover
 
 
 @st.composite
@@ -96,6 +96,10 @@ class TestSetCoverProperties:
         greedy = greedy_set_cover(universe, sets)
         exact = exact_min_set_cover(universe, sets)
         assert len(exact) <= len(greedy)
+        # The solver seeds its search with this greedy and keeps it
+        # unless a strictly smaller cover exists.
+        if len(exact) == len(greedy):
+            assert exact == greedy
         if universe:
             bound = greedy_approximation_bound(len(universe))
             assert len(greedy) <= bound * len(exact) + 1e-9

@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.sim import dispatch
 from repro.sim.dispatch import (
     FanOut,
-    FusedScheduler,
-    ReductionLedger,
     TaskAddress,
     WorkItem,
     available_cores,
     derive_task_rng,
+    drain,
     drain_inline,
-    execute_items,
 )
 from repro.sim.montecarlo import RunOutput
 from repro.sim.rng import spawn_generators
@@ -98,6 +97,28 @@ def _fanout_once_task(rng, address, payload):
     )
 
 
+#: States of the fan-outs aborted in this process, in abort order.
+ABORTED = []
+
+
+def _record_abort(state):
+    ABORTED.append(state)
+
+
+def _every_third_plain_task(rng, address, payload):
+    """Item ``i`` returns a plain value when ``i % 3 == 1``, else a
+    one-cell fan-out whose abort hook records ``i``."""
+    i = address.run_index
+    if i % 3 == 1:
+        return float(i)
+    return FanOut(
+        items=(_item(0),),
+        reduce_fn=_sum_reduce,
+        state=i,
+        abort_fn=_record_abort,
+    )
+
+
 def _item(index, fn=_draw_task, seed=0):
     return WorkItem(
         address=TaskAddress("t", index),
@@ -115,7 +136,14 @@ class TestAvailableCores:
             os, "sched_getaffinity", lambda pid: {0, 3}, raising=False
         )
         assert available_cores() == 2
-        assert FusedScheduler().workers == 2
+        pools = []
+        monkeypatch.setattr(
+            dispatch,
+            "_drain_pool",
+            lambda items, workers, on_partial: pools.append(workers),
+        )
+        drain([_item(0)], "fused")
+        assert pools == [2]
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -156,119 +184,75 @@ class TestDeriveTaskRng:
             derive_task_rng(1, -1)
 
 
-class TestReductionLedger:
-    def test_needs_at_least_one_top_task(self):
-        with pytest.raises(ConfigurationError, match=">= 1 top-level"):
-            ReductionLedger(0)
+def _fused(items, workers, on_partial=None):
+    return drain(items, "fused", workers=workers, on_partial=on_partial)
 
+
+class TestGraph:
     def test_plain_completions_fill_slots_in_canonical_order(self):
-        ledger = ReductionLedger(3)
-        assert ledger.complete_top(2, "c") is None
-        assert not ledger.done
-        assert ledger.complete_top(0, "a") is None
-        assert ledger.complete_top(1, "b") is None
-        assert ledger.done
-        assert ledger.results() == ["a", "b", "c"]
-
-    def test_results_refused_while_incomplete(self):
-        ledger = ReductionLedger(2)
-        ledger.complete_top(0, "a")
-        with pytest.raises(ConfigurationError, match="incomplete"):
-            ledger.results()
-
-    def test_top_index_out_of_range(self):
-        ledger = ReductionLedger(1)
-        with pytest.raises(ConfigurationError, match="out of range"):
-            ledger.complete_top(1, "x")
-        with pytest.raises(ConfigurationError, match="out of range"):
-            ledger.complete_top(-1, "x")
-
-    def test_double_top_completion_rejected(self):
-        ledger = ReductionLedger(1)
-        ledger.complete_top(0, "x")
-        with pytest.raises(ConfigurationError, match="completed twice"):
-            ledger.complete_top(0, "y")
+        items = [_item(i, seed=4) for i in range(3)]
+        graph = dispatch._Graph(items, lambda n_items: 1, None)
+        # Land the last item first: slots, not arrival, fix the order.
+        for slot in reversed(graph.initial):
+            assert graph.land(slot, dispatch._run_slot(slot)) == []
+        assert graph.results == [derive_task_rng(4, i).random() for i in range(3)]
 
     def test_empty_fanout_rejected(self):
-        ledger = ReductionLedger(1)
+        graph = dispatch._Graph([_item(0)], lambda n_items: 1, None)
+        (slot,) = graph.initial
         with pytest.raises(ConfigurationError, match="at least one"):
-            ledger.complete_top(
-                0, FanOut(items=(), reduce_fn=_sum_reduce, state=0.0)
+            graph.land(
+                slot, [FanOut(items=(), reduce_fn=_sum_reduce, state=0.0)]
             )
 
-    def _open_group(self, ledger, index=0, k=2):
+    def _open_group(self, graph, k):
         fanout = FanOut(
             items=tuple(_item(p) for p in range(k)),
             reduce_fn=_sum_reduce,
             state=0.0,
         )
-        assert ledger.complete_top(index, fanout) is fanout
-        return fanout
-
-    def test_sub_completion_without_open_group(self):
-        ledger = ReductionLedger(1)
-        with pytest.raises(ConfigurationError, match="no open fan-out"):
-            ledger.complete_sub(0, 0, 1.0)
+        (slot,) = graph.initial
+        return graph.land(slot, [fanout])
 
     def test_nested_fanout_from_sub_rejected(self):
-        ledger = ReductionLedger(1)
-        self._open_group(ledger)
+        graph = dispatch._Graph([_item(0)], lambda n_items: 1, None)
+        (sub,) = self._open_group(graph, k=1)
         nested = FanOut(
             items=(_item(0),), reduce_fn=_sum_reduce, state=0.0
         )
         with pytest.raises(ConfigurationError, match="nested fan-out"):
-            ledger.complete_sub(0, 0, nested)
-
-    def test_sub_position_out_of_range_and_double(self):
-        ledger = ReductionLedger(1)
-        self._open_group(ledger, k=2)
-        with pytest.raises(ConfigurationError, match="out of range"):
-            ledger.complete_sub(0, 2, 1.0)
-        assert ledger.complete_sub(0, 1, 1.0) is None
-        with pytest.raises(ConfigurationError, match="completed twice"):
-            ledger.complete_sub(0, 1, 2.0)
+            graph.land(sub, [nested])
 
     def test_group_completes_in_sub_item_order_not_arrival_order(self):
-        ledger = ReductionLedger(1)
-        self._open_group(ledger, k=3)
-        assert ledger.complete_sub(0, 2, "late") is None
-        assert ledger.complete_sub(0, 0, "early") is None
-        ready = ledger.complete_sub(0, 1, "middle")
-        assert ready is not None
-        assert ready.top_index == 0
-        assert ready.results == ["early", "middle", "late"]
-        assert not ledger.done
-        ledger.complete_reduce(0, "reduced")
-        assert ledger.done
-        assert ledger.results() == ["reduced"]
-
-    def test_reduce_into_filled_slot_rejected(self):
-        ledger = ReductionLedger(2)
-        ledger.complete_top(0, "x")
-        with pytest.raises(ConfigurationError, match="completed twice"):
-            ledger.complete_reduce(0, "y")
-        with pytest.raises(ConfigurationError, match="out of range"):
-            ledger.complete_reduce(5, "y")
+        graph = dispatch._Graph([_item(0)], lambda n_items: 1, None)
+        first, middle, last = self._open_group(graph, k=3)
+        assert graph.land(last, ["late"]) == []
+        assert graph.land(first, ["early"]) == []
+        (reduce,) = graph.land(middle, ["middle"])
+        assert reduce[-1] == ["early", "middle", "late"]
+        assert graph.land(reduce, "reduced") == []
+        assert graph.results == ["reduced"]
 
     def test_reduce_may_not_expand(self):
-        ledger = ReductionLedger(1)
-        self._open_group(ledger, k=1)
-        ledger.complete_sub(0, 0, 1.0)
+        graph = dispatch._Graph([_item(0)], lambda n_items: 1, None)
+        (sub,) = self._open_group(graph, k=1)
+        (reduce,) = graph.land(sub, [1.0])
         nested = FanOut(
             items=(_item(0),), reduce_fn=_sum_reduce, state=0.0
         )
         with pytest.raises(ConfigurationError, match="may not expand"):
-            ledger.complete_reduce(0, nested)
+            graph.land(reduce, nested)
 
 
-class TestFusedScheduler:
+class TestPoolDrain:
     def test_invalid_workers(self):
         with pytest.raises(ConfigurationError, match="workers"):
-            FusedScheduler(workers=0)
+            _fused([_item(0)], workers=0)
 
-    def test_empty_queue_rejected(self):
+    @pytest.mark.parametrize("backend", ["serial", "fused"])
+    def test_empty_queue_rejected(self, backend):
         with pytest.raises(ConfigurationError, match="no work items"):
-            FusedScheduler(workers=1).run([])
+            drain([], backend, workers=1)
 
     def test_unpicklable_task_fn_rejected_up_front(self):
         item = WorkItem(
@@ -279,12 +263,12 @@ class TestFusedScheduler:
             spawn_index=0,
         )
         with pytest.raises(ConfigurationError, match="picklable"):
-            FusedScheduler(workers=1).run([item])
+            _fused([item], workers=1)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flat_items_match_direct_derivation(self, workers):
         items = [_item(i, seed=99) for i in range(4)]
-        results = execute_items(items, workers=workers)
+        results = _fused(items, workers=workers)
         expected = [derive_task_rng(99, i).random() for i in range(4)]
         assert results == expected
 
@@ -301,7 +285,7 @@ class TestFusedScheduler:
             )
             for i in range(n_runs)
         ]
-        results = execute_items(items, workers=workers)
+        results = _fused(items, workers=workers)
         expected = [
             derive_task_rng(seed, i).random()
             + sum(
@@ -321,10 +305,26 @@ class TestFusedScheduler:
             spawn_index=0,
         )
         with pytest.raises(ConfigurationError, match="nested fan-out"):
-            execute_items([item], workers=1)
+            _fused([item], workers=1)
+
+    def test_failed_landing_aborts_each_fanout_of_its_chunk_once(self):
+        """Nine items at one worker land in chunks of three. A consumer
+        that fails on item 1 leaves item 0's fan-out opened and item 2's
+        unopened, both in the chunk that never finished landing."""
+        ABORTED.clear()
+        items = [_item(i, fn=_every_third_plain_task) for i in range(9)]
+
+        def fail(partial):
+            raise RuntimeError(f"consumer failed at {partial.top_index}")
+
+        with pytest.raises(RuntimeError, match="failed at 1"):
+            _fused(items, workers=1, on_partial=fail)
+        assert ABORTED.count(0) == 1
+        assert ABORTED.count(2) == 1
+        assert len(ABORTED) == len(set(ABORTED))
 
     def test_workers_fork_with_numpy_ma_imported(self):
-        """np.unique's first call imports numpy.ma lazily; the scheduler
+        """np.unique's first call imports numpy.ma lazily; the pool drain
         imports it before forking, so a fresh interpreter that ran no
         serial work still hands it to every worker."""
         import repro
@@ -356,7 +356,7 @@ class TestFusedScheduler:
 class TestFlatMapAdapters:
     def test_run_fused_matches_serial_spawn_contract(self):
         for workers in (1, 2):
-            per_run = execute_items(
+            per_run = _fused(
                 metric_items(draw_run, seed=3, n_runs=5), workers=workers
             )
             expected = [
@@ -375,50 +375,55 @@ class TestFlatMapAdapters:
     def test_run_fused_matches_inline_drain(self):
         serial = drain_inline(metric_items(draw_run, seed=11, n_runs=3))
         for workers in (1, 2):
-            assert execute_items(
+            assert _fused(
                 metric_items(draw_run, seed=11, n_runs=3), workers=workers
             ) == serial
 
 
 class TestStreamedPartials:
     def test_top_completions_stream_in_arrival_order(self):
-        ledger = ReductionLedger(3)
-        ledger.complete_top(2, "late")
-        ledger.complete_top(0, "early")
-        partials = list(ledger.partial_results())
-        assert [(p.kind, p.top_index, p.value) for p in partials] == [
+        seen = []
+        items = [_item(i) for i in range(3)]
+        graph = dispatch._Graph(items, lambda n_items: 1, seen.append)
+        late, early, mid = graph.initial[2], graph.initial[0], graph.initial[1]
+        graph.land(late, ["late"])
+        graph.land(early, ["early"])
+        assert [(p.kind, p.top_index, p.value) for p in seen] == [
             ("top", 2, "late"),
             ("top", 0, "early"),
         ]
-        # Draining is destructive: nothing new, nothing repeated.
-        assert list(ledger.partial_results()) == []
-        ledger.complete_top(1, "mid")
-        assert [p.value for p in ledger.partial_results()] == ["mid"]
+        # Each landing streams its own completions once, as it lands.
+        graph.land(mid, ["mid"])
+        assert [p.value for p in seen] == ["late", "early", "mid"]
+        assert [p.address for p in seen] == [
+            items[2].address, items[0].address, items[1].address
+        ]
 
     def test_fanout_streams_subs_then_reduce(self):
-        ledger = ReductionLedger(1)
+        seen = []
+        graph = dispatch._Graph([_item(0)], lambda n_items: 1, seen.append)
         fanout = FanOut(
             items=tuple(_item(p) for p in range(2)),
             reduce_fn=_sum_reduce,
             state=0.0,
         )
-        ledger.complete_top(0, fanout)
-        ledger.complete_sub(0, 1, 4.0)
-        ledger.complete_sub(0, 0, 3.0)
-        ledger.complete_reduce(0, 7.0)
-        partials = list(ledger.partial_results())
-        assert [(p.kind, p.position) for p in partials] == [
+        first, second = graph.land(graph.initial[0], [fanout])
+        assert seen == []
+        graph.land(second, [4.0])
+        (reduce,) = graph.land(first, [3.0])
+        graph.land(reduce, 7.0)
+        assert [(p.kind, p.position) for p in seen] == [
             ("sub", 1),
             ("sub", 0),
             ("reduce", None),
         ]
-        assert partials[-1].value == 7.0
+        assert seen[-1].value == 7.0
         # Streaming never perturbs the canonical outputs.
-        assert ledger.results() == [7.0]
+        assert graph.results == [7.0]
 
-    def test_scheduler_invokes_on_partial_per_completion(self):
+    def test_pool_invokes_on_partial_per_completion(self):
         seen = []
-        results = execute_items(
+        results = _fused(
             [_item(i, seed=7) for i in range(3)],
             workers=1,
             on_partial=seen.append,
@@ -440,7 +445,7 @@ class TestStreamedPartials:
         ]
         inline, pooled = [], []
         assert drain_inline(items, on_partial=inline.append) == (
-            execute_items(items, workers=1, on_partial=pooled.append)
+            _fused(items, workers=1, on_partial=pooled.append)
         )
         assert inline == pooled
         assert [(p.kind, p.top_index) for p in inline] == (
@@ -479,4 +484,4 @@ class TestPicklabilityValidation:
             ),
         ]
         with pytest.raises(ConfigurationError, match="picklable"):
-            FusedScheduler(workers=1).run(items)
+            _fused(items, workers=1)

@@ -88,6 +88,10 @@ def test_package_ships_no_reference_paths():
     moved = {"EventDrivenCampaign", "best_window", "BestWindow"}
     for module in ("repro", "repro.sim", "repro.setcover", "repro.multicast"):
         assert not moved & set(importlib.import_module(module).__all__)
+    # The set-system greedy is the exact solver's and the window
+    # cover's reference: tests/cover_oracle.py.
+    for module in ("repro", "repro.setcover", "repro.setcover.greedy"):
+        assert "greedy_set_cover" not in vars(importlib.import_module(module))
     assert not hasattr(TrafficMixture, "sample_reference")
     assert not hasattr(DownlinkScheduler, "_count_overlaps_reference")
     # One paging-occasion rule: the column kernels. The per-device

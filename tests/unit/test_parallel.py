@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.sim.cache import ResultCache, fingerprint
-from repro.sim.dispatch import execute_items
+from repro.sim.dispatch import drain
 
 from metric_items import metric_items, run_fn
 
@@ -55,7 +55,9 @@ class TestFusedBackendEquivalence:
         assert a["draw"].min >= 0.0 and a["draw"].max <= 10.0
 
     def test_results_arrive_in_run_index_order(self):
-        out = execute_items(metric_items(draw_run, seed=0, n_runs=9), workers=3)
+        out = drain(
+            metric_items(draw_run, seed=0, n_runs=9), "fused", workers=3
+        )
         assert [o.metrics["index"] for o in out] == list(map(float, range(9)))
 
     def test_unpicklable_fn_rejected(self):
@@ -98,7 +100,7 @@ class TestFusedBackendEquivalence:
         with pytest.raises(ConfigurationError):
             run_fn(draw_run, n_runs=2, seed=1, workers=0)
         with pytest.raises(ConfigurationError):
-            execute_items(metric_items(draw_run, seed=1, n_runs=2), workers=0)
+            drain(metric_items(draw_run, seed=1, n_runs=2), "fused", workers=0)
 
 
 class TestFingerprint:
@@ -212,6 +214,21 @@ class TestResultCache:
             cache=cache, tag="t", fingerprint="f",
         )
         assert cached["draw"].n == 5
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"backend": "threads"}, {"workers": 0}]
+    )
+    def test_hit_still_rejects_bad_pool_settings(self, tmp_path, kwargs):
+        cache = ResultCache(tmp_path)
+        run_fn(
+            draw_run, n_runs=5, seed=7, cache=cache,
+            tag="t", fingerprint="f",
+        )
+        with pytest.raises(ConfigurationError):
+            run_fn(
+                failing_run, n_runs=5, seed=7, cache=cache,
+                tag="t", fingerprint="f", **kwargs,
+            )
 
     @pytest.mark.parametrize(
         "kwargs",

