@@ -119,6 +119,37 @@ def _every_third_plain_task(rng, address, payload):
     )
 
 
+def _fail_on_run_one(rng, address, payload):
+    if address.run_index == 1:
+        raise RuntimeError("cell of run 1 failed")
+    return float(rng.random())
+
+
+def _raise_after_recording(state):
+    ABORTED.append(state)
+    raise OSError(f"release of {state} failed")
+
+
+def _fanout_with_failing_cell(rng, address, payload):
+    """A one-cell fan-out whose cell raises on run 1; ``payload`` is the
+    fan-out's abort hook."""
+    i = address.run_index
+    return FanOut(
+        items=(
+            WorkItem(
+                address=TaskAddress(address.campaign, i, 0),
+                fn=_fail_on_run_one,
+                payload=None,
+                seed=i,
+                spawn_index=0,
+            ),
+        ),
+        reduce_fn=_sum_reduce,
+        state=i,
+        abort_fn=payload,
+    )
+
+
 def _item(index, fn=_draw_task, seed=0):
     return WorkItem(
         address=TaskAddress("t", index),
@@ -351,6 +382,41 @@ class TestPoolDrain:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["True"]
+
+
+class TestAbortOnFailure:
+    """Three runs each open a one-cell fan-out and run 1's cell raises.
+    Both drains land every top-level item before any cell (the pool at
+    one worker runs the queue in order), so all three fan-outs are open
+    when the failure lands."""
+
+    @staticmethod
+    def _items(abort_fn):
+        return [
+            WorkItem(
+                address=TaskAddress("fail", i),
+                fn=_fanout_with_failing_cell,
+                payload=abort_fn,
+                seed=0,
+                spawn_index=i,
+            )
+            for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("backend", ["serial", "fused"])
+    def test_failed_task_aborts_every_opened_fanout_once(self, backend):
+        ABORTED.clear()
+        with pytest.raises(RuntimeError, match="run 1 failed"):
+            drain(self._items(_record_abort), backend, workers=1)
+        assert sorted(ABORTED) == [0, 1, 2]
+
+    def test_failing_abort_hook_neither_masks_the_error_nor_stops_the_rest(
+        self,
+    ):
+        ABORTED.clear()
+        with pytest.raises(RuntimeError, match="run 1 failed"):
+            drain_inline(self._items(_raise_after_recording))
+        assert sorted(ABORTED) == [0, 1, 2]
 
 
 class TestFlatMapAdapters:
