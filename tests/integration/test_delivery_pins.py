@@ -6,12 +6,18 @@ carries. The pins cover the summary text of every mechanism at 2,000
 paper-default devices (seed 2018), the ``serve`` table and recorded
 event log for the default churn script and for a churn-free one, and
 each mechanism's paging counts and carrier utilization. The ``serve``
-table pins hold its lines without the last column's padding.
+table pins hold its lines without the last column's padding; every
+mechanism has one churn script (DR-SC two campaigns, the others one,
+since their single long windows leave no airtime for a second). An
+in-process :class:`~repro.service.CampaignService` churn session per
+mechanism pins the SHA-256 of its completed plan and result columns,
+the path that strips the leavers before executing.
 
 A change to the paging record rule moves these numbers on purpose: it
 re-pins this file and shows the diff.
 """
 
+import asyncio
 import hashlib
 
 import numpy as np
@@ -19,11 +25,14 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.registry import mechanism_by_name
+from repro.devices.device import NbIotDevice
+from repro.drx.cycles import DrxCycle
 from repro.multicast import FirmwareImage, OnDemandMulticastService
+from repro.service import CampaignService
 from repro.sim.eventlog import RunLog
 from repro.sim.rng import generator_for
 from repro.traffic.generator import generate_fleet
-from repro.traffic.mixtures import PAPER_DEFAULT_MIXTURE
+from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE, PAPER_DEFAULT_MIXTURE
 
 DEMO = {
     "dr-sc": """\
@@ -129,6 +138,42 @@ note: churn: 0 joined, 0 left across 0 revisions; arbiter admitted 12 windows, d
         14,
         "b395ad6dcbbbf9e25b8d8ff22730ffd8ebb0deae4dad34e03d64c696bbcc44d4",
     ),
+    ("--mechanism", "da-sc", "--campaigns", "1", "--joins", "2", "--leaves", "2"): (
+        """\
+Live session: 1 campaigns x 12 devices, da-sc, staggered 1024 frames
+====================================================================
+campaign    devices  tx  duration  pages  overflow
+----------  -------  --  --------  -----  --------
+campaign-0  12       1   5h49m     20     no
+note: churn: 2 joined, 2 left across 4 revisions; arbiter admitted 5 windows, deferred 0 (total shift 0 frames).
+""",
+        14,
+        "86098433b299dc5cd0a3273fb09ff3380417da15ec869ef38105702f3c9f51a1",
+    ),
+    ("--mechanism", "dr-si", "--campaigns", "1", "--joins", "2", "--leaves", "2"): (
+        """\
+Live session: 1 campaigns x 12 devices, dr-si, staggered 1024 frames
+====================================================================
+campaign    devices  tx  duration  pages  overflow
+----------  -------  --  --------  -----  --------
+campaign-0  12       1   5h49m     4      no
+note: churn: 2 joined, 2 left across 4 revisions; arbiter admitted 5 windows, deferred 0 (total shift 0 frames).
+""",
+        14,
+        "86098433b299dc5cd0a3273fb09ff3380417da15ec869ef38105702f3c9f51a1",
+    ),
+    ("--mechanism", "unicast", "--campaigns", "1", "--joins", "2", "--leaves", "2"): (
+        """\
+Live session: 1 campaigns x 12 devices, unicast, staggered 1024 frames
+======================================================================
+campaign    devices  tx  duration  pages  overflow
+----------  -------  --  --------  -----  --------
+campaign-0  12       10  2h14m     12     no
+note: churn: 2 joined, 2 left across 4 revisions; arbiter admitted 42 windows, deferred 0 (total shift 0 frames).
+""",
+        51,
+        "6281fd1b0e743eb2715178ac9b3698591589b6541a9ad539fcf61ee468c41892",
+    ),
 }
 
 MECHANISMS = tuple(DEMO)
@@ -165,7 +210,9 @@ def test_paging_and_carrier_reports(mechanism):
     ) == REPORTS[mechanism]
 
 
-@pytest.mark.parametrize("script", list(SERVE), ids=["churn", "no-churn"])
+@pytest.mark.parametrize(
+    "script", list(SERVE), ids=["churn", "no-churn", "da-sc", "dr-si", "unicast"]
+)
 def test_serve_table_and_event_log(script, capsys, tmp_path):
     record = tmp_path / "serve.npz"
     assert main(["serve", *script, "--record", str(record)]) == 0
@@ -178,3 +225,73 @@ def test_serve_table_and_event_log(script, capsys, tmp_path):
     events = RunLog.load(record).cells[0].events
     assert events.size == n_events
     assert hashlib.sha256(np.ascontiguousarray(events).tobytes()).hexdigest() == digest
+
+
+#: SHA-256 of the completed campaign's plan and result columns in
+#: :func:`_live_churn_report`'s session; see :func:`_report_digest`.
+LIVE_SHA256 = {
+    "dr-sc": "a3ec4d9044160506bb9048c3886eab68d8497549fd9ae75a3665bf6586ad693e",
+    "da-sc": "8335802a021a5db655dbcbda35591b1084903f5649c08708a1a4ea5c58474321",
+    "dr-si": "a4b59678d20b775fe933bf43420d1fe6a93f7726d6e61016e95108926ce73256",
+    "unicast": "6ba96801118a9d6ec3b5c4b58f4583b1acbe627390868db97637a047b2d39829",
+}
+
+PLAN_COLUMNS = (
+    "device",
+    "transmission",
+    "method",
+    "page_frame",
+    "connect_frame",
+    "adaptation_page_frame",
+    "adapted_cycle",
+)
+RESULT_COLUMNS = (
+    "device",
+    "transmission",
+    "ready_s",
+    "wait_s",
+    "updated_s",
+    "seconds",
+    "actual_start_s",
+)
+
+
+def _report_digest(report) -> str:
+    """SHA-256 over the plan's directive columns and transmission table,
+    then the result's columns and horizon."""
+    digest = hashlib.sha256()
+    columns = report.plan.columns
+    for name in PLAN_COLUMNS:
+        digest.update(np.ascontiguousarray(getattr(columns, name), np.int64))
+    table = report.plan.transmissions
+    digest.update(np.ascontiguousarray(table.frame, np.int64))
+    digest.update(np.ascontiguousarray(table.rate_bps, np.float64))
+    digest.update(np.ascontiguousarray(table.duration_frames, np.int64))
+    for name in RESULT_COLUMNS:
+        digest.update(np.ascontiguousarray(getattr(report.result, name)))
+    digest.update(np.int64(report.result.horizon_frames))
+    return digest.hexdigest()
+
+
+async def _live_churn_report(mechanism: str):
+    """One 12-device campaign; at frames 512 and 2048 a device joins and
+    the next submitted device leaves."""
+    fleet = generate_fleet(12, MODERATE_EDRX_MIXTURE, np.random.default_rng(1))
+    image = FirmwareImage(name="fw", version="3.1.4", size_bytes=50_000)
+    async with CampaignService(seed=7) as service:
+        handle = service.submit(fleet, image, mechanism=mechanism_by_name(mechanism))
+        for step, frame in enumerate((512, 2048)):
+            await service.advance_to(frame)
+            joiner = NbIotDevice.build(
+                imsi=999_000_111 + 37 * step, cycle=DrxCycle.from_seconds(20.48)
+            )
+            service.join(handle, joiner)
+            service.leave(handle, step)
+        return await service.result(handle)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_live_churn_plan_and_result(mechanism):
+    report = asyncio.run(_live_churn_report(mechanism))
+    assert len(report.plan.directives) == 12
+    assert _report_digest(report) == LIVE_SHA256[mechanism]
