@@ -10,11 +10,12 @@ through both drains of the same task graph:
   inter-run barrier.
 
 Equivalence gates the timing: the fused metric arrays must be
-bit-identical to serial at every worker count. The single-worker run
-asserts the pool's one dispatch grain (``dispatch_grain``) keeps fused
-at one worker within 5 % of serial whenever the serial run is long
-enough to measure; the multi-worker ratio is recorded to
-``BENCH_fused.json``.
+bit-identical to serial at every worker count. Serial and fused at one
+worker are each timed three times, alternating, and the single-worker
+bar compares their medians: it asserts the pool's one dispatch grain
+(``dispatch_grain``) keeps fused at one worker within 5 % of serial
+whenever the serial run is long enough to measure. The multi-worker
+ratio is recorded to ``BENCH_fused.json``.
 
 The 10^6-device regime is asserted **un-gated** in two pieces:
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import statistics
 import time
 
 import numpy as np
@@ -64,6 +66,11 @@ MIN_ASSERTED_SERIAL_S = 1.0
 #: is long enough to measure, regardless of core count.
 MIN_SINGLE_WORKER_RATIO = 0.95
 
+#: Serial and fused at 1 worker are each timed this many times,
+#: alternating, and compared by their medians: one timing per side has
+#: read 1.14x and then 0.78x on the same tree on a 2-vCPU host.
+SINGLE_WORKER_REPEATS = 3
+
 
 def _bench_spec():
     return scenario("city-rollout").with_overrides(
@@ -85,9 +92,26 @@ def test_a10_fused_vs_serial(capsys):
     spec = _bench_spec()
     workers = _workers()
 
-    t0 = time.perf_counter()
-    serial = run_scenario(spec)
-    serial_s = time.perf_counter() - t0
+    # Fused at 1 worker on the pool's one grain: the dispatch-grain
+    # regime where the per-item submission used to lose to serial
+    # outright. Each of its runs must stay bit-identical to serial; the
+    # medians of the alternating timings carry the assertion.
+    serial_times, one_worker_times = [], []
+    for _ in range(SINGLE_WORKER_REPEATS):
+        t0 = time.perf_counter()
+        serial = run_scenario(spec)
+        serial_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        one_worker = run_scenario(spec, backend="fused", workers=1)
+        one_worker_times.append(time.perf_counter() - t0)
+        for metric in serial:
+            np.testing.assert_array_equal(
+                serial[metric].values,
+                one_worker[metric].values,
+                err_msg=f"1 worker: {metric}",
+            )
+    serial_s = statistics.median(serial_times)
+    fused_1w_s = statistics.median(one_worker_times)
 
     t0 = time.perf_counter()
     fused = run_scenario(spec, backend="fused", workers=workers)
@@ -99,19 +123,6 @@ def test_a10_fused_vs_serial(capsys):
         np.testing.assert_array_equal(
             serial[metric].values, fused[metric].values, err_msg=metric
         )
-
-    # Fused at 1 worker on the pool's one grain: the dispatch-grain
-    # regime where the per-item submission used to lose to serial
-    # outright. It must stay bit-identical and carries the assertion.
-    t0 = time.perf_counter()
-    one_worker = run_scenario(spec, backend="fused", workers=1)
-    fused_1w_s = time.perf_counter() - t0
-    for metric in serial:
-        np.testing.assert_array_equal(
-            serial[metric].values,
-            one_worker[metric].values,
-            err_msg=f"1 worker: {metric}",
-        )
     fused_1w_over_serial = (
         serial_s / fused_1w_s if fused_1w_s > 0 else float("inf")
     )
@@ -122,8 +133,9 @@ def test_a10_fused_vs_serial(capsys):
     if single_worker_asserted:
         assert fused_1w_over_serial >= MIN_SINGLE_WORKER_RATIO, (
             f"fused at 1 worker reaches only "
-            f"{fused_1w_over_serial:.2f}x serial "
-            f"({fused_1w_s:.2f}s vs serial {serial_s:.2f}s) — below the "
+            f"{fused_1w_over_serial:.2f}x serial (medians of "
+            f"{SINGLE_WORKER_REPEATS}: {fused_1w_s:.2f}s vs serial "
+            f"{serial_s:.2f}s) — below the "
             f"{MIN_SINGLE_WORKER_RATIO} bar; the dispatch grain no "
             f"longer amortises the per-task IPC round trip"
         )
@@ -139,9 +151,11 @@ def test_a10_fused_vs_serial(capsys):
             "workers": workers,
             "cpu_count": cores,
             "serial_s": serial_s,
+            "serial_times_s": serial_times,
             "fused_s": fused_s,
             "fused_over_serial": over_serial,
             "fused_1w_s": fused_1w_s,
+            "fused_1w_times_s": one_worker_times,
             "fused_1w_over_serial": fused_1w_over_serial,
             "single_worker_asserted": single_worker_asserted,
             "min_single_worker_ratio": MIN_SINGLE_WORKER_RATIO,
@@ -166,7 +180,8 @@ def test_a10_fused_vs_serial(capsys):
                     f"{cores} cores; metric arrays asserted bit-identical "
                     f"before timing; artifact written to {path}.",
                     f"1 worker reaches {fused_1w_over_serial:.2f}x "
-                    f"serial (bar >= "
+                    f"serial, medians of {SINGLE_WORKER_REPEATS} alternating "
+                    f"timings (bar >= "
                     f"{MIN_SINGLE_WORKER_RATIO}"
                     + (
                         ", asserted"

@@ -87,7 +87,8 @@ class DeviceDirective:
         t322: DR-SI only — the armed wake-up timer (armed at the page
             frame, expiring at the connect frame).
 
-    Construction applies the row checks of :class:`PlanArrays`.
+    A plain view: :class:`PlanArrays` builds one per row read and checks
+    the rows itself.
     """
 
     device_index: int
@@ -98,9 +99,6 @@ class DeviceDirective:
     adaptation_page_frame: Optional[int] = None
     adapted_cycle: Optional[DrxCycle] = None
     t322: Optional[T322Timer] = None
-
-    def __post_init__(self) -> None:
-        PlanArrays.from_directives((self,))
 
 
 #: Wake methods in the fixed order the ``method`` codes of
@@ -149,7 +147,7 @@ class PlanArrays(ColumnTable, SequenceABC):
     adapted the device) and ``adapted_cycle`` (in frames, 0 unless
     adapted); scalars broadcast to every row. A DR-SI device's T322 is
     armed at ``page_frame`` and expires at ``connect_frame``.
-    Construction checks every row the way a directive checks itself.
+    Construction checks every row.
     """
 
     device: np.ndarray
@@ -185,37 +183,6 @@ class PlanArrays(ColumnTable, SequenceABC):
             ((method == _EXTENDED) & (connect <= page), "T322 expires before armed"),
         ):
             check_rows(mask, "device {d}: " + message, d=self.device)
-
-    @classmethod
-    def from_directives(cls, directives: Sequence[DeviceDirective]) -> "PlanArrays":
-        """Capture the columns of a sequence of directive objects."""
-        if isinstance(directives, PlanArrays):
-            return directives
-        rows = []
-        for d in directives:
-            extended = d.method is WakeMethod.EXTENDED_PAGE_TIMER
-            if (d.t322 is not None) != extended or (
-                extended
-                and (d.t322.armed_at_frame, d.t322.expires_at_frame)
-                != (d.page_frame, d.connect_frame)
-            ):
-                raise PlanError(
-                    f"device {d.device_index}: T322 belongs to extended pages, "
-                    "armed at the page frame and expiring at the connect frame"
-                )
-            rows.append(
-                (
-                    d.device_index,
-                    d.transmission_index,
-                    METHOD_CODE[d.method],
-                    d.page_frame,
-                    d.connect_frame,
-                    -1 if d.adaptation_page_frame is None else d.adaptation_page_frame,
-                    0 if d.adapted_cycle is None else int(d.adapted_cycle),
-                )
-            )
-        table = np.array(rows, dtype=np.int64).reshape(-1, len(PLAN_COLUMNS))
-        return cls(*table.T)
 
     @classmethod
     def concatenate(cls, parts: Sequence["PlanArrays"]) -> "PlanArrays":
@@ -445,9 +412,8 @@ class MulticastPlan:
         transmissions: scheduled transmissions, ordered by frame, as a
             :class:`TransmissionTable` (bound to ``directives``, which
             say who each transmission serves).
-        directives: one directive per fleet device, held as
-            :class:`PlanArrays` columns (a sequence of
-            :class:`DeviceDirective` objects is converted).
+        directives: one directive per fleet device, as
+            :class:`PlanArrays` columns.
         grouping: registry name of the grouping policy that formed the
             groups (None for policy-free baselines such as unicast).
     """
@@ -463,8 +429,9 @@ class MulticastPlan:
     grouping: Optional[str] = None
 
     def __post_init__(self) -> None:
-        columns = PlanArrays.from_directives(self.directives)
-        object.__setattr__(self, "directives", columns)
+        columns = self.directives
+        if not isinstance(columns, PlanArrays):
+            raise PlanError(f"plan directives must be PlanArrays, got {type(columns)}")
         if self.transmissions.directives is not columns:
             table = replace(self.transmissions, directives=columns)
             object.__setattr__(self, "transmissions", table)
@@ -644,13 +611,12 @@ def plan_pages(fleet: Fleet, plan: MulticastPlan) -> PageTable:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PlanRevision:
-    """The delta between an in-flight plan and its revised successor.
+    """An in-flight plan's revised successor and what changed.
 
     A revision is computed by :func:`revise_plan` when devices join or
-    leave a live campaign. It carries the full revised plan *and* the
-    delta the service actually has to act on: only the joined devices
-    need new pages issued, only the retired windows need their scheduled
-    events cancelled — everything else continues untouched.
+    leave a live campaign. Base windows missing from
+    ``transmission_map`` were retired (every member left); the joiners
+    are the revised plan's last directive rows, in join order.
 
     Attributes:
         base: the in-flight plan the revision was computed against.
@@ -658,14 +624,8 @@ class PlanRevision:
         now_frame: the frame at which the revision took effect; windows
             at or before it are frozen (already transmitted) and are
             never moved or resized.
-        joined_directives: delta directives — one per joined device,
-            paging it into the nearest feasible window (or a new one).
-        retired_transmissions: base transmission indices dropped because
-            every member left.
         transmission_map: (base index, revised index) pairs for every
             surviving transmission.
-        resized_transmissions: revised indices whose bearer rate or
-            duration changed because membership changed.
         new_transmissions: revised indices with no base ancestor (built
             for joiners no existing window could serve).
     """
@@ -673,28 +633,8 @@ class PlanRevision:
     base: MulticastPlan
     revised: MulticastPlan
     now_frame: int
-    joined_directives: Tuple[DeviceDirective, ...]
-    retired_transmissions: Tuple[int, ...]
     transmission_map: Tuple[Tuple[int, int], ...]
-    resized_transmissions: Tuple[int, ...] = ()
     new_transmissions: Tuple[int, ...] = ()
-
-    @property
-    def is_noop(self) -> bool:
-        """True when the revision changes nothing."""
-        return (
-            not self.joined_directives
-            and not self.retired_transmissions
-            and not self.resized_transmissions
-            and not self.new_transmissions
-        )
-
-    def base_index_of(self, revised_index: int) -> Optional[int]:
-        """The base transmission behind ``revised_index`` (None if new)."""
-        for base_index, new_index in self.transmission_map:
-            if new_index == revised_index:
-                return base_index
-        return None
 
 
 class _WindowDraft:
@@ -742,7 +682,9 @@ def revise_plan(
       still in the future and leaves its connect slack — or, when no
       window can serve it, a fresh single-member window anchored at its
       next PO;
-    * surviving transmissions are renumbered in time order.
+    * surviving transmissions are renumbered in time order;
+    * surviving directives keep their rows, and the joiners' rows follow
+      them in join order.
 
     The revised plan is validated (``partial=True``: devices that left
     stay in the working fleet without directives) before returning.
@@ -780,7 +722,6 @@ def revise_plan(
     leaving = np.isin(columns.device, sorted(left_set))
     remaining = np.bincount(columns.transmission[~leaving], minlength=k)
     lost_members = np.bincount(columns.transmission[leaving], minlength=k) > 0
-    retired = np.flatnonzero(remaining == 0).tolist()
     drafts = [
         _WindowDraft(
             base_index=index,
@@ -793,7 +734,7 @@ def revise_plan(
     ]
 
     # Re-page each joiner into the nearest feasible pending window.
-    joined_pages: Dict[int, Tuple[_WindowDraft, int]] = {}
+    joined_pages: List[Tuple[_WindowDraft, int]] = []
     next_order = k
     slack_of = context.connect_slack_table()
     for device_index in joined_list:
@@ -835,11 +776,10 @@ def revise_plan(
             drafts.append(draft)
             placed = (draft, page)
         placed[0].joiners.append(device_index)
-        joined_pages[device_index] = placed
+        joined_pages.append(placed)
 
     # Size pending windows whose membership changed (frozen windows and
     # untouched pending windows keep their exact rate and duration).
-    resized_drafts: List[_WindowDraft] = []
     for draft in drafts:
         members = np.array(draft.joiners, dtype=np.int64)
         if draft.base_index is not None:
@@ -849,16 +789,8 @@ def revise_plan(
                 continue
             rows = columns.transmission_rows(draft.base_index)
             members = np.concatenate([columns.device[rows[~leaving[rows]]], members])
-        rate = fleet.group_rate_bps(members)
-        duration = payload_airtime_frames(base.payload_bytes, rate)
-        if (
-            draft.base_index is None
-            or rate != draft.rate_bps
-            or duration != draft.duration
-        ):
-            resized_drafts.append(draft)
-        draft.rate_bps = rate
-        draft.duration = duration
+        draft.rate_bps = fleet.group_rate_bps(members)
+        draft.duration = payload_airtime_frames(base.payload_bytes, draft.rate_bps)
 
     # Renumber in time order (stable on the pre-revision order).
     drafts.sort(key=lambda d: (d.frame, d.order))
@@ -870,31 +802,25 @@ def revise_plan(
     ]
     new_indices = [i for i, draft in enumerate(drafts) if draft.base_index is None]
 
-    joined_directives: List[DeviceDirective] = []
-    for device_index in joined_list:
-        draft, page = joined_pages[device_index]
-        joined_directives.append(
-            DeviceDirective(
-                device_index=device_index,
-                transmission_index=index_of_draft[id(draft)],
-                method=WakeMethod.PAGED_IN_WINDOW,
-                page_frame=page,
-                connect_frame=page,
-            )
-        )
-
     # Surviving directives keep their rows; only the transmission
-    # column is renumbered. Joiners are appended after them.
+    # column is renumbered. Joiners are appended after them, in join
+    # order, each paged in its window and connecting at its page.
     remap = np.full(k, -1, dtype=np.int64)
     for base_index, new_index in transmission_map:
         remap[base_index] = new_index
     kept = {name: getattr(columns, name)[~leaving] for name in PLAN_COLUMNS}
     kept["transmission"] = remap[kept["transmission"]]
     directives = PlanArrays(**kept)
-    if joined_directives:
-        directives = PlanArrays.concatenate(
-            [directives, PlanArrays.from_directives(joined_directives)]
+    if joined_pages:
+        pages = [page for _, page in joined_pages]
+        joiners = PlanArrays(
+            device=joined_list,
+            transmission=[index_of_draft[id(draft)] for draft, _ in joined_pages],
+            method=METHOD_CODE[WakeMethod.PAGED_IN_WINDOW],
+            page_frame=pages,
+            connect_frame=pages,
         )
+        directives = PlanArrays.concatenate([directives, joiners])
     transmissions = TransmissionTable(
         frame=[draft.frame for draft in drafts],
         rate_bps=[draft.rate_bps for draft in drafts],
@@ -918,11 +844,6 @@ def revise_plan(
         base=base,
         revised=revised,
         now_frame=now_frame,
-        joined_directives=tuple(joined_directives),
-        retired_transmissions=tuple(retired),
         transmission_map=tuple(transmission_map),
-        resized_transmissions=tuple(
-            sorted(index_of_draft[id(d)] for d in resized_drafts)
-        ),
         new_transmissions=tuple(new_indices),
     )

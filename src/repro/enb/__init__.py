@@ -11,11 +11,7 @@ plan's columns (see :func:`repro.core.plan.plan_pages`).
 
 from repro.enb.cell import CellConfig
 from repro.enb.paging_channel import PagingLoadReport, PagingOccupancy, paging_load
-from repro.enb.scheduler import (
-    CarrierOccupancy,
-    DownlinkScheduler,
-    UtilizationReport,
-)
+from repro.enb.scheduler import CarrierOccupancy, UtilizationReport, utilization
 from repro.enb.arbiter import Admission, CapacityArbiter
 
 __all__ = [
@@ -23,7 +19,7 @@ __all__ = [
     "PagingLoadReport",
     "PagingOccupancy",
     "paging_load",
-    "DownlinkScheduler",
+    "utilization",
     "UtilizationReport",
     "CarrierOccupancy",
     "Admission",

@@ -1,12 +1,13 @@
 """Downlink occupancy accounting.
 
 The paper uses *the number of multicast transmissions as a proxy for
-bandwidth utilization* (Sec. IV-A). This scheduler keeps the proxy
-honest: it records every scheduled transmission's real airtime, reports
-carrier utilization over the campaign horizon, and flags overlapping
+bandwidth utilization* (Sec. IV-A). :func:`utilization` keeps the proxy
+honest: it sums a finished plan's real airtime, reports carrier
+utilization over the campaign horizon, and counts overlapping
 transmissions (which a single NB-IoT carrier would have to serialise —
 one more reason DR-SC's many transmissions are impractical for large
-payloads).
+payloads). :class:`CarrierOccupancy` is the live ledger the capacity
+arbiter keeps across in-flight campaigns.
 """
 
 from __future__ import annotations
@@ -43,50 +44,45 @@ class UtilizationReport:
         return self.overlapping_pairs == 0 and self.utilization <= 1.0
 
 
-class DownlinkScheduler:
-    """Accounts for downlink carrier occupancy of planned transmissions."""
+def utilization(
+    frame: np.ndarray, duration_frames: np.ndarray, horizon_frames: int
+) -> UtilizationReport:
+    """Occupancy of the transmissions ``[frame, frame + duration)`` (a
+    plan's transmission-table columns) over ``[0, horizon_frames)``."""
+    if horizon_frames <= 0:
+        raise ConfigurationError(f"horizon must be positive, got {horizon_frames}")
+    duration = np.asarray(duration_frames, dtype=np.int64)
+    if (duration < 1).any():
+        raise ConfigurationError("every duration must be >= 1 frame")
+    total_airtime = int(duration.sum())
+    return UtilizationReport(
+        total_airtime_s=frames_to_seconds(total_airtime),
+        horizon_s=frames_to_seconds(horizon_frames),
+        utilization=total_airtime / horizon_frames,
+        overlapping_pairs=_count_overlaps(frame, duration),
+    )
 
-    def utilization(
-        self, frame: np.ndarray, duration_frames: np.ndarray, horizon_frames: int
-    ) -> UtilizationReport:
-        """Occupancy of the transmissions ``[frame, frame + duration)``
-        (a plan's transmission-table columns) over ``[0, horizon_frames)``."""
-        if horizon_frames <= 0:
-            raise ConfigurationError(
-                f"horizon must be positive, got {horizon_frames}"
-            )
-        duration = np.asarray(duration_frames, dtype=np.int64)
-        if (duration < 1).any():
-            raise ConfigurationError("every duration must be >= 1 frame")
-        total_airtime = int(duration.sum())
-        return UtilizationReport(
-            total_airtime_s=frames_to_seconds(total_airtime),
-            horizon_s=frames_to_seconds(horizon_frames),
-            utilization=total_airtime / horizon_frames,
-            overlapping_pairs=self._count_overlaps(frame, duration),
-        )
 
-    @staticmethod
-    def _count_overlaps(frame: np.ndarray, duration_frames: np.ndarray) -> int:
-        """Number of overlapping pairs of ``[frame, frame + duration)``.
+def _count_overlaps(frame: np.ndarray, duration_frames: np.ndarray) -> int:
+    """Number of overlapping pairs of ``[frame, frame + duration)``.
 
-        With every duration >= 1 frame, a disjoint pair has exactly one
-        member ending at or before the other's start, so the disjoint
-        pairs are, summed over intervals, the intervals ending at or
-        before its start: one ``searchsorted`` over the sorted ends.
-        It is property-tested against the O(n^2) pairwise definition in
-        ``tests/plan_oracle.py``.
-        """
-        start = np.asarray(frame, dtype=np.int64)
-        ends = np.sort(start + np.asarray(duration_frames, dtype=np.int64))
-        disjoint = int(np.searchsorted(ends, start, side="right").sum())
-        return start.size * (start.size - 1) // 2 - disjoint
+    With every duration >= 1 frame, a disjoint pair has exactly one
+    member ending at or before the other's start, so the disjoint pairs
+    are, summed over intervals, the intervals ending at or before its
+    start: one ``searchsorted`` over the sorted ends. It is
+    property-tested against the O(n^2) pairwise definition in
+    ``tests/plan_oracle.py``.
+    """
+    start = np.asarray(frame, dtype=np.int64)
+    ends = np.sort(start + np.asarray(duration_frames, dtype=np.int64))
+    disjoint = int(np.searchsorted(ends, start, side="right").sum())
+    return start.size * (start.size - 1) // 2 - disjoint
 
 
 class CarrierOccupancy:
     """Live NPDSCH airtime ledger shared by every campaign in a cell.
 
-    :class:`DownlinkScheduler` audits one finished plan;  this ledger
+    :func:`utilization` audits one finished plan; this ledger
     instead tracks the admitted transmission windows of *all* in-flight
     campaigns so the capacity arbiter can detect cross-campaign airtime
     conflicts before committing a new window.

@@ -13,11 +13,7 @@ on-demand scheme exists to avoid — used by the A5 ablation bench.
 """
 
 from repro.multicast.payload import FirmwareImage
-from repro.multicast.ondemand import (
-    CampaignReport,
-    OnDemandMulticastService,
-    PendingCampaign,
-)
+from repro.multicast.ondemand import CampaignReport, OnDemandMulticastService
 from repro.multicast.scptm import ScPtmConfig, scptm_monitoring_overhead_s
 from repro.multicast.coordination import (
     MultiCellSpec,
@@ -35,7 +31,6 @@ __all__ = [
     "FirmwareImage",
     "OnDemandMulticastService",
     "CampaignReport",
-    "PendingCampaign",
     "ScPtmConfig",
     "scptm_monitoring_overhead_s",
     "MultiCellSpec",

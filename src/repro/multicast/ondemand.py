@@ -15,31 +15,28 @@ This is the high-level public API the examples use::
     report = service.deliver(fleet, image, rng=rng)
     print(report.summary())
 
-``deliver`` is the one-shot batch path. The same pipeline is also
-available in three stages — :meth:`~OnDemandMulticastService.submit`
-(plan), :meth:`~OnDemandMulticastService.revise` (apply mid-campaign
-joins/leaves via :func:`~repro.core.plan.revise_plan`) and
-:meth:`~OnDemandMulticastService.complete` (account + execute) — which
-is what the live :mod:`repro.service` facade drives. A submit/complete
-pair with no churn is *bit-identical* to ``deliver`` with the same
-generator: both consume the rng in the same order (plan, then execute).
+``deliver`` is the one-shot batch path. The live
+:class:`~repro.service.CampaignService` calls the same entry points
+itself — plan and validate at submit, :func:`~repro.core.plan.revise_plan`
+on churn — and builds its report with the same
+:func:`campaign_report`. Both consume the campaign's generator in one
+order (plan, then execute), so a live campaign without churn is
+*bit-identical* to ``deliver`` with the same generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from repro.core.base import GroupingMechanism, PlanningContext
-from repro.core.plan import MulticastPlan, PlanRevision, plan_pages, revise_plan
-from repro.devices.device import NbIotDevice
+from repro.core.plan import MulticastPlan, plan_pages
 from repro.devices.fleet import Fleet
 from repro.enb.cell import CellConfig
 from repro.enb.paging_channel import PagingLoadReport, paging_load
-from repro.enb.scheduler import DownlinkScheduler, UtilizationReport
-from repro.errors import PlanError
+from repro.enb.scheduler import UtilizationReport, utilization
 from repro.multicast.payload import FirmwareImage
 from repro.rrc.procedures import ProcedureTimings
 from repro.sim.executor import CampaignExecutor
@@ -80,45 +77,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-@dataclass
-class PendingCampaign:
-    """A submitted campaign that has not completed yet.
-
-    Returned by :meth:`OnDemandMulticastService.submit`; mutated in
-    place by :meth:`OnDemandMulticastService.revise` as devices join or
-    leave. The *working fleet* is append-only — joiners are appended,
-    leavers stay in the fleet (recorded in :attr:`left`) so no index
-    ever shifts mid-campaign — and :meth:`OnDemandMulticastService.
-    complete` strips the leavers out when building the final report.
-
-    Attributes:
-        image: the payload being delivered.
-        context: the planning context the campaign was planned under.
-        fleet: the working fleet (submit fleet + every joiner).
-        plan: the current plan (revised on churn).
-        left: working-fleet indices of devices that left.
-        revisions: every :class:`~repro.core.plan.PlanRevision` applied.
-        validated: the plan :meth:`OnDemandMulticastService.submit`
-            validated; ``complete`` validates again only a plan that
-            has been replaced since.
-    """
-
-    image: FirmwareImage
-    context: PlanningContext
-    fleet: Fleet
-    plan: MulticastPlan
-    left: Set[int] = field(default_factory=set)
-    revisions: List[PlanRevision] = field(default_factory=list)
-    validated: Optional[MulticastPlan] = field(default=None, repr=False)
-
-    @property
-    def active_members(self) -> Tuple[int, ...]:
-        """Working-fleet indices still part of the campaign."""
-        return tuple(
-            i for i in range(len(self.fleet)) if i not in self.left
-        )
-
-
 class OnDemandMulticastService:
     """Delivers content to a device list via a grouping mechanism."""
 
@@ -131,7 +89,6 @@ class OnDemandMulticastService:
         self._mechanism = mechanism
         self._cell = cell
         self._timings = timings
-        self._executor = CampaignExecutor(timings=timings)
 
     @property
     def mechanism(self) -> GroupingMechanism:
@@ -145,25 +102,7 @@ class OnDemandMulticastService:
         rng: Optional[np.random.Generator] = None,
         announce_frame: int = 0,
     ) -> CampaignReport:
-        """Run a full campaign: plan, validate, account, execute.
-
-        Equivalent to :meth:`submit` immediately followed by
-        :meth:`complete` with the same generator — the staged path
-        exists for the live service, which revises plans in between.
-        """
-        pending = self.submit(
-            fleet, image, rng=rng, announce_frame=announce_frame
-        )
-        return self.complete(pending, rng=rng)
-
-    def submit(
-        self,
-        fleet: Fleet,
-        image: FirmwareImage,
-        rng: Optional[np.random.Generator] = None,
-        announce_frame: int = 0,
-    ) -> PendingCampaign:
-        """Plan and validate a campaign without executing it."""
+        """Run a full campaign: plan, validate, execute, then report."""
         context = PlanningContext(
             payload_bytes=image.size_bytes,
             cell=self._cell,
@@ -172,92 +111,25 @@ class OnDemandMulticastService:
         )
         plan = self._mechanism.plan(fleet, context, rng)
         plan.validate(fleet)
-        return PendingCampaign(
-            image=image, context=context, fleet=fleet, plan=plan, validated=plan
-        )
+        return campaign_report(fleet, plan, context, rng)
 
-    def revise(
-        self,
-        pending: PendingCampaign,
-        *,
-        joined_devices: Sequence[NbIotDevice] = (),
-        left: Sequence[int] = (),
-        now_frame: int = 0,
-    ) -> PlanRevision:
-        """Apply mid-campaign churn to a pending campaign.
 
-        ``joined_devices`` are appended to the working fleet (their
-        indices never collide with existing members); ``left`` are
-        working-fleet indices leaving at ``now_frame``. The pending
-        campaign's fleet and plan are updated in place and the
-        :class:`~repro.core.plan.PlanRevision` delta is returned.
-        """
-        for index in left:
-            if index in pending.left:
-                raise PlanError(f"device {index} already left the campaign")
-        if joined_devices:
-            # Columnar append: concatenate the joiners' rows onto the
-            # working fleet's arrays instead of rebuilding the whole
-            # device list (the working fleet may be large and lazy).
-            working = Fleet.concatenate(
-                [pending.fleet, Fleet.from_devices(joined_devices)]
-            )
-        else:
-            working = pending.fleet
-        joined = tuple(range(len(pending.fleet), len(working)))
-        revision = revise_plan(
-            pending.plan,
-            working,
-            joined=joined,
-            left=tuple(left),
-            now_frame=now_frame,
-            context=pending.context,
-        )
-        pending.fleet = working
-        pending.plan = revision.revised
-        pending.left.update(int(i) for i in left)
-        pending.revisions.append(revision)
-        return revision
-
-    def complete(
-        self,
-        pending: PendingCampaign,
-        rng: Optional[np.random.Generator] = None,
-    ) -> CampaignReport:
-        """Execute and account a pending campaign's current plan.
-
-        Devices that left are stripped out first (the working fleet
-        keeps them only so indices stay stable mid-flight); the final
-        plan is validated unless it is the one :meth:`submit` validated,
-        then executed and accounted exactly as :meth:`deliver` would.
-        """
-        fleet, plan = _strip_left(pending.fleet, pending.plan, pending.left)
-        if plan is not pending.validated:
-            plan.validate(fleet)
-        result = self._executor.execute(fleet, plan, rng=rng)
-        paging = paging_load(plan_pages(fleet, plan), self._cell.max_paging_records)
-        table = plan.transmissions
-        utilization = DownlinkScheduler().utilization(
+def campaign_report(
+    fleet: Fleet,
+    plan: MulticastPlan,
+    context: PlanningContext,
+    rng: Optional[np.random.Generator] = None,
+) -> CampaignReport:
+    """Execute a validated plan under ``context``'s timings, then fold
+    its paging load and carrier occupancy from the plan's columns."""
+    result = CampaignExecutor(timings=context.timings).execute(fleet, plan, rng=rng)
+    paging = paging_load(plan_pages(fleet, plan), context.cell.max_paging_records)
+    table = plan.transmissions
+    return CampaignReport(
+        plan=plan,
+        result=result,
+        paging=paging,
+        utilization=utilization(
             table.frame, table.duration_frames, result.horizon_frames
-        )
-        return CampaignReport(
-            plan=plan, result=result, paging=paging, utilization=utilization
-        )
-
-
-def _strip_left(
-    fleet: Fleet, plan: MulticastPlan, left: Set[int]
-) -> Tuple[Fleet, MulticastPlan]:
-    """Remove departed devices from a working fleet/plan pair.
-
-    Revisions already dropped the leavers' directives; what remains is
-    compacting the fleet and remapping the surviving device indices.
-    No-op (identity) when nothing left.
-    """
-    if not left:
-        return fleet, plan
-    keep = np.delete(np.arange(len(fleet)), sorted(left))
-    device_map = np.full(len(fleet), -1, dtype=np.int64)
-    device_map[keep] = np.arange(len(keep), dtype=np.int64)
-    columns = replace(plan.columns, device=device_map[plan.columns.device])
-    return fleet.subset(keep), replace(plan, directives=columns)
+        ),
+    )

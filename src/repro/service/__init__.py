@@ -1,12 +1,14 @@
-"""The live campaign service: an async facade over the batch pipeline.
+"""The live campaign service: the batch pipeline's entry points on a clock.
 
 The batch path (:class:`~repro.multicast.ondemand.OnDemandMulticastService`)
-plans and executes one campaign in a single synchronous call. This
-package promotes it to a *live* service: campaigns are submitted
-against a simulated clock, several may be in flight in one cell at
-once (arbitrated by :class:`~repro.enb.arbiter.CapacityArbiter`),
-devices may join or leave mid-campaign (revising the in-flight plan via
-:func:`~repro.core.plan.revise_plan`), and completions are awaited with
+plans and executes one campaign in a single synchronous call. The live
+service calls the same entry points itself — plan and validate, then
+:func:`~repro.core.plan.revise_plan` on churn, then
+:func:`~repro.multicast.ondemand.campaign_report` — and owns each
+campaign's state in between: campaigns are submitted against a
+simulated clock, several may be in flight in one cell at once
+(arbitrated by :class:`~repro.enb.arbiter.CapacityArbiter`), devices
+may join or leave mid-campaign, and completions are awaited with
 ``asyncio``::
 
     async with CampaignService(seed=7) as service:

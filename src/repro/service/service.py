@@ -1,22 +1,30 @@
 """The asyncio campaign service over the simulated clock.
 
-Lifecycle of one campaign under the service:
+The service owns each campaign's state — its working fleet, current
+plan, leavers, planning context and generator — and calls the pipeline's
+entry points itself. Lifecycle of one campaign:
 
-1. **submit** — the campaign's plan is computed (consuming its own
-   ``SeedSequence``-child generator exactly as the batch ``deliver``
-   would), CAMPAIGN_SUBMIT is logged, and every transmission window is
-   presented to the cell's :class:`~repro.enb.arbiter.CapacityArbiter`.
-   Windows colliding with *other* campaigns' airtime are deferred
-   (first-fit, logged as CAMPAIGN_DEFER) by shifting their frame; a
-   window that cannot be placed raises :class:`CapacityError`.
-2. **revise** — joins/leaves at the current simulated frame produce a
-   :class:`~repro.core.plan.PlanRevision`; retired windows release
-   their capacity and pending windows are re-admitted with their new
-   shape. DEVICE_JOIN/DEVICE_LEAVE/CAMPAIGN_REVISE rows are logged.
+1. **submit** — the mechanism plans the campaign and the plan is
+   validated (consuming the campaign's own ``SeedSequence``-child
+   generator exactly as the batch ``deliver`` would), CAMPAIGN_SUBMIT
+   is logged, and every transmission window is presented to the cell's
+   :class:`~repro.enb.arbiter.CapacityArbiter`. Windows colliding with
+   *other* campaigns' airtime are deferred (first-fit, logged as
+   CAMPAIGN_DEFER) by shifting their frame; a window that cannot be
+   placed raises :class:`CapacityError`.
+2. **revise** — a join appends the device to the working fleet
+   (:meth:`~repro.devices.fleet.Fleet.concatenate`), and
+   :func:`~repro.core.plan.revise_plan` rebuilds the plan at the current
+   simulated frame; windows missing from its ``transmission_map`` are
+   retired and release their capacity, and pending windows are
+   re-admitted with their new shape. DEVICE_JOIN/DEVICE_LEAVE/
+   CAMPAIGN_REVISE rows are logged.
 3. **result** — awaiting a campaign pumps the simulator one event at a
-   time until the campaign's completion milestone fires, then runs the
-   batch completion path (validate, execute, then the paging and
-   carrier reports) with the campaign's own generator.
+   time until the campaign's completion milestone fires; the leavers
+   are then stripped out, a plan that replaced the validated one is
+   validated in full, and :func:`~repro.multicast.ondemand.campaign_report`
+   executes it and folds the paging and carrier reports, as ``deliver``
+   does, with the campaign's own generator.
 
 Determinism: the simulator's heap order is the *only* execution order —
 whichever coroutine happens to pump the engine, the same event runs
@@ -29,22 +37,18 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.base import GroupingMechanism
-from repro.core.plan import MulticastPlan, plan_pages
+from repro.core.base import GroupingMechanism, PlanningContext
+from repro.core.plan import MulticastPlan, plan_pages, revise_plan
 from repro.devices.device import NbIotDevice
 from repro.devices.fleet import Fleet
 from repro.enb.arbiter import CapacityArbiter
 from repro.enb.cell import CellConfig
-from repro.errors import CapacityError, SimulationError
-from repro.multicast.ondemand import (
-    CampaignReport,
-    OnDemandMulticastService,
-    PendingCampaign,
-)
+from repro.errors import CapacityError, PlanError, SimulationError
+from repro.multicast.ondemand import CampaignReport, campaign_report
 from repro.multicast.payload import FirmwareImage
 from repro.rrc.procedures import ProcedureTimings
 from repro.sim.engine import Simulator
@@ -67,12 +71,22 @@ class CampaignHandle:
 
 @dataclass
 class _LiveCampaign:
-    """Service-side state of one in-flight campaign."""
+    """Service-side state of one in-flight campaign.
+
+    The *working fleet* is append-only: joiners are appended, and
+    leavers stay in it (recorded in ``left``) so no index shifts
+    mid-campaign; completion strips them out. ``validated`` is the plan
+    submission validated in full; completion validates again only a
+    plan that has replaced it since (a revision or a deferral).
+    """
 
     handle: CampaignHandle
-    inner: OnDemandMulticastService
-    pending: PendingCampaign
+    context: PlanningContext
     rng: np.random.Generator
+    fleet: Fleet
+    plan: MulticastPlan
+    validated: MulticastPlan
+    left: Set[int] = field(default_factory=set)
     tokens: Dict[int, int] = field(default_factory=dict)
     completion_handle: Optional[int] = None
     completed: bool = False
@@ -163,24 +177,31 @@ class CampaignService:
         self._next_id += 1
         handle = CampaignHandle(id=cid, name=name or f"campaign-{cid}")
         rng = np.random.default_rng(self._seed_seq.spawn(1)[0])
-        inner = OnDemandMulticastService(
-            mechanism, cell=self._cell, timings=self._timings
+        context = PlanningContext(
+            payload_bytes=image.size_bytes,
+            cell=self._cell,
+            timings=self._timings,
+            announce_frame=self.now_frame,
         )
-        pending = inner.submit(
-            fleet, image, rng=rng, announce_frame=self.now_frame
-        )
+        plan = mechanism.plan(fleet, context, rng)
+        plan.validate(fleet)
         campaign = _LiveCampaign(
-            handle=handle, inner=inner, pending=pending, rng=rng
+            handle=handle,
+            context=context,
+            rng=rng,
+            fleet=fleet,
+            plan=plan,
+            validated=plan,
         )
         self._recorder.emit(
             EventKind.CAMPAIGN_SUBMIT,
             frame=self.now_frame,
             group=cid,
             a=float(len(fleet)),
-            b=float(pending.plan.n_transmissions),
+            b=float(plan.n_transmissions),
         )
         try:
-            self._admit(campaign, range(pending.plan.n_transmissions))
+            self._admit(campaign, range(plan.n_transmissions))
         except CapacityError:
             for token in campaign.tokens.values():
                 self._arbiter.release(token)
@@ -198,7 +219,7 @@ class CampaignService:
         raises :class:`~repro.errors.FleetError`.
         """
         campaign = self._campaign(handle)
-        index = len(campaign.pending.fleet)
+        index = len(campaign.fleet)
         self._revise(campaign, joined_devices=(device,), left=())
         return index
 
@@ -216,14 +237,19 @@ class CampaignService:
 
         Pumps the simulator (one event per scheduling round, yielding to
         other awaiters in between) until the campaign's completion
-        milestone fires, then runs the batch completion path with the
-        campaign's own generator.
+        milestone fires. The leavers are then stripped out, a plan that
+        replaced the validated one is validated in full, and the plan is
+        executed and reported as ``deliver`` would, with the campaign's
+        own generator.
         """
         campaign = self._campaign(handle)
         await self._pump_until(lambda: campaign.completed)
         if campaign.report is None:
-            campaign.report = campaign.inner.complete(
-                campaign.pending, rng=campaign.rng
+            fleet, plan = _strip_left(campaign.fleet, campaign.plan, campaign.left)
+            if plan is not campaign.validated:
+                plan.validate(fleet)
+            campaign.report = campaign_report(
+                fleet, plan, campaign.context, campaign.rng
             )
         return campaign.report
 
@@ -276,14 +302,30 @@ class CampaignService:
             raise SimulationError(
                 f"campaign {campaign.handle.name} already completed"
             )
+        for index in left:
+            if index in campaign.left:
+                raise PlanError(f"device {index} already left the campaign")
         now = self.now_frame
-        joined_start = len(campaign.pending.fleet)
-        revision = campaign.inner.revise(
-            campaign.pending,
-            joined_devices=joined_devices,
-            left=left,
+        joined_start = len(campaign.fleet)
+        if joined_devices:
+            # Columnar append: the joiners' rows go onto the working
+            # fleet's arrays; the fleet is never rebuilt device by device.
+            working = Fleet.concatenate(
+                [campaign.fleet, Fleet.from_devices(joined_devices)]
+            )
+        else:
+            working = campaign.fleet
+        revision = revise_plan(
+            campaign.plan,
+            working,
+            joined=tuple(range(joined_start, len(working))),
+            left=tuple(left),
             now_frame=now,
+            context=campaign.context,
         )
+        campaign.fleet = working
+        campaign.plan = revision.revised
+        campaign.left.update(int(i) for i in left)
         for offset in range(len(joined_devices)):
             self._recorder.emit(
                 EventKind.DEVICE_JOIN,
@@ -324,7 +366,7 @@ class CampaignService:
         for base_index, token in campaign.tokens.items():
             if base_index in remap:
                 new_index = remap[base_index]
-                if campaign.pending.plan.transmissions.frame[new_index] > now:
+                if campaign.plan.transmissions.frame[new_index] > now:
                     self._arbiter.release(token)
                     readmit.append(new_index)
                 else:
@@ -342,16 +384,14 @@ class CampaignService:
         """Present the given windows (by index, in frame order) to the
         arbiter, logging ADMIT/DEFER rows and applying deferral shifts
         to the campaign's plan."""
-        frames = campaign.pending.plan.transmissions.frame
+        frames = campaign.plan.transmissions.frame
         order = sorted(tx_indices, key=lambda i: (frames[i], i))
         # A deferral replaces the plan's transmission table only: the
         # directive columns, their cached rows per window and the pages
         # read from them stay.
-        occasions, bounds = _pages_by_window(
-            campaign.pending.fleet, campaign.pending.plan
-        )
+        occasions, bounds = _pages_by_window(campaign.fleet, campaign.plan)
         for index in order:
-            plan = campaign.pending.plan
+            plan = campaign.plan
             tx = plan.transmissions[index]
             window_rows = plan.columns.transmission_rows(index)
             decision = self._arbiter.admit(
@@ -387,10 +427,10 @@ class CampaignService:
     def _apply_shift(
         self, campaign: _LiveCampaign, index: int, shift: int
     ) -> None:
-        plan = campaign.pending.plan
+        plan = campaign.plan
         frame = plan.transmissions.frame.copy()
         frame[index] += shift
-        campaign.pending.plan = replace(
+        campaign.plan = replace(
             plan, transmissions=replace(plan.transmissions, frame=frame)
         )
 
@@ -398,7 +438,7 @@ class CampaignService:
         """(Re)schedule the campaign's completion milestone at the end
         of its last window — cancellation plus rescheduling is what a
         plan revision that moves the campaign's end relies on."""
-        end_frame = campaign.pending.plan.campaign_end_frame
+        end_frame = campaign.plan.campaign_end_frame
         end_s = max(frames_to_seconds(end_frame), self._sim.now)
         if campaign.completion_handle is not None:
             self._sim.cancel(campaign.completion_handle)
@@ -414,6 +454,24 @@ class CampaignService:
         campaign.completion_handle = self._sim.schedule(
             milestone, _complete, priority=_PRIORITY_COMPLETE
         )
+
+
+def _strip_left(
+    fleet: Fleet, plan: MulticastPlan, left: Set[int]
+) -> Tuple[Fleet, MulticastPlan]:
+    """Remove departed devices from a working fleet/plan pair.
+
+    Revisions already dropped the leavers' directives; what remains is
+    compacting the fleet and remapping the surviving device indices.
+    No-op (identity) when nothing left.
+    """
+    if not left:
+        return fleet, plan
+    keep = np.delete(np.arange(len(fleet)), sorted(left))
+    device_map = np.full(len(fleet), -1, dtype=np.int64)
+    device_map[keep] = np.arange(len(keep), dtype=np.int64)
+    columns = replace(plan.columns, device=device_map[plan.columns.device])
+    return fleet.subset(keep), replace(plan, directives=columns)
 
 
 def _pages_by_window(

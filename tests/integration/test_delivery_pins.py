@@ -28,6 +28,8 @@ from repro.core.registry import mechanism_by_name
 from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
 from repro.multicast import FirmwareImage, OnDemandMulticastService
+from repro.rrc.procedures import ProcedureTimings
+from repro.rrc.random_access import RandomAccessModel
 from repro.service import CampaignService
 from repro.sim.eventlog import RunLog
 from repro.sim.rng import generator_for
@@ -230,10 +232,10 @@ def test_serve_table_and_event_log(script, capsys, tmp_path):
 #: SHA-256 of the completed campaign's plan and result columns in
 #: :func:`_live_churn_report`'s session; see :func:`_report_digest`.
 LIVE_SHA256 = {
-    "dr-sc": "a3ec4d9044160506bb9048c3886eab68d8497549fd9ae75a3665bf6586ad693e",
-    "da-sc": "8335802a021a5db655dbcbda35591b1084903f5649c08708a1a4ea5c58474321",
-    "dr-si": "a4b59678d20b775fe933bf43420d1fe6a93f7726d6e61016e95108926ce73256",
-    "unicast": "6ba96801118a9d6ec3b5c4b58f4583b1acbe627390868db97637a047b2d39829",
+    "dr-sc": "c3232f3d51468d0b52fd0fdb57d13a0db07e097b619f142c11aefadc5ad30de5",
+    "da-sc": "fdb9aeb43be94a570a8e11bfd462e5c84a6c7e53fdb51f407548611dc8f29ff3",
+    "dr-si": "3a3c912552e5cdb9c949ff28d5c798f592f7010dc8d7efd9814d7334effa549f",
+    "unicast": "21af4db0970f72e621faee25efcefc49f8b2b7ab7eb0255e53ed6edef792bdbb",
 }
 
 PLAN_COLUMNS = (
@@ -275,10 +277,15 @@ def _report_digest(report) -> str:
 
 async def _live_churn_report(mechanism: str):
     """One 12-device campaign; at frames 512 and 2048 a device joins and
-    the next submitted device leaves."""
+    the next submitted device leaves. Random-access contention makes the
+    execution draw from the campaign's generator too, so the digest
+    also pins the draw order: plan, then execute."""
     fleet = generate_fleet(12, MODERATE_EDRX_MIXTURE, np.random.default_rng(1))
     image = FirmwareImage(name="fw", version="3.1.4", size_bytes=50_000)
-    async with CampaignService(seed=7) as service:
+    timings = ProcedureTimings(
+        random_access=RandomAccessModel(collision_probability=0.3)
+    )
+    async with CampaignService(seed=7, timings=timings) as service:
         handle = service.submit(fleet, image, mechanism=mechanism_by_name(mechanism))
         for step, frame in enumerate((512, 2048)):
             await service.advance_to(frame)

@@ -8,8 +8,10 @@ whole-array :meth:`~repro.core.plan.MulticastPlan.validate` are
 property-tested against them (``tests/properties/test_prop_plan_columns.py``),
 :func:`~repro.core.plan.plan_pages` against :func:`scalar_pages`,
 :func:`~repro.enb.paging_channel.paging_load` against :func:`scalar_pack`,
-and the downlink scheduler's overlap count against
+and the carrier report's overlap count against
 :func:`count_overlaps_reference` (``tests/properties/test_prop_scheduler.py``).
+:func:`from_directives` turns a list of directive objects into the plan
+columns, for tests that build plans by hand.
 
 Each ``plan_*`` function consumes ``rng`` exactly as the mechanism
 does: the policy's grouping first, then (DR-SI only) one scalar draw
@@ -36,9 +38,12 @@ from repro.core import (
 )
 from repro.core.base import GroupingMechanism, PlanningContext
 from repro.core.plan import (
+    METHOD_CODE,
     METHOD_ORDER,
+    PLAN_COLUMNS,
     DeviceDirective,
     MulticastPlan,
+    PlanArrays,
     TransmissionTable,
     WakeMethod,
 )
@@ -55,6 +60,40 @@ from repro.timebase import ms_to_frames
 # ----------------------------------------------------------------------
 # Shared per-device helpers
 # ----------------------------------------------------------------------
+def from_directives(directives: Sequence[DeviceDirective]) -> PlanArrays:
+    """The plan columns of a sequence of directive objects.
+
+    A directive's T322 must be the one its columns imply: present only
+    on extended pages, armed at the page frame and expiring at the
+    connect frame. Every other row check is the columns' own.
+    """
+    rows = []
+    for d in directives:
+        extended = d.method is WakeMethod.EXTENDED_PAGE_TIMER
+        if (d.t322 is not None) != extended or (
+            extended
+            and (d.t322.armed_at_frame, d.t322.expires_at_frame)
+            != (d.page_frame, d.connect_frame)
+        ):
+            raise PlanError(
+                f"device {d.device_index}: T322 belongs to extended pages, "
+                "armed at the page frame and expiring at the connect frame"
+            )
+        rows.append(
+            (
+                d.device_index,
+                d.transmission_index,
+                METHOD_CODE[d.method],
+                d.page_frame,
+                d.connect_frame,
+                -1 if d.adaptation_page_frame is None else d.adaptation_page_frame,
+                0 if d.adapted_cycle is None else int(d.adapted_cycle),
+            )
+        )
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(PLAN_COLUMNS))
+    return PlanArrays(*table.T)
+
+
 def connect_slack_frames(context: PlanningContext, device: NbIotDevice) -> int:
     """Frames from page to connected-and-ready: paging reception +
     collision-free random access + RRC setup."""
@@ -149,7 +188,7 @@ def _plan(
             rate_bps=[t.rate_bps for t in transmissions],
             duration_frames=[t.duration_frames for t in transmissions],
         ),
-        directives=tuple(directives),
+        directives=from_directives(directives),
         grouping=mechanism.grouping_name,
     )
     return ScalarPlan(plan, [t.members for t in transmissions])

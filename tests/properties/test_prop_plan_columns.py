@@ -21,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plan_oracle import scalar_check_row, scalar_plan, scalar_validate
+from plan_oracle import (
+    from_directives,
+    scalar_check_row,
+    scalar_plan,
+    scalar_validate,
+)
 from repro.core import (
     AdaptationStrategy,
     DaScMechanism,
@@ -39,8 +44,8 @@ from repro.enb.cell import CellConfig
 from repro.errors import PlanError, ReproError
 from repro.grouping.policies import CoverageStratifiedPolicy
 from repro.grouping.policy import GroupingDecision, GroupingPolicy
-from repro.multicast.ondemand import _strip_left
 from repro.phy.coverage import CoverageClass
+from repro.service.service import _strip_left
 
 
 @st.composite
@@ -194,7 +199,7 @@ class TestPlannersMatchOracle:
     def test_columns_round_trip(self, fleet, context, seed, mechanism):
         _label, make = mechanism
         plan = make().plan(fleet, context, np.random.default_rng(seed))
-        assert PlanArrays.from_directives(tuple(plan.directives)) == plan.columns
+        assert from_directives(tuple(plan.directives)) == plan.columns
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
         assert not clone.columns.page_frame.flags.writeable
@@ -284,7 +289,7 @@ class TestValidateMatchesOracle:
                 _scalar_check_rows(raw)
             return
         _scalar_check_rows(raw)
-        assert PlanArrays.from_directives(tuple(columns)) == columns
+        assert from_directives(tuple(columns)) == columns
         bad = replace(plan, transmissions=transmissions, directives=columns)
         array_error = _outcome(lambda: bad.validate(fleet))
         scalar_error = _outcome(lambda: scalar_validate(bad, fleet))
@@ -294,18 +299,23 @@ class TestValidateMatchesOracle:
 # ----------------------------------------------------------------------
 # Membership through revisions: survivors in row order, then joiners
 # ----------------------------------------------------------------------
-def _revised_members(members, revision, left):
+def _revised_members(members, revision, left, n_joined):
     """The oracle's member tuples after ``revision``: each surviving
     window keeps its members that stayed, in order, then gains its
-    joiners in join order; new windows hold only joiners."""
+    joiners in join order; new windows hold only joiners. The joiners
+    are the revised plan's last ``n_joined`` rows."""
     revised = {
         new: [d for d in members[old] if d not in left]
         for old, new in revision.transmission_map
     }
     for new in revision.new_transmissions:
         revised[new] = []
-    for directive in revision.joined_directives:
-        revised[directive.transmission_index].append(directive.device_index)
+    columns = revision.revised.columns
+    joiners = slice(len(columns) - n_joined, len(columns))
+    for device, tx in zip(
+        columns.device[joiners].tolist(), columns.transmission[joiners].tolist()
+    ):
+        revised[tx].append(device)
     return [tuple(revised[i]) for i in range(len(revised))]
 
 
@@ -337,15 +347,18 @@ class TestMembershipThroughRevisions:
             ]
             if joiners:
                 working = Fleet.concatenate([working, Fleet.from_devices(joiners)])
+            joined = tuple(range(len(working) - len(joiners), len(working)))
             revision = revise_plan(
                 plan,
                 working,
-                joined=tuple(range(len(working) - len(joiners), len(working))),
+                joined=joined,
                 left=tuple(left),
                 now_frame=now,
                 context=context,
             )
-            members = _revised_members(members, revision, set(left))
+            device = revision.revised.columns.device
+            assert tuple(device[device.size - len(joined) :]) == joined
+            members = _revised_members(members, revision, set(left), len(joined))
             plan = revision.revised
             gone.update(left)
             assert _members(plan) == members

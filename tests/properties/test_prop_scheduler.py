@@ -1,6 +1,6 @@
 """Property: the array overlap count matches its pairwise oracle.
 
-``DownlinkScheduler._count_overlaps`` counts overlapping pairs with one
+``repro.enb.scheduler._count_overlaps`` counts overlapping pairs with one
 ``searchsorted`` over the sorted ends;
 ``plan_oracle.count_overlaps_reference`` is the O(n^2) definition
 (count pairs of half-open intervals that intersect). They must agree on
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from plan_oracle import count_overlaps_reference
 
-from repro.enb.scheduler import DownlinkScheduler
+from repro.enb.scheduler import _count_overlaps
 
 transmissions = st.lists(
     st.tuples(
@@ -32,14 +32,12 @@ def _columns(txs):
 @settings(max_examples=200, deadline=None)
 @given(transmissions)
 def test_array_count_matches_pairwise_reference(txs):
-    assert DownlinkScheduler._count_overlaps(
-        *_columns(txs)
-    ) == count_overlaps_reference(*_columns(txs))
+    assert _count_overlaps(*_columns(txs)) == count_overlaps_reference(*_columns(txs))
 
 
 @settings(max_examples=100, deadline=None)
 @given(transmissions)
 def test_order_invariance(txs):
-    assert DownlinkScheduler._count_overlaps(
-        *_columns(txs)
-    ) == DownlinkScheduler._count_overlaps(*_columns(list(reversed(txs))))
+    assert _count_overlaps(*_columns(txs)) == _count_overlaps(
+        *_columns(list(reversed(txs)))
+    )

@@ -13,7 +13,7 @@ from repro.drx.cycles import FULL_LADDER
 from repro.drx.paging import NB
 from repro.enb.cell import CellConfig
 from repro.enb.paging_channel import PagingLoadReport, paging_load
-from repro.enb.scheduler import DownlinkScheduler
+from repro.enb.scheduler import utilization
 from repro.errors import ConfigurationError
 
 
@@ -82,33 +82,27 @@ class TestPagingLoad:
 
 class TestScheduler:
     def test_utilization(self):
-        report = DownlinkScheduler().utilization(
-            [0, 200], [100, 100], horizon_frames=1000
-        )
+        report = utilization([0, 200], [100, 100], horizon_frames=1000)
         assert report.utilization == pytest.approx(0.2)
         assert report.overlapping_pairs == 0
         assert report.feasible_on_single_carrier
 
     def test_overlap_detection(self):
-        report = DownlinkScheduler().utilization(
-            [0, 50, 90], [100, 100, 100], horizon_frames=1000
-        )
+        report = utilization([0, 50, 90], [100, 100, 100], horizon_frames=1000)
         assert report.overlapping_pairs == 3
         assert not report.feasible_on_single_carrier
 
     def test_touching_intervals_do_not_overlap(self):
-        report = DownlinkScheduler().utilization(
-            [0, 100], [100, 50], horizon_frames=200
-        )
+        report = utilization([0, 100], [100, 50], horizon_frames=200)
         assert report.overlapping_pairs == 0
 
     def test_invalid_horizon(self):
         with pytest.raises(ConfigurationError):
-            DownlinkScheduler().utilization([], [], horizon_frames=0)
+            utilization([], [], horizon_frames=0)
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ConfigurationError):
-            DownlinkScheduler().utilization([0, 10], [5, 0], horizon_frames=100)
+            utilization([0, 10], [5, 0], horizon_frames=100)
 
 
 def _ladder_fleet(nb):

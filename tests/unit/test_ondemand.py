@@ -1,5 +1,7 @@
-"""Unit tests for the on-demand facade's staged pipeline and its
-paging records."""
+"""Unit tests for a campaign's pipeline — plan, revise, complete — as
+the live service drives it, its validate calls, and its paging records."""
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -13,13 +15,11 @@ from repro.devices.device import NbIotDevice
 from repro.drx.cycles import DrxCycle
 from repro.errors import PlanError
 from repro.grouping.policies import CoverageStratifiedPolicy
-from repro.multicast import (
-    FirmwareImage,
-    OnDemandMulticastService,
-    PendingCampaign,
-)
+from repro.multicast import FirmwareImage, OnDemandMulticastService
+from repro.service import CampaignService
 from repro.service.service import _max_shift, _pages_by_window
 from repro.sim.eventlog import compare_results
+from repro.sim.executor import CampaignExecutor
 
 IMAGE = FirmwareImage(name="fw", version="1.0.0", size_bytes=60_000)
 CONTEXT = PlanningContext(payload_bytes=IMAGE.size_bytes)
@@ -29,92 +29,84 @@ def _joiner(imsi: int, seconds: float = 20.48) -> NbIotDevice:
     return NbIotDevice.build(imsi=imsi, cycle=DrxCycle.from_seconds(seconds))
 
 
-class TestStagedPipeline:
-    def test_submit_plans_without_executing(self, small_fleet, rng):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        assert isinstance(pending, PendingCampaign)
-        assert pending.fleet is small_fleet
-        assert pending.plan.payload_bytes == IMAGE.size_bytes
-        assert pending.active_members == tuple(range(len(small_fleet)))
-        assert pending.revisions == []
+def _live(fleet, churn=lambda service, handle: None, mechanism=DrScMechanism()):
+    """One campaign on a fresh service: submit, apply ``churn`` at frame
+    0, then await its report."""
 
-    def test_submit_complete_matches_deliver(self, small_fleet):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        rng_a = np.random.default_rng(99)
-        rng_b = np.random.default_rng(99)
-        batch = service.deliver(small_fleet, IMAGE, rng=rng_a)
-        staged = service.complete(
-            service.submit(small_fleet, IMAGE, rng=rng_b), rng=rng_b
-        )
-        assert batch.plan == staged.plan
-        assert compare_results(batch.result, staged.result) == []
-        assert batch.paging.total_pages == staged.paging.total_pages
-        assert batch.utilization == staged.utilization
+    async def run():
+        async with CampaignService(seed=7) as service:
+            handle = service.submit(fleet, IMAGE, mechanism=mechanism)
+            churn(service, handle)
+            return await service.result(handle)
 
-    def test_submit_complete_matches_deliver_da_sc(self, small_fleet):
-        service = OnDemandMulticastService(mechanism=DaScMechanism())
-        batch = service.deliver(
-            small_fleet, IMAGE, rng=np.random.default_rng(5)
-        )
-        staged = service.complete(
-            service.submit(small_fleet, IMAGE, rng=np.random.default_rng(5)),
-            rng=np.random.default_rng(5),
-        )
-        # deliver() consumes one generator across plan+execute; reusing a
-        # fresh generator per stage is NOT equivalent in general — pass
-        # the same generator through both stages for bit-identity.
-        rng = np.random.default_rng(5)
-        staged_same = service.complete(
-            service.submit(small_fleet, IMAGE, rng=rng), rng=rng
-        )
-        assert batch.plan == staged_same.plan
-        assert compare_results(batch.result, staged_same.result) == []
+    return asyncio.run(run())
 
-    def test_revise_join_extends_working_fleet(self, small_fleet, rng):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        revision = service.revise(
-            pending, joined_devices=[_joiner(999_111_222)], now_frame=0
-        )
-        assert len(pending.fleet) == len(small_fleet) + 1
-        assert revision.joined_directives[0].device_index == len(small_fleet)
-        assert pending.plan is revision.revised
-        assert pending.revisions == [revision]
 
-    def test_revise_leave_and_complete_strips_device(self, small_fleet, rng):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        service.revise(pending, left=[3], now_frame=0)
-        assert 3 in pending.left
-        assert 3 not in pending.active_members
-        report = service.complete(pending, rng=rng)
+class TestLivePipeline:
+    def test_submit_plans_without_executing(self, small_fleet, monkeypatch):
+        executed = []
+        execute = CampaignExecutor.execute
+
+        def counting(self, fleet, plan, **kwargs):
+            executed.append(plan)
+            return execute(self, fleet, plan, **kwargs)
+
+        monkeypatch.setattr(CampaignExecutor, "execute", counting)
+
+        def churn(service, handle):
+            assert executed == []
+
+        report = _live(small_fleet, churn)
+        assert executed == [report.plan]
+        assert report.plan.payload_bytes == IMAGE.size_bytes
+
+    @pytest.mark.parametrize("mechanism", [DrScMechanism(), DaScMechanism()])
+    def test_churn_free_campaign_matches_deliver(self, small_fleet, mechanism):
+        # deliver() consumes one generator across plan and execute; the
+        # service does the same on the campaign's SeedSequence child.
+        live = _live(small_fleet, mechanism=mechanism)
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        batch = OnDemandMulticastService(mechanism).deliver(small_fleet, IMAGE, rng=rng)
+        assert batch.plan == live.plan
+        assert compare_results(batch.result, live.result) == []
+        assert batch.paging == live.paging
+        assert batch.utilization == live.utilization
+
+    def test_join_extends_working_fleet(self, small_fleet):
+        def churn(service, handle):
+            assert service.join(handle, _joiner(999_111_222)) == len(small_fleet)
+
+        report = _live(small_fleet, churn)
+        assert len(report.result) == len(small_fleet) + 1
+        assert report.plan.directives[-1].device_index == len(small_fleet)
+
+    def test_leave_and_complete_strips_device(self, small_fleet):
+        report = _live(small_fleet, lambda service, handle: service.leave(handle, 3))
         # The final fleet is compacted: one device fewer, full coverage.
         assert len(report.plan.directives) == len(small_fleet) - 1
         assert len(report.result) == len(small_fleet) - 1
         assert not report.paging.has_overflow
 
-    def test_double_leave_rejected(self, small_fleet, rng):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        service.revise(pending, left=[3], now_frame=0)
-        with pytest.raises(PlanError):
-            service.revise(pending, left=[3], now_frame=0)
+    def test_double_leave_rejected(self, small_fleet):
+        def churn(service, handle):
+            service.leave(handle, 3)
+            with pytest.raises(PlanError, match="already left"):
+                service.leave(handle, 3)
 
-    def test_join_then_leave_round_trip(self, small_fleet, rng):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        service.revise(
-            pending, joined_devices=[_joiner(999_333_444)], now_frame=0
-        )
-        joined_index = len(small_fleet)
-        service.revise(pending, left=[joined_index], now_frame=0)
-        report = service.complete(pending, rng=rng)
+        _live(small_fleet, churn)
+
+    def test_join_then_leave_round_trip(self, small_fleet):
+        def churn(service, handle):
+            joined_index = service.join(handle, _joiner(999_333_444))
+            service.leave(handle, joined_index)
+
+        report = _live(small_fleet, churn)
         assert len(report.plan.directives) == len(small_fleet)
 
 
 class TestValidateCalls:
-    """``complete`` validates again only a plan replaced after ``submit``.
+    """A campaign is validated in full once when planned; completion
+    validates again only a plan that replaced that one.
 
     ``validated`` lists the plans fully validated, in call order; a
     revision's own partial validation of its working plan is not listed.
@@ -139,21 +131,22 @@ class TestValidateCalls:
         report = service.deliver(small_fleet, IMAGE, rng=rng)
         assert validated == [report.plan]
 
-    def test_revised_plan_is_validated_at_complete(self, small_fleet, rng, validated):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        service.revise(pending, joined_devices=[_joiner(999_111_222)], now_frame=0)
-        report = service.complete(pending, rng=rng)
+    def test_unrevised_plan_is_not_validated_again(self, small_fleet, validated):
+        report = _live(small_fleet)
+        assert validated == [report.plan]
+
+    def test_revised_plan_is_validated_at_complete(self, small_fleet, validated):
+        def churn(service, handle):
+            service.join(handle, _joiner(999_111_222))
+
+        report = _live(small_fleet, churn)
         assert len(validated) == 2
         assert validated[-1] is report.plan
 
     def test_plan_without_leavers_is_validated_at_complete(
-        self, small_fleet, rng, validated
+        self, small_fleet, validated
     ):
-        service = OnDemandMulticastService(mechanism=DrScMechanism())
-        pending = service.submit(small_fleet, IMAGE, rng=rng)
-        service.revise(pending, left=[3], now_frame=0)
-        report = service.complete(pending, rng=rng)
+        report = _live(small_fleet, lambda service, handle: service.leave(handle, 3))
         assert len(validated) == 2
         assert validated[-1] is report.plan
         assert len(report.plan.directives) == len(small_fleet) - 1

@@ -74,7 +74,8 @@ class TestPublicApi:
 
 def test_package_ships_no_reference_paths():
     """Each stage has one production path; its oracle lives in tests/."""
-    from repro.enb.scheduler import DownlinkScheduler
+    from repro.core import plan
+    from repro.enb import scheduler
     from repro.multicast.coordination import partition_fleet, partition_indices
     from repro.setcover.greedy import greedy_window_cover
     from repro.traffic.mixtures import TrafficMixture
@@ -93,7 +94,11 @@ def test_package_ships_no_reference_paths():
     for module in ("repro", "repro.setcover", "repro.setcover.greedy"):
         assert "greedy_set_cover" not in vars(importlib.import_module(module))
     assert not hasattr(TrafficMixture, "sample_reference")
-    assert not hasattr(DownlinkScheduler, "_count_overlaps_reference")
+    assert not hasattr(scheduler, "count_overlaps_reference")
+    # A plan has one input form, its columns; building them from
+    # directive objects is a test helper (tests/plan_oracle.py).
+    assert not hasattr(plan.PlanArrays, "from_directives")
+    assert "from_directives" not in vars(plan)
     # One paging-occasion rule: the column kernels. The per-device
     # TS 36.304 formula and schedule are their oracle in tests/.
     scalar_paging = {

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from paging_oracle import schedule_of
+from plan_oracle import from_directives
 
 from repro.core.plan import (
     METHOD_CODE,
@@ -33,6 +34,7 @@ def pair_fleet() -> Fleet:
 
 
 def _plan_for(fleet: Fleet, directives, transmissions) -> MulticastPlan:
+    """A test plan over ``directives`` (directive objects)."""
     return MulticastPlan(
         mechanism="test",
         standards_compliant=True,
@@ -41,7 +43,7 @@ def _plan_for(fleet: Fleet, directives, transmissions) -> MulticastPlan:
         inactivity_timer_frames=2048,
         payload_bytes=100_000,
         transmissions=transmissions,
-        directives=directives,
+        directives=from_directives(directives),
     )
 
 
@@ -125,43 +127,61 @@ class TestTransmissionTable:
 
 
 class TestDirective:
+    """A directive is a plain view; its row is checked when it becomes
+    plan columns."""
+
     def test_adaptation_requires_fields(self):
         with pytest.raises(PlanError):
-            DeviceDirective(
-                device_index=0, transmission_index=0,
-                method=WakeMethod.DRX_ADAPTATION, page_frame=10, connect_frame=10,
-            )
+            from_directives([
+                DeviceDirective(
+                    device_index=0, transmission_index=0,
+                    method=WakeMethod.DRX_ADAPTATION, page_frame=10, connect_frame=10,
+                )
+            ])
 
     def test_non_adaptation_rejects_adaptation_fields(self):
         with pytest.raises(PlanError):
-            DeviceDirective(
-                device_index=0, transmission_index=0,
-                method=WakeMethod.PAGED_IN_WINDOW, page_frame=10, connect_frame=10,
-                adapted_cycle=DrxCycle(2048),
-            )
+            from_directives([
+                DeviceDirective(
+                    device_index=0, transmission_index=0,
+                    method=WakeMethod.PAGED_IN_WINDOW, page_frame=10, connect_frame=10,
+                    adapted_cycle=DrxCycle(2048),
+                )
+            ])
 
     def test_extended_requires_t322(self):
         with pytest.raises(PlanError):
-            DeviceDirective(
-                device_index=0, transmission_index=0,
-                method=WakeMethod.EXTENDED_PAGE_TIMER, page_frame=10,
-                connect_frame=100,
-            )
+            from_directives([
+                DeviceDirective(
+                    device_index=0, transmission_index=0,
+                    method=WakeMethod.EXTENDED_PAGE_TIMER, page_frame=10,
+                    connect_frame=100,
+                )
+            ])
 
     def test_t322_only_for_extended(self):
         with pytest.raises(PlanError):
-            DeviceDirective(
-                device_index=0, transmission_index=0,
-                method=WakeMethod.PAGED_IN_WINDOW, page_frame=10, connect_frame=10,
-                t322=T322Timer(armed_at_frame=10, expires_at_frame=100),
-            )
+            from_directives([
+                DeviceDirective(
+                    device_index=0, transmission_index=0,
+                    method=WakeMethod.PAGED_IN_WINDOW, page_frame=10, connect_frame=10,
+                    t322=T322Timer(armed_at_frame=10, expires_at_frame=100),
+                )
+            ])
 
     def test_connect_before_page_rejected(self):
         with pytest.raises(PlanError):
-            DeviceDirective(
-                device_index=0, transmission_index=0,
-                method=WakeMethod.PAGED_IN_WINDOW, page_frame=10, connect_frame=5,
-            )
+            from_directives([
+                DeviceDirective(
+                    device_index=0, transmission_index=0,
+                    method=WakeMethod.PAGED_IN_WINDOW, page_frame=10, connect_frame=5,
+                )
+            ])
+
+    def test_plan_takes_columns_only(self, pair_fleet):
+        plan = _window_plan(pair_fleet)
+        with pytest.raises(PlanError, match="PlanArrays"):
+            replace(plan, directives=tuple(plan.directives))
 
 
 class TestPlanValidation:
@@ -308,7 +328,7 @@ class TestPlanArrays:
         assert plan.directives is plan.columns
         assert len(plan.directives) == 2
         objects = tuple(plan.directives)
-        assert PlanArrays.from_directives(objects) == plan.columns
+        assert from_directives(objects) == plan.columns
         assert plan.directives[-1] == objects[1]
         assert plan.directives[:1] == objects[:1]
         assert plan.columns.method.tolist() == [
@@ -375,12 +395,14 @@ class TestPlanArrays:
         # T322 is armed at the extended page and expires at the connect
         # frame; a timer that disagrees is not representable.
         with pytest.raises(PlanError, match="T322"):
-            DeviceDirective(
-                device_index=0, transmission_index=0,
-                method=WakeMethod.EXTENDED_PAGE_TIMER, page_frame=10,
-                connect_frame=100,
-                t322=T322Timer(armed_at_frame=20, expires_at_frame=100),
-            )
+            from_directives([
+                DeviceDirective(
+                    device_index=0, transmission_index=0,
+                    method=WakeMethod.EXTENDED_PAGE_TIMER, page_frame=10,
+                    connect_frame=100,
+                    t322=T322Timer(armed_at_frame=20, expires_at_frame=100),
+                )
+            ])
 
     def test_directive_for_uses_first_row(self):
         columns = PlanArrays(
@@ -403,7 +425,7 @@ class TestPlanArrays:
             page_frame=np.ones(device.size), connect_frame=np.ones(device.size),
         )
         assert columns._first_rows.tolist() == [4, 1, -1, -1, -1, 0, -1, 5]
-        assert PlanArrays.from_directives([])._first_rows.size == 0
+        assert from_directives([])._first_rows.size == 0
 
 
 def test_adaptation_inside_window_detected(pair_fleet):

@@ -1,4 +1,9 @@
-"""Unit tests for the plan-revision layer (live campaign churn)."""
+"""Unit tests for the plan-revision layer (live campaign churn).
+
+A revision's joiners are its revised plan's last directive rows, in
+join order; its retired windows are the base indices missing from its
+``transmission_map``.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from repro.devices.fleet import COVERAGE_CODE, Fleet
 from repro.drx.cycles import DrxCycle
 from repro.enb.cell import CellConfig
 from repro.errors import PlanError
+from repro.phy.airtime import payload_airtime_frames
 from repro.phy.coverage import CoverageClass
 
 
@@ -33,10 +39,9 @@ class TestNoop:
         revision = revise_plan(
             base_plan, small_fleet, now_frame=0, context=context
         )
-        assert revision.is_noop
         assert revision.revised.transmissions == base_plan.transmissions
         assert revision.revised.directives == base_plan.directives
-        assert revision.retired_transmissions == ()
+        assert revision.new_transmissions == ()
         assert revision.transmission_map == tuple(
             (t.index, t.index) for t in base_plan.transmissions
         )
@@ -52,8 +57,8 @@ class TestJoin:
         revision = revise_plan(
             base_plan, fleet, joined=(new_index,), now_frame=0, context=context
         )
-        assert len(revision.joined_directives) == 1
-        directive = revision.joined_directives[0]
+        assert len(revision.revised.directives) == len(base_plan.directives) + 1
+        directive = revision.revised.directives[-1]
         assert directive.device_index == new_index
         assert directive.method is WakeMethod.PAGED_IN_WINDOW
         tx = revision.revised.transmissions[directive.transmission_index]
@@ -75,15 +80,12 @@ class TestJoin:
         revision = revise_plan(
             base_plan, fleet, joined=(new_index,), now_frame=0, context=context
         )
-        tx_index = revision.joined_directives[0].transmission_index
+        tx_index = revision.revised.directives[-1].transmission_index
         tx = revision.revised.transmissions[tx_index]
         assert tx.rate_bps == fleet.group_rate_bps(tx.device_indices)
-        base_tx = base_plan.transmissions[revision.base_index_of(tx_index)]
-        changed = (
-            tx.rate_bps != base_tx.rate_bps
-            or tx.duration_frames != base_tx.duration_frames
+        assert tx.duration_frames == payload_airtime_frames(
+            base_plan.payload_bytes, tx.rate_bps
         )
-        assert (tx_index in revision.resized_transmissions) == changed
 
     def test_join_with_no_feasible_window_opens_new_one(
         self, tiny_fleet, context, rng
@@ -106,7 +108,7 @@ class TestJoin:
         tx = revision.revised.transmissions[revision.new_transmissions[0]]
         assert tx.device_indices.tolist() == [new_index]
         assert tx.frame > last_frame
-        directive = revision.joined_directives[0]
+        directive = revision.revised.directives[-1]
         assert directive.page_frame > last_frame
         revision.revised.validate(fleet, partial=True)
 
@@ -136,7 +138,7 @@ class TestJoin:
         revision = revise_plan(
             base, fleet, joined=(new_index,), now_frame=preferred, context=context
         )
-        (directive,) = revision.joined_directives
+        (directive,) = revision.revised.directives[-1:]
         assert directive.page_frame == tx_frame - 1
         assert revision.new_transmissions == ()
         tx = revision.revised.transmissions[directive.transmission_index]
@@ -162,10 +164,10 @@ class TestJoin:
         tx = revision.revised.transmissions[revision.new_transmissions[0]]
         assert tx.device_indices.tolist() == list(joined)
         page = schedule_of(first).first_at_or_after(last_frame + 1)
-        assert [d.page_frame for d in revision.joined_directives] == [page, page]
-        assert [d.transmission_index for d in revision.joined_directives] == [
-            tx.index, tx.index
-        ]
+        joiners = revision.revised.directives[-2:]
+        assert [d.device_index for d in joiners] == list(joined)
+        assert [d.page_frame for d in joiners] == [page, page]
+        assert [d.transmission_index for d in joiners] == [tx.index, tx.index]
         revision.revised.validate(fleet, partial=True)
 
     def test_join_existing_member_rejected(
@@ -202,7 +204,7 @@ class TestLeave:
             now_frame=0,
             context=context,
         )
-        assert target.index in revision.retired_transmissions
+        assert target.index not in dict(revision.transmission_map)
         assert len(revision.revised.transmissions) == (
             len(base.transmissions) - 1
         )
@@ -258,7 +260,6 @@ class TestLeave:
         tx = revision.revised.transmissions[new_index]
         assert tx.rate_bps == target.rate_bps
         assert tx.duration_frames == target.duration_frames
-        assert new_index not in revision.resized_transmissions
 
 
 class TestRenumbering:
