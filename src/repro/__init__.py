@@ -4,9 +4,9 @@ A full reproduction of G. Tsoukaneri and M. K. Marina, *On Device
 Grouping for Efficient Multicast Communications in Narrowband-IoT*,
 IEEE ICDCS 2018 — the three grouping mechanisms (DR-SC, DA-SC, DR-SI),
 every substrate they stand on (DRX/eDRX paging, RRC procedures, an
-NB-IoT PHY timing model, energy accounting, a discrete-event
-simulator), and the experiment harness regenerating the paper's
-figures.
+NB-IoT PHY timing model, energy accounting, a vectorised campaign
+executor with a replayable event log), and the experiment harness
+regenerating the paper's figures.
 
 Quickstart::
 
@@ -78,7 +78,6 @@ from repro.sim import (
     CampaignExecutor,
     CampaignResult,
     ResultCache,
-    Simulator,
 )
 from repro.traffic import (
     LONG_EDRX_MIXTURE,
@@ -140,7 +139,6 @@ __all__ = [
     "CampaignService",
     "CampaignHandle",
     # sim
-    "Simulator",
     "CampaignExecutor",
     "CampaignResult",
     "ResultCache",

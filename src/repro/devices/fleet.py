@@ -336,11 +336,6 @@ class Fleet(ColumnTable, SequenceABC):
         """The longest preferred cycle in the fleet (the paper's maxDRX)."""
         return DrxCycle(int(self.periods.max()))
 
-    @property
-    def min_cycle(self) -> DrxCycle:
-        """The shortest preferred cycle in the fleet."""
-        return DrxCycle(int(self.periods.min()))
-
     def coverage_histogram(self) -> Dict[CoverageClass, int]:
         """Device count per coverage class (every class present as a key)."""
         counts = np.bincount(self.coverage_codes, minlength=len(COVERAGE_ORDER))

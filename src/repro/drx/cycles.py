@@ -64,21 +64,6 @@ class DrxCycle(int):
         """Cycle length in seconds."""
         return frames_to_seconds(int(self))
 
-    @property
-    def is_edrx(self) -> bool:
-        """True for extended DRX cycles (>= 20.48 s, GSMA LPWA ladder)."""
-        return int(self) >= 2048
-
-    @property
-    def is_nbiot_idle_drx(self) -> bool:
-        """True for the NB-IoT idle-mode defaultPagingCycle range (1.28-10.24 s)."""
-        return 128 <= int(self) <= 1024
-
-    @property
-    def is_lte_drx(self) -> bool:
-        """True for the legacy LTE idle DRX range (0.32-2.56 s)."""
-        return 32 <= int(self) <= 256
-
     # ------------------------------------------------------------------
     # Ladder navigation
     # ------------------------------------------------------------------
@@ -102,13 +87,6 @@ class DrxCycle(int):
         """
         return int(other) % int(self) == 0
 
-    def halvings_to(self, shorter: "DrxCycle") -> int:
-        """Number of ladder steps down from ``self`` to ``shorter``."""
-        if int(shorter) > int(self):
-            raise LadderError(f"{shorter!r} is longer than {self!r}")
-        ratio = int(self) // int(shorter)
-        return ratio.bit_length() - 1
-
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
@@ -116,28 +94,6 @@ class DrxCycle(int):
     def from_seconds(cls, seconds: float) -> "DrxCycle":
         """The ladder cycle of exactly ``seconds`` duration."""
         return cls(seconds_to_frames(seconds, strict=True))
-
-    @classmethod
-    def largest_at_most(cls, frames: int) -> "DrxCycle":
-        """Largest ladder cycle with length ``<= frames``.
-
-        DA-SC falls back to this value (for ``frames`` = the inactivity
-        timer) when no longer cycle lands a PO inside the target window:
-        a cycle no longer than the window is guaranteed to hit it.
-        """
-        if frames < cls.MIN_FRAMES:
-            raise LadderError(f"no ladder cycle is <= {frames} frames")
-        value = 1 << (int(frames).bit_length() - 1)
-        return cls(min(value, cls.MAX_FRAMES))
-
-    @classmethod
-    def smallest_at_least(cls, frames: int) -> "DrxCycle":
-        """Smallest ladder cycle with length ``>= frames``."""
-        if frames > cls.MAX_FRAMES:
-            raise LadderError(f"no ladder cycle is >= {frames} frames")
-        frames = max(int(frames), cls.MIN_FRAMES)
-        value = 1 << (frames - 1).bit_length() if frames > 1 else 1
-        return cls(max(value, cls.MIN_FRAMES))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DrxCycle({self.seconds:g}s)"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.drx.paging import NB
 from repro.errors import ConfigurationError
-from repro.timebase import frames_to_seconds, seconds_to_frames
+from repro.timebase import frames_to_seconds
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,3 @@ class CellConfig:
     def inactivity_timer_s(self) -> float:
         """TI in seconds."""
         return frames_to_seconds(self.inactivity_timer_frames)
-
-    @classmethod
-    def with_inactivity_timer(cls, seconds: float, **kwargs) -> "CellConfig":
-        """Build a config from a TI expressed in seconds."""
-        return cls(
-            inactivity_timer_frames=seconds_to_frames(seconds), **kwargs
-        )

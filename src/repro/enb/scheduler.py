@@ -38,11 +38,6 @@ class UtilizationReport:
     utilization: float
     overlapping_pairs: int
 
-    @property
-    def feasible_on_single_carrier(self) -> bool:
-        """True when no transmissions overlap and utilization <= 1."""
-        return self.overlapping_pairs == 0 and self.utilization <= 1.0
-
 
 def utilization(
     frame: np.ndarray, duration_frames: np.ndarray, horizon_frames: int

@@ -110,18 +110,3 @@ class RandomAccessModel:
             f"random access failed after {self.max_attempts} attempts "
             f"(collision_probability={self.collision_probability})"
         )
-
-    def expected_duration_s(self, coverage: CoverageClass) -> float:
-        """Closed-form expected duration (geometric retries, mean backoff).
-
-        Used by the analytical cross-checks in :mod:`repro.analysis.theory`.
-        """
-        p = self.collision_probability
-        base = self.base_duration_s(coverage)
-        if p == 0.0:
-            return base
-        # E[attempts] for a truncated geometric is close to 1/(1-p) when
-        # max_attempts is large; we use the untruncated approximation.
-        expected_attempts = 1.0 / (1.0 - p)
-        expected_backoffs = expected_attempts - 1.0
-        return expected_attempts * base + expected_backoffs * self.backoff_s

@@ -19,23 +19,27 @@ entry points itself. Lifecycle of one campaign:
    retired and release their capacity, and pending windows are
    re-admitted with their new shape. DEVICE_JOIN/DEVICE_LEAVE/
    CAMPAIGN_REVISE rows are logged.
-3. **result** — awaiting a campaign pumps the simulator one event at a
-   time until the campaign's completion milestone fires; the leavers
-   are then stripped out, a plan that replaced the validated one is
-   validated in full, and :func:`~repro.multicast.ondemand.campaign_report`
-   executes it and folds the paging and carrier reports, as ``deliver``
-   does, with the campaign's own generator.
+3. **result** — awaiting a campaign pumps the service's frame clock
+   one completion milestone at a time until the campaign's own fires;
+   the leavers are then stripped out, a plan that replaced the
+   validated one is validated in full, and
+   :func:`~repro.multicast.ondemand.campaign_report` executes it and
+   folds the paging and carrier reports, as ``deliver`` does, with the
+   campaign's own generator.
 
-Determinism: the simulator's heap order is the *only* execution order —
-whichever coroutine happens to pump the engine, the same event runs
-next — and no wall-clock time is consulted anywhere. A single-campaign
-run without churn admits every window unshifted and therefore
-reproduces ``OnDemandMulticastService.deliver`` bit-for-bit.
+The clock is an integer frame count with a heap of ``(end frame,
+sequence, campaign id)`` completion milestones. Determinism: the heap
+order is the *only* execution order — whichever coroutine happens to
+pump the clock, the same milestone fires next — and no wall-clock time
+is consulted anywhere. A single-campaign run without churn admits every
+window unshifted and therefore reproduces
+``OnDemandMulticastService.deliver`` bit-for-bit.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,14 +55,8 @@ from repro.errors import CapacityError, PlanError, SimulationError
 from repro.multicast.ondemand import CampaignReport, campaign_report
 from repro.multicast.payload import FirmwareImage
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.engine import Simulator
 from repro.sim.eventlog import EventLog, EventLogRecorder, LiveMetrics, live_metrics
-from repro.sim.events import Event, EventKind
-from repro.timebase import frames_to_seconds
-
-#: Completion milestones run before sentinel ticks at the same instant.
-_PRIORITY_COMPLETE = 5
-_PRIORITY_TICK = 10
+from repro.sim.events import EventKind
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class _LiveCampaign:
     validated: MulticastPlan
     left: Set[int] = field(default_factory=set)
     tokens: Dict[int, int] = field(default_factory=dict)
-    completion_handle: Optional[int] = None
+    milestone: Optional[int] = None
     completed: bool = False
     report: Optional[CampaignReport] = None
 
@@ -114,7 +112,9 @@ class CampaignService:
         may push a window past its planned start."""
         self._cell = cell
         self._timings = timings
-        self._sim = Simulator()
+        self._now_frame = 0
+        self._milestones: List[Tuple[int, int, int]] = []
+        self._next_seq = 0
         self._arbiter = CapacityArbiter(cell, max_defer_frames=max_defer_frames)
         self._seed = int(seed)
         self._seed_seq = np.random.SeedSequence(self._seed)
@@ -136,24 +136,25 @@ class CampaignService:
     @property
     def now_frame(self) -> int:
         """Current simulated frame."""
-        return int(round(self._sim.now * 100.0))
+        return self._now_frame
 
     async def advance_to(self, frame: int) -> None:
-        """Pump the simulator until the clock reaches ``frame``.
+        """Move the clock to ``frame``, firing the milestones on the way.
 
-        Milestones on the way (campaign completions) execute in heap
-        order; completions scheduled exactly at ``frame`` run before
-        the clock hands control back.
+        Campaign completions due by ``frame`` fire in heap order, with a
+        yield to other coroutines after each, and those exactly at
+        ``frame`` fire before the clock settles there and yields once
+        more. A ``frame`` at or before the current one is a no-op.
         """
-        target_s = frames_to_seconds(frame)
-        if target_s <= self._sim.now:
+        frame = int(frame)
+        if frame <= self._now_frame:
             return
-        fired = asyncio.Event()
-        tick = Event(time_s=target_s, kind=EventKind.SERVICE_TICK)
-        self._sim.schedule(
-            tick, lambda _event: fired.set(), priority=_PRIORITY_TICK
-        )
-        await self._pump_until(fired.is_set)
+        while self._milestones and self._milestones[0][0] <= frame:
+            if self._fire_next():
+                await asyncio.sleep(0)
+        # A result() awaited meanwhile may have pumped past ``frame``.
+        self._now_frame = max(self._now_frame, frame)
+        await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # Campaign CRUD
@@ -227,7 +228,7 @@ class CampaignService:
         """Remove a working-fleet device from an in-flight campaign.
 
         Windows whose members all left are retired: their capacity is
-        released and the events behind them are cancelled.
+        released, and the completion milestone moves with the plan's end.
         """
         campaign = self._campaign(handle)
         self._revise(campaign, joined_devices=(), left=(device_index,))
@@ -235,7 +236,7 @@ class CampaignService:
     async def result(self, handle: CampaignHandle) -> CampaignReport:
         """Await a campaign's completion and return its report.
 
-        Pumps the simulator (one event per scheduling round, yielding to
+        Pumps the clock (one milestone per scheduling round, yielding to
         other awaiters in between) until the campaign's completion
         milestone fires. The leavers are then stripped out, a plan that
         replaced the validated one is validated in full, and the plan is
@@ -286,11 +287,27 @@ class CampaignService:
 
     async def _pump_until(self, predicate) -> None:
         while not predicate():
-            if self._sim.step() == 0:
+            if not self._milestones:
                 raise SimulationError(
-                    "simulator ran dry before the awaited condition held"
+                    "clock ran dry before the awaited condition held"
                 )
-            await asyncio.sleep(0)
+            if self._fire_next():
+                await asyncio.sleep(0)
+
+    def _fire_next(self) -> bool:
+        """Pop the heap's head; if it is its campaign's live milestone,
+        move the clock onto it and complete the campaign.
+
+        Returns False for a stale entry (a milestone a revision
+        replaced), which is dropped without moving the clock.
+        """
+        end_frame, seq, cid = heapq.heappop(self._milestones)
+        campaign = self._campaigns[cid]
+        if campaign.milestone != seq:
+            return False
+        self._now_frame = end_frame
+        campaign.completed = True
+        return True
 
     def _revise(
         self,
@@ -436,23 +453,15 @@ class CampaignService:
 
     def _schedule_completion(self, campaign: _LiveCampaign) -> None:
         """(Re)schedule the campaign's completion milestone at the end
-        of its last window — cancellation plus rescheduling is what a
-        plan revision that moves the campaign's end relies on."""
-        end_frame = campaign.plan.campaign_end_frame
-        end_s = max(frames_to_seconds(end_frame), self._sim.now)
-        if campaign.completion_handle is not None:
-            self._sim.cancel(campaign.completion_handle)
-        milestone = Event(
-            time_s=end_s,
-            kind=EventKind.CAMPAIGN_COMPLETE,
-            payload={"campaign": campaign.handle.id},
-        )
-
-        def _complete(_event: Event) -> None:
-            campaign.completed = True
-
-        campaign.completion_handle = self._sim.schedule(
-            milestone, _complete, priority=_PRIORITY_COMPLETE
+        of its last window (or now, if that is past). A revision that
+        moves the campaign's end relies on this: the new entry replaces
+        the campaign's live milestone, and the old one goes stale."""
+        end_frame = max(campaign.plan.campaign_end_frame, self._now_frame)
+        campaign.milestone = self._next_seq
+        self._next_seq += 1
+        heapq.heappush(
+            self._milestones,
+            (end_frame, campaign.milestone, campaign.handle.id),
         )
 
 

@@ -1,13 +1,13 @@
-"""Simulation: the executor, the event engine and the Monte-Carlo harness.
+"""Simulation: the executor, the event log and the Monte-Carlo harness.
 
 :class:`~repro.sim.executor.CampaignExecutor` executes a plan on the
 vectorised fleet path (:mod:`repro.sim.columnar`): whole-fleet array
 arithmetic. It returns a :class:`~repro.sim.metrics.CampaignResult`:
 one frozen column table of per-device outcomes, whose rows read as
 :class:`~repro.sim.metrics.DeviceOutcome` views. The tests
-cross-validate it against an event-by-event replay of the plan on the
-discrete-event engine (:mod:`repro.sim.engine`), kept in
-``tests/executor_oracle.py``.
+cross-validate it against an event-by-event replay of the plan on a
+discrete-event engine; both are test oracles, kept in
+``tests/executor_oracle.py`` and ``tests/engine_oracle.py``.
 
 :mod:`repro.sim.montecarlo` runs seeded repetitions and aggregates
 (:func:`~repro.sim.montecarlo.run_campaigns` is the one campaign
@@ -52,8 +52,7 @@ from repro.sim.metrics import (
 )
 from repro.sim.executor import CampaignExecutor
 from repro.sim.columnar import execute_columnar
-from repro.sim.events import Event, EventKind
-from repro.sim.engine import Simulator
+from repro.sim.events import EventKind
 from repro.sim.dispatch import BACKENDS
 from repro.sim.montecarlo import RunStatistics
 from repro.sim.cache import ResultCache, fingerprint
@@ -66,9 +65,7 @@ __all__ = [
     "FleetSummary",
     "CampaignExecutor",
     "execute_columnar",
-    "Event",
     "EventKind",
-    "Simulator",
     "BACKENDS",
     "RunStatistics",
     "ResultCache",

@@ -288,10 +288,6 @@ class EventLog:
         """All rows of ``kind`` (a filtered copy, canonical order)."""
         return self.events[self.events["kind"] == KIND_CODES[kind]]
 
-    def for_device(self, device: int) -> np.ndarray:
-        """All rows concerning fleet index ``device``."""
-        return self.events[self.events["device"] == device]
-
     def counts_by_kind(self) -> Dict[str, int]:
         """Event count per kind name (only kinds that occur)."""
         codes, counts = np.unique(self.events["kind"], return_counts=True)

@@ -1,14 +1,13 @@
-"""Typed events for the discrete-event engine."""
+"""The event log's vocabulary."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Optional
 
 
 class EventKind(Enum):
-    """Kinds of events the engine schedules and the event log records."""
+    """Kinds of events the event log records (its integer codes are
+    :data:`repro.sim.eventlog.KIND_CODES`)."""
 
     PO_MONITOR = "po_monitor"
     """A device wakes to check its paging occasion."""
@@ -66,31 +65,3 @@ class EventKind(Enum):
 
     DEVICE_LEAVE = "device_leave"
     """Service: a device left an in-flight campaign."""
-
-    CAMPAIGN_COMPLETE = "campaign_complete"
-    """Sim-internal: a campaign's last window passed (never logged)."""
-
-    SERVICE_TICK = "service_tick"
-    """Sim-internal: a sentinel the service awaits to advance the clock
-    to a scripted frame (never logged)."""
-
-
-@dataclass(frozen=True)
-class Event:
-    """One scheduled event.
-
-    Attributes:
-        time_s: simulated time in seconds.
-        kind: event type.
-        device_index: the device concerned (None for fleet-wide events).
-        payload: free-form extra data recorded in the trace.
-    """
-
-    time_s: float
-    kind: EventKind
-    device_index: Optional[int] = None
-    payload: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        who = "" if self.device_index is None else f" dev={self.device_index}"
-        return f"[{self.time_s:12.3f}s] {self.kind.value}{who}"

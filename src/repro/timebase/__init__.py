@@ -20,21 +20,14 @@ from repro.timebase.frames import (
     FRAMES_PER_HYPERFRAME,
     MS_PER_FRAME,
     MS_PER_SUBFRAME,
-    SFN_PERIOD,
     SUBFRAMES_PER_FRAME,
     frame_after_seconds,
     frame_at_or_after_ms,
-    frame_containing_ms,
-    frames_to_ms,
     frames_to_seconds,
-    hyperframe_of,
     ms_to_frames,
     seconds_to_frames,
     seconds_to_nearest_ms,
-    sfn_of,
-    subframe_count,
     v_frame_after_seconds,
-    validate_frame,
 )
 from repro.timebase.units import (
     KIBIBYTE,
@@ -51,20 +44,13 @@ __all__ = [
     "SUBFRAMES_PER_FRAME",
     "MS_PER_FRAME",
     "FRAMES_PER_HYPERFRAME",
-    "SFN_PERIOD",
     "frame_after_seconds",
     "frame_at_or_after_ms",
-    "frame_containing_ms",
     "v_frame_after_seconds",
-    "frames_to_ms",
     "frames_to_seconds",
     "ms_to_frames",
     "seconds_to_frames",
     "seconds_to_nearest_ms",
-    "sfn_of",
-    "hyperframe_of",
-    "subframe_count",
-    "validate_frame",
     "KILOBYTE",
     "KIBIBYTE",
     "MEGABYTE",

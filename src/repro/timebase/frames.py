@@ -25,39 +25,6 @@ MS_PER_FRAME = MS_PER_SUBFRAME * SUBFRAMES_PER_FRAME
 #: Radio frames per hyperframe (the Hyper-SFN increments every 1024 frames).
 FRAMES_PER_HYPERFRAME = 1024
 
-#: The System Frame Number wraps modulo this period (10 bits).
-SFN_PERIOD = 1024
-
-
-def validate_frame(frame: int, *, name: str = "frame") -> int:
-    """Return ``frame`` if it is a non-negative integer, else raise.
-
-    NumPy integer scalars are accepted and normalised to built-in ``int``
-    so downstream arithmetic never silently overflows a fixed-width dtype.
-    """
-    if isinstance(frame, bool) or not isinstance(frame, (int,)) and not _is_integer_like(frame):
-        raise TimebaseError(f"{name} must be an integer frame count, got {frame!r}")
-    value = int(frame)
-    if value < 0:
-        raise TimebaseError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def _is_integer_like(value: object) -> bool:
-    """True for NumPy integer scalars and other ``__index__`` providers."""
-    try:
-        import operator
-
-        operator.index(value)  # type: ignore[arg-type]
-    except TypeError:
-        return False
-    return True
-
-
-def frames_to_ms(frames: int) -> int:
-    """Convert a frame count to milliseconds (exact)."""
-    return int(frames) * MS_PER_FRAME
-
 
 def frames_to_seconds(frames: int) -> float:
     """Convert a frame count to seconds."""
@@ -152,25 +119,3 @@ def v_frame_after_seconds(times_s: np.ndarray) -> np.ndarray:
     np.negative(frames, out=frames)
     frames //= MS_PER_FRAME
     return np.negative(frames, out=frames)
-
-
-def frame_containing_ms(ms: int) -> int:
-    """Index of the frame that contains the instant ``ms`` (exact)."""
-    if ms < 0:
-        raise TimebaseError(f"instant must be non-negative, got {ms} ms")
-    return int(ms) // MS_PER_FRAME
-
-
-def sfn_of(frame: int) -> int:
-    """System Frame Number (0..1023) of an absolute frame index."""
-    return validate_frame(frame) % SFN_PERIOD
-
-
-def hyperframe_of(frame: int) -> int:
-    """Hyper-SFN (hyperframe index) of an absolute frame index."""
-    return validate_frame(frame) // FRAMES_PER_HYPERFRAME
-
-
-def subframe_count(frames: int) -> int:
-    """Number of 1 ms subframes in ``frames`` radio frames."""
-    return int(frames) * SUBFRAMES_PER_FRAME

@@ -112,19 +112,6 @@ class TrafficMixture:
         return cat_idx, periods
 
     @property
-    def mean_inverse_cycle_s(self) -> float:
-        """E[1/T] in 1/seconds — the PO density of a random device.
-
-        This drives how likely two random devices are to share a
-        TI-window (analysis helper used by :mod:`repro.analysis.theory`).
-        """
-        total = 0.0
-        for category, share in self._normalised.items():
-            for cycle, p in self._profiles[category].cycle_distribution.items():
-                total += share * p / cycle.seconds
-        return total
-
-    @property
     def max_cycle(self) -> DrxCycle:
         """Longest cycle any category can draw."""
         longest = max(

@@ -1,4 +1,4 @@
-"""A minimal deterministic discrete-event engine.
+"""A minimal deterministic discrete-event engine — the replay oracle's.
 
 A binary-heap scheduler with a strict total order on events:
 ``(time, priority, insertion sequence)``. Ties at identical times are
@@ -8,17 +8,43 @@ insertion order, making runs bit-reproducible.
 
 Scheduling returns an integer handle; :meth:`Simulator.cancel` removes
 a not-yet-fired event (lazily — the heap entry is tombstoned and
-skipped when it surfaces), which is what lets the campaign service
-retire transmissions when devices leave and reschedule them on replans.
+skipped when it surfaces).
+
+The package executes plans with array arithmetic and keeps no event
+engine; the event-by-event replay in ``executor_oracle.py`` runs on
+this one.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
+from repro.sim.events import EventKind
+
+
+@dataclass(frozen=True)
+class Event:
+    """One scheduled event.
+
+    Attributes:
+        time_s: simulated time in seconds.
+        kind: event type.
+        device_index: the device concerned (None for fleet-wide events).
+        payload: free-form extra data recorded in the trace.
+    """
+
+    time_s: float
+    kind: EventKind
+    device_index: Optional[int] = None
+    payload: Dict[str, Any] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        who = "" if self.device_index is None else f" dev={self.device_index}"
+        return f"[{self.time_s:12.3f}s] {self.kind.value}{who}"
+
 
 #: A queue entry: (time, priority, sequence, event, callback).
 _Entry = Tuple[float, int, int, Event, Callable[[Event], None]]
@@ -106,12 +132,7 @@ class Simulator:
         return executed
 
     def step(self) -> int:
-        """Execute at most one event; returns the number executed (0/1).
-
-        The campaign service's async surface pumps the engine one event
-        at a time so concurrently awaited campaigns interleave while the
-        execution order stays exactly the heap order.
-        """
+        """Execute at most one event; returns the number executed (0/1)."""
         while self._queue:
             time_s, _, seq, event, callback = self._queue[0]
             heapq.heappop(self._queue)

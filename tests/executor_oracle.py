@@ -1,9 +1,10 @@
 """Event-driven plan replay — the executor's oracle.
 
 Re-executes a :class:`~repro.core.plan.MulticastPlan` on the
-discrete-event engine, charging exactly the same durations as the
-arithmetic :class:`~repro.sim.executor.CampaignExecutor`; the tests pin
-the two together per device and per power state. Like the executor,
+discrete-event engine of ``engine_oracle.py``, charging exactly the
+same durations as the arithmetic
+:class:`~repro.sim.executor.CampaignExecutor`; the tests pin the two
+together per device and per power state. Like the executor,
 the replay can emit a columnar event log (pass ``recorder=``).
 
 Devices are lazy: each keeps at most one pending PO_MONITOR event, so
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 import pytest
+from engine_oracle import Event, Simulator
 from paging_oracle import PoSchedule, schedule_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,8 +30,7 @@ from repro.energy.profiles import DEFAULT_PROFILE, EnergyProfile
 from repro.energy.states import PowerState
 from repro.errors import ConfigurationError, SimulationError
 from repro.rrc.procedures import ProcedureTimings
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind
 from repro.sim.metrics import CampaignResult
 from repro.timebase import frame_after_seconds, frames_to_seconds
 

@@ -20,11 +20,9 @@ silent regressions in the sweep-line or the mixture.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
-from repro.timebase import seconds_to_frames
 from repro.traffic.mixtures import TrafficMixture
 
 

@@ -12,6 +12,7 @@ Covers the acceptance contract of the service layer:
 """
 
 import asyncio
+import hashlib
 
 import numpy as np
 import pytest
@@ -134,6 +135,136 @@ class TestDeliverEquivalence:
         assert compare_results(live.result, batch.result) == []
         assert live.paging.total_pages == batch.paging.total_pages
         assert live.utilization == batch.utilization
+
+
+def _completed(service: CampaignService, handle) -> bool:
+    """Whether the service has fired ``handle``'s completion milestone
+    (read without pumping the clock)."""
+    return service._campaigns[handle.id].completed
+
+
+#: The single alpha campaign's last window ends at this frame.
+_ALPHA_END = 222_645
+
+
+class TestServiceClock:
+    """The service's frame clock: when milestones fire and what
+    ``advance_to`` and ``result`` leave on the clock."""
+
+    def test_campaign_ending_at_the_target_frame_completes(self):
+        fleet_a, _ = _fleets()
+
+        async def run(frame):
+            async with CampaignService(seed=7) as service:
+                handle = service.submit(
+                    fleet_a, IMAGE, mechanism=DrScMechanism()
+                )
+                await service.advance_to(frame)
+                done = _completed(service, handle)
+                report = await service.result(handle)
+                return done, service.now_frame, report
+
+        done, now, report = asyncio.run(run(_ALPHA_END))
+        assert report.plan.campaign_end_frame == _ALPHA_END
+        assert done and now == _ALPHA_END
+        done, now, _ = asyncio.run(run(_ALPHA_END - 1))
+        # One frame short: still in flight, and awaiting the result
+        # moves the clock onto the milestone.
+        assert not done and now == _ALPHA_END
+
+    def test_leave_moves_the_end_earlier(self):
+        fleet_a, _ = _fleets()
+        # Device 11 is alone in the last window: its leaving retires it.
+        new_end = 196_867 + 1_600
+
+        async def run():
+            async with CampaignService(seed=7) as service:
+                handle = service.submit(
+                    fleet_a, IMAGE, mechanism=DrScMechanism()
+                )
+                service.leave(handle, 11)
+                await service.advance_to(new_end - 1)
+                before = _completed(service, handle)
+                await service.advance_to(new_end)
+                after = _completed(service, handle)
+                report = await service.result(handle)
+                frame = service.now_frame
+                # The retired milestone is stale: passing it fires nothing.
+                await service.advance_to(_ALPHA_END + 1)
+                return before, after, frame, report, service.metrics()
+
+        before, after, frame, report, metrics = asyncio.run(run())
+        assert not before and after
+        assert frame == new_end == report.plan.campaign_end_frame
+        assert metrics.campaigns == 1
+
+    def test_join_moves_the_end_later(self):
+        fleet_a, _ = _fleets()
+        # A 175-minute cycle whose next PO lies past alpha's last window:
+        # no window can serve it, so it gets a fresh, later one.
+        late = NbIotDevice.build(
+            imsi=999_000_102, cycle=DrxCycle.from_seconds(10485.76)
+        )
+        new_end = 231_064
+
+        async def run():
+            async with CampaignService(seed=7) as service:
+                handle = service.submit(
+                    fleet_a, IMAGE, mechanism=DrScMechanism()
+                )
+                service.join(handle, late)
+                await service.advance_to(_ALPHA_END)
+                at_old_end = _completed(service, handle)
+                await service.advance_to(new_end - 1)
+                before = _completed(service, handle)
+                report = await service.result(handle)
+                return at_old_end, before, service.now_frame, report
+
+        at_old_end, before, frame, report = asyncio.run(run())
+        assert not at_old_end and not before
+        assert frame == new_end == report.plan.campaign_end_frame
+
+    def test_advance_to_the_past_is_a_no_op(self):
+        async def run():
+            async with CampaignService(seed=7) as service:
+                frames = []
+                for target in (100, 50, 100, 0, 101):
+                    await service.advance_to(target)
+                    frames.append(service.now_frame)
+                return frames
+
+        assert asyncio.run(run()) == [100, 100, 100, 100, 101]
+
+    def test_gathered_campaigns_keep_their_log_and_completion_order(self):
+        fleet_a, fleet_b = _fleets()
+
+        async def run():
+            finished = []
+
+            async def awaited(service, handle):
+                report = await service.result(handle)
+                finished.append((handle.name, service.now_frame))
+                return report
+
+            async with CampaignService(seed=7) as service:
+                a = service.submit(
+                    fleet_a, IMAGE, mechanism=DrScMechanism(), name="alpha"
+                )
+                b = service.submit(
+                    fleet_b, IMAGE, mechanism=DrScMechanism(), name="beta"
+                )
+                await service.advance_to(2048)
+                service.join(a, _joiner())
+                service.leave(b, 0)
+                await asyncio.gather(awaited(service, a), awaited(service, b))
+                return service.live_log(), finished
+
+        log, finished = asyncio.run(run())
+        digest = hashlib.sha256(log.events.tobytes()).hexdigest()
+        assert finished == [("beta", 190_184), ("alpha", 222_645)]
+        assert digest == (
+            "53ac01680f7abab8873c880ce1b4278368f8bf7da843845b7987aca2f03756be"
+        )
 
 
 class TestAdmissionControl:

@@ -127,6 +127,34 @@ class TestCli:
         assert list(metrics.per_campaign) == list(expected)
         assert live_metrics(events[:0]).per_campaign == {}
 
+    def test_grouping_list_names_every_policy(self, capsys):
+        from repro.grouping import GROUPING_POLICIES
+
+        assert main(["grouping", "list"]) == 0
+        out = capsys.readouterr().out
+        assert "Registered grouping policies" in out
+        assert all(name in out for name in GROUPING_POLICIES)
+
+    def test_scenarios_list_names_every_scenario(self, capsys):
+        from repro.scenarios import all_scenarios
+
+        assert main(["scenarios", "list"]) == 0
+        out = capsys.readouterr().out
+        assert all(spec.name in out for spec in all_scenarios())
+
+    @pytest.mark.parametrize("counts", ["100,lots", ","])
+    def test_bad_device_counts_rejected(self, counts):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="--device-counts"):
+            main(["figures", "--figure", "7", "--device-counts", counts])
+
+    def test_scenarios_run_needs_a_selection(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="--scenario NAME"):
+            main(["scenarios", "run"])
+
     def test_figures_command_small(self, capsys):
         exit_code = main(
             ["figures", "--figure", "a5", "--runs", "1", "--devices", "30"]

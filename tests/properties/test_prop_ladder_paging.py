@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from paging_oracle import pattern_for
 
-from repro.drx.cycles import FULL_LADDER, DrxCycle
+from repro.drx.cycles import FULL_LADDER
 from repro.drx.paging import NB, v_paging_frame_offset, v_paging_subframe
 
 ladder_cycles = st.sampled_from(list(FULL_LADDER))
@@ -18,27 +18,9 @@ nbs = st.sampled_from([NB.ONE_T, NB.HALF_T, NB.QUARTER_T, NB.TWO_T])
 
 
 class TestLadderProperties:
-    @given(ladder_cycles)
-    def test_largest_at_most_is_identity_on_ladder(self, cycle):
-        assert DrxCycle.largest_at_most(int(cycle)) == cycle
-        assert DrxCycle.smallest_at_least(int(cycle)) == cycle
-
-    @given(st.integers(min_value=32, max_value=DrxCycle.MAX_FRAMES))
-    def test_largest_at_most_bounds(self, frames):
-        cycle = DrxCycle.largest_at_most(frames)
-        assert int(cycle) <= frames
-        if int(cycle) < DrxCycle.MAX_FRAMES:
-            assert int(cycle) * 2 > frames
-
     @given(ladder_cycles, ladder_cycles)
     def test_divides_iff_not_longer(self, a, b):
         assert a.divides(b) == (int(a) <= int(b))
-
-    @given(ladder_cycles, ladder_cycles)
-    def test_halvings_consistent(self, a, b):
-        if int(b) <= int(a):
-            k = a.halvings_to(b)
-            assert int(a) == int(b) * 2**k
 
 
 def _kernels(ue_id, cycles, nb):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from cover_oracle import best_window, greedy_set_cover
 from paging_oracle import PoSchedule
+from theory_oracle import greedy_approximation_bound
 
-from repro.analysis.theory import greedy_approximation_bound
 from repro.setcover.exact import exact_min_set_cover
 from repro.setcover.greedy import greedy_window_cover
 

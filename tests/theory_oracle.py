@@ -9,9 +9,6 @@ must.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
-
 from repro.errors import ConfigurationError
 from repro.phy.coverage import PROFILES, CoverageClass
 from repro.traffic.mixtures import TrafficMixture

@@ -1,14 +1,14 @@
 """Unit tests for the analytical helpers."""
 
 import pytest
-
-from repro.analysis.theory import (
+from theory_oracle import (
     expected_connected_increase,
     expected_wait_s,
     expected_window_coverage,
     greedy_approximation_bound,
     unicast_connected_s,
 )
+
 from repro.errors import ConfigurationError
 from repro.traffic.mixtures import SHORT_EDRX_MIXTURE
 

@@ -121,10 +121,9 @@ class TestFleet:
         with pytest.raises(ValueError):
             fleet.phases[0] = -99
 
-    def test_max_min_cycle(self):
+    def test_max_cycle(self):
         fleet = Fleet.from_devices(self._devices())
         assert int(fleet.max_cycle) == max(int(d.cycle) for d in fleet)
-        assert int(fleet.min_cycle) == min(int(d.cycle) for d in fleet)
 
     def test_group_rate_is_minimum(self):
         devices = [

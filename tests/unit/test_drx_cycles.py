@@ -77,48 +77,8 @@ class TestLadderNavigation:
         assert short.divides(long)
         assert not long.divides(short)
 
-    def test_halvings_to(self):
-        long = DrxCycle.from_seconds(163.84)
-        short = DrxCycle.from_seconds(20.48)
-        assert long.halvings_to(short) == 3
-        assert long.halvings_to(long) == 0
-
-    def test_halvings_to_rejects_longer(self):
-        with pytest.raises(LadderError):
-            DrxCycle.from_seconds(20.48).halvings_to(DrxCycle.from_seconds(40.96))
-
-    def test_largest_at_most(self):
-        assert int(DrxCycle.largest_at_most(2048)) == 2048
-        assert int(DrxCycle.largest_at_most(2100)) == 2048
-        assert int(DrxCycle.largest_at_most(4095)) == 2048
-
-    def test_largest_at_most_below_minimum_raises(self):
-        with pytest.raises(LadderError):
-            DrxCycle.largest_at_most(31)
-
-    def test_smallest_at_least(self):
-        assert int(DrxCycle.smallest_at_least(2048)) == 2048
-        assert int(DrxCycle.smallest_at_least(2049)) == 4096
-        assert int(DrxCycle.smallest_at_least(1)) == 32
-
-    def test_smallest_at_least_above_max_raises(self):
-        with pytest.raises(LadderError):
-            DrxCycle.smallest_at_least(DrxCycle.MAX_FRAMES + 1)
-
 
 class TestClassification:
-    def test_is_edrx(self):
-        assert DrxCycle.from_seconds(20.48).is_edrx
-        assert not DrxCycle.from_seconds(10.24).is_edrx
-
-    def test_is_nbiot_idle(self):
-        assert DrxCycle.from_seconds(2.56).is_nbiot_idle_drx
-        assert not DrxCycle.from_seconds(20.48).is_nbiot_idle_drx
-
-    def test_is_lte(self):
-        assert DrxCycle.from_seconds(0.32).is_lte_drx
-        assert not DrxCycle.from_seconds(10.24).is_lte_drx
-
     def test_int_arithmetic_works(self):
         cycle = DrxCycle.from_seconds(20.48)
         assert cycle * 2 == 4096

@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
+from engine_oracle import Event, Simulator
 from executor_oracle import EventDrivenCampaign
 
 from repro.core import DrScMechanism
 from repro.core.base import PlanningContext
 from repro.errors import SimulationError
-from repro.sim.engine import Simulator
 from repro.sim.eventlog import EventLogRecorder
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind
 from repro.timebase import frame_after_seconds
 from repro.traffic.generator import generate_fleet
 from repro.traffic.mixtures import MODERATE_EDRX_MIXTURE

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-
-from repro.analysis.fig7_model import (
+from fig7_oracle import (
     expected_greedy_transmissions,
     transmissions_curve,
 )
+
 from repro.errors import ConfigurationError
 from repro.setcover.greedy import greedy_window_cover
 from repro.traffic.generator import generate_fleet

@@ -48,7 +48,6 @@ class TestPublicApi:
             "repro.core",
             "repro.sim",
             "repro.experiments",
-            "repro.analysis",
         ):
             importlib.import_module(module)
 
@@ -113,3 +112,52 @@ def test_package_ships_no_reference_paths():
         namespace = vars(importlib.import_module(module))
         assert not scalar_paging & set(namespace), module
     assert importlib.util.find_spec("repro.drx.config") is None
+    # The discrete-event engine is the replay oracle's
+    # (tests/engine_oracle.py) and the closed-form models are the
+    # tests' cross-checks (tests/theory_oracle.py, tests/fig7_oracle.py);
+    # the live service keeps its own frame clock.
+    assert importlib.util.find_spec("repro.sim.engine") is None
+    assert importlib.util.find_spec("repro.analysis") is None
+    for module in ("repro", "repro.sim"):
+        exported = set(importlib.import_module(module).__all__)
+        assert not {"Simulator", "Event"} & exported, module
+    from repro.sim import events
+
+    assert not hasattr(events, "Event")
+    # Names no run calls are gone with their tests.
+    from repro.devices.fleet import Fleet
+    from repro.drx.cycles import DrxCycle
+    from repro.enb.cell import CellConfig
+    from repro.enb.scheduler import UtilizationReport
+    from repro.rrc.random_access import RandomAccessModel
+    from repro.sim.eventlog import EventLog
+    from repro.timebase import frames as timebase_frames
+
+    removed = {
+        timebase_frames: {
+            "sfn_of",
+            "hyperframe_of",
+            "subframe_count",
+            "frame_containing_ms",
+            "frames_to_ms",
+            "validate_frame",
+            "SFN_PERIOD",
+        },
+        DrxCycle: {
+            "is_edrx",
+            "is_lte_drx",
+            "is_nbiot_idle_drx",
+            "halvings_to",
+            "largest_at_most",
+            "smallest_at_least",
+        },
+        Fleet: {"min_cycle"},
+        EventLog: {"for_device"},
+        UtilizationReport: {"feasible_on_single_carrier"},
+        CellConfig: {"with_inactivity_timer"},
+        TrafficMixture: {"mean_inverse_cycle_s"},
+        RandomAccessModel: {"expected_duration_s"},
+    }
+    for owner, names in removed.items():
+        assert not {name for name in names if hasattr(owner, name)}, owner
+    assert not removed[timebase_frames] & set(repro.timebase.__all__)

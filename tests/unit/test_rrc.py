@@ -56,14 +56,6 @@ class TestRandomAccess:
             for _ in range(200):
                 model.perform(CoverageClass.NORMAL, rng)
 
-    def test_expected_duration(self):
-        model = RandomAccessModel()
-        assert model.expected_duration_s(CoverageClass.NORMAL) == pytest.approx(0.35)
-        lossy = RandomAccessModel(collision_probability=0.5, backoff_s=0.1)
-        assert lossy.expected_duration_s(CoverageClass.NORMAL) == pytest.approx(
-            2 * 0.35 + 1 * 0.1
-        )
-
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             RandomAccessModel(collision_probability=1.0)

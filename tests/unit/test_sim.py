@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from engine_oracle import Event, Simulator
 
 from repro.core import DaScMechanism, DrScMechanism, DrSiMechanism, UnicastBaseline
 from repro.core.plan import WakeMethod
 from repro.energy.states import PowerState
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventKind
+from repro.sim.events import EventKind
 from repro.sim.executor import CampaignExecutor
 from repro.timebase import frame_after_seconds
 from repro.sim.montecarlo import RunStatistics

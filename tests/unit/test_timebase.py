@@ -9,23 +9,16 @@ from repro.timebase import (
     format_bytes,
     format_duration,
     frame_at_or_after_ms,
-    frame_containing_ms,
-    frames_to_ms,
     frames_to_seconds,
-    hyperframe_of,
     ms_to_frames,
     seconds_to_frames,
     seconds_to_nearest_ms,
-    sfn_of,
-    subframe_count,
-    validate_frame,
 )
 
 
 class TestConversions:
     def test_frame_is_ten_ms(self):
         assert MS_PER_FRAME == 10
-        assert frames_to_ms(1) == 10
         assert frames_to_seconds(100) == 1.0
 
     def test_hyperframe_is_1024_frames(self):
@@ -63,34 +56,7 @@ class TestConversions:
 
     def test_roundtrip(self):
         for frames in (0, 1, 7, 1024, 99999):
-            assert ms_to_frames(frames_to_ms(frames), strict=True) == frames
-
-    def test_sfn_wraps_at_1024(self):
-        assert sfn_of(0) == 0
-        assert sfn_of(1023) == 1023
-        assert sfn_of(1024) == 0
-        assert sfn_of(1025) == 1
-
-    def test_hyperframe_of(self):
-        assert hyperframe_of(1023) == 0
-        assert hyperframe_of(1024) == 1
-
-    def test_subframe_count(self):
-        assert subframe_count(3) == 30
-
-    def test_validate_frame_rejects_negative(self):
-        with pytest.raises(TimebaseError):
-            validate_frame(-1)
-
-    def test_validate_frame_rejects_non_integer(self):
-        with pytest.raises(TimebaseError):
-            validate_frame(1.5)
-
-    def test_validate_frame_accepts_numpy_ints(self):
-        import numpy as np
-
-        assert validate_frame(np.int64(42)) == 42
-        assert isinstance(validate_frame(np.int64(42)), int)
+            assert ms_to_frames(frames * MS_PER_FRAME, strict=True) == frames
 
 
 class TestMillisecondHelpers:
@@ -100,11 +66,6 @@ class TestMillisecondHelpers:
         assert frame_at_or_after_ms(11) == 2
         assert frame_at_or_after_ms(19) == 2
         assert frame_at_or_after_ms(20) == 2
-
-    def test_frame_containing(self):
-        assert frame_containing_ms(0) == 0
-        assert frame_containing_ms(9) == 0
-        assert frame_containing_ms(10) == 1
 
     def test_nearest_ms_absorbs_float_noise(self):
         assert seconds_to_nearest_ms(0.01) == 10
@@ -125,8 +86,6 @@ class TestMillisecondHelpers:
             seconds_to_nearest_ms(-0.001)
         with pytest.raises(TimebaseError):
             frame_at_or_after_ms(-1)
-        with pytest.raises(TimebaseError):
-            frame_containing_ms(-1)
 
 
 class TestFormatting:
@@ -177,6 +136,6 @@ class TestSingleSourceOfFrameDuration:
                     )
         assert offenders == [], (
             "hardcoded frame-duration conversions found; use "
-            "repro.timebase.frames_to_seconds / frames_to_ms instead:\n"
+            "repro.timebase.frames_to_seconds instead:\n"
             + "\n".join(offenders)
         )

@@ -65,12 +65,6 @@ class TestMixture:
             allowed = PAPER_DEFAULT_MIXTURE.cycle_distribution(category)
             assert int(frames) in {int(cycle) for cycle in allowed}
 
-    def test_mean_inverse_cycle(self):
-        value = SHORT_EDRX_MIXTURE.mean_inverse_cycle_s
-        cycles = [20.48, 40.96, 81.92, 163.84]
-        expected = sum(0.25 / c for c in cycles)
-        assert value == pytest.approx(expected)
-
     def test_max_cycle(self):
         assert PAPER_DEFAULT_MIXTURE.max_cycle.seconds == pytest.approx(10485.76)
         assert SHORT_EDRX_MIXTURE.max_cycle.seconds == pytest.approx(163.84)
